@@ -68,10 +68,11 @@
 // paxos.AdmissionConfig) and the web tier paces or holds writes at the
 // tier boundary (core.Replica.AdmissionHint), so overload degrades to
 // queueing latency instead of retry-timeout storms. On the same simulated
-// disk this moves one group from ~3.9k to ~45k+ committed actions/s
-// (BenchmarkBatching writes BENCH_batching.json: actions/s across
-// SyncMode × MaxInFlight at 1 and 4 shards; cmd/experiment -run batching
-// prints the matrix).
+// disk this moves one group from 3,923 to 50,033 committed actions/s at
+// 50k/s offered — all of the offered load (BENCH_batching.json, written by
+// BenchmarkBatching: the baseline row against the batch × 32-in-flight
+// row, in a matrix of actions/s across SyncMode × MaxInFlight at 1 and 4
+// shards; cmd/experiment -run batching prints it).
 //
 // The read path scales out independently of the write quorums:
 // webtier.Config.Readers boots learner-backed read-only servers per
@@ -241,8 +242,9 @@
 // //guarded:held — each with a reason, so the suite stays at zero
 // findings and every suppression is a documented decision.
 //
-// See README.md for the layout, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The root package holds only the benchmark harness (bench_test.go);
-// the implementation lives under internal/.
+// The root package holds only the paper-table harness (bench_test.go,
+// which writes the BENCH_*.json files); the implementation lives under
+// internal/, and bench/ is the end-to-end benchmark BENCHMARK.json
+// declares (bench/README.md). ROADMAP.md lists what is open and how to run
+// each test suite; CHANGES.md is the per-PR log.
 package robuststore

@@ -143,18 +143,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// command is the envelope every action travels in: the origin replica and
-// a local sequence number correlate results back to the submitter.
-type command struct {
-	Origin env.NodeID
-	// Epoch identifies the origin's incarnation (its start time): pending
-	// sequence numbers restart at zero with every incarnation, so a
-	// command replayed from a previous one must not resolve a submission
-	// of the current one — without this, a post-crash replay can hand a
-	// caller the result of a different, older action.
-	Epoch  int64
-	Seq    int64
-	Action any
+// pendingDone is the completion of one submission awaiting its apply: the
+// callback of Submit or of SubmitIndexed, whichever was given (the zero
+// value completes nothing).
+type pendingDone struct {
+	plain   func(result any, err error)
+	indexed func(result any, inst paxos.InstanceID, err error)
+}
+
+func (p pendingDone) fire(result any, inst paxos.InstanceID, err error) {
+	switch {
+	case p.indexed != nil:
+		p.indexed(result, inst, err)
+	case p.plain != nil:
+		p.plain(result, err)
+	}
 }
 
 // Snapshot payloads.
@@ -263,9 +266,12 @@ type Replica struct {
 	lastApplied paxos.InstanceID
 	buffer      []bufferedValue
 
-	epoch   int64 // this incarnation's command epoch (start time)
+	// pending holds the completions of this incarnation's submissions,
+	// keyed by the number the engine gave the command (paxos.Value), which
+	// nextSeq mirrors so an entry is in place before the engine sees the
+	// command.
 	nextSeq int64
-	pending map[int64]func(result any, inst paxos.InstanceID, err error)
+	pending map[int64]pendingDone
 
 	// fences holds registered fenced reads waiting for lastApplied to
 	// reach their minimum index (ReadAt/InspectAt). Loop-confined; fired
@@ -364,7 +370,7 @@ func NewReplica(cfg Config) *Replica {
 	}
 	return &Replica{
 		cfg:     cfg,
-		pending: make(map[int64]func(any, paxos.InstanceID, error)),
+		pending: make(map[int64]pendingDone),
 		serving: make(map[env.NodeID]bool),
 	}
 }
@@ -379,7 +385,6 @@ func (r *Replica) Start(e env.Env) {
 	r.pubEnv.Store(e)
 	r.me = e.ID()
 	r.joinedAt = e.Now()
-	r.epoch = r.joinedAt.UnixNano()
 	r.sm = r.cfg.Machine()
 
 	e.Storage().LoadSnapshot("meta", func(snap env.Snapshot, ok bool) {
@@ -396,22 +401,18 @@ func (r *Replica) Start(e env.Env) {
 		bootEngine := func() {
 			pcfg := r.cfg.Paxos
 			pcfg.FastEnabled = r.cfg.FastPaxos
-			pcfg.CmdSize = func(cmd any) int64 {
-				c, ok := cmd.(command)
-				if !ok {
-					return 64
-				}
+			pcfg.CmdSize = func(action any) int64 {
 				// A keyed-snapshot import is charged by its payload, like
 				// the checkpoint transfer it is.
-				if pi, ok := c.Action.(PartitionImport); ok {
+				if pi, ok := action.(PartitionImport); ok {
 					return 64 + pi.Size
 				}
 				// A prepare record carries a whole branch action plus the
 				// transaction header; charge both.
-				if tp, ok := c.Action.(TxnPrepare); ok {
+				if tp, ok := action.(TxnPrepare); ok {
 					return 96 + r.cfg.ActionSize(tp.Action)
 				}
-				return 48 + r.cfg.ActionSize(c.Action)
+				return 48 + r.cfg.ActionSize(action)
 			}
 			pcfg.Deliver = r.onDeliver
 			pcfg.OnCatchUpGap = r.onCatchUpGap
@@ -514,13 +515,7 @@ func (r *Replica) Receive(from env.NodeID, msg env.Message) {
 // the action has been applied here. All replica-visible non-determinism
 // must already be resolved inside the action (paper §4).
 func (r *Replica) Submit(action any, done func(result any, err error)) {
-	if done == nil {
-		r.SubmitIndexed(action, nil)
-		return
-	}
-	r.SubmitIndexed(action, func(result any, _ paxos.InstanceID, err error) {
-		done(result, err)
-	})
+	r.submit(action, pendingDone{plain: done})
 }
 
 // SubmitIndexed is Submit for callers that need the commit index: done
@@ -528,23 +523,25 @@ func (r *Replica) Submit(action any, done func(result any, err error)) {
 // a client can carry as the fence of its subsequent reads (ReadAt) to get
 // read-your-writes across replicas.
 func (r *Replica) SubmitIndexed(action any, done func(result any, inst paxos.InstanceID, err error)) {
+	r.submit(action, pendingDone{indexed: done})
+}
+
+func (r *Replica) submit(action any, done pendingDone) {
 	if r.cfg.Paxos.Learner {
-		if done != nil {
-			done(nil, -1, ErrLearner)
-		}
+		done.fire(nil, -1, ErrLearner)
 		return
 	}
 	if r.en == nil || !r.appReady {
-		if done != nil {
-			done(nil, -1, ErrNotReady)
-		}
+		done.fire(nil, -1, ErrNotReady)
 		return
 	}
 	r.nextSeq++
-	if done != nil {
+	if done.plain != nil || done.indexed != nil {
 		r.pending[r.nextSeq] = done
 	}
-	r.en.Submit(command{Origin: r.me, Epoch: r.epoch, Seq: r.nextSeq, Action: action})
+	if n := r.en.Submit(action); n != r.nextSeq {
+		panic("core: engine command numbering out of step with pending")
+	}
 }
 
 // Execute proposes an action and blocks until it has been applied locally,
@@ -731,19 +728,21 @@ func (r *Replica) apply(inst paxos.InstanceID, v paxos.Value) {
 		return
 	}
 
-	for _, cmd := range v.Cmds {
-		c, ok := cmd.(command)
-		if !ok {
-			r.e.Logf("core: dropping malformed command %T", cmd)
+	// Only a value this incarnation proposed can complete a pending
+	// submission: command numbers start over with every incarnation, so a
+	// value replayed from an earlier one must not hand a caller the result
+	// of a different, older action.
+	mine := v.ID.Node == r.me && v.ID.Epoch == r.en.Epoch()
+	for i, action := range v.Cmds {
+		result := r.executeAction(action)
+		r.applied++
+		if !mine {
 			continue
 		}
-		result := r.executeAction(c.Action)
-		r.applied++
-		if c.Origin == r.me && c.Epoch == r.epoch {
-			if done, ok := r.pending[c.Seq]; ok {
-				delete(r.pending, c.Seq)
-				done(result, inst, nil)
-			}
+		seq := v.First + int64(i)
+		if done, ok := r.pending[seq]; ok {
+			delete(r.pending, seq)
+			done.fire(result, inst, nil)
 		}
 	}
 	r.lastApplied = inst

@@ -149,7 +149,8 @@ type Storage interface {
 	// batch is durable. Record order within the batch is preserved, and
 	// batches complete in order relative to other Append/AppendBatch
 	// calls. The WAL sync coalescing of internal/paxos (SyncBatch mode)
-	// is built on this call. A nil done is allowed.
+	// is built on this call. A nil done is allowed. recs is the caller's
+	// to reuse once done has run: an implementation copies what it keeps.
 	AppendBatch(recs []Record, done func(error))
 
 	// ReadRecords asynchronously reads the whole retained log, oldest
@@ -186,8 +187,8 @@ type Storage interface {
 }
 
 // Record is a single durable log entry. Size is the modeled on-disk size
-// in bytes; the simulator charges disk time proportional to it while the
-// live file storage uses the encoded size instead.
+// in bytes; the simulator charges disk time proportional to it (the live
+// runtime keeps records in memory and ignores it).
 type Record struct {
 	Kind string
 	Data any

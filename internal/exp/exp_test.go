@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +161,34 @@ func TestPickVictimsDistinct(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBatchingDeterministic is the determinism guard behind every BENCH
+// file: the same seed must give byte-identical output. It runs a short
+// single-shard batching matrix (all three sync modes, both pipeline depths)
+// twice in one process and compares the JSON.
+func TestBatchingDeterministic(t *testing.T) {
+	cfg := BatchingConfig{
+		Shards:          []int{1},
+		OfferedPerShard: 20000,
+		Warmup:          time.Second, // long enough to elect a leader
+		Measure:         time.Second,
+		Seed:            5,
+	}
+	run := func() []byte {
+		data, err := json.Marshal(Batching(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("same seed, different output:\n%s\n%s", first, second)
+	}
+	var r BatchingResult
+	if err := json.Unmarshal(first, &r); err != nil || len(r.Points) != 7 || r.Points[6].PerSec < 15000 {
+		t.Fatalf("the matrix measured nothing: %s (%v)", first, err)
 	}
 }

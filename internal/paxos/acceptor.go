@@ -41,7 +41,7 @@ func (en *Engine) onPrepare(from env.NodeID, m prepareMsg) {
 		}
 	}
 	en.appendRecord(env.Record{Kind: "promise", Data: promiseRec{B: m.B}, Size: 32},
-		func(error) { en.e.Send(from, reply) })
+		walDone{to: from, msg: reply})
 }
 
 func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
@@ -84,9 +84,11 @@ func (en *Engine) vote(inst InstanceID, b Ballot, v Value) {
 	if inst >= en.nextFree {
 		en.nextFree = inst + 1
 	}
-	coordinator := en.owner(b)
-	en.appendRecord(env.Record{Kind: "accept", Data: acceptRec{Inst: inst, B: b, V: v}, Size: 32 + v.Size},
-		func(error) { en.e.Send(coordinator, acceptedMsg{B: b, Inst: inst, V: v}) })
+	// The vote is boxed once: the same value is the WAL record's payload
+	// and, once durable, the phase-2b message.
+	var vote env.Message = acceptedMsg{B: b, Inst: inst, V: v}
+	en.appendRecord(env.Record{Kind: "accept", Data: vote, Size: 32 + v.Size},
+		walDone{to: en.owner(b), msg: vote})
 }
 
 // onAny opens fast self-assignment: the coordinator of fast ballot m.B
@@ -101,7 +103,7 @@ func (en *Engine) onAny(from env.NodeID, m anyMsg) {
 		// We missed the prepare (e.g. we were down); adopt the promise
 		// now.
 		en.promised = m.B
-		en.appendRecord(env.Record{Kind: "promise", Data: promiseRec{B: m.B}, Size: 32}, nil)
+		en.appendRecord(env.Record{Kind: "promise", Data: promiseRec{B: m.B}, Size: 32}, walDone{})
 	}
 	if m.B.Less(en.promised) {
 		return // a higher ballot exists; this fast round is dead
@@ -187,7 +189,7 @@ func (en *Engine) onRecQuery(from env.NodeID, m recQueryMsg) {
 	if eff.Less(m.B) {
 		en.instPromised[m.Inst] = m.B
 		en.appendRecord(env.Record{Kind: "instpromise", Data: instPromiseRec{Inst: m.Inst, B: m.B}, Size: 32},
-			func(error) { en.e.Send(from, reply) })
+			walDone{to: from, msg: reply})
 		return
 	}
 	// Duplicate query at the already-promised ballot: reply directly.

@@ -1,7 +1,7 @@
 package paxos
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"robuststore/internal/detsort"
@@ -174,15 +174,18 @@ type Engine struct {
 	// Proposer. cmdQueue is a FIFO ring: qHead indexes the next command
 	// to propose and the consumed prefix is reclaimed in place, so deep
 	// backlogs drain in O(n) total instead of reallocating the remainder
-	// per batch.
-	nextSeq     int64
-	batchTimer  env.Timer
-	outstanding map[int64]*pendingValue // keyed by ValueID.Seq
-	cmdQueue    []any
-	qHead       int
-	queueBytes  int64
-	wal         *walWriter
-	adm         admissionController
+	// per batch. cmdSeq numbers the commands (see Value).
+	nextSeq      int64
+	cmdSeq       int64 // number of the last command submitted
+	batchTimer   env.Timer
+	outstanding  map[int64]*pendingValue // keyed by ValueID.Seq
+	cmdQueue     []any
+	qHead        int
+	queueBytes   int64
+	wal          *walWriter
+	adm          admissionController
+	batchFn      func()  // en.batchTimeout, bound once
+	retryScratch []int64 // sweep's due-for-retry list, reused
 
 	// Acceptor (durable; rebuilt from the WAL on boot).
 	promised     Ballot
@@ -221,7 +224,7 @@ func New(cfg Config) *Engine {
 	if cfg.Deliver == nil {
 		panic("paxos: Config.Deliver is required")
 	}
-	return &Engine{
+	en := &Engine{
 		cfg:          cfg,
 		adm:          admissionController{cfg: cfg.Admission},
 		outstanding:  make(map[int64]*pendingValue),
@@ -235,6 +238,8 @@ func New(cfg Config) *Engine {
 		chosen:       make(map[InstanceID]Value),
 		delivered:    make(map[env.NodeID]map[int64]*dedupSet),
 	}
+	en.batchFn = en.batchTimeout
+	return en
 }
 
 // Boot recovers the acceptor state from the WAL and joins the cluster.
@@ -296,7 +301,7 @@ func (en *Engine) replay(recs []env.Record) {
 				en.instPromised[d.Inst] = d.B
 			}
 			en.noteBallot(d.B)
-		case acceptRec:
+		case acceptedMsg:
 			cur, ok := en.accepted[d.Inst]
 			if !ok || cur.B.LessEq(d.B) {
 				en.accepted[d.Inst] = acceptedInfo{Inst: d.Inst, B: d.B, V: d.V}
@@ -401,14 +406,25 @@ func (en *Engine) aliveCount() int {
 // are batched (group commit) and delivered through Config.Deliver on every
 // replica. Submit never blocks; flow control is by MaxInFlight batching,
 // with queue pressure graded through AdmissionState.
-func (en *Engine) Submit(cmd any) {
+//
+// It returns the command's number: one more than the previous Submit's on
+// this engine, starting at 1. The delivered Value that carries the command
+// locates it by that number (see Value), under this engine's Epoch.
+func (en *Engine) Submit(cmd any) int64 {
 	if en.cfg.Learner {
 		panic("paxos: Submit on a learner engine")
 	}
 	en.cmdQueue = append(en.cmdQueue, cmd)
+	en.cmdSeq++
+	n := en.cmdSeq // numbered before pump, which may already propose it
 	en.queueBytes += en.cfg.CmdSize(cmd)
 	en.pump()
+	return n
 }
+
+// Epoch identifies this engine's incarnation: the ID.Epoch of every value
+// it proposes.
+func (en *Engine) Epoch() int64 { return en.epoch }
 
 // queueLen is the number of commands waiting to be proposed.
 func (en *Engine) queueLen() int { return len(en.cmdQueue) - en.qHead }
@@ -423,25 +439,26 @@ func (en *Engine) pump() {
 		en.proposeNext(en.cfg.MaxBatchCmds)
 	}
 	if en.queueLen() > 0 && len(en.outstanding) < en.cfg.MaxInFlight && en.batchTimer == nil {
-		en.batchTimer = en.e.After(en.cfg.BatchDelay, func() {
-			en.batchTimer = nil
-			if n := en.queueLen(); n > 0 && len(en.outstanding) < en.cfg.MaxInFlight {
-				if n > en.cfg.MaxBatchCmds {
-					n = en.cfg.MaxBatchCmds
-				}
-				en.proposeNext(n)
-			}
-			en.pump()
-		})
+		en.batchTimer = en.e.After(en.cfg.BatchDelay, en.batchFn)
 	}
 	en.compactQueue()
 	en.adm.update(en.queueLen(), en.queueBytes)
+}
+
+// batchTimeout proposes the partial batch that waited BatchDelay to fill.
+func (en *Engine) batchTimeout() {
+	en.batchTimer = nil
+	if n := en.queueLen(); n > 0 && len(en.outstanding) < en.cfg.MaxInFlight {
+		en.proposeNext(min(n, en.cfg.MaxBatchCmds))
+	}
+	en.pump()
 }
 
 // proposeNext packs the next n queued commands into one value and
 // proposes it. The commands are copied out so the ring slots can be
 // reclaimed.
 func (en *Engine) proposeNext(n int) {
+	first := en.cmdSeq - int64(en.queueLen()) + 1
 	cmds := make([]any, n)
 	copy(cmds, en.cmdQueue[en.qHead:en.qHead+n])
 	for i := en.qHead; i < en.qHead+n; i++ {
@@ -455,9 +472,10 @@ func (en *Engine) proposeNext(n int) {
 	en.queueBytes -= bytes
 	en.nextSeq++
 	v := Value{
-		ID:   ValueID{Node: en.me, Epoch: en.epoch, Seq: en.nextSeq},
-		Cmds: cmds,
-		Size: bytes + 64,
+		ID:    ValueID{Node: en.me, Epoch: en.epoch, Seq: en.nextSeq},
+		Cmds:  cmds,
+		Size:  bytes + 64,
+		First: first,
 	}
 	en.outstanding[v.ID.Seq] = &pendingValue{v: v, lastSent: en.e.Now()}
 	en.propose(v)
@@ -638,7 +656,7 @@ func (en *Engine) advance() {
 		if pv, mine := en.outstanding[v.ID.Seq]; mine && pv.v.ID == v.ID {
 			delete(en.outstanding, v.ID.Seq)
 		}
-		if !v.NoOp && en.markDelivered(v.ID) {
+		if !v.NoOp() && en.markDelivered(v.ID) {
 			en.cfg.Deliver(inst, v)
 		}
 	}
@@ -854,14 +872,14 @@ func (en *Engine) Compact(through InstanceID) {
 		size += 32 + a.V.Size
 	}
 	barrierIdx := en.records
-	en.appendRecord(env.Record{Kind: "compact", Data: rec, Size: size}, func(error) {
+	en.appendRecord(env.Record{Kind: "compact", Data: rec, Size: size}, walDone{fn: func(error) {
 		en.e.Storage().Truncate(barrierIdx, nil)
-	})
+	}})
 }
 
 // appendRecord writes a durable record through the WAL writer (which
 // applies the configured SyncMode) and tracks the global record index.
-func (en *Engine) appendRecord(rec env.Record, done func(error)) {
+func (en *Engine) appendRecord(rec env.Record, done walDone) {
 	en.records++
 	en.wal.append(rec, done)
 }
@@ -891,18 +909,19 @@ func (en *Engine) sweep() {
 
 	// Value retries: outstanding batches not yet learned (sorted for
 	// deterministic message order).
-	var retrySeqs []int64
+	retry := en.retryScratch[:0]
 	for seq, pv := range en.outstanding {
 		if now.Sub(pv.lastSent) > en.cfg.RetryTimeout {
-			retrySeqs = append(retrySeqs, seq)
+			retry = append(retry, seq)
 		}
 	}
-	sort.Slice(retrySeqs, func(i, j int) bool { return retrySeqs[i] < retrySeqs[j] })
-	for _, seq := range retrySeqs {
+	slices.Sort(retry)
+	for _, seq := range retry {
 		pv := en.outstanding[seq]
 		pv.lastSent = now
 		en.propose(pv.v)
 	}
+	en.retryScratch = retry
 
 	// Catch-up: behind the cluster or stuck on a gap.
 	behind := en.maxKnown >= en.firstUnchosen

@@ -18,6 +18,9 @@ type testCluster struct {
 	engines   []*Engine
 	delivered [][]string              // per node, applied commands in order
 	instOf    []map[InstanceID]string // per node, instance -> command (for consistency checks)
+
+	// onDeliver, when non-nil, additionally sees every delivered value.
+	onDeliver func(node int, inst InstanceID, v Value)
 }
 
 type engineNode struct {
@@ -31,6 +34,9 @@ func (n *engineNode) Start(e env.Env) {
 	c.instOf[n.id] = make(map[InstanceID]string)
 	cfg := c.baseConfig()
 	cfg.Deliver = func(inst InstanceID, v Value) {
+		if c.onDeliver != nil {
+			c.onDeliver(n.id, inst, v)
+		}
 		for _, cmd := range v.Cmds {
 			s, ok := cmd.(string)
 			if !ok {

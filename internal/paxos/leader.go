@@ -1,7 +1,7 @@
 package paxos
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"robuststore/internal/detsort"
@@ -164,11 +164,6 @@ func (en *Engine) establish() {
 	}
 
 	// Decide what to propose at every open instance.
-	insts := make([]InstanceID, 0, len(byInst))
-	for i := range byInst {
-		insts = append(insts, i)
-	}
-	sort.Slice(insts, func(a, b int) bool { return insts[a] < insts[b] })
 	q := len(ls.promises)
 	var noopSeq int64
 	for i := ls.prepFrom; i < ls.nextInstance; i++ {
@@ -198,7 +193,7 @@ func (en *Engine) establish() {
 	for seq := range en.outstanding {
 		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	for _, seq := range seqs {
 		pv := en.outstanding[seq]
 		pv.lastSent = en.e.Now()
@@ -470,7 +465,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 			stalled = append(stalled, inst)
 		}
 	}
-	sort.Slice(stalled, func(i, j int) bool { return stalled[i] < stalled[j] })
+	slices.Sort(stalled)
 	for _, inst := range stalled {
 		p := ls.inflight[inst]
 		p.lastSent = now

@@ -104,16 +104,32 @@ type ValueID struct {
 }
 
 // Value is the unit of agreement: a batch of opaque application commands.
+//
+// Command numbering: an engine numbers the commands it is handed 1, 2, 3, …
+// in Submit order, starting over with each incarnation, and packs them into
+// values in that order. Cmds[i] is therefore command First+i of the
+// incarnation (ID.Node, ID.Epoch) — the submitter needs no envelope around
+// a command to recognise its own. Re-proposals and recovery carry a value
+// whole, so the correspondence holds wherever the value is chosen.
+//
+// A Value is copied into every message, WAL record and accepted/chosen map
+// entry, so it stays at 64 bytes; a no-op is marked by its negative ID.Seq
+// rather than a flag of its own.
 type Value struct {
-	ID   ValueID
-	Cmds []any
-	Size int64 // modeled serialized size in bytes
-	NoOp bool  // gap filler; carries no commands
+	ID    ValueID
+	Cmds  []any
+	Size  int64 // modeled serialized size in bytes
+	First int64 // number of Cmds[0] within its incarnation; 0 for a no-op
 }
 
-// noOpValue builds a no-op filler value attributed to node me.
+// NoOp reports whether v is a gap filler, which carries no commands.
+func (v Value) NoOp() bool { return v.ID.Seq < 0 }
+
+// noOpValue builds a no-op filler value attributed to node me. seq must be
+// positive: the negated ID.Seq is what marks the value (proposals count
+// their own ID.Seq up from 1).
 func noOpValue(me env.NodeID, epoch, seq int64) Value {
-	return Value{ID: ValueID{Node: me, Epoch: epoch, Seq: -seq - 1}, NoOp: true, Size: 32}
+	return Value{ID: ValueID{Node: me, Epoch: epoch, Seq: -seq - 1}, Size: 32}
 }
 
 // acceptedInfo reports an acceptor's vote for one instance.
@@ -176,7 +192,9 @@ type acceptMsg struct {
 
 func (m acceptMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
-// acceptedMsg is phase 2b, sent to the ballot owner (coordinator).
+// acceptedMsg is phase 2b, sent to the ballot owner (coordinator). It is
+// also the durable record of the vote (Kind "accept"), written before it is
+// sent.
 type acceptedMsg struct {
 	B    Ballot
 	Inst InstanceID
@@ -278,13 +296,6 @@ func (m catchUpReplyMsg) WireSize() int64 {
 // promiseRec persists a global promise.
 type promiseRec struct {
 	B Ballot
-}
-
-// acceptRec persists a vote.
-type acceptRec struct {
-	Inst InstanceID
-	B    Ballot
-	V    Value
 }
 
 // instPromiseRec persists a per-instance promise (coordinated recovery).

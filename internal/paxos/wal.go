@@ -50,6 +50,26 @@ func (m SyncMode) String() string {
 	}
 }
 
+// walDone is what follows a record's durability: fn, or — the acceptor's
+// persist-then-reply, spelled as data so that it costs no closure per
+// record — sending msg to to. The zero value does nothing.
+type walDone struct {
+	fn  func(error)
+	to  env.NodeID
+	msg env.Message
+}
+
+func (d walDone) none() bool { return d.fn == nil && d.msg == nil }
+
+func (d walDone) run(e env.Env, err error) {
+	switch {
+	case d.fn != nil:
+		d.fn(err)
+	case d.msg != nil:
+		e.Send(d.to, d.msg)
+	}
+}
+
 // walWriter sits between the engine and env.Storage and implements the
 // SyncMode policy. All methods run on the node's executor. Batches retain
 // submission order and AppendBatch completes groups in order, so record
@@ -61,36 +81,45 @@ type walWriter struct {
 	syncBytes int64
 	syncDelay time.Duration
 
-	buf      []env.Record
-	dones    []func(error)
-	bufBytes int64
-	inFlight bool      // an AppendBatch is awaiting durability
-	timer    env.Timer // pending SyncDelay flush
-	armed    bool      // a flush is scheduled (timer or Post)
+	// buf/dones is the group being filled, flyBuf/flyDones the group in
+	// flight (empty between flushes). The two pairs trade places at every
+	// flush, so a steady stream of groups allocates nothing.
+	buf, flyBuf     []env.Record
+	dones, flyDones []walDone
+	bufBytes        int64
+	inFlight        bool      // an AppendBatch is awaiting durability
+	timer           env.Timer // pending SyncDelay flush
+	armed           bool      // a flush is scheduled (timer or Post)
+
+	// Bound once: binding a method value per flush allocates.
+	flushFn   func()
+	flushedFn func(error)
 }
 
 func newWALWriter(e env.Env, mode SyncMode, syncBytes int64, syncDelay time.Duration) *walWriter {
-	return &walWriter{e: e, mode: mode, syncBytes: syncBytes, syncDelay: syncDelay}
+	w := &walWriter{e: e, mode: mode, syncBytes: syncBytes, syncDelay: syncDelay}
+	w.flushFn, w.flushedFn = w.flushNow, w.flushed
+	return w
 }
 
-// append writes one record under the configured policy. done (nil
-// allowed) runs on the executor — after durability for SyncBatch and
-// SyncImmediate, immediately for SyncNone.
-func (w *walWriter) append(rec env.Record, done func(error)) {
+// append writes one record under the configured policy. done runs on the
+// executor — after durability for SyncBatch and SyncImmediate, immediately
+// for SyncNone.
+func (w *walWriter) append(rec env.Record, done walDone) {
 	switch w.mode {
 	case SyncImmediate:
-		w.e.Storage().Append(rec, done)
+		w.e.Storage().Append(rec, func(err error) { done.run(w.e, err) })
 	case SyncNone:
-		if done != nil {
-			w.e.Post(func() { done(nil) })
+		if !done.none() {
+			w.e.Post(func() { done.run(w.e, nil) })
 		}
-		w.buffer(rec, nil)
+		w.buffer(rec, walDone{})
 	default: // SyncBatch
 		w.buffer(rec, done)
 	}
 }
 
-func (w *walWriter) buffer(rec env.Record, done func(error)) {
+func (w *walWriter) buffer(rec env.Record, done walDone) {
 	w.buf = append(w.buf, rec)
 	w.dones = append(w.dones, done)
 	w.bufBytes += rec.Size
@@ -109,11 +138,11 @@ func (w *walWriter) maybeFlush() {
 		// Flush at the next executor step (not inline) so records
 		// appended by the same event share the group.
 		w.armed = true
-		w.e.Post(w.flushNow)
+		w.e.Post(w.flushFn)
 		return
 	}
 	w.armed = true
-	w.timer = w.e.After(w.syncDelay, w.flushNow)
+	w.timer = w.e.After(w.syncDelay, w.flushFn)
 }
 
 func (w *walWriter) flushNow() {
@@ -122,16 +151,23 @@ func (w *walWriter) flushNow() {
 	if w.inFlight || len(w.buf) == 0 {
 		return
 	}
-	recs, dones := w.buf, w.dones
-	w.buf, w.dones, w.bufBytes = nil, nil, 0
+	w.buf, w.flyBuf = w.flyBuf, w.buf
+	w.dones, w.flyDones = w.flyDones, w.dones
+	w.bufBytes = 0
 	w.inFlight = true
-	w.e.Storage().AppendBatch(recs, func(err error) {
-		w.inFlight = false
-		for _, d := range dones {
-			if d != nil {
-				d(err)
-			}
-		}
-		w.maybeFlush()
-	})
+	w.e.Storage().AppendBatch(w.flyBuf, w.flushedFn)
+}
+
+// flushed completes the group in flight. Storage is through with the
+// records once it reports them durable, so both slices are emptied for the
+// flush after next.
+func (w *walWriter) flushed(err error) {
+	w.inFlight = false
+	for _, d := range w.flyDones {
+		d.run(w.e, err)
+	}
+	clear(w.flyBuf)
+	clear(w.flyDones)
+	w.flyBuf, w.flyDones = w.flyBuf[:0], w.flyDones[:0]
+	w.maybeFlush()
 }

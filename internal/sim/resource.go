@@ -42,7 +42,7 @@ func (r *Resource) Acquire(d time.Duration, done func()) {
 	r.busy[best] = end
 	r.queued++
 	gen := r.gen
-	r.sim.schedule(end, func() {
+	r.sim.At(end, func() {
 		if r.gen != gen {
 			return // orphaned by Reset
 		}

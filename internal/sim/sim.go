@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"time"
@@ -58,32 +57,6 @@ type Sim struct {
 
 type linkKey struct{ from, to env.NodeID }
 
-type event struct {
-	at  int64 // unix nanos; int64 keeps heap comparisons cheap
-	seq int64
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
 // New returns an empty simulation starting at the Unix epoch of virtual
 // time.
 func New(cfg Config) *Sim {
@@ -107,43 +80,58 @@ func (s *Sim) Now() time.Time { return s.now }
 // generators and fault schedules; nodes get their own split streams).
 func (s *Sim) Rand() *xrand.Rand { return s.rng }
 
-// schedule enqueues fn at time at (clamped to now).
-func (s *Sim) schedule(at time.Time, fn func()) *event {
-	ns := at.UnixNano()
-	if nowNS := s.now.UnixNano(); ns < nowNS {
-		ns = nowNS
+// schedule enqueues ev at time at (clamped to now), stamping its key.
+func (s *Sim) schedule(at time.Time, ev event) {
+	ev.at = at.UnixNano()
+	if nowNS := s.now.UnixNano(); ev.at < nowNS {
+		ev.at = nowNS
 	}
 	s.seq++
-	e := &event{at: ns, seq: s.seq, fn: fn}
-	heap.Push(&s.queue, e)
-	return e
+	ev.seq = s.seq
+	s.queue.push(ev)
 }
 
 // At schedules a global callback at virtual time at.
-func (s *Sim) At(at time.Time, fn func()) { s.schedule(at, fn) }
+func (s *Sim) At(at time.Time, fn func()) { s.schedule(at, event{fn: fn}) }
 
 // After schedules a global callback after d.
-func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now.Add(d), fn) }
+func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now.Add(d), event{fn: fn}) }
+
+// step pops the earliest event and runs it. A stopped timer is discarded
+// without advancing the clock.
+func (s *Sim) step() {
+	e := s.queue.pop()
+	if e.kind == evTimer {
+		if e.timer.stopped {
+			return
+		}
+		// Mark the timer spent before invoking: a later Stop must not claim
+		// it prevented this callback.
+		e.timer.fired = true
+		e.fn = e.timer.fn
+	}
+	s.now = time.Unix(0, e.at).UTC()
+	switch e.kind {
+	case evGlobal:
+		e.fn()
+	case evDeliver:
+		// Delivery is to whichever incarnation is up on arrival.
+		if e.node.alive && e.node.node != nil {
+			e.node.node.Receive(e.from, e.msg)
+		}
+	default: // evNode, evTimer
+		if e.node.alive && e.node.incarnation == e.inc {
+			e.fn()
+		}
+	}
+}
 
 // RunUntil executes events until virtual time reaches t. Events scheduled
 // exactly at t are executed.
 func (s *Sim) RunUntil(t time.Time) {
 	limit := t.UnixNano()
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.at > limit {
-			break
-		}
-		heap.Pop(&s.queue)
-		if e.fn == nil {
-			continue
-		}
-		s.now = time.Unix(0, e.at).UTC()
-		// Clear fn before invoking: a fired event must look spent, so a
-		// later Timer.Stop cannot claim it prevented this callback.
-		fn := e.fn
-		e.fn = nil
-		fn()
+	for len(s.queue) > 0 && s.queue[0].at <= limit {
+		s.step()
 	}
 	if s.now.Before(t) {
 		s.now = t
@@ -158,18 +146,8 @@ func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 // unit tests; periodic timers (heartbeats) never drain, so tests bound the
 // event count.
 func (s *Sim) RunUntilIdle(maxEvents int) bool {
-	for i := 0; i < maxEvents; i++ {
-		if len(s.queue) == 0 {
-			return true
-		}
-		e := heap.Pop(&s.queue).(*event)
-		if e.fn == nil {
-			continue
-		}
-		s.now = time.Unix(0, e.at).UTC()
-		fn := e.fn
-		e.fn = nil // see RunUntil: a fired event must look spent to Stop
-		fn()
+	for i := 0; i < maxEvents && len(s.queue) > 0; i++ {
+		s.step()
 	}
 	return len(s.queue) == 0
 }
@@ -232,14 +210,10 @@ func (s *Sim) startNode(n *simNode) {
 	n.incarnation++
 	n.alive = true
 	n.node = n.factory()
-	inc := n.incarnation
+	e := &nodeEnv{n: n, inc: n.incarnation}
 	// Start runs as an event so that ordering with other events is
 	// deterministic.
-	s.schedule(s.now, func() {
-		if n.incarnation == inc && n.alive {
-			n.node.Start(&nodeEnv{n: n, inc: inc})
-		}
-	})
+	e.Post(func() { n.node.Start(e) })
 }
 
 // Crash kills node id: its volatile state is destroyed, pending timers and
@@ -457,7 +431,7 @@ func (s *Sim) Heal() {
 }
 
 // nodeEnv is the env.Env for a single incarnation of a node. Callbacks are
-// delivered only while the incarnation is current.
+// delivered only while the incarnation is current (see Sim.step).
 type nodeEnv struct {
 	n   *simNode
 	inc int64
@@ -465,42 +439,34 @@ type nodeEnv struct {
 
 var _ env.Env = (*nodeEnv)(nil)
 
-func (e *nodeEnv) live() bool { return e.n.alive && e.n.incarnation == e.inc }
-
 func (e *nodeEnv) ID() env.NodeID      { return e.n.id }
 func (e *nodeEnv) Peers() []env.NodeID { return e.n.sim.peers }
 func (e *nodeEnv) Now() time.Time      { return e.n.sim.now }
 
 func (e *nodeEnv) Post(fn func()) {
-	e.n.sim.schedule(e.n.sim.now, func() {
-		if e.live() {
-			fn()
-		}
-	})
+	e.n.sim.schedule(e.n.sim.now, event{kind: evNode, node: e.n, inc: e.inc, fn: fn})
 }
 
+// simTimer owns a pending After callback's state: queue entries move, so
+// Stop cannot hold one.
 type simTimer struct {
-	ev      *event
-	stopped bool
+	fn             func()
+	stopped, fired bool
 }
 
 func (t *simTimer) Stop() bool {
-	if t.stopped || t.ev.fn == nil {
+	if t.stopped || t.fired {
 		return false
 	}
-	t.stopped = true
-	t.ev.fn = nil // the queue skips nil fns
+	t.stopped = true // the loop discards stopped timers
+	t.fn = nil
 	return true
 }
 
 func (e *nodeEnv) After(d time.Duration, fn func()) env.Timer {
-	ev := e.n.sim.schedule(e.n.sim.now.Add(d), nil)
-	ev.fn = func() {
-		if e.live() {
-			fn()
-		}
-	}
-	return &simTimer{ev: ev}
+	t := &simTimer{fn: fn}
+	e.n.sim.schedule(e.n.sim.now.Add(d), event{kind: evTimer, node: e.n, inc: e.inc, timer: t})
+	return t
 }
 
 func (e *nodeEnv) Send(to env.NodeID, msg env.Message) {
@@ -561,11 +527,5 @@ func (s *Sim) send(from *simNode, to env.NodeID, msg env.Message) {
 	if f, ok := s.delay[linkKey{from.id, to}]; ok {
 		lat = time.Duration(float64(lat) * f)
 	}
-	arrive := depart.Add(lat)
-	tgt := s.nodes[to]
-	s.schedule(arrive, func() {
-		if tgt.alive && tgt.node != nil {
-			tgt.node.Receive(from.id, msg)
-		}
-	})
+	s.schedule(depart.Add(lat), event{kind: evDeliver, node: s.nodes[to], from: from.id, msg: msg})
 }

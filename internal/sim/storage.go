@@ -67,6 +67,7 @@ type diskStorage struct {
 	busyUntil time.Time
 	pending   []pendingAppend
 	flushing  bool
+	flushFn   func() // d.flush, bound once: binding per call allocates
 
 	// slow is the live degradation factor of a failing drive (see
 	// Sim.SetDiskSlowdown): seek latency multiplies by it, bandwidth
@@ -85,7 +86,9 @@ type pendingAppend struct {
 var _ env.Storage = (*diskStorage)(nil)
 
 func newDiskStorage(s *Sim, n *simNode, cfg DiskConfig) *diskStorage {
-	return &diskStorage{sim: s, node: n, cfg: cfg, snapshots: make(map[string]env.Snapshot)}
+	d := &diskStorage{sim: s, node: n, cfg: cfg, snapshots: make(map[string]env.Snapshot)}
+	d.flushFn = d.flush
+	return d
 }
 
 // onCrash discards volatile write-cache state. Durable records stay.
@@ -140,7 +143,7 @@ func (d *diskStorage) Append(rec env.Record, done func(error)) {
 		d.flushing = true
 		// Defer the flush by one event so appends issued in the same
 		// instant share one group commit.
-		d.sim.schedule(d.sim.now, d.flush)
+		d.sim.At(d.sim.now, d.flushFn)
 	}
 }
 
@@ -151,12 +154,8 @@ func (d *diskStorage) Append(rec env.Record, done func(error)) {
 func (d *diskStorage) AppendBatch(recs []env.Record, done func(error)) {
 	if len(recs) == 0 {
 		if done != nil {
-			inc := d.node.incarnation
-			d.sim.schedule(d.sim.now, func() {
-				if d.node.alive && d.node.incarnation == inc {
-					done(nil)
-				}
-			})
+			d.sim.schedule(d.sim.now, event{kind: evNode, node: d.node, inc: d.node.incarnation,
+				fn: func() { done(nil) }})
 		}
 		return
 	}
@@ -169,7 +168,7 @@ func (d *diskStorage) AppendBatch(recs []env.Record, done func(error)) {
 	}
 	if !d.flushing {
 		d.flushing = true
-		d.sim.schedule(d.sim.now, d.flush)
+		d.sim.At(d.sim.now, d.flushFn)
 	}
 }
 
@@ -187,7 +186,7 @@ func (d *diskStorage) flush() {
 	}
 	dur := d.syncDuration() + d.xferTime(bytes, d.cfg.WriteBandwidth)
 	doneAt := d.reserve(dur)
-	d.sim.schedule(doneAt, func() {
+	d.sim.At(doneAt, func() {
 		// Durability point: the batch is on disk now.
 		for _, p := range batch {
 			d.records = append(d.records, p.rec)
@@ -228,7 +227,7 @@ func (d *diskStorage) chunked(bytes int64, bandwidth float64, done func()) {
 		// Bandwidth is re-derated per chunk, so a slowdown applied (or
 		// lifted) mid-transfer shapes the remainder of the stream.
 		doneAt := d.reserve(d.xferTime(n, bandwidth))
-		d.sim.schedule(doneAt, func() {
+		d.sim.At(doneAt, func() {
 			if remaining-n > 0 {
 				step(remaining - n)
 				return
@@ -239,7 +238,7 @@ func (d *diskStorage) chunked(bytes int64, bandwidth float64, done func()) {
 		})
 	}
 	doneAt := d.reserve(d.seekLatency())
-	d.sim.schedule(doneAt, func() { step(bytes) })
+	d.sim.At(doneAt, func() { step(bytes) })
 }
 
 func (d *diskStorage) ReadRecords(done func([]env.Record, error)) {
@@ -269,7 +268,7 @@ func (d *diskStorage) Truncate(firstKept int64, done func(error)) {
 	// Truncation is metadata only: charge one sync.
 	doneAt := d.reserve(d.seekLatency())
 	inc := d.node.incarnation
-	d.sim.schedule(doneAt, func() {
+	d.sim.At(doneAt, func() {
 		if done != nil && d.node.alive && d.node.incarnation == inc {
 			done(nil)
 		}
@@ -294,7 +293,7 @@ func (d *diskStorage) DeleteSnapshot(name string, done func(error)) {
 	// Deletion is metadata only: charge one sync, like Truncate.
 	doneAt := d.reserve(d.seekLatency())
 	inc := d.node.incarnation
-	d.sim.schedule(doneAt, func() {
+	d.sim.At(doneAt, func() {
 		delete(d.snapshots, name)
 		if done != nil && d.node.alive && d.node.incarnation == inc {
 			done(nil)
