@@ -46,8 +46,9 @@ const (
 	populationSeed = 7
 
 	// populationReduction shrinks real in-memory entity counts while
-	// nominal state-size accounting stays at full TPC-W scale (see
-	// DESIGN.md substitutions).
+	// nominal state-size accounting stays at full TPC-W scale: checkpoint
+	// and recovery I/O are modeled from the nominal size, so a quarter of
+	// the rows stands in for the paper's 300-700 MB of heap.
 	populationReduction = 4
 
 	// items is NUM_ITEMS (§5.1).

@@ -6,15 +6,19 @@ import "robuststore/internal/env"
 type eventKind uint8
 
 const (
-	evGlobal  eventKind = iota // fn runs unconditionally (harness callbacks, disk completions)
-	evNode                     // fn runs if node is still in incarnation inc
-	evTimer                    // timer.fn, under the evNode rule, unless stopped
-	evDeliver                  // msg from sender from is handed to node, if it is up
+	evGlobal   eventKind = iota // fn runs unconditionally (harness callbacks, disk completions)
+	evNode                      // fn runs if node is still in incarnation inc
+	evTimer                     // timer.fn, under the evNode rule, unless stopped
+	evDeliver                   // msg from sender from is handed to node, if it is up
+	evResource                  // a job completes on the *Resource in msg: fn (may be nil) runs unless it was Reset since generation inc
 )
 
 // event is one queue entry, held by value: scheduling allocates nothing
 // beyond the queue's own growth, and the loop dispatches on kind instead of
-// calling a closure built per event.
+// calling a closure built per event. Every kind's payload fits the fields
+// below (an evResource's *Resource rides in msg, pointer-shaped and so
+// unboxed): the heap copies entries on every sift, so a kind does not get a
+// field of its own.
 type event struct {
 	at  int64 // unix nanos; int64 keeps heap comparisons cheap
 	seq int64 // schedule order; breaks ties in at, making the order total

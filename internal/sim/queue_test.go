@@ -222,7 +222,8 @@ func countPair(tb testing.TB) (*Sim, *countNode) {
 
 // TestEventAllocBudget: scheduling is allocation-free. Sending a message
 // that is already boxed and delivering it costs nothing; a node timer costs
-// its simTimer (which Stop needs) and nothing else; a post costs nothing.
+// its simTimer (which Stop needs) and nothing else; a post costs nothing,
+// and neither does a job on a Resource, with or without a completion.
 func TestEventAllocBudget(t *testing.T) {
 	s, a := countPair(t)
 	var msg env.Message = "m" // boxed once, outside the measurement
@@ -253,6 +254,18 @@ func TestEventAllocBudget(t *testing.T) {
 		s.RunFor(time.Millisecond)
 	}); n > 1 {
 		t.Errorf("After→fire: %v allocs, want at most 1 (the timer)", n)
+	}
+	cpu := NewResource(s, 1)
+	before := fired
+	if n := testing.AllocsPerRun(100, func() {
+		cpu.Acquire(100*time.Microsecond, fn)
+		cpu.Acquire(100*time.Microsecond, nil)
+		s.RunFor(time.Millisecond)
+	}); n != 0 {
+		t.Errorf("Acquire→complete: %v allocs, want 0", n)
+	}
+	if fired == before || cpu.QueueLen() != 0 {
+		t.Errorf("resource jobs did not complete: %d callbacks, %d queued", fired-before, cpu.QueueLen())
 	}
 	if fired == 0 {
 		t.Fatal("no callback ran")

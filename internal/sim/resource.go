@@ -41,16 +41,18 @@ func (r *Resource) Acquire(d time.Duration, done func()) {
 	end := start.Add(d)
 	r.busy[best] = end
 	r.queued++
-	gen := r.gen
-	r.sim.At(end, func() {
-		if r.gen != gen {
-			return // orphaned by Reset
-		}
-		r.queued--
-		if done != nil {
-			done()
-		}
-	})
+	r.sim.schedule(end, event{kind: evResource, msg: r, inc: r.gen, fn: done})
+}
+
+// complete finishes a job admitted in generation gen.
+func (r *Resource) complete(gen int64, done func()) {
+	if r.gen != gen {
+		return // orphaned by Reset
+	}
+	r.queued--
+	if done != nil {
+		done()
+	}
 }
 
 // QueueLen returns the number of jobs admitted but not yet completed.

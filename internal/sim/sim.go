@@ -119,6 +119,8 @@ func (s *Sim) step() {
 		if e.node.alive && e.node.node != nil {
 			e.node.node.Receive(e.from, e.msg)
 		}
+	case evResource:
+		e.msg.(*Resource).complete(e.inc, e.fn)
 	default: // evNode, evTimer
 		if e.node.alive && e.node.incarnation == e.inc {
 			e.fn()

@@ -171,14 +171,14 @@ func ActionSize(action any) int64 {
 func (s *Store) applyCreateCart(a CreateCartAction) CreateCartResult {
 	s.nextCart++
 	id := s.nextCart
-	s.carts[id] = Cart{ID: id, Time: a.Now}
+	s.carts.set(id, Cart{ID: id, Time: a.Now})
 	s.nominalBytes += nominalCart
 	s.markCart(id)
 	return CreateCartResult{Cart: id}
 }
 
 func (s *Store) applyCartUpdate(a CartUpdateAction) CartResult {
-	cart, ok := s.carts[a.Cart]
+	cart, ok := s.carts.get(a.Cart)
 	if !ok {
 		// Cart 0 means "create"; a non-zero unknown cart (consumed by an
 		// earlier purchase whose reply was lost, or expired) is
@@ -193,7 +193,7 @@ func (s *Store) applyCartUpdate(a CartUpdateAction) CartResult {
 		s.nominalBytes += nominalCart
 	}
 	if a.AddItem != 0 {
-		if _, ok := s.items[a.AddItem]; ok {
+		if s.items.has(a.AddItem) {
 			qty := a.AddQty
 			if qty <= 0 {
 				qty = 1
@@ -206,13 +206,13 @@ func (s *Store) applyCartUpdate(a CartUpdateAction) CartResult {
 		cart = cartSet(cart, set.Item, set.Qty)
 	}
 	if len(cart.Lines) == 0 && a.RandomItem != 0 {
-		if _, ok := s.items[a.RandomItem]; ok {
+		if s.items.has(a.RandomItem) {
 			cart = cartAdd(cart, a.RandomItem, 1)
 			s.nominalBytes += nominalCartLine
 		}
 	}
 	cart.Time = a.Now
-	s.carts[cart.ID] = cart
+	s.carts.set(cart.ID, cart)
 	s.markCart(cart.ID)
 	return CartResult{Cart: cart}
 }
@@ -266,8 +266,7 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 		BirthDate:  a.BirthDate,
 		Data:       a.Data,
 	}
-	s.customers[id] = &c
-	s.byUName[c.UName] = id
+	s.customers.set(id, &c)
 	s.nominalBytes += nominalCustomer
 	s.markCustomer(id)
 	return CreateCustomerResult{Customer: c}
@@ -279,17 +278,17 @@ func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID)
 	if int(country) < 1 || int(country) > len(s.cat.countries) {
 		country = 1
 	}
-	s.addresses[id] = &Address{
+	s.addresses.set(id, &Address{
 		ID: id, Street1: st1, Street2: st2, City: city, State: state,
 		Zip: zip, Country: country,
-	}
+	})
 	s.nominalBytes += nominalAddress
 	s.markAddress(id)
 	return id
 }
 
 func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
-	old, ok := s.customers[a.Customer]
+	old, ok := s.customers.get(a.Customer)
 	if !ok {
 		return nil
 	}
@@ -297,7 +296,7 @@ func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
 	c.LastLogin = c.Login
 	c.Login = a.Now
 	c.Expiration = a.Now.Add(2 * time.Hour)
-	s.customers[a.Customer] = &c
+	s.customers.set(a.Customer, &c)
 	s.markCustomer(a.Customer)
 	return nil
 }
@@ -306,11 +305,11 @@ func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
 const taxRate = 0.0825
 
 func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
-	cart, ok := s.carts[a.Cart]
+	cart, ok := s.carts.get(a.Cart)
 	if !ok || len(cart.Lines) == 0 {
 		return BuyConfirmResult{Err: "empty or unknown cart"}
 	}
-	custp, ok := s.customers[a.Customer]
+	custp, ok := s.customers.get(a.Customer)
 	if !ok {
 		return BuyConfirmResult{Err: "unknown customer"}
 	}
@@ -319,7 +318,7 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	var subTotal float64
 	lines := make([]OrderLine, 0, len(cart.Lines))
 	for _, cl := range cart.Lines {
-		item, ok := s.items[cl.Item]
+		item, ok := s.items.get(cl.Item)
 		if !ok {
 			continue
 		}
@@ -336,7 +335,7 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 		if cp.Stock < 10 {
 			cp.Stock += 21
 		}
-		s.items[cl.Item] = &cp
+		s.items.set(cl.Item, &cp)
 		s.markItem(cl.Item)
 	}
 	if len(lines) == 0 {
@@ -345,6 +344,7 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	tax := subTotal * taxRate
 	total := subTotal + tax + shippingCost(len(lines))
 
+	billAddr, _ := s.addresses.get(cust.Addr)
 	s.nextOrder++
 	oid := s.nextOrder
 	order := Order{
@@ -368,24 +368,24 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 			AuthID:  "AUTH" + strconv.FormatInt(int64(oid), 10),
 			Total:   total,
 			ShipAt:  a.ShipDate,
-			Country: s.addresses[cust.Addr].Country,
+			Country: billAddr.Country,
 		},
 	}
-	s.orders[oid] = &order
-	s.lastOrder[a.Customer] = oid
+	s.orders.set(oid, &order)
+	s.lastOrder.set(a.Customer, oid)
 	s.pushRecentOrder(&order)
 	s.nominalBytes += nominalOrder + nominalCC + int64(len(lines))*nominalLine
 	s.markOrder(oid)
 	s.markLastOrder(a.Customer)
 
 	// The purchased cart is consumed.
-	delete(s.carts, a.Cart)
+	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 	s.killCart(a.Cart)
 
 	cust.Balance += total
 	cust.YTDPmt += total
-	s.customers[a.Customer] = &cust
+	s.customers.set(a.Customer, &cust)
 	s.markCustomer(a.Customer)
 
 	return BuyConfirmResult{Order: oid, Total: total}
@@ -397,23 +397,21 @@ func shippingCost(items int) float64 { return 3.0 + float64(items)*1.0 }
 // pushRecentOrder admits an order to the best-sellers window, maintaining
 // the rolling quantity aggregate incrementally.
 func (s *Store) pushRecentOrder(o *Order) {
-	if s.bsQty == nil {
-		s.bsQty = make(map[ItemID]int64)
-	}
 	s.recentOrders = append(s.recentOrders, o.ID)
 	for _, l := range o.Lines {
-		s.bsQty[l.Item] += int64(l.Qty)
+		q, _ := s.bsQty.get(l.Item)
+		s.bsQty.set(l.Item, q+int64(l.Qty))
 		s.bsIndexSync(l.Item)
 	}
 	if len(s.recentOrders) > bestSellerWindow {
 		evicted := s.recentOrders[0]
 		s.recentOrders = s.recentOrders[1:]
-		if old, ok := s.orders[evicted]; ok {
+		if old, ok := s.orders.get(evicted); ok {
 			for _, l := range old.Lines {
-				if q := s.bsQty[l.Item] - int64(l.Qty); q > 0 {
-					s.bsQty[l.Item] = q
+				if q, _ := s.bsQty.get(l.Item); q > int64(l.Qty) {
+					s.bsQty.set(l.Item, q-int64(l.Qty))
 				} else {
-					delete(s.bsQty, l.Item)
+					s.bsQty.delete(l.Item)
 				}
 				s.bsIndexSync(l.Item)
 			}
@@ -427,7 +425,7 @@ func (s *Store) pushRecentOrder(o *Order) {
 }
 
 func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
-	old, ok := s.items[a.Item]
+	old, ok := s.items.get(a.Item)
 	if !ok {
 		return nil
 	}
@@ -438,7 +436,7 @@ func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
 	// Recompute related items from co-purchases in the recent-order
 	// window (deterministic: ordered scan, stable tie-break by item id).
 	item.Related = s.relatedFromOrders(a.Item)
-	s.items[a.Item] = &item
+	s.items.set(a.Item, &item)
 	s.markItem(a.Item)
 	return nil
 }
@@ -448,7 +446,7 @@ func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
 func (s *Store) relatedFromOrders(id ItemID) [5]ItemID {
 	counts := make(map[ItemID]int)
 	for _, oid := range s.recentOrders {
-		order, ok := s.orders[oid]
+		order, ok := s.orders.get(oid)
 		if !ok {
 			continue
 		}

@@ -21,8 +21,9 @@ import "sort"
 // carrying them verbatim keeps ApplyDelta trivially exact.
 
 // DeltaSnap is the incremental-checkpoint payload: the rows dirtied
-// since the previous checkpoint. Like full snapshots it shares
-// pointed-to rows under the store's copy-on-write discipline.
+// since the previous checkpoint, in small maps. Like full snapshots it
+// shares rows (and the best-sellers aggregate's pages) under the store's
+// copy-on-write discipline.
 type DeltaSnap struct {
 	Items     map[ItemID]*Item
 	Customers map[CustomerID]*Customer
@@ -34,7 +35,7 @@ type DeltaSnap struct {
 
 	// Aggregates carried wholesale (small next to the row maps).
 	RecentOrders []OrderID
-	BsQty        map[ItemID]int64
+	BsQty        frozen[ItemID, int64]
 	NextAddress  AddressID
 	NextCustomer CustomerID
 	NextOrder    OrderID
@@ -131,7 +132,7 @@ func (s *Store) SnapshotDelta() (any, int64, bool) {
 		Carts:        make(map[CartID]Cart, len(s.dirty.carts)),
 		LastOrder:    make(map[CustomerID]OrderID, len(s.dirty.lastOrder)),
 		RecentOrders: append([]OrderID(nil), s.recentOrders...),
-		BsQty:        make(map[ItemID]int64, len(s.bsQty)),
+		BsQty:        s.bsQty.freeze(),
 		NextAddress:  s.nextAddress,
 		NextCustomer: s.nextCustomer,
 		NextOrder:    s.nextOrder,
@@ -140,32 +141,31 @@ func (s *Store) SnapshotDelta() (any, int64, bool) {
 	}
 	var bytes int64 = 128
 	for id := range s.dirty.items {
-		if it, ok := s.items[id]; ok {
+		if it, ok := s.items.get(id); ok {
 			snap.Items[id] = it
 			bytes += nominalItem
 		}
 	}
 	for id := range s.dirty.customers {
-		if c, ok := s.customers[id]; ok {
+		if c, ok := s.customers.get(id); ok {
 			snap.Customers[id] = c
 			bytes += nominalCustomer
 		}
 	}
 	for id := range s.dirty.addresses {
-		if a, ok := s.addresses[id]; ok {
+		if a, ok := s.addresses.get(id); ok {
 			snap.Addresses[id] = a
 			bytes += nominalAddress
 		}
 	}
 	for id := range s.dirty.orders {
-		if o, ok := s.orders[id]; ok {
+		if o, ok := s.orders.get(id); ok {
 			snap.Orders[id] = o
 			bytes += nominalOrderBytes(o)
 		}
 	}
 	for id := range s.dirty.carts {
-		if c, ok := s.carts[id]; ok {
-			c.Lines = append([]CartLine(nil), c.Lines...)
+		if c, ok := s.carts.get(id); ok {
 			snap.Carts[id] = c
 			bytes += nominalCartBytes(c)
 		}
@@ -176,15 +176,12 @@ func (s *Store) SnapshotDelta() (any, int64, bool) {
 	}
 	sort.Slice(snap.DeadCarts, func(i, j int) bool { return snap.DeadCarts[i] < snap.DeadCarts[j] })
 	for id := range s.dirty.lastOrder {
-		if oid, ok := s.lastOrder[id]; ok {
+		if oid, ok := s.lastOrder.get(id); ok {
 			snap.LastOrder[id] = oid
 			bytes += 8
 		}
 	}
-	for k, v := range s.bsQty {
-		snap.BsQty[k] = v
-	}
-	bytes += 4*int64(len(snap.RecentOrders)) + 12*int64(len(snap.BsQty))
+	bytes += 4*int64(len(snap.RecentOrders)) + 12*int64(snap.BsQty.n)
 	snap.Bytes = bytes
 	s.resetDirty()
 	return snap, bytes, true
@@ -199,33 +196,28 @@ func (s *Store) ApplyDelta(data any) {
 		return
 	}
 	for id, it := range snap.Items {
-		s.items[id] = it
+		s.items.set(id, it)
 	}
 	for id, c := range snap.Customers {
-		s.customers[id] = c
-		s.byUName[c.UName] = id
+		s.customers.set(id, c)
 	}
 	for id, a := range snap.Addresses {
-		s.addresses[id] = a
+		s.addresses.set(id, a)
 	}
 	for id, o := range snap.Orders {
-		s.orders[id] = o
+		s.orders.set(id, o)
 	}
 	for id, c := range snap.Carts {
-		c.Lines = append([]CartLine(nil), c.Lines...)
-		s.carts[id] = c
+		s.carts.set(id, c)
 	}
 	for _, id := range snap.DeadCarts {
-		delete(s.carts, id)
+		s.carts.delete(id)
 	}
 	for cid, oid := range snap.LastOrder {
-		s.lastOrder[cid] = oid
+		s.lastOrder.set(cid, oid)
 	}
 	s.recentOrders = append([]OrderID(nil), snap.RecentOrders...)
-	s.bsQty = make(map[ItemID]int64, len(snap.BsQty))
-	for k, v := range snap.BsQty {
-		s.bsQty[k] = v
-	}
+	s.bsQty.adopt(snap.BsQty)
 	s.nextAddress = snap.NextAddress
 	s.nextCustomer = snap.NextCustomer
 	s.nextOrder = snap.NextOrder

@@ -19,38 +19,38 @@ func storesEqual(t *testing.T, context string, a, b *Store) {
 		t.Fatalf("%s: entity counts (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
 			context, ai, ac, ao, act, bi, bc, bo, bct)
 	}
-	for id, it := range a.items {
-		if got := b.items[id]; got == nil || *got != *it {
+	for id, it := range a.items.all() {
+		if got, _ := b.items.get(id); got == nil || *got != *it {
 			t.Fatalf("%s: item %d differs", context, id)
 		}
 	}
-	for id, c := range a.customers {
-		if got := b.customers[id]; got == nil || *got != *c {
+	for id, c := range a.customers.all() {
+		if got, _ := b.customers.get(id); got == nil || *got != *c {
 			t.Fatalf("%s: customer %d differs", context, id)
 		}
-		if b.byUName[c.UName] != id {
+		if got, _ := b.GetCustomer(c.UName); got.ID != id {
 			t.Fatalf("%s: uname index broken for customer %d", context, id)
 		}
 	}
-	for id, ad := range a.addresses {
-		if got := b.addresses[id]; got == nil || *got != *ad {
+	for id, ad := range a.addresses.all() {
+		if got, _ := b.addresses.get(id); got == nil || *got != *ad {
 			t.Fatalf("%s: address %d differs", context, id)
 		}
 	}
-	for id, o := range a.orders {
-		got := b.orders[id]
+	for id, o := range a.orders.all() {
+		got, _ := b.orders.get(id)
 		if got == nil || got.Total != o.Total || len(got.Lines) != len(o.Lines) || got.Customer != o.Customer {
 			t.Fatalf("%s: order %d differs", context, id)
 		}
 	}
-	for id, c := range a.carts {
-		got, ok := b.carts[id]
+	for id, c := range a.carts.all() {
+		got, ok := b.carts.get(id)
 		if !ok || len(got.Lines) != len(c.Lines) {
 			t.Fatalf("%s: cart %d differs", context, id)
 		}
 	}
-	for cid, oid := range a.lastOrder {
-		if b.lastOrder[cid] != oid {
+	for cid, oid := range a.lastOrder.all() {
+		if got, _ := b.lastOrder.get(cid); got != oid {
 			t.Fatalf("%s: lastOrder[%d] differs", context, cid)
 		}
 	}
@@ -63,8 +63,8 @@ func storesEqual(t *testing.T, context string, a, b *Store) {
 			t.Fatalf("%s: recent order %d differs", context, i)
 		}
 	}
-	for iid, q := range a.bsQty {
-		if b.bsQty[iid] != q {
+	for iid, q := range a.bsQty.all() {
+		if got, _ := b.bsQty.get(iid); got != q {
 			t.Fatalf("%s: bsQty[%d] differs", context, iid)
 		}
 	}

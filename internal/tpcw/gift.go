@@ -104,16 +104,16 @@ type InventorySweepResult struct {
 func (s *Store) StageTxn(action any) string {
 	switch a := action.(type) {
 	case GiftDebitAction:
-		cart, ok := s.carts[a.Cart]
+		cart, ok := s.carts.get(a.Cart)
 		if !ok || len(cart.Lines) == 0 {
 			return "empty or unknown cart"
 		}
-		if _, ok := s.customers[a.Buyer]; !ok {
+		if !s.customers.has(a.Buyer) {
 			return "unknown buyer"
 		}
 		return ""
 	case GiftDeliverAction:
-		if _, ok := s.customers[a.Recipient]; !ok {
+		if !s.customers.has(a.Recipient) {
 			return "unknown recipient"
 		}
 		if len(a.Lines) == 0 {
@@ -122,7 +122,7 @@ func (s *Store) StageTxn(action any) string {
 		return ""
 	case InventorySweepAction:
 		for _, id := range a.Items {
-			if _, ok := s.items[id]; !ok {
+			if !s.items.has(id) {
 				return "unknown item"
 			}
 		}
@@ -138,16 +138,16 @@ func (s *Store) StageTxn(action any) string {
 // Read-only; the coordinator calls it on the buyer's group before
 // building the branches, so both branches carry identical totals.
 func (s *Store) GiftQuote(cart CartID, buyer CustomerID, tag string) (lines []OrderLine, subTotal, tax, total float64, errs string) {
-	c, ok := s.carts[cart]
+	c, ok := s.carts.get(cart)
 	if !ok || len(c.Lines) == 0 {
 		return nil, 0, 0, 0, "empty or unknown cart"
 	}
-	cust, ok := s.customers[buyer]
+	cust, ok := s.customers.get(buyer)
 	if !ok {
 		return nil, 0, 0, 0, "unknown buyer"
 	}
 	for _, cl := range c.Lines {
-		item, ok := s.items[cl.Item]
+		item, ok := s.items.get(cl.Item)
 		if !ok {
 			continue
 		}
@@ -172,7 +172,7 @@ func (s *Store) applyGiftOrder(a GiftOrderAction) GiftOrderResult {
 	if errs != "" {
 		return GiftOrderResult{Err: errs}
 	}
-	if _, ok := s.customers[a.Recipient]; !ok {
+	if !s.customers.has(a.Recipient) {
 		return GiftOrderResult{Err: "unknown recipient"}
 	}
 	if deb := s.applyGiftDebit(GiftDebitAction{Cart: a.Cart, Buyer: a.Buyer, Total: total, Tag: a.Tag, Now: a.Now}); deb.Err != "" {
@@ -190,36 +190,36 @@ func (s *Store) applyGiftOrder(a GiftOrderAction) GiftOrderResult {
 }
 
 func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
-	cart, ok := s.carts[a.Cart]
+	cart, ok := s.carts.get(a.Cart)
 	if !ok {
 		return GiftDebitResult{Err: "unknown cart"}
 	}
-	custp, ok := s.customers[a.Buyer]
+	custp, ok := s.customers.get(a.Buyer)
 	if !ok {
 		return GiftDebitResult{Err: "unknown buyer"}
 	}
 	cust := *custp // copy-on-write
 
 	// The purchased cart is consumed.
-	delete(s.carts, a.Cart)
+	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 	s.killCart(a.Cart)
 
 	cust.Balance += a.Total
 	cust.YTDPmt += a.Total
-	s.customers[a.Buyer] = &cust
+	s.customers.set(a.Buyer, &cust)
 	s.markCustomer(a.Buyer)
 	return GiftDebitResult{}
 }
 
 func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
-	custp, ok := s.customers[a.Recipient]
+	custp, ok := s.customers.get(a.Recipient)
 	if !ok {
 		return GiftDeliverResult{Err: "unknown recipient"}
 	}
 	// TPC-W stock rule on the delivered lines (copy-on-write).
 	for _, l := range a.Lines {
-		item, ok := s.items[l.Item]
+		item, ok := s.items.get(l.Item)
 		if !ok {
 			continue
 		}
@@ -228,7 +228,7 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 		if cp.Stock < 10 {
 			cp.Stock += 21
 		}
-		s.items[l.Item] = &cp
+		s.items.set(l.Item, &cp)
 		s.markItem(l.Item)
 	}
 	s.nextOrder++
@@ -247,8 +247,8 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 		ShipAddr: custp.Addr,
 		Lines:    a.Lines,
 	}
-	s.orders[oid] = &order
-	s.lastOrder[a.Recipient] = oid
+	s.orders.set(oid, &order)
+	s.lastOrder.set(a.Recipient, oid)
 	s.pushRecentOrder(&order)
 	s.nominalBytes += nominalOrder + int64(len(a.Lines))*nominalLine
 	s.markOrder(oid)
@@ -259,14 +259,14 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 func (s *Store) applyInventorySweep(a InventorySweepAction) InventorySweepResult {
 	updated := 0
 	for _, id := range a.Items {
-		old, ok := s.items[id]
+		old, ok := s.items.get(id)
 		if !ok {
 			continue
 		}
 		cp := *old // copy-on-write
 		cp.Cost = a.Cost
 		cp.SweptTag = a.Tag
-		s.items[id] = &cp
+		s.items.set(id, &cp)
 		s.markItem(id)
 		updated++
 	}
@@ -280,7 +280,7 @@ func (s *Store) applyInventorySweep(a InventorySweepAction) InventorySweepResult
 // hot path.
 func (s *Store) OrdersTagged(tag string) int {
 	n := 0
-	for _, o := range s.orders {
+	for _, o := range s.orders.all() {
 		for _, l := range o.Lines {
 			if l.Comments == tag {
 				n++

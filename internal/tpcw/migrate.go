@@ -24,7 +24,7 @@ import "strconv"
 // over the group's own order history and does not migrate; eviction
 // tolerates dropped orders.
 //
-// ImportOwned is an idempotent keyed upsert (map set + max-monotonic ID
+// ImportOwned is an idempotent keyed upsert (table set + max-monotonic ID
 // counters), as core.PartitionedMachine requires: the migration driver
 // may re-deliver a payload whose completion a crash hid.
 
@@ -34,7 +34,6 @@ import "strconv"
 type PartitionSnap struct {
 	Items     map[ItemID]*Item
 	Customers map[CustomerID]*Customer
-	ByUName   map[string]CustomerID
 	Addresses map[AddressID]*Address
 	Orders    map[OrderID]*Order
 	Carts     map[CartID]Cart
@@ -64,13 +63,12 @@ func nominalCartBytes(c Cart) int64 {
 	return nominalCart + int64(len(c.Lines))*nominalCartLine
 }
 
-// ExportOwned implements core.PartitionedMachine: a deep-enough copy of
-// the rows whose key satisfies owned, plus their nominal size.
+// ExportOwned implements core.PartitionedMachine: the rows whose key
+// satisfies owned (shared, not copied), plus their nominal size.
 func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 	snap := PartitionSnap{
 		Items:        make(map[ItemID]*Item),
 		Customers:    make(map[CustomerID]*Customer),
-		ByUName:      make(map[string]CustomerID),
 		Addresses:    make(map[AddressID]*Address),
 		Orders:       make(map[OrderID]*Order),
 		Carts:        make(map[CartID]Cart),
@@ -80,40 +78,38 @@ func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 		NextOrder:    s.nextOrder,
 		NextCart:     s.nextCart,
 	}
-	for id, it := range s.items {
+	for id, it := range s.items.all() {
 		if owned(itemKey(id)) {
 			snap.Items[id] = it
 			snap.NominalBytes += nominalItem
 		}
 	}
-	for id, c := range s.customers {
+	for id, c := range s.customers.all() {
 		if !owned(customerKey(id)) {
 			continue
 		}
 		snap.Customers[id] = c
-		snap.ByUName[c.UName] = id
 		snap.NominalBytes += nominalCustomer
-		if a, ok := s.addresses[c.Addr]; ok {
+		if a, ok := s.addresses.get(c.Addr); ok {
 			snap.Addresses[c.Addr] = a
 			snap.NominalBytes += nominalAddress
 		}
-		if oid, ok := s.lastOrder[id]; ok {
+		if oid, ok := s.lastOrder.get(id); ok {
 			snap.LastOrder[id] = oid
 		}
 	}
-	for id, o := range s.orders {
+	for id, o := range s.orders.all() {
 		if owned(customerKey(o.Customer)) {
 			snap.Orders[id] = o
 			snap.NominalBytes += nominalOrderBytes(o)
-			if a, ok := s.addresses[o.ShipAddr]; ok && snap.Addresses[o.ShipAddr] == nil {
+			if a, ok := s.addresses.get(o.ShipAddr); ok && snap.Addresses[o.ShipAddr] == nil {
 				snap.Addresses[o.ShipAddr] = a
 				snap.NominalBytes += nominalAddress
 			}
 		}
 	}
-	for id, c := range s.carts {
+	for id, c := range s.carts.all() {
 		if owned(cartKey(id)) {
-			c.Lines = append([]CartLine(nil), c.Lines...)
 			snap.Carts[id] = c
 			snap.NominalBytes += nominalCartBytes(c)
 		}
@@ -130,40 +126,38 @@ func (s *Store) ImportOwned(data any) {
 		return
 	}
 	for id, it := range snap.Items {
-		if _, had := s.items[id]; !had {
+		if !s.items.has(id) {
 			s.nominalBytes += nominalItem
 		}
-		s.items[id] = it
+		s.items.set(id, it)
 		s.markItem(id)
 	}
 	for id, c := range snap.Customers {
-		if _, had := s.customers[id]; !had {
+		if !s.customers.has(id) {
 			s.nominalBytes += nominalCustomer
 		}
-		s.customers[id] = c
-		s.byUName[c.UName] = id
+		s.customers.set(id, c)
 		s.markCustomer(id)
 	}
 	for id, a := range snap.Addresses {
-		if _, had := s.addresses[id]; !had {
+		if !s.addresses.has(id) {
 			s.nominalBytes += nominalAddress
 		}
-		s.addresses[id] = a
+		s.addresses.set(id, a)
 		s.markAddress(id)
 	}
 	for id, o := range snap.Orders {
-		if _, had := s.orders[id]; !had {
+		if !s.orders.has(id) {
 			s.nominalBytes += nominalOrderBytes(o)
 		}
-		s.orders[id] = o
+		s.orders.set(id, o)
 		s.markOrder(id)
 	}
 	for id, c := range snap.Carts {
-		if had, ok := s.carts[id]; ok {
+		if had, ok := s.carts.get(id); ok {
 			s.nominalBytes -= nominalCartBytes(had)
 		}
-		c.Lines = append([]CartLine(nil), c.Lines...)
-		s.carts[id] = c
+		s.carts.set(id, c)
 		s.nominalBytes += nominalCartBytes(c)
 		// An imported cart revives its ID: it must not stay shadowed by
 		// a tombstone recorded for a locally consumed cart.
@@ -171,7 +165,7 @@ func (s *Store) ImportOwned(data any) {
 		s.markCart(id)
 	}
 	for cid, oid := range snap.LastOrder {
-		s.lastOrder[cid] = oid
+		s.lastOrder.set(cid, oid)
 		s.markLastOrder(cid)
 	}
 	if snap.NextAddress > s.nextAddress {
@@ -194,32 +188,29 @@ func (s *Store) ImportOwned(data any) {
 // the source after cutover. Catalog item rows are kept (soft-replicated;
 // see the file comment). Idempotent.
 func (s *Store) DropOwned(owned func(key string) bool) {
-	for id, c := range s.customers {
+	for id, c := range s.customers.all() {
 		if !owned(customerKey(id)) {
 			continue
 		}
-		delete(s.customers, id)
-		delete(s.byUName, c.UName)
+		s.customers.delete(id)
 		s.nominalBytes -= nominalCustomer
-		if _, ok := s.addresses[c.Addr]; ok {
-			delete(s.addresses, c.Addr)
+		if s.addresses.delete(c.Addr) {
 			s.nominalBytes -= nominalAddress
 		}
-		delete(s.lastOrder, id)
+		s.lastOrder.delete(id)
 	}
-	for id, o := range s.orders {
+	for id, o := range s.orders.all() {
 		if owned(customerKey(o.Customer)) {
-			delete(s.orders, id)
+			s.orders.delete(id)
 			s.nominalBytes -= nominalOrderBytes(o)
-			if _, ok := s.addresses[o.ShipAddr]; ok {
-				delete(s.addresses, o.ShipAddr)
+			if s.addresses.delete(o.ShipAddr) {
 				s.nominalBytes -= nominalAddress
 			}
 		}
 	}
-	for id, c := range s.carts {
+	for id, c := range s.carts.all() {
 		if owned(cartKey(id)) {
-			delete(s.carts, id)
+			s.carts.delete(id)
 			s.nominalBytes -= nominalCartBytes(c)
 		}
 	}

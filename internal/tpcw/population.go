@@ -21,9 +21,9 @@ type PopConfig struct {
 	EBs int
 
 	// Reduction divides the real in-memory entity counts while the
-	// nominal state-size accounting stays at full TPC-W scale (see
-	// DESIGN.md). Default 1 (full fidelity); the experiment harness
-	// uses 4.
+	// nominal state-size accounting stays at full TPC-W scale (the
+	// substitution the package comment describes). Default 1 (full
+	// fidelity); the experiment harness uses 4.
 	Reduction int
 
 	// Seed drives the deterministic generators.
@@ -109,7 +109,6 @@ func Populate(cfg PopConfig) *Store {
 	fullItems, fullCustomers, fullAddresses, fullOrders, fullAuthors := cfg.FullCounts()
 	items := fullItems / cfg.Reduction
 	customers := fullCustomers / cfg.Reduction
-	addresses := fullAddresses / cfg.Reduction
 	orders := fullOrders / cfg.Reduction
 	authors := fullAuthors / cfg.Reduction
 	if items < 100 {
@@ -132,17 +131,7 @@ func Populate(cfg PopConfig) *Store {
 		subjects:     subjects,
 		itemCount:    int32(items),
 	}
-	s := &Store{
-		cat:       cat,
-		items:     make(map[ItemID]*Item, items),
-		customers: make(map[CustomerID]*Customer, customers),
-		byUName:   make(map[string]CustomerID, customers),
-		addresses: make(map[AddressID]*Address, addresses),
-		orders:    make(map[OrderID]*Order, orders),
-		carts:     make(map[CartID]Cart),
-		bsQty:     make(map[ItemID]int64),
-		lastOrder: make(map[CustomerID]OrderID, customers),
-	}
+	s := &Store{cat: cat}
 
 	// Countries (TPC-W: 92 rows).
 	for i := 1; i <= 92; i++ {
@@ -202,7 +191,7 @@ func Populate(cfg PopConfig) *Store {
 		for r := 0; r < 5; r++ {
 			item.Related[r] = ItemID((i+r*131)%items + 1)
 		}
-		s.items[id] = &item
+		s.items.set(id, &item)
 		cat.bySubject[subject] = append(cat.bySubject[subject], id)
 		cat.titleIndex[w1] = append(cat.titleIndex[w1], id)
 		if w2 != w1 {
@@ -264,8 +253,7 @@ func Populate(cfg PopConfig) *Store {
 			BirthDate:  base.AddDate(-18-rng.Intn(60), 0, 0),
 			Data:       "data",
 		}
-		s.customers[id] = &c
-		s.byUName[c.UName] = id
+		s.customers.set(id, &c)
 	}
 	s.nextCustomer = CustomerID(customers)
 
@@ -281,11 +269,13 @@ func Populate(cfg PopConfig) *Store {
 		for l := 0; l < nLines; l++ {
 			iid := ItemID(rng.Intn(items) + 1)
 			qty := int32(1 + rng.Intn(3))
-			subTotal += s.items[iid].Cost * float64(qty)
+			item, _ := s.items.get(iid)
+			subTotal += item.Cost * float64(qty)
 			lines = append(lines, OrderLine{Item: iid, Qty: qty})
 		}
 		tax := subTotal * taxRate
 		date := base.AddDate(0, 0, -rng.Intn(365))
+		buyer, _ := s.customers.get(cust)
 		order := Order{
 			ID:       oid,
 			Customer: cust,
@@ -296,18 +286,18 @@ func Populate(cfg PopConfig) *Store {
 			ShipType: "MAIL",
 			ShipDate: date.AddDate(0, 0, 1+rng.Intn(7)),
 			Status:   "SHIPPED",
-			BillAddr: s.customers[cust].Addr,
-			ShipAddr: s.customers[cust].Addr,
+			BillAddr: buyer.Addr,
+			ShipAddr: buyer.Addr,
 			Lines:    lines,
 			CC: CCTransaction{
 				Type: "VISA", Num: "4111111111111111",
-				Name: s.customers[cust].FName, Expire: base.AddDate(2, 0, 0),
+				Name: buyer.FName, Expire: base.AddDate(2, 0, 0),
 				AuthID: "AUTH" + strconv.FormatInt(int64(oid), 10),
 				Total:  subTotal + tax, ShipAt: date, Country: 1,
 			},
 		}
-		s.orders[oid] = &order
-		s.lastOrder[cust] = oid
+		s.orders.set(oid, &order)
+		s.lastOrder.set(cust, oid)
 		s.pushRecentOrder(&order)
 	}
 	s.ordersSinceBS = 0
@@ -330,7 +320,7 @@ func Populate(cfg PopConfig) *Store {
 func (s *Store) Info() PopulationInfo {
 	info := PopulationInfo{
 		Items:     int(s.cat.itemCount),
-		Customers: len(s.customers),
+		Customers: s.customers.len(),
 		Subjects:  s.cat.subjects,
 	}
 	for w := range s.cat.titleIndex {

@@ -2,9 +2,8 @@ package tpcw
 
 import (
 	"sort"
+	"strconv"
 	"strings"
-
-	"robuststore/internal/detsort"
 )
 
 // This file implements the read-only facade operations behind the TPC-W
@@ -13,7 +12,7 @@ import (
 
 // GetBook returns an item by id.
 func (s *Store) GetBook(id ItemID) (Item, bool) {
-	item, ok := s.items[id]
+	item, ok := s.items.get(id)
 	if !ok {
 		return Item{}, false
 	}
@@ -26,18 +25,24 @@ func (s *Store) GetAuthor(id AuthorID) (Author, bool) {
 	return a, ok
 }
 
-// GetCustomer returns a customer by user name (TPC-W getCustomer).
+// GetCustomer returns a customer by user name (TPC-W getCustomer). User
+// names are derived from the ID (customerUName), so the lookup parses the
+// ID back out and confirms the row carries exactly this name.
 func (s *Store) GetCustomer(uname string) (Customer, bool) {
-	id, ok := s.byUName[uname]
-	if !ok {
+	id, err := strconv.ParseInt(strings.TrimPrefix(uname, "C"), 10, 32)
+	if err != nil {
 		return Customer{}, false
 	}
-	return *s.customers[id], true
+	c, ok := s.customers.get(CustomerID(id))
+	if !ok || c.UName != uname {
+		return Customer{}, false
+	}
+	return *c, true
 }
 
 // GetCustomerByID returns a customer by id.
 func (s *Store) GetCustomerByID(id CustomerID) (Customer, bool) {
-	c, ok := s.customers[id]
+	c, ok := s.customers.get(id)
 	if !ok {
 		return Customer{}, false
 	}
@@ -46,7 +51,7 @@ func (s *Store) GetCustomerByID(id CustomerID) (Customer, bool) {
 
 // GetUserName returns the user name for a customer id (TPC-W GetUserName).
 func (s *Store) GetUserName(id CustomerID) (string, bool) {
-	c, ok := s.customers[id]
+	c, ok := s.customers.get(id)
 	if !ok {
 		return "", false
 	}
@@ -61,7 +66,7 @@ func (s *Store) GetPassword(uname string) (string, bool) {
 
 // GetCDiscount returns the customer's discount (TPC-W getCDiscount).
 func (s *Store) GetCDiscount(id CustomerID) (float64, bool) {
-	c, ok := s.customers[id]
+	c, ok := s.customers.get(id)
 	if !ok {
 		return 0, false
 	}
@@ -70,13 +75,12 @@ func (s *Store) GetCDiscount(id CustomerID) (float64, bool) {
 
 // GetCart returns a shopping cart.
 func (s *Store) GetCart(id CartID) (Cart, bool) {
-	c, ok := s.carts[id]
-	return c, ok
+	return s.carts.get(id)
 }
 
 // GetOrder returns an order.
 func (s *Store) GetOrder(id OrderID) (Order, bool) {
-	o, ok := s.orders[id]
+	o, ok := s.orders.get(id)
 	if !ok {
 		return Order{}, false
 	}
@@ -90,11 +94,11 @@ func (s *Store) GetMostRecentOrder(uname string) (Order, bool) {
 	if !ok {
 		return Order{}, false
 	}
-	oid, ok := s.lastOrder[c.ID]
+	oid, ok := s.lastOrder.get(c.ID)
 	if !ok {
 		return Order{}, false
 	}
-	o, ok := s.orders[oid]
+	o, ok := s.orders.get(oid)
 	if !ok {
 		return Order{}, false
 	}
@@ -103,7 +107,7 @@ func (s *Store) GetMostRecentOrder(uname string) (Order, bool) {
 
 // GetRelated returns the related items of a book (TPC-W getRelated).
 func (s *Store) GetRelated(id ItemID) ([5]ItemID, bool) {
-	item, ok := s.items[id]
+	item, ok := s.items.get(id)
 	if !ok {
 		return [5]ItemID{}, false
 	}
@@ -112,7 +116,7 @@ func (s *Store) GetRelated(id ItemID) ([5]ItemID, bool) {
 
 // GetStock returns an item's stock level (admin request page).
 func (s *Store) GetStock(id ItemID) (int32, bool) {
-	item, ok := s.items[id]
+	item, ok := s.items.get(id)
 	if !ok {
 		return 0, false
 	}
@@ -198,8 +202,8 @@ func (s *Store) GetBestSellers(subject string) []BestSeller {
 // restore dropped it, or on the first query).
 func (s *Store) rebuildBSIndex() {
 	s.bsBySubject = make(map[string]map[ItemID]int64)
-	for iid, q := range s.bsQty {
-		item, ok := s.items[iid]
+	for iid, q := range s.bsQty.all() {
+		item, ok := s.items.get(iid)
 		if !ok {
 			continue
 		}
@@ -219,12 +223,12 @@ func (s *Store) bsIndexSync(iid ItemID) {
 	if s.bsBySubject == nil {
 		return
 	}
-	item, ok := s.items[iid]
+	item, ok := s.items.get(iid)
 	if !ok {
 		return
 	}
 	m := s.bsBySubject[item.Subject]
-	if q, live := s.bsQty[iid]; live {
+	if q, live := s.bsQty.get(iid); live {
 		if m == nil {
 			m = make(map[ItemID]int64)
 			s.bsBySubject[item.Subject] = m
@@ -239,28 +243,26 @@ func (s *Store) bsIndexSync(iid ItemID) {
 // list of violations if the state is corrupt. Used by tests and the
 // consistency checks after fault experiments.
 func (s *Store) VerifyConsistency() []string {
-	// Sorted sweeps: the violation list is truncated to 8 entries and
-	// compared across replicas by tests, so its order must not depend on
-	// map iteration (detorder invariant).
+	// The violation list is truncated to 8 entries and compared across
+	// replicas by tests; the tables iterate in ID order, so it is the same
+	// list everywhere.
 	var bad []string
-	for _, id := range detsort.Keys(s.customers) {
-		c := s.customers[id]
+	for id, c := range s.customers.all() {
 		if c.ID != id {
 			bad = append(bad, "customer id mismatch")
 		}
-		if got, ok := s.byUName[c.UName]; !ok || got != id {
-			bad = append(bad, "customer uname index broken")
+		if got, ok := s.GetCustomer(c.UName); !ok || got.ID != id {
+			bad = append(bad, "customer not found under its uname")
 		}
-		if _, ok := s.addresses[c.Addr]; !ok {
+		if !s.addresses.has(c.Addr) {
 			bad = append(bad, "customer with dangling address")
 		}
 	}
-	for _, id := range detsort.Keys(s.orders) {
-		o := s.orders[id]
+	for id, o := range s.orders.all() {
 		if o.ID != id {
 			bad = append(bad, "order id mismatch")
 		}
-		if _, ok := s.customers[o.Customer]; !ok {
+		if !s.customers.has(o.Customer) {
 			bad = append(bad, "order with dangling customer")
 		}
 		if len(o.Lines) == 0 {
@@ -271,8 +273,8 @@ func (s *Store) VerifyConsistency() []string {
 			bad = append(bad, "order total mismatch")
 		}
 	}
-	for _, id := range detsort.Keys(s.items) {
-		if s.items[id].Stock < 0 {
+	for _, item := range s.items.all() {
+		if item.Stock < 0 {
 			bad = append(bad, "negative stock")
 		}
 	}

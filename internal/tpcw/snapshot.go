@@ -1,23 +1,25 @@
 package tpcw
 
-// This file implements checkpointing for the bookstore state machine:
-// Snapshot deep-copies the mutable state (the immutable catalog — static
-// items' indexes, authors, countries — is shared by reference), and
-// Restore replaces the state wholesale. The snapshot size is the nominal
-// state size, which is what the paper's recovery analysis depends on.
+// This file implements checkpointing for the bookstore state machine.
+// Snapshot freezes every entity table (table.go): the payload holds a copy
+// of each page directory and shares pages and rows with the live store,
+// which copies a page the first time it writes to it afterwards. Restore
+// adopts the payload's tables the same way, so one payload can restore any
+// number of stores — on this replica or on one it was shipped to — and none
+// of them observes another's writes. The immutable catalog (static items'
+// indexes, authors, countries) is shared by reference. Capture and restore
+// cost O(pages); the snapshot's *size* is the nominal state size, which is
+// what the paper's recovery analysis depends on.
 
-// storeSnap is the checkpoint payload. The pointer maps share their
-// pointed-to values with the live store under the copy-on-write
-// discipline documented on Store.
+// storeSnap is the checkpoint payload. It is immutable once built.
 type storeSnap struct {
-	Items        map[ItemID]*Item
-	Customers    map[CustomerID]*Customer
-	ByUName      map[string]CustomerID
-	Addresses    map[AddressID]*Address
-	Orders       map[OrderID]*Order
-	Carts        map[CartID]Cart
-	BsQty        map[ItemID]int64
-	LastOrder    map[CustomerID]OrderID
+	Items        frozen[ItemID, *Item]
+	Customers    frozen[CustomerID, *Customer]
+	Addresses    frozen[AddressID, *Address]
+	Orders       frozen[OrderID, *Order]
+	Carts        frozen[CartID, Cart]
+	BsQty        frozen[ItemID, int64]
+	LastOrder    frozen[CustomerID, OrderID]
 	RecentOrders []OrderID
 	NextAddress  AddressID
 	NextCustomer CustomerID
@@ -27,18 +29,17 @@ type storeSnap struct {
 	Catalog      *catalog // shared immutable reference
 }
 
-// Snapshot returns a deep copy of the mutable bookstore state and its
+// Snapshot returns a capture of the mutable bookstore state and its
 // nominal size, implementing core.StateMachine.
 func (s *Store) Snapshot() (any, int64) {
 	snap := storeSnap{
-		Items:        make(map[ItemID]*Item, len(s.items)),
-		Customers:    make(map[CustomerID]*Customer, len(s.customers)),
-		ByUName:      make(map[string]CustomerID, len(s.byUName)),
-		Addresses:    make(map[AddressID]*Address, len(s.addresses)),
-		Orders:       make(map[OrderID]*Order, len(s.orders)),
-		Carts:        make(map[CartID]Cart, len(s.carts)),
-		BsQty:        make(map[ItemID]int64, len(s.bsQty)),
-		LastOrder:    make(map[CustomerID]OrderID, len(s.lastOrder)),
+		Items:        s.items.freeze(),
+		Customers:    s.customers.freeze(),
+		Addresses:    s.addresses.freeze(),
+		Orders:       s.orders.freeze(),
+		Carts:        s.carts.freeze(),
+		BsQty:        s.bsQty.freeze(),
+		LastOrder:    s.lastOrder.freeze(),
 		RecentOrders: append([]OrderID(nil), s.recentOrders...),
 		NextAddress:  s.nextAddress,
 		NextCustomer: s.nextCustomer,
@@ -46,31 +47,6 @@ func (s *Store) Snapshot() (any, int64) {
 		NextCart:     s.nextCart,
 		NominalBytes: s.nominalBytes,
 		Catalog:      s.cat,
-	}
-	for k, v := range s.items {
-		snap.Items[k] = v
-	}
-	for k, v := range s.customers {
-		snap.Customers[k] = v
-	}
-	for k, v := range s.byUName {
-		snap.ByUName[k] = v
-	}
-	for k, v := range s.addresses {
-		snap.Addresses[k] = v
-	}
-	for k, v := range s.orders {
-		snap.Orders[k] = v // orders are immutable after insertion
-	}
-	for k, v := range s.carts {
-		v.Lines = append([]CartLine(nil), v.Lines...)
-		snap.Carts[k] = v
-	}
-	for k, v := range s.bsQty {
-		snap.BsQty[k] = v
-	}
-	for k, v := range s.lastOrder {
-		snap.LastOrder[k] = v
 	}
 	// A full snapshot anchors the incremental-checkpoint chain: the next
 	// SnapshotDelta is relative to this state (see delta.go).
@@ -85,39 +61,13 @@ func (s *Store) Restore(data any) {
 	if !ok {
 		return
 	}
-	s.items = make(map[ItemID]*Item, len(snap.Items))
-	for k, v := range snap.Items {
-		s.items[k] = v
-	}
-	s.customers = make(map[CustomerID]*Customer, len(snap.Customers))
-	for k, v := range snap.Customers {
-		s.customers[k] = v
-	}
-	s.byUName = make(map[string]CustomerID, len(snap.ByUName))
-	for k, v := range snap.ByUName {
-		s.byUName[k] = v
-	}
-	s.addresses = make(map[AddressID]*Address, len(snap.Addresses))
-	for k, v := range snap.Addresses {
-		s.addresses[k] = v
-	}
-	s.orders = make(map[OrderID]*Order, len(snap.Orders))
-	for k, v := range snap.Orders {
-		s.orders[k] = v
-	}
-	s.carts = make(map[CartID]Cart, len(snap.Carts))
-	for k, v := range snap.Carts {
-		v.Lines = append([]CartLine(nil), v.Lines...)
-		s.carts[k] = v
-	}
-	s.bsQty = make(map[ItemID]int64, len(snap.BsQty))
-	for k, v := range snap.BsQty {
-		s.bsQty[k] = v
-	}
-	s.lastOrder = make(map[CustomerID]OrderID, len(snap.LastOrder))
-	for k, v := range snap.LastOrder {
-		s.lastOrder[k] = v
-	}
+	s.items.adopt(snap.Items)
+	s.customers.adopt(snap.Customers)
+	s.addresses.adopt(snap.Addresses)
+	s.orders.adopt(snap.Orders)
+	s.carts.adopt(snap.Carts)
+	s.bsQty.adopt(snap.BsQty)
+	s.lastOrder.adopt(snap.LastOrder)
 	s.recentOrders = append([]OrderID(nil), snap.RecentOrders...)
 	s.nextAddress = snap.NextAddress
 	s.nextCustomer = snap.NextCustomer
@@ -137,9 +87,10 @@ func (s *Store) Restore(data any) {
 // Execute implements core.StateMachine by dispatching to Apply.
 func (s *Store) Execute(action any) any { return s.Apply(action) }
 
-// Clone returns an independent deep copy of the store (sharing the
-// immutable catalog). The experiment harness populates one prototype per
-// state size and clones it for each replica.
+// Clone returns an independent copy of the store (sharing the immutable
+// catalog, and pages until either side writes to them). The experiment
+// harness populates one prototype per state size and clones it for each
+// replica.
 func (s *Store) Clone() *Store {
 	snap, _ := s.Snapshot()
 	out := &Store{}

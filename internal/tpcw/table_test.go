@@ -1,0 +1,291 @@
+package tpcw
+
+import (
+	"maps"
+	"runtime"
+	"testing"
+
+	"robuststore/internal/xrand"
+)
+
+// world is a table beside the plain map it must behave like.
+type world struct {
+	t   table[int32, int]
+	ref map[int32]int
+}
+
+// capture is a frozen table beside the map contents it was frozen at.
+type capture struct {
+	f   frozen[int32, int]
+	ref map[int32]int
+}
+
+// sameAsMap checks every observable of a table against its reference: len,
+// get over the whole key universe (absent keys included), and that all
+// yields exactly the reference's rows in ascending key order.
+func sameAsMap(t *testing.T, what string, tb *table[int32, int], ref map[int32]int, universe int32) {
+	t.Helper()
+	what = t.Name() + ": " + what
+	if tb.len() != len(ref) {
+		t.Fatalf("%s: len %d, reference %d", what, tb.len(), len(ref))
+	}
+	for k := int32(-2); k < universe+pageSize; k++ {
+		got, ok := tb.get(k)
+		want, wantOK := ref[k]
+		if ok != wantOK || got != want {
+			t.Fatalf("%s: get(%d) = %d, %v; reference %d, %v", what, k, got, ok, want, wantOK)
+		}
+	}
+	seen, last := 0, int32(-1)
+	for k, v := range tb.all() {
+		if k <= last {
+			t.Fatalf("%s: all yielded %d after %d", what, k, last)
+		}
+		if want, ok := ref[k]; !ok || want != v {
+			t.Fatalf("%s: all yielded %d=%d; reference %d, %v", what, k, v, want, ok)
+		}
+		seen, last = seen+1, k
+	}
+	if seen != len(ref) {
+		t.Fatalf("%s: all yielded %d rows, reference has %d", what, seen, len(ref))
+	}
+}
+
+// TestTableMatchesMapReference drives seeded random set / delete / freeze /
+// adopt sequences over several tables that keep sharing pages with each
+// other's captures, and checks every table and every capture against a
+// plain map after each step that could leak a write: a capture never
+// observes a later write, and tables adopted from one capture never observe
+// each other's.
+func TestTableMatchesMapReference(t *testing.T) {
+	const universe = 5*pageSize + 17 // several pages, the last one partial
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := xrand.New(seed)
+		worlds := make([]*world, 4)
+		for i := range worlds {
+			worlds[i] = &world{ref: map[int32]int{}}
+		}
+		var caps []capture
+		checkAll := func() {
+			t.Helper()
+			for _, w := range worlds {
+				sameAsMap(t, "table", &w.t, w.ref, universe)
+			}
+			for _, c := range caps {
+				var r table[int32, int]
+				r.adopt(c.f)
+				sameAsMap(t, "capture", &r, c.ref, universe)
+			}
+		}
+		for step := 0; step < 4000; step++ {
+			w := worlds[rng.Intn(len(worlds))]
+			// Phases alternate between filling and draining, so pages fill
+			// up and empty out.
+			deleteOdds := 25
+			if (step/500)%2 == 1 {
+				deleteOdds = 70
+			}
+			switch op := rng.Intn(100); {
+			case op < 4:
+				caps = append(caps, capture{w.t.freeze(), maps.Clone(w.ref)})
+				if len(caps) > 6 {
+					caps = caps[1:]
+				}
+			case op < 8 && len(caps) > 0:
+				c := caps[rng.Intn(len(caps))]
+				w.t.adopt(c.f)
+				w.ref = maps.Clone(c.ref)
+			case op < 8+deleteOdds:
+				// Mostly delete what is there: a random key rarely is.
+				k := int32(rng.Intn(universe))
+				for probe := int32(0); probe < universe && !w.t.has(k); probe++ {
+					k = (k + 1) % universe
+				}
+				w.t.delete(k)
+				delete(w.ref, k)
+			default:
+				k, v := int32(rng.Intn(universe)), int(rng.Uint64()>>1)
+				w.t.set(k, v)
+				w.ref[k] = v
+			}
+			if step%97 == 0 {
+				checkAll()
+			}
+		}
+		checkAll()
+	}
+}
+
+// TestTableDeleteWhileIterating: all tolerates the body deleting the row it
+// was handed (DropOwned's pattern), on owned pages and on shared ones, down
+// to an empty table.
+func TestTableDeleteWhileIterating(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		var tb table[int32, int]
+		ref := map[int32]int{}
+		for k := int32(1); k < 3*pageSize; k += 3 {
+			tb.set(k, int(k))
+			ref[k] = int(k)
+		}
+		total := len(ref)
+		var keep frozen[int32, int]
+		if shared {
+			keep = tb.freeze()
+		}
+		for _, drop := range []int32{2, 1} { // every other row, then the rest
+			for k := range tb.all() {
+				if k%drop == 0 {
+					tb.delete(k)
+					delete(ref, k)
+				}
+			}
+			sameAsMap(t, "after drop", &tb, ref, 3*pageSize)
+		}
+		if tb.len() != 0 {
+			t.Fatalf("shared=%v: %d rows left", shared, tb.len())
+		}
+		if shared {
+			var r table[int32, int]
+			r.adopt(keep)
+			if r.len() != total {
+				t.Fatalf("capture lost rows to the drop: %d left", r.len())
+			}
+		}
+	}
+}
+
+// TestRestoredStoresStayIndependent: a replica snapshots, the payload
+// restores two other stores (a local recovery and a shipped checkpoint), and
+// all three then diverge. Each must equal a control store that reached the
+// same state without ever sharing a page.
+func TestRestoredStoresStayIndependent(t *testing.T) {
+	fresh := func(rounds ...int) *Store {
+		s := Populate(PopConfig{Items: 200, EBs: 1, Reduction: 4, Seed: 9})
+		for _, r := range rounds {
+			mutate(t, s, r)
+		}
+		return s
+	}
+	a := fresh(1, 2)
+	payload, _ := a.Snapshot()
+	b, c := &Store{}, &Store{}
+	b.Restore(payload)
+	c.Restore(payload)
+
+	mutate(t, a, 10)
+	mutate(t, a, 11)
+	mutate(t, b, 20)
+	storesEqual(t, "snapshotting replica", a, fresh(1, 2, 10, 11))
+	storesEqual(t, "restored and written", b, fresh(1, 2, 20))
+	storesEqual(t, "restored and idle", c, fresh(1, 2))
+
+	// The payload itself is still the state it captured.
+	d := &Store{}
+	d.Restore(payload)
+	storesEqual(t, "payload after its users diverged", d, fresh(1, 2))
+
+	// Delta layers on top of a shared base stay private too.
+	mutate(t, a, 12)
+	delta, _, ok := a.SnapshotDelta()
+	if !ok {
+		t.Fatal("SnapshotDelta failed")
+	}
+	mutate(t, a, 13)
+	d.ApplyDelta(delta)
+	mutate(t, d, 30)
+	storesEqual(t, "base plus delta, then written", d, fresh(1, 2, 10, 11, 12, 30))
+	storesEqual(t, "delta source", a, fresh(1, 2, 10, 11, 12, 13))
+}
+
+// TestCountsWithHoles: after DropOwned punched holes through every page,
+// Counts and Info report the rows that are left, and a dropped customer is
+// gone by ID and by user name.
+func TestCountsWithHoles(t *testing.T) {
+	s := migrationStore(t)
+	_, before, _, _ := s.Counts()
+	s.DropOwned(ownedByParity)
+	_, customers, orders, carts := s.Counts()
+	if customers == 0 || customers >= before {
+		t.Fatalf("drop left %d of %d customers", customers, before)
+	}
+	if got := s.Info().Customers; got != customers {
+		t.Errorf("Info says %d customers, Counts %d", got, customers)
+	}
+	nCustomers, nOrders, nCarts := 0, 0, 0
+	for range s.customers.all() {
+		nCustomers++
+	}
+	for range s.orders.all() {
+		nOrders++
+	}
+	for range s.carts.all() {
+		nCarts++
+	}
+	if nCustomers != customers || nOrders != orders || nCarts != carts {
+		t.Errorf("Counts says %d customers, %d orders, %d carts; the tables hold %d, %d, %d",
+			customers, orders, carts, nCustomers, nOrders, nCarts)
+	}
+	if _, ok := s.GetCustomerByID(1); ok {
+		t.Error("customer 1 still readable by ID after the drop")
+	}
+	if _, ok := s.GetCustomer(customerUName(1)); ok {
+		t.Error("customer 1 still readable by user name after the drop")
+	}
+	if c, ok := s.GetCustomer(customerUName(2)); !ok || c.ID != 2 {
+		t.Error("customer 2 lost to the drop")
+	}
+	if bad := s.VerifyConsistency(); len(bad) > 0 {
+		t.Errorf("inconsistent after the drop: %v", bad)
+	}
+}
+
+// TestGetCustomerParsesUName: the user name is the only index, so only the
+// canonical spelling of an existing ID may hit.
+func TestGetCustomerParsesUName(t *testing.T) {
+	s := testStore()
+	if c, ok := s.GetCustomer("C7"); !ok || c.ID != 7 || c.UName != "C7" {
+		t.Fatalf("GetCustomer(C7) = %+v, %v", c, ok)
+	}
+	for _, uname := range []string{"", "C", "7", "c7", "C07", "C+7", "C-7", "C 7", "C7 ", "C0", "C99999999999", "C7x", "D7"} {
+		if c, ok := s.GetCustomer(uname); ok {
+			t.Errorf("GetCustomer(%q) hit customer %d", uname, c.ID)
+		}
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// paperPopulation is the 500 MB state of the paper's experiments at the
+// harness's reduction: 10k items, 36k customers, 72k addresses, 32k orders.
+var paperPopulation = PopConfig{Items: 10000, EBs: 50, Reduction: 4, Seed: 7}
+
+// TestSnapshotAllocBudget: capturing, restoring and cloning the paper
+// population copy page directories, never rows — a few KB each (the
+// best-sellers window is the largest piece), where copying the entity maps
+// took 6.8 MB.
+func TestSnapshotAllocBudget(t *testing.T) {
+	const budget = 64 << 10
+	s := Populate(paperPopulation)
+	var snap any
+	if n := allocated(func() { snap, _ = s.Snapshot() }); n >= budget {
+		t.Errorf("Snapshot allocated %d bytes, budget %d", n, budget)
+	}
+	r := &Store{}
+	if n := allocated(func() { r.Restore(snap) }); n >= budget {
+		t.Errorf("Restore allocated %d bytes, budget %d", n, budget)
+	}
+	var c *Store
+	if n := allocated(func() { c = s.Clone() }); n >= budget {
+		t.Errorf("Clone allocated %d bytes, budget %d", n, budget)
+	}
+	if _, customers, _, _ := c.Counts(); customers != 36000 {
+		t.Fatalf("clone holds %d customers", customers)
+	}
+}

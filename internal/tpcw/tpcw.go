@@ -16,8 +16,11 @@
 // tracks a calibrated nominal byte size per entity so checkpoints have the
 // paper's state-size behaviour (300/500/700 MB for 30/50/70 emulated
 // browsers) without allocating that much memory; population counts can be
-// further reduced by a documented factor while keeping nominal accounting
-// at full scale (see DESIGN.md, substitutions).
+// further reduced by a factor (PopConfig.Reduction) while nominal accounting
+// stays at full scale. That is this reproduction's substitution for the
+// paper's testbed: checkpoint and recovery I/O are modeled from the nominal
+// size, so the in-memory rows only have to be numerous enough to exercise
+// the interactions.
 package tpcw
 
 import (
@@ -180,9 +183,8 @@ const (
 )
 
 // catalog is the immutable part of the store: entities and indexes that no
-// web interaction mutates. It is shared (by reference) between snapshots,
-// which keeps checkpoint copies cheap while the mutable maps are deep
-// copied.
+// web interaction mutates. It is shared (by reference) between snapshots
+// and clones.
 type catalog struct {
 	countries []Country
 	authors   map[AuthorID]Author
@@ -201,21 +203,23 @@ type catalog struct {
 type Store struct {
 	cat *catalog
 
-	// The big entity maps hold pointers with a copy-on-write
-	// discipline: a pointed-to struct is never mutated in place after
-	// insertion (mutations replace the pointer with a fresh copy).
-	// Snapshots can therefore share the pointed-to values and copy only
-	// the maps, which keeps checkpoint capture cheap.
-	items     map[ItemID]*Item
-	customers map[CustomerID]*Customer
-	byUName   map[string]CustomerID
-	addresses map[AddressID]*Address
-	orders    map[OrderID]*Order
-	carts     map[CartID]Cart
+	// The entity tables are paged copy-on-write tables (table.go) over
+	// rows held under a copy-on-write discipline of their own: a
+	// pointed-to struct, and a cart's Lines slice, is never mutated in
+	// place after insertion (mutations store a fresh copy). A snapshot,
+	// the stores restored from it and the store it was taken from can
+	// therefore share both rows and pages: capturing or adopting a table
+	// copies its page directory, and a store copies a shared page the
+	// first time it writes to it.
+	items     table[ItemID, *Item]
+	customers table[CustomerID, *Customer] // UName is customerUName(ID): no separate index
+	addresses table[AddressID, *Address]
+	orders    table[OrderID, *Order]
+	carts     table[CartID, Cart]
 
 	// lastOrder indexes each customer's most recent order (the TPC-W
 	// getMostRecentOrder query is a SQL max; this is its index).
-	lastOrder map[CustomerID]OrderID
+	lastOrder table[CustomerID, OrderID]
 
 	// recentOrders is the ring of the last bestSellerWindow order IDs
 	// that the TPC-W best-sellers query is defined over.
@@ -229,7 +233,7 @@ type Store struct {
 	// bsQty is the rolling quantity-sold aggregate over the
 	// recentOrders window, maintained incrementally as orders enter and
 	// leave it, so the best-sellers query never rescans the window.
-	bsQty map[ItemID]int64
+	bsQty table[ItemID, int64]
 
 	// bsBySubject partitions bsQty by item subject, so re-ranking one
 	// subject's best sellers touches only that subject's window entries
@@ -274,7 +278,7 @@ func (s *Store) NominalBytes() int64 { return s.nominalBytes }
 
 // Counts returns entity counts, for tests and reporting.
 func (s *Store) Counts() (items, customers, orders, carts int) {
-	return len(s.items), len(s.customers), len(s.orders), len(s.carts)
+	return s.items.len(), s.customers.len(), s.orders.len(), s.carts.len()
 }
 
 // Subjects returns the TPC-W subject list.

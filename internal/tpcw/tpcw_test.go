@@ -290,8 +290,8 @@ func TestBestSellersRankedAndCacheRefreshes(t *testing.T) {
 func referenceBestSellers(s *Store, subject string) []BestSeller {
 	subject = canonicalSubject(subject)
 	ranked := make([]BestSeller, 0, 64)
-	for iid, q := range s.bsQty {
-		if item, ok := s.items[iid]; ok && item.Subject == subject {
+	for iid, q := range s.bsQty.all() {
+		if item, ok := s.items.get(iid); ok && item.Subject == subject {
 			ranked = append(ranked, BestSeller{Item: iid, Qty: q})
 		}
 	}
@@ -564,10 +564,30 @@ func BenchmarkApplyBuyConfirm(b *testing.B) {
 
 func BenchmarkSnapshot(b *testing.B) {
 	s := Populate(PopConfig{Items: 10000, EBs: 30, Reduction: 8, Seed: 1})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap, _ := s.Snapshot()
 		_ = snap
+	}
+}
+
+func BenchmarkRestore(b *testing.B) {
+	snap, _ := Populate(PopConfig{Items: 10000, EBs: 30, Reduction: 8, Seed: 1}).Snapshot()
+	s := &Store{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Restore(snap)
+	}
+}
+
+func BenchmarkClone(b *testing.B) {
+	s := Populate(PopConfig{Items: 10000, EBs: 30, Reduction: 8, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Clone()
 	}
 }
 
