@@ -379,7 +379,7 @@ func BenchmarkTxn(b *testing.B) {
 			blk += g.TxnBlockedSec
 		}
 		report.Rows = append(report.Rows, row{
-			Scenario:    r.Cfg.Faultload.Name,
+			Scenario:    r.Cfg.Fault.Name,
 			Issued:      r.Txn.Issued,
 			CrossShard:  r.Txn.CrossShard,
 			Committed:   r.Txn.Committed,

@@ -84,8 +84,10 @@ func run(nShards, nReplicas, nBrowsers int, duration time.Duration, crash, rebal
 	if err := awaitService(store); err != nil {
 		return err
 	}
-	first := store.Group(0).Replica(0).Machine().(*tpcw.Store)
-	info := first.Info()
+	var info tpcw.PopulationInfo
+	if !inspect(store.Group(0).Replica(0), func(bs *tpcw.Store) { info = bs.Info() }) {
+		return fmt.Errorf("shard 0 replica 0 did not answer")
+	}
 	fmt.Printf("bookstore up: %d shards x %d replicas, %d items, %d customers per shard\n",
 		nShards, nReplicas, info.Items, info.Customers)
 
@@ -162,8 +164,11 @@ func run(nShards, nReplicas, nBrowsers int, duration time.Duration, crash, rebal
 			if r == nil || !r.Ready() {
 				continue
 			}
-			bs := r.Machine().(*tpcw.Store)
-			if bad := bs.VerifyConsistency(); len(bad) > 0 {
+			var bad []string
+			if !inspect(r, func(bs *tpcw.Store) { bad = bs.VerifyConsistency() }) {
+				return fmt.Errorf("shard %d replica %d did not answer the audit", gs.Shard, m)
+			}
+			if len(bad) > 0 {
 				return fmt.Errorf("shard %d replica %d inconsistent: %v", gs.Shard, m, bad)
 			}
 		}
@@ -192,9 +197,11 @@ func shopper(ctx context.Context, stop time.Time, rng *xrand.Rand,
 		switch rng.Intn(5) {
 		case 0, 1: // browse, spread across the owning shard's replicas
 			if r := store.PickRead(key, session); r != nil && r.Ready() {
-				bs := r.Machine().(*tpcw.Store)
-				bs.GetBook(item)
-				bs.GetBestSellers(bs.Subjects()[rng.Intn(4)])
+				subject := rng.Intn(4)
+				inspect(r, func(bs *tpcw.Store) {
+					bs.GetBook(item)
+					bs.GetBestSellers(bs.Subjects()[subject])
+				})
 			}
 		case 2, 3: // add to cart
 			var res any
@@ -226,6 +233,27 @@ func shopper(ctx context.Context, stop time.Time, rng *xrand.Rand,
 			errs.Add(1)
 		}
 		time.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
+	}
+}
+
+// inspect runs fn with the replica's bookstore on the replica's own
+// executor and waits for it: the state machine is confined to that loop, so
+// reading it from here would race the replica's applies. It reports false
+// when the replica does not answer within a second (crashed, or not
+// started).
+func inspect(r *core.Replica, fn func(bs *tpcw.Store)) bool {
+	done := make(chan struct{})
+	if !r.Inspect(func(sm core.StateMachine) {
+		fn(sm.(*tpcw.Store))
+		close(done)
+	}) {
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	case <-time.After(time.Second):
+		return false
 	}
 }
 

@@ -18,10 +18,11 @@
 // shard.RoutingTable maps hash-space slices to groups (epoch 0
 // reproduces the historical hash%N mapping bit for bit, golden-tested),
 // and live migration advances the epoch without downtime. Rebalance —
-// on both the generic store (shard.Store.Rebalance) and the web tier
-// (webtier.Cluster.Rebalance, cmd/robuststore -rebalance, cmd/experiment
-// -run rebalance) — boots a new group, drains and fences the source
-// logs with ordered barriers, streams the moving slices' rows through
+// one driver (shard.Migration) hosted by both the generic store
+// (shard.Store.Rebalance) and the web tier (webtier.Cluster.Rebalance,
+// cmd/robuststore -rebalance, cmd/experiment -run rebalance), each
+// through the narrow shard.MigrationHost — boots a new group, drains and
+// fences the source logs with ordered barriers, streams the moving rows through
 // the ordered log as keyed snapshots (core.PartitionedMachine,
 // tpcw's ExportOwned/ImportOwned/DropOwned), and publishes the next
 // epoch with one atomic cutover; writes to moving keys are delayed by
@@ -146,7 +147,8 @@
 //
 // The dependability benchmark covers the sharded deployment too: a
 // composable faultload DSL (exp.Faultload — victim selectors × schedule)
-// subsumes the paper's §5.4–5.6 faultloads and adds sharded scenarios
+// carries the paper's §5.4–5.6 faultloads as presets (exp.OneCrash,
+// exp.TwoCrashes, exp.DelayedRecovery) and adds sharded scenarios
 // (one member of every group, rolling crashes, whole-group outage until
 // manual recovery), with per-group + aggregate availability,
 // performability and recovery-window reports (RunResult.PerGroup,
@@ -159,8 +161,8 @@
 // OpDiskSlow/OpDiskRestore degrade a victim's disk live by a factor (the
 // failing-disk straggler that drags group commit and checkpoints without
 // tripping crash detection). Partitions are handle-based and composable
-// on both runtimes — the simulator refcounts directed link blocks, and
-// livenet gained an equivalent message-filter layer, so the same
+// on both runtimes — one link-fault table (internal/netfault) that the
+// simulator reads loop-confined and livenet under a lock, so the same
 // scenarios run on real goroutines — and active partition sets persist:
 // a node added mid-partition (live rebalance) joins the majority side
 // instead of straddling the split. The standard scenarios — leader

@@ -39,9 +39,11 @@ type StateMachine interface {
 	// Execute applies one action and returns its result.
 	Execute(action any) any
 
-	// Snapshot returns an immutable deep copy of the state plus its
-	// nominal serialized size in bytes (the paper's 300/500/700 MB
-	// state sizes drive recovery time through this value).
+	// Snapshot returns the state as an immutable payload — later Executes
+	// must never show through it, though the copy may be lazy (the
+	// bookstore shares copy-on-write pages) — plus its nominal serialized
+	// size in bytes (the paper's 300/500/700 MB state sizes drive recovery
+	// time through this value).
 	Snapshot() (data any, size int64)
 
 	// Restore replaces the state from a Snapshot payload.

@@ -12,7 +12,7 @@ import (
 
 // shortRun is a scaled-down one-crash experiment shared by the tests in
 // this file (memoized).
-func shortRun(fault FaultKind) RunResult {
+func shortRun(fault Faultload) RunResult {
 	return Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 5, StateMB: 300,
 		Fault: fault, Browsers: 400, Measure: 180 * time.Second,
@@ -151,7 +151,7 @@ func TestEBsForStateMB(t *testing.T) {
 func TestPickVictimsDistinct(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		for _, servers := range []int{3, 5, 8} {
-			v := pickVictims(RunConfig{Seed: seed, Servers: servers, Profile: rbe.Ordering})
+			v := pickVictimsInGroup(RunConfig{Seed: seed, Servers: servers, Profile: rbe.Ordering}, 0)
 			if v[0] == v[1] {
 				t.Fatalf("victims collide: %v (seed %d, servers %d)", v, seed, servers)
 			}

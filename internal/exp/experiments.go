@@ -136,7 +136,7 @@ type ReadScaleConfig struct {
 	Counts   []int // reader counts swept; default {0, 1, 3}
 	Browsers int
 	Measure  time.Duration
-	Fault    *Faultload // optional read-tier faultload
+	Fault    Faultload // optional read-tier faultload
 }
 
 func (c ReadScaleConfig) withDefaults() ReadScaleConfig {
@@ -166,15 +166,14 @@ func ReadScale(cfg ReadScaleConfig) []ReadScalePoint {
 	var base float64
 	for _, readers := range cfg.Counts {
 		r := Run(RunConfig{
-			Profile:   rbe.Browsing,
-			Servers:   cfg.Servers,
-			Readers:   readers,
-			StateMB:   300,
-			Fault:     NoFault,
-			Faultload: cfg.Fault,
-			Browsers:  cfg.Browsers,
-			Measure:   cfg.Measure,
-			Seed:      cfg.Seed,
+			Profile:  rbe.Browsing,
+			Servers:  cfg.Servers,
+			Readers:  readers,
+			StateMB:  300,
+			Fault:    cfg.Fault,
+			Browsers: cfg.Browsers,
+			Measure:  cfg.Measure,
+			Seed:     cfg.Seed,
 		})
 		var rps float64
 		var fw, ss int64
@@ -206,7 +205,7 @@ func ReadScale(cfg ReadScaleConfig) []ReadScalePoint {
 // FaultMatrix runs one faultload across the paper's dependability grid:
 // replication degrees 5 and 8, all three profiles, 500 MB state (Tables
 // 1–6, Figures 5, 7, 8).
-func FaultMatrix(kind FaultKind, seed uint64) map[string]RunResult {
+func FaultMatrix(fault Faultload, seed uint64) map[string]RunResult {
 	out := make(map[string]RunResult)
 	for _, servers := range []int{5, 8} {
 		for _, profile := range rbe.Profiles {
@@ -214,7 +213,7 @@ func FaultMatrix(kind FaultKind, seed uint64) map[string]RunResult {
 				Profile: profile,
 				Servers: servers,
 				StateMB: 500,
-				Fault:   kind,
+				Fault:   fault,
 				Seed:    seed,
 			})
 			out[matrixKey(servers, profile)] = r
@@ -338,22 +337,7 @@ func GrayFaultloads() []Faultload {
 // the per-group availability/accuracy/recovery rows.
 func GraySuite(cfg ShardedSuiteConfig) []RunResult {
 	cfg = cfg.withDefaults()
-	scenarios := GrayFaultloads()
-	out := make([]RunResult, 0, len(scenarios))
-	for i := range scenarios {
-		fl := scenarios[i]
-		out = append(out, Run(RunConfig{
-			Profile:   rbe.Shopping,
-			Servers:   cfg.Servers,
-			Shards:    cfg.Shards,
-			StateMB:   cfg.StateMB,
-			Faultload: &fl,
-			Browsers:  cfg.Browsers,
-			Measure:   cfg.Measure,
-			Seed:      cfg.Seed,
-		}))
-	}
-	return out
+	return cfg.runAll(GrayFaultloads())
 }
 
 // ShardedSuiteConfig parameterizes the sharded dependability suite.
@@ -379,27 +363,35 @@ func (c ShardedSuiteConfig) withDefaults() ShardedSuiteConfig {
 	return c
 }
 
+// runConfig is the suite's deployment under one faultload.
+func (c ShardedSuiteConfig) runConfig(fl Faultload) RunConfig {
+	return RunConfig{
+		Profile:  rbe.Shopping,
+		Servers:  c.Servers,
+		Shards:   c.Shards,
+		StateMB:  c.StateMB,
+		Fault:    fl,
+		Browsers: c.Browsers,
+		Measure:  c.Measure,
+		Seed:     c.Seed,
+	}
+}
+
+// runAll runs every scenario against the suite's deployment.
+func (c ShardedSuiteConfig) runAll(scenarios []Faultload) []RunResult {
+	out := make([]RunResult, 0, len(scenarios))
+	for _, fl := range scenarios {
+		out = append(out, Run(c.runConfig(fl)))
+	}
+	return out
+}
+
 // ShardedSuite runs every sharded scenario against one deployment and
 // returns the per-scenario results, each carrying the per-group +
 // aggregate dependability report in RunResult.PerGroup.
 func ShardedSuite(cfg ShardedSuiteConfig) []RunResult {
 	cfg = cfg.withDefaults()
-	scenarios := ShardedFaultloads(cfg.Shards)
-	out := make([]RunResult, 0, len(scenarios))
-	for i := range scenarios {
-		fl := scenarios[i]
-		out = append(out, Run(RunConfig{
-			Profile:   rbe.Shopping,
-			Servers:   cfg.Servers,
-			Shards:    cfg.Shards,
-			StateMB:   cfg.StateMB,
-			Faultload: &fl,
-			Browsers:  cfg.Browsers,
-			Measure:   cfg.Measure,
-			Seed:      cfg.Seed,
-		}))
-	}
-	return out
+	return cfg.runAll(ShardedFaultloads(cfg.Shards))
 }
 
 // PartitionSuite runs every correlated partition scenario against one
@@ -408,22 +400,7 @@ func ShardedSuite(cfg ShardedSuiteConfig) []RunResult {
 // rows.
 func PartitionSuite(cfg ShardedSuiteConfig) []RunResult {
 	cfg = cfg.withDefaults()
-	scenarios := PartitionFaultloads()
-	out := make([]RunResult, 0, len(scenarios))
-	for i := range scenarios {
-		fl := scenarios[i]
-		out = append(out, Run(RunConfig{
-			Profile:   rbe.Shopping,
-			Servers:   cfg.Servers,
-			Shards:    cfg.Shards,
-			StateMB:   cfg.StateMB,
-			Faultload: &fl,
-			Browsers:  cfg.Browsers,
-			Measure:   cfg.Measure,
-			Seed:      cfg.Seed,
-		}))
-	}
-	return out
+	return cfg.runAll(PartitionFaultloads())
 }
 
 // SlowDiskScenario runs the straggler-disk faultload against one
@@ -431,18 +408,7 @@ func PartitionSuite(cfg ShardedSuiteConfig) []RunResult {
 // whenever it sits in the phase-2 quorum without ever tripping crash
 // detection.
 func SlowDiskScenario(cfg ShardedSuiteConfig) RunResult {
-	cfg = cfg.withDefaults()
-	fl := SlowDiskFaultload()
-	return Run(RunConfig{
-		Profile:   rbe.Shopping,
-		Servers:   cfg.Servers,
-		Shards:    cfg.Shards,
-		StateMB:   cfg.StateMB,
-		Faultload: &fl,
-		Browsers:  cfg.Browsers,
-		Measure:   cfg.Measure,
-		Seed:      cfg.Seed,
-	})
+	return Run(cfg.withDefaults().runConfig(SlowDiskFaultload()))
 }
 
 // PartitionBenchPoint is the leader-isolation benchmark's summary: how
@@ -460,15 +426,14 @@ type PartitionBenchPoint struct {
 // PartitionRecoveryBench measures leader-isolation failover on the
 // reference single-group deployment (5 replicas, shortened measurement).
 func PartitionRecoveryBench(seed uint64) PartitionBenchPoint {
-	fl := LeaderIsolation(0, 240, 330)
 	r := Run(RunConfig{
-		Profile:   rbe.Shopping,
-		Servers:   5,
-		StateMB:   300,
-		Faultload: &fl,
-		Browsers:  600,
-		Measure:   300 * time.Second,
-		Seed:      seed,
+		Profile:  rbe.Shopping,
+		Servers:  5,
+		StateMB:  300,
+		Fault:    LeaderIsolation(0, 240, 330),
+		Browsers: 600,
+		Measure:  300 * time.Second,
+		Seed:     seed,
 	})
 	// Recovery times default to the "never recovered within the run"
 	// sentinel, so a liveness regression (e.g. the stale-leader-rejoin
@@ -546,17 +511,16 @@ type ShardedRecoveryPoint struct {
 func ShardedRecoveryCurve(seed uint64, shardCounts []int) []ShardedRecoveryPoint {
 	out := make([]ShardedRecoveryPoint, 0, len(shardCounts))
 	for _, n := range shardCounts {
-		fl := MemberEveryGroup(270)
 		r := Run(RunConfig{
-			Profile:   rbe.Shopping,
-			Servers:   3,
-			Shards:    n,
-			StateMB:   300,
-			Faultload: &fl,
-			Browsers:  600,
-			Measure:   180 * time.Second,
-			CrashAt:   90,
-			Seed:      seed,
+			Profile:  rbe.Shopping,
+			Servers:  3,
+			Shards:   n,
+			StateMB:  300,
+			Fault:    MemberEveryGroup(270),
+			Browsers: 600,
+			Measure:  180 * time.Second,
+			CrashAt:  90,
+			Seed:     seed,
 		})
 		pt := ShardedRecoveryPoint{Shards: n, AWIPS: r.AWIPS, WorstGroupAvail: 1}
 		var durSum float64
@@ -585,18 +549,9 @@ func ShardedRecoveryCurve(seed uint64, shardCounts []int) []ShardedRecoveryPoint
 // group included — alongside the paper's measures, answering: does
 // resharding stay downtime-free even when a replica dies mid-handoff?
 func RebalanceScenario(cfg ShardedSuiteConfig) RunResult {
-	cfg = cfg.withDefaults()
-	return Run(RunConfig{
-		Profile:           rbe.Shopping,
-		Servers:           cfg.Servers,
-		Shards:            cfg.Shards,
-		StateMB:           cfg.StateMB,
-		Browsers:          cfg.Browsers,
-		Measure:           cfg.Measure,
-		Seed:              cfg.Seed,
-		RebalanceAtSec:    240,
-		CrashMidMigration: true,
-	})
+	rc := cfg.withDefaults().runConfig(NoFault)
+	rc.RebalanceAtSec, rc.CrashMidMigration = 240, true
+	return Run(rc)
 }
 
 // AblationResult compares a design choice on/off under one workload.

@@ -10,8 +10,8 @@ import (
 // This file defines the composable faultload DSL: a Faultload is a
 // schedule of fault events, each pairing a victim selector with an
 // operation and a time on the paper's x-axis. The paper's closed §5.4–5.6
-// faultloads (FaultKind) are expressed as Faultloads over the degenerate
-// single-group deployment, and the same vocabulary scales them out to the
+// faultloads (NoFault, OneCrash, TwoCrashes, DelayedRecovery) are presets
+// over the single-group deployment, and the same vocabulary scales them out to the
 // sharded web tier: one member of one group, one member of every group
 // (simultaneous or rolling), or a whole group down until manual recovery.
 //
@@ -259,7 +259,7 @@ func (sel Selector) key() string {
 type FaultEvent struct {
 	// AtSec is the event time in seconds on the paper's x-axis (measured
 	// from run start, ramp-up included); it scales with a shortened
-	// measurement interval exactly like the enum faultloads did.
+	// measurement interval.
 	AtSec float64
 
 	Op     FaultOp
@@ -275,6 +275,25 @@ type FaultEvent struct {
 	// per-message drop probability (0 means DefaultLossRate). Ignored by
 	// every other op.
 	Factor float64
+}
+
+// factor is the Factor the event runs with: its own, or its op's default
+// when it leaves Factor zero.
+func (ev FaultEvent) factor() float64 {
+	if ev.Factor != 0 {
+		return ev.Factor
+	}
+	switch ev.Op {
+	case OpDiskSlow:
+		return DefaultSlowFactor
+	case OpLinkLoss:
+		return DefaultLossRate
+	case OpGrayFail:
+		return DefaultGrayRate
+	case OpLinkDelay:
+		return DefaultDelayFactor
+	}
+	return 0
 }
 
 // DefaultSlowFactor is OpDiskSlow's degradation when the event leaves
@@ -298,8 +317,8 @@ const DefaultGrayRate = 0.5
 // timeout-based detector outright.
 const DefaultDelayFactor = 50
 
-// Faultload is a composable crash/recovery schedule: the generalization
-// of the paper's FaultKind enum to victim selectors × event times.
+// Faultload is a composable fault schedule: victim selectors × operations
+// × event times.
 type Faultload struct {
 	Name   string
 	Events []FaultEvent
@@ -321,20 +340,7 @@ func (f Faultload) key() string {
 		if ev.Dir != env.LinkBothWays {
 			k += fmt.Sprintf(":d%d", ev.Dir)
 		}
-		f := ev.Factor
-		if ev.Op == OpDiskSlow && f == 0 {
-			f = DefaultSlowFactor
-		}
-		if ev.Op == OpLinkLoss && f == 0 {
-			f = DefaultLossRate
-		}
-		if ev.Op == OpGrayFail && f == 0 {
-			f = DefaultGrayRate
-		}
-		if ev.Op == OpLinkDelay && f == 0 {
-			f = DefaultDelayFactor
-		}
-		if f != 0 {
+		if f := ev.factor(); f != 0 {
 			k += fmt.Sprintf(":x%g", f)
 		}
 		parts = append(parts, k)
@@ -347,8 +353,7 @@ func (f Faultload) key() string {
 // firstCrashSec, preserving relative spacing — the CrashAt override of
 // shortened recovery-time runs. Heals shift with their partitions, so
 // window widths survive the shift. Recovery events keep their absolute
-// times, matching the enum faultloads (the §5.6 intervention stays at
-// t=390 s).
+// times (the §5.6 intervention stays at t=390 s).
 func (f Faultload) shifted(firstCrashSec float64) Faultload {
 	first := -1.0
 	for _, ev := range f.Events {
@@ -370,32 +375,34 @@ func (f Faultload) shifted(firstCrashSec float64) Faultload {
 	return out
 }
 
-// --- The paper's faultloads, re-expressed ------------------------------
+// --- The paper's faultloads -------------------------------------------
 
-// PaperFaultload returns kind expressed in the DSL. At Shards=1 the
-// resulting schedule is identical to what the closed enum dispatch used
-// to produce (the equivalence is tested).
-func PaperFaultload(kind FaultKind) Faultload {
-	switch kind {
-	case OneCrash:
-		return Faultload{Name: "one-crash", Events: []FaultEvent{
-			{AtSec: 270, Op: OpCrash, Select: Member(0, 0)},
-		}}
-	case TwoCrashes:
-		return Faultload{Name: "two-crashes", Events: []FaultEvent{
-			{AtSec: 240, Op: OpCrash, Select: Member(0, 0)},
-			{AtSec: 270, Op: OpCrash, Select: Member(0, 1)},
-		}}
-	case DelayedRecovery:
-		return Faultload{Name: "delayed-recovery", Events: []FaultEvent{
-			{AtSec: 240, Op: OpCrash, Select: Member(0, 0)},
-			{AtSec: 240, Op: OpCrashNoRestart, Select: Member(0, 1)},
-			{AtSec: 390, Op: OpRecover, Select: Member(0, 1)},
-		}}
-	default:
-		return Faultload{Name: "none"}
-	}
-}
+// The faultloads of §5, over the single-group deployment (victims follow
+// the run's rotation, "chosen at random", §5.5).
+var (
+	// NoFault is the speedup/scaleup baseline, and RunConfig's default.
+	NoFault = Faultload{Name: "none"}
+
+	// OneCrash is §5.4: one crash at t=270 s, autonomous recovery.
+	OneCrash = Faultload{Name: "one-crash", Events: []FaultEvent{
+		{AtSec: 270, Op: OpCrash, Select: Member(0, 0)},
+	}}
+
+	// TwoCrashes is §5.5: crashes at t=240 s and t=270 s, autonomous
+	// recoveries.
+	TwoCrashes = Faultload{Name: "two-crashes", Events: []FaultEvent{
+		{AtSec: 240, Op: OpCrash, Select: Member(0, 0)},
+		{AtSec: 270, Op: OpCrash, Select: Member(0, 1)},
+	}}
+
+	// DelayedRecovery is §5.6: both crash at t=240 s; one recovers
+	// autonomously, the other by operator intervention at t=390 s.
+	DelayedRecovery = Faultload{Name: "delayed-recovery", Events: []FaultEvent{
+		{AtSec: 240, Op: OpCrash, Select: Member(0, 0)},
+		{AtSec: 240, Op: OpCrashNoRestart, Select: Member(0, 1)},
+		{AtSec: 390, Op: OpRecover, Select: Member(0, 1)},
+	}}
+)
 
 // --- Sharded scenarios -------------------------------------------------
 
@@ -594,9 +601,9 @@ func PartitionFlap(group int, startSec, endSec, periodSec, duty float64) Faultlo
 	return f
 }
 
-// restoreOf maps a window-opening fault op to the op that closes its
+// RestoreOf maps a window-opening fault op to the op that closes its
 // window (the pairing Flap alternates between).
-func restoreOf(op FaultOp) (FaultOp, bool) {
+func RestoreOf(op FaultOp) (FaultOp, bool) {
 	switch op {
 	case OpPartition:
 		return OpHeal, true
@@ -625,7 +632,7 @@ func restoreOf(op FaultOp) (FaultOp, bool) {
 // window of the same cumulative width: every cycle forces re-detection,
 // re-election or re-absorption from scratch.
 func Flap(op FaultOp, sel Selector, startSec, endSec, periodSec, duty, factor float64) Faultload {
-	restore, ok := restoreOf(op)
+	restore, ok := RestoreOf(op)
 	if !ok {
 		panic(fmt.Sprintf("exp: Flap of %v, which has no restore op", op))
 	}
@@ -690,19 +697,7 @@ func (f Faultload) resolve(cfg RunConfig) []resolvedEvent {
 			selKey:   ev.Select.key(),
 			leaderOf: -1,
 			dir:      ev.Dir,
-			factor:   ev.Factor,
-		}
-		if re.op == OpDiskSlow && re.factor == 0 {
-			re.factor = DefaultSlowFactor
-		}
-		if re.op == OpLinkLoss && re.factor == 0 {
-			re.factor = DefaultLossRate
-		}
-		if re.op == OpGrayFail && re.factor == 0 {
-			re.factor = DefaultGrayRate
-		}
-		if re.op == OpLinkDelay && re.factor == 0 {
-			re.factor = DefaultDelayFactor
+			factor:   ev.factor(),
 		}
 		sel := ev.Select
 		switch sel.Scope {

@@ -9,37 +9,31 @@ import (
 	"robuststore/internal/rbe"
 )
 
-// equivCfg is a shortened run shared by the equivalence tests.
-func equivCfg(kind FaultKind) RunConfig {
+// presetCfg is a shortened run of one of the paper's faultloads.
+func presetCfg(fault Faultload) RunConfig {
 	return RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
-		Fault: kind, Browsers: 200, Measure: 90 * time.Second,
+		Fault: fault, Browsers: 200, Measure: 90 * time.Second,
 		CrashAt: 60, Seed: 5,
 	}
 }
 
-// TestPaperFaultloadEquivalence: each paper faultload, re-expressed as an
-// explicit DSL Faultload, must produce a RunResult identical to the enum
-// shorthand at Shards=1 — the engine is one code path, and the DSL form
-// resolves to exactly the schedule the closed dispatch used to build.
-func TestPaperFaultloadEquivalence(t *testing.T) {
-	for _, kind := range []FaultKind{OneCrash, TwoCrashes, DelayedRecovery} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			enum := runOnce(equivCfg(kind).withDefaults())
-
-			fl := PaperFaultload(kind)
-			dslCfg := equivCfg(NoFault)
-			dslCfg.Faultload = &fl
-			dsl := runOnce(dslCfg.withDefaults())
-
-			if len(enum.CrashSec) == 0 || len(enum.RecoverySec) == 0 {
-				t.Fatalf("enum run has no fault activity: crashes %v recoveries %v",
-					enum.CrashSec, enum.RecoverySec)
+// TestPaperPresetsCrashAndRecover: each of the paper's faultloads, as the
+// preset it now is, crashes its victims and sees them recover in a
+// shortened single-group run.
+func TestPaperPresetsCrashAndRecover(t *testing.T) {
+	for _, fault := range []Faultload{OneCrash, TwoCrashes, DelayedRecovery} {
+		fault := fault
+		t.Run(fault.Name, func(t *testing.T) {
+			crashes := 0
+			for _, ev := range fault.Events {
+				if ev.Op != OpRecover {
+					crashes++
+				}
 			}
-			enum.Cfg, dsl.Cfg = RunConfig{}, RunConfig{}
-			if !reflect.DeepEqual(enum, dsl) {
-				t.Fatalf("DSL run diverged from enum run:\nenum: %+v\ndsl:  %+v", enum, dsl)
+			r := Run(presetCfg(fault))
+			if len(r.CrashSec) != crashes || len(r.RecoverySec) == 0 {
+				t.Fatalf("%d crashes scheduled: crashed at %v, recovered at %v", crashes, r.CrashSec, r.RecoverySec)
 			}
 		})
 	}
@@ -48,14 +42,14 @@ func TestPaperFaultloadEquivalence(t *testing.T) {
 func TestPickVictimsDegenerateGroup(t *testing.T) {
 	// Servers=1 used to divide by zero; the lone member is every victim.
 	for seed := uint64(0); seed < 5; seed++ {
-		v := pickVictims(RunConfig{Seed: seed, Servers: 1, Profile: rbe.Shopping})
+		v := pickVictimsInGroup(RunConfig{Seed: seed, Servers: 1, Profile: rbe.Shopping}, 0)
 		if v[0] != 0 || v[1] != 0 {
 			t.Fatalf("Servers=1 victims = %v, want [0 0]", v)
 		}
 	}
 	// Servers=2 still yields distinct victims.
 	for seed := uint64(0); seed < 10; seed++ {
-		v := pickVictims(RunConfig{Seed: seed, Servers: 2, Profile: rbe.Ordering})
+		v := pickVictimsInGroup(RunConfig{Seed: seed, Servers: 2, Profile: rbe.Ordering}, 0)
 		if v[0] == v[1] || v[0] >= 2 || v[1] >= 2 {
 			t.Fatalf("Servers=2 victims = %v", v)
 		}
@@ -99,7 +93,7 @@ func TestSingleServerFaultRun(t *testing.T) {
 }
 
 func TestFaultloadShifted(t *testing.T) {
-	fl := PaperFaultload(DelayedRecovery).shifted(90)
+	fl := DelayedRecovery.shifted(90)
 	var crashAt []float64
 	var recoverAt []float64
 	for _, ev := range fl.Events {
@@ -116,7 +110,7 @@ func TestFaultloadShifted(t *testing.T) {
 		t.Errorf("recovery moved to %v; the §5.6 intervention stays at 390", recoverAt)
 	}
 
-	two := PaperFaultload(TwoCrashes).shifted(90)
+	two := TwoCrashes.shifted(90)
 	if two.Events[0].AtSec != 90 || two.Events[1].AtSec != 120 {
 		t.Errorf("TwoCrashes shifted = %v/%v, want 90/120 (spacing preserved)",
 			two.Events[0].AtSec, two.Events[1].AtSec)
@@ -174,14 +168,15 @@ func TestResolveRejectsOutOfRangeGroup(t *testing.T) {
 // partition/disk vocabulary must not disturb how crash-only schedules
 // resolve or memoize.
 func TestCrashOnlyKeysUnchanged(t *testing.T) {
-	want := map[FaultKind]string{
-		OneCrash:        "one-crash,270:0:m0.0",
-		TwoCrashes:      "two-crashes,240:0:m0.0,270:0:m0.1",
-		DelayedRecovery: "delayed-recovery,240:0:m0.0,240:1:m0.1,390:2:m0.1",
+	want := map[string]Faultload{
+		"one-crash,270:0:m0.0":                              OneCrash,
+		"two-crashes,240:0:m0.0,270:0:m0.1":                 TwoCrashes,
+		"delayed-recovery,240:0:m0.0,240:1:m0.1,390:2:m0.1": DelayedRecovery,
+		"none": NoFault,
 	}
-	for kind, w := range want {
-		if got := PaperFaultload(kind).key(); got != w {
-			t.Errorf("%v key = %q, want %q", kind, got, w)
+	for w, fl := range want {
+		if got := fl.key(); got != w {
+			t.Errorf("%s key = %q, want %q", fl.Name, got, w)
 		}
 	}
 }
@@ -259,7 +254,7 @@ func TestPartitionScenarioRun(t *testing.T) {
 	fl := LeaderIsolation(0, 60, 90)
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
-		Faultload: &fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
+		Fault: fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
 	})
 	if len(r.CrashSec) != 0 {
 		t.Fatalf("partition run recorded crashes: %v", r.CrashSec)
@@ -299,7 +294,7 @@ func TestSlowDiskScenarioRun(t *testing.T) {
 	fl := SlowDiskStraggler(0, 8, 60, 100)
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
-		Faultload: &fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
+		Fault: fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
 	})
 	if len(r.FaultWindows) != 1 || r.FaultWindows[0].Kind != "slowdisk" {
 		t.Fatalf("fault windows = %+v", r.FaultWindows)
@@ -320,7 +315,7 @@ func TestSlowDiskScenarioRun(t *testing.T) {
 // of the correlated-fault machinery — nil windows, zero partition /
 // degradation time in every group report.
 func TestCrashOnlyRunCarriesNoFaultWindows(t *testing.T) {
-	r := Run(equivCfg(OneCrash))
+	r := Run(presetCfg(OneCrash))
 	if r.FaultWindows != nil {
 		t.Fatalf("crash-only run has fault windows: %+v", r.FaultWindows)
 	}
@@ -359,7 +354,7 @@ func TestOverlappingDiskSlowWindowsCompose(t *testing.T) {
 	}}
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
-		Faultload: &fl, Browsers: 100, Measure: 120 * time.Second, Seed: 9,
+		Fault: fl, Browsers: 100, Measure: 120 * time.Second, Seed: 9,
 	})
 	if len(r.FaultWindows) != 3 {
 		t.Fatalf("windows = %+v, want 3 (8x superseded, 4x, 12x)", r.FaultWindows)
@@ -421,7 +416,7 @@ func TestFlakyLinkScenarioRun(t *testing.T) {
 	fl := FlakyLink(0, 0.2, 60, 90)
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
-		Faultload: &fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
+		Fault: fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
 	})
 	if len(r.CrashSec) != 0 {
 		t.Fatalf("flaky-link run recorded crashes: %v", r.CrashSec)

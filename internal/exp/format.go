@@ -137,12 +137,8 @@ func PrintDependability(w io.Writer, title string, m map[string]RunResult) {
 // series of one run as a text sparkline with crash/recovery markers,
 // binned to fit a terminal.
 func PrintHistogram(w io.Writer, r RunResult) {
-	fault := r.Cfg.Fault.String()
-	if r.Cfg.Faultload != nil {
-		fault = r.Cfg.Faultload.Name
-	}
 	fmt.Fprintf(w, "WIPS histogram — %s, %d replicas, %s (c=crash, r=recovered)\n",
-		r.Cfg.Profile, r.Cfg.Servers, fault)
+		r.Cfg.Profile, r.Cfg.Servers, r.Cfg.Fault.Name)
 	const cols = 120
 	n := len(r.Series)
 	if n == 0 {
@@ -230,10 +226,7 @@ func PrintRecoveryTimes(w io.Writer, pts []RecoveryTimePoint) {
 // throughput, accuracy, availability and recovery windows, with the
 // deployment-wide row folded from them.
 func PrintShardedDependability(w io.Writer, r RunResult) {
-	name := r.Cfg.Fault.String()
-	if r.Cfg.Faultload != nil {
-		name = r.Cfg.Faultload.Name
-	}
+	name := r.Cfg.Fault.Name
 	total := rampUp + r.Cfg.Measure + rampDown
 	fmt.Fprintf(w, "Sharded dependability — %s (%d group(s) × %d servers, %s)\n",
 		name, len(r.PerGroup), r.Cfg.Servers, r.Cfg.Profile)
@@ -297,10 +290,7 @@ func printFaultWindows(w io.Writer, wins []metrics.FaultWindow) {
 // audit first (the point of the experiment), then each group's decision
 // outcomes and key-blocked time beside its dependability row.
 func PrintTxnReport(w io.Writer, r RunResult) {
-	name := r.Cfg.Fault.String()
-	if r.Cfg.Faultload != nil {
-		name = r.Cfg.Faultload.Name
-	}
+	name := r.Cfg.Fault.Name
 	a := r.Txn
 	fmt.Fprintf(w, "Cross-shard transactions — %s (%d group(s) × %d servers, %g txn/s)\n",
 		name, len(r.PerGroup), r.Cfg.Servers, r.Cfg.TxnRate)

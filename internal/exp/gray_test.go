@@ -19,7 +19,7 @@ func TestGrayFailScenarioRun(t *testing.T) {
 	fl := GrayFailServer(0, 0.9, 60, 100)
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
-		Faultload: &fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
+		Fault: fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
 	})
 	if len(r.CrashSec) != 0 {
 		t.Fatalf("gray-fail run recorded crashes: %v", r.CrashSec)
@@ -62,7 +62,7 @@ func TestLinkDelayScenarioRun(t *testing.T) {
 	fl := LinkDelayStraggler(0, 50, 60, 100)
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
-		Faultload: &fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
+		Fault: fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
 	})
 	if len(r.FaultWindows) != 1 || r.FaultWindows[0].Kind != "linkdelay" {
 		t.Fatalf("fault windows = %+v", r.FaultWindows)
@@ -92,12 +92,12 @@ func TestGraySuiteScenarios(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, r := range rs {
-		names[r.Cfg.Faultload.Name] = true
+		names[r.Cfg.Fault.Name] = true
 		if r.Availability < 0.9 {
-			t.Errorf("%s: availability %v", r.Cfg.Faultload.Name, r.Availability)
+			t.Errorf("%s: availability %v", r.Cfg.Fault.Name, r.Availability)
 		}
 		if r.AWIPS <= 0 {
-			t.Errorf("%s: AWIPS %v", r.Cfg.Faultload.Name, r.AWIPS)
+			t.Errorf("%s: AWIPS %v", r.Cfg.Fault.Name, r.AWIPS)
 		}
 	}
 	for _, want := range []string{"gray-fail", "gray-leader", "link-delay", "partition-flap"} {

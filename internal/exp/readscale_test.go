@@ -9,10 +9,10 @@ import (
 
 // readerCfg is the shared reader-deployment run for the fault-family
 // tests: one group of 3 voters + 2 learner readers at CI size.
-func readerCfg(seed uint64, fl *Faultload) RunConfig {
+func readerCfg(seed uint64, fl Faultload) RunConfig {
 	return RunConfig{
 		Profile: rbe.Browsing, Servers: 3, Readers: 2, StateMB: 300,
-		Faultload: fl, Browsers: 300, Measure: 150 * time.Second, Seed: seed,
+		Fault: fl, Browsers: 300, Measure: 150 * time.Second, Seed: seed,
 	}
 }
 
@@ -65,7 +65,7 @@ func TestReadYourWritesUnderFaultSuite(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 2; seed++ {
 				fl := sc.mk()
-				r := Run(readerCfg(seed, &fl))
+				r := Run(readerCfg(seed, fl))
 				if r.FenceViolations != 0 {
 					t.Errorf("seed %d: %d fenced reads served below their fence", seed, r.FenceViolations)
 				}
@@ -84,7 +84,7 @@ func TestReadYourWritesUnderFaultSuite(t *testing.T) {
 // proves the bound was exercised, not bypassed.
 func TestLearnerPartitionStalenessBound(t *testing.T) {
 	fl := LearnerPartition(0, 45, 150)
-	r := Run(readerCfg(3, &fl))
+	r := Run(readerCfg(3, fl))
 	_, fw, ss := readStatTotals(r)
 	if fw == 0 {
 		t.Error("no fenced read ever waited on the severed reader")
@@ -123,7 +123,7 @@ func TestLearnerFaultloadResolve(t *testing.T) {
 // election and failover.
 func TestFenceLeaderCrashRecovers(t *testing.T) {
 	fl := FenceLeaderCrash(0, 60)
-	r := Run(readerCfg(4, &fl))
+	r := Run(readerCfg(4, fl))
 	if len(r.CrashSec) != 1 {
 		t.Fatalf("crashes = %v, want exactly the leader's", r.CrashSec)
 	}

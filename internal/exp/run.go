@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"robuststore/internal/env"
 	"robuststore/internal/metrics"
+	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
 	"robuststore/internal/sim"
@@ -14,51 +14,23 @@ import (
 	"robuststore/internal/webtier"
 )
 
-// FaultKind selects one of the paper's faultloads.
-type FaultKind int
-
-// The faultloads of §5.
-const (
-	NoFault         FaultKind = iota // speedup/scaleup baselines
-	OneCrash                         // §5.4: one crash at t=270 s, autonomous recovery
-	TwoCrashes                       // §5.5: crashes at t=240 s and t=270 s, autonomous recoveries
-	DelayedRecovery                  // §5.6: both crash at t=240 s; one autonomous, one manual at t=390 s
-)
-
-// String implements fmt.Stringer.
-func (k FaultKind) String() string {
-	switch k {
-	case NoFault:
-		return "none"
-	case OneCrash:
-		return "one-crash"
-	case TwoCrashes:
-		return "two-crashes"
-	case DelayedRecovery:
-		return "delayed-recovery"
-	default:
-		return "unknown"
-	}
-}
-
 // RunConfig describes one experiment run.
 type RunConfig struct {
 	Profile rbe.Profile
 	Servers int // replication degree of each group
 	Shards  int // independent Paxos groups; default 1 (the paper's deployment)
 	StateMB int // initial state size: 300, 500 or 700
-	Fault   FaultKind
+
+	// Fault is the run's fault schedule (faultload.go): one of the paper's
+	// presets — NoFault, OneCrash, TwoCrashes, DelayedRecovery — or any
+	// composed Faultload. The zero value is NoFault.
+	Fault Faultload
 
 	// Readers adds this many learner-backed read-only servers per group
 	// (webtier.Config.Readers): they apply the log but never vote, and
 	// the proxy rotates reads across voters + readers with per-session
 	// read-your-writes fences. 0 keeps the pre-reader read path.
 	Readers int
-
-	// Faultload, when non-nil, overrides Fault with an explicit composable
-	// schedule (see faultload.go). The enum faultloads are shorthand: Fault
-	// is resolved through PaperFaultload, so both paths run the same engine.
-	Faultload *Faultload
 
 	Browsers int           // RBE population; default faultBrowsers
 	Measure  time.Duration // measurement interval; default 540 s
@@ -120,26 +92,25 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.Measure == 0 {
 		c.Measure = measure
 	}
+	if c.Fault.Name == "" && len(c.Fault.Events) == 0 {
+		c.Fault = NoFault
+	}
 	return c
 }
 
 // faultload resolves the run's effective fault schedule.
 func (c RunConfig) faultload() Faultload {
-	fl := PaperFaultload(c.Fault)
-	if c.Faultload != nil {
-		fl = *c.Faultload
-	}
 	if c.CrashAt > 0 {
-		fl = fl.shifted(c.CrashAt)
+		return c.Fault.shifted(c.CrashAt)
 	}
-	return fl
+	return c.Fault
 }
 
 // key returns the memoization key. Options that default to off append
 // only when set, so historical keys stay byte-identical.
 func (c RunConfig) key() string {
-	k := fmt.Sprintf("%v/%d/%d/%d/%d/%v/%d/%v/%d/%v/%v/%v/%.0f/%.0f/%v/%d/%v/%s",
-		c.Profile, c.Servers, c.Shards, c.Readers, c.StateMB, c.Fault, c.Browsers, c.Measure,
+	k := fmt.Sprintf("%v/%d/%d/%d/%d/%d/%v/%d/%v/%v/%v/%.0f/%.0f/%v/%d/%v/%s",
+		c.Profile, c.Servers, c.Shards, c.Readers, c.StateMB, c.Browsers, c.Measure,
 		c.Seed, c.NoFast, c.NoBatch, c.SeqRec, c.CrashAt,
 		c.RebalanceAtSec, c.CrashMidMigration,
 		c.CheckpointIntervalSec, c.FullCheckpoints, c.faultload().key())
@@ -291,11 +262,7 @@ func (a simSched) After(d time.Duration, fn func()) { a.s.After(d, fn) }
 func runOnce(cfg RunConfig) RunResult {
 	proto := populationFor(cfg.StateMB)
 
-	type recovery struct {
-		server int
-		at     time.Time
-	}
-	var recoveries []recovery
+	var recoveries []recoveryEvent
 
 	var pcfg paxos.Config
 	if cfg.NoBatch {
@@ -322,7 +289,7 @@ func runOnce(cfg RunConfig) RunResult {
 		Net:                expNet,
 		Disk:               expDisk,
 		OnRecovered: func(server int, at time.Time) {
-			recoveries = append(recoveries, recovery{server: server, at: at})
+			recoveries = append(recoveries, recoveryEvent{server: server, at: at})
 		},
 	})
 	s := cluster.Sim()
@@ -360,50 +327,15 @@ func runOnce(cfg RunConfig) RunResult {
 	}, simSched{s: s}, cluster.Frontend())
 	pop.Start()
 
-	// Faultload: the run's schedule (enum faultloads resolve through the
-	// DSL, see faultload.go), scaled into the measurement interval if it
-	// was shortened.
+	// Faultload: the run's schedule, scaled into the measurement interval
+	// if it was shortened.
 	scale := float64(cfg.Measure) / float64(measure)
 	at := func(sec float64) time.Time {
 		return t0.Add(rampUp + time.Duration(scale*(sec-30)*float64(time.Second)))
 	}
 	var crashes []crashEvent
-	// Correlated fault state: open partitions by selector key (so OpHeal
-	// heals exactly its partner's blocks and overlapping partitions
-	// compose), open windows by (kind, selector key) so heals close the
-	// windows their partner opened. Degraded disks are tracked per victim
-	// for the restore.
-	openParts := map[string]*sim.BlockHandle{}
-	openWins := map[string][]int{} // kind+selKey -> indices into faultWins
-	slowVictims := map[string][]int{}
-	// Flaky links are tracked per selector like degraded disks; a restore
-	// clears its own victims' links. Unlike disk factors, loss rates from
-	// different selectors touching the same victim do not compose — the
-	// later write wins per link (schedule disjoint victims to overlap).
-	lossVictims := map[string][]int{}
-	// Group-isolated servers (OpGroupIsolate), tracked per selector the
-	// same way for the reconnect.
-	isoVictims := map[string][]int{}
-	// Gray-failed servers and delay-inflated links, tracked per selector
-	// like flaky links: re-firing a selector supersedes its open event,
-	// and the restore clears exactly its own victims.
-	grayVictims := map[string][]int{}
-	delayVictims := map[string][]int{}
-	// diskActive composes overlapping degradations: per victim, the
-	// factors of every open OpDiskSlow touching it. The hardware runs at
-	// the worst active factor; restoring one event re-applies the max of
-	// whatever remains (or heals the drive when none does).
-	diskActive := map[int]map[string]float64{}
-	applyDiskFactor := func(v int) {
-		f := 1.0
-		for _, x := range diskActive[v] {
-			if x > f {
-				f = x
-			}
-		}
-		cluster.SetDiskFactor(v, f)
-	}
 	var faultWins []metrics.FaultWindow
+	openWins := map[string][]int{} // kind+selKey -> indices into faultWins
 	secOf := func(t time.Time) float64 { return t.Sub(t0).Seconds() }
 	openWindows := func(kind string, ev resolvedEvent, groups []int) {
 		key := kind + "/" + ev.selKey
@@ -426,11 +358,93 @@ func runOnce(cfg RunConfig) RunResult {
 		}
 		delete(openWins, key)
 	}
+	// Partitions heal through the handle their event opened, kept by
+	// selector so overlapping partitions compose.
+	openParts := map[string]*netfault.BlockHandle{}
+	// diskActive composes overlapping degradations: per victim, the
+	// factors of every open OpDiskSlow touching it. The hardware runs at
+	// the worst active factor; restoring one event re-applies the max of
+	// whatever remains (or heals the drive when none does).
+	diskActive := map[int]map[string]float64{}
+	applyDiskFactor := func(v int) {
+		f := 1.0
+		for _, x := range diskActive[v] {
+			if x > f {
+				f = x
+			}
+		}
+		cluster.SetDiskFactor(v, f)
+	}
+	// The window-opening faults. Each event of one remembers its victims
+	// under its selector, so that the restore with the same selector clears
+	// exactly them, and re-firing a selector supersedes its open event.
+	// Link loss rates and delay factors from different selectors touching
+	// one victim do not compose — the later write wins per link (schedule
+	// disjoint victims to overlap) — while disk factors do.
+	windowFaults := map[FaultOp]windowFault{
+		OpPartition: {kind: "partition", lateBinds: true,
+			apply: func(ev resolvedEvent, victims []int) {
+				openParts[ev.selKey] = cluster.PartitionServers(ev.dir, victims...)
+			},
+			clear: func(ev resolvedEvent, _ []int) {
+				openParts[ev.selKey].Heal()
+				delete(openParts, ev.selKey)
+			}},
+		OpDiskSlow: {kind: "slowdisk",
+			apply: func(ev resolvedEvent, victims []int) {
+				for _, v := range victims {
+					if diskActive[v] == nil {
+						diskActive[v] = map[string]float64{}
+					}
+					diskActive[v][ev.selKey] = ev.factor
+					cluster.DegradeDisk(v, ev.factor) // counts the fault
+					applyDiskFactor(v)                // worst active factor wins
+				}
+			},
+			clear: func(ev resolvedEvent, victims []int) {
+				for _, v := range victims {
+					delete(diskActive[v], ev.selKey)
+					applyDiskFactor(v) // back to the next-worst, or healthy
+				}
+			}},
+		OpLinkLoss: {kind: "linkloss", lateBinds: true,
+			apply: func(ev resolvedEvent, victims []int) { cluster.DegradeLinks(ev.dir, ev.factor, victims...) },
+			clear: func(_ resolvedEvent, victims []int) { cluster.RestoreLinks(victims...) }},
+		OpGroupIsolate: {kind: "partition",
+			apply: func(_ resolvedEvent, victims []int) { cluster.IsolateFromGroup(victims...) },
+			clear: func(_ resolvedEvent, victims []int) { cluster.ReconnectToGroup(victims...) }},
+		OpGrayFail: {kind: "grayfail", lateBinds: true,
+			apply: func(ev resolvedEvent, victims []int) {
+				for _, v := range victims {
+					cluster.GrayFail(v, ev.factor) // counts the fault
+				}
+			},
+			clear: func(_ resolvedEvent, victims []int) {
+				for _, v := range victims {
+					cluster.GrayRestore(v)
+				}
+			}},
+		OpLinkDelay: {kind: "linkdelay", lateBinds: true,
+			apply: func(ev resolvedEvent, victims []int) { cluster.DegradeLinkDelay(ev.dir, ev.factor, victims...) },
+			clear: func(_ resolvedEvent, victims []int) { cluster.RestoreLinkDelay(victims...) }},
+	}
+	type openKey struct {
+		op     FaultOp // the window-opening op
+		selKey string
+	}
+	openVictims := map[openKey][]int{}
+	closers := map[FaultOp]FaultOp{} // restore op -> the op whose window it closes
+	for op := range windowFaults {
+		restore, _ := RestoreOf(op)
+		closers[restore] = op
+	}
 	for _, ev := range cfg.faultload().resolve(cfg) {
 		ev := ev
 		t := at(ev.atSec)
-		switch ev.op {
-		case OpCrash, OpCrashNoRestart:
+		wf, opens := windowFaults[ev.op]
+		opener, closes := closers[ev.op]
+		switch {
+		case ev.op == OpCrash || ev.op == OpCrashNoRestart:
 			for _, v := range ev.victims {
 				crashes = append(crashes, crashEvent{server: v, at: t})
 			}
@@ -442,18 +456,19 @@ func runOnce(cfg RunConfig) RunResult {
 					cluster.Crash(v)
 				}
 			})
-		case OpRecover:
+		case ev.op == OpRecover:
 			s.At(t, func() {
 				for _, v := range ev.victims {
 					cluster.ManualRecover(v)
 				}
 			})
-		case OpPartition:
+		case opens:
+			key := openKey{ev.op, ev.selKey}
 			s.At(t, func() {
 				victims := ev.victims
-				if ev.leaderOf >= 0 {
-					// Late binding: partition whoever leads the group now;
-					// the rotation victim is the no-leader fallback.
+				if wf.lateBinds && ev.leaderOf >= 0 {
+					// Late binding: hit whoever leads the group now; the
+					// rotation victim is the no-leader fallback.
 					if l := cluster.LeaderOf(ev.leaderOf); l >= 0 {
 						victims = []int{l}
 					}
@@ -461,168 +476,21 @@ func runOnce(cfg RunConfig) RunResult {
 				if len(victims) == 0 {
 					return // e.g. the empty minority of a 1-server group
 				}
-				if old := openParts[ev.selKey]; old != nil {
-					old.Heal() // re-partitioning a selector supersedes its old split
-					closeWindows("partition", ev)
+				if old, ok := openVictims[key]; ok {
+					wf.clear(ev, old) // re-firing a selector supersedes its open event
+					closeWindows(wf.kind, ev)
 				}
-				openParts[ev.selKey] = cluster.PartitionServers(ev.dir, victims...)
-				openWindows("partition", ev, ev.groups(cfg.Servers))
+				wf.apply(ev, victims)
+				openVictims[key] = victims
+				openWindows(wf.kind, ev, ev.groups(cfg.Servers))
 			})
-		case OpHeal:
+		case closes:
+			key := openKey{opener, ev.selKey}
 			s.At(t, func() {
-				if h := openParts[ev.selKey]; h != nil {
-					h.Heal()
-					delete(openParts, ev.selKey)
-					closeWindows("partition", ev)
-				}
-			})
-		case OpDiskSlow:
-			s.At(t, func() {
-				if len(ev.victims) == 0 {
-					return
-				}
-				if old := slowVictims[ev.selKey]; old != nil {
-					// Re-degrading a selector supersedes its open event,
-					// like re-partitioning one does.
-					for _, v := range old {
-						delete(diskActive[v], ev.selKey)
-					}
-					closeWindows("slowdisk", ev)
-				}
-				for _, v := range ev.victims {
-					if diskActive[v] == nil {
-						diskActive[v] = map[string]float64{}
-					}
-					diskActive[v][ev.selKey] = ev.factor
-					cluster.DegradeDisk(v, ev.factor) // counts the fault
-					applyDiskFactor(v)                // worst active factor wins
-				}
-				slowVictims[ev.selKey] = ev.victims
-				openWindows("slowdisk", ev, ev.groups(cfg.Servers))
-			})
-		case OpDiskRestore:
-			s.At(t, func() {
-				for _, v := range slowVictims[ev.selKey] {
-					delete(diskActive[v], ev.selKey)
-					applyDiskFactor(v) // back to the next-worst, or healthy
-				}
-				delete(slowVictims, ev.selKey)
-				closeWindows("slowdisk", ev)
-			})
-		case OpLinkLoss:
-			s.At(t, func() {
-				victims := ev.victims
-				if ev.leaderOf >= 0 {
-					// Late binding, like OpPartition: degrade whoever leads
-					// the group now.
-					if l := cluster.LeaderOf(ev.leaderOf); l >= 0 {
-						victims = []int{l}
-					}
-				}
-				if len(victims) == 0 {
-					return
-				}
-				if old := lossVictims[ev.selKey]; old != nil {
-					// Re-degrading a selector supersedes its open event.
-					cluster.SetLinkRate(env.LinkBothWays, 0, old...)
-					closeWindows("linkloss", ev)
-				}
-				cluster.DegradeLinks(ev.dir, ev.factor, victims...)
-				lossVictims[ev.selKey] = victims
-				openWindows("linkloss", ev, ev.groups(cfg.Servers))
-			})
-		case OpLinkRestore:
-			s.At(t, func() {
-				if old := lossVictims[ev.selKey]; old != nil {
-					cluster.RestoreLinks(old...)
-					delete(lossVictims, ev.selKey)
-					closeWindows("linkloss", ev)
-				}
-			})
-		case OpGroupIsolate:
-			s.At(t, func() {
-				if len(ev.victims) == 0 {
-					return
-				}
-				if old := isoVictims[ev.selKey]; old != nil {
-					// Re-isolating a selector supersedes its open event.
-					cluster.ReconnectToGroup(old...)
-					closeWindows("partition", ev)
-				}
-				cluster.IsolateFromGroup(ev.victims...)
-				isoVictims[ev.selKey] = ev.victims
-				openWindows("partition", ev, ev.groups(cfg.Servers))
-			})
-		case OpGroupReconnect:
-			s.At(t, func() {
-				if old := isoVictims[ev.selKey]; old != nil {
-					cluster.ReconnectToGroup(old...)
-					delete(isoVictims, ev.selKey)
-					closeWindows("partition", ev)
-				}
-			})
-		case OpGrayFail:
-			s.At(t, func() {
-				victims := ev.victims
-				if ev.leaderOf >= 0 {
-					// Late binding, like OpPartition: gray-fail whoever
-					// leads the group now.
-					if l := cluster.LeaderOf(ev.leaderOf); l >= 0 {
-						victims = []int{l}
-					}
-				}
-				if len(victims) == 0 {
-					return
-				}
-				if old := grayVictims[ev.selKey]; old != nil {
-					// Re-graying a selector supersedes its open event.
-					for _, v := range old {
-						cluster.SetGray(v, 0)
-					}
-					closeWindows("grayfail", ev)
-				}
-				for _, v := range victims {
-					cluster.GrayFail(v, ev.factor) // counts the fault
-				}
-				grayVictims[ev.selKey] = victims
-				openWindows("grayfail", ev, ev.groups(cfg.Servers))
-			})
-		case OpGrayRestore:
-			s.At(t, func() {
-				if old := grayVictims[ev.selKey]; old != nil {
-					for _, v := range old {
-						cluster.GrayRestore(v)
-					}
-					delete(grayVictims, ev.selKey)
-					closeWindows("grayfail", ev)
-				}
-			})
-		case OpLinkDelay:
-			s.At(t, func() {
-				victims := ev.victims
-				if ev.leaderOf >= 0 {
-					if l := cluster.LeaderOf(ev.leaderOf); l >= 0 {
-						victims = []int{l}
-					}
-				}
-				if len(victims) == 0 {
-					return
-				}
-				if old := delayVictims[ev.selKey]; old != nil {
-					// Re-delaying a selector supersedes its open event.
-					cluster.RestoreLinkDelay(old...)
-					closeWindows("linkdelay", ev)
-				}
-				cluster.DegradeLinkDelay(ev.dir, ev.factor, victims...)
-				delayVictims[ev.selKey] = victims
-				openWindows("linkdelay", ev, ev.groups(cfg.Servers))
-			})
-		case OpLinkDelayRestore:
-			s.At(t, func() {
-				if old := delayVictims[ev.selKey]; old != nil {
-					cluster.RestoreLinkDelay(old...)
-					delete(delayVictims, ev.selKey)
-					closeWindows("linkdelay", ev)
+				if old, ok := openVictims[key]; ok {
+					windowFaults[opener].clear(ev, old)
+					delete(openVictims, key)
+					closeWindows(windowFaults[opener].kind, ev)
 				}
 			})
 		}
@@ -658,14 +526,7 @@ func runOnce(cfg RunConfig) RunResult {
 	// Run to completion plus a drain tail for late recoveries.
 	s.RunUntil(t0.Add(total + 90*time.Second))
 
-	res := collect(cfg, cluster, recorder, t0, total, crashes,
-		func() []recoveryEvent {
-			out := make([]recoveryEvent, 0, len(recoveries))
-			for _, r := range recoveries {
-				out = append(out, recoveryEvent{server: r.server, at: r.at})
-			}
-			return out
-		}(), faultWins)
+	res := collect(cfg, cluster, recorder, t0, total, crashes, recoveries, faultWins)
 	w, b := cluster.CheckpointIO()
 	res.CheckpointWrites = w - ckptW0
 	res.CheckpointBytes = b - ckptB0
@@ -679,6 +540,17 @@ func runOnce(cfg RunConfig) RunResult {
 type recoveryEvent struct {
 	server int
 	at     time.Time
+}
+
+// windowFault is how one window-opening fault op acts on the cluster: the
+// kind of metrics.FaultWindow its events open, whether a Leader selector
+// binds when the event fires, how to inject the fault on the victims and
+// how to clear it from them.
+type windowFault struct {
+	kind      string
+	lateBinds bool
+	apply     func(ev resolvedEvent, victims []int)
+	clear     func(ev resolvedEvent, victims []int)
 }
 
 // crashEvent is one scheduled crash of one server.
@@ -698,16 +570,9 @@ func groupOfFlat(cfg RunConfig, server int) int {
 	return server / cfg.Servers
 }
 
-// pickVictims chooses crash targets deterministically ("chosen at random",
-// §5.5) — distinct servers, avoiding none in particular.
-func pickVictims(cfg RunConfig) []int {
-	return pickVictimsInGroup(cfg, 0)
-}
-
-// pickVictimsInGroup is the per-group victim rotation: member indices
-// within group g, distinct where the group size allows it. Group 0's
-// rotation is exactly the historical pickVictims, so single-group runs
-// crash the same servers they always did.
+// pickVictimsInGroup is the per-group victim rotation ("chosen at random",
+// §5.5, but deterministically): member indices within group g, distinct
+// where the group size allows it.
 func pickVictimsInGroup(cfg RunConfig, g int) []int {
 	if cfg.Servers == 1 {
 		// Degenerate group: its only member is every victim (the sharded

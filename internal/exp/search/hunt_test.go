@@ -22,10 +22,10 @@ func replay(t *testing.T, pc PinnedCase) Verdict {
 		t.Fatalf("reconstructing %s: %v", pc.Name, err)
 	}
 	baseCfg := rc
-	baseCfg.Faultload = &exp.Faultload{Name: "none"}
+	baseCfg.Fault = exp.NoFault
 	base := exp.Run(baseCfg)
 	r := exp.RunUncached(rc)
-	evs := rc.Faultload.Events
+	evs := rc.Fault.Events
 	return Evaluate(r, base.AWIPS, lastFaultRunSec(evs, rc.Measure))
 }
 

@@ -99,7 +99,7 @@ func lastFaultRunSec(events []exp.FaultEvent, measure time.Duration) float64 {
 			// or simultaneous). The shrinker drops events freely, so an
 			// orphaned opener is expected — it just disables the wedge
 			// oracle for the schedule.
-			restore, ok := restoreOp(ev.Op)
+			restore, ok := exp.RestoreOf(ev.Op)
 			if !ok {
 				continue
 			}
@@ -116,26 +116,6 @@ func lastFaultRunSec(events []exp.FaultEvent, measure time.Duration) float64 {
 		}
 	}
 	return last
-}
-
-// restoreOp maps a window-opening op to its closing op.
-func restoreOp(op exp.FaultOp) (exp.FaultOp, bool) {
-	switch op {
-	case exp.OpPartition:
-		return exp.OpHeal, true
-	case exp.OpDiskSlow:
-		return exp.OpDiskRestore, true
-	case exp.OpLinkLoss:
-		return exp.OpLinkRestore, true
-	case exp.OpGroupIsolate:
-		return exp.OpGroupReconnect, true
-	case exp.OpGrayFail:
-		return exp.OpGrayRestore, true
-	case exp.OpLinkDelay:
-		return exp.OpLinkDelayRestore, true
-	default:
-		return 0, false
-	}
 }
 
 // Evaluate applies the oracles to one finished run. baselineAWIPS is the

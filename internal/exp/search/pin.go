@@ -150,16 +150,16 @@ func (p PinnedCase) RunConfig() (exp.RunConfig, error) {
 		return exp.RunConfig{}, fmt.Errorf("pinned case %q: unknown profile %q", p.Name, p.Profile)
 	}
 	return exp.RunConfig{
-		Profile:   profile,
-		Servers:   p.Servers,
-		Shards:    p.Shards,
-		Readers:   p.Readers,
-		StateMB:   p.StateMB,
-		Faultload: &fl,
-		Browsers:  p.Browsers,
-		Measure:   time.Duration(p.MeasureSec) * time.Second,
-		Seed:      p.Seed,
-		TxnRate:   p.TxnRate,
+		Profile:  profile,
+		Servers:  p.Servers,
+		Shards:   p.Shards,
+		Readers:  p.Readers,
+		StateMB:  p.StateMB,
+		Fault:    fl,
+		Browsers: p.Browsers,
+		Measure:  time.Duration(p.MeasureSec) * time.Second,
+		Seed:     p.Seed,
+		TxnRate:  p.TxnRate,
 	}, nil
 }
 

@@ -59,8 +59,8 @@ func TestPinRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Faultload == nil || !reflect.DeepEqual(rc.Faultload.Events, events) {
-		t.Fatalf("reconstructed events differ:\n  want %+v\n  got  %+v", events, rc.Faultload)
+	if !reflect.DeepEqual(rc.Fault.Events, events) {
+		t.Fatalf("reconstructed events differ:\n  want %+v\n  got  %+v", events, rc.Fault)
 	}
 	if rc.Servers != 3 || rc.Shards != 2 || rc.Seed != 7 || rc.Browsers != 200 {
 		t.Fatalf("reconstructed config differs: %+v", rc)

@@ -208,7 +208,7 @@ func sampleSchedule(rng *rand.Rand, shards, servers int) sampledSchedule {
 			}
 			severSpans[g] = append(severSpans[g], span{from, to})
 		}
-		restore, _ := restoreOp(op)
+		restore, _ := exp.RestoreOf(op)
 		factor := pickFactor(rng, op)
 		dir := pickDir(rng, op)
 

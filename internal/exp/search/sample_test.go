@@ -38,7 +38,7 @@ func TestSampleSchedulesQuorumSafe(t *testing.T) {
 			}
 			from := ev.AtSec
 			to := from + 180 // crash allowance
-			if restore, ok := restoreOp(ev.Op); ok {
+			if restore, ok := exp.RestoreOf(ev.Op); ok {
 				for _, ev2 := range sc.fl.Events[i+1:] {
 					if ev2.Op == restore && ev2.Select == ev.Select && ev2.AtSec >= ev.AtSec {
 						to = ev2.AtSec

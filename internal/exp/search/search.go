@@ -79,15 +79,15 @@ func (c Config) withDefaults() Config {
 // runConfig binds a schedule to the hunt's deployment.
 func (c Config) runConfig(fl exp.Faultload, seed uint64) exp.RunConfig {
 	return exp.RunConfig{
-		Profile:   c.Profile,
-		Servers:   c.Servers,
-		Shards:    c.Shards,
-		StateMB:   c.StateMB,
-		Faultload: &fl,
-		Browsers:  c.Browsers,
-		Measure:   c.Measure,
-		Seed:      seed,
-		TxnRate:   c.TxnRate,
+		Profile:  c.Profile,
+		Servers:  c.Servers,
+		Shards:   c.Shards,
+		StateMB:  c.StateMB,
+		Fault:    fl,
+		Browsers: c.Browsers,
+		Measure:  c.Measure,
+		Seed:     seed,
+		TxnRate:  c.TxnRate,
 	}
 }
 

@@ -16,7 +16,7 @@ func groupOutageRun() RunResult {
 	fl := GroupOutage(0, 240, 390)
 	return Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, Shards: 2, StateMB: 300,
-		Faultload: &fl, Browsers: 300, Measure: 180 * time.Second, Seed: 2,
+		Fault: fl, Browsers: 300, Measure: 180 * time.Second, Seed: 2,
 	})
 }
 
@@ -82,7 +82,7 @@ func TestMemberEveryGroupScenario(t *testing.T) {
 	fl := MemberEveryGroup(270)
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, Shards: 2, StateMB: 300,
-		Faultload: &fl, Browsers: 300, Measure: 180 * time.Second,
+		Fault: fl, Browsers: 300, Measure: 180 * time.Second,
 		CrashAt: 90, Seed: 2,
 	})
 	if r.Faults != 2 {

@@ -368,19 +368,10 @@ func TxnSuite(cfg ShardedSuiteConfig) []RunResult {
 	cfg = cfg.withDefaults()
 	scenarios := TxnFaultloads()
 	out := make([]RunResult, 0, len(scenarios))
-	for i := range scenarios {
-		fl := scenarios[i]
-		out = append(out, Run(RunConfig{
-			Profile:   rbe.Shopping,
-			Servers:   cfg.Servers,
-			Shards:    cfg.Shards,
-			StateMB:   cfg.StateMB,
-			Faultload: &fl,
-			Browsers:  cfg.Browsers,
-			Measure:   cfg.Measure,
-			Seed:      cfg.Seed,
-			TxnRate:   2,
-		}))
+	for _, fl := range scenarios {
+		rc := cfg.runConfig(fl)
+		rc.TxnRate = 2
+		out = append(out, Run(rc))
 	}
 	return out
 }

@@ -6,12 +6,10 @@
 // internal/paxos) on this runtime that the experiments run on the
 // deterministic simulator.
 //
-// Fault injection mirrors the simulator's surface: a message-filter layer
-// blocks directed links (SetLink) and installs handle-based, composable
-// partitions (Partition/PartitionDir — symmetric or one-way), healed per
-// handle or wholesale (Heal). Active partition sets persist, so a node
-// added mid-partition joins the majority side, exactly as on the
-// simulator.
+// Fault injection is the simulator's surface over the same table
+// (internal/netfault): SetLink, SetLinkLoss, SetLinkDelay, handle-based
+// composable partitions and Heal mean here exactly what they mean there.
+// This runtime adds the locking, and SetGray.
 package livenet
 
 import (
@@ -21,6 +19,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/xrand"
 )
 
@@ -53,21 +52,13 @@ type Cluster struct {
 	rng   *xrand.Rand
 	wg    sync.WaitGroup
 
-	// The message-filter layer: directed link blocks consulted on every
-	// Send, mirroring the simulator's fault-injection surface so
-	// partition faultloads run identically on both runtimes. blocked is
-	// refcounted per handle-based partition; manual holds SetLink's
-	// direct toggles.
-	linkMu  sync.RWMutex
-	blocked map[linkKey]int        // guarded by linkMu
-	manual  map[linkKey]bool       // guarded by linkMu
-	loss    map[linkKey]float64    // guarded by linkMu
-	delay   map[linkKey]float64    // guarded by linkMu
-	gray    map[env.NodeID]float64 // guarded by linkMu
-	parts   []*BlockHandle         // guarded by linkMu
+	// The message-filter layer consulted on every Send. links takes
+	// linkMu itself when it changes; Send reads it, and gray, under the
+	// read lock.
+	linkMu sync.RWMutex
+	links  *netfault.Table
+	gray   map[env.NodeID]float64 // guarded by linkMu
 }
-
-type linkKey struct{ from, to env.NodeID }
 
 // nodeList returns the current node snapshot.
 func (c *Cluster) nodeList() []*liveNode {
@@ -91,61 +82,27 @@ func New(cfg Config) *Cluster {
 	if cfg.Latency == 0 {
 		cfg.Latency = 200 * time.Microsecond
 	}
-	return &Cluster{
-		cfg:     cfg,
-		rng:     xrand.New(cfg.Seed*0x9e3779b97f4a7c15 + 3),
-		blocked: make(map[linkKey]int),
-		manual:  make(map[linkKey]bool),
-		loss:    make(map[linkKey]float64),
-		delay:   make(map[linkKey]float64),
-		gray:    make(map[env.NodeID]float64),
+	c := &Cluster{
+		cfg:  cfg,
+		rng:  xrand.New(cfg.Seed*0x9e3779b97f4a7c15 + 3),
+		gray: make(map[env.NodeID]float64),
 	}
+	c.links = netfault.New(&c.linkMu)
+	return c
 }
 
-// SetLinkLoss sets a per-link message loss rate on the directed link
-// from → to (0 clears it). It sits alongside the link-block layer: a lossy
-// link composes with partitions and SetLink toggles covering the same
-// pair, and healing a partition never clears a loss rate.
-func (c *Cluster) SetLinkLoss(from, to env.NodeID, rate float64) {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	if rate <= 0 {
-		delete(c.loss, linkKey{from, to})
-	} else {
-		c.loss[linkKey{from, to}] = rate
-	}
-}
+// The link-fault surface; see netfault.Table. Safe from any goroutine.
 
-// linkLoss returns the loss rate of the directed link from → to.
-func (c *Cluster) linkLoss(from, to env.NodeID) float64 {
-	c.linkMu.RLock()
-	defer c.linkMu.RUnlock()
-	return c.loss[linkKey{from, to}]
+func (c *Cluster) SetLink(from, to env.NodeID, blocked bool)     { c.links.SetLink(from, to, blocked) }
+func (c *Cluster) SetLinkLoss(from, to env.NodeID, rate float64) { c.links.SetLinkLoss(from, to, rate) }
+func (c *Cluster) SetLinkDelay(from, to env.NodeID, f float64)   { c.links.SetLinkDelay(from, to, f) }
+func (c *Cluster) Partition(isolated ...env.NodeID) *netfault.BlockHandle {
+	return c.links.Partition(isolated...)
 }
-
-// SetLinkDelay inflates the delivery latency of the directed link
-// from → to by factor (≤ 1 clears it) — the latency cousin of
-// SetLinkLoss, composable with partitions covering the same pair.
-func (c *Cluster) SetLinkDelay(from, to env.NodeID, factor float64) {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	if factor <= 1 {
-		delete(c.delay, linkKey{from, to})
-	} else {
-		c.delay[linkKey{from, to}] = factor
-	}
+func (c *Cluster) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *netfault.BlockHandle {
+	return c.links.PartitionDir(dir, isolated...)
 }
-
-// linkDelay returns the latency-inflation factor of from → to (1 when
-// healthy).
-func (c *Cluster) linkDelay(from, to env.NodeID) float64 {
-	c.linkMu.RLock()
-	defer c.linkMu.RUnlock()
-	if f, ok := c.delay[linkKey{from, to}]; ok {
-		return f
-	}
-	return 1
-}
+func (c *Cluster) Heal() { c.links.Heal() }
 
 // grayControlSize is the wire-size ceiling under which a message counts
 // as control traffic for SetGray: liveness pings, Paxos prepares and
@@ -169,134 +126,12 @@ func (c *Cluster) SetGray(id env.NodeID, rate float64) {
 	}
 }
 
-// grayRate returns node id's inbound gray-drop rate (0 when healthy).
-func (c *Cluster) grayRate(id env.NodeID) float64 {
+// linkState returns the fault state of the directed link from → to and
+// the receiver's inbound gray-drop rate (0 when healthy).
+func (c *Cluster) linkState(from, to env.NodeID) (netfault.Link, float64) {
 	c.linkMu.RLock()
 	defer c.linkMu.RUnlock()
-	return c.gray[id]
-}
-
-// SetLink blocks or unblocks the directed network link from → to. It is a
-// direct toggle independent of the handle-based partitions: unblocking a
-// link here does not disturb a partition that also covers it.
-func (c *Cluster) SetLink(from, to env.NodeID, blocked bool) {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	if blocked {
-		c.manual[linkKey{from, to}] = true
-	} else {
-		delete(c.manual, linkKey{from, to})
-	}
-}
-
-// linkBlocked reports whether the directed link from → to drops traffic.
-func (c *Cluster) linkBlocked(from, to env.NodeID) bool {
-	c.linkMu.RLock()
-	defer c.linkMu.RUnlock()
-	k := linkKey{from, to}
-	return c.blocked[k] > 0 || c.manual[k]
-}
-
-// BlockHandle is one composable set of directed link blocks (one
-// partition) on the live runtime. Healing it removes exactly the blocks
-// it installed, so overlapping partitions compose.
-type BlockHandle struct {
-	c      *Cluster
-	links  []linkKey
-	side   map[env.NodeID]bool
-	dir    env.LinkDir
-	healed bool
-}
-
-var _ env.PartitionHandle = (*BlockHandle)(nil)
-
-// Heal removes this handle's blocks. Idempotent; safe from any goroutine.
-func (h *BlockHandle) Heal() {
-	h.c.linkMu.Lock()
-	defer h.c.linkMu.Unlock()
-	h.healLocked()
-}
-
-func (h *BlockHandle) healLocked() {
-	if h.healed {
-		return
-	}
-	h.healed = true
-	for _, k := range h.links {
-		if h.c.blocked[k] <= 1 {
-			delete(h.c.blocked, k)
-		} else {
-			h.c.blocked[k]--
-		}
-	}
-	h.links = nil
-	for i, p := range h.c.parts {
-		if p == h {
-			h.c.parts = append(h.c.parts[:i], h.c.parts[i+1:]...)
-			break
-		}
-	}
-}
-
-// blockPairLocked installs the handle's directed blocks between isolated
-// node a and outside node b, honoring the handle's direction. Caller
-// holds linkMu.
-func (h *BlockHandle) blockPairLocked(a, b env.NodeID) {
-	if h.dir == env.LinkBothWays || h.dir == env.LinkOutboundOnly {
-		k := linkKey{a, b}
-		h.c.blocked[k]++
-		h.links = append(h.links, k)
-	}
-	if h.dir == env.LinkBothWays || h.dir == env.LinkInboundOnly {
-		k := linkKey{b, a}
-		h.c.blocked[k]++
-		h.links = append(h.links, k)
-	}
-}
-
-// Partition isolates the given nodes from the rest of the cluster in both
-// directions and returns the handle that heals exactly this partition.
-// Like the simulator's, the partition set persists: a node added later
-// joins on the majority side rather than straddling it.
-func (c *Cluster) Partition(isolated ...env.NodeID) *BlockHandle {
-	return c.PartitionDir(env.LinkBothWays, isolated...)
-}
-
-// PartitionDir is Partition with an explicit direction (asymmetric
-// one-way loss relative to the isolated set).
-func (c *Cluster) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *BlockHandle {
-	h := &BlockHandle{c: c, dir: dir, side: make(map[env.NodeID]bool, len(isolated))}
-	for _, id := range isolated {
-		h.side[id] = true
-	}
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	var peers []env.NodeID
-	if p := c.peers.Load(); p != nil {
-		peers = *p
-	}
-	for _, b := range peers {
-		if h.side[b] {
-			continue
-		}
-		for a := range h.side {
-			h.blockPairLocked(a, b)
-		}
-	}
-	c.parts = append(c.parts, h)
-	return h
-}
-
-// Heal removes all link blocks: every active partition handle is healed
-// and every SetLink toggle cleared.
-func (c *Cluster) Heal() {
-	c.linkMu.Lock()
-	defer c.linkMu.Unlock()
-	for len(c.parts) > 0 {
-		c.parts[len(c.parts)-1].healLocked()
-	}
-	c.blocked = make(map[linkKey]int)
-	c.manual = make(map[linkKey]bool)
+	return c.links.Link(from, to), c.gray[to]
 }
 
 // AddNode registers a node built by factory; the factory runs once per
@@ -323,18 +158,7 @@ func (c *Cluster) AddNode(factory func() env.Node) env.NodeID {
 	peers := append(append([]env.NodeID(nil), oldPeers...), id)
 	c.nodes.Store(&nodes)
 	c.peers.Store(&peers)
-	// Active partitions extend to the newcomer (majority side) so a node
-	// booted by a live rebalance cannot straddle an isolated set.
-	c.linkMu.Lock()
-	for _, h := range c.parts {
-		if h.side[id] {
-			continue
-		}
-		for a := range h.side {
-			h.blockPairLocked(a, id)
-		}
-	}
-	c.linkMu.Unlock()
+	c.links.AddPeer(id) // active partitions extend to the newcomer
 	return id
 }
 
@@ -371,10 +195,9 @@ func (c *Cluster) Post(id env.NodeID, fn func()) { c.node(id).post(fn) }
 // of any node incarnation (used by shard.Store's checkpoint sweep).
 func (c *Cluster) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
-// Now returns the cluster clock — the wall clock on the live runtime. It
-// satisfies shard's nower capability, so deterministic code (the
-// migration driver) takes its timestamps from the runtime instead of
-// calling time.Now itself.
+// Now returns the cluster clock — the wall clock on the live runtime —
+// so that deterministic code (shard's migration driver) takes its
+// timestamps from its runtime instead of calling time.Now itself.
 func (c *Cluster) Now() time.Time { return time.Now() }
 
 // Close crashes every node and waits for their loops to exit.
@@ -506,31 +329,32 @@ func (e *liveEnv) Send(to env.NodeID, msg env.Message) {
 	if target == nil {
 		return
 	}
-	if c.linkBlocked(e.n.id, to) {
+	from := e.n.id
+	link, gray := c.linkState(from, to)
+	if link.Blocked() {
 		return
 	}
 	if c.cfg.DropRate > 0 && rand.Float64() < c.cfg.DropRate {
 		return
 	}
-	if r := c.linkLoss(e.n.id, to); r > 0 && rand.Float64() < r {
+	if link.Loss > 0 && rand.Float64() < link.Loss {
 		return
 	}
-	if r := c.grayRate(to); r > 0 {
+	if gray > 0 {
 		size := int64(grayControlSize + 1)
 		if s, ok := msg.(interface{ WireSize() int64 }); ok {
 			size = s.WireSize()
 		}
-		if size > grayControlSize && rand.Float64() < r {
+		if size > grayControlSize && rand.Float64() < gray {
 			return
 		}
 	}
-	from := e.n.id
 	delay := c.cfg.Latency
 	if c.cfg.Jitter > 0 {
 		delay += time.Duration(rand.Int63n(int64(c.cfg.Jitter)))
 	}
-	if f := c.linkDelay(from, to); f > 1 {
-		delay = time.Duration(float64(delay) * f)
+	if link.Delay > 0 {
+		delay = time.Duration(float64(delay) * link.Delay)
 	}
 	time.AfterFunc(delay, func() {
 		target.mu.Lock()

@@ -292,75 +292,11 @@ func pingCluster(t *testing.T, n int) (*Cluster, []*pingNode) {
 // settle gives in-flight deliveries time to land.
 func settle() { time.Sleep(20 * time.Millisecond) }
 
-func TestLinkFilterBlocksDirectedTraffic(t *testing.T) {
-	c, nodes := pingCluster(t, 2)
-	c.SetLink(0, 1, true)
-	nodes[0].env().Send(1, "dropped")
-	nodes[1].env().Send(0, "delivered") // reverse direction stays open
-	settle()
-	if nodes[1].count() != 0 {
-		t.Fatalf("blocked link delivered %d messages", nodes[1].count())
-	}
-	if nodes[0].count() != 1 {
-		t.Fatalf("open reverse link delivered %d messages, want 1", nodes[0].count())
-	}
-	c.SetLink(0, 1, false)
-	nodes[0].env().Send(1, "now delivered")
-	settle()
-	if nodes[1].count() != 1 {
-		t.Fatalf("unblocked link delivered %d messages, want 1", nodes[1].count())
-	}
-}
-
-// TestPartitionHandlesCompose: two overlapping partitions; healing one
-// must leave the other's blocks in place (the regression the sim fixed).
-func TestPartitionHandlesCompose(t *testing.T) {
-	c, nodes := pingCluster(t, 3)
-	h1 := c.Partition(1)
-	h2 := c.Partition(2)
-	h1.Heal()
-	nodes[0].env().Send(1, "a") // healed: flows
-	nodes[0].env().Send(2, "b") // still partitioned: dropped
-	settle()
-	if nodes[1].count() != 1 {
-		t.Fatalf("healed node got %d messages, want 1", nodes[1].count())
-	}
-	if nodes[2].count() != 0 {
-		t.Fatalf("partitioned node got %d messages, want 0", nodes[2].count())
-	}
-	h2.Heal()
-	nodes[0].env().Send(2, "c")
-	settle()
-	if nodes[2].count() != 1 {
-		t.Fatalf("node 2 got %d messages after heal, want 1", nodes[2].count())
-	}
-}
-
-// TestPartitionOneWay: outbound-only loss lets the victim hear but not
-// answer.
-func TestPartitionOneWay(t *testing.T) {
-	c, nodes := pingCluster(t, 2)
-	h := c.PartitionDir(env.LinkOutboundOnly, 1)
-	nodes[0].env().Send(1, "heard")
-	settle()
-	nodes[1].env().Send(0, "lost")
-	settle()
-	if nodes[1].count() != 1 {
-		t.Fatalf("victim heard %d messages, want 1", nodes[1].count())
-	}
-	if nodes[0].count() != 0 {
-		t.Fatalf("victim's reply arrived (%d messages), one-way loss broken", nodes[0].count())
-	}
-	h.Heal()
-	nodes[1].env().Send(0, "answered")
-	settle()
-	if nodes[0].count() != 1 {
-		t.Fatalf("after heal got %d messages, want 1", nodes[0].count())
-	}
-}
-
-// TestPartitionExtendsToLateNodes: a node added during a partition joins
-// the majority side instead of straddling it.
+// TestPartitionExtendsToLateNodes is this runtime's one test that sends
+// consult the link-fault table (netfault.TestTable holds the table's own
+// behaviours): a partition blocks traffic both ways, a node added during it
+// joins the majority side instead of straddling it, and the handle heals
+// from outside the node loops.
 func TestPartitionExtendsToLateNodes(t *testing.T) {
 	c, nodes := pingCluster(t, 2)
 	h := c.Partition(1)

@@ -1,46 +1,51 @@
 package shard
 
 import (
-	"errors"
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"robuststore/internal/core"
+	"robuststore/internal/detsort"
 )
 
 // This file is the live-migration protocol over the epoch-versioned
-// routing table: Rebalance adds one Paxos group, computes the next-epoch
-// table (Grow), streams the moving hash slices from each source group to
-// the new one through the ordered log (keyed snapshot export → ordered
-// PartitionImport), and cuts over by atomically publishing the new epoch.
+// routing table, once, for both tiers that reshard: shard.Store (rows keyed
+// by hash slice, rebalance.go) and webtier.Cluster (client sessions keyed
+// by hash slice, webtier/rebalance.go). A Migration grows the table by one
+// group (Grow), streams the moving slices from each source group to the new
+// one through the ordered log (keyed snapshot export → ordered
+// PartitionImport), and cuts over by publishing the next epoch. What a tier
+// does differently — registering the group, draining its own in-flight
+// writes, holding the writes the freeze delays — sits behind MigrationHost.
 //
 // Correctness argument, phase by phase:
 //
 //   - boot: the new group's members are registered and started; nothing
 //     routes to them yet, so the running workload is untouched.
-//   - drain: the moving slices are frozen — Submit buffers, Execute backs
-//     off — and the per-group in-flight counters drain, so every write
-//     that could land on a moving key has been applied on its source.
-//     An ordered Noop barrier per source group then fences the log:
-//     state read after the barrier contains every pre-freeze write.
+//   - drain: the moving slices are frozen — the host delays their writes,
+//     never fails them — and the host reports when every write admitted
+//     before the freeze is behind it. An ordered Noop barrier per source
+//     group then fences the log: state read after the barrier contains
+//     every pre-freeze write that reached a replica.
 //   - copy: each source group exports the rows owned by the slices it is
 //     losing (a keyed snapshot, read post-barrier on the member that
 //     applied the barrier) and the payload is submitted to the new group
 //     as an ordered PartitionImport — every new-group replica applies it
-//     at the same log position. Imports are idempotent keyed upserts, so
-//     the driver can re-submit when a crash hides a completion.
-//   - cutover: the next-epoch table is published with one atomic pointer
-//     swap and the buffered submissions flow to their new owners. The
-//     client-visible migration window is freeze→cutover and only delays
-//     writes to moving keys; reads and all other keys never stall.
-//   - cleanup: the source groups drop the moved rows through ordered
-//     PartitionDrops (idempotent, retried the same way).
+//     at the same log position.
+//   - cutover: the next-epoch table is published, the freeze lifts, and
+//     the delayed writes flow to their new owners. The client-visible
+//     migration window is freeze→cutover and only delays writes to moving
+//     slices; reads and all other keys never stall.
+//   - cleanup: where rows belong to exactly one slice, the source groups
+//     drop the moved rows through ordered PartitionDrops.
 //
-// A member crash mid-migration is absorbed by the same mechanisms that
-// serve normal traffic: pick() re-targets submissions, the retry sweeps
-// re-submit barriers/imports/drops whose completions died with the
-// victim, and idempotency makes the re-submission safe.
+// A member crash mid-migration is absorbed by the mechanisms that serve
+// normal traffic: the host picks another member, the sweep in orderedOp
+// re-submits barriers/imports/drops whose completions died with the
+// victim, and all three are idempotent (imports are keyed upserts guarded
+// per (epoch, source)), so a re-submission racing a hidden completion is
+// safe.
 
 // Migration phases, in order.
 const (
@@ -72,7 +77,7 @@ type MigrationStatus struct {
 	TotalSlices int    // hash slices overall
 
 	// StartedAt..CutoverAt is the client-visible migration window: the
-	// interval during which writes to moving keys were delayed.
+	// interval during which writes to moving slices were delayed.
 	// CutoverAt is zero while the window is open.
 	StartedAt time.Time
 	CutoverAt time.Time
@@ -87,145 +92,114 @@ func (st MigrationStatus) Window() time.Duration {
 	return st.CutoverAt.Sub(st.StartedAt)
 }
 
-// Migration returns the current (or last) migration's status. Safe from
-// any goroutine.
-func (s *Store) Migration() MigrationStatus {
-	st := MigrationStatus{Epoch: s.Epoch()}
-	m := s.mig.Load()
-	if m == nil {
-		return st
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st.Active = m.phase != PhaseDone
-	st.Phase = m.phase
-	st.NewGroup = m.newShard
-	st.MovedSlices = len(m.moved)
-	st.TotalSlices = len(m.next.Assign)
-	st.StartedAt = m.startedAt
-	st.CutoverAt = m.cutoverAt
-	return st
+// MigrationHost is the tier a Migration reshards. The driver calls it from
+// runtime callbacks (After) and replica-executor completions, never
+// blocking either.
+type MigrationHost interface {
+	// After and Now are the runtime's scheduler and clock. The driver
+	// stamps its phases from Now alone, so simulated runs stay
+	// deterministic.
+	After(d time.Duration, fn func())
+	Now() time.Time
+
+	// Order submits an idempotent action to a ready member of group g;
+	// once applied there, done runs on that member's executor with its
+	// state machine. A submission may be lost (no ready member, a crash
+	// before the completion): the driver re-submits until one completes.
+	Order(g int, action any, done func(applied core.StateMachine))
+
+	// Booted reports whether the new group can take ordered actions.
+	Booted() bool
+
+	// Drained reports, after the freeze, whether every write to a moving
+	// slice admitted before it has reached its source group or been given
+	// up on.
+	Drained() bool
+
+	// Publish makes next the routing table in force.
+	Publish(next RoutingTable)
 }
 
-// ErrMigrationActive is returned by Rebalance while a previous migration
-// is still in flight.
-var ErrMigrationActive = errors.New("shard: a migration is already in flight")
+// Poll periods of the two waits, and the re-submission sweep of orderedOp.
+const (
+	bootPoll    = 50 * time.Millisecond
+	drainPoll   = 10 * time.Millisecond
+	resubmitGap = 500 * time.Millisecond
+)
 
-// pendingSubmit is one Submit buffered during the handoff freeze.
-type pendingSubmit struct {
-	key    string
-	action any
-	done   func(result any, err error)
-}
-
-// migration is the driver state machine. Fields are guarded by mu; the
-// driver itself advances through runtime-scheduled callbacks (After) and
-// replica-executor completions, so it never blocks an executor.
-type migration struct {
-	store    *Store
-	opts     RebalanceOptions
-	newShard int
-	newGroup *Group
-	prev     RoutingTable
-	next     RoutingTable
-	moved    []int         // slices moving to the new group
-	bySource map[int][]int // source group → its moving slices
-	oldPhase int32         // drain phase in force before the freeze
+// Migration drives one table growth. Fields below mu are guarded by it:
+// the live runtime completes ordered actions on replica goroutines.
+type Migration struct {
+	host       MigrationHost
+	opts       RebalanceOptions
+	dropMoved  bool
+	newGroup   int
+	prev, next RoutingTable
+	moved      []int         // slices moving to the new group
+	bySource   map[int][]int // source group → its moving slices
+	sources    []int         // bySource's keys, ascending
 
 	mu        sync.Mutex
-	phase     string          // guarded by mu
-	frozen    map[int]bool    // guarded by mu; slice → frozen (handoff in progress)
-	queue     []pendingSubmit // guarded by mu
-	startedAt time.Time       // guarded by mu
-	cutoverAt time.Time       // guarded by mu
-	pendingOp map[string]bool // guarded by mu; in-flight ordered ops, by name
-	copied    int             // guarded by mu; source groups whose snapshot has imported
-	dropped   int             // guarded by mu; source groups whose cleanup has applied
+	phase     string       // guarded by mu
+	frozen    map[int]bool // guarded by mu; slices held mid-handoff
+	startedAt time.Time    // guarded by mu
+	cutoverAt time.Time    // guarded by mu
 }
 
-// Rebalance adds one Paxos group to the store and live-migrates its share
-// of the hash space to it, publishing the next routing epoch at cutover.
-// It returns immediately; progress is event-driven (observe it via
-// RebalanceOptions or Migration). Requires a Runtime with After (both
-// runtimes have it). Safe to call from simulator events or from any
-// goroutine on the live runtime.
-func (s *Store) Rebalance(opts RebalanceOptions) {
-	fail := func(err error) {
-		if opts.Done != nil {
-			opts.Done(err)
-		}
-	}
-	if _, ok := s.rt.(delayer); !ok {
-		fail(errors.New("shard: Rebalance needs a Runtime with After"))
-		return
-	}
-	if _, ok := s.rt.(nower); !ok {
-		fail(errors.New("shard: Rebalance needs a Runtime with Now"))
-		return
-	}
-	// One migration at a time: the active check, group registration and
-	// publication below are a single serialized step, so two concurrent
-	// Rebalance calls cannot both pass the check or lose an append.
-	s.rebalMu.Lock()
-	defer s.rebalMu.Unlock()
-	if m := s.mig.Load(); m != nil {
-		m.mu.Lock()
-		active := m.phase != PhaseDone
-		m.mu.Unlock()
-		if active {
-			fail(ErrMigrationActive)
-			return
-		}
-	}
-
-	prev := s.Table()
-	newShard := s.Shards()
-	next, moved := prev.Grow(newShard)
-	m := &migration{
-		store:     s,
-		opts:      opts,
-		newShard:  newShard,
-		prev:      prev,
-		next:      next,
-		moved:     moved,
-		bySource:  make(map[int][]int),
-		phase:     PhaseBoot,
-		frozen:    make(map[int]bool),
-		pendingOp: make(map[string]bool),
+// NewMigration plans the growth of prev by group newGroup. dropMoved says
+// whether sources drop the rows they hand over (true where a row belongs to
+// exactly one slice). The host registers and boots the group, makes the
+// Migration visible to its routing (Frozen), then calls Start.
+func NewMigration(host MigrationHost, prev RoutingTable, newGroup int, dropMoved bool, opts RebalanceOptions) *Migration {
+	next, moved := prev.Grow(newGroup)
+	m := &Migration{
+		host: host, opts: opts, dropMoved: dropMoved, newGroup: newGroup,
+		prev: prev, next: next, moved: moved,
+		bySource: make(map[int][]int),
+		phase:    PhaseBoot,
+		frozen:   make(map[int]bool),
 	}
 	for _, sl := range moved {
 		m.bySource[prev.Assign[sl]] = append(m.bySource[prev.Assign[sl]], sl)
 	}
+	m.sources = detsort.Keys(m.bySource)
+	return m
+}
 
-	// Register and boot the new group, then extend the group list. The
-	// table still maps nothing to it, so it serves no traffic yet.
-	grp := s.buildGroup(newShard)
-	for _, id := range grp.ids {
-		s.rt.Restart(id)
-	}
-	m.newGroup = grp
-	groups := append(append([]*Group(nil), s.groupList()...), grp)
-	s.groups.Store(&groups)
-	s.mig.Store(m)
-	m.enterPhase(PhaseBoot)
+// Start runs the migration; progress is event-driven from here.
+func (m *Migration) Start() {
+	m.enter(PhaseBoot)
 	m.awaitBoot()
 }
 
-// --- Driver plumbing ----------------------------------------------------
-
-func (m *migration) after(d time.Duration, fn func()) {
-	m.store.rt.(delayer).After(d, fn)
+// Status returns the migration's state, Epoch excepted (the host knows the
+// published table). A nil Migration reports the never-migrated status.
+func (m *Migration) Status() MigrationStatus {
+	if m == nil {
+		return MigrationStatus{}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return MigrationStatus{
+		Active:      m.phase != PhaseDone,
+		Phase:       m.phase,
+		NewGroup:    m.newGroup,
+		MovedSlices: len(m.moved),
+		TotalSlices: m.next.Slices(),
+		StartedAt:   m.startedAt,
+		CutoverAt:   m.cutoverAt,
+	}
 }
 
-func (m *migration) now() time.Time {
-	// Rebalance gates on the nower capability, so the assertion cannot
-	// fail. Falling back to time.Now here would stamp migration phases
-	// with the wall clock inside sim runs — a nondeterminism leak the
-	// walltime analyzer rejects.
-	return m.store.rt.(nower).Now()
+// Frozen reports whether a hash slice is held mid-handoff: its writes wait
+// for the next epoch.
+func (m *Migration) Frozen(slice int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.frozen[slice]
 }
 
-func (m *migration) enterPhase(phase string) {
+func (m *Migration) enter(phase string) {
 	m.mu.Lock()
 	m.phase = phase
 	m.mu.Unlock()
@@ -234,216 +208,117 @@ func (m *migration) enterPhase(phase string) {
 	}
 }
 
-// sliceFrozen reports whether a hash slice is held mid-handoff.
-func (m *migration) sliceFrozen(slice int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.frozen[slice]
-}
-
-// defer_ buffers one frozen-slice submission until cutover. It reports
-// false if the freeze lifted concurrently (the caller then routes through
-// the published table).
-func (m *migration) defer_(key string, action any, done func(any, error)) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.frozen[m.next.SliceOf(key)] {
-		return false
-	}
-	m.queue = append(m.queue, pendingSubmit{key: key, action: action, done: done})
-	return true
-}
-
-// orderedOp submits one ordered action to grp until a completion is
-// observed, then calls then(replica) on the completing replica's
-// executor, exactly once. Submissions that die with a crashed member are
-// re-issued by a sweep; the actions involved (Noop, PartitionImport,
-// PartitionDrop) are idempotent, so a resubmission racing a hidden
-// completion is safe.
-func (m *migration) orderedOp(name string, grp *Group, action func() any, then func(r *core.Replica)) {
-	m.mu.Lock()
-	m.pendingOp[name] = true
-	m.mu.Unlock()
-	complete := func(r *core.Replica) {
-		m.mu.Lock()
-		first := m.pendingOp[name]
-		delete(m.pendingOp, name)
-		m.mu.Unlock()
-		if first {
-			then(r)
-		}
-	}
+// orderedOp orders action on group g until a completion is observed, then
+// calls then with the completing member's machine, on its executor, exactly
+// once. Submissions that die with a crashed member are re-issued by the
+// sweep.
+func (m *Migration) orderedOp(g int, action any, then func(core.StateMachine)) {
+	var completed atomic.Bool
 	var attempt func()
 	attempt = func() {
-		m.mu.Lock()
-		pending := m.pendingOp[name]
-		m.mu.Unlock()
-		if !pending {
+		if completed.Load() {
 			return
 		}
-		if r := grp.pick(); r != nil {
-			r.SubmitFrom(action(), func(_ any, err error) {
-				if err == nil {
-					complete(r)
-				}
-			})
-		}
-		m.after(500*time.Millisecond, attempt)
+		m.host.Order(g, action, func(sm core.StateMachine) {
+			if completed.CompareAndSwap(false, true) {
+				then(sm)
+			}
+		})
+		m.host.After(resubmitGap, attempt)
 	}
 	attempt()
 }
 
-// --- Phases -------------------------------------------------------------
-
-// awaitBoot polls until the new group has a ready member that observed an
-// elected leader, then freezes the moving slices.
-func (m *migration) awaitBoot() {
-	if r := m.newGroup.pick(); r != nil && r.HasLeader() {
-		m.freeze()
-		return
+// eachSource runs step for every source group and calls then once all of
+// them have reported done (at once when nothing moves).
+func (m *Migration) eachSource(step func(g int, done func()), then func()) {
+	var left atomic.Int64
+	if left.Add(int64(len(m.sources))) == 0 {
+		then()
 	}
-	m.after(20*time.Millisecond, m.awaitBoot)
+	for _, g := range m.sources {
+		step(g, func() {
+			if left.Add(-1) == 0 {
+				then()
+			}
+		})
+	}
 }
 
-// freeze opens the migration window: writes to moving slices buffer from
-// here until cutover. Flipping the drain phase after setting the freeze
-// makes the old phase's in-flight counters strictly draining: new
-// Executes charge the other phase (and moving-key ones back off at their
-// re-check), so the drain wait is bounded even under sustained load.
-func (m *migration) freeze() {
+// awaitBoot polls until the new group is up, then opens the migration
+// window: the moving slices freeze.
+func (m *Migration) awaitBoot() {
+	if !m.host.Booted() {
+		m.host.After(bootPoll, m.awaitBoot)
+		return
+	}
 	m.mu.Lock()
 	for _, sl := range m.moved {
 		m.frozen[sl] = true
 	}
-	m.startedAt = m.now()
+	m.startedAt = m.host.Now()
 	m.mu.Unlock()
-	m.oldPhase = m.store.drainPhase.Load()
-	m.store.drainPhase.Store(1 - m.oldPhase)
-	m.enterPhase(PhaseDrain)
+	m.enter(PhaseDrain)
 	m.awaitDrain()
 }
 
-// awaitDrain waits for every source group's pre-freeze in-flight Execute
-// count to reach zero, then fences each source log with an ordered
-// barrier.
-func (m *migration) awaitDrain() {
-	groups := m.store.groupList()
-	for g := range m.bySource {
-		if groups[g].inflight[m.oldPhase].Load() != 0 {
-			m.after(time.Millisecond, m.awaitDrain)
-			return
+// awaitDrain polls until the pre-freeze writes are drained, then hands each
+// source's slices over.
+func (m *Migration) awaitDrain() {
+	if !m.host.Drained() {
+		m.host.After(drainPoll, m.awaitDrain)
+		return
+	}
+	m.enter(PhaseCopy)
+	m.eachSource(m.handOver, m.cutover)
+}
+
+// handOver fences source g's log with an ordered barrier, exports behind it
+// and imports the export into the new group.
+func (m *Migration) handOver(g int, done func()) {
+	m.orderedOp(g, core.Noop{}, func(sm core.StateMachine) {
+		// On the executor of the member that applied the barrier: its
+		// machine holds every pre-freeze write to the moving slices, which
+		// cannot change again until cutover. A machine without the
+		// capability exports nothing: a routing-only migration.
+		imp := core.PartitionImport{Epoch: m.next.Epoch, Source: g}
+		if pm, ok := sm.(core.PartitionedMachine); ok {
+			imp.Data, imp.Size = pm.ExportOwned(m.prev.Owned(m.bySource[g]))
 		}
-	}
-	m.enterPhase(PhaseCopy)
-	m.mu.Lock()
-	remaining := len(m.bySource)
-	m.mu.Unlock()
-	if remaining == 0 {
-		// Degenerate: nothing moves (a 1-slice table cannot shed load).
-		m.cutover()
-		return
-	}
-	for g := range m.bySource {
-		g := g
-		m.orderedOp(fmt.Sprintf("barrier/%d", g), groups[g], func() any { return core.Noop{} },
-			func(r *core.Replica) { m.export(g, r) })
-	}
-}
-
-// export runs on the executor of the source replica that applied the
-// barrier: its machine now contains every pre-freeze write to the moving
-// slices, which cannot change again until cutover. The keyed snapshot is
-// then shipped to the new group as an ordered import.
-func (m *migration) export(g int, r *core.Replica) {
-	var data any
-	var size int64
-	if pm, ok := r.Machine().(core.PartitionedMachine); ok {
-		data, size = pm.ExportOwned(m.prev.Owned(m.bySource[g]))
-	}
-	// Hop off the source executor before submitting elsewhere.
-	m.after(0, func() { m.importInto(g, data, size) })
-}
-
-// importInto streams one source's keyed snapshot into the new group (or
-// completes immediately for machines without the partition capability —
-// a routing-only migration).
-func (m *migration) importInto(g int, data any, size int64) {
-	if data == nil {
-		m.sourceDone()
-		return
-	}
-	m.orderedOp(fmt.Sprintf("import/%d", g), m.newGroup,
-		func() any {
-			return core.PartitionImport{Epoch: m.next.Epoch, Source: g, Data: data, Size: size}
-		},
-		func(*core.Replica) { m.after(0, m.sourceDone) })
-}
-
-// sourceDone counts completed source handoffs; the last one cuts over.
-func (m *migration) sourceDone() {
-	m.mu.Lock()
-	done := false
-	m.copied++
-	if m.copied == len(m.bySource) {
-		done = true
-	}
-	m.mu.Unlock()
-	if done {
-		m.cutover()
-	}
-}
-
-// cutover atomically publishes the next-epoch table, closes the migration
-// window, and releases the buffered submissions to their new owners.
-func (m *migration) cutover() {
-	next := m.next
-	m.mu.Lock()
-	m.store.table.Store(&next)
-	m.cutoverAt = m.now()
-	m.frozen = make(map[int]bool)
-	q := m.queue
-	m.queue = nil
-	m.mu.Unlock()
-	m.enterPhase(PhaseCleanup)
-	groups := m.store.groupList()
-	for _, p := range q {
-		r := groups[next.Group(p.key)].pick()
-		if r == nil || !r.SubmitFrom(p.action, p.done) {
-			if p.done != nil {
-				p.done(nil, ErrNoReplica)
+		// Hop off the source executor before submitting elsewhere.
+		m.host.After(0, func() {
+			if imp.Data == nil {
+				done()
+				return
 			}
-		}
-	}
-	// Post-cutover cleanup: sources shed the rows they no longer own.
+			m.orderedOp(m.newGroup, imp, func(core.StateMachine) { m.host.After(0, done) })
+		})
+	})
+}
+
+// cutover publishes the next-epoch table and closes the migration window;
+// the table changes before the freeze lifts, so a write never finds its
+// slice unfrozen under the old owner.
+func (m *Migration) cutover() {
+	m.host.Publish(m.next)
+	now := m.host.Now()
 	m.mu.Lock()
-	sources := len(m.bySource)
+	m.cutoverAt = now
+	m.frozen = nil
 	m.mu.Unlock()
-	if sources == 0 {
-		m.finish()
+	m.enter(PhaseCleanup)
+	if !m.dropMoved {
+		m.host.After(0, m.finish)
 		return
 	}
-	for g := range m.bySource {
-		g := g
-		m.orderedOp(fmt.Sprintf("drop/%d", g), groups[g],
-			func() any { return core.PartitionDrop{Epoch: next.Epoch, Owned: m.prev.Owned(m.bySource[g])} },
-			func(*core.Replica) { m.after(0, m.dropDone) })
-	}
+	m.eachSource(func(g int, done func()) {
+		drop := core.PartitionDrop{Epoch: m.next.Epoch, Owned: m.prev.Owned(m.bySource[g])}
+		m.orderedOp(g, drop, func(core.StateMachine) { m.host.After(0, done) })
+	}, m.finish)
 }
 
-// dropDone counts completed source cleanups; the last one finishes the
-// migration.
-func (m *migration) dropDone() {
-	m.mu.Lock()
-	m.dropped++
-	done := m.dropped == len(m.bySource)
-	m.mu.Unlock()
-	if done {
-		m.finish()
-	}
-}
-
-func (m *migration) finish() {
-	m.enterPhase(PhaseDone)
+func (m *Migration) finish() {
+	m.enter(PhaseDone)
 	if m.opts.Done != nil {
 		m.opts.Done(nil)
 	}

@@ -9,6 +9,7 @@ import (
 	"robuststore/internal/core"
 	"robuststore/internal/env"
 	"robuststore/internal/livenet"
+	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 	"robuststore/internal/sim"
 )
@@ -44,7 +45,7 @@ func TestPartitionDuringRebalance(t *testing.T) {
 
 	// Partition one member of source group 0 (quorum survives), then
 	// rebalance while the split is open; heal well after the cutover.
-	var h *sim.BlockHandle
+	var h *netfault.BlockHandle
 	rebalanced := false
 	s.At(s.Now().Add(2*time.Second), func() {
 		h = s.Partition(store.Group(0).Members()[2])

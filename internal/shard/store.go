@@ -12,27 +12,16 @@ import (
 )
 
 // Runtime is the slice of a node runtime the store needs: registering
-// member nodes, booting late-added ones (live scale-out) and observing
-// liveness. Both *sim.Sim (deterministic experiments) and
-// *livenet.Cluster (real goroutines) satisfy it.
+// member nodes, booting late-added ones (live scale-out), observing
+// liveness, and the runtime's scheduler and clock — virtual time on the
+// simulator, the wall clock on livenet; the checkpoint sweep and the
+// migration stamp and wait through them alone, so simulated runs stay
+// deterministic. Both *sim.Sim and *livenet.Cluster satisfy it.
 type Runtime interface {
 	AddNode(factory func() env.Node) env.NodeID
 	Restart(id env.NodeID)
 	Alive(id env.NodeID) bool
-}
-
-// delayer is the optional scheduling capability of a Runtime, used by the
-// checkpoint sweep and the migration driver. Both *sim.Sim and
-// *livenet.Cluster provide it.
-type delayer interface {
 	After(d time.Duration, fn func())
-}
-
-// nower is the clock capability of a Runtime: virtual time on the
-// simulator, the wall clock on livenet. Rebalance requires it — the
-// migration driver stamps its phases exclusively from the runtime clock
-// so sim runs stay deterministic (both runtimes provide it).
-type nower interface {
 	Now() time.Time
 }
 
@@ -82,14 +71,14 @@ var ErrNoReplica = errors.New("shard: no ready replica in owning group")
 // Routing is explicit, epoch-versioned state: the store publishes a
 // RoutingTable (epoch 0 reproduces the historical hash%N mapping bit for
 // bit) and Rebalance produces the next epoch by adding a group and live-
-// migrating the moving hash slices to it (see migrate.go).
+// migrating the moving hash slices to it (see rebalance.go).
 type Store struct {
 	cfg Config
 	rt  Runtime
 
 	table  atomic.Pointer[RoutingTable]
 	groups atomic.Pointer[[]*Group]
-	mig    atomic.Pointer[migration]
+	mig    atomic.Pointer[storeMigration]
 
 	// rebalMu serializes Rebalance calls: the active-migration check,
 	// new-group registration and group-list publication must be one
@@ -219,7 +208,7 @@ func (g *Group) pick() *core.Replica {
 func (s *Store) route(key string) (group int, frozen bool) {
 	t := s.table.Load()
 	slice := t.SliceOf(key)
-	if m := s.mig.Load(); m != nil && m.sliceFrozen(slice) {
+	if m := s.mig.Load(); m != nil && m.Frozen(slice) {
 		return t.Assign[slice], true
 	}
 	return t.Assign[slice], false
@@ -265,7 +254,7 @@ func (s *Store) PickRead(key string, hint int64) *core.Replica {
 func (s *Store) Submit(key string, action any, done func(result any, err error)) {
 	g, frozen := s.route(key)
 	if frozen {
-		if m := s.mig.Load(); m != nil && m.defer_(key, action, done) {
+		if m := s.mig.Load(); m != nil && m.hold(key, action, done) {
 			return
 		}
 		// Migration completed between route and defer: fall through with
@@ -353,10 +342,6 @@ func (s *Store) Checkpoint(done func()) {
 			}
 		}
 	}
-	var after func(time.Duration, func())
-	if d, ok := s.rt.(delayer); ok {
-		after = d.After
-	}
 	reps := make([]*core.Replica, len(targets))
 	for k, t := range targets {
 		reps[k] = t.r
@@ -366,7 +351,7 @@ func (s *Store) Checkpoint(done func()) {
 			t := targets[k]
 			return !s.rt.Alive(t.id) || t.grp.reps[t.m].Load() != t.r
 		},
-		after, done)
+		s.rt.After, done)
 }
 
 // GroupStatus aggregates one shard's health and progress, built from

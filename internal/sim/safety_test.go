@@ -18,6 +18,7 @@ import (
 
 	"robuststore/internal/core"
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/sim"
 	"robuststore/internal/xrand"
 )
@@ -216,7 +217,7 @@ func runCrashSchedule(t *testing.T, seed uint64, tune func(*core.Config)) {
 		}
 		at := 2*time.Second + time.Duration(rng.Intn(30000))*time.Millisecond
 		healAt := at + time.Second + time.Duration(rng.Intn(8000))*time.Millisecond
-		var h *sim.BlockHandle
+		var h *netfault.BlockHandle
 		c.s.At(c.s.Now().Add(at), func() { h = c.s.Partition(victims...) })
 		c.s.At(c.s.Now().Add(healAt), func() {
 			if h != nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/xrand"
 )
 
@@ -48,14 +49,8 @@ type Sim struct {
 	nodes   []*simNode
 	peers   []env.NodeID
 	started bool
-	blocked map[linkKey]int     // refcount of active blocks per directed link
-	manual  map[linkKey]bool    // SetLink's direct toggles, outside any handle
-	loss    map[linkKey]float64 // per-link message loss rates (SetLinkLoss)
-	delay   map[linkKey]float64 // per-link latency multipliers (SetLinkDelay)
-	parts   []*BlockHandle      // active partitions (extended by AddNode)
+	links   *netfault.Table // severed, lossy and slow links, consulted by send
 }
-
-type linkKey struct{ from, to env.NodeID }
 
 // New returns an empty simulation starting at the Unix epoch of virtual
 // time.
@@ -63,13 +58,10 @@ func New(cfg Config) *Sim {
 	cfg.Net = cfg.Net.withDefaults()
 	cfg.Disk = cfg.Disk.withDefaults()
 	return &Sim{
-		cfg:     cfg,
-		now:     time.Unix(0, 0).UTC(),
-		rng:     xrand.New(cfg.Seed*0x9e3779b97f4a7c15 + 1),
-		blocked: make(map[linkKey]int),
-		manual:  make(map[linkKey]bool),
-		loss:    make(map[linkKey]float64),
-		delay:   make(map[linkKey]float64),
+		cfg:   cfg,
+		now:   time.Unix(0, 0).UTC(),
+		rng:   xrand.New(cfg.Seed*0x9e3779b97f4a7c15 + 1),
+		links: netfault.New(netfault.LoopConfined{}),
 	}
 }
 
@@ -183,18 +175,7 @@ func (s *Sim) AddNode(factory func() env.Node) env.NodeID {
 	n.storage = newDiskStorage(s, n, s.cfg.Disk)
 	s.nodes = append(s.nodes, n)
 	s.peers = append(s.peers, id)
-	// Active partitions extend to the newcomer: it joins on the majority
-	// side, so it must not straddle an isolated set (a node booted by a
-	// live rebalance during a partition would otherwise leak traffic
-	// across it).
-	for _, h := range s.parts {
-		if h.side[id] {
-			continue
-		}
-		for a := range h.side {
-			h.blockPair(a, id)
-		}
-	}
+	s.links.AddPeer(id) // active partitions extend to the newcomer
 	return id
 }
 
@@ -267,60 +248,23 @@ func (s *Sim) DiskSlowdown(id env.NodeID) float64 {
 	return s.nodes[id].storage.slowdown()
 }
 
-// SetLink blocks or unblocks the directed network link from → to. It is a
-// direct toggle independent of the handle-based partitions: unblocking a
-// link here does not disturb a partition that also covers it.
-func (s *Sim) SetLink(from, to env.NodeID, blocked bool) {
-	if blocked {
-		s.manual[linkKey{from, to}] = true
-	} else {
-		delete(s.manual, linkKey{from, to})
-	}
-}
+// The link-fault surface is netfault.Table's, which documents it: SetLink
+// toggles one directed link, SetLinkLoss and SetLinkDelay degrade one that
+// still delivers (NetConfig.DropRate stays the cluster-wide floor, and only
+// the switch latency and its jitter are scaled, never NIC serialization),
+// Partition and PartitionDir return the handle that heals exactly their
+// blocks, and Heal clears every block.
 
-// SetLinkLoss sets a per-link message loss rate on the directed link
-// from → to (0 clears it), modeling a flaky path rather than a severed
-// one — NetConfig.DropRate stays the cluster-wide floor. The rate sits
-// alongside the link-block layer: a loss window composes with partitions
-// and SetLink toggles covering the same pair, and healing a partition
-// never clears a loss rate. Rates above 1 saturate to certain loss.
-func (s *Sim) SetLinkLoss(from, to env.NodeID, rate float64) {
-	if rate <= 0 {
-		delete(s.loss, linkKey{from, to})
-	} else {
-		s.loss[linkKey{from, to}] = rate
-	}
+func (s *Sim) SetLink(from, to env.NodeID, blocked bool)     { s.links.SetLink(from, to, blocked) }
+func (s *Sim) SetLinkLoss(from, to env.NodeID, rate float64) { s.links.SetLinkLoss(from, to, rate) }
+func (s *Sim) SetLinkDelay(from, to env.NodeID, f float64)   { s.links.SetLinkDelay(from, to, f) }
+func (s *Sim) Partition(isolated ...env.NodeID) *netfault.BlockHandle {
+	return s.links.Partition(isolated...)
 }
-
-// LinkLoss returns the loss rate of the directed link from → to (0 when
-// healthy).
-func (s *Sim) LinkLoss(from, to env.NodeID) float64 {
-	return s.loss[linkKey{from, to}]
+func (s *Sim) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *netfault.BlockHandle {
+	return s.links.PartitionDir(dir, isolated...)
 }
-
-// SetLinkDelay inflates the propagation latency of the directed link
-// from → to by factor (≤ 1 or 0 restores it), modeling a congested or
-// rerouted path that still delivers every message — the latency cousin of
-// SetLinkLoss. Only the switch latency (and its jitter) is scaled; NIC
-// serialization is the sender's hardware and stays untouched. Like loss
-// rates, delay factors sit outside the link-block layer and compose with
-// partitions covering the same pair.
-func (s *Sim) SetLinkDelay(from, to env.NodeID, factor float64) {
-	if factor <= 1 {
-		delete(s.delay, linkKey{from, to})
-	} else {
-		s.delay[linkKey{from, to}] = factor
-	}
-}
-
-// LinkDelay returns the latency-inflation factor of the directed link
-// from → to (1 when healthy).
-func (s *Sim) LinkDelay(from, to env.NodeID) float64 {
-	if f, ok := s.delay[linkKey{from, to}]; ok {
-		return f
-	}
-	return 1
-}
+func (s *Sim) Heal() { s.links.Heal() }
 
 // Peers returns the registered node IDs in registration order (a copy),
 // for harnesses that fan a per-link operation — SetLinkLoss, SetLink —
@@ -329,107 +273,6 @@ func (s *Sim) Peers() []env.NodeID {
 	out := make([]env.NodeID, len(s.peers))
 	copy(out, s.peers)
 	return out
-}
-
-// linkBlocked reports whether the directed link from → to drops traffic.
-func (s *Sim) linkBlocked(from, to env.NodeID) bool {
-	k := linkKey{from, to}
-	return s.blocked[k] > 0 || s.manual[k]
-}
-
-// block/unblock maintain the refcounted directed-block map handles use.
-func (s *Sim) block(k linkKey) { s.blocked[k]++ }
-func (s *Sim) unblock(k linkKey) {
-	if s.blocked[k] <= 1 {
-		delete(s.blocked, k)
-	} else {
-		s.blocked[k]--
-	}
-}
-
-// BlockHandle is one composable set of directed link blocks (one
-// partition). Healing it removes exactly the blocks it installed — two
-// overlapping partitions compose, and healing one leaves the other intact.
-type BlockHandle struct {
-	s      *Sim
-	links  []linkKey
-	side   map[env.NodeID]bool // isolated set; nil once healed
-	dir    env.LinkDir
-	healed bool
-}
-
-var _ env.PartitionHandle = (*BlockHandle)(nil)
-
-// Heal removes this handle's blocks. Idempotent.
-func (h *BlockHandle) Heal() {
-	if h.healed {
-		return
-	}
-	h.healed = true
-	for _, k := range h.links {
-		h.s.unblock(k)
-	}
-	h.links = nil
-	for i, p := range h.s.parts {
-		if p == h {
-			h.s.parts = append(h.s.parts[:i], h.s.parts[i+1:]...)
-			break
-		}
-	}
-}
-
-// blockPair installs the handle's directed blocks between isolated node a
-// and outside node b, honoring the handle's direction.
-func (h *BlockHandle) blockPair(a, b env.NodeID) {
-	if h.dir == env.LinkBothWays || h.dir == env.LinkOutboundOnly {
-		k := linkKey{a, b}
-		h.s.block(k)
-		h.links = append(h.links, k)
-	}
-	if h.dir == env.LinkBothWays || h.dir == env.LinkInboundOnly {
-		k := linkKey{b, a}
-		h.s.block(k)
-		h.links = append(h.links, k)
-	}
-}
-
-// Partition isolates the given nodes from the rest of the cluster in both
-// directions and returns the handle that heals exactly this partition.
-// The partition set is persistent: a node added later (live scale-out)
-// joins on the majority side with its links to the isolated set blocked,
-// rather than straddling the partition.
-func (s *Sim) Partition(isolated ...env.NodeID) *BlockHandle {
-	return s.PartitionDir(env.LinkBothWays, isolated...)
-}
-
-// PartitionDir is Partition with an explicit direction: LinkOutboundOnly
-// and LinkInboundOnly model asymmetric one-way loss relative to the
-// isolated set.
-func (s *Sim) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *BlockHandle {
-	h := &BlockHandle{s: s, dir: dir, side: make(map[env.NodeID]bool, len(isolated))}
-	for _, id := range isolated {
-		h.side[id] = true
-	}
-	for _, b := range s.peers {
-		if h.side[b] {
-			continue
-		}
-		for a := range h.side {
-			h.blockPair(a, b)
-		}
-	}
-	s.parts = append(s.parts, h)
-	return h
-}
-
-// Heal removes all link blocks: every active partition handle is healed
-// and every SetLink toggle cleared.
-func (s *Sim) Heal() {
-	for len(s.parts) > 0 {
-		s.parts[len(s.parts)-1].Heal()
-	}
-	s.blocked = make(map[linkKey]int)
-	s.manual = make(map[linkKey]bool)
 }
 
 // nodeEnv is the env.Env for a single incarnation of a node. Callbacks are
@@ -495,7 +338,8 @@ func (s *Sim) send(from *simNode, to env.NodeID, msg env.Message) {
 	if int(to) < 0 || int(to) >= len(s.nodes) {
 		return
 	}
-	if s.linkBlocked(from.id, to) {
+	link := s.links.Link(from.id, to)
+	if link.Blocked() {
 		return
 	}
 	nc := s.cfg.Net
@@ -504,7 +348,7 @@ func (s *Sim) send(from *simNode, to env.NodeID, msg env.Message) {
 	}
 	// Per-link loss draws only when a rate is set, so runs without loss
 	// windows consume the same random stream as before.
-	if r := s.loss[linkKey{from.id, to}]; r > 0 && s.rng.Float64() < r {
+	if link.Loss > 0 && s.rng.Float64() < link.Loss {
 		return
 	}
 	size := nc.sizeOf(msg)
@@ -526,8 +370,8 @@ func (s *Sim) send(from *simNode, to env.NodeID, msg env.Message) {
 	}
 	// Per-link delay scales only when a factor is set, so runs without
 	// delay windows consume the same random stream as before.
-	if f, ok := s.delay[linkKey{from.id, to}]; ok {
-		lat = time.Duration(float64(lat) * f)
+	if link.Delay > 0 {
+		lat = time.Duration(float64(lat) * link.Delay)
 	}
 	s.schedule(depart.Add(lat), event{kind: evDeliver, node: s.nodes[to], from: from.id, msg: msg})
 }

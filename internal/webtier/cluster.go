@@ -6,6 +6,7 @@ import (
 
 	"robuststore/internal/core"
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
 	"robuststore/internal/shard"
@@ -164,7 +165,7 @@ type Cluster struct {
 	// across the seeded fault suite.
 	fenceViolations int64
 
-	mig *clusterMigration // non-nil once Rebalance has been called
+	mig *shard.Migration // non-nil once Rebalance has been called
 }
 
 // NewCluster builds the deployment. Call Start before driving load.
@@ -210,31 +211,14 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	c.sim = sim.New(sim.Config{Seed: cfg.Seed, Net: cfg.Net, Disk: cfg.Disk, DebugLog: cfg.DebugLog})
 	for i := 0; i < voters; i++ {
-		idx, group := i, i/cfg.Servers
-		c.auto[i] = true
-		id := c.sim.AddNode(func() env.Node {
-			s := &Server{c: c, idx: idx, group: group}
-			c.servers[idx] = s
-			return s
-		})
-		c.serverIDs = append(c.serverIDs, id)
-		c.groupIDs[group] = append(c.groupIDs[group], id)
+		c.addServer(i/cfg.Servers, false)
 	}
 	// Learner-backed readers live past the voter range: reader j of group
 	// g sits at flat index voters + g*Readers + j. They are full
 	// application servers (probes, watchdog restarts, checkpoints) whose
 	// consensus engine only listens.
 	for i := voters; i < total; i++ {
-		idx := i
-		group := (i - voters) / cfg.Readers
-		c.auto[i] = true
-		id := c.sim.AddNode(func() env.Node {
-			s := &Server{c: c, idx: idx, group: group, learner: true}
-			c.servers[idx] = s
-			return s
-		})
-		c.serverIDs = append(c.serverIDs, id)
-		c.readerIDs[group] = append(c.readerIDs[group], id)
+		c.addServer((i-voters)/cfg.Readers, true)
 	}
 	c.proxyID = c.sim.AddNode(func() env.Node {
 		p := &Proxy{c: c}
@@ -242,6 +226,24 @@ func NewCluster(cfg Config) *Cluster {
 		return p
 	})
 	return c
+}
+
+// addServer registers the next flat server index as a voter, or a learner
+// reader, of group; the per-server slices already reach that index.
+func (c *Cluster) addServer(group int, learner bool) {
+	idx := len(c.serverIDs)
+	c.auto[idx] = true
+	id := c.sim.AddNode(func() env.Node {
+		s := &Server{c: c, idx: idx, group: group, learner: learner}
+		c.servers[idx] = s
+		return s
+	})
+	c.serverIDs = append(c.serverIDs, id)
+	if learner {
+		c.readerIDs[group] = append(c.readerIDs[group], id)
+	} else {
+		c.groupIDs[group] = append(c.groupIDs[group], id)
+	}
 }
 
 // Sim exposes the simulator for scheduling workload and faultloads.
@@ -267,7 +269,7 @@ func (c *Cluster) GroupOf(client int64) int {
 // its writes must wait for the next routing epoch (the proxy requeues
 // them; reads keep flowing to the source group).
 func (c *Cluster) sessionFrozen(client int64) bool {
-	return c.mig != nil && c.mig.frozen[c.table.SliceOf(tpcw.SessionKey(client))]
+	return c.mig != nil && c.mig.Frozen(c.table.SliceOf(tpcw.SessionKey(client)))
 }
 
 // Start boots all nodes and the watchdogs.
@@ -313,7 +315,7 @@ func (c *Cluster) SetAutoRestart(i int, auto bool) { c.auto[i] = auto }
 // isolation or one-way loss relative to the victims. The returned handle
 // heals exactly this partition; overlapping partitions compose. Counts
 // one injected fault.
-func (c *Cluster) PartitionServers(dir env.LinkDir, servers ...int) *sim.BlockHandle {
+func (c *Cluster) PartitionServers(dir env.LinkDir, servers ...int) *netfault.BlockHandle {
 	ids := make([]env.NodeID, len(servers))
 	for k, i := range servers {
 		ids[k] = c.serverIDs[i]
@@ -375,20 +377,11 @@ func (c *Cluster) RestoreDisk(i int) {
 	c.sim.SetDiskSlowdown(c.serverIDs[i], 1)
 }
 
-// DegradeLinks makes every link between the given victim servers (flat
-// indices) and the rest of the cluster — the proxy included, mirroring
-// PartitionServers — flaky: each crossing message drops with probability
-// rate, in the directions dir selects relative to the victims. Counts one
-// injected fault.
-func (c *Cluster) DegradeLinks(dir env.LinkDir, rate float64, servers ...int) {
-	c.faults++
-	c.SetLinkRate(dir, rate, servers...)
-}
-
-// SetLinkRate applies (or, at rate 0, clears) the per-link loss without
-// counting a fault — the bookkeeping half of superseding an open loss
-// window (the fault was counted when its event fired).
-func (c *Cluster) SetLinkRate(dir env.LinkDir, rate float64, servers ...int) {
+// eachVictimLink calls set on every directed link between the given victim
+// servers (flat indices) and the rest of the cluster — the proxy included,
+// mirroring PartitionServers — in the directions dir selects relative to
+// the victims.
+func (c *Cluster) eachVictimLink(dir env.LinkDir, servers []int, set func(from, to env.NodeID)) {
 	victims := make(map[env.NodeID]bool, len(servers))
 	for _, i := range servers {
 		victims[c.serverIDs[i]] = true
@@ -400,59 +393,41 @@ func (c *Cluster) SetLinkRate(dir env.LinkDir, rate float64, servers ...int) {
 				continue
 			}
 			if dir == env.LinkBothWays || dir == env.LinkOutboundOnly {
-				c.sim.SetLinkLoss(a, b, rate)
+				set(a, b)
 			}
 			if dir == env.LinkBothWays || dir == env.LinkInboundOnly {
-				c.sim.SetLinkLoss(b, a, rate)
+				set(b, a)
 			}
 		}
 	}
+}
+
+// DegradeLinks makes every link between the victim servers and the rest of
+// the cluster flaky: each crossing message drops with probability rate.
+// Counts one injected fault.
+func (c *Cluster) DegradeLinks(dir env.LinkDir, rate float64, servers ...int) {
+	c.faults++
+	c.eachVictimLink(dir, servers, func(from, to env.NodeID) { c.sim.SetLinkLoss(from, to, rate) })
 }
 
 // RestoreLinks clears the loss on every link between the victim servers
 // and the rest of the cluster, in both directions.
 func (c *Cluster) RestoreLinks(servers ...int) {
-	c.SetLinkRate(env.LinkBothWays, 0, servers...)
+	c.eachVictimLink(env.LinkBothWays, servers, func(from, to env.NodeID) { c.sim.SetLinkLoss(from, to, 0) })
 }
 
-// DegradeLinkDelay inflates the latency of every link between the given
-// victim servers and the rest of the cluster — the proxy included — by
-// factor, in the directions dir selects relative to the victims. Unlike
-// loss, every message still arrives; it just crawls. Counts one injected
-// fault.
+// DegradeLinkDelay inflates the latency of every link between the victim
+// servers and the rest of the cluster by factor. Unlike loss, every
+// message still arrives; it just crawls. Counts one injected fault.
 func (c *Cluster) DegradeLinkDelay(dir env.LinkDir, factor float64, servers ...int) {
 	c.faults++
-	c.SetLinkDelayFactor(dir, factor, servers...)
-}
-
-// SetLinkDelayFactor applies (or, at factor ≤ 1, clears) the per-link
-// latency inflation without counting a fault — the bookkeeping half of
-// superseding an open delay window.
-func (c *Cluster) SetLinkDelayFactor(dir env.LinkDir, factor float64, servers ...int) {
-	victims := make(map[env.NodeID]bool, len(servers))
-	for _, i := range servers {
-		victims[c.serverIDs[i]] = true
-	}
-	for _, i := range servers {
-		a := c.serverIDs[i]
-		for _, b := range c.sim.Peers() {
-			if victims[b] {
-				continue
-			}
-			if dir == env.LinkBothWays || dir == env.LinkOutboundOnly {
-				c.sim.SetLinkDelay(a, b, factor)
-			}
-			if dir == env.LinkBothWays || dir == env.LinkInboundOnly {
-				c.sim.SetLinkDelay(b, a, factor)
-			}
-		}
-	}
+	c.eachVictimLink(dir, servers, func(from, to env.NodeID) { c.sim.SetLinkDelay(from, to, factor) })
 }
 
 // RestoreLinkDelay clears the latency inflation on every link between the
 // victim servers and the rest of the cluster, in both directions.
 func (c *Cluster) RestoreLinkDelay(servers ...int) {
-	c.SetLinkDelayFactor(env.LinkBothWays, 1, servers...)
+	c.eachVictimLink(env.LinkBothWays, servers, func(from, to env.NodeID) { c.sim.SetLinkDelay(from, to, 1) })
 }
 
 // GrayFail puts server i into gray-failure mode: it keeps answering
@@ -463,13 +438,11 @@ func (c *Cluster) RestoreLinkDelay(servers ...int) {
 // fault, which is the point. Counts one injected fault.
 func (c *Cluster) GrayFail(i int, factor float64) {
 	c.faults++
-	c.SetGray(i, factor)
+	c.setGray(i, factor)
 }
 
-// SetGray applies (or, at factor 0, clears) server i's gray-failure mode
-// without counting a fault — the bookkeeping half of superseding an open
-// gray window.
-func (c *Cluster) SetGray(i int, factor float64) {
+// setGray applies (or, at factor 0, clears) server i's gray-failure mode.
+func (c *Cluster) setGray(i int, factor float64) {
 	switch {
 	case factor <= 0:
 		c.grayErr[i], c.graySlow[i] = 0, 0
@@ -481,7 +454,7 @@ func (c *Cluster) SetGray(i int, factor float64) {
 }
 
 // GrayRestore returns server i to healthy request service.
-func (c *Cluster) GrayRestore(i int) { c.SetGray(i, 0) }
+func (c *Cluster) GrayRestore(i int) { c.setGray(i, 0) }
 
 // LeaderOf returns the flat index of the server currently leading group
 // g's consensus, or -1 while the group has no live leader. Call from

@@ -1,22 +1,16 @@
 package webtier
 
 import (
-	"fmt"
 	"time"
 
 	"robuststore/internal/core"
-	"robuststore/internal/env"
 	"robuststore/internal/shard"
-	"robuststore/internal/tpcw"
 )
 
-// This file drives live resharding of the web tier: Rebalance boots one
-// more Paxos group of application servers mid-run, computes the
-// next-epoch routing table (shard.RoutingTable.Grow over session slices),
-// streams the moving rows from every source group to the new one through
-// the ordered log (keyed snapshot export → core.PartitionImport), and
-// cuts over by publishing the new epoch. It is the web-tier twin of
-// shard.Store.Rebalance, phrased over session routing:
+// This file is the web tier's side of a live migration; the protocol and
+// its correctness argument are shard/migrate.go's, shared with shard.Store.
+// Rebalance boots one more Paxos group of application servers mid-run and
+// hands it to a shard.Migration. What is the web tier's own:
 //
 //   - clients are the partition unit, so the freeze holds *writes of
 //     moving sessions* at the proxy (requeued, not failed — the client
@@ -28,14 +22,21 @@ import (
 //     moving slice. A moved session whose cart's row key did not move
 //     sees one failed cart interaction after cutover and starts a fresh
 //     cart (the RBE models exactly that shopper behaviour); a
-//     row-addressed tier (shard.Store) migrates with zero loss.
+//     row-addressed tier (shard.Store) migrates with zero loss;
+//   - no source drops what it handed over: rows are shared across session
+//     slices — every group's store starts from the full population clone,
+//     and any of a group's sessions may read any population row — so a
+//     drop keyed by moved row slices would delete rows the source group's
+//     remaining sessions still serve. The source copies of moved rows
+//     simply stop being written (their writers now commit on the new
+//     group), the same bounded divergence the soft-replicated catalog has.
 //
 // A server that receives a request for a session its group no longer
 // owns answers WrongEpoch, and the proxy transparently redispatches under
 // the current table (proxy.go) — the cutover race costs a hop, never a
 // client error.
 
-// MigrationPhase values, in order (shared vocabulary with shard.Store).
+// The migration vocabulary is shard's.
 const (
 	PhaseBoot    = shard.PhaseBoot
 	PhaseDrain   = shard.PhaseDrain
@@ -44,76 +45,17 @@ const (
 	PhaseDone    = shard.PhaseDone
 )
 
-// RebalanceOptions parameterizes one web-tier rebalance.
-type RebalanceOptions struct {
-	// OnPhase, if non-nil, observes phase transitions (simulator
-	// context). Fault injection hooks into this to crash members
-	// mid-migration.
-	OnPhase func(phase string)
-
-	// Done, if non-nil, runs when the migration has fully completed.
-	Done func()
-}
-
-// MigrationStat is a snapshot of the web tier's migration state.
-type MigrationStat struct {
-	Epoch       int64 // routing epoch currently published
-	Active      bool
-	Phase       string
-	NewGroup    int
-	MovedSlices int
-	TotalSlices int
-
-	// StartedAt..CutoverAt is the client-visible migration window (the
-	// interval during which moving sessions' writes were requeued).
-	StartedAt time.Time
-	CutoverAt time.Time
-}
-
-// Window returns the migration window, or 0 while open or never started.
-func (st MigrationStat) Window() time.Duration {
-	if st.StartedAt.IsZero() || st.CutoverAt.IsZero() {
-		return 0
-	}
-	return st.CutoverAt.Sub(st.StartedAt)
-}
+type (
+	RebalanceOptions = shard.RebalanceOptions
+	MigrationStat    = shard.MigrationStatus
+)
 
 // Migration returns the current (or last) migration status. Simulator
 // context.
 func (c *Cluster) Migration() MigrationStat {
-	st := MigrationStat{Epoch: c.table.Epoch}
-	m := c.mig
-	if m == nil {
-		return st
-	}
-	st.Active = m.phase != PhaseDone
-	st.Phase = m.phase
-	st.NewGroup = m.newGroup
-	st.MovedSlices = len(m.moved)
-	st.TotalSlices = c.table.Slices()
-	st.StartedAt = m.startedAt
-	st.CutoverAt = m.cutoverAt
+	st := c.mig.Status()
+	st.Epoch = c.table.Epoch
 	return st
-}
-
-// clusterMigration is the web tier's migration driver state. All fields
-// are simulator-loop confined.
-type clusterMigration struct {
-	c        *Cluster
-	opts     RebalanceOptions
-	newGroup int
-	prev     shard.RoutingTable
-	next     shard.RoutingTable
-	moved    []int
-	bySource map[int][]int
-	frozen   map[int]bool
-
-	phase     string
-	startedAt time.Time
-	cutoverAt time.Time
-	drainFrom time.Time
-	pendingOp map[string]bool
-	copied    int
 }
 
 // drainCap bounds how long the proxy-level drain waits for in-flight
@@ -133,47 +75,22 @@ func (c *Cluster) Rebalance(opts RebalanceOptions) {
 		// per-group log indices, which a cutover would invalidate.
 		panic("webtier: Rebalance is not supported with Readers > 0")
 	}
-	if c.mig != nil && c.mig.phase != PhaseDone {
+	if c.mig.Status().Active {
 		panic("webtier: Rebalance while a migration is active")
 	}
-	prev := c.table
 	newGroup := c.shards
-	next, moved := prev.Grow(newGroup)
-	m := &clusterMigration{
-		c:         c,
-		opts:      opts,
-		newGroup:  newGroup,
-		prev:      prev,
-		next:      next,
-		moved:     moved,
-		bySource:  make(map[int][]int),
-		frozen:    make(map[int]bool),
-		phase:     PhaseBoot,
-		pendingOp: make(map[string]bool),
-	}
-	for _, sl := range moved {
-		m.bySource[prev.Assign[sl]] = append(m.bySource[prev.Assign[sl]], sl)
-	}
 
 	// Register and boot the new group's servers. Membership (groupIDs)
 	// must be complete before any of them starts; AddNode+Restart are
 	// synchronous here, the Start events run afterwards.
-	first := len(c.serverIDs)
 	c.groupIDs = append(c.groupIDs, nil)
-	for mI := 0; mI < c.cfg.Servers; mI++ {
-		idx := first + mI
+	for range c.cfg.Servers {
 		c.servers = append(c.servers, nil)
 		c.auto = append(c.auto, true)
 		c.crashedAt = append(c.crashedAt, time.Time{})
 		c.grayErr = append(c.grayErr, 0)
 		c.graySlow = append(c.graySlow, 0)
-		id := c.sim.AddNode(func() env.Node {
-			s := &Server{c: c, idx: idx, group: newGroup}
-			c.servers[idx] = s
-			return s
-		})
-		c.serverIDs = append(c.serverIDs, id)
-		c.groupIDs[newGroup] = append(c.groupIDs[newGroup], id)
+		c.addServer(newGroup, false)
 	}
 	c.shards++
 	c.readsServed = append(c.readsServed, 0)
@@ -188,182 +105,61 @@ func (c *Cluster) Rebalance(opts RebalanceOptions) {
 	for _, id := range c.groupIDs[newGroup] {
 		c.sim.Restart(id)
 	}
-	c.mig = m
-	m.enterPhase(PhaseBoot)
-	m.awaitBoot()
+	c.mig = shard.NewMigration(clusterHost{c}, c.table, newGroup, false, opts)
+	c.mig.Start()
 }
 
-func (m *clusterMigration) enterPhase(phase string) {
-	m.phase = phase
-	if m.opts.OnPhase != nil {
-		m.opts.OnPhase(phase)
-	}
-}
+// clusterHost is the Cluster as a shard.MigrationHost; everything is
+// simulator-loop confined.
+type clusterHost struct{ c *Cluster }
 
-// pickReplica selects a submission target in group g, preferring the
-// consensus leader.
-func (c *Cluster) pickReplica(g int) *core.Replica {
-	var fallback *core.Replica
-	for i := g * c.cfg.Servers; i < (g+1)*c.cfg.Servers; i++ {
-		if !c.sim.Alive(c.serverIDs[i]) {
+func (h clusterHost) After(d time.Duration, fn func()) { h.c.sim.After(d, fn) }
+func (h clusterHost) Now() time.Time                   { return h.c.sim.Now() }
+func (h clusterHost) Publish(next shard.RoutingTable)  { h.c.table = next }
+
+// Order prefers the group's consensus leader among its accepting servers.
+func (h clusterHost) Order(g int, action any, done func(core.StateMachine)) {
+	var target *core.Replica
+	for i := g * h.c.cfg.Servers; i < (g+1)*h.c.cfg.Servers; i++ {
+		if !h.c.accepting(i) {
 			continue
 		}
-		s := c.servers[i]
-		if s == nil || s.replica == nil || !s.replica.Ready() {
-			continue
-		}
-		if s.replica.LeaderHint() {
-			return s.replica
-		}
-		if fallback == nil {
-			fallback = s.replica
+		if r := h.c.servers[i].replica; target == nil || !target.LeaderHint() && r.LeaderHint() {
+			target = r
 		}
 	}
-	return fallback
-}
-
-// orderedOp submits one ordered (idempotent) action to group g until a
-// completion is observed, then calls then(replica) once on the completing
-// replica's executor; a sweep re-submits after crashes.
-func (m *clusterMigration) orderedOp(name string, g int, action func() any, then func(r *core.Replica)) {
-	m.pendingOp[name] = true
-	complete := func(r *core.Replica) {
-		if !m.pendingOp[name] {
-			return
-		}
-		delete(m.pendingOp, name)
-		then(r)
-	}
-	var attempt func()
-	attempt = func() {
-		if !m.pendingOp[name] {
-			return
-		}
-		if r := m.c.pickReplica(g); r != nil {
-			r.SubmitFrom(action(), func(_ any, err error) {
-				if err == nil {
-					complete(r)
-				}
-			})
-		}
-		m.c.sim.After(500*time.Millisecond, attempt)
-	}
-	attempt()
-}
-
-// awaitBoot waits for the whole new group to come up (members
-// operational, leader elected), then opens the migration window.
-func (m *clusterMigration) awaitBoot() {
-	ready := 0
-	var leader bool
-	for i := m.newGroup * m.c.cfg.Servers; i < (m.newGroup+1)*m.c.cfg.Servers; i++ {
-		if m.c.accepting(i) {
-			ready++
-			if m.c.servers[i].replica.LeaderHint() {
-				leader = true
+	if target != nil {
+		target.SubmitFrom(action, func(_ any, err error) {
+			if err == nil {
+				done(target.Machine())
 			}
+		})
+	}
+}
+
+// Booted: the whole new group is up (members operational, leader elected).
+func (h clusterHost) Booted() bool {
+	c, newGroup := h.c, h.c.shards-1
+	leader := false
+	for i := newGroup * c.cfg.Servers; i < (newGroup+1)*c.cfg.Servers; i++ {
+		if !c.accepting(i) {
+			return false
 		}
+		leader = leader || c.servers[i].replica.LeaderHint()
 	}
-	if ready == m.c.cfg.Servers && leader {
-		m.freeze()
-		return
-	}
-	m.c.sim.After(50*time.Millisecond, m.awaitBoot)
+	return leader
 }
 
-// freeze opens the window: moving sessions' writes requeue at the proxy
-// from here until cutover.
-func (m *clusterMigration) freeze() {
-	for _, sl := range m.moved {
-		m.frozen[sl] = true
-	}
-	m.startedAt = m.c.sim.Now()
-	m.drainFrom = m.startedAt
-	m.enterPhase(PhaseDrain)
-	m.awaitDrain()
-}
-
-// awaitDrain waits until no write of a moving session is in flight at the
-// proxy (capped by drainCap), then fences each source group's log with an
-// ordered barrier and exports behind it.
-func (m *clusterMigration) awaitDrain() {
-	inflight := 0
-	if p := m.c.proxy; p != nil {
+// Drained: no write of a moving session is in flight at the proxy, or
+// drainCap has passed since the freeze.
+func (h clusterHost) Drained() bool {
+	c := h.c
+	if p := c.proxy; p != nil && c.sim.Now().Sub(c.mig.Status().StartedAt) < drainCap {
 		for _, r := range p.outstanding {
-			if r.req.Kind.IsWrite() && m.frozen[m.prev.SliceOf(tpcw.SessionKey(r.req.Client))] {
-				inflight++
+			if r.req.Kind.IsWrite() && c.sessionFrozen(r.req.Client) {
+				return false
 			}
 		}
 	}
-	if inflight > 0 && m.c.sim.Now().Sub(m.drainFrom) < drainCap {
-		m.c.sim.After(10*time.Millisecond, m.awaitDrain)
-		return
-	}
-	m.enterPhase(PhaseCopy)
-	if len(m.bySource) == 0 {
-		// Degenerate: nothing moves (a table grown past its slice count
-		// sheds no load); cut over immediately.
-		m.cutover()
-		return
-	}
-	for g := range m.bySource {
-		g := g
-		m.orderedOp(fmt.Sprintf("barrier/%d", g), g, func() any { return core.Noop{} },
-			func(r *core.Replica) { m.export(g, r) })
-	}
-}
-
-// export runs on the executor of the source replica that applied the
-// barrier; the keyed snapshot read here contains every drained write.
-func (m *clusterMigration) export(g int, r *core.Replica) {
-	var data any
-	var size int64
-	if pm, ok := r.Machine().(core.PartitionedMachine); ok {
-		data, size = pm.ExportOwned(m.prev.Owned(m.bySource[g]))
-	}
-	m.c.sim.After(0, func() { m.importInto(g, data, size) })
-}
-
-func (m *clusterMigration) importInto(g int, data any, size int64) {
-	if data == nil {
-		m.sourceDone()
-		return
-	}
-	m.orderedOp(fmt.Sprintf("import/%d", g), m.newGroup,
-		func() any {
-			return core.PartitionImport{Epoch: m.next.Epoch, Source: g, Data: data, Size: size}
-		},
-		func(*core.Replica) { m.c.sim.After(0, m.sourceDone) })
-}
-
-func (m *clusterMigration) sourceDone() {
-	m.copied++
-	if m.copied == len(m.bySource) {
-		m.cutover()
-	}
-}
-
-// cutover publishes the next epoch: session routing re-reads the table on
-// every dispatch, so moving sessions flow to the new group from the next
-// event on; their requeued writes drain there too.
-//
-// Unlike shard.Store's migration, the web tier issues no PartitionDrop:
-// sessions, not rows, are its partition unit, and rows are shared across
-// session slices — every group's store starts from the full population
-// clone, and any of a group's sessions may read any population row. A
-// drop keyed by moved row slices would delete rows the source group's
-// remaining sessions still serve. The source copies of moved rows simply
-// stop being written (their writers now commit on the new group), the
-// same bounded divergence the soft-replicated catalog already has.
-func (m *clusterMigration) cutover() {
-	m.c.table = m.next
-	m.cutoverAt = m.c.sim.Now()
-	m.frozen = make(map[int]bool)
-	m.enterPhase(PhaseCleanup)
-	m.c.sim.After(0, func() {
-		m.enterPhase(PhaseDone)
-		if m.opts.Done != nil {
-			m.opts.Done()
-		}
-	})
+	return true
 }

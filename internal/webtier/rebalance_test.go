@@ -84,7 +84,7 @@ func TestClusterRebalanceUnderLoad(t *testing.T) {
 	s.At(s.Now().Add(5*time.Second), func() {
 		c.Rebalance(RebalanceOptions{
 			OnPhase: func(p string) { phases = append(phases, p) },
-			Done:    func() { done = true },
+			Done:    func(error) { done = true },
 		})
 	})
 	s.RunUntil(stop.Add(10 * time.Second))
@@ -201,7 +201,7 @@ func TestClusterRebalanceMovesRows(t *testing.T) {
 	s := c.Sim()
 	done := false
 	s.At(s.Now(), func() {
-		c.Rebalance(RebalanceOptions{Done: func() { done = true }})
+		c.Rebalance(RebalanceOptions{Done: func(error) { done = true }})
 	})
 	s.RunFor(30 * time.Second)
 	if !done {
