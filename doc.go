@@ -11,7 +11,7 @@
 // hash-partitions the state across N independent Paxos groups behind a
 // deterministic key router, the web tier routes client sessions to their
 // owning group, and both the live command (cmd/robuststore -shards) and
-// the benchmark harness (BenchmarkShardScaling) expose the
+// the experiment runner (cmd/experiment -run shard-scaling) expose the
 // throughput-vs-shard-count dimension.
 //
 // Routing is explicit, epoch-versioned state, not arithmetic: a
@@ -45,35 +45,29 @@
 // stale layer. Recovery restores base + chain; the remote-snapshot
 // fallback streams only the layers a catching-up peer is missing.
 // Steady-state checkpoint writes shrink from O(state) to O(recent
-// writes) — ~140× under the standard load — freeing disk bandwidth for
-// the WAL group-commit pipeline; machines without the capability (and
-// core.Config.FullCheckpoints) keep the paper's monolithic path,
-// bit for bit. cmd/experiment -run checkpoint sweeps the checkpoint
-// interval comparing both modes (the Figure 6 trade-off), and
-// BenchmarkCheckpointRecovery writes BENCH_checkpoint.json with the
-// recovery/throughput/checkpoint-I/O trajectory.
+// writes), freeing disk bandwidth for the WAL group-commit pipeline;
+// machines without the capability (and core.Config.FullCheckpoints) keep
+// the paper's monolithic path, bit for bit. cmd/experiment -run
+// checkpoint sweeps the checkpoint interval comparing both modes (the
+// Figure 6 trade-off): recovery time, throughput and checkpoint I/O.
 //
 // The ordering pipeline itself is batched, coalesced and pipelined:
 // consensus proposals stream into consecutive instance slots up to
 // paxos.Config.MaxInFlight deep — a uniform backpressure bound no
 // proposal path can overshoot — while acceptor WAL records coalesce into
-// shared group commits under paxos.SyncMode (Batch, the default, pays one
-// flush for every record pending behind the in-flight sync, with
-// SyncBytes/SyncDelay thresholds; Immediate is the per-record path;
-// None trades one replica's WAL tail for speed in measurement runs). The
-// invariants hold regardless of mode or depth: the learner delivers in
-// instance order, and every promise/accept is durable before its reply
-// leaves the node (WAL-before-ack) except under SyncNone. Above the
+// shared group commits (paxos/wal.go: one flush for every record pending
+// behind the in-flight sync, with paxos.Config.SyncBytes/SyncDelay
+// thresholds). The invariants hold at every depth: the learner delivers
+// in instance order, and every promise/accept is durable before its reply
+// leaves the node (WAL-before-ack). Above the
 // engine, a rockyardkv-style write-admission controller grades the local
 // command backlog (slowdown/stop thresholds with hysteresis,
 // paxos.AdmissionConfig) and the web tier paces or holds writes at the
 // tier boundary (core.Replica.AdmissionHint), so overload degrades to
-// queueing latency instead of retry-timeout storms. On the same simulated
-// disk this moves one group from 3,923 to 50,033 committed actions/s at
-// 50k/s offered — all of the offered load (BENCH_batching.json, written by
-// BenchmarkBatching: the baseline row against the batch × 32-in-flight
-// row, in a matrix of actions/s across SyncMode × MaxInFlight at 1 and 4
-// shards; cmd/experiment -run batching prints it).
+// queueing latency instead of retry-timeout storms. cmd/experiment -run
+// batching measures what this buys on the same simulated disk: saturation
+// actions/s of the reference pipeline against wider batches and a deeper
+// pipeline, at 1 and 4 shards, offered load printed beside committed.
 //
 // The read path scales out independently of the write quorums:
 // webtier.Config.Readers boots learner-backed read-only servers per
@@ -102,10 +96,9 @@
 // racing in-flight fences — joins the faultload DSL, staleness is
 // accounted per group (GroupReport.ReadsServed/FenceWaits/StaleServes)
 // with a serve-time fence-violation counter the fault suite asserts
-// stays zero, and cmd/experiment -run readscale plus BenchmarkReadScale
-// (BENCH_readscale.json) measure read actions/s against read-serving
-// node count — ≥2× from 3 voters to 3 voters + 3 learners under the
-// Browsing mix.
+// stays zero, and cmd/experiment -run readscale measures read actions/s
+// against read-serving node count under the saturated Browsing mix, with
+// the errors and quality evictions of those (failure-free) runs beside.
 //
 // The single-shard invariant is lifted: one logical action can span
 // Paxos groups atomically, via two-phase commit whose every protocol
@@ -143,7 +136,7 @@
 // -run txn with per-group commit/abort/blocked-time counters
 // (GroupReport.TxnCommits/TxnAborts/TxnBlockedSec) and an
 // exactly-once audit asserting nothing is lost, duplicated or
-// half-applied; BenchmarkTxn writes BENCH_txn.json.
+// half-applied (a violation fails the command).
 //
 // The dependability benchmark covers the sharded deployment too: a
 // composable faultload DSL (exp.Faultload — victim selectors × schedule)
@@ -152,7 +145,7 @@
 // (one member of every group, rolling crashes, whole-group outage until
 // manual recovery), with per-group + aggregate availability,
 // performability and recovery-window reports (RunResult.PerGroup,
-// cmd/experiment -run sharded, BenchmarkShardedRecovery).
+// cmd/experiment -run sharded | sharded-recovery).
 //
 // Faultloads reach beyond crashes — the paper's "other fault types"
 // future work: OpPartition/OpHeal schedule network partitions (symmetric
@@ -170,14 +163,13 @@
 // severed), asymmetric one-way loss, slow-disk straggler — report
 // partition/degradation windows beside the recovery windows
 // (metrics.FaultWindow, GroupReport.PartitionSec/DegradedSec;
-// cmd/experiment -run partition | slowdisk), and
-// BenchmarkPartitionRecovery writes BENCH_partition.json with
-// detection/failover and post-heal reabsorption times. Between the severed
-// and the healthy link sits the flaky one: OpLinkLoss/OpLinkRestore (the
-// FlakyLink scenario) schedule probabilistic per-link message loss over
-// sim.SetLinkLoss / livenet.SetLinkLoss — the gray network failure that
-// never trips partition detection — reported as linkloss windows
-// (GroupReport.LossSec).
+// cmd/experiment -run partition | slowdisk), and -run partition-recovery
+// reports detection/failover and post-heal reabsorption times. Between
+// the severed and the healthy link sits the flaky one:
+// OpLinkLoss/OpLinkRestore (the FlakyLink scenario) schedule probabilistic
+// per-link message loss over sim.SetLinkLoss / livenet.SetLinkLoss — the
+// gray network failure that never trips partition detection — reported as
+// linkloss windows (GroupReport.LossSec).
 //
 // The gray-failure family completes the spectrum: OpGrayFail/OpGrayRestore
 // put a victim into the probe-healthy, work-sick mode — it keeps acking
@@ -244,9 +236,14 @@
 // //guarded:held — each with a reason, so the suite stays at zero
 // findings and every suppression is a documented decision.
 //
-// The root package holds only the paper-table harness (bench_test.go,
-// which writes the BENCH_*.json files); the implementation lives under
-// internal/, and bench/ is the end-to-end benchmark BENCHMARK.json
+// The root package holds only this documentation; the implementation
+// lives under internal/. Every experiment — the paper's tables and
+// figures and the extensions above — is one entry of one table
+// (internal/exp/table.go) that cmd/experiment -run NAME [-short] runs, and
+// this file quotes none of their numbers: what the short sizes print is
+// committed as internal/exp/testdata/golden/all-short.txt and compared
+// byte for byte by a tier-1 test, so the numbers live where a test
+// regenerates them. bench/ is the end-to-end benchmark BENCHMARK.json
 // declares (bench/README.md). ROADMAP.md lists what is open and how to run
 // each test suite; CHANGES.md is the per-PR log.
 package robuststore

@@ -20,10 +20,10 @@
 //
 //   - walpath: env.Storage.Append/AppendBatch are called only from
 //     paxos/wal.go — every other WAL write must go through walWriter so
-//     the group-commit SyncMode policy (PR 6) is the single flush
-//     authority. Additionally, every Append/AppendBatch implementation
-//     must invoke its done callback on all control-flow paths: a dropped
-//     completion wedges the WAL-before-ack pipeline forever. Suppress an
+//     its group commit (PR 6) is the single flush authority.
+//     Additionally, every Append/AppendBatch implementation must invoke
+//     its done callback on all control-flow paths: a dropped completion
+//     wedges the WAL-before-ack pipeline forever. Suppress an
 //     intentional direct call with //walpath:direct.
 //
 //   - guarded: struct fields annotated `// guarded by <mu>` are only

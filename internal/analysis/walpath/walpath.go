@@ -3,8 +3,8 @@
 //
 //  1. env.Storage.Append / AppendBatch are called only from paxos/wal.go.
 //     The walWriter there is the single flush authority — it implements
-//     the SyncMode policy (batch coalescing, byte/latency thresholds,
-//     ordered completion), and a direct Storage append anywhere else
+//     group commit (batch coalescing, byte/latency thresholds, ordered
+//     completion), and a direct Storage append anywhere else
 //     silently bypasses group commit, reordering durability against the
 //     records the writer is still holding. Suppress an intentional
 //     direct call (e.g. a measurement harness) with //walpath:direct.

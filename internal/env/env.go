@@ -148,8 +148,8 @@ type Storage interface {
 	// performs one write), and done runs once, after every record in the
 	// batch is durable. Record order within the batch is preserved, and
 	// batches complete in order relative to other Append/AppendBatch
-	// calls. The WAL sync coalescing of internal/paxos (SyncBatch mode)
-	// is built on this call. A nil done is allowed. recs is the caller's
+	// calls. The WAL group commit of internal/paxos is built on
+	// this call. A nil done is allowed. recs is the caller's
 	// to reuse once done has run: an implementation copies what it keeps.
 	AppendBatch(recs []Record, done func(error))
 

@@ -30,33 +30,14 @@ type CheckpointPoint struct {
 	CkptMBPerSec float64 // write rate over the accounting window (MB/s)
 }
 
-// CheckpointCurveConfig parameterizes the sweep.
+// CheckpointCurveConfig sizes the sweep.
 type CheckpointCurveConfig struct {
-	Servers   int           // replication degree; default 5
-	StateMB   int           // initial state size; default 500
-	Browsers  int           // offered load; default 400
-	Measure   time.Duration // default 300 s
-	Intervals []int         // checkpoint intervals in seconds; default {15, 30, 60, 120}
+	Servers   int // replication degree
+	StateMB   int // initial state size
+	Browsers  int // offered load
+	Measure   time.Duration
+	Intervals []int // checkpoint intervals in seconds
 	Seed      uint64
-}
-
-func (c CheckpointCurveConfig) withDefaults() CheckpointCurveConfig {
-	if c.Servers == 0 {
-		c.Servers = 5
-	}
-	if c.StateMB == 0 {
-		c.StateMB = 500
-	}
-	if c.Browsers == 0 {
-		c.Browsers = 400
-	}
-	if c.Measure == 0 {
-		c.Measure = 300 * time.Second
-	}
-	if len(c.Intervals) == 0 {
-		c.Intervals = []int{15, 30, 60, 120}
-	}
-	return c
 }
 
 // CheckpointCurve sweeps the checkpoint interval under the one-crash
@@ -65,7 +46,6 @@ func (c CheckpointCurveConfig) withDefaults() CheckpointCurveConfig {
 // point reports the recovery duration, the sustained throughput and the
 // steady-state checkpoint disk traffic.
 func CheckpointCurve(cfg CheckpointCurveConfig) []CheckpointPoint {
-	cfg = cfg.withDefaults()
 	out := make([]CheckpointPoint, 0, 2*len(cfg.Intervals))
 	for _, iv := range cfg.Intervals {
 		for _, incremental := range []bool{false, true} {

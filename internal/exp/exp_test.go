@@ -2,7 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -10,14 +9,12 @@ import (
 	"robuststore/internal/rbe"
 )
 
-// shortRun is a scaled-down one-crash experiment shared by the tests in
-// this file (memoized).
+// shortRun is the shopping cell of a fault matrix at its short size,
+// shared (memoized) by the tests in this file and the golden run.
 func shortRun(fault Faultload) RunResult {
-	return Run(RunConfig{
-		Profile: rbe.Shopping, Servers: 5, StateMB: 300,
-		Fault: fault, Browsers: 400, Measure: 180 * time.Second,
-		CrashAt: 90, Seed: 2,
-	})
+	cfg, _ := shortParams().crash(fault)
+	cfg.Profile, cfg.Servers = rbe.Shopping, 5
+	return Run(cfg)
 }
 
 func TestFailureFreeRunIsClean(t *testing.T) {
@@ -161,34 +158,5 @@ func TestPickVictimsDistinct(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBatchingDeterministic is the determinism guard behind every BENCH
-// file: the same seed must give byte-identical output. It runs a short
-// single-shard batching matrix (all three sync modes, both pipeline depths)
-// twice in one process and compares the JSON.
-func TestBatchingDeterministic(t *testing.T) {
-	cfg := BatchingConfig{
-		Shards:          []int{1},
-		OfferedPerShard: 20000,
-		Warmup:          time.Second, // long enough to elect a leader
-		Measure:         time.Second,
-		Seed:            5,
-	}
-	run := func() []byte {
-		data, err := json.Marshal(Batching(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	first, second := run(), run()
-	if !bytes.Equal(first, second) {
-		t.Fatalf("same seed, different output:\n%s\n%s", first, second)
-	}
-	var r BatchingResult
-	if err := json.Unmarshal(first, &r); err != nil || len(r.Points) != 7 || r.Points[6].PerSec < 15000 {
-		t.Fatalf("the matrix measured nothing: %s (%v)", first, err)
 	}
 }

@@ -10,99 +10,73 @@ import (
 // This file defines the experiment suites of §5, each returning the data
 // behind one figure or table of the paper.
 
-// scalePoints are the replication degrees swept by the speedup and
-// scaleup experiments (paper: 4–12 servers; 18 nodes minus 5 clients and
-// 1 proxy).
-var scalePoints = []int{4, 5, 6, 8, 10, 12}
-
-// shortMeasure shrinks failure-free sweeps: AWIPS is stable (browsing CV
-// ≈ 0.01), so a 150 s interval gives the same means as the paper's 540 s
-// at a fraction of the simulation cost.
-const shortMeasure = 150 * time.Second
-
 // ScalePoint is one (replicas, profile) measurement.
 type ScalePoint struct {
 	Servers int
 	Profile rbe.Profile
 	WIPS    float64
 	WIRTms  float64
-	Speedup float64 // relative to the 4-replica baseline (Figure 3)
+	Speedup float64 // relative to the first degree swept (Figure 3's S_k)
+
+	// Errors and Evictions are what a failure-free run must not have:
+	// client-visible errors, and servers the proxy's quality gate pulled
+	// from rotation (ProxyStats.QualityEvictions).
+	Errors    int
+	Evictions int
 }
 
-// SpeedupResult is the data behind Figure 3: saturation WIPS and WIRT for
-// 4–12 replicas under the three profiles, with S_k = pi_k / pi_4.
-type SpeedupResult struct {
-	Points map[rbe.Profile][]ScalePoint
+// ScaleConfig sizes one replication-degree sweep.
+type ScaleConfig struct {
+	Degrees  []int
+	StateMB  int
+	Browsers int
+	Measure  time.Duration
+	Seed     uint64
 }
 
-// Speedup runs the Figure 3 sweep. The RBE population is large enough to
-// saturate the biggest deployment (the paper's five client nodes).
-func Speedup(seed uint64) SpeedupResult {
-	out := SpeedupResult{Points: make(map[rbe.Profile][]ScalePoint)}
-	for _, profile := range rbe.Profiles {
-		var base float64
-		for _, k := range scalePoints {
-			r := Run(RunConfig{
-				Profile:  profile,
-				Servers:  k,
-				StateMB:  500, // paper §5.2: initial state 500 MB
-				Fault:    NoFault,
-				Browsers: saturationBrowsers,
-				Measure:  shortMeasure,
-				Seed:     seed,
-			})
-			if base == 0 {
-				base = r.AWIPS
-			}
-			out.Points[profile] = append(out.Points[profile], ScalePoint{
-				Servers: k,
-				Profile: profile,
-				WIPS:    r.AWIPS,
-				WIRTms:  r.WIRTms,
-				Speedup: r.AWIPS / base,
-			})
-		}
-	}
-	return out
-}
-
-// ScaleupResult is the data behind Figure 4: WIPS and WIRT at a fixed
-// offered load of 1000 WIPS for 4–12 replicas, with the least-squares
-// regression and WIPS/WIRT correlation the paper reports (§5.3).
-type ScaleupResult struct {
+// ScaleResult is the data behind Figures 3 and 4: WIPS and WIRT per
+// replication degree under the three profiles, with S_k = pi_k / pi_first
+// (Figure 3) and the least-squares regression and WIPS/WIRT correlation
+// the paper reports for the fixed offered load (Figure 4, §5.3).
+type ScaleResult struct {
 	Points      map[rbe.Profile][]ScalePoint
 	Fit         map[rbe.Profile]stats.Regression // WIPS vs replicas
 	Correlation map[rbe.Profile]float64          // r² of WIPS vs WIRT
 }
 
-// Scaleup runs the Figure 4 sweep (1000 RBEs, 300 MB state).
-func Scaleup(seed uint64) ScaleupResult {
-	out := ScaleupResult{
+// ScaleSweep runs the failure-free sweep behind Figure 3 (a population
+// that saturates the biggest deployment) and Figure 4 (the fixed 1000 WIPS
+// offered load).
+func ScaleSweep(cfg ScaleConfig) ScaleResult {
+	out := ScaleResult{
 		Points:      make(map[rbe.Profile][]ScalePoint),
 		Fit:         make(map[rbe.Profile]stats.Regression),
 		Correlation: make(map[rbe.Profile]float64),
 	}
 	for _, profile := range rbe.Profiles {
 		var ks, wips, wirt []float64
-		for _, k := range scalePoints {
+		for _, k := range cfg.Degrees {
 			r := Run(RunConfig{
 				Profile:  profile,
 				Servers:  k,
-				StateMB:  300, // paper §5.3: 300 MB to avoid swapping
+				StateMB:  cfg.StateMB,
 				Fault:    NoFault,
-				Browsers: faultBrowsers,
-				Measure:  shortMeasure,
-				Seed:     seed,
-			})
-			out.Points[profile] = append(out.Points[profile], ScalePoint{
-				Servers: k,
-				Profile: profile,
-				WIPS:    r.AWIPS,
-				WIRTms:  r.WIRTms,
+				Browsers: cfg.Browsers,
+				Measure:  cfg.Measure,
+				Seed:     cfg.Seed,
 			})
 			ks = append(ks, float64(k))
 			wips = append(wips, r.AWIPS)
 			wirt = append(wirt, r.WIRTms)
+			out.Points[profile] = append(out.Points[profile], ScalePoint{
+				Servers:   k,
+				Profile:   profile,
+				WIPS:      r.AWIPS,
+				WIRTms:    r.WIRTms,
+				Speedup:   r.AWIPS / wips[0],
+				Errors:    r.Errors,
+				Evictions: r.Proxy.QualityEvictions,
+			})
 		}
 		out.Fit[profile] = stats.LinearFit(ks, wips)
 		corr := stats.Correlation(wips, wirt)
@@ -116,6 +90,10 @@ func Scaleup(seed uint64) ScaleupResult {
 // offered load.
 const readScaleBrowsers = 3000
 
+// readScaleVoters is the voter degree the read scale-out sweep holds
+// fixed while readers are added.
+const readScaleVoters = 3
+
 // ReadScalePoint is one point of the read scale-out sweep: read
 // throughput against read-serving node count at a fixed voter degree.
 type ReadScalePoint struct {
@@ -126,33 +104,17 @@ type ReadScalePoint struct {
 	WIRTms      float64
 	FenceWaits  int64   // fenced reads that waited for the serving replica
 	StaleServes int64   // fence waits that fell back TooStale to the voters
-	Scale       float64 // ReadsPerSec relative to the Readers=0 baseline
+	Errors      int     // client-visible errors (the run is failure-free)
+	Evictions   int     // servers the proxy's quality gate pulled from rotation
+	Scale       float64 // ReadsPerSec relative to the first count swept
 }
 
-// ReadScaleConfig parameterizes the read scale-out sweep.
+// ReadScaleConfig sizes the read scale-out sweep.
 type ReadScaleConfig struct {
 	Seed     uint64
-	Servers  int   // voters per group; default 3
-	Counts   []int // reader counts swept; default {0, 1, 3}
+	Counts   []int // reader counts swept
 	Browsers int
 	Measure  time.Duration
-	Fault    Faultload // optional read-tier faultload
-}
-
-func (c ReadScaleConfig) withDefaults() ReadScaleConfig {
-	if c.Servers == 0 {
-		c.Servers = 3
-	}
-	if c.Counts == nil {
-		c.Counts = []int{0, 1, 3}
-	}
-	if c.Browsers == 0 {
-		c.Browsers = readScaleBrowsers
-	}
-	if c.Measure == 0 {
-		c.Measure = shortMeasure
-	}
-	return c
 }
 
 // ReadScale sweeps learner-backed readers per group under the Browsing
@@ -161,62 +123,51 @@ func (c ReadScaleConfig) withDefaults() ReadScaleConfig {
 // capacity grows with every read-serving node while the voter set — and
 // write latency — stays fixed.
 func ReadScale(cfg ReadScaleConfig) []ReadScalePoint {
-	cfg = cfg.withDefaults()
 	var out []ReadScalePoint
 	var base float64
 	for _, readers := range cfg.Counts {
 		r := Run(RunConfig{
 			Profile:  rbe.Browsing,
-			Servers:  cfg.Servers,
+			Servers:  readScaleVoters,
 			Readers:  readers,
 			StateMB:  300,
-			Fault:    cfg.Fault,
 			Browsers: cfg.Browsers,
 			Measure:  cfg.Measure,
 			Seed:     cfg.Seed,
 		})
-		var rps float64
-		var fw, ss int64
-		for _, g := range r.PerGroup {
-			rps += g.ReadsPerSec
-			fw += g.FenceWaits
-			ss += g.StaleServes
-		}
 		p := ReadScalePoint{
-			Readers:     readers,
-			ReadNodes:   cfg.Servers + readers,
-			ReadsPerSec: rps,
-			WIPS:        r.AWIPS,
-			WIRTms:      r.WIRTms,
-			FenceWaits:  fw,
-			StaleServes: ss,
+			Readers:   readers,
+			ReadNodes: readScaleVoters + readers,
+			WIPS:      r.AWIPS,
+			WIRTms:    r.WIRTms,
+			Errors:    r.Errors,
+			Evictions: r.Proxy.QualityEvictions,
+		}
+		for _, g := range r.PerGroup {
+			p.ReadsPerSec += g.ReadsPerSec
+			p.FenceWaits += g.FenceWaits
+			p.StaleServes += g.StaleServes
 		}
 		if base == 0 {
-			base = rps
+			base = p.ReadsPerSec
 		}
 		if base > 0 {
-			p.Scale = rps / base
+			p.Scale = p.ReadsPerSec / base
 		}
 		out = append(out, p)
 	}
 	return out
 }
 
-// FaultMatrix runs one faultload across the paper's dependability grid:
-// replication degrees 5 and 8, all three profiles, 500 MB state (Tables
-// 1–6, Figures 5, 7, 8).
-func FaultMatrix(fault Faultload, seed uint64) map[string]RunResult {
+// FaultMatrix runs base — one faultload at one size — across the paper's
+// dependability grid: the given replication degrees (the paper's 5 and 8)
+// × all three profiles (Tables 1–6, Figures 5, 7, 8).
+func FaultMatrix(base RunConfig, degrees []int) map[string]RunResult {
 	out := make(map[string]RunResult)
-	for _, servers := range []int{5, 8} {
+	for _, servers := range degrees {
 		for _, profile := range rbe.Profiles {
-			r := Run(RunConfig{
-				Profile: profile,
-				Servers: servers,
-				StateMB: 500,
-				Fault:   fault,
-				Seed:    seed,
-			})
-			out[matrixKey(servers, profile)] = r
+			base.Servers, base.Profile = servers, profile
+			out[matrixKey(servers, profile)] = Run(base)
 		}
 	}
 	return out
@@ -234,34 +185,20 @@ type RecoveryTimePoint struct {
 	RecoverySec float64
 }
 
-// RecoveryTimes reproduces Figure 6: one-crash recovery duration for
-// every combination of replication degree {5, 8}, profile and initial
-// state size {300, 500, 700} MB. Runs are shortened (crash earlier,
-// shorter tail) since only the recovery duration is measured.
-func RecoveryTimes(seed uint64) []RecoveryTimePoint {
+// RecoveryTimes reproduces Figure 6: the recovery duration of base's
+// crash for every combination of replication degree, profile and initial
+// state size {300, 500, 700} MB.
+func RecoveryTimes(base RunConfig, degrees []int) []RecoveryTimePoint {
 	var out []RecoveryTimePoint
-	for _, servers := range []int{5, 8} {
+	for _, servers := range degrees {
 		for _, profile := range rbe.Profiles {
 			for _, stateMB := range []int{300, 500, 700} {
-				r := Run(RunConfig{
-					Profile: profile,
-					Servers: servers,
-					StateMB: stateMB,
-					Fault:   OneCrash,
-					Measure: 300 * time.Second,
-					CrashAt: 90,
-					Seed:    seed,
-				})
-				sec := -1.0
-				if len(r.RecoveryDur) > 0 {
-					sec = r.RecoveryDur[0]
+				base.Servers, base.Profile, base.StateMB = servers, profile, stateMB
+				pt := RecoveryTimePoint{Servers: servers, Profile: profile, StateMB: stateMB, RecoverySec: -1}
+				if r := Run(base); len(r.RecoveryDur) > 0 {
+					pt.RecoverySec = r.RecoveryDur[0]
 				}
-				out = append(out, RecoveryTimePoint{
-					Servers:     servers,
-					Profile:     profile,
-					StateMB:     stateMB,
-					RecoverySec: sec,
-				})
+				out = append(out, pt)
 			}
 		}
 	}
@@ -332,44 +269,22 @@ func GrayFaultloads() []Faultload {
 	}
 }
 
-// GraySuite runs every gray-failure scenario against one deployment and
-// returns the per-scenario results, each carrying the fault windows and
-// the per-group availability/accuracy/recovery rows.
-func GraySuite(cfg ShardedSuiteConfig) []RunResult {
-	cfg = cfg.withDefaults()
-	return cfg.runAll(GrayFaultloads())
-}
-
-// ShardedSuiteConfig parameterizes the sharded dependability suite.
+// ShardedSuiteConfig sizes the sharded dependability suite: Shards groups
+// of three replicas on a 300 MB state under the Shopping profile.
 type ShardedSuiteConfig struct {
-	Shards   int           // default 2
-	Servers  int           // replication degree per group; default 3
-	StateMB  int           // default 300
+	Shards   int
 	Browsers int           // default faultBrowsers
 	Measure  time.Duration // default the paper's 540 s
 	Seed     uint64
-}
-
-func (c ShardedSuiteConfig) withDefaults() ShardedSuiteConfig {
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	if c.Servers == 0 {
-		c.Servers = 3
-	}
-	if c.StateMB == 0 {
-		c.StateMB = 300
-	}
-	return c
 }
 
 // runConfig is the suite's deployment under one faultload.
 func (c ShardedSuiteConfig) runConfig(fl Faultload) RunConfig {
 	return RunConfig{
 		Profile:  rbe.Shopping,
-		Servers:  c.Servers,
+		Servers:  3,
 		Shards:   c.Shards,
-		StateMB:  c.StateMB,
+		StateMB:  300,
 		Fault:    fl,
 		Browsers: c.Browsers,
 		Measure:  c.Measure,
@@ -377,38 +292,16 @@ func (c ShardedSuiteConfig) runConfig(fl Faultload) RunConfig {
 	}
 }
 
-// runAll runs every scenario against the suite's deployment.
-func (c ShardedSuiteConfig) runAll(scenarios []Faultload) []RunResult {
+// Suite runs every scenario against one deployment and returns the
+// per-scenario results, each carrying the fault windows
+// (RunResult.FaultWindows) and the per-group + aggregate dependability
+// report (RunResult.PerGroup).
+func Suite(cfg ShardedSuiteConfig, scenarios []Faultload) []RunResult {
 	out := make([]RunResult, 0, len(scenarios))
 	for _, fl := range scenarios {
-		out = append(out, Run(c.runConfig(fl)))
+		out = append(out, Run(cfg.runConfig(fl)))
 	}
 	return out
-}
-
-// ShardedSuite runs every sharded scenario against one deployment and
-// returns the per-scenario results, each carrying the per-group +
-// aggregate dependability report in RunResult.PerGroup.
-func ShardedSuite(cfg ShardedSuiteConfig) []RunResult {
-	cfg = cfg.withDefaults()
-	return cfg.runAll(ShardedFaultloads(cfg.Shards))
-}
-
-// PartitionSuite runs every correlated partition scenario against one
-// deployment and returns the per-scenario results, each carrying the
-// fault windows (RunResult.FaultWindows) and per-group dependability
-// rows.
-func PartitionSuite(cfg ShardedSuiteConfig) []RunResult {
-	cfg = cfg.withDefaults()
-	return cfg.runAll(PartitionFaultloads())
-}
-
-// SlowDiskScenario runs the straggler-disk faultload against one
-// deployment: the degraded member drags its group's commit pipeline
-// whenever it sits in the phase-2 quorum without ever tripping crash
-// detection.
-func SlowDiskScenario(cfg ShardedSuiteConfig) RunResult {
-	return Run(cfg.withDefaults().runConfig(SlowDiskFaultload()))
 }
 
 // PartitionBenchPoint is the leader-isolation benchmark's summary: how
@@ -424,15 +317,16 @@ type PartitionBenchPoint struct {
 }
 
 // PartitionRecoveryBench measures leader-isolation failover on the
-// reference single-group deployment (5 replicas, shortened measurement).
-func PartitionRecoveryBench(seed uint64) PartitionBenchPoint {
+// reference single-group deployment (5 replicas, 300 MB) under the given
+// load and measurement interval.
+func PartitionRecoveryBench(seed uint64, browsers int, measure time.Duration) PartitionBenchPoint {
 	r := Run(RunConfig{
 		Profile:  rbe.Shopping,
 		Servers:  5,
 		StateMB:  300,
 		Fault:    LeaderIsolation(0, 240, 330),
-		Browsers: 600,
-		Measure:  300 * time.Second,
+		Browsers: browsers,
+		Measure:  measure,
 		Seed:     seed,
 	})
 	// Recovery times default to the "never recovered within the run"
@@ -450,13 +344,13 @@ func PartitionRecoveryBench(seed uint64) PartitionBenchPoint {
 	}
 	w := r.FaultWindows[0]
 	threshold := 0.7 * pt.FFAWIPS
-	if at := seriesRecoversAt(r.Series, int(w.FromSec)+1, threshold); at >= 0 {
+	if at := SeriesRecoversAt(r.Series, int(w.FromSec)+1, threshold); at >= 0 {
 		if pt.DetectSec = float64(at) - w.FromSec; pt.DetectSec < 0 {
 			pt.DetectSec = 0
 		}
 	}
 	if w.ToSec > 0 {
-		if at := seriesRecoversAt(r.Series, int(w.ToSec)+1, threshold); at >= 0 {
+		if at := SeriesRecoversAt(r.Series, int(w.ToSec)+1, threshold); at >= 0 {
 			if pt.ReabsorbSec = float64(at) - w.ToSec; pt.ReabsorbSec < 0 {
 				pt.ReabsorbSec = 0
 			}
@@ -469,20 +363,15 @@ func PartitionRecoveryBench(seed uint64) PartitionBenchPoint {
 	return pt
 }
 
-// seriesRecoversAt returns the first second at/after floor where
+// SeriesRecoversAt returns the first second at/after floor where
 // throughput is back AND stays back: the bucket itself and the mean of
 // the three buckets starting there reach target. Looking forward (never
 // before floor) keeps full one-second resolution without letting healthy
 // pre-phase seconds mask a dip or one jittery bucket declare recovery.
-// Returns -1 when throughput never sustains target within the run.
-func seriesRecoversAt(series []float64, floor int, target float64) int {
-	return SeriesRecoversAt(series, floor, target)
-}
-
-// SeriesRecoversAt is the exported recovery detector: the fault-search
-// oracles (internal/exp/search) use it as the write-wedge check — a run
-// whose throughput never sustains the target after its last fault is
-// restored has wedged.
+// Returns -1 when throughput never sustains target within the run. The
+// fault-search oracles (internal/exp/search) use it as the write-wedge
+// check — a run whose throughput never sustains the target after its last
+// fault is restored has wedged.
 func SeriesRecoversAt(series []float64, floor int, target float64) int {
 	if floor < 0 {
 		floor = 0
@@ -549,32 +438,26 @@ func ShardedRecoveryCurve(seed uint64, shardCounts []int) []ShardedRecoveryPoint
 // group included — alongside the paper's measures, answering: does
 // resharding stay downtime-free even when a replica dies mid-handoff?
 func RebalanceScenario(cfg ShardedSuiteConfig) RunResult {
-	rc := cfg.withDefaults().runConfig(NoFault)
+	rc := cfg.runConfig(NoFault)
 	rc.RebalanceAtSec, rc.CrashMidMigration = 240, true
 	return Run(rc)
 }
 
 // AblationResult compares a design choice on/off under one workload.
 type AblationResult struct {
-	Name         string
-	BaselineWIPS float64
-	VariantWIPS  float64
-	BaselineWIRT float64
-	VariantWIRT  float64
-	BaselineNote string
-	VariantNote  string
+	Name                      string
+	BaselineNote, VariantNote string
+	Baseline, Variant         RunResult
 }
 
-// AblationFastPaxos compares Fast Paxos against classic-only Paxos at the
-// reference workload — the design choice §2 motivates.
-func AblationFastPaxos(seed uint64) AblationResult {
-	fast := Run(RunConfig{Profile: rbe.Ordering, Servers: 5, StateMB: 300,
-		Browsers: faultBrowsers, Measure: shortMeasure, Seed: seed})
-	classic := Run(RunConfig{Profile: rbe.Ordering, Servers: 5, StateMB: 300,
-		Browsers: faultBrowsers, Measure: shortMeasure, Seed: seed, NoFast: true})
+// Ablation runs base and the same run with one design choice switched off
+// by vary.
+func Ablation(name, baselineNote, variantNote string, base RunConfig, vary func(*RunConfig)) AblationResult {
+	variant := base
+	vary(&variant)
 	return AblationResult{
-		Name:         "fast-paxos-vs-classic",
-		BaselineWIPS: fast.AWIPS, BaselineWIRT: fast.WIRTms, BaselineNote: "fast paxos",
-		VariantWIPS: classic.AWIPS, VariantWIRT: classic.WIRTms, VariantNote: "classic paxos",
+		Name:         name,
+		BaselineNote: baselineNote, Baseline: Run(base),
+		VariantNote: variantNote, Variant: Run(variant),
 	}
 }

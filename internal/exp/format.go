@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"robuststore/internal/metrics"
@@ -14,60 +13,47 @@ import (
 // This file renders experiment results as the rows the paper prints —
 // one formatter per table and figure.
 
-// PrintSpeedup renders Figure 3 as two aligned series (WIPS and WIRT per
-// replication degree) plus the S_k values the text quotes.
-func PrintSpeedup(w io.Writer, r SpeedupResult) {
-	fmt.Fprintln(w, "Figure 3 — Speedup (saturation, 500 MB state)")
-	fmt.Fprintf(w, "%-10s", "replicas")
-	for _, k := range scalePoints {
-		fmt.Fprintf(w, "%8d", k)
+// scaleRow renders one labelled series of a replication-degree sweep.
+func scaleRow(w io.Writer, label, format string, pts []ScalePoint, cell func(ScalePoint) any) {
+	fmt.Fprintf(w, "%-10s", label)
+	for _, pt := range pts {
+		fmt.Fprintf(w, format, cell(pt))
 	}
 	fmt.Fprintln(w)
+}
+
+// printScale renders the rows Figures 3 and 4 share — WIPS and WIRT per
+// replication degree, and the errors and quality evictions a failure-free
+// run should not have — with extra closing each profile's block.
+func printScale(w io.Writer, title string, r ScaleResult, extra func(rbe.Profile, []ScalePoint)) {
+	fmt.Fprintln(w, title)
+	scaleRow(w, "replicas", "%8d", r.Points[rbe.Browsing], func(pt ScalePoint) any { return pt.Servers })
 	for _, profile := range rbe.Profiles {
 		pts := r.Points[profile]
-		fmt.Fprintf(w, "%-10s", profile.String()+" WIPS")
-		for _, pt := range pts {
-			fmt.Fprintf(w, "%8.0f", pt.WIPS)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "%-10s", "  WIRT ms")
-		for _, pt := range pts {
-			fmt.Fprintf(w, "%8.0f", pt.WIRTms)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "%-10s", "  S_k")
-		for _, pt := range pts {
-			fmt.Fprintf(w, "%8.2f", pt.Speedup)
-		}
-		fmt.Fprintln(w)
+		scaleRow(w, profile.String()+" WIPS", "%8.0f", pts, func(pt ScalePoint) any { return pt.WIPS })
+		scaleRow(w, "  WIRT ms", "%8.0f", pts, func(pt ScalePoint) any { return pt.WIRTms })
+		scaleRow(w, "  errors", "%8d", pts, func(pt ScalePoint) any { return pt.Errors })
+		scaleRow(w, "  evicted", "%8d", pts, func(pt ScalePoint) any { return pt.Evictions })
+		extra(profile, pts)
 	}
+}
+
+// PrintSpeedup renders Figure 3 as aligned series per replication degree
+// plus the S_k values the text quotes.
+func PrintSpeedup(w io.Writer, r ScaleResult) {
+	printScale(w, "Figure 3 — Speedup (saturation, 500 MB state)", r, func(_ rbe.Profile, pts []ScalePoint) {
+		scaleRow(w, "  S_k", "%8.2f", pts, func(pt ScalePoint) any { return pt.Speedup })
+	})
 }
 
 // PrintScaleup renders Figure 4: WIPS/WIRT at 1000 offered WIPS plus the
 // regression slope and the WIPS-WIRT r² of §5.3.
-func PrintScaleup(w io.Writer, r ScaleupResult) {
-	fmt.Fprintln(w, "Figure 4 — Scaleup at 1000 WIPS (300 MB state)")
-	fmt.Fprintf(w, "%-10s", "replicas")
-	for _, k := range scalePoints {
-		fmt.Fprintf(w, "%8d", k)
-	}
-	fmt.Fprintln(w)
-	for _, profile := range rbe.Profiles {
-		pts := r.Points[profile]
-		fmt.Fprintf(w, "%-10s", profile.String()+" WIPS")
-		for _, pt := range pts {
-			fmt.Fprintf(w, "%8.0f", pt.WIPS)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "%-10s", "  WIRT ms")
-		for _, pt := range pts {
-			fmt.Fprintf(w, "%8.0f", pt.WIRTms)
-		}
-		fmt.Fprintln(w)
+func PrintScaleup(w io.Writer, r ScaleResult) {
+	printScale(w, "Figure 4 — Scaleup at 1000 WIPS (300 MB state)", r, func(profile rbe.Profile, _ []ScalePoint) {
 		fit := r.Fit[profile]
 		fmt.Fprintf(w, "  fit: WIPS = %.2f·k %+.1f   r²(WIPS,WIRT) = %.4f\n",
 			fit.Slope, fit.Intercept, r.Correlation[profile])
-	}
+	})
 }
 
 // PrintPerformability renders Tables 1 and 3: failure-free vs recovery
@@ -109,13 +95,16 @@ func PrintDelayedPerformability(w io.Writer, m map[string]RunResult) {
 func PrintAccuracy(w io.Writer, title string, m map[string]RunResult) {
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-9s %10s %10s %10s\n", "replicas", "browsing", "shopping", "ordering")
-	for _, servers := range []int{5, 8} {
-		fmt.Fprintf(w, "%-9d", servers)
+	for _, servers := range matrixDegrees {
+		row, ran := fmt.Sprintf("%-9d", servers), false
 		for _, profile := range rbe.Profiles {
-			r := m[matrixKey(servers, profile)]
-			fmt.Fprintf(w, " %10.3f", r.Accuracy)
+			r, ok := m[matrixKey(servers, profile)]
+			ran = ran || ok
+			row += fmt.Sprintf(" %10.3f", r.Accuracy)
 		}
-		fmt.Fprintln(w)
+		if ran {
+			fmt.Fprintln(w, row)
+		}
 	}
 }
 
@@ -189,7 +178,7 @@ func PrintHistogram(w io.Writer, r RunResult) {
 }
 
 // PrintRecoveryTimes renders Figure 6 as a table: recovery seconds per
-// (replicas, profile, state size).
+// (replicas, profile, state size), rows in the order the sweep ran them.
 func PrintRecoveryTimes(w io.Writer, pts []RecoveryTimePoint) {
 	fmt.Fprintln(w, "Figure 6 — One failure: recovery times (s)")
 	fmt.Fprintf(w, "%-9s %-10s %8s %8s %8s\n", "replicas", "profile", "300MB", "500MB", "700MB")
@@ -198,24 +187,16 @@ func PrintRecoveryTimes(w io.Writer, pts []RecoveryTimePoint) {
 		profile rbe.Profile
 	}
 	rows := map[key]map[int]float64{}
+	var order []key
 	for _, p := range pts {
 		k := key{p.Servers, p.Profile}
 		if rows[k] == nil {
 			rows[k] = map[int]float64{}
+			order = append(order, k)
 		}
 		rows[k][p.StateMB] = p.RecoverySec
 	}
-	keys := make([]key, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].servers != keys[j].servers {
-			return keys[i].servers < keys[j].servers
-		}
-		return keys[i].profile < keys[j].profile
-	})
-	for _, k := range keys {
+	for _, k := range order {
 		fmt.Fprintf(w, "%-9d %-10s %8.0f %8.0f %8.0f\n",
 			k.servers, k.profile, rows[k][300], rows[k][500], rows[k][700])
 	}
@@ -368,15 +349,16 @@ func PrintShardedRecovery(w io.Writer, pts []ShardedRecoveryPoint) {
 }
 
 // PrintReadScale renders the read scale-out sweep: read throughput vs
-// read-serving node count, with the staleness accounting beside it.
+// read-serving node count, with the staleness accounting and the errors
+// and quality evictions of the (failure-free) runs beside it.
 func PrintReadScale(w io.Writer, pts []ReadScalePoint) {
 	fmt.Fprintln(w, "Read scale-out — learner readers per group, Browsing profile")
-	fmt.Fprintf(w, "%-8s %10s %12s %8s %10s %12s %12s %8s\n",
-		"readers", "read nodes", "reads/s", "WIPS", "WIRT(ms)", "fence waits", "stale serves", "scale")
+	fmt.Fprintf(w, "%-8s %10s %12s %8s %10s %12s %12s %8s %8s %8s\n",
+		"readers", "read nodes", "reads/s", "WIPS", "WIRT(ms)", "fence waits", "stale serves", "errors", "evicted", "scale")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-8d %10d %12.1f %8.1f %10.1f %12d %12d %8.2f\n",
+		fmt.Fprintf(w, "%-8d %10d %12.1f %8.1f %10.1f %12d %12d %8d %8d %8.2f\n",
 			p.Readers, p.ReadNodes, p.ReadsPerSec, p.WIPS, p.WIRTms,
-			p.FenceWaits, p.StaleServes, p.Scale)
+			p.FenceWaits, p.StaleServes, p.Errors, p.Evictions, p.Scale)
 	}
 }
 
@@ -397,17 +379,33 @@ func PrintCheckpointCurve(w io.Writer, pts []CheckpointPoint) {
 	}
 }
 
-// PrintAblation renders one ablation comparison.
+// PrintAblation renders one ablation comparison; runs that crashed a
+// replica also report its recovery time.
 func PrintAblation(w io.Writer, a AblationResult) {
-	fmt.Fprintf(w, "Ablation %s:\n  %-16s %8.1f WIPS %8.1f ms\n  %-16s %8.1f WIPS %8.1f ms\n",
-		a.Name, a.BaselineNote, a.BaselineWIPS, a.BaselineWIRT,
-		a.VariantNote, a.VariantWIPS, a.VariantWIRT)
+	fmt.Fprintf(w, "Ablation %s:\n", a.Name)
+	for _, side := range []struct {
+		note string
+		r    RunResult
+	}{{a.BaselineNote, a.Baseline}, {a.VariantNote, a.Variant}} {
+		fmt.Fprintf(w, "  %-16s %8.1f WIPS %8.1f ms", side.note, side.r.AWIPS, side.r.WIRTms)
+		switch {
+		case len(side.r.RecoveryDur) > 0:
+			fmt.Fprintf(w, " %8.1f s recovery", side.r.RecoveryDur[0])
+		case len(side.r.CrashSec) > 0:
+			fmt.Fprint(w, "    never recovered")
+		}
+		fmt.Fprintln(w)
+	}
 }
+
+// matrixDegrees are the paper's replication degrees for the dependability
+// tables; a matrix run at fewer degrees prints fewer rows.
+var matrixDegrees = []int{5, 8}
 
 // matrixOrder returns the paper's row order for the dependability tables.
 func matrixOrder() []string {
 	var keys []string
-	for _, servers := range []int{5, 8} {
+	for _, servers := range matrixDegrees {
 		for _, profile := range rbe.Profiles {
 			keys = append(keys, matrixKey(servers, profile))
 		}

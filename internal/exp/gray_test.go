@@ -86,7 +86,7 @@ func TestGraySuiteScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full gray suite in -short mode")
 	}
-	rs := GraySuite(ShardedSuiteConfig{Shards: 1, Seed: 1, Browsers: 200, Measure: 120 * time.Second})
+	rs := Suite(shortParams().suite(), GrayFaultloads())
 	if len(rs) != 4 {
 		t.Fatalf("gray suite ran %d scenarios, want 4", len(rs))
 	}

@@ -4,15 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 )
 
-// rebalanceRun is the resharding-under-fault scenario at CI size, shared
-// (memoized) by the tests in this file.
+// rebalanceRun is the resharding-under-fault scenario at its short size,
+// shared (memoized) by the tests in this file and the golden run.
 func rebalanceRun() RunResult {
-	return RebalanceScenario(ShardedSuiteConfig{
-		Shards: 2, Browsers: 300, Measure: 150 * time.Second, Seed: 2,
-	})
+	return RebalanceScenario(shortParams().suite())
 }
 
 // TestRebalanceScenario: a 2-group deployment grows to 3 live, with a

@@ -4,20 +4,14 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
-
-	"robuststore/internal/rbe"
 )
 
-// groupOutageRun is the whole-group-down scenario on a 2×3 deployment,
-// shared (memoized) by the tests in this file. Scaled times: crash at
-// t=100 s, manual recovery at t=150 s, run ends at t=240 s (+90 s drain).
+// groupOutageRun is the whole-group-down scenario of the sharded suite at
+// its short size (a 2×3 deployment), shared (memoized) by the tests in
+// this file and the golden run. Scaled times: crash at t=88 s, manual
+// recovery at t=130 s, run ends at t=210 s.
 func groupOutageRun() RunResult {
-	fl := GroupOutage(0, 240, 390)
-	return Run(RunConfig{
-		Profile: rbe.Shopping, Servers: 3, Shards: 2, StateMB: 300,
-		Fault: fl, Browsers: 300, Measure: 180 * time.Second, Seed: 2,
-	})
+	return Suite(shortParams().suite(), []Faultload{GroupOutage(0, 240, 390)})[0]
 }
 
 // TestGroupOutageScenario: a whole group goes down (quorum loss for its
@@ -79,12 +73,7 @@ func TestGroupOutageScenario(t *testing.T) {
 // once; every group keeps its quorum, so there is no outage, and every
 // crashed member recovers autonomously.
 func TestMemberEveryGroupScenario(t *testing.T) {
-	fl := MemberEveryGroup(270)
-	r := Run(RunConfig{
-		Profile: rbe.Shopping, Servers: 3, Shards: 2, StateMB: 300,
-		Fault: fl, Browsers: 300, Measure: 180 * time.Second,
-		CrashAt: 90, Seed: 2,
-	})
+	r := Suite(shortParams().suite(), []Faultload{MemberEveryGroup(270)})[0]
 	if r.Faults != 2 {
 		t.Fatalf("faults = %d, want one per group", r.Faults)
 	}

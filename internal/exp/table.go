@@ -1,0 +1,298 @@
+package exp
+
+import (
+	"fmt"
+	"io"
+	"time"
+
+	"robuststore/internal/rbe"
+	"robuststore/internal/shard"
+)
+
+// This file is the one list of experiments. Each entry names an
+// experiment, says what it reproduces, and runs it at one of two sizes —
+// the paper's, or a short one that keeps the regime the experiment is
+// about at a fraction of the cost — printing its report. cmd/experiment
+// is flag parsing plus a loop over this table, and
+// testdata/golden/all-short.txt holds every byte RunAll prints at the
+// short size under DefaultParams (TestGoldenAllShort compares them), so a
+// model move shows up as a reviewed diff of that file. Regenerate it with
+//
+//	go run ./cmd/experiment -run all -short > internal/exp/testdata/golden/all-short.txt
+
+// Params are cmd/experiment's flags; an experiment derives its whole
+// configuration from them.
+type Params struct {
+	Seed    uint64
+	Shards  int         // Paxos groups of the sharded experiments
+	Servers int         // replication degree of one-crash's histogram run
+	Profile rbe.Profile // workload of the same
+	Short   bool        // the short size instead of the paper's
+}
+
+// DefaultParams are cmd/experiment's flag defaults.
+var DefaultParams = Params{Seed: 1, Shards: 2, Servers: 5, Profile: rbe.Shopping}
+
+// Experiment is one entry of the table. Run's error is the experiment's
+// own verdict — an atomicity violation, a hunt finding.
+type Experiment struct {
+	Name string
+	Doc  string
+	Run  func(p Params, w io.Writer) error
+}
+
+// RunAll runs every experiment of the table in order, each under a header
+// naming it.
+func RunAll(p Params, w io.Writer) error {
+	for _, e := range Experiments {
+		fmt.Fprintf(w, "\n== %s ==\n", e.Name)
+		if err := e.Run(p, w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sweepMeasure is the measurement interval of the failure-free sweeps at
+// their full size: AWIPS is stable (browsing CV ≈ 0.01), so 150 s gives
+// the same means as the paper's 540 s at a fraction of the simulation
+// cost.
+const sweepMeasure = 150 * time.Second
+
+// scale sizes a replication-degree sweep: the paper's 4–12 servers (18
+// nodes minus 5 clients and 1 proxy) over 150 s, or 4 and 8 replicas over
+// 30 s — under the same population either way, so the short speedup still
+// saturates (2600 browsers no longer saturate the browsing mix at 12
+// replicas, and a 12-replica run costs three times the host time of an
+// 8-replica one).
+func (p Params) scale(stateMB, browsers int) ScaleConfig {
+	cfg := ScaleConfig{Degrees: []int{4, 5, 6, 8, 10, 12}, StateMB: stateMB, Browsers: browsers, Measure: sweepMeasure, Seed: p.Seed}
+	if p.Short {
+		cfg.Degrees, cfg.Measure = []int{4, 8}, 30*time.Second
+	}
+	return cfg
+}
+
+// crash sizes a §5.4–5.6 fault run and the replication degrees it is
+// repeated at: the paper's 1000 browsers over 540 s on a 500 MB state at
+// 5 and 8 replicas, or 400 browsers over 180 s on 300 MB at 5 replicas
+// with the first crash pulled to t=90 s on the paper's axis.
+func (p Params) crash(fault Faultload) (RunConfig, []int) {
+	if p.Short {
+		return RunConfig{StateMB: 300, Fault: fault, Browsers: 400,
+			Measure: 180 * time.Second, CrashAt: 90, Seed: p.Seed}, matrixDegrees[:1]
+	}
+	return RunConfig{StateMB: 500, Fault: fault, Seed: p.Seed}, matrixDegrees
+}
+
+// suite sizes the sharded dependability deployment: the paper's load and
+// interval, or 300 browsers over 150 s.
+func (p Params) suite() ShardedSuiteConfig {
+	cfg := ShardedSuiteConfig{Shards: p.Shards, Seed: p.Seed}
+	if p.Short {
+		cfg.Browsers, cfg.Measure = 300, 150*time.Second
+	}
+	return cfg
+}
+
+// printHistograms renders the Figure 5/7/8 panels of a fault matrix: the
+// five-replica run of every profile.
+func printHistograms(w io.Writer, m map[string]RunResult) {
+	for _, profile := range rbe.Profiles {
+		PrintHistogram(w, m[matrixKey(5, profile)])
+	}
+}
+
+// printSuite renders each scenario's histogram and per-group report.
+func printSuite(w io.Writer, rs []RunResult) {
+	for _, r := range rs {
+		PrintHistogram(w, r)
+		PrintShardedDependability(w, r)
+		fmt.Fprintln(w)
+	}
+}
+
+// Experiments is the table: the paper's evaluation (§5) first, then the
+// experiments on what this repository adds to it.
+var Experiments = []Experiment{
+	{"speedup", "Figure 3: saturation WIPS/WIRT at 4–12 replicas under the three TPC-W profiles, with the S_k speedups",
+		func(p Params, w io.Writer) error {
+			PrintSpeedup(w, ScaleSweep(p.scale(500, saturationBrowsers))) // §5.2: 500 MB initial state
+			return nil
+		}},
+	{"scaleup", "Figure 4: WIPS/WIRT at 1000 offered WIPS for 4–12 replicas, with the regression fits and the WIPS–WIRT r²",
+		func(p Params, w io.Writer) error {
+			PrintScaleup(w, ScaleSweep(p.scale(300, faultBrowsers))) // §5.3: 300 MB to avoid swapping
+			return nil
+		}},
+	{"one-crash", "Figure 5, Tables 1–2: one crash at t=270 s, autonomous recovery (the histogram is the -servers/-profile run)",
+		func(p Params, w io.Writer) error {
+			base, degrees := p.crash(OneCrash)
+			one := base
+			one.Servers, one.Profile = p.Servers, p.Profile
+			PrintHistogram(w, Run(one))
+			m := FaultMatrix(base, degrees)
+			PrintPerformability(w, "Table 1 — One failure: performability", m)
+			PrintAccuracy(w, "Table 2 — One failure: accuracy (%)", m)
+			PrintDependability(w, "One failure: availability/autonomy", m)
+			return nil
+		}},
+	{"two-crashes", "Figure 7, Tables 3–4: two overlapped crashes at t=240 s and t=270 s",
+		func(p Params, w io.Writer) error {
+			m := FaultMatrix(p.crash(TwoCrashes))
+			printHistograms(w, m)
+			PrintPerformability(w, "Table 3 — Two overlapped crashes: performability", m)
+			PrintAccuracy(w, "Table 4 — Two overlapped crashes: accuracy (%)", m)
+			PrintDependability(w, "Two crashes: availability/autonomy", m)
+			return nil
+		}},
+	{"delayed", "Figure 8, Tables 5–6: both crash at t=240 s, one recovers by operator intervention at t=390 s",
+		func(p Params, w io.Writer) error {
+			m := FaultMatrix(p.crash(DelayedRecovery))
+			printHistograms(w, m)
+			PrintDelayedPerformability(w, m)
+			PrintAccuracy(w, "Table 6 — Delayed recovery: accuracy (%)", m)
+			PrintDependability(w, "Delayed recovery: availability/autonomy", m)
+			return nil
+		}},
+	{"recovery-times", "Figure 6: one-crash recovery time per replication degree, profile and state size {300, 500, 700} MB",
+		func(p Params, w io.Writer) error {
+			base, degrees := p.crash(OneCrash)
+			if !p.Short {
+				// Only the recovery duration is measured: crash
+				// earlier, shorter tail.
+				base.Measure, base.CrashAt = 300*time.Second, 90
+			}
+			PrintRecoveryTimes(w, RecoveryTimes(base, degrees))
+			return nil
+		}},
+	{"ablations", "design choices switched off under the ordering profile: Fast Paxos, command batching, parallel recovery",
+		func(p Params, w io.Writer) error {
+			load := RunConfig{Profile: rbe.Ordering, Servers: 5, StateMB: 300,
+				Browsers: faultBrowsers, Measure: sweepMeasure, Seed: p.Seed}
+			if p.Short {
+				load.Browsers, load.Measure = 600, 30*time.Second
+			}
+			crash, _ := p.crash(OneCrash)
+			crash.Profile, crash.Servers = rbe.Ordering, 5
+			PrintAblation(w, Ablation("fast-paxos-vs-classic", "fast paxos", "classic paxos", load,
+				func(c *RunConfig) { c.NoFast = true }))
+			PrintAblation(w, Ablation("command-batching", "batched", "one per value", load,
+				func(c *RunConfig) { c.NoBatch = true }))
+			PrintAblation(w, Ablation("parallel-recovery", "parallel", "sequential", crash,
+				func(c *RunConfig) { c.SeqRec = true }))
+			return nil
+		}},
+	{"shard-scaling", "ordered actions/s of the hash-partitioned store at 1, 2 and 4 Paxos groups under one offered load",
+		func(p Params, w io.Writer) error {
+			cfg := shard.ThroughputConfig{Offered: 8000, Warmup: 2 * time.Second, Measure: 10 * time.Second, Seed: p.Seed}
+			if p.Short {
+				cfg.Measure = 3 * time.Second
+			}
+			fmt.Fprintf(w, "Shard scaling — committed actions/sec at %d offered actions/sec\n", cfg.Offered)
+			var one float64
+			for _, n := range []int{1, 2, 4} {
+				cfg.Shards = n
+				r := shard.MeasureThroughput(cfg)
+				if n == 1 {
+					one = r.PerSec
+				}
+				fmt.Fprintf(w, "  %d shard(s): %8.0f actions/sec  %.2f× (per shard %v)\n",
+					n, r.PerSec, r.PerSec/one, r.PerShard)
+			}
+			return nil
+		}},
+	{"sharded", "sharded faultloads: one member of every group, a rolling wave, a whole group out until manual recovery",
+		func(p Params, w io.Writer) error {
+			printSuite(w, Suite(p.suite(), ShardedFaultloads(p.Shards)))
+			return nil
+		}},
+	{"sharded-recovery", "recovery time vs shard count (doubling up to -shards) with one member of every group crashed",
+		func(p Params, w io.Writer) error {
+			var counts []int
+			for n := 1; n < p.Shards; n *= 2 {
+				counts = append(counts, n)
+			}
+			counts = append(counts, p.Shards)
+			if p.Short && len(counts) > 2 {
+				counts = counts[:2]
+			}
+			PrintShardedRecovery(w, ShardedRecoveryCurve(p.Seed, counts))
+			return nil
+		}},
+	{"rebalance", "resharding under fault: a group added live at t=240 s, a source-group member killed mid-copy",
+		func(p Params, w io.Writer) error {
+			r := RebalanceScenario(p.suite())
+			PrintHistogram(w, r)
+			PrintRebalance(w, r)
+			return nil
+		}},
+	{"checkpoint", "recovery time vs checkpoint interval (the Figure 6 trade-off), full-state vs incremental checkpoints",
+		func(p Params, w io.Writer) error {
+			cfg := CheckpointCurveConfig{Servers: 5, StateMB: 500, Browsers: 400,
+				Measure: 300 * time.Second, Intervals: []int{15, 30, 60, 120}, Seed: p.Seed}
+			if p.Short {
+				cfg = CheckpointCurveConfig{Servers: 3, StateMB: 300, Browsers: 300,
+					Measure: 150 * time.Second, Intervals: []int{20, 60}, Seed: p.Seed}
+			}
+			PrintCheckpointCurve(w, CheckpointCurve(cfg))
+			return nil
+		}},
+	{"partition", "correlated network faults: leader isolation, minority split, whole-group isolation, one-way loss",
+		func(p Params, w io.Writer) error {
+			printSuite(w, Suite(p.suite(), PartitionFaultloads()))
+			return nil
+		}},
+	{"partition-recovery", "leader isolation on 5 replicas: detection+failover and post-heal reabsorption times",
+		func(p Params, w io.Writer) error {
+			browsers, measure := 600, 300*time.Second
+			if p.Short {
+				browsers, measure = 300, 150*time.Second
+			}
+			PrintPartitionBench(w, PartitionRecoveryBench(p.Seed, browsers, measure))
+			return nil
+		}},
+	{"slowdisk", "the failing-disk straggler: one member's disk degraded live, never tripping crash detection",
+		func(p Params, w io.Writer) error {
+			r := Suite(p.suite(), []Faultload{SlowDiskFaultload()})[0]
+			PrintHistogram(w, r)
+			PrintShardedDependability(w, r)
+			return nil
+		}},
+	{"gray", "gray failures probe timeouts cannot see: a member or leader erroring or slow-walking, link delay, partition flapping",
+		func(p Params, w io.Writer) error {
+			printSuite(w, Suite(p.suite(), GrayFaultloads()))
+			return nil
+		}},
+	{"txn", "cross-shard transactions under 2PC-window faults, each run audited for atomicity",
+		func(p Params, w io.Writer) error {
+			violations := 0
+			for _, r := range TxnSuite(p.suite()) {
+				PrintTxnReport(w, r)
+				fmt.Fprintln(w)
+				violations += r.Txn.Violations()
+			}
+			if violations > 0 {
+				return fmt.Errorf("txn: %d atomicity violation(s)", violations)
+			}
+			return nil
+		}},
+	{"readscale", "read throughput vs learner-backed readers per group under the saturated Browsing profile",
+		func(p Params, w io.Writer) error {
+			cfg := ReadScaleConfig{Counts: []int{0, 1, 3}, Browsers: readScaleBrowsers, Measure: sweepMeasure, Seed: p.Seed}
+			if p.Short {
+				cfg.Counts, cfg.Measure = []int{0, 3}, 60*time.Second
+			}
+			PrintReadScale(w, ReadScale(cfg))
+			return nil
+		}},
+	{"batching", "WAL group commit: ordered actions/s vs batch size × pipeline depth against the reference pipeline",
+		func(p Params, w io.Writer) error {
+			cfg := BatchingConfig{Shards: []int{1, 4}, Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: p.Seed}
+			if p.Short {
+				cfg = BatchingConfig{Shards: []int{1}, Warmup: time.Second, Measure: 2 * time.Second, Seed: p.Seed}
+			}
+			PrintBatching(w, Batching(cfg))
+			return nil
+		}},
+}

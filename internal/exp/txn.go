@@ -365,7 +365,6 @@ func TxnFaultloads() []Faultload {
 // and returns the per-scenario results, each carrying the atomicity
 // audit (RunResult.Txn) and the per-group transaction counters.
 func TxnSuite(cfg ShardedSuiteConfig) []RunResult {
-	cfg = cfg.withDefaults()
 	scenarios := TxnFaultloads()
 	out := make([]RunResult, 0, len(scenarios))
 	for _, fl := range scenarios {

@@ -34,20 +34,15 @@ type Config struct {
 	// timer-triggered, or queue drain — may overshoot it. Default 5.
 	MaxInFlight int
 
-	// Sync selects the WAL flush policy (see SyncMode). The default,
-	// SyncBatch, coalesces concurrently pending WAL records into one
-	// group commit per flush.
-	Sync SyncMode
-
-	// SyncBytes flushes a pending WAL group early once it holds this
-	// many bytes (SyncBatch only). Default 256 KiB.
+	// SyncBytes flushes a pending WAL group (see walWriter) early once
+	// it holds this many bytes. Default 256 KiB.
 	SyncBytes int64
 
 	// SyncDelay bounds how long a pending WAL group may wait for more
-	// records before flushing (SyncBatch only). The default, 0, flushes
-	// at the next executor step: coalescing then comes only from records
-	// that pile up behind an in-flight flush, which adds no latency at
-	// low concurrency and converges to full group commit under load.
+	// records before flushing. The default, 0, flushes at the next
+	// executor step: coalescing then comes only from records that pile
+	// up behind an in-flight flush, which adds no latency at low
+	// concurrency and converges to full group commit under load.
 	SyncDelay time.Duration
 
 	// Admission parameterizes the proposer's write-admission controller
@@ -249,7 +244,7 @@ func New(cfg Config) *Engine {
 // ready, if non-nil, runs once the WAL has been replayed.
 func (en *Engine) Boot(e env.Env, deliverFloor InstanceID, ready func()) {
 	en.e = e
-	en.wal = newWALWriter(e, en.cfg.Sync, en.cfg.SyncBytes, en.cfg.SyncDelay)
+	en.wal = newWALWriter(e, en.cfg.SyncBytes, en.cfg.SyncDelay)
 	en.me = e.ID()
 	en.members = en.cfg.Members
 	if en.members == nil {
@@ -877,8 +872,8 @@ func (en *Engine) Compact(through InstanceID) {
 	}})
 }
 
-// appendRecord writes a durable record through the WAL writer (which
-// applies the configured SyncMode) and tracks the global record index.
+// appendRecord writes a durable record through the WAL writer (group
+// commit) and tracks the global record index.
 func (en *Engine) appendRecord(rec env.Record, done walDone) {
 	en.records++
 	en.wal.append(rec, done)

@@ -6,50 +6,6 @@ import (
 	"robuststore/internal/env"
 )
 
-// SyncMode selects how the engine flushes WAL records to stable storage.
-// The tradeoff mirrors kevo-style WAL sync policies: Batch amortizes the
-// dominant per-flush seek cost across concurrently pending records (group
-// commit, §5.2 of the paper), Immediate gives the lowest per-record
-// latency at low concurrency, and None trades acceptor durability for raw
-// speed.
-type SyncMode int
-
-const (
-	// SyncBatch (the default) coalesces records that arrive while a
-	// flush is in flight — or within SyncDelay, or until SyncBytes
-	// accumulate — into one Storage.AppendBatch call, so the whole group
-	// pays one sync latency. Completion callbacks still run only after
-	// the records are durable, preserving the WAL-before-ack invariant.
-	SyncBatch SyncMode = iota
-
-	// SyncImmediate issues one Storage.Append per record, the pre-group-
-	// commit behaviour. The storage layer may still merge appends that
-	// happen to overlap, but the engine adds no coalescing of its own.
-	SyncImmediate
-
-	// SyncNone acknowledges records before they are durable: completion
-	// callbacks run immediately and the records are written out
-	// asynchronously. A crash loses the tail of the log, so promises and
-	// accepts can be forgotten — this mode is safe only when losing one
-	// replica's recent WAL is acceptable (e.g. measurement runs) and
-	// exists to bound the cost of durability in experiments.
-	SyncNone
-)
-
-// String implements fmt.Stringer.
-func (m SyncMode) String() string {
-	switch m {
-	case SyncBatch:
-		return "batch"
-	case SyncImmediate:
-		return "immediate"
-	case SyncNone:
-		return "none"
-	default:
-		return "unknown"
-	}
-}
-
 // walDone is what follows a record's durability: fn, or — the acceptor's
 // persist-then-reply, spelled as data so that it costs no closure per
 // record — sending msg to to. The zero value does nothing.
@@ -58,8 +14,6 @@ type walDone struct {
 	to  env.NodeID
 	msg env.Message
 }
-
-func (d walDone) none() bool { return d.fn == nil && d.msg == nil }
 
 func (d walDone) run(e env.Env, err error) {
 	switch {
@@ -70,14 +24,18 @@ func (d walDone) run(e env.Env, err error) {
 	}
 }
 
-// walWriter sits between the engine and env.Storage and implements the
-// SyncMode policy. All methods run on the node's executor. Batches retain
-// submission order and AppendBatch completes groups in order, so record
-// ordering on disk is identical to SyncImmediate — only the flush
-// boundaries move.
+// walWriter sits between the engine and env.Storage and implements group
+// commit: records that arrive while a flush is in flight — or within
+// syncDelay, or until syncBytes accumulate — go out as one
+// Storage.AppendBatch call, so the whole group pays one sync latency (the
+// dominant per-flush seek cost amortized across concurrently pending
+// records, §5.2 of the paper). Completions run only after their records
+// are durable: the WAL-before-ack invariant. All methods run on the node's
+// executor. Batches retain submission order and AppendBatch completes
+// groups in order, so record ordering on disk is submission order — only
+// the flush boundaries move.
 type walWriter struct {
 	e         env.Env
-	mode      SyncMode
 	syncBytes int64
 	syncDelay time.Duration
 
@@ -96,30 +54,15 @@ type walWriter struct {
 	flushedFn func(error)
 }
 
-func newWALWriter(e env.Env, mode SyncMode, syncBytes int64, syncDelay time.Duration) *walWriter {
-	w := &walWriter{e: e, mode: mode, syncBytes: syncBytes, syncDelay: syncDelay}
+func newWALWriter(e env.Env, syncBytes int64, syncDelay time.Duration) *walWriter {
+	w := &walWriter{e: e, syncBytes: syncBytes, syncDelay: syncDelay}
 	w.flushFn, w.flushedFn = w.flushNow, w.flushed
 	return w
 }
 
-// append writes one record under the configured policy. done runs on the
-// executor — after durability for SyncBatch and SyncImmediate, immediately
-// for SyncNone.
+// append adds one record to the group being filled. done runs on the
+// executor once the record is durable.
 func (w *walWriter) append(rec env.Record, done walDone) {
-	switch w.mode {
-	case SyncImmediate:
-		w.e.Storage().Append(rec, func(err error) { done.run(w.e, err) })
-	case SyncNone:
-		if !done.none() {
-			w.e.Post(func() { done.run(w.e, nil) })
-		}
-		w.buffer(rec, walDone{})
-	default: // SyncBatch
-		w.buffer(rec, done)
-	}
-}
-
-func (w *walWriter) buffer(rec env.Record, done walDone) {
 	w.buf = append(w.buf, rec)
 	w.dones = append(w.dones, done)
 	w.bufBytes += rec.Size

@@ -15,7 +15,8 @@ import (
 // measured. One Paxos group's ordered throughput is capped by its WAL
 // group-commit pipeline (disk flush latency × in-flight values × batch
 // size); sharding multiplies the number of independent pipelines, which
-// is the throughput-vs-shard-count curve bench_test.go reports.
+// is the throughput-vs-shard-count curve cmd/experiment -run
+// shard-scaling reports.
 
 // ThroughputConfig parameterizes one scaling measurement.
 type ThroughputConfig struct {
@@ -43,9 +44,9 @@ type ThroughputConfig struct {
 	Seed uint64
 
 	// Paxos, when non-zero (detected by MaxBatchCmds ≠ 0), overrides the
-	// per-group ordering pipeline — batch window, pipeline depth, WAL
-	// SyncMode — so experiments can sweep proposer configurations
-	// (internal/exp's batching curve). Zero keeps the reference pipeline
+	// per-group ordering pipeline — batch window, batch size, pipeline
+	// depth — so experiments can sweep proposer configurations
+	// (internal/exp's batching matrix). Zero keeps the reference pipeline
 	// used by the shard-scaling benchmark.
 	Paxos paxos.Config
 
@@ -108,7 +109,7 @@ func MeasureThroughput(cfg ThroughputConfig) ThroughputResult {
 		// with bounded batch size and in-flight values, so one group's
 		// throughput is governed by its WAL flush rate rather than
 		// unbounded batching. The batching experiment overrides this via
-		// ThroughputConfig.Paxos to sweep SyncMode × pipeline depth.
+		// ThroughputConfig.Paxos to sweep batch size × pipeline depth.
 		pcfg = paxos.Config{
 			BatchDelay:   time.Millisecond,
 			MaxBatchCmds: 8,
