@@ -113,16 +113,7 @@ func (r *Replica) checkpointLayered(ds DeltaSnapshotter, done func()) {
 // writeDelta appends one delta layer: layer first, manifest second.
 func (r *Replica) writeDelta(data any, size int64, done func()) {
 	at := r.lastApplied
-	snap := appSnap{
-		LastApplied:  at,
-		Delivered:    r.en.DeliveredSeqs(),
-		Data:         data,
-		Size:         size,
-		Imported:     r.copyImported(),
-		TxnPrepared:  r.copyTxnPrepared(),
-		TxnDone:      r.copyTxnDone(),
-		TxnDecisions: r.copyTxnDecisions(),
-	}
+	snap := r.envelope(data, size)
 	if r.cfg.OnCheckpoint != nil {
 		r.cfg.OnCheckpoint(size)
 	}
@@ -146,16 +137,7 @@ func (r *Replica) writeDelta(data any, size int64, done func()) {
 func (r *Replica) writeBase(done func()) {
 	at := r.lastApplied
 	data, size := r.sm.Snapshot()
-	snap := appSnap{
-		LastApplied:  at,
-		Delivered:    r.en.DeliveredSeqs(),
-		Data:         data,
-		Size:         size,
-		Imported:     r.copyImported(),
-		TxnPrepared:  r.copyTxnPrepared(),
-		TxnDone:      r.copyTxnDone(),
-		TxnDecisions: r.copyTxnDecisions(),
-	}
+	snap := r.envelope(data, size)
 	if r.cfg.OnCheckpoint != nil {
 		r.cfg.OnCheckpoint(size)
 	}
@@ -243,14 +225,10 @@ func (r *Replica) loadChain(manifest metaSnap, bootEngine func()) {
 				if r.cfg.SequentialRecovery {
 					bootEngine()
 				}
-				r.finishRestore(appSnap{
-					LastApplied:  manifest.LastApplied,
-					Delivered:    last.Delivered,
-					Imported:     last.Imported,
-					TxnPrepared:  last.TxnPrepared,
-					TxnDone:      last.TxnDone,
-					TxnDecisions: last.TxnDecisions,
-				})
+				// The newest layer carries the replica's state; the
+				// manifest, the commit point, says how far it reaches.
+				last.LastApplied = manifest.LastApplied
+				r.finishRestore(last)
 				return
 			}
 			ref := manifest.Chain[k]

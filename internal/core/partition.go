@@ -138,15 +138,3 @@ func (r *Replica) executeAction(action any) any {
 		return r.sm.Execute(action)
 	}
 }
-
-// copyImported snapshots the dedup set for a checkpoint.
-func (r *Replica) copyImported() map[importKey]bool {
-	if len(r.imported) == 0 {
-		return nil
-	}
-	cp := make(map[importKey]bool, len(r.imported))
-	for k := range r.imported {
-		cp[k] = true
-	}
-	return cp
-}

@@ -23,6 +23,7 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync/atomic"
 	"time"
 
@@ -179,26 +180,49 @@ type metaSnap struct {
 	Chain       []LayerRef
 }
 
+// appSnap is the envelope of every checkpoint layer — the monolithic "app"
+// snapshot, a base image, a delta layer: the machine's payload beside the
+// replica's own state at the same log position.
 type appSnap struct {
 	LastApplied paxos.InstanceID
 	Delivered   paxos.DeliveredState
 	Data        any
 	Size        int64
 
-	// Imported is the partition-import dedup set at the checkpoint (see
-	// executeAction): restored with the state so a replica recovering
-	// from this checkpoint skips exactly the transfers the state already
-	// contains.
-	Imported map[importKey]bool
+	// logState at the checkpoint, restored with the state: a recovering
+	// replica must hold exactly the applied transfers, prepared branches,
+	// terminal transactions and recorded decisions its state reflects, or
+	// replayed records would re-import, re-stage or re-apply.
+	logState
+}
 
-	// Cross-shard transaction state at the checkpoint (txn.go), restored
-	// with the state for the same reason: a recovering replica must hold
-	// exactly the prepared branches, terminal transactions and recorded
-	// decisions its state reflects, or replayed records would re-stage or
-	// re-apply.
-	TxnPrepared  map[string]StagedTxn
-	TxnDone      map[string]bool
-	TxnDecisions map[string]bool
+// logState is the replica-level state the ordered log drives beside the
+// machine's: every replica of a group holds the same maps at the same log
+// position, so they travel with the checkpoint (appSnap) and replay
+// reproduces them exactly.
+type logState struct {
+	// imported guards partition imports at-most-once per transfer (see
+	// executeAction in partition.go).
+	imported map[importKey]bool
+
+	// Cross-shard transaction state (txn.go): branches staged by
+	// TxnPrepare and awaiting their outcome, transactions resolved on this
+	// group (idempotence guard for retried outcome records), and the
+	// coordinator decision records ordered in this group as the home group.
+	txnPrepared  map[string]StagedTxn
+	txnDone      map[string]bool
+	txnDecisions map[string]bool
+}
+
+// clone copies the maps, for both directions: a checkpoint must not see later
+// log records, and a restored replica must not write into a stored payload.
+func (s logState) clone() logState {
+	return logState{
+		imported:     maps.Clone(s.imported),
+		txnPrepared:  maps.Clone(s.txnPrepared),
+		txnDone:      maps.Clone(s.txnDone),
+		txnDecisions: maps.Clone(s.txnDecisions),
+	}
 }
 
 // Core-level transfer messages (remote checkpoint fallback).
@@ -280,19 +304,7 @@ type Replica struct {
 	// in FIFO registration order as the applied frontier advances.
 	fences []*fenceWaiter
 
-	// imported guards partition imports at-most-once per transfer; it is
-	// driven by the ordered log only, so every replica holds the same
-	// set at the same log position (see partition.go).
-	imported map[importKey]bool
-
-	// Cross-shard transaction state (txn.go), driven by the ordered log
-	// exactly like imported: branches staged by TxnPrepare and awaiting
-	// their outcome, transactions resolved on this group (idempotence
-	// guard for retried outcome records), and the coordinator decision
-	// records ordered in this group as the home group.
-	txnPrepared  map[string]StagedTxn
-	txnDone      map[string]bool
-	txnDecisions map[string]bool
+	logState
 
 	lastCheckpoint paxos.InstanceID
 	hasCheckpoint  bool
@@ -467,13 +479,7 @@ func (r *Replica) finishRestore(app appSnap) {
 	r.lastApplied = app.LastApplied
 	r.lastCheckpoint = app.LastApplied
 	r.hasCheckpoint = r.recovering
-	if len(app.Imported) > 0 {
-		r.imported = make(map[importKey]bool, len(app.Imported))
-		for k := range app.Imported {
-			r.imported[k] = true
-		}
-	}
-	r.restoreTxnState(app)
+	r.logState = app.logState.clone()
 	if app.Delivered != nil {
 		r.en.SetDelivered(app.Delivered)
 	}
@@ -839,16 +845,7 @@ func (r *Replica) Checkpoint(done func()) {
 		return
 	}
 	data, size := r.sm.Snapshot()
-	snap := appSnap{
-		LastApplied:  r.lastApplied,
-		Delivered:    r.en.DeliveredSeqs(),
-		Data:         data,
-		Size:         size,
-		Imported:     r.copyImported(),
-		TxnPrepared:  r.copyTxnPrepared(),
-		TxnDone:      r.copyTxnDone(),
-		TxnDecisions: r.copyTxnDecisions(),
-	}
+	snap := r.envelope(data, size)
 	if r.cfg.OnCheckpoint != nil {
 		r.cfg.OnCheckpoint(size)
 	}
@@ -869,6 +866,18 @@ func (r *Replica) Checkpoint(done func()) {
 			}
 		})
 	})
+}
+
+// envelope wraps a machine payload taken now — a full snapshot or a delta —
+// as a checkpoint layer: the one place the replica's own state joins it.
+func (r *Replica) envelope(data any, size int64) appSnap {
+	return appSnap{
+		LastApplied: r.lastApplied,
+		Delivered:   r.en.DeliveredSeqs(),
+		Data:        data,
+		Size:        size,
+		logState:    r.logState.clone(),
+	}
 }
 
 // --- Remote snapshot fallback -------------------------------------------
@@ -961,14 +970,7 @@ func (r *Replica) onSnapReply(m snapReplyMsg) {
 		ds.ApplyDelta(m.Deltas[k].Data)
 	}
 	r.remoteLayers = m.FirstDelta + len(m.Deltas)
-	r.imported = nil
-	if len(last.Imported) > 0 {
-		r.imported = make(map[importKey]bool, len(last.Imported))
-		for k := range last.Imported {
-			r.imported[k] = true
-		}
-	}
-	r.restoreTxnState(*last)
+	r.logState = last.logState.clone()
 	r.lastApplied = last.LastApplied
 	r.lastCheckpoint = last.LastApplied
 	// The local durable chain no longer describes the in-memory state,

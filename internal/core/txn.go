@@ -32,10 +32,11 @@ import "robuststore/internal/detsort"
 //     participant, so retried outcome records (and late duplicate
 //     prepares) degrade to ordered no-ops.
 //
-// Every record is replayable: the maps below are driven by the ordered
-// log only, so each replica of a group holds the same transaction state
-// at the same log position, and a replica recovering from a checkpoint
-// plus log suffix reconstructs exactly the prepared set it crashed with.
+// Every record is replayable: the transaction maps (logState, replica.go)
+// are driven by the ordered log only, so each replica of a group holds the
+// same transaction state at the same log position, and a replica recovering
+// from a checkpoint plus log suffix reconstructs exactly the prepared set it
+// crashed with.
 
 // TxnStager is the optional StateMachine capability a participant uses
 // to vote on a prepare. A machine that implements it validates the
@@ -252,67 +253,4 @@ func (r *Replica) TxnBlocks(key string) bool {
 		}
 	}
 	return false
-}
-
-// --- Checkpoint plumbing -------------------------------------------------
-
-// copyTxnPrepared snapshots the prepared set for a checkpoint.
-func (r *Replica) copyTxnPrepared() map[string]StagedTxn {
-	if len(r.txnPrepared) == 0 {
-		return nil
-	}
-	cp := make(map[string]StagedTxn, len(r.txnPrepared))
-	for id, st := range r.txnPrepared {
-		cp[id] = st
-	}
-	return cp
-}
-
-// copyTxnDone snapshots the terminal set for a checkpoint.
-func (r *Replica) copyTxnDone() map[string]bool {
-	if len(r.txnDone) == 0 {
-		return nil
-	}
-	cp := make(map[string]bool, len(r.txnDone))
-	for id := range r.txnDone {
-		cp[id] = true
-	}
-	return cp
-}
-
-// copyTxnDecisions snapshots the decision records for a checkpoint.
-func (r *Replica) copyTxnDecisions() map[string]bool {
-	if len(r.txnDecisions) == 0 {
-		return nil
-	}
-	cp := make(map[string]bool, len(r.txnDecisions))
-	for id, c := range r.txnDecisions {
-		cp[id] = c
-	}
-	return cp
-}
-
-// restoreTxnState installs a checkpoint's transaction state (the mirror
-// of the copy helpers above, used by finishRestore and the remote
-// snapshot fallback).
-func (r *Replica) restoreTxnState(app appSnap) {
-	r.txnPrepared, r.txnDone, r.txnDecisions = nil, nil, nil
-	if len(app.TxnPrepared) > 0 {
-		r.txnPrepared = make(map[string]StagedTxn, len(app.TxnPrepared))
-		for id, st := range app.TxnPrepared {
-			r.txnPrepared[id] = st
-		}
-	}
-	if len(app.TxnDone) > 0 {
-		r.txnDone = make(map[string]bool, len(app.TxnDone))
-		for id := range app.TxnDone {
-			r.txnDone[id] = true
-		}
-	}
-	if len(app.TxnDecisions) > 0 {
-		r.txnDecisions = make(map[string]bool, len(app.TxnDecisions))
-		for id, c := range app.TxnDecisions {
-			r.txnDecisions[id] = c
-		}
-	}
 }

@@ -31,12 +31,15 @@ func (en *Engine) onPrepare(from env.NodeID, m prepareMsg) {
 		return
 	}
 	en.promised = m.B
-	reply := promiseMsg{B: m.B, From: m.From}
+	// Below voteFloor the votes were compacted away, which is not "never
+	// voted": the promise must say where its knowledge starts, or a new
+	// leader would fill decided instances with no-ops (see establish).
+	reply := promiseMsg{B: m.B, From: max(m.From, en.voteFloor)}
 	// Sorted export: the promise's accepted list is network-visible, and
 	// map order would make the same acceptor state produce different
 	// message bytes on every run (detorder invariant).
 	for _, inst := range detsort.Keys(en.accepted) {
-		if inst >= m.From {
+		if inst >= reply.From {
 			reply.Accepted = append(reply.Accepted, en.accepted[inst])
 		}
 	}
@@ -172,7 +175,9 @@ func (en *Engine) onRecQuery(from env.NodeID, m recQueryMsg) {
 		return
 	}
 	en.noteBallot(m.B)
-	if m.Inst < en.retainedFrom {
+	if m.Inst < max(en.retainedFrom, en.voteFloor) {
+		// Silent, not "never voted": the vote may have been compacted
+		// away (establish relies on this quorum needing a real voter).
 		return
 	}
 	eff := en.effPromised(m.Inst)

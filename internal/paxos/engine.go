@@ -186,6 +186,7 @@ type Engine struct {
 	promised     Ballot
 	instPromised map[InstanceID]Ballot
 	accepted     map[InstanceID]acceptedInfo
+	voteFloor    InstanceID // votes below were compacted away (compactRec.Floor)
 	fastBallot   Ballot     // fast round this acceptor may self-assign in
 	fastFrom     InstanceID // floor of the fast self-assignment range
 	nextFree     InstanceID // next candidate slot for self-assignment
@@ -312,6 +313,7 @@ func (en *Engine) replay(recs []env.Record) {
 				en.accepted[a.Inst] = a
 			}
 			en.promised = d.Promised
+			en.voteFloor = d.Floor
 			en.noteBallot(d.Promised)
 		}
 	}
@@ -849,6 +851,7 @@ func (en *Engine) Compact(through InstanceID) {
 		delete(en.instPromised, i)
 	}
 	en.retainedFrom = through + 1
+	en.voteFloor = en.retainedFrom
 	rec := compactRec{
 		Floor:        en.retainedFrom,
 		Promised:     en.promised,

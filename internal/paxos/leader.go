@@ -138,6 +138,15 @@ func (en *Engine) onPromise(from env.NodeID, m promiseMsg) {
 // reported by the promise quorum, re-propose them, fill gaps with no-ops,
 // open the fast range if the ballot is fast, and flush pending client
 // values.
+//
+// The quorum speaks only for instances from open up, the highest From among
+// its promises: a promiser that compacted its votes away reports none below
+// its floor, and "no report" there does not mean "nothing chosen". Proposing
+// anything in [prepFrom, open) — a no-op, or a client value through
+// nextInstance — could choose a second value where one was chosen already.
+// That range is left to the gap repair of leaderSweep (whose per-instance
+// quorum cannot form without a node that still holds its votes: compacted
+// acceptors do not answer recQuery) and to catch-up.
 func (en *Engine) establish() {
 	ls := en.leader
 	ls.established = true
@@ -149,8 +158,9 @@ func (en *Engine) establish() {
 	// exactly the PR-6 establish() bug (outstanding values re-proposed in
 	// map order across a leader change, breaking FIFO).
 	byInst := make(map[InstanceID][]acceptedInfo)
-	maxInst := ls.prepFrom - 1
+	open, maxInst := ls.prepFrom, ls.prepFrom-1
 	for _, from := range detsort.Keys(ls.promises) {
+		open = max(open, ls.promises[from].From)
 		for _, a := range ls.promises[from].Accepted {
 			byInst[a.Inst] = append(byInst[a.Inst], a)
 			if a.Inst > maxInst {
@@ -158,15 +168,12 @@ func (en *Engine) establish() {
 			}
 		}
 	}
-	ls.nextInstance = maxInst + 1
-	if ls.nextInstance < ls.prepFrom {
-		ls.nextInstance = ls.prepFrom
-	}
+	ls.nextInstance = max(maxInst+1, open)
 
 	// Decide what to propose at every open instance.
 	q := len(ls.promises)
 	var noopSeq int64
-	for i := ls.prepFrom; i < ls.nextInstance; i++ {
+	for i := open; i < ls.nextInstance; i++ {
 		if v, ok := en.chosen[i]; ok {
 			// Already decided: just re-announce.
 			en.announceChosen(i, v)

@@ -182,3 +182,51 @@ func TestCompactionBoundsServing(t *testing.T) {
 		t.Fatalf("node 0 delivered %d, want %d", len(c.delivered[0]), total+1)
 	}
 }
+
+// TestPromiseBelowCompactionFloor: an acceptor that compacted its votes away
+// must not read as "never voted" to a new leader. Nodes {0, 3, 4} choose 60
+// commands while {1, 2} are cut off; node 4 compacts; then only {1, 2, 4}
+// can talk, and node 1 is elected on their promises from the instance it
+// stalled at. Node 4's promise lists nothing below its floor, nodes 1 and 2
+// never saw those instances — filling them with no-ops and letting node 3,
+// which still holds the real votes, overwrite them at the higher ballot chose
+// a second value per instance. The new leader has to leave the range below
+// the highest promised floor to per-instance recovery and catch-up, which
+// only a node that still holds its votes can answer. The second case restarts
+// node 4 after the compaction: its floor then comes from the WAL's compaction
+// barrier, above the delivery floor it boots with.
+func TestPromiseBelowCompactionFloor(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
+			c := newCluster(t, 5, false, 11, sim.NetConfig{})
+			behind := c.s.Partition(1, 2)
+			const total = 60
+			for i := 0; i < total; i++ {
+				c.submit(time.Second+time.Duration(i)*20*time.Millisecond, 0, fmt.Sprintf("cmd-%d", i))
+			}
+			c.s.RunFor(4 * time.Second)
+			c.requireDelivered(4, total)
+			c.s.At(c.s.Now(), func() { c.engines[4].Compact(c.engines[4].FirstUnchosen() - 2) })
+			c.s.RunFor(time.Second)
+
+			c.s.Partition(0)
+			voter := c.s.Partition(3)
+			if restart {
+				c.s.Crash(4)
+				c.s.Restart(4)
+			}
+			behind.Heal()
+			c.s.RunFor(5 * time.Second)
+			if !c.engines[1].IsLeader() {
+				t.Fatal("node 1 was not elected by {1, 2, 4}: the schedule no longer reaches the bug")
+			}
+
+			voter.Heal()
+			c.s.RunFor(10 * time.Second)
+			c.checkConsistency()
+			for _, id := range []int{1, 2} {
+				c.requireDelivered(id, total)
+			}
+		})
+	}
+}

@@ -161,7 +161,9 @@ type prepareMsg struct {
 func (m prepareMsg) WireSize() int64 { return msgOverhead }
 
 // promiseMsg is phase 1b: a promise for B plus every vote at instances
-// >= the prepare's From.
+// >= From — the prepare's From, or the promiser's vote-compaction floor where
+// that is higher. Below From the promise says nothing: the promiser may have
+// voted there and forgotten.
 type promiseMsg struct {
 	B        Ballot
 	From     InstanceID

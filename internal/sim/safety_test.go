@@ -44,6 +44,47 @@ func (m *recMachine) Restore(data any) {
 	m.log = append([]int64(nil), data.([]int64)...)
 }
 
+// deltaRecMachine gives a recMachine the core.DeltaSnapshotter capability, so
+// the replica checkpoints and recovers through base + delta chain — the path
+// every web-tier run takes — instead of the monolithic "app" snapshot. A delta
+// is the log suffix since the last checkpoint; a chain applied out of order,
+// twice or onto the wrong base shows as a log anomaly.
+type deltaRecMachine struct {
+	*recMachine
+	anchored bool // a Snapshot or Restore has anchored the chain
+	mark     int  // len(log) at the last checkpoint
+	use      *layerUse
+}
+
+// layerUse counts what the layered path did, so the test can tell it ran.
+type layerUse struct{ taken, applied int }
+
+func (m *deltaRecMachine) Snapshot() (any, int64) {
+	m.anchored, m.mark = true, len(m.log)
+	return m.recMachine.Snapshot()
+}
+
+func (m *deltaRecMachine) Restore(data any) {
+	m.recMachine.Restore(data)
+	m.anchored, m.mark = true, len(m.log)
+}
+
+func (m *deltaRecMachine) SnapshotDelta() (any, int64, bool) {
+	if !m.anchored {
+		return nil, 0, false
+	}
+	suffix := append([]int64(nil), m.log[m.mark:]...)
+	m.mark = len(m.log)
+	m.use.taken++
+	return suffix, int64(8*len(suffix)) + 8, true
+}
+
+func (m *deltaRecMachine) ApplyDelta(data any) {
+	m.log = append(m.log, data.([]int64)...)
+	m.mark = len(m.log)
+	m.use.applied++
+}
+
 // safetyCluster is n core.Replica nodes over one simulator.
 type safetyCluster struct {
 	s        *sim.Sim
@@ -174,6 +215,28 @@ func TestPaxosSafetyPipelined(t *testing.T) {
 	}
 }
 
+// TestPaxosSafetyLayered re-runs the crash schedules over a delta-capable
+// machine: checkpoints are delta layers chained on a base, recovery is base +
+// chain + suffix, and the remote fallback streams layers. Same properties.
+func TestPaxosSafetyLayered(t *testing.T) {
+	var use layerUse
+	layered := func(cfg *core.Config) {
+		plain := cfg.Machine
+		cfg.Machine = func() core.StateMachine {
+			return &deltaRecMachine{recMachine: plain().(*recMachine), use: &use}
+		}
+	}
+	for seed := 0; seed < 16; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runCrashSchedule(t, uint64(seed), layered)
+		})
+	}
+	t.Logf("%d delta layers written, %d applied in recovery", use.taken, use.applied)
+	if use.taken == 0 || use.applied == 0 {
+		t.Fatal("the layered path did not run")
+	}
+}
+
 func runCrashSchedule(t *testing.T, seed uint64, tune func(*core.Config)) {
 	t.Helper()
 	rng := xrand.New(seed*0x9e3779b97f4a7c15 + 7)
@@ -226,7 +289,7 @@ func runCrashSchedule(t *testing.T, seed uint64, tune func(*core.Config)) {
 		})
 	}
 
-	// The pipelined variant adds per-link loss windows: flaky directed
+	// The tuned variants add per-link loss windows: flaky directed
 	// links (not severed ones) composing with the crash and partition
 	// schedules above.
 	if tune != nil {

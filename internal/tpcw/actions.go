@@ -173,7 +173,6 @@ func (s *Store) applyCreateCart(a CreateCartAction) CreateCartResult {
 	id := s.nextCart
 	s.carts.set(id, Cart{ID: id, Time: a.Now})
 	s.nominalBytes += nominalCart
-	s.markCart(id)
 	return CreateCartResult{Cart: id}
 }
 
@@ -213,7 +212,6 @@ func (s *Store) applyCartUpdate(a CartUpdateAction) CartResult {
 	}
 	cart.Time = a.Now
 	s.carts.set(cart.ID, cart)
-	s.markCart(cart.ID)
 	return CartResult{Cart: cart}
 }
 
@@ -268,7 +266,6 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 	}
 	s.customers.set(id, &c)
 	s.nominalBytes += nominalCustomer
-	s.markCustomer(id)
 	return CreateCustomerResult{Customer: c}
 }
 
@@ -283,7 +280,6 @@ func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID)
 		Zip: zip, Country: country,
 	})
 	s.nominalBytes += nominalAddress
-	s.markAddress(id)
 	return id
 }
 
@@ -297,7 +293,6 @@ func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
 	c.Login = a.Now
 	c.Expiration = a.Now.Add(2 * time.Hour)
 	s.customers.set(a.Customer, &c)
-	s.markCustomer(a.Customer)
 	return nil
 }
 
@@ -336,7 +331,6 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 			cp.Stock += 21
 		}
 		s.items.set(cl.Item, &cp)
-		s.markItem(cl.Item)
 	}
 	if len(lines) == 0 {
 		return BuyConfirmResult{Err: "no valid items"}
@@ -375,18 +369,14 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	s.lastOrder.set(a.Customer, oid)
 	s.pushRecentOrder(&order)
 	s.nominalBytes += nominalOrder + nominalCC + int64(len(lines))*nominalLine
-	s.markOrder(oid)
-	s.markLastOrder(a.Customer)
 
 	// The purchased cart is consumed.
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
-	s.killCart(a.Cart)
 
 	cust.Balance += total
 	cust.YTDPmt += total
 	s.customers.set(a.Customer, &cust)
-	s.markCustomer(a.Customer)
 
 	return BuyConfirmResult{Order: oid, Total: total}
 }
@@ -437,7 +427,6 @@ func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
 	// window (deterministic: ordered scan, stable tie-break by item id).
 	item.Related = s.relatedFromOrders(a.Item)
 	s.items.set(a.Item, &item)
-	s.markItem(a.Item)
 	return nil
 }
 

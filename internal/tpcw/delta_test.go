@@ -159,7 +159,7 @@ func TestDeltaCartTombstones(t *testing.T) {
 	if !ok {
 		t.Fatal("SnapshotDelta failed")
 	}
-	if len(data.(DeltaSnap).DeadCarts) == 0 {
+	if len(data.(DeltaSnap).Carts.dead) == 0 {
 		t.Fatal("delta carries no cart tombstones")
 	}
 	rebuilt.ApplyDelta(data)

@@ -203,12 +203,10 @@ func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
 	// The purchased cart is consumed.
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
-	s.killCart(a.Cart)
 
 	cust.Balance += a.Total
 	cust.YTDPmt += a.Total
 	s.customers.set(a.Buyer, &cust)
-	s.markCustomer(a.Buyer)
 	return GiftDebitResult{}
 }
 
@@ -229,7 +227,6 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 			cp.Stock += 21
 		}
 		s.items.set(l.Item, &cp)
-		s.markItem(l.Item)
 	}
 	s.nextOrder++
 	oid := s.nextOrder
@@ -251,8 +248,6 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 	s.lastOrder.set(a.Recipient, oid)
 	s.pushRecentOrder(&order)
 	s.nominalBytes += nominalOrder + int64(len(a.Lines))*nominalLine
-	s.markOrder(oid)
-	s.markLastOrder(a.Recipient)
 	return GiftDeliverResult{Order: oid}
 }
 
@@ -267,7 +262,6 @@ func (s *Store) applyInventorySweep(a InventorySweepAction) InventorySweepResult
 		cp.Cost = a.Cost
 		cp.SweptTag = a.Tag
 		s.items.set(id, &cp)
-		s.markItem(id)
 		updated++
 	}
 	return InventorySweepResult{Updated: updated}

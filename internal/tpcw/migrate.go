@@ -130,28 +130,24 @@ func (s *Store) ImportOwned(data any) {
 			s.nominalBytes += nominalItem
 		}
 		s.items.set(id, it)
-		s.markItem(id)
 	}
 	for id, c := range snap.Customers {
 		if !s.customers.has(id) {
 			s.nominalBytes += nominalCustomer
 		}
 		s.customers.set(id, c)
-		s.markCustomer(id)
 	}
 	for id, a := range snap.Addresses {
 		if !s.addresses.has(id) {
 			s.nominalBytes += nominalAddress
 		}
 		s.addresses.set(id, a)
-		s.markAddress(id)
 	}
 	for id, o := range snap.Orders {
 		if !s.orders.has(id) {
 			s.nominalBytes += nominalOrderBytes(o)
 		}
 		s.orders.set(id, o)
-		s.markOrder(id)
 	}
 	for id, c := range snap.Carts {
 		if had, ok := s.carts.get(id); ok {
@@ -159,14 +155,9 @@ func (s *Store) ImportOwned(data any) {
 		}
 		s.carts.set(id, c)
 		s.nominalBytes += nominalCartBytes(c)
-		// An imported cart revives its ID: it must not stay shadowed by
-		// a tombstone recorded for a locally consumed cart.
-		delete(s.dirty.deadCarts, id)
-		s.markCart(id)
 	}
 	for cid, oid := range snap.LastOrder {
 		s.lastOrder.set(cid, oid)
-		s.markLastOrder(cid)
 	}
 	if snap.NextAddress > s.nextAddress {
 		s.nextAddress = snap.NextAddress

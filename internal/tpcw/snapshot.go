@@ -10,6 +10,12 @@ package tpcw
 // indexes, authors, countries) is shared by reference. Capture and restore
 // cost O(pages); the snapshot's *size* is the nominal state size, which is
 // what the paper's recovery analysis depends on.
+//
+// Both also re-anchor the incremental-checkpoint chain (delta.go) without
+// touching a dirty bit: a table that has just been frozen or adopted owns no
+// page, and only the pages a table owns can hold slots written since it was
+// last clean (table.go). Every later write copies its page with the bitmap
+// cleared, so the next delta holds exactly the writes after this point.
 
 // storeSnap is the checkpoint payload. It is immutable once built.
 type storeSnap struct {
@@ -49,8 +55,9 @@ func (s *Store) Snapshot() (any, int64) {
 		Catalog:      s.cat,
 	}
 	// A full snapshot anchors the incremental-checkpoint chain: the next
-	// SnapshotDelta is relative to this state (see delta.go).
-	s.resetDirty()
+	// SnapshotDelta is relative to this state, and freezing left every
+	// table clean.
+	s.deltaBase = true
 	return snap, s.nominalBytes
 }
 
@@ -80,8 +87,9 @@ func (s *Store) Restore(data any) {
 	s.bsCache = nil
 	s.bsBySubject = nil
 	s.ordersSinceBS = 0
-	// The restored state is snapshot-exact: re-anchor delta tracking.
-	s.resetDirty()
+	// The restored state is snapshot-exact and the adopted tables are
+	// clean: the next delta is relative to it.
+	s.deltaBase = true
 }
 
 // Execute implements core.StateMachine by dispatching to Apply.

@@ -2,6 +2,7 @@ package tpcw
 
 import (
 	"iter"
+	"math/bits"
 	"slices"
 )
 
@@ -12,6 +13,18 @@ import (
 // snapshots; each table holds an owner token, and a write to a page that
 // carries another token copies the page first. Freezing and adopting
 // therefore copy only the directory — O(pages), not O(rows).
+//
+// The table is also the one record of what was written. set and delete are
+// the only ways a row changes, and each sets the slot's bit in its page's
+// dirty bitmap. A slot is clean when it holds what it held when the table
+// was last frozen, adopted or drained by takeDelta — whichever came last. A
+// page that does not carry the table's token has not been written since the
+// last freeze or adopt (the first write would have copied it), so all of its
+// slots are clean whatever its bitmap says: the bits on a shared page belong
+// to the table that wrote it, and the copy writable makes starts with none.
+// takeDelta clears the bits where they are. Rotating the token would clean
+// the table as well, but every written page (2 KB and up) would then be
+// copied again on its next write, once per checkpoint interval.
 
 // pageBits sets the page size (256 slots). Larger pages mean shorter
 // directories but bigger first-touch copies after a snapshot, and more of
@@ -31,9 +44,12 @@ type owner struct{ _ byte }
 
 // page is one fixed-size run of slots. used is the occupancy bitmap; a
 // vacant slot holds V's zero value, so equal contents mean equal pages.
+// dirty marks the slots the owner wrote since it was last clean; nothing
+// outside this file touches it.
 type page[V any] struct {
 	owner *owner
 	used  [pageSize / 64]uint64
+	dirty [pageSize / 64]uint64
 	vals  [pageSize]V
 }
 
@@ -54,6 +70,20 @@ type table[K ~int32, V any] struct {
 type frozen[K ~int32, V any] struct {
 	pages []*page[V]
 	n     int
+}
+
+// row is one key and the value stored under it.
+type row[K ~int32, V any] struct {
+	k K
+	v V
+}
+
+// delta is the incremental-checkpoint payload form: the slots of a table that
+// were not clean when takeDelta looked, in ascending ID order — rows holds
+// those with a value (upserts), dead those without (tombstones).
+type delta[K ~int32, V any] struct {
+	rows []row[K, V]
+	dead []K
 }
 
 // split locates k: its page in the directory and its slot on the page. A
@@ -97,6 +127,7 @@ func (t *table[K, V]) writable(pi int) *page[V] {
 	case p.owner != t.own:
 		cp := *p
 		cp.owner = t.own
+		cp.dirty = [pageSize / 64]uint64{}
 		p = &cp
 	default:
 		return p
@@ -120,6 +151,7 @@ func (t *table[K, V]) set(k K, v V) {
 		p.used[i>>6] |= 1 << (i & 63)
 		t.n++
 	}
+	p.dirty[i>>6] |= 1 << (i & 63)
 	p.vals[i] = v
 }
 
@@ -131,6 +163,7 @@ func (t *table[K, V]) delete(k K) bool {
 	pi, i := split(k)
 	p := t.writable(pi)
 	p.used[i>>6] &^= 1 << (i & 63)
+	p.dirty[i>>6] |= 1 << (i & 63)
 	t.n--
 	var zero V
 	p.vals[i] = zero
@@ -154,17 +187,63 @@ func (t *table[K, V]) all() iter.Seq2[K, V] {
 	}
 }
 
+// takeDelta returns the slots written since the table was last clean and
+// leaves the table clean. Only pages carrying the table's token can hold any.
+func (t *table[K, V]) takeDelta() (d delta[K, V]) {
+	for pi, p := range t.pages {
+		if p == nil || p.owner != t.own {
+			continue
+		}
+		for w, word := range p.dirty {
+			for ; word != 0; word &= word - 1 {
+				i := uint32(w<<6 | bits.TrailingZeros64(word))
+				k := K(pi<<pageBits) | K(i)
+				if p.has(i) {
+					d.rows = append(d.rows, row[K, V]{k, p.vals[i]})
+				} else {
+					d.dead = append(d.dead, k)
+				}
+			}
+			p.dirty[w] = 0
+		}
+	}
+	return d
+}
+
+// applyDelta is takeDelta's inverse: merged into a table that holds what the
+// source held when its delta started, d brings it to what the source held
+// when d was taken. The slots it writes end clean — they now hold
+// checkpointed state, not a change to it.
+func (t *table[K, V]) applyDelta(d delta[K, V]) {
+	for _, r := range d.rows {
+		t.set(r.k, r.v)
+		t.unmark(r.k)
+	}
+	for _, k := range d.dead {
+		if t.delete(k) {
+			t.unmark(k)
+		}
+	}
+}
+
+// unmark clears the dirty bit of a slot this table has just written.
+func (t *table[K, V]) unmark(k K) {
+	pi, i := split(k)
+	t.pages[pi].dirty[i>>6] &^= 1 << (i & 63)
+}
+
 // freeze captures the table's current contents. The table takes a fresh
 // owner token, so every page it shares with the capture is copied before
-// its next write: the capture never observes a later write.
+// its next write: the capture never observes a later write. It also leaves
+// the table clean, since it now owns no page.
 func (t *table[K, V]) freeze() frozen[K, V] {
 	t.own = new(owner)
 	return frozen[K, V]{pages: slices.Clone(t.pages), n: t.n}
 }
 
-// adopt replaces the table's contents with f's. The capture stays intact
-// and may be adopted by any number of tables; each copies the pages it
-// writes.
+// adopt replaces the table's contents with f's, clean. The capture stays
+// intact and may be adopted by any number of tables; each copies the pages
+// it writes.
 func (t *table[K, V]) adopt(f frozen[K, V]) {
 	*t = table[K, V]{pages: slices.Clone(f.pages), own: new(owner), n: f.n}
 }

@@ -8,10 +8,58 @@ import (
 	"robuststore/internal/xrand"
 )
 
-// world is a table beside the plain map it must behave like.
+// world is a table beside the plain map it must behave like, the set of keys
+// written since the table was last clean, and a second table that follows the
+// first through its captures and deltas only — a replica recovering from base
+// plus chain.
 type world struct {
-	t   table[int32, int]
-	ref map[int32]int
+	t       table[int32, int]
+	ref     map[int32]int
+	written map[int32]bool
+	replica table[int32, int]
+}
+
+// rebase is what a freeze or an adopt means to the tracking: the table is
+// clean, and the replica restarts from the capture.
+func (w *world) rebase(f frozen[int32, int]) {
+	w.written = map[int32]bool{}
+	w.replica.adopt(f)
+}
+
+// checkDelta takes the table's delta and checks it against the reference: its
+// upserts and tombstones are exactly the keys written since the table was last
+// clean, each once, ascending, upserts carrying the current value; and merging
+// it brings the replica level with the table and leaves the replica clean.
+func (w *world) checkDelta(t *testing.T, universe int32) {
+	t.Helper()
+	d := w.t.takeDelta()
+	if len(d.rows)+len(d.dead) != len(w.written) {
+		t.Fatalf("delta holds %d upserts and %d tombstones, %d keys were written",
+			len(d.rows), len(d.dead), len(w.written))
+	}
+	last := int32(-1)
+	for _, r := range d.rows {
+		if v, ok := w.ref[r.k]; r.k <= last || !w.written[r.k] || !ok || v != r.v {
+			t.Fatalf("upsert %d=%d after %d: written %v, reference %d, %v", r.k, r.v, last, w.written[r.k], v, ok)
+		}
+		last = r.k
+	}
+	last = -1
+	for _, k := range d.dead {
+		if _, ok := w.ref[k]; k <= last || !w.written[k] || ok {
+			t.Fatalf("tombstone %d after %d: written %v, present %v", k, last, w.written[k], ok)
+		}
+		last = k
+	}
+	w.written = map[int32]bool{}
+	w.replica.applyDelta(d)
+	sameAsMap(t, "replica after delta", &w.replica, w.ref, universe)
+	if again := w.replica.takeDelta(); len(again.rows)+len(again.dead) != 0 {
+		t.Fatalf("merging a delta left the replica dirty: %+v", again)
+	}
+	if again := w.t.takeDelta(); len(again.rows)+len(again.dead) != 0 {
+		t.Fatalf("a second takeDelta found %+v", again)
+	}
 }
 
 // capture is a frozen table beside the map contents it was frozen at.
@@ -52,18 +100,20 @@ func sameAsMap(t *testing.T, what string, tb *table[int32, int], ref map[int32]i
 }
 
 // TestTableMatchesMapReference drives seeded random set / delete / freeze /
-// adopt sequences over several tables that keep sharing pages with each
-// other's captures, and checks every table and every capture against a
-// plain map after each step that could leak a write: a capture never
-// observes a later write, and tables adopted from one capture never observe
-// each other's.
+// adopt / takeDelta sequences over several tables that keep sharing pages
+// with each other's captures, and checks every table and every capture
+// against a plain map after each step that could leak a write: a capture
+// never observes a later write, and tables adopted from one capture never
+// observe each other's. Every takeDelta is checked against the keys written
+// since the table was last clean — pages shared with a capture carry another
+// table's dirty bits, which must not show — and replayed onto a replica.
 func TestTableMatchesMapReference(t *testing.T) {
 	const universe = 5*pageSize + 17 // several pages, the last one partial
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := xrand.New(seed)
 		worlds := make([]*world, 4)
 		for i := range worlds {
-			worlds[i] = &world{ref: map[int32]int{}}
+			worlds[i] = &world{ref: map[int32]int{}, written: map[int32]bool{}}
 		}
 		var caps []capture
 		checkAll := func() {
@@ -86,8 +136,11 @@ func TestTableMatchesMapReference(t *testing.T) {
 				deleteOdds = 70
 			}
 			switch op := rng.Intn(100); {
+			case op < 2:
+				w.checkDelta(t, universe)
 			case op < 4:
 				caps = append(caps, capture{w.t.freeze(), maps.Clone(w.ref)})
+				w.rebase(caps[len(caps)-1].f)
 				if len(caps) > 6 {
 					caps = caps[1:]
 				}
@@ -95,24 +148,31 @@ func TestTableMatchesMapReference(t *testing.T) {
 				c := caps[rng.Intn(len(caps))]
 				w.t.adopt(c.f)
 				w.ref = maps.Clone(c.ref)
+				w.rebase(c.f)
 			case op < 8+deleteOdds:
 				// Mostly delete what is there: a random key rarely is.
 				k := int32(rng.Intn(universe))
 				for probe := int32(0); probe < universe && !w.t.has(k); probe++ {
 					k = (k + 1) % universe
 				}
-				w.t.delete(k)
+				if w.t.delete(k) {
+					w.written[k] = true
+				}
 				delete(w.ref, k)
 			default:
 				k, v := int32(rng.Intn(universe)), int(rng.Uint64()>>1)
 				w.t.set(k, v)
 				w.ref[k] = v
+				w.written[k] = true
 			}
 			if step%97 == 0 {
 				checkAll()
 			}
 		}
 		checkAll()
+		for _, w := range worlds {
+			w.checkDelta(t, universe)
+		}
 	}
 }
 

@@ -250,11 +250,10 @@ type Store struct {
 
 	nominalBytes int64
 
-	// dirty tracks the rows mutated since the last checkpoint for
-	// incremental checkpoints (core.DeltaSnapshotter; see delta.go).
-	// deltaBase is false until a full Snapshot anchors the chain, and
-	// after a DropOwned (deltas cannot express wholesale deletion).
-	dirty     storeDirty
+	// deltaBase says the tables' dirty slots are exactly the writes since
+	// the last checkpoint (core.DeltaSnapshotter; see delta.go): false
+	// until a full Snapshot anchors the chain, and after a DropOwned
+	// (deltas do not carry wholesale deletion).
 	deltaBase bool
 }
 

@@ -108,9 +108,6 @@ type Cluster struct {
 	servers   []*Server
 	proxy     *Proxy
 
-	// FailDebug, when non-nil, accumulates write-failure reasons.
-	FailDebug map[string]int
-
 	auto          []bool // watchdog auto-restart enabled per server
 	faults        int
 	interventions int

@@ -429,26 +429,6 @@ func (s *Server) performWrite(proxy env.NodeID, m reqMsg) {
 	now := s.e.Now()
 	rng := s.e.Rand()
 	fail := func() { s.reply(proxy, m.ID, rbe.Response{Err: true}, 0) }
-	failR := func(result any, err error) {
-		if s.c.FailDebug != nil {
-			reason := req.Kind.String()
-			if err != nil {
-				reason += ":" + err.Error()
-			} else {
-				switch r := result.(type) {
-				case tpcw.CartResult:
-					reason += ":" + r.Err
-				case tpcw.BuyConfirmResult:
-					reason += ":" + r.Err
-				default:
-					reason += ":badtype"
-				}
-			}
-			s.c.FailDebug[reason]++
-		}
-		fail()
-	}
-	_ = failR
 
 	switch req.Kind {
 	case rbe.ShoppingCart:
@@ -462,7 +442,7 @@ func (s *Server) performWrite(proxy env.NodeID, m reqMsg) {
 		s.replica.SubmitIndexed(action, func(result any, inst paxos.InstanceID, err error) {
 			cr, ok := result.(tpcw.CartResult)
 			if err != nil || !ok || cr.Err != "" {
-				failR(result, err)
+				fail()
 				return
 			}
 			s.reply(proxy, m.ID, rbe.Response{Cart: cr.Cart.ID}, inst)
@@ -539,7 +519,7 @@ func (s *Server) performWrite(proxy env.NodeID, m reqMsg) {
 			s.replica.SubmitIndexed(action, func(result any, inst paxos.InstanceID, err error) {
 				br, ok := result.(tpcw.BuyConfirmResult)
 				if err != nil || !ok || br.Err != "" {
-					failR(result, err)
+					fail()
 					return
 				}
 				s.reply(proxy, m.ID, rbe.Response{Order: br.Order}, inst)
