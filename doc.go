@@ -56,10 +56,9 @@
 // paxos.Config.MaxInFlight deep — a uniform backpressure bound no
 // proposal path can overshoot — while acceptor WAL records coalesce into
 // shared group commits (paxos/wal.go: one flush for every record pending
-// behind the in-flight sync, with paxos.Config.SyncBytes/SyncDelay
-// thresholds). The invariants hold at every depth: the learner delivers
-// in instance order, and every promise/accept is durable before its reply
-// leaves the node (WAL-before-ack). Above the
+// behind the in-flight sync). The invariants hold at every depth: the
+// learner delivers in instance order, and every promise/accept is durable
+// before its reply leaves the node (WAL-before-ack). Above the
 // engine, a rockyardkv-style write-admission controller grades the local
 // command backlog (slowdown/stop thresholds with hysteresis,
 // paxos.AdmissionConfig) and the web tier paces or holds writes at the
@@ -81,8 +80,7 @@
 // session's subsequent reads, and the serving replica runs a fenced read
 // only once lastApplied reaches the fence (core.Replica.ReadAt — bounded
 // wait, then a TooStale reply the proxy transparently re-serves on the
-// voters; core.Replica.InspectAt pins point-in-time audit reads to a log
-// index). Read dispatch balances per-request across voters + readers by
+// voters). Read dispatch balances per-request across voters + readers by
 // least outstanding requests (rotation breaks ties) instead of pinning
 // by client hash, so a hot client's reads spread over the read-serving
 // set and queues drain toward the nodes with headroom; writes keep hash
@@ -162,14 +160,14 @@
 // isolation, minority split, whole-group isolation (the proxy↔group path
 // severed), asymmetric one-way loss, slow-disk straggler — report
 // partition/degradation windows beside the recovery windows
-// (metrics.FaultWindow, GroupReport.PartitionSec/DegradedSec;
-// cmd/experiment -run partition | slowdisk), and -run partition-recovery
+// (metrics.FaultWindow, totalled per group and kind in
+// GroupReport.Windows; cmd/experiment -run partition | slowdisk), and -run partition-recovery
 // reports detection/failover and post-heal reabsorption times. Between
 // the severed and the healthy link sits the flaky one:
 // OpLinkLoss/OpLinkRestore (the FlakyLink scenario) schedule probabilistic
 // per-link message loss over sim.SetLinkLoss / livenet.SetLinkLoss — the
 // gray network failure that never trips partition detection — reported as
-// linkloss windows (GroupReport.LossSec).
+// linkloss windows.
 //
 // The gray-failure family completes the spectrum: OpGrayFail/OpGrayRestore
 // put a victim into the probe-healthy, work-sick mode — it keeps acking
@@ -188,9 +186,10 @@
 // (with quarantine) on quality alone; a gray member costs a few seconds
 // of degraded service instead of a whole window (ProxyStats.
 // QualityEvictions; the gray scenarios run under cmd/experiment -run
-// gray, with grayfail/linkdelay windows in GroupReport.GraySec/DelaySec
-// and staleness folded into per-group accuracy by
-// metrics.WeightedGroupAccuracy).
+// gray, with grayfail/linkdelay windows and staleness folded into
+// per-group accuracy by metrics.WeightedGroupAccuracy). What a window
+// fault is — its two ops and their names, report kind, default factor,
+// flags, label and mechanism — is one row of exp.WindowFaults.
 //
 // On top of the DSL sits a generative adversarial fault search
 // (internal/exp/search, cmd/experiment -run hunt): it samples random

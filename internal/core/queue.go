@@ -101,13 +101,6 @@ func (q *Queue) Enqueue(item any) {
 	})
 }
 
-// EnqueueSync appends an object and blocks until it has been ordered and
-// locally delivered.
-func (q *Queue) EnqueueSync(ctx context.Context, item any) error {
-	_, err := q.r.Execute(ctx, item)
-	return err
-}
-
 // Dequeue blocks until the next object in the total order is available
 // locally and returns it. Context cancellation aborts the wait.
 func (q *Queue) Dequeue(ctx context.Context) (any, error) {

@@ -300,7 +300,7 @@ type Replica struct {
 	pending map[int64]pendingDone
 
 	// fences holds registered fenced reads waiting for lastApplied to
-	// reach their minimum index (ReadAt/InspectAt). Loop-confined; fired
+	// reach their minimum index (ReadAt). Loop-confined; fired
 	// in FIFO registration order as the applied frontier advances.
 	fences []*fenceWaiter
 
@@ -632,16 +632,6 @@ func (r *Replica) ReadAt(minIndex paxos.InstanceID, wait time.Duration,
 	}
 	e.Post(func() { r.readAt(minIndex, wait, fn, stale) })
 	return true
-}
-
-// InspectAt is the point-in-time audit read: run fn with the state pinned
-// at-or-after log index — the first state this replica materializes whose
-// applied index is ≥ index (exact-index states are not materializable:
-// no-op instances and batched deliveries make the applied index jump).
-// Semantics and fallback are those of ReadAt.
-func (r *Replica) InspectAt(index paxos.InstanceID, wait time.Duration,
-	fn func(sm StateMachine, applied paxos.InstanceID), stale func()) bool {
-	return r.ReadAt(index, wait, fn, stale)
 }
 
 func (r *Replica) readAt(minIndex paxos.InstanceID, wait time.Duration,

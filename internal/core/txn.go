@@ -232,6 +232,10 @@ func (r *Replica) PreparedTxns() []PreparedTxnInfo {
 	return out
 }
 
+// HasPreparedTxns reports whether PreparedTxns is non-empty, without
+// building it: the write path asks before every write. Loop-confined.
+func (r *Replica) HasPreparedTxns() bool { return len(r.txnPrepared) > 0 }
+
 // TxnDecided reports the recorded outcome of a transaction whose home
 // group is this replica's: known=false means no decision record has been
 // ordered yet. Loop-confined.

@@ -29,14 +29,3 @@ func Keys[K cmp.Ordered, V any](m map[K]V) []K {
 	slices.Sort(ks)
 	return ks
 }
-
-// KeysFunc returns m's keys ordered by less, for key types without a
-// natural order.
-func KeysFunc[K comparable, V any](m map[K]V, less func(a, b K) int) []K {
-	ks := make([]K, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.SortFunc(ks, less)
-	return ks
-}

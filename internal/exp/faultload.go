@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"robuststore/internal/env"
+	"robuststore/internal/webtier"
 )
 
 // This file defines the composable faultload DSL: a Faultload is a
@@ -121,7 +122,8 @@ const (
 	OpLinkDelayRestore
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the names pinned schedules are written
+// in (search.PinnedEvent), the window ops' from their table rows.
 func (o FaultOp) String() string {
 	switch o {
 	case OpCrash:
@@ -130,33 +132,126 @@ func (o FaultOp) String() string {
 		return "crash-no-restart"
 	case OpRecover:
 		return "recover"
-	case OpPartition:
-		return "partition"
-	case OpHeal:
-		return "heal"
-	case OpDiskSlow:
-		return "disk-slow"
-	case OpDiskRestore:
-		return "disk-restore"
-	case OpLinkLoss:
-		return "link-loss"
-	case OpLinkRestore:
-		return "link-restore"
-	case OpGroupIsolate:
-		return "group-isolate"
-	case OpGroupReconnect:
-		return "group-reconnect"
-	case OpGrayFail:
-		return "gray-fail"
-	case OpGrayRestore:
-		return "gray-restore"
-	case OpLinkDelay:
-		return "link-delay"
-	case OpLinkDelayRestore:
-		return "link-delay-restore"
-	default:
-		return "unknown"
 	}
+	if wf, ok := Opens(o); ok {
+		return wf.OpenName
+	}
+	if wf, ok := Closes(o); ok {
+		return wf.CloseName
+	}
+	return "unknown"
+}
+
+// Ops returns every fault op: the crash ops, then each window fault's
+// opener and closer.
+func Ops() []FaultOp {
+	ops := []FaultOp{OpCrash, OpCrashNoRestart, OpRecover}
+	for _, wf := range WindowFaults {
+		ops = append(ops, wf.Open, wf.Close)
+	}
+	return ops
+}
+
+// WindowFault is one row of the window-fault table: everything this
+// package and the hunt (internal/exp/search) know about a fault kind that
+// opens a window on its victims and closes it again. A new kind is a row
+// here, its inject/clear pair on webtier.Cluster and its weight in the
+// hunt's mix.
+type WindowFault struct {
+	Open, Close         FaultOp
+	OpenName, CloseName string // FaultOp.String of the two ops
+
+	// Kind is the metrics.FaultWindow kind the windows report under (a
+	// group isolation reports as a partition).
+	Kind string
+
+	// DefaultFactor is the Factor an event runs with when it leaves its
+	// own zero; zero for a kind that takes none.
+	DefaultFactor float64
+
+	Directed  bool // honours FaultEvent.Dir
+	LateBinds bool // a Leader selector binds to the leader at fire time, not to the fallback victim
+	Severs    bool // denies the victims' service outright, so the hunt keeps it quorum-safe
+
+	// PerVictim has inject called once per victim, each alone, so that one
+	// fault counts per victim (Cluster.Faults, autonomy); otherwise one
+	// call — one fault — covers the event.
+	PerVictim bool
+
+	// label words a window's factor in the report; nil for a kind that
+	// takes none.
+	label func(factor float64) string
+
+	// inject puts the fault on the victims and returns what lifts it.
+	inject func(r *faultRun, ev resolvedEvent, victims []int) (lift func())
+}
+
+// WindowFaults is the table. Link loss rates and delay factors from
+// different selectors touching one victim do not compose — the later write
+// wins per link (schedule disjoint victims to overlap) — while partitions
+// (through their handles) and disk factors (faultRun.slowDisk) do.
+var WindowFaults = []WindowFault{
+	{Open: OpPartition, Close: OpHeal, OpenName: "partition", CloseName: "heal",
+		Kind: "partition", Directed: true, LateBinds: true, Severs: true,
+		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
+			return r.cluster.PartitionServers(ev.dir, victims...).Heal
+		}},
+	{Open: OpDiskSlow, Close: OpDiskRestore, OpenName: "disk-slow", CloseName: "disk-restore",
+		Kind: "slowdisk", DefaultFactor: DefaultSlowFactor, PerVictim: true,
+		label:  func(f float64) string { return fmt.Sprintf("%gx slower", f) },
+		inject: (*faultRun).slowDisk},
+	{Open: OpLinkLoss, Close: OpLinkRestore, OpenName: "link-loss", CloseName: "link-restore",
+		Kind: "linkloss", DefaultFactor: DefaultLossRate, Directed: true, LateBinds: true,
+		label: func(f float64) string { return fmt.Sprintf("%.0f%% loss", f*100) },
+		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
+			r.cluster.DegradeLinks(ev.dir, ev.factor, victims...)
+			return func() { r.cluster.RestoreLinks(victims...) }
+		}},
+	{Open: OpGroupIsolate, Close: OpGroupReconnect, OpenName: "group-isolate", CloseName: "group-reconnect",
+		Kind: "partition", Severs: true,
+		inject: func(r *faultRun, _ resolvedEvent, victims []int) func() {
+			r.cluster.IsolateFromGroup(victims...)
+			return func() { r.cluster.ReconnectToGroup(victims...) }
+		}},
+	{Open: OpGrayFail, Close: OpGrayRestore, OpenName: "gray-fail", CloseName: "gray-restore",
+		Kind: "grayfail", DefaultFactor: DefaultGrayRate, LateBinds: true, PerVictim: true,
+		label: func(f float64) string {
+			if f < 1 {
+				return fmt.Sprintf("%.0f%% errors", f*100)
+			}
+			return fmt.Sprintf("%gx slow-walk", f)
+		},
+		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
+			r.cluster.GrayFail(victims[0], ev.factor)
+			return func() { r.cluster.GrayRestore(victims[0]) }
+		}},
+	{Open: OpLinkDelay, Close: OpLinkDelayRestore, OpenName: "link-delay", CloseName: "link-delay-restore",
+		Kind: "linkdelay", DefaultFactor: DefaultDelayFactor, Directed: true, LateBinds: true,
+		label: func(f float64) string { return fmt.Sprintf("%gx latency", f) },
+		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
+			r.cluster.DegradeLinkDelay(ev.dir, ev.factor, victims...)
+			return func() { r.cluster.RestoreLinkDelay(victims...) }
+		}},
+}
+
+// Opens returns the row whose window op opens, Closes the row whose window
+// it closes.
+func Opens(op FaultOp) (WindowFault, bool) {
+	for _, wf := range WindowFaults {
+		if wf.Open == op {
+			return wf, true
+		}
+	}
+	return WindowFault{}, false
+}
+
+func Closes(op FaultOp) (WindowFault, bool) {
+	for _, wf := range WindowFaults {
+		if wf.Close == op {
+			return wf, true
+		}
+	}
+	return WindowFault{}, false
 }
 
 // Scope selects which servers of the deployment a fault event hits.
@@ -265,15 +360,14 @@ type FaultEvent struct {
 	Op     FaultOp
 	Select Selector
 
-	// Dir selects the affected direction of an OpPartition or OpLinkLoss
-	// relative to the victims (default LinkBothWays — symmetric). Ignored
-	// by every other op.
+	// Dir selects the affected direction, relative to the victims, of an op
+	// whose WindowFaults row is Directed (default LinkBothWays —
+	// symmetric). Ignored by every other op.
 	Dir env.LinkDir
 
-	// Factor is OpDiskSlow's degradation multiple (seek × Factor,
-	// bandwidth ÷ Factor; 0 means DefaultSlowFactor) and OpLinkLoss's
-	// per-message drop probability (0 means DefaultLossRate). Ignored by
-	// every other op.
+	// Factor is how hard the op degrades — a disk or latency multiple, a
+	// loss or error rate; see the op — and 0 means its row's DefaultFactor.
+	// Ignored by an op whose row has none.
 	Factor float64
 }
 
@@ -283,17 +377,8 @@ func (ev FaultEvent) factor() float64 {
 	if ev.Factor != 0 {
 		return ev.Factor
 	}
-	switch ev.Op {
-	case OpDiskSlow:
-		return DefaultSlowFactor
-	case OpLinkLoss:
-		return DefaultLossRate
-	case OpGrayFail:
-		return DefaultGrayRate
-	case OpLinkDelay:
-		return DefaultDelayFactor
-	}
-	return 0
+	wf, _ := Opens(ev.Op)
+	return wf.DefaultFactor
 }
 
 // DefaultSlowFactor is OpDiskSlow's degradation when the event leaves
@@ -604,31 +689,16 @@ func PartitionFlap(group int, startSec, endSec, periodSec, duty float64) Faultlo
 // RestoreOf maps a window-opening fault op to the op that closes its
 // window (the pairing Flap alternates between).
 func RestoreOf(op FaultOp) (FaultOp, bool) {
-	switch op {
-	case OpPartition:
-		return OpHeal, true
-	case OpDiskSlow:
-		return OpDiskRestore, true
-	case OpLinkLoss:
-		return OpLinkRestore, true
-	case OpGroupIsolate:
-		return OpGroupReconnect, true
-	case OpGrayFail:
-		return OpGrayRestore, true
-	case OpLinkDelay:
-		return OpLinkDelayRestore, true
-	default:
-		return 0, false
-	}
+	wf, ok := Opens(op)
+	return wf.Close, ok
 }
 
 // Flap expands a fault op into an alternating inject/restore event train
 // on one selector: starting at startSec, each periodSec-long period
 // spends duty (0 < duty < 1) of its width under the fault and the rest
 // healed, until endSec (a window still open there is closed at endSec).
-// op must have a restore counterpart (OpPartition, OpDiskSlow,
-// OpLinkLoss, OpGroupIsolate, OpGrayFail, OpLinkDelay); factor rides on
-// every injection event. Flapping is strictly harder than one long
+// op must open a row of WindowFaults; factor rides on every injection
+// event. Flapping is strictly harder than one long
 // window of the same cumulative width: every cycle forces re-detection,
 // re-election or re-absorption from scratch.
 func Flap(op FaultOp, sel Selector, startSec, endSec, periodSec, duty, factor float64) Faultload {
@@ -662,6 +732,7 @@ type resolvedEvent struct {
 	atSec   float64
 	op      FaultOp
 	victims []int
+	groups  []int // the victims' groups, ascending
 	// selKey pairs OpHeal/OpDiskRestore with the OpPartition/OpDiskSlow
 	// that opened the window (the original selector's key).
 	selKey string
@@ -670,24 +741,19 @@ type resolvedEvent struct {
 	leaderOf int
 	dir      env.LinkDir
 	factor   float64
-	// groupList, when non-nil, overrides victim→group attribution for
-	// victims whose flat index is not group-major (learner readers live
-	// past the voter range).
-	groupList []int
 }
 
-// resolve binds the faultload's selectors to flat (group-major) server
-// indices for a Shards×Servers deployment. A selector naming a group the
-// deployment does not have is a construction error — wrapping it around
-// would silently crash a second member of some other group and misreport
-// the scenario — so it panics.
+// resolve binds the faultload's selectors to flat server indices
+// (webtier.Layout) for a Shards×Servers deployment. A selector naming a
+// group the deployment does not have is a construction error — wrapping it
+// around would silently crash a second member of some other group and
+// misreport the scenario — so it panics.
 func (f Faultload) resolve(cfg RunConfig) []resolvedEvent {
-	groupOf := func(sel Selector) int {
-		if sel.Group < 0 || sel.Group >= cfg.Shards {
-			panic(fmt.Sprintf("exp: faultload %q selects group %d of a %d-shard deployment",
-				f.Name, sel.Group, cfg.Shards))
-		}
-		return sel.Group
+	lay := webtier.Layout{Shards: cfg.Shards, Servers: cfg.Servers, Readers: cfg.Readers}
+	// victim is group g's rotation victim of the given slot.
+	victim := func(g, slot int) int {
+		v := pickVictimsInGroup(cfg, g)
+		return lay.Voter(g, v[slot%len(v)])
 	}
 	out := make([]resolvedEvent, 0, len(f.Events))
 	for _, ev := range f.Events {
@@ -700,66 +766,46 @@ func (f Faultload) resolve(cfg RunConfig) []resolvedEvent {
 			factor:   ev.factor(),
 		}
 		sel := ev.Select
+		if sel.Scope == ScopeEveryGroupMember {
+			for g := 0; g < cfg.Shards; g++ {
+				re.victims = append(re.victims, victim(g, sel.Slot))
+				re.groups = append(re.groups, g)
+			}
+			out = append(out, re)
+			continue
+		}
+		g := sel.Group
+		if g < 0 || g >= cfg.Shards {
+			panic(fmt.Sprintf("exp: faultload %q selects group %d of a %d-shard deployment",
+				f.Name, g, cfg.Shards))
+		}
+		re.groups = []int{g}
 		switch sel.Scope {
 		case ScopeGroupMember:
-			g := groupOf(sel)
-			v := pickVictimsInGroup(cfg, g)
-			re.victims = []int{g*cfg.Servers + v[sel.Slot%len(v)]}
-		case ScopeEveryGroupMember:
-			for g := 0; g < cfg.Shards; g++ {
-				v := pickVictimsInGroup(cfg, g)
-				re.victims = append(re.victims, g*cfg.Servers+v[sel.Slot%len(v)])
-			}
+			re.victims = []int{victim(g, sel.Slot)}
 		case ScopeWholeGroup:
-			g := groupOf(sel)
 			for m := 0; m < cfg.Servers; m++ {
-				re.victims = append(re.victims, g*cfg.Servers+m)
+				re.victims = append(re.victims, lay.Voter(g, m))
 			}
 		case ScopeGroupLeader:
 			// Late-bound: the leader is run state. The rotation's slot-0
 			// victim is the fallback when no leader is established at
 			// fire time.
-			g := groupOf(sel)
 			re.leaderOf = g
-			v := pickVictimsInGroup(cfg, g)
-			re.victims = []int{g*cfg.Servers + v[0]}
+			re.victims = []int{victim(g, 0)}
 		case ScopeGroupMinority:
-			g := groupOf(sel)
-			m := (cfg.Servers - 1) / 2 // largest quorum-preserving minority
 			first := pickVictimsInGroup(cfg, g)[0]
-			for i := 0; i < m; i++ {
-				re.victims = append(re.victims, g*cfg.Servers+(first+i)%cfg.Servers)
+			for i := 0; i < (cfg.Servers-1)/2; i++ { // largest quorum-preserving minority
+				re.victims = append(re.victims, lay.Voter(g, (first+i)%cfg.Servers))
 			}
 		case ScopeGroupReader:
-			g := groupOf(sel)
 			if cfg.Readers <= 0 {
 				panic(fmt.Sprintf("exp: faultload %q selects a reader of a deployment with Readers=0",
 					f.Name))
 			}
-			re.victims = []int{cfg.Shards*cfg.Servers + g*cfg.Readers + sel.Slot%cfg.Readers}
-			re.groupList = []int{g}
+			re.victims = []int{lay.Reader(g, sel.Slot%cfg.Readers)}
 		}
 		out = append(out, re)
-	}
-	return out
-}
-
-// groups returns the sorted distinct group indices of the event's victims
-// (for the leader scope, the late-bound group).
-func (re resolvedEvent) groups(servers int) []int {
-	if re.leaderOf >= 0 {
-		return []int{re.leaderOf}
-	}
-	if re.groupList != nil {
-		return re.groupList
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, v := range re.victims {
-		if g := v / servers; !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
 	}
 	return out
 }

@@ -276,7 +276,7 @@ func TestPartitionScenarioRun(t *testing.T) {
 		t.Fatalf("faults = %d, want 1", r.Faults)
 	}
 	g := r.PerGroup[0]
-	if g.Partitions != 1 || g.PartitionSec <= 0 {
+	if g.Windows["partition"].Count != 1 || g.Windows["partition"].Sec <= 0 {
 		t.Fatalf("group report missed the partition window: %+v", g)
 	}
 	if g.Availability < 0.99 {
@@ -303,7 +303,7 @@ func TestSlowDiskScenarioRun(t *testing.T) {
 		t.Fatalf("window factor = %v, want 8", f)
 	}
 	g := r.PerGroup[0]
-	if g.Degradations != 1 || g.DegradedSec <= 0 {
+	if g.Windows["slowdisk"].Count != 1 || g.Windows["slowdisk"].Sec <= 0 {
 		t.Fatalf("group report missed the degradation window: %+v", g)
 	}
 	if g.Crashes != 0 || r.Availability < 0.999 {
@@ -320,7 +320,7 @@ func TestCrashOnlyRunCarriesNoFaultWindows(t *testing.T) {
 		t.Fatalf("crash-only run has fault windows: %+v", r.FaultWindows)
 	}
 	for _, g := range r.PerGroup {
-		if g.Partitions != 0 || g.PartitionSec != 0 || g.Degradations != 0 || g.DegradedSec != 0 {
+		if g.Windows["partition"].Count != 0 || g.Windows["partition"].Sec != 0 || g.Windows["slowdisk"].Count != 0 || g.Windows["slowdisk"].Sec != 0 {
 			t.Fatalf("crash-only group report carries fault windows: %+v", g)
 		}
 	}
@@ -374,7 +374,7 @@ func TestOverlappingDiskSlowWindowsCompose(t *testing.T) {
 		r.FaultWindows[1].ToSec < r.FaultWindows[2].ToSec) {
 		t.Fatalf("window closes out of order: %+v", r.FaultWindows)
 	}
-	if g := r.PerGroup[0]; g.Degradations != 3 || g.DegradedSec <= 0 {
+	if g := r.PerGroup[0]; g.Windows["slowdisk"].Count != 3 || g.Windows["slowdisk"].Sec <= 0 {
 		t.Fatalf("group report = %+v, want 3 degradation windows", g)
 	}
 }
@@ -441,7 +441,7 @@ func TestFlakyLinkScenarioRun(t *testing.T) {
 		t.Fatalf("faults = %d, want 1", r.Faults)
 	}
 	g := r.PerGroup[0]
-	if g.LossWindows != 1 || g.LossSec <= 0 {
+	if g.Windows["linkloss"].Count != 1 || g.Windows["linkloss"].Sec <= 0 {
 		t.Fatalf("group report missed the loss window: %+v", g)
 	}
 	if g.Crashes != 0 {

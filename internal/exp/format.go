@@ -217,45 +217,37 @@ func PrintShardedDependability(w io.Writer, r RunResult) {
 	for _, g := range r.PerGroup {
 		fmt.Fprintf(w, "%-10d %9.1f %8.3f %9.5f %8.1f %7d %5d %9.1f %8.1f %8.1f %7.1f\n",
 			g.Group, g.AWIPS, g.Accuracy, g.Availability, g.Downtime.Seconds(),
-			g.Crashes, g.Recoveries, g.MeanRecoverySec, g.PartitionSec, g.DegradedSec,
-			g.Perf.PV)
+			g.Crashes, g.Recoveries, g.MeanRecoverySec, g.Windows["partition"].Sec,
+			g.Windows["slowdisk"].Sec, g.Perf.PV)
 	}
 	agg := metrics.AggregateGroups(r.PerGroup, total)
 	fmt.Fprintf(w, "%-10s %9.1f %8.3f %9.5f %8.1f %7d %5d %9.1f %8.1f %8.1f %7.1f\n",
 		"aggregate", agg.AWIPS, r.Accuracy, r.Availability, agg.Downtime.Seconds(),
-		agg.Crashes, agg.Recoveries, agg.MeanRecoverySec, agg.PartitionSec,
-		agg.DegradedSec, r.Perf.PV)
+		agg.Crashes, agg.Recoveries, agg.MeanRecoverySec, agg.Windows["partition"].Sec,
+		agg.Windows["slowdisk"].Sec, r.Perf.PV)
 	printFaultWindows(w, r.FaultWindows)
+}
+
+// labelledAs returns the first table row reporting under kind: the one
+// whose label and direction word that kind's windows.
+func labelledAs(kind string) WindowFault {
+	for _, wf := range WindowFaults {
+		if wf.Kind == kind {
+			return wf
+		}
+	}
+	return WindowFault{}
 }
 
 // printFaultWindows lists each correlated fault window on the x-axis.
 func printFaultWindows(w io.Writer, wins []metrics.FaultWindow) {
 	for _, fw := range wins {
-		extra := ""
-		if fw.Kind == "partition" && fw.Dir != "" && fw.Dir != "both" {
-			extra = ", one-way " + fw.Dir
+		wf, extra := labelledAs(fw.Kind), ""
+		if wf.label != nil && fw.Factor > 0 {
+			extra = ", " + wf.label(fw.Factor)
 		}
-		if fw.Kind == "slowdisk" && fw.Factor > 0 {
-			extra = fmt.Sprintf(", %gx slower", fw.Factor)
-		}
-		if fw.Kind == "linkloss" && fw.Factor > 0 {
-			extra = fmt.Sprintf(", %.0f%% loss", fw.Factor*100)
-			if fw.Dir != "" && fw.Dir != "both" {
-				extra += ", one-way " + fw.Dir
-			}
-		}
-		if fw.Kind == "grayfail" && fw.Factor > 0 {
-			if fw.Factor < 1 {
-				extra = fmt.Sprintf(", %.0f%% errors", fw.Factor*100)
-			} else {
-				extra = fmt.Sprintf(", %gx slow-walk", fw.Factor)
-			}
-		}
-		if fw.Kind == "linkdelay" && fw.Factor > 0 {
-			extra = fmt.Sprintf(", %gx latency", fw.Factor)
-			if fw.Dir != "" && fw.Dir != "both" {
-				extra += ", one-way " + fw.Dir
-			}
+		if wf.Directed && fw.Dir != "" && fw.Dir != "both" {
+			extra += ", one-way " + fw.Dir
 		}
 		if fw.ToSec < 0 {
 			fmt.Fprintf(w, "  %s window: group %d, t=%.1f s → (never healed)%s\n",

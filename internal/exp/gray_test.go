@@ -38,7 +38,7 @@ func TestGrayFailScenarioRun(t *testing.T) {
 		t.Fatalf("window width %.1f s, want ≈%.1f (scaled 40 s)", w.ToSec-w.FromSec, want)
 	}
 	g := r.PerGroup[0]
-	if g.GrayWindows != 1 || g.GraySec <= 0 {
+	if g.Windows["grayfail"].Count != 1 || g.Windows["grayfail"].Sec <= 0 {
 		t.Fatalf("group report missed the gray window: %+v", g)
 	}
 	if g.Crashes != 0 {
@@ -71,7 +71,7 @@ func TestLinkDelayScenarioRun(t *testing.T) {
 		t.Fatalf("window factor = %v, want 50", f)
 	}
 	g := r.PerGroup[0]
-	if g.DelayWindows != 1 || g.DelaySec <= 0 {
+	if g.Windows["linkdelay"].Count != 1 || g.Windows["linkdelay"].Sec <= 0 {
 		t.Fatalf("group report missed the delay window: %+v", g)
 	}
 	if g.Crashes != 0 {

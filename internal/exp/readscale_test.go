@@ -113,7 +113,7 @@ func TestLearnerFaultloadResolve(t *testing.T) {
 	if len(ev[0].victims) != 1 || ev[0].victims[0] != 8 {
 		t.Fatalf("victims = %v, want [8]", ev[0].victims)
 	}
-	if g := ev[0].groups(cfg.Servers); len(g) != 1 || g[0] != 1 {
+	if g := ev[0].groups; len(g) != 1 || g[0] != 1 {
 		t.Fatalf("window groups = %v, want [1]", g)
 	}
 }

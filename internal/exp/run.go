@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"robuststore/internal/metrics"
-	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
 	"robuststore/internal/sim"
@@ -337,9 +336,9 @@ func runOnce(cfg RunConfig) RunResult {
 	var faultWins []metrics.FaultWindow
 	openWins := map[string][]int{} // kind+selKey -> indices into faultWins
 	secOf := func(t time.Time) float64 { return t.Sub(t0).Seconds() }
-	openWindows := func(kind string, ev resolvedEvent, groups []int) {
+	openWindows := func(kind string, ev resolvedEvent) {
 		key := kind + "/" + ev.selKey
-		for _, g := range groups {
+		for _, g := range ev.groups {
 			openWins[key] = append(openWins[key], len(faultWins))
 			faultWins = append(faultWins, metrics.FaultWindow{
 				Kind:    kind,
@@ -358,91 +357,21 @@ func runOnce(cfg RunConfig) RunResult {
 		}
 		delete(openWins, key)
 	}
-	// Partitions heal through the handle their event opened, kept by
-	// selector so overlapping partitions compose.
-	openParts := map[string]*netfault.BlockHandle{}
-	// diskActive composes overlapping degradations: per victim, the
-	// factors of every open OpDiskSlow touching it. The hardware runs at
-	// the worst active factor; restoring one event re-applies the max of
-	// whatever remains (or heals the drive when none does).
-	diskActive := map[int]map[string]float64{}
-	applyDiskFactor := func(v int) {
-		f := 1.0
-		for _, x := range diskActive[v] {
-			if x > f {
-				f = x
-			}
-		}
-		cluster.SetDiskFactor(v, f)
-	}
-	// The window-opening faults. Each event of one remembers its victims
-	// under its selector, so that the restore with the same selector clears
-	// exactly them, and re-firing a selector supersedes its open event.
-	// Link loss rates and delay factors from different selectors touching
-	// one victim do not compose — the later write wins per link (schedule
-	// disjoint victims to overlap) — while disk factors do.
-	windowFaults := map[FaultOp]windowFault{
-		OpPartition: {kind: "partition", lateBinds: true,
-			apply: func(ev resolvedEvent, victims []int) {
-				openParts[ev.selKey] = cluster.PartitionServers(ev.dir, victims...)
-			},
-			clear: func(ev resolvedEvent, _ []int) {
-				openParts[ev.selKey].Heal()
-				delete(openParts, ev.selKey)
-			}},
-		OpDiskSlow: {kind: "slowdisk",
-			apply: func(ev resolvedEvent, victims []int) {
-				for _, v := range victims {
-					if diskActive[v] == nil {
-						diskActive[v] = map[string]float64{}
-					}
-					diskActive[v][ev.selKey] = ev.factor
-					cluster.DegradeDisk(v, ev.factor) // counts the fault
-					applyDiskFactor(v)                // worst active factor wins
-				}
-			},
-			clear: func(ev resolvedEvent, victims []int) {
-				for _, v := range victims {
-					delete(diskActive[v], ev.selKey)
-					applyDiskFactor(v) // back to the next-worst, or healthy
-				}
-			}},
-		OpLinkLoss: {kind: "linkloss", lateBinds: true,
-			apply: func(ev resolvedEvent, victims []int) { cluster.DegradeLinks(ev.dir, ev.factor, victims...) },
-			clear: func(_ resolvedEvent, victims []int) { cluster.RestoreLinks(victims...) }},
-		OpGroupIsolate: {kind: "partition",
-			apply: func(_ resolvedEvent, victims []int) { cluster.IsolateFromGroup(victims...) },
-			clear: func(_ resolvedEvent, victims []int) { cluster.ReconnectToGroup(victims...) }},
-		OpGrayFail: {kind: "grayfail", lateBinds: true,
-			apply: func(ev resolvedEvent, victims []int) {
-				for _, v := range victims {
-					cluster.GrayFail(v, ev.factor) // counts the fault
-				}
-			},
-			clear: func(_ resolvedEvent, victims []int) {
-				for _, v := range victims {
-					cluster.GrayRestore(v)
-				}
-			}},
-		OpLinkDelay: {kind: "linkdelay", lateBinds: true,
-			apply: func(ev resolvedEvent, victims []int) { cluster.DegradeLinkDelay(ev.dir, ev.factor, victims...) },
-			clear: func(_ resolvedEvent, victims []int) { cluster.RestoreLinkDelay(victims...) }},
-	}
+	// Each open window fault remembers, under its opener and selector, what
+	// lifts it from its victims, so that the restore with the same selector
+	// clears exactly them, and re-firing a selector supersedes its open
+	// event.
 	type openKey struct {
 		op     FaultOp // the window-opening op
 		selKey string
 	}
-	openVictims := map[openKey][]int{}
-	closers := map[FaultOp]FaultOp{} // restore op -> the op whose window it closes
-	for op := range windowFaults {
-		restore, _ := RestoreOf(op)
-		closers[restore] = op
-	}
+	open := map[openKey]func(){}
+	fr := &faultRun{cluster: cluster, disk: map[int]map[string]float64{}}
 	for _, ev := range cfg.faultload().resolve(cfg) {
 		ev := ev
 		t := at(ev.atSec)
-		wf, opens := windowFaults[ev.op]
-		opener, closes := closers[ev.op]
+		wf, opens := Opens(ev.op)
+		closed, closes := Closes(ev.op)
 		switch {
 		case ev.op == OpCrash || ev.op == OpCrashNoRestart:
 			for _, v := range ev.victims {
@@ -466,7 +395,7 @@ func runOnce(cfg RunConfig) RunResult {
 			key := openKey{ev.op, ev.selKey}
 			s.At(t, func() {
 				victims := ev.victims
-				if wf.lateBinds && ev.leaderOf >= 0 {
+				if wf.LateBinds && ev.leaderOf >= 0 {
 					// Late binding: hit whoever leads the group now; the
 					// rotation victim is the no-leader fallback.
 					if l := cluster.LeaderOf(ev.leaderOf); l >= 0 {
@@ -476,21 +405,20 @@ func runOnce(cfg RunConfig) RunResult {
 				if len(victims) == 0 {
 					return // e.g. the empty minority of a 1-server group
 				}
-				if old, ok := openVictims[key]; ok {
-					wf.clear(ev, old) // re-firing a selector supersedes its open event
-					closeWindows(wf.kind, ev)
+				if lift, ok := open[key]; ok {
+					lift()
+					closeWindows(wf.Kind, ev)
 				}
-				wf.apply(ev, victims)
-				openVictims[key] = victims
-				openWindows(wf.kind, ev, ev.groups(cfg.Servers))
+				open[key] = wf.injectOn(fr, ev, victims)
+				openWindows(wf.Kind, ev)
 			})
 		case closes:
-			key := openKey{opener, ev.selKey}
+			key := openKey{closed.Open, ev.selKey}
 			s.At(t, func() {
-				if old, ok := openVictims[key]; ok {
-					windowFaults[opener].clear(ev, old)
-					delete(openVictims, key)
-					closeWindows(windowFaults[opener].kind, ev)
+				if lift, ok := open[key]; ok {
+					lift()
+					delete(open, key)
+					closeWindows(closed.Kind, ev)
 				}
 			})
 		}
@@ -505,7 +433,7 @@ func runOnce(cfg RunConfig) RunResult {
 			cluster.Rebalance(webtier.RebalanceOptions{
 				OnPhase: func(phase string) {
 					if phase == webtier.PhaseCopy && cfg.CrashMidMigration {
-						victim := pickVictimsInGroup(cfg, 0)[0]
+						victim := cluster.Voters(0)[pickVictimsInGroup(cfg, 0)[0]]
 						crashes = append(crashes, crashEvent{server: victim, at: s.Now()})
 						cluster.Crash(victim)
 					}
@@ -542,32 +470,60 @@ type recoveryEvent struct {
 	at     time.Time
 }
 
-// windowFault is how one window-opening fault op acts on the cluster: the
-// kind of metrics.FaultWindow its events open, whether a Leader selector
-// binds when the event fires, how to inject the fault on the victims and
-// how to clear it from them.
-type windowFault struct {
-	kind      string
-	lateBinds bool
-	apply     func(ev resolvedEvent, victims []int)
-	clear     func(ev resolvedEvent, victims []int)
+// injectOn injects the fault on the victims, per event or per victim, and
+// returns what lifts it again.
+func (wf WindowFault) injectOn(r *faultRun, ev resolvedEvent, victims []int) (lift func()) {
+	if !wf.PerVictim {
+		return wf.inject(r, ev, victims)
+	}
+	var lifts []func()
+	for _, v := range victims {
+		lifts = append(lifts, wf.inject(r, ev, []int{v}))
+	}
+	return func() {
+		for _, lift := range lifts {
+			lift()
+		}
+	}
+}
+
+// faultRun is what the window faults of one run act on (WindowFault.inject).
+type faultRun struct {
+	cluster *webtier.Cluster
+
+	// disk composes overlapping degradations: per victim, the factors of
+	// every open OpDiskSlow touching it, by selector.
+	disk map[int]map[string]float64
+}
+
+// slowDisk is OpDiskSlow's inject. The hardware runs at the worst active
+// factor; lifting one event re-applies the max of whatever remains (or
+// heals the drive when none does).
+func (r *faultRun) slowDisk(ev resolvedEvent, victims []int) (lift func()) {
+	v := victims[0]
+	worst := func() {
+		f := 1.0
+		for _, x := range r.disk[v] {
+			f = max(f, x)
+		}
+		r.cluster.SetDiskFactor(v, f)
+	}
+	if r.disk[v] == nil {
+		r.disk[v] = map[string]float64{}
+	}
+	r.disk[v][ev.selKey] = ev.factor
+	r.cluster.DegradeDisk(v, ev.factor) // counts the fault
+	worst()
+	return func() {
+		delete(r.disk[v], ev.selKey)
+		worst()
+	}
 }
 
 // crashEvent is one scheduled crash of one server.
 type crashEvent struct {
 	server int
 	at     time.Time
-}
-
-// groupOfFlat maps a flat server index — voter or learner reader — to its
-// Paxos group (readers occupy the range past the voters; a rebalance-grown
-// deployment never has readers, so the group-major rule covers it).
-func groupOfFlat(cfg RunConfig, server int) int {
-	voters := cfg.Shards * cfg.Servers
-	if cfg.Readers > 0 && server >= voters {
-		return (server - voters) / cfg.Readers
-	}
-	return server / cfg.Servers
 }
 
 // pickVictimsInGroup is the per-group victim rotation ("chosen at random",
@@ -733,7 +689,7 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 		gCrash0, gRecEnd := -1, -1
 		var durSum float64
 		for i, ce := range crashes {
-			if groupOfFlat(cfg, ce.server) != g {
+			if cluster.GroupOfServer(ce.server) != g {
 				continue
 			}
 			gr.Crashes++
@@ -763,23 +719,11 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 			if to < 0 {
 				to = endSec
 			}
-			switch fw.Kind {
-			case "partition":
-				gr.Partitions++
-				gr.PartitionSec += to - fw.FromSec
-			case "slowdisk":
-				gr.Degradations++
-				gr.DegradedSec += to - fw.FromSec
-			case "linkloss":
-				gr.LossWindows++
-				gr.LossSec += to - fw.FromSec
-			case "grayfail":
-				gr.GrayWindows++
-				gr.GraySec += to - fw.FromSec
-			case "linkdelay":
-				gr.DelayWindows++
-				gr.DelaySec += to - fw.FromSec
+			if gr.Windows == nil {
+				gr.Windows = map[string]metrics.WindowTotal{}
 			}
+			w := gr.Windows[fw.Kind]
+			gr.Windows[fw.Kind] = metrics.WindowTotal{Count: w.Count + 1, Sec: w.Sec + (to - fw.FromSec)}
 		}
 		if gr.Crashes > 0 {
 			if gRecEnd < 0 || gRecEnd > mEnd {
@@ -811,7 +755,7 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 	// single-store measure).
 	res.InitialStateMB = float64(populationFor(cfg.StateMB).NominalBytes()) / 1e6
 	for g := 0; g < res.FinalShards; g++ {
-		for i := g * cfg.Servers; i < (g+1)*cfg.Servers; i++ {
+		for _, i := range cluster.Voters(g) {
 			if st := cluster.Store(i); st != nil {
 				if mb := float64(st.NominalBytes()) / 1e6; mb > res.FinalStateMB {
 					res.FinalStateMB = mb

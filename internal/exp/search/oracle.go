@@ -68,12 +68,13 @@ func runSecOf(atSec float64, measure time.Duration) float64 {
 func lastFaultRunSec(events []exp.FaultEvent, measure time.Duration) float64 {
 	last := 0.0
 	for i, ev := range events {
-		switch ev.Op {
-		case exp.OpCrash:
+		_, restores := exp.Closes(ev.Op)
+		switch {
+		case ev.Op == exp.OpCrash:
 			if s := runSecOf(ev.AtSec, measure) + crashRecoverSec; s > last {
 				last = s
 			}
-		case exp.OpCrashNoRestart:
+		case ev.Op == exp.OpCrashNoRestart:
 			// Only a later OpRecover on the same selector brings the
 			// victim back; without one the outage is permanent.
 			recovered := false
@@ -89,8 +90,7 @@ func lastFaultRunSec(events []exp.FaultEvent, measure time.Duration) float64 {
 			if !recovered {
 				return -1
 			}
-		case exp.OpRecover, exp.OpHeal, exp.OpDiskRestore, exp.OpLinkRestore,
-			exp.OpGroupReconnect, exp.OpGrayRestore, exp.OpLinkDelayRestore:
+		case ev.Op == exp.OpRecover || restores:
 			if s := runSecOf(ev.AtSec, measure); s > last {
 				last = s
 			}

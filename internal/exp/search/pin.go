@@ -53,10 +53,10 @@ type PinnedCase struct {
 	Events     []PinnedEvent `json:"events"`
 }
 
-// opByName inverts FaultOp.String over the full op range.
+// opByName inverts FaultOp.String over every op.
 var opByName = func() map[string]exp.FaultOp {
 	m := map[string]exp.FaultOp{}
-	for op := exp.OpCrash; op <= exp.OpLinkDelayRestore; op++ {
+	for _, op := range exp.Ops() {
 		m[op.String()] = op
 	}
 	return m

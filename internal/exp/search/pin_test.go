@@ -75,13 +75,45 @@ func TestLoadPinsMissingDir(t *testing.T) {
 	}
 }
 
-// TestOpScopeNameTables: every op and scope round-trips through its
-// serialized name (guards new enum values against silent truncation).
+// TestOpScopeNameTables: the window-fault table is whole — every row has
+// both ops and both names, every op round-trips through its serialized
+// name, every opener is in the sampler's mix and is what Flap accepts — and
+// every scope round-trips too (guards a new row or enum value against
+// silently dropping out of pins, the hunt or Flap).
 func TestOpScopeNameTables(t *testing.T) {
-	for op := exp.OpCrash; op <= exp.OpLinkDelayRestore; op++ {
-		got, ok := opByName[op.String()]
-		if !ok || got != op {
+	for _, op := range exp.Ops() {
+		if got, ok := opByName[op.String()]; !ok || got != op || op.String() == "unknown" {
 			t.Errorf("op %d (%s) does not round-trip", op, op)
+		}
+	}
+	if len(opByName) != len(exp.Ops()) {
+		t.Errorf("%d names for %d ops: two ops share a name", len(opByName), len(exp.Ops()))
+	}
+	mixed := map[exp.FaultOp]bool{}
+	for _, e := range opMix {
+		mixed[e.op] = true
+	}
+	flaps := func(op exp.FaultOp) (ok bool) {
+		defer func() { ok = recover() == nil }()
+		exp.Flap(op, exp.Member(0, 0), 0, 100, 50, 0.5, 0)
+		return
+	}
+	opens := map[exp.FaultOp]bool{}
+	for _, wf := range exp.WindowFaults {
+		opens[wf.Open] = true
+		if wf.Open == wf.Close || wf.OpenName == "" || wf.CloseName == "" || wf.Kind == "" {
+			t.Errorf("incomplete row %+v", wf)
+		}
+		if got, ok := exp.RestoreOf(wf.Open); !ok || got != wf.Close {
+			t.Errorf("%v closes with %v, want %v", wf.Open, got, wf.Close)
+		}
+		if !mixed[wf.Open] {
+			t.Errorf("%v is not in the sampler's mix", wf.Open)
+		}
+	}
+	for _, op := range exp.Ops() {
+		if flaps(op) != opens[op] {
+			t.Errorf("Flap(%v) accepted = %v, want %v", op, flaps(op), opens[op])
 		}
 	}
 	for scope, name := range scopeNames {

@@ -28,30 +28,33 @@ const (
 	crashInjectEndSec = 140.0
 )
 
-// opWeights is the grammar's op mix. Gray faults weigh as much as the
-// classic severing faults: they are the reason the hunt exists.
-var opWeights = []struct {
-	op exp.FaultOp
-	w  int
+// opMix is the grammar's op mix: each op's weight and the degradation
+// factors it draws from (none for an op that takes no factor). Gray faults
+// weigh as much as the classic severing faults: they are the reason the
+// hunt exists. What else the sampler knows of a window op — its closer,
+// whether it severs, whether it takes a direction — is its row of
+// exp.WindowFaults.
+var opMix = []struct {
+	op      exp.FaultOp
+	w       int
+	factors []float64
 }{
-	{exp.OpCrash, 2},
-	{exp.OpPartition, 3},
-	{exp.OpDiskSlow, 2},
-	{exp.OpLinkLoss, 2},
-	{exp.OpGroupIsolate, 1},
-	{exp.OpGrayFail, 3},
-	{exp.OpLinkDelay, 2},
+	{exp.OpCrash, 2, nil},
+	{exp.OpPartition, 3, nil},
+	{exp.OpDiskSlow, 2, []float64{4, 8, 16}},
+	{exp.OpLinkLoss, 2, []float64{0.2, 0.3, 0.5}},
+	{exp.OpGroupIsolate, 1, nil},
+	// Below 1: fast-error rate; at/above: service slow-walk.
+	{exp.OpGrayFail, 3, []float64{0.3, 0.5, 0.8, 10, 20, 40}},
+	{exp.OpLinkDelay, 2, []float64{20, 50, 100}},
 }
 
 // severing reports whether the op denies its victims' service outright
 // (crash, partition, group isolation) — the class the sampler must keep
 // to a minority per group with non-overlapping windows.
 func severing(op exp.FaultOp) bool {
-	switch op {
-	case exp.OpCrash, exp.OpCrashNoRestart, exp.OpPartition, exp.OpGroupIsolate:
-		return true
-	}
-	return false
+	wf, _ := exp.Opens(op)
+	return wf.Severs || op == exp.OpCrash || op == exp.OpCrashNoRestart
 }
 
 // sampledSchedule is one draw from the grammar.
@@ -59,20 +62,21 @@ type sampledSchedule struct {
 	fl exp.Faultload
 }
 
-// pickOp draws from the weighted op mix.
-func pickOp(rng *rand.Rand) exp.FaultOp {
+// pickOp draws from the weighted op mix, returning the op and the factors
+// it draws from.
+func pickOp(rng *rand.Rand) (exp.FaultOp, []float64) {
 	total := 0
-	for _, e := range opWeights {
+	for _, e := range opMix {
 		total += e.w
 	}
 	n := rng.Intn(total)
-	for _, e := range opWeights {
+	for _, e := range opMix {
 		if n < e.w {
-			return e.op
+			return e.op, e.factors
 		}
 		n -= e.w
 	}
-	return opWeights[0].op
+	return opMix[0].op, nil
 }
 
 // pickSelector draws a quorum-preserving victim selector within group g:
@@ -87,35 +91,6 @@ func pickSelector(rng *rand.Rand, g int) exp.Selector {
 	default:
 		return exp.Minority(g)
 	}
-}
-
-// pickFactor draws an op-appropriate degradation factor.
-func pickFactor(rng *rand.Rand, op exp.FaultOp) float64 {
-	choice := func(xs ...float64) float64 { return xs[rng.Intn(len(xs))] }
-	switch op {
-	case exp.OpDiskSlow:
-		return choice(4, 8, 16)
-	case exp.OpLinkLoss:
-		return choice(0.2, 0.3, 0.5)
-	case exp.OpGrayFail:
-		// Below 1: fast-error rate; at/above: service slow-walk.
-		return choice(0.3, 0.5, 0.8, 10, 20, 40)
-	case exp.OpLinkDelay:
-		return choice(20, 50, 100)
-	}
-	return 0
-}
-
-// pickDir draws a link direction for the ops that honor one (mostly
-// symmetric, sometimes the nastier one-way loss).
-func pickDir(rng *rand.Rand, op exp.FaultOp) env.LinkDir {
-	switch op {
-	case exp.OpPartition, exp.OpLinkLoss, exp.OpLinkDelay:
-		if rng.Intn(4) == 0 {
-			return env.LinkOutboundOnly
-		}
-	}
-	return env.LinkBothWays
 }
 
 // sampleSchedule draws one random fault schedule for a shards×servers
@@ -176,7 +151,7 @@ func sampleSchedule(rng *rand.Rand, shards, servers int) sampledSchedule {
 	n := 1 + rng.Intn(3)
 	for i := 0; i < n; i++ {
 		g := rng.Intn(shards)
-		op := pickOp(rng)
+		op, factors := pickOp(rng)
 
 		if op == exp.OpCrash {
 			at := sampleStartSec + rng.Float64()*(crashInjectEndSec-sampleStartSec)
@@ -208,9 +183,16 @@ func sampleSchedule(rng *rand.Rand, shards, servers int) sampledSchedule {
 			}
 			severSpans[g] = append(severSpans[g], span{from, to})
 		}
-		restore, _ := exp.RestoreOf(op)
-		factor := pickFactor(rng, op)
-		dir := pickDir(rng, op)
+		// Drawn in this order — factor, then direction, each only by an op
+		// that takes one — which the pinned seeds depend on.
+		wf, _ := exp.Opens(op)
+		factor, dir := 0.0, env.LinkBothWays
+		if len(factors) > 0 {
+			factor = factors[rng.Intn(len(factors))]
+		}
+		if wf.Directed && rng.Intn(4) == 0 {
+			dir = env.LinkOutboundOnly // mostly symmetric, sometimes the nastier one-way loss
+		}
 
 		// A severing window occasionally flaps instead of holding open —
 		// same span, same selector, strictly harder.
@@ -226,7 +208,7 @@ func sampleSchedule(rng *rand.Rand, shards, servers int) sampledSchedule {
 			AtSec: from, Op: op, Select: sel, Dir: dir, Factor: factor,
 		})
 		fl.Events = append(fl.Events, exp.FaultEvent{
-			AtSec: to, Op: restore, Select: sel,
+			AtSec: to, Op: wf.Close, Select: sel,
 		})
 	}
 

@@ -174,7 +174,7 @@ func (d *txnDriver) issue(k int, rng *rand.Rand, info tpcw.PopulationInfo) {
 // still down at audit time are skipped).
 func (d *txnDriver) groupStores(g int) []*tpcw.Store {
 	var out []*tpcw.Store
-	for i := g * d.cfg.Servers; i < (g+1)*d.cfg.Servers; i++ {
+	for _, i := range d.cluster.Voters(g) {
 		if st := d.cluster.Store(i); st != nil {
 			out = append(out, st)
 		}

@@ -250,24 +250,11 @@ type GroupReport struct {
 	MeanRecoverySec float64
 	Perf            Performability
 
-	// The correlated-fault windows, beside the crash/recovery ones: how
-	// long this group spent (partly) network-partitioned, how long any of
-	// its members ran on a degraded disk, and how long any of its links
-	// were flaky (probabilistic loss). Open windows extend to run end.
-	Partitions   int
-	PartitionSec float64
-	Degradations int
-	DegradedSec  float64
-	LossWindows  int
-	LossSec      float64
-
-	// Gray-failure windows (a member acking probes while erroring or
-	// slow-walking requests) and link-delay windows (latency inflation
-	// without loss) on this group.
-	GrayWindows  int
-	GraySec      float64
-	DelayWindows int
-	DelaySec     float64
+	// Windows totals the correlated-fault windows on this group, beside
+	// the crash/recovery ones, by FaultWindow.Kind: how many opened and how
+	// long the group spent under them. Open windows extend to run end; nil
+	// when the group saw none.
+	Windows map[string]WindowTotal
 
 	// Read-path staleness accounting (learner-backed follower reads):
 	// reads the group's voters + readers served to completion, reads per
@@ -288,6 +275,13 @@ type GroupReport struct {
 	TxnBlockedSec float64
 }
 
+// WindowTotal counts one group's fault windows of one kind and the seconds
+// it spent under them.
+type WindowTotal struct {
+	Count int
+	Sec   float64
+}
+
 // AggregateGroups folds per-group reports into one deployment-wide row:
 // availability is governed by the worst group (a whole-group outage is a
 // full outage for that client slice), crash and recovery counts sum, and
@@ -306,25 +300,14 @@ func AggregateGroups(groups []GroupReport, total time.Duration) GroupReport {
 		out.Recoveries += g.Recoveries
 		durSum += g.MeanRecoverySec * float64(g.Recoveries)
 		awipsSum += g.AWIPS
-		out.Partitions += g.Partitions
-		out.Degradations += g.Degradations
-		if g.PartitionSec > out.PartitionSec {
-			out.PartitionSec = g.PartitionSec
-		}
-		if g.DegradedSec > out.DegradedSec {
-			out.DegradedSec = g.DegradedSec
-		}
-		out.LossWindows += g.LossWindows
-		if g.LossSec > out.LossSec {
-			out.LossSec = g.LossSec
-		}
-		out.GrayWindows += g.GrayWindows
-		if g.GraySec > out.GraySec {
-			out.GraySec = g.GraySec
-		}
-		out.DelayWindows += g.DelayWindows
-		if g.DelaySec > out.DelaySec {
-			out.DelaySec = g.DelaySec
+		for kind, w := range g.Windows {
+			if out.Windows == nil {
+				out.Windows = map[string]WindowTotal{}
+			}
+			// Windows of different groups overlap the same wall clock, so
+			// the seconds are the worst group's, like downtime.
+			t := out.Windows[kind]
+			out.Windows[kind] = WindowTotal{Count: t.Count + w.Count, Sec: max(t.Sec, w.Sec)}
 		}
 		out.ReadsServed += g.ReadsServed
 		out.ReadsPerSec += g.ReadsPerSec

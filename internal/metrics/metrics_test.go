@@ -211,17 +211,17 @@ func TestAggregateGroups(t *testing.T) {
 
 func TestAggregateGroupsFaultWindows(t *testing.T) {
 	groups := []GroupReport{
-		{Group: 0, Partitions: 1, PartitionSec: 30, Degradations: 1, DegradedSec: 50},
-		{Group: 1, Partitions: 2, PartitionSec: 90},
+		{Group: 0, Windows: map[string]WindowTotal{"partition": {1, 30}, "slowdisk": {1, 50}}},
+		{Group: 1, Windows: map[string]WindowTotal{"partition": {2, 90}}},
 	}
-	agg := AggregateGroups(groups, 5*time.Minute)
-	if agg.Partitions != 3 || agg.Degradations != 1 {
-		t.Errorf("window counts = %d/%d, want 3/1", agg.Partitions, agg.Degradations)
+	agg := AggregateGroups(groups, 5*time.Minute).Windows
+	if agg["partition"].Count != 3 || agg["slowdisk"].Count != 1 {
+		t.Errorf("window counts = %d/%d, want 3/1", agg["partition"].Count, agg["slowdisk"].Count)
 	}
 	// Windows of different groups overlap the same wall clock, so the
 	// aggregate carries the worst group's exposure, like downtime.
-	if agg.PartitionSec != 90 || agg.DegradedSec != 50 {
-		t.Errorf("window seconds = %v/%v, want worst-group 90/50", agg.PartitionSec, agg.DegradedSec)
+	if agg["partition"].Sec != 90 || agg["slowdisk"].Sec != 50 {
+		t.Errorf("window seconds = %v/%v, want worst-group 90/50", agg["partition"].Sec, agg["slowdisk"].Sec)
 	}
 }
 

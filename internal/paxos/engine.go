@@ -34,17 +34,6 @@ type Config struct {
 	// timer-triggered, or queue drain — may overshoot it. Default 5.
 	MaxInFlight int
 
-	// SyncBytes flushes a pending WAL group (see walWriter) early once
-	// it holds this many bytes. Default 256 KiB.
-	SyncBytes int64
-
-	// SyncDelay bounds how long a pending WAL group may wait for more
-	// records before flushing. The default, 0, flushes at the next
-	// executor step: coalescing then comes only from records that pile
-	// up behind an in-flight flush, which adds no latency at low
-	// concurrency and converges to full group commit under load.
-	SyncDelay time.Duration
-
 	// Admission parameterizes the proposer's write-admission controller
 	// (see AdmissionConfig). Zero fields take defaults derived from the
 	// MaxInFlight × MaxBatchCmds window.
@@ -63,17 +52,9 @@ type Config struct {
 	// Default 800 ms.
 	RetryTimeout time.Duration
 
-	// FastDecisionTimeout is how long the coordinator waits for a fast
-	// quorum on an instance before starting coordinated recovery.
-	// Default 40 ms.
-	FastDecisionTimeout time.Duration
-
 	// SweepInterval is the housekeeping period (retries, gap recovery,
 	// catch-up checks). Default 50 ms.
 	SweepInterval time.Duration
-
-	// CatchUpChunk bounds entries per catch-up reply. Default 512.
-	CatchUpChunk int
 
 	// CmdSize returns the modeled serialized size of a command in
 	// bytes; nil means 128 bytes each.
@@ -113,6 +94,15 @@ type Config struct {
 	Learners []env.NodeID
 }
 
+const (
+	// fastDecisionTimeout is how long the coordinator waits for a fast
+	// quorum on an instance before starting coordinated recovery.
+	fastDecisionTimeout = 40 * time.Millisecond
+
+	// catchUpChunk bounds entries per catch-up reply.
+	catchUpChunk = 512
+)
+
 func (c Config) withDefaults() Config {
 	if c.BatchDelay == 0 {
 		c.BatchDelay = 5 * time.Millisecond
@@ -132,20 +122,11 @@ func (c Config) withDefaults() Config {
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 800 * time.Millisecond
 	}
-	if c.FastDecisionTimeout == 0 {
-		c.FastDecisionTimeout = 40 * time.Millisecond
-	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = 50 * time.Millisecond
 	}
-	if c.CatchUpChunk == 0 {
-		c.CatchUpChunk = 512
-	}
 	if c.CmdSize == nil {
 		c.CmdSize = func(any) int64 { return 128 }
-	}
-	if c.SyncBytes == 0 {
-		c.SyncBytes = 256 << 10
 	}
 	c.Admission = c.Admission.withDefaults(c.MaxInFlight*c.MaxBatchCmds, 128)
 	return c
@@ -245,7 +226,7 @@ func New(cfg Config) *Engine {
 // ready, if non-nil, runs once the WAL has been replayed.
 func (en *Engine) Boot(e env.Env, deliverFloor InstanceID, ready func()) {
 	en.e = e
-	en.wal = newWALWriter(e, en.cfg.SyncBytes, en.cfg.SyncDelay)
+	en.wal = newWALWriter(e)
 	en.me = e.ID()
 	en.members = en.cfg.Members
 	if en.members == nil {
@@ -728,7 +709,7 @@ func (en *Engine) requestCatchUp() {
 	if target < 0 || target == en.me {
 		return
 	}
-	en.e.Send(target, catchUpReqMsg{From: en.firstUnchosen, Max: en.cfg.CatchUpChunk})
+	en.e.Send(target, catchUpReqMsg{From: en.firstUnchosen, Max: catchUpChunk})
 }
 
 func (en *Engine) onCatchUpReq(from env.NodeID, m catchUpReqMsg) {

@@ -502,7 +502,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 			continue
 		}
 		if vs, ok := ls.fastVotes[i]; ok {
-			if now.Sub(vs.firstAt) > en.cfg.FastDecisionTimeout {
+			if now.Sub(vs.firstAt) > fastDecisionTimeout {
 				en.startRecovery(i)
 			}
 			continue
@@ -512,7 +512,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 			ls.openSince[i] = now
 			continue
 		}
-		if now.Sub(first) > 2*en.cfg.FastDecisionTimeout {
+		if now.Sub(first) > 2*fastDecisionTimeout {
 			en.startRecovery(i)
 		}
 	}

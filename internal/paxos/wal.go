@@ -1,10 +1,6 @@
 package paxos
 
-import (
-	"time"
-
-	"robuststore/internal/env"
-)
+import "robuststore/internal/env"
 
 // walDone is what follows a record's durability: fn, or — the acceptor's
 // persist-then-reply, spelled as data so that it costs no closure per
@@ -25,8 +21,7 @@ func (d walDone) run(e env.Env, err error) {
 }
 
 // walWriter sits between the engine and env.Storage and implements group
-// commit: records that arrive while a flush is in flight — or within
-// syncDelay, or until syncBytes accumulate — go out as one
+// commit: records that arrive while a flush is in flight go out as one
 // Storage.AppendBatch call, so the whole group pays one sync latency (the
 // dominant per-flush seek cost amortized across concurrently pending
 // records, §5.2 of the paper). Completions run only after their records
@@ -35,27 +30,23 @@ func (d walDone) run(e env.Env, err error) {
 // groups in order, so record ordering on disk is submission order — only
 // the flush boundaries move.
 type walWriter struct {
-	e         env.Env
-	syncBytes int64
-	syncDelay time.Duration
+	e env.Env
 
 	// buf/dones is the group being filled, flyBuf/flyDones the group in
 	// flight (empty between flushes). The two pairs trade places at every
 	// flush, so a steady stream of groups allocates nothing.
 	buf, flyBuf     []env.Record
 	dones, flyDones []walDone
-	bufBytes        int64
-	inFlight        bool      // an AppendBatch is awaiting durability
-	timer           env.Timer // pending SyncDelay flush
-	armed           bool      // a flush is scheduled (timer or Post)
+	inFlight        bool // an AppendBatch is awaiting durability
+	armed           bool // a flush is posted
 
 	// Bound once: binding a method value per flush allocates.
 	flushFn   func()
 	flushedFn func(error)
 }
 
-func newWALWriter(e env.Env, syncBytes int64, syncDelay time.Duration) *walWriter {
-	w := &walWriter{e: e, syncBytes: syncBytes, syncDelay: syncDelay}
+func newWALWriter(e env.Env) *walWriter {
+	w := &walWriter{e: e}
 	w.flushFn, w.flushedFn = w.flushNow, w.flushed
 	return w
 }
@@ -65,38 +56,31 @@ func newWALWriter(e env.Env, syncBytes int64, syncDelay time.Duration) *walWrite
 func (w *walWriter) append(rec env.Record, done walDone) {
 	w.buf = append(w.buf, rec)
 	w.dones = append(w.dones, done)
-	w.bufBytes += rec.Size
 	w.maybeFlush()
 }
 
 // maybeFlush schedules a flush of the buffered records unless one is
 // already pending or in flight. While a flush is in flight further
 // records pile into buf and go out as the next group — that queue-behind-
-// the-flush window is where coalescing comes from.
+// the-flush window is where coalescing comes from: it adds no latency at
+// low concurrency and converges to full group commit under load.
 func (w *walWriter) maybeFlush() {
 	if w.inFlight || w.armed || len(w.buf) == 0 {
 		return
 	}
-	if w.bufBytes >= w.syncBytes || w.syncDelay <= 0 {
-		// Flush at the next executor step (not inline) so records
-		// appended by the same event share the group.
-		w.armed = true
-		w.e.Post(w.flushFn)
-		return
-	}
+	// Flush at the next executor step (not inline) so records appended by
+	// the same event share the group.
 	w.armed = true
-	w.timer = w.e.After(w.syncDelay, w.flushFn)
+	w.e.Post(w.flushFn)
 }
 
 func (w *walWriter) flushNow() {
 	w.armed = false
-	w.timer = nil
 	if w.inFlight || len(w.buf) == 0 {
 		return
 	}
 	w.buf, w.flyBuf = w.flyBuf, w.buf
 	w.dones, w.flyDones = w.flyDones, w.dones
-	w.bufBytes = 0
 	w.inFlight = true
 	w.e.Storage().AppendBatch(w.flyBuf, w.flushedFn)
 }

@@ -13,8 +13,6 @@
 // ordering for.
 package shard
 
-import "strconv"
-
 // FNV-1a constants (64 bit).
 const (
 	fnvOffset64 = 14695981039346656037
@@ -29,52 +27,4 @@ func Hash(key string) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// Router deterministically maps partition keys to shards. Since the
-// epoch-versioned refactor it is a fixed view over an epoch-0
-// RoutingTable (see table.go) — the mapping is identical to the
-// historical hash%N arithmetic, but routing decisions now flow through
-// explicit table state, which is what live migration versions. The zero
-// value routes everything to shard 0; construct real routers with
-// NewRouter.
-type Router struct {
-	t RoutingTable
-}
-
-// NewRouter returns a router over the epoch-0 table for n shards.
-func NewRouter(n int) Router {
-	return Router{t: NewRoutingTable(n)}
-}
-
-// Table returns the routing table behind this router.
-func (r Router) Table() RoutingTable {
-	if len(r.t.Assign) == 0 {
-		return NewRoutingTable(1)
-	}
-	return r.t
-}
-
-// Shards returns the shard count.
-func (r Router) Shards() int {
-	if len(r.t.Assign) == 0 {
-		return 1
-	}
-	return r.t.Groups()
-}
-
-// Shard returns the shard owning key. Every key maps to exactly one
-// shard, and the mapping is stable across processes and runs.
-func (r Router) Shard(key string) int {
-	if len(r.t.Assign) == 0 {
-		return 0
-	}
-	return r.t.Group(key)
-}
-
-// ShardInt routes an integer key (client ID, session ID) by hashing its
-// decimal representation, so integer and string callers agree on the
-// placement of equal keys.
-func (r Router) ShardInt(key int64) int {
-	return r.Shard(strconv.FormatInt(key, 10))
 }

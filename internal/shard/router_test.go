@@ -29,7 +29,8 @@ func TestHashGolden(t *testing.T) {
 }
 
 // TestRouterStableMapping pins concrete key→shard assignments for every
-// supported routing entry point.
+// routing entry point of the epoch-0 table: Group, the slice it goes
+// through, the Owned predicate of that slice, and GroupInt.
 func TestRouterStableMapping(t *testing.T) {
 	cases := []struct {
 		key    string
@@ -45,16 +46,20 @@ func TestRouterStableMapping(t *testing.T) {
 		{"item/123", 2, 1}, {"item/123", 4, 1}, {"item/123", 8, 5},
 	}
 	for _, c := range cases {
-		r := NewRouter(c.shards)
-		if got := r.Shard(c.key); got != c.want {
-			t.Errorf("NewRouter(%d).Shard(%q) = %d, want %d", c.shards, c.key, got, c.want)
+		r := NewRoutingTable(c.shards)
+		if got := r.Group(c.key); got != c.want {
+			t.Errorf("NewRoutingTable(%d).Group(%q) = %d, want %d", c.shards, c.key, got, c.want)
+		}
+		sl := r.SliceOf(c.key)
+		if r.Assign[sl] != c.want || !r.Owned([]int{sl})(c.key) || r.Owned([]int{sl + 1})(c.key) {
+			t.Errorf("NewRoutingTable(%d): slice %d of %q disagrees with Group", c.shards, sl, c.key)
 		}
 	}
 	// Integer and string routing of the same key agree.
-	r := NewRouter(8)
+	r := NewRoutingTable(8)
 	for _, id := range []int64{0, 1, 42, 99, 123456789} {
-		if r.ShardInt(id) != r.Shard(fmt.Sprintf("%d", id)) {
-			t.Errorf("ShardInt(%d) disagrees with Shard of its decimal form", id)
+		if r.GroupInt(id) != r.Group(fmt.Sprintf("%d", id)) {
+			t.Errorf("GroupInt(%d) disagrees with Group of its decimal form", id)
 		}
 	}
 }
@@ -62,15 +67,11 @@ func TestRouterStableMapping(t *testing.T) {
 // TestRouterSingleShardDegenerate: with one shard every key maps to
 // shard 0 — the configuration that must behave like the unsharded store.
 func TestRouterSingleShardDegenerate(t *testing.T) {
-	r := NewRouter(1)
+	r := NewRoutingTable(1)
 	for i := 0; i < 1000; i++ {
-		if got := r.Shard(fmt.Sprintf("key/%d", i)); got != 0 {
+		if got := r.Group(fmt.Sprintf("key/%d", i)); got != 0 {
 			t.Fatalf("1-shard router sent key/%d to shard %d", i, got)
 		}
-	}
-	var zero Router // zero value must also route everything to 0
-	if zero.Shard("anything") != 0 || zero.Shards() != 1 {
-		t.Fatal("zero-value Router must route everything to shard 0")
 	}
 }
 
@@ -78,15 +79,15 @@ func TestRouterSingleShardDegenerate(t *testing.T) {
 // function into [0, shards) and is deterministic call over call.
 func TestRouterEveryKeyMapsToExactlyOneShard(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 4, 7, 16} {
-		r := NewRouter(shards)
+		r := NewRoutingTable(shards)
 		for i := 0; i < 2000; i++ {
 			key := fmt.Sprintf("key/%d", i)
-			s1, s2 := r.Shard(key), r.Shard(key)
+			s1, s2 := r.Group(key), r.Group(key)
 			if s1 != s2 {
-				t.Fatalf("shards=%d: Shard(%q) unstable: %d then %d", shards, key, s1, s2)
+				t.Fatalf("shards=%d: Group(%q) unstable: %d then %d", shards, key, s1, s2)
 			}
 			if s1 < 0 || s1 >= shards {
-				t.Fatalf("shards=%d: Shard(%q) = %d out of range", shards, key, s1)
+				t.Fatalf("shards=%d: Group(%q) = %d out of range", shards, key, s1)
 			}
 		}
 	}
@@ -98,10 +99,10 @@ func TestRouterEveryKeyMapsToExactlyOneShard(t *testing.T) {
 func TestRouterDistribution(t *testing.T) {
 	const keys = 10000
 	for _, shards := range []int{2, 4, 8, 16} {
-		r := NewRouter(shards)
+		r := NewRoutingTable(shards)
 		counts := make([]int, shards)
 		for i := 0; i < keys; i++ {
-			counts[r.Shard(fmt.Sprintf("session/%d", i))]++
+			counts[r.Group(fmt.Sprintf("session/%d", i))]++
 		}
 		mean := float64(keys) / float64(shards)
 		for s, n := range counts {

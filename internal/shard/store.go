@@ -156,9 +156,6 @@ func (s *Store) Table() RoutingTable { return *s.table.Load() }
 // Epoch returns the published routing epoch.
 func (s *Store) Epoch() int64 { return s.table.Load().Epoch }
 
-// Router returns a fixed view over the current routing table.
-func (s *Store) Router() Router { return Router{t: s.Table()} }
-
 // groupList returns the current group slice (append-only; safe to
 // iterate from any goroutine).
 func (s *Store) groupList() []*Group { return *s.groups.Load() }

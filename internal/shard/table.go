@@ -1,11 +1,7 @@
 package shard
 
 import (
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"strconv"
 )
 
@@ -17,9 +13,9 @@ import (
 // so deploying the table costs no key movement. Later epochs are produced
 // by Grow, which reassigns whole slices to a new group — the unit of the
 // live-migration protocol in migrate.go. The design follows the
-// manifest-versioning idiom (KevoDB): the current table is a small,
-// durable, checksummed artifact that every tier reads, not a formula
-// frozen into the code.
+// manifest-versioning idiom (KevoDB): the current table is a small
+// artifact that every tier reads, not a formula frozen into the code.
+// Nothing persists or ships a table yet, so it has no wire encoding.
 
 // slicesPerGroup is the hash-space granularity of a fresh table: an
 // epoch-0 table over n groups has n×slicesPerGroup slices. The multiple
@@ -29,17 +25,17 @@ const slicesPerGroup = 64
 
 // RoutingTable maps hash-space slices to Paxos groups. A key's slice is
 // Hash(key) mod Slices(); its group is Assign[slice]. The zero value is
-// not a valid table; construct with NewRoutingTable or DecodeTable.
+// not a valid table; construct with NewRoutingTable.
 type RoutingTable struct {
 	// Epoch versions the table: routing state published under a higher
 	// epoch supersedes every lower one. Epoch 0 is the deployment-time
 	// table, identical to the historical hash%N router.
-	Epoch int64 `json:"epoch"`
+	Epoch int64
 
 	// Assign maps slice index → owning group. len(Assign) is the slice
 	// count, fixed for the lifetime of a table lineage (changing it
 	// would move slice boundaries and strand every key).
-	Assign []int `json:"assign"`
+	Assign []int
 }
 
 // NewRoutingTable returns the epoch-0 table over n groups. Its mapping is
@@ -81,7 +77,7 @@ func (t RoutingTable) Group(key string) int {
 }
 
 // GroupInt routes an integer key by its decimal representation, agreeing
-// with Group on equal keys (see Router.ShardInt).
+// with Group on equal keys.
 func (t RoutingTable) GroupInt(key int64) int {
 	return t.Group(strconv.FormatInt(key, 10))
 }
@@ -129,136 +125,4 @@ func (t RoutingTable) Grow(newGroup int) (next RoutingTable, moved []int) {
 		moved = append(moved, s)
 	}
 	return next, moved
-}
-
-// --- Encoding -----------------------------------------------------------
-//
-// The wire format is a versioned manifest record: magic, format version,
-// epoch, slice count, the assignment as uvarints, and a CRC32 footer over
-// everything before it. JSON encoding rides on the exported fields.
-
-var tableMagic = [4]byte{'r', 't', 'b', '1'}
-
-// ErrBadTable is returned by DecodeTable for malformed or corrupt input.
-var ErrBadTable = errors.New("shard: malformed routing table encoding")
-
-// EncodeTable renders the table into its durable wire form.
-func EncodeTable(t RoutingTable) []byte {
-	buf := make([]byte, 0, 16+len(t.Assign))
-	buf = append(buf, tableMagic[:]...)
-	buf = binary.AppendUvarint(buf, uint64(t.Epoch))
-	buf = binary.AppendUvarint(buf, uint64(len(t.Assign)))
-	for _, g := range t.Assign {
-		buf = binary.AppendUvarint(buf, uint64(g))
-	}
-	sum := crc32.ChecksumIEEE(buf)
-	return binary.BigEndian.AppendUint32(buf, sum)
-}
-
-// DecodeTable parses a table encoded by EncodeTable, verifying the
-// checksum and that the assignment is a well-formed surjection onto a
-// dense group range.
-func DecodeTable(data []byte) (RoutingTable, error) {
-	if len(data) < len(tableMagic)+4+2 {
-		return RoutingTable{}, ErrBadTable
-	}
-	body, foot := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(foot) {
-		return RoutingTable{}, fmt.Errorf("%w: checksum mismatch", ErrBadTable)
-	}
-	if string(body[:4]) != string(tableMagic[:]) {
-		return RoutingTable{}, fmt.Errorf("%w: bad magic", ErrBadTable)
-	}
-	rest := body[4:]
-	epoch, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return RoutingTable{}, ErrBadTable
-	}
-	rest = rest[n:]
-	slices, n := binary.Uvarint(rest)
-	if n <= 0 || slices == 0 || slices > 1<<20 {
-		return RoutingTable{}, ErrBadTable
-	}
-	rest = rest[n:]
-	t := RoutingTable{Epoch: int64(epoch), Assign: make([]int, slices)}
-	for i := range t.Assign {
-		g, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return RoutingTable{}, ErrBadTable
-		}
-		rest = rest[n:]
-		t.Assign[i] = int(g)
-	}
-	if len(rest) != 0 {
-		return RoutingTable{}, fmt.Errorf("%w: trailing bytes", ErrBadTable)
-	}
-	if err := t.validate(); err != nil {
-		return RoutingTable{}, err
-	}
-	return t, nil
-}
-
-// MarshalJSON/UnmarshalJSON give the table a validated JSON form (the
-// operator-facing twin of the binary manifest).
-func (t RoutingTable) MarshalJSON() ([]byte, error) {
-	type wire RoutingTable // shed methods to avoid recursion
-	return json.Marshal(wire(t))
-}
-
-func (t *RoutingTable) UnmarshalJSON(data []byte) error {
-	type wire RoutingTable
-	var w wire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	got := RoutingTable(w)
-	if err := got.validate(); err != nil {
-		return err
-	}
-	*t = got
-	return nil
-}
-
-// validate checks the structural invariants every decoded table must
-// satisfy: at least one slice, non-negative dense group assignment (every
-// group in [0, Groups) owns at least one slice).
-func (t RoutingTable) validate() error {
-	if len(t.Assign) == 0 {
-		return fmt.Errorf("%w: no slices", ErrBadTable)
-	}
-	if t.Epoch < 0 {
-		return fmt.Errorf("%w: negative epoch", ErrBadTable)
-	}
-	max := 0
-	for _, g := range t.Assign {
-		if g < 0 || g >= len(t.Assign) {
-			return fmt.Errorf("%w: assignment out of range", ErrBadTable)
-		}
-		if g > max {
-			max = g
-		}
-	}
-	seen := make([]bool, max+1)
-	for _, g := range t.Assign {
-		seen[g] = true
-	}
-	for g, ok := range seen {
-		if !ok {
-			return fmt.Errorf("%w: group %d owns no slices", ErrBadTable, g)
-		}
-	}
-	return nil
-}
-
-// Equal reports whether two tables are identical (epoch and assignment).
-func (t RoutingTable) Equal(o RoutingTable) bool {
-	if t.Epoch != o.Epoch || len(t.Assign) != len(o.Assign) {
-		return false
-	}
-	for i := range t.Assign {
-		if t.Assign[i] != o.Assign[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,8 +1,8 @@
 package shard
 
 import (
-	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -121,7 +121,7 @@ func TestTableGrow(t *testing.T) {
 		// Determinism: growing again from the same table gives the same
 		// result.
 		next2, moved2 := tab.Grow(n)
-		if !next.Equal(next2) || len(moved) != len(moved2) {
+		if !reflect.DeepEqual(next, next2) || len(moved) != len(moved2) {
 			t.Fatalf("n=%d: Grow is not deterministic", n)
 		}
 	}
@@ -136,48 +136,17 @@ func TestTableGrowChain(t *testing.T) {
 		if tab.Groups() != n+1 {
 			t.Fatalf("after grow #%d: %d groups", n, tab.Groups())
 		}
-		if err := tab.validate(); err != nil {
-			t.Fatalf("after grow #%d: %v", n, err)
+		owned := make([]bool, n+1)
+		for _, g := range tab.Assign {
+			owned[g] = true // an out-of-range group panics here
+		}
+		for g, ok := range owned {
+			if !ok {
+				t.Fatalf("after grow #%d: group %d owns no slices", n, g)
+			}
 		}
 	}
 	if tab.Epoch != 5 {
 		t.Fatalf("epoch after 5 grows = %d", tab.Epoch)
-	}
-}
-
-// TestTableEncodingRoundTrip pins the binary and JSON encodings on
-// concrete tables (the fuzz test widens this).
-func TestTableEncodingRoundTrip(t *testing.T) {
-	tabs := []RoutingTable{NewRoutingTable(1), NewRoutingTable(4)}
-	grown, _ := NewRoutingTable(3).Grow(3)
-	tabs = append(tabs, grown)
-	for _, tab := range tabs {
-		dec, err := DecodeTable(EncodeTable(tab))
-		if err != nil {
-			t.Fatalf("binary round trip of %d-group table: %v", tab.Groups(), err)
-		}
-		if !dec.Equal(tab) {
-			t.Fatalf("binary round trip changed the table")
-		}
-		js, err := json.Marshal(tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jdec RoutingTable
-		if err := json.Unmarshal(js, &jdec); err != nil {
-			t.Fatal(err)
-		}
-		if !jdec.Equal(tab) {
-			t.Fatalf("JSON round trip changed the table")
-		}
-	}
-	// Corruption is detected.
-	enc := EncodeTable(NewRoutingTable(4))
-	enc[7] ^= 0x40
-	if _, err := DecodeTable(enc); err == nil {
-		t.Fatal("corrupt table decoded without error")
-	}
-	if _, err := DecodeTable(nil); err == nil {
-		t.Fatal("empty input decoded without error")
 	}
 }

@@ -58,17 +58,6 @@ func (r *Resource) complete(gen int64, done func()) {
 // QueueLen returns the number of jobs admitted but not yet completed.
 func (r *Resource) QueueLen() int { return r.queued }
 
-// Busy returns the time the resource will next be fully idle.
-func (r *Resource) Busy() time.Time {
-	latest := r.busy[0]
-	for _, b := range r.busy[1:] {
-		if b.After(latest) {
-			latest = b
-		}
-	}
-	return latest
-}
-
 // Reset drops all queued work (completion callbacks never fire) and frees
 // the resource immediately. Used when the owning server crashes.
 func (r *Resource) Reset() {

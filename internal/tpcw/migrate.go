@@ -1,7 +1,5 @@
 package tpcw
 
-import "strconv"
-
 // This file implements the keyed-snapshot half of live shard migration
 // (core.PartitionedMachine): exporting only the rows a group is losing,
 // merging such an export in on the destination, and dropping moved rows
@@ -49,10 +47,6 @@ type PartitionSnap struct {
 	NominalBytes int64 // nominal size of the rows carried
 }
 
-func itemKey(id ItemID) string         { return "item/" + strconv.FormatInt(int64(id), 10) }
-func customerKey(id CustomerID) string { return "customer/" + strconv.FormatInt(int64(id), 10) }
-func cartKey(id CartID) string         { return "cart/" + strconv.FormatInt(int64(id), 10) }
-
 // nominalOrderBytes is the accounting size of one order row, mirroring
 // applyBuyConfirm's accrual.
 func nominalOrderBytes(o *Order) int64 {
@@ -79,13 +73,13 @@ func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 		NextCart:     s.nextCart,
 	}
 	for id, it := range s.items.all() {
-		if owned(itemKey(id)) {
+		if owned(ItemKey(id)) {
 			snap.Items[id] = it
 			snap.NominalBytes += nominalItem
 		}
 	}
 	for id, c := range s.customers.all() {
-		if !owned(customerKey(id)) {
+		if !owned(CustomerKey(id)) {
 			continue
 		}
 		snap.Customers[id] = c
@@ -99,7 +93,7 @@ func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 		}
 	}
 	for id, o := range s.orders.all() {
-		if owned(customerKey(o.Customer)) {
+		if owned(CustomerKey(o.Customer)) {
 			snap.Orders[id] = o
 			snap.NominalBytes += nominalOrderBytes(o)
 			if a, ok := s.addresses.get(o.ShipAddr); ok && snap.Addresses[o.ShipAddr] == nil {
@@ -109,7 +103,7 @@ func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 		}
 	}
 	for id, c := range s.carts.all() {
-		if owned(cartKey(id)) {
+		if owned(CartKey(id)) {
 			snap.Carts[id] = c
 			snap.NominalBytes += nominalCartBytes(c)
 		}
@@ -180,7 +174,7 @@ func (s *Store) ImportOwned(data any) {
 // see the file comment). Idempotent.
 func (s *Store) DropOwned(owned func(key string) bool) {
 	for id, c := range s.customers.all() {
-		if !owned(customerKey(id)) {
+		if !owned(CustomerKey(id)) {
 			continue
 		}
 		s.customers.delete(id)
@@ -191,7 +185,7 @@ func (s *Store) DropOwned(owned func(key string) bool) {
 		s.lastOrder.delete(id)
 	}
 	for id, o := range s.orders.all() {
-		if owned(customerKey(o.Customer)) {
+		if owned(CustomerKey(o.Customer)) {
 			s.orders.delete(id)
 			s.nominalBytes -= nominalOrderBytes(o)
 			if s.addresses.delete(o.ShipAddr) {
@@ -200,7 +194,7 @@ func (s *Store) DropOwned(owned func(key string) bool) {
 		}
 	}
 	for id, c := range s.carts.all() {
-		if owned(cartKey(id)) {
+		if owned(CartKey(id)) {
 			s.carts.delete(id)
 			s.nominalBytes -= nominalCartBytes(c)
 		}

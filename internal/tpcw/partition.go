@@ -14,25 +14,25 @@ func PartitionKey(action any) (key string, ok bool) {
 	switch a := action.(type) {
 	case CartUpdateAction:
 		if a.Cart != 0 {
-			return "cart/" + strconv.FormatInt(int64(a.Cart), 10), true
+			return CartKey(a.Cart), true
 		}
 		return "", false
 	case BuyConfirmAction:
 		if a.Cart != 0 {
-			return "cart/" + strconv.FormatInt(int64(a.Cart), 10), true
+			return CartKey(a.Cart), true
 		}
-		return "customer/" + strconv.FormatInt(int64(a.Customer), 10), true
+		return CustomerKey(a.Customer), true
 	case RefreshSessionAction:
-		return "customer/" + strconv.FormatInt(int64(a.Customer), 10), true
+		return CustomerKey(a.Customer), true
 	case AdminUpdateAction:
-		return "item/" + strconv.FormatInt(int64(a.Item), 10), true
+		return ItemKey(a.Item), true
 	case GiftOrderAction:
 		// The merged single-group form lives where the buyer's cart does.
-		return "cart/" + strconv.FormatInt(int64(a.Cart), 10), true
+		return CartKey(a.Cart), true
 	case GiftDebitAction:
-		return "cart/" + strconv.FormatInt(int64(a.Cart), 10), true
+		return CartKey(a.Cart), true
 	case GiftDeliverAction:
-		return "customer/" + strconv.FormatInt(int64(a.Recipient), 10), true
+		return CustomerKey(a.Recipient), true
 	case InventorySweepAction:
 		// A sweep branch carries one group's item set; there is no single
 		// row key — the 2PC driver dispatches it by participant group.
@@ -51,15 +51,15 @@ func TxnKeys(action any) []string {
 	switch a := action.(type) {
 	case GiftDebitAction:
 		return []string{
-			"cart/" + strconv.FormatInt(int64(a.Cart), 10),
-			"customer/" + strconv.FormatInt(int64(a.Buyer), 10),
+			CartKey(a.Cart),
+			CustomerKey(a.Buyer),
 		}
 	case GiftDeliverAction:
-		return []string{"customer/" + strconv.FormatInt(int64(a.Recipient), 10)}
+		return []string{CustomerKey(a.Recipient)}
 	case InventorySweepAction:
 		keys := make([]string, 0, len(a.Items))
 		for _, id := range a.Items {
-			keys = append(keys, "item/"+strconv.FormatInt(int64(id), 10))
+			keys = append(keys, ItemKey(id))
 		}
 		return keys
 	default:
@@ -69,6 +69,13 @@ func TxnKeys(action any) []string {
 		return nil
 	}
 }
+
+// ItemKey, CustomerKey and CartKey spell a row's key: what the routing
+// table hashes, a prepared branch blocks and a migration's ownership
+// predicate is asked.
+func ItemKey(id ItemID) string         { return "item/" + strconv.FormatInt(int64(id), 10) }
+func CustomerKey(id CustomerID) string { return "customer/" + strconv.FormatInt(int64(id), 10) }
+func CartKey(id CartID) string         { return "cart/" + strconv.FormatInt(int64(id), 10) }
 
 // SessionKey is the partition key of a client session: the routing level
 // the web tier and the live command use, guaranteeing that every action

@@ -94,10 +94,10 @@ func TestQualityEvictionOnGrayServer(t *testing.T) {
 
 	// Drive traffic at the victim until the quality gate trips. Client
 	// hash picks the server, so sweep client IDs that land on it.
-	for i := 0; i < 60 && c.proxy.up[victim]; i++ {
+	for i := 0; i < 60 && c.proxy.health[victim].up; i++ {
 		do(c, rbe.Request{Client: int64(i), Kind: rbe.Home, Item: tpcw.ItemID(1 + i%100)})
 	}
-	if c.proxy.up[victim] {
+	if c.proxy.health[victim].up {
 		t.Fatal("gray server never evicted on served-traffic quality")
 	}
 	if c.ProxyStats().QualityEvictions < 1 {
@@ -107,14 +107,14 @@ func TestQualityEvictionOnGrayServer(t *testing.T) {
 	// Probes keep succeeding against the gray server, but the quarantine
 	// holds it out of rotation.
 	s.RunFor(5 * time.Second)
-	if c.proxy.up[victim] {
+	if c.proxy.health[victim].up {
 		t.Fatal("succeeding probes re-admitted the quarantined gray server")
 	}
 
 	// Healed and out of quarantine: probes re-admit it.
 	c.GrayRestore(victim)
 	s.RunFor(15 * time.Second)
-	if !c.proxy.up[victim] {
+	if !c.proxy.health[victim].up {
 		t.Fatal("healed server not re-admitted after quarantine")
 	}
 }

@@ -76,83 +76,43 @@ type Config struct {
 	// election/recovery tracing; see sim.Config.DebugLog).
 	DebugLog io.Writer
 
-	// WatchdogInterval is how often each node's watchdog checks its
-	// application server (paper §5.1: restart "as soon as it detects
-	// the crash"). Default 1 s.
-	WatchdogInterval time.Duration
-
 	// OnRecovered reports a server that finished post-crash
 	// re-synchronization.
 	OnRecovered func(server int, at time.Time)
 }
 
+// watchdogInterval is how often each node's watchdog checks its
+// application server (paper §5.1: restart "as soon as it detects the
+// crash").
+const watchdogInterval = time.Second
+
 // Cluster wires servers, proxy, watchdog and faultload over a simulator.
-// Server indices are flat and group-major: server i belongs to group
-// i/Servers as its member i%Servers.
+// Servers are numbered flat by the Layout rule (layout.go); the cluster
+// keeps one record per server and one per group, and every other site
+// looks a server up there instead of recomputing the rule.
 //
 // Session routing is epoch-versioned state (shard.RoutingTable), not
 // arithmetic: the epoch-0 table reproduces the historical hash%N mapping
 // bit for bit, and Rebalance (rebalance.go) adds a group mid-run by
 // live-migrating session slices to it and publishing the next epoch.
 type Cluster struct {
-	cfg    Config
-	sim    *sim.Sim
-	table  shard.RoutingTable // current routing epoch (sim-loop confined)
-	shards int                // current group count (grows on Rebalance)
+	cfg   Config
+	sim   *sim.Sim
+	table shard.RoutingTable // current routing epoch (sim-loop confined)
 
-	serverIDs []env.NodeID   // flat, group-major; readers appended after all voters
-	groupIDs  [][]env.NodeID // per-group voting member IDs (Paxos membership)
-	readerIDs [][]env.NodeID // per-group learner node IDs (empty without Readers)
-	voters    int            // flat index floor of the reader range (Shards×Servers at build)
-	proxyID   env.NodeID
-	servers   []*Server
-	proxy     *Proxy
+	servers []server // by flat index
+	groups  []group  // by group; grows on Rebalance
+	proxyID env.NodeID
+	proxy   *Proxy
 
-	auto          []bool // watchdog auto-restart enabled per server
 	faults        int
 	interventions int
-	crashedAt     []time.Time
 
 	// Checkpoint I/O accounting across all servers (sim-loop confined;
 	// read after the run): writes counts checkpoints taken, bytes their
 	// written sizes — full images or delta layers.
 	ckptWrites int64
 	ckptBytes  int64
-
-	// Write-admission accounting across all servers (sim-loop confined):
-	// writes paced by an AdmissionSlowdown grade, hold steps spent at
-	// the tier boundary under AdmissionStop, and holds that exhausted
-	// their deadline and were shed.
-	admSlowed  int64
-	admHeld    int64
-	admDropped int64
-
-	// Staleness accounting per group (sim-loop confined): reads served to
-	// completion, fenced reads that had to wait for the serving replica
-	// to catch up to the session's commit index, and fence waits that
-	// expired into a TooStale fallback.
-	readsServed []int64
-	fenceWaits  []int64
-	staleServes []int64
-
-	// Cross-shard transaction accounting per group (sim-loop confined):
-	// branch outcomes ordered in the group's log (counted exactly once
-	// per group per transaction, on the record that made it terminal) and
-	// time ordinary writes spent held behind a prepared branch's blocked
-	// keys.
-	txnCommits   []int64
-	txnAborts    []int64
-	txnBlockedNs []int64
-
-	// Gray-failure state per server (sim-loop confined): a grayed server
-	// keeps answering probes — its probe path is untouched — while
-	// erroring a fraction of real requests (grayErr) or slow-walking
-	// their service times by a multiplier (graySlow). Like a disk
-	// degradation, gray failure belongs to the process environment (a
-	// wedged NIC queue, a sick dependency) and survives crash/restart
-	// until restored.
-	grayErr  []float64
-	graySlow []float64
 
 	// fenceViolations counts fenced reads served by a replica whose
 	// applied index was still below the fence — impossible by
@@ -163,6 +123,44 @@ type Cluster struct {
 	fenceViolations int64
 
 	mig *shard.Migration // non-nil once Rebalance has been called
+}
+
+// server is the cluster's record of one application server, across its
+// incarnations (sim-loop confined).
+type server struct {
+	id      env.NodeID
+	group   int
+	learner bool    // a learner-backed reader, not a voter
+	cur     *Server // current incarnation, replaced at every (re)start
+	auto    bool    // the watchdog restarts it
+
+	// Gray-failure mode: a grayed server keeps answering probes — its
+	// probe path is untouched — while erroring a fraction of real requests
+	// (grayErr) or slow-walking their service times by a multiplier
+	// (graySlow). Like a disk degradation, gray failure belongs to the
+	// process environment (a wedged NIC queue, a sick dependency) and
+	// survives crash/restart until restored.
+	grayErr, graySlow float64
+}
+
+// group is the cluster's record of one Paxos group (sim-loop confined).
+type group struct {
+	voters, readers []int // flat server indices
+
+	// members and learners are the same servers as Paxos is handed them:
+	// the voting membership and the learner nodes it forwards to.
+	members, learners []env.NodeID
+
+	// Staleness accounting: reads served to completion, fenced reads that
+	// had to wait for the serving replica to catch up to the session's
+	// commit index, and fence waits that expired into a TooStale fallback.
+	readsServed, fenceWaits, staleServes int64
+
+	// Cross-shard transaction accounting: branch outcomes ordered in the
+	// group's log (counted exactly once per group per transaction, on the
+	// record that made it terminal) and time ordinary writes spent held
+	// behind a prepared branch's blocked keys.
+	txnCommits, txnAborts, txnBlockedNs int64
 }
 
 // NewCluster builds the deployment. Call Start before driving load.
@@ -176,46 +174,23 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = time.Second
-	}
 	if cfg.Cal.PageSize == 0 {
 		cfg.Cal = DefaultCalibration()
 	}
 	if cfg.Readers < 0 {
 		cfg.Readers = 0
 	}
-	voters := cfg.Shards * cfg.Servers
-	total := voters + cfg.Shards*cfg.Readers
-	c := &Cluster{
-		cfg:          cfg,
-		table:        shard.NewRoutingTable(cfg.Shards),
-		shards:       cfg.Shards,
-		voters:       voters,
-		servers:      make([]*Server, total),
-		groupIDs:     make([][]env.NodeID, cfg.Shards),
-		readerIDs:    make([][]env.NodeID, cfg.Shards),
-		auto:         make([]bool, total),
-		crashedAt:    make([]time.Time, total),
-		readsServed:  make([]int64, cfg.Shards),
-		fenceWaits:   make([]int64, cfg.Shards),
-		staleServes:  make([]int64, cfg.Shards),
-		txnCommits:   make([]int64, cfg.Shards),
-		txnAborts:    make([]int64, cfg.Shards),
-		txnBlockedNs: make([]int64, cfg.Shards),
-		grayErr:      make([]float64, total),
-		graySlow:     make([]float64, total),
-	}
+	c := &Cluster{cfg: cfg, table: shard.NewRoutingTable(cfg.Shards)}
 	c.sim = sim.New(sim.Config{Seed: cfg.Seed, Net: cfg.Net, Disk: cfg.Disk, DebugLog: cfg.DebugLog})
-	for i := 0; i < voters; i++ {
-		c.addServer(i/cfg.Servers, false)
+	for g := 0; g < cfg.Shards; g++ {
+		c.addGroup()
 	}
-	// Learner-backed readers live past the voter range: reader j of group
-	// g sits at flat index voters + g*Readers + j. They are full
-	// application servers (probes, watchdog restarts, checkpoints) whose
-	// consensus engine only listens.
-	for i := voters; i < total; i++ {
-		c.addServer((i-voters)/cfg.Readers, true)
+	// Learner-backed readers are full application servers (probes,
+	// watchdog restarts, checkpoints) whose consensus engine only listens.
+	for g := 0; g < cfg.Shards; g++ {
+		for j := 0; j < cfg.Readers; j++ {
+			c.addServer(c.layout().Reader(g, j), g, true)
+		}
 	}
 	c.proxyID = c.sim.AddNode(func() env.Node {
 		p := &Proxy{c: c}
@@ -225,21 +200,38 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// addServer registers the next flat server index as a voter, or a learner
-// reader, of group; the per-server slices already reach that index.
-func (c *Cluster) addServer(group int, learner bool) {
-	idx := len(c.serverIDs)
-	c.auto[idx] = true
+func (c *Cluster) layout() Layout {
+	return Layout{Shards: c.cfg.Shards, Servers: c.cfg.Servers, Readers: c.cfg.Readers}
+}
+
+// addGroup registers the next group and its Servers voters, and returns
+// its index.
+func (c *Cluster) addGroup() int {
+	g := len(c.groups)
+	c.groups = append(c.groups, group{})
+	for m := 0; m < c.cfg.Servers; m++ {
+		c.addServer(c.layout().Voter(g, m), g, false)
+	}
+	return g
+}
+
+// addServer registers server idx — the next flat index — as a voter, or a
+// learner reader, of group g.
+func (c *Cluster) addServer(idx, g int, learner bool) {
+	if idx != len(c.servers) {
+		panic("webtier: servers must be added in layout order")
+	}
 	id := c.sim.AddNode(func() env.Node {
-		s := &Server{c: c, idx: idx, group: group, learner: learner}
-		c.servers[idx] = s
+		s := &Server{c: c, idx: idx, group: g, learner: learner}
+		c.servers[idx].cur = s
 		return s
 	})
-	c.serverIDs = append(c.serverIDs, id)
+	c.servers = append(c.servers, server{id: id, group: g, learner: learner, auto: true})
+	gr := &c.groups[g]
 	if learner {
-		c.readerIDs[group] = append(c.readerIDs[group], id)
+		gr.readers, gr.learners = append(gr.readers, idx), append(gr.learners, id)
 	} else {
-		c.groupIDs[group] = append(c.groupIDs[group], id)
+		gr.voters, gr.members = append(gr.voters, idx), append(gr.members, id)
 	}
 }
 
@@ -247,13 +239,20 @@ func (c *Cluster) addServer(group int, learner bool) {
 func (c *Cluster) Sim() *sim.Sim { return c.sim }
 
 // Shards returns the current Paxos group count (grows on Rebalance).
-func (c *Cluster) Shards() int { return c.shards }
+func (c *Cluster) Shards() int { return len(c.groups) }
 
 // Table returns the currently published routing table.
 func (c *Cluster) Table() shard.RoutingTable { return c.table }
 
-// TotalServers returns the flat server count (Shards × Servers).
-func (c *Cluster) TotalServers() int { return len(c.serverIDs) }
+// TotalServers returns the flat server count, voters and readers.
+func (c *Cluster) TotalServers() int { return len(c.servers) }
+
+// Voters returns the flat indices of group g's voting servers, Readers
+// those of its learner-backed readers, and GroupOfServer the group of any
+// flat index. The slices are the cluster's own: read, do not modify.
+func (c *Cluster) Voters(g int) []int      { return c.groups[g].voters }
+func (c *Cluster) Readers(g int) []int     { return c.groups[g].readers }
+func (c *Cluster) GroupOfServer(i int) int { return c.servers[i].group }
 
 // GroupOf returns the group serving a client's session under the current
 // routing epoch. The mapping is tpcw.SessionKey's, so the web tier, the
@@ -272,30 +271,29 @@ func (c *Cluster) sessionFrozen(client int64) bool {
 // Start boots all nodes and the watchdogs.
 func (c *Cluster) Start() {
 	c.sim.StartAll()
-	c.sim.After(c.cfg.WatchdogInterval, c.watchdog)
+	c.sim.After(watchdogInterval, c.watchdog)
 }
 
 // watchdog re-instantiates crashed application servers automatically
 // (paper §5.1), unless auto-restart was disabled for the delayed-recovery
 // faultload.
 func (c *Cluster) watchdog() {
-	for i, id := range c.serverIDs {
-		if !c.sim.Alive(id) && c.auto[i] {
-			c.sim.Restart(id)
+	for _, sv := range c.servers {
+		if !c.sim.Alive(sv.id) && sv.auto {
+			c.sim.Restart(sv.id)
 		}
 	}
-	c.sim.After(c.cfg.WatchdogInterval, c.watchdog)
+	c.sim.After(watchdogInterval, c.watchdog)
 }
 
 // Crash kills server i abruptly (OS-level kill, §5.1). In-flight requests
 // there surface as client errors after the connection-reset delay.
 func (c *Cluster) Crash(i int) {
-	if !c.sim.Alive(c.serverIDs[i]) {
+	if !c.sim.Alive(c.servers[i].id) {
 		return
 	}
 	c.faults++
-	c.crashedAt[i] = c.sim.Now()
-	c.sim.Crash(c.serverIDs[i])
+	c.sim.Crash(c.servers[i].id)
 	c.sim.After(time.Millisecond, func() {
 		if c.proxy != nil {
 			c.proxy.onServerReset(i)
@@ -304,7 +302,7 @@ func (c *Cluster) Crash(i int) {
 }
 
 // SetAutoRestart enables or disables the watchdog for server i.
-func (c *Cluster) SetAutoRestart(i int, auto bool) { c.auto[i] = auto }
+func (c *Cluster) SetAutoRestart(i int, auto bool) { c.servers[i].auto = auto }
 
 // PartitionServers isolates the given servers (flat indices) from the
 // rest of the cluster — the proxy included, so isolating a whole group
@@ -315,7 +313,7 @@ func (c *Cluster) SetAutoRestart(i int, auto bool) { c.auto[i] = auto }
 func (c *Cluster) PartitionServers(dir env.LinkDir, servers ...int) *netfault.BlockHandle {
 	ids := make([]env.NodeID, len(servers))
 	for k, i := range servers {
-		ids[k] = c.serverIDs[i]
+		ids[k] = c.servers[i].id
 	}
 	c.faults++
 	return c.sim.PartitionDir(dir, ids...)
@@ -339,9 +337,8 @@ func (c *Cluster) ReconnectToGroup(servers ...int) {
 
 func (c *Cluster) setGroupLinks(blocked bool, servers []int) {
 	for _, i := range servers {
-		g := c.groupOfServer(i)
-		vid := c.serverIDs[i]
-		for _, peers := range [][]env.NodeID{c.groupIDs[g], c.readerIDs[g]} {
+		vid, g := c.servers[i].id, &c.groups[c.servers[i].group]
+		for _, peers := range [][]env.NodeID{g.members, g.learners} {
 			for _, pid := range peers {
 				if pid == vid {
 					continue
@@ -355,23 +352,18 @@ func (c *Cluster) setGroupLinks(blocked bool, servers []int) {
 
 // DegradeDisk slows server i's disk live by factor (seek × factor,
 // bandwidth ÷ factor) — the failing-disk straggler. The degradation
-// survives crash/restart of the server until RestoreDisk. Counts one
-// injected fault.
+// survives crash/restart of the server until SetDiskFactor lifts it. Counts
+// one injected fault.
 func (c *Cluster) DegradeDisk(i int, factor float64) {
 	c.faults++
-	c.sim.SetDiskSlowdown(c.serverIDs[i], factor)
+	c.SetDiskFactor(i, factor)
 }
 
 // SetDiskFactor retunes server i's disk factor without counting a fault —
 // the bookkeeping half of composing overlapping degradations (the fault
-// was counted when its event fired).
+// was counted when its event fired); factor 1 is the healthy drive.
 func (c *Cluster) SetDiskFactor(i int, factor float64) {
-	c.sim.SetDiskSlowdown(c.serverIDs[i], factor)
-}
-
-// RestoreDisk returns server i's disk to its configured performance.
-func (c *Cluster) RestoreDisk(i int) {
-	c.sim.SetDiskSlowdown(c.serverIDs[i], 1)
+	c.sim.SetDiskSlowdown(c.servers[i].id, factor)
 }
 
 // eachVictimLink calls set on every directed link between the given victim
@@ -381,10 +373,10 @@ func (c *Cluster) RestoreDisk(i int) {
 func (c *Cluster) eachVictimLink(dir env.LinkDir, servers []int, set func(from, to env.NodeID)) {
 	victims := make(map[env.NodeID]bool, len(servers))
 	for _, i := range servers {
-		victims[c.serverIDs[i]] = true
+		victims[c.servers[i].id] = true
 	}
 	for _, i := range servers {
-		a := c.serverIDs[i]
+		a := c.servers[i].id
 		for _, b := range c.sim.Peers() {
 			if victims[b] {
 				continue
@@ -440,13 +432,14 @@ func (c *Cluster) GrayFail(i int, factor float64) {
 
 // setGray applies (or, at factor 0, clears) server i's gray-failure mode.
 func (c *Cluster) setGray(i int, factor float64) {
+	sv := &c.servers[i]
 	switch {
 	case factor <= 0:
-		c.grayErr[i], c.graySlow[i] = 0, 0
+		sv.grayErr, sv.graySlow = 0, 0
 	case factor < 1:
-		c.grayErr[i], c.graySlow[i] = factor, 0
+		sv.grayErr, sv.graySlow = factor, 0
 	default:
-		c.grayErr[i], c.graySlow[i] = 0, factor
+		sv.grayErr, sv.graySlow = 0, factor
 	}
 }
 
@@ -457,13 +450,8 @@ func (c *Cluster) GrayRestore(i int) { c.setGray(i, 0) }
 // g's consensus, or -1 while the group has no live leader. Call from
 // simulator context (the leader is executor-confined state).
 func (c *Cluster) LeaderOf(g int) int {
-	for m := 0; m < c.cfg.Servers; m++ {
-		i := g*c.cfg.Servers + m
-		if !c.sim.Alive(c.serverIDs[i]) {
-			continue
-		}
-		s := c.servers[i]
-		if s != nil && s.replica != nil && s.replica.IsLeader() {
+	for _, i := range c.groups[g].voters {
+		if s := c.Server(i); s != nil && s.replica != nil && s.replica.IsLeader() {
 			return i
 		}
 	}
@@ -474,12 +462,9 @@ func (c *Cluster) LeaderOf(g int) int {
 // recovery of §5.6) and counts it against autonomy.
 func (c *Cluster) ManualRecover(i int) {
 	c.interventions++
-	c.auto[i] = true
-	c.sim.Restart(c.serverIDs[i])
+	c.servers[i].auto = true
+	c.sim.Restart(c.servers[i].id)
 }
-
-// CrashedAt returns when server i last crashed.
-func (c *Cluster) CrashedAt(i int) time.Time { return c.crashedAt[i] }
 
 // Faults returns injected fault count; Interventions the number of human
 // interventions (autonomy measure).
@@ -493,23 +478,14 @@ func (c *Cluster) CheckpointIO() (writes, bytes int64) {
 	return c.ckptWrites, c.ckptBytes
 }
 
-// AdmissionStats returns cumulative write-admission activity: writes
-// paced under slowdown, writes held under stop, and holds shed at the
-// deadline. Read it outside the simulation loop's execution.
-func (c *Cluster) AdmissionStats() (slowed, held, dropped int64) {
-	return c.admSlowed, c.admHeld, c.admDropped
-}
-
 // ReadStats returns group g's cumulative read-path staleness accounting:
 // reads served to completion by the group's voters + readers, fenced
 // reads that had to wait for the serving replica, and fence waits that
 // expired into a TooStale fallback. Read it outside the simulation
 // loop's execution.
 func (c *Cluster) ReadStats(g int) (served, fenceWaits, staleServes int64) {
-	if g < 0 || g >= len(c.readsServed) {
-		return 0, 0, 0
-	}
-	return c.readsServed[g], c.fenceWaits[g], c.staleServes[g]
+	gr := c.groups[g]
+	return gr.readsServed, gr.fenceWaits, gr.staleServes
 }
 
 // TxnStats returns group g's cumulative cross-shard transaction
@@ -517,38 +493,13 @@ func (c *Cluster) ReadStats(g int) (served, fenceWaits, staleServes int64) {
 // the total time ordinary writes spent held behind prepared branches'
 // blocked keys. Read it outside the simulation loop's execution.
 func (c *Cluster) TxnStats(g int) (commits, aborts int64, blocked time.Duration) {
-	if g < 0 || g >= len(c.txnCommits) {
-		return 0, 0, 0
-	}
-	return c.txnCommits[g], c.txnAborts[g], time.Duration(c.txnBlockedNs[g])
+	gr := c.groups[g]
+	return gr.txnCommits, gr.txnAborts, time.Duration(gr.txnBlockedNs)
 }
 
 // FenceViolations returns the number of fenced reads served below their
 // fence — always zero unless the read-your-writes machinery regressed.
 func (c *Cluster) FenceViolations() int64 { return c.fenceViolations }
-
-// Readers returns the configured learner-backed readers per group.
-func (c *Cluster) Readers() int { return c.cfg.Readers }
-
-// ReaderIndex returns the flat server index of reader j of group g.
-func (c *Cluster) ReaderIndex(g, j int) int {
-	return c.voters + g*c.cfg.Readers + j
-}
-
-// isReader reports whether flat index i is a learner-backed reader, and
-// readerGroup maps it back to its group.
-func (c *Cluster) isReader(i int) bool { return c.cfg.Readers > 0 && i >= c.voters }
-
-func (c *Cluster) readerGroup(i int) int { return (i - c.voters) / c.cfg.Readers }
-
-// groupOfServer maps any flat server index — voter or reader — to its
-// Paxos group.
-func (c *Cluster) groupOfServer(i int) int {
-	if c.isReader(i) {
-		return c.readerGroup(i)
-	}
-	return i / c.cfg.Servers
-}
 
 // ProxyStats returns error-cause diagnostics.
 func (c *Cluster) ProxyStats() ProxyStats {
@@ -570,7 +521,7 @@ func (c *Cluster) Downtime() time.Duration {
 // the proxy (the per-slice availability inputs).
 func (c *Cluster) GroupDowntimes() []time.Duration {
 	if c.proxy == nil {
-		return make([]time.Duration, c.shards)
+		return make([]time.Duration, len(c.groups))
 	}
 	return c.proxy.GroupDowntimes()
 }
@@ -600,9 +551,9 @@ func (c *Cluster) CheckpointAll(done func()) {
 		r   *core.Replica
 	}
 	var targets []target
-	for i, id := range c.serverIDs {
-		if c.sim.Alive(id) {
-			targets = append(targets, target{idx: i, r: c.servers[i].replica})
+	for i := range c.servers {
+		if s := c.Server(i); s != nil {
+			targets = append(targets, target{idx: i, r: s.replica})
 		}
 	}
 	reps := make([]*core.Replica, len(targets))
@@ -612,7 +563,8 @@ func (c *Cluster) CheckpointAll(done func()) {
 	core.CheckpointFanout(reps,
 		func(k int) bool {
 			t := targets[k]
-			return !c.sim.Alive(c.serverIDs[t.idx]) || c.servers[t.idx].replica != t.r
+			s := c.Server(t.idx)
+			return s == nil || s.replica != t.r
 		},
 		c.sim.After, done)
 }
@@ -622,19 +574,16 @@ func (c *Cluster) CheckpointAll(done func()) {
 // restarting server refuses connections until then, which the proxy
 // treats as an instant dispatch failure, not a client error.
 func (c *Cluster) accepting(i int) bool {
-	if !c.sim.Alive(c.serverIDs[i]) {
-		return false
-	}
-	s := c.servers[i]
+	s := c.Server(i)
 	return s != nil && s.replica != nil && s.replica.Ready()
 }
 
 // Server returns the current incarnation of server i (nil while crashed).
 func (c *Cluster) Server(i int) *Server {
-	if !c.sim.Alive(c.serverIDs[i]) {
+	if !c.sim.Alive(c.servers[i].id) {
 		return nil
 	}
-	return c.servers[i]
+	return c.servers[i].cur
 }
 
 // Store returns server i's bookstore state (for consistency checks).

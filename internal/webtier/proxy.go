@@ -37,28 +37,15 @@ type Proxy struct {
 
 	outstanding map[int64]*outReq
 
-	up        []bool
-	failCount []int
-	probeSeq  int64
-	probes    map[int64]int // probe seq -> server index
+	health   []serverHealth // by flat server index
+	probeSeq int64
+	probes   map[int64]int // probe seq -> server index
 
-	// Request-level health: a per-server EWMA of served-traffic quality
-	// (errors and excessive latency). A gray-failed server answers every
-	// probe — the probe path never touches the request machinery — so
-	// probe-based eviction alone cannot catch it; the EWMA evicts on what
-	// clients actually experience and quarantines the server so the very
-	// probes that are blind to the fault cannot immediately re-admit it.
-	errEwma         []float64
-	qualSamples     []int
-	quarantineUntil []time.Time
-
-	// noServiceSince/downtime track complete outages per shard group
-	// for the availability measure: with one group this is the paper's
-	// full-outage time; with several, each group's client slice is
-	// accounted separately so a healthy group cannot mask another's
-	// outage.
-	noServiceSince []time.Time
-	downtime       []time.Duration
+	// outages tracks complete outages per shard group for the availability
+	// measure: with one group this is the paper's full-outage time; with
+	// several, each group's client slice is accounted separately so a
+	// healthy group cannot mask another's outage.
+	outages []outageClock
 
 	// sessFence tracks each session's highest acked commit index (an
 	// index into its group's ordered log), attached as a fence on the
@@ -78,16 +65,38 @@ type Proxy struct {
 	// the read-serving node count. Writes keep hash affinity.
 	rrSeq uint64
 
-	// inflight counts outstanding requests per server. When readers
-	// exist, read dispatch picks the least-loaded candidate (rotation
-	// breaks ties): queues equalize across unevenly-loaded nodes, so
-	// reads drain toward the learners, which carry no write-serving or
-	// proposal work — uniform rotation would instead bottleneck on the
-	// busiest voter and strand that headroom.
-	inflight []int
-
 	// Diagnostics: why client errors happened.
 	Stats ProxyStats
+}
+
+// serverHealth is the proxy's view of one server.
+type serverHealth struct {
+	up        bool // in rotation
+	failCount int  // consecutive failed probes
+
+	// inflight counts outstanding requests. Read dispatch picks the
+	// least-loaded candidate (rotation breaks ties): queues equalize across
+	// unevenly-loaded nodes, so reads drain toward the learners, which
+	// carry no write-serving or proposal work — uniform rotation would
+	// instead bottleneck on the busiest voter and strand that headroom.
+	inflight int
+
+	// Request-level health: an EWMA of served-traffic quality (errors and
+	// excessive latency). A gray-failed server answers every probe — the
+	// probe path never touches the request machinery — so probe-based
+	// eviction alone cannot catch it; the EWMA evicts on what clients
+	// actually experience and quarantines the server so the very probes
+	// that are blind to the fault cannot immediately re-admit it.
+	errEwma         float64
+	qualSamples     int
+	quarantineUntil time.Time
+}
+
+// outageClock accumulates one group's complete-outage time: since is when
+// the open outage began (zero while the group serves).
+type outageClock struct {
+	since time.Time
+	total time.Duration
 }
 
 // ProxyStats counts client-visible error causes, for tests and
@@ -160,21 +169,10 @@ var _ env.Node = (*Proxy)(nil)
 func (p *Proxy) Start(e env.Env) {
 	p.e = e
 	p.cpu = sim.NewResource(p.c.sim, 2)
-	n := p.c.TotalServers()
 	p.outstanding = make(map[int64]*outReq)
-	p.up = make([]bool, n)
-	for i := range p.up {
-		p.up[i] = true
-	}
-	p.failCount = make([]int, n)
-	p.inflight = make([]int, n)
-	p.errEwma = make([]float64, n)
-	p.qualSamples = make([]int, n)
-	p.quarantineUntil = make([]time.Time, n)
 	p.probes = make(map[int64]int)
 	p.sessFence = make(map[int64]fenceEntry)
-	p.noServiceSince = make([]time.Time, p.c.Shards())
-	p.downtime = make([]time.Duration, p.c.Shards())
+	p.grow()
 	p.e.After(p.c.cfg.Cal.ProbeInterval, p.probeLoop)
 }
 
@@ -253,7 +251,7 @@ func (p *Proxy) dispatch(r *outReq) {
 		off := int(p.rrSeq % uint64(len(candidates)))
 		pick := candidates[off]
 		for k := 1; k < len(candidates); k++ {
-			if c := candidates[(off+k)%len(candidates)]; p.inflight[c] < p.inflight[pick] {
+			if c := candidates[(off+k)%len(candidates)]; p.health[c].inflight < p.health[pick].inflight {
 				pick = c
 			}
 		}
@@ -268,7 +266,7 @@ func (p *Proxy) dispatch(r *outReq) {
 	p.nextID++
 	id := p.nextID
 	p.outstanding[id] = r
-	p.inflight[r.server]++
+	p.health[r.server].inflight++
 	r.curID = id
 	if r.timer == nil {
 		// The timer follows the request across response-driven
@@ -294,20 +292,13 @@ func (p *Proxy) dispatch(r *outReq) {
 			m.Fence = f.idx
 		}
 	}
-	p.e.Send(p.c.serverIDs[r.server], m)
+	p.e.Send(p.c.servers[r.server].id, m)
 }
 
 // readCandidates returns the group's read-serving rotation: the voter
 // candidates plus the group's up-and-accepting learner readers.
 func (p *Proxy) readCandidates(group int) []int {
-	out := p.candidates(group)
-	for j := 0; j < p.c.cfg.Readers; j++ {
-		i := p.c.ReaderIndex(group, j)
-		if p.up[i] && p.c.accepting(i) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return p.serving(p.candidates(group), p.c.Readers(group))
 }
 
 // admitAtDispatch gates one write on the picked server's published
@@ -358,10 +349,13 @@ func (p *Proxy) admitAtDispatch(r *outReq) bool {
 // instantly, which HAProxy treats as an immediate dispatch failure, not a
 // client error).
 func (p *Proxy) candidates(group int) []int {
-	first := group * p.c.cfg.Servers
-	out := make([]int, 0, p.c.cfg.Servers)
-	for i := first; i < first+p.c.cfg.Servers; i++ {
-		if p.up[i] && p.c.accepting(i) {
+	return p.serving(make([]int, 0, p.c.cfg.Servers), p.c.Voters(group))
+}
+
+// serving appends to out those of servers that are up and accepting.
+func (p *Proxy) serving(out, servers []int) []int {
+	for _, i := range servers {
+		if p.health[i].up && p.c.accepting(i) {
 			out = append(out, i)
 		}
 	}
@@ -374,7 +368,7 @@ func (p *Proxy) onResponse(m respMsg) {
 		return // superseded (redispatch) or expired
 	}
 	delete(p.outstanding, m.ID)
-	p.inflight[r.server]--
+	p.health[r.server].inflight--
 	if !m.WrongEpoch && !m.TooStale {
 		// Epoch redirects and staleness fallbacks are routing outcomes,
 		// not server sickness; everything else scores the server's
@@ -422,7 +416,7 @@ func (p *Proxy) onResponse(m respMsg) {
 		// read-your-writes fence (monotone within its group: a retried
 		// older ack must not lower it; an ack from a different group —
 		// the session migrated — replaces the now-meaningless old fence).
-		g := p.c.groupOfServer(r.server)
+		g := p.c.GroupOfServer(r.server)
 		f, ok := p.sessFence[r.req.Client]
 		if !ok || f.group != g || m.Commit > f.idx {
 			p.sessFence[r.req.Client] = fenceEntry{group: g, idx: m.Commit}
@@ -448,7 +442,7 @@ func (p *Proxy) expire(id int64) {
 		return
 	}
 	delete(p.outstanding, id)
-	p.inflight[r.server]--
+	p.health[r.server].inflight--
 	p.recordQuality(r.server, true)
 	if !r.req.Kind.IsWrite() && r.attempts < 2 {
 		// The reply never came — a silent server (one-way loss: it heard
@@ -481,7 +475,7 @@ func (p *Proxy) onServerReset(server int) {
 	for _, id := range ids {
 		r := p.outstanding[id]
 		delete(p.outstanding, id)
-		p.inflight[r.server]--
+		p.health[r.server].inflight--
 		if !r.req.Kind.IsWrite() && r.attempts < 2 {
 			p.Stats.Redispatched++
 			p.dispatch(r)
@@ -516,15 +510,16 @@ func (p *Proxy) recordQuality(srv int, bad bool) {
 	if bad {
 		sample = 1
 	}
-	p.errEwma[srv] = (1-qualityAlpha)*p.errEwma[srv] + qualityAlpha*sample
-	p.qualSamples[srv]++
-	if !p.up[srv] || p.qualSamples[srv] < qualityMinSamples || p.errEwma[srv] < qualityEvictScore {
+	h := &p.health[srv]
+	h.errEwma = (1-qualityAlpha)*h.errEwma + qualityAlpha*sample
+	h.qualSamples++
+	if !h.up || h.qualSamples < qualityMinSamples || h.errEwma < qualityEvictScore {
 		return
 	}
 	// Never evict a group's last serving candidate: degraded service
 	// beats no service, and the availability measure agrees.
 	others := 0
-	for _, c := range p.candidates(p.c.groupOfServer(srv)) {
+	for _, c := range p.candidates(p.c.GroupOfServer(srv)) {
 		if c != srv {
 			others++
 		}
@@ -532,36 +527,29 @@ func (p *Proxy) recordQuality(srv int, bad bool) {
 	if others == 0 {
 		return
 	}
-	p.up[srv] = false
-	p.quarantineUntil[srv] = p.e.Now().Add(qualityQuarantine)
-	p.errEwma[srv] = 0
-	p.qualSamples[srv] = 0
+	h.up = false
+	h.quarantineUntil = p.e.Now().Add(qualityQuarantine)
+	h.errEwma, h.qualSamples = 0, 0
 	p.Stats.QualityEvictions++
 }
 
-// grow extends the proxy's per-server and per-group state for servers
-// added by a live rebalance. New servers enter rotation optimistically;
-// until operational they refuse connections, which the dispatch and probe
-// paths already treat as instant failures.
-func (p *Proxy) grow(totalServers, shards int) {
-	for len(p.up) < totalServers {
-		p.up = append(p.up, true)
-		p.failCount = append(p.failCount, 0)
-		p.inflight = append(p.inflight, 0)
-		p.errEwma = append(p.errEwma, 0)
-		p.qualSamples = append(p.qualSamples, 0)
-		p.quarantineUntil = append(p.quarantineUntil, time.Time{})
+// grow extends the proxy's per-server and per-group state to the cluster's
+// — at start, and for servers added by a live rebalance. New servers enter
+// rotation optimistically; until operational they refuse connections, which
+// the dispatch and probe paths already treat as instant failures.
+func (p *Proxy) grow() {
+	for len(p.health) < len(p.c.servers) {
+		p.health = append(p.health, serverHealth{up: true})
 	}
-	for len(p.noServiceSince) < shards {
-		p.noServiceSince = append(p.noServiceSince, time.Time{})
-		p.downtime = append(p.downtime, 0)
+	for len(p.outages) < len(p.c.groups) {
+		p.outages = append(p.outages, outageClock{})
 	}
 }
 
 // probeLoop sends one health probe per server per interval.
 func (p *Proxy) probeLoop() {
 	cal := p.c.cfg.Cal
-	for i := range p.up {
+	for i := range p.health {
 		if !p.c.accepting(i) {
 			// Connection refused: an instant probe failure.
 			p.probeFailed(i)
@@ -570,7 +558,7 @@ func (p *Proxy) probeLoop() {
 		p.probeSeq++
 		seq := p.probeSeq
 		p.probes[seq] = i
-		p.e.Send(p.c.serverIDs[i], probeMsg{Seq: seq})
+		p.e.Send(p.c.servers[i].id, probeMsg{Seq: seq})
 		p.e.After(cal.ProbeTimeout, func() {
 			if srv, pending := p.probes[seq]; pending {
 				delete(p.probes, seq)
@@ -588,54 +576,54 @@ func (p *Proxy) onProbeResp(m probeRespMsg) {
 	}
 	delete(p.probes, m.Seq)
 	if m.OK {
-		p.failCount[srv] = 0
-		if p.e.Now().Before(p.quarantineUntil[srv]) {
+		p.health[srv].failCount = 0
+		if p.e.Now().Before(p.health[srv].quarantineUntil) {
 			// Quality-evicted: a succeeding probe proves nothing about the
 			// request path (gray failures ack probes by design), so it
 			// must not re-admit the server until the quarantine lapses.
 			return
 		}
-		p.up[srv] = true
+		p.health[srv].up = true
 		// A succeeding probe proves the group can serve again: stop its
 		// outage clock even if no client of that slice has dispatched
 		// since, so an idle group's downtime does not keep accruing
 		// after it recovered.
-		p.clearNoService(p.c.groupOfServer(srv))
+		p.clearNoService(p.c.GroupOfServer(srv))
 		return
 	}
 	p.probeFailed(srv)
 }
 
 func (p *Proxy) probeFailed(srv int) {
-	p.failCount[srv]++
-	if p.failCount[srv] >= p.c.cfg.Cal.ProbeFailures {
-		p.up[srv] = false
+	h := &p.health[srv]
+	h.failCount++
+	if h.failCount >= p.c.cfg.Cal.ProbeFailures {
+		h.up = false
 	}
 }
 
 func (p *Proxy) markNoService(group int) {
-	if p.noServiceSince[group].IsZero() {
-		p.noServiceSince[group] = p.e.Now()
+	if o := &p.outages[group]; o.since.IsZero() {
+		o.since = p.e.Now()
 	}
 }
 
 func (p *Proxy) clearNoService(group int) {
-	if !p.noServiceSince[group].IsZero() {
-		p.downtime[group] += p.e.Now().Sub(p.noServiceSince[group])
-		p.noServiceSince[group] = time.Time{}
+	if o := &p.outages[group]; !o.since.IsZero() {
+		o.total += p.e.Now().Sub(o.since)
+		o.since = time.Time{}
 	}
 }
 
 // GroupDowntimes returns each group's cumulative outage time, any open
 // outage included.
 func (p *Proxy) GroupDowntimes() []time.Duration {
-	out := make([]time.Duration, len(p.downtime))
-	for g := range p.downtime {
-		d := p.downtime[g]
-		if !p.noServiceSince[g].IsZero() {
-			d += p.e.Now().Sub(p.noServiceSince[g])
+	out := make([]time.Duration, len(p.outages))
+	for g, o := range p.outages {
+		out[g] = o.total
+		if !o.since.IsZero() {
+			out[g] += p.e.Now().Sub(o.since)
 		}
-		out[g] = d
 	}
 	return out
 }

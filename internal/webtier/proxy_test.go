@@ -18,7 +18,7 @@ func TestOneWayLossEvictsAndServiceContinues(t *testing.T) {
 	s := c.Sim()
 	h := c.PartitionServers(env.LinkOutboundOnly, 1)
 	s.RunFor(8 * time.Second) // enough probe timeouts to cross the threshold
-	if c.proxy.up[1] {
+	if c.proxy.health[1].up {
 		t.Fatal("silent server still in rotation after the eviction threshold")
 	}
 	if resp, got := do(c, rbe.Request{Client: 7, Kind: rbe.Home, Item: 1}); !got || resp.Err {
@@ -26,7 +26,7 @@ func TestOneWayLossEvictsAndServiceContinues(t *testing.T) {
 	}
 	h.Heal()
 	s.RunFor(3 * time.Second)
-	if !c.proxy.up[1] {
+	if !c.proxy.health[1].up {
 		t.Fatal("healed server was not re-admitted by a succeeding probe")
 	}
 	if c.Faults() != 1 {
@@ -124,26 +124,26 @@ func TestRetryFallsBackToSameServerWhenAlone(t *testing.T) {
 func TestProbeTimeoutEvictsAfterFourFailures(t *testing.T) {
 	c := testCluster(t, 3, nil)
 	s := c.Sim()
-	srv := c.serverIDs[1]
+	srv := c.servers[1].id
 	s.SetLink(srv, c.proxyID, true) // responses vanish: probe timeouts
 	s.RunFor(2600 * time.Millisecond)
-	if !c.proxy.up[1] {
+	if !c.proxy.health[1].up {
 		t.Fatal("evicted before reaching the failure threshold")
 	}
-	if c.proxy.failCount[1] == 0 {
+	if c.proxy.health[1].failCount == 0 {
 		t.Fatal("probe timeouts did not count as failures")
 	}
 	s.RunFor(3 * time.Second)
-	if c.proxy.up[1] {
+	if c.proxy.health[1].up {
 		t.Fatal("4 timed-out probes must evict the server")
 	}
 	s.Heal()
 	s.RunFor(2 * time.Second)
-	if !c.proxy.up[1] {
+	if !c.proxy.health[1].up {
 		t.Fatal("successful probe must re-admit the server")
 	}
-	if c.proxy.failCount[1] != 0 {
-		t.Errorf("failCount = %d after a successful probe, want 0", c.proxy.failCount[1])
+	if c.proxy.health[1].failCount != 0 {
+		t.Errorf("failCount = %d after a successful probe, want 0", c.proxy.health[1].failCount)
 	}
 }
 
@@ -153,24 +153,24 @@ func TestProbeTimeoutEvictsAfterFourFailures(t *testing.T) {
 func TestProbeFailureCountResetsOnSuccess(t *testing.T) {
 	c := testCluster(t, 3, nil)
 	s := c.Sim()
-	srv := c.serverIDs[2]
+	srv := c.servers[2].id
 	s.SetLink(srv, c.proxyID, true)
 	s.RunFor(2600 * time.Millisecond) // two timed-out probes
-	if c.proxy.failCount[2] < 2 || !c.proxy.up[2] {
-		t.Fatalf("setup: failCount=%d up=%v", c.proxy.failCount[2], c.proxy.up[2])
+	if c.proxy.health[2].failCount < 2 || !c.proxy.health[2].up {
+		t.Fatalf("setup: failCount=%d up=%v", c.proxy.health[2].failCount, c.proxy.health[2].up)
 	}
 	s.Heal()
 	s.RunFor(2 * time.Second) // a success resets the count
-	if c.proxy.failCount[2] != 0 {
-		t.Fatalf("failCount = %d after success, want 0", c.proxy.failCount[2])
+	if c.proxy.health[2].failCount != 0 {
+		t.Fatalf("failCount = %d after success, want 0", c.proxy.health[2].failCount)
 	}
 	s.SetLink(srv, c.proxyID, true)
 	s.RunFor(3600 * time.Millisecond) // three more failures: still short of 4
-	if !c.proxy.up[2] {
+	if !c.proxy.health[2].up {
 		t.Fatal("evicted after 3 post-reset failures; threshold is 4 consecutive")
 	}
 	s.RunFor(2 * time.Second) // the 4th consecutive failure evicts
-	if c.proxy.up[2] {
+	if c.proxy.health[2].up {
 		t.Fatal("4 consecutive failures after a reset must evict")
 	}
 }

@@ -14,7 +14,7 @@ func readerCluster(t *testing.T, readers int) *Cluster {
 	c := testCluster(t, 3, func(cfg *Config) { cfg.Readers = readers })
 	c.Sim().RunFor(3 * time.Second) // extra boot: readers must be accepting
 	for j := 0; j < readers; j++ {
-		if i := c.ReaderIndex(0, j); !c.accepting(i) {
+		if i := c.Readers(0)[j]; !c.accepting(i) {
 			t.Fatalf("reader %d (flat %d) did not boot", j, i)
 		}
 	}
@@ -57,11 +57,11 @@ func repeat(req rbe.Request, n int) []rbe.Request {
 func TestLaggingReaderFencedReads(t *testing.T) {
 	c := readerCluster(t, 1)
 	s := c.Sim()
-	reader := c.ReaderIndex(0, 0)
+	reader := c.Readers(0)[0]
 	// Sever voter→reader links: the learner stops hearing chosen values.
 	// Its proxy link stays up, so it remains in the read rotation.
 	for v := 0; v < 3; v++ {
-		s.SetLink(c.serverIDs[v], c.serverIDs[reader], true)
+		s.SetLink(c.servers[v].id, c.servers[reader].id, true)
 	}
 	resp, got := do(c, rbe.Request{Client: 7, Kind: rbe.ShoppingCart, Item: 5, Qty: 1})
 	if !got || resp.Err || resp.Cart == 0 {
@@ -102,7 +102,7 @@ func TestLaggingReaderFencedReads(t *testing.T) {
 	}
 	// Heal: the learner catches up off the voters' learn stream.
 	for v := 0; v < 3; v++ {
-		s.SetLink(c.serverIDs[v], c.serverIDs[reader], false)
+		s.SetLink(c.servers[v].id, c.servers[reader].id, false)
 	}
 	s.RunFor(15 * time.Second)
 	if _, ok := c.Store(reader).GetOrder(order); !ok {
@@ -126,7 +126,7 @@ func TestReaderZeroVoterFencedReads(t *testing.T) {
 	distinct := map[int]bool{}
 	for _, srv := range reads {
 		distinct[srv] = true
-		if c.isReader(srv) {
+		if c.servers[srv].learner {
 			t.Fatalf("Readers=0 dispatched a read to a reader index %d", srv)
 		}
 	}
@@ -183,7 +183,7 @@ func TestReaderRotationAndFenceFold(t *testing.T) {
 		if srv != writes[0] {
 			t.Fatalf("writes lost their hash affinity: %v", writes)
 		}
-		if c.isReader(srv) {
+		if c.servers[srv].learner {
 			t.Fatalf("a write was dispatched to reader %d", srv)
 		}
 	}

@@ -70,7 +70,7 @@ const drainCap = 3 * time.Second
 // while a migration is active panics (one epoch change at a time).
 func (c *Cluster) Rebalance(opts RebalanceOptions) {
 	if c.cfg.Readers > 0 {
-		// Reader flat indices are fixed past the voter range; a grown
+		// The readers sit past the voter range (layout.go), where a grown
 		// group's servers would collide with them. Session fences are also
 		// per-group log indices, which a cutover would invalidate.
 		panic("webtier: Rebalance is not supported with Readers > 0")
@@ -78,31 +78,15 @@ func (c *Cluster) Rebalance(opts RebalanceOptions) {
 	if c.mig.Status().Active {
 		panic("webtier: Rebalance while a migration is active")
 	}
-	newGroup := c.shards
 
-	// Register and boot the new group's servers. Membership (groupIDs)
+	// Register and boot the new group's servers. The group's membership
 	// must be complete before any of them starts; AddNode+Restart are
 	// synchronous here, the Start events run afterwards.
-	c.groupIDs = append(c.groupIDs, nil)
-	for range c.cfg.Servers {
-		c.servers = append(c.servers, nil)
-		c.auto = append(c.auto, true)
-		c.crashedAt = append(c.crashedAt, time.Time{})
-		c.grayErr = append(c.grayErr, 0)
-		c.graySlow = append(c.graySlow, 0)
-		c.addServer(newGroup, false)
-	}
-	c.shards++
-	c.readsServed = append(c.readsServed, 0)
-	c.fenceWaits = append(c.fenceWaits, 0)
-	c.staleServes = append(c.staleServes, 0)
-	c.txnCommits = append(c.txnCommits, 0)
-	c.txnAborts = append(c.txnAborts, 0)
-	c.txnBlockedNs = append(c.txnBlockedNs, 0)
+	newGroup := c.addGroup()
 	if c.proxy != nil {
-		c.proxy.grow(len(c.serverIDs), c.shards)
+		c.proxy.grow()
 	}
-	for _, id := range c.groupIDs[newGroup] {
+	for _, id := range c.groups[newGroup].members {
 		c.sim.Restart(id)
 	}
 	c.mig = shard.NewMigration(clusterHost{c}, c.table, newGroup, false, opts)
@@ -120,11 +104,11 @@ func (h clusterHost) Publish(next shard.RoutingTable)  { h.c.table = next }
 // Order prefers the group's consensus leader among its accepting servers.
 func (h clusterHost) Order(g int, action any, done func(core.StateMachine)) {
 	var target *core.Replica
-	for i := g * h.c.cfg.Servers; i < (g+1)*h.c.cfg.Servers; i++ {
+	for _, i := range h.c.Voters(g) {
 		if !h.c.accepting(i) {
 			continue
 		}
-		if r := h.c.servers[i].replica; target == nil || !target.LeaderHint() && r.LeaderHint() {
+		if r := h.c.Replica(i); target == nil || !target.LeaderHint() && r.LeaderHint() {
 			target = r
 		}
 	}
@@ -139,13 +123,13 @@ func (h clusterHost) Order(g int, action any, done func(core.StateMachine)) {
 
 // Booted: the whole new group is up (members operational, leader elected).
 func (h clusterHost) Booted() bool {
-	c, newGroup := h.c, h.c.shards-1
+	c := h.c
 	leader := false
-	for i := newGroup * c.cfg.Servers; i < (newGroup+1)*c.cfg.Servers; i++ {
+	for _, i := range c.Voters(len(c.groups) - 1) {
 		if !c.accepting(i) {
 			return false
 		}
-		leader = leader || c.servers[i].replica.LeaderHint()
+		leader = leader || c.Replica(i).LeaderHint()
 	}
 	return leader
 }

@@ -75,7 +75,7 @@ func (m probeRespMsg) WireSize() int64 { return 128 }
 // Server is built per incarnation; the simulated disk underneath survives.
 type Server struct {
 	c       *Cluster
-	idx     int  // flat server index (group-major; readers past the voter range)
+	idx     int  // flat server index (layout.go)
 	group   int  // Paxos group (shard) this server belongs to
 	learner bool // read-only server backed by a non-voting learner replica
 
@@ -117,13 +117,11 @@ func (s *Server) Start(e env.Env) {
 	// the proxy node, other groups' servers, nor this group's readers are
 	// Treplica members. Voters announce decided values and heartbeats to
 	// the group's learners; a learner engine only listens.
-	pcfg.Members = s.c.groupIDs[s.group]
+	pcfg.Members = s.c.groups[s.group].members
 	if s.learner {
 		pcfg.Learner = true
-	} else if s.group < len(s.c.readerIDs) {
-		// Groups added by a live rebalance (Readers=0 only) have no
-		// reader slot.
-		pcfg.Learners = s.c.readerIDs[s.group]
+	} else {
+		pcfg.Learners = s.c.groups[s.group].learners
 	}
 	cfg := core.Config{
 		FastPaxos:          s.c.cfg.FastPaxos,
@@ -293,9 +291,6 @@ func (m *serverMachine) DropOwned(owned func(string) bool) {
 	m.s.store.DropOwned(owned)
 }
 
-// CPUQueue returns the server CPU queue length (diagnostics).
-func (s *Server) CPUQueue() int { return s.cpu.QueueLen() }
-
 // handleRequest serves one web interaction.
 func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 	if s.replica == nil || !s.replica.Ready() {
@@ -311,7 +306,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 	// Gray failure, error flavor: the request machinery fails a fraction
 	// of real requests fast while the probe path above keeps answering OK
 	// — the prober cannot see this fault.
-	if r := s.c.grayErr[s.idx]; r > 0 && s.e.Rand().Float64() < r {
+	if r := s.c.servers[s.idx].grayErr; r > 0 && s.e.Rand().Float64() < r {
 		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
 		return
 	}
@@ -325,7 +320,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 					s.c.fenceViolations++
 				}
 				resp := s.performRead(m.Req)
-				s.c.readsServed[s.group]++
+				s.c.groups[s.group].readsServed++
 				s.e.Send(proxy, respMsg{ID: m.ID, Resp: resp, Page: cal.PageSize})
 			})
 		}
@@ -333,11 +328,11 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 			// Fenced read behind the session's commit index: wait for the
 			// replica to catch up, bounded; past the bound, answer
 			// TooStale so the proxy retries on a fresher server.
-			s.c.fenceWaits[s.group]++
+			s.c.groups[s.group].fenceWaits++
 			s.replica.ReadAt(m.Fence, cal.fenceWait(),
 				func(core.StateMachine, paxos.InstanceID) { serve() },
 				func() {
-					s.c.staleServes[s.group]++
+					s.c.groups[s.group].staleServes++
 					s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}, TooStale: true})
 				})
 			return
@@ -372,7 +367,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 // of gray failure (Cluster.GrayFail with factor ≥ 1). Healthy servers pay
 // d unchanged.
 func (s *Server) graySvc(d time.Duration) time.Duration {
-	if f := s.c.graySlow[s.idx]; f > 1 {
+	if f := s.c.servers[s.idx].graySlow; f > 1 {
 		return time.Duration(float64(d) * f)
 	}
 	return d
@@ -397,14 +392,11 @@ func (s *Server) admitWrite(deadline time.Time, run, drop func()) {
 	switch s.replica.AdmissionState() {
 	case paxos.AdmissionStop:
 		if !s.e.Now().Before(deadline) {
-			s.c.admDropped++
 			drop()
 			return
 		}
-		s.c.admHeld++
 		s.e.After(admitPace, func() { s.admitWrite(deadline, run, drop) })
 	case paxos.AdmissionSlowdown:
-		s.c.admSlowed++
 		s.e.After(admitPace, run)
 	default:
 		run()

@@ -220,7 +220,7 @@ func (s *Server) txnSendPrepare(id string, g int) {
 	if _, voted := co.votes[g]; voted {
 		return
 	}
-	members := s.c.groupIDs[g]
+	members := s.c.groups[g].members
 	target := members[co.attempts[g]%len(members)]
 	co.attempts[g]++
 	br := co.branches[g]
@@ -319,7 +319,7 @@ func (s *Server) txnSendOutcome(id string, g int) {
 	if co == nil || co.acked[g] {
 		return
 	}
-	members := s.c.groupIDs[g]
+	members := s.c.groups[g].members
 	target := members[co.attempts[g]%len(members)]
 	co.attempts[g]++
 	s.e.Send(target, txnOutcomeMsg{ID: id, Commit: co.commit})
@@ -453,11 +453,11 @@ func (s *Server) submitTxnOutcome(id string, commit bool, done func(applied bool
 			}
 			return
 		}
-		if ar.First && s.group < len(s.c.txnCommits) {
+		if ar.First {
 			if commit {
-				s.c.txnCommits[s.group]++
+				s.c.groups[s.group].txnCommits++
 			} else {
-				s.c.txnAborts[s.group]++
+				s.c.groups[s.group].txnAborts++
 			}
 		}
 		if done != nil {
@@ -490,7 +490,7 @@ func (s *Server) txnResolveTick(id string, home int) {
 		delete(s.txnResolve, id)
 		return
 	}
-	members := s.c.groupIDs[home]
+	members := s.c.groups[home].members
 	target := members[s.txnResolve[id]%len(members)]
 	s.txnResolve[id]++
 	s.e.Send(target, txnStatusMsg{ID: id})
@@ -532,19 +532,19 @@ func (s *Server) armTxnRecovery() {
 func txnConflictKeys(req rbe.Request) []string {
 	var keys []string
 	if req.Cart != 0 {
-		keys = append(keys, "cart/"+strconv.FormatInt(int64(req.Cart), 10))
+		keys = append(keys, tpcw.CartKey(req.Cart))
 	}
 	if req.Customer != 0 {
-		keys = append(keys, "customer/"+strconv.FormatInt(int64(req.Customer), 10))
+		keys = append(keys, tpcw.CustomerKey(req.Customer))
 	}
 	if req.Peer != 0 {
-		keys = append(keys, "customer/"+strconv.FormatInt(int64(req.Peer), 10))
+		keys = append(keys, tpcw.CustomerKey(req.Peer))
 	}
 	if req.Kind == rbe.AdminConfirm && req.Item != 0 {
-		keys = append(keys, "item/"+strconv.FormatInt(int64(req.Item), 10))
+		keys = append(keys, tpcw.ItemKey(req.Item))
 	}
 	for _, it := range req.Items {
-		keys = append(keys, "item/"+strconv.FormatInt(int64(it), 10))
+		keys = append(keys, tpcw.ItemKey(it))
 	}
 	return keys
 }
@@ -553,8 +553,13 @@ func txnConflictKeys(req rbe.Request) []string {
 // until the branch's outcome record releases them (or the bounded wait
 // expires into a client error). With no prepared transactions — always
 // the case on the single-group fast path — the write proceeds through
-// the exact same immediate call, adding no events and no latency.
+// the exact same immediate call, adding no events and no latency, and no
+// key is built.
 func (s *Server) withTxnGate(m reqMsg, run, drop func()) {
+	if !s.replica.HasPreparedTxns() {
+		run()
+		return
+	}
 	keys := txnConflictKeys(m.Req)
 	blocked := func() bool {
 		for _, k := range keys {
@@ -571,9 +576,7 @@ func (s *Server) withTxnGate(m reqMsg, run, drop func()) {
 	start := s.e.Now()
 	deadline := start.Add(txnBlockDeadline)
 	accrue := func() {
-		if s.group < len(s.c.txnBlockedNs) {
-			s.c.txnBlockedNs[s.group] += s.e.Now().Sub(start).Nanoseconds()
-		}
+		s.c.groups[s.group].txnBlockedNs += s.e.Now().Sub(start).Nanoseconds()
 	}
 	var retry func()
 	retry = func() {
@@ -599,31 +602,22 @@ func (s *Server) withTxnGate(m reqMsg, run, drop func()) {
 
 // --- Multi-shard write interactions --------------------------------------
 
-// customerRouteKey and itemRouteKey are the routing keys of
-// base-population rows, whose IDs are cluster-global (every group's
-// initial store holds them identically): the routing table's hash of the
-// row key defines the row's home group. Session-created rows (carts,
-// registered customers) instead live where their session routes — their
-// per-group ID counters make raw IDs ambiguous across groups — which is
-// why the gift workload draws buyers' carts from the session's own group
-// and recipients from the base population.
-func customerRouteKey(id tpcw.CustomerID) string {
-	return "customer/" + strconv.FormatInt(int64(id), 10)
-}
-
-func itemRouteKey(id tpcw.ItemID) string {
-	return "item/" + strconv.FormatInt(int64(id), 10)
-}
-
 // CustomerGroup and ItemGroup expose the base-population rows' home
 // groups under the current routing epoch, so workloads and audits can
-// pick counterparties whose rows live on (or off) a session's group.
+// pick counterparties whose rows live on (or off) a session's group. The
+// IDs of base-population rows are cluster-global (every group's initial
+// store holds them identically): the routing table's hash of the row key
+// defines the row's home group. Session-created rows (carts, registered
+// customers) instead live where their session routes — their per-group ID
+// counters make raw IDs ambiguous across groups — which is why the gift
+// workload draws buyers' carts from the session's own group and
+// recipients from the base population.
 func (c *Cluster) CustomerGroup(id tpcw.CustomerID) int {
-	return c.table.Group(customerRouteKey(id))
+	return c.table.Group(tpcw.CustomerKey(id))
 }
 
 func (c *Cluster) ItemGroup(id tpcw.ItemID) int {
-	return c.table.Group(itemRouteKey(id))
+	return c.table.Group(tpcw.ItemKey(id))
 }
 
 // performGiftPurchase serves the cross-session gift order: the buyer's
@@ -644,7 +638,7 @@ func (s *Server) performGiftPurchase(proxy env.NodeID, m reqMsg) {
 			return
 		}
 		ship := now.AddDate(0, 0, 1+rng.Intn(7)) // random pre-submit
-		rg := s.c.table.Group(customerRouteKey(req.Peer))
+		rg := s.c.CustomerGroup(req.Peer)
 		if rg == s.group {
 			// Single-group fast path: the merged action, plain submit, no
 			// transaction records — bit-identical to the pre-2PC path.
@@ -714,7 +708,7 @@ func (s *Server) performStockSweep(proxy env.NodeID, m reqMsg) {
 	}
 	byGroup := make(map[int][]tpcw.ItemID)
 	for _, id := range req.Items {
-		g := s.c.table.Group(itemRouteKey(id))
+		g := s.c.ItemGroup(id)
 		byGroup[g] = append(byGroup[g], id)
 	}
 	if len(byGroup) == 1 {

@@ -78,7 +78,7 @@ func stepUntil(c *Cluster, budget time.Duration, cond func() bool) bool {
 // preparedIn returns one prepared branch held by any live replica of
 // group g.
 func preparedIn(c *Cluster, servers, g int) (id string, home int, ok bool) {
-	for i := g * servers; i < (g+1)*servers; i++ {
+	for _, i := range c.Voters(g) {
 		if r := c.Replica(i); r != nil {
 			if ps := r.PreparedTxns(); len(ps) > 0 {
 				return ps[0].ID, ps[0].Home, true
@@ -101,7 +101,7 @@ func preparedAnywhere(c *Cluster) bool {
 // coordinatorOf finds the group-g server holding live coordinator
 // bookkeeping for an in-flight transaction, or -1.
 func coordinatorOf(c *Cluster, servers, g int) int {
-	for i := g * servers; i < (g+1)*servers; i++ {
+	for _, i := range c.Voters(g) {
 		if s := c.Server(i); s != nil && len(s.txnCoords) > 0 {
 			return i
 		}
@@ -113,7 +113,7 @@ func coordinatorOf(c *Cluster, servers, g int) int {
 // replica shows every listed item stamped with the sweep's tag. One
 // branch is one atomic action, so all-or-nothing holds per replica.
 func sweptOn(c *Cluster, servers, g int, items []tpcw.ItemID, tag string) bool {
-	for i := g * servers; i < (g+1)*servers; i++ {
+	for _, i := range c.Voters(g) {
 		st := c.Store(i)
 		if st == nil {
 			continue
@@ -136,7 +136,7 @@ func sweptOn(c *Cluster, servers, g int, items []tpcw.ItemID, tag string) bool {
 // carrying the tag on group g.
 func giftsTaggedOn(c *Cluster, servers, g int, tag string) int {
 	max := 0
-	for i := g * servers; i < (g+1)*servers; i++ {
+	for _, i := range c.Voters(g) {
 		if st := c.Store(i); st != nil {
 			if n := st.OrdersTagged(tag); n > max {
 				max = n
@@ -349,7 +349,7 @@ func TestTxnCoordinatorCrashAfterDecision(t *testing.T) {
 		t.Fatal("participant group never staged the prepared branch")
 	}
 	decided := func() (commit, known bool) {
-		for i := home * servers; i < (home+1)*servers; i++ {
+		for _, i := range c.Voters(home) {
 			if r := c.Replica(i); r != nil {
 				if cm, k := r.TxnDecided(id); k {
 					return cm, true
@@ -404,7 +404,7 @@ func TestTxnParticipantCrashHoldingPrepared(t *testing.T) {
 	}
 	// Every live member of the participant group converged on the outcome.
 	want := sweptOn(c, servers, 1, g1, "part-crash")
-	for i := servers; i < 2*servers; i++ {
+	for _, i := range c.Voters(1) {
 		st := c.Store(i)
 		if st == nil {
 			continue

@@ -212,12 +212,12 @@ func TestProbeEvictsAndReadmits(t *testing.T) {
 	c.Crash(1)
 	// After ProbeFailures intervals the proxy marks it down.
 	s.RunFor(6 * time.Second)
-	if c.proxy.up[1] {
+	if c.proxy.health[1].up {
 		t.Fatal("proxy did not evict the dead server")
 	}
 	c.ManualRecover(1)
 	s.RunFor(30 * time.Second)
-	if !c.proxy.up[1] {
+	if !c.proxy.health[1].up {
 		t.Fatal("proxy did not re-admit the recovered server")
 	}
 }
