@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"robuststore/internal/rbe"
+	"robuststore/internal/stats"
 )
 
 // shortRun is the shopping cell of a fault matrix at its short size,
@@ -84,6 +85,15 @@ func TestDelayedRecoveryAutonomy(t *testing.T) {
 	}
 	if r.PerfR2.RecoveryAWIPS == 0 {
 		t.Error("second recovery window missing")
+	}
+	// Table 5's second window opens when the operator acts, in a shortened
+	// run too: over 180 s the paper's t=390 s is t = 30 + (390−30)/3 = 150 s,
+	// not 390/3 = 130 s, twenty seconds before the restart.
+	if rec := r.RecoverySec[1]; rec <= 150 || rec >= 210 {
+		t.Fatalf("manual recovery completed at t=%.0f s, outside the measured part of the window", rec)
+	}
+	if got, want := r.PerfR2.RecoveryAWIPS, stats.Mean(r.Series[150:int(r.RecoverySec[1])]); got != want {
+		t.Errorf("R2 AWIPS = %v, want %v: the mean from the operator's restart at t=150 s to its recovery", got, want)
 	}
 }
 

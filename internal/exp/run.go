@@ -328,10 +328,7 @@ func runOnce(cfg RunConfig) RunResult {
 
 	// Faultload: the run's schedule, scaled into the measurement interval
 	// if it was shortened.
-	scale := float64(cfg.Measure) / float64(measure)
-	at := func(sec float64) time.Time {
-		return t0.Add(rampUp + time.Duration(scale*(sec-30)*float64(time.Second)))
-	}
+	at := func(sec float64) time.Time { return t0.Add(RunOffset(cfg.Measure, sec)) }
 	var crashes []crashEvent
 	var faultWins []metrics.FaultWindow
 	openWins := map[string][]int{} // kind+selKey -> indices into faultWins
@@ -463,6 +460,16 @@ func runOnce(cfg RunConfig) RunResult {
 		res.Txn = txnDrv.audit()
 	}
 	return res
+}
+
+// RunOffset maps a second on the paper's x-axis (ramp-up included) to its
+// offset from the start of a run whose measurement interval is interval:
+// ramp-up is as long either way and the spacing after it scales with the
+// interval. Events are scheduled by it, so whatever reads a schedule back
+// — Table 5's second window, the hunt's oracles — maps through it too.
+func RunOffset(interval time.Duration, paperSec float64) time.Duration {
+	scale := float64(interval) / float64(measure)
+	return rampUp + time.Duration(scale*(paperSec-rampUp.Seconds())*float64(time.Second))
 }
 
 type recoveryEvent struct {
@@ -606,10 +613,7 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 			// Two windows: autonomous recovery R1 and the operator's
 			// delayed recovery R2 (Table 5).
 			r1End := int(res.RecoverySec[0])
-			r2Start := int(manualAt * float64(cfg.Measure) / float64(measure))
-			if cfg.Measure == measure {
-				r2Start = int(manualAt)
-			}
+			r2Start := int(RunOffset(cfg.Measure, manualAt).Seconds())
 			r2End := int(res.RecoverySec[1])
 			if r2End > mEnd {
 				r2End = mEnd

@@ -54,13 +54,6 @@ type Verdict struct {
 // Failed reports whether any oracle tripped.
 func (v Verdict) Failed() bool { return len(v.Violations) > 0 }
 
-// runSecOf maps a paper-axis event second to the run's x-axis under a
-// shortened measurement interval (the mirror of run.go's at(): ramp-up is
-// 30 s and event spacing scales by measure/540 s).
-func runSecOf(atSec float64, measure time.Duration) float64 {
-	return 30 + measure.Seconds()/540*(atSec-30)
-}
-
 // lastFaultRunSec returns the run-axis second after which the schedule
 // leaves the system fault-free, or -1 when it never does (a window-opening
 // event without a matching restore stays open to run end, so there is no
@@ -71,7 +64,7 @@ func lastFaultRunSec(events []exp.FaultEvent, measure time.Duration) float64 {
 		_, restores := exp.Closes(ev.Op)
 		switch {
 		case ev.Op == exp.OpCrash:
-			if s := runSecOf(ev.AtSec, measure) + crashRecoverSec; s > last {
+			if s := exp.RunOffset(measure, ev.AtSec).Seconds() + crashRecoverSec; s > last {
 				last = s
 			}
 		case ev.Op == exp.OpCrashNoRestart:
@@ -81,7 +74,7 @@ func lastFaultRunSec(events []exp.FaultEvent, measure time.Duration) float64 {
 			for _, ev2 := range events[i+1:] {
 				if ev2.Op == exp.OpRecover && ev2.Select == ev.Select && ev2.AtSec >= ev.AtSec {
 					recovered = true
-					if s := runSecOf(ev2.AtSec, measure) + crashRecoverSec; s > last {
+					if s := exp.RunOffset(measure, ev2.AtSec).Seconds() + crashRecoverSec; s > last {
 						last = s
 					}
 					break
@@ -91,7 +84,7 @@ func lastFaultRunSec(events []exp.FaultEvent, measure time.Duration) float64 {
 				return -1
 			}
 		case ev.Op == exp.OpRecover || restores:
-			if s := runSecOf(ev.AtSec, measure); s > last {
+			if s := exp.RunOffset(measure, ev.AtSec).Seconds(); s > last {
 				last = s
 			}
 		default:

@@ -99,7 +99,7 @@ func TestLastFaultRunSec(t *testing.T) {
 	if got := lastFaultRunSec(restored, 120e9); got < 0 {
 		t.Fatalf("restored schedule reported as never-clearing")
 	} else {
-		want := runSecOf(330, 120e9)
+		want := exp.RunOffset(120e9, 330).Seconds()
 		if got != want {
 			t.Fatalf("lastFaultRunSec = %.1f, want %.1f", got, want)
 		}
@@ -109,7 +109,7 @@ func TestLastFaultRunSec(t *testing.T) {
 		t.Fatalf("orphaned opener should disable the wedge oracle, got %.1f", got)
 	}
 	crash := []exp.FaultEvent{{AtSec: 100, Op: exp.OpCrash, Select: exp.Member(0, 0)}}
-	if got, want := lastFaultRunSec(crash, 120e9), runSecOf(100, 120e9)+crashRecoverSec; got != want {
+	if got, want := lastFaultRunSec(crash, 120e9), exp.RunOffset(120e9, 100).Seconds()+crashRecoverSec; got != want {
 		t.Fatalf("crash clear time = %.1f, want %.1f", got, want)
 	}
 }
