@@ -232,9 +232,16 @@ func (r *Replica) PreparedTxns() []PreparedTxnInfo {
 	return out
 }
 
-// HasPreparedTxns reports whether PreparedTxns is non-empty, without
-// building it: the write path asks before every write. Loop-confined.
+// HasPreparedTxns reports whether PreparedTxns is non-empty, and
+// TxnPrepared whether it holds the branch of transaction id, without
+// building it: the write path asks the first before every write, a
+// resolution loop the second at every tick. Loop-confined.
 func (r *Replica) HasPreparedTxns() bool { return len(r.txnPrepared) > 0 }
+
+func (r *Replica) TxnPrepared(id string) bool {
+	_, ok := r.txnPrepared[id]
+	return ok
+}
 
 // TxnDecided reports the recorded outcome of a transaction whose home
 // group is this replica's: known=false means no decision record has been

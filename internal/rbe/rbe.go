@@ -289,8 +289,9 @@ func (p *Population) Start() {
 			client: int64(i + 1),
 			rng:    p.rng.Split(),
 		}
+		b.stepFn, b.doneFn = b.step, b.done
 		delay := time.Duration(b.rng.Float64() * float64(p.cfg.ThinkTime))
-		p.sched.After(delay, b.step)
+		p.sched.After(delay, b.stepFn)
 	}
 }
 
@@ -304,7 +305,11 @@ func (p *Population) Completed() int64 { return p.completed }
 func (p *Population) Errors() int64 { return p.errors }
 
 // browser is one emulated browser: a session with a customer identity and
-// an optional shopping cart, issuing interactions in a think-time loop.
+// an optional shopping cart, issuing interactions in a think-time loop. The
+// loop is closed — one interaction in flight per browser — so the request
+// and its issue time live in the browser, and the two halves of the loop
+// are method values bound once at Start: an interaction allocates nothing
+// here.
 type browser struct {
 	pop    *Population
 	client int64
@@ -314,32 +319,42 @@ type browser struct {
 	uname    string
 	cart     tpcw.CartID
 	hasItems bool
+
+	req    Request   // the interaction in flight
+	start  time.Time // when it was issued
+	stepFn func()
+	doneFn func(Response)
 }
 
+// step issues the browser's next interaction.
 func (b *browser) step() {
 	p := b.pop
 	if !p.cfg.Stop.IsZero() && !p.sched.Now().Before(p.cfg.Stop) {
 		return
 	}
-	req := b.buildRequest()
-	start := p.sched.Now()
+	b.req = b.buildRequest()
+	b.start = p.sched.Now()
 	p.issued++
-	p.front.Do(req, func(resp Response) {
-		p.completed++
-		latency := p.sched.Now().Sub(start)
-		if resp.Err {
-			p.errors++
-		}
-		if p.cfg.Recorder != nil {
-			p.cfg.Recorder.RecordClient(req.Client, p.sched.Now(), latency, resp.Err)
-		}
-		b.observe(req, resp)
-		think := time.Duration(b.rng.ExpFloat64() * float64(p.cfg.ThinkTime))
-		if think > 7*p.cfg.ThinkTime {
-			think = 7 * p.cfg.ThinkTime // TPC-W truncates the tail
-		}
-		p.sched.After(think, b.step)
-	})
+	p.front.Do(b.req, b.doneFn)
+}
+
+// done takes the answer to the interaction in flight, then thinks.
+func (b *browser) done(resp Response) {
+	p := b.pop
+	p.completed++
+	latency := p.sched.Now().Sub(b.start)
+	if resp.Err {
+		p.errors++
+	}
+	if p.cfg.Recorder != nil {
+		p.cfg.Recorder.RecordClient(b.client, p.sched.Now(), latency, resp.Err)
+	}
+	b.observe(resp)
+	think := time.Duration(b.rng.ExpFloat64() * float64(p.cfg.ThinkTime))
+	if think > 7*p.cfg.ThinkTime {
+		think = 7 * p.cfg.ThinkTime // TPC-W truncates the tail
+	}
+	p.sched.After(think, b.stepFn)
 }
 
 // buildRequest resolves an interaction's parameters from the session and
@@ -399,14 +414,15 @@ func (b *browser) sessionCustomer() tpcw.CustomerID {
 	return id
 }
 
-// observe updates session state from a response.
-func (b *browser) observe(req Request, resp Response) {
+// observe updates session state from the response to the interaction in
+// flight.
+func (b *browser) observe(resp Response) {
 	if resp.Err {
 		// A failed cart interaction may mean the cart no longer exists
 		// (e.g. a purchase whose reply was lost in a crash actually
 		// committed); drop the session cart so the next interaction
 		// starts fresh, as a human shopper would.
-		if req.Cart != 0 {
+		if b.req.Cart != 0 {
 			b.cart = 0
 			b.hasItems = false
 		}
@@ -420,7 +436,7 @@ func (b *browser) observe(req Request, resp Response) {
 		b.customer = resp.Customer
 		b.uname = resp.UName
 	}
-	if req.Kind == BuyConfirm && resp.Order != 0 {
+	if b.req.Kind == BuyConfirm && resp.Order != 0 {
 		// Cart consumed by the purchase.
 		b.cart = 0
 		b.hasItems = false

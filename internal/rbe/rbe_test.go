@@ -265,3 +265,48 @@ func TestNewNormalizesTypedNilRecorder(t *testing.T) {
 		t.Fatal("typed-nil recorder must be normalized to nil")
 	}
 }
+
+// nullSched runs every callback on the next turn, whatever its delay, and
+// nullFrontend answers on the spot: between them a browser's loop is all
+// that runs.
+type nullSched struct{ due, spare []func() }
+
+func (n *nullSched) Now() time.Time                   { return time.Time{} }
+func (n *nullSched) After(_ time.Duration, fn func()) { n.due = append(n.due, fn) }
+
+func (n *nullSched) turn() {
+	run := n.due
+	n.due = n.spare[:0]
+	for _, fn := range run {
+		fn()
+	}
+	n.spare = run
+}
+
+type nullFrontend struct{}
+
+func (nullFrontend) Do(req Request, done func(Response)) { done(Response{Cart: 1, Order: 1}) }
+
+// TestBrowserLoopAllocs: once Start has built the browsers, issuing an
+// interaction, taking its answer and thinking allocate nothing — the
+// request lives in the browser and both continuations are bound once.
+func TestBrowserLoopAllocs(t *testing.T) {
+	const browsers = 100
+	sched := &nullSched{}
+	pop := New(Config{
+		Browsers:   browsers,
+		Profile:    Ordering,
+		Population: tpcw.PopulationInfo{Items: 100, Customers: 50, Subjects: []string{"ARTS"}, TitleTokens: []string{"w"}, AuthorTokens: []string{"a"}},
+		Seed:       5,
+	}, sched, nullFrontend{})
+	pop.Start()
+	sched.turn()
+	sched.turn() // both queues have grown to the population
+	before := pop.Completed()
+	if n := testing.AllocsPerRun(50, sched.turn); n != 0 {
+		t.Errorf("%.2f allocations per turn of %d interactions, want 0", n, browsers)
+	}
+	if got := pop.Completed() - before; got != 51*browsers {
+		t.Errorf("%d interactions completed in 51 turns of %d browsers", got, browsers)
+	}
+}

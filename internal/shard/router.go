@@ -20,10 +20,12 @@ const (
 )
 
 // Hash returns the 64-bit FNV-1a hash of the partition key.
-func Hash(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
+func Hash(key string) uint64 { return fnv1a(fnvOffset64, key) }
+
+// fnv1a folds s into the running FNV-1a hash h.
+func fnv1a[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
 		h *= fnvPrime64
 	}
 	return h

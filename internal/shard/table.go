@@ -76,10 +76,15 @@ func (t RoutingTable) Group(key string) int {
 	return t.Assign[t.SliceOf(key)]
 }
 
-// GroupInt routes an integer key by its decimal representation, agreeing
-// with Group on equal keys.
-func (t RoutingTable) GroupInt(key int64) int {
-	return t.Group(strconv.FormatInt(key, 10))
+// RouteInt returns the slice and group of the key prefix + decimal(id) —
+// what SliceOf and Group answer for that string — without building it: the
+// request path routes a session three times per interaction. The digits
+// are hashed from a stack buffer (20 bytes hold any int64, sign included).
+func (t RoutingTable) RouteInt(prefix string, id int64) (slice, group int) {
+	var buf [20]byte
+	h := fnv1a(fnv1a(fnvOffset64, prefix), strconv.AppendInt(buf[:0], id, 10))
+	slice = int(h % uint64(len(t.Assign)))
+	return slice, t.Assign[slice]
 }
 
 // Owned returns the key predicate selecting exactly the given slices —

@@ -2,8 +2,12 @@ package shard
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"robuststore/internal/tpcw"
 )
 
 // goldenKeys are the pinned keys of the historical router golden test,
@@ -70,12 +74,39 @@ func TestTableEpoch0MatchesRouterGolden(t *testing.T) {
 			t.Errorf("NewRoutingTable(%d).Group(%q) = %d, want %d", c.shards, c.key, got, c.want)
 		}
 	}
-	// Integer and string routing of the same key agree.
-	tab := NewRoutingTable(8)
-	for _, id := range []int64{0, 1, 42, 99, 123456789} {
-		if tab.GroupInt(id) != tab.Group(fmt.Sprintf("%d", id)) {
-			t.Errorf("GroupInt(%d) disagrees with Group of its decimal form", id)
+}
+
+// TestRouteIntMatchesGroup: routing a prefixed integer without building
+// its key answers exactly what the string path answers for the key the
+// tpcw key functions spell — on the epoch-0 table and on a grown one, over
+// the edge IDs (sign, digit-count boundaries, both int64 extremes) and 10k
+// random ones — and allocates nothing.
+func TestRouteIntMatchesGroup(t *testing.T) {
+	grown, _ := NewRoutingTable(3).Grow(3)
+	ids := []int64{0, 1, -1, 99, 100, math.MaxInt64, math.MinInt64}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 10000; i++ {
+		ids = append(ids, int64(rng.Uint64()))
+	}
+	for _, tab := range []RoutingTable{NewRoutingTable(4), grown} {
+		for _, id := range ids {
+			key := tpcw.SessionKey(id)
+			sl, g := tab.RouteInt(tpcw.SessionPrefix, id)
+			if sl != tab.SliceOf(key) || g != tab.Group(key) {
+				t.Fatalf("epoch %d: RouteInt(%q, %d) = slice %d group %d, the key %q routes to slice %d group %d",
+					tab.Epoch, tpcw.SessionPrefix, id, sl, g, key, tab.SliceOf(key), tab.Group(key))
+			}
 		}
+		if _, g := tab.RouteInt(tpcw.CustomerPrefix, 99); g != tab.Group(tpcw.CustomerKey(99)) {
+			t.Fatalf("epoch %d: customer 99 routes to %d, its key to %d", tab.Epoch, g, tab.Group(tpcw.CustomerKey(99)))
+		}
+		if _, g := tab.RouteInt(tpcw.ItemPrefix, 123); g != tab.Group(tpcw.ItemKey(123)) {
+			t.Fatalf("epoch %d: item 123 routes to %d, its key to %d", tab.Epoch, g, tab.Group(tpcw.ItemKey(123)))
+		}
+	}
+	tab := NewRoutingTable(4)
+	if n := testing.AllocsPerRun(100, func() { tab.RouteInt(tpcw.SessionPrefix, math.MinInt64) }); n != 0 {
+		t.Fatalf("RouteInt allocates %v times per call, want 0", n)
 	}
 }
 

@@ -224,7 +224,9 @@ func cartAdd(c Cart, item ItemID, qty int32) Cart {
 			return c
 		}
 	}
-	c.Lines = append(append([]CartLine(nil), c.Lines...), CartLine{Item: item, Qty: qty})
+	lines := make([]CartLine, len(c.Lines), len(c.Lines)+1)
+	copy(lines, c.Lines)
+	c.Lines = append(lines, CartLine{Item: item, Qty: qty})
 	return c
 }
 

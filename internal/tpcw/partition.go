@@ -70,16 +70,25 @@ func TxnKeys(action any) []string {
 	}
 }
 
+// The key prefixes of rows that are routed by ID alone: the web tier hands
+// one, with the ID, to shard.RoutingTable.RouteInt, which hashes the same
+// bytes the key functions below spell.
+const (
+	ItemPrefix     = "item/"
+	CustomerPrefix = "customer/"
+	SessionPrefix  = "session/"
+)
+
 // ItemKey, CustomerKey and CartKey spell a row's key: what the routing
 // table hashes, a prepared branch blocks and a migration's ownership
 // predicate is asked.
-func ItemKey(id ItemID) string         { return "item/" + strconv.FormatInt(int64(id), 10) }
-func CustomerKey(id CustomerID) string { return "customer/" + strconv.FormatInt(int64(id), 10) }
+func ItemKey(id ItemID) string         { return ItemPrefix + strconv.FormatInt(int64(id), 10) }
+func CustomerKey(id CustomerID) string { return CustomerPrefix + strconv.FormatInt(int64(id), 10) }
 func CartKey(id CartID) string         { return "cart/" + strconv.FormatInt(int64(id), 10) }
 
 // SessionKey is the partition key of a client session: the routing level
 // the web tier and the live command use, guaranteeing that every action
 // of one session — cart creation included — lands on one shard.
 func SessionKey(client int64) string {
-	return "session/" + strconv.FormatInt(client, 10)
+	return SessionPrefix + strconv.FormatInt(client, 10)
 }

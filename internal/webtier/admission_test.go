@@ -30,7 +30,7 @@ func TestStaleAdmissionHintFailsOpen(t *testing.T) {
 	var heldEarly bool
 	s.At(s.Now(), func() {
 		p := c.proxy
-		r := &outReq{req: rbe.Request{Client: 5, Kind: rbe.BuyConfirm, Item: 1}, done: func(rbe.Response) {}}
+		r := p.newReq(rbe.Request{Client: 5, Kind: rbe.BuyConfirm, Item: 1}, func(rbe.Response) {})
 		r.server = 0
 		heldEarly = !p.admitAtDispatch(r)
 	})
@@ -53,7 +53,7 @@ func TestStaleAdmissionHintFailsOpen(t *testing.T) {
 	var admitted bool
 	s.At(s.Now(), func() {
 		p := c.proxy
-		r := &outReq{req: rbe.Request{Client: 6, Kind: rbe.BuyConfirm, Item: 2}, done: func(rbe.Response) {}}
+		r := p.newReq(rbe.Request{Client: 6, Kind: rbe.BuyConfirm, Item: 2}, func(rbe.Response) {})
 		r.server = 0
 		admitted = p.admitAtDispatch(r)
 	})

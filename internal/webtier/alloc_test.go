@@ -1,0 +1,81 @@
+package webtier
+
+import (
+	"testing"
+	"time"
+
+	"robuststore/internal/rbe"
+)
+
+// TestRequestAllocBudget holds the request path's allocation diet: on a
+// failure-free 3-server group, once a warm-up has filled the proxy's and the
+// servers' free lists, an interaction through Cluster.Frontend() costs, net
+// of the group's idle traffic (heartbeats, probes, publish ticks — measured
+// first, over the same span),
+//
+//   - a read (ProductDetail) 3 allocations: the boxed reqMsg, the request
+//     timeout's simTimer and the boxed respMsg;
+//   - a write (ShoppingCart adding to the session's cart) 18.5: those 3, the
+//     boxed action, and what ordering and applying one action costs below
+//     the web tier — some 10 in paxos (the value, its fast-round votes,
+//     chosen and catch-up messages, WAL batches, timers) and 4.5 in
+//     tpcw.Apply on three replicas (the copy of the cart's lines, the boxed
+//     CartResult).
+//
+// No record, continuation, candidate slice or routing key is among them.
+// The budgets are the measured figures + 10 %.
+func TestRequestAllocBudget(t *testing.T) {
+	c := testCluster(t, 3, nil)
+	s, front := c.Sim(), c.Frontend()
+	const batch = 32
+	issued, answered, failed := 0, 0, 0
+	done := func(resp rbe.Response) {
+		answered++
+		if resp.Err {
+			failed++
+		}
+	}
+	carts := make([]rbe.Response, batch)
+	for i := range carts {
+		i := i
+		s.At(s.Now(), func() {
+			front.Do(rbe.Request{Client: int64(i + 1), Kind: rbe.ShoppingCart, Item: 7, Qty: 1},
+				func(resp rbe.Response) { carts[i] = resp })
+		})
+	}
+	s.RunFor(time.Second)
+	var req rbe.Request
+	issue := func() {
+		for i := 0; i < batch; i++ {
+			req.Client, req.Cart = int64(i+1), carts[i].Cart
+			front.Do(req, done)
+		}
+		issued += batch
+	}
+	const span = 250 * time.Millisecond
+	round := func() {
+		s.At(s.Now(), issue)
+		s.RunFor(span)
+	}
+	idle := testing.AllocsPerRun(20, func() { s.RunFor(span) })
+	for _, k := range []struct {
+		name   string
+		req    rbe.Request
+		budget float64
+	}{
+		{"read", rbe.Request{Kind: rbe.ProductDetail, Item: 5}, 3.3},
+		{"write", rbe.Request{Kind: rbe.ShoppingCart, Item: 7, Qty: 1}, 20.3},
+	} {
+		req = k.req
+		round() // warm-up: free lists, scratch slices, event heap
+		per := (testing.AllocsPerRun(20, round) - idle) / batch
+		t.Logf("%s: %.2f allocs per interaction", k.name, per)
+		s.RunFor(time.Second) // a write may outlast its round
+		if answered != issued || failed != 0 {
+			t.Fatalf("%s: %d interactions issued, %d answered, %d failed", k.name, issued, answered, failed)
+		}
+		if per > k.budget {
+			t.Fatalf("%s: %.2f allocs per interaction, budget %.1f", k.name, per, k.budget)
+		}
+	}
+}

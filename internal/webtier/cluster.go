@@ -258,14 +258,19 @@ func (c *Cluster) GroupOfServer(i int) int { return c.servers[i].group }
 // routing epoch. The mapping is tpcw.SessionKey's, so the web tier, the
 // live command and any shard.Store keyed by session agree on placement.
 func (c *Cluster) GroupOf(client int64) int {
-	return c.table.Group(tpcw.SessionKey(client))
+	_, g := c.table.RouteInt(tpcw.SessionPrefix, client)
+	return g
 }
 
 // sessionFrozen reports whether a client's session slice is mid-handoff:
 // its writes must wait for the next routing epoch (the proxy requeues
 // them; reads keep flowing to the source group).
 func (c *Cluster) sessionFrozen(client int64) bool {
-	return c.mig != nil && c.mig.Frozen(c.table.SliceOf(tpcw.SessionKey(client)))
+	if c.mig == nil {
+		return false
+	}
+	slice, _ := c.table.RouteInt(tpcw.SessionPrefix, client)
+	return c.mig.Frozen(slice)
 }
 
 // Start boots all nodes and the watchdogs.

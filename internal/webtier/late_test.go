@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
 )
 
@@ -19,7 +20,7 @@ import (
 func lateHarness(t *testing.T, c *Cluster, kind rbe.Interaction, done func(rbe.Response)) (*outReq, int64) {
 	t.Helper()
 	p := c.proxy
-	r := &outReq{req: rbe.Request{Client: 42, Kind: kind, Item: 1}, done: done}
+	r := p.newReq(rbe.Request{Client: 42, Kind: kind, Item: 1}, done)
 	p.dispatch(r)
 	for id, v := range p.outstanding {
 		if v == r {
@@ -233,5 +234,169 @@ func TestEpochRedirectLoopBounded(t *testing.T) {
 	}
 	if st := c.ProxyStats(); st.EpochRedirects != 4 {
 		t.Fatalf("expected the redirect cap (4), got %+v", st)
+	}
+}
+
+// The proxy and the servers recycle their request records; the tests below
+// check that nothing left over from a record's previous life — a late
+// response, a stopped timer's slot in the event queue, a server reset, an
+// expired fence waiter — reaches the request now using it.
+
+// TestRecycledRecordIgnoresItsPreviousLife: a read's first attempt expires,
+// the retry is answered and the request finishes; the next interaction takes
+// the same record. The first life's late answers, the slot of its stopped
+// timer and a reset of a server it had used must all leave the new request
+// alone, and each client is answered exactly once.
+func TestRecycledRecordIgnoresItsPreviousLife(t *testing.T) {
+	// Probe failures must not empty the rotation while replies are lost.
+	c := testCluster(t, 3, func(cfg *Config) { cfg.Cal.ProbeFailures = 1 << 30 })
+	s, p := c.Sim(), c.proxy
+	find := func(client int64) *outReq {
+		for _, r := range p.outstanding {
+			if r.req.Client == client {
+				return r
+			}
+		}
+		t.Fatalf("client %d has no request outstanding", client)
+		return nil
+	}
+	firstDone, secondDone := 0, 0
+	// Every server goes silent: requests arrive, replies vanish.
+	c.PartitionServers(env.LinkOutboundOnly, 0, 1, 2)
+	s.At(s.Now(), func() {
+		c.Frontend().Do(rbe.Request{Client: 42, Kind: rbe.Home, Item: 1}, func(rbe.Response) { firstDone++ })
+	})
+	s.RunFor(time.Second)
+	first := find(42)
+	firstID, firstServer := first.curID, first.server
+	// The request timeout expires the silent attempt; the read is
+	// redispatched under a fresh ID and a fresh timer.
+	s.RunFor(c.cfg.Cal.ReqTimeout)
+	if find(42) != first || first.curID == firstID || c.ProxyStats().Redispatched != 1 {
+		t.Fatalf("read not redispatched on expiry: curID %d → %d, stats %+v", firstID, first.curID, c.ProxyStats())
+	}
+	retryID, retryServer := first.curID, first.server
+	s.At(s.Now(), func() {
+		p.onResponse(respMsg{ID: retryID})
+		if firstDone != 1 || !first.finished {
+			t.Fatalf("the retry's answer did not finish the request: done ran %d times", firstDone)
+		}
+		// The next interaction is handed the record just released.
+		c.Frontend().Do(rbe.Request{Client: 43, Kind: rbe.Home, Item: 2}, func(rbe.Response) { secondDone++ })
+	})
+	s.RunFor(time.Second)
+	second := find(43)
+	if second != first {
+		t.Fatal("the finished record was not reused by the next interaction")
+	}
+	secondID := second.curID
+	untouched := func(after string) {
+		t.Helper()
+		if r, ok := p.outstanding[secondID]; !ok || r != second || second.curID != secondID ||
+			second.attempts != 1 || second.finished || firstDone != 1 || secondDone != 0 {
+			t.Fatalf("%s disturbed the request now using the record: %+v (done ran %d and %d times)",
+				after, second, firstDone, secondDone)
+		}
+	}
+	s.At(s.Now(), func() {
+		p.onResponse(respMsg{ID: firstID})
+		p.onResponse(respMsg{ID: retryID})
+		untouched("a late response to the previous life")
+	})
+	// The previous life's second timer was stopped at finish; its slot —
+	// one request timeout after the redispatch — passes a second before
+	// the new request's own timer is due.
+	s.RunFor(c.cfg.Cal.ReqTimeout - 1500*time.Millisecond)
+	untouched("the stopped timer's slot")
+	s.At(s.Now(), func() {
+		reset := firstServer
+		if reset == second.server {
+			reset = retryServer
+		}
+		p.onServerReset(reset)
+		untouched("a reset of a server the previous life used")
+		p.onResponse(respMsg{ID: secondID})
+	})
+	s.RunFor(2 * c.cfg.Cal.ReqTimeout)
+	if firstDone != 1 || secondDone != 1 {
+		t.Fatalf("done ran %d and %d times, want exactly once each", firstDone, secondDone)
+	}
+	if st := c.ProxyStats(); st.ErrTimeout != 0 || st.ErrReset != 0 || st.Redispatched != 1 {
+		t.Fatalf("the previous life's leftovers moved the counters: %+v", st)
+	}
+}
+
+// respSink is a node that collects what servers answer.
+type respSink struct{ got map[int64][]respMsg }
+
+func (k *respSink) Start(env.Env) {}
+func (k *respSink) Receive(_ env.NodeID, msg env.Message) {
+	if m, ok := msg.(respMsg); ok {
+		k.got[m.ID] = append(k.got[m.ID], m)
+	}
+}
+
+// TestRecycledServerRecordAcrossStaleFenceWait: a fenced read waits on a
+// server, the wait expires and it is answered TooStale, which releases its
+// record; the next fenced read takes that record and waits on a higher
+// fence. When the replica then passes the first fence, the expired waiter
+// must not serve the record's new request early (below its fence); passing
+// the second fence serves it, once.
+func TestRecycledServerRecordAcrossStaleFenceWait(t *testing.T) {
+	c := testCluster(t, 3, func(cfg *Config) { cfg.Cal.FenceWait = time.Minute })
+	s := c.Sim()
+	sink := &respSink{got: map[int64][]respMsg{}}
+	sinkID := s.AddNode(func() env.Node { return sink })
+	s.Restart(sinkID)
+	srv := c.Server(1)
+	write := func(client int64) {
+		t.Helper()
+		if resp, got := do(c, rbe.Request{Client: client, Kind: rbe.ShoppingCart, Item: 5, Qty: 1}); !got || resp.Err {
+			t.Fatalf("write failed: %+v got=%v", resp, got)
+		}
+	}
+	write(1)
+	base := srv.replica.LastApplied()
+	read := func(id int64, ahead paxos.InstanceID) {
+		s.At(s.Now(), func() {
+			srv.handleRequest(sinkID, reqMsg{ID: id, Req: rbe.Request{Client: 9, Kind: rbe.Home, Item: 1}, Fence: base + ahead})
+		})
+	}
+	read(1, 1)
+	s.RunFor(time.Minute + time.Second)
+	if got := sink.got[1]; len(got) != 1 || !got[0].TooStale || len(srv.free) != 1 {
+		t.Fatalf("the first read's wait did not end stale and release its record: %+v, %d free", got, len(srv.free))
+	}
+	record := srv.free[0]
+	read(2, 4)
+	s.RunFor(time.Second)
+	if len(srv.free) != 0 || record.m.ID != 2 {
+		t.Fatalf("the second read did not take the released record: %d free, record serves ID %d", len(srv.free), record.m.ID)
+	}
+	// Pass the first fence, not the second.
+	write(2)
+	if la := srv.replica.LastApplied(); la < base+1 || la >= base+4 {
+		t.Fatalf("setup: applied index %d after one write, want within [%d, %d)", la, base+1, base+4)
+	}
+	if len(sink.got[2]) != 0 || c.FenceViolations() != 0 {
+		t.Fatalf("the expired waiter served the record's new request below its fence: %+v, %d violations",
+			sink.got[2], c.FenceViolations())
+	}
+	for k := int64(3); srv.replica.LastApplied() < base+4; k++ {
+		write(k)
+	}
+	s.RunFor(time.Second)
+	if got := sink.got[2]; len(got) != 1 || got[0].TooStale || got[0].Resp.Err {
+		t.Fatalf("the second read was not served exactly once at its fence: %+v", got)
+	}
+	released := 0
+	for _, r := range srv.free {
+		if r == record {
+			released++
+		}
+	}
+	if len(sink.got[1]) != 1 || released != 1 || c.FenceViolations() != 0 {
+		t.Fatalf("after both lives: %d answers to the first read, the record %d times on the free list, %d fence violations",
+			len(sink.got[1]), released, c.FenceViolations())
 	}
 }

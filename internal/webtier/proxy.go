@@ -36,6 +36,8 @@ type Proxy struct {
 	nextID int64
 
 	outstanding map[int64]*outReq
+	free        []*outReq // finished records awaiting reuse; see outReq
+	scratch     []int     // candidates' result, valid until its next call
 
 	health   []serverHealth // by flat server index
 	probeSeq int64
@@ -145,6 +147,24 @@ type fenceEntry struct {
 	idx   paxos.InstanceID
 }
 
+// outReq is the proxy's record of one client interaction, from Do to
+// finish, across every attempt. Records are recycled through Proxy.free —
+// bounded by the peak in flight, which a closed loop bounds by its browsers
+// — so a steady-state interaction allocates no record and no continuation.
+// What recycling relies on:
+//
+//   - A record returns to the free list only in finish, by which point it
+//     has left outstanding and its timer is stopped. Responses, expiries
+//     and resets reach a request through outstanding by attempt ID, never
+//     by a pointer kept elsewhere, so an old attempt's late response or a
+//     stopped timer's slot finds nothing; and a requeue or pacing
+//     continuation (redispatch) is pending only while the record is neither
+//     outstanding nor finished, so none outlives its request.
+//   - finish takes done out of the record and calls it last, touching the
+//     record no more: done may re-enter Do synchronously (a client's
+//     reload retry) and be handed this very record.
+//   - A sent message is immutable, so each attempt's reqMsg is a copy of
+//     req, never a pointer into the record a later life rewrites.
 type outReq struct {
 	req       rbe.Request
 	done      func(rbe.Response)
@@ -161,6 +181,25 @@ type outReq struct {
 	admitDeadline time.Time // set when first held under AdmissionStop
 	admitPaced    bool      // already paced once under Slowdown
 	sentAt        time.Time // when the current attempt left the proxy
+
+	// The record's two continuations, bound once when it is first made:
+	// (re)dispatch it, and expire whichever attempt is current.
+	redispatch, expire func()
+}
+
+// newReq returns a record for one interaction: a recycled one, wiped but
+// for its continuations, or a fresh one.
+func (p *Proxy) newReq(req rbe.Request, done func(rbe.Response)) *outReq {
+	var r *outReq
+	if n := len(p.free); n > 0 {
+		r, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		r = &outReq{}
+		r.redispatch = func() { p.dispatch(r) }
+		r.expire = func() { p.expire(r.curID) }
+	}
+	*r = outReq{req: req, done: done, redispatch: r.redispatch, expire: r.expire}
+	return r
 }
 
 var _ env.Node = (*Proxy)(nil)
@@ -189,9 +228,7 @@ func (p *Proxy) Receive(from env.NodeID, msg env.Message) {
 // Do accepts one client interaction. It must be called from simulator
 // context (the RBE population runs inside the event loop).
 func (p *Proxy) Do(req rbe.Request, done func(rbe.Response)) {
-	p.cpu.Acquire(p.c.cfg.Cal.ProxyService, func() {
-		p.dispatch(&outReq{req: req, done: done})
-	})
+	p.cpu.Acquire(p.c.cfg.Cal.ProxyService, p.newReq(req, done).redispatch)
 }
 
 // dispatch routes a request to a live, in-rotation server of the group
@@ -208,7 +245,7 @@ func (p *Proxy) dispatch(r *outReq) {
 			r.requeued = true
 			p.Stats.Requeued++
 		}
-		p.e.After(10*time.Millisecond, func() { p.dispatch(r) })
+		p.e.After(10*time.Millisecond, r.redispatch)
 		return
 	}
 	group := p.c.GroupOf(r.req.Client)
@@ -277,9 +314,7 @@ func (p *Proxy) dispatch(r *outReq) {
 		// Only the expire-path redispatch arms a fresh timer (it nils
 		// r.timer first), so the worst-case client wait is 2×ReqTimeout:
 		// one full timeout on the silent attempt plus one on its retry.
-		r.timer = p.e.After(p.c.cfg.Cal.ReqTimeout, func() {
-			p.expire(r.curID)
-		})
+		r.timer = p.e.After(p.c.cfg.Cal.ReqTimeout, r.expire)
 	}
 	r.sentAt = p.e.Now()
 	m := reqMsg{ID: id, Req: r.req}
@@ -298,7 +333,8 @@ func (p *Proxy) dispatch(r *outReq) {
 // readCandidates returns the group's read-serving rotation: the voter
 // candidates plus the group's up-and-accepting learner readers.
 func (p *Proxy) readCandidates(group int) []int {
-	return p.serving(p.candidates(group), p.c.Readers(group))
+	p.scratch = p.serving(p.candidates(group), p.c.Readers(group))
+	return p.scratch
 }
 
 // admitAtDispatch gates one write on the picked server's published
@@ -331,13 +367,13 @@ func (p *Proxy) admitAtDispatch(r *outReq) bool {
 			return false
 		}
 		p.Stats.AdmHeld++
-		p.e.After(admitPace, func() { p.dispatch(r) })
+		p.e.After(admitPace, r.redispatch)
 		return false
 	case paxos.AdmissionSlowdown:
 		if !r.admitPaced {
 			r.admitPaced = true
 			p.Stats.AdmPaced++
-			p.e.After(admitPace, func() { p.dispatch(r) })
+			p.e.After(admitPace, r.redispatch)
 			return false
 		}
 	}
@@ -349,7 +385,8 @@ func (p *Proxy) admitAtDispatch(r *outReq) bool {
 // instantly, which HAProxy treats as an immediate dispatch failure, not a
 // client error).
 func (p *Proxy) candidates(group int) []int {
-	return p.serving(make([]int, 0, p.c.cfg.Servers), p.c.Voters(group))
+	p.scratch = p.serving(p.scratch[:0], p.c.Voters(group))
+	return p.scratch
 }
 
 // serving appends to out those of servers that are up and accepting.
@@ -425,6 +462,7 @@ func (p *Proxy) onResponse(m respMsg) {
 	p.finish(r, m.Resp)
 }
 
+// finish answers the client and recycles the record (see outReq).
 func (p *Proxy) finish(r *outReq, resp rbe.Response) {
 	if r.finished {
 		return
@@ -433,7 +471,10 @@ func (p *Proxy) finish(r *outReq, resp rbe.Response) {
 	if r.timer != nil {
 		r.timer.Stop()
 	}
-	r.done(resp)
+	done := r.done
+	r.done = nil
+	p.free = append(p.free, r)
+	done(resp)
 }
 
 func (p *Proxy) expire(id int64) {

@@ -47,10 +47,8 @@ func TestRetryAvoidsFailingServer(t *testing.T) {
 	got := false
 	s.At(s.Now(), func() {
 		p := c.proxy
-		r := &outReq{
-			req:  rbe.Request{Client: 42, Kind: rbe.Home, Item: 1},
-			done: func(rr rbe.Response) { resp = rr; got = true },
-		}
+		r := p.newReq(rbe.Request{Client: 42, Kind: rbe.Home, Item: 1},
+			func(rr rbe.Response) { resp = rr; got = true })
 		p.dispatch(r)
 		first = r.server
 		var id int64
@@ -92,10 +90,7 @@ func TestRetryFallsBackToSameServerWhenAlone(t *testing.T) {
 	var first, second int
 	s.At(s.Now(), func() {
 		p := c.proxy
-		r := &outReq{
-			req:  rbe.Request{Client: 42, Kind: rbe.Home, Item: 1},
-			done: func(rbe.Response) {},
-		}
+		r := p.newReq(rbe.Request{Client: 42, Kind: rbe.Home, Item: 1}, func(rbe.Response) {})
 		p.dispatch(r)
 		first = r.server
 		var id int64

@@ -31,7 +31,7 @@ func dispatchAll(c *Cluster, reqs []rbe.Request, commit paxos.InstanceID) []int 
 	s.At(s.Now(), func() {
 		p := c.proxy
 		for _, req := range reqs {
-			r := &outReq{req: req, done: func(rbe.Response) {}}
+			r := p.newReq(req, func(rbe.Response) {})
 			p.dispatch(r)
 			servers = append(servers, r.server)
 			p.onResponse(respMsg{ID: r.curID, Resp: rbe.Response{}, Commit: commit})
@@ -198,7 +198,7 @@ func TestReadRetryAvoidsFailedServerWithReaders(t *testing.T) {
 	var first, second int
 	s.At(s.Now(), func() {
 		p := c.proxy
-		r := &outReq{req: rbe.Request{Client: 42, Kind: rbe.Home, Item: 1}, done: func(rbe.Response) {}}
+		r := p.newReq(rbe.Request{Client: 42, Kind: rbe.Home, Item: 1}, func(rbe.Response) {})
 		p.dispatch(r)
 		first = r.server
 		p.onResponse(respMsg{ID: r.curID, Resp: rbe.Response{Err: true}})

@@ -103,6 +103,8 @@ type Server struct {
 	txnCoords  map[string]*txnCoord
 	txnArmed   map[string]bool
 	txnResolve map[string]int
+
+	free []*request // answered records awaiting reuse; see request
 }
 
 var _ env.Node = (*Server)(nil)
@@ -111,7 +113,7 @@ var _ env.Node = (*Server)(nil)
 func (s *Server) Start(e env.Env) {
 	s.e = e
 	s.cpu = sim.NewResource(s.c.sim, 1)
-	cal := s.c.cfg.Cal
+	cal := &s.c.cfg.Cal
 	pcfg := s.c.cfg.Paxos
 	// The consensus group is this shard's voting servers only — neither
 	// the proxy node, other groups' servers, nor this group's readers are
@@ -244,7 +246,7 @@ type serverMachine struct {
 
 func (m *serverMachine) Execute(action any) any {
 	result := m.s.store.Apply(action)
-	cal := m.s.c.cfg.Cal
+	cal := &m.s.c.cfg.Cal
 	cost := cal.applyCPU(action)
 	if m.s.replica != nil && m.s.replica.IsLeader() {
 		cost += time.Duration(m.s.c.cfg.Servers) * cal.LeaderMsgCPU
@@ -291,6 +293,89 @@ func (m *serverMachine) DropOwned(owned func(string) bool) {
 	m.s.store.DropOwned(owned)
 }
 
+// request is a server's record of one interaction it was sent: who asked,
+// what, and where on its walk the interaction stands. A read walks fence
+// wait → CPU slot → serve; a write walks txn gate → admit → parse → submit
+// → applied → render. Whatever a hop waits on — a CPU slot, a pacing step,
+// the ordered apply — is handed next or applied, bound once when the record
+// is made, and the walk resumes at the recorded position: an interaction in
+// steady state allocates neither record nor continuation. Records are
+// recycled through Server.free, which lives and dies with its incarnation
+// (a fresh Server is built per restart, so no record crosses a crash). A
+// walk is one chain — ReadAt runs exactly one of its two callbacks, a
+// submitted action completes exactly once — and every exit is send, which
+// releases the record and does not touch it again.
+type request struct {
+	s     *Server
+	proxy env.NodeID
+	m     reqMsg
+	at    stage
+
+	// Write path.
+	deadline  time.Time   // admission hold: shed once past it
+	now       time.Time   // the action's timestamp, taken when parsing ends
+	cart      tpcw.CartID // the cart a purchase proceeds with
+	cartFirst bool        // the action in flight creates that cart; the purchase follows
+	resp      respMsg     // the answer being rendered
+
+	next    func() // resume at r.at
+	applied func(result any, inst paxos.InstanceID, err error)
+}
+
+// stage is where a waiting request resumes.
+type stage uint8
+
+const (
+	atServe  stage = iota // read: the CPU slot ended; query and answer
+	atAdmit               // write: ask the admission gate (again)
+	atParse               // write: admitted; take the parse slot
+	atSubmit              // write: parsed; build and submit the action
+	atRender              // write: the render slot ended; answer
+)
+
+// newRequest returns the record of one interaction: a recycled one, wiped
+// but for its continuations, or a fresh one.
+func (s *Server) newRequest(proxy env.NodeID, m reqMsg) *request {
+	var r *request
+	if n := len(s.free); n > 0 {
+		r, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		r = &request{}
+		r.next, r.applied = r.resume, r.onApplied
+	}
+	*r = request{s: s, proxy: proxy, m: m, next: r.next, applied: r.applied}
+	return r
+}
+
+// then records where the walk resumes and returns the continuation to hand
+// to whatever the request waits on.
+func (r *request) then(at stage) func() {
+	r.at = at
+	return r.next
+}
+
+func (r *request) resume() {
+	switch r.at {
+	case atServe:
+		r.serve()
+	case atAdmit:
+		r.admit()
+	case atParse:
+		r.parse()
+	case atSubmit:
+		r.submit()
+	case atRender:
+		r.send(r.resp)
+	}
+}
+
+// send answers the proxy and ends the walk.
+func (r *request) send(m respMsg) {
+	s, proxy := r.s, r.proxy
+	s.free = append(s.free, r)
+	s.e.Send(proxy, m)
+}
+
 // handleRequest serves one web interaction.
 func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 	if s.replica == nil || !s.replica.Ready() {
@@ -310,34 +395,22 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
 		return
 	}
-	cal := s.c.cfg.Cal
 	if !m.Req.Kind.IsWrite() {
-		serve := func() {
-			s.cpu.Acquire(s.graySvc(cal.readService(m.Req.Kind)), func() {
-				if m.Fence > 0 && s.replica.LastApplied() < m.Fence {
-					// Serving below the fence would break read-your-writes;
-					// ReadAt makes this unreachable, the counter proves it.
-					s.c.fenceViolations++
-				}
-				resp := s.performRead(m.Req)
-				s.c.groups[s.group].readsServed++
-				s.e.Send(proxy, respMsg{ID: m.ID, Resp: resp, Page: cal.PageSize})
-			})
-		}
+		r := s.newRequest(proxy, m)
 		if m.Fence > 0 && s.replica.LastApplied() < m.Fence {
 			// Fenced read behind the session's commit index: wait for the
 			// replica to catch up, bounded; past the bound, answer
 			// TooStale so the proxy retries on a fresher server.
 			s.c.groups[s.group].fenceWaits++
-			s.replica.ReadAt(m.Fence, cal.fenceWait(),
-				func(core.StateMachine, paxos.InstanceID) { serve() },
+			s.replica.ReadAt(m.Fence, s.c.cfg.Cal.fenceWait(),
+				func(core.StateMachine, paxos.InstanceID) { r.read() },
 				func() {
 					s.c.groups[s.group].staleServes++
-					s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}, TooStale: true})
+					r.send(respMsg{ID: r.m.ID, Resp: rbe.Response{Err: true}, TooStale: true})
 				})
 			return
 		}
-		serve()
+		r.read()
 		return
 	}
 	if s.learner {
@@ -350,17 +423,25 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 	// at the tier boundary until the outcome record releases them
 	// (txn.go); with no prepared branches — always true on the
 	// single-group fast path — the gate is a plain passthrough.
-	s.withTxnGate(m, func() {
-		s.admitWrite(s.e.Now().Add(admitHoldDeadline), func() {
-			s.cpu.Acquire(s.graySvc(cal.WriteParse), func() {
-				s.performWrite(proxy, m)
-			})
-		}, func() {
-			s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
-		})
-	}, func() {
-		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
-	})
+	s.withTxnGate(s.newRequest(proxy, m))
+}
+
+// read queues a read for its CPU slot; serve answers it when the slot ends.
+func (r *request) read() {
+	s := r.s
+	s.cpu.Acquire(s.graySvc(s.c.cfg.Cal.readService(r.m.Req.Kind)), r.then(atServe))
+}
+
+func (r *request) serve() {
+	s := r.s
+	if r.m.Fence > 0 && s.replica.LastApplied() < r.m.Fence {
+		// Serving below the fence would break read-your-writes;
+		// ReadAt makes this unreachable, the counter proves it.
+		s.c.fenceViolations++
+	}
+	resp := s.performRead(&r.m.Req)
+	s.c.groups[s.group].readsServed++
+	r.send(respMsg{ID: r.m.ID, Resp: resp, Page: s.c.cfg.Cal.PageSize})
 }
 
 // graySvc inflates one request service charge under the slow-walk flavor
@@ -382,66 +463,92 @@ const (
 	admitHoldDeadline = 500 * time.Millisecond
 )
 
-// admitWrite gates one write behind the replica's admission controller.
+// gated is where a write leaves the txn gate: its admission hold is
+// bounded from here.
+func (r *request) gated() {
+	r.deadline = r.s.e.Now().Add(admitHoldDeadline)
+	r.admit()
+}
+
+// admit gates one write behind the replica's admission controller.
 // AdmissionSlowdown delays the write one pacing step; AdmissionStop holds
 // it at the tier boundary — re-checking every step until the proposer
-// backlog drains — and sheds it via drop once the deadline passes.
-// Overload thus degrades to queueing latency at the tier boundary instead
-// of consensus retry-timeout storms.
-func (s *Server) admitWrite(deadline time.Time, run, drop func()) {
+// backlog drains — and sheds it once the deadline passes. Overload thus
+// degrades to queueing latency at the tier boundary instead of consensus
+// retry-timeout storms.
+func (r *request) admit() {
+	s := r.s
 	switch s.replica.AdmissionState() {
 	case paxos.AdmissionStop:
-		if !s.e.Now().Before(deadline) {
-			drop()
+		if !s.e.Now().Before(r.deadline) {
+			r.drop()
 			return
 		}
-		s.e.After(admitPace, func() { s.admitWrite(deadline, run, drop) })
+		s.e.After(admitPace, r.then(atAdmit))
 	case paxos.AdmissionSlowdown:
-		s.e.After(admitPace, run)
+		s.e.After(admitPace, r.then(atParse))
 	default:
-		run()
+		r.parse()
 	}
+}
+
+func (r *request) parse() {
+	s := r.s
+	s.cpu.Acquire(s.graySvc(s.c.cfg.Cal.WriteParse), r.then(atSubmit))
+}
+
+// drop fails a write that never got past the gates, without a render slot.
+func (r *request) drop() {
+	r.send(respMsg{ID: r.m.ID, Resp: rbe.Response{Err: true}})
 }
 
 // reply sends a write result back through a render slot. commit is the
 // log instance the write applied at (zero on errors): the proxy folds it
 // into the session's read-your-writes fence.
-func (s *Server) reply(proxy env.NodeID, id int64, resp rbe.Response, commit paxos.InstanceID) {
-	s.cpu.Acquire(s.graySvc(s.c.cfg.Cal.WriteRender), func() {
-		s.e.Send(proxy, respMsg{ID: id, Resp: resp, Page: s.c.cfg.Cal.PageSize, Commit: commit})
-	})
+func (r *request) reply(resp rbe.Response, commit paxos.InstanceID) {
+	s := r.s
+	r.resp = respMsg{ID: r.m.ID, Resp: resp, Page: s.c.cfg.Cal.PageSize, Commit: commit}
+	s.cpu.Acquire(s.graySvc(s.c.cfg.Cal.WriteRender), r.then(atRender))
 }
 
-// performWrite builds the deterministic action for a write interaction —
-// resolving timestamps and random values here, in the facade, before the
-// action is submitted (paper §4, task II) — and replies when the action
-// has been ordered and applied locally.
-func (s *Server) performWrite(proxy env.NodeID, m reqMsg) {
-	req := m.Req
-	now := s.e.Now()
-	rng := s.e.Rand()
-	fail := func() { s.reply(proxy, m.ID, rbe.Response{Err: true}, 0) }
+func (r *request) fail() { r.reply(rbe.Response{Err: true}, 0) }
 
+// submit starts a parsed write. A purchase by a session that has no cart
+// yet first orders the cart's creation with a (caller-chosen) random item,
+// as TPC-W prescribes; onApplied comes back to act with it.
+func (r *request) submit() {
+	s, req := r.s, &r.m.Req
+	r.now, r.cart = s.e.Now(), req.Cart
+	switch req.Kind {
+	case rbe.BuyRequest, rbe.BuyConfirm, rbe.GiftPurchase:
+		if r.cart == 0 {
+			r.cartFirst = true
+			s.replica.SubmitIndexed(tpcw.CartUpdateAction{RandomItem: req.Item, Now: r.now}, r.applied)
+			return
+		}
+	}
+	r.act()
+}
+
+// act builds the deterministic action for a write interaction — resolving
+// timestamps and random values here, in the facade, before the action is
+// submitted (paper §4, task II); onApplied replies when the action has
+// been ordered and applied locally.
+func (r *request) act() {
+	s, req, now, rng := r.s, &r.m.Req, r.now, r.s.e.Rand()
+	var action any
 	switch req.Kind {
 	case rbe.ShoppingCart:
-		action := tpcw.CartUpdateAction{
+		action = tpcw.CartUpdateAction{
 			Cart:       req.Cart,
 			AddItem:    req.Item,
 			AddQty:     req.Qty,
 			RandomItem: req.Item,
 			Now:        now,
 		}
-		s.replica.SubmitIndexed(action, func(result any, inst paxos.InstanceID, err error) {
-			cr, ok := result.(tpcw.CartResult)
-			if err != nil || !ok || cr.Err != "" {
-				fail()
-				return
-			}
-			s.reply(proxy, m.ID, rbe.Response{Cart: cr.Cart.ID}, inst)
-		})
 
 	case rbe.CustomerRegistration:
-		action := tpcw.CreateCustomerAction{
+		action = tpcw.CreateCustomerAction{
 			FName:     "F" + strconv.Itoa(rng.Intn(10000)),
 			LName:     "L" + strconv.Itoa(rng.Intn(10000)),
 			Street1:   strconv.Itoa(rng.Intn(999)) + " Web St",
@@ -456,116 +563,98 @@ func (s *Server) performWrite(proxy env.NodeID, m reqMsg) {
 			Discount:  float64(rng.Intn(51)), // random discount, drawn pre-submit
 			Now:       now,
 		}
-		s.replica.SubmitIndexed(action, func(result any, inst paxos.InstanceID, err error) {
-			cr, ok := result.(tpcw.CreateCustomerResult)
-			if err != nil || !ok {
-				fail()
-				return
-			}
-			s.reply(proxy, m.ID, rbe.Response{
-				Customer: cr.Customer.ID,
-				UName:    cr.Customer.UName,
-			}, inst)
-		})
 
 	case rbe.BuyRequest:
-		refresh := func(cart tpcw.CartID) {
-			s.replica.SubmitIndexed(tpcw.RefreshSessionAction{Customer: req.Customer, Now: now},
-				func(_ any, inst paxos.InstanceID, err error) {
-					if err != nil {
-						fail()
-						return
-					}
-					s.reply(proxy, m.ID, rbe.Response{Cart: cart}, inst)
-				})
-		}
-		if req.Cart == 0 {
-			// TPC-W: add a (caller-chosen) random item if the session
-			// has no cart yet.
-			s.replica.Submit(tpcw.CartUpdateAction{RandomItem: req.Item, Now: now},
-				func(result any, err error) {
-					cr, ok := result.(tpcw.CartResult)
-					if err != nil || !ok || cr.Err != "" {
-						fail()
-						return
-					}
-					refresh(cr.Cart.ID)
-				})
-			return
-		}
-		refresh(req.Cart)
+		action = tpcw.RefreshSessionAction{Customer: req.Customer, Now: now}
 
 	case rbe.BuyConfirm:
-		confirm := func(cart tpcw.CartID) {
-			action := tpcw.BuyConfirmAction{
-				Cart:     cart,
-				Customer: req.Customer,
-				CCType:   "VISA",
-				CCNum:    "4111111111111111",
-				CCName:   "Card Holder",
-				CCExpire: now.AddDate(2, 0, 0),
-				ShipType: "AIR",
-				ShipDate: now.AddDate(0, 0, 1+rng.Intn(7)), // random pre-submit
-				Now:      now,
-			}
-			s.replica.SubmitIndexed(action, func(result any, inst paxos.InstanceID, err error) {
-				br, ok := result.(tpcw.BuyConfirmResult)
-				if err != nil || !ok || br.Err != "" {
-					fail()
-					return
-				}
-				s.reply(proxy, m.ID, rbe.Response{Order: br.Order}, inst)
-			})
+		action = tpcw.BuyConfirmAction{
+			Cart:     r.cart,
+			Customer: req.Customer,
+			CCType:   "VISA",
+			CCNum:    "4111111111111111",
+			CCName:   "Card Holder",
+			CCExpire: now.AddDate(2, 0, 0),
+			ShipType: "AIR",
+			ShipDate: now.AddDate(0, 0, 1+rng.Intn(7)), // random pre-submit
+			Now:      now,
 		}
-		if req.Cart == 0 {
-			s.replica.Submit(tpcw.CartUpdateAction{RandomItem: req.Item, Now: now},
-				func(result any, err error) {
-					cr, ok := result.(tpcw.CartResult)
-					if err != nil || !ok || cr.Err != "" {
-						fail()
-						return
-					}
-					confirm(cr.Cart.ID)
-				})
-			return
-		}
-		confirm(req.Cart)
 
 	case rbe.AdminConfirm:
 		item, ok := s.store.GetBook(req.Item)
 		if !ok {
-			fail()
+			r.fail()
 			return
 		}
-		action := tpcw.AdminUpdateAction{
+		action = tpcw.AdminUpdateAction{
 			Item:      req.Item,
 			Cost:      item.SRP * (0.5 + rng.Float64()*0.5), // random pre-submit
 			Image:     "img/full/new" + strconv.Itoa(rng.Intn(1000)),
 			Thumbnail: "img/thumb/new" + strconv.Itoa(rng.Intn(1000)),
 			Now:       now,
 		}
-		s.replica.SubmitIndexed(action, func(_ any, inst paxos.InstanceID, err error) {
-			if err != nil {
-				fail()
-				return
-			}
-			s.reply(proxy, m.ID, rbe.Response{}, inst)
-		})
 
 	case rbe.GiftPurchase:
-		s.performGiftPurchase(proxy, m)
+		s.performGiftPurchase(r)
+		return
 
 	case rbe.StockSweep:
-		s.performStockSweep(proxy, m)
+		s.performStockSweep(r)
+		return
 
 	default:
-		fail()
+		r.fail()
+		return
 	}
+	s.replica.SubmitIndexed(action, r.applied)
+}
+
+// onApplied takes the local result of the action the request had ordered:
+// the missing cart's creation, after which the purchase itself goes out,
+// or the interaction's own action, whose result becomes the reply.
+func (r *request) onApplied(result any, inst paxos.InstanceID, err error) {
+	ok := err == nil
+	if r.cartFirst {
+		cr, is := result.(tpcw.CartResult)
+		if !ok || !is || cr.Err != "" {
+			r.fail()
+			return
+		}
+		r.cartFirst, r.cart = false, cr.Cart.ID
+		r.act()
+		return
+	}
+	var resp rbe.Response
+	switch r.m.Req.Kind {
+	case rbe.ShoppingCart:
+		cr, is := result.(tpcw.CartResult)
+		ok = ok && is && cr.Err == ""
+		resp.Cart = cr.Cart.ID
+	case rbe.CustomerRegistration:
+		cr, is := result.(tpcw.CreateCustomerResult)
+		ok = ok && is
+		resp.Customer, resp.UName = cr.Customer.ID, cr.Customer.UName
+	case rbe.BuyRequest:
+		resp.Cart = r.cart
+	case rbe.BuyConfirm:
+		br, is := result.(tpcw.BuyConfirmResult)
+		ok = ok && is && br.Err == ""
+		resp.Order = br.Order
+	case rbe.GiftPurchase: // the single-group form (txn.go)
+		gr, is := result.(tpcw.GiftOrderResult)
+		ok = ok && is && gr.Err == ""
+		resp.Order = gr.Order
+	}
+	if !ok {
+		r.fail()
+		return
+	}
+	r.reply(resp, inst)
 }
 
 // performRead serves the read-only interactions directly from the local
 // replica (no total ordering; paper §5.2).
-func (s *Server) performRead(req rbe.Request) rbe.Response {
+func (s *Server) performRead(req *rbe.Request) rbe.Response {
 	st := s.store
 	switch req.Kind {
 	case rbe.Home:

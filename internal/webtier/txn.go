@@ -500,15 +500,7 @@ func (s *Server) txnResolveTick(id string, home int) {
 // txnStillPrepared reports whether this server's replica still stages the
 // branch (loop-confined; server and replica share the node executor).
 func (s *Server) txnStillPrepared(id string) bool {
-	if s.replica == nil {
-		return false
-	}
-	for _, p := range s.replica.PreparedTxns() {
-		if p.ID == id {
-			return true
-		}
-	}
-	return false
+	return s.replica != nil && s.replica.TxnPrepared(id)
 }
 
 // armTxnRecovery rescans the replica's prepared set after (re)start and
@@ -529,7 +521,7 @@ func (s *Server) armTxnRecovery() {
 // txnConflictKeys lists the row keys a write interaction may touch, in
 // the same key syntax branches declare (tpcw.TxnKeys). Used only to hold
 // conflicting writes while a prepared branch blocks those keys.
-func txnConflictKeys(req rbe.Request) []string {
+func txnConflictKeys(req *rbe.Request) []string {
 	var keys []string
 	if req.Cart != 0 {
 		keys = append(keys, tpcw.CartKey(req.Cart))
@@ -549,28 +541,30 @@ func txnConflictKeys(req rbe.Request) []string {
 	return keys
 }
 
+// txnBlocked reports whether a prepared branch blocks any of keys.
+func (s *Server) txnBlocked(keys []string) bool {
+	for _, k := range keys {
+		if s.replica.TxnBlocks(k) {
+			return true
+		}
+	}
+	return false
+}
+
 // withTxnGate holds a write whose keys conflict with a prepared branch
 // until the branch's outcome record releases them (or the bounded wait
 // expires into a client error). With no prepared transactions — always
 // the case on the single-group fast path — the write proceeds through
 // the exact same immediate call, adding no events and no latency, and no
-// key is built.
-func (s *Server) withTxnGate(m reqMsg, run, drop func()) {
+// key is built. Either way the request leaves through gated or drop.
+func (s *Server) withTxnGate(r *request) {
 	if !s.replica.HasPreparedTxns() {
-		run()
+		r.gated()
 		return
 	}
-	keys := txnConflictKeys(m.Req)
-	blocked := func() bool {
-		for _, k := range keys {
-			if s.replica.TxnBlocks(k) {
-				return true
-			}
-		}
-		return false
-	}
-	if len(keys) == 0 || !blocked() {
-		run()
+	keys := txnConflictKeys(&r.m.Req)
+	if !s.txnBlocked(keys) {
+		r.gated()
 		return
 	}
 	start := s.e.Now()
@@ -582,17 +576,17 @@ func (s *Server) withTxnGate(m reqMsg, run, drop func()) {
 	retry = func() {
 		if s.replica == nil || !s.replica.Ready() {
 			accrue()
-			drop()
+			r.drop()
 			return
 		}
-		if !blocked() {
+		if !s.txnBlocked(keys) {
 			accrue()
-			run()
+			r.gated()
 			return
 		}
 		if !s.e.Now().Before(deadline) {
 			accrue()
-			drop()
+			r.drop()
 			return
 		}
 		s.e.After(txnBlockRetry, retry)
@@ -613,11 +607,13 @@ func (s *Server) withTxnGate(m reqMsg, run, drop func()) {
 // workload draws buyers' carts from the session's own group and
 // recipients from the base population.
 func (c *Cluster) CustomerGroup(id tpcw.CustomerID) int {
-	return c.table.Group(tpcw.CustomerKey(id))
+	_, g := c.table.RouteInt(tpcw.CustomerPrefix, int64(id))
+	return g
 }
 
 func (c *Cluster) ItemGroup(id tpcw.ItemID) int {
-	return c.table.Group(tpcw.ItemKey(id))
+	_, g := c.table.RouteInt(tpcw.ItemPrefix, int64(id))
+	return g
 }
 
 // performGiftPurchase serves the cross-session gift order: the buyer's
@@ -626,71 +622,45 @@ func (c *Cluster) ItemGroup(id tpcw.ItemID) int {
 // the plain submit path; different groups → a debit branch here and a
 // deliver branch there under 2PC. All pricing is resolved here, before
 // anything is submitted, so both branches carry identical totals.
-func (s *Server) performGiftPurchase(proxy env.NodeID, m reqMsg) {
-	req := m.Req
-	now := s.e.Now()
-	rng := s.e.Rand()
-	fail := func() { s.reply(proxy, m.ID, rbe.Response{Err: true}, 0) }
-	run := func(cart tpcw.CartID) {
-		lines, subTotal, tax, total, errs := s.store.GiftQuote(cart, req.Customer, req.Tag)
-		if errs != "" {
-			fail()
-			return
-		}
-		ship := now.AddDate(0, 0, 1+rng.Intn(7)) // random pre-submit
-		rg := s.c.CustomerGroup(req.Peer)
-		if rg == s.group {
-			// Single-group fast path: the merged action, plain submit, no
-			// transaction records — bit-identical to the pre-2PC path.
-			action := tpcw.GiftOrderAction{
-				Cart: cart, Buyer: req.Customer, Recipient: req.Peer,
-				ShipType: "AIR", ShipDate: ship, Tag: req.Tag, Now: now,
-			}
-			s.replica.SubmitIndexed(action, func(result any, inst paxos.InstanceID, err error) {
-				gr, ok := result.(tpcw.GiftOrderResult)
-				if err != nil || !ok || gr.Err != "" {
-					fail()
-					return
-				}
-				s.reply(proxy, m.ID, rbe.Response{Order: gr.Order}, inst)
-			})
-			return
-		}
-		debit := tpcw.GiftDebitAction{Cart: cart, Buyer: req.Customer, Total: total, Tag: req.Tag, Now: now}
-		deliver := tpcw.GiftDeliverAction{
-			Recipient: req.Peer, Lines: lines,
-			SubTotal: subTotal, Tax: tax, Total: total,
-			ShipType: "AIR", ShipDate: ship, Tag: req.Tag, Now: now,
-		}
-		branches := map[int]txnBranch{
-			s.group: {action: debit, keys: tpcw.TxnKeys(debit)},
-			rg:      {action: deliver, keys: tpcw.TxnKeys(deliver)},
-		}
-		s.runTxn(branches, func(commit bool) {
-			if !commit {
-				fail()
-				return
-			}
-			// No single commit index spans two groups; the fence stays
-			// where the session's last single-group write left it.
-			s.reply(proxy, m.ID, rbe.Response{}, 0)
-		})
-	}
-	if req.Cart != 0 {
-		run(req.Cart)
+func (s *Server) performGiftPurchase(r *request) {
+	req, now, cart := &r.m.Req, r.now, r.cart
+	lines, subTotal, tax, total, errs := s.store.GiftQuote(cart, req.Customer, req.Tag)
+	if errs != "" {
+		r.fail()
 		return
 	}
-	// No cart yet: create one with the caller-chosen item first, like
-	// BuyConfirm does.
-	s.replica.Submit(tpcw.CartUpdateAction{RandomItem: req.Item, Now: now},
-		func(result any, err error) {
-			cr, ok := result.(tpcw.CartResult)
-			if err != nil || !ok || cr.Err != "" {
-				fail()
-				return
-			}
-			run(cr.Cart.ID)
-		})
+	ship := now.AddDate(0, 0, 1+s.e.Rand().Intn(7)) // random pre-submit
+	rg := s.c.CustomerGroup(req.Peer)
+	if rg == s.group {
+		// Single-group fast path: the merged action, plain submit, no
+		// transaction records — bit-identical to the pre-2PC path.
+		s.replica.SubmitIndexed(tpcw.GiftOrderAction{
+			Cart: cart, Buyer: req.Customer, Recipient: req.Peer,
+			ShipType: "AIR", ShipDate: ship, Tag: req.Tag, Now: now,
+		}, r.applied)
+		return
+	}
+	debit := tpcw.GiftDebitAction{Cart: cart, Buyer: req.Customer, Total: total, Tag: req.Tag, Now: now}
+	deliver := tpcw.GiftDeliverAction{
+		Recipient: req.Peer, Lines: lines,
+		SubTotal: subTotal, Tax: tax, Total: total,
+		ShipType: "AIR", ShipDate: ship, Tag: req.Tag, Now: now,
+	}
+	s.runTxn(map[int]txnBranch{
+		s.group: {action: debit, keys: tpcw.TxnKeys(debit)},
+		rg:      {action: deliver, keys: tpcw.TxnKeys(deliver)},
+	}, r.decided)
+}
+
+// decided replies to a cross-group write once its decision record is
+// ordered. No single commit index spans two groups; the fence stays where
+// the session's last single-group write left it.
+func (r *request) decided(commit bool) {
+	if !commit {
+		r.fail()
+		return
+	}
+	r.reply(rbe.Response{}, 0)
 }
 
 // performStockSweep serves the admin inventory sweep: reprice an item set
@@ -698,12 +668,10 @@ func (s *Server) performGiftPurchase(proxy env.NodeID, m reqMsg) {
 // by the routing table. All-local → one plain InventorySweepAction;
 // spanning groups → one branch per group under 2PC, the unique cost
 // doubling as the half-application audit marker.
-func (s *Server) performStockSweep(proxy env.NodeID, m reqMsg) {
-	req := m.Req
-	now := s.e.Now()
-	fail := func() { s.reply(proxy, m.ID, rbe.Response{Err: true}, 0) }
+func (s *Server) performStockSweep(r *request) {
+	req, now := &r.m.Req, r.now
 	if len(req.Items) == 0 {
-		fail()
+		r.fail()
 		return
 	}
 	byGroup := make(map[int][]tpcw.ItemID)
@@ -714,14 +682,7 @@ func (s *Server) performStockSweep(proxy env.NodeID, m reqMsg) {
 	if len(byGroup) == 1 {
 		if items, local := byGroup[s.group]; local {
 			// Single-group fast path, plain submit, no records.
-			action := tpcw.InventorySweepAction{Items: items, Cost: req.Cost, Tag: req.Tag, Now: now}
-			s.replica.SubmitIndexed(action, func(_ any, inst paxos.InstanceID, err error) {
-				if err != nil {
-					fail()
-					return
-				}
-				s.reply(proxy, m.ID, rbe.Response{}, inst)
-			})
+			s.replica.SubmitIndexed(tpcw.InventorySweepAction{Items: items, Cost: req.Cost, Tag: req.Tag, Now: now}, r.applied)
 			return
 		}
 	}
@@ -730,11 +691,5 @@ func (s *Server) performStockSweep(proxy env.NodeID, m reqMsg) {
 		a := tpcw.InventorySweepAction{Items: items, Cost: req.Cost, Tag: req.Tag, Now: now}
 		branches[g] = txnBranch{action: a, keys: tpcw.TxnKeys(a)}
 	}
-	s.runTxn(branches, func(commit bool) {
-		if commit {
-			s.reply(proxy, m.ID, rbe.Response{}, 0)
-		} else {
-			fail()
-		}
-	})
+	s.runTxn(branches, r.decided)
 }
