@@ -34,6 +34,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"robuststore/internal/exp"
 	"robuststore/internal/exp/search"
@@ -56,9 +57,12 @@ func main() {
 	table := slices.Concat(exp.Experiments, []exp.Experiment{{
 		Name: "hunt", Doc: "generative fault search: random schedules, oracle judgement, shrinking, pinning",
 		Run: func(p exp.Params, w io.Writer) error {
-			cfg := search.Config{Seed: p.Seed, Budget: *budget, PinDir: *pin, Log: w}
+			// One group of three on a 300 MB state, 300 browsers over a
+			// shortened 120 s (event times scale).
+			cfg := search.Config{Seed: p.Seed, Budget: *budget, PinDir: *pin, Log: w, Base: exp.RunConfig{
+				Servers: 3, StateMB: 300, Browsers: 300, Measure: 120 * time.Second}}
 			if p.Short {
-				cfg.Budget, cfg.Browsers, cfg.ShrinkBudget = 2, 200, 12
+				cfg.Budget, cfg.Base.Browsers, cfg.ShrinkBudget = 2, 200, 12
 			}
 			rep := search.Hunt(cfg)
 			search.PrintReport(w, rep)

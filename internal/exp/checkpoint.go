@@ -1,11 +1,5 @@
 package exp
 
-import (
-	"time"
-
-	"robuststore/internal/rbe"
-)
-
 // This file is the checkpoint experiment: the Figure 6 trade-off
 // (recovery time vs checkpoint interval) re-measured with the
 // incremental delta-chain pipeline against the paper's monolithic
@@ -30,37 +24,18 @@ type CheckpointPoint struct {
 	CkptMBPerSec float64 // write rate over the accounting window (MB/s)
 }
 
-// CheckpointCurveConfig sizes the sweep.
-type CheckpointCurveConfig struct {
-	Servers   int // replication degree
-	StateMB   int // initial state size
-	Browsers  int // offered load
-	Measure   time.Duration
-	Intervals []int // checkpoint intervals in seconds
-	Seed      uint64
-}
-
-// CheckpointCurve sweeps the checkpoint interval under the one-crash
-// faultload, once with monolithic full-state checkpoints and once with
-// the incremental pipeline, at equal state size and offered load. Each
-// point reports the recovery duration, the sustained throughput and the
-// steady-state checkpoint disk traffic.
-func CheckpointCurve(cfg CheckpointCurveConfig) []CheckpointPoint {
-	out := make([]CheckpointPoint, 0, 2*len(cfg.Intervals))
-	for _, iv := range cfg.Intervals {
+// CheckpointCurve runs base under the one-crash faultload at each
+// checkpoint interval (seconds), once with monolithic full-state
+// checkpoints and once with the incremental pipeline, at equal state size
+// and offered load. Each point reports the recovery duration, the
+// sustained throughput and the steady-state checkpoint disk traffic.
+func CheckpointCurve(base RunConfig, intervals []int) []CheckpointPoint {
+	base.Fault = OneCrash
+	out := make([]CheckpointPoint, 0, 2*len(intervals))
+	for _, iv := range intervals {
 		for _, incremental := range []bool{false, true} {
-			r := Run(RunConfig{
-				Profile:               rbe.Shopping,
-				Servers:               cfg.Servers,
-				StateMB:               cfg.StateMB,
-				Fault:                 OneCrash,
-				Browsers:              cfg.Browsers,
-				Measure:               cfg.Measure,
-				CrashAt:               90,
-				Seed:                  cfg.Seed,
-				CheckpointIntervalSec: iv,
-				FullCheckpoints:       !incremental,
-			})
+			base.CheckpointIntervalSec, base.FullCheckpoints = iv, !incremental
+			r := Run(base)
 			pt := CheckpointPoint{
 				IntervalSec: iv,
 				Incremental: incremental,

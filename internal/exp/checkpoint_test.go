@@ -58,10 +58,10 @@ func TestCheckpointCurveRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two 500 MB fault runs")
 	}
-	pts := CheckpointCurve(CheckpointCurveConfig{
-		Servers: 3, StateMB: 500, Browsers: 300,
-		Measure: 150 * time.Second, Intervals: []int{60}, Seed: 3,
-	})
+	pts := CheckpointCurve(RunConfig{
+		Profile: rbe.Shopping, Servers: 3, StateMB: 500, Browsers: 300,
+		Measure: 150 * time.Second, CrashAt: 90, Seed: 3,
+	}, []int{60})
 	if len(pts) != 2 {
 		t.Fatalf("curve has %d points, want 2", len(pts))
 	}

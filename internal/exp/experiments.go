@@ -1,14 +1,15 @@
 package exp
 
 import (
-	"time"
-
 	"robuststore/internal/rbe"
 	"robuststore/internal/stats"
 )
 
 // This file defines the experiment suites of §5, each returning the data
-// behind one figure or table of the paper.
+// behind one figure or table of the paper. A suite is a function of one
+// base RunConfig — the deployment, load, interval and seed every run of it
+// shares — and the values it sweeps; it sets the fields it sweeps and, where
+// its report names one, the faultload.
 
 // ScalePoint is one (replicas, profile) measurement.
 type ScalePoint struct {
@@ -25,15 +26,6 @@ type ScalePoint struct {
 	Evictions int
 }
 
-// ScaleConfig sizes one replication-degree sweep.
-type ScaleConfig struct {
-	Degrees  []int
-	StateMB  int
-	Browsers int
-	Measure  time.Duration
-	Seed     uint64
-}
-
 // ScaleResult is the data behind Figures 3 and 4: WIPS and WIRT per
 // replication degree under the three profiles, with S_k = pi_k / pi_first
 // (Figure 3) and the least-squares regression and WIPS/WIRT correlation
@@ -44,10 +36,11 @@ type ScaleResult struct {
 	Correlation map[rbe.Profile]float64          // r² of WIPS vs WIRT
 }
 
-// ScaleSweep runs the failure-free sweep behind Figure 3 (a population
-// that saturates the biggest deployment) and Figure 4 (the fixed 1000 WIPS
+// ScaleSweep runs base at every replication degree under the three
+// profiles: the failure-free sweep behind Figure 3 (a population that
+// saturates the biggest deployment) and Figure 4 (the fixed 1000 WIPS
 // offered load).
-func ScaleSweep(cfg ScaleConfig) ScaleResult {
+func ScaleSweep(base RunConfig, degrees []int) ScaleResult {
 	out := ScaleResult{
 		Points:      make(map[rbe.Profile][]ScalePoint),
 		Fit:         make(map[rbe.Profile]stats.Regression),
@@ -55,16 +48,9 @@ func ScaleSweep(cfg ScaleConfig) ScaleResult {
 	}
 	for _, profile := range rbe.Profiles {
 		var ks, wips, wirt []float64
-		for _, k := range cfg.Degrees {
-			r := Run(RunConfig{
-				Profile:  profile,
-				Servers:  k,
-				StateMB:  cfg.StateMB,
-				Fault:    NoFault,
-				Browsers: cfg.Browsers,
-				Measure:  cfg.Measure,
-				Seed:     cfg.Seed,
-			})
+		for _, k := range degrees {
+			base.Profile, base.Servers = profile, k
+			r := Run(base)
 			ks = append(ks, float64(k))
 			wips = append(wips, r.AWIPS)
 			wirt = append(wirt, r.WIRTms)
@@ -85,15 +71,6 @@ func ScaleSweep(cfg ScaleConfig) ScaleResult {
 	return out
 }
 
-// readScaleBrowsers drives the read scale-out sweep past the biggest
-// deployment's read capacity, so the measured rate is capacity, not
-// offered load.
-const readScaleBrowsers = 3000
-
-// readScaleVoters is the voter degree the read scale-out sweep holds
-// fixed while readers are added.
-const readScaleVoters = 3
-
 // ReadScalePoint is one point of the read scale-out sweep: read
 // throughput against read-serving node count at a fixed voter degree.
 type ReadScalePoint struct {
@@ -109,35 +86,20 @@ type ReadScalePoint struct {
 	Scale       float64 // ReadsPerSec relative to the first count swept
 }
 
-// ReadScaleConfig sizes the read scale-out sweep.
-type ReadScaleConfig struct {
-	Seed     uint64
-	Counts   []int // reader counts swept
-	Browsers int
-	Measure  time.Duration
-}
-
-// ReadScale sweeps learner-backed readers per group under the Browsing
-// profile (95 % reads): learners receive the learn stream and serve
-// fenced follower reads without joining the write quorum, so read
-// capacity grows with every read-serving node while the voter set — and
-// write latency — stays fixed.
-func ReadScale(cfg ReadScaleConfig) []ReadScalePoint {
+// ReadScale runs base — a read-heavy profile (Browsing is 95 % reads) at a
+// fixed voter degree — with each count of learner-backed readers per
+// group: learners receive the learn stream and serve fenced follower reads
+// without joining the write quorum, so read capacity grows with every
+// read-serving node while the voter set — and write latency — stays fixed.
+func ReadScale(base RunConfig, counts []int) []ReadScalePoint {
 	var out []ReadScalePoint
-	var base float64
-	for _, readers := range cfg.Counts {
-		r := Run(RunConfig{
-			Profile:  rbe.Browsing,
-			Servers:  readScaleVoters,
-			Readers:  readers,
-			StateMB:  300,
-			Browsers: cfg.Browsers,
-			Measure:  cfg.Measure,
-			Seed:     cfg.Seed,
-		})
+	var first float64
+	for _, readers := range counts {
+		base.Readers = readers
+		r := Run(base)
 		p := ReadScalePoint{
 			Readers:   readers,
-			ReadNodes: readScaleVoters + readers,
+			ReadNodes: r.Cfg.Servers + readers,
 			WIPS:      r.AWIPS,
 			WIRTms:    r.WIRTms,
 			Errors:    r.Errors,
@@ -148,11 +110,11 @@ func ReadScale(cfg ReadScaleConfig) []ReadScalePoint {
 			p.FenceWaits += g.FenceWaits
 			p.StaleServes += g.StaleServes
 		}
-		if base == 0 {
-			base = p.ReadsPerSec
+		if first == 0 {
+			first = p.ReadsPerSec
 		}
-		if base > 0 {
-			p.Scale = p.ReadsPerSec / base
+		if first > 0 {
+			p.Scale = p.ReadsPerSec / first
 		}
 		out = append(out, p)
 	}
@@ -269,37 +231,14 @@ func GrayFaultloads() []Faultload {
 	}
 }
 
-// ShardedSuiteConfig sizes the sharded dependability suite: Shards groups
-// of three replicas on a 300 MB state under the Shopping profile.
-type ShardedSuiteConfig struct {
-	Shards   int
-	Browsers int           // default faultBrowsers
-	Measure  time.Duration // default the paper's 540 s
-	Seed     uint64
-}
-
-// runConfig is the suite's deployment under one faultload.
-func (c ShardedSuiteConfig) runConfig(fl Faultload) RunConfig {
-	return RunConfig{
-		Profile:  rbe.Shopping,
-		Servers:  3,
-		Shards:   c.Shards,
-		StateMB:  300,
-		Fault:    fl,
-		Browsers: c.Browsers,
-		Measure:  c.Measure,
-		Seed:     c.Seed,
-	}
-}
-
-// Suite runs every scenario against one deployment and returns the
-// per-scenario results, each carrying the fault windows
-// (RunResult.FaultWindows) and the per-group + aggregate dependability
-// report (RunResult.PerGroup).
-func Suite(cfg ShardedSuiteConfig, scenarios []Faultload) []RunResult {
+// Suite runs base under every scenario and returns the per-scenario
+// results, each carrying the fault windows (RunResult.FaultWindows) and the
+// per-group + aggregate dependability report (RunResult.PerGroup).
+func Suite(base RunConfig, scenarios []Faultload) []RunResult {
 	out := make([]RunResult, 0, len(scenarios))
 	for _, fl := range scenarios {
-		out = append(out, Run(cfg.runConfig(fl)))
+		base.Fault = fl
+		out = append(out, Run(base))
 	}
 	return out
 }
@@ -316,19 +255,11 @@ type PartitionBenchPoint struct {
 	PostAWIPS   float64 // mean after the heal
 }
 
-// PartitionRecoveryBench measures leader-isolation failover on the
-// reference single-group deployment (5 replicas, 300 MB) under the given
-// load and measurement interval.
-func PartitionRecoveryBench(seed uint64, browsers int, measure time.Duration) PartitionBenchPoint {
-	r := Run(RunConfig{
-		Profile:  rbe.Shopping,
-		Servers:  5,
-		StateMB:  300,
-		Fault:    LeaderIsolation(0, 240, 330),
-		Browsers: browsers,
-		Measure:  measure,
-		Seed:     seed,
-	})
+// PartitionRecoveryBench measures leader-isolation failover on base, a
+// single-group deployment.
+func PartitionRecoveryBench(base RunConfig) PartitionBenchPoint {
+	base.Fault = LeaderIsolation(0, 240, 330)
+	r := Run(base)
 	// Recovery times default to the "never recovered within the run"
 	// sentinel, so a liveness regression (e.g. the stale-leader-rejoin
 	// livelock this benchmark was built to track) publishes -1, not a
@@ -394,23 +325,15 @@ type ShardedRecoveryPoint struct {
 }
 
 // ShardedRecoveryCurve measures how recovery behaves as the deployment
-// fans out: for each shard count it crashes one member of every group
-// (shortened run) and reports mean recovery time, worst-group
-// availability and aggregate throughput.
-func ShardedRecoveryCurve(seed uint64, shardCounts []int) []ShardedRecoveryPoint {
+// fans out: for each shard count it runs base with one member of every
+// group crashed and reports mean recovery time, worst-group availability
+// and aggregate throughput.
+func ShardedRecoveryCurve(base RunConfig, shardCounts []int) []ShardedRecoveryPoint {
+	base.Fault = MemberEveryGroup(270)
 	out := make([]ShardedRecoveryPoint, 0, len(shardCounts))
 	for _, n := range shardCounts {
-		r := Run(RunConfig{
-			Profile:  rbe.Shopping,
-			Servers:  3,
-			Shards:   n,
-			StateMB:  300,
-			Fault:    MemberEveryGroup(270),
-			Browsers: 600,
-			Measure:  180 * time.Second,
-			CrashAt:  90,
-			Seed:     seed,
-		})
+		base.Shards = n
+		r := Run(base)
 		pt := ShardedRecoveryPoint{Shards: n, AWIPS: r.AWIPS, WorstGroupAvail: 1}
 		var durSum float64
 		var recs int
@@ -429,18 +352,17 @@ func ShardedRecoveryCurve(seed uint64, shardCounts []int) []ShardedRecoveryPoint
 	return out
 }
 
-// RebalanceScenario is the resharding-under-fault experiment: a
-// Shards-group deployment takes the standard workload, one group is added
-// live at t=240 s on the paper's x-axis (epoch-versioned routing cutover
-// with keyed state transfer), and a member of a source group is killed
-// exactly when the migration enters its copy phase. The result reports
+// RebalanceScenario is the resharding-under-fault experiment: base's
+// deployment takes its workload, one group is added live at t=240 s on the
+// paper's x-axis (epoch-versioned routing cutover with keyed state
+// transfer), and a member of a source group is killed exactly when the
+// migration enters its copy phase. The result reports
 // the migration window and the per-group dependability rows — the new
 // group included — alongside the paper's measures, answering: does
 // resharding stay downtime-free even when a replica dies mid-handoff?
-func RebalanceScenario(cfg ShardedSuiteConfig) RunResult {
-	rc := cfg.runConfig(NoFault)
-	rc.RebalanceAtSec, rc.CrashMidMigration = 240, true
-	return Run(rc)
+func RebalanceScenario(base RunConfig) RunResult {
+	base.RebalanceAtSec, base.CrashMidMigration = 240, true
+	return Run(base)
 }
 
 // AblationResult compares a design choice on/off under one workload.

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"robuststore/internal/env"
 	"robuststore/internal/webtier"
@@ -183,35 +182,52 @@ type WindowFault struct {
 	label func(factor float64) string
 
 	// inject puts the fault on the victims and returns what lifts it.
-	inject func(r *faultRun, ev resolvedEvent, victims []int) (lift func())
+	inject func(l *ledger, ev resolvedEvent, victims []int) (lift func())
+}
+
+// injectOn injects the fault on the victims, per event or per victim, and
+// returns what lifts it again.
+func (wf WindowFault) injectOn(l *ledger, ev resolvedEvent, victims []int) (lift func()) {
+	if !wf.PerVictim {
+		return wf.inject(l, ev, victims)
+	}
+	var lifts []func()
+	for _, v := range victims {
+		lifts = append(lifts, wf.inject(l, ev, []int{v}))
+	}
+	return func() {
+		for _, lift := range lifts {
+			lift()
+		}
+	}
 }
 
 // WindowFaults is the table. Link loss rates and delay factors from
 // different selectors touching one victim do not compose — the later write
 // wins per link (schedule disjoint victims to overlap) — while partitions
-// (through their handles) and disk factors (faultRun.slowDisk) do.
+// (through their handles) and disk factors (ledger.slowDisk) do.
 var WindowFaults = []WindowFault{
 	{Open: OpPartition, Close: OpHeal, OpenName: "partition", CloseName: "heal",
 		Kind: "partition", Directed: true, LateBinds: true, Severs: true,
-		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
-			return r.cluster.PartitionServers(ev.dir, victims...).Heal
+		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
+			return l.cluster.PartitionServers(ev.dir, victims...).Heal
 		}},
 	{Open: OpDiskSlow, Close: OpDiskRestore, OpenName: "disk-slow", CloseName: "disk-restore",
 		Kind: "slowdisk", DefaultFactor: DefaultSlowFactor, PerVictim: true,
 		label:  func(f float64) string { return fmt.Sprintf("%gx slower", f) },
-		inject: (*faultRun).slowDisk},
+		inject: (*ledger).slowDisk},
 	{Open: OpLinkLoss, Close: OpLinkRestore, OpenName: "link-loss", CloseName: "link-restore",
 		Kind: "linkloss", DefaultFactor: DefaultLossRate, Directed: true, LateBinds: true,
 		label: func(f float64) string { return fmt.Sprintf("%.0f%% loss", f*100) },
-		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
-			r.cluster.DegradeLinks(ev.dir, ev.factor, victims...)
-			return func() { r.cluster.RestoreLinks(victims...) }
+		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
+			l.cluster.DegradeLinks(ev.dir, ev.factor, victims...)
+			return func() { l.cluster.RestoreLinks(victims...) }
 		}},
 	{Open: OpGroupIsolate, Close: OpGroupReconnect, OpenName: "group-isolate", CloseName: "group-reconnect",
 		Kind: "partition", Severs: true,
-		inject: func(r *faultRun, _ resolvedEvent, victims []int) func() {
-			r.cluster.IsolateFromGroup(victims...)
-			return func() { r.cluster.ReconnectToGroup(victims...) }
+		inject: func(l *ledger, _ resolvedEvent, victims []int) func() {
+			l.cluster.IsolateFromGroup(victims...)
+			return func() { l.cluster.ReconnectToGroup(victims...) }
 		}},
 	{Open: OpGrayFail, Close: OpGrayRestore, OpenName: "gray-fail", CloseName: "gray-restore",
 		Kind: "grayfail", DefaultFactor: DefaultGrayRate, LateBinds: true, PerVictim: true,
@@ -221,16 +237,16 @@ var WindowFaults = []WindowFault{
 			}
 			return fmt.Sprintf("%gx slow-walk", f)
 		},
-		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
-			r.cluster.GrayFail(victims[0], ev.factor)
-			return func() { r.cluster.GrayRestore(victims[0]) }
+		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
+			l.cluster.GrayFail(victims[0], ev.factor)
+			return func() { l.cluster.GrayRestore(victims[0]) }
 		}},
 	{Open: OpLinkDelay, Close: OpLinkDelayRestore, OpenName: "link-delay", CloseName: "link-delay-restore",
 		Kind: "linkdelay", DefaultFactor: DefaultDelayFactor, Directed: true, LateBinds: true,
 		label: func(f float64) string { return fmt.Sprintf("%gx latency", f) },
-		inject: func(r *faultRun, ev resolvedEvent, victims []int) func() {
-			r.cluster.DegradeLinkDelay(ev.dir, ev.factor, victims...)
-			return func() { r.cluster.RestoreLinkDelay(victims...) }
+		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
+			l.cluster.DegradeLinkDelay(ev.dir, ev.factor, victims...)
+			return func() { l.cluster.RestoreLinkDelay(victims...) }
 		}},
 }
 
@@ -330,26 +346,6 @@ func Reader(group, slot int) Selector {
 	return Selector{Scope: ScopeGroupReader, Group: group, Slot: slot}
 }
 
-// key renders the selector into the run memoization key.
-func (sel Selector) key() string {
-	switch sel.Scope {
-	case ScopeGroupMember:
-		return fmt.Sprintf("m%d.%d", sel.Group, sel.Slot)
-	case ScopeEveryGroupMember:
-		return fmt.Sprintf("e%d", sel.Slot)
-	case ScopeWholeGroup:
-		return fmt.Sprintf("g%d", sel.Group)
-	case ScopeGroupLeader:
-		return fmt.Sprintf("l%d", sel.Group)
-	case ScopeGroupMinority:
-		return fmt.Sprintf("n%d", sel.Group)
-	case ScopeGroupReader:
-		return fmt.Sprintf("r%d.%d", sel.Group, sel.Slot)
-	default:
-		return "?"
-	}
-}
-
 // FaultEvent schedules one fault operation.
 type FaultEvent struct {
 	// AtSec is the event time in seconds on the paper's x-axis (measured
@@ -407,30 +403,6 @@ const DefaultDelayFactor = 50
 type Faultload struct {
 	Name   string
 	Events []FaultEvent
-}
-
-// key renders the faultload into the run memoization key.
-func (f Faultload) key() string {
-	if len(f.Events) == 0 {
-		return "none"
-	}
-	parts := make([]string, 0, len(f.Events)+1)
-	parts = append(parts, f.Name)
-	for _, ev := range f.Events {
-		k := fmt.Sprintf("%.0f:%d:%s", ev.AtSec, ev.Op, ev.Select.key())
-		// Non-default direction/factor extend the key; crash-only
-		// faultloads keep their historical keys byte for byte. The
-		// factor is normalized the way resolve applies it, so Factor 0
-		// and an explicit DefaultSlowFactor memoize as the same run.
-		if ev.Dir != env.LinkBothWays {
-			k += fmt.Sprintf(":d%d", ev.Dir)
-		}
-		if f := ev.factor(); f != 0 {
-			k += fmt.Sprintf(":x%g", f)
-		}
-		parts = append(parts, k)
-	}
-	return strings.Join(parts, ",")
 }
 
 // shifted returns the faultload with every fault event (crashes,
@@ -733,9 +705,9 @@ type resolvedEvent struct {
 	op      FaultOp
 	victims []int
 	groups  []int // the victims' groups, ascending
-	// selKey pairs OpHeal/OpDiskRestore with the OpPartition/OpDiskSlow
-	// that opened the window (the original selector's key).
-	selKey string
+	// sel pairs a restore with the event that opened its window: the
+	// ledger files an open window under its opener and this selector.
+	sel Selector
 	// leaderOf is the group whose live leader supersedes victims at fire
 	// time; -1 for statically resolved selectors.
 	leaderOf int
@@ -760,7 +732,7 @@ func (f Faultload) resolve(cfg RunConfig) []resolvedEvent {
 		re := resolvedEvent{
 			atSec:    ev.AtSec,
 			op:       ev.Op,
-			selKey:   ev.Select.key(),
+			sel:      ev.Select,
 			leaderOf: -1,
 			dir:      ev.Dir,
 			factor:   ev.factor(),

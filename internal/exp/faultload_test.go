@@ -163,24 +163,6 @@ func TestResolveRejectsOutOfRangeGroup(t *testing.T) {
 	fl.resolve(RunConfig{Servers: 3, Shards: 2, Profile: rbe.Shopping})
 }
 
-// TestCrashOnlyKeysUnchanged pins the run-memoization keys of the crash
-// faultloads to their pre-correlated-ops form, byte for byte: adding the
-// partition/disk vocabulary must not disturb how crash-only schedules
-// resolve or memoize.
-func TestCrashOnlyKeysUnchanged(t *testing.T) {
-	want := map[string]Faultload{
-		"one-crash,270:0:m0.0":                              OneCrash,
-		"two-crashes,240:0:m0.0,270:0:m0.1":                 TwoCrashes,
-		"delayed-recovery,240:0:m0.0,240:1:m0.1,390:2:m0.1": DelayedRecovery,
-		"none": NoFault,
-	}
-	for w, fl := range want {
-		if got := fl.key(); got != w {
-			t.Errorf("%s key = %q, want %q", fl.Name, got, w)
-		}
-	}
-}
-
 // TestCorrelatedFaultloadResolve: the new ops resolve with paired
 // selector keys (heal ↔ partition, restore ↔ slow), directions, factors,
 // late-bound leaders and quorum-preserving minorities.
@@ -191,8 +173,8 @@ func TestCorrelatedFaultloadResolve(t *testing.T) {
 	if len(li) != 2 || li[0].op != OpPartition || li[1].op != OpHeal {
 		t.Fatalf("leader isolation resolved to %+v", li)
 	}
-	if li[0].selKey != li[1].selKey {
-		t.Fatalf("heal not paired with its partition: %q vs %q", li[0].selKey, li[1].selKey)
+	if li[0].sel != li[1].sel {
+		t.Fatalf("heal not paired with its partition: %+v vs %+v", li[0].sel, li[1].sel)
 	}
 	if li[0].leaderOf != 0 {
 		t.Fatalf("leader selector not late-bound: %+v", li[0])
@@ -218,7 +200,7 @@ func TestCorrelatedFaultloadResolve(t *testing.T) {
 	if al[0].dir != env.LinkOutboundOnly {
 		t.Fatalf("asymmetric loss direction = %v", al[0].dir)
 	}
-	if al[1].op != OpHeal || al[1].selKey != al[0].selKey {
+	if al[1].op != OpHeal || al[1].sel != al[0].sel {
 		t.Fatalf("asymmetric heal not paired: %+v", al)
 	}
 
@@ -226,7 +208,7 @@ func TestCorrelatedFaultloadResolve(t *testing.T) {
 	if sd[0].op != OpDiskSlow || sd[0].factor != DefaultSlowFactor {
 		t.Fatalf("slow disk default factor not applied: %+v", sd[0])
 	}
-	if sd[1].op != OpDiskRestore || sd[1].selKey != sd[0].selKey {
+	if sd[1].op != OpDiskRestore || sd[1].sel != sd[0].sel {
 		t.Fatalf("disk restore not paired: %+v", sd)
 	}
 	if got := SlowDiskStraggler(0, 16, 240, 420).resolve(cfg)[0].factor; got != 16 {
@@ -326,20 +308,6 @@ func TestCrashOnlyRunCarriesNoFaultWindows(t *testing.T) {
 	}
 }
 
-// TestSlowDiskDefaultFactorKeyNormalized: Factor 0 (the default) and an
-// explicit DefaultSlowFactor are the same run — they must memoize under
-// the same key.
-func TestSlowDiskDefaultFactorKeyNormalized(t *testing.T) {
-	a := SlowDiskStraggler(0, 0, 240, 420).key()
-	b := SlowDiskStraggler(0, DefaultSlowFactor, 240, 420).key()
-	if a != b {
-		t.Fatalf("default-factor keys differ: %q vs %q", a, b)
-	}
-	if c := SlowDiskStraggler(0, 16, 240, 420).key(); c == a {
-		t.Fatalf("a 16x run must not share the 8x key %q", a)
-	}
-}
-
 // TestOverlappingDiskSlowWindowsCompose: two OpDiskSlow events whose
 // windows overlap on the same group — and a repeat on the same selector
 // — must keep their windows paired with their own restores; restoring
@@ -380,9 +348,9 @@ func TestOverlappingDiskSlowWindowsCompose(t *testing.T) {
 }
 
 // TestFlakyLinkResolveAndKey: OpLinkLoss resolves with the default rate
-// normalized (Factor 0 and an explicit DefaultLossRate memoize as the
-// same run), restores pair with their loss events by selector key, and a
-// different rate gets a different key.
+// normalized (Factor 0 runs as DefaultLossRate, an explicit rate as
+// itself), and restores pair with their loss events by selector, the key
+// the ledger files an open window under.
 func TestFlakyLinkResolveAndKey(t *testing.T) {
 	cfg := RunConfig{Servers: 3, Shards: 1, Seed: 1, Profile: rbe.Shopping}
 
@@ -393,17 +361,11 @@ func TestFlakyLinkResolveAndKey(t *testing.T) {
 	if fl[0].factor != DefaultLossRate {
 		t.Fatalf("default loss rate not applied: %+v", fl[0])
 	}
-	if fl[1].selKey != fl[0].selKey {
-		t.Fatalf("restore not paired with its loss: %q vs %q", fl[1].selKey, fl[0].selKey)
+	if fl[1].sel != fl[0].sel {
+		t.Fatalf("restore not paired with its loss: %+v vs %+v", fl[1].sel, fl[0].sel)
 	}
-
-	a := FlakyLink(0, 0, 60, 90).key()
-	b := FlakyLink(0, DefaultLossRate, 60, 90).key()
-	if a != b {
-		t.Fatalf("default-rate keys differ: %q vs %q", a, b)
-	}
-	if c := FlakyLink(0, 0.5, 60, 90).key(); c == a {
-		t.Fatalf("a 50%%-loss run must not share the default-rate key %q", a)
+	if got := FlakyLink(0, 0.5, 60, 90).resolve(cfg)[0].factor; got != 0.5 {
+		t.Fatalf("explicit rate = %v, want 0.5", got)
 	}
 }
 
@@ -450,9 +412,9 @@ func TestFlakyLinkScenarioRun(t *testing.T) {
 }
 
 // TestGrayResolveAndKey: OpGrayFail and OpLinkDelay resolve with their
-// defaults normalized (Factor 0 and the explicit default memoize as the
-// same run), restores pair with their openers by selector key, and a
-// different factor gets a different key.
+// defaults normalized (Factor 0 runs as the op's default, an explicit
+// factor as itself), and restores pair with their openers by selector, the
+// key the ledger files an open window under.
 func TestGrayResolveAndKey(t *testing.T) {
 	cfg := RunConfig{Servers: 3, Shards: 1, Seed: 1, Profile: rbe.Shopping}
 
@@ -463,14 +425,11 @@ func TestGrayResolveAndKey(t *testing.T) {
 	if gf[0].factor != DefaultGrayRate {
 		t.Fatalf("default gray rate not applied: %+v", gf[0])
 	}
-	if gf[1].selKey != gf[0].selKey {
-		t.Fatalf("restore not paired with its gray-fail: %q vs %q", gf[1].selKey, gf[0].selKey)
+	if gf[1].sel != gf[0].sel {
+		t.Fatalf("restore not paired with its gray-fail: %+v vs %+v", gf[1].sel, gf[0].sel)
 	}
-	if a, b := GrayFailServer(0, 0, 60, 90).key(), GrayFailServer(0, DefaultGrayRate, 60, 90).key(); a != b {
-		t.Fatalf("default-rate keys differ: %q vs %q", a, b)
-	}
-	if a, c := GrayFailServer(0, 0, 60, 90).key(), GrayFailServer(0, 20, 60, 90).key(); c == a {
-		t.Fatalf("a 20x slow-walk run must not share the default-rate key %q", a)
+	if got := GrayFailServer(0, 20, 60, 90).resolve(cfg)[0].factor; got != 20 {
+		t.Fatalf("explicit slow-walk factor = %v, want 20", got)
 	}
 
 	ld := LinkDelayStraggler(0, 0, 60, 90).resolve(cfg)
@@ -479,9 +438,6 @@ func TestGrayResolveAndKey(t *testing.T) {
 	}
 	if ld[0].factor != DefaultDelayFactor {
 		t.Fatalf("default delay factor not applied: %+v", ld[0])
-	}
-	if a, b := LinkDelayStraggler(0, 0, 60, 90).key(), LinkDelayStraggler(0, DefaultDelayFactor, 60, 90).key(); a != b {
-		t.Fatalf("default-factor keys differ: %q vs %q", a, b)
 	}
 
 	// GrayLeader late-binds: leaderOf names the group whose consensus

@@ -29,9 +29,10 @@ func readStatTotals(r RunResult) (served, fw, ss int64) {
 // points line up with the requested reader counts, readers serve reads,
 // and the first point is the scale baseline.
 func TestReadScaleScenario(t *testing.T) {
-	pts := ReadScale(ReadScaleConfig{
-		Seed: 1, Browsers: 300, Measure: 60 * time.Second, Counts: []int{0, 2},
-	})
+	pts := ReadScale(RunConfig{
+		Profile: rbe.Browsing, Servers: 3, StateMB: 300,
+		Browsers: 300, Measure: 60 * time.Second, Seed: 1,
+	}, []int{0, 2})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d, want 2", len(pts))
 	}

@@ -105,20 +105,6 @@ func (c RunConfig) faultload() Faultload {
 	return c.Fault
 }
 
-// key returns the memoization key. Options that default to off append
-// only when set, so historical keys stay byte-identical.
-func (c RunConfig) key() string {
-	k := fmt.Sprintf("%v/%d/%d/%d/%d/%d/%v/%d/%v/%v/%v/%.0f/%.0f/%v/%d/%v/%s",
-		c.Profile, c.Servers, c.Shards, c.Readers, c.StateMB, c.Browsers, c.Measure,
-		c.Seed, c.NoFast, c.NoBatch, c.SeqRec, c.CrashAt,
-		c.RebalanceAtSec, c.CrashMidMigration,
-		c.CheckpointIntervalSec, c.FullCheckpoints, c.faultload().key())
-	if c.TxnRate > 0 {
-		k += fmt.Sprintf("/txn%g", c.TxnRate)
-	}
-	return k
-}
-
 // RunResult aggregates everything the paper reports about one run.
 type RunResult struct {
 	Cfg RunConfig
@@ -227,18 +213,21 @@ var (
 )
 
 // Run executes one experiment (memoized per process: several tables share
-// runs, exactly as in the paper where Figure 5 plots the Table 1 runs).
+// runs, exactly as in the paper where Figure 5 plots the Table 1 runs). The
+// memo key is the defaulted config printed whole, so no field can be left
+// out of it and no two values of one share a key.
 func Run(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
+	key := fmt.Sprintf("%+v", cfg)
 	runMu.Lock()
-	if r, ok := runCache[cfg.key()]; ok {
+	if r, ok := runCache[key]; ok {
 		runMu.Unlock()
 		return r
 	}
 	runMu.Unlock()
 	r := runOnce(cfg)
 	runMu.Lock()
-	runCache[cfg.key()] = r
+	runCache[key] = r
 	runMu.Unlock()
 	return r
 }
@@ -260,8 +249,7 @@ func (a simSched) After(d time.Duration, fn func()) { a.s.After(d, fn) }
 
 func runOnce(cfg RunConfig) RunResult {
 	proto := populationFor(cfg.StateMB)
-
-	var recoveries []recoveryEvent
+	led := newLedger()
 
 	var pcfg paxos.Config
 	if cfg.NoBatch {
@@ -287,10 +275,9 @@ func runOnce(cfg RunConfig) RunResult {
 		Seed:               cfg.Seed*1e6 + uint64(cfg.Servers)*1000 + uint64(cfg.Profile),
 		Net:                expNet,
 		Disk:               expDisk,
-		OnRecovered: func(server int, at time.Time) {
-			recoveries = append(recoveries, recoveryEvent{server: server, at: at})
-		},
+		OnRecovered:        led.recovered,
 	})
+	led.cluster = cluster
 	s := cluster.Sim()
 	cluster.Start()
 
@@ -308,6 +295,7 @@ func runOnce(cfg RunConfig) RunResult {
 	// Checkpoint I/O before this point (the population install) is
 	// excluded from the steady-state accounting.
 	t0 := s.Now()
+	led.t0 = t0
 	ckptW0, ckptB0 := cluster.CheckpointIO()
 	total := rampUp + cfg.Measure + rampDown
 	recGroups := cfg.Shards
@@ -329,96 +317,8 @@ func runOnce(cfg RunConfig) RunResult {
 	// Faultload: the run's schedule, scaled into the measurement interval
 	// if it was shortened.
 	at := func(sec float64) time.Time { return t0.Add(RunOffset(cfg.Measure, sec)) }
-	var crashes []crashEvent
-	var faultWins []metrics.FaultWindow
-	openWins := map[string][]int{} // kind+selKey -> indices into faultWins
-	secOf := func(t time.Time) float64 { return t.Sub(t0).Seconds() }
-	openWindows := func(kind string, ev resolvedEvent) {
-		key := kind + "/" + ev.selKey
-		for _, g := range ev.groups {
-			openWins[key] = append(openWins[key], len(faultWins))
-			faultWins = append(faultWins, metrics.FaultWindow{
-				Kind:    kind,
-				Group:   g,
-				Dir:     ev.dir.String(),
-				Factor:  ev.factor,
-				FromSec: secOf(s.Now()),
-				ToSec:   -1,
-			})
-		}
-	}
-	closeWindows := func(kind string, ev resolvedEvent) {
-		key := kind + "/" + ev.selKey
-		for _, i := range openWins[key] {
-			faultWins[i].ToSec = secOf(s.Now())
-		}
-		delete(openWins, key)
-	}
-	// Each open window fault remembers, under its opener and selector, what
-	// lifts it from its victims, so that the restore with the same selector
-	// clears exactly them, and re-firing a selector supersedes its open
-	// event.
-	type openKey struct {
-		op     FaultOp // the window-opening op
-		selKey string
-	}
-	open := map[openKey]func(){}
-	fr := &faultRun{cluster: cluster, disk: map[int]map[string]float64{}}
 	for _, ev := range cfg.faultload().resolve(cfg) {
-		ev := ev
-		t := at(ev.atSec)
-		wf, opens := Opens(ev.op)
-		closed, closes := Closes(ev.op)
-		switch {
-		case ev.op == OpCrash || ev.op == OpCrashNoRestart:
-			for _, v := range ev.victims {
-				crashes = append(crashes, crashEvent{server: v, at: t})
-			}
-			s.At(t, func() {
-				for _, v := range ev.victims {
-					if ev.op == OpCrashNoRestart {
-						cluster.SetAutoRestart(v, false)
-					}
-					cluster.Crash(v)
-				}
-			})
-		case ev.op == OpRecover:
-			s.At(t, func() {
-				for _, v := range ev.victims {
-					cluster.ManualRecover(v)
-				}
-			})
-		case opens:
-			key := openKey{ev.op, ev.selKey}
-			s.At(t, func() {
-				victims := ev.victims
-				if wf.LateBinds && ev.leaderOf >= 0 {
-					// Late binding: hit whoever leads the group now; the
-					// rotation victim is the no-leader fallback.
-					if l := cluster.LeaderOf(ev.leaderOf); l >= 0 {
-						victims = []int{l}
-					}
-				}
-				if len(victims) == 0 {
-					return // e.g. the empty minority of a 1-server group
-				}
-				if lift, ok := open[key]; ok {
-					lift()
-					closeWindows(wf.Kind, ev)
-				}
-				open[key] = wf.injectOn(fr, ev, victims)
-				openWindows(wf.Kind, ev)
-			})
-		case closes:
-			key := openKey{closed.Open, ev.selKey}
-			s.At(t, func() {
-				if lift, ok := open[key]; ok {
-					lift()
-					delete(open, key)
-					closeWindows(closed.Kind, ev)
-				}
-			})
-		}
+		led.schedule(ev, at(ev.atSec))
 	}
 
 	// Live rebalance: one group joins at the scheduled time and its
@@ -431,7 +331,7 @@ func runOnce(cfg RunConfig) RunResult {
 				OnPhase: func(phase string) {
 					if phase == webtier.PhaseCopy && cfg.CrashMidMigration {
 						victim := cluster.Voters(0)[pickVictimsInGroup(cfg, 0)[0]]
-						crashes = append(crashes, crashEvent{server: victim, at: s.Now()})
+						led.crash(victim, 0, s.Now(), true)
 						cluster.Crash(victim)
 					}
 				},
@@ -451,7 +351,7 @@ func runOnce(cfg RunConfig) RunResult {
 	// Run to completion plus a drain tail for late recoveries.
 	s.RunUntil(t0.Add(total + 90*time.Second))
 
-	res := collect(cfg, cluster, recorder, t0, total, crashes, recoveries, faultWins)
+	res := collect(cfg, cluster, recorder, led, total)
 	w, b := cluster.CheckpointIO()
 	res.CheckpointWrites = w - ckptW0
 	res.CheckpointBytes = b - ckptB0
@@ -472,67 +372,6 @@ func RunOffset(interval time.Duration, paperSec float64) time.Duration {
 	return rampUp + time.Duration(scale*(paperSec-rampUp.Seconds())*float64(time.Second))
 }
 
-type recoveryEvent struct {
-	server int
-	at     time.Time
-}
-
-// injectOn injects the fault on the victims, per event or per victim, and
-// returns what lifts it again.
-func (wf WindowFault) injectOn(r *faultRun, ev resolvedEvent, victims []int) (lift func()) {
-	if !wf.PerVictim {
-		return wf.inject(r, ev, victims)
-	}
-	var lifts []func()
-	for _, v := range victims {
-		lifts = append(lifts, wf.inject(r, ev, []int{v}))
-	}
-	return func() {
-		for _, lift := range lifts {
-			lift()
-		}
-	}
-}
-
-// faultRun is what the window faults of one run act on (WindowFault.inject).
-type faultRun struct {
-	cluster *webtier.Cluster
-
-	// disk composes overlapping degradations: per victim, the factors of
-	// every open OpDiskSlow touching it, by selector.
-	disk map[int]map[string]float64
-}
-
-// slowDisk is OpDiskSlow's inject. The hardware runs at the worst active
-// factor; lifting one event re-applies the max of whatever remains (or
-// heals the drive when none does).
-func (r *faultRun) slowDisk(ev resolvedEvent, victims []int) (lift func()) {
-	v := victims[0]
-	worst := func() {
-		f := 1.0
-		for _, x := range r.disk[v] {
-			f = max(f, x)
-		}
-		r.cluster.SetDiskFactor(v, f)
-	}
-	if r.disk[v] == nil {
-		r.disk[v] = map[string]float64{}
-	}
-	r.disk[v][ev.selKey] = ev.factor
-	r.cluster.DegradeDisk(v, ev.factor) // counts the fault
-	worst()
-	return func() {
-		delete(r.disk[v], ev.selKey)
-		worst()
-	}
-}
-
-// crashEvent is one scheduled crash of one server.
-type crashEvent struct {
-	server int
-	at     time.Time
-}
-
 // pickVictimsInGroup is the per-group victim rotation ("chosen at random",
 // §5.5, but deterministically): member indices within group g, distinct
 // where the group size allows it.
@@ -549,11 +388,10 @@ func pickVictimsInGroup(cfg RunConfig, g int) []int {
 
 // collect derives the paper's measures from a finished run.
 func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecorder,
-	t0 time.Time, total time.Duration, crashes []crashEvent,
-	recoveries []recoveryEvent, faultWins []metrics.FaultWindow) RunResult {
+	led *ledger, total time.Duration) RunResult {
 
 	rec := srec.Aggregate()
-	sec := func(t time.Time) float64 { return t.Sub(t0).Seconds() }
+	sec := led.sec
 	mStart := int(rampUp.Seconds())
 	mEnd := int((rampUp + cfg.Measure).Seconds())
 
@@ -568,73 +406,48 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 	}
 	res.Accuracy = rec.Accuracy()
 	res.Proxy = cluster.ProxyStats()
-	res.FaultWindows = faultWins
+	res.FaultWindows = led.windows
 	res.Availability = metrics.Availability(cluster.Downtime(), total)
 	res.Autonomy = metrics.ComputeAutonomy(cluster.Interventions(), cluster.Faults())
 	res.Faults = cluster.Faults()
 	res.FenceViolations = cluster.FenceViolations()
 
-	// Match recoveries to crashes per victim (first recovery after the
-	// crash). matchedRec aligns with crashes; -1 marks a victim that never
-	// came back.
-	matchedRec := make([]float64, len(crashes))
-	for i, ce := range crashes {
-		res.CrashSec = append(res.CrashSec, sec(ce.at))
-		res.CrashedServers = append(res.CrashedServers, ce.server)
-		matchedRec[i] = -1
-		for _, rv := range recoveries {
-			if rv.server == ce.server && rv.at.After(ce.at) {
-				matchedRec[i] = sec(rv.at)
-				res.RecoverySec = append(res.RecoverySec, sec(rv.at))
-				res.RecoveryDur = append(res.RecoveryDur, rv.at.Sub(ce.at).Seconds())
-				break
-			}
+	for _, c := range led.crashes {
+		res.CrashSec = append(res.CrashSec, sec(c.at))
+		res.CrashedServers = append(res.CrashedServers, c.server)
+		if !c.recovered.IsZero() {
+			res.RecoverySec = append(res.RecoverySec, sec(c.recovered))
+			res.RecoveryDur = append(res.RecoveryDur, c.recovered.Sub(c.at).Seconds())
 		}
 	}
 
-	// Performability windows (§5.1): failure-free vs recovery periods
-	// within the measurement interval.
-	fl := cfg.faultload()
-	if len(res.CrashSec) > 0 {
-		crash0 := int(res.CrashSec[0])
-		recEnd := mEnd
-		if len(res.RecoverySec) > 0 {
-			recEnd = int(maxFloat(res.RecoverySec))
-			if recEnd > mEnd {
-				recEnd = mEnd
+	// Performability (§5.1) of a scope — group g's recorder, or the
+	// deployment's with g = -1: the interval the ledger says it spent under
+	// fault against the failure-free rest of the measurement.
+	perf := func(rec *metrics.Recorder, g int) (p metrics.Performability) {
+		if w, ok := led.window(g, mStart, mEnd); ok {
+			ff := []metrics.Window{{From: mStart, To: w.From}}
+			if w.To+1 < mEnd {
+				ff = append(ff, metrics.Window{From: w.To + 1, To: mEnd})
 			}
+			p = rec.ComputePerformability(ff, w)
 		}
-		ff := []metrics.Window{{From: mStart, To: crash0}}
-		if recEnd+1 < mEnd {
-			ff = append(ff, metrics.Window{From: recEnd + 1, To: mEnd})
-		}
-		manualAt := firstRecoverSec(fl)
-		if manualAt >= 0 && delayedRecoveryShape(fl) && len(res.RecoverySec) >= 2 {
-			// Two windows: autonomous recovery R1 and the operator's
-			// delayed recovery R2 (Table 5).
-			r1End := int(res.RecoverySec[0])
-			r2Start := int(RunOffset(cfg.Measure, manualAt).Seconds())
-			r2End := int(res.RecoverySec[1])
-			if r2End > mEnd {
-				r2End = mEnd
-			}
-			ffd := []metrics.Window{{From: mStart, To: crash0}}
-			res.Perf = rec.ComputePerformability(ffd, metrics.Window{From: crash0, To: r1End})
-			res.PerfR2 = rec.ComputePerformability(ffd, metrics.Window{From: r2Start, To: r2End})
-		} else {
-			res.Perf = rec.ComputePerformability(ff, metrics.Window{From: crash0, To: recEnd})
-		}
-	} else if w := windowSpan(faultWins, -1, total.Seconds()); w != nil {
-		// No crashes, but correlated fault windows (partition / slow
-		// disk): performability compares the faulty interval against the
-		// failure-free remainder, exactly like a recovery window.
-		if f0, f1, ok := clipWindow(w[0], w[1], mStart, mEnd); ok {
-			ff := []metrics.Window{{From: mStart, To: f0}}
-			if f1+1 < mEnd {
-				ff = append(ff, metrics.Window{From: f1 + 1, To: mEnd})
-			}
-			res.Perf = rec.ComputePerformability(ff, metrics.Window{From: f0, To: f1})
-		}
+		return p
+	}
+	if w, ok := led.window(-1, mStart, mEnd); ok && led.autonomous &&
+		!led.operatorAt.IsZero() && len(res.RecoverySec) >= 2 {
+		// §5.6's shape, an autonomous recovery beside the operator's delayed
+		// one, reports two windows against the time before the crash
+		// (Table 5): R1 to the first recovery, R2 from when the operator
+		// acted to the second. An all-manual schedule like a whole-group
+		// outage keeps the single window.
+		ff := []metrics.Window{{From: mStart, To: w.From}}
+		res.Perf = rec.ComputePerformability(ff,
+			metrics.Window{From: w.From, To: int(res.RecoverySec[0])})
+		res.PerfR2 = rec.ComputePerformability(ff,
+			metrics.Window{From: int(sec(led.operatorAt)), To: min(int(res.RecoverySec[1]), mEnd)})
+	} else {
+		res.Perf = perf(rec, -1)
 	}
 
 	// The live rebalance's report: migration window on the x-axis plus
@@ -690,66 +503,8 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 		// Accuracy() when both staleness counters are zero).
 		gr.Accuracy = metrics.WeightedGroupAccuracy(grec.Total(), grec.TotalErrors(),
 			gr.FenceWaits, gr.StaleServes)
-		gCrash0, gRecEnd := -1, -1
-		var durSum float64
-		for i, ce := range crashes {
-			if cluster.GroupOfServer(ce.server) != g {
-				continue
-			}
-			gr.Crashes++
-			cs := int(sec(ce.at))
-			if gCrash0 < 0 || cs < gCrash0 {
-				gCrash0 = cs
-			}
-			if matchedRec[i] >= 0 {
-				gr.Recoveries++
-				durSum += matchedRec[i] - sec(ce.at)
-				if re := int(matchedRec[i]); re > gRecEnd {
-					gRecEnd = re
-				}
-			}
-		}
-		if gr.Recoveries > 0 {
-			gr.MeanRecoverySec = durSum / float64(gr.Recoveries)
-		}
-		// Correlated fault windows: this group's partitioned and
-		// disk-degraded time (open windows extend to the accounting end).
-		endSec := total.Seconds()
-		for _, fw := range faultWins {
-			if fw.Group != g {
-				continue
-			}
-			to := fw.ToSec
-			if to < 0 {
-				to = endSec
-			}
-			if gr.Windows == nil {
-				gr.Windows = map[string]metrics.WindowTotal{}
-			}
-			w := gr.Windows[fw.Kind]
-			gr.Windows[fw.Kind] = metrics.WindowTotal{Count: w.Count + 1, Sec: w.Sec + (to - fw.FromSec)}
-		}
-		if gr.Crashes > 0 {
-			if gRecEnd < 0 || gRecEnd > mEnd {
-				gRecEnd = mEnd
-			}
-			gff := []metrics.Window{{From: mStart, To: gCrash0}}
-			if gRecEnd+1 < mEnd {
-				gff = append(gff, metrics.Window{From: gRecEnd + 1, To: mEnd})
-			}
-			gr.Perf = grec.ComputePerformability(gff, metrics.Window{From: gCrash0, To: gRecEnd})
-		} else if w := windowSpan(faultWins, g, endSec); w != nil {
-			// Crash-free group under a partition or disk-degradation
-			// window: its performability compares the window against the
-			// failure-free rest.
-			if f0, f1, ok := clipWindow(w[0], w[1], mStart, mEnd); ok {
-				gff := []metrics.Window{{From: mStart, To: f0}}
-				if f1+1 < mEnd {
-					gff = append(gff, metrics.Window{From: f1 + 1, To: mEnd})
-				}
-				gr.Perf = grec.ComputePerformability(gff, metrics.Window{From: f0, To: f1})
-			}
-		}
+		led.tally(&gr, total.Seconds())
+		gr.Perf = perf(grec, g)
 		res.PerGroup[g] = gr
 	}
 
@@ -774,84 +529,4 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 		}
 	}
 	return res
-}
-
-// firstRecoverSec returns the earliest manual-recovery time of the
-// faultload on the paper's x-axis, or -1 when it schedules none.
-func firstRecoverSec(f Faultload) float64 {
-	out := -1.0
-	for _, ev := range f.Events {
-		if ev.Op == OpRecover && (out < 0 || ev.AtSec < out) {
-			out = ev.AtSec
-		}
-	}
-	return out
-}
-
-// delayedRecoveryShape reports whether the faultload has the §5.6 shape —
-// an autonomous recovery (OpCrash) alongside a delayed manual one — for
-// which Table 5's two-window performability (R1 autonomous, R2 manual)
-// applies. All-manual schedules like a whole-group outage get the single
-// crash-to-last-recovery window instead.
-func delayedRecoveryShape(f Faultload) bool {
-	auto := false
-	for _, ev := range f.Events {
-		if ev.Op == OpCrash {
-			auto = true
-		}
-	}
-	return auto
-}
-
-// windowSpan returns the [first-open, last-close] span of the fault
-// windows touching group g (any group when g < 0), or nil when none.
-// Windows still open extend to endSec.
-func windowSpan(wins []metrics.FaultWindow, g int, endSec float64) *[2]float64 {
-	from, to := -1.0, -1.0
-	for _, fw := range wins {
-		if g >= 0 && fw.Group != g {
-			continue
-		}
-		end := fw.ToSec
-		if end < 0 {
-			end = endSec
-		}
-		if from < 0 || fw.FromSec < from {
-			from = fw.FromSec
-		}
-		if end > to {
-			to = end
-		}
-	}
-	if from < 0 {
-		return nil
-	}
-	return &[2]float64{from, to}
-}
-
-// clipWindow converts a [fromSec, toSec] span to whole-second bucket
-// bounds clipped to the measurement interval, reporting ok=false when the
-// span misses it entirely.
-func clipWindow(fromSec, toSec float64, mStart, mEnd int) (f0, f1 int, ok bool) {
-	f0, f1 = int(fromSec), int(toSec)
-	if f0 >= mEnd || f1 <= mStart || f1 <= f0 {
-		return 0, 0, false
-	}
-	if f0 < mStart {
-		f0 = mStart
-	}
-	if f1 > mEnd {
-		f1 = mEnd
-	}
-	return f0, f1, true
-}
-
-func maxFloat(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"robuststore/internal/exp"
 	"robuststore/internal/paxos"
@@ -72,7 +73,8 @@ func TestHuntFindsShrinksAndPinsKnownBug(t *testing.T) {
 	defer func() { paxos.BugStaleLeaderRejoin = false }()
 
 	dir := t.TempDir()
-	rep := Hunt(Config{Servers: 5, Seed: 26, Budget: 4, PinDir: dir, Log: os.Stderr})
+	rep := Hunt(Config{Seed: 26, Budget: 4, PinDir: dir, Log: os.Stderr, Base: exp.RunConfig{
+		Servers: 5, StateMB: 300, Browsers: 300, Measure: 120 * time.Second}})
 	if len(rep.Findings) == 0 {
 		t.Fatal("hunt against the known-bad engine found nothing")
 	}

@@ -14,27 +14,19 @@ import (
 	"io"
 	"math/rand"
 	"strings"
-	"time"
 
 	"robuststore/internal/exp"
-	"robuststore/internal/rbe"
 )
 
 // Config parameterizes one hunt.
 type Config struct {
-	Shards   int           // default 1
-	Servers  int           // default 3
-	StateMB  int           // default 300
-	Browsers int           // default 300
-	Measure  time.Duration // default 120 s (shortened; event times scale)
-	Profile  rbe.Profile   // default Shopping
-
-	// TxnRate drives cross-shard transactions (2PC) beside the RBE load
-	// at this many per second of measured time, arming the atomicity
-	// oracle. Defaults to 1/s on sharded deployments (a hunt on 2+
-	// groups should always be probing the transaction window) and 0 on
-	// single-group ones, where no transaction can cross anything.
-	TxnRate float64
+	// Base is the run every schedule is bound to: deployment, load and
+	// measurement interval (event times scale with a shortened one). Its
+	// Seed and Fault are the hunt's to set. A TxnRate drives cross-shard
+	// transactions (2PC) beside the RBE load and arms the atomicity oracle
+	// — a hunt on 2+ groups should set one, or it never probes the
+	// transaction window.
+	Base exp.RunConfig
 
 	Seed         uint64 // sampler base seed; trial t draws its own stream
 	Budget       int    // schedules to try; default 16
@@ -46,49 +38,13 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.Servers == 0 {
-		c.Servers = 3
-	}
-	if c.StateMB == 0 {
-		c.StateMB = 300
-	}
-	if c.Browsers == 0 {
-		c.Browsers = 300
-	}
-	if c.Measure == 0 {
-		c.Measure = 120 * time.Second
-	}
-	if c.Profile == 0 {
-		c.Profile = rbe.Shopping
-	}
 	if c.Budget == 0 {
 		c.Budget = 16
-	}
-	if c.TxnRate == 0 && c.Shards > 1 {
-		c.TxnRate = 1
 	}
 	if c.ShrinkBudget == 0 {
 		c.ShrinkBudget = 24
 	}
 	return c
-}
-
-// runConfig binds a schedule to the hunt's deployment.
-func (c Config) runConfig(fl exp.Faultload, seed uint64) exp.RunConfig {
-	return exp.RunConfig{
-		Profile:  c.Profile,
-		Servers:  c.Servers,
-		Shards:   c.Shards,
-		StateMB:  c.StateMB,
-		Fault:    fl,
-		Browsers: c.Browsers,
-		Measure:  c.Measure,
-		Seed:     seed,
-		TxnRate:  c.TxnRate,
-	}
 }
 
 // Finding is one failing schedule: found, shrunk, and (when PinDir is
@@ -126,23 +82,30 @@ func Hunt(cfg Config) Report {
 			logf("hunt: wall-clock budget exhausted after %d schedule(s)", t)
 			break
 		}
-		rng := rand.New(rand.NewSource(int64(cfg.Seed)*1_000_003 + int64(t)))
-		sc := sampleSchedule(rng, cfg.Shards, cfg.Servers)
 		// Rotate over a few run seeds: schedule diversity does most of
 		// the exploring, and reusing seeds keeps the baseline runs (one
 		// per seed, memoized) from dominating the budget.
 		runSeed := cfg.Seed + uint64(t%4)
 
-		base := exp.Run(cfg.runConfig(exp.Faultload{Name: "none"}, runSeed))
+		rc := cfg.Base
+		rc.Seed, rc.Fault = runSeed, exp.NoFault
+		base := exp.Run(rc)
 		if !baselined[runSeed] {
 			baselined[runSeed] = true
 			rep.Runs++ // memoized: one real run per distinct seed
 		}
+		rc = base.Cfg // Base with exp's defaults filled in
+		run := func(name string, evs []exp.FaultEvent) exp.RunResult {
+			rc.Fault = exp.Faultload{Name: name, Events: evs}
+			rep.Runs++
+			return exp.RunUncached(rc)
+		}
 
-		r := exp.RunUncached(cfg.runConfig(sc.fl, runSeed))
-		rep.Runs++
+		rng := rand.New(rand.NewSource(int64(cfg.Seed)*1_000_003 + int64(t)))
+		sc := sampleSchedule(rng, rc.Shards, rc.Servers)
+		r := run(sc.fl.Name, sc.fl.Events)
 		rep.Tried++
-		v := Evaluate(r, base.AWIPS, lastFaultRunSec(sc.fl.Events, cfg.Measure))
+		v := Evaluate(r, base.AWIPS, lastFaultRunSec(sc.fl.Events, rc.Measure))
 		if !v.Failed() {
 			logf("schedule %d/%d %s (%d events, seed %d): clean",
 				t+1, cfg.Budget, sc.fl.Name, len(sc.fl.Events), runSeed)
@@ -153,10 +116,7 @@ func Hunt(cfg Config) Report {
 			strings.Join(v.Violations, "; "))
 
 		failing := func(evs []exp.FaultEvent) bool {
-			fl := exp.Faultload{Name: sc.fl.Name, Events: evs}
-			rr := exp.RunUncached(cfg.runConfig(fl, runSeed))
-			rep.Runs++
-			return Evaluate(rr, base.AWIPS, lastFaultRunSec(evs, cfg.Measure)).Failed()
+			return Evaluate(run(sc.fl.Name, evs), base.AWIPS, lastFaultRunSec(evs, rc.Measure)).Failed()
 		}
 		minEvents, probes := Shrink(sc.fl.Events, failing, cfg.ShrinkBudget, logf)
 		logf("shrunk %s: %s in %d probe run(s)",
@@ -166,13 +126,13 @@ func Hunt(cfg Config) Report {
 			Name:       sc.fl.Name,
 			Violations: v.Violations,
 			Seed:       runSeed,
-			Profile:    cfg.Profile.String(),
-			Servers:    cfg.Servers,
-			Shards:     cfg.Shards,
-			StateMB:    cfg.StateMB,
-			Browsers:   cfg.Browsers,
-			MeasureSec: int(cfg.Measure.Seconds()),
-			TxnRate:    cfg.TxnRate,
+			Profile:    rc.Profile.String(),
+			Servers:    rc.Servers,
+			Shards:     rc.Shards,
+			StateMB:    rc.StateMB,
+			Browsers:   rc.Browsers,
+			MeasureSec: int(rc.Measure.Seconds()),
+			TxnRate:    rc.TxnRate,
 			Events:     pinEvents(minEvents),
 		}
 		f := Finding{

@@ -59,18 +59,24 @@ func RunAll(p Params, w io.Writer) error {
 // cost.
 const sweepMeasure = 150 * time.Second
 
+// readScaleBrowsers drives the read scale-out sweep past the biggest
+// deployment's read capacity, so the measured rate is capacity, not
+// offered load.
+const readScaleBrowsers = 3000
+
 // scale sizes a replication-degree sweep: the paper's 4–12 servers (18
 // nodes minus 5 clients and 1 proxy) over 150 s, or 4 and 8 replicas over
 // 30 s — under the same population either way, so the short speedup still
 // saturates (2600 browsers no longer saturate the browsing mix at 12
 // replicas, and a 12-replica run costs three times the host time of an
 // 8-replica one).
-func (p Params) scale(stateMB, browsers int) ScaleConfig {
-	cfg := ScaleConfig{Degrees: []int{4, 5, 6, 8, 10, 12}, StateMB: stateMB, Browsers: browsers, Measure: sweepMeasure, Seed: p.Seed}
+func (p Params) scale(stateMB, browsers int) (RunConfig, []int) {
+	cfg := RunConfig{StateMB: stateMB, Browsers: browsers, Measure: sweepMeasure, Seed: p.Seed}
 	if p.Short {
-		cfg.Degrees, cfg.Measure = []int{4, 8}, 30*time.Second
+		cfg.Measure = 30 * time.Second
+		return cfg, []int{4, 8}
 	}
-	return cfg
+	return cfg, []int{4, 5, 6, 8, 10, 12}
 }
 
 // crash sizes a §5.4–5.6 fault run and the replication degrees it is
@@ -85,10 +91,11 @@ func (p Params) crash(fault Faultload) (RunConfig, []int) {
 	return RunConfig{StateMB: 500, Fault: fault, Seed: p.Seed}, matrixDegrees
 }
 
-// suite sizes the sharded dependability deployment: the paper's load and
-// interval, or 300 browsers over 150 s.
-func (p Params) suite() ShardedSuiteConfig {
-	cfg := ShardedSuiteConfig{Shards: p.Shards, Seed: p.Seed}
+// suite sizes the sharded dependability deployment — -shards groups of
+// three replicas on a 300 MB state under the Shopping profile: the paper's
+// load and interval, or 300 browsers over 150 s.
+func (p Params) suite() RunConfig {
+	cfg := RunConfig{Profile: rbe.Shopping, Servers: 3, Shards: p.Shards, StateMB: 300, Seed: p.Seed}
 	if p.Short {
 		cfg.Browsers, cfg.Measure = 300, 150*time.Second
 	}
@@ -217,7 +224,11 @@ var Experiments = []Experiment{
 			if p.Short && len(counts) > 2 {
 				counts = counts[:2]
 			}
-			PrintShardedRecovery(w, ShardedRecoveryCurve(p.Seed, counts))
+			// The suite's groups on a shortened run at either size: only
+			// the recovery is measured.
+			base := p.suite()
+			base.Browsers, base.Measure, base.CrashAt = 600, 180*time.Second, 90
+			PrintShardedRecovery(w, ShardedRecoveryCurve(base, counts))
 			return nil
 		}},
 	{"rebalance", "resharding under fault: a group added live at t=240 s, a source-group member killed mid-copy",
@@ -229,13 +240,14 @@ var Experiments = []Experiment{
 		}},
 	{"checkpoint", "recovery time vs checkpoint interval (the Figure 6 trade-off), full-state vs incremental checkpoints",
 		func(p Params, w io.Writer) error {
-			cfg := CheckpointCurveConfig{Servers: 5, StateMB: 500, Browsers: 400,
-				Measure: 300 * time.Second, Intervals: []int{15, 30, 60, 120}, Seed: p.Seed}
+			base := RunConfig{Profile: rbe.Shopping, Servers: 5, StateMB: 500, Browsers: 400,
+				Measure: 300 * time.Second, CrashAt: 90, Seed: p.Seed}
+			intervals := []int{15, 30, 60, 120}
 			if p.Short {
-				cfg = CheckpointCurveConfig{Servers: 3, StateMB: 300, Browsers: 300,
-					Measure: 150 * time.Second, Intervals: []int{20, 60}, Seed: p.Seed}
+				base.Servers, base.StateMB, base.Browsers, base.Measure = 3, 300, 300, 150*time.Second
+				intervals = []int{20, 60}
 			}
-			PrintCheckpointCurve(w, CheckpointCurve(cfg))
+			PrintCheckpointCurve(w, CheckpointCurve(base, intervals))
 			return nil
 		}},
 	{"partition", "correlated network faults: leader isolation, minority split, whole-group isolation, one-way loss",
@@ -245,11 +257,12 @@ var Experiments = []Experiment{
 		}},
 	{"partition-recovery", "leader isolation on 5 replicas: detection+failover and post-heal reabsorption times",
 		func(p Params, w io.Writer) error {
-			browsers, measure := 600, 300*time.Second
+			base := RunConfig{Profile: rbe.Shopping, Servers: 5, StateMB: 300, Browsers: 600,
+				Measure: 300 * time.Second, Seed: p.Seed}
 			if p.Short {
-				browsers, measure = 300, 150*time.Second
+				base.Browsers, base.Measure = 300, 150*time.Second
 			}
-			PrintPartitionBench(w, PartitionRecoveryBench(p.Seed, browsers, measure))
+			PrintPartitionBench(w, PartitionRecoveryBench(base))
 			return nil
 		}},
 	{"slowdisk", "the failing-disk straggler: one member's disk degraded live, never tripping crash detection",
@@ -279,11 +292,13 @@ var Experiments = []Experiment{
 		}},
 	{"readscale", "read throughput vs learner-backed readers per group under the saturated Browsing profile",
 		func(p Params, w io.Writer) error {
-			cfg := ReadScaleConfig{Counts: []int{0, 1, 3}, Browsers: readScaleBrowsers, Measure: sweepMeasure, Seed: p.Seed}
+			base := RunConfig{Profile: rbe.Browsing, Servers: 3, StateMB: 300,
+				Browsers: readScaleBrowsers, Measure: sweepMeasure, Seed: p.Seed}
+			counts := []int{0, 1, 3}
 			if p.Short {
-				cfg.Counts, cfg.Measure = []int{0, 3}, 60*time.Second
+				base.Measure, counts = 60*time.Second, []int{0, 3}
 			}
-			PrintReadScale(w, ReadScale(cfg))
+			PrintReadScale(w, ReadScale(base, counts))
 			return nil
 		}},
 	{"batching", "WAL group commit: ordered actions/s vs batch size × pipeline depth against the reference pipeline",

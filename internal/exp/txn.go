@@ -360,17 +360,11 @@ func TxnFaultloads() []Faultload {
 	}
 }
 
-// TxnSuite runs every transaction-window scenario against one sharded
-// deployment with the cross-shard transaction driver on (TxnRate 2/s)
-// and returns the per-scenario results, each carrying the atomicity
-// audit (RunResult.Txn) and the per-group transaction counters.
-func TxnSuite(cfg ShardedSuiteConfig) []RunResult {
-	scenarios := TxnFaultloads()
-	out := make([]RunResult, 0, len(scenarios))
-	for _, fl := range scenarios {
-		rc := cfg.runConfig(fl)
-		rc.TxnRate = 2
-		out = append(out, Run(rc))
-	}
-	return out
+// TxnSuite runs base, a sharded deployment, under every
+// transaction-window scenario with the cross-shard transaction driver on
+// (TxnRate 2/s) and returns the per-scenario results, each carrying the
+// atomicity audit (RunResult.Txn) and the per-group transaction counters.
+func TxnSuite(base RunConfig) []RunResult {
+	base.TxnRate = 2
+	return Suite(base, TxnFaultloads())
 }
