@@ -11,7 +11,7 @@
 // hash-partitions the state across N independent Paxos groups behind a
 // deterministic key router, the web tier routes client sessions to their
 // owning group, and both the live command (cmd/robuststore -shards) and
-// the experiment runner (cmd/experiment -run shard-scaling) expose the
+// the experiment runner (cmd/experiment -run batching) expose the
 // throughput-vs-shard-count dimension.
 //
 // Routing is explicit, epoch-versioned state, not arithmetic: a

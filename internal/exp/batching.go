@@ -12,9 +12,11 @@ import (
 // This file is the WAL group-commit experiment: on the same simulated
 // disk, how far do a wider group-commit batch and a deeper consensus
 // pipeline (MaxInFlight) move one group's ordered throughput, and does the
-// gain survive sharding? The baseline row is the shard-scaling reference
-// pipeline (batch 8, 4 in flight), so the speedup column reads directly
-// as "× over the reference engine".
+// gain survive sharding? The baseline row is shard.MeasureThroughput's
+// reference pipeline (batch 8, 4 in flight), so the speedup column reads
+// directly as "× over the reference engine", and the reference rows down
+// the shard counts are the throughput-vs-shard-count curve of the
+// hash-partitioned store.
 
 // batchingOffered is the offered load per group in actions/second: past
 // what the deepest pipeline orders, so every row reports its saturation

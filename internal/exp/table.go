@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"robuststore/internal/rbe"
-	"robuststore/internal/shard"
 )
 
 // This file is the one list of experiments. Each entry names an
@@ -190,25 +189,6 @@ var Experiments = []Experiment{
 				func(c *RunConfig) { c.SeqRec = true }))
 			return nil
 		}},
-	{"shard-scaling", "ordered actions/s of the hash-partitioned store at 1, 2 and 4 Paxos groups under one offered load",
-		func(p Params, w io.Writer) error {
-			cfg := shard.ThroughputConfig{Offered: 8000, Warmup: 2 * time.Second, Measure: 10 * time.Second, Seed: p.Seed}
-			if p.Short {
-				cfg.Measure = 3 * time.Second
-			}
-			fmt.Fprintf(w, "Shard scaling — committed actions/sec at %d offered actions/sec\n", cfg.Offered)
-			var one float64
-			for _, n := range []int{1, 2, 4} {
-				cfg.Shards = n
-				r := shard.MeasureThroughput(cfg)
-				if n == 1 {
-					one = r.PerSec
-				}
-				fmt.Fprintf(w, "  %d shard(s): %8.0f actions/sec  %.2f× (per shard %v)\n",
-					n, r.PerSec, r.PerSec/one, r.PerShard)
-			}
-			return nil
-		}},
 	{"sharded", "sharded faultloads: one member of every group, a rolling wave, a whole group out until manual recovery",
 		func(p Params, w io.Writer) error {
 			printSuite(w, Suite(p.suite(), ShardedFaultloads(p.Shards)))
@@ -301,11 +281,11 @@ var Experiments = []Experiment{
 			PrintReadScale(w, ReadScale(base, counts))
 			return nil
 		}},
-	{"batching", "WAL group commit: ordered actions/s vs batch size × pipeline depth against the reference pipeline",
+	{"batching", "WAL group commit: ordered actions/s vs batch size × pipeline depth against the reference pipeline, at 1, 2 and 4 Paxos groups",
 		func(p Params, w io.Writer) error {
-			cfg := BatchingConfig{Shards: []int{1, 4}, Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: p.Seed}
+			cfg := BatchingConfig{Shards: []int{1, 2, 4}, Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: p.Seed}
 			if p.Short {
-				cfg = BatchingConfig{Shards: []int{1}, Warmup: time.Second, Measure: 2 * time.Second, Seed: p.Seed}
+				cfg = BatchingConfig{Shards: []int{1, 2}, Warmup: time.Second, Measure: 2 * time.Second, Seed: p.Seed}
 			}
 			PrintBatching(w, Batching(cfg))
 			return nil

@@ -9,35 +9,37 @@ import (
 	"robuststore/internal/sim"
 )
 
-// This file is the shard-count scaling experiment: a fixed offered load
-// of small ordered actions is hashed across the store's groups on the
+// This file is the ordered-throughput measurement: an offered load of
+// small ordered actions is hashed across the store's groups on the
 // deterministic simulator, and aggregate committed-actions/sec is
 // measured. One Paxos group's ordered throughput is capped by its WAL
 // group-commit pipeline (disk flush latency × in-flight values × batch
 // size); sharding multiplies the number of independent pipelines, which
-// is the throughput-vs-shard-count curve cmd/experiment -run
-// shard-scaling reports.
+// is the throughput-vs-shard-count curve the reference rows of
+// cmd/experiment -run batching report.
 
-// ThroughputConfig parameterizes one scaling measurement.
+const (
+	// throughputReplicas is the replication degree of every group.
+	throughputReplicas = 3
+
+	// throughputKeys is the number of distinct partition keys the offered
+	// load is spread over.
+	throughputKeys = 512
+)
+
+// ThroughputConfig parameterizes one measurement.
 type ThroughputConfig struct {
 	// Shards is the group count under test.
 	Shards int
 
-	// Replicas per group. Default 3.
-	Replicas int
-
 	// Offered is the total offered load in actions/second, spread
-	// uniformly over Keys partition keys. Default 8000.
+	// uniformly over the partition keys.
 	Offered int
 
-	// Keys is the number of distinct partition keys. Default 512.
-	Keys int
-
 	// Warmup precedes the measurement (leader election, first flushes).
-	// Default 2 s.
 	Warmup time.Duration
 
-	// Measure is the measurement interval. Default 10 s.
+	// Measure is the measurement interval.
 	Measure time.Duration
 
 	// Seed fixes the simulation.
@@ -46,31 +48,8 @@ type ThroughputConfig struct {
 	// Paxos, when non-zero (detected by MaxBatchCmds ≠ 0), overrides the
 	// per-group ordering pipeline — batch window, batch size, pipeline
 	// depth — so experiments can sweep proposer configurations
-	// (internal/exp's batching matrix). Zero keeps the reference pipeline
-	// used by the shard-scaling benchmark.
+	// (internal/exp's batching matrix). Zero keeps the reference pipeline.
 	Paxos paxos.Config
-
-	// Disk, when non-zero, overrides the simulated disk of every node.
-	Disk sim.DiskConfig
-}
-
-func (c ThroughputConfig) withDefaults() ThroughputConfig {
-	if c.Replicas == 0 {
-		c.Replicas = 3
-	}
-	if c.Offered == 0 {
-		c.Offered = 8000
-	}
-	if c.Keys == 0 {
-		c.Keys = 512
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 2 * time.Second
-	}
-	if c.Measure == 0 {
-		c.Measure = 10 * time.Second
-	}
-	return c
 }
 
 // ThroughputResult reports one measurement.
@@ -102,7 +81,6 @@ type throughputAction struct {
 // MeasureThroughput runs one offered-load experiment on a fresh simulated
 // cluster and returns the committed-actions/sec it sustained.
 func MeasureThroughput(cfg ThroughputConfig) ThroughputResult {
-	cfg = cfg.withDefaults()
 	pcfg := cfg.Paxos
 	if pcfg.MaxBatchCmds == 0 {
 		// The reference per-group ordering pipeline: a short batch window
@@ -116,10 +94,10 @@ func MeasureThroughput(cfg ThroughputConfig) ThroughputResult {
 			MaxInFlight:  4,
 		}
 	}
-	s := sim.New(sim.Config{Seed: cfg.Seed, Disk: cfg.Disk})
+	s := sim.New(sim.Config{Seed: cfg.Seed})
 	store := New(s, Config{
 		Shards:   cfg.Shards,
-		Replicas: cfg.Replicas,
+		Replicas: throughputReplicas,
 		Machine:  func(int) core.StateMachine { return &counterMachine{} },
 		Core: core.Config{
 			// Checkpoints off the measurement path.
@@ -138,7 +116,7 @@ func MeasureThroughput(cfg ThroughputConfig) ThroughputResult {
 	if perTick < 1 {
 		perTick = 1
 	}
-	keys := make([]string, cfg.Keys)
+	keys := make([]string, throughputKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key/%d", i)
 	}
