@@ -684,10 +684,21 @@ func (r *Replica) fireFences() {
 // see AdmissionHintAge.
 const PublishInterval = 100 * time.Millisecond
 
-// publishLoop refreshes the published leadership and backlog snapshots so
+// publishLoop publishes now and then every PublishInterval, on one timer
+// re-armed at the bottom of its callback.
+func (r *Replica) publishLoop() {
+	r.publish()
+	var tick env.Timer
+	tick = r.e.After(PublishInterval, func() {
+		r.publish()
+		tick.Reset(PublishInterval)
+	})
+}
+
+// publish refreshes the published leadership and backlog snapshots so
 // application goroutines can await service readiness and aggregate
 // per-group metrics (internal/shard) without touching loop state.
-func (r *Replica) publishLoop() {
+func (r *Replica) publish() {
 	if r.en != nil && !r.publishFrozen.Load() {
 		r.pubHasLeader.Store(r.en.CurrentBallot().Seq >= 0)
 		r.pubIsLeader.Store(r.en.IsLeader())
@@ -695,7 +706,6 @@ func (r *Replica) publishLoop() {
 		r.pubAdmission.Store(int32(r.en.AdmissionState()))
 		r.pubAdmissionAt.Store(r.e.Now().UnixNano())
 	}
-	r.e.After(PublishInterval, r.publishLoop)
 }
 
 // FreezePublish stops (true) or resumes (false) hint refreshing without

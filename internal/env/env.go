@@ -23,12 +23,21 @@ type NodeID int32
 // immutable once sent; the live runtime may additionally encode them.
 type Message any
 
-// Timer is a cancellable pending callback.
+// Timer is a cancellable, re-armable callback bound to the incarnation
+// that created it. It is pending from After or Reset until it fires or is
+// stopped; a periodic or per-request user keeps one Timer and re-arms it
+// instead of making one per arming.
 type Timer interface {
 	// Stop cancels the timer. Stopping an already-fired or stopped timer
 	// is a no-op. Stop reports whether the callback was prevented from
 	// running.
 	Stop() bool
+
+	// Reset arms the timer to run its callback once, d from now, whether
+	// it has fired, was stopped or is still pending — a pending run is
+	// superseded, not added to. Like After, the run dies silently if the
+	// node crashes. Call it from the node's executor.
+	Reset(d time.Duration)
 }
 
 // Env is the interface between a node and its runtime.

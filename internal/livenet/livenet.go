@@ -314,9 +314,15 @@ func (e *liveEnv) Now() time.Time { return time.Now() }
 
 func (e *liveEnv) Post(fn func()) { e.n.postInc(e.inc, fn) }
 
+// liveTimer is a wall-clock timer whose expiry posts the callback to the
+// incarnation that made it (postInc), on every arming. An expiry already
+// posted when Stop or Reset is called still runs: they act on the clock, not
+// on the node's inbox.
 type liveTimer struct{ t *time.Timer }
 
 func (t *liveTimer) Stop() bool { return t.t.Stop() }
+
+func (t *liveTimer) Reset(d time.Duration) { t.t.Reset(d) }
 
 func (e *liveEnv) After(d time.Duration, fn func()) env.Timer {
 	t := time.AfterFunc(d, func() { e.n.postInc(e.inc, fn) })

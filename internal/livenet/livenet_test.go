@@ -434,3 +434,90 @@ func TestLiveLinkDelayStillDelivers(t *testing.T) {
 		t.Fatalf("restored link received %d messages, want 2", nodes[1].count())
 	}
 }
+
+// TestLiveTimerReset: the env.Timer contract on the wall clock, the cases of
+// sim's TestTimerReset. Every timer call is made on the node's loop, as the
+// contract asks; the callback reports each run on a channel.
+func TestLiveTimerReset(t *testing.T) {
+	const short, long = 10 * time.Millisecond, 150 * time.Millisecond
+	start := func(t *testing.T, d time.Duration) (c *Cluster, on func(func(env.Timer)), fires chan time.Time) {
+		c, nodes := pingCluster(t, 1)
+		fires = make(chan time.Time, 8) // more than any case runs the callback
+		made := make(chan env.Timer)
+		c.Post(0, func() { made <- nodes[0].env().After(d, func() { fires <- time.Now() }) })
+		tm := <-made
+		on = func(fn func(env.Timer)) {
+			ran := make(chan struct{})
+			c.Post(0, func() { fn(tm); close(ran) })
+			<-ran
+		}
+		return c, on, fires
+	}
+	fired := func(t *testing.T, fires chan time.Time) time.Time {
+		t.Helper()
+		select {
+		case at := <-fires:
+			return at
+		case <-time.After(5 * time.Second):
+			t.Fatal("the timer never fired")
+			return time.Time{}
+		}
+	}
+	quiet := func(t *testing.T, fires chan time.Time, d time.Duration) {
+		t.Helper()
+		select {
+		case <-fires:
+			t.Fatal("the callback ran")
+		case <-time.After(d):
+		}
+	}
+	t.Run("while pending supersedes", func(t *testing.T) {
+		_, on, fires := start(t, long)
+		t0 := time.Now()
+		on(func(tm env.Timer) { tm.Reset(2 * long) })
+		if at := fired(t, fires); at.Sub(t0) < 2*long {
+			t.Fatalf("ran %v after the Reset, want no sooner than %v", at.Sub(t0), 2*long)
+		}
+		quiet(t, fires, long)
+	})
+	t.Run("after fire re-arms", func(t *testing.T) {
+		_, on, fires := start(t, short)
+		fired(t, fires)
+		on(func(tm env.Timer) { tm.Reset(short) })
+		fired(t, fires)
+		quiet(t, fires, 5*short)
+	})
+	t.Run("after Stop re-arms", func(t *testing.T) {
+		_, on, fires := start(t, long)
+		on(func(tm env.Timer) {
+			if !tm.Stop() {
+				t.Error("Stop on a pending timer must report true")
+			}
+			tm.Reset(short)
+		})
+		fired(t, fires)
+		quiet(t, fires, 2*long)
+	})
+	t.Run("Stop after Reset", func(t *testing.T) {
+		_, on, fires := start(t, short)
+		fired(t, fires)
+		on(func(tm env.Timer) {
+			tm.Reset(long)
+			if !tm.Stop() {
+				t.Error("Stop on a re-armed timer must report true")
+			}
+			if tm.Stop() {
+				t.Error("second Stop must report false")
+			}
+		})
+		quiet(t, fires, 2*long)
+	})
+	t.Run("crash kills a re-armed timer", func(t *testing.T) {
+		c, on, fires := start(t, short)
+		fired(t, fires)
+		on(func(tm env.Timer) { tm.Reset(long) })
+		c.Crash(0)
+		c.Restart(0)
+		quiet(t, fires, 2*long)
+	})
+}

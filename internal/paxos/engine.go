@@ -152,15 +152,15 @@ type Engine struct {
 	// backlogs drain in O(n) total instead of reallocating the remainder
 	// per batch. cmdSeq numbers the commands (see Value).
 	nextSeq      int64
-	cmdSeq       int64 // number of the last command submitted
-	batchTimer   env.Timer
+	cmdSeq       int64     // number of the last command submitted
+	batchTimer   env.Timer // made on first use, re-armed after; pending while batchArmed
+	batchArmed   bool
 	outstanding  map[int64]*pendingValue // keyed by ValueID.Seq
 	cmdQueue     []any
 	qHead        int
 	queueBytes   int64
 	wal          *walWriter
 	adm          admissionController
-	batchFn      func()  // en.batchTimeout, bound once
 	retryScratch []int64 // sweep's due-for-retry list, reused
 
 	// Acceptor (durable; rebuilt from the WAL on boot).
@@ -201,7 +201,7 @@ func New(cfg Config) *Engine {
 	if cfg.Deliver == nil {
 		panic("paxos: Config.Deliver is required")
 	}
-	en := &Engine{
+	return &Engine{
 		cfg:          cfg,
 		adm:          admissionController{cfg: cfg.Admission},
 		outstanding:  make(map[int64]*pendingValue),
@@ -215,8 +215,6 @@ func New(cfg Config) *Engine {
 		chosen:       make(map[InstanceID]Value),
 		delivered:    make(map[env.NodeID]map[int64]*dedupSet),
 	}
-	en.batchFn = en.batchTimeout
-	return en
 }
 
 // Boot recovers the acceptor state from the WAL and joins the cluster.
@@ -311,23 +309,23 @@ func (en *Engine) noteBallot(b Ballot) {
 	}
 }
 
+// startTimers starts the ping and sweep loops: one timer each, re-armed at
+// the bottom of its callback.
 func (en *Engine) startTimers() {
-	var ping, sweep func()
-	ping = func() {
-		en.sendPing()
-		en.e.After(en.cfg.HeartbeatInterval, ping)
-	}
-	sweep = func() {
-		en.sweep()
-		en.e.After(en.cfg.SweepInterval, sweep)
-	}
+	var ping, sweep env.Timer
 	// Learners are silent: a learner ping would register in the voters'
 	// failure detectors and inflate their live count past the real quorum.
 	if !en.cfg.Learner {
 		// Stagger the first ping so nodes do not tick in lockstep.
-		en.e.After(time.Duration(en.e.Rand().Int63n(int64(en.cfg.HeartbeatInterval))), ping)
+		ping = en.e.After(time.Duration(en.e.Rand().Int63n(int64(en.cfg.HeartbeatInterval))), func() {
+			en.sendPing()
+			ping.Reset(en.cfg.HeartbeatInterval)
+		})
 	}
-	en.e.After(time.Duration(en.e.Rand().Int63n(int64(en.cfg.SweepInterval))), sweep)
+	sweep = en.e.After(time.Duration(en.e.Rand().Int63n(int64(en.cfg.SweepInterval))), func() {
+		en.sweep()
+		sweep.Reset(en.cfg.SweepInterval)
+	})
 }
 
 // --- Status ------------------------------------------------------------
@@ -416,8 +414,13 @@ func (en *Engine) pump() {
 	for en.queueLen() >= en.cfg.MaxBatchCmds && len(en.outstanding) < en.cfg.MaxInFlight {
 		en.proposeNext(en.cfg.MaxBatchCmds)
 	}
-	if en.queueLen() > 0 && len(en.outstanding) < en.cfg.MaxInFlight && en.batchTimer == nil {
-		en.batchTimer = en.e.After(en.cfg.BatchDelay, en.batchFn)
+	if en.queueLen() > 0 && len(en.outstanding) < en.cfg.MaxInFlight && !en.batchArmed {
+		en.batchArmed = true
+		if en.batchTimer == nil {
+			en.batchTimer = en.e.After(en.cfg.BatchDelay, en.batchTimeout)
+		} else {
+			en.batchTimer.Reset(en.cfg.BatchDelay)
+		}
 	}
 	en.compactQueue()
 	en.adm.update(en.queueLen(), en.queueBytes)
@@ -425,7 +428,7 @@ func (en *Engine) pump() {
 
 // batchTimeout proposes the partial batch that waited BatchDelay to fill.
 func (en *Engine) batchTimeout() {
-	en.batchTimer = nil
+	en.batchArmed = false
 	if n := en.queueLen(); n > 0 && len(en.outstanding) < en.cfg.MaxInFlight {
 		en.proposeNext(min(n, en.cfg.MaxBatchCmds))
 	}

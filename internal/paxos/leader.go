@@ -25,6 +25,7 @@ type leaderState struct {
 	inflight   map[InstanceID]*proposal // phase 2 in progress (classic or recovery)
 	inflightID map[ValueID]InstanceID
 	fastVotes  map[InstanceID]*voteSet
+	freeVotes  []*voteSet // emptied by onDecided, reused by onFastVote
 	recs       map[InstanceID]*recState
 	recSeq     int64
 	openSince  map[InstanceID]time.Time // when a gap instance was first noticed
@@ -40,10 +41,16 @@ type proposal struct {
 	lastSent time.Time
 }
 
+// voteSet is one instance's fast-round votes: at most one per acceptor, so
+// at most n, counted by walking them.
 type voteSet struct {
-	votes   map[env.NodeID]ValueID
-	values  map[ValueID]Value
+	votes   []fastVote
 	firstAt time.Time
+}
+
+type fastVote struct {
+	from env.NodeID
+	v    Value
 }
 
 type recState struct {
@@ -71,7 +78,12 @@ func (ls *leaderState) onDecided(inst InstanceID) {
 		delete(ls.inflightID, p.v.ID)
 	}
 	delete(ls.inflight, inst)
-	delete(ls.fastVotes, inst)
+	if vs, ok := ls.fastVotes[inst]; ok {
+		delete(ls.fastVotes, inst)
+		clear(vs.votes) // drop the values' command slices
+		vs.votes = vs.votes[:0]
+		ls.freeVotes = append(ls.freeVotes, vs)
+	}
 	delete(ls.recs, inst)
 	delete(ls.openSince, inst)
 	if ls.nextInstance <= inst {
@@ -333,37 +345,41 @@ func (en *Engine) onFastVote(from env.NodeID, m acceptedMsg) {
 	ls := en.leader
 	vs := ls.fastVotes[m.Inst]
 	if vs == nil {
-		vs = &voteSet{
-			votes:   make(map[env.NodeID]ValueID),
-			values:  make(map[ValueID]Value),
-			firstAt: en.e.Now(),
+		if n := len(ls.freeVotes); n > 0 {
+			vs, ls.freeVotes = ls.freeVotes[n-1], ls.freeVotes[:n-1]
+		} else {
+			vs = &voteSet{votes: make([]fastVote, 0, en.n)}
 		}
+		vs.firstAt = en.e.Now()
 		ls.fastVotes[m.Inst] = vs
 	}
 	if m.Inst > ls.maxVote {
 		ls.maxVote = m.Inst
 	}
-	if _, dup := vs.votes[from]; dup {
-		return // one vote per acceptor per fast round
+	for i := range vs.votes {
+		if vs.votes[i].from == from {
+			return // one vote per acceptor per fast round
+		}
 	}
-	vs.votes[from] = m.V.ID
-	vs.values[m.V.ID] = m.V
+	vs.votes = append(vs.votes, fastVote{from: from, v: m.V})
 
-	counts := make(map[ValueID]int)
-	best, total := 0, 0
-	var bestID ValueID
-	for _, id := range vs.votes {
-		counts[id]++
-		total++
-		if counts[id] > best {
-			best = counts[id]
-			bestID = id
+	// The value with the most votes; only one can reach a fast quorum.
+	best, bestAt, total := 0, 0, len(vs.votes)
+	for i := range vs.votes {
+		c := 0
+		for j := range vs.votes {
+			if vs.votes[j].v.ID == vs.votes[i].v.ID {
+				c++
+			}
+		}
+		if c > best {
+			best, bestAt = c, i
 		}
 	}
 	fq := FastQuorum(en.n)
 	switch {
 	case best >= fq:
-		en.choose(m.Inst, vs.values[bestID])
+		en.choose(m.Inst, vs.votes[bestAt].v)
 	case best+(en.n-total) < fq:
 		// Collision: no value can reach a fast quorum any more.
 		en.startRecovery(m.Inst)

@@ -8,7 +8,7 @@ type eventKind uint8
 const (
 	evGlobal   eventKind = iota // fn runs unconditionally (harness callbacks, disk completions)
 	evNode                      // fn runs if node is still in incarnation inc
-	evTimer                     // timer.fn, under the evNode rule, unless stopped
+	evTimer                     // timer.fn, under the evNode rule, while timer is pending and from is its generation
 	evDeliver                   // msg from sender from is handed to node, if it is up
 	evResource                  // a job completes on the *Resource in msg: fn (may be nil) runs unless it was Reset since generation inc
 )
@@ -17,7 +17,7 @@ const (
 // beyond the queue's own growth, and the loop dispatches on kind instead of
 // calling a closure built per event. Every kind's payload fits the fields
 // below (an evResource's *Resource rides in msg, pointer-shaped and so
-// unboxed): the heap copies entries on every sift, so a kind does not get a
+// unboxed; an evTimer's generation rides in from): the heap copies entries on every sift, so a kind does not get a
 // field of its own.
 type event struct {
 	at  int64 // unix nanos; int64 keeps heap comparisons cheap

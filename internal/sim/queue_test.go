@@ -88,11 +88,13 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 }
 
 // TestScheduleMatchesReferenceModel drives a simulation with a seeded random
-// mix of global callbacks, node timers, posts, timer stops, crashes and
-// restarts, and predicts from the reference heap what must run, in which
-// order, at what virtual time: a stopped timer never fires, Stop reports
-// whether it prevented the callback, a crash orphans the node's pending
-// callbacks, and everything else runs in (at, seq) order.
+// mix of global callbacks, node timers, posts, timer stops and resets,
+// crashes and restarts, and predicts from the reference heap what must run,
+// in which order, at what virtual time: a stopped timer never fires, Stop
+// reports whether it prevented the callback, a Reset schedules one more run
+// under the timer's own incarnation and supersedes a pending one, a crash
+// orphans the node's pending callbacks, and everything else runs in (at, seq)
+// order.
 func TestScheduleMatchesReferenceModel(t *testing.T) {
 	type fire struct {
 		id int
@@ -115,9 +117,9 @@ func TestScheduleMatchesReferenceModel(t *testing.T) {
 		nextID := 0
 		type handle struct {
 			tm env.Timer
-			ev *refEvent
+			ev *refEvent // the latest arming
 		}
-		var timers []handle
+		var timers []*handle
 		schedule := func(node int, d time.Duration) *refEvent {
 			seq++
 			nextID++
@@ -154,11 +156,11 @@ func TestScheduleMatchesReferenceModel(t *testing.T) {
 				s.After(d, record(e.id))
 			case op < 55 && envs[node] != nil:
 				e := schedule(node, d)
-				timers = append(timers, handle{envs[node].After(d, record(e.id)), e})
+				timers = append(timers, &handle{envs[node].After(d, record(e.id)), e})
 			case op < 70 && envs[node] != nil:
 				e := schedule(node, 0)
 				envs[node].Post(record(e.id))
-			case op < 85 && len(timers) > 0:
+			case op < 78 && len(timers) > 0:
 				h := timers[rng.Intn(len(timers))]
 				prevented := !h.ev.stopped && !h.ev.popped
 				if h.tm.Stop() != prevented {
@@ -166,6 +168,15 @@ func TestScheduleMatchesReferenceModel(t *testing.T) {
 						seed, !prevented, h.ev.id, h.ev.stopped, h.ev.popped)
 				}
 				h.ev.stopped = true
+			case op < 85 && len(timers) > 0:
+				// Pending, fired, stopped or orphaned by a crash: the timer
+				// runs its callback once more, as the incarnation that made it.
+				h := timers[rng.Intn(len(timers))]
+				h.tm.Reset(d)
+				prev := h.ev
+				prev.stopped = true
+				h.ev = schedule(prev.node, d)
+				h.ev.id, h.ev.inc = prev.id, prev.inc
 			case op < 88 && envs[node] != nil:
 				s.Crash(env.NodeID(node))
 				envs[node] = nil
@@ -222,8 +233,9 @@ func countPair(tb testing.TB) (*Sim, *countNode) {
 
 // TestEventAllocBudget: scheduling is allocation-free. Sending a message
 // that is already boxed and delivering it costs nothing; a node timer costs
-// its simTimer (which Stop needs) and nothing else; a post costs nothing,
-// and neither does a job on a Resource, with or without a completion.
+// its simTimer (which Stop and Reset need) and nothing else, and re-arming one
+// that has fired or was stopped costs nothing; a post costs nothing, and
+// neither does a job on a Resource, with or without a completion.
 func TestEventAllocBudget(t *testing.T) {
 	s, a := countPair(t)
 	var msg env.Message = "m" // boxed once, outside the measurement
@@ -255,8 +267,24 @@ func TestEventAllocBudget(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("After→fire: %v allocs, want at most 1 (the timer)", n)
 	}
-	cpu := NewResource(s, 1)
+	tm := a.e.After(time.Millisecond, fn)
+	s.RunFor(time.Millisecond)
 	before := fired
+	if n := testing.AllocsPerRun(100, func() {
+		tm.Reset(time.Millisecond) // fired
+		s.RunFor(time.Millisecond)
+		tm.Reset(time.Millisecond)
+		tm.Stop()
+		tm.Reset(time.Millisecond) // stopped
+		s.RunFor(time.Millisecond)
+	}); n != 0 {
+		t.Errorf("Reset of a fired or stopped timer→fire: %v allocs, want 0", n)
+	}
+	if fired-before != 2*101 {
+		t.Errorf("the re-armed timer ran %d times in 101 rounds of two arm-and-fire, want 202", fired-before)
+	}
+	cpu := NewResource(s, 1)
+	before = fired
 	if n := testing.AllocsPerRun(100, func() {
 		cpu.Acquire(100*time.Microsecond, fn)
 		cpu.Acquire(100*time.Microsecond, nil)

@@ -89,18 +89,19 @@ func (s *Sim) At(at time.Time, fn func()) { s.schedule(at, event{fn: fn}) }
 // After schedules a global callback after d.
 func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now.Add(d), event{fn: fn}) }
 
-// step pops the earliest event and runs it. A stopped timer is discarded
-// without advancing the clock.
+// step pops the earliest event and runs it. A timer event whose arming was
+// stopped or superseded by a Reset is discarded without advancing the clock.
 func (s *Sim) step() {
 	e := s.queue.pop()
 	if e.kind == evTimer {
-		if e.timer.stopped {
+		t := e.timer
+		if !t.pending || t.gen != int32(e.from) {
 			return
 		}
 		// Mark the timer spent before invoking: a later Stop must not claim
-		// it prevented this callback.
-		e.timer.fired = true
-		e.fn = e.timer.fn
+		// it prevented this callback, and the callback may Reset it.
+		t.pending = false
+		e.fn = t.fn
 	}
 	s.now = time.Unix(0, e.at).UTC()
 	switch e.kind {
@@ -292,25 +293,36 @@ func (e *nodeEnv) Post(fn func()) {
 	e.n.sim.schedule(e.n.sim.now, event{kind: evNode, node: e.n, inc: e.inc, fn: fn})
 }
 
-// simTimer owns a pending After callback's state: queue entries move, so
-// Stop cannot hold one.
+// simTimer owns a timer's state: queue entries move, so Stop cannot hold
+// one. Each arming schedules one event stamped with the generation it was
+// made under; the loop runs an event only while the timer is pending and the
+// stamp is current, so the entry a Stop or a later Reset leaves in the queue
+// is discarded when it surfaces.
 type simTimer struct {
-	fn             func()
-	stopped, fired bool
+	e       *nodeEnv
+	fn      func()
+	gen     int32 // bumped by every arming; rides in event.from
+	pending bool  // armed, and neither fired nor stopped since
 }
 
 func (t *simTimer) Stop() bool {
-	if t.stopped || t.fired {
+	if !t.pending {
 		return false
 	}
-	t.stopped = true // the loop discards stopped timers
-	t.fn = nil
+	t.pending = false
 	return true
 }
 
+func (t *simTimer) Reset(d time.Duration) {
+	t.gen++
+	t.pending = true
+	s := t.e.n.sim
+	s.schedule(s.now.Add(d), event{kind: evTimer, node: t.e.n, inc: t.e.inc, timer: t, from: env.NodeID(t.gen)})
+}
+
 func (e *nodeEnv) After(d time.Duration, fn func()) env.Timer {
-	t := &simTimer{fn: fn}
-	e.n.sim.schedule(e.n.sim.now.Add(d), event{kind: evTimer, node: e.n, inc: e.inc, timer: t})
+	t := &simTimer{e: e, fn: fn}
+	t.Reset(d)
 	return t
 }
 

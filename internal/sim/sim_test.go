@@ -391,6 +391,95 @@ func TestTimerStopAfterFireReportsFalse(t *testing.T) {
 	}
 }
 
+// TestTimerReset: the rest of the env.Timer contract. Reset arms the timer
+// for one run, d from the call, whatever state it was in; a pending run is
+// superseded, and the event it leaves in the queue neither runs nor moves the
+// clock when it surfaces.
+func TestTimerReset(t *testing.T) {
+	start := func(t *testing.T) (*Sim, *holder, env.Timer, *[]time.Duration) {
+		s, a, _ := twoNodes(t, Config{Seed: 21})
+		t0 := s.Now()
+		var fires []time.Duration
+		tm := a.n.e.After(5*time.Millisecond, func() { fires = append(fires, s.Now().Sub(t0)) })
+		return s, a, tm, &fires
+	}
+	ms := time.Millisecond
+	expect := func(t *testing.T, fires *[]time.Duration, want ...time.Duration) {
+		t.Helper()
+		if len(*fires) != len(want) {
+			t.Fatalf("callback ran at %v, want %v", *fires, want)
+		}
+		for i := range want {
+			if (*fires)[i] != want[i] {
+				t.Fatalf("callback ran at %v, want %v", *fires, want)
+			}
+		}
+	}
+	t.Run("while pending supersedes", func(t *testing.T) {
+		s, _, tm, fires := start(t)
+		s.RunFor(ms)
+		tm.Reset(10 * ms)
+		s.RunFor(30 * ms)
+		expect(t, fires, 11*ms)
+	})
+	t.Run("after fire re-arms", func(t *testing.T) {
+		s, _, tm, fires := start(t)
+		s.RunFor(6 * ms)
+		tm.Reset(2 * ms)
+		s.RunFor(30 * ms)
+		expect(t, fires, 5*ms, 8*ms)
+		if tm.Stop() {
+			t.Fatal("Stop claimed it prevented a run that already happened")
+		}
+	})
+	t.Run("after Stop re-arms", func(t *testing.T) {
+		s, _, tm, fires := start(t)
+		tm.Stop()
+		s.RunFor(6 * ms)
+		tm.Reset(2 * ms)
+		s.RunFor(30 * ms)
+		expect(t, fires, 8*ms)
+	})
+	t.Run("Stop after Reset", func(t *testing.T) {
+		s, _, tm, fires := start(t)
+		s.RunFor(6 * ms)
+		tm.Reset(2 * ms)
+		if !tm.Stop() {
+			t.Fatal("Stop on a re-armed timer must report true")
+		}
+		if tm.Stop() {
+			t.Fatal("second Stop must report false")
+		}
+		s.RunFor(30 * ms)
+		expect(t, fires, 5*ms)
+	})
+	t.Run("crash kills a re-armed timer", func(t *testing.T) {
+		s, _, tm, fires := start(t)
+		s.RunFor(6 * ms)
+		tm.Reset(2 * ms)
+		s.Crash(0)
+		s.Restart(0)
+		s.RunFor(10 * ms)
+		// The timer is its incarnation's: re-arming it from beyond the
+		// grave schedules a run that dies like the first.
+		tm.Reset(2 * ms)
+		s.RunFor(30 * ms)
+		expect(t, fires, 5*ms)
+	})
+	t.Run("superseded event does not move the clock", func(t *testing.T) {
+		s, _, tm, fires := start(t)
+		t0 := s.Now()
+		tm.Reset(ms) // the first arming's event stays queued at 5 ms
+		if !s.RunUntilIdle(100) {
+			t.Fatal("queue did not drain")
+		}
+		expect(t, fires, ms)
+		if got := s.Now().Sub(t0); got != ms {
+			t.Fatalf("the clock reads %v after the queue drained, want %v: the superseded event advanced it", got, ms)
+		}
+	})
+}
+
 // TestDiskSlowdownStretchesWrites: SetDiskSlowdown retunes a node's disk
 // live — appends take factor× longer — and restoring factor 1 returns to
 // the configured timing. The degradation survives a crash/restart (it

@@ -66,6 +66,7 @@ type diskStorage struct {
 	// appends.
 	busyUntil time.Time
 	pending   []pendingAppend
+	spare     []pendingAppend // the last durable batch's buffer, cleared: the next pending
 	flushing  bool
 	flushFn   func() // d.flush, bound once: binding per call allocates
 
@@ -179,7 +180,7 @@ func (d *diskStorage) flush() {
 	}
 	d.flushing = true
 	batch := d.pending
-	d.pending = nil
+	d.pending, d.spare = d.spare, nil
 	var bytes int64
 	for _, p := range batch {
 		bytes += p.rec.Size
@@ -193,6 +194,12 @@ func (d *diskStorage) flush() {
 			if p.done != nil && d.node.alive && d.node.incarnation == p.inc {
 				p.done(nil)
 			}
+		}
+		// Hand the buffer back for the next batch. After a crash and restart
+		// two flush chains can overlap; the second to finish is dropped.
+		if d.spare == nil {
+			clear(batch)
+			d.spare = batch[:0]
 		}
 		d.flush()
 	})

@@ -8,22 +8,27 @@ import (
 )
 
 // TestRequestAllocBudget holds the request path's allocation diet: on a
-// failure-free 3-server group, once a warm-up has filled the proxy's and the
-// servers' free lists, an interaction through Cluster.Frontend() costs, net
-// of the group's idle traffic (heartbeats, probes, publish ticks — measured
-// first, over the same span),
+// failure-free 3-server group, once a warm-up has filled the free lists — the
+// proxy's and the servers' records, the cluster's wire records, the leader's
+// vote sets — an interaction through Cluster.Frontend() costs, net of the
+// group's idle traffic (heartbeats, probes — measured first, over the same
+// span),
 //
-//   - a read (ProductDetail) 3 allocations: the boxed reqMsg, the request
-//     timeout's simTimer and the boxed respMsg;
-//   - a write (ShoppingCart adding to the session's cart) 18.5: those 3, the
-//     boxed action, and what ordering and applying one action costs below
-//     the web tier — some 10 in paxos (the value, its fast-round votes,
-//     chosen and catch-up messages, WAL batches, timers) and 4.5 in
-//     tpcw.Apply on three replicas (the copy of the cart's lines, the boxed
-//     CartResult).
+//   - a read (ProductDetail) nothing: its reqMsg and respMsg are recycled
+//     wire records and its timeout re-arms the proxy record's timer;
+//   - a write (ShoppingCart adding to the session's cart) 12: the action
+//     boxed for Submit (1); 4.5 in tpcw.Apply on three replicas (the copy of
+//     the cart's lines, the boxed CartResult); and some 6.5 ordering it —
+//     the acceptedMsg each acceptor boxes and its WAL retains (1.3), the
+//     value's command slice, pendingValue and boxed fastProposeMsg (0.8),
+//     the disk flush's completion closure (0.8), the boxed chosenMsg (0.4)
+//     and, the round's 32 writes being simultaneous, the coordinated
+//     recovery of the fast rounds that collide: recQuery and recInfo boxes,
+//     recState, proposal and its acks, selectValue's maps (about 2.5;
+//     ROADMAP item 1d).
 //
-// No record, continuation, candidate slice or routing key is among them.
-// The budgets are the measured figures + 10 %.
+// No record, continuation, timer, wire message, vote set, candidate slice or
+// routing key is among them. The budgets are the measured figures + 10 %.
 func TestRequestAllocBudget(t *testing.T) {
 	c := testCluster(t, 3, nil)
 	s, front := c.Sim(), c.Frontend()
@@ -63,8 +68,8 @@ func TestRequestAllocBudget(t *testing.T) {
 		req    rbe.Request
 		budget float64
 	}{
-		{"read", rbe.Request{Kind: rbe.ProductDetail, Item: 5}, 3.3},
-		{"write", rbe.Request{Kind: rbe.ShoppingCart, Item: 7, Qty: 1}, 20.3},
+		{"read", rbe.Request{Kind: rbe.ProductDetail, Item: 5}, 0.3},
+		{"write", rbe.Request{Kind: rbe.ShoppingCart, Item: 7, Qty: 1}, 13.5},
 	} {
 		req = k.req
 		round() // warm-up: free lists, scratch slices, event heap

@@ -105,6 +105,12 @@ type Cluster struct {
 	proxyID env.NodeID
 	proxy   *Proxy
 
+	// Wire records in flight between proxy and servers (freelist.go). The
+	// lists are the cluster's, not a node's: a record is taken by its
+	// sender and released by its receiver.
+	reqs  freeList[reqMsg]
+	resps freeList[respMsg]
+
 	faults        int
 	interventions int
 

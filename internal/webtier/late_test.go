@@ -246,7 +246,9 @@ func TestEpochRedirectLoopBounded(t *testing.T) {
 // the retry is answered and the request finishes; the next interaction takes
 // the same record. The first life's late answers, the slot of its stopped
 // timer and a reset of a server it had used must all leave the new request
-// alone, and each client is answered exactly once.
+// alone, and each client is answered exactly once. The responses arrive as
+// the simulator delivers them, in wire records (deliver, wire_test.go): an
+// ignored one is released like any other, once.
 func TestRecycledRecordIgnoresItsPreviousLife(t *testing.T) {
 	// Probe failures must not empty the rotation while replies are lost.
 	c := testCluster(t, 3, func(cfg *Config) { cfg.Cal.ProbeFailures = 1 << 30 })
@@ -277,7 +279,7 @@ func TestRecycledRecordIgnoresItsPreviousLife(t *testing.T) {
 	}
 	retryID, retryServer := first.curID, first.server
 	s.At(s.Now(), func() {
-		p.onResponse(respMsg{ID: retryID})
+		deliver(c, respMsg{ID: retryID})
 		if firstDone != 1 || !first.finished {
 			t.Fatalf("the retry's answer did not finish the request: done ran %d times", firstDone)
 		}
@@ -299,9 +301,16 @@ func TestRecycledRecordIgnoresItsPreviousLife(t *testing.T) {
 		}
 	}
 	s.At(s.Now(), func() {
-		p.onResponse(respMsg{ID: firstID})
-		p.onResponse(respMsg{ID: retryID})
+		idle := len(c.resps.items)
+		deliver(c, respMsg{ID: firstID})
+		deliver(c, respMsg{ID: retryID})
 		untouched("a late response to the previous life")
+		// Each delivery takes a record and the proxy gives it back: the list
+		// ends as long as it began, or one long if it began empty.
+		if got := len(c.resps.items); got != max(idle, 1) {
+			t.Fatalf("two ignored responses took the list of idle records from %d to %d", idle, got)
+		}
+		checkWireLists(t, c, false)
 	})
 	// The previous life's second timer was stopped at finish; its slot —
 	// one request timeout after the redispatch — passes a second before
@@ -315,7 +324,7 @@ func TestRecycledRecordIgnoresItsPreviousLife(t *testing.T) {
 		}
 		p.onServerReset(reset)
 		untouched("a reset of a server the previous life used")
-		p.onResponse(respMsg{ID: secondID})
+		deliver(c, respMsg{ID: secondID})
 	})
 	s.RunFor(2 * c.cfg.Cal.ReqTimeout)
 	if firstDone != 1 || secondDone != 1 {
@@ -324,15 +333,17 @@ func TestRecycledRecordIgnoresItsPreviousLife(t *testing.T) {
 	if st := c.ProxyStats(); st.ErrTimeout != 0 || st.ErrReset != 0 || st.Redispatched != 1 {
 		t.Fatalf("the previous life's leftovers moved the counters: %+v", st)
 	}
+	checkWireLists(t, c, false)
 }
 
-// respSink is a node that collects what servers answer.
+// respSink is a node that collects what servers answer: copies, the wire
+// records being the cluster's to reuse.
 type respSink struct{ got map[int64][]respMsg }
 
 func (k *respSink) Start(env.Env) {}
 func (k *respSink) Receive(_ env.NodeID, msg env.Message) {
-	if m, ok := msg.(respMsg); ok {
-		k.got[m.ID] = append(k.got[m.ID], m)
+	if m, ok := msg.(*respMsg); ok {
+		k.got[m.ID] = append(k.got[m.ID], *m)
 	}
 }
 
@@ -364,14 +375,14 @@ func TestRecycledServerRecordAcrossStaleFenceWait(t *testing.T) {
 	}
 	read(1, 1)
 	s.RunFor(time.Minute + time.Second)
-	if got := sink.got[1]; len(got) != 1 || !got[0].TooStale || len(srv.free) != 1 {
-		t.Fatalf("the first read's wait did not end stale and release its record: %+v, %d free", got, len(srv.free))
+	if got := sink.got[1]; len(got) != 1 || !got[0].TooStale || len(srv.free.items) != 1 {
+		t.Fatalf("the first read's wait did not end stale and release its record: %+v, %d free", got, len(srv.free.items))
 	}
-	record := srv.free[0]
+	record := srv.free.items[0]
 	read(2, 4)
 	s.RunFor(time.Second)
-	if len(srv.free) != 0 || record.m.ID != 2 {
-		t.Fatalf("the second read did not take the released record: %d free, record serves ID %d", len(srv.free), record.m.ID)
+	if len(srv.free.items) != 0 || record.m.ID != 2 {
+		t.Fatalf("the second read did not take the released record: %d free, record serves ID %d", len(srv.free.items), record.m.ID)
 	}
 	// Pass the first fence, not the second.
 	write(2)
@@ -390,7 +401,7 @@ func TestRecycledServerRecordAcrossStaleFenceWait(t *testing.T) {
 		t.Fatalf("the second read was not served exactly once at its fence: %+v", got)
 	}
 	released := 0
-	for _, r := range srv.free {
+	for _, r := range srv.free.items {
 		if r == record {
 			released++
 		}

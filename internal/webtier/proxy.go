@@ -36,12 +36,13 @@ type Proxy struct {
 	nextID int64
 
 	outstanding map[int64]*outReq
-	free        []*outReq // finished records awaiting reuse; see outReq
-	scratch     []int     // candidates' result, valid until its next call
+	free        freeList[outReq] // finished records awaiting reuse; see outReq
+	scratch     []int            // candidates' result, valid until its next call
 
-	health   []serverHealth // by flat server index
-	probeSeq int64
-	probes   map[int64]int // probe seq -> server index
+	health     []serverHealth // by flat server index
+	probeTimer env.Timer      // probeLoop's, re-armed at its end
+	probeSeq   int64
+	probes     map[int64]int // probe seq -> server index
 
 	// outages tracks complete outages per shard group for the availability
 	// measure: with one group this is the paper's full-outage time; with
@@ -163,17 +164,23 @@ type fenceEntry struct {
 //   - finish takes done out of the record and calls it last, touching the
 //     record no more: done may re-enter Do synchronously (a client's
 //     reload retry) and be handed this very record.
-//   - A sent message is immutable, so each attempt's reqMsg is a copy of
-//     req, never a pointer into the record a later life rewrites.
+//   - Each attempt's reqMsg is a wire record of its own, filled with a copy
+//     of req — never a pointer into the record a later life rewrites — and
+//     the receiving server's from Send on (freelist.go).
+//
+// Idle on the free list a record reads finished and keeps only what is bound
+// to its address: the two continuations and the timer, which every life
+// re-arms instead of making one.
 type outReq struct {
 	req       rbe.Request
 	done      func(rbe.Response)
 	server    int   // index into cluster servers
 	curID     int64 // outstanding key of the current attempt
 	attempts  int
-	redirects int  // WrongEpoch re-routes (not balance retries)
-	requeued  bool // was held by a migration freeze (counted once)
-	timer     env.Timer
+	redirects int       // WrongEpoch re-routes (not balance retries)
+	requeued  bool      // was held by a migration freeze (counted once)
+	timer     env.Timer // expires the current attempt (curID); kept across lives
+	armed     bool      // the timer was armed for this request and has not expired it
 	finished  bool
 
 	votersOnly    bool      // fenced read went TooStale: exclude readers
@@ -187,19 +194,21 @@ type outReq struct {
 	redispatch, expire func()
 }
 
-// newReq returns a record for one interaction: a recycled one, wiped but
-// for its continuations, or a fresh one.
+// newReq returns a record for one interaction: a recycled one or, its
+// continuations not yet bound, a new one.
 func (p *Proxy) newReq(req rbe.Request, done func(rbe.Response)) *outReq {
-	var r *outReq
-	if n := len(p.free); n > 0 {
-		r, p.free = p.free[n-1], p.free[:n-1]
-	} else {
-		r = &outReq{}
+	r := p.free.get()
+	if r.redispatch == nil {
 		r.redispatch = func() { p.dispatch(r) }
 		r.expire = func() { p.expire(r.curID) }
 	}
-	*r = outReq{req: req, done: done, redispatch: r.redispatch, expire: r.expire}
+	r.req, r.done, r.finished = req, done, false
 	return r
+}
+
+// idleOutReq is what a finished record keeps on the free list.
+func idleOutReq(r *outReq) outReq {
+	return outReq{finished: true, timer: r.timer, redispatch: r.redispatch, expire: r.expire}
 }
 
 var _ env.Node = (*Proxy)(nil)
@@ -211,15 +220,19 @@ func (p *Proxy) Start(e env.Env) {
 	p.outstanding = make(map[int64]*outReq)
 	p.probes = make(map[int64]int)
 	p.sessFence = make(map[int64]fenceEntry)
+	p.free.idle = idleOutReq
 	p.grow()
-	p.e.After(p.c.cfg.Cal.ProbeInterval, p.probeLoop)
+	p.probeTimer = p.e.After(p.c.cfg.Cal.ProbeInterval, p.probeLoop)
 }
 
 // Receive implements env.Node.
 func (p *Proxy) Receive(from env.NodeID, msg env.Message) {
 	switch m := msg.(type) {
-	case respMsg:
-		p.onResponse(m)
+	case *respMsg:
+		// Copy out and release before handling, which may send (freelist.go).
+		v := *m
+		p.c.resps.put(m)
+		p.onResponse(v)
 	case probeRespMsg:
 		p.onProbeResp(m)
 	}
@@ -305,19 +318,25 @@ func (p *Proxy) dispatch(r *outReq) {
 	p.outstanding[id] = r
 	p.health[r.server].inflight++
 	r.curID = id
-	if r.timer == nil {
+	if !r.armed {
 		// The timer follows the request across response-driven
 		// redispatches: it expires whichever attempt is current (curID),
 		// so a retry registered under a fresh ID after a server-side
 		// error or epoch redirect keeps its timeout — without this, a
 		// retry whose reply is lost (one-way loss) would hang forever.
-		// Only the expire-path redispatch arms a fresh timer (it nils
-		// r.timer first), so the worst-case client wait is 2×ReqTimeout:
+		// Only the expire-path redispatch arms it again (it clears
+		// r.armed first), so the worst-case client wait is 2×ReqTimeout:
 		// one full timeout on the silent attempt plus one on its retry.
-		r.timer = p.e.After(p.c.cfg.Cal.ReqTimeout, r.expire)
+		r.armed = true
+		if r.timer == nil {
+			r.timer = p.e.After(p.c.cfg.Cal.ReqTimeout, r.expire)
+		} else {
+			r.timer.Reset(p.c.cfg.Cal.ReqTimeout)
+		}
 	}
 	r.sentAt = p.e.Now()
-	m := reqMsg{ID: id, Req: r.req}
+	m := p.c.reqs.get()
+	*m = reqMsg{ID: id, Req: r.req}
 	if read {
 		// Read-your-writes: fence the read at the session's last acked
 		// commit index, whichever server it lands on. A fence minted in
@@ -472,8 +491,7 @@ func (p *Proxy) finish(r *outReq, resp rbe.Response) {
 		r.timer.Stop()
 	}
 	done := r.done
-	r.done = nil
-	p.free = append(p.free, r)
+	p.free.put(r)
 	done(resp)
 }
 
@@ -491,7 +509,7 @@ func (p *Proxy) expire(id int64) {
 		// reads get one redispatch with a fresh timer, away from the
 		// server that went silent; writes may have executed there, so
 		// they must surface as errors, which accuracy counts.
-		r.timer = nil
+		r.armed = false
 		p.Stats.Redispatched++
 		p.dispatch(r)
 		return
@@ -607,7 +625,7 @@ func (p *Proxy) probeLoop() {
 			}
 		})
 	}
-	p.e.After(cal.ProbeInterval, p.probeLoop)
+	p.probeTimer.Reset(cal.ProbeInterval)
 }
 
 func (p *Proxy) onProbeResp(m probeRespMsg) {

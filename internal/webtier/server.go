@@ -18,7 +18,9 @@ import (
 	"robuststore/internal/tpcw"
 )
 
-// Messages between proxy and servers.
+// Messages between proxy and servers. Requests and responses travel as
+// *reqMsg and *respMsg, wire records recycled through the cluster's two lists
+// under the ownership rule of freelist.go.
 
 type reqMsg struct {
 	ID  int64
@@ -104,7 +106,7 @@ type Server struct {
 	txnArmed   map[string]bool
 	txnResolve map[string]int
 
-	free []*request // answered records awaiting reuse; see request
+	free freeList[request] // answered records awaiting reuse; see request
 }
 
 var _ env.Node = (*Server)(nil)
@@ -112,6 +114,7 @@ var _ env.Node = (*Server)(nil)
 // Start implements env.Node.
 func (s *Server) Start(e env.Env) {
 	s.e = e
+	s.free.idle = idleRequest
 	s.cpu = sim.NewResource(s.c.sim, 1)
 	cal := &s.c.cfg.Cal
 	pcfg := s.c.cfg.Paxos
@@ -211,8 +214,11 @@ func (s *Server) operational() bool {
 // traffic.
 func (s *Server) Receive(from env.NodeID, msg env.Message) {
 	switch m := msg.(type) {
-	case reqMsg:
-		s.handleRequest(from, m)
+	case *reqMsg:
+		// Copy out and release before handling, which may send (freelist.go).
+		v := *m
+		s.c.reqs.put(m)
+		s.handleRequest(from, v)
 	case txnPrepareMsg:
 		s.onTxnPrepare(from, m)
 	case txnVoteMsg:
@@ -333,19 +339,19 @@ const (
 	atRender              // write: the render slot ended; answer
 )
 
-// newRequest returns the record of one interaction: a recycled one, wiped
-// but for its continuations, or a fresh one.
+// newRequest returns the record of one interaction: a recycled one or, its
+// continuations not yet bound, a new one.
 func (s *Server) newRequest(proxy env.NodeID, m reqMsg) *request {
-	var r *request
-	if n := len(s.free); n > 0 {
-		r, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		r = &request{}
+	r := s.free.get()
+	if r.next == nil {
 		r.next, r.applied = r.resume, r.onApplied
 	}
-	*r = request{s: s, proxy: proxy, m: m, next: r.next, applied: r.applied}
+	r.s, r.proxy, r.m = s, proxy, m
 	return r
 }
+
+// idleRequest is what an answered record keeps on the free list.
+func idleRequest(r *request) request { return request{next: r.next, applied: r.applied} }
 
 // then records where the walk resumes and returns the continuation to hand
 // to whatever the request waits on.
@@ -372,27 +378,34 @@ func (r *request) resume() {
 // send answers the proxy and ends the walk.
 func (r *request) send(m respMsg) {
 	s, proxy := r.s, r.proxy
-	s.free = append(s.free, r)
-	s.e.Send(proxy, m)
+	s.free.put(r)
+	s.respond(proxy, m)
+}
+
+// respond sends m to the proxy in a wire record, the proxy's from here on.
+func (s *Server) respond(proxy env.NodeID, m respMsg) {
+	w := s.c.resps.get()
+	*w = m
+	s.e.Send(proxy, w)
 }
 
 // handleRequest serves one web interaction.
 func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 	if s.replica == nil || !s.replica.Ready() {
-		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
+		s.respond(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
 		return
 	}
 	if s.c.GroupOf(m.Req.Client) != s.group {
 		// The session moved to another group while this request was in
 		// flight (routing-epoch cutover): redirect, don't serve stale.
-		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}, WrongEpoch: true})
+		s.respond(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}, WrongEpoch: true})
 		return
 	}
 	// Gray failure, error flavor: the request machinery fails a fraction
 	// of real requests fast while the probe path above keeps answering OK
 	// — the prober cannot see this fault.
 	if r := s.c.servers[s.idx].grayErr; r > 0 && s.e.Rand().Float64() < r {
-		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
+		s.respond(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
 		return
 	}
 	if !m.Req.Kind.IsWrite() {
@@ -416,7 +429,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 	if s.learner {
 		// Read-only server: the proxy never routes writes here, but a
 		// raced dispatch must not wedge — fail it back for a retry.
-		s.e.Send(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
+		s.respond(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
 		return
 	}
 	// Writes whose keys conflict with a prepared transaction branch hold
