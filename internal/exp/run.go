@@ -186,31 +186,71 @@ type RunResult struct {
 	Proxy          webtier.ProxyStats
 }
 
-// --- Population cache ---------------------------------------------------
+// --- Memoization ---------------------------------------------------------
 
-var popCache sync.Map // int (EBs) -> *tpcw.Store prototype
-
-func populationFor(stateMB int) *tpcw.Store {
-	ebs := ebsForStateMB(stateMB)
-	if v, ok := popCache.Load(ebs); ok {
-		return v.(*tpcw.Store)
-	}
-	proto := tpcw.Populate(tpcw.PopConfig{
-		Items:     items,
-		EBs:       ebs,
-		Reduction: populationReduction,
-		Seed:      populationSeed,
-	})
-	actual, _ := popCache.LoadOrStore(ebs, proto)
-	return actual.(*tpcw.Store)
+// memo computes a value once per key, however many goroutines ask for it at
+// once: the first runs compute, the others wait for its result. RunAll runs
+// table entries side by side, and entries share runs and populations.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoEntry[V]
 }
 
-// --- Run memoization ----------------------------------------------------
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+}
 
-var (
-	runMu    sync.Mutex
-	runCache = map[string]RunResult{}
-)
+func (c *memo[K, V]) get(key K, compute func() V) V {
+	c.mu.Lock()
+	e := c.m[key]
+	if e == nil {
+		if c.m == nil {
+			c.m = map[K]*memoEntry[V]{}
+		}
+		e = new(memoEntry[V])
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v
+}
+
+// population is one populated bookstore, shared by every run of its state
+// size — concurrent ones included, so after it is built it is only read:
+// snap is its frozen capture, taken once, and each server's store is
+// restored from that (copying the page directory and then, on a first write,
+// the page). Cloning the prototype would freeze it again on every call,
+// which writes its tables' owner tokens.
+type population struct {
+	proto *tpcw.Store
+	snap  any
+}
+
+// store builds one server's store; it is a run's webtier.Config.Store.
+func (p *population) store() *tpcw.Store {
+	s := &tpcw.Store{}
+	s.Restore(p.snap)
+	return s
+}
+
+var popCache memo[int, *population] // by EBs
+
+func populationFor(stateMB int) *population {
+	ebs := ebsForStateMB(stateMB)
+	return popCache.get(ebs, func() *population {
+		proto := tpcw.Populate(tpcw.PopConfig{
+			Items:     items,
+			EBs:       ebs,
+			Reduction: populationReduction,
+			Seed:      populationSeed,
+		})
+		snap, _ := proto.Snapshot()
+		return &population{proto: proto, snap: snap}
+	})
+}
+
+var runCache memo[string, RunResult]
 
 // Run executes one experiment (memoized per process: several tables share
 // runs, exactly as in the paper where Figure 5 plots the Table 1 runs). The
@@ -218,18 +258,7 @@ var (
 // out of it and no two values of one share a key.
 func Run(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
-	key := fmt.Sprintf("%+v", cfg)
-	runMu.Lock()
-	if r, ok := runCache[key]; ok {
-		runMu.Unlock()
-		return r
-	}
-	runMu.Unlock()
-	r := runOnce(cfg)
-	runMu.Lock()
-	runCache[key] = r
-	runMu.Unlock()
-	return r
+	return runCache.get(fmt.Sprintf("%+v", cfg), func() RunResult { return runOnce(cfg) })
 }
 
 // RunUncached executes one experiment bypassing the memo cache. The
@@ -248,7 +277,7 @@ func (a simSched) Now() time.Time                   { return a.s.Now() }
 func (a simSched) After(d time.Duration, fn func()) { a.s.After(d, fn) }
 
 func runOnce(cfg RunConfig) RunResult {
-	proto := populationFor(cfg.StateMB)
+	state := populationFor(cfg.StateMB)
 	led := newLedger()
 
 	var pcfg paxos.Config
@@ -265,7 +294,7 @@ func runOnce(cfg RunConfig) RunResult {
 		Shards:             cfg.Shards,
 		Readers:            cfg.Readers,
 		FastPaxos:          !cfg.NoFast,
-		Store:              proto.Clone,
+		Store:              state.store,
 		Cal:                webtier.DefaultCalibration(),
 		CheckpointInterval: ckptIv,
 		RetainInstances:    retainInstances,
@@ -307,7 +336,7 @@ func runOnce(cfg RunConfig) RunResult {
 		Browsers:   cfg.Browsers,
 		Profile:    cfg.Profile,
 		ThinkTime:  thinkTime,
-		Population: proto.Info(),
+		Population: state.proto.Info(),
 		Seed:       cfg.Seed*31 + uint64(cfg.Profile),
 		Recorder:   recorder,
 		Stop:       t0.Add(total),
@@ -345,7 +374,7 @@ func runOnce(cfg RunConfig) RunResult {
 	// TxnRate=0 runs replay the exact historical event sequence.
 	var txnDrv *txnDriver
 	if cfg.TxnRate > 0 {
-		txnDrv = startTxnDriver(cfg, cluster, s, t0, proto.Info())
+		txnDrv = startTxnDriver(cfg, cluster, s, t0, state.proto.Info())
 	}
 
 	// Run to completion plus a drain tail for late recoveries.
@@ -512,7 +541,7 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 	// by its own group's writes, so the final size is the largest live
 	// replica state across groups (with one group, exactly the paper's
 	// single-store measure).
-	res.InitialStateMB = float64(populationFor(cfg.StateMB).NominalBytes()) / 1e6
+	res.InitialStateMB = float64(populationFor(cfg.StateMB).proto.NominalBytes()) / 1e6
 	for g := 0; g < res.FinalShards; g++ {
 		for _, i := range cluster.Voters(g) {
 			if st := cluster.Store(i); st != nil {

@@ -1,8 +1,12 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"robuststore/internal/rbe"
@@ -40,13 +44,58 @@ type Experiment struct {
 	Run  func(p Params, w io.Writer) error
 }
 
-// RunAll runs every experiment of the table in order, each under a header
-// naming it.
-func RunAll(p Params, w io.Writer) error {
-	for _, e := range Experiments {
-		fmt.Fprintf(w, "\n== %s ==\n", e.Name)
-		if err := e.Run(p, w); err != nil {
+// RunAll runs every experiment of the table and writes their reports in
+// table order, each under a header naming it, up to and including the first
+// that fails. The entries are independent deterministic simulations (the runs
+// they share are memoised, see Run), so they run side by side on up to
+// GOMAXPROCS workers, each into its own buffer, and the bytes written are
+// those of running them one after another.
+func RunAll(p Params, w io.Writer) error { return runEntries(Experiments, p, w) }
+
+func runEntries(entries []Experiment, p Params, w io.Writer) error {
+	type section struct {
+		out  bytes.Buffer
+		err  error
+		done chan struct{}
+	}
+	secs := make([]section, len(entries))
+	for i := range secs {
+		secs[i].done = make(chan struct{})
+	}
+	var next atomic.Int64 // the next entry to start
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(entries)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(secs) {
+					return
+				}
+				// Entries start in table order, so nothing after one that
+				// failed will be printed: do not start it.
+				if sec := &secs[i]; !failed.Load() {
+					fmt.Fprintf(&sec.out, "\n== %s ==\n", entries[i].Name)
+					sec.err = entries[i].Run(p, &sec.out)
+					if sec.err != nil {
+						failed.Store(true)
+					}
+				}
+				close(secs[i].done)
+			}
+		}()
+	}
+	defer wg.Wait()
+	for i := range secs {
+		<-secs[i].done
+		if _, err := w.Write(secs[i].out.Bytes()); err != nil {
+			failed.Store(true)
 			return err
+		}
+		if secs[i].err != nil {
+			return secs[i].err
 		}
 	}
 	return nil

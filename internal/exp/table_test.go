@@ -76,6 +76,49 @@ func TestGoldenAllShort(t *testing.T) {
 	}
 }
 
+// TestGoldenParallel runs two entries that share a memoised run — one-crash's
+// fault matrix and the parallel-recovery ablation both need the five-replica
+// ordering crash run — side by side, as RunAll runs the table, and holds each
+// to its section of the golden file. Under -race (CI runs it so, without the
+// whole golden pass) it is the check that concurrent runs share nothing they
+// write: the populated prototype is only read, and a shared run is computed
+// once while the other entry waits.
+func TestGoldenParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two experiments at their short size")
+	}
+	golden, err := os.ReadFile(goldenAllShort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []Experiment
+	var want []byte
+	for _, e := range Experiments {
+		if e.Name != "one-crash" && e.Name != "ablations" {
+			continue
+		}
+		entries = append(entries, e)
+		head := []byte("\n== " + e.Name + " ==\n")
+		_, sec, found := bytes.Cut(golden, head)
+		if !found {
+			t.Fatalf("no section %q in %s", e.Name, goldenAllShort)
+		}
+		sec, _, _ = bytes.Cut(sec, []byte("\n== "))
+		want = append(append(want, head...), sec...)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("found %d of the two entries in the table", len(entries))
+	}
+	var got bytes.Buffer
+	if err := runEntries(entries, shortParams(), &got); err != nil {
+		t.Errorf("runEntries: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("run side by side the two entries no longer print their golden sections (-golden +now):\n%s",
+			lineDiff(string(want), got.String()))
+	}
+}
+
 // lineDiff renders the lines that differ between a and b, numbered by
 // their position in a, from a longest-common-subsequence alignment.
 func lineDiff(a, b string) string {
