@@ -193,27 +193,21 @@ type RunResult struct {
 // table entries side by side, and entries share runs and populations.
 type memo[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*memoEntry[V]
-}
-
-type memoEntry[V any] struct {
-	once sync.Once
-	v    V
+	m  map[K]func() V // each a sync.OnceValue
 }
 
 func (c *memo[K, V]) get(key K, compute func() V) V {
 	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
+	once := c.m[key]
+	if once == nil {
 		if c.m == nil {
-			c.m = map[K]*memoEntry[V]{}
+			c.m = map[K]func() V{}
 		}
-		e = new(memoEntry[V])
-		c.m[key] = e
+		once = sync.OnceValue(compute)
+		c.m[key] = once
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.v = compute() })
-	return e.v
+	return once()
 }
 
 // population is one populated bookstore, shared by every run of its state

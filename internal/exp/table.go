@@ -76,14 +76,15 @@ func runEntries(entries []Experiment, p Params, w io.Writer) error {
 				}
 				// Entries start in table order, so nothing after one that
 				// failed will be printed: do not start it.
-				if sec := &secs[i]; !failed.Load() {
+				sec := &secs[i]
+				if !failed.Load() {
 					fmt.Fprintf(&sec.out, "\n== %s ==\n", entries[i].Name)
 					sec.err = entries[i].Run(p, &sec.out)
 					if sec.err != nil {
 						failed.Store(true)
 					}
 				}
-				close(secs[i].done)
+				close(sec.done)
 			}
 		}()
 	}

@@ -306,11 +306,9 @@ type simTimer struct {
 }
 
 func (t *simTimer) Stop() bool {
-	if !t.pending {
-		return false
-	}
+	was := t.pending
 	t.pending = false
-	return true
+	return was
 }
 
 func (t *simTimer) Reset(d time.Duration) {

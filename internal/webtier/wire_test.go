@@ -1,6 +1,7 @@
 package webtier
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -54,14 +55,7 @@ func checkWireLists(t *testing.T, c *Cluster, poisoned bool) {
 	}
 }
 
-func idleReq(c *Cluster, m *reqMsg) bool {
-	for _, x := range c.reqs.items {
-		if x == m {
-			return true
-		}
-	}
-	return false
-}
+func idleReq(c *Cluster, m *reqMsg) bool { return slices.Contains(c.reqs.items, m) }
 
 // deliver hands the proxy a response the way the simulator does: in a wire
 // record taken from the cluster's list, which the proxy releases.
