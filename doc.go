@@ -68,6 +68,16 @@
 // actions/s of the reference pipeline against wider batches and a deeper
 // pipeline, at 1 and 4 shards, offered load printed beside committed.
 //
+// The log is kept as a log. internal/seqwin is a window over a dense
+// sequence — a directory of 256-entry chunks, allocated when first written
+// and released whole as the floor passes them — and every dense sequence
+// of the ordering path is one: the engine's instances (one slot each for
+// the promise, the vote and the decision, where three hash maps keyed by
+// instance used to be), the values a proposer has in flight, and the WAL
+// records of both runtimes' env.Storage. Prepare, compaction and replay
+// walk it in instance order instead of sorting keys, and truncation drops
+// chunks instead of copying the remainder.
+//
 // The read path scales out independently of the write quorums:
 // webtier.Config.Readers boots learner-backed read-only servers per
 // group — full application servers whose paxos engine is a non-voting

@@ -20,6 +20,7 @@ import (
 
 	"robuststore/internal/env"
 	"robuststore/internal/netfault"
+	"robuststore/internal/seqwin"
 	"robuststore/internal/xrand"
 )
 
@@ -389,10 +390,9 @@ func (e *liveEnv) Logf(format string, args ...any) {}
 // crash/restart of the node within the process lifetime. Completions are
 // posted back to the owning incarnation's loop.
 type memStorage struct {
-	mu         sync.Mutex
-	records    []env.Record
-	firstIndex int64
-	snapshots  map[string]env.Snapshot
+	mu        sync.Mutex
+	log       seqwin.Window[int64, env.Record] // the WAL; its base is FirstIndex
+	snapshots map[string]env.Snapshot
 }
 
 func newMemStorage() *memStorage {
@@ -413,7 +413,7 @@ func (s *storageView) done(fn func()) { s.n.postInc(s.inc, fn) }
 func (s *storageView) Append(rec env.Record, done func(error)) {
 	st := s.n.storage
 	st.mu.Lock()
-	st.records = append(st.records, rec)
+	st.log.Append(rec)
 	st.mu.Unlock()
 	if done != nil {
 		s.done(func() { done(nil) })
@@ -423,7 +423,9 @@ func (s *storageView) Append(rec env.Record, done func(error)) {
 func (s *storageView) AppendBatch(recs []env.Record, done func(error)) {
 	st := s.n.storage
 	st.mu.Lock()
-	st.records = append(st.records, recs...)
+	for _, rec := range recs {
+		st.log.Append(rec)
+	}
 	st.mu.Unlock()
 	if done != nil {
 		s.done(func() { done(nil) })
@@ -433,8 +435,10 @@ func (s *storageView) AppendBatch(recs []env.Record, done func(error)) {
 func (s *storageView) ReadRecords(done func([]env.Record, error)) {
 	st := s.n.storage
 	st.mu.Lock()
-	recs := make([]env.Record, len(st.records))
-	copy(recs, st.records)
+	recs := make([]env.Record, 0, st.log.End()-st.log.Base())
+	for _, r := range st.log.From(st.log.Base()) {
+		recs = append(recs, *r)
+	}
 	st.mu.Unlock()
 	s.done(func() { done(recs, nil) })
 }
@@ -442,14 +446,7 @@ func (s *storageView) ReadRecords(done func([]env.Record, error)) {
 func (s *storageView) Truncate(firstKept int64, done func(error)) {
 	st := s.n.storage
 	st.mu.Lock()
-	if firstKept > st.firstIndex {
-		drop := firstKept - st.firstIndex
-		if drop > int64(len(st.records)) {
-			drop = int64(len(st.records))
-		}
-		st.records = append([]env.Record(nil), st.records[drop:]...)
-		st.firstIndex += drop
-	}
+	st.log.DropBelow(min(firstKept, st.log.End()))
 	st.mu.Unlock()
 	if done != nil {
 		s.done(func() { done(nil) })
@@ -460,7 +457,7 @@ func (s *storageView) FirstIndex() int64 {
 	st := s.n.storage
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.firstIndex
+	return st.log.Base()
 }
 
 func (s *storageView) SaveSnapshot(name string, snap env.Snapshot, done func(error)) {

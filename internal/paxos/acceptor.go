@@ -1,9 +1,6 @@
 package paxos
 
-import (
-	"robuststore/internal/detsort"
-	"robuststore/internal/env"
-)
+import "robuststore/internal/env"
 
 // This file implements the acceptor role: durable promises and votes.
 // Every state change is persisted to the WAL before the corresponding
@@ -15,8 +12,8 @@ import (
 // coordinated recovery.
 func (en *Engine) effPromised(inst InstanceID) Ballot {
 	p := en.promised
-	if ip, ok := en.instPromised[inst]; ok && p.Less(ip) {
-		p = ip
+	if s := en.log.At(inst); s != nil && s.has&hasPromise != 0 && p.Less(s.promised) {
+		p = s.promised
 	}
 	return p
 }
@@ -35,12 +32,12 @@ func (en *Engine) onPrepare(from env.NodeID, m prepareMsg) {
 	// voted": the promise must say where its knowledge starts, or a new
 	// leader would fill decided instances with no-ops (see establish).
 	reply := promiseMsg{B: m.B, From: max(m.From, en.voteFloor)}
-	// Sorted export: the promise's accepted list is network-visible, and
-	// map order would make the same acceptor state produce different
-	// message bytes on every run (detorder invariant).
-	for _, inst := range detsort.Keys(en.accepted) {
-		if inst >= reply.From {
-			reply.Accepted = append(reply.Accepted, en.accepted[inst])
+	// The promise's accepted list is network-visible: the walk lists the
+	// votes in instance order, the same message bytes on every run, and
+	// costs the tail from reply.From up, not the whole retained log.
+	for _, s := range en.log.From(reply.From) {
+		if s.has&hasVote != 0 {
+			reply.Accepted = append(reply.Accepted, s.acc)
 		}
 	}
 	en.appendRecord(env.Record{Kind: "promise", Data: promiseRec{B: m.B}, Size: 32},
@@ -60,7 +57,7 @@ func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
 		en.e.Send(from, nackMsg{Promised: eff})
 		return
 	}
-	if cur, ok := en.accepted[m.Inst]; ok {
+	if cur, ok := en.votedAt(m.Inst); ok {
 		if m.B.Less(cur.B) {
 			return
 		}
@@ -77,13 +74,14 @@ func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
 // vote durably accepts (b, v) at inst and acknowledges to the ballot
 // owner (the coordinator counts phase-2b messages).
 func (en *Engine) vote(inst InstanceID, b Ballot, v Value) {
-	en.accepted[inst] = acceptedInfo{Inst: inst, B: b, V: v}
-	if b.Less(en.instPromised[inst]) {
+	s := en.log.Ensure(inst)
+	s.setVote(acceptedInfo{Inst: inst, B: b, V: v})
+	if b.Less(s.promised) {
 		// Unreachable given the caller's checks; keep the invariant
 		// explicit.
 		return
 	}
-	en.instPromised[inst] = b
+	s.setPromise(b)
 	if inst >= en.nextFree {
 		en.nextFree = inst + 1
 	}
@@ -158,9 +156,8 @@ func (en *Engine) onFastPropose(from env.NodeID, m fastProposeMsg) {
 			en.nextFree = en.fastFrom
 		}
 		inst := en.nextFree
-		_, taken := en.accepted[inst]
-		_, decided := en.chosen[inst]
-		if !taken && !decided && !fb.Less(en.effPromised(inst)) {
+		s := en.log.At(inst)
+		if (s == nil || s.has&(hasVote|hasChosen) == 0) && !fb.Less(en.effPromised(inst)) {
 			en.vote(inst, fb, m.V)
 			return
 		}
@@ -186,13 +183,13 @@ func (en *Engine) onRecQuery(from env.NodeID, m recQueryMsg) {
 		return
 	}
 	reply := recInfoMsg{B: m.B, Inst: m.Inst}
-	if a, ok := en.accepted[m.Inst]; ok {
+	if a, ok := en.votedAt(m.Inst); ok {
 		reply.Voted = true
 		reply.VB = a.B
 		reply.V = a.V
 	}
 	if eff.Less(m.B) {
-		en.instPromised[m.Inst] = m.B
+		en.log.Ensure(m.Inst).setPromise(m.B)
 		en.appendRecord(env.Record{Kind: "instpromise", Data: instPromiseRec{Inst: m.Inst, B: m.B}, Size: 32},
 			walDone{to: from, msg: reply})
 		return

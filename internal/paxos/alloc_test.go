@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -59,5 +60,54 @@ func TestFastInstanceAllocBudget(t *testing.T) {
 	}
 	if len(ls.fastVotes) != 0 || len(ls.freeVotes) == 0 {
 		t.Fatalf("vote sets not recycled: %d held, %d free", len(ls.fastVotes), len(ls.freeVotes))
+	}
+}
+
+// TestInstanceLogByteBudget: what it costs a replica to remember an instance
+// — its promise, its vote and the decision. Three replicas decide 1,000
+// instances through the protocol; then each is handed 10,000 more the way
+// that writes the log and nothing else: promise and vote records through
+// replay, the decision through onChosen. A slot is 176 B and a chunk of 256
+// takes six 8 KB spans, so an instance costs 192 B and a directory entry's
+// share. (The three maps this replaced allocated 528 B per instance in this
+// test, and 754–779 B with 3,000 to 60,000 instances in place of the 10,000:
+// it depends on where the run catches them in their doubling.)
+func TestInstanceLogByteBudget(t *testing.T) {
+	const warm, n = 1000, 10_000
+	c := newCluster(t, 3, false, 58, sim.NetConfig{})
+	for i := 0; i < warm; i++ {
+		c.submit(2*time.Second+time.Duration(i)*3*time.Millisecond, i%3, fmt.Sprintf("warm-%d", i))
+	}
+	c.s.RunFor(8 * time.Second)
+	for id, en := range c.engines {
+		c.requireDelivered(id, warm)
+		if en.firstUnchosen < warm/2 || en.firstUnchosen != en.maxKnown+1 {
+			t.Fatalf("node %d: warm-up decided %d instances and left %d undelivered", id, en.firstUnchosen, en.maxKnown+1-en.firstUnchosen)
+		}
+		first, b := en.firstUnchosen, en.curBallot
+		recs := make([]env.Record, 0, 2*n)
+		vals := make([]Value, n)
+		for i := range vals {
+			inst := first + InstanceID(i)
+			vals[i] = Value{ID: ValueID{Node: 9, Epoch: 1, Seq: int64(i) + 1}, Size: 64}
+			recs = append(recs,
+				env.Record{Kind: "instpromise", Data: instPromiseRec{Inst: inst, B: b}, Size: 32},
+				env.Record{Kind: "accept", Data: acceptedMsg{B: b, Inst: inst, V: vals[i]}, Size: 96})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		en.replay(recs)
+		for i, v := range vals {
+			en.onChosen(first+InstanceID(i), v)
+		}
+		runtime.ReadMemStats(&after)
+		if en.firstUnchosen != first+n || countVotes(en) < n {
+			t.Fatalf("node %d: %d of %d instances delivered, %d votes held", id, en.firstUnchosen-first, n, countVotes(en))
+		}
+		per := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("node %d: %.1f B per instance", id, per)
+		if per > 220 {
+			t.Errorf("node %d: promise, vote and decision of an instance allocate %.1f B, budget 220", id, per)
+		}
 	}
 }

@@ -1,11 +1,10 @@
 package paxos
 
 import (
-	"slices"
 	"time"
 
-	"robuststore/internal/detsort"
 	"robuststore/internal/env"
+	"robuststore/internal/seqwin"
 )
 
 // Config parameterizes an Engine. Zero fields take the documented
@@ -151,27 +150,36 @@ type Engine struct {
 	// to propose and the consumed prefix is reclaimed in place, so deep
 	// backlogs drain in O(n) total instead of reallocating the remainder
 	// per batch. cmdSeq numbers the commands (see Value).
-	nextSeq      int64
-	cmdSeq       int64     // number of the last command submitted
-	batchTimer   env.Timer // made on first use, re-armed after; pending while batchArmed
-	batchArmed   bool
-	outstanding  map[int64]*pendingValue // keyed by ValueID.Seq
-	cmdQueue     []any
-	qHead        int
-	queueBytes   int64
-	wal          *walWriter
-	adm          admissionController
-	retryScratch []int64 // sweep's due-for-retry list, reused
+	nextSeq    int64
+	cmdSeq     int64     // number of the last command submitted
+	batchTimer env.Timer // made on first use, re-armed after; pending while batchArmed
+	batchArmed bool
+	cmdQueue   []any
+	qHead      int
+	queueBytes int64
+	wal        *walWriter
+	adm        admissionController
+
+	// outstanding holds the values proposed and not yet delivered, at their
+	// ValueID.Seq (1, 2, 3, … per incarnation); a delivered one is zeroed
+	// where it lies, and the window's floor follows the delivered prefix.
+	// inFlight counts the live ones.
+	outstanding seqwin.Window[int64, pendingValue]
+	inFlight    int
+
+	// log is the instance log: what this node promised, voted and learned
+	// at each instance, in one slot. Its base is the lower of voteFloor and
+	// retainedFrom — replay re-installs votes older than the boot's delivery
+	// floor, and promises export them.
+	log seqwin.Window[InstanceID, slot]
 
 	// Acceptor (durable; rebuilt from the WAL on boot).
-	promised     Ballot
-	instPromised map[InstanceID]Ballot
-	accepted     map[InstanceID]acceptedInfo
-	voteFloor    InstanceID // votes below were compacted away (compactRec.Floor)
-	fastBallot   Ballot     // fast round this acceptor may self-assign in
-	fastFrom     InstanceID // floor of the fast self-assignment range
-	nextFree     InstanceID // next candidate slot for self-assignment
-	records      int64      // durable records ever appended (for Truncate)
+	promised   Ballot
+	voteFloor  InstanceID // votes below were compacted away (compactRec.Floor)
+	fastBallot Ballot     // fast round this acceptor may self-assign in
+	fastFrom   InstanceID // floor of the fast self-assignment range
+	nextFree   InstanceID // next candidate slot for self-assignment
+	records    int64      // durable records ever appended (for Truncate)
 
 	// Ballot tracking.
 	curBallot      Ballot // highest leadership claim seen
@@ -181,18 +189,60 @@ type Engine struct {
 	leader         *leaderState // non-nil while this node leads
 
 	// Learner.
-	chosen        map[InstanceID]Value
 	firstUnchosen InstanceID                         // next instance to deliver
-	retainedFrom  InstanceID                         // chosen entries below were compacted away
+	retainedFrom  InstanceID                         // decisions below were compacted away
 	maxKnown      InstanceID                         // highest instance known decided cluster-wide
 	delivered     map[env.NodeID]map[int64]*dedupSet // node -> epoch -> seqs
 	catchUpAt     time.Time
 	gapSince      time.Time
 }
 
+// pendingValue is a proposed value awaiting delivery. The zero value marks
+// a sequence number whose value was delivered.
 type pendingValue struct {
 	v        Value
 	lastSent time.Time
+}
+
+// live tells a pending value from a delivered one's place: proposals count
+// their ID.Seq up from 1.
+func (pv *pendingValue) live() bool { return pv.v.ID.Seq != 0 }
+
+// slot is one instance of the log. The zero slot is an instance this node
+// knows nothing about, and each part reads as the missing map entry it
+// replaces: promised is the zero ballot until hasPromise (effPromised tests
+// the bit, replay and vote compare against the ballot), acc and chosen are
+// meaningless until their bits.
+type slot struct {
+	promised Ballot       // per-instance promise (coordinated recovery)
+	acc      acceptedInfo // this acceptor's vote
+	chosen   Value        // the decision
+	has      uint8
+}
+
+const (
+	hasPromise = 1 << iota
+	hasVote
+	hasChosen
+)
+
+func (s *slot) setPromise(b Ballot)    { s.promised, s.has = b, s.has|hasPromise }
+func (s *slot) setVote(a acceptedInfo) { s.acc, s.has = a, s.has|hasVote }
+
+// votedAt returns this acceptor's vote at inst, if it holds one.
+func (en *Engine) votedAt(inst InstanceID) (acceptedInfo, bool) {
+	if s := en.log.At(inst); s != nil && s.has&hasVote != 0 {
+		return s.acc, true
+	}
+	return acceptedInfo{}, false
+}
+
+// chosenAt returns the value this node knows decided at inst, if any.
+func (en *Engine) chosenAt(inst InstanceID) (Value, bool) {
+	if s := en.log.At(inst); s != nil && s.has&hasChosen != 0 {
+		return s.chosen, true
+	}
+	return Value{}, false
 }
 
 // New creates an engine; Boot must be called before use.
@@ -204,15 +254,11 @@ func New(cfg Config) *Engine {
 	return &Engine{
 		cfg:          cfg,
 		adm:          admissionController{cfg: cfg.Admission},
-		outstanding:  make(map[int64]*pendingValue),
-		instPromised: make(map[InstanceID]Ballot),
-		accepted:     make(map[InstanceID]acceptedInfo),
 		promised:     ballotNone,
 		curBallot:    ballotNone,
 		fastBallot:   ballotNone,
 		maxBallotSeq: -1,
 		lastSeen:     make(map[env.NodeID]time.Time),
-		chosen:       make(map[InstanceID]Value),
 		delivered:    make(map[env.NodeID]map[int64]*dedupSet),
 	}
 }
@@ -251,6 +297,7 @@ func (en *Engine) Boot(e env.Env, deliverFloor InstanceID, ready func()) {
 			e.Logf("paxos: WAL read failed: %v", err)
 			return
 		}
+		en.records = e.Storage().FirstIndex() + int64(len(recs))
 		en.replay(recs)
 		en.booted = true
 		en.startTimers()
@@ -263,7 +310,6 @@ func (en *Engine) Boot(e env.Env, deliverFloor InstanceID, ready func()) {
 
 // replay rebuilds durable acceptor state from WAL records.
 func (en *Engine) replay(recs []env.Record) {
-	en.records = en.e.Storage().FirstIndex() + int64(len(recs))
 	for _, r := range recs {
 		switch d := r.Data.(type) {
 		case promiseRec:
@@ -272,32 +318,33 @@ func (en *Engine) replay(recs []env.Record) {
 			}
 			en.noteBallot(d.B)
 		case instPromiseRec:
-			if en.instPromised[d.Inst].Less(d.B) {
-				en.instPromised[d.Inst] = d.B
+			if s := en.log.Ensure(d.Inst); s.promised.Less(d.B) {
+				s.setPromise(d.B)
 			}
 			en.noteBallot(d.B)
 		case acceptedMsg:
-			cur, ok := en.accepted[d.Inst]
-			if !ok || cur.B.LessEq(d.B) {
-				en.accepted[d.Inst] = acceptedInfo{Inst: d.Inst, B: d.B, V: d.V}
+			if s := en.log.Ensure(d.Inst); s.has&hasVote == 0 || s.acc.B.LessEq(d.B) {
+				s.setVote(acceptedInfo{Inst: d.Inst, B: d.B, V: d.V})
 			}
 			en.noteBallot(d.B)
 		case compactRec:
-			en.instPromised = make(map[InstanceID]Ballot, len(d.InstPromised))
-			for i, b := range d.InstPromised {
-				en.instPromised[i] = b
+			// The barrier replaces whatever came before it. An engine that
+			// boots below the barrier's floor (delivery floor 0, say) still
+			// votes there, so the log starts at the lower of the two.
+			en.log.Reset(min(d.Floor, en.retainedFrom))
+			for _, p := range d.InstPromised {
+				en.log.Ensure(p.Inst).setPromise(p.B)
 			}
-			en.accepted = make(map[InstanceID]acceptedInfo, len(d.Accepted))
 			for _, a := range d.Accepted {
-				en.accepted[a.Inst] = a
+				en.log.Ensure(a.Inst).setVote(a)
 			}
 			en.promised = d.Promised
 			en.voteFloor = d.Floor
 			en.noteBallot(d.Promised)
 		}
 	}
-	for i := range en.accepted {
-		if i >= en.nextFree {
+	for i, s := range en.log.From(en.nextFree) {
+		if s.has&hasVote != 0 {
 			en.nextFree = i + 1
 		}
 	}
@@ -411,10 +458,10 @@ func (en *Engine) queueLen() int { return len(en.cmdQueue) - en.qHead }
 // into the pipeline runs through here, so the in-flight cap is uniform —
 // a timer-driven flush can never overshoot the window.
 func (en *Engine) pump() {
-	for en.queueLen() >= en.cfg.MaxBatchCmds && len(en.outstanding) < en.cfg.MaxInFlight {
+	for en.queueLen() >= en.cfg.MaxBatchCmds && en.inFlight < en.cfg.MaxInFlight {
 		en.proposeNext(en.cfg.MaxBatchCmds)
 	}
-	if en.queueLen() > 0 && len(en.outstanding) < en.cfg.MaxInFlight && !en.batchArmed {
+	if en.queueLen() > 0 && en.inFlight < en.cfg.MaxInFlight && !en.batchArmed {
 		en.batchArmed = true
 		if en.batchTimer == nil {
 			en.batchTimer = en.e.After(en.cfg.BatchDelay, en.batchTimeout)
@@ -429,7 +476,7 @@ func (en *Engine) pump() {
 // batchTimeout proposes the partial batch that waited BatchDelay to fill.
 func (en *Engine) batchTimeout() {
 	en.batchArmed = false
-	if n := en.queueLen(); n > 0 && len(en.outstanding) < en.cfg.MaxInFlight {
+	if n := en.queueLen(); n > 0 && en.inFlight < en.cfg.MaxInFlight {
 		en.proposeNext(min(n, en.cfg.MaxBatchCmds))
 	}
 	en.pump()
@@ -458,7 +505,8 @@ func (en *Engine) proposeNext(n int) {
 		Size:  bytes + 64,
 		First: first,
 	}
-	en.outstanding[v.ID.Seq] = &pendingValue{v: v, lastSent: en.e.Now()}
+	*en.outstanding.Ensure(v.ID.Seq) = pendingValue{v: v, lastSent: en.e.Now()}
+	en.inFlight++
 	en.propose(v)
 }
 
@@ -610,11 +658,13 @@ func (en *Engine) onChosen(inst InstanceID, v Value) {
 	if inst < en.firstUnchosen {
 		return // already delivered or compacted
 	}
-	if _, ok := en.chosen[inst]; ok {
+	s := en.log.Ensure(inst)
+	if s.has&hasChosen != 0 {
 		en.advance()
 		return
 	}
-	en.chosen[inst] = v
+	s.chosen = v
+	s.has |= hasChosen
 	if inst >= en.nextFree {
 		en.nextFree = inst + 1
 	}
@@ -627,21 +677,33 @@ func (en *Engine) onChosen(inst InstanceID, v Value) {
 // advance delivers the contiguous chosen prefix.
 func (en *Engine) advance() {
 	for {
-		v, ok := en.chosen[en.firstUnchosen]
+		v, ok := en.chosenAt(en.firstUnchosen)
 		if !ok {
 			break
 		}
 		inst := en.firstUnchosen
 		en.firstUnchosen++
 		en.gapSince = time.Time{}
-		if pv, mine := en.outstanding[v.ID.Seq]; mine && pv.v.ID == v.ID {
-			delete(en.outstanding, v.ID.Seq)
+		if pv := en.outstanding.At(v.ID.Seq); pv != nil && pv.live() && pv.v.ID == v.ID {
+			en.settle(pv)
 		}
 		if !v.NoOp() && en.markDelivered(v.ID) {
 			en.cfg.Deliver(inst, v)
 		}
 	}
 	en.pump()
+}
+
+// settle retires one of this node's own values, now delivered, and lets the
+// floor of outstanding follow the delivered prefix.
+func (en *Engine) settle(pv *pendingValue) {
+	*pv = pendingValue{}
+	en.inFlight--
+	floor := en.outstanding.Base()
+	for floor < en.outstanding.End() && !en.outstanding.At(floor).live() {
+		floor++
+	}
+	en.outstanding.DropBelow(floor)
 }
 
 // markDelivered records a value id and reports whether it was fresh.
@@ -722,7 +784,7 @@ func (en *Engine) onCatchUpReq(from env.NodeID, m catchUpReqMsg) {
 		start = en.retainedFrom
 	}
 	for i := start; len(reply.Entries) < m.Max; i++ {
-		v, ok := en.chosen[i]
+		v, ok := en.chosenAt(i)
 		if !ok {
 			break
 		}
@@ -760,8 +822,13 @@ func (en *Engine) SkipTo(floor InstanceID) {
 	if floor <= en.firstUnchosen {
 		return
 	}
-	for i := en.firstUnchosen; i < floor; i++ {
-		delete(en.chosen, i)
+	// The decisions below floor go; the votes stay until Compact.
+	for i, s := range en.log.From(en.firstUnchosen) {
+		if i >= floor {
+			break
+		}
+		s.chosen = Value{}
+		s.has &^= hasChosen
 	}
 	en.firstUnchosen = floor
 	if en.retainedFrom < floor {
@@ -822,36 +889,29 @@ func (en *Engine) DeliveredSeqs() DeliveredState {
 // --- Compaction --------------------------------------------------------
 
 // Compact discards consensus state for instances <= through, which the
-// layer above has made durable in an application checkpoint. The open
-// acceptor state is re-written as a compaction barrier so the WAL prefix
-// can be truncated.
+// layer above has made durable in an application checkpoint (so through is
+// below FirstUnchosen). The log's floor moves up past them, and what is left
+// of the acceptor state is re-written as a compaction barrier so the WAL
+// prefix can be truncated.
 func (en *Engine) Compact(through InstanceID) {
 	if through < en.retainedFrom {
 		return
 	}
-	for i := en.retainedFrom; i <= through; i++ {
-		delete(en.chosen, i)
-		delete(en.accepted, i)
-		delete(en.instPromised, i)
-	}
 	en.retainedFrom = through + 1
 	en.voteFloor = en.retainedFrom
-	rec := compactRec{
-		Floor:        en.retainedFrom,
-		Promised:     en.promised,
-		InstPromised: make(map[InstanceID]Ballot, len(en.instPromised)),
-	}
-	for i, b := range en.instPromised {
-		rec.InstPromised[i] = b
-	}
+	en.log.DropBelow(en.retainedFrom)
+	rec := compactRec{Floor: en.retainedFrom, Promised: en.promised}
 	var size int64 = 128
-	// Sorted export: the compaction barrier is a WAL record, and its
-	// accepted list must be byte-identical across replays of the same
-	// history (detorder invariant).
-	for _, i := range detsort.Keys(en.accepted) {
-		a := en.accepted[i]
-		rec.Accepted = append(rec.Accepted, a)
-		size += 32 + a.V.Size
+	// The barrier is a WAL record: the walk lists what is left of the log
+	// in instance order, the same bytes on every replay of the same history.
+	for i, s := range en.log.From(en.retainedFrom) {
+		if s.has&hasPromise != 0 {
+			rec.InstPromised = append(rec.InstPromised, instPromiseRec{Inst: i, B: s.promised})
+		}
+		if s.has&hasVote != 0 {
+			rec.Accepted = append(rec.Accepted, s.acc)
+			size += 32 + s.acc.V.Size
+		}
 	}
 	barrierIdx := en.records
 	en.appendRecord(env.Record{Kind: "compact", Data: rec, Size: size}, walDone{fn: func(error) {
@@ -889,21 +949,14 @@ func (en *Engine) sweep() {
 		en.leaderSweep(now)
 	}
 
-	// Value retries: outstanding batches not yet learned (sorted for
-	// deterministic message order).
-	retry := en.retryScratch[:0]
-	for seq, pv := range en.outstanding {
-		if now.Sub(pv.lastSent) > en.cfg.RetryTimeout {
-			retry = append(retry, seq)
+	// Value retries: outstanding batches not yet learned, in submission
+	// order.
+	for _, pv := range en.outstanding.From(0) {
+		if pv.live() && now.Sub(pv.lastSent) > en.cfg.RetryTimeout {
+			pv.lastSent = now
+			en.propose(pv.v)
 		}
 	}
-	slices.Sort(retry)
-	for _, seq := range retry {
-		pv := en.outstanding[seq]
-		pv.lastSent = now
-		en.propose(pv.v)
-	}
-	en.retryScratch = retry
 
 	// Catch-up: behind the cluster or stuck on a gap.
 	behind := en.maxKnown >= en.firstUnchosen

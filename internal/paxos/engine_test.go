@@ -96,6 +96,17 @@ func newCluster(t *testing.T, n int, fast bool, seed uint64, net sim.NetConfig) 
 	return c
 }
 
+// countVotes returns how many instances of en's log hold a vote.
+func countVotes(en *Engine) int {
+	n := 0
+	for _, s := range en.log.From(en.log.Base()) {
+		if s.has&hasVote != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // submit schedules a command submission at node id after d.
 func (c *testCluster) submit(d time.Duration, id int, cmd string) {
 	c.s.After(d, func() {

@@ -56,7 +56,7 @@ func TestInFlightCapUniform(t *testing.T) {
 	over := 0
 	check := func() {
 		if en := c.engines[0]; en != nil {
-			if n := len(en.outstanding); n > en.cfg.MaxInFlight {
+			if n := en.inFlight; n > en.cfg.MaxInFlight {
 				over = n
 			}
 		}

@@ -186,7 +186,7 @@ func (en *Engine) establish() {
 	q := len(ls.promises)
 	var noopSeq int64
 	for i := open; i < ls.nextInstance; i++ {
-		if v, ok := en.chosen[i]; ok {
+		if v, ok := en.chosenAt(i); ok {
 			// Already decided: just re-announce.
 			en.announceChosen(i, v)
 			continue
@@ -205,18 +205,14 @@ func (en *Engine) establish() {
 		en.broadcast(anyMsg{B: ls.b, From: ls.nextInstance})
 	}
 
-	// Re-propose our own outstanding values — in submission order, not
-	// map order, so values that have never reached an instance yet are
-	// assigned consecutive slots FIFO — and drain the local queue.
-	seqs := make([]int64, 0, len(en.outstanding))
-	for seq := range en.outstanding {
-		seqs = append(seqs, seq)
-	}
-	slices.Sort(seqs)
-	for _, seq := range seqs {
-		pv := en.outstanding[seq]
-		pv.lastSent = en.e.Now()
-		en.propose(pv.v)
+	// Re-propose our own outstanding values — in submission order, so
+	// values that have never reached an instance yet are assigned
+	// consecutive slots FIFO — and drain the local queue.
+	for _, pv := range en.outstanding.From(0) {
+		if pv.live() {
+			pv.lastSent = en.e.Now()
+			en.propose(pv.v)
+		}
 	}
 	en.pump()
 }
@@ -326,7 +322,7 @@ func (en *Engine) onAccepted(from env.NodeID, m acceptedMsg) {
 	if m.Inst < en.firstUnchosen {
 		return // stale: already decided and delivered
 	}
-	if _, done := en.chosen[m.Inst]; done {
+	if _, done := en.chosenAt(m.Inst); done {
 		return
 	}
 	if p, ok := ls.inflight[m.Inst]; ok && p.b == m.B {
@@ -440,7 +436,7 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 
 // choose finalizes an instance and announces it to every learner.
 func (en *Engine) choose(inst InstanceID, v Value) {
-	if _, ok := en.chosen[inst]; ok {
+	if _, ok := en.chosenAt(inst); ok {
 		return
 	}
 	en.announceChosen(inst, v)
@@ -508,7 +504,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 	scanned := 0
 	for i := en.firstUnchosen; i <= frontier && scanned < scanWindow; i++ {
 		scanned++
-		if _, done := en.chosen[i]; done {
+		if _, done := en.chosenAt(i); done {
 			continue
 		}
 		if _, busy := ls.inflight[i]; busy {

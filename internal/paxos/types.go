@@ -112,9 +112,9 @@ type ValueID struct {
 // a command to recognise its own. Re-proposals and recovery carry a value
 // whole, so the correspondence holds wherever the value is chosen.
 //
-// A Value is copied into every message, WAL record and accepted/chosen map
-// entry, so it stays at 64 bytes; a no-op is marked by its negative ID.Seq
-// rather than a flag of its own.
+// A Value is copied into every message and WAL record and twice into its
+// instance's log slot (the vote and the decision), so it stays at 64 bytes;
+// a no-op is marked by its negative ID.Seq rather than a flag of its own.
 type Value struct {
 	ID    ValueID
 	Cmds  []any
@@ -307,10 +307,11 @@ type instPromiseRec struct {
 }
 
 // compactRec is a compaction barrier: it snapshots the acceptor state for
-// open instances so everything before it can be truncated.
+// open instances, each list in instance order, so everything before it can
+// be truncated.
 type compactRec struct {
 	Floor        InstanceID // instances below are covered by the app checkpoint
 	Promised     Ballot
-	InstPromised map[InstanceID]Ballot
+	InstPromised []instPromiseRec
 	Accepted     []acceptedInfo
 }

@@ -20,8 +20,8 @@ func TestWALReplayRestoresAcceptorState(t *testing.T) {
 	c.s.RunFor(5 * time.Second)
 
 	// Crash node 2 (an acceptor), restart it: its WAL must reproduce
-	// its accepted map.
-	before := len(c.engines[2].accepted)
+	// its votes.
+	before := countVotes(c.engines[2])
 	if before == 0 {
 		t.Fatal("node 2 accepted nothing before crash")
 	}
@@ -29,8 +29,8 @@ func TestWALReplayRestoresAcceptorState(t *testing.T) {
 	c.s.Restart(2)
 	c.s.RunFor(3 * time.Second)
 	after := c.engines[2]
-	if len(after.accepted) < before {
-		t.Fatalf("WAL replay lost votes: %d < %d", len(after.accepted), before)
+	if n := countVotes(after); n < before {
+		t.Fatalf("WAL replay lost votes: %d < %d", n, before)
 	}
 	if after.promised.Seq < 0 {
 		t.Fatal("WAL replay lost the promise")
@@ -60,10 +60,10 @@ func TestCompactRecBarrier(t *testing.T) {
 		t.Fatal("storage was not truncated")
 	}
 	// Chosen entries below the floor are gone; later ones retained.
-	if _, ok := en.chosen[through]; ok {
+	if _, ok := en.chosenAt(through); ok {
 		t.Fatal("compacted chosen entry retained")
 	}
-	if _, ok := en.chosen[through+1]; !ok {
+	if _, ok := en.chosenAt(through + 1); !ok {
 		t.Fatal("retained chosen entry missing")
 	}
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/seqwin"
 )
 
 // DiskConfig models each node's local disk (§5.1: one 40 GB 7200 rpm
@@ -58,9 +59,8 @@ type diskStorage struct {
 	node *simNode
 	cfg  DiskConfig
 
-	records    []env.Record
-	firstIndex int64
-	snapshots  map[string]env.Snapshot
+	log       seqwin.Window[int64, env.Record] // the WAL; its base is FirstIndex
+	snapshots map[string]env.Snapshot
 
 	// Disk head scheduling: one operation at a time, group commit for
 	// appends.
@@ -190,7 +190,7 @@ func (d *diskStorage) flush() {
 	d.sim.At(doneAt, func() {
 		// Durability point: the batch is on disk now.
 		for _, p := range batch {
-			d.records = append(d.records, p.rec)
+			d.log.Append(p.rec)
 			if p.done != nil && d.node.alive && d.node.incarnation == p.inc {
 				p.done(nil)
 			}
@@ -250,11 +250,11 @@ func (d *diskStorage) chunked(bytes int64, bandwidth float64, done func()) {
 
 func (d *diskStorage) ReadRecords(done func([]env.Record, error)) {
 	var bytes int64
-	for _, r := range d.records {
+	recs := make([]env.Record, 0, d.log.End()-d.log.Base())
+	for _, r := range d.log.From(d.log.Base()) {
 		bytes += r.Size
+		recs = append(recs, *r)
 	}
-	recs := make([]env.Record, len(d.records))
-	copy(recs, d.records)
 	inc := d.node.incarnation
 	d.chunked(bytes, d.cfg.ReadBandwidth, func() {
 		if d.node.alive && d.node.incarnation == inc {
@@ -264,14 +264,7 @@ func (d *diskStorage) ReadRecords(done func([]env.Record, error)) {
 }
 
 func (d *diskStorage) Truncate(firstKept int64, done func(error)) {
-	if firstKept > d.firstIndex {
-		drop := firstKept - d.firstIndex
-		if drop > int64(len(d.records)) {
-			drop = int64(len(d.records))
-		}
-		d.records = append([]env.Record(nil), d.records[drop:]...)
-		d.firstIndex += drop
-	}
+	d.log.DropBelow(min(firstKept, d.log.End()))
 	// Truncation is metadata only: charge one sync.
 	doneAt := d.reserve(d.seekLatency())
 	inc := d.node.incarnation
@@ -282,7 +275,7 @@ func (d *diskStorage) Truncate(firstKept int64, done func(error)) {
 	})
 }
 
-func (d *diskStorage) FirstIndex() int64 { return d.firstIndex }
+func (d *diskStorage) FirstIndex() int64 { return d.log.Base() }
 
 func (d *diskStorage) SaveSnapshot(name string, snap env.Snapshot, done func(error)) {
 	inc := d.node.incarnation
