@@ -10,19 +10,33 @@ import (
 	"robuststore/internal/env"
 )
 
-// refEvent and refQueue are the event queue the simulator used before the
-// value-typed heap: container/heap over pointers, ordered by (at, seq).
-// They live on only here, as the reference the new queue is compared with.
+// refEvent and refQueue are the loop's one event queue as it was before
+// timers and resource jobs left it: container/heap over pointers, ordered by
+// (at, seq), holding an entry for every arming of a timer — live or not — and
+// for every job admitted to a resource. They live on only here, as the
+// reference the two heaps of today are compared with (refSched, below).
 type refEvent struct {
 	at, seq int64
 
-	// What the schedule-level test needs to predict the loop's decision.
-	id      int
-	node    int // -1: a global callback
-	inc     int
-	stopped bool
-	popped  bool
+	// What refSched needs to decide what popping the entry does.
+	kind  refKind
+	id    int          // what the callback records; 0: none (a job without done, a node's Start)
+	node  int          // kindNode, kindDeliver
+	inc   int          // kindNode: the incarnation that must still be up
+	timer *refTimer    // kindTimer
+	res   *refResource // kindResource
+	gen   int          // the timer's or the resource's generation when the entry was made
 }
+
+type refKind uint8
+
+const (
+	kindGlobal refKind = iota
+	kindNode
+	kindTimer
+	kindDeliver
+	kindResource
+)
 
 type refQueue []*refEvent
 
@@ -76,7 +90,7 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 			}
 			seq++
 			at := now + int64(rng.Intn(8))
-			q.push(event{at: at, seq: seq})
+			q.push(event{key: key{at: at, seq: seq}})
 			heap.Push(&ref, &refEvent{at: at, seq: seq})
 		}
 		for len(q) > 0 {
@@ -88,102 +102,230 @@ func TestEventQueueMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// TestScheduleMatchesReferenceModel drives a simulation with a seeded random
-// mix of global callbacks, node timers, posts, timer stops and resets,
-// crashes and restarts, and predicts from the reference heap what must run,
-// in which order, at what virtual time: a stopped timer never fires, Stop
-// reports whether it prevented the callback, a Reset schedules one more run
-// under the timer's own incarnation and supersedes a pending one, a crash
-// orphans the node's pending callbacks, and everything else runs in (at, seq)
-// order.
-func TestScheduleMatchesReferenceModel(t *testing.T) {
-	type fire struct {
-		id int
-		at int64
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := New(Config{Seed: uint64(seed)})
-		envs := make([]env.Env, 3) // the live incarnation's Env, nil while down
-		incs := make([]int, 3)
-		for i := range envs {
-			s.AddNode(func() env.Node { return &envCapture{at: &envs[i]} })
-		}
-		s.StartAll()
-		s.RunFor(time.Millisecond)
+// refSched is the scheduler this package had before this test was extended,
+// reduced to its decisions: one lazy-deletion heap. A timer's every arming is
+// an entry stamped with a generation, discarded when it surfaces stale; every
+// resource job is an entry from the moment it is admitted; a crash orphans by
+// incarnation. The network is the simulator's with no jitter: a 512-byte
+// message holds the sender's NIC for 4,096 ns (loopback skips it) and arrives
+// 120 µs after it leaves.
+type refSched struct {
+	q     refQueue
+	seq   int64
+	now   int64
+	alive []bool
+	inc   []int
+	nic   []int64 // per node, when its NIC is free again
+	fired []fire
+}
 
-		var ref refQueue
-		var got, want []fire
-		var seq int64
-		nextID := 0
-		type handle struct {
-			tm env.Timer
-			ev *refEvent // the latest arming
+type fire struct {
+	id int
+	at int64
+}
+
+type refTimer struct {
+	node, inc, id int
+	gen           int
+	pending       bool
+}
+
+type refResource struct {
+	busy   []int64
+	queued int
+	gen    int
+}
+
+func (r *refSched) schedule(at int64, e *refEvent) {
+	r.seq++
+	e.at, e.seq = max(at, r.now), r.seq
+	heap.Push(&r.q, e)
+}
+
+func (r *refSched) reset(t *refTimer, d time.Duration) {
+	t.gen++
+	t.pending = true
+	r.schedule(r.now+int64(d), &refEvent{kind: kindTimer, timer: t, gen: t.gen})
+}
+
+func (r *refSched) stop(t *refTimer) bool {
+	was := t.pending
+	t.pending = false
+	return was
+}
+
+func (r *refSched) send(from, to, id int) {
+	depart := r.now
+	if from != to {
+		depart = max(depart, r.nic[from]) + 4096
+		r.nic[from] = depart
+	}
+	r.schedule(depart+120_000, &refEvent{kind: kindDeliver, node: to, id: id})
+}
+
+func (r *refSched) acquire(res *refResource, d time.Duration, id int) {
+	best := 0
+	for i := range res.busy {
+		if res.busy[i] < res.busy[best] {
+			best = i
 		}
-		var timers []*handle
-		schedule := func(node int, d time.Duration) *refEvent {
-			seq++
-			nextID++
-			e := &refEvent{at: s.Now().Add(d).UnixNano(), seq: seq, id: nextID, node: node}
-			if node >= 0 {
-				e.inc = incs[node]
+	}
+	end := max(r.now, res.busy[best]) + int64(d)
+	res.busy[best] = end
+	res.queued++
+	r.schedule(end, &refEvent{kind: kindResource, res: res, gen: res.gen, id: id})
+}
+
+func (res *refResource) reset() {
+	res.gen++
+	res.queued = 0
+	clear(res.busy)
+}
+
+func (r *refSched) crash(node int) {
+	r.alive[node] = false
+	r.inc[node]++
+}
+
+// restart brings node up; like the simulator, it posts the node's Start.
+func (r *refSched) restart(node int) {
+	r.alive[node] = true
+	r.schedule(r.now, &refEvent{kind: kindNode, node: node, inc: r.inc[node]})
+}
+
+func (r *refSched) runUntil(limit int64) {
+	for r.q.Len() > 0 && r.q[0].at <= limit {
+		e := heap.Pop(&r.q).(*refEvent)
+		run := true
+		switch e.kind {
+		case kindTimer:
+			t := e.timer
+			if !t.pending || t.gen != e.gen {
+				continue // stale: discarded without advancing the clock
 			}
-			heap.Push(&ref, e)
-			return e
+			t.pending = false
+			e.id = t.id
+			run = r.alive[t.node] && r.inc[t.node] == t.inc
+		case kindNode:
+			run = r.alive[e.node] && r.inc[e.node] == e.inc
+		case kindDeliver:
+			run = r.alive[e.node]
+		case kindResource:
+			if run = e.res.gen == e.gen; run {
+				e.res.queued--
+			}
 		}
+		r.now = e.at
+		if run && e.id != 0 {
+			r.fired = append(r.fired, fire{e.id, e.at})
+		}
+	}
+	r.now = max(r.now, limit)
+}
+
+// TestScheduleMatchesReferenceModel drives the simulator and refSched with
+// the same seeded random schedule — global callbacks, node timers armed,
+// re-armed and stopped, posts, sends, jobs with and without a completion on a
+// 1-worker and a 2-worker resource, resource resets, crashes and restarts —
+// over 1,000 seeds. After every operation both must have run the same
+// callbacks in the same order, each at the same virtual time, agree on every
+// Stop's answer, and report the same QueueLen on both resources.
+func TestScheduleMatchesReferenceModel(t *testing.T) {
+	const nodes = 3
+	schedules, rounds := 1000, 400
+	if testing.Short() {
+		schedules = 100
+	}
+	total := 0
+	for seed := int64(1); seed <= int64(schedules); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Jitter cannot be zero (that asks for the default); this rounds to it.
+		s := New(Config{Seed: uint64(seed), Net: NetConfig{Jitter: 1e-9}})
+		ref := &refSched{alive: make([]bool, nodes), inc: make([]int, nodes), nic: make([]int64, nodes)}
+		var got []fire
 		record := func(id int) func() {
 			return func() { got = append(got, fire{id, s.Now().UnixNano()}) }
 		}
-		// run advances the simulation and the model together.
+		envs := make([]env.Env, nodes) // the live incarnation's Env, nil while down
+		for i := range envs {
+			s.AddNode(func() env.Node {
+				return &envCapture{at: &envs[i], receive: func(msg env.Message) { record(msg.(int))() }}
+			})
+		}
+		s.StartAll()
+		for i := range envs {
+			ref.restart(i)
+		}
+		type timerPair struct {
+			tm  env.Timer
+			ref *refTimer
+		}
+		var timers []timerPair
+		res := [2]*Resource{NewResource(s, 1), NewResource(s, 2)}
+		refRes := [2]*refResource{{busy: make([]int64, 1)}, {busy: make([]int64, 2)}}
+		nextID := 0
+		newID := func() int { nextID++; return nextID }
 		run := func(until time.Time) {
 			s.RunUntil(until)
-			for ref.Len() > 0 && ref[0].at <= until.UnixNano() {
-				e := heap.Pop(&ref).(*refEvent)
-				if e.stopped {
-					continue
-				}
-				e.popped = true
-				if e.node < 0 || (envs[e.node] != nil && incs[e.node] == e.inc) {
-					want = append(want, fire{e.id, e.at})
-				}
-			}
+			ref.runUntil(until.UnixNano())
 		}
-		for round := 0; round < 3000; round++ {
-			node := rng.Intn(3)
+		run(s.Now().Add(time.Millisecond))
+		for round := 0; round < rounds; round++ {
+			node := rng.Intn(nodes)
 			d := time.Duration(rng.Intn(5)) * 100 * time.Microsecond
+			up := envs[node] != nil
 			switch op := rng.Intn(100); {
-			case op < 25:
-				e := schedule(-1, d)
-				s.After(d, record(e.id))
-			case op < 55 && envs[node] != nil:
-				e := schedule(node, d)
-				timers = append(timers, &handle{envs[node].After(d, record(e.id)), e})
-			case op < 70 && envs[node] != nil:
-				e := schedule(node, 0)
-				envs[node].Post(record(e.id))
-			case op < 78 && len(timers) > 0:
-				h := timers[rng.Intn(len(timers))]
-				prevented := !h.ev.stopped && !h.ev.popped
-				if h.tm.Stop() != prevented {
-					t.Fatalf("seed %d: Stop reported %v on timer %d (stopped=%v, popped=%v)",
-						seed, !prevented, h.ev.id, h.ev.stopped, h.ev.popped)
+			case op < 10:
+				id := newID()
+				s.After(d, record(id))
+				ref.schedule(ref.now+int64(d), &refEvent{kind: kindGlobal, id: id})
+			case op < 25 && up:
+				id := newID()
+				rt := &refTimer{node: node, inc: ref.inc[node], id: id}
+				ref.reset(rt, d)
+				timers = append(timers, timerPair{envs[node].After(d, record(id)), rt})
+			case op < 33 && up:
+				id := newID()
+				envs[node].Post(record(id))
+				ref.schedule(ref.now, &refEvent{kind: kindNode, node: node, inc: ref.inc[node], id: id})
+			case op < 43 && up:
+				id, to := newID(), rng.Intn(nodes)
+				envs[node].Send(env.NodeID(to), id)
+				ref.send(node, to, id)
+			case op < 50 && len(timers) > 0:
+				p := timers[rng.Intn(len(timers))]
+				if got, want := p.tm.Stop(), ref.stop(p.ref); got != want {
+					t.Fatalf("seed %d round %d: Stop reported %v on timer %d, the reference model %v", seed, round, got, p.ref.id, want)
 				}
-				h.ev.stopped = true
-			case op < 85 && len(timers) > 0:
+			case op < 62 && len(timers) > 0:
 				// Pending, fired, stopped or orphaned by a crash: the timer
 				// runs its callback once more, as the incarnation that made it.
-				h := timers[rng.Intn(len(timers))]
-				h.tm.Reset(d)
-				prev := h.ev
-				prev.stopped = true
-				h.ev = schedule(prev.node, d)
-				h.ev.id, h.ev.inc = prev.id, prev.inc
-			case op < 88 && envs[node] != nil:
+				p := timers[rng.Intn(len(timers))]
+				p.tm.Reset(d)
+				ref.reset(p.ref, d)
+			case op < 80:
+				// Bursts, so that jobs queue behind one another.
+				k := rng.Intn(2)
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					id, done := 0, (func())(nil)
+					if rng.Intn(2) == 0 {
+						id = newID()
+						done = record(id)
+					}
+					res[k].Acquire(d, done)
+					ref.acquire(refRes[k], d, id)
+				}
+			case op < 82:
+				k := rng.Intn(2)
+				res[k].Reset()
+				refRes[k].reset()
+			case op < 85 && up:
 				s.Crash(env.NodeID(node))
 				envs[node] = nil
-				incs[node]++
-			case op < 92 && envs[node] == nil:
+				ref.crash(node)
+			case op < 90 && !up:
 				s.Restart(env.NodeID(node))
+				ref.restart(node)
 				run(s.Now()) // the Start event hands over the new Env
 				if envs[node] == nil {
 					t.Fatalf("seed %d: node %d did not start", seed, node)
@@ -191,26 +333,39 @@ func TestScheduleMatchesReferenceModel(t *testing.T) {
 			default:
 				run(s.Now().Add(time.Duration(rng.Intn(4)) * 100 * time.Microsecond))
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d callbacks ran, the reference model runs %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: callback %d was %+v, the reference model has %+v", seed, i, got[i], want[i])
+			if s.Now().UnixNano() != ref.now {
+				t.Fatalf("seed %d round %d: the clock reads %d, the reference model's %d", seed, round, s.Now().UnixNano(), ref.now)
+			}
+			for k := range res {
+				if got, want := res[k].QueueLen(), refRes[k].queued; got != want {
+					t.Fatalf("seed %d round %d: %d-worker resource holds %d jobs, the reference model %d", seed, round, k+1, got, want)
+				}
+			}
+			if len(got) != len(ref.fired) {
+				t.Fatalf("seed %d round %d: %d callbacks ran, the reference model runs %d", seed, round, len(got), len(ref.fired))
 			}
 		}
-		if len(got) < 1000 {
-			t.Fatalf("seed %d: only %d callbacks ran; the mix is not exercising the loop", seed, len(got))
+		for i := range got {
+			if got[i] != ref.fired[i] {
+				t.Fatalf("seed %d: callback %d was %+v, the reference model has %+v", seed, i, got[i], ref.fired[i])
+			}
 		}
+		total += len(got)
+	}
+	if total < 150*schedules {
+		t.Fatalf("only %d callbacks ran over %d schedules; the mix is not exercising the loop", total, schedules)
 	}
 }
 
-// envCapture is a node that publishes its incarnation's Env.
-type envCapture struct{ at *env.Env }
+// envCapture is a node that publishes its incarnation's Env and hands what
+// it receives to receive.
+type envCapture struct {
+	at      *env.Env
+	receive func(env.Message)
+}
 
-func (n *envCapture) Start(e env.Env)                 { *n.at = e }
-func (n *envCapture) Receive(env.NodeID, env.Message) {}
+func (n *envCapture) Start(e env.Env)                       { *n.at = e }
+func (n *envCapture) Receive(_ env.NodeID, msg env.Message) { n.receive(msg) }
 
 // countNode counts deliveries and does nothing else.
 type countNode struct {
@@ -230,6 +385,66 @@ func countPair(tb testing.TB) (*Sim, *countNode) {
 	s.StartAll()
 	s.RunFor(time.Millisecond)
 	return s, a
+}
+
+// pendingEntries is what the loop still has to pop: the event heap's entries
+// and the armed timers.
+func pendingEntries(s *Sim) int { return len(s.queue) + len(s.timers) }
+
+// TestHeapHoldsOnlyLiveEvents: the loop holds an entry for what will run and
+// for nothing else. A thousand timers re-armed a hundred times each are a
+// thousand entries (a hundred thousand while a Reset left the old arming in
+// the queue to be discarded when it surfaced); ten thousand jobs waiting for
+// a one-worker resource are one, the job in service; a stopped timer is none.
+func TestHeapHoldsOnlyLiveEvents(t *testing.T) {
+	s, a := countPair(t)
+	if n := pendingEntries(s); n != 0 {
+		t.Fatalf("%d entries before anything was scheduled", n)
+	}
+	fired := 0
+	fn := func() { fired++ }
+	timers := make([]env.Timer, 1000)
+	for i := range timers {
+		timers[i] = a.e.After(time.Second, fn)
+	}
+	for round := 1; round <= 100; round++ {
+		for i, tm := range timers {
+			// Earlier and later than the arming it replaces, by turns.
+			tm.Reset(time.Second + time.Duration((i*round)%200-100)*time.Millisecond)
+		}
+	}
+	if n := pendingEntries(s); n > len(timers) {
+		t.Errorf("%d timers re-armed 100 times each hold %d entries", len(timers), n)
+	}
+	for _, tm := range timers[:500] {
+		if !tm.Stop() {
+			t.Fatal("Stop did not find an armed timer armed")
+		}
+	}
+	if n := pendingEntries(s); n != 500 {
+		t.Errorf("500 armed timers and 500 stopped ones hold %d entries", n)
+	}
+	s.RunFor(2 * time.Second)
+	if fired != 500 || pendingEntries(s) != 0 {
+		t.Errorf("%d of the 500 armed timers fired, %d entries left", fired, pendingEntries(s))
+	}
+
+	cpu := NewResource(s, 1)
+	fired = 0
+	for i := 0; i < 10_000; i++ {
+		cpu.Acquire(time.Microsecond, fn)
+	}
+	if n := pendingEntries(s); n != 1 || cpu.QueueLen() != 10_000 {
+		t.Errorf("%d jobs queued on one worker hold %d entries, want 1", cpu.QueueLen(), n)
+	}
+	s.RunFor(5 * time.Millisecond)
+	if n := pendingEntries(s); n != 1 || cpu.QueueLen() != 5000 || fired != 5000 {
+		t.Errorf("half way: %d jobs done, %d queued, %d entries; want 5000, 5000 and 1", fired, cpu.QueueLen(), n)
+	}
+	s.RunFor(5 * time.Millisecond)
+	if fired != 10_000 || cpu.QueueLen() != 0 || pendingEntries(s) != 0 {
+		t.Errorf("%d jobs done, %d queued, %d entries left", fired, cpu.QueueLen(), pendingEntries(s))
+	}
 }
 
 // TestEventAllocBudget: scheduling is allocation-free. Sending a message

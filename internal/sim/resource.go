@@ -1,27 +1,45 @@
 package sim
 
-import "time"
+import (
+	"time"
+
+	"robuststore/internal/env"
+)
 
 // Resource models a serially shared resource such as a replica's CPU: a
 // FIFO queue of jobs, each holding the resource for its service time. The
 // web tier uses one Resource per replica to model Tomcat's request
 // processing on the single-Xeon nodes of §5.1; queueing delay under load is
 // what produces the paper's WIRT curves.
+//
+// A job's worker and completion time are fixed when it is admitted, and a
+// worker's jobs complete in the order they were admitted. So each worker keeps
+// its jobs in its own FIFO and only the first is in the event heap, under the
+// key the job was stamped with at Acquire: a backlog of thousands of jobs is
+// one heap entry per worker, and the completions run exactly when, and in
+// the order, they would have with every job in the heap.
 type Resource struct {
 	sim     *Sim
-	workers int
-	busy    []time.Time // per-worker horizon
+	workers []worker
 	queued  int
-	gen     int64 // bumped by Reset to orphan pending jobs
+	gen     int64 // bumped by Reset to orphan the heads in the event heap
+}
+
+type worker struct {
+	busy time.Time // horizon: when the last job admitted completes
+	jobs []job     // admitted and not completed; jobs[head] is the one in the event heap
+	head int
+}
+
+type job struct {
+	key
+	done func()
 }
 
 // NewResource creates a resource with the given parallelism (e.g. CPU
 // cores or a worker pool size). workers must be >= 1.
 func NewResource(s *Sim, workers int) *Resource {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Resource{sim: s, workers: workers, busy: make([]time.Time, workers)}
+	return &Resource{sim: s, workers: make([]worker, max(workers, 1))}
 }
 
 // Acquire enqueues a job that needs the resource for d and calls done when
@@ -29,25 +47,51 @@ func NewResource(s *Sim, workers int) *Resource {
 func (r *Resource) Acquire(d time.Duration, done func()) {
 	// Pick the worker that frees up first.
 	best := 0
-	for i := 1; i < r.workers; i++ {
-		if r.busy[i].Before(r.busy[best]) {
+	for i := 1; i < len(r.workers); i++ {
+		if r.workers[i].busy.Before(r.workers[best].busy) {
 			best = i
 		}
 	}
+	w := &r.workers[best]
 	start := r.sim.now
-	if r.busy[best].After(start) {
-		start = r.busy[best]
+	if w.busy.After(start) {
+		start = w.busy
 	}
-	end := start.Add(d)
-	r.busy[best] = end
+	w.busy = start.Add(d)
 	r.queued++
-	r.sim.schedule(end, event{kind: evResource, msg: r, inc: r.gen, fn: done})
+	w.jobs = append(w.jobs, job{key: r.sim.stamp(w.busy), done: done})
+	if len(w.jobs)-w.head == 1 {
+		r.scheduleHead(best)
+	}
 }
 
-// complete finishes a job admitted in generation gen.
-func (r *Resource) complete(gen int64, done func()) {
+// scheduleHead puts worker wi's first job into the event heap.
+func (r *Resource) scheduleHead(wi int) {
+	w := &r.workers[wi]
+	r.sim.queue.push(event{key: w.jobs[w.head].key, kind: evResource, msg: r, inc: r.gen, from: env.NodeID(wi)})
+}
+
+// complete finishes the first job of worker wi, scheduled in generation gen.
+func (r *Resource) complete(wi int, gen int64) {
 	if r.gen != gen {
-		return // orphaned by Reset
+		return // the head of a queue that Reset dropped
+	}
+	w := &r.workers[wi]
+	done := w.jobs[w.head].done
+	w.jobs[w.head].done = nil
+	w.head++
+	switch {
+	case w.head == len(w.jobs):
+		w.jobs, w.head = w.jobs[:0], 0
+	case w.head >= 64 && w.head >= len(w.jobs)/2:
+		// A worker that never idles never empties its queue: slide the live
+		// half down, amortized O(1) per job.
+		n := copy(w.jobs, w.jobs[w.head:])
+		clear(w.jobs[n:])
+		w.jobs, w.head = w.jobs[:n], 0
+	}
+	if w.head < len(w.jobs) {
+		r.scheduleHead(wi)
 	}
 	r.queued--
 	if done != nil {
@@ -59,11 +103,14 @@ func (r *Resource) complete(gen int64, done func()) {
 func (r *Resource) QueueLen() int { return r.queued }
 
 // Reset drops all queued work (completion callbacks never fire) and frees
-// the resource immediately. Used when the owning server crashes.
+// the resource immediately. Used when the owning server crashes. The heads
+// already in the event heap are discarded when they surface.
 func (r *Resource) Reset() {
 	r.gen++
 	r.queued = 0
-	for i := range r.busy {
-		r.busy[i] = time.Time{}
+	for i := range r.workers {
+		w := &r.workers[i]
+		clear(w.jobs)
+		*w = worker{jobs: w.jobs[:0]}
 	}
 }

@@ -43,7 +43,8 @@ type Config struct {
 type Sim struct {
 	cfg     Config
 	now     time.Time
-	queue   eventQueue
+	queue   eventQueue // everything due to run but the timers
+	timers  timerHeap  // the armed timers
 	seq     int64
 	rng     *xrand.Rand
 	nodes   []*simNode
@@ -72,14 +73,16 @@ func (s *Sim) Now() time.Time { return s.now }
 // generators and fault schedules; nodes get their own split streams).
 func (s *Sim) Rand() *xrand.Rand { return s.rng }
 
-// schedule enqueues ev at time at (clamped to now), stamping its key.
-func (s *Sim) schedule(at time.Time, ev event) {
-	ev.at = at.UnixNano()
-	if nowNS := s.now.UnixNano(); ev.at < nowNS {
-		ev.at = nowNS
-	}
+// stamp returns the key of the next thing scheduled, to run at time at
+// (clamped to now).
+func (s *Sim) stamp(at time.Time) key {
 	s.seq++
-	ev.seq = s.seq
+	return key{at: max(at.UnixNano(), s.now.UnixNano()), seq: s.seq}
+}
+
+// schedule enqueues ev at time at, stamping its key.
+func (s *Sim) schedule(at time.Time, ev event) {
+	ev.key = s.stamp(at)
 	s.queue.push(ev)
 }
 
@@ -89,20 +92,21 @@ func (s *Sim) At(at time.Time, fn func()) { s.schedule(at, event{fn: fn}) }
 // After schedules a global callback after d.
 func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now.Add(d), event{fn: fn}) }
 
-// step pops the earliest event and runs it. A timer event whose arming was
-// stopped or superseded by a Reset is discarded without advancing the clock.
+// step runs whichever is earlier, the first armed timer or the first event.
+// One of the two heaps must not be empty.
 func (s *Sim) step() {
-	e := s.queue.pop()
-	if e.kind == evTimer {
-		t := e.timer
-		if !t.pending || t.gen != int32(e.from) {
-			return
+	if len(s.timers) > 0 && (len(s.queue) == 0 || s.timers[0].before(s.queue[0].key)) {
+		t := s.timers[0]
+		// The timer is spent before its callback runs: a later Stop must not
+		// claim it prevented this callback, and the callback may Reset it.
+		s.timers.remove(t)
+		s.now = time.Unix(0, t.at).UTC()
+		if n := t.e.n; n.alive && n.incarnation == t.e.inc {
+			t.fn()
 		}
-		// Mark the timer spent before invoking: a later Stop must not claim
-		// it prevented this callback, and the callback may Reset it.
-		t.pending = false
-		e.fn = t.fn
+		return
 	}
+	e := s.queue.pop()
 	s.now = time.Unix(0, e.at).UTC()
 	switch e.kind {
 	case evGlobal:
@@ -113,19 +117,32 @@ func (s *Sim) step() {
 			e.node.node.Receive(e.from, e.msg)
 		}
 	case evResource:
-		e.msg.(*Resource).complete(e.inc, e.fn)
-	default: // evNode, evTimer
+		e.msg.(*Resource).complete(int(e.from), e.inc)
+	case evNode:
 		if e.node.alive && e.node.incarnation == e.inc {
 			e.fn()
 		}
 	}
 }
 
+// next returns the time of the earliest timer or event, if there is one.
+func (s *Sim) next() (at int64, ok bool) {
+	switch {
+	case len(s.timers) == 0 && len(s.queue) == 0:
+		return 0, false
+	case len(s.timers) == 0:
+		return s.queue[0].at, true
+	case len(s.queue) == 0:
+		return s.timers[0].at, true
+	}
+	return min(s.timers[0].at, s.queue[0].at), true
+}
+
 // RunUntil executes events until virtual time reaches t. Events scheduled
 // exactly at t are executed.
 func (s *Sim) RunUntil(t time.Time) {
 	limit := t.UnixNano()
-	for len(s.queue) > 0 && s.queue[0].at <= limit {
+	for at, ok := s.next(); ok && at <= limit; at, ok = s.next() {
 		s.step()
 	}
 	if s.now.Before(t) {
@@ -141,10 +158,10 @@ func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 // unit tests; periodic timers (heartbeats) never drain, so tests bound the
 // event count.
 func (s *Sim) RunUntilIdle(maxEvents int) bool {
-	for i := 0; i < maxEvents && len(s.queue) > 0; i++ {
+	for i := 0; i < maxEvents && len(s.queue)+len(s.timers) > 0; i++ {
 		s.step()
 	}
-	return len(s.queue) == 0
+	return len(s.queue)+len(s.timers) == 0
 }
 
 // simNode holds the runtime state of one cluster member across
@@ -293,33 +310,32 @@ func (e *nodeEnv) Post(fn func()) {
 	e.n.sim.schedule(e.n.sim.now, event{kind: evNode, node: e.n, inc: e.inc, fn: fn})
 }
 
-// simTimer owns a timer's state: queue entries move, so Stop cannot hold
-// one. Each arming schedules one event stamped with the generation it was
-// made under; the loop runs an event only while the timer is pending and the
-// stamp is current, so the entry a Stop or a later Reset leaves in the queue
-// is discarded when it surfaces.
+// simTimer is a node timer. While armed it is an entry of the simulation's
+// timerHeap, under the key its last Reset gave it; once it has fired or been
+// stopped nothing in the loop refers to it.
 type simTimer struct {
-	e       *nodeEnv
-	fn      func()
-	gen     int32 // bumped by every arming; rides in event.from
-	pending bool  // armed, and neither fired nor stopped since
+	key
+	e   *nodeEnv
+	fn  func()
+	pos int32 // its place in the heap; -1 while it is not armed
 }
 
 func (t *simTimer) Stop() bool {
-	was := t.pending
-	t.pending = false
-	return was
+	if t.pos < 0 {
+		return false
+	}
+	t.e.n.sim.timers.remove(t)
+	return true
 }
 
 func (t *simTimer) Reset(d time.Duration) {
-	t.gen++
-	t.pending = true
 	s := t.e.n.sim
-	s.schedule(s.now.Add(d), event{kind: evTimer, node: t.e.n, inc: t.e.inc, timer: t, from: env.NodeID(t.gen)})
+	t.key = s.stamp(s.now.Add(d))
+	s.timers.arm(t)
 }
 
 func (e *nodeEnv) After(d time.Duration, fn func()) env.Timer {
-	t := &simTimer{e: e, fn: fn}
+	t := &simTimer{e: e, fn: fn, pos: -1}
 	t.Reset(d)
 	return t
 }

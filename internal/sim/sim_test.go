@@ -353,6 +353,70 @@ func TestRunUntilIdle(t *testing.T) {
 	}
 }
 
+// TestResourceResetOrphans: Reset drops the queue, not only its callbacks.
+// Of five jobs queued on one worker (eight on two) only the heads were in the
+// event heap, so only they are left behind; a job admitted after the Reset runs
+// at now + d, not behind the dropped ones; and a head surfacing later runs
+// nothing and completes nothing.
+func TestResourceResetOrphans(t *testing.T) {
+	for workers := 1; workers <= 2; workers++ {
+		s := New(Config{Seed: 13})
+		r := NewResource(s, workers)
+		stale := 0
+		for i := 0; i < 4*workers+1; i++ {
+			r.Acquire(time.Millisecond, func() { stale++ })
+		}
+		s.RunFor(500 * time.Microsecond)
+		r.Reset()
+		if r.QueueLen() != 0 {
+			t.Fatalf("%d workers: %d jobs queued after Reset", workers, r.QueueLen())
+		}
+		if n := pendingEntries(s); n > workers {
+			t.Fatalf("%d workers: Reset left %d entries in the heap, want at most the %d orphaned heads", workers, n, workers)
+		}
+		var doneAt time.Time
+		r.Acquire(time.Millisecond, func() { doneAt = s.Now() })
+		want := s.Now().Add(time.Millisecond)
+		s.RunFor(750 * time.Microsecond) // the orphaned heads surface here
+		if stale != 0 || r.QueueLen() != 1 {
+			t.Fatalf("%d workers: an orphaned head ran %d callbacks and left %d jobs queued, want 0 and 1", workers, stale, r.QueueLen())
+		}
+		if !s.RunUntilIdle(10) {
+			t.Fatalf("%d workers: the queue did not drain", workers)
+		}
+		if stale != 0 || !doneAt.Equal(want) || r.QueueLen() != 0 {
+			t.Fatalf("%d workers: the job admitted after Reset finished at %v (want %v), %d dropped callbacks ran, %d jobs queued",
+				workers, doneAt, want, stale, r.QueueLen())
+		}
+	}
+}
+
+// TestRunUntilIdleCountsLiveEvents: an arming that was superseded or stopped
+// is not an event. A timer re-armed ten times and then stopped leaves the
+// simulation idle, with the clock where it was; one re-armed ten times runs
+// once, and that is the one event RunUntilIdle spends.
+func TestRunUntilIdleCountsLiveEvents(t *testing.T) {
+	s, a := countPair(t)
+	start := s.Now()
+	fired := 0
+	tm := a.e.After(time.Millisecond, func() { fired++ })
+	for i := 2; i <= 11; i++ {
+		tm.Reset(time.Duration(i) * time.Millisecond)
+	}
+	if !tm.Stop() {
+		t.Fatal("Stop did not find the timer armed")
+	}
+	if !s.RunUntilIdle(1) || fired != 0 || !s.Now().Equal(start) {
+		t.Fatalf("a stopped timer: drained=%v after %v with %d callbacks, want an idle simulation", pendingEntries(s) == 0, s.Now().Sub(start), fired)
+	}
+	for i := 1; i <= 11; i++ {
+		tm.Reset(time.Duration(i) * time.Millisecond)
+	}
+	if !s.RunUntilIdle(1) || fired != 1 || s.Now().Sub(start) != 11*time.Millisecond {
+		t.Fatalf("a re-armed timer: drained=%v after %v with %d callbacks, want one callback at 11ms", pendingEntries(s) == 0, s.Now().Sub(start), fired)
+	}
+}
+
 // TestTimerStopAfterFireReportsFalse: the env.Timer contract — Stop
 // reports whether the callback was prevented. The event loop used to pop
 // events without clearing fn, so Stop on an already-fired timer claimed
