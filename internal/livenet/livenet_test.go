@@ -84,6 +84,11 @@ func (sl *slots) counterValue(i int) int64 {
 
 func buildCluster(t *testing.T, n int) (*Cluster, *slots) {
 	t.Helper()
+	return buildClusterMode(t, n, false)
+}
+
+func buildClusterMode(t *testing.T, n int, fast bool) (*Cluster, *slots) {
+	t.Helper()
 	c := New(Config{Latency: 100 * time.Microsecond, Seed: 9})
 	sl := &slots{
 		replicas: make([]*core.Replica, n),
@@ -99,6 +104,7 @@ func buildCluster(t *testing.T, n int) (*Cluster, *slots) {
 				},
 				CheckpointInterval: 500 * time.Millisecond,
 				Paxos: paxos.Config{
+					FastEnabled:       fast,
 					BatchDelay:        time.Millisecond,
 					HeartbeatInterval: 20 * time.Millisecond,
 					LeaderTimeout:     120 * time.Millisecond,
@@ -140,6 +146,57 @@ func TestLiveReplicatedCounter(t *testing.T) {
 	}
 	t.Fatalf("counters did not converge to %d: %d %d %d",
 		want, sl.counterValue(0), sl.counterValue(1), sl.counterValue(2))
+}
+
+// TestLiveVotesSharedAcrossReplicas: on this runtime a vote or an
+// announcement is one object that several node goroutines hold at once — the
+// acceptor's log slot and WAL, the coordinator's vote set, every learner's
+// slot — so nothing may write to one after it is sent (paxos.Value states the
+// rule). Four replicas in fast rounds, every one submitting at once so that
+// rounds collide and are recovered, then a crash whose restart replays the
+// shared votes and catches up: under -race a late write is a report.
+func TestLiveVotesSharedAcrossReplicas(t *testing.T) {
+	const n, each = 4, 60
+	c, sl := buildClusterMode(t, n, true)
+	waitReady(t, sl.replica(0))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	add := func(rounds int) {
+		var wg sync.WaitGroup
+		for id := 0; id < n-1; id++ {
+			r := sl.replica(id)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if _, err := r.Execute(ctx, int64(1)); err != nil {
+						t.Errorf("execute: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	add(each)
+	c.Crash(n - 1)
+	add(each)
+	c.Restart(n - 1)
+	want := int64(2 * each * (n - 1))
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		done := true
+		for id := 0; id < n; id++ {
+			done = done && sl.counterValue(id) == want
+		}
+		if done {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("counters did not converge to %d: %d %d %d %d", want,
+		sl.counterValue(0), sl.counterValue(1), sl.counterValue(2), sl.counterValue(3))
 }
 
 func TestLiveCrashRecovery(t *testing.T) {

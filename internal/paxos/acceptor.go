@@ -36,8 +36,8 @@ func (en *Engine) onPrepare(from env.NodeID, m prepareMsg) {
 	// votes in instance order, the same message bytes on every run, and
 	// costs the tail from reply.From up, not the whole retained log.
 	for _, s := range en.log.From(reply.From) {
-		if s.has&hasVote != 0 {
-			reply.Accepted = append(reply.Accepted, s.acc)
+		if s.vote != nil {
+			reply.Accepted = append(reply.Accepted, acceptedInfo(*s.vote))
 		}
 	}
 	en.appendRecord(env.Record{Kind: "promise", Data: promiseRec{B: m.B}, Size: 32},
@@ -57,7 +57,7 @@ func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
 		en.e.Send(from, nackMsg{Promised: eff})
 		return
 	}
-	if cur, ok := en.votedAt(m.Inst); ok {
+	if cur := en.votedAt(m.Inst); cur != nil {
 		if m.B.Less(cur.B) {
 			return
 		}
@@ -73,9 +73,13 @@ func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
 
 // vote durably accepts (b, v) at inst and acknowledges to the ballot
 // owner (the coordinator counts phase-2b messages).
+//
+// The vote is one object: the log slot holds it, it is the WAL record's
+// payload, and once durable it is the phase-2b message.
 func (en *Engine) vote(inst InstanceID, b Ballot, v Value) {
 	s := en.log.Ensure(inst)
-	s.setVote(acceptedInfo{Inst: inst, B: b, V: v})
+	vote := &acceptedMsg{B: b, Inst: inst, V: v}
+	s.vote = vote
 	if b.Less(s.promised) {
 		// Unreachable given the caller's checks; keep the invariant
 		// explicit.
@@ -85,9 +89,6 @@ func (en *Engine) vote(inst InstanceID, b Ballot, v Value) {
 	if inst >= en.nextFree {
 		en.nextFree = inst + 1
 	}
-	// The vote is boxed once: the same value is the WAL record's payload
-	// and, once durable, the phase-2b message.
-	var vote env.Message = acceptedMsg{B: b, Inst: inst, V: v}
 	en.appendRecord(env.Record{Kind: "accept", Data: vote, Size: 32 + v.Size},
 		walDone{to: en.owner(b), msg: vote})
 }
@@ -157,7 +158,7 @@ func (en *Engine) onFastPropose(from env.NodeID, m fastProposeMsg) {
 		}
 		inst := en.nextFree
 		s := en.log.At(inst)
-		if (s == nil || s.has&(hasVote|hasChosen) == 0) && !fb.Less(en.effPromised(inst)) {
+		if (s == nil || (s.vote == nil && s.chosen == nil)) && !fb.Less(en.effPromised(inst)) {
 			en.vote(inst, fb, m.V)
 			return
 		}
@@ -183,7 +184,7 @@ func (en *Engine) onRecQuery(from env.NodeID, m recQueryMsg) {
 		return
 	}
 	reply := recInfoMsg{B: m.B, Inst: m.Inst}
-	if a, ok := en.votedAt(m.Inst); ok {
+	if a := en.votedAt(m.Inst); a != nil {
 		reply.Voted = true
 		reply.VB = a.B
 		reply.V = a.V

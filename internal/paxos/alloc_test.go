@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"robuststore/internal/env"
 	"robuststore/internal/sim"
@@ -14,9 +15,10 @@ import (
 // established fast leader of five, once a warm-up has left a vote set on the
 // leader's free list, the five votes of a failure-free instance and its
 // decision allocate no vote set, no map and no timer: the only two
-// allocations are the chosenMsg boxed by announceChosen when the fourth vote
+// allocations are the chosenMsg announceChosen builds when the fourth vote
 // completes the fast quorum and again at the fifth, which arrives before the
-// decision has come back round. (The leader's links are blocked for the
+// decision has come back round. The votes are the acceptors' own objects and
+// the vote set points at them. (The leader's links are blocked for the
 // measurement, so the announcements go nowhere and nothing else runs.)
 func TestFastInstanceAllocBudget(t *testing.T) {
 	const n = 5
@@ -44,11 +46,13 @@ func TestFastInstanceAllocBudget(t *testing.T) {
 	}
 	inst := en.maxKnown + 1000
 	v := Value{ID: ValueID{Node: 1, Epoch: 1}, Cmds: []any{"x"}, Size: 192}
+	var votes [n]acceptedMsg // what the acceptors would have sent; rewritten once the round has let go of them
 	round := func() {
 		inst++
 		v.ID.Seq++
-		for from := 0; from < n; from++ {
-			en.onFastVote(env.NodeID(from), acceptedMsg{B: ls.b, Inst: inst, V: v})
+		for from := range votes {
+			votes[from] = acceptedMsg{B: ls.b, Inst: inst, V: v}
+			en.onFastVote(env.NodeID(from), &votes[from])
 		}
 		ls.onDecided(inst)
 	}
@@ -67,13 +71,19 @@ func TestFastInstanceAllocBudget(t *testing.T) {
 // — its promise, its vote and the decision. Three replicas decide 1,000
 // instances through the protocol; then each is handed 10,000 more the way
 // that writes the log and nothing else: promise and vote records through
-// replay, the decision through onChosen. A slot is 176 B and a chunk of 256
-// takes six 8 KB spans, so an instance costs 192 B and a directory entry's
-// share. (The three maps this replaced allocated 528 B per instance in this
-// test, and 754–779 B with 3,000 to 60,000 instances in place of the 10,000:
-// it depends on where the run catches them in their doubling.)
+// replay, the decision through onChosen. The slot points at the vote the WAL
+// record holds and at the value inside it, so it is 40 B, a chunk of 256 is
+// its own 10,240 B size class, and an instance costs 40 B and a directory
+// entry's share. (While the slot held the vote and the decision by value it
+// was 176 B and this test read 192 B; the three maps before that allocated
+// 528 B per instance here, and 754–779 B with 3,000 to 60,000 instances in
+// place of the 10,000: it depends on where the run catches them in their
+// doubling.)
 func TestInstanceLogByteBudget(t *testing.T) {
 	const warm, n = 1000, 10_000
+	if size := unsafe.Sizeof(slot{}); size > 40 {
+		t.Fatalf("a log slot is %d B, want at most 40: a promise, two pointers and a flag", size)
+	}
 	c := newCluster(t, 3, false, 58, sim.NetConfig{})
 	for i := 0; i < warm; i++ {
 		c.submit(2*time.Second+time.Duration(i)*3*time.Millisecond, i%3, fmt.Sprintf("warm-%d", i))
@@ -92,13 +102,13 @@ func TestInstanceLogByteBudget(t *testing.T) {
 			vals[i] = Value{ID: ValueID{Node: 9, Epoch: 1, Seq: int64(i) + 1}, Size: 64}
 			recs = append(recs,
 				env.Record{Kind: "instpromise", Data: instPromiseRec{Inst: inst, B: b}, Size: 32},
-				env.Record{Kind: "accept", Data: acceptedMsg{B: b, Inst: inst, V: vals[i]}, Size: 96})
+				env.Record{Kind: "accept", Data: &acceptedMsg{B: b, Inst: inst, V: vals[i]}, Size: 96})
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		en.replay(recs)
-		for i, v := range vals {
-			en.onChosen(first+InstanceID(i), v)
+		for i := range vals {
+			en.onChosen(first+InstanceID(i), &vals[i])
 		}
 		runtime.ReadMemStats(&after)
 		if en.firstUnchosen != first+n || countVotes(en) < n {
@@ -106,8 +116,11 @@ func TestInstanceLogByteBudget(t *testing.T) {
 		}
 		per := float64(after.TotalAlloc-before.TotalAlloc) / n
 		t.Logf("node %d: %.1f B per instance", id, per)
-		if per > 220 {
-			t.Errorf("node %d: promise, vote and decision of an instance allocate %.1f B, budget 220", id, per)
+		if per > 60 {
+			t.Errorf("node %d: promise, vote and decision of an instance allocate %.1f B, budget 60", id, per)
+		}
+		if s := en.log.At(first); s.vote != recs[1].Data.(*acceptedMsg) || s.chosen != &s.vote.V {
+			t.Errorf("node %d: the slot does not point at the WAL record's vote and the value in it", id)
 		}
 	}
 }

@@ -208,39 +208,43 @@ type pendingValue struct {
 // their ID.Seq up from 1.
 func (pv *pendingValue) live() bool { return pv.v.ID.Seq != 0 }
 
-// slot is one instance of the log. The zero slot is an instance this node
-// knows nothing about, and each part reads as the missing map entry it
-// replaces: promised is the zero ballot until hasPromise (effPromised tests
-// the bit, replay and vote compare against the ballot), acc and chosen are
-// meaningless until their bits.
+// slot is one instance of the log: 40 bytes, none of them a copy of a value.
+// The zero slot is an instance this node knows nothing about, and each part
+// reads as the missing map entry it replaces: promised is the zero ballot
+// until hasPromise (effPromised tests the bit, replay and vote compare against
+// the ballot), vote and chosen are nil until there is one.
 type slot struct {
-	promised Ballot       // per-instance promise (coordinated recovery)
-	acc      acceptedInfo // this acceptor's vote
-	chosen   Value        // the decision
-	has      uint8
+	promised Ballot // per-instance promise (coordinated recovery)
+
+	// vote is this acceptor's vote: the very record its WAL holds and the
+	// phase-2b message it sent (see vote).
+	vote *acceptedMsg
+
+	// chosen is the decision. It points at the value inside this node's own
+	// vote when that is the value decided, and otherwise inside whatever
+	// brought the news — the announcement, or a catch-up reply's entry — which
+	// the slot then keeps alive until the log drops it.
+	chosen *Value
+
+	has uint8
 }
 
-const (
-	hasPromise = 1 << iota
-	hasVote
-	hasChosen
-)
+const hasPromise = 1
 
-func (s *slot) setPromise(b Ballot)    { s.promised, s.has = b, s.has|hasPromise }
-func (s *slot) setVote(a acceptedInfo) { s.acc, s.has = a, s.has|hasVote }
+func (s *slot) setPromise(b Ballot) { s.promised, s.has = b, s.has|hasPromise }
 
-// votedAt returns this acceptor's vote at inst, if it holds one.
-func (en *Engine) votedAt(inst InstanceID) (acceptedInfo, bool) {
-	if s := en.log.At(inst); s != nil && s.has&hasVote != 0 {
-		return s.acc, true
+// votedAt returns this acceptor's vote at inst, nil if it holds none.
+func (en *Engine) votedAt(inst InstanceID) *acceptedMsg {
+	if s := en.log.At(inst); s != nil {
+		return s.vote
 	}
-	return acceptedInfo{}, false
+	return nil
 }
 
 // chosenAt returns the value this node knows decided at inst, if any.
 func (en *Engine) chosenAt(inst InstanceID) (Value, bool) {
-	if s := en.log.At(inst); s != nil && s.has&hasChosen != 0 {
-		return s.chosen, true
+	if s := en.log.At(inst); s != nil && s.chosen != nil {
+		return *s.chosen, true
 	}
 	return Value{}, false
 }
@@ -322,9 +326,9 @@ func (en *Engine) replay(recs []env.Record) {
 				s.setPromise(d.B)
 			}
 			en.noteBallot(d.B)
-		case acceptedMsg:
-			if s := en.log.Ensure(d.Inst); s.has&hasVote == 0 || s.acc.B.LessEq(d.B) {
-				s.setVote(acceptedInfo{Inst: d.Inst, B: d.B, V: d.V})
+		case *acceptedMsg:
+			if s := en.log.Ensure(d.Inst); s.vote == nil || s.vote.B.LessEq(d.B) {
+				s.vote = d
 			}
 			en.noteBallot(d.B)
 		case compactRec:
@@ -336,7 +340,7 @@ func (en *Engine) replay(recs []env.Record) {
 				en.log.Ensure(p.Inst).setPromise(p.B)
 			}
 			for _, a := range d.Accepted {
-				en.log.Ensure(a.Inst).setVote(a)
+				en.log.Ensure(a.Inst).vote = a
 			}
 			en.promised = d.Promised
 			en.voteFloor = d.Floor
@@ -344,7 +348,7 @@ func (en *Engine) replay(recs []env.Record) {
 		}
 	}
 	for i, s := range en.log.From(en.nextFree) {
-		if s.has&hasVote != 0 {
+		if s.vote != nil {
 			en.nextFree = i + 1
 		}
 	}
@@ -577,10 +581,10 @@ func (en *Engine) Handle(from env.NodeID, msg env.Message) bool {
 		en.onNack(from, m)
 	case acceptMsg:
 		en.onAccept(from, m)
-	case acceptedMsg:
+	case *acceptedMsg:
 		en.onAccepted(from, m)
-	case chosenMsg:
-		en.onChosen(m.Inst, m.V)
+	case *chosenMsg:
+		en.onChosen(m.Inst, &m.V)
 	case anyMsg:
 		en.onAny(from, m)
 	case fastProposeMsg:
@@ -651,7 +655,9 @@ func (en *Engine) adoptBallot(b Ballot) {
 
 // --- Learner -----------------------------------------------------------
 
-func (en *Engine) onChosen(inst InstanceID, v Value) {
+// onChosen learns that v was decided at inst. v is part of a published
+// message and is kept, not copied.
+func (en *Engine) onChosen(inst InstanceID, v *Value) {
 	if inst > en.maxKnown {
 		en.maxKnown = inst
 	}
@@ -659,12 +665,14 @@ func (en *Engine) onChosen(inst InstanceID, v Value) {
 		return // already delivered or compacted
 	}
 	s := en.log.Ensure(inst)
-	if s.has&hasChosen != 0 {
+	if s.chosen != nil {
 		en.advance()
 		return
 	}
+	if s.vote != nil && s.vote.V.ID == v.ID {
+		v = &s.vote.V // the same value, in a record this node holds anyway
+	}
 	s.chosen = v
-	s.has |= hasChosen
 	if inst >= en.nextFree {
 		en.nextFree = inst + 1
 	}
@@ -798,8 +806,8 @@ func (en *Engine) onCatchUpReply(from env.NodeID, m catchUpReplyMsg) {
 		en.maxKnown = m.LastKnown
 	}
 	gap := m.FirstAvail > en.firstUnchosen && en.firstUnchosen <= en.maxKnown
-	for _, e := range m.Entries {
-		en.onChosen(e.Inst, e.V)
+	for i := range m.Entries {
+		en.onChosen(m.Entries[i].Inst, &m.Entries[i].V)
 	}
 	if gap && m.FirstAvail > en.firstUnchosen {
 		// The peer compacted past what we need: log replay alone
@@ -827,8 +835,7 @@ func (en *Engine) SkipTo(floor InstanceID) {
 		if i >= floor {
 			break
 		}
-		s.chosen = Value{}
-		s.has &^= hasChosen
+		s.chosen = nil
 	}
 	en.firstUnchosen = floor
 	if en.retainedFrom < floor {
@@ -908,9 +915,9 @@ func (en *Engine) Compact(through InstanceID) {
 		if s.has&hasPromise != 0 {
 			rec.InstPromised = append(rec.InstPromised, instPromiseRec{Inst: i, B: s.promised})
 		}
-		if s.has&hasVote != 0 {
-			rec.Accepted = append(rec.Accepted, s.acc)
-			size += 32 + s.acc.V.Size
+		if s.vote != nil {
+			rec.Accepted = append(rec.Accepted, s.vote)
+			size += 32 + s.vote.V.Size
 		}
 	}
 	barrierIdx := en.records

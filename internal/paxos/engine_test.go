@@ -100,7 +100,7 @@ func newCluster(t *testing.T, n int, fast bool, seed uint64, net sim.NetConfig) 
 func countVotes(en *Engine) int {
 	n := 0
 	for _, s := range en.log.From(en.log.Base()) {
-		if s.has&hasVote != 0 {
+		if s.vote != nil {
 			n++
 		}
 	}

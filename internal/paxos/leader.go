@@ -25,20 +25,37 @@ type leaderState struct {
 	inflight   map[InstanceID]*proposal // phase 2 in progress (classic or recovery)
 	inflightID map[ValueID]InstanceID
 	fastVotes  map[InstanceID]*voteSet
-	freeVotes  []*voteSet // emptied by onDecided, reused by onFastVote
 	recs       map[InstanceID]*recState
 	recSeq     int64
 	openSince  map[InstanceID]time.Time // when a gap instance was first noticed
 	lastModeAt time.Time
 	maxVote    InstanceID
+
+	// Per-instance bookkeeping emptied by onDecided and taken again by the
+	// next instance that needs one, and the scratch list onRecInfo folds a
+	// recovery quorum into.
+	freeVotes []*voteSet
+	freeProps []*proposal
+	freeRecs  []*recState
+	reports   []acceptedInfo
 }
 
+// proposal is a phase 2 in progress. acks is indexed by member.
 type proposal struct {
 	b        Ballot
 	inst     InstanceID
 	v        Value
-	acks     map[env.NodeID]bool
+	acks     []bool
+	nAcks    int
 	lastSent time.Time
+}
+
+// ack counts member idx's phase 2b, once.
+func (p *proposal) ack(idx int) {
+	if !p.acks[idx] {
+		p.acks[idx] = true
+		p.nAcks++
+	}
 }
 
 // voteSet is one instance's fast-round votes: at most one per acceptor, so
@@ -50,14 +67,29 @@ type voteSet struct {
 
 type fastVote struct {
 	from env.NodeID
-	v    Value
+	m    *acceptedMsg
 }
 
+// recState is a coordinated recovery in progress. replies is indexed by
+// member; replies[i] is meaningful where replied[i].
 type recState struct {
 	b        Ballot
-	replies  map[env.NodeID]recInfoMsg
+	replies  []recInfoMsg
+	replied  []bool
+	nReplies int
 	started  time.Time
 	proposed bool
+}
+
+// take pops a recycled record off free, nil when there is none.
+func take[T any](free *[]*T) *T {
+	k := len(*free) - 1
+	if k < 0 {
+		return nil
+	}
+	r := (*free)[k]
+	*free = (*free)[:k]
+	return r
 }
 
 // valueIDLess orders value ids (node, epoch, seq) for deterministic
@@ -76,15 +108,24 @@ func valueIDLess(a, b ValueID) bool {
 func (ls *leaderState) onDecided(inst InstanceID) {
 	if p, ok := ls.inflight[inst]; ok {
 		delete(ls.inflightID, p.v.ID)
+		delete(ls.inflight, inst)
+		clear(p.acks)
+		*p = proposal{acks: p.acks} // drops the value's command slice
+		ls.freeProps = append(ls.freeProps, p)
 	}
-	delete(ls.inflight, inst)
 	if vs, ok := ls.fastVotes[inst]; ok {
 		delete(ls.fastVotes, inst)
-		clear(vs.votes) // drop the values' command slices
+		clear(vs.votes) // drop the votes
 		vs.votes = vs.votes[:0]
 		ls.freeVotes = append(ls.freeVotes, vs)
 	}
-	delete(ls.recs, inst)
+	if r, ok := ls.recs[inst]; ok {
+		delete(ls.recs, inst)
+		clear(r.replies) // drop the values' command slices
+		clear(r.replied)
+		*r = recState{replies: r.replies, replied: r.replied}
+		ls.freeRecs = append(ls.freeRecs, r)
+	}
 	delete(ls.openSince, inst)
 	if ls.nextInstance <= inst {
 		ls.nextInstance = inst + 1
@@ -300,7 +341,13 @@ func (en *Engine) leaderPropose(v Value) {
 
 func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
 	ls := en.leader
-	p := &proposal{b: b, inst: inst, v: v, acks: make(map[env.NodeID]bool), lastSent: en.e.Now()}
+	p := ls.inflight[inst]
+	if p != nil {
+		clear(p.acks) // superseded where it stands (a recovery's phase 2)
+	} else if p = take(&ls.freeProps); p == nil {
+		p = &proposal{acks: make([]bool, en.n)}
+	}
+	*p = proposal{b: b, inst: inst, v: v, acks: p.acks, lastSent: en.e.Now()}
 	ls.inflight[inst] = p
 	ls.inflightID[v.ID] = inst
 	en.broadcast(acceptMsg{B: b, Inst: inst, V: v})
@@ -314,7 +361,7 @@ func (en *Engine) onForward(from env.NodeID, m forwardMsg) {
 
 // onAccepted counts phase-2b votes: acknowledgements of classic or
 // recovery proposals, and fast-round self-assigned votes.
-func (en *Engine) onAccepted(from env.NodeID, m acceptedMsg) {
+func (en *Engine) onAccepted(from env.NodeID, m *acceptedMsg) {
 	ls := en.leader
 	if ls == nil || !ls.established {
 		return
@@ -325,9 +372,13 @@ func (en *Engine) onAccepted(from env.NodeID, m acceptedMsg) {
 	if _, done := en.chosenAt(m.Inst); done {
 		return
 	}
+	idx := slices.Index(en.members, from)
+	if idx < 0 {
+		return // only members vote
+	}
 	if p, ok := ls.inflight[m.Inst]; ok && p.b == m.B {
-		p.acks[from] = true
-		if len(p.acks) >= quorum(p.b, en.n) {
+		p.ack(idx)
+		if p.nAcks >= quorum(p.b, en.n) {
 			en.choose(m.Inst, p.v)
 		}
 		return
@@ -337,13 +388,11 @@ func (en *Engine) onAccepted(from env.NodeID, m acceptedMsg) {
 	}
 }
 
-func (en *Engine) onFastVote(from env.NodeID, m acceptedMsg) {
+func (en *Engine) onFastVote(from env.NodeID, m *acceptedMsg) {
 	ls := en.leader
 	vs := ls.fastVotes[m.Inst]
 	if vs == nil {
-		if n := len(ls.freeVotes); n > 0 {
-			vs, ls.freeVotes = ls.freeVotes[n-1], ls.freeVotes[:n-1]
-		} else {
+		if vs = take(&ls.freeVotes); vs == nil {
 			vs = &voteSet{votes: make([]fastVote, 0, en.n)}
 		}
 		vs.firstAt = en.e.Now()
@@ -357,14 +406,14 @@ func (en *Engine) onFastVote(from env.NodeID, m acceptedMsg) {
 			return // one vote per acceptor per fast round
 		}
 	}
-	vs.votes = append(vs.votes, fastVote{from: from, v: m.V})
+	vs.votes = append(vs.votes, fastVote{from: from, m: m})
 
 	// The value with the most votes; only one can reach a fast quorum.
 	best, bestAt, total := 0, 0, len(vs.votes)
 	for i := range vs.votes {
 		c := 0
 		for j := range vs.votes {
-			if vs.votes[j].v.ID == vs.votes[i].v.ID {
+			if vs.votes[j].m.V.ID == vs.votes[i].m.V.ID {
 				c++
 			}
 		}
@@ -375,7 +424,7 @@ func (en *Engine) onFastVote(from env.NodeID, m acceptedMsg) {
 	fq := FastQuorum(en.n)
 	switch {
 	case best >= fq:
-		en.choose(m.Inst, vs.votes[bestAt].v)
+		en.choose(m.Inst, vs.votes[bestAt].m.V)
 	case best+(en.n-total) < fq:
 		// Collision: no value can reach a fast quorum any more.
 		en.startRecovery(m.Inst)
@@ -391,7 +440,8 @@ func (en *Engine) startRecovery(inst InstanceID) {
 	if ls == nil || !ls.established {
 		return
 	}
-	if r, ok := ls.recs[inst]; ok && en.e.Now().Sub(r.started) < en.cfg.RetryTimeout {
+	r := ls.recs[inst]
+	if r != nil && en.e.Now().Sub(r.started) < en.cfg.RetryTimeout {
 		return // one attempt at a time
 	}
 	after := en.maxBallotSeq
@@ -401,7 +451,14 @@ func (en *Engine) startRecovery(inst InstanceID) {
 	ls.recSeq = nextOwnedBallot(after, env.NodeID(en.myIdx), en.n)
 	b := Ballot{Seq: ls.recSeq} // recovery rounds are classic
 	en.noteBallot(b)
-	ls.recs[inst] = &recState{b: b, replies: make(map[env.NodeID]recInfoMsg), started: en.e.Now()}
+	if r != nil {
+		clear(r.replies) // the attempt that timed out starts over where it stands
+		clear(r.replied)
+	} else if r = take(&ls.freeRecs); r == nil {
+		r = &recState{replies: make([]recInfoMsg, en.n), replied: make([]bool, en.n)}
+	}
+	*r = recState{b: b, replies: r.replies, replied: r.replied, started: en.e.Now()}
+	ls.recs[inst] = r
 	en.broadcast(recQueryMsg{B: b, Inst: inst})
 }
 
@@ -414,20 +471,30 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 	if !ok || rec.b != m.B || rec.proposed {
 		return
 	}
-	rec.replies[from] = m
-	if len(rec.replies) < ClassicQuorum(en.n) {
+	idx := slices.Index(en.members, from)
+	if idx < 0 {
+		return // only members vote
+	}
+	if !rec.replied[idx] {
+		rec.replied[idx] = true
+		rec.nReplies++
+	}
+	rec.replies[idx] = m
+	if rec.nReplies < ClassicQuorum(en.n) {
 		return
 	}
 	rec.proposed = true
 	// Fold the recovery quorum in member order: selectValue's choice must
-	// not depend on map iteration (detorder invariant).
-	var reports []acceptedInfo
-	for _, from := range detsort.Keys(rec.replies) {
-		if r := rec.replies[from]; r.Voted {
+	// not depend on the order the replies came in (detorder invariant).
+	reports := ls.reports[:0]
+	for i := range rec.replies {
+		if r := &rec.replies[i]; rec.replied[i] && r.Voted {
 			reports = append(reports, acceptedInfo{Inst: r.Inst, B: r.VB, V: r.V})
 		}
 	}
-	v, found := selectValue(reports, len(rec.replies), en.n)
+	v, found := selectValue(reports, rec.nReplies, en.n)
+	clear(reports) // drop the values' command slices
+	ls.reports = reports
 	if !found {
 		v = noOpValue(en.me, en.epoch, en.nextSeq*1000+int64(m.Inst%997)+1)
 	}
@@ -446,7 +513,7 @@ func (en *Engine) choose(inst InstanceID, v Value) {
 // forwards it to any attached non-voting learners, which otherwise only
 // hear about decisions through catch-up.
 func (en *Engine) announceChosen(inst InstanceID, v Value) {
-	m := chosenMsg{Inst: inst, V: v}
+	m := &chosenMsg{Inst: inst, V: v}
 	en.broadcast(m)
 	for _, l := range en.cfg.Learners {
 		en.e.Send(l, m)

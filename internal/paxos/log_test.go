@@ -86,7 +86,7 @@ func voteRecords(b Ballot, from, to InstanceID) []env.Record {
 	var recs []env.Record
 	for i := from; i < to; i++ {
 		v := Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}
-		recs = append(recs, env.Record{Kind: "accept", Data: acceptedMsg{B: b, Inst: i, V: v}, Size: 96})
+		recs = append(recs, env.Record{Kind: "accept", Data: &acceptedMsg{B: b, Inst: i, V: v}, Size: 96})
 	}
 	return recs
 }
@@ -136,7 +136,7 @@ func TestVoteBelowBarrierFloor(t *testing.T) {
 	b.handle(acceptMsg{B: Ballot{Seq: 3}, Inst: 11, V: v})
 	voted := false
 	for _, m := range b.sent {
-		if a, ok := m.(acceptedMsg); ok && a.Inst == 11 && a.V.ID == v.ID {
+		if a, ok := m.(*acceptedMsg); ok && a.Inst == 11 && a.V.ID == v.ID {
 			voted = true
 		}
 	}
@@ -146,8 +146,8 @@ func TestVoteBelowBarrierFloor(t *testing.T) {
 	b.s.Crash(0)
 	b.s.Restart(0)
 	b.run()
-	if a, ok := b.en.votedAt(11); !ok || a.V.ID != v.ID || a.B.Seq != 3 {
-		t.Fatalf("after a restart the vote at instance 11 is %+v (held: %v)", a, ok)
+	if a := b.en.votedAt(11); a == nil || a.V.ID != v.ID || a.B.Seq != 3 {
+		t.Fatalf("after a restart the vote at instance 11 is %+v", a)
 	}
 }
 
@@ -159,8 +159,7 @@ func TestPromiseListsTailAscending(t *testing.T) {
 	votes := voteRecords(Ballot{Seq: 2}, 0, 5000)
 	barrier := compactRec{Floor: 4995, Promised: Ballot{Seq: 2}}
 	for _, r := range votes[4995:] {
-		m := r.Data.(acceptedMsg)
-		barrier.Accepted = append(barrier.Accepted, acceptedInfo{Inst: m.Inst, B: m.B, V: m.V})
+		barrier.Accepted = append(barrier.Accepted, r.Data.(*acceptedMsg))
 	}
 	for _, tc := range []struct {
 		name string
@@ -190,7 +189,7 @@ func BenchmarkPromiseAtRetainLimit(b *testing.B) {
 	const retained = 400_000
 	w := bootOnWAL(b, nil, 0)
 	for i := InstanceID(0); i < retained; i++ {
-		w.en.log.Ensure(i).setVote(acceptedInfo{Inst: i, B: Ballot{Seq: 2}, V: Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}})
+		w.en.log.Ensure(i).vote = &acceptedMsg{Inst: i, B: Ballot{Seq: 2}, V: Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

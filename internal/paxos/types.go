@@ -112,9 +112,16 @@ type ValueID struct {
 // a command to recognise its own. Re-proposals and recovery carry a value
 // whole, so the correspondence holds wherever the value is chosen.
 //
-// A Value is copied into every message and WAL record and twice into its
-// instance's log slot (the vote and the decision), so it stays at 64 bytes;
-// a no-op is marked by its negative ID.Seq rather than a flag of its own.
+// A Value is copied into every message that carries one, so it stays at 64
+// bytes; a no-op is marked by its negative ID.Seq rather than a flag of its
+// own. The instance log copies none: it points into the vote and the
+// announcement (see slot).
+//
+// Immutability: a vote (*acceptedMsg) and an announcement (*chosenMsg) are
+// built once and then shared — by the log slot, the WAL and the network, and
+// so, on either runtime, by every replica the message reaches. Nothing writes
+// to one after it is built: a new vote or decision is a new object. The same
+// holds for what a Value refers to (Cmds) and for a catch-up reply's entries.
 type Value struct {
 	ID    ValueID
 	Cmds  []any
@@ -132,10 +139,12 @@ func noOpValue(me env.NodeID, epoch, seq int64) Value {
 	return Value{ID: ValueID{Node: me, Epoch: epoch, Seq: -seq - 1}, Size: 32}
 }
 
-// acceptedInfo reports an acceptor's vote for one instance.
+// acceptedInfo reports an acceptor's vote for one instance: an acceptedMsg by
+// value (the fields match, so one converts to the other) in a promise's list
+// and in the reports selectValue weighs.
 type acceptedInfo struct {
-	Inst InstanceID
 	B    Ballot
+	Inst InstanceID
 	V    Value
 }
 
@@ -196,7 +205,8 @@ func (m acceptMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
 // acceptedMsg is phase 2b, sent to the ballot owner (coordinator). It is
 // also the durable record of the vote (Kind "accept"), written before it is
-// sent.
+// sent, and the vote the acceptor's log slot holds: one object, passed by
+// pointer and never written again (see Value).
 type acceptedMsg struct {
 	B    Ballot
 	Inst InstanceID
@@ -205,7 +215,9 @@ type acceptedMsg struct {
 
 func (m acceptedMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
-// chosenMsg announces a decided instance to all learners.
+// chosenMsg announces a decided instance to all learners: one object for the
+// whole fan-out, passed by pointer and never written again (see Value). A
+// learner that did not vote for V keeps the announcement as its decision.
 type chosenMsg struct {
 	Inst InstanceID
 	V    Value
@@ -313,5 +325,5 @@ type compactRec struct {
 	Floor        InstanceID // instances below are covered by the app checkpoint
 	Promised     Ballot
 	InstPromised []instPromiseRec
-	Accepted     []acceptedInfo
+	Accepted     []*acceptedMsg // the votes themselves, as the log holds them
 }

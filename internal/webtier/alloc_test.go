@@ -16,16 +16,16 @@ import (
 //
 //   - a read (ProductDetail) nothing: its reqMsg and respMsg are recycled
 //     wire records and its timeout re-arms the proxy record's timer;
-//   - a write (ShoppingCart adding to the session's cart) 12: the action
+//   - a write (ShoppingCart adding to the session's cart) 11: the action
 //     boxed for Submit (1); 4.5 in tpcw.Apply on three replicas (the copy of
-//     the cart's lines, the boxed CartResult); and some 6.5 ordering it —
-//     the acceptedMsg each acceptor boxes and its WAL retains (1.3), the
-//     value's command slice, pendingValue and boxed fastProposeMsg (0.8),
-//     the disk flush's completion closure (0.8), the boxed chosenMsg (0.4)
-//     and, the round's 32 writes being simultaneous, the coordinated
-//     recovery of the fast rounds that collide: recQuery and recInfo boxes,
-//     recState, proposal and its acks, selectValue's maps (about 2.5;
-//     ROADMAP item 1d).
+//     the cart's lines, the boxed CartResult); and some 5.7 ordering it —
+//     the acceptedMsg each acceptor builds, which is its vote, its WAL
+//     record and its phase 2b (1.3), the value's command slice, pendingValue
+//     and boxed fastProposeMsg (0.8), the disk flush's completion closure
+//     (0.8), the chosenMsg (0.4) and, the round's 32 writes being
+//     simultaneous, the coordinated recovery of the fast rounds that
+//     collide: recQuery, recInfo and accept boxes, selectValue's maps (about
+//     1.8; ROADMAP item 1d — the recovery's own records are recycled).
 //
 // No record, continuation, timer, wire message, vote set, candidate slice or
 // routing key is among them. The budgets are the measured figures + 10 %.
@@ -69,7 +69,7 @@ func TestRequestAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"read", rbe.Request{Kind: rbe.ProductDetail, Item: 5}, 0.3},
-		{"write", rbe.Request{Kind: rbe.ShoppingCart, Item: 7, Qty: 1}, 13.5},
+		{"write", rbe.Request{Kind: rbe.ShoppingCart, Item: 7, Qty: 1}, 12.3},
 	} {
 		req = k.req
 		round() // warm-up: free lists, scratch slices, event heap
