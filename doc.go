@@ -78,6 +78,31 @@
 // walk it in instance order instead of sorting keys, and truncation drops
 // chunks instead of copying the remainder.
 //
+// A vote exists once. The acceptedMsg an acceptor builds when it votes is
+// the payload of the WAL record that makes the vote durable, the phase-2b
+// message sent once it is, and what the acceptor's log slot points at;
+// the coordinator's vote set points at the same object. A decision is
+// announced as one chosenMsg for the whole fan-out, and a slot's decision
+// points at the value inside the node's own vote when that is what was
+// decided, and inside the announcement (or the catch-up reply's entry)
+// when it is not — so a slot is a promise and two pointers, 40 bytes, and
+// holds no copy of a value. The price is a rule, stated at paxos.Value:
+// nothing writes to a vote or an announcement after it is built, on either
+// runtime; livenet's TestLiveVotesSharedAcrossReplicas holds it under the
+// race detector.
+//
+// The simulator's loop holds an entry for what will run and for nothing
+// else (sim/queue.go). Events — callbacks, posts, deliveries, disk
+// completions — are values in a 4-ary heap; an armed timer is one entry of
+// a second, indexed heap, which a Reset re-keys where it lies and a Stop
+// removes; a sim.Resource keeps each worker's admitted jobs in that
+// worker's own FIFO with only the first in the event heap. All three are
+// stamped from one (time, schedule order) key and the loop runs the
+// earlier of the two heaps' tops, so the order is the one a single heap
+// of everything would give; that single heap, with the stale timer entries
+// it discarded as they surfaced, lives on in sim/queue_test.go as the
+// reference the loop is compared with over a thousand random schedules.
+//
 // The read path scales out independently of the write quorums:
 // webtier.Config.Readers boots learner-backed read-only servers per
 // group — full application servers whose paxos engine is a non-voting

@@ -82,12 +82,7 @@ func (sl *slots) counterValue(i int) int64 {
 	return m.value()
 }
 
-func buildCluster(t *testing.T, n int) (*Cluster, *slots) {
-	t.Helper()
-	return buildClusterMode(t, n, false)
-}
-
-func buildClusterMode(t *testing.T, n int, fast bool) (*Cluster, *slots) {
+func buildCluster(t *testing.T, n int, fast bool) (*Cluster, *slots) {
 	t.Helper()
 	c := New(Config{Latency: 100 * time.Microsecond, Seed: 9})
 	sl := &slots{
@@ -121,7 +116,7 @@ func buildClusterMode(t *testing.T, n int, fast bool) (*Cluster, *slots) {
 }
 
 func TestLiveReplicatedCounter(t *testing.T) {
-	_, sl := buildCluster(t, 3)
+	_, sl := buildCluster(t, 3, false)
 	waitReady(t, sl.replica(0))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -157,8 +152,24 @@ func TestLiveReplicatedCounter(t *testing.T) {
 // shared votes and catches up: under -race a late write is a report.
 func TestLiveVotesSharedAcrossReplicas(t *testing.T) {
 	const n, each = 4, 60
-	c, sl := buildClusterMode(t, n, true)
+	c, sl := buildCluster(t, n, true)
 	waitReady(t, sl.replica(0))
+	// A fresh leader repairs instance 0 with a no-op some 80 ms after its
+	// election, and a first value that reaches it meanwhile can wedge the
+	// group (ROADMAP item 1a; the parent of this test's PR wedged 5 of 80
+	// start-ups under three CPU burners). That race is not this test's
+	// subject: start once every replica has delivered what it knows of.
+	deadline := time.Now().Add(30 * time.Second)
+	for settled := false; !settled; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the group never delivered its start-up backlog")
+		}
+		settled = true
+		for id := 0; id < n; id++ {
+			r := sl.replica(id)
+			settled = settled && r != nil && r.HasLeader() && r.BacklogHint() == 0
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -184,7 +195,7 @@ func TestLiveVotesSharedAcrossReplicas(t *testing.T) {
 	add(each)
 	c.Restart(n - 1)
 	want := int64(2 * each * (n - 1))
-	deadline := time.Now().Add(30 * time.Second)
+	deadline = time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		done := true
 		for id := 0; id < n; id++ {
@@ -200,7 +211,7 @@ func TestLiveVotesSharedAcrossReplicas(t *testing.T) {
 }
 
 func TestLiveCrashRecovery(t *testing.T) {
-	c, sl := buildCluster(t, 3)
+	c, sl := buildCluster(t, 3, false)
 	waitReady(t, sl.replica(0))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -387,7 +398,7 @@ func TestPartitionExtendsToLateNodes(t *testing.T) {
 // filter — a partitioned minority member makes no progress, and converges
 // after heal.
 func TestLivePartitionedReplicaCatchesUp(t *testing.T) {
-	c, sl := buildCluster(t, 3)
+	c, sl := buildCluster(t, 3, false)
 	waitReady(t, sl.replica(0))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

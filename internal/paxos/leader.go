@@ -40,22 +40,32 @@ type leaderState struct {
 	reports   []acceptedInfo
 }
 
-// proposal is a phase 2 in progress. acks is indexed by member.
+// proposal is a phase 2 in progress.
 type proposal struct {
 	b        Ballot
 	inst     InstanceID
 	v        Value
-	acks     []bool
-	nAcks    int
+	acks     tally
 	lastSent time.Time
 }
 
-// ack counts member idx's phase 2b, once.
-func (p *proposal) ack(idx int) {
-	if !p.acks[idx] {
-		p.acks[idx] = true
-		p.nAcks++
+// tally counts the members heard from, each once.
+type tally struct {
+	seen []bool // by member index
+	n    int
+}
+
+func (t *tally) add(idx int) {
+	if !t.seen[idx] {
+		t.seen[idx] = true
+		t.n++
 	}
+}
+
+// reset returns t emptied, for the record that is being used again.
+func (t tally) reset() tally {
+	clear(t.seen)
+	return tally{seen: t.seen}
 }
 
 // voteSet is one instance's fast-round votes: at most one per acceptor, so
@@ -71,12 +81,11 @@ type fastVote struct {
 }
 
 // recState is a coordinated recovery in progress. replies is indexed by
-// member; replies[i] is meaningful where replied[i].
+// member; replies[i] is meaningful where replied.seen[i].
 type recState struct {
 	b        Ballot
 	replies  []recInfoMsg
-	replied  []bool
-	nReplies int
+	replied  tally
 	started  time.Time
 	proposed bool
 }
@@ -109,8 +118,7 @@ func (ls *leaderState) onDecided(inst InstanceID) {
 	if p, ok := ls.inflight[inst]; ok {
 		delete(ls.inflightID, p.v.ID)
 		delete(ls.inflight, inst)
-		clear(p.acks)
-		*p = proposal{acks: p.acks} // drops the value's command slice
+		p.v = Value{} // drop the command slice
 		ls.freeProps = append(ls.freeProps, p)
 	}
 	if vs, ok := ls.fastVotes[inst]; ok {
@@ -122,8 +130,6 @@ func (ls *leaderState) onDecided(inst InstanceID) {
 	if r, ok := ls.recs[inst]; ok {
 		delete(ls.recs, inst)
 		clear(r.replies) // drop the values' command slices
-		clear(r.replied)
-		*r = recState{replies: r.replies, replied: r.replied}
 		ls.freeRecs = append(ls.freeRecs, r)
 	}
 	delete(ls.openSince, inst)
@@ -341,13 +347,13 @@ func (en *Engine) leaderPropose(v Value) {
 
 func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
 	ls := en.leader
-	p := ls.inflight[inst]
-	if p != nil {
-		clear(p.acks) // superseded where it stands (a recovery's phase 2)
-	} else if p = take(&ls.freeProps); p == nil {
-		p = &proposal{acks: make([]bool, en.n)}
+	p := ls.inflight[inst] // a recovery's phase 2 supersedes one where it stands
+	if p == nil {
+		if p = take(&ls.freeProps); p == nil {
+			p = &proposal{acks: tally{seen: make([]bool, en.n)}}
+		}
 	}
-	*p = proposal{b: b, inst: inst, v: v, acks: p.acks, lastSent: en.e.Now()}
+	*p = proposal{b: b, inst: inst, v: v, acks: p.acks.reset(), lastSent: en.e.Now()}
 	ls.inflight[inst] = p
 	ls.inflightID[v.ID] = inst
 	en.broadcast(acceptMsg{B: b, Inst: inst, V: v})
@@ -377,8 +383,8 @@ func (en *Engine) onAccepted(from env.NodeID, m *acceptedMsg) {
 		return // only members vote
 	}
 	if p, ok := ls.inflight[m.Inst]; ok && p.b == m.B {
-		p.ack(idx)
-		if p.nAcks >= quorum(p.b, en.n) {
+		p.acks.add(idx)
+		if p.acks.n >= quorum(p.b, en.n) {
 			en.choose(m.Inst, p.v)
 		}
 		return
@@ -451,13 +457,12 @@ func (en *Engine) startRecovery(inst InstanceID) {
 	ls.recSeq = nextOwnedBallot(after, env.NodeID(en.myIdx), en.n)
 	b := Ballot{Seq: ls.recSeq} // recovery rounds are classic
 	en.noteBallot(b)
-	if r != nil {
-		clear(r.replies) // the attempt that timed out starts over where it stands
-		clear(r.replied)
-	} else if r = take(&ls.freeRecs); r == nil {
-		r = &recState{replies: make([]recInfoMsg, en.n), replied: make([]bool, en.n)}
+	if r == nil { // else the attempt that timed out starts over where it stands
+		if r = take(&ls.freeRecs); r == nil {
+			r = &recState{replies: make([]recInfoMsg, en.n), replied: tally{seen: make([]bool, en.n)}}
+		}
 	}
-	*r = recState{b: b, replies: r.replies, replied: r.replied, started: en.e.Now()}
+	*r = recState{b: b, replies: r.replies, replied: r.replied.reset(), started: en.e.Now()}
 	ls.recs[inst] = r
 	en.broadcast(recQueryMsg{B: b, Inst: inst})
 }
@@ -475,12 +480,9 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 	if idx < 0 {
 		return // only members vote
 	}
-	if !rec.replied[idx] {
-		rec.replied[idx] = true
-		rec.nReplies++
-	}
+	rec.replied.add(idx)
 	rec.replies[idx] = m
-	if rec.nReplies < ClassicQuorum(en.n) {
+	if rec.replied.n < ClassicQuorum(en.n) {
 		return
 	}
 	rec.proposed = true
@@ -488,11 +490,11 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 	// not depend on the order the replies came in (detorder invariant).
 	reports := ls.reports[:0]
 	for i := range rec.replies {
-		if r := &rec.replies[i]; rec.replied[i] && r.Voted {
+		if r := &rec.replies[i]; rec.replied.seen[i] && r.Voted {
 			reports = append(reports, acceptedInfo{Inst: r.Inst, B: r.VB, V: r.V})
 		}
 	}
-	v, found := selectValue(reports, rec.nReplies, en.n)
+	v, found := selectValue(reports, rec.replied.n, en.n)
 	clear(reports) // drop the values' command slices
 	ls.reports = reports
 	if !found {

@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"robuststore/internal/env"
@@ -92,11 +93,15 @@ func (s *Sim) At(at time.Time, fn func()) { s.schedule(at, event{fn: fn}) }
 // After schedules a global callback after d.
 func (s *Sim) After(d time.Duration, fn func()) { s.schedule(s.now.Add(d), event{fn: fn}) }
 
-// step runs whichever is earlier, the first armed timer or the first event.
-// One of the two heaps must not be empty.
-func (s *Sim) step() {
+// step runs whichever is earlier, the first armed timer or the first event,
+// and reports whether it did: not if both heaps are empty or the earlier of
+// the two is due after limit (unix nanos).
+func (s *Sim) step(limit int64) bool {
 	if len(s.timers) > 0 && (len(s.queue) == 0 || s.timers[0].before(s.queue[0].key)) {
 		t := s.timers[0]
+		if t.at > limit {
+			return false
+		}
 		// The timer is spent before its callback runs: a later Stop must not
 		// claim it prevented this callback, and the callback may Reset it.
 		s.timers.remove(t)
@@ -104,7 +109,10 @@ func (s *Sim) step() {
 		if n := t.e.n; n.alive && n.incarnation == t.e.inc {
 			t.fn()
 		}
-		return
+		return true
+	}
+	if len(s.queue) == 0 || s.queue[0].at > limit {
+		return false
 	}
 	e := s.queue.pop()
 	s.now = time.Unix(0, e.at).UTC()
@@ -123,27 +131,13 @@ func (s *Sim) step() {
 			e.fn()
 		}
 	}
-}
-
-// next returns the time of the earliest timer or event, if there is one.
-func (s *Sim) next() (at int64, ok bool) {
-	switch {
-	case len(s.timers) == 0 && len(s.queue) == 0:
-		return 0, false
-	case len(s.timers) == 0:
-		return s.queue[0].at, true
-	case len(s.queue) == 0:
-		return s.timers[0].at, true
-	}
-	return min(s.timers[0].at, s.queue[0].at), true
+	return true
 }
 
 // RunUntil executes events until virtual time reaches t. Events scheduled
 // exactly at t are executed.
 func (s *Sim) RunUntil(t time.Time) {
-	limit := t.UnixNano()
-	for at, ok := s.next(); ok && at <= limit; at, ok = s.next() {
-		s.step()
+	for limit := t.UnixNano(); s.step(limit); {
 	}
 	if s.now.Before(t) {
 		s.now = t
@@ -158,8 +152,7 @@ func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 // unit tests; periodic timers (heartbeats) never drain, so tests bound the
 // event count.
 func (s *Sim) RunUntilIdle(maxEvents int) bool {
-	for i := 0; i < maxEvents && len(s.queue)+len(s.timers) > 0; i++ {
-		s.step()
+	for i := 0; i < maxEvents && s.step(math.MaxInt64); i++ {
 	}
 	return len(s.queue)+len(s.timers) == 0
 }
