@@ -103,6 +103,17 @@
 // it discarded as they surfaced, lives on in sim/queue_test.go as the
 // reference the loop is compared with over a thousand random schedules.
 //
+// A write to the bookstore copies what it changes. Every replica applies
+// every action, so a byte an action allocates is paid once per replica. An
+// Item or a Customer row is held as an immutable body — title, author,
+// subject, name, address, discount: the columns no action writes — and a
+// head of the columns actions do write (cost, stock, related items, images
+// and sweep tag; login times, balance and year-to-date payment) beside a
+// pointer to the body, 96 bytes. The tables hold heads, a write stores a
+// copy of the head and never touches the body, and checkpoints, deltas and
+// migration payloads share heads and bodies as they share pages. The
+// exported Item and Customer are views GetBook and GetCustomer assemble.
+//
 // The read path scales out independently of the write quorums:
 // webtier.Config.Readers boots learner-backed read-only servers per
 // group — full application servers whose paxos engine is a non-voting

@@ -92,9 +92,10 @@ type CreateCartResult struct {
 	Cart CartID
 }
 
-// CreateCustomerResult returns the new customer row.
+// CreateCustomerResult returns the new customer's identity.
 type CreateCustomerResult struct {
-	Customer Customer
+	Customer CustomerID
+	UName    string
 }
 
 // BuyConfirmResult returns the new order's identity and totals.
@@ -249,26 +250,30 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 	addr := s.addAddress(a.Street1, a.Street2, a.City, a.State, a.Zip, a.Country)
 	s.nextCustomer++
 	id := s.nextCustomer
-	c := Customer{
-		ID:         id,
-		UName:      customerUName(id),
-		Passwd:     customerPasswd(id),
-		FName:      a.FName,
-		LName:      a.LName,
-		Addr:       addr,
-		Phone:      a.Phone,
-		Email:      a.Email,
-		Since:      a.Now,
-		LastLogin:  a.Now,
-		Login:      a.Now,
-		Expiration: a.Now.Add(2 * time.Hour),
-		Discount:   a.Discount,
-		BirthDate:  a.BirthDate,
-		Data:       a.Data,
+	row := &customerRow{
+		body: customerBody{
+			ID:        id,
+			UName:     customerUName(id),
+			Passwd:    customerPasswd(id),
+			FName:     a.FName,
+			LName:     a.LName,
+			Addr:      addr,
+			Phone:     a.Phone,
+			Email:     a.Email,
+			Since:     a.Now,
+			Discount:  a.Discount,
+			BirthDate: a.BirthDate,
+			Data:      a.Data,
+		},
+		head: customerHead{
+			LastLogin:  a.Now,
+			Login:      a.Now,
+			Expiration: a.Now.Add(2 * time.Hour),
+		},
 	}
-	s.customers.set(id, &c)
+	s.customers.set(id, row.link())
 	s.nominalBytes += nominalCustomer
-	return CreateCustomerResult{Customer: c}
+	return CreateCustomerResult{Customer: id, UName: row.body.UName}
 }
 
 func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID) AddressID {
@@ -290,11 +295,11 @@ func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
 	if !ok {
 		return nil
 	}
-	c := *old // copy-on-write
+	c := old.edit()
 	c.LastLogin = c.Login
 	c.Login = a.Now
 	c.Expiration = a.Now.Add(2 * time.Hour)
-	s.customers.set(a.Customer, &c)
+	s.customers.set(a.Customer, c)
 	return nil
 }
 
@@ -306,11 +311,10 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	if !ok || len(cart.Lines) == 0 {
 		return BuyConfirmResult{Err: "empty or unknown cart"}
 	}
-	custp, ok := s.customers.get(a.Customer)
+	cust, ok := s.customers.get(a.Customer)
 	if !ok {
 		return BuyConfirmResult{Err: "unknown customer"}
 	}
-	cust := *custp // copy-on-write
 
 	var subTotal float64
 	lines := make([]OrderLine, 0, len(cart.Lines))
@@ -326,13 +330,13 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 			Discount: cust.Discount,
 			Comments: a.Comment,
 		})
-		// TPC-W stock rule (copy-on-write on the shared item).
-		cp := *item
-		cp.Stock -= cl.Qty
-		if cp.Stock < 10 {
-			cp.Stock += 21
+		// TPC-W stock rule.
+		h := item.edit()
+		h.Stock -= cl.Qty
+		if h.Stock < 10 {
+			h.Stock += 21
 		}
-		s.items.set(cl.Item, &cp)
+		s.items.set(cl.Item, h)
 	}
 	if len(lines) == 0 {
 		return BuyConfirmResult{Err: "no valid items"}
@@ -376,9 +380,10 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 
-	cust.Balance += total
-	cust.YTDPmt += total
-	s.customers.set(a.Customer, &cust)
+	paid := cust.edit()
+	paid.Balance += total
+	paid.YTDPmt += total
+	s.customers.set(a.Customer, paid)
 
 	return BuyConfirmResult{Order: oid, Total: total}
 }
@@ -421,14 +426,14 @@ func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
 	if !ok {
 		return nil
 	}
-	item := *old // copy-on-write
-	item.Cost = a.Cost
-	item.Image = a.Image
-	item.Thumbnail = a.Thumbnail
+	h := old.edit()
+	h.Cost = a.Cost
+	h.Image = a.Image
+	h.Thumbnail = a.Thumbnail
 	// Recompute related items from co-purchases in the recent-order
 	// window (deterministic: ordered scan, stable tie-break by item id).
-	item.Related = s.relatedFromOrders(a.Item)
-	s.items.set(a.Item, &item)
+	h.Related = s.relatedFromOrders(a.Item)
+	s.items.set(a.Item, h)
 	return nil
 }
 

@@ -28,8 +28,8 @@ package tpcw
 // Like full snapshots it shares rows (and the best-sellers aggregate's pages)
 // under the store's copy-on-write discipline.
 type DeltaSnap struct {
-	Items     delta[ItemID, *Item]
-	Customers delta[CustomerID, *Customer]
+	Items     delta[ItemID, *itemHead]
+	Customers delta[CustomerID, *customerHead]
 	Addresses delta[AddressID, *Address]
 	Orders    delta[OrderID, *Order]
 	Carts     delta[CartID, Cart]
@@ -80,8 +80,8 @@ func (s *Store) SnapshotDelta() (any, int64, bool) {
 		NominalBytes: s.nominalBytes,
 	}
 	snap.Bytes = 128 +
-		deltaBytes(snap.Items, func(*Item) int64 { return nominalItem }) +
-		deltaBytes(snap.Customers, func(*Customer) int64 { return nominalCustomer }) +
+		deltaBytes(snap.Items, func(*itemHead) int64 { return nominalItem }) +
+		deltaBytes(snap.Customers, func(*customerHead) int64 { return nominalCustomer }) +
 		deltaBytes(snap.Addresses, func(*Address) int64 { return nominalAddress }) +
 		deltaBytes(snap.Orders, nominalOrderBytes) +
 		deltaBytes(snap.Carts, nominalCartBytes) +

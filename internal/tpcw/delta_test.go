@@ -2,12 +2,15 @@ package tpcw
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
 
 // storesEqual compares the replicated state of two stores row by row
-// (the aggregates the checkpoints carry included).
+// (the aggregates the checkpoints carry included). Rows are compared by what
+// a reader sees: two stores populated separately hold equal rows in
+// different allocations.
 func storesEqual(t *testing.T, context string, a, b *Store) {
 	t.Helper()
 	if a.nominalBytes != b.nominalBytes {
@@ -19,14 +22,16 @@ func storesEqual(t *testing.T, context string, a, b *Store) {
 		t.Fatalf("%s: entity counts (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
 			context, ai, ac, ao, act, bi, bc, bo, bct)
 	}
-	for id, it := range a.items.all() {
-		if got, _ := b.items.get(id); got == nil || *got != *it {
-			t.Fatalf("%s: item %d differs", context, id)
+	for id := range a.items.all() {
+		want, _ := a.GetBook(id)
+		if got, ok := b.GetBook(id); !ok || got != want {
+			t.Fatalf("%s: item %d differs:\n got %+v\nwant %+v", context, id, got, want)
 		}
 	}
 	for id, c := range a.customers.all() {
-		if got, _ := b.customers.get(id); got == nil || *got != *c {
-			t.Fatalf("%s: customer %d differs", context, id)
+		want, _ := a.GetCustomerByID(id)
+		if got, ok := b.GetCustomerByID(id); !ok || got != want {
+			t.Fatalf("%s: customer %d differs:\n got %+v\nwant %+v", context, id, got, want)
 		}
 		if got, _ := b.GetCustomer(c.UName); got.ID != id {
 			t.Fatalf("%s: uname index broken for customer %d", context, id)
@@ -37,10 +42,10 @@ func storesEqual(t *testing.T, context string, a, b *Store) {
 			t.Fatalf("%s: address %d differs", context, id)
 		}
 	}
-	for id, o := range a.orders.all() {
-		got, _ := b.orders.get(id)
-		if got == nil || got.Total != o.Total || len(got.Lines) != len(o.Lines) || got.Customer != o.Customer {
-			t.Fatalf("%s: order %d differs", context, id)
+	for id := range a.orders.all() {
+		want, _ := a.GetOrder(id)
+		if got, ok := b.GetOrder(id); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: order %d differs:\n got %+v\nwant %+v", context, id, got, want)
 		}
 	}
 	for id, c := range a.carts.all() {
@@ -77,23 +82,47 @@ func storesEqual(t *testing.T, context string, a, b *Store) {
 	}
 }
 
-// mutate applies one deterministic round of every write action.
+// mutate applies one deterministic round of every write action. Rounds r and
+// r+100 write the same item (r%50+1) and customer (r%20+1) rows; an odd round
+// writes only even-numbered customers.
 func mutate(t *testing.T, s *Store, round int) {
 	t.Helper()
 	now := time.Unix(1243857600+int64(round)*60, 0).UTC()
-	cr := s.Apply(CartUpdateAction{AddItem: ItemID(round%50 + 1), AddQty: 2, Now: now}).(CartResult)
+	item, cust := ItemID(round%50+1), CustomerID(round%20+1)
+	cr := s.Apply(CartUpdateAction{AddItem: item, AddQty: 2, Now: now}).(CartResult)
 	if cr.Err != "" {
 		t.Fatalf("round %d: cart: %s", round, cr.Err)
 	}
-	s.Apply(RefreshSessionAction{Customer: CustomerID(round%20 + 1), Now: now})
-	s.Apply(AdminUpdateAction{Item: ItemID(round%50 + 1), Cost: 9.99, Image: "i", Thumbnail: "t", Now: now})
+	s.Apply(RefreshSessionAction{Customer: cust, Now: now})
+	s.Apply(AdminUpdateAction{Item: item, Cost: 9.99, Image: "i", Thumbnail: "t", Now: now})
 	if round%2 == 0 {
 		br := s.Apply(BuyConfirmAction{
-			Cart: cr.Cart.ID, Customer: CustomerID(round%20 + 1), Now: now,
+			Cart: cr.Cart.ID, Customer: cust, Now: now,
 		}).(BuyConfirmResult)
 		if br.Err != "" {
 			t.Fatalf("round %d: buy: %s", round, br.Err)
 		}
+	}
+	// A gift from cust to another customer, as the 2PC driver's two
+	// branches, and a sweep repricing the item with a round-specific cost.
+	gift := s.Apply(CartUpdateAction{AddItem: item, AddQty: 1, Now: now}).(CartResult)
+	tag := fmt.Sprintf("g%d", round)
+	lines, sub, tax, total, errs := s.GiftQuote(gift.Cart.ID, cust, tag)
+	if errs != "" {
+		t.Fatalf("round %d: gift quote: %s", round, errs)
+	}
+	if r := s.Apply(GiftDebitAction{Cart: gift.Cart.ID, Buyer: cust, Total: total, Tag: tag, Now: now}).(GiftDebitResult); r.Err != "" {
+		t.Fatalf("round %d: gift debit: %s", round, r.Err)
+	}
+	if r := s.Apply(GiftDeliverAction{
+		Recipient: CustomerID((round+2)%20 + 1), Lines: lines, SubTotal: sub, Tax: tax, Total: total,
+		ShipType: "AIR", ShipDate: now, Tag: tag, Now: now,
+	}).(GiftDeliverResult); r.Err != "" {
+		t.Fatalf("round %d: gift delivery: %s", round, r.Err)
+	}
+	sweep := InventorySweepAction{Items: []ItemID{item, ItemID((round+7)%50 + 1)}, Cost: 1 + float64(round)/100, Tag: fmt.Sprintf("s%d", round), Now: now}
+	if r := s.Apply(sweep).(InventorySweepResult); r.Updated != 2 {
+		t.Fatalf("round %d: sweep updated %d items", round, r.Updated)
 	}
 	if round%5 == 0 {
 		s.Apply(CreateCustomerAction{

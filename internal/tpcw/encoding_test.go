@@ -67,11 +67,11 @@ func TestResultsAreGobEncodable(t *testing.T) {
 	results := []any{
 		CreateCartResult{Cart: 1},
 		CartResult{Cart: Cart{ID: 1, Lines: []CartLine{{Item: 2, Qty: 3}}}},
-		CreateCustomerResult{Customer: Customer{ID: 5, UName: "C5"}},
-		BuyConfirmResult{Order: 9, Total: 12.5},
-		GiftOrderResult{Order: 9, Total: 21.5},
-		GiftDebitResult{},
-		GiftDeliverResult{Order: 9},
+		CreateCustomerResult{Customer: 5, UName: "C5"},
+		BuyConfirmResult{Order: 9, Total: 12.5, Err: "e"},
+		GiftOrderResult{Order: 9, Total: 21.5, Err: "e"},
+		GiftDebitResult{Err: "e"},
+		GiftDeliverResult{Order: 9, Err: "e"},
 		InventorySweepResult{Updated: 2},
 	}
 	for _, r := range results {
@@ -82,6 +82,9 @@ func TestResultsAreGobEncodable(t *testing.T) {
 		out := reflect.New(reflect.TypeOf(r))
 		if err := gob.NewDecoder(&buf).DecodeValue(out); err != nil {
 			t.Fatalf("%T: decode: %v", r, err)
+		}
+		if !reflect.DeepEqual(out.Elem().Interface(), r) {
+			t.Fatalf("%T: round trip mismatch:\n got %+v\nwant %+v", r, out.Elem().Interface(), r)
 		}
 	}
 }

@@ -194,39 +194,39 @@ func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
 	if !ok {
 		return GiftDebitResult{Err: "unknown cart"}
 	}
-	custp, ok := s.customers.get(a.Buyer)
+	buyer, ok := s.customers.get(a.Buyer)
 	if !ok {
 		return GiftDebitResult{Err: "unknown buyer"}
 	}
-	cust := *custp // copy-on-write
 
 	// The purchased cart is consumed.
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 
-	cust.Balance += a.Total
-	cust.YTDPmt += a.Total
-	s.customers.set(a.Buyer, &cust)
+	paid := buyer.edit()
+	paid.Balance += a.Total
+	paid.YTDPmt += a.Total
+	s.customers.set(a.Buyer, paid)
 	return GiftDebitResult{}
 }
 
 func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
-	custp, ok := s.customers.get(a.Recipient)
+	recipient, ok := s.customers.get(a.Recipient)
 	if !ok {
 		return GiftDeliverResult{Err: "unknown recipient"}
 	}
-	// TPC-W stock rule on the delivered lines (copy-on-write).
+	// TPC-W stock rule on the delivered lines.
 	for _, l := range a.Lines {
 		item, ok := s.items.get(l.Item)
 		if !ok {
 			continue
 		}
-		cp := *item
-		cp.Stock -= l.Qty
-		if cp.Stock < 10 {
-			cp.Stock += 21
+		h := item.edit()
+		h.Stock -= l.Qty
+		if h.Stock < 10 {
+			h.Stock += 21
 		}
-		s.items.set(l.Item, &cp)
+		s.items.set(l.Item, h)
 	}
 	s.nextOrder++
 	oid := s.nextOrder
@@ -240,8 +240,8 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 		ShipType: a.ShipType,
 		ShipDate: a.ShipDate,
 		Status:   "GIFT",
-		BillAddr: custp.Addr,
-		ShipAddr: custp.Addr,
+		BillAddr: recipient.Addr,
+		ShipAddr: recipient.Addr,
 		Lines:    a.Lines,
 	}
 	s.orders.set(oid, &order)
@@ -258,10 +258,10 @@ func (s *Store) applyInventorySweep(a InventorySweepAction) InventorySweepResult
 		if !ok {
 			continue
 		}
-		cp := *old // copy-on-write
-		cp.Cost = a.Cost
-		cp.SweptTag = a.Tag
-		s.items.set(id, &cp)
+		h := old.edit()
+		h.Cost = a.Cost
+		h.SweptTag = a.Tag
+		s.items.set(id, h)
 		updated++
 	}
 	return InventorySweepResult{Updated: updated}

@@ -30,8 +30,8 @@ package tpcw
 // owned by a key predicate. Like checkpoint payloads it shares pointed-to
 // rows under the store's copy-on-write discipline.
 type PartitionSnap struct {
-	Items     map[ItemID]*Item
-	Customers map[CustomerID]*Customer
+	Items     map[ItemID]*itemHead
+	Customers map[CustomerID]*customerHead
 	Addresses map[AddressID]*Address
 	Orders    map[OrderID]*Order
 	Carts     map[CartID]Cart
@@ -61,8 +61,8 @@ func nominalCartBytes(c Cart) int64 {
 // satisfies owned (shared, not copied), plus their nominal size.
 func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 	snap := PartitionSnap{
-		Items:        make(map[ItemID]*Item),
-		Customers:    make(map[CustomerID]*Customer),
+		Items:        make(map[ItemID]*itemHead),
+		Customers:    make(map[CustomerID]*customerHead),
 		Addresses:    make(map[AddressID]*Address),
 		Orders:       make(map[OrderID]*Order),
 		Carts:        make(map[CartID]Cart),

@@ -170,28 +170,36 @@ func Populate(cfg PopConfig) *Store {
 		subject := subjects[rng.Intn(len(subjects))]
 		author := AuthorID(rng.Intn(authors) + 1)
 		srp := 10 + rng.Float64()*90
-		item := Item{
-			ID:        id,
-			Title:     w1 + " " + w2 + " " + strconv.Itoa(i),
-			Author:    author,
-			PubDate:   base.AddDate(0, 0, -rng.Intn(3650)),
-			Publisher: "PUB" + strconv.Itoa(rng.Intn(100)),
-			Subject:   subject,
-			Desc:      "desc",
-			Thumbnail: "img/thumb/" + strconv.Itoa(i),
-			Image:     "img/full/" + strconv.Itoa(i),
-			SRP:       srp,
-			Cost:      srp * (0.5 + rng.Float64()*0.5),
-			Avail:     base,
-			Stock:     int32(10 + rng.Intn(21)),
-			ISBN:      "ISBN" + strconv.Itoa(i),
-			PageCount: int32(100 + rng.Intn(900)),
-			Backing:   "PAPERBACK",
+		// A population is a function of its seed: the draws below keep
+		// this order (publication date, publisher, cost, stock, pages).
+		pub := base.AddDate(0, 0, -rng.Intn(3650))
+		publisher := "PUB" + strconv.Itoa(rng.Intn(100))
+		row := &itemRow{
+			head: itemHead{
+				Cost:      srp * (0.5 + rng.Float64()*0.5),
+				Stock:     int32(10 + rng.Intn(21)),
+				Image:     "img/full/" + strconv.Itoa(i),
+				Thumbnail: "img/thumb/" + strconv.Itoa(i),
+			},
+			body: itemBody{
+				ID:        id,
+				Title:     w1 + " " + w2 + " " + strconv.Itoa(i),
+				Author:    author,
+				PubDate:   pub,
+				Publisher: publisher,
+				Subject:   subject,
+				Desc:      "desc",
+				SRP:       srp,
+				Avail:     base,
+				ISBN:      "ISBN" + strconv.Itoa(i),
+				PageCount: int32(100 + rng.Intn(900)),
+				Backing:   "PAPERBACK",
+			},
 		}
 		for r := 0; r < 5; r++ {
-			item.Related[r] = ItemID((i+r*131)%items + 1)
+			row.head.Related[r] = ItemID((i+r*131)%items + 1)
 		}
-		s.items.set(id, &item)
+		s.items.set(id, row.link())
 		cat.bySubject[subject] = append(cat.bySubject[subject], id)
 		cat.titleIndex[w1] = append(cat.titleIndex[w1], id)
 		if w2 != w1 {
@@ -199,7 +207,7 @@ func Populate(cfg PopConfig) *Store {
 		}
 		lname := strings.ToLower(cat.authors[author].LName)
 		cat.authorIndex[lname] = append(cat.authorIndex[lname], id)
-		pubBySubject[subject] = append(pubBySubject[subject], pubEntry{id: id, pub: item.PubDate})
+		pubBySubject[subject] = append(pubBySubject[subject], pubEntry{id: id, pub: pub})
 	}
 	for subject, entries := range pubBySubject {
 		// Newest-first prefix of 50 (the new-products page).
@@ -236,24 +244,28 @@ func Populate(cfg PopConfig) *Store {
 			CountryID(rng.Intn(92)+1),
 		)
 		id := CustomerID(i)
-		c := Customer{
-			ID:         id,
-			UName:      customerUName(id),
-			Passwd:     customerPasswd(id),
-			FName:      "F" + strconv.Itoa(i),
-			LName:      authorName(rng),
-			Addr:       addr,
-			Phone:      strconv.Itoa(1000000000 + rng.Intn(899999999)),
-			Email:      customerUName(id) + "@example.com",
-			Since:      base.AddDate(0, 0, -rng.Intn(730)),
-			LastLogin:  base,
-			Login:      base,
-			Expiration: base.Add(2 * time.Hour),
-			Discount:   float64(rng.Intn(51)),
-			BirthDate:  base.AddDate(-18-rng.Intn(60), 0, 0),
-			Data:       "data",
+		row := &customerRow{
+			body: customerBody{
+				ID:        id,
+				UName:     customerUName(id),
+				Passwd:    customerPasswd(id),
+				FName:     "F" + strconv.Itoa(i),
+				LName:     authorName(rng),
+				Addr:      addr,
+				Phone:     strconv.Itoa(1000000000 + rng.Intn(899999999)),
+				Email:     customerUName(id) + "@example.com",
+				Since:     base.AddDate(0, 0, -rng.Intn(730)),
+				Discount:  float64(rng.Intn(51)),
+				BirthDate: base.AddDate(-18-rng.Intn(60), 0, 0),
+				Data:      "data",
+			},
+			head: customerHead{
+				LastLogin:  base,
+				Login:      base,
+				Expiration: base.Add(2 * time.Hour),
+			},
 		}
-		s.customers.set(id, &c)
+		s.customers.set(id, row.link())
 	}
 	s.nextCustomer = CustomerID(customers)
 

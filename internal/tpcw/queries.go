@@ -16,7 +16,7 @@ func (s *Store) GetBook(id ItemID) (Item, bool) {
 	if !ok {
 		return Item{}, false
 	}
-	return *item, true
+	return item.item(), true
 }
 
 // GetAuthor returns an author by id.
@@ -37,7 +37,7 @@ func (s *Store) GetCustomer(uname string) (Customer, bool) {
 	if !ok || c.UName != uname {
 		return Customer{}, false
 	}
-	return *c, true
+	return c.customer(), true
 }
 
 // GetCustomerByID returns a customer by id.
@@ -46,7 +46,7 @@ func (s *Store) GetCustomerByID(id CustomerID) (Customer, bool) {
 	if !ok {
 		return Customer{}, false
 	}
-	return *c, true
+	return c.customer(), true
 }
 
 // GetUserName returns the user name for a customer id (TPC-W GetUserName).

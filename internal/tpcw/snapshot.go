@@ -19,8 +19,8 @@ package tpcw
 
 // storeSnap is the checkpoint payload. It is immutable once built.
 type storeSnap struct {
-	Items        frozen[ItemID, *Item]
-	Customers    frozen[CustomerID, *Customer]
+	Items        frozen[ItemID, *itemHead]
+	Customers    frozen[CustomerID, *customerHead]
 	Addresses    frozen[AddressID, *Address]
 	Orders       frozen[OrderID, *Order]
 	Carts        frozen[CartID, Cart]

@@ -3,7 +3,10 @@ package tpcw
 import (
 	"maps"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
+	"unsafe"
 
 	"robuststore/internal/xrand"
 )
@@ -215,9 +218,9 @@ func TestTableDeleteWhileIterating(t *testing.T) {
 }
 
 // TestRestoredStoresStayIndependent: a replica snapshots, the payload
-// restores two other stores (a local recovery and a shipped checkpoint), and
-// all three then diverge. Each must equal a control store that reached the
-// same state without ever sharing a page.
+// restores other stores (a local recovery and shipped checkpoints), and they
+// then diverge. Each must equal a control store that reached the same state
+// without ever sharing a page, a row or a body.
 func TestRestoredStoresStayIndependent(t *testing.T) {
 	fresh := func(rounds ...int) *Store {
 		s := Populate(PopConfig{Items: 200, EBs: 1, Reduction: 4, Seed: 9})
@@ -228,16 +231,22 @@ func TestRestoredStoresStayIndependent(t *testing.T) {
 	}
 	a := fresh(1, 2)
 	payload, _ := a.Snapshot()
-	b, c := &Store{}, &Store{}
+	b, c, idle := &Store{}, &Store{}, &Store{}
 	b.Restore(payload)
 	c.Restore(payload)
+	idle.Restore(payload)
 
 	mutate(t, a, 10)
 	mutate(t, a, 11)
+	// b and c write the heads of the same item (21) and customer (1), which
+	// they share with each other and with the payload: a head written in
+	// place rather than copied would show through to the sibling.
 	mutate(t, b, 20)
+	mutate(t, c, 120)
 	storesEqual(t, "snapshotting replica", a, fresh(1, 2, 10, 11))
 	storesEqual(t, "restored and written", b, fresh(1, 2, 20))
-	storesEqual(t, "restored and idle", c, fresh(1, 2))
+	storesEqual(t, "restored sibling, same rows written", c, fresh(1, 2, 120))
+	storesEqual(t, "restored and idle", idle, fresh(1, 2))
 
 	// The payload itself is still the state it captured.
 	d := &Store{}
@@ -347,5 +356,97 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	}
 	if _, customers, _, _ := c.Counts(); customers != 36000 {
 		t.Fatalf("clone holds %d customers", customers)
+	}
+}
+
+// medianApplyBytes applies actions[0], then each of the rest on its own, and
+// returns the median of what those allocated. The first action pays for the
+// first write to each shared page; the median drops the rare call that
+// starts a page or regrows the best-sellers window.
+func medianApplyBytes(s *Store, actions []any) uint64 {
+	s.Apply(actions[0])
+	per := make([]uint64, 0, len(actions)-1)
+	for _, a := range actions[1:] {
+		per = append(per, allocated(func() { s.Apply(a) }))
+	}
+	slices.Sort(per)
+	return per[len(per)/2]
+}
+
+// TestApplyByteBudget: a write copies the head of the row it changes (96 B)
+// and nothing else of it. Measured on the paper population right after a
+// Snapshot, so rows and pages are shared as on a replica between
+// checkpoints. The budgets are this layout's figures plus 10 %; copying the
+// whole 288 B Item or Customer, as every one of these actions did, exceeds
+// each of them.
+func TestApplyByteBudget(t *testing.T) {
+	if n := unsafe.Sizeof(itemHead{}); n > 96 {
+		t.Errorf("itemHead is %d bytes, want ≤ 96", n)
+	}
+	if n := unsafe.Sizeof(customerHead{}); n > 96 {
+		t.Errorf("customerHead is %d bytes, want ≤ 96", n)
+	}
+	s := Populate(paperPopulation)
+	s.Snapshot()
+	const n = 101
+	at := func(i int) time.Time { return now().Add(time.Duration(i) * time.Minute) }
+	// Actions are boxed before they are measured: Apply's caller pays that.
+	build := func(f func(i int) any) []any {
+		actions := make([]any, n)
+		for i := range actions {
+			actions[i] = f(i)
+		}
+		return actions
+	}
+	// buy returns the median bytes of a buy-confirm of a k-line cart.
+	buy := func(k int) uint64 {
+		return medianApplyBytes(s, build(func(i int) any {
+			cart := s.Apply(CreateCartAction{Now: at(i)}).(CreateCartResult).Cart
+			for item := 1; item <= k; item++ {
+				s.Apply(CartUpdateAction{Cart: cart, AddItem: ItemID(item), AddQty: 1, Now: at(i)})
+			}
+			return BuyConfirmAction{Cart: cart, Customer: 2, ShipDate: at(i), Now: at(i)}
+		}))
+	}
+	buy1, buy5 := buy(1), buy(5)
+	perLine := (buy5 - buy1) / 4
+	sweep := make([]ItemID, 100)
+	for i := range sweep {
+		sweep[i] = ItemID(i + 1)
+	}
+
+	for _, c := range []struct {
+		what          string
+		bytes, budget uint64
+	}{
+		// The customer's head: 96 (288 whole).
+		{"RefreshSession", medianApplyBytes(s, build(func(i int) any {
+			return RefreshSessionAction{Customer: 1, Now: at(i)}
+		})), 105},
+		// The item's head and the order line: 96 + 32 (320).
+		{"BuyConfirm per item line", perLine, 140},
+		// The order 288, its AuthID 16, the customer's head 96 and the
+		// boxed result 32: 432 (624).
+		{"BuyConfirm per order", buy1 - perLine, 475},
+		// The item's head: 96 (288).
+		{"InventorySweep per item", medianApplyBytes(s, build(func(i int) any {
+			return InventorySweepAction{Items: sweep, Cost: float64(i), Tag: "s", Now: at(i)}
+		})) / uint64(len(sweep)), 105},
+		// The item's head and relatedFromOrders' count map: 96 + 328 (616).
+		{"AdminUpdate", medianApplyBytes(s, build(func(i int) any {
+			return AdminUpdateAction{Item: 3, Cost: float64(i), Image: "i", Thumbnail: "t", Now: at(i)}
+		})), 466},
+		// The address 96, user name and password 32, the row (body and first
+		// head in one allocation) 288 and the boxed result 24: 440 (704, with
+		// a second whole row in the result).
+		{"CreateCustomer", medianApplyBytes(s, build(func(i int) any {
+			return CreateCustomerAction{FName: "F", LName: "L", Street1: "1 St", City: "C",
+				State: "ST", Zip: "1", Country: 1, Discount: 5, Now: at(i)}
+		})), 484},
+	} {
+		t.Logf("%s: %d B (budget %d)", c.what, c.bytes, c.budget)
+		if c.bytes > c.budget {
+			t.Errorf("%s allocated %d bytes, budget %d", c.what, c.bytes, c.budget)
+		}
 	}
 }

@@ -109,11 +109,135 @@ type Item struct {
 	Related   [5]ItemID
 
 	// SweptTag is the audit tag of the last inventory sweep that
-	// repriced this item. Ordinary repricing (admin update) preserves it
-	// under the copy-on-write discipline, so the cross-shard atomicity
-	// audit can recognize a sweep's application even after the regular
-	// workload touched the item's cost again.
+	// repriced this item. Ordinary repricing (admin update) preserves it,
+	// so the cross-shard atomicity audit can recognize a sweep's
+	// application even after the regular workload touched the item's cost
+	// again.
 	SweptTag string
+}
+
+// The store holds an Item or a Customer as two parts (see Store): a body
+// with the columns no action writes, allocated when the row is populated or
+// created and never written again, and a head with the columns actions do
+// write and a pointer to the body. A write copies the head alone, 96 bytes,
+// and every head of a row shares its body: every replica applies every
+// write, so each byte a write copies is paid once per replica.
+// The exported Item and Customer are the read API, assembled from the two.
+
+// itemBody is the immutable part of an ITEM row.
+type itemBody struct {
+	ID        ItemID
+	Title     string
+	Author    AuthorID
+	PubDate   time.Time
+	Publisher string
+	Subject   string
+	Desc      string
+	SRP       float64
+	Avail     time.Time
+	ISBN      string
+	PageCount int32
+	Backing   string
+}
+
+// itemHead is the part of an ITEM row that admin updates, sweeps and the
+// stock rule write.
+type itemHead struct {
+	*itemBody
+	Cost      float64
+	Stock     int32
+	Related   [5]ItemID
+	Image     string
+	Thumbnail string
+	SweptTag  string
+}
+
+// customerBody is the immutable part of a CUSTOMER row.
+type customerBody struct {
+	ID        CustomerID
+	UName     string
+	Passwd    string
+	FName     string
+	LName     string
+	Addr      AddressID
+	Phone     string
+	Email     string
+	Since     time.Time
+	Discount  float64
+	BirthDate time.Time
+	Data      string
+}
+
+// customerHead is the part of a CUSTOMER row that session refreshes and
+// purchases write.
+type customerHead struct {
+	*customerBody
+	LastLogin  time.Time
+	Login      time.Time
+	Expiration time.Time
+	Balance    float64
+	YTDPmt     float64
+}
+
+// itemRow and customerRow are a row as it is first stored: body and first
+// head in one allocation, the head pointing at the body beside it. A later
+// head is an allocation of its own.
+type (
+	itemRow struct {
+		head itemHead
+		body itemBody
+	}
+	customerRow struct {
+		head customerHead
+		body customerBody
+	}
+)
+
+// link points the row's first head at its body and returns the head.
+func (r *itemRow) link() *itemHead {
+	r.head.itemBody = &r.body
+	return &r.head
+}
+
+func (r *customerRow) link() *customerHead {
+	r.head.customerBody = &r.body
+	return &r.head
+}
+
+// edit returns a copy of the head for an action to write and store in
+// place of the original, which snapshots and other stores may share.
+func (h *itemHead) edit() *itemHead {
+	cp := *h
+	return &cp
+}
+
+func (h *customerHead) edit() *customerHead {
+	cp := *h
+	return &cp
+}
+
+// item assembles the row's public view.
+func (h *itemHead) item() Item {
+	b := h.itemBody
+	return Item{
+		ID: b.ID, Title: b.Title, Author: b.Author, PubDate: b.PubDate,
+		Publisher: b.Publisher, Subject: b.Subject, Desc: b.Desc,
+		Thumbnail: h.Thumbnail, Image: h.Image, SRP: b.SRP, Cost: h.Cost,
+		Avail: b.Avail, Stock: h.Stock, ISBN: b.ISBN, PageCount: b.PageCount,
+		Backing: b.Backing, Related: h.Related, SweptTag: h.SweptTag,
+	}
+}
+
+// customer assembles the row's public view.
+func (h *customerHead) customer() Customer {
+	b := h.customerBody
+	return Customer{
+		ID: b.ID, UName: b.UName, Passwd: b.Passwd, FName: b.FName,
+		LName: b.LName, Addr: b.Addr, Phone: b.Phone, Email: b.Email,
+		Since: b.Since, LastLogin: h.LastLogin, Login: h.Login,
+		Expiration: h.Expiration, Discount: b.Discount, Balance: h.Balance,
+		YTDPmt: h.YTDPmt, BirthDate: b.BirthDate, Data: b.Data,
+	}
 }
 
 // OrderLine is a TPC-W ORDER_LINE row.
@@ -204,15 +328,18 @@ type Store struct {
 	cat *catalog
 
 	// The entity tables are paged copy-on-write tables (table.go) over
-	// rows held under a copy-on-write discipline of their own: a
-	// pointed-to struct, and a cart's Lines slice, is never mutated in
-	// place after insertion (mutations store a fresh copy). A snapshot,
-	// the stores restored from it and the store it was taken from can
-	// therefore share both rows and pages: capturing or adopting a table
-	// copies its page directory, and a store copies a shared page the
-	// first time it writes to it.
-	items     table[ItemID, *Item]
-	customers table[CustomerID, *Customer] // UName is customerUName(ID): no separate index
+	// rows that are never written in place once stored. An item or a
+	// customer is a body and a head (itemHead, customerHead): the body is
+	// written once, when the row is populated or created, and a write
+	// stores a copy of the head (edit) that points at the same body. An
+	// address or an order is never written again; a cart's write stores a
+	// fresh Cart and a fresh Lines slice. A snapshot, the stores restored
+	// from it and the store it was taken from can therefore share rows,
+	// bodies and pages: capturing or adopting a table copies its page
+	// directory, and a store copies a shared page the first time it writes
+	// to it.
+	items     table[ItemID, *itemHead]
+	customers table[CustomerID, *customerHead] // UName is customerUName(ID): no separate index
 	addresses table[AddressID, *Address]
 	orders    table[OrderID, *Order]
 	carts     table[CartID, Cart]

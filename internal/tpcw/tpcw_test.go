@@ -174,21 +174,21 @@ func TestCreateCustomerAndSession(t *testing.T) {
 		Email: "n@c", BirthDate: now().AddDate(-30, 0, 0),
 		Discount: 15, Now: now(),
 	}).(CreateCustomerResult)
-	if res.Customer.ID == 0 || res.Customer.Discount != 15 {
-		t.Fatalf("bad customer: %+v", res.Customer)
+	if res.Customer == 0 || res.UName != customerUName(res.Customer) {
+		t.Fatalf("bad result: %+v", res)
 	}
 	_, after, _, _ := s.Counts()
 	if after != before+1 {
 		t.Errorf("customer count %d, want %d", after, before+1)
 	}
-	got, ok := s.GetCustomer(res.Customer.UName)
-	if !ok || got.ID != res.Customer.ID {
-		t.Fatal("lookup by uname failed")
+	got, ok := s.GetCustomer(res.UName)
+	if !ok || got.ID != res.Customer || got.Discount != 15 || got.FName != "New" {
+		t.Fatalf("lookup by uname: %+v, %v", got, ok)
 	}
 
 	later := now().Add(time.Hour)
-	s.Apply(RefreshSessionAction{Customer: res.Customer.ID, Now: later})
-	got, _ = s.GetCustomerByID(res.Customer.ID)
+	s.Apply(RefreshSessionAction{Customer: res.Customer, Now: later})
+	got, _ = s.GetCustomerByID(res.Customer)
 	if !got.Login.Equal(later) {
 		t.Errorf("login = %v, want %v", got.Login, later)
 	}
@@ -549,6 +549,37 @@ func TestGetters(t *testing.T) {
 	}
 	if _, ok := s.GetStock(1); !ok {
 		t.Error("GetStock failed")
+	}
+}
+
+// TestRowViewsCarryEveryColumn: GetBook and GetCustomerByID assemble every
+// column of Item and Customer from the row's body or head, where a column of
+// the same name holds the same value.
+func TestRowViewsCarryEveryColumn(t *testing.T) {
+	s := testStore()
+	cart := s.Apply(CartUpdateAction{AddItem: 5, AddQty: 1, Now: now()}).(CartResult).Cart.ID
+	s.Apply(BuyConfirmAction{Cart: cart, Customer: 2, ShipDate: now(), Now: now()})
+	s.Apply(RefreshSessionAction{Customer: 2, Now: now()})
+	s.Apply(InventorySweepAction{Items: []ItemID{5}, Cost: 3, Tag: "s", Now: now()})
+	item, _ := s.GetBook(5)
+	ih, _ := s.items.get(5)
+	cust, _ := s.GetCustomerByID(2)
+	ch, _ := s.customers.get(2)
+	for _, c := range []struct{ view, row reflect.Value }{
+		{reflect.ValueOf(item), reflect.ValueOf(ih).Elem()},
+		{reflect.ValueOf(cust), reflect.ValueOf(ch).Elem()},
+	} {
+		for i := 0; i < c.view.NumField(); i++ {
+			name := c.view.Type().Field(i).Name
+			col := c.row.FieldByName(name)
+			if !col.IsValid() {
+				t.Errorf("%s.%s is in neither body nor head", c.view.Type().Name(), name)
+				continue
+			}
+			if got, want := fmt.Sprint(c.view.Field(i)), fmt.Sprint(col); got != want {
+				t.Errorf("%s.%s reads %s, the row holds %s", c.view.Type().Name(), name, got, want)
+			}
+		}
 	}
 }
 

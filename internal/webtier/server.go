@@ -646,7 +646,7 @@ func (r *request) onApplied(result any, inst paxos.InstanceID, err error) {
 	case rbe.CustomerRegistration:
 		cr, is := result.(tpcw.CreateCustomerResult)
 		ok = ok && is
-		resp.Customer, resp.UName = cr.Customer.ID, cr.Customer.UName
+		resp.Customer, resp.UName = cr.Customer, cr.UName
 	case rbe.BuyRequest:
 		resp.Cart = r.cart
 	case rbe.BuyConfirm:
