@@ -91,6 +91,17 @@
 // runtime; livenet's TestLiveVotesSharedAcrossReplicas holds it under the
 // race detector.
 //
+// A decision is learned where it is made and announced once. When a quorum
+// of acks (classic) or matching votes (fast) completes, the coordinator
+// builds the chosenMsg, sends it to every other member and every attached
+// learner, and learns the decision itself from the value inside it, with no
+// message to itself. An ack or vote that arrives later finds the instance
+// decided and announces nothing; while the coordinator learned from its own
+// loopback announcement, every one that beat the loopback announced the
+// value again: a pass of the benchmark's order_pipeline (seed 1) made 56,708
+// announcements for 31,818 decisions. paxos.Stats counts announcements,
+// collisions, recoveries by cause, retries and catch-up requests per engine.
+//
 // The simulator's loop holds an entry for what will run and for nothing
 // else (sim/queue.go). Events — callbacks, posts, deliveries, disk
 // completions — are values in a 4-ary heap; an armed timer is one entry of

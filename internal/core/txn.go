@@ -3,7 +3,7 @@ package core
 import "robuststore/internal/detsort"
 
 // This file is the core half of cross-shard transactions (two-phase
-// commit over Paxos groups, ROADMAP item 1): the ordered meta-action
+// commit over Paxos groups): the ordered meta-action
 // records the 2PC protocol submits through the normal consensus path,
 // and the per-replica transaction state they evolve. The shape is the
 // shard-migration machinery's (partition.go): each record is totally

@@ -208,8 +208,8 @@ func SlowDiskFaultload() Faultload {
 
 // GrayFaultloads returns the named gray-failure scenario set: faults that
 // keep every probe and consensus ping healthy while service quality dies —
-// the blind spot of timeout-based detection, and exactly what ROADMAP
-// item 4's fault-model gap called for. All windows open at t=240 s and
+// the blind spot of timeout-based detection, which a fault model of crashes
+// and partitions alone never exercises. All windows open at t=240 s and
 // restore at t=390 s on the paper's x-axis:
 //
 //   - gray-fail: one member of group 0 fast-errors half its requests

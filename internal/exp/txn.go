@@ -1,7 +1,7 @@
 package exp
 
-// Cross-shard transaction faultload experiments (ROADMAP item 1's
-// measurement side): a deterministic driver issues gift purchases and
+// Cross-shard transaction faultload experiments (the measurement side of
+// cross-shard transactions): a deterministic driver issues gift purchases and
 // inventory sweeps — the two multi-shard write interactions — alongside
 // the RBE load while the faultload attacks the 2PC window, and an
 // end-of-run audit proves atomicity from the surviving state: every

@@ -14,12 +14,15 @@ import (
 // TestFastInstanceAllocBudget: counting a fast round is free. At an
 // established fast leader of five, once a warm-up has left a vote set on the
 // leader's free list, the five votes of a failure-free instance and its
-// decision allocate no vote set, no map and no timer: the only two
-// allocations are the chosenMsg announceChosen builds when the fourth vote
-// completes the fast quorum and again at the fifth, which arrives before the
-// decision has come back round. The votes are the acceptors' own objects and
-// the vote set points at them. (The leader's links are blocked for the
-// measurement, so the announcements go nowhere and nothing else runs.)
+// decision allocate no vote set, no map and no timer: the only allocation is
+// the chosenMsg announceChosen builds when the fourth vote completes the fast
+// quorum; the leader learns the decision there, so the fifth finds the
+// instance decided. (Two while the leader learned it from its own
+// announcement: the fifth vote, arriving first, announced it again.) The votes
+// are the acceptors' own objects and the vote set points at them. (The
+// leader's links are blocked for the measurement, so the announcements go
+// nowhere and nothing else runs; the log's chunk for the decisions is one
+// allocation per 256 instances.)
 func TestFastInstanceAllocBudget(t *testing.T) {
 	const n = 5
 	c := newCluster(t, n, true, 57, sim.NetConfig{})
@@ -52,15 +55,18 @@ func TestFastInstanceAllocBudget(t *testing.T) {
 		v.ID.Seq++
 		for from := range votes {
 			votes[from] = acceptedMsg{B: ls.b, Inst: inst, V: v}
-			en.onFastVote(env.NodeID(from), &votes[from])
+			en.onAccepted(env.NodeID(from), &votes[from])
 		}
-		ls.onDecided(inst)
 	}
 	round()
+	announced := en.Stats().Announced
 	got := testing.AllocsPerRun(100, round)
 	t.Logf("%v allocs per fast instance", got)
-	if got > 2 {
-		t.Fatalf("a fast instance of %d votes and its decision: %v allocs, want 2 (the announcements)", n, got)
+	if got > 1 {
+		t.Fatalf("a fast instance of %d votes and its decision: %v allocs, want 1 (the announcement)", n, got)
+	}
+	if d := en.Stats().Announced - announced; d != 101 {
+		t.Fatalf("101 fast instances announced %d times", d)
 	}
 	if len(ls.fastVotes) != 0 || len(ls.freeVotes) == 0 {
 		t.Fatalf("vote sets not recycled: %d held, %d free", len(ls.fastVotes), len(ls.freeVotes))

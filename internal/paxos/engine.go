@@ -195,7 +195,30 @@ type Engine struct {
 	delivered     map[env.NodeID]map[int64]*dedupSet // node -> epoch -> seqs
 	catchUpAt     time.Time
 	gapSince      time.Time
+
+	stats Stats
 }
+
+// Stats counts what one engine incarnation's ordering path did: the work a
+// fast round saves or costs, and what a value waits for when it is not
+// decided at once.
+type Stats struct {
+	Announced  int64 // decisions this node announced as coordinator
+	Collisions int64 // fast instances where no value could reach a fast quorum any more
+
+	// Coordinated recoveries started (a timed-out one restarted counts
+	// again), by cause: a collision; a hedge, for a fast instance still short
+	// of a fast quorum after fastDecisionTimeout; a gap, an undecided
+	// instance below the frontier with no vote seen.
+	RecCollision, RecHedge, RecGap int64
+
+	Retries  int64 // own values re-proposed after RetryTimeout
+	CatchUps int64 // catch-up requests sent
+}
+
+// Stats returns the counts since this engine booted. Call it on the node's
+// executor.
+func (en *Engine) Stats() Stats { return en.stats }
 
 // pendingValue is a proposed value awaiting delivery. The zero value marks
 // a sequence number whose value was delivered.
@@ -782,6 +805,7 @@ func (en *Engine) requestCatchUp() {
 	if target < 0 || target == en.me {
 		return
 	}
+	en.stats.CatchUps++
 	en.e.Send(target, catchUpReqMsg{From: en.firstUnchosen, Max: catchUpChunk})
 }
 
@@ -961,6 +985,7 @@ func (en *Engine) sweep() {
 	for _, pv := range en.outstanding.From(0) {
 		if pv.live() && now.Sub(pv.lastSent) > en.cfg.RetryTimeout {
 			pv.lastSent = now
+			en.stats.Retries++
 			en.propose(pv.v)
 		}
 	}

@@ -71,8 +71,9 @@ func (t tally) reset() tally {
 // voteSet is one instance's fast-round votes: at most one per acceptor, so
 // at most n, counted by walking them.
 type voteSet struct {
-	votes   []fastVote
-	firstAt time.Time
+	votes    []fastVote
+	firstAt  time.Time
+	collided bool // counted in Stats.Collisions
 }
 
 type fastVote struct {
@@ -340,8 +341,13 @@ func (en *Engine) leaderPropose(v Value) {
 		en.broadcast(fastProposeMsg{V: v})
 		return
 	}
+	// An instance where a proposal or a recovery already stands is not free:
+	// gap repair may be recovering one the leader has not reached yet.
 	inst := ls.nextInstance
-	ls.nextInstance++
+	for ls.inflight[inst] != nil || ls.recs[inst] != nil {
+		inst++
+	}
+	ls.nextInstance = inst + 1
 	en.classicPropose(inst, ls.b, v)
 }
 
@@ -352,6 +358,10 @@ func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
 		if p = take(&ls.freeProps); p == nil {
 			p = &proposal{acks: tally{seen: make([]bool, en.n)}}
 		}
+	} else if p.v.ID != v.ID && ls.inflightID[p.v.ID] == inst {
+		// The displaced value is no longer being proposed: its retry must be
+		// let through.
+		delete(ls.inflightID, p.v.ID)
 	}
 	*p = proposal{b: b, inst: inst, v: v, acks: p.acks.reset(), lastSent: en.e.Now()}
 	ls.inflight[inst] = p
@@ -401,7 +411,7 @@ func (en *Engine) onFastVote(from env.NodeID, m *acceptedMsg) {
 		if vs = take(&ls.freeVotes); vs == nil {
 			vs = &voteSet{votes: make([]fastVote, 0, en.n)}
 		}
-		vs.firstAt = en.e.Now()
+		vs.firstAt, vs.collided = en.e.Now(), false
 		ls.fastVotes[m.Inst] = vs
 	}
 	if m.Inst > ls.maxVote {
@@ -433,22 +443,29 @@ func (en *Engine) onFastVote(from env.NodeID, m *acceptedMsg) {
 		en.choose(m.Inst, vs.votes[bestAt].m.V)
 	case best+(en.n-total) < fq:
 		// Collision: no value can reach a fast quorum any more.
-		en.startRecovery(m.Inst)
+		if !vs.collided {
+			vs.collided = true
+			en.stats.Collisions++
+		}
+		if en.startRecovery(m.Inst) {
+			en.stats.RecCollision++
+		}
 	}
 }
 
 // startRecovery runs coordinated recovery for one instance: a
 // per-instance classic round at a fresh ballot owned by this coordinator,
 // seeded with the acceptors' existing votes (recQuery/recInfo), then a
-// classic phase 2 with the selected value.
-func (en *Engine) startRecovery(inst InstanceID) {
+// classic phase 2 with the selected value. It reports whether it started
+// one.
+func (en *Engine) startRecovery(inst InstanceID) bool {
 	ls := en.leader
 	if ls == nil || !ls.established {
-		return
+		return false
 	}
 	r := ls.recs[inst]
 	if r != nil && en.e.Now().Sub(r.started) < en.cfg.RetryTimeout {
-		return // one attempt at a time
+		return false // one attempt at a time
 	}
 	after := en.maxBallotSeq
 	if ls.recSeq > after {
@@ -465,6 +482,7 @@ func (en *Engine) startRecovery(inst InstanceID) {
 	*r = recState{b: b, replies: r.replies, replied: r.replied.reset(), started: en.e.Now()}
 	ls.recs[inst] = r
 	en.broadcast(recQueryMsg{B: b, Inst: inst})
+	return true
 }
 
 func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
@@ -503,32 +521,52 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 	en.classicPropose(m.Inst, rec.b, v)
 }
 
-// choose finalizes an instance and announces it to every learner.
+// choose finalizes an instance: the coordinator learns the decision where it
+// makes it and announces it once. A vote or an ack that arrives later finds
+// the instance decided and announces nothing.
 func (en *Engine) choose(inst InstanceID, v Value) {
 	if _, ok := en.chosenAt(inst); ok {
 		return
 	}
-	en.announceChosen(inst, v)
+	m := en.announceChosen(inst, v)
+	en.onChosen(inst, &m.V)
 }
 
-// announceChosen broadcasts a decided instance to the voting members and
-// forwards it to any attached non-voting learners, which otherwise only
-// hear about decisions through catch-up.
-func (en *Engine) announceChosen(inst InstanceID, v Value) {
+// announceChosen sends a decided instance to the other voting members and to
+// any attached non-voting learners, which otherwise only hear about decisions
+// through catch-up. This node already knows it, so none goes to itself.
+func (en *Engine) announceChosen(inst InstanceID, v Value) *chosenMsg {
 	m := &chosenMsg{Inst: inst, V: v}
-	en.broadcast(m)
+	for _, p := range en.members {
+		if p != en.me {
+			en.e.Send(p, m)
+		}
+	}
 	for _, l := range en.cfg.Learners {
 		en.e.Send(l, m)
 	}
+	en.stats.Announced++
+	return m
 }
 
 func (en *Engine) onNack(from env.NodeID, m nackMsg) {
 	en.noteBallot(m.Promised)
-	if en.leader != nil && en.leader.b.Less(m.Promised) &&
-		en.owner(m.Promised) != en.me {
+	ls := en.leader
+	if ls == nil || !ls.b.Less(m.Promised) {
+		return
+	}
+	if en.owner(m.Promised) != en.me {
 		// Someone outpaced us; stand down and let their round proceed.
 		en.leader = nil
 		en.lastLeaderSeen = en.e.Now() // back off before re-electing
+		return
+	}
+	if ls.recSeq < m.Promised.Seq {
+		// A ballot of ours that this leadership never issued: an earlier
+		// incarnation's recovery round, still promised at some instance. Every
+		// retry there would be nacked again; bid above it (noteBallot has
+		// raised the floor).
+		en.startPrepare()
 	}
 }
 
@@ -583,8 +621,8 @@ func (en *Engine) leaderSweep(now time.Time) {
 			continue
 		}
 		if vs, ok := ls.fastVotes[i]; ok {
-			if now.Sub(vs.firstAt) > fastDecisionTimeout {
-				en.startRecovery(i)
+			if now.Sub(vs.firstAt) > fastDecisionTimeout && en.startRecovery(i) {
+				en.stats.RecHedge++
 			}
 			continue
 		}
@@ -593,8 +631,8 @@ func (en *Engine) leaderSweep(now time.Time) {
 			ls.openSince[i] = now
 			continue
 		}
-		if now.Sub(first) > 2*fastDecisionTimeout {
-			en.startRecovery(i)
+		if now.Sub(first) > 2*fastDecisionTimeout && en.startRecovery(i) {
+			en.stats.RecGap++
 		}
 	}
 }

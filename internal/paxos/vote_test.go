@@ -87,11 +87,32 @@ func (c *heldCluster) walVotes(t *testing.T, id int) map[*acceptedMsg]bool {
 	return votes
 }
 
-// announced reports whether v is the value inside an announcement h received.
-func (h *heldNode) announced(inst InstanceID, v *Value) bool {
+// announced reports whether v is the value inside an announcement node id
+// received or, when id coordinated the decision, one it built and sent: a
+// coordinator learns its decision where it makes it, so its announcement
+// reaches the others only.
+func (c *heldCluster) announced(id int, inst InstanceID, v *Value) bool {
+	for to, h := range c.nodes {
+		for _, r := range h.got {
+			m, ok := r.msg.(*chosenMsg)
+			if ok && m.Inst == inst && &m.V == v && (to == id || r.from == env.NodeID(id)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// inEntry reports whether v is the value inside a catch-up reply's entry h
+// received.
+func (h *heldNode) inEntry(v *Value) bool {
 	for _, r := range h.got {
-		if m, ok := r.msg.(*chosenMsg); ok && m.Inst == inst && &m.V == v {
-			return true
+		if m, ok := r.msg.(catchUpReplyMsg); ok {
+			for i := range m.Entries {
+				if v == &m.Entries[i].V {
+					return true
+				}
+			}
 		}
 	}
 	return false
@@ -102,7 +123,10 @@ func (h *heldNode) announced(inst InstanceID, v *Value) bool {
 // message the coordinator was handed; once the instance is decided the slot's
 // decision is the value inside that vote, or, where the node did not vote for
 // what was decided — a learner, the loser of a fast-round collision — the
-// value inside the announcement it received. A replica that learns decisions
+// value inside the announcement it received, or built if it coordinated the
+// decision. (The coordinator knows a decision before its announcement lands,
+// so a learner's catch-up request can bring it first; the learner then holds
+// the reply's entry.) A replica that learns decisions
 // by catch-up keeps the reply's entries, replays its votes as the WAL's own
 // records, and lets go of the entries when the log drops the instances.
 func TestVoteHeldOnce(t *testing.T) {
@@ -153,7 +177,7 @@ func TestVoteHeldOnce(t *testing.T) {
 					}
 				default:
 					lost++
-					if !h.announced(inst, s.chosen) {
+					if !c.announced(id, inst, s.chosen) {
 						t.Fatalf("node %d instance %d: a collision's loser does not hold the announcement's value", id, inst)
 					}
 				}
@@ -168,8 +192,8 @@ func TestVoteHeldOnce(t *testing.T) {
 			t.Fatalf("the learner delivered %d instances", learner.en.firstUnchosen)
 		}
 		for inst, s := range learner.en.log.From(0) {
-			if s.vote != nil || s.chosen == nil || !learner.announced(inst, s.chosen) {
-				t.Fatalf("learner instance %d: vote %v, and the decision is not the announcement's value", inst, s.vote)
+			if s.vote != nil || s.chosen == nil || !c.announced(n, inst, s.chosen) && !learner.inEntry(s.chosen) {
+				t.Fatalf("learner instance %d: vote %v, and the decision is neither an announcement's value nor a catch-up entry's", inst, s.vote)
 			}
 		}
 
@@ -186,25 +210,13 @@ func TestVoteHeldOnce(t *testing.T) {
 		if h.en.firstUnchosen < before+20 {
 			t.Fatalf("the restarted node delivered %d instances, want at least %d", h.en.firstUnchosen, before+20)
 		}
-		inEntry := func(v *Value) bool {
-			for _, r := range h.got {
-				if m, ok := r.msg.(catchUpReplyMsg); ok {
-					for i := range m.Entries {
-						if v == &m.Entries[i].V {
-							return true
-						}
-					}
-				}
-			}
-			return false
-		}
 		durable := c.walVotes(t, victim)
 		fromEntry := 0
 		for inst, s := range h.en.log.From(0) {
 			if s.vote != nil && !durable[s.vote] {
 				t.Fatalf("restarted node instance %d: the replayed vote is not the WAL record's payload", inst)
 			}
-			if s.chosen != nil && inEntry(s.chosen) {
+			if s.chosen != nil && h.inEntry(s.chosen) {
 				fromEntry++
 			}
 		}
@@ -213,7 +225,7 @@ func TestVoteHeldOnce(t *testing.T) {
 		}
 		h.en.Compact(h.en.firstUnchosen - 1)
 		for inst, s := range h.en.log.From(0) {
-			if s.chosen != nil && inEntry(s.chosen) {
+			if s.chosen != nil && h.inEntry(s.chosen) {
 				t.Fatalf("instance %d still holds a catch-up entry after Compact(%d)", inst, h.en.firstUnchosen-1)
 			}
 		}

@@ -1,7 +1,7 @@
 package tpcw
 
 // This file defines the bookstore's first genuinely multi-shard
-// workloads (ROADMAP item 1): cross-session gift orders — one customer's
+// workloads: cross-session gift orders — one customer's
 // cart purchased for a customer homed on another shard — and admin
 // inventory sweeps that reprice an item set spanning groups. Both exist
 // in two forms:

@@ -25,7 +25,7 @@ import (
 //     (0.8), the chosenMsg (0.4) and, the round's 32 writes being
 //     simultaneous, the coordinated recovery of the fast rounds that
 //     collide: recQuery, recInfo and accept boxes, selectValue's maps (about
-//     1.8; ROADMAP item 1d — the recovery's own records are recycled).
+//     1.8; the recovery's own records are recycled).
 //
 // No record, continuation, timer, wire message, vote set, candidate slice or
 // routing key is among them. The budgets are the measured figures + 10 %.

@@ -1,7 +1,7 @@
 package webtier
 
-// This file is the deployment half of cross-shard transactions (ROADMAP
-// item 1): the 2PC driver that coordinates core's transaction records
+// This file is the deployment half of cross-shard transactions: the 2PC
+// driver that coordinates core's transaction records
 // (core/txn.go) across Paxos groups. The coordinator is not a separate
 // node — it is the home-group application server the proxy routed the
 // write to, exactly like any other write; what makes it a coordinator is
