@@ -76,7 +76,12 @@
 // instance used to be), the values a proposer has in flight, and the WAL
 // records of both runtimes' env.Storage. Prepare, compaction and replay
 // walk it in instance order instead of sorting keys, and truncation drops
-// chunks instead of copying the remainder.
+// chunks instead of copying the remainder. The coordinator's per-instance
+// bookkeeping is a window too, of one recycled record per instance with a
+// part each for a proposal, a recovery, the fast votes and the moment gap
+// repair noticed it; the parts overlap rather than form one phase, because a
+// recovery keeps counting fast votes (a fast quorum often decides first) and
+// its phase 2 keeps the recovery's start time, which holds off a restart.
 //
 // A vote exists once. The acceptedMsg an acceptor builds when it votes is
 // the payload of the WAL record that makes the vote durable, the phase-2b

@@ -12,17 +12,17 @@ import (
 )
 
 // TestFastInstanceAllocBudget: counting a fast round is free. At an
-// established fast leader of five, once a warm-up has left a vote set on the
+// established fast leader of five, once a warm-up has left a record on the
 // leader's free list, the five votes of a failure-free instance and its
-// decision allocate no vote set, no map and no timer: the only allocation is
+// decision allocate no record, no map and no timer: the only allocation is
 // the chosenMsg announceChosen builds when the fourth vote completes the fast
 // quorum; the leader learns the decision there, so the fifth finds the
 // instance decided. (Two while the leader learned it from its own
 // announcement: the fifth vote, arriving first, announced it again.) The votes
-// are the acceptors' own objects and the vote set points at them. (The
-// leader's links are blocked for the measurement, so the announcements go
-// nowhere and nothing else runs; the log's chunk for the decisions is one
-// allocation per 256 instances.)
+// are the acceptors' own objects and the record's vote set points at them.
+// (The leader's links are blocked for the measurement, so the announcements go
+// nowhere and nothing else runs; the log's chunk for the decisions, and the
+// leader's window's, is one allocation per 256 instances.)
 func TestFastInstanceAllocBudget(t *testing.T) {
 	const n = 5
 	c := newCluster(t, n, true, 57, sim.NetConfig{})
@@ -41,8 +41,8 @@ func TestFastInstanceAllocBudget(t *testing.T) {
 		t.Fatal("no established fast leader")
 	}
 	ls := en.leader
-	if len(ls.freeVotes) == 0 {
-		t.Fatal("the warm-up's fast instances left no vote set on the free list")
+	if len(ls.free) == 0 {
+		t.Fatal("the warm-up's fast instances left no record on the free list")
 	}
 	for to := 0; to < n; to++ {
 		c.s.SetLink(en.me, env.NodeID(to), true)
@@ -68,8 +68,8 @@ func TestFastInstanceAllocBudget(t *testing.T) {
 	if d := en.Stats().Announced - announced; d != 101 {
 		t.Fatalf("101 fast instances announced %d times", d)
 	}
-	if len(ls.fastVotes) != 0 || len(ls.freeVotes) == 0 {
-		t.Fatalf("vote sets not recycled: %d held, %d free", len(ls.fastVotes), len(ls.freeVotes))
+	if held := heldRecords(ls); held != 0 || len(ls.free) == 0 {
+		t.Fatalf("records not recycled: %d held, %d free", held, len(ls.free))
 	}
 }
 

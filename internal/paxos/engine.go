@@ -699,8 +699,8 @@ func (en *Engine) onChosen(inst InstanceID, v *Value) {
 	if inst >= en.nextFree {
 		en.nextFree = inst + 1
 	}
-	if en.leader != nil {
-		en.leader.onDecided(inst)
+	if en.IsLeader() { // a bid holds no record, and establish sets nextInstance
+		en.leader.onDecided(inst, en.firstUnchosen)
 	}
 	en.advance()
 }

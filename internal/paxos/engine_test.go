@@ -56,6 +56,7 @@ func (n *engineNode) Receive(from env.NodeID, msg env.Message) {
 	c := n.c
 	if en := c.engines[n.id]; en != nil {
 		en.Handle(from, msg)
+		c.checkLeader(en)
 	}
 }
 

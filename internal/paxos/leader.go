@@ -6,6 +6,7 @@ import (
 
 	"robuststore/internal/detsort"
 	"robuststore/internal/env"
+	"robuststore/internal/seqwin"
 )
 
 // This file implements the leader/coordinator role: phase 1 over the open
@@ -22,28 +23,63 @@ type leaderState struct {
 	nextInstance InstanceID
 	anySent      bool
 
-	inflight   map[InstanceID]*proposal // phase 2 in progress (classic or recovery)
-	inflightID map[ValueID]InstanceID
-	fastVotes  map[InstanceID]*voteSet
-	recs       map[InstanceID]*recState
+	// insts holds a record for each instance the leader is working on; nil
+	// where it is not. Its floor follows the lowest record in use (onDecided).
+	insts      seqwin.Window[InstanceID, *instState]
+	inflightID map[ValueID]InstanceID // where each value being proposed stands
 	recSeq     int64
-	openSince  map[InstanceID]time.Time // when a gap instance was first noticed
 	lastModeAt time.Time
-	maxVote    InstanceID
 
-	// Per-instance bookkeeping emptied by onDecided and taken again by the
-	// next instance that needs one, and the scratch list onRecInfo folds a
-	// recovery quorum into.
-	freeVotes []*voteSet
-	freeProps []*proposal
-	freeRecs  []*recState
-	reports   []acceptedInfo
+	// Records emptied by onDecided and taken again by the next instance that
+	// needs one, and the scratch list onRecInfo folds a recovery quorum into.
+	free    []*instState
+	reports []acceptedInfo
+}
+
+// instState is what the leader is doing at one instance. Its parts overlap —
+// a recovery keeps counting fast votes, and its phase 2 keeps its recState —
+// so each part is in use while its time is set.
+type instState struct {
+	prop  proposal  // phase 2 in progress (classic or recovery)
+	rec   recState  // coordinated recovery
+	votes voteSet   // fast-round votes
+	gapAt time.Time // when gap repair first noticed the instance undecided
+}
+
+func (r *instState) proposing() bool  { return r != nil && !r.prop.lastSent.IsZero() }
+func (r *instState) recovering() bool { return r != nil && !r.rec.started.IsZero() }
+func (r *instState) voting() bool     { return r != nil && !r.votes.firstAt.IsZero() }
+
+// at returns the record at inst, nil if there is none.
+func (ls *leaderState) at(inst InstanceID) *instState {
+	if r := ls.insts.At(inst); r != nil {
+		return *r
+	}
+	return nil
+}
+
+// record returns the record at inst, taking one off the free list (or making
+// one) if there is none.
+func (en *Engine) record(inst InstanceID) *instState {
+	ls := en.leader
+	r := ls.insts.Ensure(inst)
+	if *r == nil {
+		if k := len(ls.free) - 1; k >= 0 {
+			*r, ls.free = ls.free[k], ls.free[:k]
+		} else {
+			*r = &instState{
+				prop:  proposal{acks: tally{seen: make([]bool, en.n)}},
+				rec:   recState{replies: make([]recInfoMsg, en.n), replied: tally{seen: make([]bool, en.n)}},
+				votes: voteSet{votes: make([]fastVote, 0, en.n)},
+			}
+		}
+	}
+	return *r
 }
 
 // proposal is a phase 2 in progress.
 type proposal struct {
 	b        Ballot
-	inst     InstanceID
 	v        Value
 	acks     tally
 	lastSent time.Time
@@ -81,25 +117,14 @@ type fastVote struct {
 	m    *acceptedMsg
 }
 
-// recState is a coordinated recovery in progress. replies is indexed by
-// member; replies[i] is meaningful where replied.seen[i].
+// recState is a coordinated recovery in progress; its phase 2 has begun when
+// a proposal stands at b. replies is indexed by member; replies[i] is
+// meaningful where replied.seen[i].
 type recState struct {
-	b        Ballot
-	replies  []recInfoMsg
-	replied  tally
-	started  time.Time
-	proposed bool
-}
-
-// take pops a recycled record off free, nil when there is none.
-func take[T any](free *[]*T) *T {
-	k := len(*free) - 1
-	if k < 0 {
-		return nil
-	}
-	r := (*free)[k]
-	*free = (*free)[:k]
-	return r
+	b       Ballot
+	replies []recInfoMsg
+	replied tally
+	started time.Time
 }
 
 // valueIDLess orders value ids (node, epoch, seq) for deterministic
@@ -114,29 +139,34 @@ func valueIDLess(a, b ValueID) bool {
 	return a.Seq < b.Seq
 }
 
-// onDecided clears leader bookkeeping for a decided instance.
-func (ls *leaderState) onDecided(inst InstanceID) {
-	if p, ok := ls.inflight[inst]; ok {
-		delete(ls.inflightID, p.v.ID)
-		delete(ls.inflight, inst)
-		p.v = Value{} // drop the command slice
-		ls.freeProps = append(ls.freeProps, p)
+// onDecided releases a decided instance's record and lets the window's floor
+// follow the lowest record still in use — but not past floor, the first
+// undelivered instance, nor nextInstance, where gap repair and the next
+// proposal write. A proposal a SkipTo left below floor holds it until the
+// leadership ends.
+func (ls *leaderState) onDecided(inst, floor InstanceID) {
+	if r := ls.at(inst); r != nil {
+		if r.proposing() {
+			delete(ls.inflightID, r.prop.v.ID)
+		}
+		clear(r.votes.votes) // drop the votes
+		clear(r.rec.replies) // and the values' command slices; each part's next use resets its tally
+		*r = instState{
+			prop:  proposal{acks: r.prop.acks},
+			rec:   recState{replies: r.rec.replies, replied: r.rec.replied},
+			votes: voteSet{votes: r.votes.votes[:0]},
+		}
+		*ls.insts.At(inst) = nil
+		ls.free = append(ls.free, r)
 	}
-	if vs, ok := ls.fastVotes[inst]; ok {
-		delete(ls.fastVotes, inst)
-		clear(vs.votes) // drop the votes
-		vs.votes = vs.votes[:0]
-		ls.freeVotes = append(ls.freeVotes, vs)
-	}
-	if r, ok := ls.recs[inst]; ok {
-		delete(ls.recs, inst)
-		clear(r.replies) // drop the values' command slices
-		ls.freeRecs = append(ls.freeRecs, r)
-	}
-	delete(ls.openSince, inst)
 	if ls.nextInstance <= inst {
 		ls.nextInstance = inst + 1
 	}
+	lo, hi := ls.insts.Base(), min(floor, ls.nextInstance)
+	for lo < hi && ls.at(lo) == nil {
+		lo++
+	}
+	ls.insts.DropBelow(lo)
 }
 
 // BugStaleLeaderRejoin, when true, reverts the stale-leader-rejoin fix
@@ -172,13 +202,10 @@ func (en *Engine) startPrepare() {
 		startedAt:  en.e.Now(),
 		prepFrom:   en.firstUnchosen,
 		promises:   make(map[env.NodeID]promiseMsg),
-		inflight:   make(map[InstanceID]*proposal),
 		inflightID: make(map[ValueID]InstanceID),
-		fastVotes:  make(map[InstanceID]*voteSet),
-		recs:       make(map[InstanceID]*recState),
-		openSince:  make(map[InstanceID]time.Time),
 		lastModeAt: en.e.Now(),
 	}
+	en.leader.insts.Reset(en.leader.prepFrom)
 	en.e.Logf("prepare ballot %v from %d", b, en.leader.prepFrom)
 	en.broadcast(prepareMsg{B: b, From: en.leader.prepFrom})
 }
@@ -344,7 +371,7 @@ func (en *Engine) leaderPropose(v Value) {
 	// An instance where a proposal or a recovery already stands is not free:
 	// gap repair may be recovering one the leader has not reached yet.
 	inst := ls.nextInstance
-	for ls.inflight[inst] != nil || ls.recs[inst] != nil {
+	for r := ls.at(inst); r.proposing() || r.recovering(); r = ls.at(inst) {
 		inst++
 	}
 	ls.nextInstance = inst + 1
@@ -353,18 +380,13 @@ func (en *Engine) leaderPropose(v Value) {
 
 func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
 	ls := en.leader
-	p := ls.inflight[inst] // a recovery's phase 2 supersedes one where it stands
-	if p == nil {
-		if p = take(&ls.freeProps); p == nil {
-			p = &proposal{acks: tally{seen: make([]bool, en.n)}}
-		}
-	} else if p.v.ID != v.ID && ls.inflightID[p.v.ID] == inst {
+	r := en.record(inst) // a recovery's phase 2 supersedes a proposal where it stands
+	if r.proposing() && r.prop.v.ID != v.ID && ls.inflightID[r.prop.v.ID] == inst {
 		// The displaced value is no longer being proposed: its retry must be
 		// let through.
-		delete(ls.inflightID, p.v.ID)
+		delete(ls.inflightID, r.prop.v.ID)
 	}
-	*p = proposal{b: b, inst: inst, v: v, acks: p.acks.reset(), lastSent: en.e.Now()}
-	ls.inflight[inst] = p
+	r.prop = proposal{b: b, v: v, acks: r.prop.acks.reset(), lastSent: en.e.Now()}
 	ls.inflightID[v.ID] = inst
 	en.broadcast(acceptMsg{B: b, Inst: inst, V: v})
 }
@@ -392,10 +414,10 @@ func (en *Engine) onAccepted(from env.NodeID, m *acceptedMsg) {
 	if idx < 0 {
 		return // only members vote
 	}
-	if p, ok := ls.inflight[m.Inst]; ok && p.b == m.B {
-		p.acks.add(idx)
-		if p.acks.n >= quorum(p.b, en.n) {
-			en.choose(m.Inst, p.v)
+	if r := ls.at(m.Inst); r.proposing() && r.prop.b == m.B {
+		r.prop.acks.add(idx)
+		if r.prop.acks.n >= quorum(m.B, en.n) {
+			en.choose(m.Inst, r.prop.v)
 		}
 		return
 	}
@@ -405,18 +427,11 @@ func (en *Engine) onAccepted(from env.NodeID, m *acceptedMsg) {
 }
 
 func (en *Engine) onFastVote(from env.NodeID, m *acceptedMsg) {
-	ls := en.leader
-	vs := ls.fastVotes[m.Inst]
-	if vs == nil {
-		if vs = take(&ls.freeVotes); vs == nil {
-			vs = &voteSet{votes: make([]fastVote, 0, en.n)}
-		}
-		vs.firstAt, vs.collided = en.e.Now(), false
-		ls.fastVotes[m.Inst] = vs
+	r := en.record(m.Inst)
+	if !r.voting() {
+		r.votes.firstAt = en.e.Now() // a released record's vote set is empty
 	}
-	if m.Inst > ls.maxVote {
-		ls.maxVote = m.Inst
-	}
+	vs := &r.votes
 	for i := range vs.votes {
 		if vs.votes[i].from == from {
 			return // one vote per acceptor per fast round
@@ -463,8 +478,7 @@ func (en *Engine) startRecovery(inst InstanceID) bool {
 	if ls == nil || !ls.established {
 		return false
 	}
-	r := ls.recs[inst]
-	if r != nil && en.e.Now().Sub(r.started) < en.cfg.RetryTimeout {
+	if r := ls.at(inst); r.recovering() && en.e.Now().Sub(r.rec.started) < en.cfg.RetryTimeout {
 		return false // one attempt at a time
 	}
 	after := en.maxBallotSeq
@@ -474,13 +488,8 @@ func (en *Engine) startRecovery(inst InstanceID) bool {
 	ls.recSeq = nextOwnedBallot(after, env.NodeID(en.myIdx), en.n)
 	b := Ballot{Seq: ls.recSeq} // recovery rounds are classic
 	en.noteBallot(b)
-	if r == nil { // else the attempt that timed out starts over where it stands
-		if r = take(&ls.freeRecs); r == nil {
-			r = &recState{replies: make([]recInfoMsg, en.n), replied: tally{seen: make([]bool, en.n)}}
-		}
-	}
-	*r = recState{b: b, replies: r.replies, replied: r.replied.reset(), started: en.e.Now()}
-	ls.recs[inst] = r
+	r := en.record(inst) // an attempt that timed out starts over where it stands
+	r.rec = recState{b: b, replies: r.rec.replies, replied: r.rec.replied.reset(), started: en.e.Now()}
 	en.broadcast(recQueryMsg{B: b, Inst: inst})
 	return true
 }
@@ -490,10 +499,11 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 	if ls == nil || !ls.established {
 		return
 	}
-	rec, ok := ls.recs[m.Inst]
-	if !ok || rec.b != m.B || rec.proposed {
-		return
+	r := ls.at(m.Inst)
+	if !r.recovering() || r.rec.b != m.B || r.proposing() && r.prop.b == m.B {
+		return // not this round, or its phase 2 has begun
 	}
+	rec := &r.rec
 	idx := slices.Index(en.members, from)
 	if idx < 0 {
 		return // only members vote
@@ -503,7 +513,6 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 	if rec.replied.n < ClassicQuorum(en.n) {
 		return
 	}
-	rec.proposed = true
 	// Fold the recovery quorum in member order: selectValue's choice must
 	// not depend on the order the replies came in (detorder invariant).
 	reports := ls.reports[:0]
@@ -584,54 +593,33 @@ func (en *Engine) leaderSweep(now time.Time) {
 	}
 
 	// Retry stalled phase-2 proposals (lost messages, recovering
-	// acceptors); iterate in instance order for determinism.
-	var stalled []InstanceID
-	for inst, p := range ls.inflight {
-		if now.Sub(p.lastSent) > en.cfg.RetryTimeout {
-			stalled = append(stalled, inst)
+	// acceptors), in instance order.
+	for inst, rp := range ls.insts.From(0) {
+		if r := *rp; r.proposing() && now.Sub(r.prop.lastSent) > en.cfg.RetryTimeout {
+			r.prop.lastSent = now
+			en.broadcast(acceptMsg{B: r.prop.b, Inst: inst, V: r.prop.v})
 		}
-	}
-	slices.Sort(stalled)
-	for _, inst := range stalled {
-		p := ls.inflight[inst]
-		p.lastSent = now
-		en.broadcast(acceptMsg{B: p.b, Inst: p.inst, V: p.v})
 	}
 
 	// Gap repair: any instance below the frontier that stays undecided
-	// blocks delivery everywhere; recover it.
-	frontier := ls.nextInstance - 1
-	if ls.maxVote > frontier {
-		frontier = ls.maxVote
-	}
-	if en.maxKnown > frontier {
-		frontier = en.maxKnown
-	}
+	// blocks delivery everywhere; recover it. Every fast vote has a record,
+	// so the window's end covers the highest one.
+	frontier := max(ls.nextInstance-1, ls.insts.End()-1, en.maxKnown)
 	const scanWindow = 256
-	scanned := 0
-	for i := en.firstUnchosen; i <= frontier && scanned < scanWindow; i++ {
-		scanned++
+	for i := en.firstUnchosen; i <= frontier && i < en.firstUnchosen+scanWindow; i++ {
 		if _, done := en.chosenAt(i); done {
 			continue
 		}
-		if _, busy := ls.inflight[i]; busy {
-			continue
-		}
-		if r, busy := ls.recs[i]; busy && now.Sub(r.started) < en.cfg.RetryTimeout {
-			continue
-		}
-		if vs, ok := ls.fastVotes[i]; ok {
-			if now.Sub(vs.firstAt) > fastDecisionTimeout && en.startRecovery(i) {
+		switch r := ls.at(i); {
+		case r.proposing(), r.recovering() && now.Sub(r.rec.started) < en.cfg.RetryTimeout:
+			// busy: a proposal or a recent recovery stands
+		case r.voting():
+			if now.Sub(r.votes.firstAt) > fastDecisionTimeout && en.startRecovery(i) {
 				en.stats.RecHedge++
 			}
-			continue
-		}
-		first, seen := ls.openSince[i]
-		if !seen {
-			ls.openSince[i] = now
-			continue
-		}
-		if now.Sub(first) > 2*fastDecisionTimeout && en.startRecovery(i) {
+		case r == nil || r.gapAt.IsZero():
+			en.record(i).gapAt = now
+		case now.Sub(r.gapAt) > 2*fastDecisionTimeout && en.startRecovery(i):
 			en.stats.RecGap++
 		}
 	}

@@ -1,0 +1,276 @@
+package paxos
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"robuststore/internal/env"
+	"robuststore/internal/sim"
+)
+
+// inUse reports whether any part of a leader's record is in use.
+func inUse(r *instState) bool {
+	return r.proposing() || r.recovering() || r.voting() || !r.gapAt.IsZero()
+}
+
+// heldRecords counts the records in the leader's window.
+func heldRecords(ls *leaderState) int {
+	n := 0
+	for _, r := range ls.insts.From(0) {
+		if *r != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// checkLeader asserts what the leader's bookkeeping must agree on, after every
+// message a test cluster's engine handles: every inflightID entry names a
+// record that is proposing that value; no recovering record proposes at the
+// leadership's own ballot (a client value taking a recovered instance, as a
+// fresh leader's first value once did); a record held in the window has a part
+// in use, and a record on the free list has none.
+func (c *testCluster) checkLeader(en *Engine) {
+	c.t.Helper()
+	ls := en.leader
+	if ls == nil {
+		return
+	}
+	for id, inst := range ls.inflightID {
+		if r := ls.at(inst); !r.proposing() || r.prop.v.ID != id {
+			c.t.Fatalf("node %d: value %v is listed at instance %d, where no proposal of it stands", en.me, id, inst)
+		}
+	}
+	for inst, r := range ls.insts.From(0) {
+		switch r := *r; {
+		case r == nil:
+		case !inUse(r):
+			c.t.Fatalf("node %d: instance %d holds a record with no part in use", en.me, inst)
+		case r.recovering() && r.proposing() && r.prop.b == ls.b:
+			c.t.Fatalf("node %d: instance %d is recovering at %v and proposing at the leader's ballot %v", en.me, inst, r.rec.b, ls.b)
+		}
+	}
+	for _, r := range ls.free {
+		if inUse(r) {
+			c.t.Fatalf("node %d: a record on the free list is in use", en.me)
+		}
+	}
+}
+
+// fastLeader returns the established fast leader of c, failing the test if
+// there is none.
+func fastLeader(t *testing.T, c *testCluster) *Engine {
+	t.Helper()
+	for _, en := range c.engines {
+		if en.IsLeader() && en.FastActive() {
+			return en
+		}
+	}
+	t.Fatal("no established fast leader")
+	return nil
+}
+
+// TestLeaderWindowFloor: the leader's window lets go of what is decided and
+// keeps what is not. 20,000 fast instances decided at an established leader
+// leave no record held and the window's base within one of the first
+// undelivered instance. A proposal that a SkipTo (a remote checkpoint install)
+// leaves below the first undelivered instance is never decided there: it keeps
+// its record and its inflightID entry, and holds the floor while later
+// instances are decided and the sweep re-sends it, until the leadership ends.
+func TestLeaderWindowFloor(t *testing.T) {
+	t.Run("decided", func(t *testing.T) {
+		const n, total = 5, 20_000
+		c := newCluster(t, n, true, 57, sim.NetConfig{})
+		for i := 0; i < 8; i++ {
+			c.submit(2*time.Second+time.Duration(i)*10*time.Millisecond, i%n, fmt.Sprintf("warm-%d", i))
+		}
+		c.s.RunFor(4 * time.Second)
+		en := fastLeader(t, c)
+		ls := en.leader
+		for to := 0; to < n; to++ {
+			c.s.SetLink(en.me, env.NodeID(to), true)
+		}
+		first := en.firstUnchosen
+		var votes [n]acceptedMsg
+		for k := 0; k < total; k++ {
+			inst := en.firstUnchosen
+			v := Value{ID: ValueID{Node: 9, Epoch: 1, Seq: int64(k) + 1}, Cmds: []any{"x"}, Size: 192}
+			for from := range votes {
+				votes[from] = acceptedMsg{B: ls.b, Inst: inst, V: v}
+				en.onAccepted(env.NodeID(from), &votes[from])
+			}
+		}
+		held, base := heldRecords(ls), ls.insts.Base()
+		t.Logf("base %d, first undelivered %d, %d held, %d free", base, en.firstUnchosen, held, len(ls.free))
+		if en.firstUnchosen != first+total {
+			t.Fatalf("%d of %d fast instances delivered", en.firstUnchosen-first, total)
+		}
+		if held != 0 || len(ls.free) == 0 {
+			t.Fatalf("records not released: %d held, %d free", held, len(ls.free))
+		}
+		if base > en.firstUnchosen || en.firstUnchosen-base > 1 {
+			t.Fatalf("the window's base is %d with instance %d undelivered", base, en.firstUnchosen)
+		}
+	})
+
+	t.Run("skipped", func(t *testing.T) {
+		c := newCluster(t, 3, false, 23, sim.NetConfig{})
+		c.submit(2*time.Second, 1, "before")
+		c.s.RunFor(3 * time.Second)
+		id := c.leaderIndex()
+		if id < 0 {
+			t.Fatal("no leader established")
+		}
+		lead := c.engines[id]
+		ls := lead.leader
+		v := Value{ID: ValueID{Node: 9, Epoch: 1, Seq: 1}, Cmds: []any{"stuck"}, Size: 64}
+		lead.leaderPropose(v)
+		stuck := ls.inflightID[v.ID]
+		lead.SkipTo(stuck + 10)
+		decided := make([]Value, 300)
+		for k := range decided {
+			decided[k] = Value{ID: ValueID{Node: 9, Epoch: 2, Seq: int64(k) + 1}, Cmds: []any{fmt.Sprintf("d-%d", k)}, Size: 64}
+			lead.onChosen(stuck+10+InstanceID(k), &decided[k])
+		}
+		holds := func(when string) {
+			t.Helper()
+			r := ls.at(stuck)
+			if !r.proposing() || r.prop.v.ID != v.ID || ls.inflightID[v.ID] != stuck {
+				t.Fatalf("%s: the proposal at %d lost its record or its inflightID entry", when, stuck)
+			}
+			if held, base := heldRecords(ls), ls.insts.Base(); held != 1 || base > stuck {
+				t.Fatalf("%s: %d records held, the window's base at %d, past the proposal at %d", when, held, base, stuck)
+			}
+		}
+		if lead.firstUnchosen != stuck+310 {
+			t.Fatalf("first undelivered instance %d, want %d", lead.firstUnchosen, stuck+310)
+		}
+		holds("after the SkipTo")
+		sent := ls.at(stuck).prop.lastSent
+		c.s.RunFor(2 * time.Second)
+		if lead.leader != ls {
+			t.Fatal("the leadership ended while the sweep ran")
+		}
+		holds("after the sweeps")
+		if !sent.Before(ls.at(stuck).prop.lastSent) {
+			t.Fatal("the sweep did not re-send the proposal below the first undelivered instance")
+		}
+		lead.startPrepare() // a new bid, as after a mode change, starts with an empty window
+		if nls := lead.leader; heldRecords(nls) != 0 || len(nls.inflightID) != 0 || nls.insts.Base() != lead.firstUnchosen {
+			t.Fatalf("a new bid's window: %d held, %d listed, base %d", heldRecords(nls), len(nls.inflightID), nls.insts.Base())
+		}
+	})
+}
+
+// blockedFastLeader returns a cluster of five and its established fast leader,
+// whose outgoing links are blocked: what it sends goes nowhere, so the test
+// hands it votes and recovery replies itself. The leader timeout is long
+// enough that the followers, who stop hearing its heartbeats, do not bid in
+// the next few seconds.
+func blockedFastLeader(t *testing.T) (*testCluster, *Engine) {
+	testTune = func(cfg *Config) { cfg.LeaderTimeout = 10 * time.Second }
+	defer func() { testTune = nil }()
+	c := newCluster(t, 5, true, 63, sim.NetConfig{})
+	c.submit(11*time.Second, 1, "warm")
+	c.s.RunFor(12 * time.Second)
+	c.requireDelivered(1, 1)
+	en := fastLeader(t, c)
+	for to := 0; to < c.n; to++ {
+		c.s.SetLink(en.me, env.NodeID(to), true)
+	}
+	return c, en
+}
+
+// TestRecoveryKeepsCountingFastVotes pins the overlap of a leader record's
+// parts. n = 5, so a fast quorum is four votes. Three votes for one value,
+// then fastDecisionTimeout passes and the sweep hedges with a coordinated
+// recovery; no recovery reply comes back. The fourth vote must still decide
+// the instance by fast quorum — with the recovery only querying, and with its
+// phase 2 already standing. And while that phase 2 stands, a collision does
+// not restart the recovery until RetryTimeout has passed; the restarted
+// recovery's phase 2 then displaces the value proposed there.
+func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
+	val := func(seq int64) Value {
+		return Value{ID: ValueID{Node: 9, Epoch: 1, Seq: seq}, Cmds: []any{fmt.Sprintf("v%d", seq)}, Size: 64}
+	}
+	// hedge hands the leader a fast vote per value, one per member, and lets
+	// the sweep start a hedging recovery.
+	hedge := func(t *testing.T, c *testCluster, en *Engine, vals ...Value) *instState {
+		t.Helper()
+		inst, hedges := en.firstUnchosen, en.Stats().RecHedge
+		for from, v := range vals {
+			en.onAccepted(env.NodeID(from), &acceptedMsg{B: en.leader.b, Inst: inst, V: v})
+		}
+		c.s.RunFor(100 * time.Millisecond)
+		r := en.leader.at(inst)
+		if en.Stats().RecHedge != hedges+1 || !r.recovering() || !r.voting() {
+			t.Fatalf("after fastDecisionTimeout: %d hedges, recovering %v, voting %v", en.Stats().RecHedge-hedges, r.recovering(), r.voting())
+		}
+		return r
+	}
+	// phase2 answers the recovery from a classic quorum, members first, first+1,
+	// …, with the votes given (a zero Value for none), which starts its phase 2.
+	phase2 := func(t *testing.T, en *Engine, r *instState, first int, votes ...Value) {
+		t.Helper()
+		for i, v := range votes {
+			en.onRecInfo(env.NodeID(first+i), recInfoMsg{B: r.rec.b, Inst: en.firstUnchosen, Voted: v.ID.Seq != 0, VB: en.leader.b, V: v})
+		}
+		if !r.proposing() || r.prop.b != r.rec.b {
+			t.Fatal("the recovery's phase 2 did not begin")
+		}
+	}
+
+	for _, standing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("phase2=%v", standing), func(t *testing.T) {
+			c, en := blockedFastLeader(t)
+			ls, inst, v := en.leader, en.firstUnchosen, val(1)
+			r := hedge(t, c, en, v, v, v)
+			if standing {
+				phase2(t, en, r, 0, v, v, v)
+			}
+			c.checkLeader(en)
+			announced := en.Stats().Announced
+			en.onAccepted(3, &acceptedMsg{B: ls.b, Inst: inst, V: v})
+			if got, ok := en.chosenAt(inst); !ok || got.ID != v.ID {
+				t.Fatalf("the fourth fast vote did not decide instance %d", inst)
+			}
+			if en.Stats().Announced != announced+1 || ls.at(inst) != nil || len(ls.inflightID) != 0 {
+				t.Fatalf("decided: %d announcements, record %v, %d listed", en.Stats().Announced-announced, ls.at(inst), len(ls.inflightID))
+			}
+			c.checkLeader(en)
+		})
+	}
+
+	t.Run("collision", func(t *testing.T) {
+		c, en := blockedFastLeader(t)
+		ls, inst := en.leader, en.firstUnchosen
+		r := hedge(t, c, en, val(1), val(2))
+		phase2(t, en, r, 0, val(1), val(2), Value{})
+		b, st := r.rec.b, en.Stats()
+		en.onAccepted(2, &acceptedMsg{B: ls.b, Inst: inst, V: val(3)})
+		if en.Stats().Collisions != st.Collisions+1 || en.Stats().RecCollision != st.RecCollision || r.rec.b != b {
+			t.Fatalf("a collision within RetryTimeout: %d collisions, %d recoveries, ballot %v → %v",
+				en.Stats().Collisions-st.Collisions, en.Stats().RecCollision-st.RecCollision, b, r.rec.b)
+		}
+		c.s.RunFor(en.cfg.RetryTimeout)
+		if r.rec.b != b || !r.proposing() || r.prop.b != b {
+			t.Fatalf("the sweep restarted the recovery whose phase 2 stands: ballot %v → %v", b, r.rec.b)
+		}
+		en.onAccepted(3, &acceptedMsg{B: ls.b, Inst: inst, V: val(4)})
+		if en.Stats().RecCollision != st.RecCollision+1 || !b.Less(r.rec.b) || en.Stats().Collisions != st.Collisions+1 {
+			t.Fatalf("a collision after RetryTimeout: %d recoveries, ballot %v → %v", en.Stats().RecCollision-st.RecCollision, b, r.rec.b)
+		}
+		if !r.voting() || r.prop.b == r.rec.b {
+			t.Fatal("the restarted recovery kept its old phase 2 or lost the votes")
+		}
+		// Its own phase 2 picks another value and displaces the one proposed
+		// there, whose inflightID entry goes with it.
+		displaced := r.prop.v.ID
+		phase2(t, en, r, 2, val(3), val(4), Value{})
+		if _, listed := ls.inflightID[displaced]; listed || r.prop.v.ID == displaced || ls.inflightID[r.prop.v.ID] != inst {
+			t.Fatalf("phase 2 proposes %v over %v; inflightID %v", r.prop.v.ID, displaced, ls.inflightID)
+		}
+		c.checkLeader(en)
+	})
+}

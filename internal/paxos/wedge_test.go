@@ -42,11 +42,10 @@ func TestFreshLeaderKeepsRecoveredInstance(t *testing.T) {
 			var poll func()
 			poll = func() {
 				if lead := c.leaderIndex(); lead >= 0 {
-					ls := c.engines[lead].leader
-					r, p := ls.recs[0], ls.inflight[0]
-					if r != nil && (phase == "querying") == (p == nil) {
-						if phase == "proposing" && p.b != r.b {
-							t.Fatalf("instance 0 proposed at %v while recovering at %v", p.b, r.b)
+					r := c.engines[lead].leader.at(0)
+					if r.recovering() && (phase == "querying") != r.proposing() {
+						if phase == "proposing" && r.prop.b != r.rec.b {
+							t.Fatalf("instance 0 proposed at %v while recovering at %v", r.prop.b, r.rec.b)
 						}
 						c.engines[lead].Submit("first")
 						submitted = true
