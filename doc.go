@@ -45,11 +45,14 @@
 // stale layer. Recovery restores base + chain; the remote-snapshot
 // fallback streams only the layers a catching-up peer is missing.
 // Steady-state checkpoint writes shrink from O(state) to O(recent
-// writes), freeing disk bandwidth for the WAL group-commit pipeline;
-// machines without the capability (and core.Config.FullCheckpoints) keep
-// the paper's monolithic path, bit for bit. cmd/experiment -run
-// checkpoint sweeps the checkpoint interval comparing both modes (the
-// Figure 6 trade-off): recovery time, throughput and checkpoint I/O.
+// writes), freeing disk bandwidth for the WAL group-commit pipeline.
+// There is one layout: a machine without the capability, or a negative
+// core.Config.MaxDeltaChain, writes a full base at every checkpoint — the
+// paper's full-state checkpoint as a base with an empty chain — and one
+// reader and one applier serve local and remote recovery alike.
+// cmd/experiment -run checkpoint sweeps the checkpoint interval comparing
+// both (the Figure 6 trade-off): recovery time, throughput and checkpoint
+// I/O.
 //
 // The ordering pipeline itself is batched, coalesced and pipelined:
 // consensus proposals stream into consecutive instance slots up to

@@ -1,9 +1,8 @@
 package core
 
-// This file is the incremental-checkpoint pipeline: instead of writing
-// the whole application state every interval, a machine that can track
-// its dirtied rows emits them as a small delta layer chained onto the
-// last full base image, LSM-style. The durable layout is
+// This file is the checkpoint pipeline. A checkpoint is a full base image
+// or, for a machine that can track its dirtied rows, a small delta layer
+// chained onto the last base, LSM-style. The durable layout is
 //
 //	ckpt.base.<seq>          full state image (appSnap)
 //	ckpt.delta.<seq>.<k>     k-th delta layer on that base (appSnap
@@ -15,19 +14,22 @@ package core
 // strictly before the manifest that references it, layer names are
 // versioned by base sequence so a new base can never overwrite one a
 // live manifest still references, and superseded layers are deleted only
-// after the manifest that dropped them is durable. A crash at any point
-// therefore leaves a consistent (base, chain) prefix — never a torn
-// chain — at the cost of at most one orphaned layer, which is either
-// overwritten by the next same-name write or left unreferenced.
+// after the manifest that dropped them is durable. A crash or a failed
+// write at any point therefore leaves a consistent (base, chain) prefix —
+// never a torn chain — at the cost of at most one orphaned layer, which
+// is either overwritten by the next same-name write or left unreferenced.
 //
-// Steady-state checkpoint writes are O(rows dirtied since the last
-// checkpoint) instead of O(state), freeing disk bandwidth for the WAL
-// group-commit pipeline; recovery loads base + chain, and the remote
-// snapshot fallback streams only the layers a catching-up peer is
-// missing. Compaction folds the chain back into a fresh base when it
+// Steady-state delta writes are O(rows dirtied since the last checkpoint)
+// instead of O(state), freeing disk bandwidth for the WAL group-commit
+// pipeline. Compaction folds the chain back into a fresh base when it
 // grows past Config.MaxDeltaChain layers or Config.MaxChainFraction of
 // the base size — folding is a full Snapshot of the live machine, whose
-// state is by definition base+chain+suffix already applied.
+// state is by definition base+chain+suffix already applied. A machine
+// without the capability, or MaxDeltaChain < 0, writes a base every time.
+//
+// One reader (readLayers) loads a manifest's layers for local recovery
+// and for a peer's remote restore, and one applier (applyLayers) puts
+// them into the machine on either side.
 
 import (
 	"fmt"
@@ -39,8 +41,8 @@ import (
 // DeltaSnapshotter is the optional StateMachine capability behind
 // incremental checkpoints. A machine that implements it has its
 // checkpoints taken as delta layers (rows dirtied since the previous
-// checkpoint) whenever possible; machines without it keep the monolithic
-// full-snapshot path, bit for bit.
+// checkpoint) whenever the chain is healthy; a machine without it has
+// every checkpoint taken as a full base.
 type DeltaSnapshotter interface {
 	StateMachine
 
@@ -92,55 +94,28 @@ func baseSeqOf(id int64) int64 { return id & 0xffffffff }
 // one entry per chain layer.
 func manifestSize(layers int) int64 { return 256 + int64(layers)*48 }
 
-// checkpointLayered is Checkpoint's incremental path: append a delta
-// layer while the chain is healthy, otherwise fold into a fresh base.
-func (r *Replica) checkpointLayered(ds DeltaSnapshotter, done func()) {
-	if r.baseName != "" && !r.forceBase &&
-		len(r.chain) < r.cfg.MaxDeltaChain &&
-		float64(r.chainBytes) < r.cfg.MaxChainFraction*float64(r.baseSize) {
-		if data, size, ok := ds.SnapshotDelta(); ok {
-			r.writeDelta(data, size, done)
-			return
-		}
-		// The machine cannot bound a delta against the durable chain —
-		// rows were dropped wholesale by a partition rebalance. Fall
-		// through to a fresh base, which truncates the chain so dropped
-		// rows can never resurrect from a stale layer on recovery.
-	}
-	r.writeBase(done)
-}
-
-// writeDelta appends one delta layer: layer first, manifest second.
+// writeDelta appends one delta layer to the chain.
 func (r *Replica) writeDelta(data any, size int64, done func()) {
 	at := r.lastApplied
-	snap := r.envelope(data, size)
-	if r.cfg.OnCheckpoint != nil {
-		r.cfg.OnCheckpoint(size)
-	}
 	name := deltaLayerName(r.baseSeq, len(r.chain))
 	chain := append(append([]LayerRef(nil), r.chain...), LayerRef{Name: name, LastApplied: at, Size: size})
 	manifest := metaSnap{LastApplied: at, Base: r.baseName, BaseID: r.baseID, Chain: chain}
 	r.pubCkptDeltas.Add(1)
 	r.pubCkptBytes.Add(size)
-	r.e.Storage().SaveSnapshot(name, env.Snapshot{Data: snap, Size: size}, func(error) {
-		r.e.Storage().SaveSnapshot("meta", env.Snapshot{Data: manifest, Size: manifestSize(len(chain))}, func(error) {
-			r.chain = chain
-			r.chainBytes += size
-			r.finishCheckpoint(at, nil, done)
-		})
+	r.saveLayer(name, data, size, manifest, done, func() {
+		r.chain = chain
+		r.chainBytes += size
+		r.finishCheckpoint(at, nil, done)
 	})
 }
 
 // writeBase folds the full state into a fresh base (the first checkpoint,
-// and every compaction): base first, manifest second, then the layers the
-// manifest stopped referencing are garbage-collected.
+// every compaction, and every checkpoint of a machine without deltas);
+// once its manifest commits, the layers it stopped referencing are
+// garbage-collected.
 func (r *Replica) writeBase(done func()) {
 	at := r.lastApplied
 	data, size := r.sm.Snapshot()
-	snap := r.envelope(data, size)
-	if r.cfg.OnCheckpoint != nil {
-		r.cfg.OnCheckpoint(size)
-	}
 	seq := r.baseSeq + 1
 	name := baseLayerName(seq)
 	// Superseded once the new manifest commits: the current base and
@@ -155,13 +130,52 @@ func (r *Replica) writeBase(done func()) {
 	manifest := metaSnap{LastApplied: at, Base: name, BaseID: baseIDFor(r.me, seq)}
 	r.pubCkptBases.Add(1)
 	r.pubCkptBytes.Add(size)
-	r.e.Storage().SaveSnapshot(name, env.Snapshot{Data: snap, Size: size}, func(error) {
-		r.e.Storage().SaveSnapshot("meta", env.Snapshot{Data: manifest, Size: manifestSize(0)}, func(error) {
-			r.baseSeq, r.baseName, r.baseID, r.baseSize = seq, name, manifest.BaseID, size
-			r.chain, r.chainBytes = nil, 0
-			r.forceBase = false
-			r.staleLayers = nil
-			r.finishCheckpoint(at, gc, done)
+	r.saveLayer(name, data, size, manifest, done, func() {
+		r.baseSeq, r.baseName, r.baseID, r.baseSize = seq, name, manifest.BaseID, size
+		r.chain, r.chainBytes = nil, 0
+		r.forceBase = false
+		r.staleLayers = nil
+		r.finishCheckpoint(at, gc, done)
+	})
+}
+
+// saveLayer writes a machine payload taken now as the layer name, then
+// the manifest that names it, then runs commit. A failed write stops
+// there: no manifest names a layer that is not durable, and nothing is
+// adopted, deleted or compacted. The next checkpoint is a base, because
+// the machine's dirty tracking has moved past rows no durable layer holds.
+func (r *Replica) saveLayer(name string, data any, size int64, manifest metaSnap, done, commit func()) {
+	failed := func(what string, err error) bool {
+		if err == nil {
+			return false
+		}
+		r.e.Logf("core: checkpoint %s for %q failed: %v", what, name, err)
+		r.checkpointing = false
+		r.forceBase = true
+		if done != nil {
+			done()
+		}
+		return true
+	}
+	// The one place the replica's own state joins the machine's payload.
+	layer := appSnap{
+		LastApplied: r.lastApplied,
+		Delivered:   r.en.DeliveredSeqs(),
+		Data:        data,
+		Size:        size,
+		logState:    r.logState.clone(),
+	}
+	if r.cfg.OnCheckpoint != nil {
+		r.cfg.OnCheckpoint(size)
+	}
+	r.e.Storage().SaveSnapshot(name, env.Snapshot{Data: layer, Size: size}, func(err error) {
+		if failed("layer", err) {
+			return
+		}
+		r.e.Storage().SaveSnapshot("meta", env.Snapshot{Data: manifest, Size: manifestSize(len(manifest.Chain))}, func(err error) {
+			if !failed("manifest", err) {
+				commit()
+			}
 		})
 	})
 }
@@ -186,115 +200,58 @@ func (r *Replica) finishCheckpoint(at paxos.InstanceID, gc []string, done func()
 	}
 }
 
-// loadChain is the recovery path for a layered manifest: restore the base
-// image, then apply each chain layer in order. Every read charges its own
-// modeled disk time, so recovery cost is base + chain, and the engine
-// keeps learning the log suffix in parallel exactly as with a monolithic
-// checkpoint.
-func (r *Replica) loadChain(manifest metaSnap, bootEngine func()) {
-	startEmpty := func(why string) {
-		if r.cfg.SequentialRecovery {
-			bootEngine()
-		}
-		r.e.Logf("core: %s; starting empty", why)
-		// Discard any partially restored state: replaying the whole log
-		// onto a torn prefix would corrupt the machine.
-		r.sm = r.cfg.Machine()
-		r.finishRestore(appSnap{LastApplied: -1})
+// readLayers reads a manifest's layers from storage: its base, unless
+// from > 0 (the reader holds the base and the chain's first from layers),
+// then the chain from index from on, one read per layer in chain order,
+// each charging its own disk time. done gets ok=false if a layer the
+// manifest names is missing or malformed — and for the zero manifest,
+// whose unnamed base is never found. Local recovery and the
+// remote-snapshot serve both read through here.
+func (r *Replica) readLayers(manifest metaSnap, from int, done func(base *appSnap, layers []appSnap, ok bool)) {
+	var names []string
+	if from == 0 {
+		names = append(names, manifest.Base)
 	}
-	r.e.Storage().LoadSnapshot(manifest.Base, func(snap env.Snapshot, ok bool) {
-		base, good := snap.Data.(appSnap)
-		if !ok || !good {
-			startEmpty(fmt.Sprintf("missing or malformed base %q", manifest.Base))
-			return
-		}
-		r.sm.Restore(base.Data)
-		r.baseName = manifest.Base
-		r.baseID = manifest.BaseID
-		r.baseSeq = baseSeqOf(manifest.BaseID)
-		r.baseSize = base.Size
-		last := base
-		var step func(k int)
-		step = func(k int) {
-			if k >= len(manifest.Chain) {
-				r.chain = append([]LayerRef(nil), manifest.Chain...)
-				r.chainBytes = 0
-				for _, ref := range r.chain {
-					r.chainBytes += ref.Size
-				}
-				if r.cfg.SequentialRecovery {
-					bootEngine()
-				}
-				// The newest layer carries the replica's state; the
-				// manifest, the commit point, says how far it reaches.
-				last.LastApplied = manifest.LastApplied
-				r.finishRestore(last)
-				return
-			}
-			ref := manifest.Chain[k]
-			r.e.Storage().LoadSnapshot(ref.Name, func(snap env.Snapshot, ok bool) {
+	for _, ref := range manifest.Chain[from:] {
+		names = append(names, ref.Name)
+	}
+	read := make([]appSnap, 0, len(names))
+	var step func()
+	step = func() {
+		switch {
+		case len(read) < len(names):
+			r.e.Storage().LoadSnapshot(names[len(read)], func(snap env.Snapshot, ok bool) {
 				layer, good := snap.Data.(appSnap)
-				ds, capable := r.sm.(DeltaSnapshotter)
-				if !ok || !good || !capable {
-					// Layers are durable before the manifest that
-					// references them, so this is out-of-band damage
-					// (or a machine that lost its delta capability).
-					r.baseName, r.baseID, r.baseSize = "", 0, 0
-					startEmpty(fmt.Sprintf("delta layer %q unreadable", ref.Name))
+				if !ok || !good {
+					done(nil, nil, false)
 					return
 				}
-				ds.ApplyDelta(layer.Data)
-				last = layer
-				step(k + 1)
+				read = append(read, layer)
+				step()
 			})
+		case from > 0:
+			done(nil, read, true)
+		default:
+			done(&read[0], read[1:], true)
 		}
-		step(0)
-	})
+	}
+	step()
 }
 
-// serveLayered answers a remote-snapshot request from a durable layered
-// checkpoint: the base plus the chain — or, when the requester already
-// restored this manifest's base, only the delta layers it is missing.
-// Reading the layers charges our disk and the reply charges the network
-// by the bytes actually shipped, like any state transfer.
-func (r *Replica) serveLayered(from env.NodeID, manifest metaSnap, m snapReqMsg, send func(snapReplyMsg)) {
-	reply := snapReplyMsg{OK: true, BaseID: manifest.BaseID}
-	first := 0
-	if m.HaveBaseID == manifest.BaseID && m.HaveLayers <= len(manifest.Chain) {
-		first = m.HaveLayers
+// applyLayers puts layers read by readLayers into the machine: it restores
+// base, if one is given, then applies each delta in order. If there are
+// deltas and the machine cannot apply them, it changes nothing and
+// reports false.
+func (r *Replica) applyLayers(base *appSnap, layers []appSnap) bool {
+	ds, capable := r.sm.(DeltaSnapshotter)
+	if len(layers) > 0 && !capable {
+		return false
 	}
-	reply.FirstDelta = first
-	var loadDelta func(k int)
-	loadDelta = func(k int) {
-		if k >= len(manifest.Chain) {
-			send(reply)
-			return
-		}
-		r.e.Storage().LoadSnapshot(manifest.Chain[k].Name, func(snap env.Snapshot, ok bool) {
-			layer, good := snap.Data.(appSnap)
-			if !ok || !good {
-				// A compaction replaced the chain between the manifest
-				// read and this layer read; the requester retries
-				// against the new layout.
-				send(snapReplyMsg{})
-				return
-			}
-			reply.Deltas = append(reply.Deltas, layer)
-			loadDelta(k + 1)
-		})
+	if base != nil {
+		r.sm.Restore(base.Data)
 	}
-	if first > 0 {
-		loadDelta(first)
-		return
+	for _, layer := range layers {
+		ds.ApplyDelta(layer.Data)
 	}
-	r.e.Storage().LoadSnapshot(manifest.Base, func(snap env.Snapshot, ok bool) {
-		base, good := snap.Data.(appSnap)
-		if !ok || !good {
-			send(snapReplyMsg{})
-			return
-		}
-		reply.HasBase = true
-		reply.Base = base
-		loadDelta(0)
-	})
+	return true
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -214,18 +216,18 @@ func TestCheckpointPhaseWraps(t *testing.T) {
 }
 
 // deltaRun drives one fixed workload with a crash/restart of node 0 and
-// returns the cluster; used by the equivalence test below with different
-// machine/config combinations.
-func deltaRun(t *testing.T, seed uint64, delta bool, tweak func(id int, c *Config)) (*sim.Sim, []paxos.InstanceID, []int64, map[string]int64) {
+// returns the simulator, the replicas and node 1's final counts; used by
+// the equivalence test below with different machine/config combinations.
+func deltaRun(t *testing.T, seed uint64, delta bool, tweak func(id int, c *Config)) (*sim.Sim, []*Replica, map[string]int64) {
 	t.Helper()
 	var submit func(d time.Duration, id int, a incAction)
 	var s *sim.Sim
 	var replicas []*Replica
-	machineState := func() (map[string]int64, int64) { return nil, 0 }
+	var counts func() map[string]int64
 	if delta {
 		c := newDeltaCluster(t, 3, seed, tweak)
 		s, replicas, submit = c.s, c.replicas, c.submit
-		machineState = func() (map[string]int64, int64) { return c.machines[1].counts, c.machines[1].ops }
+		counts = func() map[string]int64 { return c.machines[1].counts }
 	} else {
 		c := newCoreCluster(t, 3, seed, func(id int, cfg *Config) {
 			cfg.CheckpointInterval = 10 * time.Second
@@ -235,7 +237,7 @@ func deltaRun(t *testing.T, seed uint64, delta bool, tweak func(id int, c *Confi
 			}
 		})
 		s, replicas, submit = c.s, c.replicas, c.submit
-		machineState = func() (map[string]int64, int64) { return c.machines[1].counts, c.machines[1].ops }
+		counts = func() map[string]int64 { return c.machines[1].counts }
 	}
 	const total = 150
 	for i := 0; i < total; i++ {
@@ -245,35 +247,65 @@ func deltaRun(t *testing.T, seed uint64, delta bool, tweak func(id int, c *Confi
 	s.After(12*time.Second, func() { s.Crash(0) })
 	s.After(16*time.Second, func() { s.Restart(0) })
 	s.RunFor(40 * time.Second)
-	lasts := make([]paxos.InstanceID, 3)
-	applied := make([]int64, 3)
-	for i, r := range replicas {
-		lasts[i] = r.LastApplied()
-		applied[i] = r.AppliedCount()
-	}
-	counts, ops := machineState()
-	cp := make(map[string]int64, len(counts))
-	for k, v := range counts {
-		cp[k] = v
-	}
-	_ = ops
-	return s, lasts, applied, cp
+	return s, replicas, maps.Clone(counts())
 }
 
-// TestFullCheckpointEquivalence: a machine without DeltaSnapshotter, and
-// a delta-capable machine with Config.FullCheckpoints, must both take the
-// legacy monolithic path and behave identically — same instances applied
-// at the same virtual times, same final state. The delta path must reach
-// the same final state while writing far fewer checkpoint bytes.
+// requireOneBase reads node id's durable checkpoint through its storage:
+// it must hold the manifest and exactly the one base the manifest names,
+// with an empty chain — no base that one superseded, and no "app"
+// snapshot.
+func requireOneBase(t *testing.T, s *sim.Sim, id int) {
+	t.Helper()
+	st := s.Storage(env.NodeID(id))
+	var manifest metaSnap
+	read := false
+	st.LoadSnapshot("meta", func(snap env.Snapshot, ok bool) { manifest, read = snap.Data.(metaSnap) })
+	s.RunFor(100 * time.Millisecond)
+	if !read || manifest.Base == "" || len(manifest.Chain) != 0 {
+		t.Fatalf("node %d: manifest %+v (read %v), want one base and no chain", id, manifest, read)
+	}
+	held := map[string]bool{}
+	names := []string{manifest.Base, "app"}
+	for seq := int64(1); seq < baseSeqOf(manifest.BaseID); seq++ {
+		names = append(names, baseLayerName(seq))
+	}
+	for _, name := range names {
+		st.LoadSnapshot(name, func(_ env.Snapshot, ok bool) { held[name] = ok })
+	}
+	s.RunFor(time.Second)
+	if len(held) != len(names) {
+		t.Fatalf("node %d: %d of %d probes completed", id, len(held), len(names))
+	}
+	for _, name := range names {
+		if want := name == manifest.Base; held[name] != want {
+			t.Errorf("node %d: snapshot %q on disk = %v, want %v", id, name, held[name], want)
+		}
+	}
+}
+
+// TestFullCheckpointEquivalence: a machine without DeltaSnapshotter, and a
+// delta-capable machine at MaxDeltaChain < 0, both write a full base at
+// every checkpoint and behave identically — same instances applied at the
+// same virtual times, same final state, no delta layer, and on every disk
+// the manifest and the one base it names. The delta path must reach the
+// same final state while writing far fewer checkpoint bytes.
 func TestFullCheckpointEquivalence(t *testing.T) {
 	const seed = 77
-	_, lastA, appliedA, countsA := deltaRun(t, seed, false, nil)
-	_, lastB, appliedB, countsB := deltaRun(t, seed, true, func(id int, c *Config) { c.FullCheckpoints = true })
-	for i := range lastA {
-		if lastA[i] != lastB[i] || appliedA[i] != appliedB[i] {
-			t.Errorf("node %d diverged: plain machine (last=%d applied=%d) vs FullCheckpoints delta machine (last=%d applied=%d)",
-				i, lastA[i], appliedA[i], lastB[i], appliedB[i])
+	sA, replicasA, countsA := deltaRun(t, seed, false, nil)
+	sB, replicasB, countsB := deltaRun(t, seed, true, func(id int, c *Config) { c.MaxDeltaChain = -1 })
+	for i, a := range replicasA {
+		b := replicasB[i]
+		if a.LastApplied() != b.LastApplied() || a.AppliedCount() != b.AppliedCount() {
+			t.Errorf("node %d diverged: plain machine (last=%d applied=%d) vs delta machine at MaxDeltaChain -1 (last=%d applied=%d)",
+				i, a.LastApplied(), a.AppliedCount(), b.LastApplied(), b.AppliedCount())
 		}
+		for side, r := range []*Replica{a, b} {
+			if bases, deltas, _ := r.CheckpointStats(); bases == 0 || deltas != 0 {
+				t.Errorf("node %d side %d wrote %d bases and %d delta layers, want bases only", i, side, bases, deltas)
+			}
+		}
+		requireOneBase(t, sA, i)
+		requireOneBase(t, sB, i)
 	}
 	if len(countsA) != len(countsB) {
 		t.Fatalf("final states differ in size: %d vs %d", len(countsA), len(countsB))
@@ -284,7 +316,7 @@ func TestFullCheckpointEquivalence(t *testing.T) {
 		}
 	}
 	// The incremental path: same final state, different (cheaper) I/O.
-	_, _, _, countsC := deltaRun(t, seed, true, nil)
+	_, _, countsC := deltaRun(t, seed, true, nil)
 	for k, v := range countsA {
 		if countsC[k] != v {
 			t.Errorf("incremental counts[%q]: %d, want %d", k, countsC[k], v)
@@ -511,12 +543,14 @@ func TestRemoteLayeredSnapshotStreamsMissingLayers(t *testing.T) {
 // deterministic per seed), then replays with the crash planted inside the
 // exact write window under test.
 //
-// compact=false targets the delta→manifest commit: the final checkpoint
-// appends a delta layer (crash window: after the layer is durable, before
-// the manifest is). compact=true targets mid-compaction: MaxDeltaChain=1
-// makes the final checkpoint fold into a big fresh base (crash window:
-// while the base image is being written, manifest untouched).
-func tornChainRun(t *testing.T, compact bool, crashAt time.Duration) (doneAt time.Duration, c *deltaCluster) {
+// maxChain is Config.MaxDeltaChain. 0 (the default) targets the
+// delta→manifest commit: the final checkpoint appends a delta layer (crash
+// window: after the layer is durable, before the manifest is). 1 targets
+// mid-compaction: the final checkpoint folds the one-layer chain into a
+// big fresh base (crash window: while the base image is being written,
+// manifest untouched). -1 makes every checkpoint a full base, and the
+// final one replaces the first with the same crash window.
+func tornChainRun(t *testing.T, maxChain int, crashAt time.Duration) (doneAt time.Duration, c *deltaCluster) {
 	t.Helper()
 	c = &deltaCluster{
 		replicas: make([]*Replica, 3),
@@ -528,16 +562,14 @@ func tornChainRun(t *testing.T, compact bool, crashAt time.Duration) (doneAt tim
 		c.s.AddNode(func() env.Node {
 			cfg := Config{
 				CheckpointInterval: time.Hour, // manual checkpoints only
+				MaxDeltaChain:      maxChain,
+				MaxChainFraction:   100,
 				Machine: func() StateMachine {
 					m := newKVDeltaMachine()
 					m.boost = 50 << 20
 					c.machines[id] = m
 					return m
 				},
-			}
-			if compact {
-				cfg.MaxDeltaChain = 1
-				cfg.MaxChainFraction = 100
 			}
 			r := NewReplica(cfg)
 			c.replicas[id] = r
@@ -556,7 +588,7 @@ func tornChainRun(t *testing.T, compact bool, crashAt time.Duration) (doneAt tim
 			incAction{Key: fmt.Sprintf("k%d", i%6), Delta: 1})
 	}
 	finalAt := 10 * time.Second
-	if compact {
+	if maxChain == 1 {
 		// An intermediate delta fills the chain to MaxDeltaChain, so the
 		// final checkpoint is a compaction.
 		c.s.After(10*time.Second, func() { c.replicas[0].Checkpoint(nil) })
@@ -582,13 +614,13 @@ func tornChainRun(t *testing.T, compact bool, crashAt time.Duration) (doneAt tim
 // in force — the orphan layer is never half-adopted — and recovery plus
 // WAL replay reconverges.
 func TestCrashBetweenDeltaAndManifest(t *testing.T) {
-	doneAt, _ := tornChainRun(t, false, 0)
+	doneAt, _ := tornChainRun(t, 0, 0)
 	if doneAt == 0 {
 		t.Fatal("recording run: final checkpoint never completed")
 	}
 	// The manifest write costs at least one disk sync (4 ms); 2 ms before
 	// completion the delta layer is durable and the manifest is not.
-	_, c := tornChainRun(t, false, doneAt-2*time.Millisecond)
+	_, c := tornChainRun(t, 0, doneAt-2*time.Millisecond)
 	total := int64(80)
 	c.requireConverged(t, total)
 	if !c.replicas[0].Recovered() {
@@ -616,27 +648,36 @@ func TestCrashBetweenDeltaAndManifest(t *testing.T) {
 	}
 }
 
-// TestCrashMidCompaction: a crash while the compacted base image is being
+// TestCrashMidCompaction: a crash while a fresh base image is being
 // written must leave the old (base, chain) pair in force; the half-written
-// base is never referenced.
+// base is never referenced. The base is a compaction of a one-layer chain,
+// or the next of a base written at every checkpoint.
 func TestCrashMidCompaction(t *testing.T) {
-	doneAt, _ := tornChainRun(t, true, 0)
-	if doneAt == 0 {
-		t.Fatal("recording run: compaction never completed")
-	}
-	// The 50 MB base write occupies the disk for ~1.1 s before the
-	// manifest write even starts: 600 ms before completion is safely
-	// inside the base image write.
-	_, c := tornChainRun(t, true, doneAt-600*time.Millisecond)
-	total := int64(120)
-	c.requireConverged(t, total)
-	if !c.replicas[0].Recovered() {
-		t.Fatal("node 0 never finished recovery")
-	}
-	r := c.replicas[0]
-	if r.baseName != baseLayerName(1) || len(r.chain) != 1 {
-		t.Errorf("recovered onto base %q with %d layers, want the pre-compaction chain (%q + 1 delta)",
-			r.baseName, len(r.chain), baseLayerName(1))
+	for _, tc := range []struct {
+		maxChain int
+		total    int64 // actions submitted
+		layers   int   // chain length of the checkpoint in force
+	}{
+		{maxChain: 1, total: 120, layers: 1},
+		{maxChain: -1, total: 80, layers: 0},
+	} {
+		doneAt, _ := tornChainRun(t, tc.maxChain, 0)
+		if doneAt == 0 {
+			t.Fatalf("MaxDeltaChain %d: recording run: final base never completed", tc.maxChain)
+		}
+		// The 50 MB base write occupies the disk for ~1.1 s before the
+		// manifest write even starts: 600 ms before completion is safely
+		// inside the base image write.
+		_, c := tornChainRun(t, tc.maxChain, doneAt-600*time.Millisecond)
+		c.requireConverged(t, tc.total)
+		r := c.replicas[0]
+		if !r.Recovered() {
+			t.Fatalf("MaxDeltaChain %d: node 0 never finished recovery", tc.maxChain)
+		}
+		if r.baseName != baseLayerName(1) || len(r.chain) != tc.layers {
+			t.Errorf("MaxDeltaChain %d: recovered onto base %q with %d layers, want the previous checkpoint (%q + %d)",
+				tc.maxChain, r.baseName, len(r.chain), baseLayerName(1), tc.layers)
+		}
 	}
 }
 
@@ -671,6 +712,135 @@ func TestDeltaWholeGroupCrashRecovers(t *testing.T) {
 	for id := 0; id < 3; id++ {
 		if !c.replicas[id].Recovered() {
 			t.Errorf("node %d never finished recovery", id)
+		}
+	}
+}
+
+// failingStorage is a node's storage whose SaveSnapshot fails for the
+// names fail picks: nothing is written and the completion reports an
+// error.
+type failingStorage struct {
+	env.Storage
+	e    env.Env
+	fail func(name string) bool
+}
+
+func (s failingStorage) SaveSnapshot(name string, snap env.Snapshot, done func(error)) {
+	if !s.fail(name) {
+		s.Storage.SaveSnapshot(name, snap, done)
+		return
+	}
+	s.e.Post(func() {
+		if done != nil {
+			done(errors.New("injected write failure"))
+		}
+	})
+}
+
+// failingEnv hands its node a failingStorage.
+type failingEnv struct {
+	env.Env
+	storage failingStorage
+}
+
+func (e failingEnv) Storage() env.Storage { return e.storage }
+
+// failingNode starts its replica on a failingEnv, every incarnation.
+type failingNode struct {
+	*Replica
+	fail func(name string) bool
+}
+
+func (n failingNode) Start(e env.Env) {
+	n.Replica.Start(failingEnv{Env: e, storage: failingStorage{Storage: e.Storage(), e: e, fail: n.fail}})
+}
+
+// TestFailedCheckpointWriteKeepsPreviousCheckpoint: a checkpoint whose
+// delta layer write, or whose manifest write, fails commits nothing — the
+// durable manifest never names the layer, the replica adopts no chain,
+// the completion still runs and the next checkpoint must be a base — and a
+// restart recovers from the checkpoint before it.
+func TestFailedCheckpointWriteKeepsPreviousCheckpoint(t *testing.T) {
+	layer := deltaLayerName(1, 1) // the second delta on the first base
+	afterLayer := false           // the previous save was that layer
+	for _, tc := range []struct {
+		what string
+		fail func(name string) bool
+	}{
+		{"layer", func(name string) bool { return name == layer }},
+		{"manifest", func(name string) bool {
+			fail := afterLayer && name == "meta"
+			afterLayer = name == layer
+			return fail
+		}},
+	} {
+		c := &deltaCluster{replicas: make([]*Replica, 3), machines: make([]*kvDeltaMachine, 3)}
+		c.s = sim.New(sim.Config{Seed: 56})
+		fail := tc.fail
+		for i := 0; i < 3; i++ {
+			id := i
+			c.s.AddNode(func() env.Node {
+				r := NewReplica(Config{
+					CheckpointInterval: time.Hour, // manual checkpoints only
+					MaxChainFraction:   100,
+					Machine: func() StateMachine {
+						m := newKVDeltaMachine()
+						c.machines[id] = m
+						return m
+					},
+				})
+				c.replicas[id] = r
+				if id == 0 {
+					return failingNode{Replica: r, fail: fail}
+				}
+				return r
+			})
+		}
+		c.s.StartAll()
+		for round, at := range []time.Duration{4 * time.Second, 8 * time.Second, 12 * time.Second} {
+			for i := 0; i < 40; i++ {
+				c.submit(at-3*time.Second+time.Duration(i)*50*time.Millisecond, i%3,
+					incAction{Key: fmt.Sprintf("k%d", i%6), Delta: int64(1 + round)})
+			}
+			// Base 1, delta 1.0, then delta 1.1, whose write fails.
+			c.s.After(at, func() { c.replicas[0].Checkpoint(nil) })
+		}
+		completed := false
+		c.s.After(12*time.Second, func() {
+			c.replicas[0].Checkpoint(func() { completed = true })
+		})
+		var durable metaSnap
+		c.s.After(13*time.Second, func() {
+			r := c.replicas[0]
+			if !completed {
+				t.Errorf("%s: the failed checkpoint never ran its completion", tc.what)
+			}
+			if r.checkpointing || !r.forceBase || len(r.chain) != 1 {
+				t.Errorf("%s: after the failure checkpointing=%v forceBase=%v chain=%d, want false, true, 1",
+					tc.what, r.checkpointing, r.forceBase, len(r.chain))
+			}
+			c.s.Storage(0).LoadSnapshot("meta", func(snap env.Snapshot, _ bool) { durable, _ = snap.Data.(metaSnap) })
+		})
+		c.s.After(14*time.Second, func() { c.s.Crash(0) })
+		c.s.After(16*time.Second, func() { c.s.Restart(0) })
+		c.s.RunFor(40 * time.Second)
+
+		for _, ref := range durable.Chain {
+			if ref.Name == layer {
+				t.Errorf("%s: the durable manifest names %q, whose write failed", tc.what, layer)
+			}
+		}
+		if durable.Base != baseLayerName(1) || len(durable.Chain) != 1 {
+			t.Errorf("%s: durable manifest %+v, want %q and one delta", tc.what, durable, baseLayerName(1))
+		}
+		c.requireConverged(t, 120)
+		r := c.replicas[0]
+		if !r.Recovered() {
+			t.Fatalf("%s: node 0 never finished recovery", tc.what)
+		}
+		if r.baseName != baseLayerName(1) || len(r.chain) != 1 || r.chain[0].Name != deltaLayerName(1, 0) {
+			t.Errorf("%s: recovered onto base %q with chain %v, want %q + %q",
+				tc.what, r.baseName, r.chain, baseLayerName(1), deltaLayerName(1, 0))
 		}
 	}
 }

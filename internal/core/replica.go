@@ -72,23 +72,10 @@ type Config struct {
 	// application checkpoint has been restored.
 	SequentialRecovery bool
 
-	// DisableRemoteSnapshot forbids a replica whose needed log suffix
-	// was compacted everywhere from fetching a full checkpoint from a
-	// peer (the paper's Treplica recovers from the local checkpoint
-	// plus the learned suffix only; the remote fallback is an
-	// extension, enabled by default).
-	DisableRemoteSnapshot bool
-
-	// FullCheckpoints forces the monolithic full-state checkpoint path
-	// even when the machine implements DeltaSnapshotter — the baseline
-	// the incremental pipeline is compared against (exp.CheckpointCurve).
-	// Machines without the capability always use the monolithic path.
-	FullCheckpoints bool
-
 	// MaxDeltaChain caps how many delta layers stack on one base before
 	// the next checkpoint compacts the chain back into a fresh base
 	// (bounding recovery to base + MaxDeltaChain layer reads).
-	// Default 8.
+	// Default 8. A negative value makes every checkpoint a full base.
 	MaxDeltaChain int
 
 	// MaxChainFraction compacts earlier when the chain's accumulated
@@ -165,14 +152,14 @@ func (p pendingDone) fire(result any, inst paxos.InstanceID, err error) {
 
 // Snapshot payloads.
 //
-// metaSnap doubles as the layered-checkpoint manifest (delta.go): Base
-// names the durable base snapshot, BaseID identifies it for remote
-// missing-layer streaming, and Chain lists the delta layers stacked on
-// it in application order. An empty Base means the legacy monolithic
-// "app" snapshot. The manifest write is the atomic commit point of every
-// checkpoint — layers are durable strictly before the manifest that
-// references them, so a crash anywhere in between leaves the previous,
-// consistent (base, chain) prefix in force.
+// metaSnap is the checkpoint manifest (delta.go): Base names the durable
+// base snapshot, BaseID identifies it for remote missing-layer streaming,
+// and Chain lists the delta layers stacked on it in application order.
+// The manifest write is the atomic commit point of every checkpoint —
+// layers are durable strictly before the manifest that references them,
+// so a crash anywhere in between leaves the previous, consistent (base,
+// chain) prefix in force. A replica that never checkpointed has none; its
+// zero value names no base.
 type metaSnap struct {
 	LastApplied paxos.InstanceID
 	Base        string
@@ -180,9 +167,9 @@ type metaSnap struct {
 	Chain       []LayerRef
 }
 
-// appSnap is the envelope of every checkpoint layer — the monolithic "app"
-// snapshot, a base image, a delta layer: the machine's payload beside the
-// replica's own state at the same log position.
+// appSnap is the envelope of every checkpoint layer — a base image or a
+// delta layer: the machine's payload beside the replica's own state at the
+// same log position.
 type appSnap struct {
 	LastApplied paxos.InstanceID
 	Delivered   paxos.DeliveredState
@@ -238,23 +225,22 @@ type snapReqMsg struct {
 
 func (snapReqMsg) WireSize() int64 { return 48 }
 
-// snapReplyMsg carries a layered checkpoint: an optional base image plus
-// the delta layers stacked on it, in chain order. Legacy monolithic
-// checkpoints travel as a base with no deltas. FirstDelta is the chain
-// index of Deltas[0] on the serving replica (non-zero only when the
-// requester already held a prefix of the chain).
+// snapReplyMsg carries a checkpoint: the base image (nil when the
+// requester already holds it) plus the delta layers stacked on it, in
+// chain order. FirstDelta is the chain index of Deltas[0] on the serving
+// replica (non-zero only when the requester already held a prefix of the
+// chain).
 type snapReplyMsg struct {
 	OK         bool
 	BaseID     int64
-	HasBase    bool
-	Base       appSnap
+	Base       *appSnap
 	FirstDelta int
 	Deltas     []appSnap
 }
 
 func (m snapReplyMsg) WireSize() int64 {
 	sz := int64(64)
-	if m.HasBase {
+	if m.Base != nil {
 		sz += m.Base.Size
 	}
 	for _, d := range m.Deltas {
@@ -310,16 +296,16 @@ type Replica struct {
 	hasCheckpoint  bool
 	checkpointing  bool
 
-	// Incremental-checkpoint state (delta.go): the in-memory mirror of
-	// the durable manifest. baseName == "" means no base yet (legacy
-	// monolithic checkpoints, or delta mode before its first base).
+	// Checkpoint state (delta.go): the in-memory mirror of the durable
+	// manifest. baseName == "" means no base yet, or none since a remote
+	// restore replaced the state.
 	baseName   string
 	baseID     int64
 	baseSeq    int64 // monotone base counter, restored from the manifest
 	baseSize   int64
 	chain      []LayerRef
 	chainBytes int64
-	forceBase  bool // an ordered PartitionDrop poisoned the chain
+	forceBase  bool // a PartitionDrop or a failed write broke the chain
 
 	// staleLayers are durable layers a remote restore superseded in
 	// memory while the on-disk manifest still references them; the next
@@ -403,14 +389,10 @@ func (r *Replica) Start(e env.Env) {
 
 	e.Storage().LoadSnapshot("meta", func(snap env.Snapshot, ok bool) {
 		floor := paxos.InstanceID(0)
-		var manifest metaSnap
-		if ok {
-			meta, good := snap.Data.(metaSnap)
-			if good {
-				manifest = meta
-				floor = meta.LastApplied + 1
-				r.recovering = true
-			}
+		manifest, good := snap.Data.(metaSnap)
+		if ok && good {
+			floor = manifest.LastApplied + 1
+			r.recovering = true
 		}
 		bootEngine := func() {
 			pcfg := r.cfg.Paxos
@@ -433,41 +415,38 @@ func (r *Replica) Start(e env.Env) {
 			r.en = paxos.New(pcfg)
 			r.en.Boot(e, floor, nil)
 		}
-		loadApp := func() {
-			if manifest.Base != "" {
-				// Layered checkpoint: restore the base image, then
-				// apply each delta layer of the manifest chain in order
-				// (delta.go). Each layer read charges its own disk time.
-				r.loadChain(manifest, bootEngine)
-				return
-			}
-			e.Storage().LoadSnapshot("app", func(snap env.Snapshot, ok bool) {
-				if r.cfg.SequentialRecovery {
-					bootEngine()
-				}
-				if !ok {
-					// Fresh replica: empty state is the initial state.
-					r.finishRestore(appSnap{LastApplied: -1})
-					return
-				}
-				app, good := snap.Data.(appSnap)
-				if !good {
-					r.e.Logf("core: malformed app snapshot; starting empty")
-					r.finishRestore(appSnap{LastApplied: -1})
-					return
-				}
-				r.sm.Restore(app.Data)
-				r.finishRestore(app)
-			})
-		}
-		if r.cfg.SequentialRecovery {
-			// Ablation: no checkpoint/suffix overlap — consensus joins
-			// only after the state is restored.
-			loadApp()
-		} else {
+		if !r.cfg.SequentialRecovery {
 			bootEngine()
-			loadApp()
 		}
+		// A fresh replica reads the zero manifest's unnamed base too: it
+		// finds nothing and starts empty, the initial state.
+		r.readLayers(manifest, 0, func(base *appSnap, layers []appSnap, ok bool) {
+			if r.cfg.SequentialRecovery {
+				// Ablation: no checkpoint/suffix overlap — consensus
+				// joins only after the state is restored.
+				bootEngine()
+			}
+			r.baseSeq = baseSeqOf(manifest.BaseID)
+			restored := appSnap{LastApplied: -1}
+			switch {
+			case ok && r.applyLayers(base, layers):
+				restored = *base
+				if n := len(layers); n > 0 {
+					restored = layers[n-1]
+				}
+				r.baseName, r.baseID, r.baseSize = manifest.Base, manifest.BaseID, base.Size
+				r.chain = append([]LayerRef(nil), manifest.Chain...)
+				for _, ref := range r.chain {
+					r.chainBytes += ref.Size
+				}
+			case manifest.Base != "":
+				// Layers are durable before the manifest that names them,
+				// so this is damage from outside (or a machine that lost
+				// its delta capability). Nothing was applied.
+				r.e.Logf("core: checkpoint on base %q unreadable; starting empty", manifest.Base)
+			}
+			r.finishRestore(restored)
+		})
 		r.scheduleCheckpoint()
 		r.publishLoop()
 	})
@@ -821,12 +800,11 @@ func (r *Replica) checkpointLoop() {
 // Checkpoint takes a durable checkpoint now: snapshot the state machine,
 // write it to stable storage, then compact the consensus log up to it
 // (minus the retention window that serves recovering peers). done, if
-// non-nil, runs when the checkpoint is durable.
+// non-nil, runs when the checkpoint is durable or has failed.
 //
-// Machines implementing DeltaSnapshotter get the incremental pipeline
-// (delta.go) unless Config.FullCheckpoints forces the monolithic path:
-// steady-state checkpoints then write only the rows dirtied since the
-// previous one, as a delta layer chained onto the last full base.
+// A checkpoint is a full base or, for a machine implementing
+// DeltaSnapshotter while the chain is healthy, a delta layer of the rows
+// dirtied since the previous one, chained onto the last base (delta.go).
 func (r *Replica) Checkpoint(done func()) {
 	// An initial checkpoint (nothing applied yet, nothing checkpointed)
 	// is meaningful: it makes the pre-populated state durable, which is
@@ -840,50 +818,26 @@ func (r *Replica) Checkpoint(done func()) {
 		return
 	}
 	r.checkpointing = true
-	if ds, ok := r.sm.(DeltaSnapshotter); ok && !r.cfg.FullCheckpoints {
-		r.checkpointLayered(ds, done)
-		return
+	// A chain grows while it is short and small beside its base.
+	if ds, ok := r.sm.(DeltaSnapshotter); ok && r.baseName != "" && !r.forceBase &&
+		len(r.chain) < r.cfg.MaxDeltaChain &&
+		float64(r.chainBytes) < r.cfg.MaxChainFraction*float64(r.baseSize) {
+		if data, size, ok := ds.SnapshotDelta(); ok {
+			r.writeDelta(data, size, done)
+			return
+		}
+		// The machine cannot bound a delta against the durable chain —
+		// rows were dropped wholesale by a partition rebalance. Fall
+		// through to a fresh base, which truncates the chain so dropped
+		// rows can never resurrect from a stale layer on recovery.
 	}
-	data, size := r.sm.Snapshot()
-	snap := r.envelope(data, size)
-	if r.cfg.OnCheckpoint != nil {
-		r.cfg.OnCheckpoint(size)
-	}
-	at := r.lastApplied
-	r.pubCkptBases.Add(1)
-	r.pubCkptBytes.Add(size)
-	r.e.Storage().SaveSnapshot("app", env.Snapshot{Data: snap, Size: size}, func(error) {
-		r.e.Storage().SaveSnapshot("meta", env.Snapshot{Data: metaSnap{LastApplied: at}, Size: 256}, func(error) {
-			r.lastCheckpoint = at
-			r.hasCheckpoint = true
-			r.checkpointing = false
-			compactThrough := at - paxos.InstanceID(r.cfg.RetainInstances)
-			if compactThrough >= 0 {
-				r.en.Compact(compactThrough)
-			}
-			if done != nil {
-				done()
-			}
-		})
-	})
-}
-
-// envelope wraps a machine payload taken now — a full snapshot or a delta —
-// as a checkpoint layer: the one place the replica's own state joins it.
-func (r *Replica) envelope(data any, size int64) appSnap {
-	return appSnap{
-		LastApplied: r.lastApplied,
-		Delivered:   r.en.DeliveredSeqs(),
-		Data:        data,
-		Size:        size,
-		logState:    r.logState.clone(),
-	}
+	r.writeBase(done)
 }
 
 // --- Remote snapshot fallback -------------------------------------------
 
 func (r *Replica) onCatchUpGap(firstAvail paxos.InstanceID) {
-	if r.cfg.DisableRemoteSnapshot || r.snapAsked {
+	if r.snapAsked {
 		return
 	}
 	r.snapAsked = true
@@ -899,35 +853,28 @@ func (r *Replica) onCatchUpGap(firstAvail paxos.InstanceID) {
 
 func (r *Replica) onSnapReq(from env.NodeID, m snapReqMsg) {
 	// Serve our most recent durable checkpoint from disk — the manifest
-	// decides the layout, so a replica still restoring its own state (or
-	// one that has not built an in-memory chain yet) serves exactly what
-	// its storage holds. Reading charges our disk, the reply charges the
-	// network, both as in a real state transfer. One serve per requester
-	// at a time: a retrying peer must not queue redundant multi-second
+	// decides what is read, so a replica still restoring its own state
+	// serves exactly what its storage holds, and a requester that already
+	// restored this manifest's base is sent only the layers it is missing.
+	// Reading charges our disk, the reply charges the network by the bytes
+	// shipped, both as in a real state transfer. One serve per requester at
+	// a time: a retrying peer must not queue redundant multi-second
 	// checkpoint reads on our disk.
 	if r.serving[from] {
 		return
 	}
 	r.serving[from] = true
-	send := func(reply snapReplyMsg) {
-		delete(r.serving, from)
-		r.e.Send(from, reply)
-	}
-	r.e.Storage().LoadSnapshot("meta", func(snap env.Snapshot, ok bool) {
-		manifest, good := snap.Data.(metaSnap)
-		if ok && good && manifest.Base != "" {
-			// Layered checkpoint: base + chain, streaming only the
-			// layers the requester is missing (delta.go).
-			r.serveLayered(from, manifest, m, send)
-			return
+	r.e.Storage().LoadSnapshot("meta", func(snap env.Snapshot, _ bool) {
+		manifest, _ := snap.Data.(metaSnap)
+		first := 0
+		if m.HaveBaseID == manifest.BaseID && m.HaveLayers <= len(manifest.Chain) {
+			first = m.HaveLayers
 		}
-		r.e.Storage().LoadSnapshot("app", func(snap env.Snapshot, ok bool) {
-			app, good := snap.Data.(appSnap)
-			if !ok || !good {
-				send(snapReplyMsg{})
-				return
-			}
-			send(snapReplyMsg{OK: true, HasBase: true, Base: app})
+		// Not ok: no checkpoint, or a compaction replaced the chain between
+		// the manifest read and a layer read; the requester retries.
+		r.readLayers(manifest, first, func(base *appSnap, layers []appSnap, ok bool) {
+			delete(r.serving, from)
+			r.e.Send(from, snapReplyMsg{OK: ok, BaseID: manifest.BaseID, Base: base, FirstDelta: first, Deltas: layers})
 		})
 	})
 }
@@ -939,36 +886,27 @@ func (r *Replica) onSnapReply(m snapReplyMsg) {
 	}
 	// The restore target is the newest layer carried; a stale or empty
 	// reply (our state already covers it) is ignored.
-	var last *appSnap
-	if m.HasBase {
-		last = &m.Base
-	}
+	last := m.Base
 	if n := len(m.Deltas); n > 0 {
 		last = &m.Deltas[n-1]
 	}
 	if last == nil || last.LastApplied <= r.lastApplied {
 		return
 	}
-	ds, capable := r.sm.(DeltaSnapshotter)
-	if len(m.Deltas) > 0 && !capable {
-		return // layered reply for a machine that cannot apply deltas
-	}
-	if m.HasBase {
-		r.sm.Restore(m.Base.Data)
-		r.remoteBaseID = m.BaseID
-		r.remoteLayers = 0
-	} else if m.BaseID == 0 || m.BaseID != r.remoteBaseID || m.FirstDelta > r.remoteLayers {
-		return // delta-only reply that does not extend our remote base
-	}
-	// Apply the layers we do not hold yet (a retransmitted prefix is
+	// Apply the layers we do not hold yet: all of them onto a new base, or
+	// those past our remote base's prefix (a retransmitted prefix is
 	// skipped, not re-applied).
-	start := r.remoteLayers - m.FirstDelta
-	if start < 0 {
-		start = 0
+	layers := m.Deltas
+	if m.Base == nil {
+		if m.BaseID == 0 || m.BaseID != r.remoteBaseID || m.FirstDelta > r.remoteLayers {
+			return // delta-only reply that does not extend our remote base
+		}
+		layers = layers[min(r.remoteLayers-m.FirstDelta, len(layers)):]
 	}
-	for k := start; k < len(m.Deltas); k++ {
-		ds.ApplyDelta(m.Deltas[k].Data)
+	if !r.applyLayers(m.Base, layers) {
+		return
 	}
+	r.remoteBaseID = m.BaseID
 	r.remoteLayers = m.FirstDelta + len(m.Deltas)
 	r.logState = last.logState.clone()
 	r.lastApplied = last.LastApplied
@@ -983,10 +921,7 @@ func (r *Replica) onSnapReply(m snapReplyMsg) {
 			r.staleLayers = append(r.staleLayers, ref.Name)
 		}
 	}
-	r.baseName = ""
-	r.baseID = 0
-	r.chain = nil
-	r.chainBytes = 0
+	r.baseName, r.baseID, r.chain, r.chainBytes = "", 0, nil, 0
 	r.en.SetDelivered(last.Delivered)
 	r.en.SkipTo(last.LastApplied + 1)
 	r.pubLastApplied.Store(int64(r.lastApplied))

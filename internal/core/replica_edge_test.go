@@ -9,37 +9,6 @@ import (
 	"robuststore/internal/sim"
 )
 
-// TestDisableRemoteSnapshotBlocksForever: with the fallback off and the
-// needed log suffix compacted everywhere, a restarted replica must NOT
-// silently adopt a wrong state; it stays un-recovered.
-func TestDisableRemoteSnapshotBlocksForever(t *testing.T) {
-	c := newCoreCluster(t, 3, 31, func(id int, cfg *Config) {
-		cfg.CheckpointInterval = 3 * time.Second
-		cfg.RetainInstances = 1
-		cfg.DisableRemoteSnapshot = true
-	})
-	for i := 0; i < 40; i++ {
-		c.submit(2*time.Second+time.Duration(i)*10*time.Millisecond, i%3,
-			incAction{Key: "a", Delta: 1})
-	}
-	c.s.After(4*time.Second, func() { c.s.Crash(2) })
-	for i := 0; i < 60; i++ {
-		c.submit(5*time.Second+time.Duration(i)*20*time.Millisecond, i%2,
-			incAction{Key: "b", Delta: 1})
-	}
-	c.s.After(25*time.Second, func() { c.s.Restart(2) })
-	c.s.RunFor(60 * time.Second)
-
-	// The survivors are fine; node 2 must be stuck behind the gap, not
-	// silently divergent.
-	if c.machines[0].ops != 100 {
-		t.Fatalf("survivor applied %d ops", c.machines[0].ops)
-	}
-	if c.replicas[2].Recovered() && c.machines[2].ops != 100 {
-		t.Fatalf("node 2 claims recovery with %d ops (divergent state)", c.machines[2].ops)
-	}
-}
-
 // TestCheckpointSkippedWhileRecovering: a checkpoint triggered while the
 // application state is still loading must be a harmless no-op.
 func TestCheckpointSkippedWhileRecovering(t *testing.T) {

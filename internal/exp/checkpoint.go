@@ -1,12 +1,12 @@
 package exp
 
 // This file is the checkpoint experiment: the Figure 6 trade-off
-// (recovery time vs checkpoint interval) re-measured with the
-// incremental delta-chain pipeline against the paper's monolithic
-// full-state checkpoints. Full checkpoints couple the two costs — a
-// short interval means less log to replay at recovery but O(state) disk
-// writes every interval, which steal bandwidth and CPU from the
-// serving path; the incremental pipeline decouples them, making short
+// (recovery time vs checkpoint interval) re-measured with delta layers
+// against the paper's full-state checkpoints, which here are the same
+// pipeline writing a full base every time. Full checkpoints couple the
+// two costs — a short interval means less log to replay at recovery but
+// O(state) disk writes every interval, which steal bandwidth and CPU
+// from the serving path; delta layers decouple them, making short
 // intervals (and therefore fast recovery) affordable.
 
 // CheckpointPoint is one cell of the curve: one checkpoint interval in
@@ -25,8 +25,8 @@ type CheckpointPoint struct {
 }
 
 // CheckpointCurve runs base under the one-crash faultload at each
-// checkpoint interval (seconds), once with monolithic full-state
-// checkpoints and once with the incremental pipeline, at equal state size
+// checkpoint interval (seconds), once with a full base at every
+// checkpoint and once with delta layers, at equal state size
 // and offered load. Each point reports the recovery duration, the
 // sustained throughput and the steady-state checkpoint disk traffic.
 func CheckpointCurve(base RunConfig, intervals []int) []CheckpointPoint {

@@ -42,9 +42,9 @@ type RunConfig struct {
 	// (default: the paper's 60 s). The checkpoint experiments sweep it.
 	CheckpointIntervalSec int
 
-	// FullCheckpoints forces monolithic full-state checkpoints instead
-	// of the incremental delta-chain pipeline (the baseline side of
-	// exp.CheckpointCurve).
+	// FullCheckpoints makes every checkpoint a full base instead of a
+	// delta layer on the last one (the baseline side of
+	// exp.CheckpointCurve; see webtier.Config.FullCheckpoints).
 	FullCheckpoints bool
 
 	// CrashAt overrides the faultload's first crash time (seconds from

@@ -46,7 +46,7 @@ func (m *recMachine) Restore(data any) {
 
 // deltaRecMachine gives a recMachine the core.DeltaSnapshotter capability, so
 // the replica checkpoints and recovers through base + delta chain — the path
-// every web-tier run takes — instead of the monolithic "app" snapshot. A delta
+// every web-tier run takes — instead of a full base every time. A delta
 // is the log suffix since the last checkpoint; a chain applied out of order,
 // twice or onto the wrong base shows as a log anomaly.
 type deltaRecMachine struct {

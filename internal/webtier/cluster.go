@@ -54,10 +54,10 @@ type Config struct {
 	CheckpointInterval time.Duration
 	RetainInstances    int64
 
-	// FullCheckpoints forces monolithic full-state checkpoints instead
-	// of the incremental delta-chain pipeline the bookstore machine
-	// supports (the comparison baseline of exp.CheckpointCurve; see
-	// core.Config.FullCheckpoints).
+	// FullCheckpoints makes every checkpoint a full base instead of a
+	// delta layer on the last one — a preset of the one checkpoint path
+	// (core.Config.MaxDeltaChain < 0), the comparison baseline of
+	// exp.CheckpointCurve.
 	FullCheckpoints bool
 
 	// Paxos carries engine tuning overrides.

@@ -132,7 +132,6 @@ func (s *Server) Start(e env.Env) {
 		FastPaxos:          s.c.cfg.FastPaxos,
 		CheckpointInterval: s.c.cfg.CheckpointInterval,
 		RetainInstances:    s.c.cfg.RetainInstances,
-		FullCheckpoints:    s.c.cfg.FullCheckpoints,
 		ActionSize:         tpcw.ActionSize,
 		Paxos:              pcfg,
 		SequentialRecovery: s.c.cfg.SequentialRecovery,
@@ -177,6 +176,9 @@ func (s *Server) Start(e env.Env) {
 				s.armTxnResolve(id, home)
 			}
 		},
+	}
+	if s.c.cfg.FullCheckpoints {
+		cfg.MaxDeltaChain = -1 // every checkpoint a full base
 	}
 	s.replica = core.NewReplica(cfg)
 	s.replica.Start(e)
