@@ -110,6 +110,21 @@
 // announcements for 31,818 decisions. paxos.Stats counts announcements,
 // collisions, recoveries by cause, retries and catch-up requests per engine.
 //
+// A fast round's collision costs one coordinated recovery, not a timeout.
+// When the votes at an instance leave no value able to reach a fast quorum,
+// the coordinator runs a classic round there: a classic quorum reports its
+// votes, and Fast Paxos's rule picks the value of a classic top ballot, else
+// a value enough of the quorum voted for that it may have been chosen, else —
+// nothing can have been chosen — any value at all (the free choice). Two
+// proposers' values that reach the acceptors in opposite orders collide at
+// two instances at once; a tie-break that picks the same value at both leaves
+// the other with no vote anywhere, and its proposer re-sends it only after
+// RetryTimeout. So the free choice takes a reported value the coordinator has
+// not already placed — delivered, or being proposed at another instance —
+// before most votes and the lowest value ID. Only the free choice looks:
+// where the rule names a value, that value is the only safe one, and one
+// placed twice is still delivered once.
+//
 // The simulator's loop holds an entry for what will run and for nothing
 // else (sim/queue.go). Events — callbacks, posts, deliveries, disk
 // completions — are values in a 4-ary heap; an armed timer is one entry of

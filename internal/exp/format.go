@@ -372,9 +372,11 @@ func PrintCheckpointCurve(w io.Writer, pts []CheckpointPoint) {
 }
 
 // PrintAblation renders one ablation comparison; runs that crashed a
-// replica also report its recovery time.
+// replica also report its recovery time, and an ablation that switches Fast
+// Paxos off prints each side's ordering counters under it.
 func PrintAblation(w io.Writer, a AblationResult) {
 	fmt.Fprintf(w, "Ablation %s:\n", a.Name)
+	ordering := a.Baseline.Cfg.NoFast != a.Variant.Cfg.NoFast
 	for _, side := range []struct {
 		note string
 		r    RunResult
@@ -387,6 +389,11 @@ func PrintAblation(w io.Writer, a AblationResult) {
 			fmt.Fprint(w, "    never recovered")
 		}
 		fmt.Fprintln(w)
+		if ordering {
+			st := side.r.Paxos
+			fmt.Fprintf(w, "    %d decisions, %d collisions, recoveries %d collision / %d hedge / %d gap, %d retries, %d catch-ups\n",
+				st.Announced, st.Collisions, st.RecCollision, st.RecHedge, st.RecGap, st.Retries, st.CatchUps)
+		}
 	}
 }
 

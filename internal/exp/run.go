@@ -184,6 +184,11 @@ type RunResult struct {
 	FinalStateMB   float64
 	FastActive     bool
 	Proxy          webtier.ProxyStats
+
+	// Paxos sums the ordering path's counters over the engines alive at run
+	// end (each counts from its own boot): decisions, fast-round collisions,
+	// recoveries by cause, retries and catch-up requests.
+	Paxos paxos.Stats
 }
 
 // --- Memoization ---------------------------------------------------------
@@ -549,6 +554,7 @@ func collect(cfg RunConfig, cluster *webtier.Cluster, srec *metrics.ShardedRecor
 	for i := 0; i < cluster.TotalServers(); i++ {
 		if r := cluster.Replica(i); r != nil && r.Engine() != nil {
 			res.FastActive = res.FastActive || r.Engine().FastActive()
+			res.Paxos.Add(r.Engine().Stats())
 		}
 	}
 	return res

@@ -216,6 +216,17 @@ type Stats struct {
 	CatchUps int64 // catch-up requests sent
 }
 
+// Add adds o's counts to s.
+func (s *Stats) Add(o Stats) {
+	s.Announced += o.Announced
+	s.Collisions += o.Collisions
+	s.RecCollision += o.RecCollision
+	s.RecHedge += o.RecHedge
+	s.RecGap += o.RecGap
+	s.Retries += o.Retries
+	s.CatchUps += o.CatchUps
+}
+
 // Stats returns the counts since this engine booted. Call it on the node's
 // executor.
 func (en *Engine) Stats() Stats { return en.stats }

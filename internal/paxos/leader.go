@@ -267,7 +267,7 @@ func (en *Engine) establish() {
 			continue
 		}
 		reports := byInst[i]
-		v, found := selectValue(reports, q, en.n)
+		v, found := selectValue(reports, q, en.n, en.placedElsewhere(i))
 		if !found {
 			noopSeq++
 			v = noOpValue(en.me, en.epoch, en.nextSeq*1000+noopSeq)
@@ -299,7 +299,11 @@ func (en *Engine) establish() {
 // voted v in it (Fast Paxos, Prop. 1); with no choosable value any
 // reported value is safe, and with no reports at all nothing was chosen,
 // so found=false lets the caller propose anything (a no-op).
-func selectValue(reports []acceptedInfo, q, n int) (Value, bool) {
+//
+// placed says which values the leader has already placed elsewhere. Only the
+// free choice consults it: there any reported value is safe, so it takes one
+// that is not placed if there is one.
+func selectValue(reports []acceptedInfo, q, n int, placed func(ValueID) bool) (Value, bool) {
 	if len(reports) == 0 {
 		return Value{}, false
 	}
@@ -337,18 +341,39 @@ func selectValue(reports []acceptedInfo, q, n int) (Value, bool) {
 		return values[bestID], true
 	}
 	// No value may have been (or can be) chosen at k: free choice.
-	// Re-proposing one of the reported values keeps client progress;
-	// ties break on ValueID for determinism.
+	// Re-proposing one of the reported values keeps client progress. A value
+	// not placed elsewhere comes first: when two values collide at two
+	// instances, the second recovery must not pick the first one's value
+	// again, leaving the other with no vote anywhere until its proposer
+	// re-sends it after RetryTimeout. Then most votes, then lowest ValueID
+	// for determinism.
 	most := atK[0]
-	mostCount := counts[most.V.ID]
-	for _, r := range atK {
-		c := counts[r.V.ID]
+	mostCount, mostPlaced := counts[most.V.ID], placed(most.V.ID)
+	for _, r := range atK[1:] {
+		c, p := counts[r.V.ID], placed(r.V.ID)
+		if p != mostPlaced {
+			if !p {
+				most, mostCount, mostPlaced = r, c, p
+			}
+			continue
+		}
 		if c > mostCount || (c == mostCount && valueIDLess(r.V.ID, most.V.ID)) {
-			mostCount = c
-			most = r
+			most, mostCount = r, c
 		}
 	}
 	return most.V, true
+}
+
+// placedElsewhere reports whether the leader has placed a value anywhere but
+// inst: it was delivered, or it is being proposed at another instance.
+func (en *Engine) placedElsewhere(inst InstanceID) func(ValueID) bool {
+	return func(id ValueID) bool {
+		if en.isDelivered(id) {
+			return true
+		}
+		at, ok := en.leader.inflightID[id]
+		return ok && at != inst
+	}
 }
 
 // leaderPropose assigns a value to a fresh instance (classic) or sends it
@@ -521,7 +546,7 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 			reports = append(reports, acceptedInfo{Inst: r.Inst, B: r.VB, V: r.V})
 		}
 	}
-	v, found := selectValue(reports, rec.replied.n, en.n)
+	v, found := selectValue(reports, rec.replied.n, en.n, en.placedElsewhere(m.Inst))
 	clear(reports) // drop the values' command slices
 	ls.reports = reports
 	if !found {

@@ -182,6 +182,25 @@ func blockedFastLeader(t *testing.T) (*testCluster, *Engine) {
 	return c, en
 }
 
+// val is a client value whose ID orders by seq.
+func val(seq int64) Value {
+	return Value{ID: ValueID{Node: 9, Epoch: 1, Seq: seq}, Cmds: []any{fmt.Sprintf("v%d", seq)}, Size: 64}
+}
+
+// phase2 answers the recovery at inst from a classic quorum, members first,
+// first+1, …, with the votes given at the leader's fast ballot (a zero Value
+// for none), which starts its phase 2.
+func phase2(t *testing.T, en *Engine, inst InstanceID, first int, votes ...Value) {
+	t.Helper()
+	r := en.leader.at(inst)
+	for i, v := range votes {
+		en.onRecInfo(env.NodeID(first+i), recInfoMsg{B: r.rec.b, Inst: inst, Voted: v.ID.Seq != 0, VB: en.leader.b, V: v})
+	}
+	if !r.proposing() || r.prop.b != r.rec.b {
+		t.Fatalf("the recovery's phase 2 at instance %d did not begin", inst)
+	}
+}
+
 // TestRecoveryKeepsCountingFastVotes pins the overlap of a leader record's
 // parts. n = 5, so a fast quorum is four votes. Three votes for one value,
 // then fastDecisionTimeout passes and the sweep hedges with a coordinated
@@ -191,9 +210,6 @@ func blockedFastLeader(t *testing.T) (*testCluster, *Engine) {
 // not restart the recovery until RetryTimeout has passed; the restarted
 // recovery's phase 2 then displaces the value proposed there.
 func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
-	val := func(seq int64) Value {
-		return Value{ID: ValueID{Node: 9, Epoch: 1, Seq: seq}, Cmds: []any{fmt.Sprintf("v%d", seq)}, Size: 64}
-	}
 	// hedge hands the leader a fast vote per value, one per member, and lets
 	// the sweep start a hedging recovery.
 	hedge := func(t *testing.T, c *testCluster, en *Engine, vals ...Value) *instState {
@@ -209,25 +225,13 @@ func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 		}
 		return r
 	}
-	// phase2 answers the recovery from a classic quorum, members first, first+1,
-	// …, with the votes given (a zero Value for none), which starts its phase 2.
-	phase2 := func(t *testing.T, en *Engine, r *instState, first int, votes ...Value) {
-		t.Helper()
-		for i, v := range votes {
-			en.onRecInfo(env.NodeID(first+i), recInfoMsg{B: r.rec.b, Inst: en.firstUnchosen, Voted: v.ID.Seq != 0, VB: en.leader.b, V: v})
-		}
-		if !r.proposing() || r.prop.b != r.rec.b {
-			t.Fatal("the recovery's phase 2 did not begin")
-		}
-	}
-
 	for _, standing := range []bool{false, true} {
 		t.Run(fmt.Sprintf("phase2=%v", standing), func(t *testing.T) {
 			c, en := blockedFastLeader(t)
 			ls, inst, v := en.leader, en.firstUnchosen, val(1)
-			r := hedge(t, c, en, v, v, v)
+			hedge(t, c, en, v, v, v)
 			if standing {
-				phase2(t, en, r, 0, v, v, v)
+				phase2(t, en, inst, 0, v, v, v)
 			}
 			c.checkLeader(en)
 			announced := en.Stats().Announced
@@ -246,7 +250,7 @@ func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 		c, en := blockedFastLeader(t)
 		ls, inst := en.leader, en.firstUnchosen
 		r := hedge(t, c, en, val(1), val(2))
-		phase2(t, en, r, 0, val(1), val(2), Value{})
+		phase2(t, en, inst, 0, val(1), val(2), Value{})
 		b, st := r.rec.b, en.Stats()
 		en.onAccepted(2, &acceptedMsg{B: ls.b, Inst: inst, V: val(3)})
 		if en.Stats().Collisions != st.Collisions+1 || en.Stats().RecCollision != st.RecCollision || r.rec.b != b {
@@ -267,10 +271,100 @@ func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 		// Its own phase 2 picks another value and displaces the one proposed
 		// there, whose inflightID entry goes with it.
 		displaced := r.prop.v.ID
-		phase2(t, en, r, 2, val(3), val(4), Value{})
+		phase2(t, en, inst, 2, val(3), val(4), Value{})
 		if _, listed := ls.inflightID[displaced]; listed || r.prop.v.ID == displaced || ls.inflightID[r.prop.v.ID] != inst {
 			t.Fatalf("phase 2 proposes %v over %v; inflightID %v", r.prop.v.ID, displaced, ls.inflightID)
 		}
 		c.checkLeader(en)
 	})
+}
+
+// TestCollisionLoserPlaced: a free choice takes a value the leader has not
+// placed, when one is reported. n = 5, and values a < b. They reach the
+// acceptors in opposite orders, so they collide at two instances: X gets the
+// votes {a, a, b, b}, X+1 gets {b, b, a, a}. X's recovery hears {a, b, none}
+// and proposes a, the lower ID. X+1's hears {b, a, none}; a is being proposed
+// at X, so X+1 must propose b. Proposing a there as well left b with no vote
+// anywhere until its proposer re-sent it after RetryTimeout. The same holds
+// when a new leader's promises leave two open instances a free choice over
+// {a, b}.
+func TestCollisionLoserPlaced(t *testing.T) {
+	a, b := val(1), val(2)
+	proposed := func(t *testing.T, ls *leaderState, x InstanceID) {
+		t.Helper()
+		for i, want := range []Value{a, b} {
+			inst := x + InstanceID(i)
+			if r := ls.at(inst); !r.proposing() || r.prop.v.ID != want.ID || ls.inflightID[want.ID] != inst {
+				t.Fatalf("instance %d proposes %v, want %v; inflightID %v", inst, r.prop.v.ID, want.ID, ls.inflightID)
+			}
+		}
+	}
+
+	t.Run("recovery", func(t *testing.T) {
+		c, en := blockedFastLeader(t)
+		ls, x, st := en.leader, en.firstUnchosen, en.Stats()
+		collide := func(inst InstanceID, votes ...Value) {
+			for from, v := range votes {
+				en.onAccepted(env.NodeID(from), &acceptedMsg{B: ls.b, Inst: inst, V: v})
+			}
+		}
+		collide(x, a, a, b, b)
+		collide(x+1, b, b, a, a)
+		if got := en.Stats(); got.Collisions != st.Collisions+2 || got.RecCollision != st.RecCollision+2 {
+			t.Fatalf("%d collisions and %d recoveries, want 2 and 2", got.Collisions-st.Collisions, got.RecCollision-st.RecCollision)
+		}
+		phase2(t, en, x, 0, a, b, Value{})
+		phase2(t, en, x+1, 0, b, a, Value{})
+		proposed(t, ls, x)
+		c.checkLeader(en)
+	})
+
+	t.Run("establish", func(t *testing.T) {
+		c, en := blockedFastLeader(t)
+		fast, x := en.leader.b, en.firstUnchosen
+		en.startPrepare()
+		ls := en.leader
+		for from, votes := range [][]acceptedInfo{
+			{{B: fast, Inst: x, V: a}, {B: fast, Inst: x + 1, V: b}},
+			{{B: fast, Inst: x, V: b}, {B: fast, Inst: x + 1, V: a}},
+			nil,
+		} {
+			en.onPromise(env.NodeID(from), promiseMsg{B: ls.b, From: x, Accepted: votes})
+		}
+		if !ls.established || ls.nextInstance != x+2 {
+			t.Fatalf("established %v, next instance %d, want %d", ls.established, ls.nextInstance, x+2)
+		}
+		proposed(t, ls, x)
+		c.checkLeader(en)
+	})
+}
+
+// TestCollisionsNeedNoRetry: with Fast Paxos on three nodes (a fast quorum is
+// all three), every node submits at the same three moments, so the acceptors
+// see the values in different orders and rounds collide. Each collision's
+// recovery places a value not placed elsewhere: all nine are delivered and no
+// proposer re-sends one after RetryTimeout (re-choosing the placed value, four
+// were re-sent). The schedule is pinned: at n = 3 a recovery hears two of the
+// three acceptors, and two reports of one value force it even where it is
+// placed already, so some schedules still lose a value to RetryTimeout.
+func TestCollisionsNeedNoRetry(t *testing.T) {
+	const n, rounds = 3, 3
+	c := newCluster(t, n, true, 3, sim.NetConfig{})
+	for i := 0; i < rounds; i++ {
+		for id := 0; id < n; id++ {
+			c.submit(2*time.Second+time.Duration(i)*25*time.Millisecond, id, fmt.Sprintf("cmd-%d-%d", i, id))
+		}
+	}
+	c.s.RunFor(6 * time.Second)
+	var st Stats
+	for _, en := range c.engines {
+		st.Add(en.Stats())
+	}
+	for id := 0; id < n; id++ {
+		c.requireDelivered(id, n*rounds)
+	}
+	c.checkConsistency()
+	if st.Collisions == 0 || st.Retries != 0 {
+		t.Fatalf("%d collisions, %d values re-sent after RetryTimeout; want some and none", st.Collisions, st.Retries)
+	}
 }

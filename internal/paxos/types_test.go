@@ -100,7 +100,7 @@ func TestSelectValueClassicMandatory(t *testing.T) {
 		{Inst: 1, B: Ballot{Seq: 2}, V: Value{ID: ValueID{Node: 0, Seq: 1}}},
 		{Inst: 1, B: Ballot{Seq: 7}, V: v}, // highest, classic
 	}
-	got, found := selectValue(reports, 3, 5)
+	got, found := selectValue(reports, 3, 5, nothingPlaced)
 	if !found || got.ID != v.ID {
 		t.Fatalf("selectValue = %+v found=%v, want the ballot-7 value", got, found)
 	}
@@ -116,7 +116,7 @@ func TestSelectValueFastThreshold(t *testing.T) {
 		{Inst: 1, B: fast, V: va},
 		{Inst: 1, B: fast, V: vb},
 	}
-	got, found := selectValue(reports, 3, 5)
+	got, found := selectValue(reports, 3, 5, nothingPlaced)
 	if !found || got.ID != va.ID {
 		t.Fatalf("va has 2 ≥ threshold votes and must be selected; got %+v", got)
 	}
@@ -125,14 +125,14 @@ func TestSelectValueFastThreshold(t *testing.T) {
 	// must still return one of the reported values for progress.
 	reports = reports[:2]
 	reports[1].V = vb
-	got, found = selectValue(reports, 3, 5)
+	got, found = selectValue(reports, 3, 5, nothingPlaced)
 	if !found || (got.ID != va.ID && got.ID != vb.ID) {
 		t.Fatalf("free choice must pick a reported value, got %+v", got)
 	}
 }
 
 func TestSelectValueNoReports(t *testing.T) {
-	if _, found := selectValue(nil, 3, 5); found {
+	if _, found := selectValue(nil, 3, 5, nothingPlaced); found {
 		t.Fatal("no reports must mean free choice (found=false)")
 	}
 }
@@ -155,12 +155,110 @@ func TestSelectValueNeverInventsValues(t *testing.T) {
 			ids[id] = true
 			_ = i
 		}
-		got, found := selectValue(reports, len(reports), 8)
+		got, found := selectValue(reports, len(reports), 8, nothingPlaced)
 		return !found || ids[got.ID]
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nothingPlaced is selectValue's predicate for a leader that has placed no
+// value yet.
+func nothingPlaced(ValueID) bool { return false }
+
+// TestSelectValuePlacedProperty: the placed predicate steers the free choice
+// and nothing else. Random reports — one to five, over four ballots (two
+// classic, two fast) and four values — and a random set of placed values,
+// with n from 3 to 8 and the classic quorum's q. When the top ballot is
+// classic or some value meets the fast threshold, the choice is the one made
+// with nothing placed. Under free choice it is a value reported at the top
+// ballot; if one reported there is not placed, the choice is the unplaced one
+// with the most votes, then the lowest ID; if all are placed, it is the choice
+// made with nothing placed.
+func TestSelectValuePlacedProperty(t *testing.T) {
+	ballots := []Ballot{{Seq: 2}, {Seq: 4, Fast: true}, {Seq: 7, Fast: true}, {Seq: 9}}
+	pool := []ValueID{{Node: 0, Seq: 1}, {Node: 1, Seq: 1}, {Node: 1, Seq: 2}, {Node: 2, Seq: 1}}
+	steered := 0 // free choices the predicate changed
+	err := quick.Check(func(raw []uint8, mask, nRaw uint8) bool {
+		n := int(nRaw%6) + 3
+		q := ClassicQuorum(n)
+		if len(raw) == 0 {
+			return true
+		}
+		raw = raw[:min(len(raw), q, 5)]
+		var reports []acceptedInfo
+		for _, x := range raw {
+			// Value in the low two bits; the later fast ballot three times in
+			// eight, so free choices are common.
+			bi := []int{0, 1, 2, 2, 2, 3, 1, 2}[x>>2&7]
+			reports = append(reports, acceptedInfo{Inst: 1, B: ballots[bi], V: Value{ID: pool[x&3]}})
+		}
+		placed := func(id ValueID) bool {
+			for i, p := range pool {
+				if p == id {
+					return mask&(1<<i) != 0
+				}
+			}
+			return false
+		}
+		got, found := selectValue(reports, q, n, placed)
+		plain, _ := selectValue(reports, q, n, nothingPlaced)
+		if !found {
+			return false
+		}
+
+		k := ballotNone
+		for _, r := range reports {
+			if k.Less(r.B) {
+				k = r.B
+			}
+		}
+		votes := make(map[ValueID]int) // at the top ballot
+		for _, r := range reports {
+			if r.B == k {
+				votes[r.V.ID]++
+			}
+		}
+		free := k.Fast
+		for _, c := range votes {
+			if c >= q+FastQuorum(n)-n {
+				free = false
+			}
+		}
+		if !free {
+			return got.ID == plain.ID
+		}
+		if votes[got.ID] == 0 {
+			return false // not reported at the top ballot
+		}
+		anyUnplaced := false
+		for id := range votes {
+			anyUnplaced = anyUnplaced || !placed(id)
+		}
+		if !anyUnplaced {
+			return got.ID == plain.ID
+		}
+		if placed(got.ID) {
+			return false
+		}
+		if got.ID != plain.ID {
+			steered++
+		}
+		for id, c := range votes {
+			if !placed(id) && (c > votes[got.ID] || c == votes[got.ID] && valueIDLess(id, got.ID)) {
+				return false // a better unplaced value
+			}
+		}
+		return true
+	}, &quick.Config{MaxCount: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steered == 0 {
+		t.Fatal("no free choice was steered away from a placed value")
+	}
+	t.Logf("%d free choices steered away from a placed value", steered)
 }
 
 // TestSelectValueUniqueChoosable: at most one value can meet the
