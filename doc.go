@@ -125,6 +125,25 @@
 // where the rule names a value, that value is the only safe one, and one
 // placed twice is still delivered once.
 //
+// That classic round needs no phase 1 when the coordinator already holds
+// fast votes from a classic quorum (Lamport's Fast Paxos, coordinated
+// recovery): a vote of fast round s is the promise of the round right after
+// s. paxos.Ballot has that round, (s, Rec): it sorts after s and before
+// s+1, belongs to s's owner and takes a classic quorum, so the coordinator
+// weighs its votes with the rule above and proposes at (s, Rec) at once — no
+// per-instance query, no promise synced on every acceptor's disk. The round
+// must be the adjacent one: at a fresh ballot of its own, above a rival's
+// round k > s that it has seen, the coordinator could choose the value its
+// votes favour where k already chose another (paxos
+// TestRecoveryRoundFollowsFastRound). A hedge, a fast instance still short of
+// a fast quorum after fastDecisionTimeout, recovers this way once a classic
+// quorum has voted. A collision waits for the last member's vote: its votes
+// never force a value (that is what a collision is), and a free choice made
+// before the last vote arrives can strand the value that vote carries; the
+// hedge recovers the instance if the vote never comes. Fewer votes than a
+// classic quorum, gap repair and a recovery restarted after RetryTimeout
+// still run phase 1 at a fresh ballot.
+//
 // The simulator's loop holds an entry for what will run and for nothing
 // else (sim/queue.go). Events — callbacks, posts, deliveries, disk
 // completions — are values in a 4-ary heap; an armed timer is one entry of

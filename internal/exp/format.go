@@ -391,8 +391,8 @@ func PrintAblation(w io.Writer, a AblationResult) {
 		fmt.Fprintln(w)
 		if ordering {
 			st := side.r.Paxos
-			fmt.Fprintf(w, "    %d decisions, %d collisions, recoveries %d collision / %d hedge / %d gap, %d retries, %d catch-ups\n",
-				st.Announced, st.Collisions, st.RecCollision, st.RecHedge, st.RecGap, st.Retries, st.CatchUps)
+			fmt.Fprintf(w, "    %d decisions, %d collisions, recoveries %d collision / %d hedge / %d gap (%d without phase 1), %d retries, %d catch-ups\n",
+				st.Announced, st.Collisions, st.RecCollision, st.RecHedge, st.RecGap, st.RecNoPhase1, st.Retries, st.CatchUps)
 		}
 	}
 }

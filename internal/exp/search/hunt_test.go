@@ -64,7 +64,10 @@ func TestPinnedCorpusReplaysClean(t *testing.T) {
 // pre-fix and passes post-fix. The hunt seed is chosen (like the paxos
 // regression seeds) so a leader partition/heal schedule falls inside a
 // small budget; the wedge itself is the real heal-time race, not a
-// scripted failure.
+// scripted failure. The race depends on the ordering path's timing, so a
+// change to it can move the race out of a seed's schedules: seed 26 held it
+// until fast-round recoveries stopped running phase 1; seed 138 finds it in
+// its second schedule and shrinks 12 events to 4.
 func TestHuntFindsShrinksAndPinsKnownBug(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hunt acceptance run in -short mode")
@@ -73,7 +76,7 @@ func TestHuntFindsShrinksAndPinsKnownBug(t *testing.T) {
 	defer func() { paxos.BugStaleLeaderRejoin = false }()
 
 	dir := t.TempDir()
-	rep := Hunt(Config{Seed: 26, Budget: 4, PinDir: dir, Log: os.Stderr, Base: exp.RunConfig{
+	rep := Hunt(Config{Seed: 138, Budget: 4, PinDir: dir, Log: os.Stderr, Base: exp.RunConfig{
 		Servers: 5, StateMB: 300, Browsers: 300, Measure: 120 * time.Second}})
 	if len(rep.Findings) == 0 {
 		t.Fatal("hunt against the known-bad engine found nothing")

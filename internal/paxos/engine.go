@@ -212,6 +212,10 @@ type Stats struct {
 	// instance below the frontier with no vote seen.
 	RecCollision, RecHedge, RecGap int64
 
+	// RecNoPhase1 counts the recoveries above that skipped phase 1: the
+	// coordinator's fast votes served as the promises of the recovery round.
+	RecNoPhase1 int64
+
 	Retries  int64 // own values re-proposed after RetryTimeout
 	CatchUps int64 // catch-up requests sent
 }
@@ -223,6 +227,7 @@ func (s *Stats) Add(o Stats) {
 	s.RecCollision += o.RecCollision
 	s.RecHedge += o.RecHedge
 	s.RecGap += o.RecGap
+	s.RecNoPhase1 += o.RecNoPhase1
 	s.Retries += o.Retries
 	s.CatchUps += o.CatchUps
 }

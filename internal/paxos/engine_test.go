@@ -21,11 +21,63 @@ type testCluster struct {
 
 	// onDeliver, when non-nil, additionally sees every delivered value.
 	onDeliver func(node int, inst InstanceID, v Value)
+
+	// onSend and onWrite, when non-nil, see every message an engine sends and
+	// every record it appends to its WAL, before the runtime does.
+	onSend  func(from, to env.NodeID, msg env.Message)
+	onWrite func(node env.NodeID, rec env.Record)
+
+	// recVals is the value each leader proposed at each instance of a
+	// recovery round, as checkLeader has seen them.
+	recVals map[recProposal]ValueID
+
+	// floors, when non-nil, is each node's delivery floor at boot (one past
+	// its checkpoint); nil boots every node at 0.
+	floors []InstanceID
+}
+
+// recProposal names an instance of a recovery round (whose owner is the
+// leader).
+type recProposal struct {
+	b    Ballot
+	inst InstanceID
 }
 
 type engineNode struct {
 	c  *testCluster
 	id int
+}
+
+// tapEnv is an engine's runtime with its sends and WAL appends shown to the
+// cluster's onSend and onWrite first.
+type tapEnv struct {
+	env.Env
+	c       *testCluster
+	storage env.Storage
+}
+
+func (e tapEnv) Send(to env.NodeID, msg env.Message) {
+	if e.c.onSend != nil {
+		e.c.onSend(e.ID(), to, msg)
+	}
+	e.Env.Send(to, msg)
+}
+
+func (e tapEnv) Storage() env.Storage { return e.storage }
+
+type tapStorage struct {
+	env.Storage
+	c  *testCluster
+	id env.NodeID
+}
+
+func (s tapStorage) AppendBatch(recs []env.Record, done func(error)) {
+	if s.c.onWrite != nil {
+		for _, r := range recs {
+			s.c.onWrite(s.id, r)
+		}
+	}
+	s.Storage.AppendBatch(recs, done)
 }
 
 func (n *engineNode) Start(e env.Env) {
@@ -49,7 +101,11 @@ func (n *engineNode) Start(e env.Env) {
 	}
 	en := New(cfg)
 	c.engines[n.id] = en
-	en.Boot(e, 0, nil)
+	var floor InstanceID
+	if c.floors != nil {
+		floor = c.floors[n.id]
+	}
+	en.Boot(tapEnv{Env: e, c: c, storage: tapStorage{Storage: e.Storage(), c: c, id: e.ID()}}, floor, nil)
 }
 
 func (n *engineNode) Receive(from env.NodeID, msg env.Message) {
@@ -80,6 +136,27 @@ func (c *testCluster) baseConfig() Config {
 
 func newCluster(t *testing.T, n int, fast bool, seed uint64, net sim.NetConfig) *testCluster {
 	t.Helper()
+	c := addEngines(t, n, fast, seed, net)
+	c.s.StartAll()
+	return c
+}
+
+// newClusterOnWAL is newCluster with wals[i] made durable on node i's WAL
+// before it boots, at delivery floor floors[i]: a cluster restarted whole.
+func newClusterOnWAL(t *testing.T, fast bool, seed uint64, wals [][]env.Record, floors []InstanceID) *testCluster {
+	t.Helper()
+	c := addEngines(t, len(wals), fast, seed, sim.NetConfig{})
+	c.floors = floors
+	for i, recs := range wals {
+		c.s.Storage(env.NodeID(i)).AppendBatch(recs, nil)
+	}
+	c.s.RunFor(time.Second) // the appends become durable
+	c.s.StartAll()
+	return c
+}
+
+// addEngines builds a cluster of n engine nodes that have not started.
+func addEngines(t *testing.T, n int, fast bool, seed uint64, net sim.NetConfig) *testCluster {
 	testFast = fast
 	c := &testCluster{
 		t:         t,
@@ -93,7 +170,6 @@ func newCluster(t *testing.T, n int, fast bool, seed uint64, net sim.NetConfig) 
 		id := i
 		c.s.AddNode(func() env.Node { return &engineNode{c: c, id: id} })
 	}
-	c.s.StartAll()
 	return c
 }
 

@@ -482,15 +482,55 @@ func (en *Engine) onFastVote(from env.NodeID, m *acceptedMsg) {
 	case best >= fq:
 		en.choose(m.Inst, vs.votes[bestAt].m.V)
 	case best+(en.n-total) < fq:
-		// Collision: no value can reach a fast quorum any more.
+		// Collision: no value can reach a fast quorum any more. That is
+		// exactly that no value meets selectValue's threshold over these
+		// votes, so they force none: recover now only once every member has
+		// voted (or to restart a recovery). A free choice over a partial
+		// collision could strand the value whose vote is still on its way;
+		// the hedge recovers the instance if that vote never comes.
 		if !vs.collided {
 			vs.collided = true
 			en.stats.Collisions++
 		}
-		if en.startRecovery(m.Inst) {
+		if (r.recovering() || total == en.n) && en.recoverVoted(m.Inst, r) {
 			en.stats.RecCollision++
 		}
 	}
+}
+
+// recoverVoted starts coordinated recovery at inst, where r holds fast votes,
+// and reports whether it started one. With votes from a classic quorum and
+// no recovery standing, the votes are the recovery round's promises
+// (recoverFromVotes); otherwise, and to restart a recovery, it runs phase 1
+// (startRecovery).
+func (en *Engine) recoverVoted(inst InstanceID, r *instState) bool {
+	if r.recovering() || len(r.votes.votes) < ClassicQuorum(en.n) {
+		return en.startRecovery(inst)
+	}
+	en.recoverFromVotes(inst, r)
+	return true
+}
+
+// recoverFromVotes recovers inst without a phase 1 (Fast Paxos, coordinated
+// recovery): the fast votes r holds, from at least a classic quorum, are the
+// phase-1b messages of the leader's recovery round (s, Rec), proposed there
+// with the value selectValue picks over them. No round lies between the fast
+// round s and (s, Rec), so no other coordinator can have chosen a value in
+// between — a fresh ballot of ours would leave room for one. It is the only
+// value proposed at (s, Rec) at inst: a restart runs startRecovery.
+func (en *Engine) recoverFromVotes(inst InstanceID, r *instState) {
+	ls := en.leader
+	reports := ls.reports[:0]
+	for _, fv := range r.votes.votes {
+		reports = append(reports, acceptedInfo(*fv.m))
+	}
+	v, _ := selectValue(reports, len(reports), en.n, en.placedElsewhere(inst))
+	clear(reports) // drop the values' command slices
+	ls.reports = reports
+	b := ls.b.recovery()
+	r.rec.b, r.rec.started = b, en.e.Now() // no replies come: the votes were the promises
+	en.stats.RecNoPhase1++
+	en.classicPropose(inst, b, v)
 }
 
 // startRecovery runs coordinated recovery for one instance: a
@@ -586,8 +626,8 @@ func (en *Engine) announceChosen(inst InstanceID, v Value) *chosenMsg {
 func (en *Engine) onNack(from env.NodeID, m nackMsg) {
 	en.noteBallot(m.Promised)
 	ls := en.leader
-	if ls == nil || !ls.b.Less(m.Promised) {
-		return
+	if ls == nil || !ls.b.Less(m.Promised) || m.Promised == ls.b.recovery() {
+		return // not above this leadership, or its own recovery round
 	}
 	if en.owner(m.Promised) != en.me {
 		// Someone outpaced us; stand down and let their round proceed.
@@ -639,7 +679,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 		case r.proposing(), r.recovering() && now.Sub(r.rec.started) < en.cfg.RetryTimeout:
 			// busy: a proposal or a recent recovery stands
 		case r.voting():
-			if now.Sub(r.votes.firstAt) > fastDecisionTimeout && en.startRecovery(i) {
+			if now.Sub(r.votes.firstAt) > fastDecisionTimeout && en.recoverVoted(i, r) {
 				en.stats.RecHedge++
 			}
 		case r == nil || r.gapAt.IsZero():

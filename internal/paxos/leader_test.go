@@ -30,7 +30,10 @@ func heldRecords(ls *leaderState) int {
 // record that is proposing that value; no recovering record proposes at the
 // leadership's own ballot (a client value taking a recovered instance, as a
 // fresh leader's first value once did); a record held in the window has a part
-// in use, and a record on the free list has none.
+// in use, and a record on the free list has none. Across the cluster's life, an
+// instance of a recovery round (s, Rec) is proposed one value: the fast votes
+// were its promises once, and a second value there could be chosen beside the
+// first.
 func (c *testCluster) checkLeader(en *Engine) {
 	c.t.Helper()
 	ls := en.leader
@@ -49,6 +52,15 @@ func (c *testCluster) checkLeader(en *Engine) {
 			c.t.Fatalf("node %d: instance %d holds a record with no part in use", en.me, inst)
 		case r.recovering() && r.proposing() && r.prop.b == ls.b:
 			c.t.Fatalf("node %d: instance %d is recovering at %v and proposing at the leader's ballot %v", en.me, inst, r.rec.b, ls.b)
+		case r.proposing() && r.prop.b.Rec:
+			if c.recVals == nil {
+				c.recVals = make(map[recProposal]ValueID)
+			}
+			at := recProposal{r.prop.b, inst}
+			if id, ok := c.recVals[at]; ok && id != r.prop.v.ID {
+				c.t.Fatalf("node %d: instance %d proposes %v at %v, where it proposed %v", en.me, inst, r.prop.v.ID, r.prop.b, id)
+			}
+			c.recVals[at] = r.prop.v.ID
 		}
 	}
 	for _, r := range ls.free {
@@ -202,13 +214,17 @@ func phase2(t *testing.T, en *Engine, inst InstanceID, first int, votes ...Value
 }
 
 // TestRecoveryKeepsCountingFastVotes pins the overlap of a leader record's
-// parts. n = 5, so a fast quorum is four votes. Three votes for one value,
-// then fastDecisionTimeout passes and the sweep hedges with a coordinated
-// recovery; no recovery reply comes back. The fourth vote must still decide
-// the instance by fast quorum — with the recovery only querying, and with its
-// phase 2 already standing. And while that phase 2 stands, a collision does
-// not restart the recovery until RetryTimeout has passed; the restarted
-// recovery's phase 2 then displaces the value proposed there.
+// parts. n = 5, so a fast quorum is four votes and a classic quorum three.
+// Votes for one value, then fastDecisionTimeout passes and the sweep hedges
+// with a coordinated recovery; no recovery reply comes back. The fourth vote
+// must still decide the instance by fast quorum — with the recovery only
+// querying (a hedge over two votes, short of a classic quorum, runs phase 1;
+// the third vote comes in while it does), and with its phase 2 already
+// standing (a hedge over three proposes at once at the recovery round). And
+// while a recovery's phase 2 stands — reached through phase 1 or from the
+// votes — a collision does not restart the recovery until RetryTimeout has
+// passed; the restarted recovery runs phase 1 at a fresh ballot, and its phase
+// 2 then displaces the value proposed there.
 func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 	// hedge hands the leader a fast vote per value, one per member, and lets
 	// the sweep start a hedging recovery.
@@ -223,15 +239,20 @@ func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 		if en.Stats().RecHedge != hedges+1 || !r.recovering() || !r.voting() {
 			t.Fatalf("after fastDecisionTimeout: %d hedges, recovering %v, voting %v", en.Stats().RecHedge-hedges, r.recovering(), r.voting())
 		}
+		if fromVotes := len(vals) >= ClassicQuorum(c.n); r.proposing() != fromVotes || fromVotes && r.prop.b != en.leader.b.recovery() {
+			t.Fatalf("a hedge over %d votes: proposing %v at %v", len(vals), r.proposing(), r.prop.b)
+		}
 		return r
 	}
 	for _, standing := range []bool{false, true} {
 		t.Run(fmt.Sprintf("phase2=%v", standing), func(t *testing.T) {
 			c, en := blockedFastLeader(t)
 			ls, inst, v := en.leader, en.firstUnchosen, val(1)
-			hedge(t, c, en, v, v, v)
 			if standing {
-				phase2(t, en, inst, 0, v, v, v)
+				hedge(t, c, en, v, v, v)
+			} else {
+				hedge(t, c, en, v, v)
+				en.onAccepted(2, &acceptedMsg{B: ls.b, Inst: inst, V: v})
 			}
 			c.checkLeader(en)
 			announced := en.Stats().Announced
@@ -247,47 +268,66 @@ func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 	}
 
 	t.Run("collision", func(t *testing.T) {
-		c, en := blockedFastLeader(t)
-		ls, inst := en.leader, en.firstUnchosen
-		r := hedge(t, c, en, val(1), val(2))
-		phase2(t, en, inst, 0, val(1), val(2), Value{})
-		b, st := r.rec.b, en.Stats()
-		en.onAccepted(2, &acceptedMsg{B: ls.b, Inst: inst, V: val(3)})
-		if en.Stats().Collisions != st.Collisions+1 || en.Stats().RecCollision != st.RecCollision || r.rec.b != b {
-			t.Fatalf("a collision within RetryTimeout: %d collisions, %d recoveries, ballot %v → %v",
-				en.Stats().Collisions-st.Collisions, en.Stats().RecCollision-st.RecCollision, b, r.rec.b)
+		for _, first := range []string{"queried", "from votes"} {
+			t.Run(first, func(t *testing.T) {
+				c, en := blockedFastLeader(t)
+				ls, inst := en.leader, en.firstUnchosen
+				votes := []Value{val(1), val(2)} // the first recovery queries
+				if first == "from votes" {
+					votes = []Value{val(1), val(1), val(2)} // a classic quorum: it proposes at once
+				}
+				r := hedge(t, c, en, votes...)
+				if first == "queried" {
+					phase2(t, en, inst, 0, val(1), val(2), Value{})
+				}
+				votes = append(votes, val(3), val(4)) // by member; the last two collide
+				late := func(from int) {
+					en.onAccepted(env.NodeID(from), &acceptedMsg{B: ls.b, Inst: inst, V: votes[from]})
+				}
+				b, st := r.rec.b, en.Stats()
+				late(len(votes) - 2)
+				if en.Stats().Collisions != st.Collisions+1 || en.Stats().RecCollision != st.RecCollision || r.rec.b != b {
+					t.Fatalf("a collision within RetryTimeout: %d collisions, %d recoveries, ballot %v → %v",
+						en.Stats().Collisions-st.Collisions, en.Stats().RecCollision-st.RecCollision, b, r.rec.b)
+				}
+				c.s.RunFor(en.cfg.RetryTimeout)
+				if r.rec.b != b || !r.proposing() || r.prop.b != b {
+					t.Fatalf("the sweep restarted the recovery whose phase 2 stands: ballot %v → %v", b, r.rec.b)
+				}
+				late(len(votes) - 1)
+				if en.Stats().RecCollision != st.RecCollision+1 || !b.Less(r.rec.b) || r.rec.b.Rec || en.Stats().Collisions != st.Collisions+1 {
+					t.Fatalf("a collision after RetryTimeout: %d recoveries, ballot %v → %v", en.Stats().RecCollision-st.RecCollision, b, r.rec.b)
+				}
+				if !r.voting() || r.prop.b == r.rec.b {
+					t.Fatal("the restarted recovery kept its old phase 2 or lost the votes")
+				}
+				// Its own phase 2 picks another value and displaces the one proposed
+				// there, whose inflightID entry goes with it.
+				displaced := r.prop.v.ID
+				replies := make([]Value, 3) // members 2 to 4, as they voted
+				copy(replies, votes[2:])
+				phase2(t, en, inst, 2, replies...)
+				if _, listed := ls.inflightID[displaced]; listed || r.prop.v.ID == displaced || ls.inflightID[r.prop.v.ID] != inst {
+					t.Fatalf("phase 2 proposes %v over %v; inflightID %v", r.prop.v.ID, displaced, ls.inflightID)
+				}
+				c.checkLeader(en)
+			})
 		}
-		c.s.RunFor(en.cfg.RetryTimeout)
-		if r.rec.b != b || !r.proposing() || r.prop.b != b {
-			t.Fatalf("the sweep restarted the recovery whose phase 2 stands: ballot %v → %v", b, r.rec.b)
-		}
-		en.onAccepted(3, &acceptedMsg{B: ls.b, Inst: inst, V: val(4)})
-		if en.Stats().RecCollision != st.RecCollision+1 || !b.Less(r.rec.b) || en.Stats().Collisions != st.Collisions+1 {
-			t.Fatalf("a collision after RetryTimeout: %d recoveries, ballot %v → %v", en.Stats().RecCollision-st.RecCollision, b, r.rec.b)
-		}
-		if !r.voting() || r.prop.b == r.rec.b {
-			t.Fatal("the restarted recovery kept its old phase 2 or lost the votes")
-		}
-		// Its own phase 2 picks another value and displaces the one proposed
-		// there, whose inflightID entry goes with it.
-		displaced := r.prop.v.ID
-		phase2(t, en, inst, 2, val(3), val(4), Value{})
-		if _, listed := ls.inflightID[displaced]; listed || r.prop.v.ID == displaced || ls.inflightID[r.prop.v.ID] != inst {
-			t.Fatalf("phase 2 proposes %v over %v; inflightID %v", r.prop.v.ID, displaced, ls.inflightID)
-		}
-		c.checkLeader(en)
 	})
 }
 
 // TestCollisionLoserPlaced: a free choice takes a value the leader has not
 // placed, when one is reported. n = 5, and values a < b. They reach the
 // acceptors in opposite orders, so they collide at two instances: X gets the
-// votes {a, a, b, b}, X+1 gets {b, b, a, a}. X's recovery hears {a, b, none}
-// and proposes a, the lower ID. X+1's hears {b, a, none}; a is being proposed
-// at X, so X+1 must propose b. Proposing a there as well left b with no vote
-// anywhere until its proposer re-sent it after RetryTimeout. The same holds
-// when a new leader's promises leave two open instances a free choice over
-// {a, b}.
+// votes {a, a, b, b}, X+1 gets {b, b, a, a}. Neither collision forces a value,
+// so neither recovers until the hedge, which recovers both from their votes, X
+// first. X's recovery weighs {a, a, b, b} and proposes a, the lower ID. X+1's
+// weighs {b, b, a, a}; a is being proposed at X, so X+1 must propose b.
+// Proposing a there as well left b with no vote anywhere until its proposer
+// re-sent it after RetryTimeout. The same holds for a hedge over two votes
+// each, {a, b} and {b, a}, which runs phase 1 and chooses over the replies
+// {a, b, none} and {b, a, none}; and when a new leader's promises leave two
+// open instances a free choice over {a, b}.
 func TestCollisionLoserPlaced(t *testing.T) {
 	a, b := val(1), val(2)
 	proposed := func(t *testing.T, ls *leaderState, x InstanceID) {
@@ -300,18 +340,38 @@ func TestCollisionLoserPlaced(t *testing.T) {
 		}
 	}
 
+	vote := func(en *Engine, inst InstanceID, votes ...Value) {
+		for from, v := range votes {
+			en.onAccepted(env.NodeID(from), &acceptedMsg{B: en.leader.b, Inst: inst, V: v})
+		}
+	}
+
+	t.Run("from votes", func(t *testing.T) {
+		c, en := blockedFastLeader(t)
+		ls, x, st := en.leader, en.firstUnchosen, en.Stats()
+		vote(en, x, a, a, b, b)
+		vote(en, x+1, b, b, a, a)
+		if got := en.Stats(); got.Collisions != st.Collisions+2 || got.RecCollision != st.RecCollision {
+			t.Fatalf("%d collisions and %d recoveries, want 2 and none", got.Collisions-st.Collisions, got.RecCollision-st.RecCollision)
+		}
+		c.s.RunFor(100 * time.Millisecond)
+		if got := en.Stats(); got.RecHedge != st.RecHedge+2 || got.RecNoPhase1 != st.RecNoPhase1+2 {
+			t.Fatalf("%d hedges, %d of them from the votes, want 2 and 2", got.RecHedge-st.RecHedge, got.RecNoPhase1-st.RecNoPhase1)
+		}
+		proposed(t, ls, x)
+		c.checkLeader(en)
+	})
+
+	// Two votes each, short of a classic quorum: the hedges run phase 1, and
+	// the free choice is made over the recovery replies (onRecInfo).
 	t.Run("recovery", func(t *testing.T) {
 		c, en := blockedFastLeader(t)
 		ls, x, st := en.leader, en.firstUnchosen, en.Stats()
-		collide := func(inst InstanceID, votes ...Value) {
-			for from, v := range votes {
-				en.onAccepted(env.NodeID(from), &acceptedMsg{B: ls.b, Inst: inst, V: v})
-			}
-		}
-		collide(x, a, a, b, b)
-		collide(x+1, b, b, a, a)
-		if got := en.Stats(); got.Collisions != st.Collisions+2 || got.RecCollision != st.RecCollision+2 {
-			t.Fatalf("%d collisions and %d recoveries, want 2 and 2", got.Collisions-st.Collisions, got.RecCollision-st.RecCollision)
+		vote(en, x, a, b)
+		vote(en, x+1, b, a)
+		c.s.RunFor(100 * time.Millisecond)
+		if got := en.Stats(); got.RecHedge != st.RecHedge+2 || got.RecNoPhase1 != st.RecNoPhase1 {
+			t.Fatalf("%d hedges, %d of them from the votes, want 2 and none", got.RecHedge-st.RecHedge, got.RecNoPhase1-st.RecNoPhase1)
 		}
 		phase2(t, en, x, 0, a, b, Value{})
 		phase2(t, en, x+1, 0, b, a, Value{})

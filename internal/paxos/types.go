@@ -36,19 +36,29 @@ type InstanceID int64
 // its phase-2 quorum is ⌈3N/4⌉ instead of a majority, and acceptors may
 // accept proposer values directly. The owner fixes the Fast bit when it
 // first uses the ballot, so a given Seq is never used both ways.
+//
+// Rec marks the recovery round of fast round Seq: a classic round that
+// sorts after (Seq, fast) and before Seq+1, owned by Seq's owner. No round
+// lies between the two, so the fast round's votes serve as the recovery
+// round's promises (see recoverFromVotes).
 type Ballot struct {
 	Seq  int64
 	Fast bool
+	Rec  bool
 }
 
 // ballotNone sorts below every real ballot.
 var ballotNone = Ballot{Seq: -1}
 
-// Less orders ballots by sequence number.
-func (b Ballot) Less(o Ballot) bool { return b.Seq < o.Seq }
+// Less orders ballots by sequence number, a recovery round right after the
+// round of its Seq.
+func (b Ballot) Less(o Ballot) bool { return b.Seq < o.Seq || b.Seq == o.Seq && !b.Rec && o.Rec }
 
-// LessEq reports b.Seq <= o.Seq.
-func (b Ballot) LessEq(o Ballot) bool { return b.Seq <= o.Seq }
+// LessEq reports !o.Less(b).
+func (b Ballot) LessEq(o Ballot) bool { return !o.Less(b) }
+
+// recovery returns the recovery round of fast ballot b.
+func (b Ballot) recovery() Ballot { return Ballot{Seq: b.Seq, Rec: true} }
 
 // Owner returns the node index owning this ballot in a cluster of n nodes.
 func (b Ballot) Owner(n int) env.NodeID {
@@ -61,8 +71,11 @@ func (b Ballot) Owner(n int) env.NodeID {
 // String implements fmt.Stringer.
 func (b Ballot) String() string {
 	kind := "c"
-	if b.Fast {
+	switch {
+	case b.Fast:
 		kind = "f"
+	case b.Rec:
+		kind = "r"
 	}
 	return fmt.Sprintf("%d%s", b.Seq, kind)
 }
@@ -249,8 +262,9 @@ type forwardMsg struct {
 
 func (m forwardMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
-// recQueryMsg is a per-instance phase 1a used for coordinated recovery of
-// a collided or stalled fast instance.
+// recQueryMsg is a per-instance phase 1a used for coordinated recovery where
+// the coordinator's fast votes cannot stand in for it: fewer than a classic
+// quorum voted, gap repair, or a recovery restarted after RetryTimeout.
 type recQueryMsg struct {
 	B    Ballot
 	Inst InstanceID
