@@ -144,6 +144,19 @@
 // classic quorum, gap repair and a recovery restarted after RetryTimeout
 // still run phase 1 at a fresh ballot.
 //
+// An acceptor answers from one floor: below it its votes were compacted
+// away, at or above it the log holds every vote it cast. A promise lists
+// votes from there, and a recovery query below it goes unanswered, since
+// "never voted" could let a recovery choose a second value. An accept is
+// taken lower, wherever the log still holds the slot: a node that boots
+// below its last compaction barrier, its checkpoint older than the barrier,
+// still votes there (paxos TestVoteBelowBarrierFloor), and the log's base
+// never lies above the floor, so every vote a promise lists is one an accept
+// can replace. What the node has delivered plays no part. When it did, a
+// node whose delivery floor was above its vote floor listed votes it would
+// not replace, and after a whole-group restart a fast round of three, which
+// needs every ack, stalled on them.
+//
 // The simulator's loop holds an entry for what will run and for nothing
 // else (sim/queue.go). Events — callbacks, posts, deliveries, disk
 // completions — are values in a 4-ary heap; an armed timer is one entry of

@@ -5,7 +5,8 @@
 // event-driven style against the Env interface and is therefore runtime
 // agnostic: the same code runs on the deterministic virtual-time simulator
 // (internal/sim) used by the paper-reproduction experiments and on the real
-// goroutine runtime (internal/livenet) used by the examples and commands.
+// goroutine runtime (internal/livenet) used by cmd/robuststore and the live
+// tests.
 //
 // Concurrency contract: every callback into a node — Start, Receive, timer
 // callbacks, storage completions — is executed serially on that node's

@@ -1,8 +1,8 @@
 // Package livenet is the real-time runtime for the protocol stack: each
 // node runs a goroutine event loop, messages travel over in-process
-// channels with configurable latency and loss, timers use the wall clock,
-// and stable storage is crash-durable within the process. The examples
-// and commands run the same env.Node implementations (internal/core,
+// channels with configurable latency, timers use the wall clock, and
+// stable storage is crash-durable within the process. cmd/robuststore and
+// the live tests run the same env.Node implementations (internal/core,
 // internal/paxos) on this runtime that the experiments run on the
 // deterministic simulator.
 //
@@ -28,13 +28,6 @@ import (
 type Config struct {
 	// Latency delays each delivered message (one way). Default 200 µs.
 	Latency time.Duration
-
-	// Jitter adds up to this much extra random delay. Default 0.
-	Jitter time.Duration
-
-	// DropRate silently drops this fraction of messages (fault
-	// injection in tests). Default 0.
-	DropRate float64
 
 	// Seed feeds the per-node deterministic streams handed to protocol
 	// code (message delivery order is still scheduler-dependent).
@@ -341,9 +334,6 @@ func (e *liveEnv) Send(to env.NodeID, msg env.Message) {
 	if link.Blocked() {
 		return
 	}
-	if c.cfg.DropRate > 0 && rand.Float64() < c.cfg.DropRate {
-		return
-	}
 	if link.Loss > 0 && rand.Float64() < link.Loss {
 		return
 	}
@@ -357,9 +347,6 @@ func (e *liveEnv) Send(to env.NodeID, msg env.Message) {
 		}
 	}
 	delay := c.cfg.Latency
-	if c.cfg.Jitter > 0 {
-		delay += time.Duration(rand.Int63n(int64(c.cfg.Jitter)))
-	}
 	if link.Delay > 0 {
 		delay = time.Duration(float64(delay) * link.Delay)
 	}

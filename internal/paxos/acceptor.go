@@ -6,6 +6,9 @@ import "robuststore/internal/env"
 // Every state change is persisted to the WAL before the corresponding
 // reply is sent, so a crashed acceptor rejoins without ever contradicting
 // its earlier votes.
+//
+// The acceptor reads one floor, votesFrom, and nothing the learner keeps:
+// what this node has delivered says nothing about the votes it holds.
 
 // effPromised returns the effective promise for an instance: the global
 // range promise combined with any per-instance promise made during
@@ -28,10 +31,10 @@ func (en *Engine) onPrepare(from env.NodeID, m prepareMsg) {
 		return
 	}
 	en.promised = m.B
-	// Below voteFloor the votes were compacted away, which is not "never
+	// Below the floor the votes were compacted away, which is not "never
 	// voted": the promise must say where its knowledge starts, or a new
 	// leader would fill decided instances with no-ops (see establish).
-	reply := promiseMsg{B: m.B, From: max(m.From, en.voteFloor)}
+	reply := promiseMsg{B: m.B, From: max(m.From, en.votesFrom())}
 	// The promise's accepted list is network-visible: the walk lists the
 	// votes in instance order, the same message bytes on every run, and
 	// costs the tail from reply.From up, not the whole retained log.
@@ -49,7 +52,7 @@ func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
 		return
 	}
 	en.noteBallot(m.B)
-	if m.Inst < en.retainedFrom {
+	if m.Inst < en.log.Base() {
 		return // compacted away; the value was long since chosen
 	}
 	eff := en.effPromised(m.Inst)
@@ -173,7 +176,7 @@ func (en *Engine) onRecQuery(from env.NodeID, m recQueryMsg) {
 		return
 	}
 	en.noteBallot(m.B)
-	if m.Inst < max(en.retainedFrom, en.voteFloor) {
+	if m.Inst < en.votesFrom() {
 		// Silent, not "never voted": the vote may have been compacted
 		// away (establish relies on this quorum needing a real voter).
 		return

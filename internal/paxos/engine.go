@@ -280,6 +280,13 @@ func (en *Engine) votedAt(inst InstanceID) *acceptedMsg {
 	return nil
 }
 
+// votesFrom is the acceptor's one floor: its votes below it were compacted
+// away, and at or above it the log holds every vote this node cast. The log's
+// base is never above it — replay resets the log to the lower of a barrier's
+// floor and the delivery floor, and Compact sets the two equal — so every
+// vote a promise lists sits where an accept can replace it (onAccept).
+func (en *Engine) votesFrom() InstanceID { return en.voteFloor }
+
 // chosenAt returns the value this node knows decided at inst, if any.
 func (en *Engine) chosenAt(inst InstanceID) (Value, bool) {
 	if s := en.log.At(inst); s != nil && s.chosen != nil {

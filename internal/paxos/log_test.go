@@ -162,13 +162,10 @@ func TestVoteBelowBarrierFloor(t *testing.T) {
 // only consensus can give them 10–19: node 2 serves catch-up from 20 up.
 //
 // A classic round is decided by nodes 0 and 1. A fast round needs all three
-// acks at n = 3, and node 2 drops every accept below its delivery floor
-// without a nack, while its promise still listed the votes there. That is a
-// known stall, and the fast case skips on exactly that signature. It lasts
-// until the leader turns classic, which this schedule never makes it do. Fix
-// candidates: promise from max(From, voteFloor, retainedFrom), or vote
-// below the delivery floor where the log still holds the slot. Either fix
-// turns the skip into a pass.
+// acks at n = 3, so node 2 must vote at 10–19, below its delivery floor: its
+// promise listed its votes there, and an acceptor takes an accept wherever
+// its log holds the slot. Were it to drop those accepts, the fast round would
+// stall until the leader turned classic, which this schedule never makes it do.
 func TestRestartAboveVoteFloor(t *testing.T) {
 	const lo, hi = 10, 20
 	old := Ballot{Seq: 1}
@@ -197,12 +194,6 @@ func TestRestartAboveVoteFloor(t *testing.T) {
 		if got := c.delivered[2]; len(got) != 1 || got[0] != "new" {
 			t.Fatalf("node 2 delivered %q, want [new]", got)
 		}
-		if fast && len(c.delivered[0]) == 0 {
-			r, en2 := lead.leader.at(lo), c.engines[2]
-			if r.proposing() && r.prop.b == lead.leader.b && en2.retainedFrom == hi && en2.votedAt(lo).B == old {
-				t.Skipf("known stall: instance %d proposed at %v, node 2 (delivery floor %d) never votes there", lo, r.prop.b, hi)
-			}
-		}
 		for id := 0; id < 2; id++ {
 			got := c.delivered[id]
 			for k, cmd := range got {
@@ -213,6 +204,76 @@ func TestRestartAboveVoteFloor(t *testing.T) {
 			c.requireDelivered(id, hi-lo+1)
 		}
 	})
+}
+
+// TestListedVotesCanBeReplaced: an acceptor answers every question from one
+// floor. Over boots with a delivery floor, a compaction barrier's floor or
+// none, and votes on either side of both, every instance a promise lists is
+// one where an accept at the promised ballot draws a phase 2b and a recovery
+// query at a higher one draws the new vote. A listed vote that an accept
+// cannot replace stalls a fast round of three, which needs every ack.
+func TestListedVotesCanBeReplaced(t *testing.T) {
+	const split, end = 20, 30                                        // votes at [0, split), the barrier, votes at [split, end)
+	old, next, rec := Ballot{Seq: 1}, Ballot{Seq: 3}, Ballot{Seq: 5} // all the peer's
+	for _, barrier := range []InstanceID{-1, 10, split} {
+		for _, deliver := range []InstanceID{0, 10, 15, 25, 40} {
+			t.Run(fmt.Sprintf("barrier=%d/deliver=%d", barrier, deliver), func(t *testing.T) {
+				wal, floor := voteRecords(old, 0, split), InstanceID(0)
+				if barrier >= 0 {
+					c := compactRec{Floor: barrier, Promised: old}
+					for _, r := range wal[barrier:] {
+						c.Accepted = append(c.Accepted, r.Data.(*acceptedMsg))
+					}
+					wal, floor = append(wal, env.Record{Kind: "compact", Data: c, Size: 128}), barrier
+				}
+				wal = append(wal, voteRecords(old, split, end)...)
+				b := bootOnWAL(t, wal, deliver)
+				b.handle(prepareMsg{B: next, From: 0})
+				p := b.promise(t)
+				if p.From != floor {
+					t.Fatalf("promise speaks from instance %d, want the vote floor %d", p.From, floor)
+				}
+				requireVotes(t, p, floor, end)
+
+				newValue := func(i InstanceID) ValueID { return ValueID{Node: 1, Epoch: 2, Seq: int64(i) + 1} }
+				b.sent = nil
+				b.s.At(b.s.Now(), func() {
+					for _, a := range p.Accepted {
+						b.en.Handle(1, acceptMsg{B: next, Inst: a.Inst, V: Value{ID: newValue(a.Inst), Size: 64}})
+					}
+				})
+				b.run()
+				voted := make(map[InstanceID]bool)
+				for _, m := range b.sent {
+					if a, ok := m.(*acceptedMsg); ok && a.B == next && a.V.ID == newValue(a.Inst) {
+						voted[a.Inst] = true
+					}
+				}
+
+				b.sent = nil
+				b.s.At(b.s.Now(), func() {
+					for _, a := range p.Accepted {
+						b.en.Handle(1, recQueryMsg{B: rec, Inst: a.Inst})
+					}
+				})
+				b.run()
+				answered := make(map[InstanceID]bool)
+				for _, m := range b.sent {
+					if r, ok := m.(recInfoMsg); ok && r.B == rec && r.Voted && r.VB == next && r.V.ID == newValue(r.Inst) {
+						answered[r.Inst] = true
+					}
+				}
+				for _, a := range p.Accepted {
+					if !voted[a.Inst] {
+						t.Errorf("the promise listed instance %d, but an accept at %v there drew no phase 2b", a.Inst, next)
+					}
+					if !answered[a.Inst] {
+						t.Errorf("the promise listed instance %d, but a recovery query at %v there drew no report of the new vote", a.Inst, rec)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestPromiseListsTailAscending: a promise lists the votes from

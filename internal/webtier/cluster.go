@@ -228,7 +228,7 @@ func (c *Cluster) addServer(idx, g int, learner bool) {
 		panic("webtier: servers must be added in layout order")
 	}
 	id := c.sim.AddNode(func() env.Node {
-		s := &Server{c: c, idx: idx, group: g, learner: learner}
+		s := &Server{c: c, idx: idx}
 		c.servers[idx].cur = s
 		return s
 	})

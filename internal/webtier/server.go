@@ -76,10 +76,8 @@ func (m probeRespMsg) WireSize() int64 { return 128 }
 // Treplica replica over the bookstore store plus a CPU model. A fresh
 // Server is built per incarnation; the simulated disk underneath survives.
 type Server struct {
-	c       *Cluster
-	idx     int  // flat server index (layout.go)
-	group   int  // Paxos group (shard) this server belongs to
-	learner bool // read-only server backed by a non-voting learner replica
+	c   *Cluster
+	idx int // flat server index (layout.go): the cluster's record is c.servers[idx]
 
 	e       env.Env
 	cpu     *sim.Resource
@@ -111,6 +109,11 @@ type Server struct {
 
 var _ env.Node = (*Server)(nil)
 
+// group is the Paxos group (shard) this server belongs to; learner reports a
+// read-only server backed by a non-voting learner replica.
+func (s *Server) group() int    { return s.c.servers[s.idx].group }
+func (s *Server) learner() bool { return s.c.servers[s.idx].learner }
+
 // Start implements env.Node.
 func (s *Server) Start(e env.Env) {
 	s.e = e
@@ -122,11 +125,11 @@ func (s *Server) Start(e env.Env) {
 	// the proxy node, other groups' servers, nor this group's readers are
 	// Treplica members. Voters announce decided values and heartbeats to
 	// the group's learners; a learner engine only listens.
-	pcfg.Members = s.c.groups[s.group].members
-	if s.learner {
+	pcfg.Members = s.c.groups[s.group()].members
+	if s.learner() {
 		pcfg.Learner = true
 	} else {
-		pcfg.Learners = s.c.groups[s.group].learners
+		pcfg.Learners = s.c.groups[s.group()].learners
 	}
 	cfg := core.Config{
 		FastPaxos:          s.c.cfg.FastPaxos,
@@ -172,7 +175,7 @@ func (s *Server) Start(e env.Env) {
 			// the readiness rescans ran, which is the one window those
 			// rescans cannot see (coordinator crash after deciding, its
 			// own branch replaying into the fresh incarnation).
-			if !s.learner {
+			if !s.learner() {
 				s.armTxnResolve(id, home)
 			}
 		},
@@ -397,7 +400,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 		s.respond(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
 		return
 	}
-	if s.c.GroupOf(m.Req.Client) != s.group {
+	if s.c.GroupOf(m.Req.Client) != s.group() {
 		// The session moved to another group while this request was in
 		// flight (routing-epoch cutover): redirect, don't serve stale.
 		s.respond(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}, WrongEpoch: true})
@@ -416,11 +419,11 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 			// Fenced read behind the session's commit index: wait for the
 			// replica to catch up, bounded; past the bound, answer
 			// TooStale so the proxy retries on a fresher server.
-			s.c.groups[s.group].fenceWaits++
+			s.c.groups[s.group()].fenceWaits++
 			s.replica.ReadAt(m.Fence, s.c.cfg.Cal.fenceWait(),
 				func(core.StateMachine, paxos.InstanceID) { r.read() },
 				func() {
-					s.c.groups[s.group].staleServes++
+					s.c.groups[s.group()].staleServes++
 					r.send(respMsg{ID: r.m.ID, Resp: rbe.Response{Err: true}, TooStale: true})
 				})
 			return
@@ -428,7 +431,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 		r.read()
 		return
 	}
-	if s.learner {
+	if s.learner() {
 		// Read-only server: the proxy never routes writes here, but a
 		// raced dispatch must not wedge — fail it back for a retry.
 		s.respond(proxy, respMsg{ID: m.ID, Resp: rbe.Response{Err: true}})
@@ -455,7 +458,7 @@ func (r *request) serve() {
 		s.c.fenceViolations++
 	}
 	resp := s.performRead(&r.m.Req)
-	s.c.groups[s.group].readsServed++
+	s.c.groups[s.group()].readsServed++
 	r.send(respMsg{ID: r.m.ID, Resp: resp, Page: s.c.cfg.Cal.PageSize})
 }
 

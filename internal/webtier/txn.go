@@ -189,17 +189,17 @@ func (s *Server) runTxn(branches map[int]txnBranch, onDecided func(commit bool))
 	}
 	s.txnCoords[id] = co
 	for _, g := range groups {
-		if g == s.group {
+		if g == s.group() {
 			br := branches[g]
 			gg := g
-			s.replica.SubmitIndexed(core.TxnPrepare{ID: id, Home: s.group, Action: br.action, Keys: br.keys},
+			s.replica.SubmitIndexed(core.TxnPrepare{ID: id, Home: s.group(), Action: br.action, Keys: br.keys},
 				func(result any, _ paxos.InstanceID, err error) {
 					vr, ok := result.(core.TxnVoteResult)
 					if err == nil && ok && vr.Prepared {
 						// The coordinator's own branch is prepared too:
 						// arm resolution in case this server wedges
 						// between prepare and decision.
-						s.armTxnResolve(id, s.group)
+						s.armTxnResolve(id, s.group())
 					}
 					s.txnVote(id, gg, err == nil && ok && vr.Prepared)
 				})
@@ -224,7 +224,7 @@ func (s *Server) txnSendPrepare(id string, g int) {
 	target := members[co.attempts[g]%len(members)]
 	co.attempts[g]++
 	br := co.branches[g]
-	s.e.Send(target, txnPrepareMsg{ID: id, Home: s.group, Group: g, Action: br.action, Keys: br.keys})
+	s.e.Send(target, txnPrepareMsg{ID: id, Home: s.group(), Group: g, Action: br.action, Keys: br.keys})
 	s.e.After(txnPrepareRetry, func() { s.txnSendPrepare(id, g) })
 }
 
@@ -287,7 +287,7 @@ func (s *Server) txnFanout(id string) {
 		return
 	}
 	for _, g := range co.groups {
-		if g == s.group {
+		if g == s.group() {
 			s.txnLocalOutcome(id)
 		} else {
 			s.txnSendOutcome(id, g)
@@ -300,7 +300,7 @@ func (s *Server) txnFanout(id string) {
 // every other branch is remote), retrying while the replica is unready.
 func (s *Server) txnLocalOutcome(id string) {
 	co := s.txnCoords[id]
-	if co == nil || co.acked[s.group] {
+	if co == nil || co.acked[s.group()] {
 		return
 	}
 	s.submitTxnOutcome(id, co.commit, func(applied bool) {
@@ -308,7 +308,7 @@ func (s *Server) txnLocalOutcome(id string) {
 			s.e.After(txnOutcomeRetry, func() { s.txnLocalOutcome(id) })
 			return
 		}
-		s.txnAck(id, s.group)
+		s.txnAck(id, s.group())
 	})
 }
 
@@ -349,7 +349,7 @@ func (s *Server) txnAck(id string, g int) {
 // votes back. A duplicate (the coordinator rotated members, or retried)
 // re-votes from the recorded state — core's prepare is idempotent per ID.
 func (s *Server) onTxnPrepare(from env.NodeID, m txnPrepareMsg) {
-	if s.learner || s.replica == nil || !s.replica.Ready() {
+	if s.learner() || s.replica == nil || !s.replica.Ready() {
 		return // the coordinator's rotation finds another member
 	}
 	s.replica.SubmitIndexed(core.TxnPrepare{ID: m.ID, Home: m.Home, Action: m.Action, Keys: m.Keys},
@@ -366,7 +366,7 @@ func (s *Server) onTxnPrepare(from env.NodeID, m txnPrepareMsg) {
 				// partition), resolve from the home group's decision state.
 				s.armTxnResolve(m.ID, m.Home)
 			}
-			s.e.Send(from, txnVoteMsg{ID: m.ID, Group: s.group, OK: vr.Prepared})
+			s.e.Send(from, txnVoteMsg{ID: m.ID, Group: s.group(), OK: vr.Prepared})
 		})
 }
 
@@ -380,14 +380,14 @@ func (s *Server) onTxnVote(m txnVoteMsg) {
 // (the record degrades to an ordered no-op) so the coordinator's retry
 // loop terminates.
 func (s *Server) onTxnOutcome(from env.NodeID, m txnOutcomeMsg) {
-	if s.learner || s.replica == nil || !s.replica.Ready() {
+	if s.learner() || s.replica == nil || !s.replica.Ready() {
 		return
 	}
 	s.submitTxnOutcome(m.ID, m.Commit, func(applied bool) {
 		if !applied {
 			return // coordinator retries
 		}
-		s.e.Send(from, txnAckMsg{ID: m.ID, Group: s.group})
+		s.e.Send(from, txnAckMsg{ID: m.ID, Group: s.group()})
 	})
 }
 
@@ -405,7 +405,7 @@ func (s *Server) onTxnAck(m txnAckMsg) {
 // branch, stranded by its crash), the outcome record is ordered here too
 // so the branch's blocked keys release without waiting for a restart.
 func (s *Server) onTxnStatus(from env.NodeID, m txnStatusMsg) {
-	if s.learner || s.replica == nil || !s.replica.Ready() {
+	if s.learner() || s.replica == nil || !s.replica.Ready() {
 		return
 	}
 	answer := func(commit bool) {
@@ -430,7 +430,7 @@ func (s *Server) onTxnStatus(from env.NodeID, m txnStatusMsg) {
 
 // onTxnStatusResp resolves a prepared branch from an answered inquiry.
 func (s *Server) onTxnStatusResp(m txnStatusRespMsg) {
-	if !m.Known || s.learner || s.replica == nil || !s.replica.Ready() {
+	if !m.Known || s.learner() || s.replica == nil || !s.replica.Ready() {
 		return
 	}
 	s.submitTxnOutcome(m.ID, m.Commit, nil)
@@ -455,9 +455,9 @@ func (s *Server) submitTxnOutcome(id string, commit bool, done func(applied bool
 		}
 		if ar.First {
 			if commit {
-				s.c.groups[s.group].txnCommits++
+				s.c.groups[s.group()].txnCommits++
 			} else {
-				s.c.groups[s.group].txnAborts++
+				s.c.groups[s.group()].txnAborts++
 			}
 		}
 		if done != nil {
@@ -508,7 +508,7 @@ func (s *Server) txnStillPrepared(id string) bool {
 // checkpoint-carried and log-replayed, so a participant crash between
 // prepare and outcome always comes back knowing exactly what it holds.
 func (s *Server) armTxnRecovery() {
-	if s.learner || s.replica == nil {
+	if s.learner() || s.replica == nil {
 		return
 	}
 	for _, p := range s.replica.PreparedTxns() {
@@ -570,7 +570,7 @@ func (s *Server) withTxnGate(r *request) {
 	start := s.e.Now()
 	deadline := start.Add(txnBlockDeadline)
 	accrue := func() {
-		s.c.groups[s.group].txnBlockedNs += s.e.Now().Sub(start).Nanoseconds()
+		s.c.groups[s.group()].txnBlockedNs += s.e.Now().Sub(start).Nanoseconds()
 	}
 	var retry func()
 	retry = func() {
@@ -631,7 +631,7 @@ func (s *Server) performGiftPurchase(r *request) {
 	}
 	ship := now.AddDate(0, 0, 1+s.e.Rand().Intn(7)) // random pre-submit
 	rg := s.c.CustomerGroup(req.Peer)
-	if rg == s.group {
+	if rg == s.group() {
 		// Single-group fast path: the merged action, plain submit, no
 		// transaction records — bit-identical to the pre-2PC path.
 		s.replica.SubmitIndexed(tpcw.GiftOrderAction{
@@ -647,8 +647,8 @@ func (s *Server) performGiftPurchase(r *request) {
 		ShipType: "AIR", ShipDate: ship, Tag: req.Tag, Now: now,
 	}
 	s.runTxn(map[int]txnBranch{
-		s.group: {action: debit, keys: tpcw.TxnKeys(debit)},
-		rg:      {action: deliver, keys: tpcw.TxnKeys(deliver)},
+		s.group(): {action: debit, keys: tpcw.TxnKeys(debit)},
+		rg:        {action: deliver, keys: tpcw.TxnKeys(deliver)},
 	}, r.decided)
 }
 
@@ -680,7 +680,7 @@ func (s *Server) performStockSweep(r *request) {
 		byGroup[g] = append(byGroup[g], id)
 	}
 	if len(byGroup) == 1 {
-		if items, local := byGroup[s.group]; local {
+		if items, local := byGroup[s.group()]; local {
 			// Single-group fast path, plain submit, no records.
 			s.replica.SubmitIndexed(tpcw.InventorySweepAction{Items: items, Cost: req.Cost, Tag: req.Tag, Now: now}, r.applied)
 			return
