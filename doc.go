@@ -63,9 +63,11 @@
 // learner delivers in instance order, and every promise/accept is durable
 // before its reply leaves the node (WAL-before-ack). Above the
 // engine, a rockyardkv-style write-admission controller grades the local
-// command backlog (slowdown/stop thresholds with hysteresis,
-// paxos.AdmissionConfig) and the web tier paces or holds writes at the
-// tier boundary (core.Replica.AdmissionHint), so overload degrades to
+// command backlog (slowdown at 8 and stop at 32 proposer windows, with
+// hysteresis; paxos/admission.go), and one gate reads that grade: the
+// server a write reached paces, holds or sheds it (webtier request.admit,
+// on core.Replica.AdmissionState) — the proxy, like the paper's HAProxy,
+// cannot see a queue and gates nothing — so overload degrades to
 // queueing latency instead of retry-timeout storms. cmd/experiment -run
 // batching measures what this buys on the same simulated disk: saturation
 // actions/s of the reference pipeline against wider batches and a deeper

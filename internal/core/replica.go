@@ -336,17 +336,9 @@ type Replica struct {
 	pubHasLeader   atomic.Bool
 	pubIsLeader    atomic.Bool
 	pubBacklog     atomic.Int64
-	pubAdmission   atomic.Int32
-	pubAdmissionAt atomic.Int64 // UnixNano of the last publish tick
 	pubLastApplied atomic.Int64
 	pubApplied     atomic.Int64
 	pubEnv         atomic.Value // env.Env, set once at Start
-
-	// publishFrozen stops publishLoop from refreshing the hints while the
-	// loop itself keeps rescheduling — a test hook modeling a starved
-	// publisher (GC stall, scheduler starvation) whose consumers must not
-	// act on the frozen snapshot.
-	publishFrozen atomic.Bool
 
 	// Checkpoint accounting (published): full base images and delta
 	// layers written this incarnation, and their total bytes.
@@ -658,9 +650,7 @@ func (r *Replica) fireFences() {
 }
 
 // PublishInterval is the refresh period of the published introspection
-// hints (LeaderHint, BacklogHint, AdmissionHint). Consumers that act on a
-// hint should treat one older than a small multiple of this as unknown —
-// see AdmissionHintAge.
+// hints (HasLeader, LeaderHint, BacklogHint).
 const PublishInterval = 100 * time.Millisecond
 
 // publishLoop publishes now and then every PublishInterval, on one timer
@@ -678,26 +668,11 @@ func (r *Replica) publishLoop() {
 // application goroutines can await service readiness and aggregate
 // per-group metrics (internal/shard) without touching loop state.
 func (r *Replica) publish() {
-	if r.en != nil && !r.publishFrozen.Load() {
+	if r.en != nil {
 		r.pubHasLeader.Store(r.en.CurrentBallot().Seq >= 0)
 		r.pubIsLeader.Store(r.en.IsLeader())
 		r.pubBacklog.Store(r.en.Backlog())
-		r.pubAdmission.Store(int32(r.en.AdmissionState()))
-		r.pubAdmissionAt.Store(r.e.Now().UnixNano())
 	}
-}
-
-// FreezePublish stops (true) or resumes (false) hint refreshing without
-// stopping the publish timer — a test hook for exercising stale-hint
-// handling in consumers. Safe from any goroutine.
-func (r *Replica) FreezePublish(frozen bool) { r.publishFrozen.Store(frozen) }
-
-// ForceAdmissionHint overwrites the published write-admission grade in
-// place — a test hook for driving consumer staleness handling without
-// engineering a real overload. Combine with FreezePublish or the next
-// publish tick overwrites it again. Safe from any goroutine.
-func (r *Replica) ForceAdmissionHint(s paxos.AdmissionState) {
-	r.pubAdmission.Store(int32(s))
 }
 
 // --- Delivery ----------------------------------------------------------
@@ -973,30 +948,8 @@ func (r *Replica) LeaderHint() bool { return r.pubIsLeader.Load() }
 // Backlog for the loop-confined exact answer.
 func (r *Replica) BacklogHint() int64 { return r.pubBacklog.Load() }
 
-// AdmissionHint returns the proposer's write-admission grade at the last
-// publish tick (≤100 ms stale; safe from any goroutine). The web tier
-// uses it to pace or hold incoming writes while the local command queue
-// is deep, so overload shows up as queueing latency instead of consensus
-// retry timeouts. Use AdmissionState for the loop-confined exact answer.
-func (r *Replica) AdmissionHint() paxos.AdmissionState {
-	return paxos.AdmissionState(r.pubAdmission.Load())
-}
-
-// AdmissionHintAge returns how stale the published admission hint is at
-// now: the time since the last publish tick refreshed it. A hint that was
-// never published (replica still booting) reports a very large age.
-// Consumers gating traffic on AdmissionHint should treat an age beyond
-// ~2×PublishInterval as unknown rather than actionable — a frozen
-// publisher must fail open, not keep shedding on its last opinion.
-func (r *Replica) AdmissionHintAge(now time.Time) time.Duration {
-	at := r.pubAdmissionAt.Load()
-	if at == 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	return now.Sub(time.Unix(0, at))
-}
-
 // AdmissionState returns the proposer's current write-admission grade.
+// The web tier's write gate reads it on the node that owns the queue.
 // Loop-confined.
 func (r *Replica) AdmissionState() paxos.AdmissionState {
 	if r.en == nil {

@@ -1,49 +1,12 @@
 package paxos
 
-// AdmissionConfig parameterizes the proposer's write-admission controller
+// AdmissionState is the proposer's current write-admission grade
 // (rockyardkv write_controller idiom: graded slowdown/stop triggers keyed
 // on backlog depth). The controller watches the local command queue — the
-// commands waiting behind the MaxInFlight window — and grades the
-// proposer's health so the layer above (internal/webtier) can shed or
-// delay writes before they reach the retry-timeout cliff: overload then
-// degrades to queueing latency instead of timeouts.
-//
-// Zero thresholds take defaults derived from the proposer window
-// W = MaxInFlight × MaxBatchCmds (the number of commands the pipeline
-// absorbs per round trip): SlowdownCmds = 8·W, StopCmds = 32·W, and the
-// byte thresholds scale those by the default command size.
-type AdmissionConfig struct {
-	// SlowdownCmds is the queued-command depth at which the controller
-	// reports AdmissionSlowdown.
-	SlowdownCmds int
-
-	// StopCmds is the queued-command depth at which the controller
-	// reports AdmissionStop.
-	StopCmds int
-
-	// SlowdownBytes and StopBytes are the equivalent thresholds on
-	// queued bytes; whichever trigger (count or bytes) fires first wins.
-	SlowdownBytes int64
-	StopBytes     int64
-}
-
-func (a AdmissionConfig) withDefaults(window int, cmdSize int64) AdmissionConfig {
-	if a.SlowdownCmds == 0 {
-		a.SlowdownCmds = 8 * window
-	}
-	if a.StopCmds == 0 {
-		a.StopCmds = 32 * window
-	}
-	if a.SlowdownBytes == 0 {
-		a.SlowdownBytes = int64(a.SlowdownCmds) * cmdSize
-	}
-	if a.StopBytes == 0 {
-		a.StopBytes = int64(a.StopCmds) * cmdSize
-	}
-	return a
-}
-
-// AdmissionState is the proposer's current write-admission grade.
+// commands waiting behind the MaxInFlight window — so the layer above
+// (internal/webtier) can shed or delay writes before they reach the
+// retry-timeout cliff: overload then degrades to queueing latency instead
+// of timeouts.
 type AdmissionState int
 
 const (
@@ -77,20 +40,36 @@ func (s AdmissionState) String() string {
 // admissionController grades queue pressure with hysteresis: a state
 // escalates as soon as a trigger is crossed but de-escalates only once
 // the backlog falls below half that trigger, so the grade does not
-// flap at the threshold while the queue oscillates around it.
+// flap at the threshold while the queue oscillates around it. Whichever
+// trigger (queued commands or queued bytes) fires first wins.
 type admissionController struct {
-	cfg   AdmissionConfig
-	state AdmissionState
+	slowCmds, stopCmds   int
+	slowBytes, stopBytes int64
+	state                AdmissionState
+}
+
+// admissionCmdSize is the command size the byte triggers assume.
+const admissionCmdSize = 128
+
+// newAdmissionController derives the triggers from the proposer window
+// W = MaxInFlight × MaxBatchCmds, the number of commands the pipeline
+// absorbs per round trip: slowdown at 8·W queued commands, stop at 32·W,
+// and the byte triggers at those counts of admissionCmdSize bytes.
+func newAdmissionController(window int) admissionController {
+	a := admissionController{slowCmds: 8 * window, stopCmds: 32 * window}
+	a.slowBytes = int64(a.slowCmds) * admissionCmdSize
+	a.stopBytes = int64(a.stopCmds) * admissionCmdSize
+	return a
 }
 
 // update re-grades from the current queue depth and bytes and reports the
 // (possibly unchanged) state.
 func (a *admissionController) update(cmds int, bytes int64) AdmissionState {
-	stop := cmds >= a.cfg.StopCmds || bytes >= a.cfg.StopBytes
-	slow := cmds >= a.cfg.SlowdownCmds || bytes >= a.cfg.SlowdownBytes
+	stop := cmds >= a.stopCmds || bytes >= a.stopBytes
+	slow := cmds >= a.slowCmds || bytes >= a.slowBytes
 	switch a.state {
 	case AdmissionStop:
-		if cmds < a.cfg.StopCmds/2 && bytes < a.cfg.StopBytes/2 {
+		if cmds < a.stopCmds/2 && bytes < a.stopBytes/2 {
 			if slow {
 				a.state = AdmissionSlowdown
 			} else {
@@ -100,7 +79,7 @@ func (a *admissionController) update(cmds int, bytes int64) AdmissionState {
 	case AdmissionSlowdown:
 		if stop {
 			a.state = AdmissionStop
-		} else if cmds < a.cfg.SlowdownCmds/2 && bytes < a.cfg.SlowdownBytes/2 {
+		} else if cmds < a.slowCmds/2 && bytes < a.slowBytes/2 {
 			a.state = AdmissionClear
 		}
 	default:

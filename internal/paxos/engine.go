@@ -33,11 +33,6 @@ type Config struct {
 	// timer-triggered, or queue drain — may overshoot it. Default 5.
 	MaxInFlight int
 
-	// Admission parameterizes the proposer's write-admission controller
-	// (see AdmissionConfig). Zero fields take defaults derived from the
-	// MaxInFlight × MaxBatchCmds window.
-	Admission AdmissionConfig
-
 	// HeartbeatInterval is the failure-detector ping period. Default
 	// 100 ms.
 	HeartbeatInterval time.Duration
@@ -127,7 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.CmdSize == nil {
 		c.CmdSize = func(any) int64 { return 128 }
 	}
-	c.Admission = c.Admission.withDefaults(c.MaxInFlight*c.MaxBatchCmds, 128)
 	return c
 }
 
@@ -303,7 +297,7 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		cfg:          cfg,
-		adm:          admissionController{cfg: cfg.Admission},
+		adm:          newAdmissionController(cfg.MaxInFlight * cfg.MaxBatchCmds),
 		promised:     ballotNone,
 		curBallot:    ballotNone,
 		fastBallot:   ballotNone,

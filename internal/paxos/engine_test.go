@@ -141,6 +141,20 @@ func newCluster(t *testing.T, n int, fast bool, seed uint64, net sim.NetConfig) 
 	return c
 }
 
+// newLossyCluster is newCluster with every ordered pair of nodes, each
+// node's link to itself included, losing rate of its messages from boot.
+func newLossyCluster(t *testing.T, n int, fast bool, seed uint64, rate float64) *testCluster {
+	t.Helper()
+	c := addEngines(t, n, fast, seed, sim.NetConfig{})
+	for _, a := range c.s.Peers() {
+		for _, b := range c.s.Peers() {
+			c.s.SetLinkLoss(a, b, rate)
+		}
+	}
+	c.s.StartAll()
+	return c
+}
+
 // newClusterOnWAL is newCluster with wals[i] made durable on node i's WAL
 // before it boots, at delivery floor floors[i]: a cluster restarted whole.
 func newClusterOnWAL(t *testing.T, fast bool, seed uint64, wals [][]env.Record, floors []InstanceID) *testCluster {
@@ -316,7 +330,7 @@ func TestCrashRecoverCatchUp(t *testing.T) {
 func TestMessageLoss(t *testing.T) {
 	testModes(t, func(t *testing.T, fast bool) {
 		const total = 80
-		c := newCluster(t, 5, fast, 5, sim.NetConfig{DropRate: 0.05})
+		c := newLossyCluster(t, 5, fast, 5, 0.05)
 		for i := 0; i < total; i++ {
 			c.submit(2*time.Second+time.Duration(i)*30*time.Millisecond, i%5,
 				fmt.Sprintf("cmd-%d", i))
@@ -359,7 +373,7 @@ func TestBlocksBelowMajority(t *testing.T) {
 func TestConcurrentCrashesConsistency(t *testing.T) {
 	testModes(t, func(t *testing.T, fast bool) {
 		const total = 150
-		c := newCluster(t, 5, fast, 7, sim.NetConfig{DropRate: 0.02})
+		c := newLossyCluster(t, 5, fast, 7, 0.02)
 		for i := 0; i < total; i++ {
 			c.submit(2*time.Second+time.Duration(i)*20*time.Millisecond, i%5,
 				fmt.Sprintf("cmd-%d", i))

@@ -171,10 +171,16 @@ func TestDeepBacklogDrains(t *testing.T) {
 // fire on either depth or bytes, and release only at half the trigger
 // (hysteresis), stepping down through slowdown.
 func TestAdmissionControllerGrades(t *testing.T) {
-	a := admissionController{cfg: AdmissionConfig{
-		SlowdownCmds: 10, StopCmds: 40,
-		SlowdownBytes: 1 << 20, StopBytes: 4 << 20,
-	}}
+	// The default window (5 in flight × 64 per batch) triggers at 8·W and
+	// 32·W queued commands, or that many 128 B commands' worth of bytes.
+	want := admissionController{slowCmds: 2560, stopCmds: 10240, slowBytes: 2560 * 128, stopBytes: 10240 * 128}
+	if got := newAdmissionController(5 * 64); got != want {
+		t.Fatalf("derived triggers %+v, want %+v", got, want)
+	}
+	a := admissionController{
+		slowCmds: 10, stopCmds: 40,
+		slowBytes: 1 << 20, stopBytes: 4 << 20,
+	}
 	steps := []struct {
 		cmds  int
 		bytes int64
@@ -204,12 +210,12 @@ func TestAdmissionControllerGrades(t *testing.T) {
 
 // TestAdmissionFiresAndReleases: on a live engine, a burst beyond the
 // stop threshold must grade AdmissionStop, and draining the backlog must
-// release the grade back to clear.
+// release the grade back to clear. A window of one command (MaxInFlight 1
+// × MaxBatchCmds 1) puts the derived stop trigger at 32 queued.
 func TestAdmissionFiresAndReleases(t *testing.T) {
 	testTune = func(cfg *Config) {
-		cfg.MaxBatchCmds = 4
+		cfg.MaxBatchCmds = 1
 		cfg.MaxInFlight = 1
-		cfg.Admission = AdmissionConfig{SlowdownCmds: 10, StopCmds: 30}
 	}
 	defer func() { testTune = nil }()
 	c := newCluster(t, 3, false, 15, sim.NetConfig{})
@@ -226,7 +232,7 @@ func TestAdmissionFiresAndReleases(t *testing.T) {
 	end = c.engines[0].AdmissionState()
 
 	if atBurst != AdmissionStop {
-		t.Fatalf("after 100-cmd burst with StopCmds=30: state %v, want stop", atBurst)
+		t.Fatalf("after 100-cmd burst with a stop trigger of 32: state %v, want stop", atBurst)
 	}
 	if end != AdmissionClear {
 		t.Fatalf("after drain: state %v, want clear", end)

@@ -38,7 +38,7 @@ func runRandomSchedule(t *testing.T, seed uint64) {
 	if rng.Intn(3) == 0 {
 		drop = 0.03
 	}
-	c := newCluster(t, n, fast, seed+100, sim.NetConfig{DropRate: drop})
+	c := newLossyCluster(t, n, fast, seed+100, drop)
 
 	// Random workload: commands submitted at random nodes over 20 s.
 	total := 100 + rng.Intn(100)

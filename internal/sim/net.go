@@ -25,16 +25,6 @@ type NetConfig struct {
 	// Jitter adds a uniform random delay in [0, Jitter*BaseLatency).
 	// Default 0.5.
 	Jitter float64
-
-	// DropRate silently drops this fraction of messages. Default 0;
-	// the paper's faultload has no message loss, but the Paxos tests
-	// exercise it.
-	DropRate float64
-
-	// SizeOf returns the modeled wire size of a message in bytes. When
-	// nil, messages are costed by the conservative default of
-	// defaultMessageSize bytes.
-	SizeOf func(msg env.Message) int64
 }
 
 const defaultMessageSize = 512
@@ -52,12 +42,9 @@ func (nc NetConfig) withDefaults() NetConfig {
 	return nc
 }
 
-func (nc NetConfig) sizeOf(msg env.Message) int64 {
-	if nc.SizeOf != nil {
-		if s := nc.SizeOf(msg); s > 0 {
-			return s
-		}
-	}
+// sizeOf returns the modeled wire size of a message: its WireSize when it
+// states one, else the conservative defaultMessageSize.
+func sizeOf(msg env.Message) int64 {
 	if s, ok := msg.(interface{ WireSize() int64 }); ok {
 		return s.WireSize()
 	}

@@ -261,8 +261,9 @@ func (s *Sim) DiskSlowdown(id env.NodeID) float64 {
 
 // The link-fault surface is netfault.Table's, which documents it: SetLink
 // toggles one directed link, SetLinkLoss and SetLinkDelay degrade one that
-// still delivers (NetConfig.DropRate stays the cluster-wide floor, and only
-// the switch latency and its jitter are scaled, never NIC serialization),
+// still delivers (loss is per link only — a cluster-wide rate is a loss on
+// every ordered pair — and only the switch latency and its jitter are
+// scaled, never NIC serialization),
 // Partition and PartitionDir return the handle that heals exactly their
 // blocks, and Heal clears every block.
 
@@ -362,15 +363,12 @@ func (s *Sim) send(from *simNode, to env.NodeID, msg env.Message) {
 		return
 	}
 	nc := s.cfg.Net
-	if nc.DropRate > 0 && s.rng.Float64() < nc.DropRate {
-		return
-	}
-	// Per-link loss draws only when a rate is set, so runs without loss
-	// windows consume the same random stream as before.
+	// Loss draws only when the link has a rate set, so runs without loss
+	// consume no random numbers for it.
 	if link.Loss > 0 && s.rng.Float64() < link.Loss {
 		return
 	}
-	size := nc.sizeOf(msg)
+	size := sizeOf(msg)
 	var depart time.Time
 	if from.id == to {
 		// Loopback skips the NIC.

@@ -154,7 +154,12 @@ func TestPartitionBlocksTraffic(t *testing.T) {
 }
 
 func TestMessageLossRate(t *testing.T) {
-	s, a, b := twoNodes(t, Config{Seed: 5, Net: NetConfig{DropRate: 0.5}})
+	s, a, b := twoNodes(t, Config{Seed: 5})
+	for _, from := range s.Peers() {
+		for _, to := range s.Peers() {
+			s.SetLinkLoss(from, to, 0.5)
+		}
+	}
 	const sent = 2000
 	s.At(s.Now(), func() {
 		for i := 0; i < sent; i++ {

@@ -4,76 +4,104 @@ import (
 	"testing"
 	"time"
 
-	"robuststore/internal/core"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
 	"robuststore/internal/tpcw"
 )
 
-// TestStaleAdmissionHintFailsOpen: a frozen publisher's last grade must
-// not keep gating traffic. The replica's hint is forced to Stop and its
-// publishLoop frozen; once the hint's age passes 2×PublishInterval the
-// proxy treats it as unknown and admits the write outright — no hold, no
-// pace, no shed on an opinion describing a past the proposer may have
-// long left.
-func TestStaleAdmissionHintFailsOpen(t *testing.T) {
-	c := testCluster(t, 3, nil)
+// TestWriteAdmissionGatedAtServer: write admission is decided once, by the
+// server whose replica owns the proposer queue. A window of one command
+// (MaxInFlight 1 × MaxBatchCmds 1) grades Stop at 32 queued. A first wave of
+// writes, all hashed to one server, fills its queue; a second wave arrives
+// under Stop. The proxy dispatches every write — none is held before the
+// network hop — and the server holds the second wave and sheds each write as
+// a fast client error admitHoldDeadline after its gate, far under
+// ReqTimeout. Once the queue drains to Slowdown, one more write is paced
+// exactly once and then served.
+func TestWriteAdmissionGatedAtServer(t *testing.T) {
+	c := testCluster(t, 3, func(cfg *Config) { cfg.Paxos = paxos.Config{MaxInFlight: 1, MaxBatchCmds: 1} })
 	s := c.Sim()
-
-	for i := 0; i < 3; i++ {
-		rep := c.Replica(i)
-		rep.FreezePublish(true)
-		rep.ForceAdmissionHint(paxos.AdmissionStop)
+	const target = 0
+	next := int64(1000)
+	client := func() int64 { // the next client the proxy hashes to target
+		for ; hash64(uint64(next))%3 != target; next++ {
+		}
+		next++
+		return next - 1
 	}
+	pending := 0
+	write := func(done func(rbe.Response, time.Duration)) {
+		pending++
+		sent := s.Now()
+		req := rbe.Request{Client: client(), Kind: rbe.ShoppingCart, Item: tpcw.ItemID(1 + next%100), Qty: 1}
+		c.Frontend().Do(req, func(r rbe.Response) {
+			pending--
+			done(r, s.Now().Sub(sent))
+		})
+	}
+	gate := func() paxos.AdmissionState { return c.Replica(target).AdmissionState() }
 
-	// Fresh hint (age still under the threshold): Stop holds the write.
-	var heldEarly bool
 	s.At(s.Now(), func() {
-		p := c.proxy
-		r := p.newReq(rbe.Request{Client: 5, Kind: rbe.BuyConfirm, Item: 1}, func(rbe.Response) {})
-		r.server = 0
-		heldEarly = !p.admitAtDispatch(r)
+		for i := 0; i < 400; i++ {
+			write(func(rbe.Response, time.Duration) {})
+		}
 	})
-	s.RunFor(50 * time.Millisecond)
-	if !heldEarly {
-		t.Fatal("a fresh Stop hint did not hold the write at the proxy")
+	s.RunFor(200 * time.Millisecond)
+	if gate() != paxos.AdmissionStop {
+		t.Fatalf("first wave left the gate at %v, want stop", gate())
 	}
 
-	// Let the hint go stale: the frozen publishLoop never refreshes
-	// pubAdmissionAt, so its age grows past the 2×PublishInterval cutoff.
-	s.RunFor(time.Second)
-	now := s.Now()
-	if age := c.Replica(0).AdmissionHintAge(now); age <= 2*core.PublishInterval {
-		t.Fatalf("frozen hint age = %v, want > %v", age, 2*core.PublishInterval)
-	}
-
-	held := c.proxy.Stats.AdmHeld
-	shed := c.proxy.Stats.AdmShed
-	paced := c.proxy.Stats.AdmPaced
-	var admitted bool
+	// Few enough that their errors leave the server in rotation: four bad
+	// samples lift the proxy's quality EWMA to 0.41, under qualityEvictScore.
+	const held = 4
+	var shed int
 	s.At(s.Now(), func() {
-		p := c.proxy
-		r := p.newReq(rbe.Request{Client: 6, Kind: rbe.BuyConfirm, Item: 2}, func(rbe.Response) {})
-		r.server = 0
-		admitted = p.admitAtDispatch(r)
+		for i := 0; i < held; i++ {
+			write(func(r rbe.Response, took time.Duration) {
+				if !r.Err {
+					t.Errorf("a write that arrived under Stop was served (after %v)", took)
+					return
+				}
+				if took < admitHoldDeadline || took > admitHoldDeadline+100*time.Millisecond {
+					t.Errorf("held write failed after %v, want just over %v", took, admitHoldDeadline)
+				}
+				shed++
+			})
+		}
 	})
-	s.RunFor(50 * time.Millisecond)
-	if !admitted {
-		t.Fatal("stale Stop hint still gated the write; want fail-open")
+	s.RunFor(200 * time.Millisecond)
+	st := c.ProxyStats()
+	if gate() != paxos.AdmissionStop || st.AdmHeld < held {
+		t.Fatalf("second wave not held at the server: gate %v, %+v", gate(), st)
 	}
-	if c.proxy.Stats.AdmHeld != held || c.proxy.Stats.AdmShed != shed || c.proxy.Stats.AdmPaced != paced {
-		t.Fatalf("stale hint moved admission counters: held %d→%d shed %d→%d paced %d→%d",
-			held, c.proxy.Stats.AdmHeld, shed, c.proxy.Stats.AdmShed, paced, c.proxy.Stats.AdmPaced)
+	if n := len(c.proxy.outstanding); n != pending {
+		t.Fatalf("%d writes unanswered but %d outstanding: the proxy held writes before dispatch", pending, n)
+	}
+	s.RunFor(400 * time.Millisecond)
+	if st := c.ProxyStats(); shed != held || st.AdmShed != held {
+		t.Fatalf("%d of %d held writes shed (AdmShed %d), want all", shed, held, st.AdmShed)
 	}
 
-	// Thawing the publisher refreshes the hint; the next tick clears the
-	// forced Stop and the age snaps back under the cutoff.
-	for i := 0; i < 3; i++ {
-		c.Replica(i).FreezePublish(false)
+	for gate() != paxos.AdmissionSlowdown {
+		if s.RunFor(time.Millisecond); pending == 0 {
+			t.Fatal("the queue drained without passing through slowdown")
+		}
 	}
-	s.RunFor(500 * time.Millisecond)
-	if age := c.Replica(0).AdmissionHintAge(s.Now()); age > 2*core.PublishInterval {
-		t.Fatalf("thawed hint still stale: age %v", age)
+	paced := c.ProxyStats().AdmPaced
+	var served bool
+	s.At(s.Now(), func() {
+		write(func(r rbe.Response, _ time.Duration) { served = !r.Err })
+	})
+	s.RunFor(5 * time.Second)
+	if !served {
+		t.Fatal("the write paced under slowdown was not served")
+	}
+	st = c.ProxyStats()
+	if st.AdmPaced != paced+1 {
+		t.Fatalf("AdmPaced %d → %d, want one pacing step for one write", paced, st.AdmPaced)
+	}
+	if st.ErrTimeout != 0 {
+		t.Fatalf("%d writes timed out; the gate sheds fast", st.ErrTimeout)
 	}
 }
 

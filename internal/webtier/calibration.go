@@ -60,7 +60,7 @@ type Calibration struct {
 	// replica to catch up to the session's commit index before answering
 	// TooStale (the staleness bound of the follower-read protocol). It
 	// must stay well under ReqTimeout so the proxy's stale-retry still
-	// fits in the client's patience. Default 2 s.
+	// fits in the client's patience. 2 s in DefaultCalibration.
 	FenceWait time.Duration
 
 	// JVM garbage-collection model: state-mutating actions promote
@@ -124,15 +124,6 @@ func DefaultCalibration() Calibration {
 		ReqTimeout:           10 * time.Second,
 		FenceWait:            2 * time.Second,
 	}
-}
-
-// fenceWait returns the bounded-staleness wait, defaulting when a custom
-// Calibration left it unset.
-func (c Calibration) fenceWait() time.Duration {
-	if c.FenceWait > 0 {
-		return c.FenceWait
-	}
-	return 2 * time.Second
 }
 
 // readService returns the read service time for an interaction.

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"robuststore/internal/core"
 	"robuststore/internal/env"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
@@ -126,10 +125,11 @@ type ProxyStats struct {
 	// definition hold every acked write.
 	StaleRedispatched int
 
-	// Admission-gate activity at dispatch, driven by the picked
-	// server's published (≤100 ms stale) write-admission grade: writes
-	// paced one step under Slowdown, holds under Stop, and holds that
-	// exhausted the deadline and were shed as fast client errors.
+	// Write-admission activity, counted by the servers' gate
+	// (request.admit) where it decides on its replica's exact grade:
+	// writes paced one step under Slowdown, re-checks of a write held
+	// under Stop, and holds that exhausted the deadline and were shed as
+	// fast client errors.
 	AdmPaced int
 	AdmHeld  int
 	AdmShed  int
@@ -158,9 +158,9 @@ type fenceEntry struct {
 //     has left outstanding and its timer is stopped. Responses, expiries
 //     and resets reach a request through outstanding by attempt ID, never
 //     by a pointer kept elsewhere, so an old attempt's late response or a
-//     stopped timer's slot finds nothing; and a requeue or pacing
-//     continuation (redispatch) is pending only while the record is neither
-//     outstanding nor finished, so none outlives its request.
+//     stopped timer's slot finds nothing; and a requeue continuation
+//     (redispatch) is pending only while the record is neither outstanding
+//     nor finished, so none outlives its request.
 //   - finish takes done out of the record and calls it last, touching the
 //     record no more: done may re-enter Do synchronously (a client's
 //     reload retry) and be handed this very record.
@@ -183,11 +183,9 @@ type outReq struct {
 	armed     bool      // the timer was armed for this request and has not expired it
 	finished  bool
 
-	votersOnly    bool      // fenced read went TooStale: exclude readers
-	staleRetries  int       // TooStale re-routes taken
-	admitDeadline time.Time // set when first held under AdmissionStop
-	admitPaced    bool      // already paced once under Slowdown
-	sentAt        time.Time // when the current attempt left the proxy
+	votersOnly   bool      // fenced read went TooStale: exclude readers
+	staleRetries int       // TooStale re-routes taken
+	sentAt       time.Time // when the current attempt left the proxy
 
 	// The record's two continuations, bound once when it is first made:
 	// (re)dispatch it, and expire whichever attempt is current.
@@ -309,9 +307,6 @@ func (p *Proxy) dispatch(r *outReq) {
 	} else {
 		r.server = candidates[int(hash64(uint64(r.req.Client))%uint64(len(candidates)))]
 	}
-	if !read && !p.admitAtDispatch(r) {
-		return
-	}
 	r.attempts++
 	p.nextID++
 	id := p.nextID
@@ -354,49 +349,6 @@ func (p *Proxy) dispatch(r *outReq) {
 func (p *Proxy) readCandidates(group int) []int {
 	p.scratch = p.serving(p.candidates(group), p.c.Readers(group))
 	return p.scratch
-}
-
-// admitAtDispatch gates one write on the picked server's published
-// write-admission grade (AdmissionHint, ≤100 ms stale): Slowdown paces
-// the dispatch one admitPace step (once per request), Stop holds it at
-// the proxy — re-dispatching every step — and sheds it as a fast client
-// error once admitHoldDeadline passes. This keeps overload queueing at
-// the tier boundary without even spending the network hop; the server's
-// own loop-confined admitWrite remains the precise gate behind it. It
-// returns false when the dispatch was consumed (held, paced, or shed).
-func (p *Proxy) admitAtDispatch(r *outReq) bool {
-	rep := p.c.Replica(r.server)
-	if rep == nil {
-		return true // raced a crash; the dispatch itself will fail over
-	}
-	if rep.AdmissionHintAge(p.e.Now()) > 2*core.PublishInterval {
-		// The published grade has gone stale (frozen publisher, long GC
-		// stall): its Healthy/Stop opinion describes a past the proposer
-		// may have long left. Fail open — never pace, hold or shed on
-		// stale data; the server's own loop-confined gate still backstops.
-		return true
-	}
-	switch rep.AdmissionHint() {
-	case paxos.AdmissionStop:
-		if r.admitDeadline.IsZero() {
-			r.admitDeadline = p.e.Now().Add(admitHoldDeadline)
-		} else if !p.e.Now().Before(r.admitDeadline) {
-			p.Stats.AdmShed++
-			p.finish(r, rbe.Response{Err: true})
-			return false
-		}
-		p.Stats.AdmHeld++
-		p.e.After(admitPace, r.redispatch)
-		return false
-	case paxos.AdmissionSlowdown:
-		if !r.admitPaced {
-			r.admitPaced = true
-			p.Stats.AdmPaced++
-			p.e.After(admitPace, r.redispatch)
-			return false
-		}
-	}
-	return true
 }
 
 // candidates returns the group's in-rotation servers that also accept

@@ -420,7 +420,7 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 			// replica to catch up, bounded; past the bound, answer
 			// TooStale so the proxy retries on a fresher server.
 			s.c.groups[s.group()].fenceWaits++
-			s.replica.ReadAt(m.Fence, s.c.cfg.Cal.fenceWait(),
+			s.replica.ReadAt(m.Fence, s.c.cfg.Cal.FenceWait,
 				func(core.StateMachine, paxos.InstanceID) { r.read() },
 				func() {
 					s.c.groups[s.group()].staleServes++
@@ -488,22 +488,27 @@ func (r *request) gated() {
 	r.admit()
 }
 
-// admit gates one write behind the replica's admission controller.
-// AdmissionSlowdown delays the write one pacing step; AdmissionStop holds
-// it at the tier boundary — re-checking every step until the proposer
-// backlog drains — and sheds it once the deadline passes. Overload thus
-// degrades to queueing latency at the tier boundary instead of consensus
-// retry-timeout storms.
+// admit is the one write-admission gate: it reads the exact grade of the
+// proposer whose queue the write would join. AdmissionSlowdown delays the
+// write one pacing step; AdmissionStop holds it at the tier boundary —
+// re-checking every step until the proposer backlog drains — and sheds it
+// once the deadline passes. Overload thus degrades to queueing latency at
+// the tier boundary instead of consensus retry-timeout storms. Each
+// decision is counted in the proxy's stats, where clients' errors are.
 func (r *request) admit() {
 	s := r.s
+	st := &s.c.proxy.Stats
 	switch s.replica.AdmissionState() {
 	case paxos.AdmissionStop:
 		if !s.e.Now().Before(r.deadline) {
+			st.AdmShed++
 			r.drop()
 			return
 		}
+		st.AdmHeld++
 		s.e.After(admitPace, r.then(atAdmit))
 	case paxos.AdmissionSlowdown:
+		st.AdmPaced++
 		s.e.After(admitPace, r.then(atParse))
 	default:
 		r.parse()
