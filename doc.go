@@ -112,6 +112,17 @@
 // announcements for 31,818 decisions. paxos.Stats counts announcements,
 // collisions, recoveries by cause, retries and catch-up requests per engine.
 //
+// A fast round runs only where a fast quorum leaves an acceptor out. With
+// Fast Paxos enabled, a leader opens a fast ballot when the fast quorum
+// ⌈3N/4⌉ is smaller than the group and at least that many replicas look
+// alive, and a classic one otherwise (paxos Engine.fastPossible, the one
+// place the rule is written). In a group of three or fewer the fast quorum
+// is every member: a fast round would wait for the slowest acceptor's WAL
+// sync, and stall on a failed one, where a classic round waits for the
+// median one, to save a single message delay. So such groups always order
+// in classic rounds; a group of four or more runs fast rounds while ⌈3N/4⌉
+// of it is alive.
+//
 // A fast round's collision costs one coordinated recovery, not a timeout.
 // When the votes at an instance leave no value able to reach a fast quorum,
 // the coordinator runs a classic round there: a classic quorum reports its
@@ -156,8 +167,8 @@
 // never lies above the floor, so every vote a promise lists is one an accept
 // can replace. What the node has delivered plays no part. When it did, a
 // node whose delivery floor was above its vote floor listed votes it would
-// not replace, and after a whole-group restart a fast round of three, which
-// needs every ack, stalled on them.
+// not replace, and after a whole-group restart a round that needs every live
+// ack stalled on them.
 //
 // The simulator's loop holds an entry for what will run and for nothing
 // else (sim/queue.go). Events — callbacks, posts, deliveries, disk

@@ -56,7 +56,9 @@ type Config struct {
 	// Machine builds a fresh, empty state machine for each incarnation.
 	Machine func() StateMachine
 
-	// FastPaxos enables fast rounds while ⌈3N/4⌉ replicas are alive.
+	// FastPaxos allows fast rounds (paxos.Config.FastEnabled): they run in
+	// groups of four or more while ⌈3N/4⌉ replicas are alive; a group of
+	// three or fewer always runs classic rounds.
 	FastPaxos bool
 
 	// CheckpointInterval is the period between checkpoints. Default

@@ -19,10 +19,7 @@ import (
 // came in before it did announced the decision once more.)
 func TestDecisionAnnouncedOnce(t *testing.T) {
 	testModes(t, func(t *testing.T, fast bool) {
-		n := 3
-		if fast {
-			n = 5
-		}
+		n := modeSize(fast)
 		c := newHeldCluster(n, fast, 62)
 		c.s.RunFor(2 * time.Second)
 		lead := -1

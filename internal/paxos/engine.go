@@ -10,9 +10,12 @@ import (
 // Config parameterizes an Engine. Zero fields take the documented
 // defaults.
 type Config struct {
-	// FastEnabled allows fast rounds (Fast Paxos) while at least
-	// ⌈3N/4⌉ replicas are alive; otherwise the engine uses classic
-	// Paxos rounds, matching the paper's Treplica configuration (§2).
+	// FastEnabled allows fast rounds (Fast Paxos), matching the paper's
+	// Treplica configuration (§2). The engine runs them where they are
+	// possible: in a group of four or more, where the fast quorum ⌈3N/4⌉
+	// leaves an acceptor out, while at least that many replicas are
+	// alive. Otherwise, and in every group of three or fewer, it runs
+	// classic Paxos rounds.
 	FastEnabled bool
 
 	// BatchDelay bounds how long submitted commands wait to be grouped
@@ -89,8 +92,11 @@ type Config struct {
 }
 
 const (
-	// fastDecisionTimeout is how long the coordinator waits for a fast
-	// quorum on an instance before starting coordinated recovery.
+	// fastDecisionTimeout is the least time the coordinator waits for a
+	// fast quorum on an instance before starting coordinated recovery (a
+	// hedge). The leader sweep checks it, so the hedge starts at the first
+	// sweep past it: with the default 50 ms SweepInterval, 40–90 ms after
+	// the instance's first vote.
 	fastDecisionTimeout = 40 * time.Millisecond
 
 	// catchUpChunk bounds entries per catch-up reply.

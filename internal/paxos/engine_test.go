@@ -113,6 +113,7 @@ func (n *engineNode) Receive(from env.NodeID, msg env.Message) {
 	if en := c.engines[n.id]; en != nil {
 		en.Handle(from, msg)
 		c.checkLeader(en)
+		noteFastLeader(en)
 	}
 }
 
@@ -157,15 +158,22 @@ func newLossyCluster(t *testing.T, n int, fast bool, seed uint64, rate float64) 
 
 // newClusterOnWAL is newCluster with wals[i] made durable on node i's WAL
 // before it boots, at delivery floor floors[i]: a cluster restarted whole.
+// A member whose WAL is nil never starts.
 func newClusterOnWAL(t *testing.T, fast bool, seed uint64, wals [][]env.Record, floors []InstanceID) *testCluster {
 	t.Helper()
 	c := addEngines(t, len(wals), fast, seed, sim.NetConfig{})
 	c.floors = floors
 	for i, recs := range wals {
-		c.s.Storage(env.NodeID(i)).AppendBatch(recs, nil)
+		if recs != nil {
+			c.s.Storage(env.NodeID(i)).AppendBatch(recs, nil)
+		}
 	}
 	c.s.RunFor(time.Second) // the appends become durable
-	c.s.StartAll()
+	for i, recs := range wals {
+		if recs != nil {
+			c.s.Restart(env.NodeID(i)) // boots a node that is not running: its first start
+		}
+	}
 	return c
 }
 
@@ -256,17 +264,46 @@ func (c *testCluster) requireDelivered(id, want int) {
 	}
 }
 
+// fastLed records whether an engine of the running test has led an
+// established fast ballot; the test clusters note it after every message
+// they hand an engine.
+var fastLed bool
+
+func noteFastLeader(en *Engine) {
+	if en.IsLeader() && en.leader.b.Fast {
+		fastLed = true
+	}
+}
+
+// testModes runs fn in classic and in fast mode. The fast case fails if no
+// fast ballot was ever established: with Fast Paxos enabled, a group of three
+// or fewer runs classic rounds, and a fast case there tests nothing new.
 func testModes(t *testing.T, fn func(t *testing.T, fast bool)) {
 	t.Run("classic", func(t *testing.T) { fn(t, false) })
-	t.Run("fast", func(t *testing.T) { fn(t, true) })
+	t.Run("fast", func(t *testing.T) {
+		fastLed = false
+		fn(t, true)
+		if !fastLed {
+			t.Fatal("no fast ballot was established: the fast case ran classic rounds")
+		}
+	})
+}
+
+// modeSize is the group size a mode's test runs at: three for classic rounds,
+// five for fast ones, where the fast quorum of four leaves one acceptor out.
+func modeSize(fast bool) int {
+	if fast {
+		return 5
+	}
+	return 3
 }
 
 func TestSingleCommand(t *testing.T) {
 	testModes(t, func(t *testing.T, fast bool) {
-		c := newCluster(t, 3, fast, 1, sim.NetConfig{})
+		c := newCluster(t, modeSize(fast), fast, 1, sim.NetConfig{})
 		c.submit(2*time.Second, 1, "hello")
 		c.s.RunFor(6 * time.Second)
-		for id := 0; id < 3; id++ {
+		for id := 0; id < c.n; id++ {
 			c.requireDelivered(id, 1)
 		}
 		c.checkConsistency()

@@ -179,13 +179,21 @@ func (ls *leaderState) onDecided(inst, floor InstanceID) {
 // Never set outside tests.
 var BugStaleLeaderRejoin bool
 
-// startPrepare begins a leadership bid with a fresh ballot. The ballot is
-// fast when Fast Paxos is enabled and at least ⌈3N/4⌉ replicas look alive,
-// classic otherwise — the Treplica mode rule of §2.
+// fastPossible is the mode rule: a new ballot is fast when Fast Paxos is
+// enabled, the fast quorum ⌈3N/4⌉ leaves an acceptor out, and at least that
+// many replicas look alive (the Treplica rule of §2); classic otherwise. At
+// n ≤ 3 the fast quorum is the whole group: a fast round would wait for the
+// slowest acceptor's WAL sync, and stall on a failed one, while a classic
+// round waits for the median one and costs only one message delay more.
+func (en *Engine) fastPossible() bool {
+	return en.cfg.FastEnabled && FastQuorum(en.n) < en.n && en.aliveCount() >= FastQuorum(en.n)
+}
+
+// startPrepare begins a leadership bid with a fresh ballot, fast or classic
+// as fastPossible says.
 func (en *Engine) startPrepare() {
 	seq := nextOwnedBallot(en.maxBallotSeq, env.NodeID(en.myIdx), en.n)
-	fast := en.cfg.FastEnabled && en.aliveCount() >= FastQuorum(en.n)
-	b := Ballot{Seq: seq, Fast: fast}
+	b := Ballot{Seq: seq, Fast: en.fastPossible()}
 	en.noteBallot(b)
 	// Our own bid is the highest leadership ballot we have seen: claim it
 	// locally. Without this, a heartbeat from the OLD leader — at a
@@ -648,9 +656,10 @@ func (en *Engine) onNack(from env.NodeID, m nackMsg) {
 func (en *Engine) leaderSweep(now time.Time) {
 	ls := en.leader
 
-	// Mode management: switch between fast and classic rounds as the
-	// failure detector's live count crosses ⌈3N/4⌉.
-	desiredFast := en.cfg.FastEnabled && en.aliveCount() >= FastQuorum(en.n)
+	// Mode management: bid again when fastPossible changes its answer, as
+	// the failure detector's live count crosses ⌈3N/4⌉ (never at n ≤ 3,
+	// where every round is classic).
+	desiredFast := en.fastPossible()
 	if desiredFast != ls.b.Fast && now.Sub(ls.lastModeAt) > time.Second {
 		en.e.Logf("mode change: fast=%v alive=%d", desiredFast, en.aliveCount())
 		en.startPrepare()

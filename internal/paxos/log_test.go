@@ -152,19 +152,21 @@ func TestVoteBelowBarrierFloor(t *testing.T) {
 	}
 }
 
-// TestRestartAboveVoteFloor: a group of three restarts whole. Instances 10–19
-// were chosen at ballot 1 by nodes 1 and 2. Node 2 delivered them and
-// checkpointed (delivery floor 20), but its WAL's last compaction barrier has
-// floor 10, so it boots with its votes from 10 up. Nodes 0 and 1 boot at
-// floor 10 and never learned the decisions. Node 0 is elected; the promises
-// report the votes, and it proposes them again at 10–19. It submits one more
-// command, which lands at 20. Nodes 0 and 1 must deliver all eleven, and
-// only consensus can give them 10–19: node 2 serves catch-up from 20 up.
+// TestRestartAboveVoteFloor: a group restarts whole. Instances 10–19 were
+// chosen at ballot 1 by nodes 1 and 2. Node 2 delivered them and checkpointed
+// (delivery floor 20), but its WAL's last compaction barrier has floor 10, so
+// it boots with its votes from 10 up. Nodes 0 and 1 boot at floor 10 and never
+// learned the decisions. Node 0 is elected; the promises report the votes, and
+// it proposes them again at 10–19. It submits one more command, which lands at
+// 20. Nodes 0 and 1 must deliver all eleven, and only consensus can give them
+// 10–19: node 2 serves catch-up from 20 up.
 //
-// A classic round is decided by nodes 0 and 1. A fast round needs all three
-// acks at n = 3, so node 2 must vote at 10–19, below its delivery floor: its
-// promise listed its votes there, and an acceptor takes an accept wherever
-// its log holds the slot. Were it to drop those accepts, the fast round would
+// In classic mode the group is those three, and a round is decided by nodes 0
+// and 1. In fast mode it is four, and node 3 never starts: three of four are
+// alive, a fast quorum, so the leader's ballot is fast and needs all three
+// live acks. Node 2 must then vote at 10–19, below its delivery floor: its
+// promise listed its votes there, and an acceptor takes an accept wherever its
+// log holds the slot. Were it to drop those accepts, the fast round would
 // stall until the leader turned classic, which this schedule never makes it do.
 func TestRestartAboveVoteFloor(t *testing.T) {
 	const lo, hi = 10, 20
@@ -184,7 +186,11 @@ func TestRestartAboveVoteFloor(t *testing.T) {
 		{{Kind: "compact", Data: barrier, Size: 128}},
 	}
 	testModes(t, func(t *testing.T, fast bool) {
-		c := newClusterOnWAL(t, fast, 7, wals, []InstanceID{lo, lo, hi})
+		wals, floors := wals, []InstanceID{lo, lo, hi}
+		if fast {
+			wals, floors = append(wals, nil), append(floors, 0) // node 3 never starts
+		}
+		c := newClusterOnWAL(t, fast, 7, wals, floors)
 		c.submit(3*time.Second, 0, "new")
 		c.s.RunFor(8 * time.Second)
 		lead := c.engines[0]
@@ -211,7 +217,8 @@ func TestRestartAboveVoteFloor(t *testing.T) {
 // none, and votes on either side of both, every instance a promise lists is
 // one where an accept at the promised ballot draws a phase 2b and a recovery
 // query at a higher one draws the new vote. A listed vote that an accept
-// cannot replace stalls a fast round of three, which needs every ack.
+// cannot replace stalls a round that needs every live ack, such as a fast
+// round of four with one member down (TestRestartAboveVoteFloor).
 func TestListedVotesCanBeReplaced(t *testing.T) {
 	const split, end = 20, 30                                        // votes at [0, split), the barrier, votes at [split, end)
 	old, next, rec := Ballot{Seq: 1}, Ballot{Seq: 3}, Ballot{Seq: 5} // all the peer's

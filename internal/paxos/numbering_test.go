@@ -25,7 +25,7 @@ func TestCommandNumbering(t *testing.T) {
 			cfg.MaxInFlight = 2
 		}
 		defer func() { testTune = nil }()
-		c := newCluster(t, 3, fast, 21, sim.NetConfig{})
+		c := newCluster(t, modeSize(fast), fast, 21, sim.NetConfig{})
 
 		type key struct {
 			node  env.NodeID
@@ -72,7 +72,7 @@ func TestCommandNumbering(t *testing.T) {
 		burst(8*time.Second, 1, 6, 1) // the new incarnation starts over at 1
 		c.s.RunFor(15 * time.Second)
 
-		for id := 0; id < 3; id++ {
+		for id := 0; id < c.n; id++ {
 			// Node 1's delivery log restarts with its incarnation; it
 			// re-learns the whole log from instance 0.
 			c.requireDelivered(id, total)

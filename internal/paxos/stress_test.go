@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -93,7 +94,8 @@ func runRandomSchedule(t *testing.T, seed uint64) {
 	}
 }
 
-// TestEngineStatusAccessors exercises the introspection surface.
+// TestEngineStatusAccessors exercises the introspection surface, on a group
+// of three with Fast Paxos enabled: its rounds are classic.
 func TestEngineStatusAccessors(t *testing.T) {
 	c := newCluster(t, 3, true, 55, sim.NetConfig{})
 	c.submit(2*time.Second, 0, "x")
@@ -120,8 +122,8 @@ func TestEngineStatusAccessors(t *testing.T) {
 	if leaders != 1 {
 		t.Errorf("%d leaders, want exactly 1", leaders)
 	}
-	if !c.engines[0].FastActive() {
-		t.Error("fast mode should be active with all nodes alive")
+	if c.engines[0].FastActive() {
+		t.Error("fast mode is active in a group of three, where a fast quorum is every member")
 	}
 }
 
@@ -152,6 +154,85 @@ func TestModeFallbackOnCrash(t *testing.T) {
 		t.Fatal("fast mode must resume once ⌈3N/4⌉ are alive again")
 	}
 	c.checkConsistency()
+}
+
+// TestFastRoundsLeaveAnAcceptorOut: with Fast Paxos enabled, a leader opens a
+// fast ballot only where the fast quorum ⌈3N/4⌉ leaves an acceptor out. Groups
+// of one, two and three, where it is every member, establish classic ballots
+// only, send no fast proposal, count no collision and no hedge, and deliver
+// everything. Groups of four and five establish fast ballots, and a group of
+// five that loses a member keeps its fast ballot: four alive are a fast
+// quorum.
+func TestFastRoundsLeaveAnAcceptorOut(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			c := addEngines(t, n, true, 80+uint64(n), sim.NetConfig{})
+			fastPrepares, fastProposals := 0, 0
+			c.onSend = func(_, _ env.NodeID, msg env.Message) {
+				switch m := msg.(type) {
+				case prepareMsg:
+					if m.B.Fast {
+						fastPrepares++
+					}
+				case fastProposeMsg:
+					fastProposals++
+				}
+			}
+			fastLed = false
+			c.s.StartAll()
+			total := 0
+			load := func(from time.Duration, ids ...int) {
+				for i := 0; i < 40; i++ {
+					c.submit(from+time.Duration(i)*10*time.Millisecond, ids[i%len(ids)], fmt.Sprintf("cmd-%d", total))
+					total++
+				}
+			}
+			all := make([]int, n)
+			for id := range all {
+				all[id] = id
+			}
+			load(2*time.Second, all...)
+			c.s.RunFor(4 * time.Second)
+			live := all
+			if n == 5 {
+				lead := c.leaderIndex()
+				if lead < 0 || !c.engines[lead].FastActive() {
+					t.Fatal("no fast leader before the crash")
+				}
+				down := (lead + 1) % n
+				c.s.Crash(env.NodeID(down))
+				live = slices.DeleteFunc(slices.Clone(all), func(id int) bool { return id == down })
+				prepares := fastPrepares
+				load(time.Second, live...)
+				c.s.RunFor(4 * time.Second)
+				if c.leaderIndex() != lead || !c.engines[lead].FastActive() || fastPrepares != prepares {
+					t.Fatalf("with one of five down, node %d leads at %v (node %d led before, %d fast prepares since)",
+						c.leaderIndex(), c.engines[lead].CurrentBallot(), lead, fastPrepares-prepares)
+				}
+			}
+
+			var st Stats
+			for _, id := range live {
+				c.requireDelivered(id, total)
+				st.Add(c.engines[id].Stats())
+			}
+			c.checkConsistency()
+			if c.leaderIndex() < 0 {
+				t.Fatal("no established leader")
+			}
+			t.Logf("%d fast prepares, %d fast proposals, %d collisions, %d hedges", fastPrepares, fastProposals, st.Collisions, st.RecHedge)
+			if n >= 4 {
+				if !fastLed || fastProposals == 0 {
+					t.Fatalf("fast led %v, %d fast proposals: the group of %d never ran a fast round", fastLed, fastProposals, n)
+				}
+				return
+			}
+			if fastLed || fastPrepares != 0 || fastProposals != 0 || st.Collisions != 0 || st.RecHedge != 0 {
+				t.Fatalf("a group of %d: fast led %v, %d fast prepares, %d fast proposals, %d collisions, %d hedges; want classic rounds only",
+					n, fastLed, fastPrepares, fastProposals, st.Collisions, st.RecHedge)
+			}
+		})
+	}
 }
 
 // TestCompactionAndCatchUpAfterTruncation: a node that falls behind a

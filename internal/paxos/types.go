@@ -8,8 +8,9 @@
 // as leader/coordinator. A leader runs phase 1 once over the open instance
 // range (multi-Paxos). In classic mode, proposers forward command batches
 // to the leader, which assigns instances and runs phase 2 with majority
-// quorums. In fast mode — enabled while at least ⌈3N/4⌉ replicas are alive,
-// per the paper's Treplica configuration — the coordinator issues an "any"
+// quorums. In fast mode — enabled, per the paper's Treplica configuration,
+// where the fast quorum ⌈3N/4⌉ leaves an acceptor out (N ≥ 4) and while at
+// least that many replicas are alive — the coordinator issues an "any"
 // message and proposers broadcast batches directly to acceptors, which
 // self-assign instances; the coordinator detects a fast quorum (⌈3N/4⌉
 // matching votes) or resolves collisions by coordinated recovery with the

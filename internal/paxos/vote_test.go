@@ -35,6 +35,7 @@ func (h *heldNode) Receive(from env.NodeID, msg env.Message) {
 		h.got = append(h.got, received{from, msg})
 	}
 	h.en.Handle(from, msg)
+	noteFastLeader(h.en)
 }
 
 func newHeldCluster(n int, fast bool, seed uint64) *heldCluster {

@@ -40,7 +40,8 @@ type Config struct {
 	// so non-leader voters serve read-your-writes-safe reads too.
 	Readers int
 
-	// FastPaxos enables Treplica's fast mode.
+	// FastPaxos enables Treplica's fast mode (core.Config.FastPaxos); a
+	// group of three or fewer servers runs classic rounds regardless.
 	FastPaxos bool
 
 	// Store builds the populated bookstore for a (re)starting server.
