@@ -61,7 +61,8 @@
 // shared group commits (paxos/wal.go: one flush for every record pending
 // behind the in-flight sync). The invariants hold at every depth: the
 // learner delivers in instance order, and every promise/accept is durable
-// before its reply leaves the node (WAL-before-ack). Above the
+// before its reply leaves the node (WAL-before-ack; one whose sync fails is
+// acknowledged to no one). Above the
 // engine, a rockyardkv-style write-admission controller grades the local
 // command backlog (slowdown at 8 and stop at 32 proposer windows, with
 // hysteresis; paxos/admission.go), and one gate reads that grade: the
@@ -110,18 +111,30 @@
 // loopback announcement, every one that beat the loopback announced the
 // value again: a pass of the benchmark's order_pipeline (seed 1) made 56,708
 // announcements for 31,818 decisions. paxos.Stats counts announcements,
-// collisions, recoveries by cause, retries and catch-up requests per engine.
+// collisions, recoveries by cause, retries, catch-up requests and the
+// catch-up replies that brought no entry, per engine.
 //
 // A fast round runs only where a fast quorum leaves an acceptor out. With
 // Fast Paxos enabled, a leader opens a fast ballot when the fast quorum
-// ⌈3N/4⌉ is smaller than the group and at least that many replicas look
-// alive, and a classic one otherwise (paxos Engine.fastPossible, the one
-// place the rule is written). In a group of three or fewer the fast quorum
-// is every member: a fast round would wait for the slowest acceptor's WAL
-// sync, and stall on a failed one, where a classic round waits for the
-// median one, to save a single message delay. So such groups always order
-// in classic rounds; a group of four or more runs fast rounds while ⌈3N/4⌉
-// of it is alive.
+// ⌈3N/4⌉ is smaller than the group, at least that many replicas look
+// alive, and no live member is reading its checkpoint; a classic one
+// otherwise (paxos Engine.fastPossible, the one place the rule is written).
+// In a group of three or fewer the fast quorum is every member: a fast round
+// would wait for the slowest acceptor's WAL sync, and stall on a failed one,
+// where a classic round waits for the median one, to save a single message
+// delay. So such groups always order in classic rounds. A replica restarted
+// over a checkpoint boots consensus while the checkpoint streams from the
+// same disk (the overlap of §5.4), so its WAL syncs queue behind the read;
+// it says so in its heartbeat from boot until the restore ends
+// (Engine.SetRestoring, called by core.Replica). A fast quorum of a group of
+// five must then count it or every other member, and the slowest of them
+// decides each instance; a classic quorum leaves it out. So a group of four
+// or more runs fast rounds while ⌈3N/4⌉ of it is alive and none of the live
+// members restores, and the leader re-bids, classic or fast, when a restore
+// starts or ends. The rule is stricter than it needs to be at N ≥ 8, where
+// ⌈3N/4⌉ leaves two acceptors out and a fast quorum could skip the
+// restoring one. With SequentialRecovery the engine boots only after the
+// restore, so there is nothing to announce.
 //
 // A fast round's collision costs one coordinated recovery, not a timeout.
 // When the votes at an instance leave no value able to reach a fast quorum,

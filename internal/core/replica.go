@@ -57,8 +57,9 @@ type Config struct {
 	Machine func() StateMachine
 
 	// FastPaxos allows fast rounds (paxos.Config.FastEnabled): they run in
-	// groups of four or more while ⌈3N/4⌉ replicas are alive; a group of
-	// three or fewer always runs classic rounds.
+	// groups of four or more while ⌈3N/4⌉ replicas are alive and none of the
+	// live ones is reading its checkpoint; a group of three or fewer always
+	// runs classic rounds.
 	FastPaxos bool
 
 	// CheckpointInterval is the period between checkpoints. Default
@@ -411,6 +412,11 @@ func (r *Replica) Start(e env.Env) {
 		}
 		if !r.cfg.SequentialRecovery {
 			bootEngine()
+			// The checkpoint read below shares the disk with the engine's
+			// WAL syncs: the group orders in classic rounds until it ends.
+			if r.recovering {
+				r.en.SetRestoring(true)
+			}
 		}
 		// A fresh replica reads the zero manifest's unnamed base too: it
 		// finds nothing and starts empty, the initial state.
@@ -449,6 +455,7 @@ func (r *Replica) Start(e env.Env) {
 // finishRestore completes application-state recovery and drains buffered
 // deliveries.
 func (r *Replica) finishRestore(app appSnap) {
+	r.en.SetRestoring(false)
 	r.lastApplied = app.LastApplied
 	r.lastCheckpoint = app.LastApplied
 	r.hasCheckpoint = r.recovering

@@ -196,6 +196,57 @@ func TestCheckpointRecoveryUsesLocalState(t *testing.T) {
 	}
 }
 
+// TestRestoreAnnouncedUntilFinished: a replica restarted over a checkpoint
+// announces the restore in its heartbeat (paxos Engine.SetRestoring) from the
+// engine's boot until finishRestore makes it ready, so the group orders in
+// classic rounds while its disk serves the checkpoint read. A fresh replica
+// never announces one, nor does one under SequentialRecovery, whose engine
+// boots after the restore.
+func TestRestoreAnnouncedUntilFinished(t *testing.T) {
+	for _, sequential := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sequential=%v", sequential), func(t *testing.T) {
+			c := newCoreCluster(t, 3, 15, func(id int, cfg *Config) {
+				cfg.SequentialRecovery = sequential
+			})
+			announced := 0 // probes at which node 2 announced a restore
+			probe := func(from, to time.Duration) {
+				for d := from; d < to; d += time.Millisecond {
+					c.s.After(d, func() {
+						r := c.replicas[2]
+						if !c.s.Alive(2) || r.Engine() == nil {
+							return
+						}
+						want := r.recovering && !r.Ready() && !sequential
+						if on := r.Engine().Restoring(); on != want {
+							t.Fatalf("at %v: restoring %v, ready %v, recovering %v", c.s.Now(), on, r.Ready(), r.recovering)
+						} else if on {
+							announced++
+						}
+					})
+				}
+			}
+			probe(0, 2*time.Second)
+			for i := 0; i < 60; i++ {
+				c.submit(2*time.Second+time.Duration(i)*10*time.Millisecond, i%3,
+					incAction{Key: "a", Delta: 1})
+			}
+			c.s.After(3*time.Second, func() { c.replicas[2].Checkpoint(nil) })
+			c.s.After(4*time.Second, func() { c.s.Crash(2) })
+			c.s.After(5*time.Second, func() { c.s.Restart(2) })
+			probe(5*time.Second, 8*time.Second)
+			c.s.RunFor(10 * time.Second)
+
+			c.requireConverged(t, 60)
+			if c.recovered[2] != 1 {
+				t.Fatalf("node 2 OnRecovered fired %d times, want 1", c.recovered[2])
+			}
+			if sequential != (announced == 0) {
+				t.Fatalf("node 2 announced a restore at %d probes (sequential %v)", announced, sequential)
+			}
+		})
+	}
+}
+
 func TestRemoteSnapshotFallback(t *testing.T) {
 	c := newCoreCluster(t, 3, 13, func(id int, cfg *Config) {
 		cfg.CheckpointInterval = 3 * time.Second

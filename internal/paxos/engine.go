@@ -13,9 +13,9 @@ type Config struct {
 	// FastEnabled allows fast rounds (Fast Paxos), matching the paper's
 	// Treplica configuration (§2). The engine runs them where they are
 	// possible: in a group of four or more, where the fast quorum ⌈3N/4⌉
-	// leaves an acceptor out, while at least that many replicas are
-	// alive. Otherwise, and in every group of three or fewer, it runs
-	// classic Paxos rounds.
+	// leaves an acceptor out, while at least that many replicas are alive
+	// and no live one is reading its checkpoint (SetRestoring). Otherwise,
+	// and in every group of three or fewer, it runs classic Paxos rounds.
 	FastEnabled bool
 
 	// BatchDelay bounds how long submitted commands wait to be grouped
@@ -188,6 +188,12 @@ type Engine struct {
 	lastSeen       map[env.NodeID]time.Time
 	leader         *leaderState // non-nil while this node leads
 
+	// The restore signal: whether this node is reading its checkpoint
+	// (SetRestoring; its pings say so), and the peers whose last ping said
+	// they were. Only fastPossible decides anything from it.
+	restoring     bool
+	peerRestoring map[env.NodeID]bool
+
 	// Learner.
 	firstUnchosen InstanceID                         // next instance to deliver
 	retainedFrom  InstanceID                         // decisions below were compacted away
@@ -216,8 +222,9 @@ type Stats struct {
 	// coordinator's fast votes served as the promises of the recovery round.
 	RecNoPhase1 int64
 
-	Retries  int64 // own values re-proposed after RetryTimeout
-	CatchUps int64 // catch-up requests sent
+	Retries      int64 // own values re-proposed after RetryTimeout
+	CatchUps     int64 // catch-up requests sent
+	CatchUpEmpty int64 // catch-up replies that brought no entry
 }
 
 // Add adds o's counts to s.
@@ -230,6 +237,7 @@ func (s *Stats) Add(o Stats) {
 	s.RecNoPhase1 += o.RecNoPhase1
 	s.Retries += o.Retries
 	s.CatchUps += o.CatchUps
+	s.CatchUpEmpty += o.CatchUpEmpty
 }
 
 // Stats returns the counts since this engine booted. Call it on the node's
@@ -302,14 +310,15 @@ func New(cfg Config) *Engine {
 		panic("paxos: Config.Deliver is required")
 	}
 	return &Engine{
-		cfg:          cfg,
-		adm:          newAdmissionController(cfg.MaxInFlight * cfg.MaxBatchCmds),
-		promised:     ballotNone,
-		curBallot:    ballotNone,
-		fastBallot:   ballotNone,
-		maxBallotSeq: -1,
-		lastSeen:     make(map[env.NodeID]time.Time),
-		delivered:    make(map[env.NodeID]map[int64]*dedupSet),
+		cfg:           cfg,
+		adm:           newAdmissionController(cfg.MaxInFlight * cfg.MaxBatchCmds),
+		promised:      ballotNone,
+		curBallot:     ballotNone,
+		fastBallot:    ballotNone,
+		maxBallotSeq:  -1,
+		lastSeen:      make(map[env.NodeID]time.Time),
+		peerRestoring: make(map[env.NodeID]bool),
+		delivered:     make(map[env.NodeID]map[int64]*dedupSet),
 	}
 }
 
@@ -447,6 +456,16 @@ func (en *Engine) FastActive() bool { return en.curBallot.Fast }
 // (including this node).
 func (en *Engine) AliveCount() int { return en.aliveCount() }
 
+// SetRestoring announces, in this node's heartbeat from the next ping on,
+// whether it is reading its checkpoint from the local disk. Its WAL syncs
+// then queue behind that read, so while any live member is restoring, the
+// leader orders in classic rounds (fastPossible).
+func (en *Engine) SetRestoring(on bool) { en.restoring = on }
+
+// Restoring reports what this node's heartbeat announces: whether it is
+// reading its checkpoint.
+func (en *Engine) Restoring() bool { return en.restoring }
+
 // Backlog returns how many decided-but-undelivered instances this node
 // still has to apply — the queue-resynchronization backlog of §5.6.
 func (en *Engine) Backlog() int64 { return int64(en.maxKnown - en.firstUnchosen + 1) }
@@ -463,14 +482,19 @@ func (en *Engine) owner(b Ballot) env.NodeID {
 
 func (en *Engine) aliveCount() int {
 	now := en.e.Now()
-	horizon := 3 * en.cfg.HeartbeatInterval
 	alive := 1 // self
 	for id, t := range en.lastSeen {
-		if id != en.me && now.Sub(t) <= horizon {
+		if id != en.me && en.seenWithin(now, t) {
 			alive++
 		}
 	}
 	return alive
+}
+
+// seenWithin reports whether a peer last heard from at t still looks alive
+// at now: heard within three heartbeats.
+func (en *Engine) seenWithin(now, t time.Time) bool {
+	return now.Sub(t) <= 3*en.cfg.HeartbeatInterval
 }
 
 // --- Proposer ----------------------------------------------------------
@@ -662,6 +686,7 @@ func (en *Engine) sendPing() {
 		B:             en.curBallot,
 		Leader:        en.IsLeader(),
 		FirstUnchosen: en.firstUnchosen,
+		Restoring:     en.restoring,
 	}
 	en.broadcast(m)
 	// Heartbeats also flow to attached learners so they track the current
@@ -674,6 +699,11 @@ func (en *Engine) sendPing() {
 
 func (en *Engine) onPing(from env.NodeID, m pingMsg) {
 	en.lastSeen[from] = en.e.Now()
+	if m.Restoring {
+		en.peerRestoring[from] = true
+	} else {
+		delete(en.peerRestoring, from)
+	}
 	en.noteBallot(m.B)
 	if m.Leader {
 		if en.curBallot.Less(m.B) {
@@ -819,7 +849,7 @@ func (en *Engine) requestCatchUp() {
 		// Pick the lowest-id recently seen member (deterministic).
 		for _, id := range en.members {
 			t, ok := en.lastSeen[id]
-			if ok && id != en.me && en.e.Now().Sub(t) <= 3*en.cfg.HeartbeatInterval {
+			if ok && id != en.me && en.seenWithin(en.e.Now(), t) {
 				target = id
 				break
 			}
@@ -851,6 +881,9 @@ func (en *Engine) onCatchUpReq(from env.NodeID, m catchUpReqMsg) {
 func (en *Engine) onCatchUpReply(from env.NodeID, m catchUpReplyMsg) {
 	if m.LastKnown > en.maxKnown {
 		en.maxKnown = m.LastKnown
+	}
+	if len(m.Entries) == 0 {
+		en.stats.CatchUpEmpty++
 	}
 	gap := m.FirstAvail > en.firstUnchosen && en.firstUnchosen <= en.maxKnown
 	for i := range m.Entries {

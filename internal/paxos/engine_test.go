@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -26,6 +27,10 @@ type testCluster struct {
 	// every record it appends to its WAL, before the runtime does.
 	onSend  func(from, to env.NodeID, msg env.Message)
 	onWrite func(node env.NodeID, rec env.Record)
+
+	// failSyncs names the nodes whose WAL group commits complete with an
+	// error: the records reach the disk, and the sync reports a failure.
+	failSyncs map[env.NodeID]bool
 
 	// recVals is the value each leader proposed at each instance of a
 	// recovery round, as checkLeader has seen them.
@@ -77,8 +82,14 @@ func (s tapStorage) AppendBatch(recs []env.Record, done func(error)) {
 			s.c.onWrite(s.id, r)
 		}
 	}
+	if s.c.failSyncs[s.id] {
+		s.Storage.AppendBatch(recs, func(error) { done(errSyncFailed) })
+		return
+	}
 	s.Storage.AppendBatch(recs, done)
 }
+
+var errSyncFailed = errors.New("injected WAL sync failure")
 
 func (n *engineNode) Start(e env.Env) {
 	c := n.c

@@ -180,12 +180,26 @@ func (ls *leaderState) onDecided(inst, floor InstanceID) {
 var BugStaleLeaderRejoin bool
 
 // fastPossible is the mode rule: a new ballot is fast when Fast Paxos is
-// enabled, the fast quorum ⌈3N/4⌉ leaves an acceptor out, and at least that
-// many replicas look alive (the Treplica rule of §2); classic otherwise. At
-// n ≤ 3 the fast quorum is the whole group: a fast round would wait for the
-// slowest acceptor's WAL sync, and stall on a failed one, while a classic
-// round waits for the median one and costs only one message delay more.
+// enabled, the fast quorum ⌈3N/4⌉ leaves an acceptor out, at least that many
+// replicas look alive (the Treplica rule of §2), and no live member — this
+// one included — is reading its checkpoint; classic otherwise. At n ≤ 3 the
+// fast quorum is the whole group: a fast round would wait for the slowest
+// acceptor's WAL sync, and stall on a failed one, while a classic round waits
+// for the median one and costs only one message delay more. A restoring
+// member's syncs queue behind its checkpoint read, so while one is alive a
+// fast quorum that must count it, or every other member, waits for the
+// slowest of them; a classic quorum leaves it out. (That is stricter than
+// needed at N ≥ 8, where ⌈3N/4⌉ leaves two acceptors out.)
 func (en *Engine) fastPossible() bool {
+	if en.restoring {
+		return false
+	}
+	now := en.e.Now()
+	for id := range en.peerRestoring {
+		if en.seenWithin(now, en.lastSeen[id]) {
+			return false
+		}
+	}
 	return en.cfg.FastEnabled && FastQuorum(en.n) < en.n && en.aliveCount() >= FastQuorum(en.n)
 }
 
@@ -657,8 +671,9 @@ func (en *Engine) leaderSweep(now time.Time) {
 	ls := en.leader
 
 	// Mode management: bid again when fastPossible changes its answer, as
-	// the failure detector's live count crosses ⌈3N/4⌉ (never at n ≤ 3,
-	// where every round is classic).
+	// the failure detector's live count crosses ⌈3N/4⌉ or a live member
+	// starts or ends a checkpoint restore (never at n ≤ 3, where every round
+	// is classic).
 	desiredFast := en.fastPossible()
 	if desiredFast != ls.b.Fast && now.Sub(ls.lastModeAt) > time.Second {
 		en.e.Logf("mode change: fast=%v alive=%d", desiredFast, en.aliveCount())

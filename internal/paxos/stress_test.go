@@ -235,6 +235,98 @@ func TestFastRoundsLeaveAnAcceptorOut(t *testing.T) {
 	}
 }
 
+// TestRestoringMemberMakesRoundsClassic: in a group of five with Fast Paxos
+// on, a member that announces a checkpoint restore makes the leader re-bid
+// classic within the mode-change delay; from then on no fast proposal is sent
+// and everything submitted is delivered. When the restore ends, a fast ballot
+// returns. A restoring leader bids classic from the moment it announces, and
+// a restoring member that crashes stops counting: the four alive are a fast
+// quorum again.
+func TestRestoringMemberMakesRoundsClassic(t *testing.T) {
+	const n = 5
+	c := addEngines(t, n, true, 91, sim.NetConfig{})
+	fastProposals := 0
+	c.onSend = func(_, _ env.NodeID, msg env.Message) {
+		if _, ok := msg.(fastProposeMsg); ok {
+			fastProposals++
+		}
+	}
+	c.s.StartAll()
+	total := 0
+	load := func(ids ...int) {
+		for i := 0; i < 40; i++ {
+			c.submit(time.Duration(i)*10*time.Millisecond, ids[i%len(ids)], fmt.Sprintf("cmd-%d", total))
+			total++
+		}
+		c.s.RunFor(2 * time.Second)
+		for _, id := range ids {
+			c.requireDelivered(id, total)
+		}
+	}
+	setRestoring := func(id int, on bool) {
+		c.s.At(c.s.Now(), func() { c.engines[id].SetRestoring(on) })
+	}
+	all := []int{0, 1, 2, 3, 4}
+	c.s.RunFor(3 * time.Second)
+	lead := c.leaderIndex()
+	if lead < 0 || !c.engines[lead].FastActive() {
+		t.Fatal("no fast leader at the start")
+	}
+	mode := func(when string, wantFast bool) {
+		t.Helper()
+		if c.leaderIndex() != lead || c.engines[lead].FastActive() != wantFast {
+			t.Fatalf("%s: node %d leads at %v (node %d led before), want fast=%v", when, c.leaderIndex(), c.engines[lead].CurrentBallot(), lead, wantFast)
+		}
+	}
+	load(all...)
+
+	m := (lead + 1) % n
+	setRestoring(m, true)
+	c.s.RunFor(time.Second)
+	mode("a member restoring", false)
+	proposals := fastProposals
+	load(all...)
+	if fastProposals != proposals {
+		t.Fatalf("%d fast proposals while a member restores", fastProposals-proposals)
+	}
+
+	setRestoring(m, false)
+	c.s.RunFor(2 * time.Second)
+	mode("the restore over", true)
+	proposals = fastProposals
+	load(all...)
+	if fastProposals == proposals {
+		t.Fatal("no fast proposal once the restore ended")
+	}
+
+	// The leader announces a restore and bids in the same step, before its
+	// own ping could tell it anything.
+	var bid Ballot
+	c.s.At(c.s.Now(), func() {
+		c.engines[lead].SetRestoring(true)
+		c.engines[lead].startPrepare()
+		bid = c.engines[lead].leader.b
+	})
+	c.s.RunFor(2 * time.Second)
+	mode("the leader restoring", false)
+	if bid.Fast || bid != c.engines[lead].CurrentBallot() {
+		t.Fatalf("the restoring leader bid %v and leads at %v; want one classic bid", bid, c.engines[lead].CurrentBallot())
+	}
+	load(all...)
+	setRestoring(lead, false)
+	c.s.RunFor(2 * time.Second)
+	mode("the leader's restore over", true)
+
+	setRestoring(m, true)
+	c.s.RunFor(2 * time.Second)
+	mode("a member restoring again", false)
+	c.s.Crash(env.NodeID(m))
+	c.s.RunFor(2 * time.Second)
+	mode("the restoring member crashed", true)
+	load(slices.DeleteFunc(slices.Clone(all), func(id int) bool { return id == m })...)
+	c.checkConsistency()
+}
+
 // TestCompactionAndCatchUpAfterTruncation: a node that falls behind a
 // compaction horizon must hit OnCatchUpGap rather than stall silently.
 func TestCompactionBoundsServing(t *testing.T) {

@@ -290,6 +290,7 @@ type pingMsg struct {
 	B             Ballot // highest ballot the sender has seen
 	Leader        bool   // sender believes it is the leader of B
 	FirstUnchosen InstanceID
+	Restoring     bool // sender is reading its checkpoint (Engine.SetRestoring)
 }
 
 func (m pingMsg) WireSize() int64 { return msgOverhead }

@@ -11,11 +11,14 @@ type walDone struct {
 	msg env.Message
 }
 
+// run completes a record's write. fn sees the error; msg is sent only once
+// the record is durable, so a promise or vote that failed to persist is
+// acknowledged to no one.
 func (d walDone) run(e env.Env, err error) {
 	switch {
 	case d.fn != nil:
 		d.fn(err)
-	case d.msg != nil:
+	case d.msg != nil && err == nil:
 		e.Send(d.to, d.msg)
 	}
 }

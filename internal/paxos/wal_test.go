@@ -146,3 +146,56 @@ func TestSubmitWhileUnbooted(t *testing.T) {
 		c.requireDelivered(id, 1)
 	}
 }
+
+// TestFailedSyncIsNotAcknowledged: a promise or a vote whose WAL sync fails
+// is acknowledged to no one. An acceptor is handed an accept and then a
+// prepare, each above anything it promised, at ballots it owns (so its
+// replies go to itself and no leader acts on them). With a working disk it
+// sends one vote and one promise; with every sync failing it sends neither.
+func TestFailedSyncIsNotAcknowledged(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			c := newCluster(t, 3, false, 73, sim.NetConfig{})
+			c.s.RunFor(2 * time.Second)
+			lead := c.leaderIndex()
+			if lead < 0 {
+				t.Fatal("no leader")
+			}
+			x := env.NodeID((lead + 1) % 3)
+			en := c.engines[x]
+			votes, promises := 0, 0
+			c.onSend = func(from, _ env.NodeID, msg env.Message) {
+				if from != x {
+					return
+				}
+				switch msg.(type) {
+				case *acceptedMsg:
+					votes++
+				case promiseMsg:
+					promises++
+				}
+			}
+			c.failSyncs = map[env.NodeID]bool{x: fail}
+
+			c.s.At(c.s.Now(), func() {
+				b := Ballot{Seq: nextOwnedBallot(en.maxBallotSeq, x, 3)}
+				v := Value{ID: ValueID{Node: x, Epoch: 1, Seq: 1}, Cmds: []any{"a"}, Size: 64}
+				en.Handle(x, acceptMsg{B: b, Inst: en.FirstUnchosen(), V: v})
+			})
+			c.s.RunFor(500 * time.Millisecond)
+			c.s.At(c.s.Now(), func() {
+				b := Ballot{Seq: nextOwnedBallot(en.maxBallotSeq, x, 3)}
+				en.Handle(x, prepareMsg{B: b, From: en.FirstUnchosen()})
+			})
+			c.s.RunFor(500 * time.Millisecond)
+
+			want := 1
+			if fail {
+				want = 0
+			}
+			if votes != want || promises != want {
+				t.Fatalf("syncs failing %v: the acceptor sent %d votes and %d promises, want %d of each", fail, votes, promises, want)
+			}
+		})
+	}
+}

@@ -41,7 +41,8 @@ type Config struct {
 	Readers int
 
 	// FastPaxos enables Treplica's fast mode (core.Config.FastPaxos); a
-	// group of three or fewer servers runs classic rounds regardless.
+	// group of three or fewer servers runs classic rounds regardless, and a
+	// larger one does while a live server is reading its checkpoint.
 	FastPaxos bool
 
 	// Store builds the populated bookstore for a (re)starting server.
