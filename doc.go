@@ -346,13 +346,13 @@
 // window (search.Shrink), and pins survivors as reproducible JSON
 // counterexamples under internal/exp/testdata/pinned/ — auto-replayed by
 // a regression test, so every bug the search ever caught stays caught.
-// The harness is itself acceptance-tested against a known-bad engine:
-// reverting the stale-leader-rejoin fix behind paxos.BugStaleLeaderRejoin
-// makes the hunt find the resulting write-wedge, shrink the schedule to
-// the causal leader partition/heal pair, and pin a case that reproduces
-// the wedge pre-fix and passes post-fix. CI runs a -short smoke per PR
-// and a full scheduled hunt nightly, uploading found schedules as
-// artifacts.
+// The harness is itself acceptance-tested against a known-bad engine: on
+// the build of internal/mutants' stale-leader-rejoin mutant (a known bug is
+// an edit passed to go test -overlay, never a switch in production code),
+// the hunt finds the write-wedge, shrinks the schedule and pins a case that
+// reproduces the wedge there and passes on the real build; that package's
+// kill matrix says which check catches which known bug. CI runs a -short
+// smoke per PR and the full hunt and matrix nightly, uploading their finds.
 //
 // The codebase enforces its own invariants statically: internal/analysis
 // is a stdlib-only go/analysis-style suite run by cmd/analyze (standalone

@@ -163,6 +163,18 @@ func (p PinnedCase) RunConfig() (exp.RunConfig, error) {
 	}, nil
 }
 
+// Replay runs the case and judges it with the oracles it was found under,
+// against the failure-free run of the same deployment and seed.
+func (p PinnedCase) Replay() (Verdict, error) {
+	rc, err := p.RunConfig()
+	if err != nil {
+		return Verdict{}, err
+	}
+	base := rc
+	base.Fault = exp.NoFault
+	return Evaluate(exp.RunUncached(rc), exp.Run(base).AWIPS, lastFaultRunSec(rc.Fault.Events, rc.Measure)), nil
+}
+
 // SavePin writes the case under dir with a content-addressed filename
 // (name plus a digest prefix), so re-pinning the same counterexample is
 // idempotent and distinct cases never collide. Returns the file path.

@@ -122,3 +122,36 @@ func TestOpScopeNameTables(t *testing.T) {
 		}
 	}
 }
+
+// pinnedCorpus is the committed counterexample corpus, relative to this
+// package's directory.
+const pinnedCorpus = "../testdata/pinned"
+
+// TestPinnedCorpusReplaysClean auto-replays every counterexample under
+// testdata/pinned against the current build: each was a real failure
+// when found, each must stay fixed. A regression that re-breaks one
+// fails here with the original violation for context.
+func TestPinnedCorpusReplaysClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pinned corpus replay in -short mode")
+	}
+	cases, paths, err := LoadPins(pinnedCorpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cases) == 0 {
+		t.Fatalf("no pinned cases under %s — the corpus should hold at least the stale-leader wedge", pinnedCorpus)
+	}
+	for i, pc := range cases {
+		t.Run(pc.Name, func(t *testing.T) {
+			v, err := pc.Replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Failed() {
+				t.Errorf("pinned case %s (%s) fails again: %v\noriginally: %v",
+					pc.Name, paths[i], v.Violations, pc.Violations)
+			}
+		})
+	}
+}

@@ -95,17 +95,15 @@ func Hunt(cfg Config) Report {
 			rep.Runs++ // memoized: one real run per distinct seed
 		}
 		rc = base.Cfg // Base with exp's defaults filled in
-		run := func(name string, evs []exp.FaultEvent) exp.RunResult {
-			rc.Fault = exp.Faultload{Name: name, Events: evs}
-			rep.Runs++
-			return exp.RunUncached(rc)
-		}
-
 		rng := rand.New(rand.NewSource(int64(cfg.Seed)*1_000_003 + int64(t)))
 		sc := sampleSchedule(rng, rc.Shards, rc.Servers)
-		r := run(sc.fl.Name, sc.fl.Events)
+		judge := func(evs []exp.FaultEvent) Verdict {
+			rc.Fault = exp.Faultload{Name: sc.fl.Name, Events: evs}
+			rep.Runs++
+			return Evaluate(exp.RunUncached(rc), base.AWIPS, lastFaultRunSec(evs, rc.Measure))
+		}
+		v := judge(sc.fl.Events)
 		rep.Tried++
-		v := Evaluate(r, base.AWIPS, lastFaultRunSec(sc.fl.Events, rc.Measure))
 		if !v.Failed() {
 			logf("schedule %d/%d %s (%d events, seed %d): clean",
 				t+1, cfg.Budget, sc.fl.Name, len(sc.fl.Events), runSeed)
@@ -115,9 +113,7 @@ func Hunt(cfg Config) Report {
 			t+1, cfg.Budget, sc.fl.Name, len(sc.fl.Events), runSeed,
 			strings.Join(v.Violations, "; "))
 
-		failing := func(evs []exp.FaultEvent) bool {
-			return Evaluate(run(sc.fl.Name, evs), base.AWIPS, lastFaultRunSec(evs, rc.Measure)).Failed()
-		}
+		failing := func(evs []exp.FaultEvent) bool { return judge(evs).Failed() }
 		minEvents, probes := Shrink(sc.fl.Events, failing, cfg.ShrinkBudget, logf)
 		logf("shrunk %s: %s in %d probe run(s)",
 			sc.fl.Name, shrinkRatio(len(sc.fl.Events), len(minEvents)), probes)

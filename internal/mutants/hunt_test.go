@@ -1,0 +1,101 @@
+package mutants
+
+import (
+	"flag"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"robuststore/internal/exp"
+	"robuststore/internal/exp/search"
+)
+
+var huntPin = flag.String("hunt-pin", "", "set when TestHuntFindsShrinksAndPinsKnownBug runs itself on the stale-leader-rejoin mutant's build: the directory its hunt pins under")
+
+// TestHuntFindsShrinksAndPinsKnownBug is the fault hunt's own acceptance
+// test: on the stale-leader-rejoin mutant's build (both halves of the fix
+// reverted), the generative search must find the write-wedge, delta-debug the
+// schedule down, and pin a counterexample that reproduces the wedge on that
+// build and passes on this one. The test runs itself on the mutant's build,
+// with -hunt-pin naming where the hunt pins, and replays the pins here.
+//
+// The hunt seed is chosen (like the paxos regression seeds) so a leader
+// partition/heal schedule falls inside a small budget; the wedge itself is
+// the real heal-time race, not a scripted failure. The race depends on the
+// ordering path's timing, so a change to it can move the race out of a
+// seed's schedules: seed 26 held it until fast-round recoveries stopped
+// running phase 1; seed 138 finds it in its second schedule and shrinks 12
+// events to 4.
+func TestHuntFindsShrinksAndPinsKnownBug(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hunt acceptance run in -short mode")
+	}
+	if *huntPin != "" {
+		huntKnownBug(t, *huntPin)
+		return
+	}
+	t.Parallel()
+	dir := t.TempDir()
+	ov, err := writeOverlay(row("stale-leader-rejoin"), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := goCmd("test", "-overlay", ov, "-count=1", "-v", "-run", "^TestHuntFindsShrinksAndPinsKnownBug$", "./internal/mutants/", "-args", "-hunt-pin="+dir)
+	t.Logf("on the stale-leader-rejoin mutant's build:\n%s", out)
+	if err != nil {
+		t.Fatal("the hunt's acceptance failed on the mutant's build")
+	}
+	cases, paths, err := search.LoadPins(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cases) == 0 {
+		t.Fatal("the mutant's hunt pinned nothing")
+	}
+	// ...and every pinned schedule passes once the fix is back in.
+	for i, pc := range cases {
+		if v, err := pc.Replay(); err != nil {
+			t.Fatal(err)
+		} else if v.Failed() {
+			t.Errorf("pinned schedule %s still fails post-fix: %v", paths[i], v.Violations)
+		}
+	}
+}
+
+// huntKnownBug is the part of the acceptance test that runs on the mutant's
+// build: the hunt finds, shrinks and pins the wedge under dir, and the pinned
+// schedule reproduces it.
+func huntKnownBug(t *testing.T, dir string) {
+	rep := search.Hunt(search.Config{Seed: 138, Budget: 4, PinDir: dir, Log: os.Stderr, Base: exp.RunConfig{
+		Servers: 5, StateMB: 300, Browsers: 300, Measure: 120 * time.Second}})
+	if len(rep.Findings) == 0 {
+		t.Fatal("hunt against the known-bad engine found nothing")
+	}
+	f := rep.Findings[0]
+	wedged := false
+	for _, viol := range f.Case.Violations {
+		if strings.HasPrefix(viol, "write-wedge") {
+			wedged = true
+		}
+	}
+	if !wedged {
+		t.Fatalf("finding is not the write-wedge: %v", f.Case.Violations)
+	}
+	if f.EventsMin >= f.EventsFound {
+		t.Errorf("shrinker made no progress: %d → %d events", f.EventsFound, f.EventsMin)
+	}
+	if f.Path == "" {
+		t.Fatal("finding was not pinned")
+	}
+	if _, err := os.Stat(f.Path); err != nil {
+		t.Fatalf("pinned file missing: %v", err)
+	}
+
+	// The pinned schedule reproduces the wedge on the broken engine...
+	if v, err := f.Case.Replay(); err != nil {
+		t.Fatal(err)
+	} else if !v.Failed() {
+		t.Error("pinned schedule does not reproduce the wedge pre-fix")
+	}
+}

@@ -137,10 +137,10 @@ func (en *Engine) onFastPropose(from env.NodeID, m fastProposeMsg) {
 		// The fast round was superseded by a higher promise. Unlike the
 		// classic phase-2 path there is no per-message nack here, so a
 		// coordinator whose round died this way would never learn it —
-		// tell it, so it stands down and a live ballot can emerge. (The
-		// stale-leader-rejoin fix is two-sided; BugStaleLeaderRejoin
-		// reverts this half too, restoring the pre-fix engine.)
-		if c := en.owner(fb); c >= 0 && c != en.me && !BugStaleLeaderRejoin {
+		// tell it, so it stands down and a live ballot can emerge. (One half
+		// of the stale-leader-rejoin fix, startPrepare's claim of its own bid
+		// the other; internal/mutants reverts each in a row of its matrix.)
+		if c := en.owner(fb); c >= 0 && c != en.me {
 			en.e.Send(c, nackMsg{Promised: en.promised})
 		}
 		return

@@ -508,3 +508,110 @@ func TestStaleLeaderRejoinLiveness(t *testing.T) {
 		})
 	}
 }
+
+// TestBidOutranksStaleHeartbeat is the bid half of the stale-leader-rejoin
+// fix on its own: a bidder's own bid is the highest leadership ballot it has
+// seen. Node y misses a re-election (its incoming links are blocked while the
+// leader bids again), so its curBallot is the leader's old ballot. It then
+// bids above the new one, and the leader's next heartbeat — at the new
+// ballot, between y's stale curBallot and y's bid — arrives before the
+// promises do. y must keep its bid and lead at it. It used to adopt the
+// heartbeat's leadership and drop the bid as the acceptors promised it, which
+// left the group with no working leader until a later election; nothing was
+// delivered meanwhile.
+func TestBidOutranksStaleHeartbeat(t *testing.T) {
+	c := newCluster(t, 5, true, 6, sim.NetConfig{})
+	c.submit(10*time.Millisecond, 0, "boot")
+	c.s.RunFor(time.Second)
+	lead := fastLeader(t, c)
+	y := c.engines[(int(lead.me)+1)%c.n]
+
+	// y stops hearing anyone while the leader re-bids and re-establishes.
+	for from := 0; from < c.n; from++ {
+		c.s.SetLink(env.NodeID(from), y.me, true)
+	}
+	lead.startPrepare()
+	c.s.RunFor(200 * time.Millisecond)
+	if !lead.IsLeader() {
+		t.Fatal("the leader did not re-establish without y")
+	}
+	renewed := lead.leader.b
+	for from := 0; from < c.n; from++ {
+		c.s.SetLink(env.NodeID(from), y.me, false)
+	}
+	if !y.CurrentBallot().Less(renewed) {
+		t.Fatalf("y saw the re-election: its ballot is %v, the leader's %v", y.CurrentBallot(), renewed)
+	}
+
+	// y learns of the higher ballot (as from a nack), bids above it, and the
+	// leader's heartbeat reaches it before any promise.
+	y.noteBallot(renewed)
+	y.startPrepare()
+	bid := y.leader.b
+	y.Handle(lead.me, pingMsg{B: renewed, Leader: true, FirstUnchosen: lead.firstUnchosen})
+	if y.leader == nil || y.leader.b != bid {
+		t.Fatalf("y dropped its bid %v on a heartbeat at %v", bid, renewed)
+	}
+
+	c.submit(300*time.Millisecond, 2, "after")
+	c.s.RunFor(500 * time.Millisecond)
+	if !y.IsLeader() || y.CurrentBallot() != bid {
+		t.Fatalf("y does not lead at its bid %v (leads: %v, ballot %v)", bid, y.IsLeader(), y.CurrentBallot())
+	}
+	for id := range c.engines {
+		c.requireDelivered(id, 2)
+	}
+	c.checkConsistency()
+}
+
+// TestSupersededFastRoundIsNacked is the nack half of the stale-leader-rejoin
+// fix on its own: an acceptor that has promised a ballot above its fast round
+// answers a fast proposal there with a nack to the round's coordinator. Here
+// three acceptors promise a bid of node y that y itself never follows up (it
+// holds no bid: the prepares are handed to them as if from an earlier y), so
+// the promised ballot has no owner at work and the leader's fast round cannot
+// reach a fast quorum. The nacks make the leader stand down, a new election
+// bids above the orphaned ballot, and its fast round decides values with no
+// recovery. Without them the acceptors dropped the fast proposals silently and
+// the leader kept its dead round, where a value is decided only by a hedging
+// recovery of its own; in the stale-leader race, where the recoveries were
+// refused too, nothing was delivered for ever.
+func TestSupersededFastRoundIsNacked(t *testing.T) {
+	c := newCluster(t, 5, true, 6, sim.NetConfig{})
+	c.submit(10*time.Millisecond, 0, "boot")
+	c.s.RunFor(time.Second)
+	lead := fastLeader(t, c)
+	y := env.NodeID((int(lead.me) + 1) % c.n)
+	orphan := Ballot{Seq: nextOwnedBallot(lead.maxBallotSeq, y, c.n), Fast: true}
+	for id, en := range c.engines {
+		if env.NodeID(id) != y && env.NodeID(id) != lead.me {
+			en.Handle(y, prepareMsg{B: orphan, From: en.firstUnchosen})
+		}
+	}
+	c.submit(10*time.Millisecond, 2, "superseded")
+	c.s.RunFor(3 * time.Second)
+	id := c.leaderIndex()
+	if id < 0 || !orphan.Less(c.engines[id].CurrentBallot()) || !c.engines[id].FastActive() {
+		t.Fatalf("no fast leadership above the orphaned ballot %v (leader %d at %v)", orphan, id, lead.CurrentBallot())
+	}
+
+	recoveries := func() (n int64) {
+		for _, en := range c.engines {
+			st := en.Stats()
+			n += st.RecHedge + st.RecCollision + st.RecGap
+		}
+		return n
+	}
+	before := recoveries()
+	for i := 0; i < 5; i++ {
+		c.submit(time.Duration(i)*50*time.Millisecond, i, fmt.Sprintf("after%d", i))
+	}
+	c.s.RunFor(time.Second)
+	for id := range c.engines {
+		c.requireDelivered(id, 7)
+	}
+	c.checkConsistency()
+	if n := recoveries() - before; n != 0 {
+		t.Fatalf("%d recoveries for values proposed in a live fast round", n)
+	}
+}

@@ -169,16 +169,6 @@ func (ls *leaderState) onDecided(inst, floor InstanceID) {
 	ls.insts.DropBelow(lo)
 }
 
-// BugStaleLeaderRejoin, when true, reverts the stale-leader-rejoin fix
-// (both halves: the bid no longer claims curBallot locally, and acceptors
-// no longer nack the coordinator of a superseded fast round),
-// reintroducing the livelock the partition faultloads once exposed. It exists only as a
-// known-bad toggle for the generative fault search: a hunt against a
-// build with this set must find the wedge, shrink the schedule and pin
-// it — the test proving the search harness catches real regressions.
-// Never set outside tests.
-var BugStaleLeaderRejoin bool
-
 // fastPossible is the mode rule: a new ballot is fast when Fast Paxos is
 // enabled, the fast quorum ⌈3N/4⌉ leaves an acceptor out, at least that many
 // replicas look alive (the Treplica rule of §2), and no live member — this
@@ -210,15 +200,13 @@ func (en *Engine) startPrepare() {
 	b := Ballot{Seq: seq, Fast: en.fastPossible()}
 	en.noteBallot(b)
 	// Our own bid is the highest leadership ballot we have seen: claim it
-	// locally. Without this, a heartbeat from the OLD leader — at a
-	// ballot between our stale curBallot and our bid — would "adopt" that
-	// older leadership and nil the bid just as the acceptors promise it,
-	// leaving the cluster promised to a ballot nobody owns (the
-	// stale-leader-rejoin livelock the partition faultloads exposed:
-	// every fast proposal is then silently dropped forever).
-	if !BugStaleLeaderRejoin {
-		en.curBallot = b
-	}
+	// locally. Otherwise a heartbeat from the old leader, at a ballot between
+	// our stale curBallot and our bid, would adopt that leadership and drop
+	// the bid just as the acceptors promise it, leaving the group promised to
+	// a ballot nobody owns (the stale-leader-rejoin livelock the partition
+	// faultloads exposed). onFastPropose's nack is the fix's other half;
+	// internal/mutants reverts each half in a row of its kill matrix.
+	en.curBallot = b
 	en.leader = &leaderState{
 		b:          b,
 		startedAt:  en.e.Now(),
