@@ -1,30 +1,16 @@
 // Command analyze runs the repository's determinism & invariant analyzer
-// suite (internal/analysis: detorder, walltime, walpath, guarded).
-//
-// Standalone, over package patterns:
+// suite (internal/analysis: detorder, walltime, walpath, guarded) over the
+// packages its arguments match:
 //
 //	go run ./cmd/analyze ./...
-//
-// As a vettool — the unitchecker protocol go vet speaks, one JSON config
-// file per package:
-//
-//	go build -o /tmp/analyze ./cmd/analyze
-//	go vet -vettool=/tmp/analyze ./...
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics reported.
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"go/types"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"robuststore/internal/analysis"
 	"robuststore/internal/analysis/detorder"
@@ -42,188 +28,37 @@ var suite = []*analysis.Analyzer{
 }
 
 func main() {
-	// go vet probes the tool's identity with -V=full before trusting it.
-	versionFlag := flag.String("V", "", "print version and exit (vettool protocol)")
-	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: analyze [packages...] | analyze <unit>.cfg\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: analyze [packages...]\n\nAnalyzers:\n")
 		for _, a := range suite {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
 	}
-	// go vet's first probe is `analyze -flags`: the tool's supported
-	// analyzer flags as JSON. The suite is not configurable, so the list
-	// is empty.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
 	flag.Parse()
-	if *versionFlag != "" {
-		// go vet folds the tool's identity into its cache key; the
-		// expected shape is "<name> version <semver> buildID=<hex>", with
-		// the ID derived from the executable so a rebuilt tool busts the
-		// cache.
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := os.ReadFile(exe)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		sum := sha256.Sum256(data)
-		fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
-			filepath.Base(exe), sum)
-		return
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args, *jsonFlag))
+	os.Exit(run(flag.Args()))
 }
 
-// standalone loads the given patterns with the go command and runs the
-// whole suite over every matched package.
-func standalone(patterns []string, asJSON bool) int {
+// run loads the given patterns with the go command, runs the whole suite
+// over every matched package and prints each diagnostic to stderr.
+func run(patterns []string) int {
 	pkgs, err := analysis.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	var all []analysis.Diagnostic
-	var fset *token.FileSet
+	status := 0
 	for _, pkg := range pkgs {
-		fset = pkg.Fset
 		for _, a := range suite {
 			diags, err := analysis.Run(a, pkg)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			all = append(all, diags...)
-		}
-	}
-	if len(all) == 0 {
-		return 0
-	}
-	emit(fset, all, asJSON)
-	return 2
-}
-
-// vetConfig is the subset of the unitchecker config file (written by
-// `go vet` for each package unit) the tool consumes.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck runs the suite over one go vet package unit described by a
-// .cfg file, resolving imports through the export data go vet prepared.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "analyze: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The tool keeps no cross-package facts, but go vet requires the
-	// output file to exist for caching.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("analyze-no-facts\n"), 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	fset := token.NewFileSet()
-	exports := map[string]string{}
-	for path, file := range cfg.PackageFile {
-		exports[path] = file
-	}
-	imp := mappedImporter{
-		imports: cfg.ImportMap,
-		under:   analysis.ExportImporter(fset, exports),
-	}
-	pkg, err := analysis.Typecheck(fset, imp, cfg.ImportPath, cfg.Dir, cfg.GoFiles)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var all []analysis.Diagnostic
-	for _, a := range suite {
-		diags, err := analysis.Run(a, pkg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		all = append(all, diags...)
-	}
-	if len(all) == 0 {
-		return 0
-	}
-	emit(fset, all, false)
-	return 2
-}
-
-// mappedImporter applies go vet's source-path -> canonical-path map
-// before hitting export data.
-type mappedImporter struct {
-	imports map[string]string
-	under   types.Importer
-}
-
-func (m mappedImporter) Import(path string) (*types.Package, error) {
-	if canon, ok := m.imports[path]; ok {
-		path = canon
-	}
-	return m.under.Import(path)
-}
-
-func emit(fset *token.FileSet, diags []analysis.Diagnostic, asJSON bool) {
-	if asJSON {
-		type jsonDiag struct {
-			Posn     string `json:"posn"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]jsonDiag, len(diags))
-		for i, d := range diags {
-			out[i] = jsonDiag{
-				Posn:     fset.Position(d.Pos).String(),
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
+			for _, d := range diags {
+				fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
+				status = 2
 			}
 		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "\t")
-		_ = enc.Encode(out)
-		os.Stdout.Write(buf.Bytes())
-		return
 	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
+	return status
 }

@@ -1,8 +1,9 @@
 // Package robuststore is a from-scratch Go reproduction of "Dynamic
 // Content Web Applications: Crash, Failover, and Recovery Analysis"
 // (Vieira, Buzato, Zwaenepoel — DSN 2009): the Treplica replication
-// middleware (Paxos + Fast Paxos, asynchronous persistent queue,
-// replicated state machine with checkpoint-based recovery), the TPC-W
+// middleware (Paxos + Fast Paxos under a replicated state machine with
+// checkpoint-based recovery — the abstraction RobustStore uses; Treplica's
+// asynchronous persistent queue is not built), the TPC-W
 // on-line bookstore retrofitted onto it (RobustStore), and the full
 // dependability-benchmark harness — workloads, faultloads and measures —
 // that regenerates every table and figure of the paper's evaluation.
@@ -302,7 +303,7 @@
 // GroupReport.Windows; cmd/experiment -run partition | slowdisk), and -run partition-recovery
 // reports detection/failover and post-heal reabsorption times. Between
 // the severed and the healthy link sits the flaky one:
-// OpLinkLoss/OpLinkRestore (the FlakyLink scenario) schedule probabilistic
+// OpLinkLoss/OpLinkRestore (the hunt samples them) schedule probabilistic
 // per-link message loss over sim.SetLinkLoss / livenet.SetLinkLoss — the
 // gray network failure that never trips partition detection — reported as
 // linkloss windows.
@@ -355,8 +356,8 @@
 // smoke per PR and the full hunt and matrix nightly, uploading their finds.
 //
 // The codebase enforces its own invariants statically: internal/analysis
-// is a stdlib-only go/analysis-style suite run by cmd/analyze (standalone
-// over ./... or as a go vet -vettool), wired into CI. Four passes guard
+// is a stdlib-only go/analysis-style suite run by cmd/analyze over
+// package patterns (go run ./cmd/analyze ./...), wired into CI. Four passes guard
 // the bug classes this repo actually shipped: detorder flags map
 // iteration that reaches an order-sensitive sink (message sends,
 // proposals, WAL appends, fold-order-dependent results) inside the

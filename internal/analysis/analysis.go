@@ -32,10 +32,9 @@
 //     when their name ends in "Locked" or the access carries a
 //     //guarded:held comment.
 //
-// The suite runs standalone and as a vettool:
+// cmd/analyze runs the suite over package patterns:
 //
 //	go run ./cmd/analyze ./...
-//	go vet -vettool=$(which analyze) ./...
 //
 // and each analyzer ships analysistest-style testdata fixtures under
 // internal/analysis/<name>/testdata/src.
@@ -94,21 +93,15 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // Run executes one analyzer over a loaded package and returns its
 // diagnostics in position order (they are reported in traversal order,
-// which is already positional for our passes). Test files are excluded:
-// the invariants govern replica code, and tests legitimately drive
-// storage directly, sleep on the live runtime, and poke guarded state
-// (go vet hands the tool test files; the standalone loader never does).
+// which is already positional for our passes). A loaded package holds no
+// test files: the invariants govern replica code, and tests legitimately
+// drive storage directly, sleep on the live runtime, and poke guarded
+// state.
 func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	files := make([]*ast.File, 0, len(pkg.Syntax))
-	for _, f := range pkg.Syntax {
-		if name := pkg.Fset.Position(f.Pos()).Filename; !strings.HasSuffix(name, "_test.go") {
-			files = append(files, f)
-		}
-	}
 	pass := &Pass{
 		Analyzer:  a,
 		Fset:      pkg.Fset,
-		Files:     files,
+		Files:     pkg.Syntax,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
 	}

@@ -133,8 +133,8 @@ func StdExports(paths ...string) (map[string]string, error) {
 }
 
 // Typecheck parses and type-checks one package from explicit file paths,
-// resolving imports through imp. It backs both the pattern loader and the
-// vettool (unitchecker) entry point of cmd/analyze.
+// resolving imports through imp. It backs the pattern loader and the
+// analysistest fixture loader.
 func Typecheck(fset *token.FileSet, imp types.Importer, pkgPath, dir string, files []string) (*Package, error) {
 	return typecheck(fset, imp, pkgPath, dir, files)
 }

@@ -260,10 +260,6 @@ var ErrNotReady = errors.New("core: replica state not yet recovered")
 // apply the ordered log but never propose to it.
 var ErrLearner = errors.New("core: learner replicas cannot submit actions")
 
-// ErrTooStale is the fenced-read fallback: the replica did not reach the
-// requested applied index within the bounded wait (see ReadAt).
-var ErrTooStale = errors.New("core: replica too stale for fenced read")
-
 // Replica is one member of a replicated state machine. It implements
 // env.Node; construct one per incarnation via its Config.Machine factory
 // wiring (see NewReplica) and hand it to a runtime.

@@ -341,11 +341,6 @@ func Minority(group int) Selector {
 	return Selector{Scope: ScopeGroupMinority, Group: group}
 }
 
-// Reader selects learner-backed reader slot of one group.
-func Reader(group, slot int) Selector {
-	return Selector{Scope: ScopeGroupReader, Group: group, Slot: slot}
-}
-
 // FaultEvent schedules one fault operation.
 type FaultEvent struct {
 	// AtSec is the event time in seconds on the paper's x-axis (measured
@@ -552,59 +547,6 @@ func SlowDiskStraggler(group int, factor float64, atSec, restoreSec float64) Fau
 	return Faultload{Name: "slow-disk", Events: []FaultEvent{
 		{AtSec: atSec, Op: OpDiskSlow, Select: Member(group, 0), Factor: factor},
 		{AtSec: restoreSec, Op: OpDiskRestore, Select: Member(group, 0)},
-	}}
-}
-
-// --- Read-tier fault scenarios ------------------------------------------
-
-// LaggingLearner makes every link of one group's first learner-backed
-// reader flaky (rate 0 → DefaultLossRate) from atSec to healSec: the
-// reader keeps serving but falls behind the log as its learn traffic
-// drops, so fenced reads landing on it must wait, and waits that exhaust
-// the staleness bound fall back to the voters (TooStale). Quorum and
-// write throughput are untouched — learners do not vote.
-func LaggingLearner(group int, rate float64, atSec, healSec float64) Faultload {
-	return Faultload{Name: "lagging-learner", Events: []FaultEvent{
-		{AtSec: atSec, Op: OpLinkLoss, Select: Reader(group, 0), Factor: rate},
-		{AtSec: healSec, Op: OpLinkRestore, Select: Reader(group, 0)},
-	}}
-}
-
-// LearnerPartition severs one group's first reader from its own group —
-// proxy path intact — from atSec to healSec: the reader keeps serving
-// reads while its applied log freezes, so every fenced read landing on
-// it must wait out the staleness bound and fall back TooStale to the
-// voters, and non-fenced reads surface the bounded-staleness contract.
-// After the heal it catches up off the voters' learn stream.
-func LearnerPartition(group int, atSec, healSec float64) Faultload {
-	return Faultload{Name: "learner-partition", Events: []FaultEvent{
-		{AtSec: atSec, Op: OpGroupIsolate, Select: Reader(group, 0)},
-		{AtSec: healSec, Op: OpGroupReconnect, Select: Reader(group, 0)},
-	}}
-}
-
-// FenceLeaderCrash kills the group's consensus leader at atSec in the
-// middle of the client load: sessions holding read-your-writes fences
-// from writes the dead leader acked must still see those writes — on
-// whichever server their next read lands — across the election and the
-// proxy's failover. The watchdog restarts the leader autonomously.
-func FenceLeaderCrash(group int, atSec float64) Faultload {
-	return Faultload{Name: "fence-leader-crash", Events: []FaultEvent{
-		{AtSec: atSec, Op: OpCrash, Select: Leader(group)},
-	}}
-}
-
-// FlakyLink degrades every link between one member of one group (the
-// rotation's slot-0 victim) and the rest of the cluster from atSec to
-// healSec: each crossing message drops with probability rate (0 →
-// DefaultLossRate). Consensus keeps limping through per-message retries —
-// prepare/accept rounds stall and resume, the proxy's dispatches time out
-// intermittently — without the clean failover a severed link would
-// trigger.
-func FlakyLink(group int, rate float64, atSec, healSec float64) Faultload {
-	return Faultload{Name: "flaky-link", Events: []FaultEvent{
-		{AtSec: atSec, Op: OpLinkLoss, Select: Member(group, 0), Factor: rate},
-		{AtSec: healSec, Op: OpLinkRestore, Select: Member(group, 0)},
 	}}
 }
 

@@ -354,7 +354,7 @@ func TestOverlappingDiskSlowWindowsCompose(t *testing.T) {
 func TestFlakyLinkResolveAndKey(t *testing.T) {
 	cfg := RunConfig{Servers: 3, Shards: 1, Seed: 1, Profile: rbe.Shopping}
 
-	fl := FlakyLink(0, 0, 60, 90).resolve(cfg)
+	fl := flakyLink(0, 0, 60, 90).resolve(cfg)
 	if len(fl) != 2 || fl[0].op != OpLinkLoss || fl[1].op != OpLinkRestore {
 		t.Fatalf("flaky link resolved to %+v", fl)
 	}
@@ -364,7 +364,7 @@ func TestFlakyLinkResolveAndKey(t *testing.T) {
 	if fl[1].sel != fl[0].sel {
 		t.Fatalf("restore not paired with its loss: %+v vs %+v", fl[1].sel, fl[0].sel)
 	}
-	if got := FlakyLink(0, 0.5, 60, 90).resolve(cfg)[0].factor; got != 0.5 {
+	if got := flakyLink(0, 0.5, 60, 90).resolve(cfg)[0].factor; got != 0.5 {
 		t.Fatalf("explicit rate = %v, want 0.5", got)
 	}
 }
@@ -375,7 +375,7 @@ func TestFlakyLinkResolveAndKey(t *testing.T) {
 // trips crash detection), one injected fault, and the loss actually
 // cleared after the restore.
 func TestFlakyLinkScenarioRun(t *testing.T) {
-	fl := FlakyLink(0, 0.2, 60, 90)
+	fl := flakyLink(0, 0.2, 60, 90)
 	r := Run(RunConfig{
 		Profile: rbe.Shopping, Servers: 3, StateMB: 300,
 		Fault: fl, Browsers: 200, Measure: 120 * time.Second, Seed: 6,
@@ -491,4 +491,63 @@ func TestFlapExpansion(t *testing.T) {
 			bad()
 		}()
 	}
+}
+
+// The read-tier and flaky-link faultloads below are run only by the
+// tests of this package.
+
+// firstReader selects the first learner-backed reader of one group.
+func firstReader(group int) Selector {
+	return Selector{Scope: ScopeGroupReader, Group: group}
+}
+
+// laggingLearner makes every link of one group's first learner-backed
+// reader flaky (rate 0 → DefaultLossRate) from atSec to healSec: the
+// reader keeps serving but falls behind the log as its learn traffic
+// drops, so fenced reads landing on it must wait, and waits that exhaust
+// the staleness bound fall back to the voters (TooStale). Quorum and
+// write throughput are untouched — learners do not vote.
+func laggingLearner(group int, rate float64, atSec, healSec float64) Faultload {
+	return Faultload{Name: "lagging-learner", Events: []FaultEvent{
+		{AtSec: atSec, Op: OpLinkLoss, Select: firstReader(group), Factor: rate},
+		{AtSec: healSec, Op: OpLinkRestore, Select: firstReader(group)},
+	}}
+}
+
+// learnerPartition severs one group's first reader from its own group —
+// proxy path intact — from atSec to healSec: the reader keeps serving
+// reads while its applied log freezes, so every fenced read landing on
+// it must wait out the staleness bound and fall back TooStale to the
+// voters, and non-fenced reads surface the bounded-staleness contract.
+// After the heal it catches up off the voters' learn stream.
+func learnerPartition(group int, atSec, healSec float64) Faultload {
+	return Faultload{Name: "learner-partition", Events: []FaultEvent{
+		{AtSec: atSec, Op: OpGroupIsolate, Select: firstReader(group)},
+		{AtSec: healSec, Op: OpGroupReconnect, Select: firstReader(group)},
+	}}
+}
+
+// fenceLeaderCrash kills the group's consensus leader at atSec in the
+// middle of the client load: sessions holding read-your-writes fences
+// from writes the dead leader acked must still see those writes — on
+// whichever server their next read lands — across the election and the
+// proxy's failover. The watchdog restarts the leader autonomously.
+func fenceLeaderCrash(group int, atSec float64) Faultload {
+	return Faultload{Name: "fence-leader-crash", Events: []FaultEvent{
+		{AtSec: atSec, Op: OpCrash, Select: Leader(group)},
+	}}
+}
+
+// flakyLink degrades every link between one member of one group (the
+// rotation's slot-0 victim) and the rest of the cluster from atSec to
+// healSec: each crossing message drops with probability rate (0 →
+// DefaultLossRate). Consensus keeps limping through per-message retries —
+// prepare/accept rounds stall and resume, the proxy's dispatches time out
+// intermittently — without the clean failover a severed link would
+// trigger.
+func flakyLink(group int, rate float64, atSec, healSec float64) Faultload {
+	return Faultload{Name: "flaky-link", Events: []FaultEvent{
+		{AtSec: atSec, Op: OpLinkLoss, Select: Member(group, 0), Factor: rate},
+		{AtSec: healSec, Op: OpLinkRestore, Select: Member(group, 0)},
+	}}
 }

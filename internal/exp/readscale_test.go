@@ -56,10 +56,10 @@ func TestReadYourWritesUnderFaultSuite(t *testing.T) {
 		name string
 		mk   func() Faultload
 	}{
-		{"lagging-learner", func() Faultload { return LaggingLearner(0, 0.95, 45, 150) }},
-		{"learner-partition", func() Faultload { return LearnerPartition(0, 45, 150) }},
-		{"fence-leader-crash", func() Faultload { return FenceLeaderCrash(0, 60) }},
-		{"flaky-link", func() Faultload { return FlakyLink(0, 0.4, 45, 150) }},
+		{"lagging-learner", func() Faultload { return laggingLearner(0, 0.95, 45, 150) }},
+		{"learner-partition", func() Faultload { return learnerPartition(0, 45, 150) }},
+		{"fence-leader-crash", func() Faultload { return fenceLeaderCrash(0, 60) }},
+		{"flaky-link", func() Faultload { return flakyLink(0, 0.4, 45, 150) }},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -84,7 +84,7 @@ func TestReadYourWritesUnderFaultSuite(t *testing.T) {
 // bound, and be re-served by the voters — the staleness accounting
 // proves the bound was exercised, not bypassed.
 func TestLearnerPartitionStalenessBound(t *testing.T) {
-	fl := LearnerPartition(0, 45, 150)
+	fl := learnerPartition(0, 45, 150)
 	r := Run(readerCfg(3, fl))
 	_, fw, ss := readStatTotals(r)
 	if fw == 0 {
@@ -105,7 +105,7 @@ func TestLearnerPartitionStalenessBound(t *testing.T) {
 // reader range with group-correct window attribution.
 func TestLearnerFaultloadResolve(t *testing.T) {
 	cfg := RunConfig{Servers: 3, Shards: 2, Readers: 2, Seed: 1, Profile: rbe.Browsing}
-	ev := LearnerPartition(1, 45, 150).resolve(cfg)
+	ev := learnerPartition(1, 45, 150).resolve(cfg)
 	if len(ev) != 2 {
 		t.Fatalf("events = %d, want 2", len(ev))
 	}
@@ -123,7 +123,7 @@ func TestLearnerFaultloadResolve(t *testing.T) {
 // brings the member back, and the fence machinery stays clean across the
 // election and failover.
 func TestFenceLeaderCrashRecovers(t *testing.T) {
-	fl := FenceLeaderCrash(0, 60)
+	fl := fenceLeaderCrash(0, 60)
 	r := Run(readerCfg(4, fl))
 	if len(r.CrashSec) != 1 {
 		t.Fatalf("crashes = %v, want exactly the leader's", r.CrashSec)

@@ -8,6 +8,7 @@ import (
 	"robuststore/internal/metrics"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
+	"robuststore/internal/shard"
 	"robuststore/internal/sim"
 	"robuststore/internal/tpcw"
 	"robuststore/internal/webtier"
@@ -357,7 +358,7 @@ func runOnce(cfg RunConfig) RunResult {
 		s.At(at(cfg.RebalanceAtSec), func() {
 			cluster.Rebalance(webtier.RebalanceOptions{
 				OnPhase: func(phase string) {
-					if phase == webtier.PhaseCopy && cfg.CrashMidMigration {
+					if phase == shard.PhaseCopy && cfg.CrashMidMigration {
 						victim := cluster.Voters(0)[pickVictimsInGroup(cfg, 0)[0]]
 						led.crash(victim, 0, s.Now(), true)
 						cluster.Crash(victim)

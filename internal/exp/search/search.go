@@ -32,9 +32,8 @@ type Config struct {
 	Budget       int    // schedules to try; default 16
 	ShrinkBudget int    // max probe runs per shrink; default 24
 
-	PinDir string      // survivors written here; empty disables pinning
-	Log    io.Writer   // per-trial progress; nil for silent
-	Stop   func() bool // optional wall-clock cutoff, checked between runs
+	PinDir string    // survivors written here; empty disables pinning
+	Log    io.Writer // per-trial progress; nil for silent
 }
 
 func (c Config) withDefaults() Config {
@@ -78,10 +77,6 @@ func Hunt(cfg Config) Report {
 	var rep Report
 	baselined := map[uint64]bool{}
 	for t := 0; t < cfg.Budget; t++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			logf("hunt: wall-clock budget exhausted after %d schedule(s)", t)
-			break
-		}
 		// Rotate over a few run seeds: schedule diversity does most of
 		// the exploring, and reusing seeds keeps the baseline runs (one
 		// per seed, memoized) from dominating the budget.

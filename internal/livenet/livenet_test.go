@@ -229,46 +229,98 @@ func TestLiveCrashRecovery(t *testing.T) {
 	t.Fatalf("restarted replica at %d, want %d", sl.counterValue(2), want)
 }
 
-func TestLiveQueueTotalOrder(t *testing.T) {
+// sequence is a state machine that records the order it applies actions
+// in.
+type sequence struct {
+	mu      sync.Mutex
+	applied []int
+}
+
+func (m *sequence) Execute(action any) any {
+	v, ok := action.(int)
+	if !ok {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.applied = append(m.applied, v)
+	return v
+}
+
+func (m *sequence) Snapshot() (any, int64) {
+	got := m.values()
+	return got, int64(64 + 8*len(got))
+}
+
+func (m *sequence) Restore(data any) {
+	items, ok := data.([]int)
+	if !ok {
+		return
+	}
+	m.mu.Lock()
+	m.applied = append([]int(nil), items...)
+	m.mu.Unlock()
+}
+
+func (m *sequence) values() []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]int(nil), m.applied...)
+}
+
+// TestLiveTotalOrder: nine submissions spread across three replicas are
+// applied in one order on every replica, each exactly once.
+func TestLiveTotalOrder(t *testing.T) {
 	c := New(Config{Latency: 100 * time.Microsecond, Seed: 10})
 	const n = 3
-	queues := make([]*core.Queue, n)
+	machines := make([]*sequence, n)
 	replicas := make([]*core.Replica, n)
 	for i := 0; i < n; i++ {
-		idx := i
-		c.AddNode(func() env.Node {
-			q, r := core.NewQueue(core.Config{
-				Paxos: paxos.Config{
-					BatchDelay:        time.Millisecond,
-					HeartbeatInterval: 20 * time.Millisecond,
-					LeaderTimeout:     120 * time.Millisecond,
-					SweepInterval:     10 * time.Millisecond,
-				},
-			})
-			queues[idx] = q
-			replicas[idx] = r
-			return r
+		m := &sequence{}
+		r := core.NewReplica(core.Config{
+			Machine: func() core.StateMachine { return m },
+			Paxos: paxos.Config{
+				BatchDelay:        time.Millisecond,
+				HeartbeatInterval: 20 * time.Millisecond,
+				LeaderTimeout:     120 * time.Millisecond,
+				SweepInterval:     10 * time.Millisecond,
+			},
 		})
+		machines[i], replicas[i] = m, r
+		c.AddNode(func() env.Node { return r })
 	}
 	c.StartAll()
 	t.Cleanup(c.Close)
-	waitReady(t, replicas[0])
+	for _, r := range replicas {
+		waitReady(t, r)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, 9)
 	for i := 0; i < 9; i++ {
-		queues[i%n].Enqueue(i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = replicas[i%n].Execute(ctx, i)
+		}()
 	}
-	// Every replica dequeues the same sequence.
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("submission %d on replica %d: %v", i, i%n, err)
+		}
+	}
+	// Every replica applies the same sequence.
 	var first []int
 	for r := 0; r < n; r++ {
-		var got []int
-		for i := 0; i < 9; i++ {
-			item, err := queues[r].Dequeue(ctx)
-			if err != nil {
-				t.Fatalf("replica %d dequeue %d: %v", r, i, err)
-			}
-			got = append(got, item.(int))
+		got := machines[r].values()
+		for deadline := time.Now().Add(30 * time.Second); len(got) < 9 && time.Now().Before(deadline); got = machines[r].values() {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if len(got) != 9 {
+			t.Fatalf("replica %d applied %v, want 9 values", r, got)
 		}
 		if first == nil {
 			first = got
@@ -280,13 +332,13 @@ func TestLiveQueueTotalOrder(t *testing.T) {
 			}
 		}
 	}
-	// All nine distinct items arrived.
+	// All nine distinct values arrived.
 	seen := make(map[int]bool)
 	for _, v := range first {
 		seen[v] = true
 	}
 	if len(seen) != 9 {
-		t.Fatalf("expected 9 distinct items, got %v", first)
+		t.Fatalf("expected 9 distinct values, got %v", first)
 	}
 }
 

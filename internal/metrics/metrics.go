@@ -354,16 +354,6 @@ type MigrationReport struct {
 	WindowSec   float64 // CutoverSec - StartSec
 }
 
-// Dependability aggregates the four measures of §5.1 for one experiment
-// run.
-type Dependability struct {
-	Availability  float64 // fraction of the run the service was operational
-	Accuracy      float64 // percent of requests answered without error
-	Autonomy      float64 // human interventions per injected fault (0 = fully autonomous)
-	Faults        int
-	Interventions int
-}
-
 // ComputeAutonomy returns interventions/faults, or 0 when no faults were
 // injected.
 func ComputeAutonomy(interventions, faults int) float64 {

@@ -398,13 +398,3 @@ func (s *Store) Status() []GroupStatus {
 	}
 	return out
 }
-
-// TotalApplied sums the per-group applied counts — the aggregate ordered
-// throughput counter the scaling experiments measure.
-func (s *Store) TotalApplied() int64 {
-	var total int64
-	for _, st := range s.Status() {
-		total += st.Applied
-	}
-	return total
-}

@@ -253,12 +253,6 @@ func (s *Sim) SetDiskSlowdown(id env.NodeID, factor float64) {
 	s.nodes[id].storage.setSlowdown(factor)
 }
 
-// DiskSlowdown returns node id's current disk degradation factor (1 when
-// healthy).
-func (s *Sim) DiskSlowdown(id env.NodeID) float64 {
-	return s.nodes[id].storage.slowdown()
-}
-
 // The link-fault surface is netfault.Table's, which documents it: SetLink
 // toggles one directed link, SetLinkLoss and SetLinkDelay degrade one that
 // still delivers (loss is per link only — a cluster-wide rate is a loss on

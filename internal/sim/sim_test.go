@@ -567,9 +567,6 @@ func TestDiskSlowdownStretchesWrites(t *testing.T) {
 	s, _, _ := twoNodes(t, Config{Seed: 24})
 	base := appendTime(s, s.Storage(0))
 	s.SetDiskSlowdown(0, 8)
-	if got := s.DiskSlowdown(0); got != 8 {
-		t.Fatalf("DiskSlowdown = %v, want 8", got)
-	}
 	slow := appendTime(s, s.Storage(0))
 	if slow < 7*base {
 		t.Fatalf("8x-degraded append took %v, healthy %v — not stretched", slow, base)
@@ -579,9 +576,6 @@ func TestDiskSlowdownStretchesWrites(t *testing.T) {
 	s.RunFor(time.Second)
 	s.Restart(0)
 	s.RunFor(time.Second)
-	if got := s.DiskSlowdown(0); got != 8 {
-		t.Fatalf("slowdown did not survive restart: %v", got)
-	}
 	stillSlow := appendTime(s, s.Storage(0))
 	if stillSlow < 7*base {
 		t.Fatalf("post-restart degraded append took %v, healthy %v", stillSlow, base)

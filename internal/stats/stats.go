@@ -46,34 +46,6 @@ func CV(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // nearest-rank interpolation. It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {

@@ -58,21 +58,6 @@ func (s *Store) GetUserName(id CustomerID) (string, bool) {
 	return c.UName, true
 }
 
-// GetPassword returns the password for a user name (TPC-W GetPassword).
-func (s *Store) GetPassword(uname string) (string, bool) {
-	c, ok := s.GetCustomer(uname)
-	return c.Passwd, ok
-}
-
-// GetCDiscount returns the customer's discount (TPC-W getCDiscount).
-func (s *Store) GetCDiscount(id CustomerID) (float64, bool) {
-	c, ok := s.customers.get(id)
-	if !ok {
-		return 0, false
-	}
-	return c.Discount, true
-}
-
 // GetCart returns a shopping cart.
 func (s *Store) GetCart(id CartID) (Cart, bool) {
 	return s.carts.get(id)
@@ -112,15 +97,6 @@ func (s *Store) GetRelated(id ItemID) ([5]ItemID, bool) {
 		return [5]ItemID{}, false
 	}
 	return item.Related, true
-}
-
-// GetStock returns an item's stock level (admin request page).
-func (s *Store) GetStock(id ItemID) (int32, bool) {
-	item, ok := s.items.get(id)
-	if !ok {
-		return 0, false
-	}
-	return item.Stock, true
 }
 
 // SearchKind selects the TPC-W search type.

@@ -408,7 +408,7 @@ func randomActions(seed uint64, n int) []any {
 				continue
 			}
 			actions = append(actions, CartUpdateAction{
-				Cart:    xrand.Pick(rng, carts),
+				Cart:    carts[rng.Intn(len(carts))],
 				AddItem: ItemID(rng.Intn(60) + 1),
 				AddQty:  int32(rng.Intn(3) + 1),
 				Now:     at,
@@ -418,7 +418,7 @@ func randomActions(seed uint64, n int) []any {
 				continue
 			}
 			actions = append(actions, BuyConfirmAction{
-				Cart:     xrand.Pick(rng, carts),
+				Cart:     carts[rng.Intn(len(carts))],
 				Customer: CustomerID(rng.Intn(300) + 1),
 				CCType:   "VISA",
 				ShipDate: at.AddDate(0, 0, rng.Intn(7)+1),
@@ -529,14 +529,8 @@ func TestGetters(t *testing.T) {
 		t.Error("GetBook on bogus id succeeded")
 	}
 	uname := customerUName(1)
-	if pw, ok := s.GetPassword(uname); !ok || pw == "" {
-		t.Error("GetPassword failed")
-	}
 	if un, ok := s.GetUserName(1); !ok || un != uname {
 		t.Errorf("GetUserName = %q, want %q", un, uname)
-	}
-	if d, ok := s.GetCDiscount(1); !ok || d < 0 || d > 50 {
-		t.Errorf("discount %f out of range", d)
 	}
 	rel, ok := s.GetRelated(1)
 	if !ok {
@@ -546,9 +540,6 @@ func TestGetters(t *testing.T) {
 		if _, ok := s.GetBook(r); !ok {
 			t.Errorf("related item %d dangling", r)
 		}
-	}
-	if _, ok := s.GetStock(1); !ok {
-		t.Error("GetStock failed")
 	}
 }
 

@@ -37,14 +37,6 @@ import (
 // client error.
 
 // The migration vocabulary is shard's.
-const (
-	PhaseBoot    = shard.PhaseBoot
-	PhaseDrain   = shard.PhaseDrain
-	PhaseCopy    = shard.PhaseCopy
-	PhaseCleanup = shard.PhaseCleanup
-	PhaseDone    = shard.PhaseDone
-)
-
 type (
 	RebalanceOptions = shard.RebalanceOptions
 	MigrationStat    = shard.MigrationStatus

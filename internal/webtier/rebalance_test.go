@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"robuststore/internal/rbe"
+	"robuststore/internal/shard"
 	"robuststore/internal/tpcw"
 )
 
@@ -138,7 +139,7 @@ func TestClusterRebalanceUnderLoad(t *testing.T) {
 		t.Fatalf("%d/%d interactions failed across the rebalance", errs, total)
 	}
 	// Phase order sanity.
-	want := []string{PhaseBoot, PhaseDrain, PhaseCopy, PhaseCleanup, PhaseDone}
+	want := []string{shard.PhaseBoot, shard.PhaseDrain, shard.PhaseCopy, shard.PhaseCleanup, shard.PhaseDone}
 	if len(phases) != len(want) {
 		t.Fatalf("phases = %v", phases)
 	}

@@ -38,11 +38,6 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -75,17 +70,6 @@ func (r *Rand) ExpFloat64() float64 {
 	return -math.Log(u)
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1 (Box-Muller).
-func (r *Rand) NormFloat64() float64 {
-	u1 := r.Float64()
-	if u1 < 1e-12 {
-		u1 = 1e-12
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -95,18 +79,4 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Pick returns a uniformly chosen element of xs. It panics on an empty
-// slice.
-func Pick[T any](r *Rand, xs []T) T {
-	return xs[r.Intn(len(xs))]
-}
-
-// Shuffle permutes xs in place.
-func Shuffle[T any](r *Rand, xs []T) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
-	}
 }
