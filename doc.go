@@ -258,16 +258,15 @@
 // at the home group after a grace (recording a presumed abort if no
 // decision exists), a restarting replica re-arms a resolution loop for
 // every staged branch at prepare-apply time (core.Config.OnTxnStaged —
-// readiness rescans alone miss a prepare that replays late), and
-// shard.Store.ResolveStranded drains abandoned branches on the blocking
-// API, whose shard.Store.ExecuteTxn is the goroutine-facing coordinator
-// the livenet -race audit hammers. The web tier drives the same records
-// event-style (webtier/txn.go) behind the first real multi-shard
-// workloads — cross-session gift orders debiting one group and
-// delivering on another, admin inventory sweeps repricing item sets
-// across groups — while a transaction that collapses to one group takes
-// the plain submit path, bit-identical to the pre-transaction tier
-// (equivalence-tested, like Shards=1 and Readers=0). The txn fault
+// readiness rescans alone miss a prepare that replays late). One
+// coordinator drives the records: the web tier's, event-style
+// (webtier/txn.go), behind the first real multi-shard workloads —
+// cross-session gift orders debiting one group and delivering on
+// another, admin inventory sweeps repricing item sets across groups —
+// while a transaction that collapses to one group takes the plain submit
+// path and orders no transaction record. No experiment or workload draws
+// such a transaction: webtier.TestTxnFastPathOrdersNoRecords is what
+// exercises both single-group branches. The txn fault
 // scenarios (coordinator crash, coordinator–participant partition,
 // participant crash holding a prepared branch) run under cmd/experiment
 // -run txn with per-group commit/abort/blocked-time counters

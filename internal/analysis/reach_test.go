@@ -3,14 +3,11 @@ package analysis_test
 import (
 	"bufio"
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -19,32 +16,40 @@ import (
 
 // internalPrefix is the import-path prefix of the packages whose exports
 // the reach test audits. An identifier is named relative to it:
-// "core.Replica", "exp/search.LoadPins", "shard.Store.ExecuteTxn".
+// "core.Replica", "exp/search.LoadPins", "shard.Store.ShardOf".
 const internalPrefix = "robuststore/internal/"
 
 // TestEveryExportIsReached fails when an exported func, type, var, const
 // or method declared in a non-test file under internal/ is referred to by
 // no non-test file of the module or of bench/: code that only tests reach
-// is deleted with its tests. A package-level name is reached when a use
-// type-checks to it, or when bench/ names it qualified by its package; a
-// method is reached when a selector of its name appears anywhere, so a call
-// through an interface counts. testdata/reach_allow.txt lists the
-// exceptions, one identifier and its reason a line; an entry that is
-// reached now, or no longer declared, fails too.
+// is deleted with its tests. Both modules are type-checked. A package-level
+// name is reached when a use type-checks to it. A method is reached when a
+// selector in a non-test file resolves to it, or, for a method of a
+// concrete type, when an interface that non-test code declares or names —
+// or fmt.Stringer or error, which fmt and errors call dynamically — has a
+// method of the same name, parameter types and result types: that is how
+// a call through core.StateMachine reaches webtier's machine.
+// testdata/reach_allow.txt lists the exceptions, one identifier and its
+// reason a line; an entry that is reached now, or no longer declared,
+// fails too.
 func TestEveryExportIsReached(t *testing.T) {
-	pkgs, err := analysis.Load("robuststore/...")
-	if err != nil {
-		t.Fatal(err)
-	}
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkgs, err := analysis.Load("robuststore/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(filepath.Join(root, "bench"))
+	benchPkgs, err := analysis.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs = append(pkgs, benchPkgs...)
 
 	declared := map[string]token.Position{}
-	methodName := map[string]string{}
-	reached := map[string]bool{}
-	selectors := map[string]bool{}
+	concrete := map[string]string{} // method key → methodSig
 	for _, pkg := range pkgs {
 		if !strings.HasPrefix(pkg.PkgPath, internalPrefix) {
 			continue
@@ -60,15 +65,22 @@ func TestEveryExportIsReached(t *testing.T) {
 			if !ok || tn.IsAlias() {
 				continue
 			}
+			_, isIface := tn.Type().Underlying().(*types.Interface)
 			for _, m := range methods(tn.Type()) {
 				if m.Exported() {
-					key := rel + "." + name + "." + m.Name()
+					key := methodKey(m)
 					declared[key] = pkg.Fset.Position(m.Pos())
-					methodName[key] = m.Name()
+					if !isIface {
+						concrete[key] = methodSig(m)
+					}
 				}
 			}
 		}
 	}
+
+	reached := map[string]bool{}
+	ifaceSigs := map[string]bool{"String()(string)": true, "Error()(string)": true}
+	seen := map[types.Type]bool{}
 	for _, pkg := range pkgs {
 		// Each package is checked on its own, its imports read from export
 		// data, so a use is matched to a declaration by package and name.
@@ -76,33 +88,26 @@ func TestEveryExportIsReached(t *testing.T) {
 			if p := obj.Pkg(); p != nil && strings.HasPrefix(p.Path(), internalPrefix) && p.Scope().Lookup(obj.Name()) == obj {
 				reached[strings.TrimPrefix(p.Path(), internalPrefix)+"."+obj.Name()] = true
 			}
+			interfaceSigs(obj.Type(), ifaceSigs, seen)
 		}
-		for _, f := range pkg.Syntax {
-			collectSelectors(f, selectors, nil, reached)
+		for _, obj := range pkg.TypesInfo.Defs {
+			if obj != nil {
+				interfaceSigs(obj.Type(), ifaceSigs, seen)
+			}
+		}
+		for _, sel := range pkg.TypesInfo.Selections {
+			if fn, ok := sel.Obj().(*types.Func); ok {
+				reached[methodKey(fn)] = true
+			}
 		}
 	}
-	benchFiles, err := filepath.Glob(filepath.Join(root, "bench", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, name := range benchFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collectSelectors(f, selectors, internalImports(f), reached)
-	}
-	for key, name := range methodName {
-		if selectors[name] {
+	for key, sig := range concrete {
+		if ifaceSigs[sig] {
 			reached[key] = true
 		}
 	}
 
-	allow := readAllowlist(t, "testdata/reach_allow.txt")
+	allow := readAllowlist(t, filepath.Join(root, "internal/analysis/testdata/reach_allow.txt"))
 	var problems []string
 	for key, pos := range declared {
 		if reached[key] {
@@ -147,42 +152,95 @@ func methods(typ types.Type) []*types.Func {
 	return out
 }
 
-// collectSelectors records the name of every selector in f. With imports
-// (local name → path relative to internalPrefix) it also marks a
-// package-qualified name as reached; this is how bench/, which is parsed
-// but not type-checked, reaches package-level names.
-func collectSelectors(f *ast.File, selectors map[string]bool, imports map[string]string, reached map[string]bool) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		selectors[sel.Sel.Name] = true
-		if x, ok := sel.X.(*ast.Ident); ok {
-			if rel, ok := imports[x.Name]; ok {
-				reached[rel+"."+sel.Sel.Name] = true
-			}
-		}
-		return true
-	})
+// methodKey names a method as the reach test does, "shard.Store.ShardOf",
+// whichever package's type-check the object comes from; a method of an
+// instantiated generic type is named by its origin.
+func methodKey(fn *types.Func) string {
+	fn = fn.Origin()
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil || fn.Pkg() == nil {
+		return ""
+	}
+	typ := recv.Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	named, ok := typ.(*types.Named)
+	if !ok {
+		return ""
+	}
+	return strings.TrimPrefix(fn.Pkg().Path(), internalPrefix) + "." + named.Obj().Name() + "." + fn.Name()
 }
 
-// internalImports maps the local name of each internal package f imports
-// to its path relative to internalPrefix.
-func internalImports(f *ast.File) map[string]string {
-	out := map[string]string{}
-	for _, spec := range f.Imports {
-		path, err := strconv.Unquote(spec.Path.Value)
-		if err != nil || !strings.HasPrefix(path, internalPrefix) {
-			continue
+// methodSig spells a method's name, parameter types and result types,
+// "Snapshot()(any,int64)", so two type-checks of one signature compare
+// equal.
+func methodSig(fn *types.Func) string {
+	return fn.Name() + signatureTypes(fn.Type().(*types.Signature))
+}
+
+// signatureTypes spells a signature's parameter and result types without
+// their names, which an interface and its implementation may choose apart:
+// "(string,func(string)(bool))(any)". A func-typed parameter is spelled
+// the same way.
+func signatureTypes(sig *types.Signature) string {
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteByte('(')
+		for i := 0; i < tuple.Len(); i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if fn, ok := tuple.At(i).Type().(*types.Signature); ok {
+				b.WriteString("func" + signatureTypes(fn))
+			} else {
+				b.WriteString(types.TypeString(tuple.At(i).Type(), nil))
+			}
 		}
-		name := path[strings.LastIndex(path, "/")+1:]
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		out[name] = strings.TrimPrefix(path, internalPrefix)
+		b.WriteByte(')')
 	}
-	return out
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
+}
+
+// interfaceSigs adds the methodSig of every method of every interface typ
+// is or is built from — through pointers, containers and signatures, not
+// through the fields or methods of a named type.
+func interfaceSigs(typ types.Type, sigs map[string]bool, seen map[types.Type]bool) {
+	if typ == nil || seen[typ] {
+		return
+	}
+	seen[typ] = true
+	switch t := typ.(type) {
+	case *types.Named:
+		if iface, ok := t.Underlying().(*types.Interface); ok {
+			interfaceSigs(iface, sigs, seen)
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			sigs[methodSig(t.Method(i))] = true
+		}
+	case *types.Pointer:
+		interfaceSigs(t.Elem(), sigs, seen)
+	case *types.Slice:
+		interfaceSigs(t.Elem(), sigs, seen)
+	case *types.Array:
+		interfaceSigs(t.Elem(), sigs, seen)
+	case *types.Chan:
+		interfaceSigs(t.Elem(), sigs, seen)
+	case *types.Map:
+		interfaceSigs(t.Key(), sigs, seen)
+		interfaceSigs(t.Elem(), sigs, seen)
+	case *types.Signature:
+		interfaceSigs(t.Params(), sigs, seen)
+		interfaceSigs(t.Results(), sigs, seen)
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			interfaceSigs(t.At(i).Type(), sigs, seen)
+		}
+	}
 }
 
 // readAllowlist reads "identifier reason..." lines and returns the

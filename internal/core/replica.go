@@ -969,15 +969,6 @@ func (r *Replica) AdmissionState() paxos.AdmissionState {
 // Loop-confined.
 func (r *Replica) Machine() StateMachine { return r.sm }
 
-// Backlog returns the decided-but-unapplied instance count.
-// Loop-confined.
-func (r *Replica) Backlog() int64 {
-	if r.en == nil {
-		return 0
-	}
-	return r.en.Backlog()
-}
-
 // IsLeader reports whether this replica currently coordinates consensus.
 // Loop-confined.
 func (r *Replica) IsLeader() bool { return r.en != nil && r.en.IsLeader() }

@@ -112,21 +112,12 @@ func (d LinkDir) String() string {
 	}
 }
 
-// PartitionHandle names one composable set of link blocks installed by a
-// runtime's Partition call. Healing a handle removes exactly the blocks it
-// installed: overlapping partitions compose, and healing one never
-// disturbs another. Heal is idempotent.
-type PartitionHandle interface {
-	Heal()
-}
-
 // Rand is the subset of xrand.Rand the protocols need. It is an interface
 // so runtimes can inject instrumented streams.
 type Rand interface {
 	Intn(n int) int
 	Int63n(n int64) int64
 	Float64() float64
-	ExpFloat64() float64
 }
 
 // Node is the unit of deployment. The runtime constructs a fresh Node

@@ -111,9 +111,10 @@ func (d *txnDriver) issue(k int, rng *rand.Rand, info tpcw.PopulationInfo) {
 	client := int64(1_000_000 + k)
 	if k%2 == 0 {
 		// Gift purchase: buyer's session coordinates, recipient's home
-		// group participates. Prefer a recipient routed off the session's
-		// group so most gifts exercise 2PC; the rare same-group draw
-		// exercises the fast path instead.
+		// group participates. A recipient routed onto the session's group
+		// is redrawn, up to 64 times, so with two groups every gift runs
+		// 2PC in practice; webtier.TestTxnFastPathOrdersNoRecords, not
+		// this experiment, exercises the same-group fast path.
 		home := d.cluster.GroupOf(client)
 		peer := tpcw.CustomerID(1 + rng.Intn(info.Customers))
 		for try := 0; try < 64 && d.cluster.CustomerGroup(peer) == home && d.cfg.Shards > 1; try++ {
@@ -141,7 +142,9 @@ func (d *txnDriver) issue(k int, rng *rand.Rand, info tpcw.PopulationInfo) {
 	// its own disjoint block of the item space, so no later sweep can
 	// overwrite an earlier sweep's tag and confuse the audit. The hash
 	// router scatters consecutive IDs, so nearly every block spans both
-	// groups; the rare single-group block exercises the fast path.
+	// groups, and no experiment or workload draws an all-local one:
+	// webtier.TestTxnFastPathOrdersNoRecords, not this experiment,
+	// exercises the single-group fast path.
 	j := k / 2 // sweep ordinal
 	reused := (j+1)*4 > info.Items
 	base := 1 + (j*4)%maxInt(info.Items-3, 1)

@@ -87,16 +87,13 @@ func New(cfg Config) *Cluster {
 
 // The link-fault surface; see netfault.Table. Safe from any goroutine.
 
-func (c *Cluster) SetLink(from, to env.NodeID, blocked bool)     { c.links.SetLink(from, to, blocked) }
-func (c *Cluster) SetLinkLoss(from, to env.NodeID, rate float64) { c.links.SetLinkLoss(from, to, rate) }
-func (c *Cluster) SetLinkDelay(from, to env.NodeID, f float64)   { c.links.SetLinkDelay(from, to, f) }
+func (c *Cluster) SetLinkDelay(from, to env.NodeID, f float64) { c.links.SetLinkDelay(from, to, f) }
 func (c *Cluster) Partition(isolated ...env.NodeID) *netfault.BlockHandle {
 	return c.links.Partition(isolated...)
 }
 func (c *Cluster) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *netfault.BlockHandle {
 	return c.links.PartitionDir(dir, isolated...)
 }
-func (c *Cluster) Heal() { c.links.Heal() }
 
 // grayControlSize is the wire-size ceiling under which a message counts
 // as control traffic for SetGray: liveness pings, Paxos prepares and

@@ -152,9 +152,6 @@ type Window struct {
 	From, To int
 }
 
-// Len returns the number of buckets in the window.
-func (w Window) Len() int { return w.To - w.From }
-
 // Performability compares average performance during failure-free windows
 // against the recovery window, per the paper's definition (§5.1):
 // PV = (recovery AWIPS - failure-free AWIPS) / failure-free AWIPS.
@@ -230,9 +227,6 @@ func (r *ShardedRecorder) Aggregate() *Recorder { return r.agg }
 
 // Group returns group g's recorder.
 func (r *ShardedRecorder) Group(g int) *Recorder { return r.groups[g] }
-
-// Groups returns the group count.
-func (r *ShardedRecorder) Groups() int { return len(r.groups) }
 
 // GroupReport is one Paxos group's slice of a sharded dependability
 // report: the throughput and accuracy its client slice observed, its

@@ -139,12 +139,6 @@ func TestRecorderConservation(t *testing.T) {
 	}
 }
 
-func TestWindowLen(t *testing.T) {
-	if (Window{From: 3, To: 10}).Len() != 7 {
-		t.Error("window length")
-	}
-}
-
 func TestShardedRecorderRoutesByGroup(t *testing.T) {
 	r := NewShardedRecorder(t0(), time.Second, 2, func(client int64) int {
 		return int(client % 2)
@@ -162,17 +156,17 @@ func TestShardedRecorderRoutesByGroup(t *testing.T) {
 	if r.Group(1).Total() != 2 || r.Group(1).TotalErrors() != 1 {
 		t.Errorf("group 1 total=%d errors=%d", r.Group(1).Total(), r.Group(1).TotalErrors())
 	}
-	if r.Groups() != 2 {
-		t.Errorf("groups = %d", r.Groups())
+	if len(r.groups) != 2 {
+		t.Errorf("groups = %d", len(r.groups))
 	}
 }
 
 func TestShardedRecorderNilGroupOf(t *testing.T) {
 	r := NewShardedRecorder(t0(), time.Second, 0, nil)
 	r.RecordClient(99, t0(), time.Millisecond, false)
-	if r.Groups() != 1 || r.Group(0).Total() != 1 {
+	if len(r.groups) != 1 || r.Group(0).Total() != 1 {
 		t.Errorf("nil groupOf must degenerate to one group: groups=%d total=%d",
-			r.Groups(), r.Group(0).Total())
+			len(r.groups), r.Group(0).Total())
 	}
 }
 

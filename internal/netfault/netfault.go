@@ -126,8 +126,6 @@ type BlockHandle struct {
 	links []linkKey           // blocks installed; nil once healed
 }
 
-var _ env.PartitionHandle = (*BlockHandle)(nil)
-
 // Partition isolates the given nodes from the rest of the cluster in both
 // directions and returns the handle that heals exactly this partition.
 func (t *Table) Partition(isolated ...env.NodeID) *BlockHandle {

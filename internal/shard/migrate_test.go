@@ -367,7 +367,7 @@ func TestDuplicateImportDoesNotRevertNewerWrites(t *testing.T) {
 	// A checkpointed-and-restarted member must remember the guard too.
 	victim := store.Group(0).Members()[2]
 	done := false
-	s.At(s.Now(), func() { store.Checkpoint(func() { done = true }) })
+	s.At(s.Now(), func() { checkpointAll(store, func() { done = true }) })
 	s.RunFor(5 * time.Second)
 	if !done {
 		t.Fatal("checkpoint did not complete")

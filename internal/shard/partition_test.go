@@ -140,15 +140,15 @@ func TestCorrelatedFaultScenariosLivenet(t *testing.T) {
 		name string
 		// open installs the scenario's partitions (possibly several
 		// composing handles) and returns them for the heal.
-		open func() []env.PartitionHandle
+		open func() []*netfault.BlockHandle
 		// fullOutage: the victim group's slice must FAIL during the
 		// window; otherwise it must keep serving (quorum preserved).
 		fullOutage bool
 	}{
 		{
 			name: "leader-isolation",
-			open: func() []env.PartitionHandle {
-				return []env.PartitionHandle{
+			open: func() []*netfault.BlockHandle {
+				return []*netfault.BlockHandle{
 					cluster.Partition(store.Group(0).Members()[leaderOf(0)]),
 				}
 			},
@@ -159,8 +159,8 @@ func TestCorrelatedFaultScenariosLivenet(t *testing.T) {
 		},
 		{
 			name: "minority-split",
-			open: func() []env.PartitionHandle {
-				return []env.PartitionHandle{cluster.Partition(nonLeader())}
+			open: func() []*netfault.BlockHandle {
+				return []*netfault.BlockHandle{cluster.Partition(nonLeader())}
 			},
 			fullOutage: false,
 		},
@@ -173,9 +173,9 @@ func TestCorrelatedFaultScenariosLivenet(t *testing.T) {
 			// proxy-path whole-group isolation runs in exp's
 			// GroupIsolation scenario on the simulator.
 			name: "group-isolation",
-			open: func() []env.PartitionHandle {
+			open: func() []*netfault.BlockHandle {
 				members := store.Group(0).Members()
-				return []env.PartitionHandle{
+				return []*netfault.BlockHandle{
 					cluster.Partition(members[0]),
 					cluster.Partition(members[1]),
 				}
@@ -184,8 +184,8 @@ func TestCorrelatedFaultScenariosLivenet(t *testing.T) {
 		},
 		{
 			name: "asymmetric-loss",
-			open: func() []env.PartitionHandle {
-				return []env.PartitionHandle{
+			open: func() []*netfault.BlockHandle {
+				return []*netfault.BlockHandle{
 					cluster.PartitionDir(env.LinkOutboundOnly, nonLeader()),
 				}
 			},

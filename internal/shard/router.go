@@ -6,11 +6,11 @@
 // out to the owning group. Groups share nothing, so aggregate ordered
 // throughput scales with the shard count until the network saturates.
 //
-// The partition key is chosen by the caller (internal/tpcw.PartitionKey
-// extracts one from bookstore actions; the web tier routes by client
-// session). Keys on different shards observe no common order — exactly
-// the per-group total order that hash-partitioned stores trade global
-// ordering for.
+// The partition key is chosen by the caller: the web tier routes a client
+// session by its tpcw.SessionKey, and a customer or item a transaction
+// touches by its row key. Keys on different shards observe no common
+// order — exactly the per-group total order that hash-partitioned stores
+// trade global ordering for.
 package shard
 
 // FNV-1a constants (64 bit).

@@ -310,47 +310,6 @@ func (s *Store) Execute(ctx context.Context, key string, action any) (any, error
 	}
 }
 
-// Checkpoint forces a durable checkpoint on every live member of every
-// group and calls done when all have completed. Executor context only
-// (see Submit).
-//
-// Completion is crash-aware: a member that crashes mid-checkpoint loses
-// its storage completion with the rest of its volatile state, so a
-// periodic sweep counts dead or replaced incarnations as finished rather
-// than letting done hang forever.
-func (s *Store) Checkpoint(done func()) {
-	// Collect targets before starting: core.Replica.Checkpoint may
-	// complete synchronously (nothing to checkpoint), so counting and
-	// starting in one pass could fire done before all members started.
-	type target struct {
-		grp *Group
-		m   int
-		id  env.NodeID
-		r   *core.Replica
-	}
-	var targets []target
-	for _, g := range s.groupList() {
-		for m, id := range g.ids {
-			if !s.rt.Alive(id) {
-				continue
-			}
-			if r := g.reps[m].Load(); r != nil {
-				targets = append(targets, target{grp: g, m: m, id: id, r: r})
-			}
-		}
-	}
-	reps := make([]*core.Replica, len(targets))
-	for k, t := range targets {
-		reps[k] = t.r
-	}
-	core.CheckpointFanout(reps,
-		func(k int) bool {
-			t := targets[k]
-			return !s.rt.Alive(t.id) || t.grp.reps[t.m].Load() != t.r
-		},
-		s.rt.After, done)
-}
-
 // GroupStatus aggregates one shard's health and progress, built from
 // published (goroutine-safe) replica metrics.
 type GroupStatus struct {

@@ -210,9 +210,34 @@ func TestStoreSurvivesMemberCrash(t *testing.T) {
 	}
 }
 
+// checkpointAll forces a checkpoint on every live member of every group
+// through core.CheckpointFanout and calls done when all have completed; a
+// member that crashes or is replaced mid-checkpoint counts as finished.
+// Executor context only.
+func checkpointAll(s *Store, done func()) {
+	type target struct {
+		grp *Group
+		m   int
+	}
+	var targets []target
+	var reps []*core.Replica
+	for _, g := range s.groupList() {
+		for m, id := range g.ids {
+			if r := g.reps[m].Load(); r != nil && s.rt.Alive(id) {
+				targets = append(targets, target{g, m})
+				reps = append(reps, r)
+			}
+		}
+	}
+	core.CheckpointFanout(reps, func(k int) bool {
+		t := targets[k]
+		return !s.rt.Alive(t.grp.ids[t.m]) || t.grp.reps[t.m].Load() != reps[k]
+	}, s.rt.After, done)
+}
+
 // TestStoreStatusAndCheckpoint exercises the aggregate facade: per-shard
-// status, whose applied counts sum to the committed results, and the
-// fan-out checkpoint.
+// status, whose applied counts sum to the committed results, and a
+// checkpoint fanned out over every group.
 func TestStoreStatusAndCheckpoint(t *testing.T) {
 	s := sim.New(sim.Config{Seed: 5})
 	store := New(s, Config{
@@ -251,7 +276,7 @@ func TestStoreStatusAndCheckpoint(t *testing.T) {
 	}
 
 	done := false
-	s.At(s.Now(), func() { store.Checkpoint(func() { done = true }) })
+	s.At(s.Now(), func() { checkpointAll(store, func() { done = true }) })
 	s.RunFor(5 * time.Second)
 	if !done {
 		t.Fatal("Checkpoint completion callback never ran")
@@ -270,7 +295,7 @@ func (m *slowSnapMachine) Snapshot() (any, int64) {
 
 // TestCheckpointSurvivesMidCheckpointCrash: a member killed while its
 // snapshot is on the disk loses the storage completion with the rest of
-// its volatile state; Store.Checkpoint must notice and still complete
+// its volatile state; the fan-out must notice and still complete
 // instead of hanging forever.
 func TestCheckpointSurvivesMidCheckpointCrash(t *testing.T) {
 	s := sim.New(sim.Config{Seed: 9})
@@ -284,7 +309,7 @@ func TestCheckpointSurvivesMidCheckpointCrash(t *testing.T) {
 
 	victim := store.Group(0).Members()[1]
 	done := false
-	s.At(s.Now(), func() { store.Checkpoint(func() { done = true }) })
+	s.At(s.Now(), func() { checkpointAll(store, func() { done = true }) })
 	s.At(s.Now().Add(time.Second), func() { s.Crash(victim) })
 	s.RunFor(30 * time.Second)
 	if !done {
@@ -294,7 +319,7 @@ func TestCheckpointSurvivesMidCheckpointCrash(t *testing.T) {
 	// A second checkpoint with the victim still down completes too (dead
 	// members are simply not targets).
 	done = false
-	s.At(s.Now(), func() { store.Checkpoint(func() { done = true }) })
+	s.At(s.Now(), func() { checkpointAll(store, func() { done = true }) })
 	s.RunFor(60 * time.Second)
 	if !done {
 		t.Fatal("Checkpoint with a dead member never completed")

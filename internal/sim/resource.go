@@ -103,8 +103,9 @@ func (r *Resource) complete(wi int, gen int64) {
 func (r *Resource) QueueLen() int { return r.queued }
 
 // Reset drops all queued work (completion callbacks never fire) and frees
-// the resource immediately. Used when the owning server crashes. The heads
-// already in the event heap are discarded when they surface.
+// the resource immediately. The heads already in the event heap are
+// discarded when they surface. No runtime calls it yet: a restarted web
+// server builds a fresh Resource instead.
 func (r *Resource) Reset() {
 	r.gen++
 	r.queued = 0

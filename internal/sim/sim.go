@@ -70,10 +70,6 @@ func New(cfg Config) *Sim {
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Time { return s.now }
 
-// Rand returns the simulation's root random stream (for workload
-// generators and fault schedules; nodes get their own split streams).
-func (s *Sim) Rand() *xrand.Rand { return s.rng }
-
 // stamp returns the key of the next thing scheduled, to run at time at
 // (clamped to now).
 func (s *Sim) stamp(at time.Time) key {

@@ -12,11 +12,6 @@ import (
 // clock or a random number generator is a parameter, filled in by the
 // caller before the action is submitted for total ordering.
 
-// CreateCartAction creates an empty shopping cart (TPC-W createEmptyCart).
-type CreateCartAction struct {
-	Now time.Time
-}
-
 // CartUpdateAction adds an item to a cart and/or updates line quantities
 // (TPC-W addItem / refreshCart). Cart 0 creates a new cart first, making
 // the shopping-cart interaction a single atomic action as in the original
@@ -87,11 +82,6 @@ type AdminUpdateAction struct {
 
 // Results.
 
-// CreateCartResult returns the new cart's identity.
-type CreateCartResult struct {
-	Cart CartID
-}
-
 // CreateCustomerResult returns the new customer's identity.
 type CreateCustomerResult struct {
 	Customer CustomerID
@@ -115,8 +105,6 @@ type CartResult struct {
 // implements the Execute half of core.StateMachine for the bookstore.
 func (s *Store) Apply(action any) any {
 	switch a := action.(type) {
-	case CreateCartAction:
-		return s.applyCreateCart(a)
 	case CartUpdateAction:
 		return s.applyCartUpdate(a)
 	case CreateCustomerAction:
@@ -144,8 +132,6 @@ func (s *Store) Apply(action any) any {
 // network/disk accounting.
 func ActionSize(action any) int64 {
 	switch a := action.(type) {
-	case CreateCartAction:
-		return 48
 	case CartUpdateAction:
 		return 72 + int64(len(a.SetLines))*12
 	case CreateCustomerAction:
@@ -167,14 +153,6 @@ func ActionSize(action any) int64 {
 	default:
 		return 64
 	}
-}
-
-func (s *Store) applyCreateCart(a CreateCartAction) CreateCartResult {
-	s.nextCart++
-	id := s.nextCart
-	s.carts.set(id, Cart{ID: id, Time: a.Now})
-	s.nominalBytes += nominalCart
-	return CreateCartResult{Cart: id}
 }
 
 func (s *Store) applyCartUpdate(a CartUpdateAction) CartResult {

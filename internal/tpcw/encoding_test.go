@@ -15,7 +15,6 @@ import (
 func TestActionsAreGobEncodable(t *testing.T) {
 	now := time.Date(2009, 6, 1, 12, 0, 0, 0, time.UTC)
 	actions := []any{
-		CreateCartAction{Now: now},
 		CartUpdateAction{
 			Cart: 3, AddItem: 7, AddQty: 2,
 			SetLines:   []CartLine{{Item: 7, Qty: 1}},
@@ -65,7 +64,6 @@ func TestActionsAreGobEncodable(t *testing.T) {
 // back to clients in a networked deployment).
 func TestResultsAreGobEncodable(t *testing.T) {
 	results := []any{
-		CreateCartResult{Cart: 1},
 		CartResult{Cart: Cart{ID: 1, Lines: []CartLine{{Item: 2, Qty: 3}}}},
 		CreateCustomerResult{Customer: 5, UName: "C5"},
 		BuyConfirmResult{Order: 9, Total: 12.5, Err: "e"},

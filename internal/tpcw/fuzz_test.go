@@ -31,7 +31,7 @@ func FuzzRoundTrip(f *testing.F) {
 		var action any
 		switch kind % 6 {
 		case 0:
-			action = CreateCartAction{Now: now}
+			action = CartUpdateAction{Now: now}
 		case 1:
 			var lines []CartLine
 			for i := int32(0); i < qty%4; i++ {

@@ -3,9 +3,10 @@ package tpcw
 // This file implements the keyed-snapshot half of live shard migration
 // (core.PartitionedMachine): exporting only the rows a group is losing,
 // merging such an export in on the destination, and dropping moved rows
-// on the source after cutover. Row keys follow PartitionKey's vocabulary
-// ("item/N", "customer/N", "cart/N"), so the same hash-slice predicate
-// that routes actions selects the rows that travel with them.
+// on the source after cutover. Row keys are the ones ItemKey, CustomerKey
+// and CartKey spell ("item/N", "customer/N", "cart/N"), so the same
+// hash-slice predicate that routes actions selects the rows that travel
+// with them.
 //
 // Row-to-key mapping:
 //   - carts move under "cart/N";

@@ -2,48 +2,6 @@ package tpcw
 
 import "strconv"
 
-// PartitionKey extracts the shard-routing key of a bookstore action for
-// hash-partitioned deployments (internal/shard): the identity of the row
-// group the action touches first. Actions whose identity is assigned only
-// at execution time (creating a cart or a customer) have no intrinsic key
-// and return ok=false — the caller routes those by its own session key,
-// which also keeps a session's later cart and customer actions on the
-// shard that created them (per-shard ID counters make raw IDs ambiguous
-// across shards).
-func PartitionKey(action any) (key string, ok bool) {
-	switch a := action.(type) {
-	case CartUpdateAction:
-		if a.Cart != 0 {
-			return CartKey(a.Cart), true
-		}
-		return "", false
-	case BuyConfirmAction:
-		if a.Cart != 0 {
-			return CartKey(a.Cart), true
-		}
-		return CustomerKey(a.Customer), true
-	case RefreshSessionAction:
-		return CustomerKey(a.Customer), true
-	case AdminUpdateAction:
-		return ItemKey(a.Item), true
-	case GiftOrderAction:
-		// The merged single-group form lives where the buyer's cart does.
-		return CartKey(a.Cart), true
-	case GiftDebitAction:
-		return CartKey(a.Cart), true
-	case GiftDeliverAction:
-		return CustomerKey(a.Recipient), true
-	case InventorySweepAction:
-		// A sweep branch carries one group's item set; there is no single
-		// row key — the 2PC driver dispatches it by participant group.
-		return "", false
-	case CreateCartAction, CreateCustomerAction:
-		return "", false
-	default:
-		return "", false
-	}
-}
-
 // TxnKeys lists a branch action's conflict keys: while the branch is
 // prepared, the web tier holds conflicting writes on these keys until the
 // outcome record releases them (core.TxnBlocks).
@@ -63,9 +21,6 @@ func TxnKeys(action any) []string {
 		}
 		return keys
 	default:
-		if key, ok := PartitionKey(action); ok {
-			return []string{key}
-		}
 		return nil
 	}
 }

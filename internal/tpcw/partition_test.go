@@ -2,29 +2,7 @@ package tpcw
 
 import "testing"
 
-func TestPartitionKey(t *testing.T) {
-	cases := []struct {
-		name   string
-		action any
-		key    string
-		ok     bool
-	}{
-		{"cart update", CartUpdateAction{Cart: 7}, "cart/7", true},
-		{"cart create", CartUpdateAction{Cart: 0, RandomItem: 3}, "", false},
-		{"buy with cart", BuyConfirmAction{Cart: 9, Customer: 2}, "cart/9", true},
-		{"buy without cart", BuyConfirmAction{Customer: 2}, "customer/2", true},
-		{"refresh session", RefreshSessionAction{Customer: 11}, "customer/11", true},
-		{"admin update", AdminUpdateAction{Item: 123}, "item/123", true},
-		{"create cart", CreateCartAction{}, "", false},
-		{"create customer", CreateCustomerAction{}, "", false},
-		{"unknown", 42, "", false},
-	}
-	for _, c := range cases {
-		key, ok := PartitionKey(c.action)
-		if key != c.key || ok != c.ok {
-			t.Errorf("%s: PartitionKey = (%q, %v), want (%q, %v)", c.name, key, ok, c.key, c.ok)
-		}
-	}
+func TestSessionKey(t *testing.T) {
 	if SessionKey(42) != "session/42" {
 		t.Errorf("SessionKey(42) = %q", SessionKey(42))
 	}

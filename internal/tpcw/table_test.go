@@ -401,7 +401,7 @@ func TestApplyByteBudget(t *testing.T) {
 	// buy returns the median bytes of a buy-confirm of a k-line cart.
 	buy := func(k int) uint64 {
 		return medianApplyBytes(s, build(func(i int) any {
-			cart := s.Apply(CreateCartAction{Now: at(i)}).(CreateCartResult).Cart
+			cart := s.Apply(CartUpdateAction{Now: at(i)}).(CartResult).Cart.ID
 			for item := 1; item <= k; item++ {
 				s.Apply(CartUpdateAction{Cart: cart, AddItem: ItemID(item), AddQty: 1, Now: at(i)})
 			}

@@ -71,23 +71,23 @@ func now() time.Time { return time.Date(2009, 6, 1, 12, 0, 0, 0, time.UTC) }
 
 func TestCartLifecycle(t *testing.T) {
 	s := testStore()
-	res := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult)
-	if res.Cart == 0 {
+	cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
+	if cart == 0 {
 		t.Fatal("no cart id")
 	}
-	cr := s.Apply(CartUpdateAction{Cart: res.Cart, AddItem: 3, AddQty: 2, Now: now()}).(CartResult)
+	cr := s.Apply(CartUpdateAction{Cart: cart, AddItem: 3, AddQty: 2, Now: now()}).(CartResult)
 	if cr.Err != "" || len(cr.Cart.Lines) != 1 || cr.Cart.Lines[0].Qty != 2 {
 		t.Fatalf("add item: %+v", cr)
 	}
 	// Adding the same item accumulates quantity.
-	cr = s.Apply(CartUpdateAction{Cart: res.Cart, AddItem: 3, AddQty: 1, Now: now()}).(CartResult)
+	cr = s.Apply(CartUpdateAction{Cart: cart, AddItem: 3, AddQty: 1, Now: now()}).(CartResult)
 	if cr.Cart.Lines[0].Qty != 3 {
 		t.Fatalf("qty = %d, want 3", cr.Cart.Lines[0].Qty)
 	}
 	// Setting quantity to zero removes the line; the random fallback
 	// item then repopulates the cart.
 	cr = s.Apply(CartUpdateAction{
-		Cart: res.Cart, SetLines: []CartLine{{Item: 3, Qty: 0}},
+		Cart: cart, SetLines: []CartLine{{Item: 3, Qty: 0}},
 		RandomItem: 7, Now: now(),
 	}).(CartResult)
 	if len(cr.Cart.Lines) != 1 || cr.Cart.Lines[0].Item != 7 {
@@ -97,7 +97,7 @@ func TestCartLifecycle(t *testing.T) {
 
 func TestBuyConfirmCreatesOrderAndAppliesStockRule(t *testing.T) {
 	s := testStore()
-	cart := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+	cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 	itemBefore, _ := s.GetBook(5)
 	s.Apply(CartUpdateAction{Cart: cart, AddItem: 5, AddQty: 2, Now: now()})
 
@@ -153,7 +153,7 @@ func TestBuyConfirmErrors(t *testing.T) {
 	if res.Err == "" {
 		t.Error("expected error for unknown cart")
 	}
-	cart := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+	cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 	res = s.Apply(BuyConfirmAction{Cart: cart, Customer: 1, Now: now()}).(BuyConfirmResult)
 	if res.Err == "" {
 		t.Error("expected error for empty cart")
@@ -269,7 +269,7 @@ func TestBestSellersRankedAndCacheRefreshes(t *testing.T) {
 	// lead the ranking.
 	target := first[len(first)-1].Item
 	for o := 0; o < bestSellerRefresh+1; o++ {
-		cart := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+		cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 		s.Apply(CartUpdateAction{Cart: cart, AddItem: target, AddQty: 90, Now: now()})
 		res := s.Apply(BuyConfirmAction{
 			Cart: cart, Customer: 1, ShipDate: now(), Now: now(),
@@ -331,7 +331,7 @@ func TestBestSellersIndexMatchesScan(t *testing.T) {
 	}
 	total := bestSellerWindow + 400
 	for i := 0; i < total; i++ {
-		cart := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+		cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 		s.Apply(CartUpdateAction{
 			Cart: cart, AddItem: ItemID(1 + (i*7)%99), AddQty: int32(1 + i%5), Now: now(),
 		})
@@ -360,7 +360,7 @@ func TestBestSellersIndexMatchesScan(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := testStore()
-	cart := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+	cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 	s.Apply(CartUpdateAction{Cart: cart, AddItem: 2, AddQty: 1, Now: now()})
 	s.Apply(BuyConfirmAction{Cart: cart, Customer: 2, ShipDate: now(), Now: now()})
 
@@ -370,7 +370,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// Mutate the original after snapshotting; the snapshot must be
 	// isolated.
-	c2 := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+	c2 := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 	s.Apply(CartUpdateAction{Cart: c2, AddItem: 9, AddQty: 5, Now: now()})
 	s.Apply(BuyConfirmAction{Cart: c2, Customer: 3, ShipDate: now(), Now: now()})
 
@@ -399,10 +399,10 @@ func randomActions(seed uint64, n int) []any {
 		case 0:
 			nextCart++
 			carts = append(carts, nextCart)
-			actions = append(actions, CreateCartAction{Now: at})
+			actions = append(actions, CartUpdateAction{Now: at})
 		case 1, 2:
 			if len(carts) == 0 {
-				actions = append(actions, CreateCartAction{Now: at})
+				actions = append(actions, CartUpdateAction{Now: at})
 				nextCart++
 				carts = append(carts, nextCart)
 				continue
@@ -487,7 +487,7 @@ func TestNominalBytesGrowWithOrders(t *testing.T) {
 	s := testStore()
 	before := s.NominalBytes()
 	for i := 0; i < 50; i++ {
-		cart := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+		cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 		s.Apply(CartUpdateAction{Cart: cart, AddItem: ItemID(i%50 + 1), AddQty: 1, Now: now()})
 		res := s.Apply(BuyConfirmAction{Cart: cart, Customer: 1, ShipDate: now(), Now: now()}).(BuyConfirmResult)
 		if res.Err != "" {
@@ -578,7 +578,7 @@ func BenchmarkApplyBuyConfirm(b *testing.B) {
 	s := testStore()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cart := s.Apply(CreateCartAction{Now: now()}).(CreateCartResult).Cart
+		cart := s.Apply(CartUpdateAction{Now: now()}).(CartResult).Cart.ID
 		s.Apply(CartUpdateAction{Cart: cart, AddItem: ItemID(i%50 + 1), AddQty: 1, Now: now()})
 		s.Apply(BuyConfirmAction{Cart: cart, Customer: CustomerID(i%300 + 1), ShipDate: now(), Now: now()})
 	}

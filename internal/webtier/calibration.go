@@ -137,7 +137,7 @@ func (c Calibration) readService(kind rbe.Interaction) time.Duration {
 // actionClass buckets actions for the cost tables.
 func actionClass(action any) string {
 	switch action.(type) {
-	case tpcw.CartUpdateAction, tpcw.CreateCartAction:
+	case tpcw.CartUpdateAction:
 		return "cart"
 	case tpcw.CreateCustomerAction:
 		return "customer"

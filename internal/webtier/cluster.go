@@ -249,9 +249,6 @@ func (c *Cluster) Sim() *sim.Sim { return c.sim }
 // Shards returns the current Paxos group count (grows on Rebalance).
 func (c *Cluster) Shards() int { return len(c.groups) }
 
-// Table returns the currently published routing table.
-func (c *Cluster) Table() shard.RoutingTable { return c.table }
-
 // TotalServers returns the flat server count, voters and readers.
 func (c *Cluster) TotalServers() int { return len(c.servers) }
 

@@ -166,7 +166,7 @@ func TestClusterRebalanceUnderLoad(t *testing.T) {
 // migration copies and re-points writers but never deletes.
 func TestClusterRebalanceMovesRows(t *testing.T) {
 	c := shardedTestCluster(t, 2, 3)
-	table0 := c.Table()
+	table0 := c.table
 	next, _ := table0.Grow(2)
 
 	// A customer whose row key moves from group 0 to the new group, and a
