@@ -196,16 +196,22 @@
 // it discarded as they surfaced, lives on in sim/queue_test.go as the
 // reference the loop is compared with over a thousand random schedules.
 //
-// A write to the bookstore copies what it changes. Every replica applies
-// every action, so a byte an action allocates is paid once per replica. An
-// Item or a Customer row is held as an immutable body — title, author,
-// subject, name, address, discount: the columns no action writes — and a
-// head of the columns actions do write (cost, stock, related items, images
-// and sweep tag; login times, balance and year-to-date payment) beside a
-// pointer to the body, 96 bytes. The tables hold heads, a write stores a
-// copy of the head and never touches the body, and checkpoints, deltas and
-// migration payloads share heads and bodies as they share pages. The
-// exported Item and Customer are views GetBook and GetCustomer assemble.
+// A write to the bookstore allocates only what the store keeps. Every
+// replica applies every action, so a byte an action allocates is paid once
+// per replica. An Item or a Customer row is held as an immutable body —
+// title, author, subject, name, address, discount: the columns no action
+// writes — and a head of the columns actions do write (cost, stock, related
+// items, images and sweep tag; login times, balance and year-to-date
+// payment) beside a pointer to the body, 96 bytes. The tables hold heads and
+// a write never touches the body. The first write to a head after a capture
+// (a snapshot, a delta, a clone or restore, a migration export or import)
+// stores a copy of it, and later writes edit that copy in place until the
+// next capture: the table knows which heads it stored since (tpcw's
+// table.edit), and checkpoints, deltas and migration payloads share the
+// others as they share pages. Columns that are a function of the ID — a
+// customer's user name and password, an order's authorization ID — are
+// derived, not stored. The exported Item and Customer are views GetBook
+// and GetCustomerByID assemble.
 //
 // The read path scales out independently of the write quorums:
 // webtier.Config.Readers boots learner-backed read-only servers per
@@ -243,7 +249,7 @@
 // orders a core.TxnPrepare carrying its branch — applying it validates
 // against local state (core.TxnStager), stages the action without
 // executing it, and blocks the branch's conflict keys
-// (core.Replica.TxnBlocks) so the tier boundary holds conflicting
+// (core.Replica.TxnBlocksInt) so the tier boundary holds conflicting
 // writes until the outcome's log position decides what the branch
 // observes. The coordinator Paxos-commits a core.TxnDecision in its own
 // home group BEFORE replying or releasing the outcome; the record is

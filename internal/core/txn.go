@@ -1,6 +1,10 @@
 package core
 
-import "robuststore/internal/detsort"
+import (
+	"strconv"
+
+	"robuststore/internal/detsort"
+)
 
 // This file is the core half of cross-shard transactions (two-phase
 // commit over Paxos groups): the ordered meta-action
@@ -18,7 +22,7 @@ import "robuststore/internal/detsort"
 //     transaction. Applying it validates the branch against local state
 //     (TxnStager.StageTxn) and, on a yes-vote, stages the action without
 //     executing it; the staged keys block conflicting writes until the
-//     outcome arrives (TxnBlocks).
+//     outcome arrives (TxnBlocksInt).
 //   - The coordinator Paxos-commits a TxnDecision in its own home group
 //     before releasing the outcome. The decision record is
 //     first-writer-wins: a presumed-abort inquiry racing the
@@ -70,7 +74,7 @@ type TxnPrepare struct {
 	Action any
 
 	// Keys are the branch's conflict keys: while the branch is prepared,
-	// the tier boundary holds conflicting writes (TxnBlocks) so the
+	// the tier boundary holds conflicting writes (TxnBlocksInt) so the
 	// outcome's log position, not a racing write, decides what the
 	// branch observes.
 	Keys []string
@@ -251,14 +255,21 @@ func (r *Replica) TxnDecided(id string) (commit, known bool) {
 	return commit, known
 }
 
-// TxnBlocks reports whether key conflicts with a prepared branch: the
-// tier boundary holds conflicting writes until the outcome record
-// releases the key, so the outcome's log position decides what the
-// branch observes. Loop-confined.
-func (r *Replica) TxnBlocks(key string) bool {
+// TxnBlocksInt reports whether the key prefix + decimal(id) conflicts with
+// a prepared branch: the tier boundary holds conflicting writes until the
+// outcome record releases the key, so the outcome's log position decides
+// what the branch observes. The key is spelled in a stack buffer and never
+// built: a write asks once per row it may touch while any branch is
+// prepared. Loop-confined.
+func (r *Replica) TxnBlocksInt(prefix string, id int64) bool {
+	if len(r.txnPrepared) == 0 {
+		return false
+	}
+	var buf [48]byte
+	key := strconv.AppendInt(append(buf[:0], prefix...), id, 10)
 	for _, st := range r.txnPrepared {
 		for _, k := range st.Keys {
-			if k == key {
+			if k == string(key) {
 				return true
 			}
 		}

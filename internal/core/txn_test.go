@@ -41,7 +41,7 @@ func (c *coreCluster) submitTxn(d time.Duration, id int, action any) *any {
 
 func TestTxnPrepareCommitIdempotent(t *testing.T) {
 	c := newCoreCluster(t, 3, 41, nil)
-	prep := TxnPrepare{ID: "t1", Home: 0, Action: incAction{Key: "x", Delta: 5}, Keys: []string{"x"}}
+	prep := TxnPrepare{ID: "t1", Home: 0, Action: incAction{Key: "x", Delta: 5}, Keys: []string{"x/1"}}
 
 	vote := c.submitTxn(2*time.Second, 0, prep)
 	c.s.RunFor(4 * time.Second)
@@ -54,10 +54,10 @@ func TestTxnPrepareCommitIdempotent(t *testing.T) {
 		if m.counts["x"] != 0 {
 			t.Fatalf("node %d applied staged branch early: x=%d", id, m.counts["x"])
 		}
-		if !c.replicas[id].TxnBlocks("x") {
+		if !c.replicas[id].TxnBlocksInt("x/", 1) {
 			t.Fatalf("node %d does not block prepared key", id)
 		}
-		if c.replicas[id].TxnBlocks("y") {
+		if c.replicas[id].TxnBlocksInt("y/", 1) || c.replicas[id].TxnBlocksInt("x/", 10) || c.replicas[id].TxnBlocksInt("x", 1) {
 			t.Fatalf("node %d blocks unrelated key", id)
 		}
 		if pt := c.replicas[id].PreparedTxns(); len(pt) != 1 || pt[0].ID != "t1" || pt[0].Home != 0 {
@@ -86,7 +86,7 @@ func TestTxnPrepareCommitIdempotent(t *testing.T) {
 		if m.counts["x"] != 5 || m.ops != 1 {
 			t.Fatalf("node %d x=%d ops=%d, want 5/1", id, m.counts["x"], m.ops)
 		}
-		if c.replicas[id].TxnBlocks("x") {
+		if c.replicas[id].TxnBlocksInt("x/", 1) {
 			t.Fatalf("node %d still blocks resolved key", id)
 		}
 	}
@@ -102,7 +102,7 @@ func TestTxnPrepareCommitIdempotent(t *testing.T) {
 
 func TestTxnAbortDiscardsStagedBranch(t *testing.T) {
 	c := newCoreCluster(t, 3, 42, nil)
-	c.submitTxn(2*time.Second, 0, TxnPrepare{ID: "t2", Home: 1, Action: incAction{Key: "a", Delta: 9}, Keys: []string{"a"}})
+	c.submitTxn(2*time.Second, 0, TxnPrepare{ID: "t2", Home: 1, Action: incAction{Key: "a", Delta: 9}, Keys: []string{"a/1"}})
 	abort := c.submitTxn(4*time.Second, 0, TxnAbort{ID: "t2"})
 	c.s.RunFor(8 * time.Second)
 	if r, ok := (*abort).(TxnAppliedResult); !ok || !r.First || r.Applied || r.Committed {
@@ -112,7 +112,7 @@ func TestTxnAbortDiscardsStagedBranch(t *testing.T) {
 		if m.counts["a"] != 0 || m.ops != 0 {
 			t.Fatalf("node %d applied aborted branch: a=%d", id, m.counts["a"])
 		}
-		if c.replicas[id].TxnBlocks("a") {
+		if c.replicas[id].TxnBlocksInt("a/", 1) {
 			t.Fatalf("node %d still blocks aborted key", id)
 		}
 	}
@@ -125,14 +125,14 @@ func TestTxnNoVoteStagesNothing(t *testing.T) {
 			return &stagerMachine{kvMachine: inner().(*kvMachine), rejectKey: "bad"}
 		}
 	})
-	vote := c.submitTxn(2*time.Second, 0, TxnPrepare{ID: "t3", Home: 0, Action: incAction{Key: "bad", Delta: 1}, Keys: []string{"bad"}})
+	vote := c.submitTxn(2*time.Second, 0, TxnPrepare{ID: "t3", Home: 0, Action: incAction{Key: "bad", Delta: 1}, Keys: []string{"bad/1"}})
 	abort := c.submitTxn(4*time.Second, 0, TxnAbort{ID: "t3"})
 	c.s.RunFor(8 * time.Second)
 	if v, ok := (*vote).(TxnVoteResult); !ok || v.Prepared || v.Reason != "key rejected" {
 		t.Fatalf("vote = %#v, want no-vote 'key rejected'", *vote)
 	}
 	for id := range c.replicas {
-		if c.replicas[id].TxnBlocks("bad") {
+		if c.replicas[id].TxnBlocksInt("bad/", 1) {
 			t.Fatalf("node %d blocks key of a no-vote branch", id)
 		}
 	}
@@ -169,7 +169,7 @@ func TestTxnDecisionFirstWriterWins(t *testing.T) {
 // exactly once from checkpoint + replayed log suffix.
 func TestTxnStateSurvivesCheckpointRecovery(t *testing.T) {
 	c := newCoreCluster(t, 3, 45, nil)
-	c.submitTxn(2*time.Second, 0, TxnPrepare{ID: "t5", Home: 0, Action: incAction{Key: "x", Delta: 7}, Keys: []string{"x"}})
+	c.submitTxn(2*time.Second, 0, TxnPrepare{ID: "t5", Home: 0, Action: incAction{Key: "x", Delta: 7}, Keys: []string{"x/1"}})
 	c.s.After(4*time.Second, func() { c.replicas[2].Checkpoint(nil) })
 	c.s.After(6*time.Second, func() { c.s.Crash(2) })
 	c.submitTxn(8*time.Second, 0, TxnCommit{ID: "t5"})
@@ -180,7 +180,7 @@ func TestTxnStateSurvivesCheckpointRecovery(t *testing.T) {
 		if m.counts["x"] != 7 {
 			t.Fatalf("node %d x=%d, want 7 (exactly-once commit across recovery)", id, m.counts["x"])
 		}
-		if c.replicas[id].TxnBlocks("x") {
+		if c.replicas[id].TxnBlocksInt("x/", 1) {
 			t.Fatalf("node %d still blocks resolved key after recovery", id)
 		}
 	}

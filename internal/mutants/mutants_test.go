@@ -139,6 +139,11 @@ var mutants = []mutant{
 			"\tr.en.SetRestoring(false)\n",
 			""}},
 		pkg: "./internal/core/", run: "TestRestoreAnnouncedUntilFinished"},
+	{name: "head-edit-ignores-capture", note: "table.edit writes a head in place whenever the table owns its page, though a delta or a migration payload shares it; from \"A replicated write allocates only what the store keeps\"",
+		edits: []edit{{"internal/tpcw/table.go",
+			"if !ok || t.mine(k) {",
+			"if pi, _ := split(k); !ok || t.pages[pi].owner == t.own {"}},
+		pkg: "./internal/tpcw/", run: "TestEditCopiesOnlyFirstWriteAfterCapture"},
 }
 
 // row returns the mutant named name.

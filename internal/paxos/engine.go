@@ -682,7 +682,8 @@ func (en *Engine) broadcast(msg env.Message) {
 }
 
 func (en *Engine) sendPing() {
-	m := pingMsg{
+	// Boxed once: the members and the learners are sent the same message.
+	var m env.Message = pingMsg{
 		B:             en.curBallot,
 		Leader:        en.IsLeader(),
 		FirstUnchosen: en.firstUnchosen,

@@ -82,10 +82,10 @@ type AdminUpdateAction struct {
 
 // Results.
 
-// CreateCustomerResult returns the new customer's identity.
+// CreateCustomerResult returns the new customer's identity. The user name
+// is UserName(Customer).
 type CreateCustomerResult struct {
 	Customer CustomerID
-	UName    string
 }
 
 // BuyConfirmResult returns the new order's identity and totals.
@@ -231,8 +231,6 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 	row := &customerRow{
 		body: customerBody{
 			ID:        id,
-			UName:     customerUName(id),
-			Passwd:    customerPasswd(id),
 			FName:     a.FName,
 			LName:     a.LName,
 			Addr:      addr,
@@ -251,7 +249,7 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 	}
 	s.customers.set(id, row.link())
 	s.nominalBytes += nominalCustomer
-	return CreateCustomerResult{Customer: id, UName: row.body.UName}
+	return CreateCustomerResult{Customer: id}
 }
 
 func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID) AddressID {
@@ -269,15 +267,13 @@ func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID)
 }
 
 func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
-	old, ok := s.customers.get(a.Customer)
+	c, ok := s.customers.edit(a.Customer, (*customerHead).clone)
 	if !ok {
 		return nil
 	}
-	c := old.edit()
 	c.LastLogin = c.Login
 	c.Login = a.Now
 	c.Expiration = a.Now.Add(2 * time.Hour)
-	s.customers.set(a.Customer, c)
 	return nil
 }
 
@@ -297,11 +293,11 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	var subTotal float64
 	lines := make([]OrderLine, 0, len(cart.Lines))
 	for _, cl := range cart.Lines {
-		item, ok := s.items.get(cl.Item)
+		h, ok := s.items.edit(cl.Item, (*itemHead).clone)
 		if !ok {
 			continue
 		}
-		subTotal += item.Cost * float64(cl.Qty) * (1 - cust.Discount/100)
+		subTotal += h.Cost * float64(cl.Qty) * (1 - cust.Discount/100)
 		lines = append(lines, OrderLine{
 			Item:     cl.Item,
 			Qty:      cl.Qty,
@@ -309,12 +305,10 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 			Comments: a.Comment,
 		})
 		// TPC-W stock rule.
-		h := item.edit()
 		h.Stock -= cl.Qty
 		if h.Stock < 10 {
 			h.Stock += 21
 		}
-		s.items.set(cl.Item, h)
 	}
 	if len(lines) == 0 {
 		return BuyConfirmResult{Err: "no valid items"}
@@ -343,7 +337,6 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 			Num:     a.CCNum,
 			Name:    a.CCName,
 			Expire:  a.CCExpire,
-			AuthID:  "AUTH" + strconv.FormatInt(int64(oid), 10),
 			Total:   total,
 			ShipAt:  a.ShipDate,
 			Country: billAddr.Country,
@@ -358,10 +351,9 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 
-	paid := cust.edit()
+	paid, _ := s.customers.edit(a.Customer, (*customerHead).clone)
 	paid.Balance += total
 	paid.YTDPmt += total
-	s.customers.set(a.Customer, paid)
 
 	return BuyConfirmResult{Order: oid, Total: total}
 }
@@ -400,18 +392,16 @@ func (s *Store) pushRecentOrder(o *Order) {
 }
 
 func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
-	old, ok := s.items.get(a.Item)
+	h, ok := s.items.edit(a.Item, (*itemHead).clone)
 	if !ok {
 		return nil
 	}
-	h := old.edit()
 	h.Cost = a.Cost
 	h.Image = a.Image
 	h.Thumbnail = a.Thumbnail
 	// Recompute related items from co-purchases in the recent-order
 	// window (deterministic: ordered scan, stable tie-break by item id).
 	h.Related = s.relatedFromOrders(a.Item)
-	s.items.set(a.Item, h)
 	return nil
 }
 
@@ -462,7 +452,16 @@ func (s *Store) relatedFromOrders(id ItemID) [5]ItemID {
 	return related
 }
 
-func customerUName(id CustomerID) string { return "C" + strconv.FormatInt(int64(id), 10) }
+// UserName is the user name of customer id: "C" and the ID in decimal. The
+// store derives it instead of storing it, and looks a name up by parsing
+// the ID back out (customerNamed).
+func UserName(id CustomerID) string { return string(appendUserName(nil, id)) }
+
+func appendUserName(dst []byte, id CustomerID) []byte {
+	return strconv.AppendInt(append(dst, 'C'), int64(id), 10)
+}
+
+// customerPasswd is the password of customer id, derived like its name.
 func customerPasswd(id CustomerID) string {
 	return "pw" + strconv.FormatInt(int64(id), 10)
 }

@@ -28,12 +28,12 @@ func storesEqual(t *testing.T, context string, a, b *Store) {
 			t.Fatalf("%s: item %d differs:\n got %+v\nwant %+v", context, id, got, want)
 		}
 	}
-	for id, c := range a.customers.all() {
+	for id := range a.customers.all() {
 		want, _ := a.GetCustomerByID(id)
 		if got, ok := b.GetCustomerByID(id); !ok || got != want {
 			t.Fatalf("%s: customer %d differs:\n got %+v\nwant %+v", context, id, got, want)
 		}
-		if got, _ := b.GetCustomer(c.UName); got.ID != id {
+		if got, ok := b.customerNamed(UserName(id)); !ok || got.ID != id {
 			t.Fatalf("%s: uname index broken for customer %d", context, id)
 		}
 	}

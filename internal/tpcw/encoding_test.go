@@ -65,7 +65,7 @@ func TestActionsAreGobEncodable(t *testing.T) {
 func TestResultsAreGobEncodable(t *testing.T) {
 	results := []any{
 		CartResult{Cart: Cart{ID: 1, Lines: []CartLine{{Item: 2, Qty: 3}}}},
-		CreateCustomerResult{Customer: 5, UName: "C5"},
+		CreateCustomerResult{Customer: 5},
 		BuyConfirmResult{Order: 9, Total: 12.5, Err: "e"},
 		GiftOrderResult{Order: 9, Total: 21.5, Err: "e"},
 		GiftDebitResult{Err: "e"},

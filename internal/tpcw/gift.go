@@ -194,8 +194,7 @@ func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
 	if !ok {
 		return GiftDebitResult{Err: "unknown cart"}
 	}
-	buyer, ok := s.customers.get(a.Buyer)
-	if !ok {
+	if !s.customers.has(a.Buyer) {
 		return GiftDebitResult{Err: "unknown buyer"}
 	}
 
@@ -203,10 +202,9 @@ func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 
-	paid := buyer.edit()
+	paid, _ := s.customers.edit(a.Buyer, (*customerHead).clone)
 	paid.Balance += a.Total
 	paid.YTDPmt += a.Total
-	s.customers.set(a.Buyer, paid)
 	return GiftDebitResult{}
 }
 
@@ -217,16 +215,14 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 	}
 	// TPC-W stock rule on the delivered lines.
 	for _, l := range a.Lines {
-		item, ok := s.items.get(l.Item)
+		h, ok := s.items.edit(l.Item, (*itemHead).clone)
 		if !ok {
 			continue
 		}
-		h := item.edit()
 		h.Stock -= l.Qty
 		if h.Stock < 10 {
 			h.Stock += 21
 		}
-		s.items.set(l.Item, h)
 	}
 	s.nextOrder++
 	oid := s.nextOrder
@@ -254,14 +250,12 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 func (s *Store) applyInventorySweep(a InventorySweepAction) InventorySweepResult {
 	updated := 0
 	for _, id := range a.Items {
-		old, ok := s.items.get(id)
+		h, ok := s.items.edit(id, (*itemHead).clone)
 		if !ok {
 			continue
 		}
-		h := old.edit()
 		h.Cost = a.Cost
 		h.SweptTag = a.Tag
-		s.items.set(id, h)
 		updated++
 	}
 	return InventorySweepResult{Updated: updated}

@@ -29,7 +29,9 @@ package tpcw
 
 // PartitionSnap is the keyed-snapshot payload: the subset of storeSnap
 // owned by a key predicate. Like checkpoint payloads it shares pointed-to
-// rows under the store's copy-on-write discipline.
+// rows under the store's copy-on-write discipline: the tables lend the
+// item and customer heads they export or import (table.lend), so neither
+// side's next write to one edits the payload's.
 type PartitionSnap struct {
 	Items     map[ItemID]*itemHead
 	Customers map[CustomerID]*customerHead
@@ -76,6 +78,7 @@ func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 	for id, it := range s.items.all() {
 		if owned(ItemKey(id)) {
 			snap.Items[id] = it
+			s.items.lend(id)
 			snap.NominalBytes += nominalItem
 		}
 	}
@@ -84,6 +87,7 @@ func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 			continue
 		}
 		snap.Customers[id] = c
+		s.customers.lend(id)
 		snap.NominalBytes += nominalCustomer
 		if a, ok := s.addresses.get(c.Addr); ok {
 			snap.Addresses[c.Addr] = a
@@ -125,12 +129,14 @@ func (s *Store) ImportOwned(data any) {
 			s.nominalBytes += nominalItem
 		}
 		s.items.set(id, it)
+		s.items.lend(id)
 	}
 	for id, c := range snap.Customers {
 		if !s.customers.has(id) {
 			s.nominalBytes += nominalCustomer
 		}
 		s.customers.set(id, c)
+		s.customers.lend(id)
 	}
 	for id, a := range snap.Addresses {
 		if !s.addresses.has(id) {

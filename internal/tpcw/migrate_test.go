@@ -85,7 +85,7 @@ func TestPartitionExportImportDrop(t *testing.T) {
 	}
 	for id, c := range snap.Customers {
 		got, ok := dst.GetCustomerByID(id)
-		if !ok || got.UName != c.UName {
+		if !ok || got.FName != c.FName {
 			t.Fatalf("customer %d missing or wrong on destination", id)
 		}
 	}

@@ -4,7 +4,7 @@ import "strconv"
 
 // TxnKeys lists a branch action's conflict keys: while the branch is
 // prepared, the web tier holds conflicting writes on these keys until the
-// outcome record releases them (core.TxnBlocks).
+// outcome record releases them (core.Replica.TxnBlocksInt).
 func TxnKeys(action any) []string {
 	switch a := action.(type) {
 	case GiftDebitAction:
@@ -25,12 +25,14 @@ func TxnKeys(action any) []string {
 	}
 }
 
-// The key prefixes of rows that are routed by ID alone: the web tier hands
+// The key prefixes of rows that are keyed by ID alone: the web tier hands
 // one, with the ID, to shard.RoutingTable.RouteInt, which hashes the same
-// bytes the key functions below spell.
+// bytes the key functions below spell, and to core.Replica.TxnBlocksInt,
+// which compares them with a prepared branch's keys.
 const (
 	ItemPrefix     = "item/"
 	CustomerPrefix = "customer/"
+	CartPrefix     = "cart/"
 	SessionPrefix  = "session/"
 )
 
@@ -39,7 +41,7 @@ const (
 // predicate is asked.
 func ItemKey(id ItemID) string         { return ItemPrefix + strconv.FormatInt(int64(id), 10) }
 func CustomerKey(id CustomerID) string { return CustomerPrefix + strconv.FormatInt(int64(id), 10) }
-func CartKey(id CartID) string         { return "cart/" + strconv.FormatInt(int64(id), 10) }
+func CartKey(id CartID) string         { return CartPrefix + strconv.FormatInt(int64(id), 10) }
 
 // SessionKey is the partition key of a client session: the routing level
 // the web tier and the live command use, guaranteeing that every action

@@ -247,13 +247,11 @@ func Populate(cfg PopConfig) *Store {
 		row := &customerRow{
 			body: customerBody{
 				ID:        id,
-				UName:     customerUName(id),
-				Passwd:    customerPasswd(id),
 				FName:     "F" + strconv.Itoa(i),
 				LName:     authorName(rng),
 				Addr:      addr,
 				Phone:     strconv.Itoa(1000000000 + rng.Intn(899999999)),
-				Email:     customerUName(id) + "@example.com",
+				Email:     UserName(id) + "@example.com",
 				Since:     base.AddDate(0, 0, -rng.Intn(730)),
 				Discount:  float64(rng.Intn(51)),
 				BirthDate: base.AddDate(-18-rng.Intn(60), 0, 0),
@@ -304,8 +302,7 @@ func Populate(cfg PopConfig) *Store {
 			CC: CCTransaction{
 				Type: "VISA", Num: "4111111111111111",
 				Name: buyer.FName, Expire: base.AddDate(2, 0, 0),
-				AuthID: "AUTH" + strconv.FormatInt(int64(oid), 10),
-				Total:  subTotal + tax, ShipAt: date, Country: 1,
+				Total: subTotal + tax, ShipAt: date, Country: 1,
 			},
 		}
 		s.orders.set(oid, &order)

@@ -25,19 +25,20 @@ func (s *Store) GetAuthor(id AuthorID) (Author, bool) {
 	return a, ok
 }
 
-// GetCustomer returns a customer by user name (TPC-W getCustomer). User
-// names are derived from the ID (customerUName), so the lookup parses the
-// ID back out and confirms the row carries exactly this name.
-func (s *Store) GetCustomer(uname string) (Customer, bool) {
+// customerNamed returns the head of the customer whose user name is uname
+// (TPC-W getCustomer). User names are derived from the ID (UserName), so the
+// lookup parses the ID back out and accepts only the spelling UserName gives
+// it, compared in a stack buffer: it allocates nothing.
+func (s *Store) customerNamed(uname string) (*customerHead, bool) {
 	id, err := strconv.ParseInt(strings.TrimPrefix(uname, "C"), 10, 32)
 	if err != nil {
-		return Customer{}, false
+		return nil, false
 	}
-	c, ok := s.customers.get(CustomerID(id))
-	if !ok || c.UName != uname {
-		return Customer{}, false
+	var buf [16]byte
+	if string(appendUserName(buf[:0], CustomerID(id))) != uname {
+		return nil, false
 	}
-	return c.customer(), true
+	return s.customers.get(CustomerID(id))
 }
 
 // GetCustomerByID returns a customer by id.
@@ -51,11 +52,10 @@ func (s *Store) GetCustomerByID(id CustomerID) (Customer, bool) {
 
 // GetUserName returns the user name for a customer id (TPC-W GetUserName).
 func (s *Store) GetUserName(id CustomerID) (string, bool) {
-	c, ok := s.customers.get(id)
-	if !ok {
+	if !s.customers.has(id) {
 		return "", false
 	}
-	return c.UName, true
+	return UserName(id), true
 }
 
 // GetCart returns a shopping cart.
@@ -75,7 +75,7 @@ func (s *Store) GetOrder(id OrderID) (Order, bool) {
 // GetMostRecentOrder returns the latest order of the named customer
 // (TPC-W getMostRecentOrder, the order-inquiry/display interactions).
 func (s *Store) GetMostRecentOrder(uname string) (Order, bool) {
-	c, ok := s.GetCustomer(uname)
+	c, ok := s.customerNamed(uname)
 	if !ok {
 		return Order{}, false
 	}
@@ -223,11 +223,12 @@ func (s *Store) VerifyConsistency() []string {
 	// replicas by tests; the tables iterate in ID order, so it is the same
 	// list everywhere.
 	var bad []string
+	var name [16]byte
 	for id, c := range s.customers.all() {
 		if c.ID != id {
 			bad = append(bad, "customer id mismatch")
 		}
-		if got, ok := s.GetCustomer(c.UName); !ok || got.ID != id {
+		if got, ok := s.customerNamed(string(appendUserName(name[:0], id))); !ok || got != c {
 			bad = append(bad, "customer not found under its uname")
 		}
 		if !s.addresses.has(c.Addr) {

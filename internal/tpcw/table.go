@@ -25,6 +25,12 @@ import (
 // takeDelta clears the bits where they are. Rotating the token would clean
 // the table as well, but every written page (2 KB and up) would then be
 // copied again on its next write, once per checkpoint interval.
+//
+// The same bits say which values are the table's own. A slot that is dirty on
+// a page the table owns was stored since the last freeze, adopt or takeDelta,
+// so no capture, delta, clone or sibling table can hold its value — unless a
+// migration export handed it out or an import took it in, which the lent
+// bitmap records. edit writes such a value in place and copies any other.
 
 // pageBits sets the page size (256 slots). Larger pages mean shorter
 // directories but bigger first-touch copies after a snapshot, and more of
@@ -44,12 +50,14 @@ type owner struct{ _ byte }
 
 // page is one fixed-size run of slots. used is the occupancy bitmap; a
 // vacant slot holds V's zero value, so equal contents mean equal pages.
-// dirty marks the slots the owner wrote since it was last clean; nothing
-// outside this file touches it.
+// dirty marks the slots the owner wrote since it was last clean, and lent
+// those of them whose value a holder outside the table shares (lend); nothing
+// outside this file touches either.
 type page[V any] struct {
 	owner *owner
 	used  [pageSize / 64]uint64
 	dirty [pageSize / 64]uint64
+	lent  [pageSize / 64]uint64
 	vals  [pageSize]V
 }
 
@@ -128,6 +136,7 @@ func (t *table[K, V]) writable(pi int) *page[V] {
 		cp := *p
 		cp.owner = t.own
 		cp.dirty = [pageSize / 64]uint64{}
+		cp.lent = [pageSize / 64]uint64{}
 		p = &cp
 	default:
 		return p
@@ -152,7 +161,45 @@ func (t *table[K, V]) set(k K, v V) {
 		t.n++
 	}
 	p.dirty[i>>6] |= 1 << (i & 63)
+	p.lent[i>>6] &^= 1 << (i & 63)
 	p.vals[i] = v
+}
+
+// mine reports whether the value stored under k is the table's alone: the
+// slot is dirty on a page the table owns and not lent.
+func (t *table[K, V]) mine(k K) bool {
+	pi, i := split(k)
+	if pi >= len(t.pages) {
+		return false
+	}
+	p := t.pages[pi]
+	return p != nil && p.owner == t.own && (p.dirty[i>>6]&^p.lent[i>>6])&(1<<(i&63)) != 0
+}
+
+// edit returns the value stored under k for the caller to write through. A
+// value that is the table's alone (mine) comes back as it is; any other is
+// copied by cp and the copy stored first, so the captures, deltas, tables
+// and payloads that hold the original never see the write. Only a table of
+// pointers to rows has a use for it.
+func (t *table[K, V]) edit(k K, cp func(V) V) (v V, ok bool) {
+	v, ok = t.get(k)
+	if !ok || t.mine(k) {
+		return v, ok
+	}
+	v = cp(v)
+	t.set(k, v)
+	return v, true
+}
+
+// lend records that a holder outside the table shares the value stored under
+// k — a migration payload it was exported to or imported from — so edit
+// copies it. The mark lasts until the slot is next written; a slot that is
+// not the table's alone needs none.
+func (t *table[K, V]) lend(k K) {
+	if t.mine(k) {
+		pi, i := split(k)
+		t.pages[pi].lent[i>>6] |= 1 << (i & 63)
+	}
 }
 
 // delete removes k and reports whether it was present.
@@ -170,9 +217,9 @@ func (t *table[K, V]) delete(k K) bool {
 	return true
 }
 
-// all iterates the rows in ascending ID order. The loop body may set or
-// delete the row it was handed (DropOwned does); it must not otherwise
-// write to the table.
+// all iterates the rows in ascending ID order. The loop body may set,
+// delete or lend the row it was handed (DropOwned and ExportOwned do); it
+// must not otherwise write to the table.
 func (t *table[K, V]) all() iter.Seq2[K, V] {
 	return func(yield func(K, V) bool) {
 		for pi := 0; pi < len(t.pages); pi++ {

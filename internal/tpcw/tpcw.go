@@ -119,10 +119,13 @@ type Item struct {
 // The store holds an Item or a Customer as two parts (see Store): a body
 // with the columns no action writes, allocated when the row is populated or
 // created and never written again, and a head with the columns actions do
-// write and a pointer to the body. A write copies the head alone, 96 bytes,
-// and every head of a row shares its body: every replica applies every
-// write, so each byte a write copies is paid once per replica.
-// The exported Item and Customer are the read API, assembled from the two.
+// write and a pointer to the body. The first write after a capture copies
+// the head alone, 96 bytes, later writes edit that copy, and every head of a
+// row shares its body: every replica applies every write, so each byte a
+// write copies is paid once per replica. Columns that are a function of the
+// ID (a customer's user name and password, an order's credit-card
+// authorization ID) are not stored at all. The exported Item and Customer
+// are the read API, assembled from the two.
 
 // itemBody is the immutable part of an ITEM row.
 type itemBody struct {
@@ -152,11 +155,10 @@ type itemHead struct {
 	SweptTag  string
 }
 
-// customerBody is the immutable part of a CUSTOMER row.
+// customerBody is the immutable part of a CUSTOMER row. The user name and
+// password are functions of the ID (UserName, customerPasswd).
 type customerBody struct {
 	ID        CustomerID
-	UName     string
-	Passwd    string
 	FName     string
 	LName     string
 	Addr      AddressID
@@ -204,14 +206,14 @@ func (r *customerRow) link() *customerHead {
 	return &r.head
 }
 
-// edit returns a copy of the head for an action to write and store in
-// place of the original, which snapshots and other stores may share.
-func (h *itemHead) edit() *itemHead {
+// clone copies the head, for table.edit to store in place of an original
+// that captures and other stores may share.
+func (h *itemHead) clone() *itemHead {
 	cp := *h
 	return &cp
 }
 
-func (h *customerHead) edit() *customerHead {
+func (h *customerHead) clone() *customerHead {
 	cp := *h
 	return &cp
 }
@@ -228,11 +230,12 @@ func (h *itemHead) item() Item {
 	}
 }
 
-// customer assembles the row's public view.
+// customer assembles the row's public view, deriving the columns the row
+// does not store.
 func (h *customerHead) customer() Customer {
 	b := h.customerBody
 	return Customer{
-		ID: b.ID, UName: b.UName, Passwd: b.Passwd, FName: b.FName,
+		ID: b.ID, UName: UserName(b.ID), Passwd: customerPasswd(b.ID), FName: b.FName,
 		LName: b.LName, Addr: b.Addr, Phone: b.Phone, Email: b.Email,
 		Since: b.Since, LastLogin: h.LastLogin, Login: h.Login,
 		Expiration: h.Expiration, Discount: b.Discount, Balance: h.Balance,
@@ -248,13 +251,14 @@ type OrderLine struct {
 	Comments string
 }
 
-// CCTransaction is a TPC-W CC_XACTS row, embedded in its order.
+// CCTransaction is a TPC-W CC_XACTS row, embedded in its order. Its
+// authorization ID is "AUTH" and the order ID, a function of the ID, so the
+// row does not store it.
 type CCTransaction struct {
 	Type    string
 	Num     string
 	Name    string
 	Expire  time.Time
-	AuthID  string
 	Total   float64
 	ShipAt  time.Time
 	Country CountryID
@@ -328,18 +332,19 @@ type Store struct {
 	cat *catalog
 
 	// The entity tables are paged copy-on-write tables (table.go) over
-	// rows that are never written in place once stored. An item or a
-	// customer is a body and a head (itemHead, customerHead): the body is
-	// written once, when the row is populated or created, and a write
-	// stores a copy of the head (edit) that points at the same body. An
-	// address or an order is never written again; a cart's write stores a
-	// fresh Cart and a fresh Lines slice. A snapshot, the stores restored
-	// from it and the store it was taken from can therefore share rows,
-	// bodies and pages: capturing or adopting a table copies its page
-	// directory, and a store copies a shared page the first time it writes
-	// to it.
+	// rows that nothing but the table that stored them ever writes. An
+	// item or a customer is a body and a head (itemHead, customerHead):
+	// the body is written once, when the row is populated or created. The
+	// first write to a head after a capture stores a copy of it that points
+	// at the same body, and later writes edit that copy in place until the
+	// next capture (table.edit). An address or an order is never written
+	// again; a cart's write stores a fresh Cart and a fresh Lines slice. A
+	// snapshot, the stores restored from it and the store it was taken
+	// from can therefore share rows, bodies and pages: capturing or
+	// adopting a table copies its page directory, and a store copies a
+	// shared page the first time it writes to it.
 	items     table[ItemID, *itemHead]
-	customers table[CustomerID, *customerHead] // UName is customerUName(ID): no separate index
+	customers table[CustomerID, *customerHead] // the user name is UserName(ID): no separate index
 	addresses table[AddressID, *Address]
 	orders    table[OrderID, *Order]
 	carts     table[CartID, Cart]

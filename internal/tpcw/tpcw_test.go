@@ -138,7 +138,7 @@ func TestBuyConfirmCreatesOrderAndAppliesStockRule(t *testing.T) {
 		t.Error("cart survived purchase")
 	}
 	// The order is visible as the customer's most recent.
-	mr, ok := s.GetMostRecentOrder(customerUName(1))
+	mr, ok := s.GetMostRecentOrder(UserName(1))
 	if !ok || mr.ID != res.Order {
 		t.Errorf("most recent order = %v, want %v", mr.ID, res.Order)
 	}
@@ -174,14 +174,18 @@ func TestCreateCustomerAndSession(t *testing.T) {
 		Email: "n@c", BirthDate: now().AddDate(-30, 0, 0),
 		Discount: 15, Now: now(),
 	}).(CreateCustomerResult)
-	if res.Customer == 0 || res.UName != customerUName(res.Customer) {
+	if res.Customer == 0 {
 		t.Fatalf("bad result: %+v", res)
 	}
 	_, after, _, _ := s.Counts()
 	if after != before+1 {
 		t.Errorf("customer count %d, want %d", after, before+1)
 	}
-	got, ok := s.GetCustomer(res.UName)
+	h, ok := s.customerNamed(UserName(res.Customer))
+	var got Customer
+	if ok {
+		got = h.customer()
+	}
 	if !ok || got.ID != res.Customer || got.Discount != 15 || got.FName != "New" {
 		t.Fatalf("lookup by uname: %+v, %v", got, ok)
 	}
@@ -528,7 +532,7 @@ func TestGetters(t *testing.T) {
 	if _, ok := s.GetBook(1 << 30); ok {
 		t.Error("GetBook on bogus id succeeded")
 	}
-	uname := customerUName(1)
+	uname := UserName(1)
 	if un, ok := s.GetUserName(1); !ok || un != uname {
 		t.Errorf("GetUserName = %q, want %q", un, uname)
 	}
@@ -545,7 +549,8 @@ func TestGetters(t *testing.T) {
 
 // TestRowViewsCarryEveryColumn: GetBook and GetCustomerByID assemble every
 // column of Item and Customer from the row's body or head, where a column of
-// the same name holds the same value.
+// the same name holds the same value, or derive it from the ID — the
+// customer's user name and password, which the row does not store.
 func TestRowViewsCarryEveryColumn(t *testing.T) {
 	s := testStore()
 	cart := s.Apply(CartUpdateAction{AddItem: 5, AddQty: 1, Now: now()}).(CartResult).Cart.ID
@@ -556,12 +561,22 @@ func TestRowViewsCarryEveryColumn(t *testing.T) {
 	ih, _ := s.items.get(5)
 	cust, _ := s.GetCustomerByID(2)
 	ch, _ := s.customers.get(2)
+	derived := map[string]string{"UName": "C2", "Passwd": "pw2"}
 	for _, c := range []struct{ view, row reflect.Value }{
 		{reflect.ValueOf(item), reflect.ValueOf(ih).Elem()},
 		{reflect.ValueOf(cust), reflect.ValueOf(ch).Elem()},
 	} {
 		for i := 0; i < c.view.NumField(); i++ {
 			name := c.view.Type().Field(i).Name
+			if want, ok := derived[name]; ok && c.view.Type() == reflect.TypeOf(Customer{}) {
+				if got := c.view.Field(i).String(); got != want {
+					t.Errorf("Customer.%s reads %q, want %q", name, got, want)
+				}
+				if c.row.FieldByName(name).IsValid() {
+					t.Errorf("the customer row stores %s, a function of its ID", name)
+				}
+				continue
+			}
 			col := c.row.FieldByName(name)
 			if !col.IsValid() {
 				t.Errorf("%s.%s is in neither body nor head", c.view.Type().Name(), name)

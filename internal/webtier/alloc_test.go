@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"robuststore/internal/core"
 	"robuststore/internal/rbe"
+	"robuststore/internal/tpcw"
 )
 
 // TestRequestAllocBudget holds the request path's allocation diet: on a
@@ -81,6 +83,45 @@ func TestRequestAllocBudget(t *testing.T) {
 		}
 		if per > k.budget {
 			t.Fatalf("%s: %.2f allocs per interaction, budget %.1f", k.name, per, k.budget)
+		}
+	}
+}
+
+// TestTxnGateBuildsNoKeys: while a branch is prepared, every write passes the
+// transaction gate, which asks the replica about each row the write may touch
+// (txnBlocked). It asks by key prefix and ID and builds no key: a blocked write
+// and a free one allocate nothing to be told so. The held branch is a sweep of
+// items 3 and 4, ordered as a bare prepare that nothing resolves.
+func TestTxnGateBuildsNoKeys(t *testing.T) {
+	c := testCluster(t, 3, nil)
+	c.Sim().RunFor(time.Second)
+	lead := c.LeaderOf(0)
+	if lead < 0 {
+		t.Fatal("no leader")
+	}
+	sweep := tpcw.InventorySweepAction{Items: []tpcw.ItemID{3, 4}, Cost: 1, Tag: "held"}
+	c.Replica(lead).Submit(core.TxnPrepare{ID: "held", Home: 0, Action: sweep, Keys: tpcw.TxnKeys(sweep)}, func(any, error) {})
+	c.Sim().RunFor(time.Second)
+	s := c.Server(lead)
+	if !s.replica.HasPreparedTxns() {
+		t.Fatal("the prepare left no branch staged")
+	}
+	for _, k := range []struct {
+		name    string
+		req     rbe.Request
+		blocked bool
+	}{
+		{"cart write", rbe.Request{Kind: rbe.ShoppingCart, Cart: 3, Customer: 4, Item: 3}, false},
+		{"gift", rbe.Request{Kind: rbe.GiftPurchase, Cart: 5, Customer: 6, Peer: 7}, false},
+		{"admin update of a free item", rbe.Request{Kind: rbe.AdminConfirm, Item: 34}, false},
+		{"admin update of a swept item", rbe.Request{Kind: rbe.AdminConfirm, Item: 3}, true},
+		{"sweep over a swept item", rbe.Request{Kind: rbe.StockSweep, Items: []tpcw.ItemID{40, 4}}, true},
+	} {
+		if got := s.txnBlocked(&k.req); got != k.blocked {
+			t.Errorf("%s: blocked %v, want %v", k.name, got, k.blocked)
+		}
+		if n := testing.AllocsPerRun(100, func() { s.txnBlocked(&k.req) }); n != 0 {
+			t.Errorf("%s: the gate allocated %.1f times", k.name, n)
 		}
 	}
 }

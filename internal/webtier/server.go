@@ -655,8 +655,9 @@ func (r *request) onApplied(result any, inst paxos.InstanceID, err error) {
 		resp.Cart = cr.Cart.ID
 	case rbe.CustomerRegistration:
 		cr, is := result.(tpcw.CreateCustomerResult)
-		ok = ok && is
-		resp.Customer, resp.UName = cr.Customer, cr.UName
+		if ok = ok && is; ok {
+			resp.Customer, resp.UName = cr.Customer, tpcw.UserName(cr.Customer)
+		}
 	case rbe.BuyRequest:
 		resp.Cart = r.cart
 	case rbe.BuyConfirm:

@@ -518,33 +518,21 @@ func (s *Server) armTxnRecovery() {
 
 // --- Write gate ----------------------------------------------------------
 
-// txnConflictKeys lists the row keys a write interaction may touch, in
-// the same key syntax branches declare (tpcw.TxnKeys). Used only to hold
-// conflicting writes while a prepared branch blocks those keys.
-func txnConflictKeys(req *rbe.Request) []string {
-	var keys []string
-	if req.Cart != 0 {
-		keys = append(keys, tpcw.CartKey(req.Cart))
-	}
-	if req.Customer != 0 {
-		keys = append(keys, tpcw.CustomerKey(req.Customer))
-	}
-	if req.Peer != 0 {
-		keys = append(keys, tpcw.CustomerKey(req.Peer))
-	}
-	if req.Kind == rbe.AdminConfirm && req.Item != 0 {
-		keys = append(keys, tpcw.ItemKey(req.Item))
+// txnBlocked reports whether a prepared branch blocks a row key the write
+// interaction may touch, in the key syntax branches declare (tpcw.TxnKeys):
+// its cart, its customer and gift recipient, the item an admin update
+// writes and a sweep's items. The replica is asked by prefix and ID, so no
+// key is built.
+func (s *Server) txnBlocked(req *rbe.Request) bool {
+	r := s.replica
+	if (req.Cart != 0 && r.TxnBlocksInt(tpcw.CartPrefix, int64(req.Cart))) ||
+		(req.Customer != 0 && r.TxnBlocksInt(tpcw.CustomerPrefix, int64(req.Customer))) ||
+		(req.Peer != 0 && r.TxnBlocksInt(tpcw.CustomerPrefix, int64(req.Peer))) ||
+		(req.Kind == rbe.AdminConfirm && req.Item != 0 && r.TxnBlocksInt(tpcw.ItemPrefix, int64(req.Item))) {
+		return true
 	}
 	for _, it := range req.Items {
-		keys = append(keys, tpcw.ItemKey(it))
-	}
-	return keys
-}
-
-// txnBlocked reports whether a prepared branch blocks any of keys.
-func (s *Server) txnBlocked(keys []string) bool {
-	for _, k := range keys {
-		if s.replica.TxnBlocks(k) {
+		if r.TxnBlocksInt(tpcw.ItemPrefix, int64(it)) {
 			return true
 		}
 	}
@@ -555,15 +543,14 @@ func (s *Server) txnBlocked(keys []string) bool {
 // until the branch's outcome record releases them (or the bounded wait
 // expires into a client error). With no prepared transactions — always
 // the case on the single-group fast path — the write proceeds through
-// the exact same immediate call, adding no events and no latency, and no
-// key is built. Either way the request leaves through gated or drop.
+// the exact same immediate call, adding no events and no latency. Either
+// way the request leaves through gated or drop.
 func (s *Server) withTxnGate(r *request) {
 	if !s.replica.HasPreparedTxns() {
 		r.gated()
 		return
 	}
-	keys := txnConflictKeys(&r.m.Req)
-	if !s.txnBlocked(keys) {
+	if !s.txnBlocked(&r.m.Req) {
 		r.gated()
 		return
 	}
@@ -579,7 +566,7 @@ func (s *Server) withTxnGate(r *request) {
 			r.drop()
 			return
 		}
-		if !s.txnBlocked(keys) {
+		if !s.txnBlocked(&r.m.Req) {
 			accrue()
 			r.gated()
 			return

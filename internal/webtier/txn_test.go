@@ -12,7 +12,6 @@ package webtier
 // coordinator at that instant.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -156,9 +155,8 @@ func itemKeysUnblocked(t *testing.T, c *Cluster, items []tpcw.ItemID) {
 			continue
 		}
 		for _, id := range items {
-			key := fmt.Sprintf("item/%d", id)
-			if r.TxnBlocks(key) {
-				t.Errorf("server %d still blocks %s after resolution", i, key)
+			if r.TxnBlocksInt(tpcw.ItemPrefix, int64(id)) {
+				t.Errorf("server %d still blocks item %d after resolution", i, id)
 			}
 		}
 	}
