@@ -144,6 +144,11 @@ var mutants = []mutant{
 			"if !ok || t.mine(k) {",
 			"if pi, _ := split(k); !ok || t.pages[pi].owner == t.own {"}},
 		pkg: "./internal/tpcw/", run: "TestEditCopiesOnlyFirstWriteAfterCapture"},
+	{name: "election-stagger-by-id", note: "the election timeout is staggered by node ID, not by member index, so a group whose IDs do not start at 0 elects late; fixed in \"The election stagger uses the member index\"",
+		edits: []edit{{"internal/paxos/engine.go",
+			"time.Duration(en.myIdx)*en.cfg.LeaderTimeout/2",
+			"time.Duration(int64(en.me))*en.cfg.LeaderTimeout/2"}},
+		pkg: "./internal/paxos/", run: "TestElectionStaggerByMemberIndex"},
 }
 
 // row returns the mutant named name.

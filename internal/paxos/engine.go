@@ -1022,9 +1022,11 @@ func (en *Engine) sweep() {
 	}
 	now := en.e.Now()
 
-	// Election: suspect the leader after a staggered timeout. Learners
-	// never bid — they observe whichever ballot the voters establish.
-	timeout := en.cfg.LeaderTimeout + time.Duration(int64(en.me))*en.cfg.LeaderTimeout/2
+	// Election: suspect the leader after a timeout staggered by this
+	// member's index in the group, so the same index waits as long in every
+	// group whatever its node IDs. Learners never bid — they observe
+	// whichever ballot the voters establish.
+	timeout := en.cfg.LeaderTimeout + time.Duration(en.myIdx)*en.cfg.LeaderTimeout/2
 	if !en.cfg.Learner && !en.IsLeader() && (en.leader == nil || !en.leader.established) &&
 		now.Sub(en.lastLeaderSeen) > timeout && en.aliveCount() >= ClassicQuorum(en.n) {
 		if en.leader == nil || now.Sub(en.leader.startedAt) > en.cfg.LeaderTimeout {

@@ -355,6 +355,50 @@ func TestLeaderCrashFailover(t *testing.T) {
 	})
 }
 
+// TestElectionStaggerByMemberIndex: the election timeout is staggered by a
+// member's index in its group, not by its node ID. A group of nodes 3, 4 and
+// 5 — the second group of a two-group layout — loses its leader (index 0),
+// and the member at index 1 bids within its stagger, LeaderTimeout·3/2, plus
+// the heartbeat interval the leader's last ping can precede the crash by and
+// the sweep interval that checks the timeout: what the same group numbered
+// 0, 1 and 2 takes. Staggered by ID, node 4 waits LeaderTimeout·3.
+func TestElectionStaggerByMemberIndex(t *testing.T) {
+	members := []env.NodeID{3, 4, 5}
+	testTune = func(cfg *Config) { cfg.Members = members }
+	defer func() { testTune = nil }()
+	c := addEngines(t, 6, false, 1, sim.NetConfig{})
+	for _, id := range members {
+		c.s.Restart(id) // nodes 0, 1 and 2 never start: they are another group's
+	}
+	c.s.RunFor(5 * time.Second)
+	leader := env.NodeID(-1)
+	for _, id := range members {
+		if c.engines[id].IsLeader() {
+			leader = id
+		}
+	}
+	if leader != members[0] {
+		t.Fatalf("node %d leads after 5 s, want node %d (index 0)", leader, members[0])
+	}
+	cfg := c.baseConfig().withDefaults()
+	crashed := c.s.Now()
+	var bid time.Duration
+	c.onSend = func(from, _ env.NodeID, msg env.Message) {
+		if _, ok := msg.(prepareMsg); ok && bid == 0 {
+			bid = c.s.Now().Sub(crashed)
+			if from != members[1] {
+				t.Errorf("node %d bid first, want node %d (index 1)", from, members[1])
+			}
+		}
+	}
+	c.s.Crash(leader)
+	c.s.RunFor(5 * time.Second)
+	limit := cfg.LeaderTimeout*3/2 + cfg.SweepInterval + cfg.HeartbeatInterval
+	if bid == 0 || bid > limit {
+		t.Fatalf("the successor bid %v after the leader crashed, want within %v", bid, limit)
+	}
+}
+
 func TestCrashRecoverCatchUp(t *testing.T) {
 	testModes(t, func(t *testing.T, fast bool) {
 		const total = 120
