@@ -262,9 +262,6 @@ func (r *Replica) TxnDecided(id string) (commit, known bool) {
 // built: a write asks once per row it may touch while any branch is
 // prepared. Loop-confined.
 func (r *Replica) TxnBlocksInt(prefix string, id int64) bool {
-	if len(r.txnPrepared) == 0 {
-		return false
-	}
 	var buf [48]byte
 	key := strconv.AppendInt(append(buf[:0], prefix...), id, 10)
 	for _, st := range r.txnPrepared {

@@ -455,7 +455,10 @@ func (s *Store) relatedFromOrders(id ItemID) [5]ItemID {
 // UserName is the user name of customer id: "C" and the ID in decimal. The
 // store derives it instead of storing it, and looks a name up by parsing
 // the ID back out (customerNamed).
-func UserName(id CustomerID) string { return string(appendUserName(nil, id)) }
+func UserName(id CustomerID) string {
+	var buf [16]byte
+	return string(appendUserName(buf[:0], id))
+}
 
 func appendUserName(dst []byte, id CustomerID) []byte {
 	return strconv.AppendInt(append(dst, 'C'), int64(id), 10)

@@ -35,9 +35,11 @@ import (
 // pageBits sets the page size (256 slots). Larger pages mean shorter
 // directories but bigger first-touch copies after a snapshot, and more of
 // each page duplicated once stores diverge. Measured on the bench's
-// tpcw_sharded_txn workload (16 stores) the choice hardly matters: 64 / 256 /
-// 1024 / 4096 slots give 51.65 / 51.59 / 51.56 / 51.56 allocations and
-// 5971 / 5990 / 5968 / 5941 B per action, 102 / 106 / 109 / 113 MB live.
+// tpcw_sharded_txn workload (16 stores, seed 1, one run each on a 2-vCPU
+// host, October 2026, with heads edited in place) the choice hardly
+// matters: 64 / 256 / 1024 / 4096 slots give 16.25 / 16.20 / 16.17 / 16.16
+// allocations and 1449 / 1462 / 1429 / 1421 B per action, 80.1 / 83.1 /
+// 85.8 / 90.2 MB live.
 const (
 	pageBits = 8
 	pageSize = 1 << pageBits

@@ -305,6 +305,9 @@ func TestEditCopiesOnlyFirstWriteAfterCapture(t *testing.T) {
 	var payloads []payload
 	keep := func(what string, read func() (Item, Customer)) {
 		it, c := read()
+		if it.ID != item || c.ID != cust {
+			t.Fatalf("the %s payload does not hold item %d and customer %d", what, item, cust)
+		}
 		payloads = append(payloads, payload{what, read, it, c})
 	}
 	// edits checks st's next two writes: the first copies both heads, the
