@@ -295,12 +295,17 @@
 // late-bound Leader(group) and quorum-preserving Minority(group)), and
 // OpDiskSlow/OpDiskRestore degrade a victim's disk live by a factor (the
 // failing-disk straggler that drags group commit and checkpoints without
-// tripping crash detection). Partitions are handle-based and composable
-// on both runtimes — one link-fault table (internal/netfault) that the
-// simulator reads loop-confined and livenet under a lock, so the same
-// scenarios run on real goroutines — and active partition sets persist:
-// a node added mid-partition (live rebalance) joins the majority side
-// instead of straddling the split. The standard scenarios — leader
+// tripping crash detection). Every link fault — sever, loss or delay — is
+// opened on one link-fault table (internal/netfault) that the simulator
+// reads loop-confined and livenet under a lock, so the same scenarios run
+// on real goroutines. Opening a fault returns the handle that heals
+// exactly it, and open faults compose: a link is severed while any of them
+// severs it, and runs at the worst loss and the worst delay among them. A
+// fault cut from the rest of the cluster persists onto a node added while
+// it is open (live rebalance), which joins the healthy side instead of
+// straddling the split. A drive's slowdowns and a server's gray failures
+// compose the same way: the worst open factor runs, and each heal lifts
+// only its own. The standard scenarios — leader
 // isolation, minority split, whole-group isolation (the proxy↔group path
 // severed), asymmetric one-way loss, slow-disk straggler — report
 // partition/degradation windows beside the recovery windows
@@ -309,8 +314,8 @@
 // reports detection/failover and post-heal reabsorption times. Between
 // the severed and the healthy link sits the flaky one:
 // OpLinkLoss/OpLinkRestore (the hunt samples them) schedule probabilistic
-// per-link message loss over sim.SetLinkLoss / livenet.SetLinkLoss — the
-// gray network failure that never trips partition detection — reported as
+// per-link message loss (a netfault.Fault with a Loss rate) — the gray
+// network failure that never trips partition detection — reported as
 // linkloss windows.
 //
 // The gray-failure family completes the spectrum: OpGrayFail/OpGrayRestore
@@ -319,8 +324,8 @@
 // < 1, an error rate) or slow-walk (Factor ≥ 1, a service-time
 // multiplier); on livenet the same op drops value-bearing inbound
 // traffic at the transport while sub-128-byte control messages pass.
-// OpLinkDelay/OpLinkDelayRestore inflate per-link latency (sim.
-// SetLinkDelay / livenet.SetLinkDelay) — the congested path where
+// OpLinkDelay/OpLinkDelayRestore inflate per-link latency (a
+// netfault.Fault with a Delay factor) — the congested path where
 // nothing drops and nothing severs, invisible to both loss and partition
 // detection. The Flap generator expands any window-opening op into
 // alternating inject/restore trains (period × duty), giving the classic

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/webtier"
 )
 
@@ -154,8 +155,8 @@ func Ops() []FaultOp {
 // WindowFault is one row of the window-fault table: everything this
 // package and the hunt (internal/exp/search) know about a fault kind that
 // opens a window on its victims and closes it again. A new kind is a row
-// here, its inject/clear pair on webtier.Cluster and its weight in the
-// hunt's mix.
+// here, whose inject is one call on webtier.Cluster that returns the
+// fault's heal, and its weight in the hunt's mix.
 type WindowFault struct {
 	Open, Close         FaultOp
 	OpenName, CloseName string // FaultOp.String of the two ops
@@ -202,32 +203,32 @@ func (wf WindowFault) injectOn(l *ledger, ev resolvedEvent, victims []int) (lift
 	}
 }
 
-// WindowFaults is the table. Link loss rates and delay factors from
-// different selectors touching one victim do not compose — the later write
-// wins per link (schedule disjoint victims to overlap) — while partitions
-// (through their handles) and disk factors (ledger.slowDisk) do.
+// WindowFaults is the table. Windows that overlap on one victim compose
+// however they were selected: each inject returns the heal of exactly its
+// own fault, and the link table, the disk and the gray mode run the worst
+// of the faults still open (see netfault and webtier.Cluster).
 var WindowFaults = []WindowFault{
 	{Open: OpPartition, Close: OpHeal, OpenName: "partition", CloseName: "heal",
 		Kind: "partition", Directed: true, LateBinds: true, Severs: true,
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
-			return l.cluster.PartitionServers(ev.dir, victims...).Heal
+			return l.cluster.FaultLinks(victims, false, netfault.Fault{Dir: ev.dir, Sever: true})
 		}},
 	{Open: OpDiskSlow, Close: OpDiskRestore, OpenName: "disk-slow", CloseName: "disk-restore",
 		Kind: "slowdisk", DefaultFactor: DefaultSlowFactor, PerVictim: true,
-		label:  func(f float64) string { return fmt.Sprintf("%gx slower", f) },
-		inject: (*ledger).slowDisk},
+		label: func(f float64) string { return fmt.Sprintf("%gx slower", f) },
+		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
+			return l.cluster.DegradeDisk(victims[0], ev.factor)
+		}},
 	{Open: OpLinkLoss, Close: OpLinkRestore, OpenName: "link-loss", CloseName: "link-restore",
 		Kind: "linkloss", DefaultFactor: DefaultLossRate, Directed: true, LateBinds: true,
 		label: func(f float64) string { return fmt.Sprintf("%.0f%% loss", f*100) },
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
-			l.cluster.DegradeLinks(ev.dir, ev.factor, victims...)
-			return func() { l.cluster.RestoreLinks(victims...) }
+			return l.cluster.FaultLinks(victims, false, netfault.Fault{Dir: ev.dir, Loss: ev.factor})
 		}},
 	{Open: OpGroupIsolate, Close: OpGroupReconnect, OpenName: "group-isolate", CloseName: "group-reconnect",
 		Kind: "partition", Severs: true,
 		inject: func(l *ledger, _ resolvedEvent, victims []int) func() {
-			l.cluster.IsolateFromGroup(victims...)
-			return func() { l.cluster.ReconnectToGroup(victims...) }
+			return l.cluster.FaultLinks(victims, true, netfault.Fault{Sever: true})
 		}},
 	{Open: OpGrayFail, Close: OpGrayRestore, OpenName: "gray-fail", CloseName: "gray-restore",
 		Kind: "grayfail", DefaultFactor: DefaultGrayRate, LateBinds: true, PerVictim: true,
@@ -238,15 +239,13 @@ var WindowFaults = []WindowFault{
 			return fmt.Sprintf("%gx slow-walk", f)
 		},
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
-			l.cluster.GrayFail(victims[0], ev.factor)
-			return func() { l.cluster.GrayRestore(victims[0]) }
+			return l.cluster.GrayFail(victims[0], ev.factor)
 		}},
 	{Open: OpLinkDelay, Close: OpLinkDelayRestore, OpenName: "link-delay", CloseName: "link-delay-restore",
 		Kind: "linkdelay", DefaultFactor: DefaultDelayFactor, Directed: true, LateBinds: true,
 		label: func(f float64) string { return fmt.Sprintf("%gx latency", f) },
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
-			l.cluster.DegradeLinkDelay(ev.dir, ev.factor, victims...)
-			return func() { l.cluster.RestoreLinkDelay(victims...) }
+			return l.cluster.FaultLinks(victims, false, netfault.Fault{Dir: ev.dir, Delay: ev.factor})
 		}},
 }
 

@@ -29,10 +29,6 @@ type ledger struct {
 	// re-firing a selector supersedes its open event.
 	windows []metrics.FaultWindow
 	open    map[windowKey]openWindow
-
-	// disk composes overlapping degradations: per victim, the factors of
-	// every open OpDiskSlow touching it, by selector.
-	disk map[int]map[Selector]float64
 }
 
 // crashRecord is one scheduled crash of one server.
@@ -53,7 +49,7 @@ type openWindow struct {
 }
 
 func newLedger() *ledger {
-	return &ledger{open: map[windowKey]openWindow{}, disk: map[int]map[Selector]float64{}}
+	return &ledger{open: map[windowKey]openWindow{}}
 }
 
 // sec is t on the run's x-axis.
@@ -232,29 +228,5 @@ func (l *ledger) tally(gr *metrics.GroupReport, endSec float64) {
 		}
 		w := gr.Windows[fw.Kind]
 		gr.Windows[fw.Kind] = metrics.WindowTotal{Count: w.Count + 1, Sec: w.Sec + (to - fw.FromSec)}
-	}
-}
-
-// slowDisk is OpDiskSlow's inject. The hardware runs at the worst active
-// factor; lifting one event re-applies the max of whatever remains (or
-// heals the drive when none does).
-func (l *ledger) slowDisk(ev resolvedEvent, victims []int) (lift func()) {
-	v := victims[0]
-	worst := func() {
-		f := 1.0
-		for _, x := range l.disk[v] {
-			f = max(f, x)
-		}
-		l.cluster.SetDiskFactor(v, f)
-	}
-	if l.disk[v] == nil {
-		l.disk[v] = map[Selector]float64{}
-	}
-	l.disk[v][ev.sel] = ev.factor
-	l.cluster.DegradeDisk(v, ev.factor) // counts the fault
-	worst()
-	return func() {
-		delete(l.disk[v], ev.sel)
-		worst()
 	}
 }

@@ -6,10 +6,10 @@
 // internal/paxos) on this runtime that the experiments run on the
 // deterministic simulator.
 //
-// Fault injection is the simulator's surface over the same table
-// (internal/netfault): SetLink, SetLinkLoss, SetLinkDelay, handle-based
-// composable partitions and Heal mean here exactly what they mean there.
-// This runtime adds the locking, and SetGray.
+// Link faults go through the same table as on the simulator
+// (internal/netfault, reached with Links): a fault opened there, and the
+// handle that heals it, mean here exactly what they mean there. This
+// runtime adds the locking, and SetGray.
 package livenet
 
 import (
@@ -85,15 +85,9 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// The link-fault surface; see netfault.Table. Safe from any goroutine.
-
-func (c *Cluster) SetLinkDelay(from, to env.NodeID, f float64) { c.links.SetLinkDelay(from, to, f) }
-func (c *Cluster) Partition(isolated ...env.NodeID) *netfault.BlockHandle {
-	return c.links.Partition(isolated...)
-}
-func (c *Cluster) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *netfault.BlockHandle {
-	return c.links.PartitionDir(dir, isolated...)
-}
+// Links is the cluster's link-fault table (see netfault.Table). Its
+// faults may be opened and healed from any goroutine.
+func (c *Cluster) Links() *netfault.Table { return c.links }
 
 // grayControlSize is the wire-size ceiling under which a message counts
 // as control traffic for SetGray: liveness pings, Paxos prepares and

@@ -8,6 +8,7 @@ import (
 
 	"robuststore/internal/core"
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 )
 
@@ -406,7 +407,7 @@ func settle() { time.Sleep(20 * time.Millisecond) }
 // from outside the node loops.
 func TestPartitionExtendsToLateNodes(t *testing.T) {
 	c, nodes := pingCluster(t, 2)
-	h := c.Partition(1)
+	h := c.Links().Open(netfault.Fault{Nodes: []env.NodeID{1}, Sever: true})
 	late := &pingNode{}
 	id := c.AddNode(func() env.Node { return late })
 	c.Restart(id)
@@ -451,7 +452,7 @@ func TestLivePartitionedReplicaCatchesUp(t *testing.T) {
 		want += d
 	}
 	add(0, 5)
-	h := c.Partition(2)
+	h := c.Links().Open(netfault.Fault{Nodes: []env.NodeID{2}, Sever: true})
 	add(0, 11) // majority keeps committing
 	add(1, 13)
 	h.Heal()
@@ -517,10 +518,11 @@ func TestGrayDropsBulkKeepsControl(t *testing.T) {
 }
 
 // TestLiveLinkDelayStillDelivers: an inflated link slows messages down
-// without losing them, and a cleared factor restores the native latency.
+// without losing them, and healing the fault restores the native latency.
 func TestLiveLinkDelayStillDelivers(t *testing.T) {
 	c, nodes := pingCluster(t, 2)
-	c.SetLinkDelay(0, 1, 400) // 50 µs base ⇒ ≥ 20 ms inflated
+	h := c.Links().Open(netfault.Fault{Nodes: []env.NodeID{0}, Peers: []env.NodeID{1},
+		Dir: env.LinkOutboundOnly, Delay: 400}) // 50 µs base ⇒ ≥ 20 ms inflated
 	start := time.Now()
 	nodes[0].env().Send(1, "slow")
 	settle()
@@ -534,7 +536,7 @@ func TestLiveLinkDelayStillDelivers(t *testing.T) {
 	if nodes[1].count() != 1 {
 		t.Fatal("delayed link lost the message")
 	}
-	c.SetLinkDelay(0, 1, 1)
+	h.Heal()
 	nodes[0].env().Send(1, "quick")
 	settle()
 	if nodes[1].count() != 2 {

@@ -59,13 +59,6 @@ func (r *Recorder) Record(at time.Time, latency time.Duration, isErr bool) {
 	r.latencySum[idx] += latency.Seconds()
 }
 
-// RecordClient registers a completion for the given client. The plain
-// Recorder ignores the client; ShardedRecorder uses it to also bucket the
-// sample under the client's owning Paxos group.
-func (r *Recorder) RecordClient(_ int64, at time.Time, latency time.Duration, isErr bool) {
-	r.Record(at, latency, isErr)
-}
-
 // Total returns the total number of recorded interactions (including
 // errors).
 func (r *Recorder) Total() int { return r.total }

@@ -170,16 +170,6 @@ func TestShardedRecorderNilGroupOf(t *testing.T) {
 	}
 }
 
-// TestPlainRecorderSatisfiesClientInterface: the plain Recorder keeps
-// working where a client-tagged recorder is expected.
-func TestPlainRecorderRecordClient(t *testing.T) {
-	r := NewRecorder(t0(), time.Second)
-	r.RecordClient(7, t0().Add(time.Second), 2*time.Millisecond, false)
-	if r.Total() != 1 {
-		t.Errorf("total = %d", r.Total())
-	}
-}
-
 func TestAggregateGroups(t *testing.T) {
 	groups := []GroupReport{
 		{Group: 0, AWIPS: 100, Downtime: 30 * time.Second, Crashes: 3, Recoveries: 3, MeanRecoverySec: 20},

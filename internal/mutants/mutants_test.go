@@ -149,6 +149,11 @@ var mutants = []mutant{
 			"time.Duration(en.myIdx)*en.cfg.LeaderTimeout/2",
 			"time.Duration(int64(en.me))*en.cfg.LeaderTimeout/2"}},
 		pkg: "./internal/paxos/", run: "TestElectionStaggerByMemberIndex"},
+	{name: "heal-clears-overlapping-fault", note: "a heal zeroes the loss of every link it covered instead of recomputing it from the faults still open, so closing one of two overlapping windows lifts the other's loss where they share a link; fixed in \"Every fault window is a handle that heals only what it opened\"",
+		edits: []edit{{"internal/netfault/netfault.go",
+			"\tfor k := range h.links {\n\t\tt.settle(k)\n",
+			"\tfor k := range h.links {\n\t\tt.settle(k)\n\t\tif l, ok := t.links[k]; ok {\n\t\t\tl.Loss = 0\n\t\t\tt.links[k] = l\n\t\t}\n"}},
+		pkg: "./internal/exp/", run: "TestOverlappingWindowsHealOnlyTheirOwn"},
 }
 
 // row returns the mutant named name.

@@ -1,18 +1,20 @@
 // Package netfault is the link-fault table of a node runtime: which
 // directed links are severed, lossy or slow right now. Both runtimes
 // (internal/sim, internal/livenet) own one Table and consult it once per
-// send, so a partition faultload means the same thing on virtual time and
-// on real goroutines. The table holds state only; drawing the loss
-// random number and stretching the delivery delay stay with the runtime,
-// which owns the random stream and the clock.
+// send, so a faultload means the same thing on virtual time and on real
+// goroutines. The table holds state only; drawing the loss random number
+// and stretching the delivery delay stay with the runtime, which owns the
+// random stream and the clock.
 //
-// Three layers compose on a link and never clear one another: handle-based
-// partitions (refcounted, so overlapping partitions compose and healing
-// one leaves the others), SetLink's direct toggles, and the loss/delay
-// degradations of a link that still delivers.
+// Every fault is opened with Open and returns the Handle that heals it.
+// Open faults compose under one rule: a link is severed while any open
+// handle severs it, and its loss and its delay are each the worst among the
+// open handles that cover it. Healing a handle recomputes the links it
+// covered from the handles still open, so it lifts exactly what it opened.
 package netfault
 
 import (
+	"slices"
 	"sync"
 
 	"robuststore/internal/env"
@@ -21,8 +23,7 @@ import (
 // Link is the fault state of one directed link; the zero value is a
 // healthy link.
 type Link struct {
-	blocks int  // active partition handles covering the link
-	manual bool // SetLink's direct toggle, outside any handle
+	blocked bool
 
 	// Loss is the per-message drop probability (0 when none). Rates above
 	// 1 saturate to certain loss.
@@ -33,18 +34,45 @@ type Link struct {
 }
 
 // Blocked reports whether the link drops all traffic.
-func (l Link) Blocked() bool { return l.blocks > 0 || l.manual }
+func (l Link) Blocked() bool { return l.blocked }
 
 type linkKey struct{ from, to env.NodeID }
 
-// Table is the fault state of every directed link of one cluster. Every
-// mutator, BlockHandle.Heal included, holds the Locker given to New; Link
-// takes no lock, so a goroutine-safe runtime holds its read lock around it.
+// Fault is one link fault: what happens to the directed links between the
+// Nodes and the Peers they are cut from.
+type Fault struct {
+	// Nodes is the victim set.
+	Nodes []env.NodeID
+
+	// Peers are the nodes the victims are cut from, taken as given: a
+	// victim listed here also cuts its loopback and its links to the other
+	// victims, so Nodes = Peers = the cluster faults every link. Nil means
+	// every node outside Nodes, newcomers included: a node added while
+	// the fault is open joins the healthy side.
+	Peers []env.NodeID
+
+	// Dir selects the directions, relative to Nodes: LinkOutboundOnly
+	// faults only what the victims send, LinkInboundOnly only what they
+	// receive.
+	Dir env.LinkDir
+
+	// The effect on each covered link: Sever drops all traffic, Loss drops
+	// each message with that probability (a flaky path), and Delay
+	// multiplies the latency of one that still delivers (a congested
+	// path; a factor ≤ 1 is none).
+	Sever bool
+	Loss  float64
+	Delay float64
+}
+
+// Table is the fault state of every directed link of one cluster. Open,
+// Heal and AddPeer hold the Locker given to New; Link takes no lock, so a
+// goroutine-safe runtime holds its read lock around it.
 type Table struct {
 	mu    sync.Locker
 	links map[linkKey]Link // only links with a fault have a record
 	peers []env.NodeID
-	parts []*BlockHandle // active partitions (extended by AddPeer)
+	open  []*Handle
 }
 
 // LoopConfined is the Locker of a single-threaded runtime: no lock at all.
@@ -61,12 +89,21 @@ func New(mu sync.Locker) *Table {
 // Link returns the fault state of the directed link from → to.
 func (t *Table) Link(from, to env.NodeID) Link { return t.links[linkKey{from, to}] }
 
-// update edits one link's record in place, dropping it once healthy so the
-// table of a fault-free cluster stays empty. Caller holds mu.
-func (t *Table) update(from, to env.NodeID, edit func(*Link)) {
-	k := linkKey{from, to}
-	l := t.links[k]
-	edit(&l)
+// settle recomputes link k from the open handles that cover it, dropping
+// its record once healthy so the table of a fault-free cluster stays empty.
+// Caller holds mu.
+func (t *Table) settle(k linkKey) {
+	var l Link
+	for _, h := range t.open {
+		if !h.links[k] {
+			continue
+		}
+		l.blocked = l.blocked || h.f.Sever
+		l.Loss = max(l.Loss, h.f.Loss)
+		if h.f.Delay > 1 {
+			l.Delay = max(l.Delay, h.f.Delay)
+		}
+	}
 	if l == (Link{}) {
 		delete(t.links, k)
 	} else {
@@ -74,130 +111,79 @@ func (t *Table) update(from, to env.NodeID, edit func(*Link)) {
 	}
 }
 
-// SetLink blocks or unblocks the directed link from → to. It is a direct
-// toggle independent of the handle-based partitions: unblocking a link
-// here does not disturb a partition that also covers it.
-func (t *Table) SetLink(from, to env.NodeID, blocked bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.update(from, to, func(l *Link) { l.manual = blocked })
-}
-
-// SetLinkLoss sets the message loss rate of the directed link from → to
-// (rate ≤ 0 clears it), modeling a flaky path rather than a severed one.
-// Healing a partition never clears a loss rate.
-func (t *Table) SetLinkLoss(from, to env.NodeID, rate float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.update(from, to, func(l *Link) { l.Loss = max(rate, 0) })
-}
-
-// SetLinkDelay inflates the latency of the directed link from → to by
-// factor (≤ 1 restores it), modeling a congested path that still delivers
-// every message — the latency cousin of SetLinkLoss.
-func (t *Table) SetLinkDelay(from, to env.NodeID, factor float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if factor <= 1 {
-		factor = 0
-	}
-	t.update(from, to, func(l *Link) { l.Delay = factor })
-}
-
 // AddPeer registers a cluster member; the runtime calls it for every node
-// it adds. Active partitions extend to the newcomer: it joins on the
-// majority side, so a node booted by a live rebalance during a partition
-// cannot straddle an isolated set.
+// it adds. Open faults cut from every other node extend to the newcomer:
+// it joins on the healthy side, so a node booted by a live rebalance
+// during a partition cannot straddle an isolated set.
 func (t *Table) AddPeer(id env.NodeID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.peers = append(t.peers, id)
-	for _, h := range t.parts {
-		h.blockFrom(id)
+	for _, h := range t.open {
+		if h.f.Peers == nil && !slices.Contains(h.f.Nodes, id) {
+			h.cover(id)
+		}
 	}
 }
 
-// BlockHandle is one composable set of directed link blocks (one
-// partition). Healing it removes exactly the blocks it installed.
-type BlockHandle struct {
+// Handle is one open fault. Healing it lifts exactly what it opened.
+type Handle struct {
 	t     *Table
-	dir   env.LinkDir
-	side  map[env.NodeID]bool // the isolated set
-	links []linkKey           // blocks installed; nil once healed
+	f     Fault
+	links map[linkKey]bool // the links it covers; nil once healed
 }
 
-// Partition isolates the given nodes from the rest of the cluster in both
-// directions and returns the handle that heals exactly this partition.
-func (t *Table) Partition(isolated ...env.NodeID) *BlockHandle {
-	return t.PartitionDir(env.LinkBothWays, isolated...)
-}
-
-// PartitionDir is Partition with an explicit direction: LinkOutboundOnly
-// and LinkInboundOnly model asymmetric one-way loss relative to the
-// isolated set.
-func (t *Table) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *BlockHandle {
-	h := &BlockHandle{t: t, dir: dir, side: make(map[env.NodeID]bool, len(isolated))}
-	for _, id := range isolated {
-		h.side[id] = true
-	}
+// Open puts f on its links and returns the handle that heals it.
+func (t *Table) Open(f Fault) *Handle {
+	h := &Handle{t: t, f: f, links: map[linkKey]bool{}}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, b := range t.peers {
-		h.blockFrom(b)
+	t.open = append(t.open, h)
+	if f.Peers != nil {
+		for _, b := range f.Peers {
+			h.cover(b)
+		}
+		return h
 	}
-	t.parts = append(t.parts, h)
+	for _, b := range t.peers {
+		if !slices.Contains(f.Nodes, b) {
+			h.cover(b)
+		}
+	}
 	return h
 }
 
-// blockFrom installs the handle's blocks between outside node b and every
-// isolated node, honoring the handle's direction. Caller holds mu.
-func (h *BlockHandle) blockFrom(b env.NodeID) {
-	if h.side[b] {
-		return
+// cover adds the links between peer b and every victim to the handle, in
+// the handle's directions. Caller holds mu; h is open.
+func (h *Handle) cover(b env.NodeID) {
+	add := func(from, to env.NodeID) {
+		k := linkKey{from, to}
+		h.links[k] = true
+		h.t.settle(k)
 	}
-	block := func(from, to env.NodeID) {
-		h.t.update(from, to, func(l *Link) { l.blocks++ })
-		h.links = append(h.links, linkKey{from, to})
-	}
-	for a := range h.side {
-		if h.dir != env.LinkInboundOnly {
-			block(a, b)
+	for _, a := range h.f.Nodes {
+		if h.f.Dir != env.LinkInboundOnly {
+			add(a, b)
 		}
-		if h.dir != env.LinkOutboundOnly {
-			block(b, a)
+		if h.f.Dir != env.LinkOutboundOnly {
+			add(b, a)
 		}
 	}
 }
 
-// Heal removes this handle's blocks. Idempotent.
-func (h *BlockHandle) Heal() {
-	h.t.mu.Lock()
-	defer h.t.mu.Unlock()
-	h.heal()
-}
-
-func (h *BlockHandle) heal() {
-	for _, k := range h.links {
-		h.t.update(k.from, k.to, func(l *Link) { l.blocks-- })
-	}
-	h.links = nil
-	for i, p := range h.t.parts {
-		if p == h {
-			h.t.parts = append(h.t.parts[:i], h.t.parts[i+1:]...)
-			break
-		}
-	}
-}
-
-// Heal removes all link blocks: every active partition handle is healed
-// and every SetLink toggle cleared. Loss rates and delay factors stay.
-func (t *Table) Heal() {
+// Heal lifts the fault: every link it covered is recomputed from the
+// handles still open. Idempotent.
+func (h *Handle) Heal() {
+	t := h.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for len(t.parts) > 0 {
-		t.parts[len(t.parts)-1].heal()
+	i := slices.Index(t.open, h)
+	if i < 0 {
+		return
 	}
-	for k := range t.links {
-		t.update(k.from, k.to, func(l *Link) { l.manual = false })
+	t.open = slices.Delete(t.open, i, i+1)
+	for k := range h.links {
+		t.settle(k)
 	}
+	h.links = nil
 }

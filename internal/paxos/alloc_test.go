@@ -44,9 +44,7 @@ func TestFastInstanceAllocBudget(t *testing.T) {
 	if len(ls.free) == 0 {
 		t.Fatal("the warm-up's fast instances left no record on the free list")
 	}
-	for to := 0; to < n; to++ {
-		c.s.SetLink(en.me, env.NodeID(to), true)
-	}
+	c.silence(en)
 	inst := en.maxKnown + 1000
 	v := Value{ID: ValueID{Node: 1, Epoch: 1}, Cmds: []any{"x"}, Size: 192}
 	var votes [n]acceptedMsg // what the acceptors would have sent; rewritten once the round has let go of them

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 )
 
 // TestDecisionAnnouncedOnce: a coordinator learns a decision where it makes it
@@ -32,7 +33,8 @@ func TestDecisionAnnouncedOnce(t *testing.T) {
 			t.Fatal("no established leader in the wanted mode")
 		}
 		late := (lead + n - 1) % n
-		c.s.SetLinkDelay(env.NodeID(late), env.NodeID(lead), 20)
+		c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{env.NodeID(late)}, Peers: []env.NodeID{env.NodeID(lead)},
+			Dir: env.LinkOutboundOnly, Delay: 20})
 		const total = 40
 		for i := 0; i < total; i++ {
 			c.submit(time.Duration(i)*20*time.Millisecond, (lead+1)%n, fmt.Sprintf("cmd-%d", i))

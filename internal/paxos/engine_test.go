@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/sim"
 )
 
@@ -158,13 +159,24 @@ func newCluster(t *testing.T, n int, fast bool, seed uint64, net sim.NetConfig) 
 func newLossyCluster(t *testing.T, n int, fast bool, seed uint64, rate float64) *testCluster {
 	t.Helper()
 	c := addEngines(t, n, fast, seed, sim.NetConfig{})
-	for _, a := range c.s.Peers() {
-		for _, b := range c.s.Peers() {
-			c.s.SetLinkLoss(a, b, rate)
-		}
-	}
+	c.s.Links().Open(netfault.Fault{Nodes: c.ids(), Peers: c.ids(), Loss: rate})
 	c.s.StartAll()
 	return c
+}
+
+// ids returns the cluster's node IDs, 0 to n-1.
+func (c *testCluster) ids() []env.NodeID {
+	ids := make([]env.NodeID, c.n)
+	for i := range ids {
+		ids[i] = env.NodeID(i)
+	}
+	return ids
+}
+
+// silence severs every link from en, its loopback included: it hears every
+// node and no node, itself included, hears it.
+func (c *testCluster) silence(en *Engine) {
+	c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{en.me}, Peers: c.ids(), Dir: env.LinkOutboundOnly, Sever: true})
 }
 
 // newClusterOnWAL is newCluster with wals[i] made durable on node i's WAL
@@ -519,7 +531,7 @@ func TestStaleLeaderRejoinLiveness(t *testing.T) {
 				t.Fatal("no leader established")
 			}
 
-			h := c.s.Partition(env.NodeID(lead))
+			h := c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{env.NodeID(lead)}, Sever: true})
 			// Load through the partition keeps the majority committing
 			// (and its ballot state moving) without the old leader.
 			n := 0
@@ -571,18 +583,14 @@ func TestBidOutranksStaleHeartbeat(t *testing.T) {
 	y := c.engines[(int(lead.me)+1)%c.n]
 
 	// y stops hearing anyone while the leader re-bids and re-establishes.
-	for from := 0; from < c.n; from++ {
-		c.s.SetLink(env.NodeID(from), y.me, true)
-	}
+	deaf := c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{y.me}, Peers: c.ids(), Dir: env.LinkInboundOnly, Sever: true})
 	lead.startPrepare()
 	c.s.RunFor(200 * time.Millisecond)
 	if !lead.IsLeader() {
 		t.Fatal("the leader did not re-establish without y")
 	}
 	renewed := lead.leader.b
-	for from := 0; from < c.n; from++ {
-		c.s.SetLink(env.NodeID(from), y.me, false)
-	}
+	deaf.Heal()
 	if !y.CurrentBallot().Less(renewed) {
 		t.Fatalf("y saw the re-election: its ballot is %v, the leader's %v", y.CurrentBallot(), renewed)
 	}

@@ -100,9 +100,7 @@ func TestLeaderWindowFloor(t *testing.T) {
 		c.s.RunFor(4 * time.Second)
 		en := fastLeader(t, c)
 		ls := en.leader
-		for to := 0; to < n; to++ {
-			c.s.SetLink(en.me, env.NodeID(to), true)
-		}
+		c.silence(en)
 		first := en.firstUnchosen
 		var votes [n]acceptedMsg
 		for k := 0; k < total; k++ {
@@ -188,9 +186,7 @@ func blockedFastLeader(t *testing.T) (*testCluster, *Engine) {
 	c.s.RunFor(12 * time.Second)
 	c.requireDelivered(1, 1)
 	en := fastLeader(t, c)
-	for to := 0; to < c.n; to++ {
-		c.s.SetLink(en.me, env.NodeID(to), true)
-	}
+	c.silence(en)
 	return c, en
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 )
 
 // TestRecoveryWithoutPhase1: a coordinated recovery over the fast votes of a
@@ -121,8 +122,9 @@ func TestRecoveryRoundFollowsFastRound(t *testing.T) {
 		}
 		p1, p2, p3, rival := others[0], others[1], others[2], others[3]
 		v, w := val(2), val(1)
-		c.s.SetLink(rival.me, p1.me, true)   // p1 never hears of k
-		c.s.SetLink(rival.me, lead.me, true) // nor L of the rival's leadership
+		// p1 never hears of k, nor L of the rival's leadership.
+		c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{rival.me}, Peers: []env.NodeID{p1.me, lead.me},
+			Dir: env.LinkOutboundOnly, Sever: true})
 		var proposed []acceptMsg
 		c.onSend = func(from, _ env.NodeID, m env.Message) {
 			if m, ok := m.(acceptMsg); ok && from == lead.me && m.Inst == x {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/sim"
 	"robuststore/internal/xrand"
 )
@@ -372,7 +373,7 @@ func TestPromiseBelowCompactionFloor(t *testing.T) {
 	for _, restart := range []bool{false, true} {
 		t.Run(fmt.Sprintf("restart=%v", restart), func(t *testing.T) {
 			c := newCluster(t, 5, false, 11, sim.NetConfig{})
-			behind := c.s.Partition(1, 2)
+			behind := c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{1, 2}, Sever: true})
 			const total = 60
 			for i := 0; i < total; i++ {
 				c.submit(time.Second+time.Duration(i)*20*time.Millisecond, 0, fmt.Sprintf("cmd-%d", i))
@@ -382,8 +383,8 @@ func TestPromiseBelowCompactionFloor(t *testing.T) {
 			c.s.At(c.s.Now(), func() { c.engines[4].Compact(c.engines[4].FirstUnchosen() - 2) })
 			c.s.RunFor(time.Second)
 
-			c.s.Partition(0)
-			voter := c.s.Partition(3)
+			c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{0}, Sever: true})
+			voter := c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{3}, Sever: true})
 			if restart {
 				c.s.Crash(4)
 				c.s.Restart(4)

@@ -215,7 +215,7 @@ type Scheduler interface {
 
 // Recorder receives one sample per completed interaction, tagged with the
 // issuing client so a sharded harness can bucket samples per Paxos group.
-// Both *metrics.Recorder and *metrics.ShardedRecorder satisfy it.
+// *metrics.ShardedRecorder satisfies it.
 type Recorder interface {
 	RecordClient(client int64, at time.Time, latency time.Duration, isErr bool)
 }

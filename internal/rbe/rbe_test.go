@@ -159,7 +159,7 @@ func runPopulation(t *testing.T, profile Profile, browsers int, dur time.Duratio
 	front Frontend) (*Population, *fakeSched, *metrics.Recorder) {
 	t.Helper()
 	sched := &fakeSched{now: time.Unix(0, 0).UTC()}
-	rec := metrics.NewRecorder(sched.now, time.Second)
+	rec := metrics.NewShardedRecorder(sched.now, time.Second, 1, nil)
 	pop := New(Config{
 		Browsers:   browsers,
 		Profile:    profile,
@@ -171,7 +171,7 @@ func runPopulation(t *testing.T, profile Profile, browsers int, dur time.Duratio
 	}, sched, front)
 	pop.Start()
 	sched.runUntil(sched.now.Add(dur + 10*time.Second))
-	return pop, sched, rec
+	return pop, sched, rec.Aggregate()
 }
 
 func TestClosedLoopThroughput(t *testing.T) {
@@ -259,7 +259,7 @@ func TestRequestParametersInRange(t *testing.T) {
 }
 
 func TestNewNormalizesTypedNilRecorder(t *testing.T) {
-	var rec *metrics.Recorder // typed nil stored in the interface field
+	var rec *metrics.ShardedRecorder // typed nil stored in the interface field
 	p := New(Config{Browsers: 1, Recorder: rec}, &fakeSched{}, &scriptedFrontend{})
 	if p.cfg.Recorder != nil {
 		t.Fatal("typed-nil recorder must be normalized to nil")

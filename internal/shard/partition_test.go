@@ -45,10 +45,10 @@ func TestPartitionDuringRebalance(t *testing.T) {
 
 	// Partition one member of source group 0 (quorum survives), then
 	// rebalance while the split is open; heal well after the cutover.
-	var h *netfault.BlockHandle
+	var h *netfault.Handle
 	rebalanced := false
 	s.At(s.Now().Add(2*time.Second), func() {
-		h = s.Partition(store.Group(0).Members()[2])
+		h = s.Links().Open(netfault.Fault{Nodes: store.Group(0).Members()[2:3], Sever: true})
 	})
 	s.At(s.Now().Add(2500*time.Millisecond), func() {
 		store.Rebalance(RebalanceOptions{Done: func(err error) { rebalanced = err == nil }})
@@ -136,21 +136,24 @@ func TestCorrelatedFaultScenariosLivenet(t *testing.T) {
 		}
 		return -1
 	}
+	// isolate cuts one member off from every other node, in the
+	// directions dir selects.
+	isolate := func(dir env.LinkDir, id env.NodeID) *netfault.Handle {
+		return cluster.Links().Open(netfault.Fault{Nodes: []env.NodeID{id}, Dir: dir, Sever: true})
+	}
 	scenarios := []struct {
 		name string
 		// open installs the scenario's partitions (possibly several
 		// composing handles) and returns them for the heal.
-		open func() []*netfault.BlockHandle
+		open func() []*netfault.Handle
 		// fullOutage: the victim group's slice must FAIL during the
 		// window; otherwise it must keep serving (quorum preserved).
 		fullOutage bool
 	}{
 		{
 			name: "leader-isolation",
-			open: func() []*netfault.BlockHandle {
-				return []*netfault.BlockHandle{
-					cluster.Partition(store.Group(0).Members()[leaderOf(0)]),
-				}
+			open: func() []*netfault.Handle {
+				return []*netfault.Handle{isolate(env.LinkBothWays, store.Group(0).Members()[leaderOf(0)])}
 			},
 			// The group re-elects and keeps quorum, but the stale
 			// ex-leader can absorb submissions until it demotes; only the
@@ -159,8 +162,8 @@ func TestCorrelatedFaultScenariosLivenet(t *testing.T) {
 		},
 		{
 			name: "minority-split",
-			open: func() []*netfault.BlockHandle {
-				return []*netfault.BlockHandle{cluster.Partition(nonLeader())}
+			open: func() []*netfault.Handle {
+				return []*netfault.Handle{isolate(env.LinkBothWays, nonLeader())}
 			},
 			fullOutage: false,
 		},
@@ -173,21 +176,19 @@ func TestCorrelatedFaultScenariosLivenet(t *testing.T) {
 			// proxy-path whole-group isolation runs in exp's
 			// GroupIsolation scenario on the simulator.
 			name: "group-isolation",
-			open: func() []*netfault.BlockHandle {
+			open: func() []*netfault.Handle {
 				members := store.Group(0).Members()
-				return []*netfault.BlockHandle{
-					cluster.Partition(members[0]),
-					cluster.Partition(members[1]),
+				return []*netfault.Handle{
+					isolate(env.LinkBothWays, members[0]),
+					isolate(env.LinkBothWays, members[1]),
 				}
 			},
 			fullOutage: true,
 		},
 		{
 			name: "asymmetric-loss",
-			open: func() []*netfault.BlockHandle {
-				return []*netfault.BlockHandle{
-					cluster.PartitionDir(env.LinkOutboundOnly, nonLeader()),
-				}
+			open: func() []*netfault.Handle {
+				return []*netfault.Handle{isolate(env.LinkOutboundOnly, nonLeader())}
 			},
 			fullOutage: false,
 		},
@@ -324,45 +325,27 @@ func TestGrayFaultScenariosLivenet(t *testing.T) {
 	}
 
 	scenarios := []struct {
-		name    string
-		open    func() env.NodeID
-		restore func(env.NodeID)
+		name string
+		open func() (restore func())
 	}{
 		{
 			name: "gray-member",
-			open: func() env.NodeID {
+			open: func() func() {
 				v := nonLeader()
 				cluster.SetGray(v, 1.0)
-				return v
+				return func() { cluster.SetGray(v, 0) }
 			},
-			restore: func(v env.NodeID) { cluster.SetGray(v, 0) },
 		},
 		{
 			name: "delayed-member",
-			open: func() env.NodeID {
-				v := nonLeader()
-				for _, id := range store.Group(0).Members() {
-					if id == v {
-						continue
-					}
-					cluster.SetLinkDelay(v, id, 50)
-					cluster.SetLinkDelay(id, v, 50)
-				}
-				return v
-			},
-			restore: func(v env.NodeID) {
-				for _, id := range store.Group(0).Members() {
-					if id == v {
-						continue
-					}
-					cluster.SetLinkDelay(v, id, 1)
-					cluster.SetLinkDelay(id, v, 1)
-				}
+			open: func() func() {
+				return cluster.Links().Open(netfault.Fault{
+					Nodes: []env.NodeID{nonLeader()}, Peers: store.Group(0).Members(), Delay: 50}).Heal
 			},
 		},
 	}
 	for _, sc := range scenarios {
-		v := sc.open()
+		restore := sc.open()
 		ok, att := 0, 0
 		for i := 0; i < 5; i++ {
 			att++
@@ -374,7 +357,7 @@ func TestGrayFaultScenariosLivenet(t *testing.T) {
 			t.Errorf("%s: group never served during the gray window", sc.name)
 		}
 		t.Logf("%s window: %d/%d served", sc.name, ok, att)
-		sc.restore(v)
+		restore()
 		if err := exec(20 * time.Second); err != nil {
 			t.Fatalf("%s: group did not recover after restore: %v", sc.name, err)
 		}

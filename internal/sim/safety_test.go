@@ -267,8 +267,8 @@ func runCrashSchedule(t *testing.T, seed uint64, tune func(*core.Config)) {
 	// overlapping each other (handles compose) and the crash windows.
 	// Agreement must hold across every split; liveness must resume after
 	// the heals.
-	parts := 1 + rng.Intn(3)
-	for p := 0; p < parts; p++ {
+	var parts []*netfault.Handle // every partition opened, healed or not
+	for p := 1 + rng.Intn(3); p > 0; p-- {
 		m := 1 + rng.Intn((n+1)/2) // 1..(n-1)/2 victims, quorum survives
 		if max := (n - 1) / 2; m > max {
 			m = max
@@ -280,13 +280,12 @@ func runCrashSchedule(t *testing.T, seed uint64, tune func(*core.Config)) {
 		}
 		at := 2*time.Second + time.Duration(rng.Intn(30000))*time.Millisecond
 		healAt := at + time.Second + time.Duration(rng.Intn(8000))*time.Millisecond
-		var h *netfault.BlockHandle
-		c.s.At(c.s.Now().Add(at), func() { h = c.s.Partition(victims...) })
-		c.s.At(c.s.Now().Add(healAt), func() {
-			if h != nil {
-				h.Heal()
-			}
+		var h *netfault.Handle
+		c.s.At(c.s.Now().Add(at), func() {
+			h = c.s.Links().Open(netfault.Fault{Nodes: victims, Sever: true})
+			parts = append(parts, h)
 		})
+		c.s.At(c.s.Now().Add(healAt), func() { h.Heal() })
 	}
 
 	// The tuned variants add per-link loss windows: flaky directed
@@ -299,8 +298,12 @@ func runCrashSchedule(t *testing.T, seed uint64, tune func(*core.Config)) {
 			rate := 0.2 + 0.6*rng.Float64()
 			at := 2*time.Second + time.Duration(rng.Intn(30000))*time.Millisecond
 			clearAt := at + time.Second + time.Duration(rng.Intn(8000))*time.Millisecond
-			c.s.At(c.s.Now().Add(at), func() { c.s.SetLinkLoss(from, to, rate) })
-			c.s.At(c.s.Now().Add(clearAt), func() { c.s.SetLinkLoss(from, to, 0) })
+			var h *netfault.Handle
+			c.s.At(c.s.Now().Add(at), func() {
+				h = c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{from}, Peers: []env.NodeID{to},
+					Dir: env.LinkOutboundOnly, Loss: rate})
+			})
+			c.s.At(c.s.Now().Add(clearAt), func() { h.Heal() })
 		}
 	}
 
@@ -310,7 +313,9 @@ func runCrashSchedule(t *testing.T, seed uint64, tune func(*core.Config)) {
 	// Heal: remove any leftover link blocks, restart everything, let
 	// catch-up finish, then require full convergence, not just prefix
 	// agreement.
-	c.s.Heal()
+	for _, h := range parts {
+		h.Heal()
+	}
 	for _, id := range c.ids {
 		c.s.Restart(id)
 	}

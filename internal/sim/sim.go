@@ -238,44 +238,24 @@ func (s *Sim) Alive(id env.NodeID) bool { return s.nodes[id].alive }
 // for tests and experiment setup (pre-populating state).
 func (s *Sim) Storage(id env.NodeID) env.Storage { return s.nodes[id].storage }
 
-// SetDiskSlowdown degrades (or restores) node id's disk live: seek time is
-// multiplied by factor and both bandwidths divided by it, modeling a
+// SlowDisk degrades node id's disk live until the returned heal: seek time
+// is multiplied by factor and both bandwidths divided by it, modeling a
 // failing drive in constant retry — the straggler that drags the WAL
-// group-commit quorum and checkpoint writes. factor 1 restores the
-// configured disk; factors < 1 are clamped to 1. The degradation belongs
+// group-commit quorum and checkpoint writes. Overlapping slowdowns
+// compose: the drive runs at the worst factor still open (factors < 1
+// count as 1), and each heal lifts only its own. The degradation belongs
 // to the hardware, so it survives Crash/Restart of the node, and transfers
 // already queued feel it from their next chunk.
-func (s *Sim) SetDiskSlowdown(id env.NodeID, factor float64) {
-	s.nodes[id].storage.setSlowdown(factor)
+func (s *Sim) SlowDisk(id env.NodeID, factor float64) (heal func()) {
+	return s.nodes[id].storage.slowBy(factor)
 }
 
-// The link-fault surface is netfault.Table's, which documents it: SetLink
-// toggles one directed link, SetLinkLoss and SetLinkDelay degrade one that
-// still delivers (loss is per link only — a cluster-wide rate is a loss on
-// every ordered pair — and only the switch latency and its jitter are
-// scaled, never NIC serialization),
-// Partition and PartitionDir return the handle that heals exactly their
-// blocks, and Heal clears every block.
-
-func (s *Sim) SetLink(from, to env.NodeID, blocked bool)     { s.links.SetLink(from, to, blocked) }
-func (s *Sim) SetLinkLoss(from, to env.NodeID, rate float64) { s.links.SetLinkLoss(from, to, rate) }
-func (s *Sim) SetLinkDelay(from, to env.NodeID, f float64)   { s.links.SetLinkDelay(from, to, f) }
-func (s *Sim) Partition(isolated ...env.NodeID) *netfault.BlockHandle {
-	return s.links.Partition(isolated...)
-}
-func (s *Sim) PartitionDir(dir env.LinkDir, isolated ...env.NodeID) *netfault.BlockHandle {
-	return s.links.PartitionDir(dir, isolated...)
-}
-func (s *Sim) Heal() { s.links.Heal() }
-
-// Peers returns the registered node IDs in registration order (a copy),
-// for harnesses that fan a per-link operation — SetLinkLoss, SetLink —
-// across a victim's links the way PartitionDir does internally.
-func (s *Sim) Peers() []env.NodeID {
-	out := make([]env.NodeID, len(s.peers))
-	copy(out, s.peers)
-	return out
-}
+// Links is the cluster's link-fault table (netfault.Table documents it):
+// sends consult it, and every fault opened on it returns the handle that
+// heals exactly that fault. Loss draws a random number only on a lossy
+// link, and a delay scales only the switch latency and its jitter, never
+// NIC serialization.
+func (s *Sim) Links() *netfault.Table { return s.links }
 
 // nodeEnv is the env.Env for a single incarnation of a node. Callbacks are
 // delivered only while the incarnation is current (see Sim.step).

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 )
 
 // echoNode replies to every message and records what it saw.
@@ -139,13 +140,13 @@ func TestRestartCreatesFreshIncarnation(t *testing.T) {
 // (composing handles, one-way loss, late peers).
 func TestPartitionBlocksTraffic(t *testing.T) {
 	s, a, b := twoNodes(t, Config{Seed: 4})
-	s.Partition(1)
+	h := s.Links().Open(netfault.Fault{Nodes: []env.NodeID{1}, Sever: true})
 	s.At(s.Now(), func() { a.n.e.Send(1, "ping") })
 	s.RunFor(10 * time.Millisecond)
 	if len(b.n.received) != 0 {
 		t.Fatalf("partitioned node received %v", b.n.received)
 	}
-	s.Heal()
+	h.Heal()
 	s.At(s.Now(), func() { a.n.e.Send(1, "ping") })
 	s.RunFor(10 * time.Millisecond)
 	if len(b.n.received) != 1 {
@@ -155,11 +156,8 @@ func TestPartitionBlocksTraffic(t *testing.T) {
 
 func TestMessageLossRate(t *testing.T) {
 	s, a, b := twoNodes(t, Config{Seed: 5})
-	for _, from := range s.Peers() {
-		for _, to := range s.Peers() {
-			s.SetLinkLoss(from, to, 0.5)
-		}
-	}
+	both := []env.NodeID{0, 1}
+	s.Links().Open(netfault.Fault{Nodes: both, Peers: both, Loss: 0.5}) // every ordered pair, self-links included
 	const sent = 2000
 	s.At(s.Now(), func() {
 		for i := 0; i < sent; i++ {
@@ -549,10 +547,11 @@ func TestTimerReset(t *testing.T) {
 	})
 }
 
-// TestDiskSlowdownStretchesWrites: SetDiskSlowdown retunes a node's disk
-// live — appends take factor× longer — and restoring factor 1 returns to
-// the configured timing. The degradation survives a crash/restart (it
-// belongs to the hardware, not the incarnation).
+// TestDiskSlowdownStretchesWrites: SlowDisk degrades a node's disk live —
+// appends take factor× longer — and its heal returns to the configured
+// timing. The degradation survives a crash/restart (it belongs to the
+// hardware, not the incarnation), and overlapping slowdowns run at the
+// worst one still open.
 func TestDiskSlowdownStretchesWrites(t *testing.T) {
 	appendTime := func(s *Sim, st env.Storage) time.Duration {
 		start := s.Now()
@@ -566,7 +565,7 @@ func TestDiskSlowdownStretchesWrites(t *testing.T) {
 	}
 	s, _, _ := twoNodes(t, Config{Seed: 24})
 	base := appendTime(s, s.Storage(0))
-	s.SetDiskSlowdown(0, 8)
+	heal8 := s.SlowDisk(0, 8)
 	slow := appendTime(s, s.Storage(0))
 	if slow < 7*base {
 		t.Fatalf("8x-degraded append took %v, healthy %v — not stretched", slow, base)
@@ -580,7 +579,16 @@ func TestDiskSlowdownStretchesWrites(t *testing.T) {
 	if stillSlow < 7*base {
 		t.Fatalf("post-restart degraded append took %v, healthy %v", stillSlow, base)
 	}
-	s.SetDiskSlowdown(0, 1)
+	heal2 := s.SlowDisk(0, 2)
+	if both := appendTime(s, s.Storage(0)); both < 7*base {
+		t.Fatalf("8x and 2x open together: append took %v, healthy %v — the worst must run", both, base)
+	}
+	heal8()
+	heal8() // a second heal changes nothing
+	if rest := appendTime(s, s.Storage(0)); rest < 3*base/2 || rest > 3*base {
+		t.Fatalf("8x healed, 2x still open: append took %v, healthy %v", rest, base)
+	}
+	heal2()
 	restored := appendTime(s, s.Storage(0))
 	if restored > 2*base {
 		t.Fatalf("restored append took %v, healthy %v — not restored", restored, base)
@@ -660,11 +668,11 @@ func TestAppendBatchInterleavesInOrder(t *testing.T) {
 	}
 }
 
-// TestPerLinkLoss: SetLinkLoss drops traffic on exactly the configured
-// directed link, leaving the reverse direction and other links untouched.
+// TestPerLinkLoss: a loss fault drops traffic on exactly the directed link
+// it covers, leaving the reverse direction and other links untouched.
 func TestPerLinkLoss(t *testing.T) {
 	s, a, b := twoNodes(t, Config{Seed: 23})
-	s.SetLinkLoss(0, 1, 1.0)
+	h := s.Links().Open(oneLink(0, 1, netfault.Fault{Loss: 1}))
 	s.At(s.Now(), func() { a.n.e.Send(1, "ping") })
 	s.RunFor(10 * time.Millisecond)
 	if len(b.n.received) != 0 {
@@ -676,8 +684,8 @@ func TestPerLinkLoss(t *testing.T) {
 	if len(a.n.received) != 1 || a.n.received[0] != "hello" {
 		t.Fatalf("reverse direction received %v", a.n.received)
 	}
-	// Clearing the rate restores delivery.
-	s.SetLinkLoss(0, 1, 0)
+	// Healing the fault restores delivery.
+	h.Heal()
 	s.At(s.Now(), func() { a.n.e.Send(1, "ping") })
 	s.RunFor(10 * time.Millisecond)
 	if len(b.n.received) != 1 {
@@ -689,7 +697,7 @@ func TestPerLinkLoss(t *testing.T) {
 // share of traffic on the configured link only.
 func TestPerLinkLossPartial(t *testing.T) {
 	s, a, b := twoNodes(t, Config{Seed: 24})
-	s.SetLinkLoss(0, 1, 0.5)
+	s.Links().Open(oneLink(0, 1, netfault.Fault{Loss: 0.5}))
 	const sent = 2000
 	s.At(s.Now(), func() {
 		for i := 0; i < sent; i++ {
@@ -703,13 +711,13 @@ func TestPerLinkLossPartial(t *testing.T) {
 	}
 }
 
-// TestPerLinkDelay: SetLinkDelay inflates propagation latency on exactly
-// the configured directed link — messages still arrive (nothing drops),
-// just late; the reverse direction keeps its native latency; clearing
-// the factor restores it.
+// TestPerLinkDelay: a delay fault inflates propagation latency on exactly
+// the directed link it covers — messages still arrive (nothing drops),
+// just late; the reverse direction keeps its native latency; healing the
+// fault restores it.
 func TestPerLinkDelay(t *testing.T) {
 	s, a, b := twoNodes(t, Config{Seed: 29})
-	s.SetLinkDelay(0, 1, 100) // base 120 µs ⇒ 12-18 ms with jitter
+	h := s.Links().Open(oneLink(0, 1, netfault.Fault{Delay: 100})) // base 120 µs ⇒ 12-18 ms with jitter
 	s.At(s.Now(), func() { a.n.e.Send(1, "slow") })
 	s.RunFor(5 * time.Millisecond)
 	if len(b.n.received) != 0 {
@@ -725,11 +733,17 @@ func TestPerLinkDelay(t *testing.T) {
 	if len(a.n.received) != 1 || a.n.received[0] != "fast" {
 		t.Fatalf("reverse direction received %v", a.n.received)
 	}
-	// Clearing the factor restores the link; a factor ≤ 1 is a restore.
-	s.SetLinkDelay(0, 1, 1)
+	// Healing the fault restores the link.
+	h.Heal()
 	s.At(s.Now(), func() { a.n.e.Send(1, "quick") })
 	s.RunFor(time.Millisecond)
 	if len(b.n.received) != 2 {
 		t.Fatalf("restored link received %v", b.n.received)
 	}
+}
+
+// oneLink narrows f to the one directed link from → to.
+func oneLink(from, to env.NodeID, f netfault.Fault) netfault.Fault {
+	f.Nodes, f.Peers, f.Dir = []env.NodeID{from}, []env.NodeID{to}, env.LinkOutboundOnly
+	return f
 }

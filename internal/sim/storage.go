@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"time"
 
 	"robuststore/internal/env"
@@ -70,12 +71,12 @@ type diskStorage struct {
 	flushing  bool
 	flushFn   func() // d.flush, bound once: binding per call allocates
 
-	// slow is the live degradation factor of a failing drive (see
-	// Sim.SetDiskSlowdown): seek latency multiplies by it, bandwidth
-	// divides by it. Zero means unset, i.e. healthy (factor 1). It is a
-	// property of the hardware, not of an incarnation, so it survives
-	// crashes and restarts.
-	slow float64
+	// slows holds the factor of every open slowdown of a failing drive
+	// (see Sim.SlowDisk); the drive runs at the worst of them: seek
+	// latency multiplies by it, bandwidth divides by it. It is a property of
+	// the hardware, not of an incarnation, so it survives crashes and
+	// restarts.
+	slows []*float64
 }
 
 type pendingAppend struct {
@@ -100,20 +101,25 @@ func (d *diskStorage) onCrash() {
 	// fast restart still queues behind the in-progress physical write.
 }
 
-// setSlowdown retunes the drive's degradation factor live (clamped ≥ 1).
-func (d *diskStorage) setSlowdown(f float64) {
-	if f < 1 {
-		f = 1
+// slowBy opens one slowdown by factor and returns the heal that lifts
+// exactly it. Idempotent.
+func (d *diskStorage) slowBy(factor float64) (heal func()) {
+	h := &factor
+	d.slows = append(d.slows, h)
+	return func() {
+		if i := slices.Index(d.slows, h); i >= 0 {
+			d.slows = slices.Delete(d.slows, i, i+1)
+		}
 	}
-	d.slow = f
 }
 
 // slowdown returns the current degradation factor (1 when healthy).
 func (d *diskStorage) slowdown() float64 {
-	if d.slow == 0 {
-		return 1
+	f := 1.0
+	for _, s := range d.slows {
+		f = max(f, *s)
 	}
-	return d.slow
+	return f
 }
 
 // seekLatency is one seek + rotational delay under the current slowdown.

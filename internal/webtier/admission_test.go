@@ -118,7 +118,7 @@ func TestQualityEvictionOnGrayServer(t *testing.T) {
 	victim := -1
 	s.At(s.Now(), func() { victim = (c.LeaderOf(0) + 1) % 3 })
 	s.RunFor(time.Millisecond)
-	c.GrayFail(victim, 0.9) // errors 90% of requests; probes still ack
+	restore := c.GrayFail(victim, 0.9) // errors 90% of requests; probes still ack
 
 	// Drive traffic at the victim until the quality gate trips. Client
 	// hash picks the server, so sweep client IDs that land on it.
@@ -140,7 +140,7 @@ func TestQualityEvictionOnGrayServer(t *testing.T) {
 	}
 
 	// Healed and out of quarantine: probes re-admit it.
-	c.GrayRestore(victim)
+	restore()
 	s.RunFor(15 * time.Second)
 	if !c.proxy.health[victim].up {
 		t.Fatal("healed server not re-admitted after quarantine")

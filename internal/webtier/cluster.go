@@ -2,6 +2,7 @@ package webtier
 
 import (
 	"io"
+	"slices"
 	"time"
 
 	"robuststore/internal/core"
@@ -147,8 +148,10 @@ type server struct {
 	// (grayErr) or slow-walking their service times by a multiplier
 	// (graySlow). Like a disk degradation, gray failure belongs to the
 	// process environment (a wedged NIC queue, a sick dependency) and
-	// survives crash/restart until restored.
+	// survives crash/restart until restored. grays holds the factor of
+	// every open Cluster.GrayFail; settleGray derives the two rates from it.
 	grayErr, graySlow float64
+	grays             []*float64
 }
 
 // group is the cluster's record of one Paxos group (sim-loop confined).
@@ -314,147 +317,92 @@ func (c *Cluster) Crash(i int) {
 // SetAutoRestart enables or disables the watchdog for server i.
 func (c *Cluster) SetAutoRestart(i int, auto bool) { c.servers[i].auto = auto }
 
-// PartitionServers isolates the given servers (flat indices) from the
-// rest of the cluster — the proxy included, so isolating a whole group
-// severs its client slice's path entirely. dir selects symmetric
-// isolation or one-way loss relative to the victims. The returned handle
-// heals exactly this partition; overlapping partitions compose. Counts
-// one injected fault.
-func (c *Cluster) PartitionServers(dir env.LinkDir, servers ...int) *netfault.BlockHandle {
-	ids := make([]env.NodeID, len(servers))
-	for k, i := range servers {
-		ids[k] = c.servers[i].id
+// FaultLinks opens fx — its direction, relative to the servers, and its
+// effect — on the links of the given servers (flat indices) and returns
+// its heal. The servers are cut from the rest of the cluster — the
+// proxy included, so isolating a whole group severs its client slice's
+// path entirely, and a node added meanwhile joins the healthy side — or,
+// with ownGroup, each from the other members, voters and readers, of its
+// own group, leaving the proxy path and every other link intact: a learner
+// reader cut off that way keeps serving reads while its applied log falls
+// arbitrarily far behind, the staleness worst case the read fences must
+// bound. Open faults compose (see netfault), and the heal lifts exactly
+// this one. Counts one injected fault.
+func (c *Cluster) FaultLinks(servers []int, ownGroup bool, fx netfault.Fault) (heal func()) {
+	c.faults++
+	var hs []*netfault.Handle
+	open := func(nodes, peers []env.NodeID) {
+		fx.Nodes, fx.Peers = nodes, peers
+		hs = append(hs, c.sim.Links().Open(fx))
 	}
-	c.faults++
-	return c.sim.PartitionDir(dir, ids...)
-}
-
-// IsolateFromGroup severs both directions between each given server
-// (flat index) and the other members — voters and readers — of its own
-// group, leaving the proxy path and every other link intact. A learner
-// reader cut off this way keeps serving reads while its applied log
-// falls arbitrarily far behind: the staleness worst case the read
-// fences must bound. Counts one injected fault.
-func (c *Cluster) IsolateFromGroup(servers ...int) {
-	c.faults++
-	c.setGroupLinks(true, servers)
-}
-
-// ReconnectToGroup restores the links severed by IsolateFromGroup.
-func (c *Cluster) ReconnectToGroup(servers ...int) {
-	c.setGroupLinks(false, servers)
-}
-
-func (c *Cluster) setGroupLinks(blocked bool, servers []int) {
-	for _, i := range servers {
-		vid, g := c.servers[i].id, &c.groups[c.servers[i].group]
-		for _, peers := range [][]env.NodeID{g.members, g.learners} {
-			for _, pid := range peers {
-				if pid == vid {
-					continue
+	if ownGroup {
+		for _, i := range servers {
+			vid, g := c.servers[i].id, &c.groups[c.servers[i].group]
+			var peers []env.NodeID
+			for _, pid := range slices.Concat(g.members, g.learners) {
+				if pid != vid {
+					peers = append(peers, pid)
 				}
-				c.sim.SetLink(vid, pid, blocked)
-				c.sim.SetLink(pid, vid, blocked)
 			}
+			open([]env.NodeID{vid}, peers)
+		}
+	} else {
+		ids := make([]env.NodeID, len(servers))
+		for k, i := range servers {
+			ids[k] = c.servers[i].id
+		}
+		open(ids, nil)
+	}
+	return func() {
+		for _, h := range hs {
+			h.Heal()
 		}
 	}
 }
 
 // DegradeDisk slows server i's disk live by factor (seek × factor,
-// bandwidth ÷ factor) — the failing-disk straggler. The degradation
-// survives crash/restart of the server until SetDiskFactor lifts it. Counts
-// one injected fault.
-func (c *Cluster) DegradeDisk(i int, factor float64) {
+// bandwidth ÷ factor) — the failing-disk straggler — until the returned
+// heal. Overlapping degradations run at the worst factor still open, and
+// survive crash/restart of the server. Counts one injected fault.
+func (c *Cluster) DegradeDisk(i int, factor float64) (heal func()) {
 	c.faults++
-	c.SetDiskFactor(i, factor)
+	return c.sim.SlowDisk(c.servers[i].id, factor)
 }
 
-// SetDiskFactor retunes server i's disk factor without counting a fault —
-// the bookkeeping half of composing overlapping degradations (the fault
-// was counted when its event fired); factor 1 is the healthy drive.
-func (c *Cluster) SetDiskFactor(i int, factor float64) {
-	c.sim.SetDiskSlowdown(c.servers[i].id, factor)
-}
-
-// eachVictimLink calls set on every directed link between the given victim
-// servers (flat indices) and the rest of the cluster — the proxy included,
-// mirroring PartitionServers — in the directions dir selects relative to
-// the victims.
-func (c *Cluster) eachVictimLink(dir env.LinkDir, servers []int, set func(from, to env.NodeID)) {
-	victims := make(map[env.NodeID]bool, len(servers))
-	for _, i := range servers {
-		victims[c.servers[i].id] = true
-	}
-	for _, i := range servers {
-		a := c.servers[i].id
-		for _, b := range c.sim.Peers() {
-			if victims[b] {
-				continue
-			}
-			if dir == env.LinkBothWays || dir == env.LinkOutboundOnly {
-				set(a, b)
-			}
-			if dir == env.LinkBothWays || dir == env.LinkInboundOnly {
-				set(b, a)
-			}
+// GrayFail puts server i into gray-failure mode until the returned heal:
+// it keeps answering probes (its probe path never touches the request
+// machinery) while real requests suffer. factor < 1 is an error rate —
+// that fraction of requests fail fast with a server-side error; factor ≥ 1
+// is a slow-walk multiplier on request service times. The prober alone
+// cannot see this fault, which is the point. Overlapping gray failures
+// compose: the worst open error rate and the worst open slow-walk run
+// together, and the heal lifts only this one. Counts one injected fault.
+func (c *Cluster) GrayFail(i int, factor float64) (heal func()) {
+	c.faults++
+	sv := &c.servers[i]
+	h := &factor
+	sv.grays = append(sv.grays, h)
+	sv.settleGray()
+	return func() {
+		if k := slices.Index(sv.grays, h); k >= 0 {
+			sv.grays = slices.Delete(sv.grays, k, k+1)
+			sv.settleGray()
 		}
 	}
 }
 
-// DegradeLinks makes every link between the victim servers and the rest of
-// the cluster flaky: each crossing message drops with probability rate.
-// Counts one injected fault.
-func (c *Cluster) DegradeLinks(dir env.LinkDir, rate float64, servers ...int) {
-	c.faults++
-	c.eachVictimLink(dir, servers, func(from, to env.NodeID) { c.sim.SetLinkLoss(from, to, rate) })
-}
-
-// RestoreLinks clears the loss on every link between the victim servers
-// and the rest of the cluster, in both directions.
-func (c *Cluster) RestoreLinks(servers ...int) {
-	c.eachVictimLink(env.LinkBothWays, servers, func(from, to env.NodeID) { c.sim.SetLinkLoss(from, to, 0) })
-}
-
-// DegradeLinkDelay inflates the latency of every link between the victim
-// servers and the rest of the cluster by factor. Unlike loss, every
-// message still arrives; it just crawls. Counts one injected fault.
-func (c *Cluster) DegradeLinkDelay(dir env.LinkDir, factor float64, servers ...int) {
-	c.faults++
-	c.eachVictimLink(dir, servers, func(from, to env.NodeID) { c.sim.SetLinkDelay(from, to, factor) })
-}
-
-// RestoreLinkDelay clears the latency inflation on every link between the
-// victim servers and the rest of the cluster, in both directions.
-func (c *Cluster) RestoreLinkDelay(servers ...int) {
-	c.eachVictimLink(env.LinkBothWays, servers, func(from, to env.NodeID) { c.sim.SetLinkDelay(from, to, 1) })
-}
-
-// GrayFail puts server i into gray-failure mode: it keeps answering
-// probes (its probe path never touches the request machinery) while real
-// requests suffer. factor < 1 is an error rate — that fraction of
-// requests fail fast with a server-side error; factor ≥ 1 is a slow-walk
-// multiplier on request service times. The prober alone cannot see this
-// fault, which is the point. Counts one injected fault.
-func (c *Cluster) GrayFail(i int, factor float64) {
-	c.faults++
-	c.setGray(i, factor)
-}
-
-// setGray applies (or, at factor 0, clears) server i's gray-failure mode.
-func (c *Cluster) setGray(i int, factor float64) {
-	sv := &c.servers[i]
-	switch {
-	case factor <= 0:
-		sv.grayErr, sv.graySlow = 0, 0
-	case factor < 1:
-		sv.grayErr, sv.graySlow = factor, 0
-	default:
-		sv.grayErr, sv.graySlow = 0, factor
+// settleGray derives the server's gray-failure mode from its open gray
+// failures.
+func (sv *server) settleGray() {
+	sv.grayErr, sv.graySlow = 0, 0
+	for _, f := range sv.grays {
+		if *f < 1 {
+			sv.grayErr = max(sv.grayErr, *f)
+		} else {
+			sv.graySlow = max(sv.graySlow, *f)
+		}
 	}
 }
-
-// GrayRestore returns server i to healthy request service.
-func (c *Cluster) GrayRestore(i int) { c.setGray(i, 0) }
 
 // LeaderOf returns the flat index of the server currently leading group
 // g's consensus, or -1 while the group has no live leader. Call from

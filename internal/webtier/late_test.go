@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
 )
@@ -95,7 +96,7 @@ func TestRetryWithLostReplyStillTimesOut(t *testing.T) {
 	var last rbe.Response
 	s.At(s.Now(), func() {
 		// Every server goes silent: requests arrive, replies vanish.
-		c.PartitionServers(env.LinkOutboundOnly, 0, 1, 2)
+		c.FaultLinks([]int{0, 1, 2}, false, netfault.Fault{Dir: env.LinkOutboundOnly, Sever: true})
 		p := c.proxy
 		r, firstID := lateHarness(t, c, rbe.Home, func(resp rbe.Response) { finishes++; last = resp })
 		// Server-side error: the read is transparently retried under a
@@ -264,7 +265,7 @@ func TestRecycledRecordIgnoresItsPreviousLife(t *testing.T) {
 	}
 	firstDone, secondDone := 0, 0
 	// Every server goes silent: requests arrive, replies vanish.
-	c.PartitionServers(env.LinkOutboundOnly, 0, 1, 2)
+	c.FaultLinks([]int{0, 1, 2}, false, netfault.Fault{Dir: env.LinkOutboundOnly, Sever: true})
 	s.At(s.Now(), func() {
 		c.Frontend().Do(rbe.Request{Client: 42, Kind: rbe.Home, Item: 1}, func(rbe.Response) { firstDone++ })
 	})

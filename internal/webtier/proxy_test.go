@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/rbe"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestOneWayLossEvictsAndServiceContinues(t *testing.T) {
 	c := testCluster(t, 3, nil)
 	s := c.Sim()
-	h := c.PartitionServers(env.LinkOutboundOnly, 1)
+	heal := c.FaultLinks([]int{1}, false, netfault.Fault{Dir: env.LinkOutboundOnly, Sever: true})
 	s.RunFor(8 * time.Second) // enough probe timeouts to cross the threshold
 	if c.proxy.health[1].up {
 		t.Fatal("silent server still in rotation after the eviction threshold")
@@ -24,7 +25,7 @@ func TestOneWayLossEvictsAndServiceContinues(t *testing.T) {
 	if resp, got := do(c, rbe.Request{Client: 7, Kind: rbe.Home, Item: 1}); !got || resp.Err {
 		t.Fatalf("read against the surviving servers failed: %+v got=%v", resp, got)
 	}
-	h.Heal()
+	heal()
 	s.RunFor(3 * time.Second)
 	if !c.proxy.health[1].up {
 		t.Fatal("healed server was not re-admitted by a succeeding probe")
@@ -111,6 +112,12 @@ func TestRetryFallsBackToSameServerWhenAlone(t *testing.T) {
 	}
 }
 
+// muteToProxy severs the one link from server i to the proxy.
+func muteToProxy(c *Cluster, i int) *netfault.Handle {
+	return c.Sim().Links().Open(netfault.Fault{Nodes: []env.NodeID{c.servers[i].id}, Peers: []env.NodeID{c.proxyID},
+		Dir: env.LinkOutboundOnly, Sever: true})
+}
+
 // TestProbeTimeoutEvictsAfterFourFailures exercises the probe timeout
 // path of the health-check state machine: the server process is alive and
 // accepting, but its probe responses are lost, which must count failures
@@ -119,8 +126,7 @@ func TestRetryFallsBackToSameServerWhenAlone(t *testing.T) {
 func TestProbeTimeoutEvictsAfterFourFailures(t *testing.T) {
 	c := testCluster(t, 3, nil)
 	s := c.Sim()
-	srv := c.servers[1].id
-	s.SetLink(srv, c.proxyID, true) // responses vanish: probe timeouts
+	mute := muteToProxy(c, 1) // responses vanish: probe timeouts
 	s.RunFor(2600 * time.Millisecond)
 	if !c.proxy.health[1].up {
 		t.Fatal("evicted before reaching the failure threshold")
@@ -132,7 +138,7 @@ func TestProbeTimeoutEvictsAfterFourFailures(t *testing.T) {
 	if c.proxy.health[1].up {
 		t.Fatal("4 timed-out probes must evict the server")
 	}
-	s.Heal()
+	mute.Heal()
 	s.RunFor(2 * time.Second)
 	if !c.proxy.health[1].up {
 		t.Fatal("successful probe must re-admit the server")
@@ -148,18 +154,17 @@ func TestProbeTimeoutEvictsAfterFourFailures(t *testing.T) {
 func TestProbeFailureCountResetsOnSuccess(t *testing.T) {
 	c := testCluster(t, 3, nil)
 	s := c.Sim()
-	srv := c.servers[2].id
-	s.SetLink(srv, c.proxyID, true)
+	mute := muteToProxy(c, 2)
 	s.RunFor(2600 * time.Millisecond) // two timed-out probes
 	if c.proxy.health[2].failCount < 2 || !c.proxy.health[2].up {
 		t.Fatalf("setup: failCount=%d up=%v", c.proxy.health[2].failCount, c.proxy.health[2].up)
 	}
-	s.Heal()
+	mute.Heal()
 	s.RunFor(2 * time.Second) // a success resets the count
 	if c.proxy.health[2].failCount != 0 {
 		t.Fatalf("failCount = %d after success, want 0", c.proxy.health[2].failCount)
 	}
-	s.SetLink(srv, c.proxyID, true)
+	muteToProxy(c, 2)
 	s.RunFor(3600 * time.Millisecond) // three more failures: still short of 4
 	if !c.proxy.health[2].up {
 		t.Fatal("evicted after 3 post-reset failures; threshold is 4 consecutive")

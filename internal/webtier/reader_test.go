@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
 )
@@ -60,9 +62,8 @@ func TestLaggingReaderFencedReads(t *testing.T) {
 	reader := c.Readers(0)[0]
 	// Sever voter→reader links: the learner stops hearing chosen values.
 	// Its proxy link stays up, so it remains in the read rotation.
-	for v := 0; v < 3; v++ {
-		s.SetLink(c.servers[v].id, c.servers[reader].id, true)
-	}
+	deaf := s.Links().Open(netfault.Fault{Nodes: []env.NodeID{c.servers[reader].id},
+		Peers: []env.NodeID{c.servers[0].id, c.servers[1].id, c.servers[2].id}, Dir: env.LinkInboundOnly, Sever: true})
 	resp, got := do(c, rbe.Request{Client: 7, Kind: rbe.ShoppingCart, Item: 5, Qty: 1})
 	if !got || resp.Err || resp.Cart == 0 {
 		t.Fatalf("cart write failed: %+v got=%v", resp, got)
@@ -101,9 +102,7 @@ func TestLaggingReaderFencedReads(t *testing.T) {
 		t.Fatalf("%d fenced reads served below their fence", v)
 	}
 	// Heal: the learner catches up off the voters' learn stream.
-	for v := 0; v < 3; v++ {
-		s.SetLink(c.servers[v].id, c.servers[reader].id, false)
-	}
+	deaf.Heal()
 	s.RunFor(15 * time.Second)
 	if _, ok := c.Store(reader).GetOrder(order); !ok {
 		t.Fatal("healed reader never caught up to the acked order")

@@ -252,7 +252,7 @@ func TestEndToEndWorkloadAccuracy(t *testing.T) {
 	c := testCluster(t, 5, nil)
 	s := c.Sim()
 	t0 := s.Now()
-	rec := metrics.NewRecorder(t0, time.Second)
+	rec := metrics.NewShardedRecorder(t0, time.Second, 1, nil)
 	proto := tpcw.Populate(tpcw.PopConfig{Items: 400, EBs: 1, Reduction: 8, Seed: 3})
 	pop := rbe.New(rbe.Config{
 		Browsers: 100, Profile: rbe.Shopping, ThinkTime: time.Second,
@@ -261,10 +261,10 @@ func TestEndToEndWorkloadAccuracy(t *testing.T) {
 	}, schedAdapter{s: s}, c.Frontend())
 	pop.Start()
 	s.RunFor(70 * time.Second)
-	if rec.Total() < 3000 {
-		t.Fatalf("only %d interactions completed", rec.Total())
+	if rec.Aggregate().Total() < 3000 {
+		t.Fatalf("only %d interactions completed", rec.Aggregate().Total())
 	}
-	if acc := rec.Accuracy(); acc < 99.99 {
+	if acc := rec.Aggregate().Accuracy(); acc < 99.99 {
 		t.Fatalf("failure-free accuracy = %v", acc)
 	}
 	// Replicated state converged across servers.

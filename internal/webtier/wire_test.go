@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/rbe"
 )
 
@@ -86,14 +87,14 @@ func TestUndeliveredRequestRecordIsGarbage(t *testing.T) {
 
 	// Blocked link: requests vanish on their way in.
 	lost := c.reqs.items[0]
-	h := c.PartitionServers(env.LinkInboundOnly, 0, 1, 2)
+	heal := c.FaultLinks([]int{0, 1, 2}, false, netfault.Fault{Dir: env.LinkInboundOnly, Sever: true})
 	done := 0
 	s.At(s.Now(), func() { lateHarness(t, c, rbe.Home, func(rbe.Response) { done++ }) })
 	s.RunFor(time.Second)
 	if len(c.reqs.items) != 0 || done != 0 {
 		t.Fatalf("the dropped request's record came back (%d idle) or it was answered (%d)", len(c.reqs.items), done)
 	}
-	h.Heal()
+	heal()
 	read(2)
 	s.RunFor(2 * c.cfg.Cal.ReqTimeout) // the dropped read expires, is redispatched and answered
 	if idleReq(c, lost) || done != 1 {
@@ -211,11 +212,11 @@ func TestNoHandlerReadsAReleasedWireRecord(t *testing.T) {
 	if m := ask(reader, rbe.Request{Client: mine, Kind: rbe.ShoppingCart, Item: 5, Qty: 1}); !m.Resp.Err || m.WrongEpoch {
 		t.Fatalf("a write at a learner-backed reader: %+v, want a plain error", m)
 	}
-	c.GrayFail(voter, 0.999999)
+	restore := c.GrayFail(voter, 0.999999)
 	if m := ask(voter, home); !m.Resp.Err || m.WrongEpoch {
 		t.Fatalf("a gray-failed server: %+v, want a plain error", m)
 	}
-	c.GrayRestore(voter)
+	restore()
 	c.SetAutoRestart(voter, false)
 	c.Crash(voter)
 	s.RunFor(10 * time.Millisecond)
