@@ -101,7 +101,14 @@
 // holds no copy of a value. The price is a rule, stated at paxos.Value:
 // nothing writes to a vote or an announcement after it is built, on either
 // runtime; livenet's TestLiveVotesSharedAcrossReplicas holds it under the
-// race detector.
+// race detector. The rule lets an engine take the records it builds per
+// decision and per heartbeat — votes, announcements, accepts, forwards,
+// pings, and the command slices of small batches — from append-only slabs
+// of 256 (paxos/slab.go), sent by pointer: a slab never hands a record out
+// twice, and the collector frees an array whole once nothing in it is
+// reachable. That, the simulated disk's sync completion bound once and the
+// web tier's field strings built in one allocation each took a committed
+// action of the benchmark's tpcw_sharded_txn from 16.1 to 11.9 allocations.
 //
 // A decision is learned where it is made and announced once. When a quorum
 // of acks (classic) or matching votes (fast) completes, the coordinator

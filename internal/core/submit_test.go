@@ -204,19 +204,21 @@ func (g *submitApplyGroup) run(n int) {
 
 // TestSubmitApplyAllocBudget holds the ordering hot path to its allocation
 // budget: Submit → batch → three WAL syncs → quorum → apply on all three
-// replicas, per committed action. What is left is per batch (the value's
-// command slice, message and record boxes, WAL and flush closures) and per
-// timer; nothing is per command. The run also carries the group's idle
-// traffic (heartbeats, sweeps), which is why the figure is not an integer
-// fraction.
+// replicas, per committed action. What is left is about one allocation per
+// batch of 64, the value's command slice (a batch of more than 8 commands
+// gets one of its own), and the group's idle traffic (heartbeats, sweeps);
+// nothing is per command. The votes, accepts, announcements and pings come
+// from the engines' slabs, one allocation per 256, and the disk's sync
+// completion is bound once. The figure read 0.104 while those were allocated
+// per batch; the budget is the 0.017 measured since, + 25 %.
 func TestSubmitApplyAllocBudget(t *testing.T) {
 	g := newSubmitApplyGroup(t)
 	const perRun = 64 * 100
 	allocs := testing.AllocsPerRun(5, func() { g.run(perRun) })
 	per := allocs / perRun
 	t.Logf("%.3f allocs per committed action (batch 64, 3 replicas)", per)
-	if per > 1.0 {
-		t.Fatalf("%.3f allocs per committed action, budget 1.0", per)
+	if per > 0.022 {
+		t.Fatalf("%.3f allocs per committed action, budget 0.022", per)
 	}
 }
 

@@ -144,16 +144,30 @@ func TestLiveReplicatedCounter(t *testing.T) {
 		want, sl.counterValue(0), sl.counterValue(1), sl.counterValue(2))
 }
 
-// TestLiveVotesSharedAcrossReplicas: on this runtime a vote or an
-// announcement is one object that several node goroutines hold at once — the
-// acceptor's log slot and WAL, the coordinator's vote set, every learner's
-// slot — so nothing may write to one after it is sent (paxos.Value states the
-// rule). Four replicas in fast rounds, every one submitting at once so that
-// rounds collide and are recovered, then a crash whose restart replays the
-// shared votes and catches up: under -race a late write is a report.
+// TestLiveVotesSharedAcrossReplicas: on this runtime a record a paxos engine
+// sends is one object that several node goroutines hold at once — a vote in
+// the acceptor's log slot and WAL and in the coordinator's vote set, an
+// announcement in every learner's slot, an accept or a forward until its
+// receiver has voted or proposed, and the value's command slice in all of them
+// — so nothing may write to one after it is sent (paxos.Value states the rule;
+// the engine takes these records from slabs that never hand one out twice).
+// Four replicas, three of them submitting at once, then a crash whose restart
+// replays the shared votes and catches up: in fast rounds, so that rounds
+// collide and are recovered, and in classic rounds, where every value a
+// follower submits is forwarded to the leader and every value goes out in an
+// accept. Under -race a late write is a report.
 func TestLiveVotesSharedAcrossReplicas(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		fast bool
+	}{{"fast", true}, {"classic", false}} {
+		t.Run(mode.name, func(t *testing.T) { shareRecords(t, mode.fast) })
+	}
+}
+
+func shareRecords(t *testing.T, fast bool) {
 	const n, each = 4, 60
-	c, sl := buildCluster(t, n, true)
+	c, sl := buildCluster(t, n, fast)
 	waitReady(t, sl.replica(0))
 
 	// No start-up wait: the first values reach a fresh leader while its gap

@@ -154,6 +154,11 @@ var mutants = []mutant{
 			"\tfor k := range h.links {\n\t\tt.settle(k)\n",
 			"\tfor k := range h.links {\n\t\tt.settle(k)\n\t\tif l, ok := t.links[k]; ok {\n\t\t\tl.Loss = 0\n\t\t\tt.links[k] = l\n\t\t}\n"}},
 		pkg: "./internal/exp/", run: "TestOverlappingWindowsHealOnlyTheirOwn"},
+	{name: "slab-reuses-records", note: "an exhausted slab rewinds onto its own array, so a vote, an announcement or a command slice still held is rewritten by a later record: the rule that \"Consensus takes its per-decision records from append-only slabs\" rests on, a slab never hands a record out twice",
+		edits: []edit{{"internal/paxos/slab.go",
+			"\t\ts.buf, i = make([]T, 0, slabLen), 0\n",
+			"\t\tif cap(s.buf) == 0 {\n\t\t\ts.buf = make([]T, 0, slabLen)\n\t\t}\n\t\ts.buf, i = s.buf[:0], 0\n"}},
+		pkg: "./internal/paxos/", run: "TestSlabRecordsAreNeverReused"},
 }
 
 // row returns the mutant named name.

@@ -47,7 +47,7 @@ func (en *Engine) onPrepare(from env.NodeID, m prepareMsg) {
 		walDone{to: from, msg: reply})
 }
 
-func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
+func (en *Engine) onAccept(from env.NodeID, m *acceptMsg) {
 	if !en.booted {
 		return
 	}
@@ -77,11 +77,14 @@ func (en *Engine) onAccept(from env.NodeID, m acceptMsg) {
 // vote durably accepts (b, v) at inst and acknowledges to the ballot
 // owner (the coordinator counts phase-2b messages).
 //
-// The vote is one object: the log slot holds it, it is the WAL record's
-// payload, and once durable it is the phase-2b message.
+// The vote is one record: the log slot holds it, it is the WAL record's
+// payload, and once durable it is the phase-2b message. It comes from the
+// engine's vote slab, which never hands a record out twice, so nothing writes
+// to it again (see Value).
 func (en *Engine) vote(inst InstanceID, b Ballot, v Value) {
 	s := en.log.Ensure(inst)
-	vote := &acceptedMsg{B: b, Inst: inst, V: v}
+	vote := en.votes.next()
+	vote.B, vote.Inst, vote.V = b, inst, v
 	s.vote = vote
 	if b.Less(s.promised) {
 		// Unreachable given the caller's checks; keep the invariant

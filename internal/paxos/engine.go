@@ -202,6 +202,15 @@ type Engine struct {
 	catchUpAt     time.Time
 	gapSince      time.Time
 
+	// The records this incarnation builds per decision and per heartbeat,
+	// each kind from a slab of its own (see slab).
+	votes     slab[acceptedMsg]
+	announces slab[chosenMsg]
+	accepts   slab[acceptMsg]
+	forwards  slab[forwardMsg]
+	pings     slab[pingMsg]
+	cmds      slab[any] // command slices of batches of at most slabCmds
+
 	stats Stats
 }
 
@@ -264,7 +273,8 @@ type slot struct {
 	promised Ballot // per-instance promise (coordinated recovery)
 
 	// vote is this acceptor's vote: the very record its WAL holds and the
-	// phase-2b message it sent (see vote).
+	// phase-2b message it sent, taken from the engine's vote slab, which never
+	// hands it out again (see vote).
 	vote *acceptedMsg
 
 	// chosen is the decision. It points at the value inside this node's own
@@ -558,10 +568,16 @@ func (en *Engine) batchTimeout() {
 
 // proposeNext packs the next n queued commands into one value and
 // proposes it. The commands are copied out so the ring slots can be
-// reclaimed.
+// reclaimed: a small batch into a slice carved from a slab, a larger one into
+// a slice of its own.
 func (en *Engine) proposeNext(n int) {
 	first := en.cmdSeq - int64(en.queueLen()) + 1
-	cmds := make([]any, n)
+	var cmds []any
+	if n <= slabCmds {
+		cmds = en.cmds.carve(n)
+	} else {
+		cmds = make([]any, n)
+	}
 	copy(cmds, en.cmdQueue[en.qHead:en.qHead+n])
 	for i := en.qHead; i < en.qHead+n; i++ {
 		en.cmdQueue[i] = nil // release for GC
@@ -627,7 +643,9 @@ func (en *Engine) propose(v Value) {
 	default:
 		leader := en.owner(en.curBallot)
 		if leader >= 0 && leader != en.me {
-			en.e.Send(leader, forwardMsg{V: v})
+			m := en.forwards.next()
+			m.V = v
+			en.e.Send(leader, m)
 		}
 		// With no leader the value stays outstanding and the retry
 		// sweep re-proposes it once a leader emerges.
@@ -641,7 +659,7 @@ func (en *Engine) propose(v Value) {
 // node's Receive between the engine and its own transfer protocol.
 func (en *Engine) Handle(from env.NodeID, msg env.Message) bool {
 	switch m := msg.(type) {
-	case pingMsg:
+	case *pingMsg:
 		en.onPing(from, m)
 	case prepareMsg:
 		en.onPrepare(from, m)
@@ -649,7 +667,7 @@ func (en *Engine) Handle(from env.NodeID, msg env.Message) bool {
 		en.onPromise(from, m)
 	case nackMsg:
 		en.onNack(from, m)
-	case acceptMsg:
+	case *acceptMsg:
 		en.onAccept(from, m)
 	case *acceptedMsg:
 		en.onAccepted(from, m)
@@ -659,7 +677,7 @@ func (en *Engine) Handle(from env.NodeID, msg env.Message) bool {
 		en.onAny(from, m)
 	case fastProposeMsg:
 		en.onFastPropose(from, m)
-	case forwardMsg:
+	case *forwardMsg:
 		en.onForward(from, m)
 	case recQueryMsg:
 		en.onRecQuery(from, m)
@@ -682,13 +700,9 @@ func (en *Engine) broadcast(msg env.Message) {
 }
 
 func (en *Engine) sendPing() {
-	// Boxed once: the members and the learners are sent the same message.
-	var m env.Message = pingMsg{
-		B:             en.curBallot,
-		Leader:        en.IsLeader(),
-		FirstUnchosen: en.firstUnchosen,
-		Restoring:     en.restoring,
-	}
+	// One record: the members and the learners are sent the same message.
+	m := en.pings.next()
+	m.B, m.Leader, m.FirstUnchosen, m.Restoring = en.curBallot, en.IsLeader(), en.firstUnchosen, en.restoring
 	en.broadcast(m)
 	// Heartbeats also flow to attached learners so they track the current
 	// ballot (catch-up targeting) and the decided frontier. Learners never
@@ -698,7 +712,7 @@ func (en *Engine) sendPing() {
 	}
 }
 
-func (en *Engine) onPing(from env.NodeID, m pingMsg) {
+func (en *Engine) onPing(from env.NodeID, m *pingMsg) {
 	en.lastSeen[from] = en.e.Now()
 	if m.Restoring {
 		en.peerRestoring[from] = true

@@ -600,7 +600,7 @@ func TestBidOutranksStaleHeartbeat(t *testing.T) {
 	y.noteBallot(renewed)
 	y.startPrepare()
 	bid := y.leader.b
-	y.Handle(lead.me, pingMsg{B: renewed, Leader: true, FirstUnchosen: lead.firstUnchosen})
+	y.Handle(lead.me, &pingMsg{B: renewed, Leader: true, FirstUnchosen: lead.firstUnchosen})
 	if y.leader == nil || y.leader.b != bid {
 		t.Fatalf("y dropped its bid %v on a heartbeat at %v", bid, renewed)
 	}

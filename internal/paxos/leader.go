@@ -423,10 +423,18 @@ func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
 	}
 	r.prop = proposal{b: b, v: v, acks: r.prop.acks.reset(), lastSent: en.e.Now()}
 	ls.inflightID[v.ID] = inst
-	en.broadcast(acceptMsg{B: b, Inst: inst, V: v})
+	en.sendAccept(b, inst, v)
 }
 
-func (en *Engine) onForward(from env.NodeID, m forwardMsg) {
+// sendAccept sends phase 2a for (b, inst, v) to every member: one record for
+// the whole fan-out.
+func (en *Engine) sendAccept(b Ballot, inst InstanceID, v Value) {
+	m := en.accepts.next()
+	m.B, m.Inst, m.V = b, inst, v
+	en.broadcast(m)
+}
+
+func (en *Engine) onForward(from env.NodeID, m *forwardMsg) {
 	if en.leader != nil && en.leader.established {
 		en.leaderPropose(m.V)
 	}
@@ -620,7 +628,8 @@ func (en *Engine) choose(inst InstanceID, v Value) {
 // any attached non-voting learners, which otherwise only hear about decisions
 // through catch-up. This node already knows it, so none goes to itself.
 func (en *Engine) announceChosen(inst InstanceID, v Value) *chosenMsg {
-	m := &chosenMsg{Inst: inst, V: v}
+	m := en.announces.next()
+	m.Inst, m.V = inst, v
 	for _, p := range en.members {
 		if p != en.me {
 			en.e.Send(p, m)
@@ -674,7 +683,7 @@ func (en *Engine) leaderSweep(now time.Time) {
 	for inst, rp := range ls.insts.From(0) {
 		if r := *rp; r.proposing() && now.Sub(r.prop.lastSent) > en.cfg.RetryTimeout {
 			r.prop.lastSent = now
-			en.broadcast(acceptMsg{B: r.prop.b, Inst: inst, V: r.prop.v})
+			en.sendAccept(r.prop.b, inst, r.prop.v)
 		}
 	}
 

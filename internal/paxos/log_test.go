@@ -45,7 +45,7 @@ func bootOnWAL(t testing.TB, recs []env.Record, floor InstanceID) *walBench {
 		return funcNode{
 			start: func(env.Env) {},
 			receive: func(_ env.NodeID, msg env.Message) {
-				if _, ping := msg.(pingMsg); !ping {
+				if _, ping := msg.(*pingMsg); !ping {
 					b.sent = append(b.sent, msg)
 				}
 			},
@@ -134,7 +134,7 @@ func TestVoteBelowBarrierFloor(t *testing.T) {
 	}
 	// Ballot 3 of 2 members is the peer's, so the vote's phase 2b goes there.
 	v := Value{ID: ValueID{Node: 1, Epoch: 1, Seq: 1}, Size: 64}
-	b.handle(acceptMsg{B: Ballot{Seq: 3}, Inst: 11, V: v})
+	b.handle(&acceptMsg{B: Ballot{Seq: 3}, Inst: 11, V: v})
 	voted := false
 	for _, m := range b.sent {
 		if a, ok := m.(*acceptedMsg); ok && a.Inst == 11 && a.V.ID == v.ID {
@@ -246,7 +246,7 @@ func TestListedVotesCanBeReplaced(t *testing.T) {
 				b.sent = nil
 				b.s.At(b.s.Now(), func() {
 					for _, a := range p.Accepted {
-						b.en.Handle(1, acceptMsg{B: next, Inst: a.Inst, V: Value{ID: newValue(a.Inst), Size: 64}})
+						b.en.Handle(1, &acceptMsg{B: next, Inst: a.Inst, V: Value{ID: newValue(a.Inst), Size: 64}})
 					}
 				})
 				b.run()

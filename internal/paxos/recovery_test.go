@@ -30,12 +30,12 @@ func TestRecoveryWithoutPhase1(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, en := blockedFastLeader(t)
 			ls, inst, st := en.leader, en.firstUnchosen, en.Stats()
-			var accepts []acceptMsg // what the leader proposed at inst
+			var accepts []*acceptMsg // what the leader proposed at inst
 			c.onSend = func(from, _ env.NodeID, m env.Message) {
 				switch m := m.(type) {
 				case recQueryMsg:
 					t.Errorf("node %d sent %+v", from, m)
-				case acceptMsg:
+				case *acceptMsg:
 					if from == en.me && m.Inst == inst {
 						accepts = append(accepts, m)
 					}
@@ -125,16 +125,16 @@ func TestRecoveryRoundFollowsFastRound(t *testing.T) {
 		// p1 never hears of k, nor L of the rival's leadership.
 		c.s.Links().Open(netfault.Fault{Nodes: []env.NodeID{rival.me}, Peers: []env.NodeID{p1.me, lead.me},
 			Dir: env.LinkOutboundOnly, Sever: true})
-		var proposed []acceptMsg
+		var proposed []*acceptMsg
 		c.onSend = func(from, _ env.NodeID, m env.Message) {
-			if m, ok := m.(acceptMsg); ok && from == lead.me && m.Inst == x {
+			if m, ok := m.(*acceptMsg); ok && from == lead.me && m.Inst == x {
 				proposed = append(proposed, m)
 			}
 		}
 		for _, en := range []*Engine{lead, p1, p2} {
-			en.Handle(lead.me, acceptMsg{B: s, Inst: x, V: v})
+			en.Handle(lead.me, &acceptMsg{B: s, Inst: x, V: v})
 		}
-		p3.Handle(lead.me, acceptMsg{B: s, Inst: x, V: w})
+		p3.Handle(lead.me, &acceptMsg{B: s, Inst: x, V: w})
 		lead.onAccepted(lead.me, lead.votedAt(x)) // L's link to itself is cut too
 
 		rival.cfg.FastEnabled = false // a classic round: three votes decide it
@@ -219,12 +219,12 @@ func TestRecoveryRoundFollowsFastRound(t *testing.T) {
 		s, x := lead.leader.b, lead.firstUnchosen
 		id := (int(lead.me) + 1) % c.n
 		v, w := val(1), val(2)
-		c.engines[id].Handle(lead.me, acceptMsg{B: s, Inst: x, V: w})
-		c.engines[id].Handle(lead.me, acceptMsg{B: s.recovery(), Inst: x, V: v})
+		c.engines[id].Handle(lead.me, &acceptMsg{B: s, Inst: x, V: w})
+		c.engines[id].Handle(lead.me, &acceptMsg{B: s.recovery(), Inst: x, V: v})
 		holds := func(when string) {
 			t.Helper()
 			en := c.engines[id]
-			en.Handle(lead.me, acceptMsg{B: s, Inst: x, V: w}) // a late accept of round s
+			en.Handle(lead.me, &acceptMsg{B: s, Inst: x, V: w}) // a late accept of round s
 			if a := en.votedAt(x); a == nil || a.B != s.recovery() || a.V.ID != v.ID {
 				t.Fatalf("%s: node %d votes %+v at instance %d, want v at %v", when, id, a, x, s.recovery())
 			}

@@ -134,8 +134,12 @@ type ValueID struct {
 // Immutability: a vote (*acceptedMsg) and an announcement (*chosenMsg) are
 // built once and then shared — by the log slot, the WAL and the network, and
 // so, on either runtime, by every replica the message reaches. Nothing writes
-// to one after it is built: a new vote or decision is a new object. The same
-// holds for what a Value refers to (Cmds) and for a catch-up reply's entries.
+// to one after it is built: a new vote or decision is a new record. The same
+// holds for what a Value refers to (Cmds), for the accepts, forwards and pings
+// an engine sends, and for a catch-up reply's entries. The engine takes its
+// votes, announcements, accepts, forwards, pings and small command slices from
+// append-only slabs (see slab), which never hand a record out twice: a record
+// reads what it was built with for as long as anything holds it.
 type Value struct {
 	ID    ValueID
 	Cmds  []any
@@ -208,7 +212,8 @@ type nackMsg struct {
 
 func (m nackMsg) WireSize() int64 { return msgOverhead }
 
-// acceptMsg is phase 2a for one instance.
+// acceptMsg is phase 2a for one instance: one record for the whole fan-out,
+// sent by pointer and never written again (see Value).
 type acceptMsg struct {
 	B    Ballot
 	Inst InstanceID
@@ -219,8 +224,8 @@ func (m acceptMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
 // acceptedMsg is phase 2b, sent to the ballot owner (coordinator). It is
 // also the durable record of the vote (Kind "accept"), written before it is
-// sent, and the vote the acceptor's log slot holds: one object, passed by
-// pointer and never written again (see Value).
+// sent, and the vote the acceptor's log slot holds: one record from the
+// engine's vote slab, passed by pointer and never written again (see Value).
 type acceptedMsg struct {
 	B    Ballot
 	Inst InstanceID
@@ -229,7 +234,7 @@ type acceptedMsg struct {
 
 func (m acceptedMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
-// chosenMsg announces a decided instance to all learners: one object for the
+// chosenMsg announces a decided instance to all learners: one record for the
 // whole fan-out, passed by pointer and never written again (see Value). A
 // learner that did not vote for V keeps the announcement as its decision.
 type chosenMsg struct {
@@ -256,7 +261,8 @@ type fastProposeMsg struct {
 
 func (m fastProposeMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
-// forwardMsg routes a proposer value to the leader in classic mode.
+// forwardMsg routes a proposer value to the leader in classic mode; sent by
+// pointer (see Value).
 type forwardMsg struct {
 	V Value
 }
@@ -285,7 +291,8 @@ type recInfoMsg struct {
 func (m recInfoMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
 // pingMsg is the failure-detector heartbeat. Leaders piggyback their
-// first-unchosen watermark so lagging learners trigger catch-up.
+// first-unchosen watermark so lagging learners trigger catch-up. One record
+// goes to every member and learner, by pointer (see Value).
 type pingMsg struct {
 	B             Ballot // highest ballot the sender has seen
 	Leader        bool   // sender believes it is the leader of B

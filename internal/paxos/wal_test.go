@@ -180,7 +180,7 @@ func TestFailedSyncIsNotAcknowledged(t *testing.T) {
 			c.s.At(c.s.Now(), func() {
 				b := Ballot{Seq: nextOwnedBallot(en.maxBallotSeq, x, 3)}
 				v := Value{ID: ValueID{Node: x, Epoch: 1, Seq: 1}, Cmds: []any{"a"}, Size: 64}
-				en.Handle(x, acceptMsg{B: b, Inst: en.FirstUnchosen(), V: v})
+				en.Handle(x, &acceptMsg{B: b, Inst: en.FirstUnchosen(), V: v})
 			})
 			c.s.RunFor(500 * time.Millisecond)
 			c.s.At(c.s.Now(), func() {

@@ -71,6 +71,11 @@ type diskStorage struct {
 	flushing  bool
 	flushFn   func() // d.flush, bound once: binding per call allocates
 
+	// syncing holds the batches whose sync is under way, in the order they
+	// become durable; flushedFn (d.flushed, bound once) completes the first.
+	syncing   [][]pendingAppend
+	flushedFn func()
+
 	// slows holds the factor of every open slowdown of a failing drive
 	// (see Sim.SlowDisk); the drive runs at the worst of them: seek
 	// latency multiplies by it, bandwidth divides by it. It is a property of
@@ -89,7 +94,7 @@ var _ env.Storage = (*diskStorage)(nil)
 
 func newDiskStorage(s *Sim, n *simNode, cfg DiskConfig) *diskStorage {
 	d := &diskStorage{sim: s, node: n, cfg: cfg, snapshots: make(map[string]env.Snapshot)}
-	d.flushFn = d.flush
+	d.flushFn, d.flushedFn = d.flush, d.flushed
 	return d
 }
 
@@ -192,23 +197,32 @@ func (d *diskStorage) flush() {
 		bytes += p.rec.Size
 	}
 	dur := d.syncDuration() + d.xferTime(bytes, d.cfg.WriteBandwidth)
-	doneAt := d.reserve(dur)
-	d.sim.At(doneAt, func() {
-		// Durability point: the batch is on disk now.
-		for _, p := range batch {
-			d.log.Append(p.rec)
-			if p.done != nil && d.node.alive && d.node.incarnation == p.inc {
-				p.done(nil)
-			}
+	d.syncing = append(d.syncing, batch)
+	d.sim.At(d.reserve(dur), d.flushedFn)
+}
+
+// flushed is the durability point of the first batch syncing: it is on disk
+// now. reserve hands out disk time serially, so syncs complete in the order
+// flush scheduled them, also where two flush chains overlap after a crash and
+// restart (onCrash).
+func (d *diskStorage) flushed() {
+	batch := d.syncing[0]
+	n := copy(d.syncing, d.syncing[1:])
+	d.syncing[n] = nil
+	d.syncing = d.syncing[:n]
+	for _, p := range batch {
+		d.log.Append(p.rec)
+		if p.done != nil && d.node.alive && d.node.incarnation == p.inc {
+			p.done(nil)
 		}
-		// Hand the buffer back for the next batch. After a crash and restart
-		// two flush chains can overlap; the second to finish is dropped.
-		if d.spare == nil {
-			clear(batch)
-			d.spare = batch[:0]
-		}
-		d.flush()
-	})
+	}
+	// Hand the buffer back for the next batch. Of two overlapping chains'
+	// buffers, the second to finish is dropped.
+	if d.spare == nil {
+		clear(batch)
+		d.spare = batch[:0]
+	}
+	d.flush()
 }
 
 // syncDuration draws one flush latency from the (possibly heavy-tailed)

@@ -572,10 +572,10 @@ func (r *request) act() {
 
 	case rbe.CustomerRegistration:
 		action = tpcw.CreateCustomerAction{
-			FName:     "F" + strconv.Itoa(rng.Intn(10000)),
-			LName:     "L" + strconv.Itoa(rng.Intn(10000)),
-			Street1:   strconv.Itoa(rng.Intn(999)) + " Web St",
-			City:      "City" + strconv.Itoa(rng.Intn(500)),
+			FName:     numbered("F", rng.Intn(10000), ""),
+			LName:     numbered("L", rng.Intn(10000), ""),
+			Street1:   numbered("", rng.Intn(999), " Web St"),
+			City:      numbered("City", rng.Intn(500), ""),
 			State:     "ST",
 			Zip:       strconv.Itoa(10000 + rng.Intn(89999)),
 			Country:   tpcw.CountryID(rng.Intn(92) + 1),
@@ -612,8 +612,8 @@ func (r *request) act() {
 		action = tpcw.AdminUpdateAction{
 			Item:      req.Item,
 			Cost:      item.SRP * (0.5 + rng.Float64()*0.5), // random pre-submit
-			Image:     "img/full/new" + strconv.Itoa(rng.Intn(1000)),
-			Thumbnail: "img/thumb/new" + strconv.Itoa(rng.Intn(1000)),
+			Image:     numbered("img/full/new", rng.Intn(1000), ""),
+			Thumbnail: numbered("img/thumb/new", rng.Intn(1000), ""),
 			Now:       now,
 		}
 
@@ -630,6 +630,15 @@ func (r *request) act() {
 		return
 	}
 	s.replica.SubmitIndexed(action, r.applied)
+}
+
+// numbered returns prefix, n in decimal and suffix as one string, built in
+// one allocation (concatenating strconv.Itoa's result takes two).
+func numbered(prefix string, n int, suffix string) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	return string(append(b, suffix...))
 }
 
 // onApplied takes the local result of the action the request had ordered:
