@@ -208,7 +208,7 @@ func (g *submitApplyGroup) run(n int) {
 // batch of 64, the value's command slice (a batch of more than 8 commands
 // gets one of its own), and the group's idle traffic (heartbeats, sweeps);
 // nothing is per command. The votes, accepts, announcements and pings come
-// from the engines' slabs, one allocation per 256, and the disk's sync
+// from the engines' slabs, one allocation per 16 KiB array, and the disk's sync
 // completion is bound once. The figure read 0.104 while those were allocated
 // per batch; the budget is the 0.017 measured since, + 25 %.
 func TestSubmitApplyAllocBudget(t *testing.T) {

@@ -83,7 +83,7 @@ func (en *Engine) onAccept(from env.NodeID, m *acceptMsg) {
 // to it again (see Value).
 func (en *Engine) vote(inst InstanceID, b Ballot, v Value) {
 	s := en.log.Ensure(inst)
-	vote := en.votes.next()
+	vote := en.votes.Next()
 	vote.B, vote.Inst, vote.V = b, inst, v
 	s.vote = vote
 	if b.Less(s.promised) {

@@ -16,15 +16,15 @@ import (
 // the leader's free list, the five votes of a failure-free instance and its
 // decision allocate no record, no map, no timer and no message: the chosenMsg
 // announceChosen builds when the fourth vote completes the fast quorum comes
-// from the engine's announcement slab, one allocation per 256 decisions; the
-// leader learns the decision there, so the fifth vote finds the instance
-// decided. (One allocation per instance while the announcement was built on
+// from the engine's announcement slab, one allocation per 227 decisions (a
+// 16 KiB array of 72 B records); the leader learns the decision there, so the
+// fifth vote finds the instance decided. (One allocation per instance while the announcement was built on
 // its own; two while the leader learned it from its own announcement: the
 // fifth vote, arriving first, announced it again.) The votes are the
 // acceptors' own objects and the record's vote set points at them. (The
 // leader's links are blocked for the measurement, so the announcements go
 // nowhere and nothing else runs; the log's chunk for the decisions, and the
-// leader's window's, is one allocation per 256 instances too, and
+// leader's window's, is one allocation per 256 instances, and
 // AllocsPerRun rounds the 101 instances' few down to 0.)
 func TestFastInstanceAllocBudget(t *testing.T) {
 	const n = 5

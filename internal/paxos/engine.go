@@ -5,6 +5,7 @@ import (
 
 	"robuststore/internal/env"
 	"robuststore/internal/seqwin"
+	"robuststore/internal/slab"
 )
 
 // Config parameterizes an Engine. Zero fields take the documented
@@ -203,13 +204,13 @@ type Engine struct {
 	gapSince      time.Time
 
 	// The records this incarnation builds per decision and per heartbeat,
-	// each kind from a slab of its own (see slab).
-	votes     slab[acceptedMsg]
-	announces slab[chosenMsg]
-	accepts   slab[acceptMsg]
-	forwards  slab[forwardMsg]
-	pings     slab[pingMsg]
-	cmds      slab[any] // command slices of batches of at most slabCmds
+	// each kind from a slab of its own (package slab).
+	votes     slab.Slab[acceptedMsg]
+	announces slab.Slab[chosenMsg]
+	accepts   slab.Slab[acceptMsg]
+	forwards  slab.Slab[forwardMsg]
+	pings     slab.Slab[pingMsg]
+	cmds      slab.Slab[any] // command slices of batches of at most slabCmds
 
 	stats Stats
 }
@@ -566,6 +567,11 @@ func (en *Engine) batchTimeout() {
 	en.pump()
 }
 
+// slabCmds is the largest batch whose command slice is carved from a slab;
+// a larger one gets a slice of its own, so a full 64-command batch wastes
+// no slab tail.
+const slabCmds = 8
+
 // proposeNext packs the next n queued commands into one value and
 // proposes it. The commands are copied out so the ring slots can be
 // reclaimed: a small batch into a slice carved from a slab, a larger one into
@@ -574,7 +580,7 @@ func (en *Engine) proposeNext(n int) {
 	first := en.cmdSeq - int64(en.queueLen()) + 1
 	var cmds []any
 	if n <= slabCmds {
-		cmds = en.cmds.carve(n)
+		cmds = en.cmds.Carve(n)
 	} else {
 		cmds = make([]any, n)
 	}
@@ -643,7 +649,7 @@ func (en *Engine) propose(v Value) {
 	default:
 		leader := en.owner(en.curBallot)
 		if leader >= 0 && leader != en.me {
-			m := en.forwards.next()
+			m := en.forwards.Next()
 			m.V = v
 			en.e.Send(leader, m)
 		}
@@ -701,7 +707,7 @@ func (en *Engine) broadcast(msg env.Message) {
 
 func (en *Engine) sendPing() {
 	// One record: the members and the learners are sent the same message.
-	m := en.pings.next()
+	m := en.pings.Next()
 	m.B, m.Leader, m.FirstUnchosen, m.Restoring = en.curBallot, en.IsLeader(), en.firstUnchosen, en.restoring
 	en.broadcast(m)
 	// Heartbeats also flow to attached learners so they track the current

@@ -429,7 +429,7 @@ func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
 // sendAccept sends phase 2a for (b, inst, v) to every member: one record for
 // the whole fan-out.
 func (en *Engine) sendAccept(b Ballot, inst InstanceID, v Value) {
-	m := en.accepts.next()
+	m := en.accepts.Next()
 	m.B, m.Inst, m.V = b, inst, v
 	en.broadcast(m)
 }
@@ -628,7 +628,7 @@ func (en *Engine) choose(inst InstanceID, v Value) {
 // any attached non-voting learners, which otherwise only hear about decisions
 // through catch-up. This node already knows it, so none goes to itself.
 func (en *Engine) announceChosen(inst InstanceID, v Value) *chosenMsg {
-	m := en.announces.next()
+	m := en.announces.Next()
 	m.Inst, m.V = inst, v
 	for _, p := range en.members {
 		if p != en.me {

@@ -4,23 +4,26 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"robuststore/internal/env"
 	"robuststore/internal/sim"
+	"robuststore/internal/slab"
 )
 
 // TestSlabRecordsAreNeverReused: a slab hands a record out once, so a record
 // that is sent, logged or held keeps what it was built with however many
-// records its engine builds after it. Three classic members order 2,048
+// records its engine builds after it. Three classic members order 8,192
 // one-command values submitted at the two that do not lead: every member votes
-// at 2,048 instances, the leader sends as many accepts and announcements, and
-// each other member forwards 1,024 values whose command slices it carves — more
-// than three slabs of each kind at each engine. The first vote, announcement,
-// accept and forward the cluster sends, and the first command slice, read at
-// the end what they read when they were sent; and every record sent, and every
-// command slice, is seen with one content only: no two share an address.
+// at 8,192 instances, the leader sends as many accepts and announcements, and
+// each other member forwards 4,096 values whose command slices it carves — four
+// arrays of command slots (16 B each, the most records an array holds) and more
+// of every other kind at each engine. The first vote, announcement, accept and
+// forward the cluster sends, and the first command slice, read at the end what
+// they read when they were sent; and every record sent, and every command
+// slice, is seen with one content only: no two share an address.
 func TestSlabRecordsAreNeverReused(t *testing.T) {
-	const n, each = 3, 4 * slabLen
+	const n, each = 3, 4 * slab.Bytes / int(unsafe.Sizeof(any(nil)))
 	c := newCluster(t, n, false, 61, sim.NetConfig{})
 	c.s.RunFor(2 * time.Second)
 	lead := -1
@@ -100,7 +103,7 @@ func TestSlabRecordsAreNeverReused(t *testing.T) {
 		c.requireDelivered(id, 2*each)
 	}
 	c.checkConsistency()
-	if got := c.engines[lead].leader.nextInstance; got < 2*each {
+	if got := c.engines[lead].leader.nextInstance; got < InstanceID(2*each) {
 		t.Fatalf("the leader reached instance %d, want at least %d: the values were not one per instance", got, 2*each)
 	}
 

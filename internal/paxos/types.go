@@ -138,7 +138,7 @@ type ValueID struct {
 // holds for what a Value refers to (Cmds), for the accepts, forwards and pings
 // an engine sends, and for a catch-up reply's entries. The engine takes its
 // votes, announcements, accepts, forwards, pings and small command slices from
-// append-only slabs (see slab), which never hand a record out twice: a record
+// append-only slabs (package slab), which never hand a record out twice: a record
 // reads what it was built with for as long as anything holds it.
 type Value struct {
 	ID    ValueID

@@ -228,46 +228,72 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 	addr := s.addAddress(a.Street1, a.Street2, a.City, a.State, a.Zip, a.Country)
 	s.nextCustomer++
 	id := s.nextCustomer
-	row := &customerRow{
-		body: customerBody{
-			ID:        id,
-			FName:     a.FName,
-			LName:     a.LName,
-			Addr:      addr,
-			Phone:     a.Phone,
-			Email:     a.Email,
-			Since:     a.Now,
-			Discount:  a.Discount,
-			BirthDate: a.BirthDate,
-			Data:      a.Data,
-		},
-		head: customerHead{
-			LastLogin:  a.Now,
-			Login:      a.Now,
-			Expiration: a.Now.Add(2 * time.Hour),
-		},
-	}
-	s.customers.set(id, row.link())
-	s.nominalBytes += nominalCustomer
+	s.addCustomer(customerBody{
+		ID:        id,
+		FName:     a.FName,
+		LName:     a.LName,
+		Addr:      addr,
+		Phone:     a.Phone,
+		Email:     a.Email,
+		Since:     a.Now,
+		Discount:  a.Discount,
+		BirthDate: a.BirthDate,
+		Data:      a.Data,
+	}, a.Now)
 	return CreateCustomerResult{Customer: id}
 }
 
+// The constructors below are the one place each kind of row is built; the
+// records come from the store's slabs (see rows).
+
+// addCustomer stores customer b.ID: body b and a first head logged in at
+// login, carved as one record.
+func (s *Store) addCustomer(b customerBody, login time.Time) {
+	r := s.rows.customers.Next()
+	r.body = b
+	r.head = customerHead{LastLogin: login, Login: login, Expiration: login.Add(2 * time.Hour)}
+	s.customers.set(b.ID, r.link())
+	s.nominalBytes += nominalCustomer
+}
+
+// addAddress stores an address under the next address ID and returns it.
 func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID) AddressID {
 	s.nextAddress++
 	id := s.nextAddress
 	if int(country) < 1 || int(country) > len(s.cat.countries) {
 		country = 1
 	}
-	s.addresses.set(id, &Address{
+	a := s.rows.addresses.Next()
+	*a = Address{
 		ID: id, Street1: st1, Street2: st2, City: city, State: state,
 		Zip: zip, Country: country,
-	})
+	}
+	s.addresses.set(id, a)
 	s.nominalBytes += nominalAddress
 	return id
 }
 
+// addOrder stores o under the next order ID as the latest order of
+// o.Customer, admits it to the best-sellers window and returns the ID. Its
+// lines come from orderLines or, for a gift, from the action that carries
+// them.
+func (s *Store) addOrder(o Order) OrderID {
+	s.nextOrder++
+	o.ID = s.nextOrder
+	rec := s.rows.orders.Next()
+	*rec = o
+	s.orders.set(o.ID, rec)
+	s.lastOrder.set(o.Customer, o.ID)
+	s.pushRecentOrder(rec)
+	return o.ID
+}
+
+// orderLines returns room for n order lines, empty, for the caller to append
+// to. Room it leaves unused is never handed out again.
+func (s *Store) orderLines(n int) []OrderLine { return s.rows.lines.Carve(n)[:0] }
+
 func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
-	c, ok := s.customers.edit(a.Customer, (*customerHead).clone)
+	c, ok := s.customers.edit(a.Customer, s.cloneCustomer)
 	if !ok {
 		return nil
 	}
@@ -291,9 +317,9 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	}
 
 	var subTotal float64
-	lines := make([]OrderLine, 0, len(cart.Lines))
+	lines := s.orderLines(len(cart.Lines))
 	for _, cl := range cart.Lines {
-		h, ok := s.items.edit(cl.Item, (*itemHead).clone)
+		h, ok := s.items.edit(cl.Item, s.cloneItem)
 		if !ok {
 			continue
 		}
@@ -317,10 +343,7 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	total := subTotal + tax + shippingCost(len(lines))
 
 	billAddr, _ := s.addresses.get(cust.Addr)
-	s.nextOrder++
-	oid := s.nextOrder
-	order := Order{
-		ID:       oid,
+	oid := s.addOrder(Order{
 		Customer: a.Customer,
 		Date:     a.Now,
 		SubTotal: subTotal,
@@ -341,17 +364,14 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 			ShipAt:  a.ShipDate,
 			Country: billAddr.Country,
 		},
-	}
-	s.orders.set(oid, &order)
-	s.lastOrder.set(a.Customer, oid)
-	s.pushRecentOrder(&order)
+	})
 	s.nominalBytes += nominalOrder + nominalCC + int64(len(lines))*nominalLine
 
 	// The purchased cart is consumed.
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 
-	paid, _ := s.customers.edit(a.Customer, (*customerHead).clone)
+	paid, _ := s.customers.edit(a.Customer, s.cloneCustomer)
 	paid.Balance += total
 	paid.YTDPmt += total
 
@@ -392,7 +412,7 @@ func (s *Store) pushRecentOrder(o *Order) {
 }
 
 func (s *Store) applyAdminUpdate(a AdminUpdateAction) any {
-	h, ok := s.items.edit(a.Item, (*itemHead).clone)
+	h, ok := s.items.edit(a.Item, s.cloneItem)
 	if !ok {
 		return nil
 	}

@@ -202,7 +202,7 @@ func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
 	s.carts.delete(a.Cart)
 	s.nominalBytes -= nominalCart + int64(len(cart.Lines))*nominalCartLine
 
-	paid, _ := s.customers.edit(a.Buyer, (*customerHead).clone)
+	paid, _ := s.customers.edit(a.Buyer, s.cloneCustomer)
 	paid.Balance += a.Total
 	paid.YTDPmt += a.Total
 	return GiftDebitResult{}
@@ -215,7 +215,7 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 	}
 	// TPC-W stock rule on the delivered lines.
 	for _, l := range a.Lines {
-		h, ok := s.items.edit(l.Item, (*itemHead).clone)
+		h, ok := s.items.edit(l.Item, s.cloneItem)
 		if !ok {
 			continue
 		}
@@ -224,10 +224,7 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 			h.Stock += 21
 		}
 	}
-	s.nextOrder++
-	oid := s.nextOrder
-	order := Order{
-		ID:       oid,
+	oid := s.addOrder(Order{
 		Customer: a.Recipient,
 		Date:     a.Now,
 		SubTotal: a.SubTotal,
@@ -239,10 +236,7 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 		BillAddr: recipient.Addr,
 		ShipAddr: recipient.Addr,
 		Lines:    a.Lines,
-	}
-	s.orders.set(oid, &order)
-	s.lastOrder.set(a.Recipient, oid)
-	s.pushRecentOrder(&order)
+	})
 	s.nominalBytes += nominalOrder + int64(len(a.Lines))*nominalLine
 	return GiftDeliverResult{Order: oid}
 }
@@ -250,7 +244,7 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 func (s *Store) applyInventorySweep(a InventorySweepAction) InventorySweepResult {
 	updated := 0
 	for _, id := range a.Items {
-		h, ok := s.items.edit(id, (*itemHead).clone)
+		h, ok := s.items.edit(id, s.cloneItem)
 		if !ok {
 			continue
 		}

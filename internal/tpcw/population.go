@@ -244,37 +244,27 @@ func Populate(cfg PopConfig) *Store {
 			CountryID(rng.Intn(92)+1),
 		)
 		id := CustomerID(i)
-		row := &customerRow{
-			body: customerBody{
-				ID:        id,
-				FName:     "F" + strconv.Itoa(i),
-				LName:     authorName(rng),
-				Addr:      addr,
-				Phone:     strconv.Itoa(1000000000 + rng.Intn(899999999)),
-				Email:     UserName(id) + "@example.com",
-				Since:     base.AddDate(0, 0, -rng.Intn(730)),
-				Discount:  float64(rng.Intn(51)),
-				BirthDate: base.AddDate(-18-rng.Intn(60), 0, 0),
-				Data:      "data",
-			},
-			head: customerHead{
-				LastLogin:  base,
-				Login:      base,
-				Expiration: base.Add(2 * time.Hour),
-			},
-		}
-		s.customers.set(id, row.link())
+		s.addCustomer(customerBody{
+			ID:        id,
+			FName:     "F" + strconv.Itoa(i),
+			LName:     authorName(rng),
+			Addr:      addr,
+			Phone:     strconv.Itoa(1000000000 + rng.Intn(899999999)),
+			Email:     UserName(id) + "@example.com",
+			Since:     base.AddDate(0, 0, -rng.Intn(730)),
+			Discount:  float64(rng.Intn(51)),
+			BirthDate: base.AddDate(-18-rng.Intn(60), 0, 0),
+			Data:      "data",
+		}, base)
 	}
 	s.nextCustomer = CustomerID(customers)
 
 	// Historical orders (90 % of customers), newest last so the
 	// recent-order ring holds the latest bestSellerWindow of them.
 	for i := 1; i <= orders; i++ {
-		s.nextOrder++
-		oid := s.nextOrder
 		cust := CustomerID(rng.Intn(customers) + 1)
 		nLines := 1 + rng.Intn(4)
-		lines := make([]OrderLine, 0, nLines)
+		lines := s.orderLines(nLines)
 		var subTotal float64
 		for l := 0; l < nLines; l++ {
 			iid := ItemID(rng.Intn(items) + 1)
@@ -286,8 +276,7 @@ func Populate(cfg PopConfig) *Store {
 		tax := subTotal * taxRate
 		date := base.AddDate(0, 0, -rng.Intn(365))
 		buyer, _ := s.customers.get(cust)
-		order := Order{
-			ID:       oid,
+		s.addOrder(Order{
 			Customer: cust,
 			Date:     date,
 			SubTotal: subTotal,
@@ -304,10 +293,7 @@ func Populate(cfg PopConfig) *Store {
 				Name: buyer.FName, Expire: base.AddDate(2, 0, 0),
 				Total: subTotal + tax, ShipAt: date, Country: 1,
 			},
-		}
-		s.orders.set(oid, &order)
-		s.lastOrder.set(cust, oid)
-		s.pushRecentOrder(&order)
+		})
 	}
 	s.ordersSinceBS = 0
 	s.bsCache = nil

@@ -19,6 +19,17 @@ func (s *Store) GetBook(id ItemID) (Item, bool) {
 	return item.item(), true
 }
 
+// BookAuthor returns the author of item id, read from the stored row: the
+// exact lookup of a page that lists or shows the item, which needs no Item
+// view (GetBook assembles one, 264 B).
+func (s *Store) BookAuthor(id ItemID) (AuthorID, bool) {
+	h, ok := s.items.get(id)
+	if !ok {
+		return 0, false
+	}
+	return h.Author, true
+}
+
 // GetAuthor returns an author by id.
 func (s *Store) GetAuthor(id AuthorID) (Author, bool) {
 	a, ok := s.cat.authors[id]
@@ -50,12 +61,14 @@ func (s *Store) GetCustomerByID(id CustomerID) (Customer, bool) {
 	return c.customer(), true
 }
 
-// GetUserName returns the user name for a customer id (TPC-W GetUserName).
-func (s *Store) GetUserName(id CustomerID) (string, bool) {
-	if !s.customers.has(id) {
-		return "", false
+// UserID returns the ID of the customer whose user name is uname, the
+// inverse of UserName (TPC-W getCustomer's lookup; see customerNamed).
+func (s *Store) UserID(uname string) (CustomerID, bool) {
+	c, ok := s.customerNamed(uname)
+	if !ok {
+		return 0, false
 	}
-	return UserName(id), true
+	return c.ID, true
 }
 
 // GetCart returns a shopping cart.
@@ -72,22 +85,15 @@ func (s *Store) GetOrder(id OrderID) (Order, bool) {
 	return *o, true
 }
 
-// GetMostRecentOrder returns the latest order of the named customer
-// (TPC-W getMostRecentOrder, the order-inquiry/display interactions).
-func (s *Store) GetMostRecentOrder(uname string) (Order, bool) {
-	c, ok := s.customerNamed(uname)
-	if !ok {
-		return Order{}, false
+// MostRecentOrder returns the ID of customer c's latest order (TPC-W
+// getMostRecentOrder, the order-inquiry/display interactions), found by
+// index without copying the order out; GetOrder reads it.
+func (s *Store) MostRecentOrder(c CustomerID) (OrderID, bool) {
+	oid, ok := s.lastOrder.get(c)
+	if !ok || !s.orders.has(oid) {
+		return 0, false
 	}
-	oid, ok := s.lastOrder.get(c.ID)
-	if !ok {
-		return Order{}, false
-	}
-	o, ok := s.orders.get(oid)
-	if !ok {
-		return Order{}, false
-	}
-	return *o, true
+	return oid, true
 }
 
 // GetRelated returns the related items of a book (TPC-W getRelated).

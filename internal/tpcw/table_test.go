@@ -1,14 +1,15 @@
 package tpcw
 
 import (
+	"fmt"
 	"maps"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 	"time"
 	"unsafe"
 
+	"robuststore/internal/slab"
 	"robuststore/internal/xrand"
 )
 
@@ -382,6 +383,84 @@ func TestEditCopiesOnlyFirstWriteAfterCapture(t *testing.T) {
 	edits("ImportOwned", dst)
 }
 
+// TestStoreRowsAreNeverShared: each store carves its rows from slabs of its
+// own. Two stores cloned from one population, and a third restored from a
+// snapshot of one of them, each apply every kind of write, round after round,
+// with contents of their own; a Snapshot opens each round, so every head a
+// round writes is a copy the round made. No two rows sit at one address — a
+// row another store shares is the same row, read the same — and every row
+// reads at the end what it read when the round that wrote it ended.
+func TestStoreRowsAreNeverShared(t *testing.T) {
+	pop := Populate(PopConfig{Items: 200, EBs: 1, Reduction: 4, Seed: 9})
+	a, b := pop.Clone(), pop.Clone()
+	mutate(t, a, 1)
+	snap, _ := a.Snapshot()
+	c := &Store{}
+	c.Restore(snap)
+
+	type held struct {
+		who  string
+		read func() any // what the row reads now
+		was  any
+	}
+	rows := map[any]held{} // every row seen, by its address and type
+	note := func(who string, p any, read func() any) {
+		now := read()
+		if h, ok := rows[p]; !ok {
+			rows[p] = held{who, read, now}
+		} else if h.was != now {
+			t.Fatalf("%s holds a row at %p reading %v, where %s's row read %v", who, p, now, h.who, h.was)
+		}
+	}
+	// record notes every row s holds. An order and its lines are read as
+	// text: an Order does not compare with ==.
+	record := func(who string, s *Store) {
+		for _, h := range s.items.all() {
+			note(who, h, func() any { return h.item() })
+		}
+		for _, h := range s.customers.all() {
+			note(who, h, func() any { return h.customer() })
+			note(who, h.customerBody, func() any { return *h.customerBody })
+		}
+		for _, ad := range s.addresses.all() {
+			note(who, ad, func() any { return *ad })
+		}
+		for _, o := range s.orders.all() {
+			note(who, o, func() any { return fmt.Sprint(*o) })
+			note(who, &o.Lines[0], func() any { return fmt.Sprint(o.Lines) })
+		}
+	}
+	stores := []struct {
+		who string
+		s   *Store
+	}{{"clone a", a}, {"clone b", b}, {"restored c", c}}
+	for round := range 24 {
+		for i, st := range stores {
+			st.s.Snapshot()
+			r := 1000*(i+1) + round
+			mutate(t, st.s, r)
+			at := time.Unix(1243857600+int64(r)*60, 0).UTC()
+			buyer, recipient := CustomerID(round%20+1), CustomerID((round+5)%20+1)
+			cart := st.s.Apply(CartUpdateAction{AddItem: ItemID(round%50 + 1), AddQty: 1, Now: at}).(CartResult).Cart.ID
+			if g := st.s.Apply(GiftOrderAction{Cart: cart, Buyer: buyer, Recipient: recipient,
+				ShipType: "AIR", ShipDate: at, Tag: fmt.Sprintf("%s-%d", st.who, round), Now: at}).(GiftOrderResult); g.Err != "" {
+				t.Fatalf("%s, round %d: gift order: %s", st.who, round, g.Err)
+			}
+			record(st.who, st.s)
+		}
+	}
+	for p, h := range rows {
+		if now := h.read(); now != h.was {
+			t.Fatalf("the row %s wrote at %p read %v and now reads %v", h.who, p, h.was, now)
+		}
+	}
+	for _, st := range stores {
+		if bad := st.s.VerifyConsistency(); len(bad) > 0 {
+			t.Errorf("%s is inconsistent: %v", st.who, bad)
+		}
+	}
+}
+
 // TestCountsWithHoles: after DropOwned punched holes through every page,
 // Counts and Info report the rows that are left, and a dropped customer is
 // gone by ID and by user name.
@@ -447,13 +526,13 @@ func TestGetCustomerParsesUName(t *testing.T) {
 	}
 }
 
-// allocated returns the bytes f allocates.
-func allocated(f func()) uint64 {
+// allocated returns the bytes and the objects f allocates.
+func allocated(f func()) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
 // paperPopulation is the 500 MB state of the paper's experiments at the
@@ -468,15 +547,15 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	const budget = 64 << 10
 	s := Populate(paperPopulation)
 	var snap any
-	if n := allocated(func() { snap, _ = s.Snapshot() }); n >= budget {
+	if n, _ := allocated(func() { snap, _ = s.Snapshot() }); n >= budget {
 		t.Errorf("Snapshot allocated %d bytes, budget %d", n, budget)
 	}
 	r := &Store{}
-	if n := allocated(func() { r.Restore(snap) }); n >= budget {
+	if n, _ := allocated(func() { r.Restore(snap) }); n >= budget {
 		t.Errorf("Restore allocated %d bytes, budget %d", n, budget)
 	}
 	var c *Store
-	if n := allocated(func() { c = s.Clone() }); n >= budget {
+	if n, _ := allocated(func() { c = s.Clone() }); n >= budget {
 		t.Errorf("Clone allocated %d bytes, budget %d", n, budget)
 	}
 	if _, customers, _, _ := c.Counts(); customers != 36000 {
@@ -484,34 +563,111 @@ func TestSnapshotAllocBudget(t *testing.T) {
 	}
 }
 
-// medianApplyBytes applies actions[0], then each of the rest on its own, and
-// returns the median of what those allocated. The first action pays for the
-// first write to each shared page; the median drops the rare call that
-// starts a page or regrows the best-sellers window. With captured set, each
-// measured action is the first write after a capture of the item and
-// customer tables: their deltas are drained first, as SnapshotDelta drains
-// them, so every head the action writes is shared and copied, but no page is.
-func medianApplyBytes(s *Store, actions []any, captured bool) uint64 {
-	s.Apply(actions[0])
-	per := make([]uint64, 0, len(actions)-1)
-	for _, a := range actions[1:] {
-		if captured {
-			s.items.takeDelta()
-			s.customers.takeDelta()
+// spanWrites is how many writes a cost is averaged over: four slab arrays of
+// order lines, the smallest row the store carves, and so at least four arrays
+// of every kind a write carves from. A mean over whole arrays charges each
+// write its share of the array it came from; a median would see either no
+// array or a whole one.
+const spanWrites = 4 * slab.Bytes / int(unsafe.Sizeof(OrderLine{}))
+
+// writeCost is the mean cost of one kind of write.
+type writeCost struct {
+	what          string
+	bytes, allocs float64
+}
+
+// writeCosts measures each kind of write on the paper population right after
+// a Snapshot, so rows and pages are shared as on a replica between
+// checkpoints, applying each with apply. Each kind is applied spanWrites + 1
+// times, and the mean of all but the first is its cost: the first pays for
+// the first write to each shared page. Measured "after a capture", each write
+// is the first after a capture of the item and customer tables — their deltas
+// are drained first, as SnapshotDelta drains them, so every head the write
+// changes is shared and copied, but no page is; a "second write" follows a
+// write of the same rows with no capture between.
+func writeCosts(apply func(*Store, any)) []writeCost {
+	s := Populate(paperPopulation)
+	s.Snapshot()
+	at := func(i int) time.Time { return now().Add(time.Duration(i) * time.Minute) }
+	// mean builds the writes with f, then applies and measures them. Actions
+	// are boxed before they are measured: Apply's caller pays that.
+	mean := func(captured bool, f func(i int) any) (bytes, allocs float64) {
+		actions := make([]any, spanWrites+1)
+		for i := range actions {
+			actions[i] = f(i)
 		}
-		per = append(per, allocated(func() { s.Apply(a) }))
+		apply(s, actions[0])
+		var b, n uint64
+		for _, a := range actions[1:] {
+			if captured {
+				s.items.takeDelta()
+				s.customers.takeDelta()
+			}
+			db, dn := allocated(func() { apply(s, a) })
+			b, n = b+db, n+dn
+		}
+		return float64(b) / float64(spanWrites), float64(n) / float64(spanWrites)
 	}
-	slices.Sort(per)
-	return per[len(per)/2]
+	// buy is a buy-confirm of a k-line cart.
+	buy := func(k int) func(i int) any {
+		return func(i int) any {
+			cart := s.Apply(CartUpdateAction{Now: at(i)}).(CartResult).Cart.ID
+			for item := 1; item <= k; item++ {
+				s.Apply(CartUpdateAction{Cart: cart, AddItem: ItemID(item), AddQty: 1, Now: at(i)})
+			}
+			return BuyConfirmAction{Cart: cart, Customer: 2, ShipDate: at(i), Now: at(i)}
+		}
+	}
+	buy1B, buy1N := mean(true, buy(1))
+	buy5B, buy5N := mean(true, buy(5))
+	lineB, lineN := (buy5B-buy1B)/4, (buy5N-buy1N)/4
+	sweep := make([]ItemID, 100)
+	for i := range sweep {
+		sweep[i] = ItemID(i + 1)
+	}
+	perItem := float64(len(sweep))
+	refresh := func(i int) any { return RefreshSessionAction{Customer: 1, Now: at(i)} }
+	sweepTo := func(i int) any { return InventorySweepAction{Items: sweep, Cost: float64(i), Tag: "s", Now: at(i)} }
+	costs := []writeCost{
+		{what: "BuyConfirm per item line", bytes: lineB, allocs: lineN},
+		{what: "BuyConfirm per order", bytes: buy1B - lineB, allocs: buy1N - lineN},
+	}
+	for _, k := range []struct {
+		what     string
+		captured bool
+		per      float64
+		f        func(i int) any
+	}{
+		{"RefreshSession", true, 1, refresh},
+		{"RefreshSession, second write", false, 1, refresh},
+		{"InventorySweep per item", true, perItem, sweepTo},
+		{"InventorySweep per item, second write", false, perItem, sweepTo},
+		{"AdminUpdate", true, 1, func(i int) any {
+			return AdminUpdateAction{Item: 3, Cost: float64(i), Image: "i", Thumbnail: "t", Now: at(i)}
+		}},
+		{"CreateCustomer", true, 1, func(i int) any {
+			return CreateCustomerAction{FName: "F", LName: "L", Street1: "1 St", City: "C",
+				State: "ST", Zip: "1", Country: 1, Discount: 5, Now: at(i)}
+		}},
+		{"CartUpdate adding a line", true, 1, func(i int) any {
+			cart := s.Apply(CartUpdateAction{AddItem: 1, AddQty: 1, Now: at(i)}).(CartResult).Cart.ID
+			return CartUpdateAction{Cart: cart, AddItem: 2, AddQty: 1, Now: at(i)}
+		}},
+	} {
+		b, n := mean(k.captured, k.f)
+		costs = append(costs, writeCost{k.what, b / k.per, n / k.per})
+	}
+	return costs
 }
 
 // TestApplyByteBudget: the first write to a row after a capture copies the
 // row's head (96 B) and nothing else of it, and a second write before the
-// next capture copies nothing. Measured on the paper population after a
-// Snapshot, so rows and pages are shared as on a replica between
-// checkpoints. The budgets are this layout's figures plus 10 %; copying the
-// whole 288 B Item or Customer, as every one of these actions once did,
-// exceeds each of them.
+// next capture copies nothing. The budgets are this layout's figures plus
+// 10 %; copying the whole 288 B Item or Customer, as every one of these
+// actions once did, exceeds each of them. A figure is a mean over whole slab
+// arrays (writeCosts), so it counts each row at its share of its array — a
+// 96 B head at 96.4 B — and each page and each regrowth of the best-sellers
+// window at its share of the writes that use it.
 func TestApplyByteBudget(t *testing.T) {
 	if n := unsafe.Sizeof(itemHead{}); n > 96 {
 		t.Errorf("itemHead is %d bytes, want ≤ 96", n)
@@ -519,73 +675,95 @@ func TestApplyByteBudget(t *testing.T) {
 	if n := unsafe.Sizeof(customerHead{}); n > 96 {
 		t.Errorf("customerHead is %d bytes, want ≤ 96", n)
 	}
-	s := Populate(paperPopulation)
-	s.Snapshot()
-	const n = 101
-	at := func(i int) time.Time { return now().Add(time.Duration(i) * time.Minute) }
-	// Actions are boxed before they are measured: Apply's caller pays that.
-	build := func(f func(i int) any) []any {
-		actions := make([]any, n)
-		for i := range actions {
-			actions[i] = f(i)
-		}
-		return actions
-	}
-	// buy returns the median bytes of a buy-confirm of a k-line cart.
-	buy := func(k int) uint64 {
-		return medianApplyBytes(s, build(func(i int) any {
-			cart := s.Apply(CartUpdateAction{Now: at(i)}).(CartResult).Cart.ID
-			for item := 1; item <= k; item++ {
-				s.Apply(CartUpdateAction{Cart: cart, AddItem: ItemID(item), AddQty: 1, Now: at(i)})
-			}
-			return BuyConfirmAction{Cart: cart, Customer: 2, ShipDate: at(i), Now: at(i)}
-		}), true)
-	}
-	buy1, buy5 := buy(1), buy(5)
-	perLine := (buy5 - buy1) / 4
-	sweep := make([]ItemID, 100)
-	for i := range sweep {
-		sweep[i] = ItemID(i + 1)
-	}
-
-	refresh := build(func(i int) any { return RefreshSessionAction{Customer: 1, Now: at(i)} })
-	sweepTo := build(func(i int) any {
-		return InventorySweepAction{Items: sweep, Cost: float64(i), Tag: "s", Now: at(i)}
-	})
-	for _, c := range []struct {
-		what          string
-		bytes, budget uint64
-	}{
+	budgets := map[string]float64{
 		// The customer's head: 96 (288 whole).
-		{"RefreshSession", medianApplyBytes(s, refresh, true), 105},
+		"RefreshSession": 105,
 		// Nothing: the head the first write copied is written in place.
-		{"RefreshSession, second write", medianApplyBytes(s, refresh, false), 0},
-		// The item's head and the order line: 96 + 32 (320).
-		{"BuyConfirm per item line", perLine, 140},
+		"RefreshSession, second write": 0,
+		// The item's head and the order line: 88 + 32 (320).
+		"BuyConfirm per item line": 140,
 		// The order 256, the customer's head 96 and the boxed result 32:
 		// 384 (624, with a whole customer row and the order's stored
 		// authorization ID).
-		{"BuyConfirm per order", buy1 - perLine, 422},
-		// The item's head: 96 (288).
-		{"InventorySweep per item", medianApplyBytes(s, sweepTo, true) / uint64(len(sweep)), 105},
-		// Nothing: the 8 B boxed result over 100 items.
-		{"InventorySweep per item, second write", medianApplyBytes(s, sweepTo, false) / uint64(len(sweep)), 0},
-		// The item's head and relatedFromOrders' count map: 96 + 328 (616).
-		{"AdminUpdate", medianApplyBytes(s, build(func(i int) any {
-			return AdminUpdateAction{Item: 3, Cost: float64(i), Image: "i", Thumbnail: "t", Now: at(i)}
-		}), true), 466},
-		// The address 96, the row (body and first head in one allocation)
-		// 248 in a 256 B size class and the boxed result 16: 368 (704, with
-		// the user name, the password and a second whole row in the
-		// result).
-		{"CreateCustomer", medianApplyBytes(s, build(func(i int) any {
-			return CreateCustomerAction{FName: "F", LName: "L", Street1: "1 St", City: "C",
-				State: "ST", Zip: "1", Country: 1, Discount: 5, Now: at(i)}
-		}), true), 405},
-	} {
-		t.Logf("%s: %d B (budget %d)", c.what, c.bytes, c.budget)
-		if c.bytes > c.budget {
-			t.Errorf("%s allocated %d bytes, budget %d", c.what, c.bytes, c.budget)
+		"BuyConfirm per order": 422,
+		// The item's head: 88 (288).
+		"InventorySweep per item": 105,
+		// Nothing: the boxed result, 100, is one of the runtime's static
+		// small integers.
+		"InventorySweep per item, second write": 0,
+		// The item's head: 88 (616 with the whole row and relatedFromOrders'
+		// count map, which holds item 3's co-purchases in the window: the
+		// four other items of the buy-confirms above, so it stays on the
+		// stack).
+		"AdminUpdate": 466,
+		// The address 96, the row (body and first head in one record) 248
+		// and the boxed result 16: 360 (704, with the user name, the
+		// password and a second whole row in the result).
+		"CreateCustomer": 405,
+	}
+	for _, c := range writeCosts(func(s *Store, a any) { s.Apply(a) }) {
+		budget, ok := budgets[c.what]
+		if !ok {
+			continue
+		}
+		t.Logf("%s: %.1f B (budget %.0f)", c.what, c.bytes, budget)
+		if c.bytes > budget {
+			t.Errorf("%s allocated %.1f bytes, budget %.0f", c.what, c.bytes, budget)
+		}
+	}
+}
+
+// applyUnboxed is Apply without boxing the result: what the store itself
+// allocates for a write.
+func applyUnboxed(s *Store, a any) {
+	switch a := a.(type) {
+	case CartUpdateAction:
+		s.applyCartUpdate(a)
+	case CreateCustomerAction:
+		s.applyCreateCustomer(a)
+	case RefreshSessionAction:
+		s.applyRefreshSession(a)
+	case BuyConfirmAction:
+		s.applyBuyConfirm(a)
+	case AdminUpdateAction:
+		s.applyAdminUpdate(a)
+	case InventorySweepAction:
+		s.applyInventorySweep(a)
+	default:
+		panic(fmt.Sprintf("applyUnboxed: %T", a))
+	}
+}
+
+// TestApplyAllocBudget: a write allocates no row it keeps. Customers,
+// addresses, orders and their lines, and the head copies the first write
+// after a capture stores, are carved from the store's slabs, so a write pays
+// a share of an array for each: 1/63 for an order, 1/186 for an item head.
+// A cart update keeps its one allocation, the cart's new lines slice (see
+// Store). Measured over whole slab arrays (writeCosts) without the result
+// boxes, which are Apply's; each budget is the measured figure plus a margin
+// far below one allocation, which any row allocated on its own exceeds.
+func TestApplyAllocBudget(t *testing.T) {
+	budgets := map[string]float64{
+		"RefreshSession":               0.02,
+		"RefreshSession, second write": 0,
+		"BuyConfirm per item line":     0.02,
+		// The order's and the customer head's shares, with a page of the
+		// orders table per 256 orders and the best-sellers cache's new map
+		// per 100: 0.040.
+		"BuyConfirm per order":                  0.05,
+		"InventorySweep per item":               0.02,
+		"InventorySweep per item, second write": 0,
+		// The item head's share; relatedFromOrders' count map stays on the
+		// stack (see TestApplyByteBudget).
+		"AdminUpdate":              0.02,
+		"CreateCustomer":           0.05,
+		"CartUpdate adding a line": 1.05,
+	}
+	for _, c := range writeCosts(applyUnboxed) {
+		budget := budgets[c.what]
+		t.Logf("%s: %.4f allocs (budget %g)", c.what, c.allocs, budget)
+		if c.allocs > budget {
+			t.Errorf("%s: %.4f allocations per write, budget %g", c.what, c.allocs, budget)
 		}
 	}
 }

@@ -25,6 +25,8 @@ package tpcw
 
 import (
 	"time"
+
+	"robuststore/internal/slab"
 )
 
 // Entity identifiers. Dense positive integers assigned by the store.
@@ -182,8 +184,8 @@ type customerHead struct {
 }
 
 // itemRow and customerRow are a row as it is first stored: body and first
-// head in one allocation, the head pointing at the body beside it. A later
-// head is an allocation of its own.
+// head in one record, the head pointing at the body beside it. A later head
+// is a record of its own (cloneItem, cloneCustomer).
 type (
 	itemRow struct {
 		head itemHead
@@ -206,16 +208,19 @@ func (r *customerRow) link() *customerHead {
 	return &r.head
 }
 
-// clone copies the head, for table.edit to store in place of an original
-// that captures and other stores may share.
-func (h *itemHead) clone() *itemHead {
-	cp := *h
-	return &cp
+// cloneItem copies a head into a record of the store's own (see rows), for
+// table.edit to store in place of an original that captures and other stores
+// may share.
+func (s *Store) cloneItem(h *itemHead) *itemHead {
+	cp := s.rows.itemHeads.Next()
+	*cp = *h
+	return cp
 }
 
-func (h *customerHead) clone() *customerHead {
-	cp := *h
-	return &cp
+func (s *Store) cloneCustomer(h *customerHead) *customerHead {
+	cp := s.rows.customerHeads.Next()
+	*cp = *h
+	return cp
 }
 
 // item assembles the row's public view.
@@ -343,6 +348,12 @@ type Store struct {
 	// from can therefore share rows, bodies and pages: capturing or
 	// adopting a table copies its page directory, and a store copies a
 	// shared page the first time it writes to it.
+	//
+	// The rows a write keeps — customers, addresses, orders and their lines,
+	// and the head copies — are carved from the store's slabs (rows), one
+	// allocation per 16 KiB array. An array lives while any row in it does,
+	// so a cart's lines, replaced on every update while their neighbours
+	// live on, are allocated on their own.
 	items     table[ItemID, *itemHead]
 	customers table[CustomerID, *customerHead] // the user name is UserName(ID): no separate index
 	addresses table[AddressID, *Address]
@@ -387,6 +398,21 @@ type Store struct {
 	// until a full Snapshot anchors the chain, and after a DropOwned
 	// (deltas do not carry wholesale deletion).
 	deltaBase bool
+
+	rows rows
+}
+
+// rows carves the records a store keeps, one slab per kind (package slab). It
+// belongs to its store alone: a payload never carries it, so a clone starts
+// with none and a restored store keeps its own, and a row that a capture, a
+// delta or a migration payload shares with another store is only read there.
+type rows struct {
+	customers     slab.Slab[customerRow]
+	addresses     slab.Slab[Address]
+	orders        slab.Slab[Order]
+	lines         slab.Slab[OrderLine]
+	itemHeads     slab.Slab[itemHead]
+	customerHeads slab.Slab[customerHead]
 }
 
 // bestSellerWindow is the TPC-W definition: best sellers are computed over

@@ -138,9 +138,8 @@ func TestBuyConfirmCreatesOrderAndAppliesStockRule(t *testing.T) {
 		t.Error("cart survived purchase")
 	}
 	// The order is visible as the customer's most recent.
-	mr, ok := s.GetMostRecentOrder(UserName(1))
-	if !ok || mr.ID != res.Order {
-		t.Errorf("most recent order = %v, want %v", mr.ID, res.Order)
+	if mr, ok := s.MostRecentOrder(1); !ok || mr != res.Order {
+		t.Errorf("most recent order = %v, want %v", mr, res.Order)
 	}
 	if bad := s.VerifyConsistency(); len(bad) > 0 {
 		t.Errorf("inconsistent after purchase: %v", bad)
@@ -526,15 +525,24 @@ func TestUnknownActionReturnsError(t *testing.T) {
 
 func TestGetters(t *testing.T) {
 	s := testStore()
-	if _, ok := s.GetBook(1); !ok {
+	book, ok := s.GetBook(1)
+	if !ok {
 		t.Error("GetBook(1) missing")
 	}
 	if _, ok := s.GetBook(1 << 30); ok {
 		t.Error("GetBook on bogus id succeeded")
 	}
-	uname := UserName(1)
-	if un, ok := s.GetUserName(1); !ok || un != uname {
-		t.Errorf("GetUserName = %q, want %q", un, uname)
+	if id, ok := s.UserID(UserName(1)); !ok || id != 1 {
+		t.Errorf("UserID(%q) = %d, %v, want 1", UserName(1), id, ok)
+	}
+	if id, ok := s.UserID("C1x"); ok {
+		t.Errorf("UserID(C1x) = %d", id)
+	}
+	if a, ok := s.BookAuthor(1); !ok || a != book.Author {
+		t.Errorf("BookAuthor(1) = %d, %v, want %d", a, ok, book.Author)
+	}
+	if _, ok := s.BookAuthor(1 << 30); ok {
+		t.Error("BookAuthor on bogus id succeeded")
 	}
 	rel, ok := s.GetRelated(1)
 	if !ok {

@@ -686,45 +686,48 @@ func (r *request) onApplied(result any, inst paxos.InstanceID, err error) {
 }
 
 // performRead serves the read-only interactions directly from the local
-// replica (no total ordering; paper §5.2).
+// replica (no total ordering; paper §5.2). Its lookups read the rows in place
+// and copy none out: the response carries nothing of them.
 func (s *Server) performRead(req *rbe.Request) rbe.Response {
 	st := s.store
 	switch req.Kind {
 	case rbe.Home:
-		st.GetBook(req.Item)
+		st.BookAuthor(req.Item)
 		if rel, ok := st.GetRelated(req.Item); ok {
 			for _, r := range rel {
-				st.GetBook(r)
+				st.BookAuthor(r)
 			}
 		}
 	case rbe.NewProducts:
 		for _, id := range st.GetNewProducts(req.Subject) {
-			st.GetBook(id)
+			st.BookAuthor(id)
 		}
 	case rbe.BestSellers:
 		for _, bs := range st.GetBestSellers(req.Subject) {
-			st.GetBook(bs.Item)
+			st.BookAuthor(bs.Item)
 		}
 	case rbe.ProductDetail:
-		if item, ok := st.GetBook(req.Item); ok {
-			st.GetAuthor(item.Author)
+		if author, ok := st.BookAuthor(req.Item); ok {
+			st.GetAuthor(author)
 		}
 	case rbe.SearchRequest:
 		// Static form page.
 	case rbe.SearchResults:
 		for _, id := range st.DoSearch(req.SearchKind, req.SearchTerm) {
-			st.GetBook(id)
+			st.BookAuthor(id)
 		}
 	case rbe.OrderInquiry:
 		// Static form page.
 	case rbe.OrderDisplay:
-		uname := req.UName
-		if uname == "" {
-			uname, _ = st.GetUserName(req.Customer)
+		c, ok := req.Customer, true
+		if req.UName != "" {
+			c, ok = st.UserID(req.UName)
 		}
-		st.GetMostRecentOrder(uname)
+		if ok {
+			st.MostRecentOrder(c)
+		}
 	case rbe.AdminRequest:
-		st.GetBook(req.Item)
+		st.BookAuthor(req.Item)
 	}
 	return rbe.Response{}
 }
