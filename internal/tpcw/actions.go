@@ -167,7 +167,7 @@ func (s *Store) applyCartUpdate(a CartUpdateAction) CartResult {
 			return CartResult{Err: "no such cart"}
 		}
 		s.nextCart++
-		cart = Cart{ID: s.nextCart, Time: a.Now}
+		cart = cartRow{ID: s.nextCart}
 		s.nominalBytes += nominalCart
 	}
 	if a.AddItem != 0 {
@@ -189,12 +189,12 @@ func (s *Store) applyCartUpdate(a CartUpdateAction) CartResult {
 			s.nominalBytes += nominalCartLine
 		}
 	}
-	cart.Time = a.Now
+	cart.Time = stampOf(a.Now)
 	s.carts.set(cart.ID, cart)
-	return CartResult{Cart: cart}
+	return CartResult{Cart: cart.cart()}
 }
 
-func cartAdd(c Cart, item ItemID, qty int32) Cart {
+func cartAdd(c cartRow, item ItemID, qty int32) cartRow {
 	for i := range c.Lines {
 		if c.Lines[i].Item == item {
 			lines := append([]CartLine(nil), c.Lines...)
@@ -209,7 +209,7 @@ func cartAdd(c Cart, item ItemID, qty int32) Cart {
 	return c
 }
 
-func cartSet(c Cart, item ItemID, qty int32) Cart {
+func cartSet(c cartRow, item ItemID, qty int32) cartRow {
 	lines := make([]CartLine, 0, len(c.Lines))
 	for _, l := range c.Lines {
 		if l.Item == item {
@@ -235,9 +235,9 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 		Addr:      addr,
 		Phone:     a.Phone,
 		Email:     a.Email,
-		Since:     a.Now,
+		Since:     stampOf(a.Now),
 		Discount:  a.Discount,
-		BirthDate: a.BirthDate,
+		BirthDate: stampOf(a.BirthDate),
 		Data:      a.Data,
 	}, a.Now)
 	return CreateCustomerResult{Customer: id}
@@ -251,7 +251,7 @@ func (s *Store) applyCreateCustomer(a CreateCustomerAction) CreateCustomerResult
 func (s *Store) addCustomer(b customerBody, login time.Time) {
 	r := s.rows.customers.Next()
 	r.body = b
-	r.head = customerHead{LastLogin: login, Login: login, Expiration: login.Add(2 * time.Hour)}
+	r.head = customerHead{LastLogin: stampOf(login), Login: stampOf(login), Expiration: stampOf(login.Add(sessionLength))}
 	s.customers.set(b.ID, r.link())
 	s.nominalBytes += nominalCustomer
 }
@@ -265,8 +265,8 @@ func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID)
 	}
 	a := s.rows.addresses.Next()
 	*a = Address{
-		ID: id, Street1: st1, Street2: st2, City: city, State: state,
-		Zip: zip, Country: country,
+		ID: id, Country: country, Street1: st1, Street2: st2, City: city,
+		State: state, Zip: zip,
 	}
 	s.addresses.set(id, a)
 	s.nominalBytes += nominalAddress
@@ -277,7 +277,7 @@ func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID)
 // o.Customer, admits it to the best-sellers window and returns the ID. Its
 // lines come from orderLines or, for a gift, from the action that carries
 // them.
-func (s *Store) addOrder(o Order) OrderID {
+func (s *Store) addOrder(o orderRow) OrderID {
 	s.nextOrder++
 	o.ID = s.nextOrder
 	rec := s.rows.orders.Next()
@@ -298,10 +298,13 @@ func (s *Store) applyRefreshSession(a RefreshSessionAction) any {
 		return nil
 	}
 	c.LastLogin = c.Login
-	c.Login = a.Now
-	c.Expiration = a.Now.Add(2 * time.Hour)
+	c.Login = stampOf(a.Now)
+	c.Expiration = stampOf(a.Now.Add(sessionLength))
 	return nil
 }
+
+// sessionLength is how long after a login a session expires.
+const sessionLength = 2 * time.Hour
 
 // taxRate is the fixed TPC-W sales tax.
 const taxRate = 0.0825
@@ -343,25 +346,25 @@ func (s *Store) applyBuyConfirm(a BuyConfirmAction) BuyConfirmResult {
 	total := subTotal + tax + shippingCost(len(lines))
 
 	billAddr, _ := s.addresses.get(cust.Addr)
-	oid := s.addOrder(Order{
+	oid := s.addOrder(orderRow{
 		Customer: a.Customer,
-		Date:     a.Now,
+		Date:     stampOf(a.Now),
 		SubTotal: subTotal,
 		Tax:      tax,
 		Total:    total,
 		ShipType: a.ShipType,
-		ShipDate: a.ShipDate,
+		ShipDate: stampOf(a.ShipDate),
 		Status:   "PENDING",
 		BillAddr: cust.Addr,
 		ShipAddr: cust.Addr,
 		Lines:    lines,
-		CC: CCTransaction{
+		CC: ccRow{
 			Type:    a.CCType,
 			Num:     a.CCNum,
 			Name:    a.CCName,
-			Expire:  a.CCExpire,
+			Expire:  stampOf(a.CCExpire),
 			Total:   total,
-			ShipAt:  a.ShipDate,
+			ShipAt:  stampOf(a.ShipDate),
 			Country: billAddr.Country,
 		},
 	})
@@ -383,7 +386,7 @@ func shippingCost(items int) float64 { return 3.0 + float64(items)*1.0 }
 
 // pushRecentOrder admits an order to the best-sellers window, maintaining
 // the rolling quantity aggregate incrementally.
-func (s *Store) pushRecentOrder(o *Order) {
+func (s *Store) pushRecentOrder(o *orderRow) {
 	s.recentOrders = append(s.recentOrders, o.ID)
 	for _, l := range o.Lines {
 		q, _ := s.bsQty.get(l.Item)

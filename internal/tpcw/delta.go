@@ -31,8 +31,8 @@ type DeltaSnap struct {
 	Items     delta[ItemID, *itemHead]
 	Customers delta[CustomerID, *customerHead]
 	Addresses delta[AddressID, *Address]
-	Orders    delta[OrderID, *Order]
-	Carts     delta[CartID, Cart]
+	Orders    delta[OrderID, *orderRow]
+	Carts     delta[CartID, cartRow]
 	LastOrder delta[CustomerID, OrderID]
 
 	// Aggregates carried wholesale (small next to the rows).

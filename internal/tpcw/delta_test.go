@@ -239,7 +239,7 @@ func TestImportRevivesDeadCartID(t *testing.T) {
 	}
 	// A migration import carries the same cart ID back in.
 	live.ImportOwned(PartitionSnap{
-		Carts:        map[CartID]Cart{cr.Cart.ID: {ID: cr.Cart.ID, Time: now, Lines: []CartLine{{Item: 4, Qty: 1}}}},
+		Carts:        map[CartID]cartRow{cr.Cart.ID: {ID: cr.Cart.ID, Time: stampOf(now), Lines: []CartLine{{Item: 4, Qty: 1}}}},
 		NominalBytes: nominalCart + nominalCartLine,
 	})
 	data, _, ok := live.SnapshotDelta()

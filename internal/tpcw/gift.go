@@ -224,14 +224,14 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 			h.Stock += 21
 		}
 	}
-	oid := s.addOrder(Order{
+	oid := s.addOrder(orderRow{
 		Customer: a.Recipient,
-		Date:     a.Now,
+		Date:     stampOf(a.Now),
 		SubTotal: a.SubTotal,
 		Tax:      a.Tax,
 		Total:    a.Total,
 		ShipType: a.ShipType,
-		ShipDate: a.ShipDate,
+		ShipDate: stampOf(a.ShipDate),
 		Status:   "GIFT",
 		BillAddr: recipient.Addr,
 		ShipAddr: recipient.Addr,

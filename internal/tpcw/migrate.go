@@ -36,8 +36,8 @@ type PartitionSnap struct {
 	Items     map[ItemID]*itemHead
 	Customers map[CustomerID]*customerHead
 	Addresses map[AddressID]*Address
-	Orders    map[OrderID]*Order
-	Carts     map[CartID]Cart
+	Orders    map[OrderID]*orderRow
+	Carts     map[CartID]cartRow
 	LastOrder map[CustomerID]OrderID
 
 	// Counter floors: the destination raises its ID counters to these so
@@ -52,11 +52,11 @@ type PartitionSnap struct {
 
 // nominalOrderBytes is the accounting size of one order row, mirroring
 // applyBuyConfirm's accrual.
-func nominalOrderBytes(o *Order) int64 {
+func nominalOrderBytes(o *orderRow) int64 {
 	return nominalOrder + nominalCC + int64(len(o.Lines))*nominalLine
 }
 
-func nominalCartBytes(c Cart) int64 {
+func nominalCartBytes(c cartRow) int64 {
 	return nominalCart + int64(len(c.Lines))*nominalCartLine
 }
 
@@ -67,8 +67,8 @@ func (s *Store) ExportOwned(owned func(key string) bool) (any, int64) {
 		Items:        make(map[ItemID]*itemHead),
 		Customers:    make(map[CustomerID]*customerHead),
 		Addresses:    make(map[AddressID]*Address),
-		Orders:       make(map[OrderID]*Order),
-		Carts:        make(map[CartID]Cart),
+		Orders:       make(map[OrderID]*orderRow),
+		Carts:        make(map[CartID]cartRow),
 		LastOrder:    make(map[CustomerID]OrderID),
 		NextAddress:  s.nextAddress,
 		NextCustomer: s.nextCustomer,

@@ -132,6 +132,7 @@ func Populate(cfg PopConfig) *Store {
 		itemCount:    int32(items),
 	}
 	s := &Store{cat: cat}
+	var text texts
 
 	// Countries (TPC-W: 92 rows).
 	for i := 1; i <= 92; i++ {
@@ -150,7 +151,7 @@ func Populate(cfg PopConfig) *Store {
 		a := Author{
 			ID:    AuthorID(i),
 			FName: "A" + strconv.Itoa(i),
-			LName: authorName(rng),
+			LName: text.name(rng),
 			DOB:   base.AddDate(-30-rng.Intn(50), 0, 0),
 			Bio:   "bio",
 		}
@@ -173,7 +174,7 @@ func Populate(cfg PopConfig) *Store {
 		// A population is a function of its seed: the draws below keep
 		// this order (publication date, publisher, cost, stock, pages).
 		pub := base.AddDate(0, 0, -rng.Intn(3650))
-		publisher := "PUB" + strconv.Itoa(rng.Intn(100))
+		publisher := text.shared("PUB", rng.Intn(100), "")
 		row := &itemRow{
 			head: itemHead{
 				Cost:      srp * (0.5 + rng.Float64()*0.5),
@@ -185,12 +186,12 @@ func Populate(cfg PopConfig) *Store {
 				ID:        id,
 				Title:     w1 + " " + w2 + " " + strconv.Itoa(i),
 				Author:    author,
-				PubDate:   pub,
+				PubDate:   stampOf(pub),
 				Publisher: publisher,
 				Subject:   subject,
 				Desc:      "desc",
 				SRP:       srp,
-				Avail:     base,
+				Avail:     stampOf(base),
 				ISBN:      "ISBN" + strconv.Itoa(i),
 				PageCount: int32(100 + rng.Intn(900)),
 				Backing:   "PAPERBACK",
@@ -231,29 +232,29 @@ func Populate(cfg PopConfig) *Store {
 	// Customers and their addresses.
 	for i := 1; i <= customers; i++ {
 		addr := s.addAddress(
-			strconv.Itoa(rng.Intn(999))+" Main St", "",
-			"City"+strconv.Itoa(rng.Intn(500)), "ST",
+			text.shared("", rng.Intn(999), " Main St"), "",
+			text.shared("City", rng.Intn(500), ""), "ST",
 			strconv.Itoa(10000+rng.Intn(89999)),
 			CountryID(rng.Intn(92)+1),
 		)
 		// Second address per customer (TPC-W: 2x addresses).
 		s.addAddress(
-			strconv.Itoa(rng.Intn(999))+" Second St", "",
-			"City"+strconv.Itoa(rng.Intn(500)), "ST",
+			text.shared("", rng.Intn(999), " Second St"), "",
+			text.shared("City", rng.Intn(500), ""), "ST",
 			strconv.Itoa(10000+rng.Intn(89999)),
 			CountryID(rng.Intn(92)+1),
 		)
 		id := CustomerID(i)
 		s.addCustomer(customerBody{
 			ID:        id,
-			FName:     "F" + strconv.Itoa(i),
-			LName:     authorName(rng),
+			FName:     text.number("F", i, ""),
+			LName:     text.name(rng),
 			Addr:      addr,
 			Phone:     strconv.Itoa(1000000000 + rng.Intn(899999999)),
-			Email:     UserName(id) + "@example.com",
-			Since:     base.AddDate(0, 0, -rng.Intn(730)),
+			Email:     text.number("C", i, "@example.com"), // UserName(id) + "@example.com"
+			Since:     stampOf(base.AddDate(0, 0, -rng.Intn(730))),
 			Discount:  float64(rng.Intn(51)),
-			BirthDate: base.AddDate(-18-rng.Intn(60), 0, 0),
+			BirthDate: stampOf(base.AddDate(-18-rng.Intn(60), 0, 0)),
 			Data:      "data",
 		}, base)
 	}
@@ -276,22 +277,22 @@ func Populate(cfg PopConfig) *Store {
 		tax := subTotal * taxRate
 		date := base.AddDate(0, 0, -rng.Intn(365))
 		buyer, _ := s.customers.get(cust)
-		s.addOrder(Order{
+		s.addOrder(orderRow{
 			Customer: cust,
-			Date:     date,
+			Date:     stampOf(date),
 			SubTotal: subTotal,
 			Tax:      tax,
 			Total:    subTotal + tax + shippingCost(nLines),
 			ShipType: "MAIL",
-			ShipDate: date.AddDate(0, 0, 1+rng.Intn(7)),
+			ShipDate: stampOf(date.AddDate(0, 0, 1+rng.Intn(7))),
 			Status:   "SHIPPED",
 			BillAddr: buyer.Addr,
 			ShipAddr: buyer.Addr,
 			Lines:    lines,
-			CC: CCTransaction{
+			CC: ccRow{
 				Type: "VISA", Num: "4111111111111111",
-				Name: buyer.FName, Expire: base.AddDate(2, 0, 0),
-				Total: subTotal + tax, ShipAt: date, Country: 1,
+				Name: buyer.FName, Expire: stampOf(base.AddDate(2, 0, 0)),
+				Total: subTotal + tax, ShipAt: stampOf(date), Country: 1,
 			},
 		})
 	}
@@ -330,13 +331,56 @@ func (s *Store) Info() PopulationInfo {
 	return info
 }
 
-func authorName(rng *xrand.Rand) string {
+// texts spells the text values of a population, and builds each value that
+// rows repeat once: 72,000 addresses share 999 streets of each kind and 500
+// cities, and 36,000 customers some 8,400 last names. A row shares a string
+// as safely as it holds its own, since nothing writes a string. Each method
+// returns a string, never the buffer: a composite literal may evaluate every
+// call in it before it converts the first result.
+type texts struct {
+	buf  []byte            // the value being spelled
+	seen map[string]string // every value shared, by its spelling
+}
+
+// number returns prefix, n in decimal and suffix, as a string of its own.
+func (t *texts) number(prefix string, n int, suffix string) string {
+	t.spell(prefix, n, suffix)
+	return string(t.buf)
+}
+
+// shared returns the same text as number, built the first time it is asked
+// for.
+func (t *texts) shared(prefix string, n int, suffix string) string {
+	t.spell(prefix, n, suffix)
+	return t.intern()
+}
+
+// name draws an author's or a customer's last name, two or three syllables,
+// and returns it shared.
+func (t *texts) name(rng *xrand.Rand) string {
 	n := 2 + rng.Intn(2)
-	var b strings.Builder
+	t.buf = t.buf[:0]
 	for i := 0; i < n; i++ {
-		b.WriteString(authorSyllables[rng.Intn(len(authorSyllables))])
+		t.buf = append(t.buf, authorSyllables[rng.Intn(len(authorSyllables))]...)
 	}
-	return b.String()
+	return t.intern()
+}
+
+func (t *texts) spell(prefix string, n int, suffix string) {
+	t.buf = append(strconv.AppendInt(append(t.buf[:0], prefix...), int64(n), 10), suffix...)
+}
+
+// intern returns the string the buffer spells, built the first time.
+func (t *texts) intern() string {
+	if v, ok := t.seen[string(t.buf)]; ok {
+		return v
+	}
+	if t.seen == nil {
+		t.seen = make(map[string]string)
+	}
+	v := string(t.buf)
+	t.seen[v] = v
+	return v
 }
 
 func minInt(a, b int) int {

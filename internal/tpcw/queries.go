@@ -73,7 +73,8 @@ func (s *Store) UserID(uname string) (CustomerID, bool) {
 
 // GetCart returns a shopping cart.
 func (s *Store) GetCart(id CartID) (Cart, bool) {
-	return s.carts.get(id)
+	c, ok := s.carts.get(id)
+	return c.cart(), ok // a missing cart's zero row is the zero Cart
 }
 
 // GetOrder returns an order.
@@ -82,7 +83,7 @@ func (s *Store) GetOrder(id OrderID) (Order, bool) {
 	if !ok {
 		return Order{}, false
 	}
-	return *o, true
+	return o.order(), true
 }
 
 // MostRecentOrder returns the ID of customer c's latest order (TPC-W

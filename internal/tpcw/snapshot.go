@@ -22,8 +22,8 @@ type storeSnap struct {
 	Items        frozen[ItemID, *itemHead]
 	Customers    frozen[CustomerID, *customerHead]
 	Addresses    frozen[AddressID, *Address]
-	Orders       frozen[OrderID, *Order]
-	Carts        frozen[CartID, Cart]
+	Orders       frozen[OrderID, *orderRow]
+	Carts        frozen[CartID, cartRow]
 	BsQty        frozen[ItemID, int64]
 	LastOrder    frozen[CustomerID, OrderID]
 	RecentOrders []OrderID

@@ -661,33 +661,47 @@ func writeCosts(apply func(*Store, any)) []writeCost {
 }
 
 // TestApplyByteBudget: the first write to a row after a capture copies the
-// row's head (96 B) and nothing else of it, and a second write before the
-// next capture copies nothing. The budgets are this layout's figures plus
-// 10 %; copying the whole 288 B Item or Customer, as every one of these
-// actions once did, exceeds each of them. A figure is a mean over whole slab
-// arrays (writeCosts), so it counts each row at its share of its array — a
-// 96 B head at 96.4 B — and each page and each regrowth of the best-sellers
-// window at its share of the writes that use it.
+// row's head (48 B for a customer, 88 B for an item) and nothing else of it,
+// and a second write before the next capture copies nothing. The rows a
+// store keeps hold their instants as 8 B stamps and pair their int32
+// columns, and the sizes below bound them. The budgets are this layout's
+// figures plus 10 %; copying the whole 288 B Item or Customer, as every one
+// of these actions once did, exceeds each of them, and so does a head, an
+// order or a customer row that keeps a 24 B time.Time for each instant (96,
+// 256 and 248 B). A figure is a mean over whole slab arrays (writeCosts), so
+// it counts each row at its share of its array — a 48 B head at 48.1 B — and
+// each page and each regrowth of the best-sellers window at its share of the
+// writes that use it.
 func TestApplyByteBudget(t *testing.T) {
-	if n := unsafe.Sizeof(itemHead{}); n > 96 {
-		t.Errorf("itemHead is %d bytes, want ≤ 96", n)
-	}
-	if n := unsafe.Sizeof(customerHead{}); n > 96 {
-		t.Errorf("customerHead is %d bytes, want ≤ 96", n)
+	for _, row := range []struct {
+		what      string
+		size, max uintptr
+	}{
+		{"itemHead", unsafe.Sizeof(itemHead{}), 88},
+		{"customerHead", unsafe.Sizeof(customerHead{}), 48},
+		{"customerRow", unsafe.Sizeof(customerRow{}), 160},
+		{"Address", unsafe.Sizeof(Address{}), 88},
+		{"orderRow", unsafe.Sizeof(orderRow{}), 192},
+		{"cartRow", unsafe.Sizeof(cartRow{}), 40},
+	} {
+		if row.size > row.max {
+			t.Errorf("%s is %d bytes, want ≤ %d", row.what, row.size, row.max)
+		}
 	}
 	budgets := map[string]float64{
-		// The customer's head: 96 (288 whole).
-		"RefreshSession": 105,
+		// The customer's head: 48 (288 whole).
+		"RefreshSession": 53,
 		// Nothing: the head the first write copied is written in place.
 		"RefreshSession, second write": 0,
 		// The item's head and the order line: 88 + 32 (320).
-		"BuyConfirm per item line": 140,
-		// The order 256, the customer's head 96 and the boxed result 32:
-		// 384 (624, with a whole customer row and the order's stored
-		// authorization ID).
-		"BuyConfirm per order": 422,
+		"BuyConfirm per item line": 132,
+		// The order 192, the customer's head 48 and the boxed result 32:
+		// 272, and a share of the orders' and the last-order index's pages
+		// (624, with a whole customer row and the order's stored
+		// authorization ID and time.Time instants).
+		"BuyConfirm per order": 330,
 		// The item's head: 88 (288).
-		"InventorySweep per item": 105,
+		"InventorySweep per item": 97,
 		// Nothing: the boxed result, 100, is one of the runtime's static
 		// small integers.
 		"InventorySweep per item, second write": 0,
@@ -695,11 +709,12 @@ func TestApplyByteBudget(t *testing.T) {
 		// count map, which holds item 3's co-purchases in the window: the
 		// four other items of the buy-confirms above, so it stays on the
 		// stack).
-		"AdminUpdate": 466,
-		// The address 96, the row (body and first head in one record) 248
-		// and the boxed result 16: 360 (704, with the user name, the
-		// password and a second whole row in the result).
-		"CreateCustomer": 405,
+		"AdminUpdate": 97,
+		// The address 88, the row (body and first head in one record) 160
+		// and the boxed result 16: 264, and a share of the customers' and
+		// the addresses' pages (704, with the user name, the password and a
+		// second whole row in the result).
+		"CreateCustomer": 323,
 	}
 	for _, c := range writeCosts(func(s *Store, a any) { s.Apply(a) }) {
 		budget, ok := budgets[c.what]

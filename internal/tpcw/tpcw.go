@@ -51,12 +51,12 @@ type Country struct {
 // Address is a TPC-W ADDRESS row.
 type Address struct {
 	ID      AddressID
+	Country CountryID
 	Street1 string
 	Street2 string
 	City    string
 	State   string
 	Zip     string
-	Country CountryID
 }
 
 // Author is a TPC-W AUTHOR row.
@@ -118,31 +118,61 @@ type Item struct {
 	SweptTag string
 }
 
-// The store holds an Item or a Customer as two parts (see Store): a body
-// with the columns no action writes, allocated when the row is populated or
-// created and never written again, and a head with the columns actions do
-// write and a pointer to the body. The first write after a capture copies
-// the head alone, 96 bytes, later writes edit that copy, and every head of a
-// row shares its body: every replica applies every write, so each byte a
-// write copies is paid once per replica. Columns that are a function of the
-// ID (a customer's user name and password, an order's credit-card
-// authorization ID) are not stored at all. The exported Item and Customer
-// are the read API, assembled from the two.
+// The store keeps rows, and readers get views. A stored row keeps each
+// instant as a stamp (8 B where a time.Time takes 24) and pairs its int32
+// columns, so none pads alone; the exported Item, Customer, Order and Cart
+// are the read API, assembled from the row with their instants in UTC.
+//
+// An Item or a Customer is held as two parts (see Store): a body with the
+// columns no action writes, allocated when the row is populated or created
+// and never written again, and a head with the columns actions do write and a
+// pointer to the body. The first write after a capture copies the head alone
+// (88 B for an item, 48 B for a customer), later writes edit that copy, and
+// every head of a row shares its body: every replica applies every write, so
+// each byte a write copies is paid once per replica. Columns that are a
+// function of the ID (a customer's user name and password, an order's
+// credit-card authorization ID) are not stored at all.
+
+// stamp is an instant as a stored row keeps it, in 8 B where a time.Time
+// takes 24: nanoseconds since the Unix epoch plus 2^63, so stamps order as
+// their instants do and the zero stamp is the zero time.Time. It spans the
+// years 1678 to 2262 (the web tier's customers are born as early as 1893),
+// and the zero time.Time, which a buy-confirm without a card expiry or a gift
+// order without a card carries, lies outside that span: the simulator's
+// epoch, Unix time 0, is an instant like any other.
+type stamp uint64
+
+const stampEpoch = 1 << 63 // the stamp of Unix time 0
+
+func stampOf(t time.Time) stamp {
+	if t.IsZero() {
+		return 0
+	}
+	return stamp(t.UnixNano()) + stampEpoch
+}
+
+// time returns the instant s keeps, in UTC.
+func (s stamp) time() time.Time {
+	if s == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(s-stampEpoch)).UTC()
+}
 
 // itemBody is the immutable part of an ITEM row.
 type itemBody struct {
 	ID        ItemID
-	Title     string
 	Author    AuthorID
-	PubDate   time.Time
+	Title     string
 	Publisher string
 	Subject   string
 	Desc      string
-	SRP       float64
-	Avail     time.Time
 	ISBN      string
-	PageCount int32
 	Backing   string
+	PubDate   stamp
+	Avail     stamp
+	SRP       float64
+	PageCount int32
 }
 
 // itemHead is the part of an ITEM row that admin updates, sweeps and the
@@ -161,24 +191,24 @@ type itemHead struct {
 // password are functions of the ID (UserName, customerPasswd).
 type customerBody struct {
 	ID        CustomerID
+	Addr      AddressID
 	FName     string
 	LName     string
-	Addr      AddressID
 	Phone     string
 	Email     string
-	Since     time.Time
-	Discount  float64
-	BirthDate time.Time
 	Data      string
+	Since     stamp
+	BirthDate stamp
+	Discount  float64
 }
 
 // customerHead is the part of a CUSTOMER row that session refreshes and
 // purchases write.
 type customerHead struct {
 	*customerBody
-	LastLogin  time.Time
-	Login      time.Time
-	Expiration time.Time
+	LastLogin  stamp
+	Login      stamp
+	Expiration stamp
 	Balance    float64
 	YTDPmt     float64
 }
@@ -227,10 +257,10 @@ func (s *Store) cloneCustomer(h *customerHead) *customerHead {
 func (h *itemHead) item() Item {
 	b := h.itemBody
 	return Item{
-		ID: b.ID, Title: b.Title, Author: b.Author, PubDate: b.PubDate,
+		ID: b.ID, Title: b.Title, Author: b.Author, PubDate: b.PubDate.time(),
 		Publisher: b.Publisher, Subject: b.Subject, Desc: b.Desc,
 		Thumbnail: h.Thumbnail, Image: h.Image, SRP: b.SRP, Cost: h.Cost,
-		Avail: b.Avail, Stock: h.Stock, ISBN: b.ISBN, PageCount: b.PageCount,
+		Avail: b.Avail.time(), Stock: h.Stock, ISBN: b.ISBN, PageCount: b.PageCount,
 		Backing: b.Backing, Related: h.Related, SweptTag: h.SweptTag,
 	}
 }
@@ -242,9 +272,9 @@ func (h *customerHead) customer() Customer {
 	return Customer{
 		ID: b.ID, UName: UserName(b.ID), Passwd: customerPasswd(b.ID), FName: b.FName,
 		LName: b.LName, Addr: b.Addr, Phone: b.Phone, Email: b.Email,
-		Since: b.Since, LastLogin: h.LastLogin, Login: h.Login,
-		Expiration: h.Expiration, Discount: b.Discount, Balance: h.Balance,
-		YTDPmt: h.YTDPmt, BirthDate: b.BirthDate, Data: b.Data,
+		Since: b.Since.time(), LastLogin: h.LastLogin.time(), Login: h.Login.time(),
+		Expiration: h.Expiration.time(), Discount: b.Discount, Balance: h.Balance,
+		YTDPmt: h.YTDPmt, BirthDate: b.BirthDate.time(), Data: b.Data,
 	}
 }
 
@@ -256,9 +286,9 @@ type OrderLine struct {
 	Comments string
 }
 
-// CCTransaction is a TPC-W CC_XACTS row, embedded in its order. Its
-// authorization ID is "AUTH" and the order ID, a function of the ID, so the
-// row does not store it.
+// CCTransaction is the view of a TPC-W CC_XACTS row, embedded in its order.
+// Its authorization ID is "AUTH" and the order ID, a function of the ID, so
+// the row does not store it.
 type CCTransaction struct {
 	Type    string
 	Num     string
@@ -269,7 +299,8 @@ type CCTransaction struct {
 	Country CountryID
 }
 
-// Order is a TPC-W ORDERS row with its lines and credit-card transaction.
+// Order is the view of a TPC-W ORDERS row with its lines and credit-card
+// transaction.
 type Order struct {
 	ID       OrderID
 	Customer CustomerID
@@ -286,18 +317,71 @@ type Order struct {
 	CC       CCTransaction
 }
 
+// ccRow is a CC_XACTS row as its order stores it.
+type ccRow struct {
+	Type    string
+	Num     string
+	Name    string
+	Expire  stamp
+	Total   float64
+	ShipAt  stamp
+	Country CountryID
+}
+
+// orderRow is an ORDERS row as the store keeps it. Nothing writes it once it
+// is stored.
+type orderRow struct {
+	ID       OrderID
+	Customer CustomerID
+	Date     stamp
+	SubTotal float64
+	Tax      float64
+	Total    float64
+	ShipType string
+	ShipDate stamp
+	Status   string
+	BillAddr AddressID
+	ShipAddr AddressID
+	Lines    []OrderLine
+	CC       ccRow
+}
+
+// order assembles the row's public view. The view shares the row's lines.
+func (o *orderRow) order() Order {
+	return Order{
+		ID: o.ID, Customer: o.Customer, Date: o.Date.time(), SubTotal: o.SubTotal,
+		Tax: o.Tax, Total: o.Total, ShipType: o.ShipType, ShipDate: o.ShipDate.time(),
+		Status: o.Status, BillAddr: o.BillAddr, ShipAddr: o.ShipAddr, Lines: o.Lines,
+		CC: CCTransaction{
+			Type: o.CC.Type, Num: o.CC.Num, Name: o.CC.Name, Expire: o.CC.Expire.time(),
+			Total: o.CC.Total, ShipAt: o.CC.ShipAt.time(), Country: o.CC.Country,
+		},
+	}
+}
+
 // CartLine is one item in a shopping cart.
 type CartLine struct {
 	Item ItemID
 	Qty  int32
 }
 
-// Cart is a TPC-W SHOPPING_CART row with its lines.
+// Cart is the view of a TPC-W SHOPPING_CART row with its lines.
 type Cart struct {
 	ID    CartID
 	Time  time.Time
 	Lines []CartLine
 }
+
+// cartRow is a SHOPPING_CART row as the store keeps it. An update stores a
+// new row with a new lines slice (cartAdd, cartSet).
+type cartRow struct {
+	ID    CartID
+	Time  stamp
+	Lines []CartLine
+}
+
+// cart assembles the row's public view, which shares the row's lines.
+func (c cartRow) cart() Cart { return Cart{ID: c.ID, Time: c.Time.time(), Lines: c.Lines} }
 
 // Nominal per-entity sizes in bytes, calibrated so the standard population
 // for 30/50/70 emulated browsers models the paper's 300/500/700 MB states
@@ -337,17 +421,21 @@ type Store struct {
 	cat *catalog
 
 	// The entity tables are paged copy-on-write tables (table.go) over
-	// rows that nothing but the table that stored them ever writes. An
-	// item or a customer is a body and a head (itemHead, customerHead):
-	// the body is written once, when the row is populated or created. The
-	// first write to a head after a capture stores a copy of it that points
-	// at the same body, and later writes edit that copy in place until the
-	// next capture (table.edit). An address or an order is never written
-	// again; a cart's write stores a fresh Cart and a fresh Lines slice. A
-	// snapshot, the stores restored from it and the store it was taken
-	// from can therefore share rows, bodies and pages: capturing or
-	// adopting a table copies its page directory, and a store copies a
-	// shared page the first time it writes to it.
+	// stored rows, not views: instants are stamps, and the readers' Item,
+	// Customer, Order and Cart are assembled on the way out. Nothing but the
+	// table that stored a row ever writes it. An item or a customer is a
+	// body and a head (itemHead, customerHead): the body is written once,
+	// when the row is populated or created. The first write to a head after
+	// a capture stores a copy of it that points at the same body, and later
+	// writes edit that copy in place until the next capture (table.edit). An
+	// address or an order is never written again; a cart's write stores a
+	// fresh cartRow and a fresh Lines slice. A snapshot, the stores restored
+	// from it and the store it was taken from can therefore share rows,
+	// bodies and pages: capturing or adopting a table copies its page
+	// directory, and a store copies a shared page the first time it writes
+	// to it. The rows of a population also share the text they repeat — a
+	// street, a city, a last name is one string however many rows hold it
+	// (Populate), which needs no rule at all: nothing writes a string.
 	//
 	// The rows a write keeps — customers, addresses, orders and their lines,
 	// and the head copies — are carved from the store's slabs (rows), one
@@ -357,8 +445,8 @@ type Store struct {
 	items     table[ItemID, *itemHead]
 	customers table[CustomerID, *customerHead] // the user name is UserName(ID): no separate index
 	addresses table[AddressID, *Address]
-	orders    table[OrderID, *Order]
-	carts     table[CartID, Cart]
+	orders    table[OrderID, *orderRow]
+	carts     table[CartID, cartRow]
 
 	// lastOrder indexes each customer's most recent order (the TPC-W
 	// getMostRecentOrder query is a SQL max; this is its index).
@@ -409,7 +497,7 @@ type Store struct {
 type rows struct {
 	customers     slab.Slab[customerRow]
 	addresses     slab.Slab[Address]
-	orders        slab.Slab[Order]
+	orders        slab.Slab[orderRow]
 	lines         slab.Slab[OrderLine]
 	itemHeads     slab.Slab[itemHead]
 	customerHeads slab.Slab[customerHead]

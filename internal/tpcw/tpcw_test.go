@@ -555,46 +555,66 @@ func TestGetters(t *testing.T) {
 	}
 }
 
-// TestRowViewsCarryEveryColumn: GetBook and GetCustomerByID assemble every
-// column of Item and Customer from the row's body or head, where a column of
-// the same name holds the same value, or derive it from the ID — the
-// customer's user name and password, which the row does not store.
+// TestRowViewsCarryEveryColumn: GetBook, GetCustomerByID, GetOrder and
+// GetCart assemble every column of Item, Customer, Order and Cart from the
+// stored row (an item's or a customer's body or head), where a column of the
+// same name holds the same value — an instant as a stamp of it — or derive it
+// from the ID: the customer's user name and password, which the row does not
+// store.
 func TestRowViewsCarryEveryColumn(t *testing.T) {
 	s := testStore()
 	cart := s.Apply(CartUpdateAction{AddItem: 5, AddQty: 1, Now: now()}).(CartResult).Cart.ID
-	s.Apply(BuyConfirmAction{Cart: cart, Customer: 2, ShipDate: now(), Now: now()})
+	order := s.Apply(BuyConfirmAction{Cart: cart, Customer: 2, CCType: "VISA", CCNum: "4111",
+		CCName: "N", CCExpire: now().AddDate(2, 0, 0), ShipType: "AIR",
+		ShipDate: now().AddDate(0, 0, 3), Now: now()}).(BuyConfirmResult).Order
 	s.Apply(RefreshSessionAction{Customer: 2, Now: now()})
 	s.Apply(InventorySweepAction{Items: []ItemID{5}, Cost: 3, Tag: "s", Now: now()})
+	cart = s.Apply(CartUpdateAction{AddItem: 7, AddQty: 2, Now: now().Add(time.Minute)}).(CartResult).Cart.ID
 	item, _ := s.GetBook(5)
 	ih, _ := s.items.get(5)
 	cust, _ := s.GetCustomerByID(2)
 	ch, _ := s.customers.get(2)
+	o, _ := s.GetOrder(order)
+	or, _ := s.orders.get(order)
+	c, _ := s.GetCart(cart)
+	cr, _ := s.carts.get(cart)
 	derived := map[string]string{"UName": "C2", "Passwd": "pw2"}
-	for _, c := range []struct{ view, row reflect.Value }{
-		{reflect.ValueOf(item), reflect.ValueOf(ih).Elem()},
-		{reflect.ValueOf(cust), reflect.ValueOf(ch).Elem()},
-	} {
-		for i := 0; i < c.view.NumField(); i++ {
-			name := c.view.Type().Field(i).Name
-			if want, ok := derived[name]; ok && c.view.Type() == reflect.TypeOf(Customer{}) {
-				if got := c.view.Field(i).String(); got != want {
-					t.Errorf("Customer.%s reads %q, want %q", name, got, want)
+	stampType := reflect.TypeOf(stamp(0))
+	var columns func(what string, view, row reflect.Value)
+	columns = func(what string, view, row reflect.Value) {
+		for i := 0; i < view.NumField(); i++ {
+			name := what + "." + view.Type().Field(i).Name
+			v, col := view.Field(i), row.FieldByName(view.Type().Field(i).Name)
+			if want, ok := derived[view.Type().Field(i).Name]; ok && view.Type() == reflect.TypeOf(Customer{}) {
+				if got := v.String(); got != want {
+					t.Errorf("%s reads %q, want %q", name, got, want)
 				}
-				if c.row.FieldByName(name).IsValid() {
+				if col.IsValid() {
 					t.Errorf("the customer row stores %s, a function of its ID", name)
 				}
 				continue
 			}
-			col := c.row.FieldByName(name)
-			if !col.IsValid() {
-				t.Errorf("%s.%s is in neither body nor head", c.view.Type().Name(), name)
-				continue
-			}
-			if got, want := fmt.Sprint(c.view.Field(i)), fmt.Sprint(col); got != want {
-				t.Errorf("%s.%s reads %s, the row holds %s", c.view.Type().Name(), name, got, want)
+			switch {
+			case !col.IsValid():
+				t.Errorf("%s is not in the stored row", name)
+			case col.Type() == stampType:
+				at := v.Interface().(time.Time)
+				if st := stamp(col.Uint()); !at.Equal(st.time()) || st != stampOf(at) || at.IsZero() {
+					t.Errorf("%s reads %v, the row holds %v", name, at, st.time())
+				}
+			case v.Kind() == reflect.Struct:
+				columns(name, v, col)
+			default:
+				if got, want := fmt.Sprint(v), fmt.Sprint(col); got != want {
+					t.Errorf("%s reads %s, the row holds %s", name, got, want)
+				}
 			}
 		}
 	}
+	columns("Item", reflect.ValueOf(item), reflect.ValueOf(ih).Elem())
+	columns("Customer", reflect.ValueOf(cust), reflect.ValueOf(ch).Elem())
+	columns("Order", reflect.ValueOf(o), reflect.ValueOf(or).Elem())
+	columns("Cart", reflect.ValueOf(c), reflect.ValueOf(cr))
 }
 
 func BenchmarkApplyBuyConfirm(b *testing.B) {
