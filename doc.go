@@ -90,35 +90,39 @@
 // recovery keeps counting fast votes (a fast quorum often decides first) and
 // its phase 2 keeps the recovery's start time, which holds off a restart.
 //
-// A vote exists once. The acceptedMsg an acceptor builds when it votes is
-// the payload of the WAL record that makes the vote durable, the phase-2b
-// message sent once it is, and what the acceptor's log slot points at;
-// the coordinator's vote set points at the same object. A decision is
+// A value and a vote exist once. A proposer carves each value it proposes
+// (paxos.Value, 64 bytes: the ID, the commands, the modelled size) from its
+// engine's value slab, once, and every accept, forward, fast proposal, vote,
+// announcement, promise list, recovery reply, catch-up entry, log slot and
+// Deliver call holds it by pointer; a retry, a recovery or a new leader
+// proposes the same pointer again. The acceptedMsg an acceptor builds when
+// it votes is the payload of the WAL record that makes the vote durable, the
+// phase-2b message sent once it is, and what the acceptor's log slot points
+// at; the coordinator's vote set points at the same object. A decision is
 // announced as one chosenMsg for the whole fan-out, and a slot's decision
-// points at the value inside the node's own vote when that is what was
-// decided, and inside the announcement (or the catch-up reply's entry)
-// when it is not — so a slot is a promise and two pointers, 40 bytes, and
-// holds no copy of a value. The price is a rule, stated at paxos.Value:
-// nothing writes to a vote or an announcement after it is built, on either
-// runtime; livenet's TestLiveVotesSharedAcrossReplicas holds it under the
-// race detector. The rule lets an engine take the records it builds per
-// decision and per heartbeat — votes, announcements, accepts, forwards,
-// pings, and the command slices of small batches — from append-only slabs
-// (internal/slab), sent by pointer: a slab never hands a record out twice
-// and never takes an array back, and the collector frees an array whole
-// once nothing in it is reachable. Every array is 16 KiB whatever its
-// records (186 votes, 66 customer rows), less the runtime's header for a
-// large object with pointers, so it fills its size class. That, the
-// simulated disk's sync completion bound once and the web tier's field
-// strings built in one allocation each took a committed action of the
-// benchmark's tpcw_sharded_txn from 16.1 to 11.9 allocations; the store's
-// rows from its own slabs (below) took it to 9.6.
+// is the value's pointer — so a slot is a promise and two pointers, 40
+// bytes, a vote 32 and an announcement 16, and none holds a copy of a value.
+// The price is a rule, stated at paxos.Value: nothing writes to a value, a
+// vote or an announcement after it is built, on either runtime; livenet's
+// TestLiveVotesSharedAcrossReplicas holds it under the race detector. The
+// rule lets an engine take the records it builds per value, per decision and
+// per heartbeat — values, votes, announcements, accepts, pings, and the
+// command slices of small batches — from append-only slabs (internal/slab),
+// sent by pointer; a forward, one pointer, goes by value and boxes nothing.
+// A slab never hands a record out twice and never takes an array back, and
+// the collector frees an array whole once nothing in it is reachable. Every
+// array is 16 KiB whatever its records (511 votes, 255 values, 102 customer
+// rows), less the runtime's header for a large object with pointers, so it
+// fills its size class. That, the simulated disk's sync completion bound
+// once and the web tier's field strings built in one allocation each took a
+// committed action of the benchmark's tpcw_sharded_txn from 16.1 to 11.9
+// allocations; the store's rows from its own slabs (below) took it to 9.6.
+// Holding the value once took tpcw_crash from 789 to 670 bytes per action.
 //
 // A decision is learned where it is made and announced once. When a quorum
 // of acks (classic) or matching votes (fast) completes, the coordinator
 // builds the chosenMsg, sends it to every other member and every attached
-// learner, and learns the decision itself from the value inside it, with no
-// message to itself. An ack or vote that arrives later finds the instance
+// learner, and learns the decision itself, with no message to itself. An ack or vote that arrives later finds the instance
 // decided and announces nothing; while the coordinator learned from its own
 // loopback announcement, every one that beat the loopback announced the
 // value again: a pass of the benchmark's order_pipeline (seed 1) made 56,708

@@ -346,9 +346,11 @@ type Replica struct {
 	pubCkptBytes  atomic.Int64
 }
 
+// bufferedValue is a delivery that waits for the checkpoint read. It holds
+// the value by pointer, as every holder of a paxos.Value does.
 type bufferedValue struct {
 	inst paxos.InstanceID
-	v    paxos.Value
+	v    *paxos.Value
 }
 
 var _ env.Node = (*Replica)(nil)
@@ -682,7 +684,7 @@ func (r *Replica) publish() {
 
 // --- Delivery ----------------------------------------------------------
 
-func (r *Replica) onDeliver(inst paxos.InstanceID, v paxos.Value) {
+func (r *Replica) onDeliver(inst paxos.InstanceID, v *paxos.Value) {
 	if !r.appReady {
 		r.buffer = append(r.buffer, bufferedValue{inst: inst, v: v})
 		return
@@ -690,7 +692,7 @@ func (r *Replica) onDeliver(inst paxos.InstanceID, v paxos.Value) {
 	r.apply(inst, v)
 }
 
-func (r *Replica) apply(inst paxos.InstanceID, v paxos.Value) {
+func (r *Replica) apply(inst paxos.InstanceID, v *paxos.Value) {
 	if inst <= r.lastApplied {
 		return
 	}

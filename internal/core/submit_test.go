@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,14 +41,14 @@ func TestApplyResolvesByPositionAndIncarnation(t *testing.T) {
 	// Same node, previous incarnation, same command numbers: the PR 2
 	// regression. It executes (it is in the log) but completes nothing.
 	inst++
-	r.apply(inst, paxos.Value{
+	r.apply(inst, &paxos.Value{
 		ID:    paxos.ValueID{Node: r.me, Epoch: r.en.Epoch() - 1, Seq: 1},
 		Cmds:  []any{act("old"), act("old")},
 		First: 1,
 	})
 	// Another node's value with the same numbers: likewise.
 	inst++
-	r.apply(inst, paxos.Value{
+	r.apply(inst, &paxos.Value{
 		ID:    paxos.ValueID{Node: r.me + 1, Epoch: r.en.Epoch(), Seq: 1},
 		Cmds:  []any{act("peer")},
 		First: 1,
@@ -57,7 +58,7 @@ func TestApplyResolvesByPositionAndIncarnation(t *testing.T) {
 	}
 
 	// This incarnation's second batch: commands 2 and 3, not 1.
-	v := paxos.Value{
+	v := &paxos.Value{
 		ID:    paxos.ValueID{Node: r.me, Epoch: r.en.Epoch(), Seq: 2},
 		Cmds:  []any{act("b"), act("c")},
 		First: 2,
@@ -230,4 +231,48 @@ func BenchmarkReplicaSubmitApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	g.run(b.N)
+}
+
+// TestNoBufferedValueHoldsAValue: a replica holds what consensus delivers by
+// pointer, as every holder of a paxos.Value does: neither a delivery buffered
+// while the checkpoint loads nor anything else the replica keeps, down to
+// what its fields point to, holds a Value by value. (The engine is walked by
+// paxos.TestNoRecordHoldsAValue.) A buffered delivery is 16 B; it was 72 B
+// while it held the value.
+func TestNoBufferedValueHoldsAValue(t *testing.T) {
+	valueType := reflect.TypeOf(paxos.Value{})
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if ty == valueType {
+			t.Errorf("%s is a paxos.Value", path)
+			return
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Pointer:
+			if ty.Elem() != valueType && ty.Elem() != reflect.TypeOf(paxos.Engine{}) {
+				walk(path, ty.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			walk(path, ty.Elem())
+		case reflect.Map:
+			walk(path, ty.Key())
+			walk(path, ty.Elem())
+		}
+	}
+	walk("Replica", reflect.TypeOf(Replica{}))
+	if !seen[reflect.TypeOf(bufferedValue{})] {
+		t.Error("the walk did not reach bufferedValue")
+	}
+	if size := reflect.TypeOf(bufferedValue{}).Size(); size > 16 {
+		t.Errorf("bufferedValue is %d bytes, want at most 16", size)
+	}
 }

@@ -147,10 +147,12 @@ func TestLiveReplicatedCounter(t *testing.T) {
 // TestLiveVotesSharedAcrossReplicas: on this runtime a record a paxos engine
 // sends is one object that several node goroutines hold at once — a vote in
 // the acceptor's log slot and WAL and in the coordinator's vote set, an
-// announcement in every learner's slot, an accept or a forward until its
-// receiver has voted or proposed, and the value's command slice in all of them
-// — so nothing may write to one after it is sent (paxos.Value states the rule;
-// the engine takes these records from slabs that never hand one out twice).
+// announcement in every learner's slot, an accept until its receiver has
+// voted, and the value itself, which its proposer built once and every one of
+// them, every forward, every slot's decision and every delivery points at,
+// with its command slice — so nothing may write to one after it is sent
+// (paxos.Value states the rule; the engine takes these records and values from
+// slabs that never hand one out twice).
 // Four replicas, three of them submitting at once, then a crash whose restart
 // replays the shared votes and catches up: in fast rounds, so that rounds
 // collide and are recovered, and in classic rounds, where every value a

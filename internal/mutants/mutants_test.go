@@ -159,6 +159,11 @@ var mutants = []mutant{
 			"\t\ts.buf, i = make([]T, 0, per), 0\n",
 			"\t\tif cap(s.buf) == 0 {\n\t\t\ts.buf = make([]T, 0, per)\n\t\t}\n\t\ts.buf, i = s.buf[:0], 0\n"}},
 		pkg: "./internal/paxos/", run: "TestSlabRecordsAreNeverReused"},
+	{name: "value-copied-into-vote", note: "vote stores a copy of the proposer's value, not its pointer, so every vote, and every decision taken from one, holds a second Value: the rule that \"a Value is built once, and every vote, message and delivery holds it by pointer\" rests on",
+		edits: []edit{{"internal/paxos/acceptor.go",
+			"\tvote.B, vote.Inst, vote.V = b, inst, v\n",
+			"\tcp := *v\n\tvote.B, vote.Inst, vote.V = b, inst, &cp\n"}},
+		pkg: "./internal/paxos/", run: "TestValueBuiltOnce"},
 	{name: "store-slab-shared-by-clone", note: "Clone hands the clone its source's slabs, so the two carve the same records and each store's next row overwrites the other's: the rule that \"the store carves the rows a write keeps from append-only slabs\" rests on, a slab belongs to one store",
 		edits: []edit{{"internal/tpcw/snapshot.go",
 			"\tout := &Store{}\n",

@@ -80,8 +80,8 @@ func (en *Engine) onAccept(from env.NodeID, m *acceptMsg) {
 // The vote is one record: the log slot holds it, it is the WAL record's
 // payload, and once durable it is the phase-2b message. It comes from the
 // engine's vote slab, which never hands a record out twice, so nothing writes
-// to it again (see Value).
-func (en *Engine) vote(inst InstanceID, b Ballot, v Value) {
+// to it again; it holds v, the proposer's value, by pointer (see Value).
+func (en *Engine) vote(inst InstanceID, b Ballot, v *Value) {
 	s := en.log.Ensure(inst)
 	vote := en.votes.Next()
 	vote.B, vote.Inst, vote.V = b, inst, v

@@ -62,7 +62,7 @@ type Config struct {
 	// value, with each decided command batch. No-ops and duplicate
 	// values (possible under fast-path collisions and retries) are
 	// filtered out before delivery. Required.
-	Deliver func(inst InstanceID, v Value)
+	Deliver func(inst InstanceID, v *Value)
 
 	// OnCatchUpGap is invoked when peers can no longer supply the log
 	// suffix this node needs (they compacted past it); the layer above
@@ -203,12 +203,12 @@ type Engine struct {
 	catchUpAt     time.Time
 	gapSince      time.Time
 
-	// The records this incarnation builds per decision and per heartbeat,
-	// each kind from a slab of its own (package slab).
+	// The records this incarnation builds per value, per decision and per
+	// heartbeat, each kind from a slab of its own (package slab).
+	values    slab.Slab[Value] // what it proposes, no-ops included
 	votes     slab.Slab[acceptedMsg]
 	announces slab.Slab[chosenMsg]
 	accepts   slab.Slab[acceptMsg]
-	forwards  slab.Slab[forwardMsg]
 	pings     slab.Slab[pingMsg]
 	cmds      slab.Slab[any] // command slices of batches of at most slabCmds
 
@@ -257,13 +257,12 @@ func (en *Engine) Stats() Stats { return en.stats }
 // pendingValue is a proposed value awaiting delivery. The zero value marks
 // a sequence number whose value was delivered.
 type pendingValue struct {
-	v        Value
+	v        *Value
 	lastSent time.Time
 }
 
-// live tells a pending value from a delivered one's place: proposals count
-// their ID.Seq up from 1.
-func (pv *pendingValue) live() bool { return pv.v.ID.Seq != 0 }
+// live tells a pending value from a delivered one's place.
+func (pv *pendingValue) live() bool { return pv.v != nil }
 
 // slot is one instance of the log: 40 bytes, none of them a copy of a value.
 // The zero slot is an instance this node knows nothing about, and each part
@@ -278,10 +277,10 @@ type slot struct {
 	// hands it out again (see vote).
 	vote *acceptedMsg
 
-	// chosen is the decision. It points at the value inside this node's own
-	// vote when that is the value decided, and otherwise inside whatever
-	// brought the news — the announcement, or a catch-up reply's entry — which
-	// the slot then keeps alive until the log drops it.
+	// chosen is the decision: the value its proposer built, taken from this
+	// node's own vote when that is the value decided, and otherwise from
+	// whatever brought the news — the announcement, or a catch-up reply's
+	// entry.
 	chosen *Value
 
 	has uint8
@@ -307,11 +306,11 @@ func (en *Engine) votedAt(inst InstanceID) *acceptedMsg {
 func (en *Engine) votesFrom() InstanceID { return en.voteFloor }
 
 // chosenAt returns the value this node knows decided at inst, if any.
-func (en *Engine) chosenAt(inst InstanceID) (Value, bool) {
+func (en *Engine) chosenAt(inst InstanceID) (*Value, bool) {
 	if s := en.log.At(inst); s != nil && s.chosen != nil {
-		return *s.chosen, true
+		return s.chosen, true
 	}
-	return Value{}, false
+	return nil, false
 }
 
 // New creates an engine; Boot must be called before use.
@@ -572,10 +571,10 @@ func (en *Engine) batchTimeout() {
 // no slab tail.
 const slabCmds = 8
 
-// proposeNext packs the next n queued commands into one value and
-// proposes it. The commands are copied out so the ring slots can be
-// reclaimed: a small batch into a slice carved from a slab, a larger one into
-// a slice of its own.
+// proposeNext packs the next n queued commands into one value, carved from
+// the value slab, and proposes it. The commands are copied out so the ring
+// slots can be reclaimed: a small batch into a slice carved from a slab, a
+// larger one into a slice of its own.
 func (en *Engine) proposeNext(n int) {
 	first := en.cmdSeq - int64(en.queueLen()) + 1
 	var cmds []any
@@ -595,15 +594,20 @@ func (en *Engine) proposeNext(n int) {
 	}
 	en.queueBytes -= bytes
 	en.nextSeq++
-	v := Value{
-		ID:    ValueID{Node: en.me, Epoch: en.epoch, Seq: en.nextSeq},
-		Cmds:  cmds,
-		Size:  bytes + 64,
-		First: first,
-	}
+	v := en.values.Next()
+	v.ID, v.Cmds, v.Size, v.First = ValueID{Node: en.me, Epoch: en.epoch, Seq: en.nextSeq}, cmds, bytes+64, first
 	*en.outstanding.Ensure(v.ID.Seq) = pendingValue{v: v, lastSent: en.e.Now()}
 	en.inFlight++
 	en.propose(v)
+}
+
+// noOp builds a no-op filler value, carved from the value slab and
+// attributed to this node. seq must be positive: the negated ID.Seq is what
+// marks the value (proposals count their own ID.Seq up from 1).
+func (en *Engine) noOp(seq int64) *Value {
+	v := en.values.Next()
+	v.ID, v.Size = ValueID{Node: en.me, Epoch: en.epoch, Seq: -seq - 1}, 32
+	return v
 }
 
 // compactQueue reclaims the consumed queue prefix: a drained queue resets
@@ -636,7 +640,7 @@ func (en *Engine) AdmissionState() AdmissionState { return en.adm.state }
 func (en *Engine) QueueDepth() int { return en.queueLen() }
 
 // propose routes a value into the protocol according to the current mode.
-func (en *Engine) propose(v Value) {
+func (en *Engine) propose(v *Value) {
 	if !en.booted {
 		return
 	}
@@ -649,9 +653,7 @@ func (en *Engine) propose(v Value) {
 	default:
 		leader := en.owner(en.curBallot)
 		if leader >= 0 && leader != en.me {
-			m := en.forwards.Next()
-			m.V = v
-			en.e.Send(leader, m)
+			en.e.Send(leader, forwardMsg{V: v})
 		}
 		// With no leader the value stays outstanding and the retry
 		// sweep re-proposes it once a leader emerges.
@@ -678,12 +680,12 @@ func (en *Engine) Handle(from env.NodeID, msg env.Message) bool {
 	case *acceptedMsg:
 		en.onAccepted(from, m)
 	case *chosenMsg:
-		en.onChosen(m.Inst, &m.V)
+		en.onChosen(m.Inst, m.V)
 	case anyMsg:
 		en.onAny(from, m)
 	case fastProposeMsg:
 		en.onFastPropose(from, m)
-	case *forwardMsg:
+	case forwardMsg:
 		en.onForward(from, m)
 	case recQueryMsg:
 		en.onRecQuery(from, m)
@@ -752,8 +754,8 @@ func (en *Engine) adoptBallot(b Ballot) {
 
 // --- Learner -----------------------------------------------------------
 
-// onChosen learns that v was decided at inst. v is part of a published
-// message and is kept, not copied.
+// onChosen learns that v was decided at inst. v is kept, not copied: like
+// every value, it is shared.
 func (en *Engine) onChosen(inst InstanceID, v *Value) {
 	if inst > en.maxKnown {
 		en.maxKnown = inst
@@ -767,7 +769,7 @@ func (en *Engine) onChosen(inst InstanceID, v *Value) {
 		return
 	}
 	if s.vote != nil && s.vote.V.ID == v.ID {
-		v = &s.vote.V // the same value, in a record this node holds anyway
+		v = s.vote.V // the pointer this node holds anyway, not the messenger's
 	}
 	s.chosen = v
 	if inst >= en.nextFree {
@@ -908,7 +910,7 @@ func (en *Engine) onCatchUpReply(from env.NodeID, m catchUpReplyMsg) {
 	}
 	gap := m.FirstAvail > en.firstUnchosen && en.firstUnchosen <= en.maxKnown
 	for i := range m.Entries {
-		en.onChosen(m.Entries[i].Inst, &m.Entries[i].V)
+		en.onChosen(m.Entries[i].Inst, m.Entries[i].V)
 	}
 	if gap && m.FirstAvail > en.firstUnchosen {
 		// The peer compacted past what we need: log replay alone

@@ -22,7 +22,7 @@ type testCluster struct {
 	instOf    []map[InstanceID]string // per node, instance -> command (for consistency checks)
 
 	// onDeliver, when non-nil, additionally sees every delivered value.
-	onDeliver func(node int, inst InstanceID, v Value)
+	onDeliver func(node int, inst InstanceID, v *Value)
 
 	// onSend and onWrite, when non-nil, see every message an engine sends and
 	// every record it appends to its WAL, before the runtime does.
@@ -97,7 +97,7 @@ func (n *engineNode) Start(e env.Env) {
 	c.delivered[n.id] = nil
 	c.instOf[n.id] = make(map[InstanceID]string)
 	cfg := c.baseConfig()
-	cfg.Deliver = func(inst InstanceID, v Value) {
+	cfg.Deliver = func(inst InstanceID, v *Value) {
 		if c.onDeliver != nil {
 			c.onDeliver(n.id, inst, v)
 		}

@@ -80,7 +80,7 @@ func (en *Engine) record(inst InstanceID) *instState {
 // proposal is a phase 2 in progress.
 type proposal struct {
 	b        Ballot
-	v        Value
+	v        *Value
 	acks     tally
 	lastSent time.Time
 }
@@ -150,7 +150,7 @@ func (ls *leaderState) onDecided(inst, floor InstanceID) {
 			delete(ls.inflightID, r.prop.v.ID)
 		}
 		clear(r.votes.votes) // drop the votes
-		clear(r.rec.replies) // and the values' command slices; each part's next use resets its tally
+		clear(r.rec.replies) // and the values; each part's next use resets its tally
 		*r = instState{
 			prop:  proposal{acks: r.prop.acks},
 			rec:   recState{replies: r.rec.replies, replied: r.rec.replied},
@@ -280,7 +280,7 @@ func (en *Engine) establish() {
 		v, found := selectValue(reports, q, en.n, en.placedElsewhere(i))
 		if !found {
 			noopSeq++
-			v = noOpValue(en.me, en.epoch, en.nextSeq*1000+noopSeq)
+			v = en.noOp(en.nextSeq*1000 + noopSeq)
 		}
 		en.classicPropose(i, ls.b, v)
 	}
@@ -313,9 +313,9 @@ func (en *Engine) establish() {
 // placed says which values the leader has already placed elsewhere. Only the
 // free choice consults it: there any reported value is safe, so it takes one
 // that is not placed if there is one.
-func selectValue(reports []acceptedInfo, q, n int, placed func(ValueID) bool) (Value, bool) {
+func selectValue(reports []acceptedInfo, q, n int, placed func(ValueID) bool) (*Value, bool) {
 	if len(reports) == 0 {
-		return Value{}, false
+		return nil, false
 	}
 	k := ballotNone
 	for _, r := range reports {
@@ -333,7 +333,7 @@ func selectValue(reports []acceptedInfo, q, n int, placed func(ValueID) bool) (V
 		return atK[0].V, true
 	}
 	counts := make(map[ValueID]int)
-	values := make(map[ValueID]Value)
+	values := make(map[ValueID]*Value)
 	for _, r := range atK {
 		counts[r.V.ID]++
 		values[r.V.ID] = r.V
@@ -388,7 +388,7 @@ func (en *Engine) placedElsewhere(inst InstanceID) func(ValueID) bool {
 
 // leaderPropose assigns a value to a fresh instance (classic) or sends it
 // down the fast path when a fast round is open.
-func (en *Engine) leaderPropose(v Value) {
+func (en *Engine) leaderPropose(v *Value) {
 	ls := en.leader
 	if ls == nil || !ls.established {
 		return
@@ -413,7 +413,7 @@ func (en *Engine) leaderPropose(v Value) {
 	en.classicPropose(inst, ls.b, v)
 }
 
-func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
+func (en *Engine) classicPropose(inst InstanceID, b Ballot, v *Value) {
 	ls := en.leader
 	r := en.record(inst) // a recovery's phase 2 supersedes a proposal where it stands
 	if r.proposing() && r.prop.v.ID != v.ID && ls.inflightID[r.prop.v.ID] == inst {
@@ -428,13 +428,13 @@ func (en *Engine) classicPropose(inst InstanceID, b Ballot, v Value) {
 
 // sendAccept sends phase 2a for (b, inst, v) to every member: one record for
 // the whole fan-out.
-func (en *Engine) sendAccept(b Ballot, inst InstanceID, v Value) {
+func (en *Engine) sendAccept(b Ballot, inst InstanceID, v *Value) {
 	m := en.accepts.Next()
 	m.B, m.Inst, m.V = b, inst, v
 	en.broadcast(m)
 }
 
-func (en *Engine) onForward(from env.NodeID, m *forwardMsg) {
+func (en *Engine) onForward(from env.NodeID, m forwardMsg) {
 	if en.leader != nil && en.leader.established {
 		en.leaderPropose(m.V)
 	}
@@ -543,7 +543,7 @@ func (en *Engine) recoverFromVotes(inst InstanceID, r *instState) {
 		reports = append(reports, acceptedInfo(*fv.m))
 	}
 	v, _ := selectValue(reports, len(reports), en.n, en.placedElsewhere(inst))
-	clear(reports) // drop the values' command slices
+	clear(reports) // drop the values
 	ls.reports = reports
 	b := ls.b.recovery()
 	r.rec.b, r.rec.started = b, en.e.Now() // no replies come: the votes were the promises
@@ -605,10 +605,10 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 		}
 	}
 	v, found := selectValue(reports, rec.replied.n, en.n, en.placedElsewhere(m.Inst))
-	clear(reports) // drop the values' command slices
+	clear(reports) // drop the values
 	ls.reports = reports
 	if !found {
-		v = noOpValue(en.me, en.epoch, en.nextSeq*1000+int64(m.Inst%997)+1)
+		v = en.noOp(en.nextSeq*1000 + int64(m.Inst%997) + 1)
 	}
 	en.classicPropose(m.Inst, rec.b, v)
 }
@@ -616,18 +616,18 @@ func (en *Engine) onRecInfo(from env.NodeID, m recInfoMsg) {
 // choose finalizes an instance: the coordinator learns the decision where it
 // makes it and announces it once. A vote or an ack that arrives later finds
 // the instance decided and announces nothing.
-func (en *Engine) choose(inst InstanceID, v Value) {
+func (en *Engine) choose(inst InstanceID, v *Value) {
 	if _, ok := en.chosenAt(inst); ok {
 		return
 	}
-	m := en.announceChosen(inst, v)
-	en.onChosen(inst, &m.V)
+	en.announceChosen(inst, v)
+	en.onChosen(inst, v)
 }
 
 // announceChosen sends a decided instance to the other voting members and to
 // any attached non-voting learners, which otherwise only hear about decisions
 // through catch-up. This node already knows it, so none goes to itself.
-func (en *Engine) announceChosen(inst InstanceID, v Value) *chosenMsg {
+func (en *Engine) announceChosen(inst InstanceID, v *Value) {
 	m := en.announces.Next()
 	m.Inst, m.V = inst, v
 	for _, p := range en.members {
@@ -639,7 +639,6 @@ func (en *Engine) announceChosen(inst InstanceID, v Value) *chosenMsg {
 		en.e.Send(l, m)
 	}
 	en.stats.Announced++
-	return m
 }
 
 func (en *Engine) onNack(from env.NodeID, m nackMsg) {

@@ -105,7 +105,7 @@ func TestLeaderWindowFloor(t *testing.T) {
 		var votes [n]acceptedMsg
 		for k := 0; k < total; k++ {
 			inst := en.firstUnchosen
-			v := Value{ID: ValueID{Node: 9, Epoch: 1, Seq: int64(k) + 1}, Cmds: []any{"x"}, Size: 192}
+			v := &Value{ID: ValueID{Node: 9, Epoch: 1, Seq: int64(k) + 1}, Cmds: []any{"x"}, Size: 192}
 			for from := range votes {
 				votes[from] = acceptedMsg{B: ls.b, Inst: inst, V: v}
 				en.onAccepted(env.NodeID(from), &votes[from])
@@ -134,7 +134,7 @@ func TestLeaderWindowFloor(t *testing.T) {
 		}
 		lead := c.engines[id]
 		ls := lead.leader
-		v := Value{ID: ValueID{Node: 9, Epoch: 1, Seq: 1}, Cmds: []any{"stuck"}, Size: 64}
+		v := &Value{ID: ValueID{Node: 9, Epoch: 1, Seq: 1}, Cmds: []any{"stuck"}, Size: 64}
 		lead.leaderPropose(v)
 		stuck := ls.inflightID[v.ID]
 		lead.SkipTo(stuck + 10)
@@ -191,18 +191,18 @@ func blockedFastLeader(t *testing.T) (*testCluster, *Engine) {
 }
 
 // val is a client value whose ID orders by seq.
-func val(seq int64) Value {
-	return Value{ID: ValueID{Node: 9, Epoch: 1, Seq: seq}, Cmds: []any{fmt.Sprintf("v%d", seq)}, Size: 64}
+func val(seq int64) *Value {
+	return &Value{ID: ValueID{Node: 9, Epoch: 1, Seq: seq}, Cmds: []any{fmt.Sprintf("v%d", seq)}, Size: 64}
 }
 
 // phase2 answers the recovery at inst from a classic quorum, members first,
-// first+1, …, with the votes given at the leader's fast ballot (a zero Value
+// first+1, …, with the votes given at the leader's fast ballot (nil
 // for none), which starts its phase 2.
-func phase2(t *testing.T, en *Engine, inst InstanceID, first int, votes ...Value) {
+func phase2(t *testing.T, en *Engine, inst InstanceID, first int, votes ...*Value) {
 	t.Helper()
 	r := en.leader.at(inst)
 	for i, v := range votes {
-		en.onRecInfo(env.NodeID(first+i), recInfoMsg{B: r.rec.b, Inst: inst, Voted: v.ID.Seq != 0, VB: en.leader.b, V: v})
+		en.onRecInfo(env.NodeID(first+i), recInfoMsg{B: r.rec.b, Inst: inst, Voted: v != nil, VB: en.leader.b, V: v})
 	}
 	if !r.proposing() || r.prop.b != r.rec.b {
 		t.Fatalf("the recovery's phase 2 at instance %d did not begin", inst)
@@ -224,7 +224,7 @@ func phase2(t *testing.T, en *Engine, inst InstanceID, first int, votes ...Value
 func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 	// hedge hands the leader a fast vote per value, one per member, and lets
 	// the sweep start a hedging recovery.
-	hedge := func(t *testing.T, c *testCluster, en *Engine, vals ...Value) *instState {
+	hedge := func(t *testing.T, c *testCluster, en *Engine, vals ...*Value) *instState {
 		t.Helper()
 		inst, hedges := en.firstUnchosen, en.Stats().RecHedge
 		for from, v := range vals {
@@ -268,13 +268,13 @@ func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 			t.Run(first, func(t *testing.T) {
 				c, en := blockedFastLeader(t)
 				ls, inst := en.leader, en.firstUnchosen
-				votes := []Value{val(1), val(2)} // the first recovery queries
+				votes := []*Value{val(1), val(2)} // the first recovery queries
 				if first == "from votes" {
-					votes = []Value{val(1), val(1), val(2)} // a classic quorum: it proposes at once
+					votes = []*Value{val(1), val(1), val(2)} // a classic quorum: it proposes at once
 				}
 				r := hedge(t, c, en, votes...)
 				if first == "queried" {
-					phase2(t, en, inst, 0, val(1), val(2), Value{})
+					phase2(t, en, inst, 0, val(1), val(2), nil)
 				}
 				votes = append(votes, val(3), val(4)) // by member; the last two collide
 				late := func(from int) {
@@ -300,7 +300,7 @@ func TestRecoveryKeepsCountingFastVotes(t *testing.T) {
 				// Its own phase 2 picks another value and displaces the one proposed
 				// there, whose inflightID entry goes with it.
 				displaced := r.prop.v.ID
-				replies := make([]Value, 3) // members 2 to 4, as they voted
+				replies := make([]*Value, 3) // members 2 to 4, as they voted
 				copy(replies, votes[2:])
 				phase2(t, en, inst, 2, replies...)
 				if _, listed := ls.inflightID[displaced]; listed || r.prop.v.ID == displaced || ls.inflightID[r.prop.v.ID] != inst {
@@ -328,7 +328,7 @@ func TestCollisionLoserPlaced(t *testing.T) {
 	a, b := val(1), val(2)
 	proposed := func(t *testing.T, ls *leaderState, x InstanceID) {
 		t.Helper()
-		for i, want := range []Value{a, b} {
+		for i, want := range []*Value{a, b} {
 			inst := x + InstanceID(i)
 			if r := ls.at(inst); !r.proposing() || r.prop.v.ID != want.ID || ls.inflightID[want.ID] != inst {
 				t.Fatalf("instance %d proposes %v, want %v; inflightID %v", inst, r.prop.v.ID, want.ID, ls.inflightID)
@@ -336,7 +336,7 @@ func TestCollisionLoserPlaced(t *testing.T) {
 		}
 	}
 
-	vote := func(en *Engine, inst InstanceID, votes ...Value) {
+	vote := func(en *Engine, inst InstanceID, votes ...*Value) {
 		for from, v := range votes {
 			en.onAccepted(env.NodeID(from), &acceptedMsg{B: en.leader.b, Inst: inst, V: v})
 		}
@@ -369,8 +369,8 @@ func TestCollisionLoserPlaced(t *testing.T) {
 		if got := en.Stats(); got.RecHedge != st.RecHedge+2 || got.RecNoPhase1 != st.RecNoPhase1 {
 			t.Fatalf("%d hedges, %d of them from the votes, want 2 and none", got.RecHedge-st.RecHedge, got.RecNoPhase1-st.RecNoPhase1)
 		}
-		phase2(t, en, x, 0, a, b, Value{})
-		phase2(t, en, x+1, 0, b, a, Value{})
+		phase2(t, en, x, 0, a, b, nil)
+		phase2(t, en, x+1, 0, b, a, nil)
 		proposed(t, ls, x)
 		c.checkLeader(en)
 	})

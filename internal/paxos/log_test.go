@@ -35,7 +35,7 @@ func bootOnWAL(t testing.TB, recs []env.Record, floor InstanceID) *walBench {
 	b.s.AddNode(func() env.Node {
 		return funcNode{
 			start: func(e env.Env) {
-				b.en = New(Config{Deliver: func(InstanceID, Value) {}})
+				b.en = New(Config{Deliver: func(InstanceID, *Value) {}})
 				b.en.Boot(e, floor, nil)
 			},
 			receive: func(from env.NodeID, msg env.Message) { b.en.Handle(from, msg) },
@@ -86,7 +86,7 @@ func (b *walBench) promise(t *testing.T) promiseMsg {
 func voteRecords(b Ballot, from, to InstanceID) []env.Record {
 	var recs []env.Record
 	for i := from; i < to; i++ {
-		v := Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}
+		v := &Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}
 		recs = append(recs, env.Record{Kind: "accept", Data: &acceptedMsg{B: b, Inst: i, V: v}, Size: 96})
 	}
 	return recs
@@ -133,7 +133,7 @@ func TestVoteBelowBarrierFloor(t *testing.T) {
 		t.Fatalf("booted with vote floor %d and retention floor %d, want 59 and 0", b.en.voteFloor, b.en.retainedFrom)
 	}
 	// Ballot 3 of 2 members is the peer's, so the vote's phase 2b goes there.
-	v := Value{ID: ValueID{Node: 1, Epoch: 1, Seq: 1}, Size: 64}
+	v := &Value{ID: ValueID{Node: 1, Epoch: 1, Seq: 1}, Size: 64}
 	b.handle(&acceptMsg{B: Ballot{Seq: 3}, Inst: 11, V: v})
 	voted := false
 	for _, m := range b.sent {
@@ -175,7 +175,7 @@ func TestRestartAboveVoteFloor(t *testing.T) {
 	var votes []env.Record
 	barrier := compactRec{Floor: lo, Promised: old}
 	for i := InstanceID(lo); i < hi; i++ {
-		v := Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i)}, Cmds: []any{fmt.Sprintf("old-%d", i)}, Size: 64}
+		v := &Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i)}, Cmds: []any{fmt.Sprintf("old-%d", i)}, Size: 64}
 		a := &acceptedMsg{B: old, Inst: i, V: v}
 		votes = append(votes, env.Record{Kind: "accept", Data: a, Size: 96})
 		barrier.Accepted = append(barrier.Accepted, a)
@@ -246,7 +246,7 @@ func TestListedVotesCanBeReplaced(t *testing.T) {
 				b.sent = nil
 				b.s.At(b.s.Now(), func() {
 					for _, a := range p.Accepted {
-						b.en.Handle(1, &acceptMsg{B: next, Inst: a.Inst, V: Value{ID: newValue(a.Inst), Size: 64}})
+						b.en.Handle(1, &acceptMsg{B: next, Inst: a.Inst, V: &Value{ID: newValue(a.Inst), Size: 64}})
 					}
 				})
 				b.run()
@@ -321,7 +321,7 @@ func BenchmarkPromiseAtRetainLimit(b *testing.B) {
 	const retained = 400_000
 	w := bootOnWAL(b, nil, 0)
 	for i := InstanceID(0); i < retained; i++ {
-		w.en.log.Ensure(i).vote = &acceptedMsg{Inst: i, B: Ballot{Seq: 2}, V: Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}}
+		w.en.log.Ensure(i).vote = &acceptedMsg{Inst: i, B: Ballot{Seq: 2}, V: &Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -20,12 +20,12 @@ func TestRecoveryWithoutPhase1(t *testing.T) {
 	a, b, c3 := val(1), val(2), val(3)
 	for _, tc := range []struct {
 		name  string
-		votes []Value
+		votes []*Value
 		hedge bool // the recovery waits for fastDecisionTimeout
 	}{
-		{"hedge", []Value{a, a, a}, true},
-		{"complete collision", []Value{a, a, b, b, c3}, false},
-		{"partial collision", []Value{a, a, b, b}, true},
+		{"hedge", []*Value{a, a, a}, true},
+		{"complete collision", []*Value{a, a, b, b, c3}, false},
+		{"partial collision", []*Value{a, a, b, b}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, en := blockedFastLeader(t)

@@ -16,12 +16,13 @@ import (
 // records its engine builds after it. Three classic members order 8,192
 // one-command values submitted at the two that do not lead: every member votes
 // at 8,192 instances, the leader sends as many accepts and announcements, and
-// each other member forwards 4,096 values whose command slices it carves — four
-// arrays of command slots (16 B each, the most records an array holds) and more
-// of every other kind at each engine. The first vote, announcement, accept and
-// forward the cluster sends, and the first command slice, read at the end what
-// they read when they were sent; and every record sent, and every command
-// slice, is seen with one content only: no two share an address.
+// each other member builds and forwards 4,096 values whose command slices it
+// carves — four arrays of command slots (16 B each, the most records an array
+// holds) and more of every other kind at each engine. The first vote,
+// announcement and accept the cluster sends, the first value forwarded and
+// the first command slice read at the end what they read when they were sent;
+// and every record sent, every value and every command slice is seen with one
+// content only: no two share an address.
 func TestSlabRecordsAreNeverReused(t *testing.T) {
 	const n, each = 3, 4 * slab.Bytes / int(unsafe.Sizeof(any(nil)))
 	c := newCluster(t, n, false, 61, sim.NetConfig{})
@@ -46,7 +47,7 @@ func TestSlabRecordsAreNeverReused(t *testing.T) {
 			return fmt.Sprintf("announcement %d %v %v", m.Inst, m.V.ID, m.V.Cmds), true
 		case *acceptMsg:
 			return fmt.Sprintf("accept %v %d %v %v", m.B, m.Inst, m.V.ID, m.V.Cmds), true
-		case *forwardMsg:
+		case forwardMsg:
 			return fmt.Sprintf("forward %v %v", m.V.ID, m.V.Cmds), true
 		case *pingMsg:
 			return fmt.Sprintf("ping %+v", *m), true
@@ -58,6 +59,7 @@ func TestSlabRecordsAreNeverReused(t *testing.T) {
 		want string
 	}
 	seen := map[env.Message]string{} // every record sent, by address
+	values := map[*Value]string{}    // every value sent, by address
 	first := map[string]held{}       // the first record of each kind
 	cmdsAt := map[*any]ValueID{}     // every small command slice, by its first entry
 	var firstCmds []any
@@ -67,22 +69,29 @@ func TestSlabRecordsAreNeverReused(t *testing.T) {
 		if !ok {
 			return
 		}
-		if prev, dup := seen[m]; dup && prev != s {
-			t.Fatalf("node %d sent a record at %p twice: %s, then %s", from, m, prev, s)
+		if _, fwd := m.(forwardMsg); !fwd { // a forward is its value's pointer, not a record
+			if prev, dup := seen[m]; dup && prev != s {
+				t.Fatalf("node %d sent a record at %p twice: %s, then %s", from, m, prev, s)
+			}
+			seen[m] = s
 		}
-		seen[m] = s
 		if kind := fmt.Sprintf("%T", m); first[kind].m == nil {
 			first[kind] = held{m, s}
 		}
-		var v Value
+		var v *Value
 		switch m := m.(type) {
 		case *acceptMsg:
 			v = m.V
-		case *forwardMsg:
+		case forwardMsg:
 			v = m.V
 		default:
 			return
 		}
+		vs := fmt.Sprint(v.ID, v.Cmds)
+		if prev, dup := values[v]; dup && prev != vs {
+			t.Fatalf("node %d sent a value at %p twice: %s, then %s", from, v, prev, vs)
+		}
+		values[v] = vs
 		if len(v.Cmds) == 0 || len(v.Cmds) > slabCmds {
 			return
 		}
@@ -107,7 +116,7 @@ func TestSlabRecordsAreNeverReused(t *testing.T) {
 		t.Fatalf("the leader reached instance %d, want at least %d: the values were not one per instance", got, 2*each)
 	}
 
-	for _, kind := range []string{"*paxos.acceptedMsg", "*paxos.chosenMsg", "*paxos.acceptMsg", "*paxos.forwardMsg", "*paxos.pingMsg"} {
+	for _, kind := range []string{"*paxos.acceptedMsg", "*paxos.chosenMsg", "*paxos.acceptMsg", "paxos.forwardMsg", "*paxos.pingMsg"} {
 		h := first[kind]
 		if h.m == nil {
 			t.Errorf("no %s was sent", kind)

@@ -126,20 +126,22 @@ type ValueID struct {
 // a command to recognise its own. Re-proposals and recovery carry a value
 // whole, so the correspondence holds wherever the value is chosen.
 //
-// A Value is copied into every message that carries one, so it stays at 64
-// bytes; a no-op is marked by its negative ID.Seq rather than a flag of its
-// own. The instance log copies none: it points into the vote and the
-// announcement (see slot).
+// A Value (64 bytes) is built once, by its proposer, from the engine's value
+// slab, and every message, vote, log slot and delivery that carries it holds
+// it by pointer: nothing copies it. A no-op is marked by its negative ID.Seq
+// rather than a flag of its own.
 //
-// Immutability: a vote (*acceptedMsg) and an announcement (*chosenMsg) are
-// built once and then shared — by the log slot, the WAL and the network, and
-// so, on either runtime, by every replica the message reaches. Nothing writes
-// to one after it is built: a new vote or decision is a new record. The same
-// holds for what a Value refers to (Cmds), for the accepts, forwards and pings
-// an engine sends, and for a catch-up reply's entries. The engine takes its
-// votes, announcements, accepts, forwards, pings and small command slices from
-// append-only slabs (package slab), which never hand a record out twice: a record
-// reads what it was built with for as long as anything holds it.
+// Immutability: a Value, a vote (*acceptedMsg) and an announcement
+// (*chosenMsg) are built once and then shared — by the log slot, the WAL and
+// the network, and so, on either runtime, by every replica the message
+// reaches. Nothing writes to one after it is built: a new vote or decision is
+// a new record, and a retry, a recovery or a new leader's establish proposes
+// the same *Value again. The same holds for what a Value refers to (Cmds),
+// for the accepts and pings an engine sends, and for a catch-up reply's
+// entries. The engine takes its values, votes, announcements, accepts, pings
+// and small command slices from append-only slabs (package slab), which never
+// hand a record out twice: a record reads what it was built with for as long
+// as anything holds it.
 type Value struct {
 	ID    ValueID
 	Cmds  []any
@@ -150,26 +152,19 @@ type Value struct {
 // NoOp reports whether v is a gap filler, which carries no commands.
 func (v Value) NoOp() bool { return v.ID.Seq < 0 }
 
-// noOpValue builds a no-op filler value attributed to node me. seq must be
-// positive: the negated ID.Seq is what marks the value (proposals count
-// their own ID.Seq up from 1).
-func noOpValue(me env.NodeID, epoch, seq int64) Value {
-	return Value{ID: ValueID{Node: me, Epoch: epoch, Seq: -seq - 1}, Size: 32}
-}
-
 // acceptedInfo reports an acceptor's vote for one instance: an acceptedMsg by
 // value (the fields match, so one converts to the other) in a promise's list
 // and in the reports selectValue weighs.
 type acceptedInfo struct {
 	B    Ballot
 	Inst InstanceID
-	V    Value
+	V    *Value
 }
 
 // chosenEntry is a decided instance, used in catch-up transfers.
 type chosenEntry struct {
 	Inst InstanceID
-	V    Value
+	V    *Value
 }
 
 // --- Messages ---------------------------------------------------------
@@ -217,7 +212,7 @@ func (m nackMsg) WireSize() int64 { return msgOverhead }
 type acceptMsg struct {
 	B    Ballot
 	Inst InstanceID
-	V    Value
+	V    *Value
 }
 
 func (m acceptMsg) WireSize() int64 { return msgOverhead + m.V.Size }
@@ -229,7 +224,7 @@ func (m acceptMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 type acceptedMsg struct {
 	B    Ballot
 	Inst InstanceID
-	V    Value
+	V    *Value
 }
 
 func (m acceptedMsg) WireSize() int64 { return msgOverhead + m.V.Size }
@@ -239,7 +234,7 @@ func (m acceptedMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 // learner that did not vote for V keeps the announcement as its decision.
 type chosenMsg struct {
 	Inst InstanceID
-	V    Value
+	V    *Value
 }
 
 func (m chosenMsg) WireSize() int64 { return msgOverhead + m.V.Size }
@@ -254,17 +249,17 @@ type anyMsg struct {
 func (m anyMsg) WireSize() int64 { return msgOverhead }
 
 // fastProposeMsg carries a proposer value directly to acceptors during a
-// fast round.
+// fast round. It is one pointer, so it is sent by value and boxes nothing.
 type fastProposeMsg struct {
-	V Value
+	V *Value
 }
 
 func (m fastProposeMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 
-// forwardMsg routes a proposer value to the leader in classic mode; sent by
-// pointer (see Value).
+// forwardMsg routes a proposer value to the leader in classic mode. It is
+// one pointer, so it is sent by value and boxes nothing.
 type forwardMsg struct {
-	V Value
+	V *Value
 }
 
 func (m forwardMsg) WireSize() int64 { return msgOverhead + m.V.Size }
@@ -279,16 +274,21 @@ type recQueryMsg struct {
 
 func (m recQueryMsg) WireSize() int64 { return msgOverhead }
 
-// recInfoMsg is the per-instance phase 1b reply.
+// recInfoMsg is the per-instance phase 1b reply. V is nil unless Voted.
 type recInfoMsg struct {
 	B     Ballot
 	Inst  InstanceID
 	Voted bool
 	VB    Ballot
-	V     Value
+	V     *Value
 }
 
-func (m recInfoMsg) WireSize() int64 { return msgOverhead + m.V.Size }
+func (m recInfoMsg) WireSize() int64 {
+	if m.V == nil {
+		return msgOverhead
+	}
+	return msgOverhead + m.V.Size
+}
 
 // pingMsg is the failure-detector heartbeat. Leaders piggyback their
 // first-unchosen watermark so lagging learners trigger catch-up. One record

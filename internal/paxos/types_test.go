@@ -95,9 +95,9 @@ func TestBallotOrdering(t *testing.T) {
 }
 
 func TestSelectValueClassicMandatory(t *testing.T) {
-	v := Value{ID: ValueID{Node: 1, Seq: 5}}
+	v := &Value{ID: ValueID{Node: 1, Seq: 5}}
 	reports := []acceptedInfo{
-		{Inst: 1, B: Ballot{Seq: 2}, V: Value{ID: ValueID{Node: 0, Seq: 1}}},
+		{Inst: 1, B: Ballot{Seq: 2}, V: &Value{ID: ValueID{Node: 0, Seq: 1}}},
 		{Inst: 1, B: Ballot{Seq: 7}, V: v}, // highest, classic
 	}
 	got, found := selectValue(reports, 3, 5, nothingPlaced)
@@ -109,8 +109,8 @@ func TestSelectValueClassicMandatory(t *testing.T) {
 func TestSelectValueFastThreshold(t *testing.T) {
 	// n=5, promise quorum q=3 → threshold q+f-n = 3+4-5 = 2 votes.
 	fast := Ballot{Seq: 10, Fast: true}
-	va := Value{ID: ValueID{Node: 0, Seq: 1}}
-	vb := Value{ID: ValueID{Node: 1, Seq: 1}}
+	va := &Value{ID: ValueID{Node: 0, Seq: 1}}
+	vb := &Value{ID: ValueID{Node: 1, Seq: 1}}
 	reports := []acceptedInfo{
 		{Inst: 1, B: fast, V: va},
 		{Inst: 1, B: fast, V: va},
@@ -150,7 +150,7 @@ func TestSelectValueNeverInventsValues(t *testing.T) {
 		for i, v := range votes {
 			id := ValueID{Node: env.NodeID(v % 3), Seq: int64(v % 5)}
 			reports = append(reports, acceptedInfo{
-				Inst: 1, B: fast, V: Value{ID: id},
+				Inst: 1, B: fast, V: &Value{ID: id},
 			})
 			ids[id] = true
 			_ = i
@@ -192,7 +192,7 @@ func TestSelectValuePlacedProperty(t *testing.T) {
 			// Value in the low two bits; the later fast ballot three times in
 			// eight, so free choices are common.
 			bi := []int{0, 1, 2, 2, 2, 3, 1, 2}[x>>2&7]
-			reports = append(reports, acceptedInfo{Inst: 1, B: ballots[bi], V: Value{ID: pool[x&3]}})
+			reports = append(reports, acceptedInfo{Inst: 1, B: ballots[bi], V: &Value{ID: pool[x&3]}})
 		}
 		placed := func(id ValueID) bool {
 			for i, p := range pool {
@@ -326,7 +326,7 @@ func TestDedupSetProperty(t *testing.T) {
 }
 
 func TestWireSizesPositive(t *testing.T) {
-	v := Value{ID: ValueID{Node: 1, Seq: 2}, Size: 100}
+	v := &Value{ID: ValueID{Node: 1, Seq: 2}, Size: 100}
 	msgs := []interface{ WireSize() int64 }{
 		prepareMsg{}, promiseMsg{Accepted: []acceptedInfo{{V: v}}},
 		nackMsg{}, acceptMsg{V: v}, acceptedMsg{V: v}, chosenMsg{V: v},

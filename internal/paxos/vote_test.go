@@ -16,9 +16,16 @@ type heldCluster struct {
 	s     *sim.Sim
 	n     int
 	nodes []*heldNode // the current incarnation of each
+
+	// tap and deliver, when non-nil, see every message a node is handed and
+	// every value it delivers.
+	tap     func(to int, from env.NodeID, msg env.Message)
+	deliver func(id int, inst InstanceID, v *Value)
 }
 
 type heldNode struct {
+	c   *heldCluster
+	id  int
 	en  *Engine
 	got []received
 }
@@ -30,6 +37,9 @@ type received struct {
 
 func (h *heldNode) Start(e env.Env) { h.en.Boot(e, 0, nil) }
 func (h *heldNode) Receive(from env.NodeID, msg env.Message) {
+	if h.c.tap != nil {
+		h.c.tap(h.id, from, msg)
+	}
 	switch msg.(type) {
 	case *acceptedMsg, *chosenMsg, catchUpReplyMsg:
 		h.got = append(h.got, received{from, msg})
@@ -49,7 +59,11 @@ func newHeldCluster(n int, fast bool, seed uint64) *heldCluster {
 			FastEnabled: fast,
 			BatchDelay:  2 * time.Millisecond,
 			Members:     members,
-			Deliver:     func(InstanceID, Value) {},
+			Deliver: func(inst InstanceID, v *Value) {
+				if c.deliver != nil {
+					c.deliver(id, inst, v)
+				}
+			},
 		}
 		if id == n {
 			cfg.Learner = true
@@ -57,7 +71,7 @@ func newHeldCluster(n int, fast bool, seed uint64) *heldCluster {
 			cfg.Learners = []env.NodeID{env.NodeID(n)}
 		}
 		c.s.AddNode(func() env.Node {
-			c.nodes[id] = &heldNode{en: New(cfg)}
+			c.nodes[id] = &heldNode{c: c, id: id, en: New(cfg)}
 			return c.nodes[id]
 		})
 	}
@@ -88,15 +102,15 @@ func (c *heldCluster) walVotes(t *testing.T, id int) map[*acceptedMsg]bool {
 	return votes
 }
 
-// announced reports whether v is the value inside an announcement node id
-// received or, when id coordinated the decision, one it built and sent: a
+// announced reports whether v is the value an announcement node id received
+// points at or, when id coordinated the decision, one it built and sent: a
 // coordinator learns its decision where it makes it, so its announcement
 // reaches the others only.
 func (c *heldCluster) announced(id int, inst InstanceID, v *Value) bool {
 	for to, h := range c.nodes {
 		for _, r := range h.got {
 			m, ok := r.msg.(*chosenMsg)
-			if ok && m.Inst == inst && &m.V == v && (to == id || r.from == env.NodeID(id)) {
+			if ok && m.Inst == inst && m.V == v && (to == id || r.from == env.NodeID(id)) {
 				return true
 			}
 		}
@@ -104,13 +118,13 @@ func (c *heldCluster) announced(id int, inst InstanceID, v *Value) bool {
 	return false
 }
 
-// inEntry reports whether v is the value inside a catch-up reply's entry h
-// received.
+// inEntry reports whether v is the value a catch-up reply's entry h received
+// points at.
 func (h *heldNode) inEntry(v *Value) bool {
 	for _, r := range h.got {
 		if m, ok := r.msg.(catchUpReplyMsg); ok {
 			for i := range m.Entries {
-				if v == &m.Entries[i].V {
+				if v == m.Entries[i].V {
 					return true
 				}
 			}
@@ -122,14 +136,16 @@ func (h *heldNode) inEntry(v *Value) bool {
 // TestVoteHeldOnce: a vote and a decision are each one object. The vote an
 // acceptor's slot holds is the payload of its WAL record and the phase-2b
 // message the coordinator was handed; once the instance is decided the slot's
-// decision is the value inside that vote, or, where the node did not vote for
-// what was decided — a learner, the loser of a fast-round collision — the
-// value inside the announcement it received, or built if it coordinated the
-// decision. (The coordinator knows a decision before its announcement lands,
-// so a learner's catch-up request can bring it first; the learner then holds
-// the reply's entry.) A replica that learns decisions
-// by catch-up keeps the reply's entries, replays its votes as the WAL's own
-// records, and lets go of the entries when the log drops the instances.
+// decision is the value that vote points at, or, where the node did not vote
+// for what was decided — a learner, the loser of a fast-round collision — the
+// value the announcement it received points at, or the one it built if it
+// coordinated the decision. (The coordinator knows a decision before its
+// announcement lands, so a learner's catch-up request can bring it first; the
+// learner then holds the value the reply's entry points at.) A replica that
+// learns decisions by catch-up holds the values the reply's entries point at,
+// replays its votes as the WAL's own records, and lets go of the decisions
+// when the log drops the instances. (TestValueBuiltOnce holds that all these
+// pointers are one value, the one its proposer built.)
 func TestVoteHeldOnce(t *testing.T) {
 	testModes(t, func(t *testing.T, fast bool) {
 		const n, victim = 4, 3
@@ -173,7 +189,7 @@ func TestVoteHeldOnce(t *testing.T) {
 					t.Fatalf("node %d instance %d: voted, delivered, and no decision held", id, inst)
 				case s.chosen.ID == s.vote.V.ID:
 					own++
-					if s.chosen != &s.vote.V {
+					if s.chosen != s.vote.V {
 						t.Fatalf("node %d instance %d: the decision is a second copy of the value voted for", id, inst)
 					}
 				default:

@@ -104,7 +104,7 @@ func TestBackpressurePacksBatches(t *testing.T) {
 	c.s.After(time.Second, func() {
 		en := c.engines[0]
 		orig := en.cfg.Deliver
-		en.cfg.Deliver = func(inst InstanceID, v Value) {
+		en.cfg.Deliver = func(inst InstanceID, v *Value) {
 			batches[len(v.Cmds)]++
 			orig(inst, v)
 		}
@@ -179,7 +179,7 @@ func TestFailedSyncIsNotAcknowledged(t *testing.T) {
 
 			c.s.At(c.s.Now(), func() {
 				b := Ballot{Seq: nextOwnedBallot(en.maxBallotSeq, x, 3)}
-				v := Value{ID: ValueID{Node: x, Epoch: 1, Seq: 1}, Cmds: []any{"a"}, Size: 64}
+				v := &Value{ID: ValueID{Node: x, Epoch: 1, Seq: 1}, Cmds: []any{"a"}, Size: 64}
 				en.Handle(x, &acceptMsg{B: b, Inst: en.FirstUnchosen(), V: v})
 			})
 			c.s.RunFor(500 * time.Millisecond)

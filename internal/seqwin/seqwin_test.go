@@ -139,9 +139,11 @@ func TestAppendBudget(t *testing.T) {
 		t.Errorf("%d appends: %v allocations, budget %.1f", n, allocs, limit)
 	}
 	var before, after runtime.MemStats
+	procs := runtime.GOMAXPROCS(1) // the statistics count every goroutine's allocations
 	runtime.ReadMemStats(&before)
 	fill()
 	runtime.ReadMemStats(&after)
+	runtime.GOMAXPROCS(procs)
 	bytes := float64(after.TotalAlloc - before.TotalAlloc)
 	if limit := 1.05 * n * float64(unsafe.Sizeof(int64(0))); bytes > limit {
 		t.Errorf("%d appends: %.0f B allocated, budget %.0f", n, bytes, limit)

@@ -17,8 +17,8 @@ package slab
 
 import "unsafe"
 
-// Bytes is the size of every array, whatever its records: 186 votes of 88 B
-// or 102 customer rows of 160 B. A few live records pin a whole array, so an
+// Bytes is the size of every array, whatever its records: 511 votes of 32 B,
+// 255 values of 64 B or 102 customer rows of 160 B. A few live records pin a whole array, so an
 // array is sized by what it costs to pin, not by how many records it holds.
 const Bytes = 16 << 10
 

@@ -526,8 +526,11 @@ func TestGetCustomerParsesUName(t *testing.T) {
 	}
 }
 
-// allocated returns the bytes and the objects f allocates.
+// allocated returns the bytes and the objects f allocates. The memory
+// statistics count every goroutine's allocations, so f runs with one P, as
+// in testing.AllocsPerRun: no other goroutine allocates while it runs.
 func allocated(f func()) (bytes, objects uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
@@ -723,7 +726,7 @@ func TestApplyByteBudget(t *testing.T) {
 		}
 		t.Logf("%s: %.1f B (budget %.0f)", c.what, c.bytes, budget)
 		if c.bytes > budget {
-			t.Errorf("%s allocated %.1f bytes, budget %.0f", c.what, c.bytes, budget)
+			t.Errorf("%s allocated %.6f bytes, budget %.0f", c.what, c.bytes, budget)
 		}
 	}
 }
@@ -778,7 +781,7 @@ func TestApplyAllocBudget(t *testing.T) {
 		budget := budgets[c.what]
 		t.Logf("%s: %.4f allocs (budget %g)", c.what, c.allocs, budget)
 		if c.allocs > budget {
-			t.Errorf("%s: %.4f allocations per write, budget %g", c.what, c.allocs, budget)
+			t.Errorf("%s: %.7f allocations per write, budget %g", c.what, c.allocs, budget)
 		}
 	}
 }
