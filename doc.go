@@ -89,6 +89,11 @@
 // repair noticed it; the parts overlap rather than form one phase, because a
 // recovery keeps counting fast votes (a fast quorum often decides first) and
 // its phase 2 keeps the recovery's start time, which holds off a restart.
+// A sequence whose span rises and falls and stays short is a seqwin.Ring
+// instead, one circular array that doubles when the span outgrows it and
+// keeps its capacity: the completions a replica awaits, found by the
+// number the engine gave the command, and a simulated resource's job
+// backlog per worker.
 //
 // A value and a vote exist once. A proposer carves each value it proposes
 // (paxos.Value, 64 bytes: the ID, the commands, the modelled size) from its
@@ -204,7 +209,7 @@
 // completions — are values in a 4-ary heap; an armed timer is one entry of
 // a second, indexed heap, which a Reset re-keys where it lies and a Stop
 // removes; a sim.Resource keeps each worker's admitted jobs in that
-// worker's own FIFO with only the first in the event heap. All three are
+// worker's own FIFO, a ring, with only the first in the event heap. All three are
 // stamped from one (time, schedule order) key and the loop runs the
 // earlier of the two heaps' tops, so the order is the one a single heap
 // of everything would give; that single heap, with the stale timer entries

@@ -29,6 +29,7 @@ import (
 
 	"robuststore/internal/env"
 	"robuststore/internal/paxos"
+	"robuststore/internal/seqwin"
 )
 
 // StateMachine is the application contract: a deterministic black box.
@@ -143,6 +144,9 @@ type pendingDone struct {
 	plain   func(result any, err error)
 	indexed func(result any, inst paxos.InstanceID, err error)
 }
+
+// set reports whether p completes anything.
+func (p pendingDone) set() bool { return p.plain != nil || p.indexed != nil }
 
 func (p pendingDone) fire(result any, inst paxos.InstanceID, err error) {
 	switch {
@@ -275,14 +279,21 @@ type Replica struct {
 	recovering  bool
 	recovered   bool
 	lastApplied paxos.InstanceID
-	buffer      []bufferedValue
+	// buffer holds the deliveries that arrive while the checkpoint loads,
+	// at their instances, by pointer as every holder of a paxos.Value
+	// does; the ones the engine skips stay nil.
+	buffer seqwin.Window[paxos.InstanceID, *paxos.Value]
 
-	// pending holds the completions of this incarnation's submissions,
-	// keyed by the number the engine gave the command (paxos.Value), which
-	// nextSeq mirrors so an entry is in place before the engine sees the
-	// command.
+	// pending holds the completions of this incarnation's submissions at
+	// the number the engine gave the command (paxos.Value), which nextSeq
+	// mirrors so an entry is in place before the engine sees the command. A
+	// number submitted with no completion, or completed, holds the zero
+	// pendingDone, and the floor follows the prefix of those: every value a
+	// live incarnation submits is delivered in the end (the engine's
+	// outstanding window rests on the same rule), so the span is the
+	// commands in flight and the ring keeps its high-water capacity.
 	nextSeq int64
-	pending map[int64]pendingDone
+	pending seqwin.Ring[int64, pendingDone]
 
 	// fences holds registered fenced reads waiting for lastApplied to
 	// reach their minimum index (ReadAt). Loop-confined; fired
@@ -346,13 +357,6 @@ type Replica struct {
 	pubCkptBytes  atomic.Int64
 }
 
-// bufferedValue is a delivery that waits for the checkpoint read. It holds
-// the value by pointer, as every holder of a paxos.Value does.
-type bufferedValue struct {
-	inst paxos.InstanceID
-	v    *paxos.Value
-}
-
 var _ env.Node = (*Replica)(nil)
 
 // NewReplica builds a replica for one incarnation.
@@ -363,7 +367,6 @@ func NewReplica(cfg Config) *Replica {
 	}
 	return &Replica{
 		cfg:     cfg,
-		pending: make(map[int64]pendingDone),
 		serving: make(map[env.NodeID]bool),
 	}
 }
@@ -469,11 +472,12 @@ func (r *Replica) finishRestore(app appSnap) {
 	if !r.recovering {
 		r.pubRecovered.Store(true)
 	}
-	buf := r.buffer
-	r.buffer = nil
-	for _, bv := range buf {
-		r.apply(bv.inst, bv.v)
+	for inst, v := range r.buffer.From(r.buffer.Base()) {
+		if *v != nil {
+			r.apply(inst, *v) // appReady is set: nothing joins the buffer now
+		}
 	}
+	r.buffer.Reset(0)
 	r.fireFences()
 	if r.cfg.OnReady != nil {
 		r.cfg.OnReady()
@@ -522,8 +526,11 @@ func (r *Replica) submit(action any, done pendingDone) {
 		return
 	}
 	r.nextSeq++
-	if done.plain != nil || done.indexed != nil {
-		r.pending[r.nextSeq] = done
+	if done.set() {
+		if r.pending.Base() == r.pending.End() {
+			r.pending.DropBelow(r.nextSeq) // nothing waits below this one
+		}
+		*r.pending.Ensure(r.nextSeq) = done
 	}
 	if n := r.en.Submit(action); n != r.nextSeq {
 		panic("core: engine command numbering out of step with pending")
@@ -686,7 +693,10 @@ func (r *Replica) publish() {
 
 func (r *Replica) onDeliver(inst paxos.InstanceID, v *paxos.Value) {
 	if !r.appReady {
-		r.buffer = append(r.buffer, bufferedValue{inst: inst, v: v})
+		if r.buffer.Base() == r.buffer.End() {
+			r.buffer.Reset(inst) // deliveries come in instance order
+		}
+		*r.buffer.Ensure(inst) = v
 		return
 	}
 	r.apply(inst, v)
@@ -708,9 +718,10 @@ func (r *Replica) apply(inst paxos.InstanceID, v *paxos.Value) {
 		if !mine {
 			continue
 		}
-		seq := v.First + int64(i)
-		if done, ok := r.pending[seq]; ok {
-			delete(r.pending, seq)
+		if p := r.pending.At(v.First + int64(i)); p != nil && p.set() {
+			done := *p
+			*p = pendingDone{}
+			r.settlePending()
 			done.fire(result, inst, nil)
 		}
 	}
@@ -719,6 +730,15 @@ func (r *Replica) apply(inst paxos.InstanceID, v *paxos.Value) {
 	r.pubApplied.Store(r.applied)
 	r.fireFences()
 	r.maybeRecovered()
+}
+
+// settlePending lets the floor of pending pass the completed prefix.
+func (r *Replica) settlePending() {
+	floor := r.pending.Base()
+	for floor < r.pending.End() && !r.pending.At(floor).set() {
+		floor++
+	}
+	r.pending.DropBelow(floor)
 }
 
 // members returns the consensus group this replica belongs to.

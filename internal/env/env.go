@@ -187,11 +187,11 @@ type Storage interface {
 	LoadSnapshot(name string, done func(snap Snapshot, ok bool))
 }
 
-// Record is a single durable log entry. Size is the modeled on-disk size
-// in bytes; the simulator charges disk time proportional to it (the live
-// runtime keeps records in memory and ignores it).
+// Record is a single durable log entry. A reader tells records apart by
+// the type of Data. Size is the modeled on-disk size in bytes; the
+// simulator charges disk time proportional to it (the live runtime keeps
+// records in memory and ignores it).
 type Record struct {
-	Kind string
 	Data any
 	Size int64
 }

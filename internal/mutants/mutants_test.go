@@ -169,6 +169,16 @@ var mutants = []mutant{
 			"\tout := &Store{}\n",
 			"\tout := &Store{rows: s.rows}\n"}},
 		pkg: "./internal/tpcw/", run: "TestStoreRowsAreNeverShared"},
+	{name: "ring-regrow-misplaces", note: "a ring that outgrows its array copies the entries to the new one by position, not by number, so a window that wraps the old array comes back scrambled: the rule that \"A command's completion is found by its number\" rests on, an entry lives at its number mod the array's length",
+		edits: []edit{{"internal/seqwin/ring.go",
+			"\tmask := uint64(len(old) - 1)\n\tfor i := r.base; i < r.end; i++ {\n\t\tr.buf[r.pos(i)] = old[uint64(i)&mask]\n\t}\n",
+			"\tcopy(r.buf, old)\n"}},
+		pkg: "./internal/seqwin/", run: "TestRingMatchesMapReference"},
+	{name: "delivered-drops-out-of-order", note: "a checkpoint's dedup summary keeps each proposer's contiguous prefix and loses the values applied out of order above it, so one of them chosen again after the checkpoint is applied twice by a replica restarted from it; fixed beside \"A command's completion is found by its number\"",
+		edits: []edit{{"internal/paxos/engine.go",
+			"\t\t\tfor _, s := range got.Over {\n",
+			"\t\t\tfor _, s := range got.Over[:0] {\n"}},
+		pkg: "./internal/core/", run: "TestDuplicateAcrossCheckpointAppliedOnce"},
 }
 
 // row returns the mutant named name.

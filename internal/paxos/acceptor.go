@@ -43,7 +43,7 @@ func (en *Engine) onPrepare(from env.NodeID, m prepareMsg) {
 			reply.Accepted = append(reply.Accepted, acceptedInfo(*s.vote))
 		}
 	}
-	en.appendRecord(env.Record{Kind: "promise", Data: promiseRec{B: m.B}, Size: 32},
+	en.appendRecord(env.Record{Data: promiseRec{B: m.B}, Size: 32},
 		walDone{to: from, msg: reply})
 }
 
@@ -95,7 +95,7 @@ func (en *Engine) vote(inst InstanceID, b Ballot, v *Value) {
 	if inst >= en.nextFree {
 		en.nextFree = inst + 1
 	}
-	en.appendRecord(env.Record{Kind: "accept", Data: vote, Size: 32 + v.Size},
+	en.appendRecord(env.Record{Data: vote, Size: 32 + v.Size},
 		walDone{to: en.owner(b), msg: vote})
 }
 
@@ -111,7 +111,7 @@ func (en *Engine) onAny(from env.NodeID, m anyMsg) {
 		// We missed the prepare (e.g. we were down); adopt the promise
 		// now.
 		en.promised = m.B
-		en.appendRecord(env.Record{Kind: "promise", Data: promiseRec{B: m.B}, Size: 32}, walDone{})
+		en.appendRecord(env.Record{Data: promiseRec{B: m.B}, Size: 32}, walDone{})
 	}
 	if m.B.Less(en.promised) {
 		return // a higher ballot exists; this fast round is dead
@@ -197,7 +197,7 @@ func (en *Engine) onRecQuery(from env.NodeID, m recQueryMsg) {
 	}
 	if eff.Less(m.B) {
 		en.log.Ensure(m.Inst).setPromise(m.B)
-		en.appendRecord(env.Record{Kind: "instpromise", Data: instPromiseRec{Inst: m.Inst, B: m.B}, Size: 32},
+		en.appendRecord(env.Record{Data: instPromiseRec{Inst: m.Inst, B: m.B}, Size: 32},
 			walDone{to: from, msg: reply})
 		return
 	}

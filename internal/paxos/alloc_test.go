@@ -114,8 +114,8 @@ func TestInstanceLogByteBudget(t *testing.T) {
 			inst := first + InstanceID(i)
 			vals[i] = Value{ID: ValueID{Node: 9, Epoch: 1, Seq: int64(i) + 1}, Size: 64}
 			recs = append(recs,
-				env.Record{Kind: "instpromise", Data: instPromiseRec{Inst: inst, B: b}, Size: 32},
-				env.Record{Kind: "accept", Data: &acceptedMsg{B: b, Inst: inst, V: &vals[i]}, Size: 96})
+				env.Record{Data: instPromiseRec{Inst: inst, B: b}, Size: 32},
+				env.Record{Data: &acceptedMsg{B: b, Inst: inst, V: &vals[i]}, Size: 96})
 		}
 		var before, after runtime.MemStats
 		procs := runtime.GOMAXPROCS(1) // the statistics count every goroutine's allocations

@@ -1,6 +1,8 @@
 package paxos
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"robuststore/internal/env"
@@ -851,11 +853,16 @@ func (d *dedupSet) add(seq int64) bool {
 		return false
 	}
 	d.over[seq] = true
+	d.fold()
+	return true
+}
+
+// fold moves the base up through the sequences that now follow it.
+func (d *dedupSet) fold() {
 	for d.over[d.base+1] {
 		d.base++
 		delete(d.over, d.base)
 	}
-	return true
 }
 
 func (d *dedupSet) has(seq int64) bool { return seq <= d.base || d.over[seq] }
@@ -952,8 +959,18 @@ func (en *Engine) SkipTo(floor InstanceID) {
 }
 
 // DeliveredState is the checkpointable dedup summary: per node and
-// incarnation epoch, the highest contiguously applied value sequence.
-type DeliveredState map[env.NodeID]map[int64]int64
+// incarnation epoch, the values applied.
+type DeliveredState map[env.NodeID]map[int64]Delivered
+
+// Delivered is one proposer incarnation's applied values: every sequence up
+// to Base, and the ones above it applied out of order, ascending. Over is
+// what keeps a value applied out of order before a checkpoint, and chosen
+// again at an instance after it, from being applied twice by a replica
+// restarted from that checkpoint.
+type Delivered struct {
+	Base int64
+	Over []int64
+}
 
 // SetDelivered seeds the dedup state after a state transfer so commands
 // already contained in an installed checkpoint are not re-applied when
@@ -965,20 +982,26 @@ func (en *Engine) SetDelivered(state DeliveredState) {
 			dst = make(map[int64]*dedupSet)
 			en.delivered[node] = dst
 		}
-		for epoch, seq := range byEpoch {
+		for epoch, got := range byEpoch {
 			d := dst[epoch]
 			if d == nil {
 				d = &dedupSet{over: make(map[int64]bool)}
 				dst[epoch] = d
 			}
-			if d.base < seq {
-				d.base = seq
+			if d.base < got.Base {
+				d.base = got.Base
 				for s := range d.over {
-					if s <= seq {
+					if s <= got.Base {
 						delete(d.over, s)
 					}
 				}
 			}
+			for _, s := range got.Over {
+				if s > d.base {
+					d.over[s] = true
+				}
+			}
+			d.fold()
 		}
 	}
 }
@@ -987,9 +1010,13 @@ func (en *Engine) SetDelivered(state DeliveredState) {
 func (en *Engine) DeliveredSeqs() DeliveredState {
 	out := make(DeliveredState, len(en.delivered))
 	for node, byEpoch := range en.delivered {
-		m := make(map[int64]int64, len(byEpoch))
+		m := make(map[int64]Delivered, len(byEpoch))
 		for epoch, d := range byEpoch {
-			m[epoch] = d.base
+			var over []int64
+			if len(d.over) > 0 {
+				over = slices.Sorted(maps.Keys(d.over))
+			}
+			m[epoch] = Delivered{Base: d.base, Over: over}
 		}
 		out[node] = m
 	}
@@ -1024,7 +1051,7 @@ func (en *Engine) Compact(through InstanceID) {
 		}
 	}
 	barrierIdx := en.records
-	en.appendRecord(env.Record{Kind: "compact", Data: rec, Size: size}, walDone{fn: func(error) {
+	en.appendRecord(env.Record{Data: rec, Size: size}, walDone{fn: func(error) {
 		en.e.Storage().Truncate(barrierIdx, nil)
 	}})
 }

@@ -87,7 +87,7 @@ func voteRecords(b Ballot, from, to InstanceID) []env.Record {
 	var recs []env.Record
 	for i := from; i < to; i++ {
 		v := &Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i) + 1}, Size: 64}
-		recs = append(recs, env.Record{Kind: "accept", Data: &acceptedMsg{B: b, Inst: i, V: v}, Size: 96})
+		recs = append(recs, env.Record{Data: &acceptedMsg{B: b, Inst: i, V: v}, Size: 96})
 	}
 	return recs
 }
@@ -127,7 +127,7 @@ func TestReplayVotesBelowDeliverFloor(t *testing.T) {
 // TestPromiseBelowCompactionFloor/restart=true, without the cluster around
 // it.)
 func TestVoteBelowBarrierFloor(t *testing.T) {
-	barrier := env.Record{Kind: "compact", Data: compactRec{Floor: 59, Promised: Ballot{Seq: 2}}, Size: 128}
+	barrier := env.Record{Data: compactRec{Floor: 59, Promised: Ballot{Seq: 2}}, Size: 128}
 	b := bootOnWAL(t, []env.Record{barrier}, 0)
 	if b.en.voteFloor != 59 || b.en.retainedFrom != 0 {
 		t.Fatalf("booted with vote floor %d and retention floor %d, want 59 and 0", b.en.voteFloor, b.en.retainedFrom)
@@ -171,19 +171,19 @@ func TestVoteBelowBarrierFloor(t *testing.T) {
 func TestRestartAboveVoteFloor(t *testing.T) {
 	const lo, hi = 10, 20
 	old := Ballot{Seq: 1}
-	promise := env.Record{Kind: "promise", Data: promiseRec{B: old}, Size: 32}
+	promise := env.Record{Data: promiseRec{B: old}, Size: 32}
 	var votes []env.Record
 	barrier := compactRec{Floor: lo, Promised: old}
 	for i := InstanceID(lo); i < hi; i++ {
 		v := &Value{ID: ValueID{Node: 1, Epoch: 1, Seq: int64(i)}, Cmds: []any{fmt.Sprintf("old-%d", i)}, Size: 64}
 		a := &acceptedMsg{B: old, Inst: i, V: v}
-		votes = append(votes, env.Record{Kind: "accept", Data: a, Size: 96})
+		votes = append(votes, env.Record{Data: a, Size: 96})
 		barrier.Accepted = append(barrier.Accepted, a)
 	}
 	wals := [][]env.Record{
 		{promise},
 		append([]env.Record{promise}, votes...),
-		{{Kind: "compact", Data: barrier, Size: 128}},
+		{{Data: barrier, Size: 128}},
 	}
 	testModes(t, func(t *testing.T, fast bool) {
 		wals, floors := wals, []InstanceID{lo, lo, hi}
@@ -231,7 +231,7 @@ func TestListedVotesCanBeReplaced(t *testing.T) {
 					for _, r := range wal[barrier:] {
 						c.Accepted = append(c.Accepted, r.Data.(*acceptedMsg))
 					}
-					wal, floor = append(wal, env.Record{Kind: "compact", Data: c, Size: 128}), barrier
+					wal, floor = append(wal, env.Record{Data: c, Size: 128}), barrier
 				}
 				wal = append(wal, voteRecords(old, split, end)...)
 				b := bootOnWAL(t, wal, deliver)
@@ -299,7 +299,7 @@ func TestPromiseListsTailAscending(t *testing.T) {
 		from InstanceID
 	}{
 		{"from the prepare", votes, 4990},
-		{"from the vote floor", append(votes[:5000:5000], env.Record{Kind: "compact", Data: barrier, Size: 128}), 4995},
+		{"from the vote floor", append(votes[:5000:5000], env.Record{Data: barrier, Size: 128}), 4995},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := bootOnWAL(t, tc.wal, 0)

@@ -1,13 +1,20 @@
-// Package seqwin holds a dense sequence — the Paxos instance log, a WAL's
-// records, a proposer's numbered values — as a window [Base, End) over its
-// indices: a directory of fixed-size chunks, allocated when first written
-// and released whole when the window's floor passes them. Writing costs no
-// rehash and no regrowth copy, dropping a prefix costs no copy of the rest,
-// and a walk is in index order by construction.
+// Package seqwin holds a dense sequence indexed by number as a window
+// [Base, End): entries are written at the top and dropped from the bottom.
+// Two layouts serve two kinds of traffic.
 //
-// The layout is the paged table's (internal/tpcw/table.go) without the
-// copy-on-write: there the directory is shared between snapshots, here one
-// owner writes at the top and drops at the bottom.
+// Window is a directory of fixed-size chunks, allocated when first written
+// and released whole when the window's floor passes them: writing costs no
+// rehash and no regrowth copy, dropping a prefix costs no copy of the rest,
+// and a walk is in index order by construction. It serves long spans with bulk drops — the Paxos instance log, a
+// WAL's records, a proposer's numbered values, a restarted replica's
+// buffered deliveries. The layout is the paged table's
+// (internal/tpcw/table.go) without the copy-on-write: there the directory
+// is shared between snapshots, here one owner writes at the top and drops at
+// the bottom.
+//
+// Ring is one circular array that keeps its capacity. It serves short spans
+// that rise and fall — the completions a replica awaits, a worker's job
+// backlog — where a window would allocate and release a chunk at every turn.
 package seqwin
 
 import "iter"

@@ -552,7 +552,7 @@ func TestWALByteBudget(t *testing.T) {
 	st := a.e.Storage()
 	group := make([]env.Record, 100)
 	for i := range group {
-		group[i] = env.Record{Kind: "accept", Data: "vote", Size: 96}
+		group[i] = env.Record{Data: "vote", Size: 96}
 	}
 	durable := 0
 	done := func(error) { durable += len(group) }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/seqwin"
 )
 
 // Resource models a serially shared resource such as a replica's CPU: a
@@ -26,9 +27,8 @@ type Resource struct {
 }
 
 type worker struct {
-	busy time.Time // horizon: when the last job admitted completes
-	jobs []job     // admitted and not completed; jobs[head] is the one in the event heap
-	head int
+	busy time.Time               // horizon: when the last job admitted completes
+	jobs seqwin.Ring[int64, job] // admitted and not completed; the one at Base is in the event heap
 }
 
 type job struct {
@@ -59,8 +59,8 @@ func (r *Resource) Acquire(d time.Duration, done func()) {
 	}
 	w.busy = start.Add(d)
 	r.queued++
-	w.jobs = append(w.jobs, job{key: r.sim.stamp(w.busy), done: done})
-	if len(w.jobs)-w.head == 1 {
+	w.jobs.Append(job{key: r.sim.stamp(w.busy), done: done})
+	if w.jobs.End()-w.jobs.Base() == 1 {
 		r.scheduleHead(best)
 	}
 }
@@ -68,7 +68,7 @@ func (r *Resource) Acquire(d time.Duration, done func()) {
 // scheduleHead puts worker wi's first job into the event heap.
 func (r *Resource) scheduleHead(wi int) {
 	w := &r.workers[wi]
-	r.sim.queue.push(event{key: w.jobs[w.head].key, kind: evResource, msg: r, inc: r.gen, from: env.NodeID(wi)})
+	r.sim.queue.push(event{key: w.jobs.At(w.jobs.Base()).key, kind: evResource, msg: r, inc: r.gen, from: env.NodeID(wi)})
 }
 
 // complete finishes the first job of worker wi, scheduled in generation gen.
@@ -77,20 +77,10 @@ func (r *Resource) complete(wi int, gen int64) {
 		return // the head of a queue that Reset dropped
 	}
 	w := &r.workers[wi]
-	done := w.jobs[w.head].done
-	w.jobs[w.head].done = nil
-	w.head++
-	switch {
-	case w.head == len(w.jobs):
-		w.jobs, w.head = w.jobs[:0], 0
-	case w.head >= 64 && w.head >= len(w.jobs)/2:
-		// A worker that never idles never empties its queue: slide the live
-		// half down, amortized O(1) per job.
-		n := copy(w.jobs, w.jobs[w.head:])
-		clear(w.jobs[n:])
-		w.jobs, w.head = w.jobs[:n], 0
-	}
-	if w.head < len(w.jobs) {
+	head := w.jobs.Base()
+	done := w.jobs.At(head).done
+	w.jobs.DropBelow(head + 1)
+	if w.jobs.Base() < w.jobs.End() {
 		r.scheduleHead(wi)
 	}
 	r.queued--
@@ -111,7 +101,7 @@ func (r *Resource) Reset() {
 	r.queued = 0
 	for i := range r.workers {
 		w := &r.workers[i]
-		clear(w.jobs)
-		*w = worker{jobs: w.jobs[:0]}
+		w.busy = time.Time{}
+		w.jobs.Reset(0)
 	}
 }

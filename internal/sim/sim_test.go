@@ -195,7 +195,7 @@ func TestStorageDurableAcrossCrash(t *testing.T) {
 	s, _, b := twoNodes(t, Config{Seed: 7})
 	appended := false
 	s.At(s.Now(), func() {
-		b.n.e.Storage().Append(env.Record{Kind: "x", Data: 42, Size: 100},
+		b.n.e.Storage().Append(env.Record{Data: 42, Size: 100},
 			func(error) { appended = true })
 	})
 	s.RunFor(100 * time.Millisecond)
@@ -218,7 +218,7 @@ func TestStorageDurableAcrossCrash(t *testing.T) {
 func TestStorageWriteLostOnCrashBeforeDurability(t *testing.T) {
 	s, _, b := twoNodes(t, Config{Seed: 8, Disk: DiskConfig{SyncLatency: 50 * time.Millisecond}})
 	s.At(s.Now(), func() {
-		b.n.e.Storage().Append(env.Record{Kind: "x", Data: 1, Size: 10}, nil)
+		b.n.e.Storage().Append(env.Record{Data: 1, Size: 10}, nil)
 	})
 	// Crash before the 50 ms flush completes: the write must be lost.
 	s.RunFor(10 * time.Millisecond)
@@ -240,8 +240,8 @@ func TestSnapshotRoundTripAndTruncate(t *testing.T) {
 	done := 0
 	s.At(s.Now(), func() {
 		st := b.n.e.Storage()
-		st.Append(env.Record{Kind: "a", Data: 1, Size: 10}, func(error) { done++ })
-		st.Append(env.Record{Kind: "b", Data: 2, Size: 10}, func(error) { done++ })
+		st.Append(env.Record{Data: 1, Size: 10}, func(error) { done++ })
+		st.Append(env.Record{Data: 2, Size: 10}, func(error) { done++ })
 		st.SaveSnapshot("app", env.Snapshot{Data: "state", Size: 1000}, func(error) { done++ })
 	})
 	s.RunFor(time.Second)
@@ -266,7 +266,7 @@ func TestSnapshotRoundTripAndTruncate(t *testing.T) {
 		b.n.e.Storage().ReadRecords(func(r []env.Record, err error) { recs = r })
 	})
 	s.RunFor(time.Second)
-	if len(recs) != 1 || recs[0].Kind != "b" {
+	if len(recs) != 1 || recs[0].Data != 2 {
 		t.Fatalf("after truncate: %v", recs)
 	}
 }
@@ -556,7 +556,7 @@ func TestDiskSlowdownStretchesWrites(t *testing.T) {
 	appendTime := func(s *Sim, st env.Storage) time.Duration {
 		start := s.Now()
 		var done time.Time
-		st.Append(env.Record{Kind: "w", Size: 1 << 20}, func(error) { done = s.Now() })
+		st.Append(env.Record{Size: 1 << 20}, func(error) { done = s.Now() })
 		s.RunFor(time.Second)
 		if done.IsZero() {
 			t.Fatal("append never completed")
@@ -608,7 +608,7 @@ func TestAppendBatchOneFlush(t *testing.T) {
 	s.At(s.Now(), func() {
 		recs := make([]env.Record, 16)
 		for i := range recs {
-			recs[i] = env.Record{Kind: "r", Data: i, Size: 64}
+			recs[i] = env.Record{Data: i, Size: 64}
 		}
 		b.n.e.Storage().AppendBatch(recs, func(error) {
 			calls++
@@ -645,12 +645,12 @@ func TestAppendBatchInterleavesInOrder(t *testing.T) {
 	s, _, b := twoNodes(t, Config{Seed: 22})
 	s.At(s.Now(), func() {
 		st := b.n.e.Storage()
-		st.Append(env.Record{Kind: "r", Data: 0, Size: 8}, nil)
+		st.Append(env.Record{Data: 0, Size: 8}, nil)
 		st.AppendBatch([]env.Record{
-			{Kind: "r", Data: 1, Size: 8},
-			{Kind: "r", Data: 2, Size: 8},
+			{Data: 1, Size: 8},
+			{Data: 2, Size: 8},
 		}, nil)
-		st.Append(env.Record{Kind: "r", Data: 3, Size: 8}, nil)
+		st.Append(env.Record{Data: 3, Size: 8}, nil)
 	})
 	s.RunFor(time.Second)
 	var got []env.Record
