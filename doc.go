@@ -238,11 +238,20 @@
 // Customer, Order and Cart are views GetBook, GetCustomerByID, GetOrder and
 // GetCart assemble, with their instants in UTC; the web tier's reads look
 // rows up in place (BookAuthor, MostRecentOrder) and assemble none. The
-// population shares the text its rows repeat: 72,000 addresses hold 999
-// streets of each kind and 500 cities, 36,000 customers some 8,400 last
-// names, each built once as it is drawn. The rows a write keeps —
-// customers, addresses, orders and their lines, and the head copies — are
-// carved from slabs of the store's own, under the rule the votes follow:
+// population is loaded in bulk. Text its rows repeat is looked up by the
+// number drawn for it: 72,000 addresses hold 999 streets of each kind and
+// 500 cities, 10,000 items 100 publishers and 36,000 customers some 8,400
+// last names, each a slot of a table indexed by its draws and spelled the
+// first time it is drawn. Text of a row's own — names, e-mails, phones,
+// zips, titles — is spelled into 64 KiB arena chunks, each value a
+// substring of its chunk, so the paper population's 220,000 such strings
+// take some 35 allocations; a chunk lives while any of its strings does.
+// Dates are whole days and years from one midnight. The best-sellers
+// window is built from the orders it keeps, the last 3,333: the older ones
+// are stored and indexed by customer and never enter it. The rows a write
+// keeps — customers, addresses, orders and their lines, and the head
+// copies — are carved from slabs of the store's own, under the rule the
+// votes follow:
 // a store never writes a row once a capture or another store can hold it,
 // and Clone and Restore never hand a store another's slabs. An array lives
 // while one row in it does, so a cart's lines, replaced on every update

@@ -260,6 +260,11 @@ func (m snapReplyMsg) WireSize() int64 {
 // recovering its application state.
 var ErrNotReady = errors.New("core: replica state not yet recovered")
 
+// ErrAppliedUnknown completes a submission whose action a checkpoint
+// installed from another replica applied: the action took effect, but its
+// result is not known here.
+var ErrAppliedUnknown = errors.New("core: action applied by an installed checkpoint; result unknown")
+
 // ErrLearner is returned for submissions on a learner replica: learners
 // apply the ordered log but never propose to it.
 var ErrLearner = errors.New("core: learner replicas cannot submit actions")
@@ -462,6 +467,8 @@ func (r *Replica) finishRestore(app appSnap) {
 	r.hasCheckpoint = r.recovering
 	r.logState = app.logState.clone()
 	if app.Delivered != nil {
+		// Nothing to complete: until appReady this incarnation submits
+		// nothing, so none of its values can be in the checkpoint.
 		r.en.SetDelivered(app.Delivered)
 	}
 	if app.LastApplied >= 0 {
@@ -715,14 +722,8 @@ func (r *Replica) apply(inst paxos.InstanceID, v *paxos.Value) {
 	for i, action := range v.Cmds {
 		result := r.executeAction(action)
 		r.applied++
-		if !mine {
-			continue
-		}
-		if p := r.pending.At(v.First + int64(i)); p != nil && p.set() {
-			done := *p
-			*p = pendingDone{}
-			r.settlePending()
-			done.fire(result, inst, nil)
+		if mine {
+			r.complete(v.First+int64(i), result, inst, nil)
 		}
 	}
 	r.lastApplied = inst
@@ -730,6 +731,28 @@ func (r *Replica) apply(inst paxos.InstanceID, v *paxos.Value) {
 	r.pubApplied.Store(r.applied)
 	r.fireFences()
 	r.maybeRecovered()
+}
+
+// complete fires the completion waiting on command seq of this
+// incarnation, if one does.
+func (r *Replica) complete(seq int64, result any, inst paxos.InstanceID, err error) {
+	if p := r.pending.At(seq); p != nil && p.set() {
+		done := *p
+		*p = pendingDone{}
+		r.settlePending()
+		done.fire(result, inst, err)
+	}
+}
+
+// completeAbsorbed completes the commands of this incarnation's values that
+// an installed checkpoint applied (Engine.SetDelivered): each took effect,
+// but its result was computed on another replica.
+func (r *Replica) completeAbsorbed(vals []*paxos.Value) {
+	for _, v := range vals {
+		for i := range v.Cmds {
+			r.complete(v.First+int64(i), nil, -1, ErrAppliedUnknown)
+		}
+	}
 }
 
 // settlePending lets the floor of pending pass the completed prefix.
@@ -924,8 +947,9 @@ func (r *Replica) onSnapReply(m snapReplyMsg) {
 		}
 	}
 	r.baseName, r.baseID, r.chain, r.chainBytes = "", 0, nil, 0
-	r.en.SetDelivered(last.Delivered)
+	absorbed := r.en.SetDelivered(last.Delivered)
 	r.en.SkipTo(last.LastApplied + 1)
+	r.completeAbsorbed(absorbed)
 	r.pubLastApplied.Store(int64(r.lastApplied))
 	r.fireFences()
 	r.maybeRecovered()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"robuststore/internal/env"
+	"robuststore/internal/netfault"
 	"robuststore/internal/paxos"
 	"robuststore/internal/sim"
 )
@@ -269,6 +271,84 @@ func TestRemoteSnapshotFallback(t *testing.T) {
 	c.s.After(25*time.Second, func() { c.s.Restart(2) })
 	c.s.RunFor(60 * time.Second)
 	c.requireConverged(t, phase1+phase2)
+}
+
+// TestRemoteSnapshotSettlesOwnValues: node 2 submits five values, one per
+// in-flight slot, and is cut off before it learns they were chosen; the
+// others checkpoint and compact past them. Healed, node 2 installs a
+// checkpoint that applied its values, and must settle them: their
+// completions fire with ErrAppliedUnknown, the engine stops retrying them and
+// frees their slots, so three values submitted afterwards are applied and
+// complete. Before the fix none of the eight completions fired, the five were
+// retried for ever, and the three were never proposed.
+func TestRemoteSnapshotSettlesOwnValues(t *testing.T) {
+	const slots = 5
+	c := newCoreCluster(t, 3, 13, func(id int, cfg *Config) {
+		cfg.CheckpointInterval = 3 * time.Second
+		cfg.RetainInstances = 1
+		cfg.Paxos.MaxBatchCmds = 1 // a value per command
+		cfg.Paxos.MaxInFlight = slots
+	})
+	for i := 0; i < 50; i++ {
+		c.submit(2*time.Second+time.Duration(i)*10*time.Millisecond, i%3, incAction{Key: "a", Delta: 1})
+	}
+	const others = 400
+	for i := 0; i < others; i++ {
+		c.submit(5*time.Second+time.Duration(i)*20*time.Millisecond, i%2, incAction{Key: "b", Delta: 1})
+	}
+	var absorbed, after []error
+	submit := func(errs *[]error) {
+		c.replicas[2].Submit(incAction{Key: "c", Delta: 1}, func(_ any, err error) { *errs = append(*errs, err) })
+	}
+	// Node 2's values leave before it stops hearing, and it stops sending a
+	// moment later, so its elections cannot unseat the leader meanwhile.
+	victim := []env.NodeID{2}
+	var deaf, cut *netfault.Handle
+	c.s.After(5*time.Second, func() {
+		if c.replicas[2].Engine().IsLeader() {
+			t.Fatal("node 2 leads: the scenario needs it to follow")
+		}
+		deaf = c.s.Links().Open(netfault.Fault{Nodes: victim, Dir: env.LinkInboundOnly, Sever: true})
+		for range slots {
+			submit(&absorbed)
+		}
+	})
+	c.s.After(5*time.Second+100*time.Millisecond, func() {
+		cut = c.s.Links().Open(netfault.Fault{Nodes: victim, Sever: true})
+	})
+	c.s.After(15*time.Second, func() { deaf.Heal(); cut.Heal() })
+	var retries int64
+	c.s.After(20*time.Second, func() {
+		for range 3 {
+			submit(&after)
+		}
+		retries = c.replicas[2].Engine().Stats().Retries
+	})
+	c.s.RunFor(40 * time.Second)
+
+	if len(absorbed) != slots {
+		t.Fatalf("%d of the %d values the checkpoint applied completed", len(absorbed), slots)
+	}
+	for _, err := range absorbed {
+		if !errors.Is(err, ErrAppliedUnknown) {
+			t.Errorf("a value the checkpoint applied completed with %v, want ErrAppliedUnknown", err)
+		}
+	}
+	if len(after) != 3 {
+		t.Fatalf("%d of the 3 later values completed", len(after))
+	}
+	for _, err := range after {
+		if err != nil {
+			t.Errorf("a later value completed with %v", err)
+		}
+	}
+	if got := c.replicas[2].Engine().Stats().Retries; got != retries {
+		t.Errorf("node 2 retried %d values after the checkpoint settled them", got-retries)
+	}
+	if p := &c.replicas[2].pending; p.Base() != p.End() {
+		t.Errorf("node 2's pending completions span [%d, %d) with nothing waiting", p.Base(), p.End())
+	}
+	c.requireConverged(t, 50+others+slots+3)
 }
 
 func TestSubmitBeforeReadyFails(t *testing.T) {

@@ -179,6 +179,11 @@ var mutants = []mutant{
 			"\t\t\tfor _, s := range got.Over {\n",
 			"\t\t\tfor _, s := range got.Over[:0] {\n"}},
 		pkg: "./internal/core/", run: "TestDuplicateAcrossCheckpointAppliedOnce"},
+	{name: "checkpoint-absorbs-own-values", note: "a replica that installs another's checkpoint leaves its own incarnation's values the checkpoint applied outstanding: the engine retries them for ever and keeps their in-flight slots, so MaxInFlight of them stop its proposer, and their completions never fire; fixed beside \"The bookstore loads in bulk\"",
+		edits: []edit{{"internal/paxos/engine.go",
+			"\t\tif pv.live() && en.isDelivered(pv.v.ID) {\n",
+			"\t\tif false && pv.live() && en.isDelivered(pv.v.ID) {\n"}},
+		pkg: "./internal/core/", run: "TestRemoteSnapshotSettlesOwnValues"},
 }
 
 // row returns the mutant named name.

@@ -974,8 +974,11 @@ type Delivered struct {
 
 // SetDelivered seeds the dedup state after a state transfer so commands
 // already contained in an installed checkpoint are not re-applied when
-// they reappear as duplicates.
-func (en *Engine) SetDelivered(state DeliveredState) {
+// they reappear as duplicates. The values of this incarnation that the
+// checkpoint applied will never be delivered here: they are settled — no
+// longer retried, no longer in flight — and returned in submission order,
+// for the layer above to complete their commands.
+func (en *Engine) SetDelivered(state DeliveredState) []*Value {
 	for node, byEpoch := range state {
 		dst := en.delivered[node]
 		if dst == nil {
@@ -1004,6 +1007,20 @@ func (en *Engine) SetDelivered(state DeliveredState) {
 			d.fold()
 		}
 	}
+	var absorbed []*Value
+	for _, pv := range en.outstanding.From(en.outstanding.Base()) {
+		if pv.live() && en.isDelivered(pv.v.ID) {
+			absorbed = append(absorbed, pv.v)
+		}
+	}
+	// Settled after the walk: settling moves the window's floor.
+	for _, v := range absorbed {
+		en.settle(en.outstanding.At(v.ID.Seq))
+	}
+	if absorbed != nil {
+		en.pump()
+	}
+	return absorbed
 }
 
 // DeliveredSeqs returns the dedup summary for embedding in checkpoints.

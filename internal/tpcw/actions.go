@@ -273,19 +273,25 @@ func (s *Store) addAddress(st1, st2, city, state, zip string, country CountryID)
 	return id
 }
 
-// addOrder stores o under the next order ID as the latest order of
-// o.Customer, admits it to the best-sellers window and returns the ID. Its
-// lines come from orderLines or, for a gift, from the action that carries
-// them.
+// addOrder stores o (storeOrder), admits it to the best-sellers window and
+// returns its ID.
 func (s *Store) addOrder(o orderRow) OrderID {
+	rec := s.storeOrder(o)
+	s.pushRecentOrder(rec)
+	return rec.ID
+}
+
+// storeOrder stores o under the next order ID as the latest order of
+// o.Customer and returns the stored row. Its lines come from orderLines or,
+// for a gift, from the action that carries them.
+func (s *Store) storeOrder(o orderRow) *orderRow {
 	s.nextOrder++
 	o.ID = s.nextOrder
 	rec := s.rows.orders.Next()
 	*rec = o
 	s.orders.set(o.ID, rec)
 	s.lastOrder.set(o.Customer, o.ID)
-	s.pushRecentOrder(rec)
-	return o.ID
+	return rec
 }
 
 // orderLines returns room for n order lines, empty, for the caller to append

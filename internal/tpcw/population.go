@@ -101,7 +101,13 @@ var countryNames = []string{
 	"Japan", "Netherlands", "Switzerland", "Australia", "Brazil",
 }
 
-// Populate builds a store with the standard TPC-W population.
+// Populate builds a store with the standard TPC-W population. It loads in
+// bulk: text a row repeats is looked up by the number drawn for it, text of
+// a row's own is spelled into shared chunks (loader), dates are arithmetic on
+// the base date, and only the orders the best-sellers window ends up holding
+// enter it. A population is a function of its seed: the draws keep their
+// order, and every row, index and window holds what an order-by-order build
+// would.
 func Populate(cfg PopConfig) *Store {
 	cfg = cfg.withDefaults()
 	rng := xrand.New(cfg.Seed*0x9e3779b97f4a7c15 + 7)
@@ -121,7 +127,16 @@ func Populate(cfg PopConfig) *Store {
 		customers = minInt(10, fullCustomers)
 	}
 
+	// Every date is a whole number of days or years from base, a UTC
+	// midnight: a day is 24 hours, and the years are read from a table.
 	base := time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC)
+	day := func(k int) time.Time { return base.Add(time.Duration(k) * 24 * time.Hour) }
+	var yearsBefore [80]time.Time // Authors are 30–79 years old, customers 18–77.
+	for y := range yearsBefore {
+		yearsBefore[y] = base.AddDate(-y, 0, 0)
+	}
+	avail, expire := stampOf(base), stampOf(base.AddDate(2, 0, 0))
+
 	cat := &catalog{
 		authors:      make(map[AuthorID]Author, authors),
 		bySubject:    make(map[string][]ItemID),
@@ -132,13 +147,15 @@ func Populate(cfg PopConfig) *Store {
 		itemCount:    int32(items),
 	}
 	s := &Store{cat: cat}
-	var text texts
+	l := newLoader()
 
 	// Countries (TPC-W: 92 rows).
 	for i := 1; i <= 92; i++ {
-		name := "Country " + strconv.Itoa(i)
+		var name string
 		if i <= len(countryNames) {
 			name = countryNames[i-1]
+		} else {
+			name = l.number("Country ", i, "")
 		}
 		cat.countries = append(cat.countries, Country{
 			ID: CountryID(i), Name: name, Currency: "USD",
@@ -148,22 +165,22 @@ func Populate(cfg PopConfig) *Store {
 
 	// Authors.
 	for i := 1; i <= authors; i++ {
-		a := Author{
+		cat.authors[AuthorID(i)] = Author{
 			ID:    AuthorID(i),
-			FName: "A" + strconv.Itoa(i),
-			LName: text.name(rng),
-			DOB:   base.AddDate(-30-rng.Intn(50), 0, 0),
+			FName: l.number("A", i, ""),
+			LName: l.name(rng),
+			DOB:   yearsBefore[30+rng.Intn(50)],
 			Bio:   "bio",
 		}
-		cat.authors[a.ID] = a
 	}
 
 	// Items.
 	type pubEntry struct {
 		id  ItemID
-		pub time.Time
+		pub stamp
 	}
 	pubBySubject := make(map[string][]pubEntry)
+	itemRows := make([]itemRow, items)
 	for i := 1; i <= items; i++ {
 		id := ItemID(i)
 		w1 := titleWords[rng.Intn(len(titleWords))]
@@ -171,28 +188,29 @@ func Populate(cfg PopConfig) *Store {
 		subject := subjects[rng.Intn(len(subjects))]
 		author := AuthorID(rng.Intn(authors) + 1)
 		srp := 10 + rng.Float64()*90
-		// A population is a function of its seed: the draws below keep
-		// this order (publication date, publisher, cost, stock, pages).
-		pub := base.AddDate(0, 0, -rng.Intn(3650))
-		publisher := text.shared("PUB", rng.Intn(100), "")
-		row := &itemRow{
+		// The draws below keep this order: publication date, publisher,
+		// cost, stock, pages.
+		pub := stampOf(day(-rng.Intn(3650)))
+		publisher := l.shared(l.publishers, rng.Intn(100), "PUB", "")
+		row := &itemRows[i-1]
+		*row = itemRow{
 			head: itemHead{
 				Cost:      srp * (0.5 + rng.Float64()*0.5),
 				Stock:     int32(10 + rng.Intn(21)),
-				Image:     "img/full/" + strconv.Itoa(i),
-				Thumbnail: "img/thumb/" + strconv.Itoa(i),
+				Image:     l.number("img/full/", i, ""),
+				Thumbnail: l.number("img/thumb/", i, ""),
 			},
 			body: itemBody{
 				ID:        id,
-				Title:     w1 + " " + w2 + " " + strconv.Itoa(i),
+				Title:     l.title(w1, w2, i),
 				Author:    author,
-				PubDate:   stampOf(pub),
+				PubDate:   pub,
 				Publisher: publisher,
 				Subject:   subject,
 				Desc:      "desc",
 				SRP:       srp,
-				Avail:     stampOf(base),
-				ISBN:      "ISBN" + strconv.Itoa(i),
+				Avail:     avail,
+				ISBN:      l.number("ISBN", i, ""),
 				PageCount: int32(100 + rng.Intn(900)),
 				Backing:   "PAPERBACK",
 			},
@@ -213,8 +231,8 @@ func Populate(cfg PopConfig) *Store {
 	for subject, entries := range pubBySubject {
 		// Newest-first prefix of 50 (the new-products page).
 		sort.Slice(entries, func(i, j int) bool {
-			if !entries[i].pub.Equal(entries[j].pub) {
-				return entries[i].pub.After(entries[j].pub)
+			if entries[i].pub != entries[j].pub {
+				return entries[i].pub > entries[j].pub
 			}
 			return entries[i].id < entries[j].id
 		})
@@ -229,72 +247,84 @@ func Populate(cfg PopConfig) *Store {
 		cat.newBySubject[subject] = ids
 	}
 
-	// Customers and their addresses.
+	// Customers and their addresses, and what an order copies from its
+	// buyer, at hand without a look into the customer table.
+	type buyer struct {
+		addr  AddressID
+		fname string
+	}
+	buyers := make([]buyer, customers+1)
 	for i := 1; i <= customers; i++ {
 		addr := s.addAddress(
-			text.shared("", rng.Intn(999), " Main St"), "",
-			text.shared("City", rng.Intn(500), ""), "ST",
-			strconv.Itoa(10000+rng.Intn(89999)),
+			l.shared(l.streets[0], rng.Intn(999), "", " Main St"), "",
+			l.shared(l.cities, rng.Intn(500), "City", ""), "ST",
+			l.number("", 10000+rng.Intn(89999), ""),
 			CountryID(rng.Intn(92)+1),
 		)
 		// Second address per customer (TPC-W: 2x addresses).
 		s.addAddress(
-			text.shared("", rng.Intn(999), " Second St"), "",
-			text.shared("City", rng.Intn(500), ""), "ST",
-			strconv.Itoa(10000+rng.Intn(89999)),
+			l.shared(l.streets[1], rng.Intn(999), "", " Second St"), "",
+			l.shared(l.cities, rng.Intn(500), "City", ""), "ST",
+			l.number("", 10000+rng.Intn(89999), ""),
 			CountryID(rng.Intn(92)+1),
 		)
-		id := CustomerID(i)
+		buyers[i] = buyer{addr: addr, fname: l.number("F", i, "")}
 		s.addCustomer(customerBody{
-			ID:        id,
-			FName:     text.number("F", i, ""),
-			LName:     text.name(rng),
+			ID:        CustomerID(i),
+			FName:     buyers[i].fname,
+			LName:     l.name(rng),
 			Addr:      addr,
-			Phone:     strconv.Itoa(1000000000 + rng.Intn(899999999)),
-			Email:     text.number("C", i, "@example.com"), // UserName(id) + "@example.com"
-			Since:     stampOf(base.AddDate(0, 0, -rng.Intn(730))),
+			Phone:     l.number("", 1000000000+rng.Intn(899999999), ""),
+			Email:     l.number("C", i, "@example.com"), // UserName(id) + "@example.com"
+			Since:     stampOf(day(-rng.Intn(730))),
 			Discount:  float64(rng.Intn(51)),
-			BirthDate: stampOf(base.AddDate(-18-rng.Intn(60), 0, 0)),
+			BirthDate: stampOf(yearsBefore[18+rng.Intn(60)]),
 			Data:      "data",
 		}, base)
 	}
 	s.nextCustomer = CustomerID(customers)
 
-	// Historical orders (90 % of customers), newest last so the
-	// recent-order ring holds the latest bestSellerWindow of them.
+	// Historical orders (90 % of customers), newest last. Each is stored
+	// and is its customer's latest so far; only the last bestSellerWindow
+	// enter the best-sellers window, which holds just those once the
+	// population is built.
+	window := orders - bestSellerWindow
+	s.recentOrders = make([]OrderID, 0, minInt(orders, bestSellerWindow))
 	for i := 1; i <= orders; i++ {
 		cust := CustomerID(rng.Intn(customers) + 1)
 		nLines := 1 + rng.Intn(4)
 		lines := s.orderLines(nLines)
 		var subTotal float64
-		for l := 0; l < nLines; l++ {
+		for k := 0; k < nLines; k++ {
 			iid := ItemID(rng.Intn(items) + 1)
 			qty := int32(1 + rng.Intn(3))
-			item, _ := s.items.get(iid)
-			subTotal += item.Cost * float64(qty)
+			subTotal += itemRows[iid-1].head.Cost * float64(qty)
 			lines = append(lines, OrderLine{Item: iid, Qty: qty})
 		}
 		tax := subTotal * taxRate
-		date := base.AddDate(0, 0, -rng.Intn(365))
-		buyer, _ := s.customers.get(cust)
-		s.addOrder(orderRow{
+		date := day(-rng.Intn(365))
+		b := buyers[cust]
+		o := s.storeOrder(orderRow{
 			Customer: cust,
 			Date:     stampOf(date),
 			SubTotal: subTotal,
 			Tax:      tax,
 			Total:    subTotal + tax + shippingCost(nLines),
 			ShipType: "MAIL",
-			ShipDate: stampOf(date.AddDate(0, 0, 1+rng.Intn(7))),
+			ShipDate: stampOf(date.Add(time.Duration(1+rng.Intn(7)) * 24 * time.Hour)),
 			Status:   "SHIPPED",
-			BillAddr: buyer.Addr,
-			ShipAddr: buyer.Addr,
+			BillAddr: b.addr,
+			ShipAddr: b.addr,
 			Lines:    lines,
 			CC: ccRow{
 				Type: "VISA", Num: "4111111111111111",
-				Name: buyer.FName, Expire: stampOf(base.AddDate(2, 0, 0)),
+				Name: b.fname, Expire: expire,
 				Total: subTotal + tax, ShipAt: stampOf(date), Country: 1,
 			},
 		})
+		if i > window {
+			s.pushRecentOrder(o)
+		}
 	}
 	s.ordersSinceBS = 0
 	s.bsCache = nil
@@ -331,56 +361,109 @@ func (s *Store) Info() PopulationInfo {
 	return info
 }
 
-// texts spells the text values of a population, and builds each value that
-// rows repeat once: 72,000 addresses share 999 streets of each kind and 500
-// cities, and 36,000 customers some 8,400 last names. A row shares a string
-// as safely as it holds its own, since nothing writes a string. Each method
-// returns a string, never the buffer: a composite literal may evaluate every
-// call in it before it converts the first result.
-type texts struct {
-	buf  []byte            // the value being spelled
-	seen map[string]string // every value shared, by its spelling
+// loader spells the text values of one population. Text that rows repeat
+// is spelled once and looked up by the number drawn for it: 72,000
+// addresses share 999 streets of each kind and 500 cities, 10,000 items 100
+// publishers, and 36,000 customers some 8,400 last names, indexed by their
+// syllables. Every value is spelled into an arena (textChunk) and is a
+// substring of its chunk: a row shares a chunk as safely as it holds a
+// string of its own, since nothing writes a string, and a chunk lives while
+// any of its strings does, as a slab array lives while any row in it does.
+// A loader belongs to one Populate call.
+type loader struct {
+	streets    [2][]string // by kind (Main St, Second St), then drawn number
+	cities     []string
+	publishers []string
+	names      []string // two syllables at a·20+b, three at 400+(a·20+b)·20+c
+
+	chunk strings.Builder // the arena chunk being filled
+	from  int             // where in chunk the value being spelled starts
+	digit [20]byte
 }
 
-// number returns prefix, n in decimal and suffix, as a string of its own.
-func (t *texts) number(prefix string, n int, suffix string) string {
-	t.spell(prefix, n, suffix)
-	return string(t.buf)
+// textChunk is the size of an arena chunk, and textMax a bound on one value:
+// a value starts a fresh chunk unless textMax bytes are left in the current
+// one. A longer value would still be correct: the chunk would move on to a
+// larger array and leave the strings already cut from the old one in place.
+const (
+	textChunk = 64 << 10
+	textMax   = 64
+)
+
+func newLoader() *loader {
+	l := &loader{
+		cities:     make([]string, 500),
+		publishers: make([]string, 100),
+		names:      make([]string, len(authorSyllables)*len(authorSyllables)*(1+len(authorSyllables))),
+	}
+	l.streets[0] = make([]string, 999)
+	l.streets[1] = make([]string, 999)
+	return l
 }
 
-// shared returns the same text as number, built the first time it is asked
-// for.
-func (t *texts) shared(prefix string, n int, suffix string) string {
-	t.spell(prefix, n, suffix)
-	return t.intern()
+// begin starts a value in the arena, end returns it.
+func (l *loader) begin() {
+	if l.chunk.Cap()-l.chunk.Len() < textMax {
+		l.chunk = strings.Builder{}
+		l.chunk.Grow(textChunk)
+	}
+	l.from = l.chunk.Len()
 }
 
-// name draws an author's or a customer's last name, two or three syllables,
-// and returns it shared.
-func (t *texts) name(rng *xrand.Rand) string {
+func (l *loader) end() string { return l.chunk.String()[l.from:] }
+
+func (l *loader) int(n int) { l.chunk.Write(strconv.AppendInt(l.digit[:0], int64(n), 10)) }
+
+// number spells prefix, n in decimal and suffix.
+func (l *loader) number(prefix string, n int, suffix string) string {
+	l.begin()
+	l.chunk.WriteString(prefix)
+	l.int(n)
+	l.chunk.WriteString(suffix)
+	return l.end()
+}
+
+// title spells a book title: two words and the item's number.
+func (l *loader) title(w1, w2 string, n int) string {
+	l.begin()
+	l.chunk.WriteString(w1)
+	l.chunk.WriteByte(' ')
+	l.chunk.WriteString(w2)
+	l.chunk.WriteByte(' ')
+	l.int(n)
+	return l.end()
+}
+
+// shared returns what number spells, from tab at n, spelled the first time
+// n is drawn.
+func (l *loader) shared(tab []string, n int, prefix, suffix string) string {
+	if tab[n] == "" {
+		tab[n] = l.number(prefix, n, suffix)
+	}
+	return tab[n]
+}
+
+// name draws an author's or a customer's last name, two or three
+// syllables.
+func (l *loader) name(rng *xrand.Rand) string {
 	n := 2 + rng.Intn(2)
-	t.buf = t.buf[:0]
+	var syl [3]int
+	slot := 0
 	for i := 0; i < n; i++ {
-		t.buf = append(t.buf, authorSyllables[rng.Intn(len(authorSyllables))]...)
+		syl[i] = rng.Intn(len(authorSyllables))
+		slot = slot*len(authorSyllables) + syl[i]
 	}
-	return t.intern()
-}
-
-func (t *texts) spell(prefix string, n int, suffix string) {
-	t.buf = append(strconv.AppendInt(append(t.buf[:0], prefix...), int64(n), 10), suffix...)
-}
-
-// intern returns the string the buffer spells, built the first time.
-func (t *texts) intern() string {
-	if v, ok := t.seen[string(t.buf)]; ok {
-		return v
+	if n == 3 {
+		slot += len(authorSyllables) * len(authorSyllables)
 	}
-	if t.seen == nil {
-		t.seen = make(map[string]string)
+	if l.names[slot] == "" {
+		l.begin()
+		for _, k := range syl[:n] {
+			l.chunk.WriteString(authorSyllables[k])
+		}
+		l.names[slot] = l.end()
 	}
-	v := string(t.buf)
-	t.seen[v] = v
-	return v
+	return l.names[slot]
 }
 
 func minInt(a, b int) int {

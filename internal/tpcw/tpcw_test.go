@@ -627,6 +627,13 @@ func BenchmarkApplyBuyConfirm(b *testing.B) {
 	}
 }
 
+func BenchmarkPopulate(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Populate(paperPopulation)
+	}
+}
+
 func BenchmarkSnapshot(b *testing.B) {
 	s := Populate(PopConfig{Items: 10000, EBs: 30, Reduction: 8, Seed: 1})
 	b.ReportAllocs()
