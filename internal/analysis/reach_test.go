@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"go/token"
 	"go/types"
@@ -9,10 +10,55 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"robuststore/internal/analysis"
 )
+
+// loaded holds the module's and bench/'s packages, type-checked once per
+// test binary: the reach test and the design rules read the same load.
+var loaded struct {
+	once sync.Once
+	root string
+	pkgs []*analysis.Package
+	err  error
+}
+
+// modulePackages returns the repository root and every non-test package of
+// robuststore/... and of bench/ (a module of its own, so loaded from its
+// directory), parsed and type-checked. Callers must not modify them.
+func modulePackages(t *testing.T) (string, []*analysis.Package) {
+	t.Helper()
+	loaded.once.Do(func() { loaded.root, loaded.pkgs, loaded.err = loadModules() })
+	if loaded.err != nil {
+		t.Fatal(loaded.err)
+	}
+	return loaded.root, loaded.pkgs
+}
+
+func loadModules() (string, []*analysis.Package, error) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		return "", nil, err
+	}
+	pkgs, err := analysis.Load("robuststore/...")
+	if err != nil {
+		return "", nil, err
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		return "", nil, err
+	}
+	if err := os.Chdir(filepath.Join(root, "bench")); err != nil {
+		return "", nil, err
+	}
+	bench, err := analysis.Load("./...")
+	if err := errors.Join(err, os.Chdir(wd)); err != nil {
+		return "", nil, err
+	}
+	return root, append(pkgs, bench...), nil
+}
 
 // internalPrefix is the import-path prefix of the packages whose exports
 // the reach test audits. An identifier is named relative to it:
@@ -33,20 +79,7 @@ const internalPrefix = "robuststore/internal/"
 // reason a line; an entry that is reached now, or no longer declared,
 // fails too.
 func TestEveryExportIsReached(t *testing.T) {
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := analysis.Load("robuststore/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Chdir(filepath.Join(root, "bench"))
-	benchPkgs, err := analysis.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs = append(pkgs, benchPkgs...)
+	root, pkgs := modulePackages(t)
 
 	declared := map[string]token.Position{}
 	concrete := map[string]string{} // method key → methodSig

@@ -12,8 +12,6 @@
 package sim
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -34,9 +32,6 @@ type Config struct {
 	// Disk models each node's local disk (defaults: a 7200 rpm SATA
 	// disk, per §5.1).
 	Disk DiskConfig
-
-	// DebugLog, when non-nil, receives node Logf output.
-	DebugLog io.Writer
 }
 
 // Sim is the event loop and cluster container. It is single-threaded: all
@@ -312,15 +307,7 @@ func (e *nodeEnv) Storage() env.Storage { return e.n.storage }
 
 func (e *nodeEnv) Rand() env.Rand { return e.n.rng }
 
-func (e *nodeEnv) Logf(format string, args ...any) {
-	w := e.n.sim.cfg.DebugLog
-	if w == nil {
-		return
-	}
-	fmt.Fprintf(w, "%8.3fs n%d: %s\n",
-		e.n.sim.now.Sub(time.Unix(0, 0).UTC()).Seconds(),
-		e.n.id, fmt.Sprintf(format, args...))
-}
+func (e *nodeEnv) Logf(format string, args ...any) {}
 
 // send models the network: sender NIC serialization, switch latency with
 // jitter, drops and partitions; see NetConfig.

@@ -1,7 +1,6 @@
 package webtier
 
 import (
-	"io"
 	"slices"
 	"time"
 
@@ -74,10 +73,6 @@ type Config struct {
 	Seed uint64
 	Net  sim.NetConfig
 	Disk sim.DiskConfig
-
-	// DebugLog, when non-nil, receives node Logf output (protocol-level
-	// election/recovery tracing; see sim.Config.DebugLog).
-	DebugLog io.Writer
 
 	// OnRecovered reports a server that finished post-crash
 	// re-synchronization.
@@ -192,7 +187,7 @@ func NewCluster(cfg Config) *Cluster {
 		cfg.Readers = 0
 	}
 	c := &Cluster{cfg: cfg, table: shard.NewRoutingTable(cfg.Shards)}
-	c.sim = sim.New(sim.Config{Seed: cfg.Seed, Net: cfg.Net, Disk: cfg.Disk, DebugLog: cfg.DebugLog})
+	c.sim = sim.New(sim.Config{Seed: cfg.Seed, Net: cfg.Net, Disk: cfg.Disk})
 	for g := 0; g < cfg.Shards; g++ {
 		c.addGroup()
 	}
