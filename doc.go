@@ -299,24 +299,26 @@
 // home group BEFORE replying or releasing the outcome; the record is
 // first-writer-wins, so a presumed-abort inquiry racing the real commit
 // resolves to whichever ordered first and every reader agrees.
-// Participants then order core.TxnCommit/TxnAbort — commit executes the
-// staged branch at the outcome record's position, abort discards it,
+// Participants then order a core.TxnOutcome — a commit executes the
+// staged branch at the outcome record's position, an abort discards it,
 // and either way duplicates degrade to ordered no-ops. All of it is
 // replayable and checkpoint-carried (the prepared set, terminal set and
 // decision map travel with the application snapshot), recovery is
 // record-driven, never memory-driven: a stranded participant inquires
 // at the home group after a grace (recording a presumed abort if no
-// decision exists), a restarting replica re-arms a resolution loop for
-// every staged branch at prepare-apply time (core.Config.OnTxnStaged —
-// readiness rescans alone miss a prepare that replays late). One
-// coordinator drives the records: the web tier's, event-style
-// (webtier/txn.go), behind the first real multi-shard workloads —
-// cross-session gift orders debiting one group and delivering on
-// another, admin inventory sweeps repricing item sets across groups —
-// while a transaction that collapses to one group takes the plain submit
-// path and orders no transaction record. No experiment or workload draws
-// such a transaction: webtier.TestTxnFastPathOrdersNoRecords is what
-// exercises both single-group branches. The txn fault
+// decision exists), and one hook, core.Config.OnTxnStaged, arms its
+// resolution loop for every branch that enters a replica's prepared set —
+// by a prepare record, live or replayed, or by a checkpoint restored
+// from disk or installed from a peer. One coordinator drives the
+// records: the web tier's, event-style (webtier/txn.go), behind the
+// first real multi-shard workloads — cross-session gift orders
+// (tpcw.GiftAction) debiting one group and delivering on another, admin
+// inventory sweeps repricing item sets across groups. A handler splits
+// its write into one share per group and hands the shares to the
+// coordinator's one entry, which alone decides that a write whose only
+// share is on its own group takes the plain submit path and orders no
+// transaction record. No experiment or workload draws such a write:
+// webtier.TestTxnFastPathOrdersNoRecords is what exercises it. The txn fault
 // scenarios (coordinator crash, coordinator–participant partition,
 // participant crash holding a prepared branch) run under cmd/experiment
 // -run txn with per-group commit/abort/blocked-time counters

@@ -27,7 +27,8 @@ import (
 // spelling, so a rename, an import alias or a reformat cannot get past it.
 type designRule struct {
 	name string
-	// step is the CI step whose grep, sed or awk lines the rule replaced.
+	// step is the CI step whose grep, sed or awk lines the rule replaced,
+	// or, for a rule added since, the design it holds.
 	step  string
 	check func(c *ctx)
 	// forbidden are edits that each give the real tree the shape the rule
@@ -717,6 +718,124 @@ var designRules = []designRule{
 			})
 		},
 		forbidden: []edit{{"internal/webtier/server.go", "\ts.e.Send(proxy, w)\n", "\ts.e.Send(proxy, m)\n"}},
+	},
+	{
+		name: "the gift and sweep handlers hand their shares to runTxn and submit nothing",
+		step: "A cross-shard write has one shape",
+		check: func(c *ctx) {
+			handlers := []string{"Server.performGiftPurchase", "Server.performStockSweep"}
+			seen := 0
+			c.each("internal/webtier", func(s *spot, n ast.Node) {
+				if !slices.Contains(handlers, s.decl) {
+					return
+				}
+				if n == s.top {
+					seen++
+				}
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := s.callee(call); fn != nil && strings.HasPrefix(fn.Name(), "Submit") && isMethod(fn, "internal/core", "Replica", fn.Name()) {
+						s.report(call, "%s calls Replica.%s: runTxn alone decides whether a write needs 2PC", s.decl, fn.Name())
+					}
+				}
+			})
+			if seen != len(handlers) {
+				c.errorf("internal/webtier no longer declares %s: restate the rule", strings.Join(handlers, " and "))
+			}
+		},
+		forbidden: []edit{
+			{"internal/webtier/txn.go", "\t\tshares[g] = gift\n\t}\n",
+				"\t\tshares[g] = gift\n\t}\n\tif len(shares) == 1 {\n\t\ts.replica.SubmitIndexed(gift, r.applied)\n\t\treturn\n\t}\n"},
+			{"internal/webtier/txn.go", "\tshares := make(map[int]any, len(byGroup))\n",
+				"\tif items, local := byGroup[s.group()]; local && len(byGroup) == 1 {\n\t\trep := s.replica\n\t\trep.Submit(tpcw.InventorySweepAction{Items: items}, nil)\n\t\treturn\n\t}\n\tshares := make(map[int]any, len(byGroup))\n"},
+		},
+	},
+	{
+		name: "a resolution loop is armed by the staged-branch hook alone",
+		step: "A cross-shard write has one shape",
+		check: func(c *ctx) {
+			arm := c.member("internal/webtier", "Server", "armTxnResolve")
+			type span struct{ from, to token.Pos }
+			var hooks []span
+			var uses []ast.Node
+			var at []spot
+			c.each("internal/webtier", func(s *spot, n ast.Node) {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if !named(s.typeOf(n), "internal/core", "Config") {
+						return
+					}
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok && kv.Key.(*ast.Ident).Name == "OnTxnStaged" {
+							hooks = append(hooks, span{kv.Value.Pos(), kv.Value.End()})
+						}
+					}
+				case *ast.Ident:
+					if s.pkg.TypesInfo.Uses[n] == arm {
+						uses = append(uses, n)
+						at = append(at, *s)
+					}
+				}
+			})
+			inHook := 0
+			for i, u := range uses {
+				if !slices.ContainsFunc(hooks, func(h span) bool { return h.from <= u.Pos() && u.End() <= h.to }) {
+					at[i].report(u, "%s refers to armTxnResolve outside the OnTxnStaged hook", at[i].decl)
+				} else if inHook++; inHook == 2 {
+					at[i].report(u, "a second reference to armTxnResolve in the OnTxnStaged hook")
+				}
+			}
+			if inHook == 0 {
+				c.reportObj("internal/webtier", arm, "the OnTxnStaged hook no longer calls armTxnResolve")
+			}
+		},
+		forbidden: []edit{
+			{"internal/webtier/txn.go", "\t\t\tif vr, ok := result.(core.TxnVoteResult); err == nil && ok {\n",
+				"\t\t\tif vr, ok := result.(core.TxnVoteResult); err == nil && ok {\n\t\t\t\tif vr.Prepared {\n\t\t\t\t\ts.armTxnResolve(m.ID, m.Home)\n\t\t\t\t}\n"},
+			{"internal/webtier/server.go", "\t\ts.caughtUp = true\n\t\tif s.c.cfg.OnRecovered",
+				"\t\ts.caughtUp = true\n\t\tarm := s.armTxnResolve\n\t\tarm(\"\", 0)\n\t\tif s.c.cfg.OnRecovered"},
+			{"internal/webtier/server.go", "\t\t\t\ts.armTxnResolve(id, home)\n",
+				"\t\t\t\ts.armTxnResolve(id, home)\n\t\t\t\ts.armTxnResolve(id, s.group())\n"},
+		},
+	},
+	{
+		name: "the coordinator keeps one record per participant, in no map",
+		step: "A cross-shard write has one shape",
+		check: func(c *ctx) {
+			for _, typ := range []string{"txnCoord", "txnPart"} {
+				st := c.lookup("internal/webtier", typ).Type().Underlying().(*types.Struct)
+				for f := range st.Fields() {
+					if _, ok := f.Type().Underlying().(*types.Map); ok {
+						c.reportObj("internal/webtier", f, "%s.%s is a %s beside the participant records", typ, f.Name(), f.Type())
+					}
+				}
+			}
+		},
+		forbidden: []edit{
+			{"internal/webtier/txn.go", "\tdecided   bool\n", "\tdecided   bool\n\tvotes     map[int]bool\n"},
+			{"internal/webtier/txn.go", "type txnPart struct {\n", "type groupSet map[int]bool\n\ntype txnPart struct {\n\tacks groupSet\n"},
+		},
+	},
+	{
+		name: "tpcw declares one gift action and one gift result",
+		step: "A cross-shard write has one shape",
+		check: func(c *ctx) {
+			c.lookup("internal/tpcw", "GiftAction")
+			c.lookup("internal/tpcw", "GiftResult")
+			scope := c.pkg("internal/tpcw").Types.Scope()
+			for _, name := range scope.Names() {
+				obj := scope.Lookup(name)
+				if _, ok := obj.(*types.TypeName); !ok || !strings.HasPrefix(name, "Gift") || name == "GiftAction" || name == "GiftResult" {
+					continue
+				}
+				if _, ok := obj.Type().Underlying().(*types.Struct); ok {
+					c.reportObj("internal/tpcw", obj, "tpcw declares %s beside GiftAction and GiftResult", name)
+				}
+			}
+		},
+		forbidden: []edit{
+			{"internal/tpcw/gift.go", "", "type GiftDebitAction struct {\n\tCart  CartID\n\tTotal float64\n}"},
+			{"internal/tpcw/gift.go", "", "type GiftDeliverResult GiftResult"},
+		},
 	},
 	{
 		name: "no root-level test harness or BENCH output",

@@ -100,10 +100,8 @@ func (r *Replica) executeAction(action any) any {
 		return nil
 	case TxnPrepare:
 		return r.execTxnPrepare(a)
-	case TxnCommit:
-		return r.execTxnOutcome(a.ID, true)
-	case TxnAbort:
-		return r.execTxnOutcome(a.ID, false)
+	case TxnOutcome:
+		return r.execTxnOutcome(a)
 	case TxnDecision:
 		return r.execTxnDecision(a)
 	case PartitionImport:

@@ -110,11 +110,15 @@ type Config struct {
 	// and the replica can serve local reads.
 	OnReady func()
 
-	// OnTxnStaged, if non-nil, fires whenever a TxnPrepare record stages
-	// a branch on this replica — live submit, duplicate, or log replay
-	// alike. The deployment tier arms its resolution loop here: readiness
-	// rescans alone miss a prepare whose log record replays only after
-	// the replica reported ready. Invoked on the replica's executor.
+	// OnTxnStaged, if non-nil, reports each branch that enters this
+	// replica's prepared set: when a TxnPrepare record stages it (live or
+	// replayed; a duplicate of a staged or resolved prepare stages
+	// nothing and fires nothing), and, for the whole set in ID order,
+	// when a checkpoint replaces the set — a local one once its buffered
+	// suffix has applied, just before OnReady, and one installed from a
+	// peer. A branch staged during that suffix is reported twice. The
+	// deployment tier arms its resolution loop here and nowhere else.
+	// Invoked on the replica's executor.
 	OnTxnStaged func(id string, home int)
 }
 
@@ -486,6 +490,7 @@ func (r *Replica) finishRestore(app appSnap) {
 	}
 	r.buffer.Reset(0)
 	r.fireFences()
+	r.reportStaged()
 	if r.cfg.OnReady != nil {
 		r.cfg.OnReady()
 	}
@@ -953,6 +958,7 @@ func (r *Replica) onSnapReply(m snapReplyMsg) {
 	r.pubLastApplied.Store(int64(r.lastApplied))
 	r.fireFences()
 	r.maybeRecovered()
+	r.reportStaged()
 }
 
 // --- Introspection -----------------------------------------------------

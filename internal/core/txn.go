@@ -15,8 +15,8 @@ import (
 // the resulting state travels with the application checkpoint so replay
 // and recovery reproduce it exactly.
 //
-// Protocol roles (the driver lives in internal/webtier and
-// internal/shard; core only executes the records):
+// Protocol roles (the driver lives in internal/webtier; core only
+// executes the records):
 //
 //   - A participant group orders a TxnPrepare carrying its branch of the
 //     transaction. Applying it validates the branch against local state
@@ -30,17 +30,19 @@ import (
 //     first, and both readers see the same recorded outcome — this is
 //     what makes coordinator crash between prepare and commit recover
 //     deterministically.
-//   - Participants then order a TxnCommit or TxnAbort. Commit executes
-//     the staged action at the outcome record's log position; abort
-//     discards it. Either way the transaction becomes terminal on that
-//     participant, so retried outcome records (and late duplicate
-//     prepares) degrade to ordered no-ops.
+//   - Participants then order a TxnOutcome. A commit executes the staged
+//     action at the outcome record's log position; an abort discards it.
+//     Either way the transaction becomes terminal on that participant,
+//     so retried outcome records (and late duplicate prepares) degrade to
+//     ordered no-ops.
 //
 // Every record is replayable: the transaction maps (logState, replica.go)
 // are driven by the ordered log only, so each replica of a group holds the
 // same transaction state at the same log position, and a replica recovering
 // from a checkpoint plus log suffix reconstructs exactly the prepared set it
-// crashed with.
+// crashed with. Config.OnTxnStaged reports every branch that enters that
+// set, by a prepare or by a checkpoint, so the driver arms one resolution
+// loop per branch from one place.
 
 // TxnStager is the optional StateMachine capability a participant uses
 // to vote on a prepare. A machine that implements it validates the
@@ -80,16 +82,12 @@ type TxnPrepare struct {
 	Keys []string
 }
 
-// TxnCommit resolves a prepared branch by executing its staged action at
-// this record's log position. Idempotent per ID.
-type TxnCommit struct {
-	ID string
-}
-
-// TxnAbort resolves a prepared branch by discarding it. Idempotent per
-// ID.
-type TxnAbort struct {
-	ID string
+// TxnOutcome resolves a prepared branch: a commit executes its staged
+// action at this record's log position, an abort discards it. Idempotent
+// per ID.
+type TxnOutcome struct {
+	ID     string
+	Commit bool
 }
 
 // TxnDecision records the coordinator's outcome in its home group's log,
@@ -122,20 +120,12 @@ type TxnVoteResult struct {
 	Reason string
 }
 
-// TxnAppliedResult is TxnCommit's and TxnAbort's execution result.
+// TxnAppliedResult is TxnOutcome's execution result. First is true on the
+// record that transitioned the transaction to terminal on this group;
+// retried outcome records report false, so outcome counters stay exact
+// under retries.
 type TxnAppliedResult struct {
-	// First is true on the record that transitioned the transaction to
-	// terminal on this group; retried outcome records report false, so
-	// outcome counters stay exact under retries.
 	First bool
-
-	// Committed echoes the outcome this record applied.
-	Committed bool
-
-	// Applied is true when a staged action was actually executed
-	// (commit of a prepared branch); Result then holds its result.
-	Applied bool
-	Result  any
 }
 
 // TxnDecisionResult is TxnDecision's execution result: the recorded
@@ -144,13 +134,6 @@ type TxnAppliedResult struct {
 type TxnDecisionResult struct {
 	Commit bool
 	First  bool
-}
-
-// PreparedTxnInfo describes one prepared branch for the recovery scan:
-// a restarted participant re-arms a resolution loop per entry.
-type PreparedTxnInfo struct {
-	ID   string
-	Home int
 }
 
 // execTxnPrepare applies a TxnPrepare record.
@@ -166,8 +149,9 @@ func (r *Replica) execTxnPrepare(a TxnPrepare) TxnVoteResult {
 	if ts, ok := r.sm.(TxnStager); ok {
 		if reason := ts.StageTxn(a.Action); reason != "" {
 			// A no-vote stages nothing and blocks nothing. The
-			// coordinator's all-yes rule makes the outcome an abort; the
-			// later TxnAbort is what marks the transaction terminal here.
+			// coordinator's all-yes rule makes the outcome an abort; that
+			// later outcome record is what marks the transaction terminal
+			// here.
 			return TxnVoteResult{Prepared: false, Reason: reason}
 		}
 	}
@@ -176,33 +160,39 @@ func (r *Replica) execTxnPrepare(a TxnPrepare) TxnVoteResult {
 	}
 	r.txnPrepared[a.ID] = StagedTxn{Home: a.Home, Action: a.Action, Keys: a.Keys}
 	if r.cfg.OnTxnStaged != nil {
-		// Apply-time arming: a recovering replica can replay this record
-		// after its readiness rescan already ran, so the hook — not the
-		// rescan — is what guarantees a resolution loop exists for every
-		// staged branch.
 		r.cfg.OnTxnStaged(a.ID, a.Home)
 	}
 	return TxnVoteResult{Prepared: true}
 }
 
-// execTxnOutcome applies a TxnCommit (commit=true) or TxnAbort record.
-func (r *Replica) execTxnOutcome(id string, commit bool) TxnAppliedResult {
-	if r.txnDone[id] {
-		return TxnAppliedResult{Committed: commit} // retried outcome: ordered no-op
+// reportStaged hands OnTxnStaged every branch of the prepared set, in ID
+// order: a checkpoint's set just replaced this replica's, and no prepare
+// applied here reported the branches it brought in.
+func (r *Replica) reportStaged() {
+	if r.cfg.OnTxnStaged == nil {
+		return
 	}
-	res := TxnAppliedResult{First: true, Committed: commit}
-	if st, ok := r.txnPrepared[id]; ok {
-		delete(r.txnPrepared, id)
-		if commit {
-			res.Applied = true
-			res.Result = r.sm.Execute(st.Action)
+	for _, id := range detsort.Keys(r.txnPrepared) {
+		r.cfg.OnTxnStaged(id, r.txnPrepared[id].Home)
+	}
+}
+
+// execTxnOutcome applies a TxnOutcome record.
+func (r *Replica) execTxnOutcome(a TxnOutcome) TxnAppliedResult {
+	if r.txnDone[a.ID] {
+		return TxnAppliedResult{} // retried outcome: ordered no-op
+	}
+	if st, ok := r.txnPrepared[a.ID]; ok {
+		delete(r.txnPrepared, a.ID)
+		if a.Commit {
+			r.sm.Execute(st.Action)
 		}
 	}
 	if r.txnDone == nil {
 		r.txnDone = make(map[string]bool)
 	}
-	r.txnDone[id] = true
-	return res
+	r.txnDone[a.ID] = true
+	return TxnAppliedResult{First: true}
 }
 
 // execTxnDecision applies a TxnDecision record, first writer wins.
@@ -219,27 +209,10 @@ func (r *Replica) execTxnDecision(a TxnDecision) TxnDecisionResult {
 
 // --- Introspection (loop-confined) --------------------------------------
 
-// PreparedTxns returns the branches staged on this replica and awaiting
-// their outcome, sorted by transaction ID. A restarted participant
-// server scans this once ready and re-arms a resolution loop per entry —
-// the prepared set is checkpoint-carried and log-replayed, so it
-// survives any crash. Loop-confined.
-func (r *Replica) PreparedTxns() []PreparedTxnInfo {
-	if len(r.txnPrepared) == 0 {
-		return nil
-	}
-	ids := detsort.Keys(r.txnPrepared)
-	out := make([]PreparedTxnInfo, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, PreparedTxnInfo{ID: id, Home: r.txnPrepared[id].Home})
-	}
-	return out
-}
-
-// HasPreparedTxns reports whether PreparedTxns is non-empty, and
-// TxnPrepared whether it holds the branch of transaction id, without
-// building it: the write path asks the first before every write, a
-// resolution loop the second at every tick. Loop-confined.
+// HasPreparedTxns reports whether any branch is staged on this replica,
+// and TxnPrepared whether the branch of transaction id is: the write path
+// asks the first before every write, a resolution loop the second at every
+// tick. Loop-confined.
 func (r *Replica) HasPreparedTxns() bool { return len(r.txnPrepared) > 0 }
 
 func (r *Replica) TxnPrepared(id string) bool {

@@ -114,7 +114,7 @@ func (d *txnDriver) issue(k int, rng *rand.Rand, info tpcw.PopulationInfo) {
 		// group participates. A recipient routed onto the session's group
 		// is redrawn, up to 64 times, so with two groups every gift runs
 		// 2PC in practice; webtier.TestTxnFastPathOrdersNoRecords, not
-		// this experiment, exercises the same-group fast path.
+		// this experiment, exercises a gift whose two parts share a group.
 		home := d.cluster.GroupOf(client)
 		peer := tpcw.CustomerID(1 + rng.Intn(info.Customers))
 		for try := 0; try < 64 && d.cluster.CustomerGroup(peer) == home && d.cfg.Shards > 1; try++ {
@@ -144,7 +144,7 @@ func (d *txnDriver) issue(k int, rng *rand.Rand, info tpcw.PopulationInfo) {
 	// router scatters consecutive IDs, so nearly every block spans both
 	// groups, and no experiment or workload draws an all-local one:
 	// webtier.TestTxnFastPathOrdersNoRecords, not this experiment,
-	// exercises the single-group fast path.
+	// exercises a write whose one share is on the coordinator's group.
 	j := k / 2 // sweep ordinal
 	reused := (j+1)*4 > info.Items
 	base := 1 + (j*4)%maxInt(info.Items-3, 1)

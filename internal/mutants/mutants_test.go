@@ -184,6 +184,11 @@ var mutants = []mutant{
 			"\t\tif pv.live() && en.isDelivered(pv.v.ID) {\n",
 			"\t\tif false && pv.live() && en.isDelivered(pv.v.ID) {\n"}},
 		pkg: "./internal/core/", run: "TestRemoteSnapshotSettlesOwnValues"},
+	{name: "restored-branch-unreported", note: "a replica that installs another's checkpoint takes in its prepared branches without reporting them to OnTxnStaged, so a member cut off while a branch was staged never arms the branch's resolution loop; fixed beside \"A cross-shard write has one shape\"",
+		edits: []edit{{"internal/core/replica.go",
+			"\tr.maybeRecovered()\n\tr.reportStaged()\n}\n",
+			"\tr.maybeRecovered()\n}\n"}},
+		pkg: "./internal/core/", run: "TestRemoteCheckpointReportsStagedBranch"},
 }
 
 // row returns the mutant named name.

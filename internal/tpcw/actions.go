@@ -115,12 +115,8 @@ func (s *Store) Apply(action any) any {
 		return s.applyBuyConfirm(a)
 	case AdminUpdateAction:
 		return s.applyAdminUpdate(a)
-	case GiftOrderAction:
-		return s.applyGiftOrder(a)
-	case GiftDebitAction:
-		return s.applyGiftDebit(a)
-	case GiftDeliverAction:
-		return s.applyGiftDeliver(a)
+	case GiftAction:
+		return s.applyGift(a)
 	case InventorySweepAction:
 		return s.applyInventorySweep(a)
 	default:
@@ -142,12 +138,15 @@ func ActionSize(action any) int64 {
 		return 160
 	case AdminUpdateAction:
 		return 96
-	case GiftOrderAction:
-		return 120
-	case GiftDebitAction:
-		return 72
-	case GiftDeliverAction:
-		return 112 + int64(len(a.Lines))*24
+	case GiftAction:
+		var n int64
+		if a.Parts&GiftDebit != 0 {
+			n += 72
+		}
+		if a.Parts&GiftDeliver != 0 {
+			n += 112 + int64(len(a.Lines))*24
+		}
+		return n
 	case InventorySweepAction:
 		return 56 + int64(len(a.Items))*8
 	default:

@@ -12,7 +12,7 @@ package tpcw
 // records what it wrote, so none can forget to.
 //
 // Row deletions: the only rows regular actions delete are consumed
-// shopping carts (applyBuyConfirm, applyGiftDebit); a written slot that
+// shopping carts (applyBuyConfirm, giftDebit); a written slot that
 // holds nothing travels as a tombstone. Wholesale deletions (DropOwned,
 // during a shard rebalance) do not travel — they clear deltaBase, which
 // makes SnapshotDelta fail until the next full Snapshot anchors a fresh

@@ -111,13 +111,13 @@ func mutate(t *testing.T, s *Store, round int) {
 	if errs != "" {
 		t.Fatalf("round %d: gift quote: %s", round, errs)
 	}
-	if r := s.Apply(GiftDebitAction{Cart: gift.Cart.ID, Buyer: cust, Total: total, Tag: tag, Now: now}).(GiftDebitResult); r.Err != "" {
+	if r := s.Apply(GiftAction{Parts: GiftDebit, Cart: gift.Cart.ID, Buyer: cust, Total: total, Tag: tag, Now: now}).(GiftResult); r.Err != "" {
 		t.Fatalf("round %d: gift debit: %s", round, r.Err)
 	}
-	if r := s.Apply(GiftDeliverAction{
-		Recipient: CustomerID((round+2)%20 + 1), Lines: lines, SubTotal: sub, Tax: tax, Total: total,
+	if r := s.Apply(GiftAction{
+		Parts: GiftDeliver, Recipient: CustomerID((round+2)%20 + 1), Lines: lines, SubTotal: sub, Tax: tax, Total: total,
 		ShipType: "AIR", ShipDate: now, Tag: tag, Now: now,
-	}).(GiftDeliverResult); r.Err != "" {
+	}).(GiftResult); r.Err != "" {
 		t.Fatalf("round %d: gift delivery: %s", round, r.Err)
 	}
 	sweep := InventorySweepAction{Items: []ItemID{item, ItemID((round+7)%50 + 1)}, Cost: 1 + float64(round)/100, Tag: fmt.Sprintf("s%d", round), Now: now}

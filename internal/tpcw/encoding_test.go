@@ -32,10 +32,10 @@ func TestActionsAreGobEncodable(t *testing.T) {
 			ShipDate: now, Comment: "c", Now: now,
 		},
 		AdminUpdateAction{Item: 7, Cost: 9.5, Image: "i", Thumbnail: "t", Now: now},
-		GiftOrderAction{Cart: 3, Buyer: 4, Recipient: 5, ShipType: "AIR", ShipDate: now, Tag: "g1", Now: now},
-		GiftDebitAction{Cart: 3, Buyer: 4, Total: 21.5, Tag: "g1", Now: now},
-		GiftDeliverAction{
-			Recipient: 5, Lines: []OrderLine{{Item: 7, Qty: 2, Comments: "g1"}},
+		GiftAction{Parts: GiftDebit | GiftDeliver, Cart: 3, Buyer: 4, Recipient: 5, ShipType: "AIR", ShipDate: now, Tag: "g1", Now: now},
+		GiftAction{Parts: GiftDebit, Cart: 3, Buyer: 4, Total: 21.5, Tag: "g1", Now: now},
+		GiftAction{
+			Parts: GiftDeliver, Recipient: 5, Lines: []OrderLine{{Item: 7, Qty: 2, Comments: "g1"}},
 			SubTotal: 18, Tax: 1.5, Total: 21.5, ShipType: "AIR", ShipDate: now, Tag: "g1", Now: now,
 		},
 		InventorySweepAction{Items: []ItemID{7, 9}, Cost: 4.25, Tag: "s1", Now: now},
@@ -67,9 +67,7 @@ func TestResultsAreGobEncodable(t *testing.T) {
 		CartResult{Cart: Cart{ID: 1, Lines: []CartLine{{Item: 2, Qty: 3}}}},
 		CreateCustomerResult{Customer: 5},
 		BuyConfirmResult{Order: 9, Total: 12.5, Err: "e"},
-		GiftOrderResult{Order: 9, Total: 21.5, Err: "e"},
-		GiftDebitResult{Err: "e"},
-		GiftDeliverResult{Order: 9, Err: "e"},
+		GiftResult{Order: 9, Total: 21.5, Err: "e"},
 		InventorySweepResult{Updated: 2},
 	}
 	for _, r := range results {

@@ -1,57 +1,46 @@
 package tpcw
 
-// This file defines the bookstore's first genuinely multi-shard
-// workloads: cross-session gift orders — one customer's
-// cart purchased for a customer homed on another shard — and admin
-// inventory sweeps that reprice an item set spanning groups. Both exist
-// in two forms:
+// This file defines the bookstore's multi-shard workloads: cross-session
+// gift orders — one customer's cart purchased for a customer homed on
+// another shard — and admin inventory sweeps that reprice an item set
+// spanning groups. Each is one action type, and the web tier's coordinator
+// (internal/webtier) hands it one share per group it touches:
 //
-//   - a merged single-group action (GiftOrderAction; a sweep whose items
-//     all route to one group), submitted directly like any other action
-//     when every participant collapses to one group — the fast path that
-//     stays bit-identical to the pre-transaction submit path; and
-//   - per-group branch actions (GiftDebitAction/GiftDeliverAction; an
-//     InventorySweepAction per participant group), carried inside
-//     core.TxnPrepare records and applied atomically across groups by
-//     the 2PC driver (internal/webtier).
+//   - a gift's debit part goes to the buyer's group and its delivery part to
+//     the recipient's; a sweep's items go to the groups that own them;
+//   - a write whose only share lies on the coordinator's own group is
+//     submitted like any other action, and any other share is a branch
+//     carried inside a core.TxnPrepare record and applied atomically across
+//     groups by two-phase commit.
 //
-// As everywhere in this package, every branch is deterministic: the
+// As everywhere in this package, every share is deterministic: the
 // coordinator resolves all pricing (GiftQuote) and clock reads before the
-// branches are submitted, so the debit and the delivery agree on totals
+// shares are submitted, so the debit and the delivery agree on totals
 // without ever reading each other's group.
 
 import "time"
 
-// GiftOrderAction is the merged single-group gift purchase: consume the
-// buyer's cart, charge the buyer, and create the order for the recipient
-// — BuyConfirm's atomicity, but with distinct paying and receiving
-// customers. Only valid when buyer and recipient are homed on the same
-// group; the cross-group form is the GiftDebit/GiftDeliver branch pair.
-type GiftOrderAction struct {
+// GiftParts names the parts of a gift order an action applies.
+type GiftParts uint8
+
+const (
+	// GiftDebit consumes the buyer's cart and charges the buyer Total.
+	GiftDebit GiftParts = 1 << iota
+	// GiftDeliver creates the recipient's order (with the TPC-W stock rule
+	// on its lines) from Lines and the quoted totals.
+	GiftDeliver
+)
+
+// GiftAction is a gift order: the buyer's cart purchased for a distinct
+// receiving customer, with BuyConfirm's atomicity. Parts says which of its
+// two parts this action applies. Across groups, each part is one group's
+// branch and carries the coordinator's quote (GiftQuote), so the delivery
+// never reads the buyer's group. When one group holds both, one action
+// applies both and prices the cart again against the state it applies to.
+type GiftAction struct {
+	Parts     GiftParts
 	Cart      CartID
 	Buyer     CustomerID
-	Recipient CustomerID
-	ShipType  string
-	ShipDate  time.Time
-	Tag       string // audit tag, stamped on the order lines
-	Now       time.Time
-}
-
-// GiftDebitAction is the buyer-group branch of a cross-shard gift order:
-// consume the cart and charge the buyer the coordinator-quoted total.
-type GiftDebitAction struct {
-	Cart  CartID
-	Buyer CustomerID
-	Total float64
-	Tag   string
-	Now   time.Time
-}
-
-// GiftDeliverAction is the recipient-group branch: create the order (with
-// the TPC-W stock rule on its lines) for the recipient. Lines and totals
-// were priced by the coordinator against the buyer group's cart, so this
-// branch never reads remote state.
-type GiftDeliverAction struct {
 	Recipient CustomerID
 	Lines     []OrderLine
 	SubTotal  float64
@@ -59,15 +48,14 @@ type GiftDeliverAction struct {
 	Total     float64
 	ShipType  string
 	ShipDate  time.Time
-	Tag       string
+	Tag       string // audit tag, stamped on the order lines
 	Now       time.Time
 }
 
 // InventorySweepAction reprices a set of items to one cost — the admin
-// inventory sweep. A cross-shard sweep submits one of these per
-// participant group, each carrying the items that group owns; the unique
-// Cost value doubles as the atomicity audit marker (a half-applied sweep
-// leaves some groups repriced and others not).
+// inventory sweep. Its share on each group carries the items that group
+// owns; the unique Cost value doubles as the atomicity audit marker (a
+// half-applied sweep leaves some groups repriced and others not).
 type InventorySweepAction struct {
 	Items []ItemID
 	Cost  float64
@@ -75,21 +63,11 @@ type InventorySweepAction struct {
 	Now   time.Time
 }
 
-// GiftOrderResult is GiftOrderAction's result.
-type GiftOrderResult struct {
+// GiftResult is GiftAction's result: the delivered order and the total
+// the buyer paid, or why the gift failed.
+type GiftResult struct {
 	Order OrderID
 	Total float64
-	Err   string
-}
-
-// GiftDebitResult is GiftDebitAction's result.
-type GiftDebitResult struct {
-	Err string
-}
-
-// GiftDeliverResult is GiftDeliverAction's result.
-type GiftDeliverResult struct {
-	Order OrderID
 	Err   string
 }
 
@@ -99,25 +77,28 @@ type InventorySweepResult struct {
 }
 
 // StageTxn implements core.TxnStager: validate a branch action against
-// current state without mutating it (the prepare vote). Unknown actions
-// vote yes — commit then surfaces any error in the action's own result.
+// current state without mutating it (the prepare vote): a gift part by the
+// rows it needs, a sweep by its items. Unknown actions vote yes — commit
+// then surfaces any error in the action's own result.
 func (s *Store) StageTxn(action any) string {
 	switch a := action.(type) {
-	case GiftDebitAction:
-		cart, ok := s.carts.get(a.Cart)
-		if !ok || len(cart.Lines) == 0 {
-			return "empty or unknown cart"
+	case GiftAction:
+		if a.Parts&GiftDebit != 0 {
+			cart, ok := s.carts.get(a.Cart)
+			if !ok || len(cart.Lines) == 0 {
+				return "empty or unknown cart"
+			}
+			if !s.customers.has(a.Buyer) {
+				return "unknown buyer"
+			}
 		}
-		if !s.customers.has(a.Buyer) {
-			return "unknown buyer"
-		}
-		return ""
-	case GiftDeliverAction:
-		if !s.customers.has(a.Recipient) {
-			return "unknown recipient"
-		}
-		if len(a.Lines) == 0 {
-			return "no order lines"
+		if a.Parts&GiftDeliver != 0 {
+			if !s.customers.has(a.Recipient) {
+				return "unknown recipient"
+			}
+			if len(a.Lines) == 0 {
+				return "no order lines"
+			}
 		}
 		return ""
 	case InventorySweepAction:
@@ -135,8 +116,8 @@ func (s *Store) StageTxn(action any) string {
 // GiftQuote prices a cart for a gift purchase: the order lines (stamped
 // with the audit tag), subtotal, tax and total, using the buyer's
 // discount — exactly the pricing applyBuyConfirm would compute.
-// Read-only; the coordinator calls it on the buyer's group before
-// building the branches, so both branches carry identical totals.
+// Read-only; the coordinator calls it once, on the buyer's group, before
+// building the shares, so both parts carry identical totals.
 func (s *Store) GiftQuote(cart CartID, buyer CustomerID, tag string) (lines []OrderLine, subTotal, tax, total float64, errs string) {
 	c, ok := s.carts.get(cart)
 	if !ok || len(c.Lines) == 0 {
@@ -167,35 +148,38 @@ func (s *Store) GiftQuote(cart CartID, buyer CustomerID, tag string) (lines []Or
 	return lines, subTotal, tax, total, ""
 }
 
-func (s *Store) applyGiftOrder(a GiftOrderAction) GiftOrderResult {
-	lines, subTotal, tax, total, errs := s.GiftQuote(a.Cart, a.Buyer, a.Tag)
-	if errs != "" {
-		return GiftOrderResult{Err: errs}
+func (s *Store) applyGift(a GiftAction) GiftResult {
+	if a.Parts == GiftDebit|GiftDeliver {
+		// Both parts on one group: price the cart as this record finds it.
+		var errs string
+		if a.Lines, a.SubTotal, a.Tax, a.Total, errs = s.GiftQuote(a.Cart, a.Buyer, a.Tag); errs != "" {
+			return GiftResult{Err: errs}
+		}
+		if !s.customers.has(a.Recipient) {
+			return GiftResult{Err: "unknown recipient"}
+		}
 	}
-	if !s.customers.has(a.Recipient) {
-		return GiftOrderResult{Err: "unknown recipient"}
+	if a.Parts&GiftDebit != 0 {
+		if err := s.giftDebit(a); err != "" {
+			return GiftResult{Err: err}
+		}
 	}
-	if deb := s.applyGiftDebit(GiftDebitAction{Cart: a.Cart, Buyer: a.Buyer, Total: total, Tag: a.Tag, Now: a.Now}); deb.Err != "" {
-		return GiftOrderResult{Err: deb.Err}
+	res := GiftResult{Total: a.Total}
+	if a.Parts&GiftDeliver != 0 {
+		if res.Order, res.Err = s.giftDeliver(a); res.Err != "" {
+			return GiftResult{Err: res.Err}
+		}
 	}
-	del := s.applyGiftDeliver(GiftDeliverAction{
-		Recipient: a.Recipient, Lines: lines,
-		SubTotal: subTotal, Tax: tax, Total: total,
-		ShipType: a.ShipType, ShipDate: a.ShipDate, Tag: a.Tag, Now: a.Now,
-	})
-	if del.Err != "" {
-		return GiftOrderResult{Err: del.Err}
-	}
-	return GiftOrderResult{Order: del.Order, Total: total}
+	return res
 }
 
-func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
+func (s *Store) giftDebit(a GiftAction) string {
 	cart, ok := s.carts.get(a.Cart)
 	if !ok {
-		return GiftDebitResult{Err: "unknown cart"}
+		return "unknown cart"
 	}
 	if !s.customers.has(a.Buyer) {
-		return GiftDebitResult{Err: "unknown buyer"}
+		return "unknown buyer"
 	}
 
 	// The purchased cart is consumed.
@@ -205,13 +189,13 @@ func (s *Store) applyGiftDebit(a GiftDebitAction) GiftDebitResult {
 	paid, _ := s.customers.edit(a.Buyer, s.cloneCustomer)
 	paid.Balance += a.Total
 	paid.YTDPmt += a.Total
-	return GiftDebitResult{}
+	return ""
 }
 
-func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
+func (s *Store) giftDeliver(a GiftAction) (OrderID, string) {
 	recipient, ok := s.customers.get(a.Recipient)
 	if !ok {
-		return GiftDeliverResult{Err: "unknown recipient"}
+		return 0, "unknown recipient"
 	}
 	// TPC-W stock rule on the delivered lines.
 	for _, l := range a.Lines {
@@ -238,7 +222,7 @@ func (s *Store) applyGiftDeliver(a GiftDeliverAction) GiftDeliverResult {
 		Lines:    a.Lines,
 	})
 	s.nominalBytes += nominalOrder + int64(len(a.Lines))*nominalLine
-	return GiftDeliverResult{Order: oid}
+	return oid, ""
 }
 
 func (s *Store) applyInventorySweep(a InventorySweepAction) InventorySweepResult {

@@ -7,13 +7,15 @@ import "strconv"
 // outcome record releases them (core.Replica.TxnBlocksInt).
 func TxnKeys(action any) []string {
 	switch a := action.(type) {
-	case GiftDebitAction:
-		return []string{
-			CartKey(a.Cart),
-			CustomerKey(a.Buyer),
+	case GiftAction:
+		var keys []string
+		if a.Parts&GiftDebit != 0 {
+			keys = append(keys, CartKey(a.Cart), CustomerKey(a.Buyer))
 		}
-	case GiftDeliverAction:
-		return []string{CustomerKey(a.Recipient)}
+		if a.Parts&GiftDeliver != 0 {
+			keys = append(keys, CustomerKey(a.Recipient))
+		}
+		return keys
 	case InventorySweepAction:
 		keys := make([]string, 0, len(a.Items))
 		for _, id := range a.Items {

@@ -442,8 +442,8 @@ func TestStoreRowsAreNeverShared(t *testing.T) {
 			at := time.Unix(1243857600+int64(r)*60, 0).UTC()
 			buyer, recipient := CustomerID(round%20+1), CustomerID((round+5)%20+1)
 			cart := st.s.Apply(CartUpdateAction{AddItem: ItemID(round%50 + 1), AddQty: 1, Now: at}).(CartResult).Cart.ID
-			if g := st.s.Apply(GiftOrderAction{Cart: cart, Buyer: buyer, Recipient: recipient,
-				ShipType: "AIR", ShipDate: at, Tag: fmt.Sprintf("%s-%d", st.who, round), Now: at}).(GiftOrderResult); g.Err != "" {
+			if g := st.s.Apply(GiftAction{Parts: GiftDebit | GiftDeliver, Cart: cart, Buyer: buyer, Recipient: recipient,
+				ShipType: "AIR", ShipDate: at, Tag: fmt.Sprintf("%s-%d", st.who, round), Now: at}).(GiftResult); g.Err != "" {
 				t.Fatalf("%s, round %d: gift order: %s", st.who, round, g.Err)
 			}
 			record(st.who, st.s)

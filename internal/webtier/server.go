@@ -97,12 +97,12 @@ type Server struct {
 
 	// Cross-shard transaction state (txn.go). txnCoords is this server's
 	// volatile coordinator bookkeeping — losing it is safe, the decision
-	// record is the durable outcome. txnArmed/txnResolve track the
-	// participant-side resolution loops for prepared branches.
-	txnSeq     int64
-	txnCoords  map[string]*txnCoord
-	txnArmed   map[string]bool
-	txnResolve map[string]int
+	// record is the durable outcome. txnArmed holds the participant-side
+	// resolution loops, one per prepared branch, each with the number of
+	// inquiries it has sent.
+	txnSeq    int64
+	txnCoords map[string]*txnCoord
+	txnArmed  map[string]int
 
 	free freeList[request] // answered records awaiting reuse; see request
 }
@@ -157,11 +157,6 @@ func (s *Server) Start(e env.Env) {
 			if s.replica.Recovered() {
 				s.caughtUp = true
 			}
-			// Re-arm resolution for any prepared branch this incarnation
-			// restored from checkpoint + log (txn.go): a participant
-			// crash between prepare and outcome must not strand the
-			// branch or its blocked keys.
-			s.armTxnRecovery()
 		},
 		OnRecovered: func() {
 			// The consensus layer is re-synchronized, but the replayed
@@ -170,11 +165,11 @@ func (s *Server) Start(e env.Env) {
 			s.awaitReplayDrain()
 		},
 		OnTxnStaged: func(id string, home int) {
-			// Every staged branch gets a resolution loop the moment its
-			// prepare record applies — including records replayed after
-			// the readiness rescans ran, which is the one window those
-			// rescans cannot see (coordinator crash after deciding, its
-			// own branch replaying into the fresh incarnation).
+			// Every branch that enters the replica's prepared set — by a
+			// prepare record, live or replayed, or by a checkpoint, local
+			// or a peer's — gets its resolution loop here (txn.go): a
+			// crash or a cut between prepare and outcome must not strand
+			// the branch or its blocked keys.
 			if !s.learner() {
 				s.armTxnResolve(id, home)
 			}
@@ -192,10 +187,6 @@ func (s *Server) Start(e env.Env) {
 func (s *Server) awaitReplayDrain() {
 	if s.cpu.QueueLen() == 0 {
 		s.caughtUp = true
-		// The replayed log suffix may have staged branches beyond what
-		// the checkpoint (scanned at OnReady) carried: rescan now that
-		// replay has drained.
-		s.armTxnRecovery()
 		if s.c.cfg.OnRecovered != nil {
 			s.c.cfg.OnRecovered(s.idx, s.e.Now())
 		}
@@ -439,8 +430,8 @@ func (s *Server) handleRequest(proxy env.NodeID, m reqMsg) {
 	}
 	// Writes whose keys conflict with a prepared transaction branch hold
 	// at the tier boundary until the outcome record releases them
-	// (txn.go); with no prepared branches — always true on the
-	// single-group fast path — the gate is a plain passthrough.
+	// (txn.go); with no prepared branch on this replica the gate is a
+	// plain passthrough.
 	s.withTxnGate(s.newRequest(proxy, m))
 }
 
@@ -673,8 +664,8 @@ func (r *request) onApplied(result any, inst paxos.InstanceID, err error) {
 		br, is := result.(tpcw.BuyConfirmResult)
 		ok = ok && is && br.Err == ""
 		resp.Order = br.Order
-	case rbe.GiftPurchase: // the single-group form (txn.go)
-		gr, is := result.(tpcw.GiftOrderResult)
+	case rbe.GiftPurchase: // both parts on this group (txn.go runTxn)
+		gr, is := result.(tpcw.GiftResult)
 		ok = ok && is && gr.Err == ""
 		resp.Order = gr.Order
 	}

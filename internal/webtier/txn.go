@@ -9,25 +9,25 @@ package webtier
 //
 // Protocol, end to end:
 //
-//  1. The coordinator resolves all non-determinism up front (pricing,
+//  1. A write handler resolves all non-determinism up front (pricing,
 //     timestamps, random values — paper §4) and splits the action into
-//     one branch per participant group.
-//  2. If every participant collapses to the coordinator's own group, the
-//     merged single-group action is submitted directly — the fast path,
-//     bit-identical to the pre-transaction submit path: no transaction
-//     records are ordered at all.
-//  3. Otherwise each branch is ordered as a core.TxnPrepare in its
-//     group's log (the local branch via SubmitIndexed, remote branches
-//     via txnPrepareMsg retried across the group's members). Applying a
-//     prepare validates and stages the branch; the vote travels back.
+//     one share per group it touches, then hands the shares to runTxn.
+//  2. runTxn alone decides whether the write needs 2PC: a write whose only
+//     share lies on the coordinator's own group is submitted like any
+//     other write and orders no transaction record. Any other write runs
+//     the steps below, one branch per share.
+//  3. Each branch is ordered as a core.TxnPrepare in its group's log (the
+//     local branch via SubmitIndexed, remote branches via txnPrepareMsg
+//     retried across the group's members). Applying a prepare validates
+//     and stages the branch; the vote travels back.
 //  4. All-yes within the prepare deadline decides commit, anything else
 //     decides abort. The coordinator Paxos-commits a core.TxnDecision in
 //     its home group BEFORE replying to the client or releasing the
 //     outcome: the decision record, not the coordinator's memory, is the
 //     transaction's durable outcome.
-//  5. The outcome fans out as core.TxnCommit/TxnAbort records, retried
-//     until each group acknowledges. Commit executes the staged branch
-//     at the outcome record's log position; abort discards it.
+//  5. The outcome fans out as core.TxnOutcome records, retried until each
+//     group acknowledges. Commit executes the staged branch at the outcome
+//     record's log position; abort discards it.
 //
 // Recovery is record-driven, never memory-driven:
 //
@@ -39,21 +39,23 @@ package webtier
 //     commit resolves to whichever record ordered first, and everyone
 //     (the coordinator included, which obeys its own submit's recorded
 //     result) agrees.
-//   - A restarted server rescans core.Replica.PreparedTxns — the staged
-//     set is checkpoint-carried and log-replayed — and re-arms a
-//     resolution loop per entry, so participant crashes cannot strand a
-//     prepared branch.
+//   - The resolution loop is armed by one hook, core.Config.OnTxnStaged,
+//     which reports every branch entering a replica's prepared set: by a
+//     prepare record, live or replayed, or by a checkpoint, restored from
+//     local disk or installed from a peer. The set is checkpoint-carried
+//     and log-replayed, so participant crashes cannot strand a prepared
+//     branch.
 //   - While a branch is prepared, its conflict keys block ordinary
 //     writes at the tier boundary (withTxnGate): a conflicting write
 //     waits for the outcome record (bounded), so the outcome's log
 //     position, not a racing write, decides what the branch observes.
 
 import (
-	"sort"
 	"strconv"
 	"time"
 
 	"robuststore/internal/core"
+	"robuststore/internal/detsort"
 	"robuststore/internal/env"
 	"robuststore/internal/paxos"
 	"robuststore/internal/rbe"
@@ -102,7 +104,7 @@ type txnVoteMsg struct {
 func (m txnVoteMsg) WireSize() int64 { return 128 }
 
 // txnOutcomeMsg carries the decided outcome to a participant group
-// member, which orders it as a core.TxnCommit or core.TxnAbort.
+// member, which orders it as a core.TxnOutcome.
 type txnOutcomeMsg struct {
 	ID     string
 	Commit bool
@@ -127,12 +129,10 @@ type txnStatusMsg struct {
 
 func (m txnStatusMsg) WireSize() int64 { return 128 }
 
-// txnStatusRespMsg answers an inquiry with the recorded outcome. Known is
-// always true when sent — an unknown status is resolved by recording a
-// presumed abort before answering.
+// txnStatusRespMsg answers an inquiry with the recorded outcome: an unknown
+// status is resolved by recording a presumed abort before answering.
 type txnStatusRespMsg struct {
 	ID     string
-	Known  bool
 	Commit bool
 }
 
@@ -140,10 +140,15 @@ func (m txnStatusRespMsg) WireSize() int64 { return 128 }
 
 // --- Coordinator ---------------------------------------------------------
 
-// txnBranch is one participant group's share of a transaction.
-type txnBranch struct {
-	action any
-	keys   []string
+// txnPart is one participant group's record in a transaction: its branch
+// and how far the coordinator got with it.
+type txnPart struct {
+	group    int
+	action   any
+	keys     []string
+	voted    bool // a yes-vote arrived (a no decides abort at once)
+	acked    bool // the group ordered the outcome record
+	attempts int  // member rotation for prepare and outcome sends
 }
 
 // txnCoord is the coordinator's volatile bookkeeping for one in-flight
@@ -152,60 +157,55 @@ type txnBranch struct {
 // it (or from its absence, as presumed abort) via status inquiries.
 type txnCoord struct {
 	id        string
-	groups    []int // sorted participant groups
-	branches  map[int]txnBranch
-	votes     map[int]bool
-	acked     map[int]bool
-	attempts  map[int]int // member rotation per group
+	parts     []txnPart // one per participant group, sorted by group
 	decided   bool
 	commit    bool
 	onDecided func(commit bool)
 }
 
-// runTxn drives one cross-group transaction from this (coordinator)
-// server. onDecided fires exactly once, after the decision record is
-// durably ordered (or the transaction failed before one could be).
-func (s *Server) runTxn(branches map[int]txnBranch, onDecided func(commit bool)) {
+// part returns group g's record, or nil if g takes no part.
+func (co *txnCoord) part(g int) *txnPart {
+	for i := range co.parts {
+		if co.parts[i].group == g {
+			return &co.parts[i]
+		}
+	}
+	return nil
+}
+
+// runTxn submits a write given as its shares, one action per group it
+// touches, and answers r. A write whose only share lies on this server's
+// group is submitted plainly: no transaction record is ordered, and the
+// reply carries the write's commit index for the session's fence. Any other
+// write runs two-phase commit from this (coordinator) server and is
+// answered once its decision record is ordered.
+func (s *Server) runTxn(r *request, shares map[int]any) {
+	if a, local := shares[s.group()]; local && len(shares) == 1 {
+		s.replica.SubmitIndexed(a, r.applied)
+		return
+	}
 	s.txnSeq++
 	id := "t" + strconv.Itoa(s.idx) +
 		"." + strconv.FormatInt(s.e.Now().UnixNano(), 10) +
 		"." + strconv.FormatInt(s.txnSeq, 10)
-	groups := make([]int, 0, len(branches))
-	for g := range branches {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
-	co := &txnCoord{
-		id:        id,
-		groups:    groups,
-		branches:  branches,
-		votes:     make(map[int]bool, len(groups)),
-		acked:     make(map[int]bool, len(groups)),
-		attempts:  make(map[int]int, len(groups)),
-		onDecided: onDecided,
+	co := &txnCoord{id: id, parts: make([]txnPart, 0, len(shares)), onDecided: r.decided}
+	for _, g := range detsort.Keys(shares) {
+		co.parts = append(co.parts, txnPart{group: g, action: shares[g], keys: tpcw.TxnKeys(shares[g])})
 	}
 	if s.txnCoords == nil {
 		s.txnCoords = make(map[string]*txnCoord)
 	}
 	s.txnCoords[id] = co
-	for _, g := range groups {
-		if g == s.group() {
-			br := branches[g]
-			gg := g
-			s.replica.SubmitIndexed(core.TxnPrepare{ID: id, Home: s.group(), Action: br.action, Keys: br.keys},
-				func(result any, _ paxos.InstanceID, err error) {
-					vr, ok := result.(core.TxnVoteResult)
-					if err == nil && ok && vr.Prepared {
-						// The coordinator's own branch is prepared too:
-						// arm resolution in case this server wedges
-						// between prepare and decision.
-						s.armTxnResolve(id, s.group())
-					}
-					s.txnVote(id, gg, err == nil && ok && vr.Prepared)
-				})
-		} else {
-			s.txnSendPrepare(id, g)
+	for _, p := range co.parts {
+		if p.group != s.group() {
+			s.txnSendPrepare(id, p.group)
+			continue
 		}
+		s.replica.SubmitIndexed(core.TxnPrepare{ID: id, Home: s.group(), Action: p.action, Keys: p.keys},
+			func(result any, _ paxos.InstanceID, err error) {
+				vr, ok := result.(core.TxnVoteResult)
+				s.txnVote(id, s.group(), err == nil && ok && vr.Prepared)
+			})
 	}
 	s.e.After(txnPrepareTimeout, func() { s.txnDecide(id, false) })
 }
@@ -217,14 +217,14 @@ func (s *Server) txnSendPrepare(id string, g int) {
 	if co == nil || co.decided {
 		return
 	}
-	if _, voted := co.votes[g]; voted {
+	p := co.part(g)
+	if p.voted {
 		return
 	}
 	members := s.c.groups[g].members
-	target := members[co.attempts[g]%len(members)]
-	co.attempts[g]++
-	br := co.branches[g]
-	s.e.Send(target, txnPrepareMsg{ID: id, Home: s.group(), Group: g, Action: br.action, Keys: br.keys})
+	target := members[p.attempts%len(members)]
+	p.attempts++
+	s.e.Send(target, txnPrepareMsg{ID: id, Home: s.group(), Group: g, Action: p.action, Keys: p.keys})
 	s.e.After(txnPrepareRetry, func() { s.txnSendPrepare(id, g) })
 }
 
@@ -235,17 +235,21 @@ func (s *Server) txnVote(id string, g int, ok bool) {
 	if co == nil || co.decided {
 		return
 	}
-	if _, seen := co.votes[g]; seen {
+	p := co.part(g)
+	if p == nil || p.voted {
 		return
 	}
-	co.votes[g] = ok
 	if !ok {
 		s.txnDecide(id, false)
 		return
 	}
-	if len(co.votes) == len(co.branches) {
-		s.txnDecide(id, true)
+	p.voted = true
+	for _, q := range co.parts {
+		if !q.voted {
+			return
+		}
 	}
+	s.txnDecide(id, true)
 }
 
 // txnDecide Paxos-commits the decision record in the coordinator's home
@@ -286,21 +290,20 @@ func (s *Server) txnFanout(id string) {
 	if co == nil {
 		return
 	}
-	for _, g := range co.groups {
-		if g == s.group() {
+	for _, p := range co.parts {
+		if p.group == s.group() {
 			s.txnLocalOutcome(id)
 		} else {
-			s.txnSendOutcome(id, g)
+			s.txnSendOutcome(id, p.group)
 		}
 	}
 }
 
-// txnLocalOutcome orders the outcome record in the coordinator's own
-// group (its own branch, or the home-group half of a transaction whose
-// every other branch is remote), retrying while the replica is unready.
+// txnLocalOutcome orders the outcome record of the coordinator's own
+// branch in its group, retrying while the replica is unready.
 func (s *Server) txnLocalOutcome(id string) {
 	co := s.txnCoords[id]
-	if co == nil || co.acked[s.group()] {
+	if co == nil || co.part(s.group()).acked {
 		return
 	}
 	s.submitTxnOutcome(id, co.commit, func(applied bool) {
@@ -316,12 +319,16 @@ func (s *Server) txnLocalOutcome(id string) {
 // rotating members until acknowledged.
 func (s *Server) txnSendOutcome(id string, g int) {
 	co := s.txnCoords[id]
-	if co == nil || co.acked[g] {
+	if co == nil {
+		return
+	}
+	p := co.part(g)
+	if p.acked {
 		return
 	}
 	members := s.c.groups[g].members
-	target := members[co.attempts[g]%len(members)]
-	co.attempts[g]++
+	target := members[p.attempts%len(members)]
+	p.attempts++
 	s.e.Send(target, txnOutcomeMsg{ID: id, Commit: co.commit})
 	s.e.After(txnOutcomeRetry, func() { s.txnSendOutcome(id, g) })
 }
@@ -334,9 +341,11 @@ func (s *Server) txnAck(id string, g int) {
 	if co == nil {
 		return
 	}
-	co.acked[g] = true
-	for _, gg := range co.groups {
-		if !co.acked[gg] {
+	if p := co.part(g); p != nil {
+		p.acked = true
+	}
+	for _, p := range co.parts {
+		if !p.acked {
 			return
 		}
 	}
@@ -354,19 +363,9 @@ func (s *Server) onTxnPrepare(from env.NodeID, m txnPrepareMsg) {
 	}
 	s.replica.SubmitIndexed(core.TxnPrepare{ID: m.ID, Home: m.Home, Action: m.Action, Keys: m.Keys},
 		func(result any, _ paxos.InstanceID, err error) {
-			if err != nil {
-				return
+			if vr, ok := result.(core.TxnVoteResult); err == nil && ok {
+				s.e.Send(from, txnVoteMsg{ID: m.ID, Group: s.group(), OK: vr.Prepared})
 			}
-			vr, ok := result.(core.TxnVoteResult)
-			if !ok {
-				return
-			}
-			if vr.Prepared {
-				// Staged: if the outcome never arrives (coordinator crash,
-				// partition), resolve from the home group's decision state.
-				s.armTxnResolve(m.ID, m.Home)
-			}
-			s.e.Send(from, txnVoteMsg{ID: m.ID, Group: s.group(), OK: vr.Prepared})
 		})
 }
 
@@ -412,7 +411,7 @@ func (s *Server) onTxnStatus(from env.NodeID, m txnStatusMsg) {
 		if s.txnStillPrepared(m.ID) {
 			s.submitTxnOutcome(m.ID, commit, nil)
 		}
-		s.e.Send(from, txnStatusRespMsg{ID: m.ID, Known: true, Commit: commit})
+		s.e.Send(from, txnStatusRespMsg{ID: m.ID, Commit: commit})
 	}
 	if commit, known := s.replica.TxnDecided(m.ID); known {
 		answer(commit)
@@ -430,22 +429,18 @@ func (s *Server) onTxnStatus(from env.NodeID, m txnStatusMsg) {
 
 // onTxnStatusResp resolves a prepared branch from an answered inquiry.
 func (s *Server) onTxnStatusResp(m txnStatusRespMsg) {
-	if !m.Known || s.learner() || s.replica == nil || !s.replica.Ready() {
+	if s.learner() || s.replica == nil || !s.replica.Ready() {
 		return
 	}
 	s.submitTxnOutcome(m.ID, m.Commit, nil)
 }
 
-// submitTxnOutcome orders one TxnCommit/TxnAbort record locally and
-// counts the group's transaction outcome exactly once (core reports
-// First only on the record that transitioned the transaction to
-// terminal, so retries and duplicate resolvers never double-count).
+// submitTxnOutcome orders one TxnOutcome record locally and counts the
+// group's transaction outcome exactly once (core reports First only on the
+// record that transitioned the transaction to terminal, so retries and
+// duplicate resolvers never double-count).
 func (s *Server) submitTxnOutcome(id string, commit bool, done func(applied bool)) {
-	var action any = core.TxnAbort{ID: id}
-	if commit {
-		action = core.TxnCommit{ID: id}
-	}
-	s.replica.SubmitIndexed(action, func(result any, _ paxos.InstanceID, err error) {
+	s.replica.SubmitIndexed(core.TxnOutcome{ID: id, Commit: commit}, func(result any, _ paxos.InstanceID, err error) {
 		ar, ok := result.(core.TxnAppliedResult)
 		if err != nil || !ok {
 			if done != nil {
@@ -471,28 +466,26 @@ func (s *Server) submitTxnOutcome(id string, commit bool, done func(applied bool
 // armTxnResolve starts (idempotently) the resolution loop for one
 // prepared branch: after a grace covering the coordinator's whole healthy
 // window, inquire at the home group, rotating members, until the branch
-// resolves.
+// resolves. Its one caller is the replica's OnTxnStaged hook.
 func (s *Server) armTxnResolve(id string, home int) {
-	if s.txnArmed == nil {
-		s.txnArmed = make(map[string]bool)
-		s.txnResolve = make(map[string]int)
-	}
-	if s.txnArmed[id] {
+	if _, armed := s.txnArmed[id]; armed {
 		return
 	}
-	s.txnArmed[id] = true
+	if s.txnArmed == nil {
+		s.txnArmed = make(map[string]int)
+	}
+	s.txnArmed[id] = 0
 	s.e.After(txnResolveAfter, func() { s.txnResolveTick(id, home) })
 }
 
 func (s *Server) txnResolveTick(id string, home int) {
 	if !s.txnStillPrepared(id) {
 		delete(s.txnArmed, id)
-		delete(s.txnResolve, id)
 		return
 	}
 	members := s.c.groups[home].members
-	target := members[s.txnResolve[id]%len(members)]
-	s.txnResolve[id]++
+	target := members[s.txnArmed[id]%len(members)]
+	s.txnArmed[id]++
 	s.e.Send(target, txnStatusMsg{ID: id})
 	s.e.After(txnResolvePoll, func() { s.txnResolveTick(id, home) })
 }
@@ -501,19 +494,6 @@ func (s *Server) txnResolveTick(id string, home int) {
 // branch (loop-confined; server and replica share the node executor).
 func (s *Server) txnStillPrepared(id string) bool {
 	return s.replica != nil && s.replica.TxnPrepared(id)
-}
-
-// armTxnRecovery rescans the replica's prepared set after (re)start and
-// re-arms a resolution loop per stranded branch. The set is
-// checkpoint-carried and log-replayed, so a participant crash between
-// prepare and outcome always comes back knowing exactly what it holds.
-func (s *Server) armTxnRecovery() {
-	if s.learner() || s.replica == nil {
-		return
-	}
-	for _, p := range s.replica.PreparedTxns() {
-		s.armTxnResolve(p.ID, p.Home)
-	}
 }
 
 // --- Write gate ----------------------------------------------------------
@@ -541,10 +521,9 @@ func (s *Server) txnBlocked(req *rbe.Request) bool {
 
 // withTxnGate holds a write whose keys conflict with a prepared branch
 // until the branch's outcome record releases them (or the bounded wait
-// expires into a client error). With no prepared transactions — always
-// the case on the single-group fast path — the write proceeds through
-// the exact same immediate call, adding no events and no latency. Either
-// way the request leaves through gated or drop.
+// expires into a client error). With no prepared branch on this replica
+// the write proceeds through the same immediate call, adding no events
+// and no latency. Either way the request leaves through gated or drop.
 func (s *Server) withTxnGate(r *request) {
 	if !s.replica.HasPreparedTxns() {
 		r.gated()
@@ -605,43 +584,37 @@ func (c *Cluster) ItemGroup(id tpcw.ItemID) int {
 
 // performGiftPurchase serves the cross-session gift order: the buyer's
 // cart (on this, the coordinator's, group) is purchased for a recipient
-// whose home group may differ. Same group → the merged GiftOrderAction on
-// the plain submit path; different groups → a debit branch here and a
-// deliver branch there under 2PC. All pricing is resolved here, before
-// anything is submitted, so both branches carry identical totals.
+// whose home group may differ. The debit part is this group's share and
+// the delivery part the recipient's group's; one group holding both gets
+// one action with both parts. All pricing is resolved here, once, before
+// anything is submitted, so both parts carry identical totals.
 func (s *Server) performGiftPurchase(r *request) {
-	req, now, cart := &r.m.Req, r.now, r.cart
-	lines, subTotal, tax, total, errs := s.store.GiftQuote(cart, req.Customer, req.Tag)
+	req, now := &r.m.Req, r.now
+	lines, subTotal, tax, total, errs := s.store.GiftQuote(r.cart, req.Customer, req.Tag)
 	if errs != "" {
 		r.fail()
 		return
 	}
-	ship := now.AddDate(0, 0, 1+s.e.Rand().Intn(7)) // random pre-submit
-	rg := s.c.CustomerGroup(req.Peer)
-	if rg == s.group() {
-		// Single-group fast path: the merged action, plain submit, no
-		// transaction records — bit-identical to the pre-2PC path.
-		s.replica.SubmitIndexed(tpcw.GiftOrderAction{
-			Cart: cart, Buyer: req.Customer, Recipient: req.Peer,
-			ShipType: "AIR", ShipDate: ship, Tag: req.Tag, Now: now,
-		}, r.applied)
-		return
-	}
-	debit := tpcw.GiftDebitAction{Cart: cart, Buyer: req.Customer, Total: total, Tag: req.Tag, Now: now}
-	deliver := tpcw.GiftDeliverAction{
-		Recipient: req.Peer, Lines: lines,
+	gift := tpcw.GiftAction{
+		Cart: r.cart, Buyer: req.Customer, Recipient: req.Peer, Lines: lines,
 		SubTotal: subTotal, Tax: tax, Total: total,
-		ShipType: "AIR", ShipDate: ship, Tag: req.Tag, Now: now,
+		ShipType: "AIR", ShipDate: now.AddDate(0, 0, 1+s.e.Rand().Intn(7)), // random pre-submit
+		Tag: req.Tag, Now: now,
 	}
-	s.runTxn(map[int]txnBranch{
-		s.group(): {action: debit, keys: tpcw.TxnKeys(debit)},
-		rg:        {action: deliver, keys: tpcw.TxnKeys(deliver)},
-	}, r.decided)
+	parts := map[int]tpcw.GiftParts{}
+	parts[s.group()] |= tpcw.GiftDebit
+	parts[s.c.CustomerGroup(req.Peer)] |= tpcw.GiftDeliver
+	shares := make(map[int]any, len(parts))
+	for g, p := range parts {
+		gift.Parts = p
+		shares[g] = gift
+	}
+	s.runTxn(r, shares)
 }
 
-// decided replies to a cross-group write once its decision record is
+// decided replies to a write run under 2PC once its decision record is
 // ordered. No single commit index spans two groups; the fence stays where
-// the session's last single-group write left it.
+// the session's last plainly submitted write left it.
 func (r *request) decided(commit bool) {
 	if !commit {
 		r.fail()
@@ -652,9 +625,8 @@ func (r *request) decided(commit bool) {
 
 // performStockSweep serves the admin inventory sweep: reprice an item set
 // to one cost atomically, the items partitioned across their home groups
-// by the routing table. All-local → one plain InventorySweepAction;
-// spanning groups → one branch per group under 2PC, the unique cost
-// doubling as the half-application audit marker.
+// by the routing table, one share per group, the unique cost doubling as
+// the half-application audit marker.
 func (s *Server) performStockSweep(r *request) {
 	req, now := &r.m.Req, r.now
 	if len(req.Items) == 0 {
@@ -666,17 +638,9 @@ func (s *Server) performStockSweep(r *request) {
 		g := s.c.ItemGroup(id)
 		byGroup[g] = append(byGroup[g], id)
 	}
-	if len(byGroup) == 1 {
-		if items, local := byGroup[s.group()]; local {
-			// Single-group fast path, plain submit, no records.
-			s.replica.SubmitIndexed(tpcw.InventorySweepAction{Items: items, Cost: req.Cost, Tag: req.Tag, Now: now}, r.applied)
-			return
-		}
-	}
-	branches := make(map[int]txnBranch, len(byGroup))
+	shares := make(map[int]any, len(byGroup))
 	for g, items := range byGroup {
-		a := tpcw.InventorySweepAction{Items: items, Cost: req.Cost, Tag: req.Tag, Now: now}
-		branches[g] = txnBranch{action: a, keys: tpcw.TxnKeys(a)}
+		shares[g] = tpcw.InventorySweepAction{Items: items, Cost: req.Cost, Tag: req.Tag, Now: now}
 	}
-	s.runTxn(branches, r.decided)
+	s.runTxn(r, shares)
 }

@@ -12,6 +12,8 @@ package webtier
 // coordinator at that instant.
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,22 +77,24 @@ func stepUntil(c *Cluster, budget time.Duration, cond func() bool) bool {
 }
 
 // preparedIn returns one prepared branch held by any live replica of
-// group g.
-func preparedIn(c *Cluster, servers, g int) (id string, home int, ok bool) {
+// group g whose server armed its resolution loop.
+func preparedIn(c *Cluster, servers, g int) (id string, ok bool) {
 	for _, i := range c.Voters(g) {
-		if r := c.Replica(i); r != nil {
-			if ps := r.PreparedTxns(); len(ps) > 0 {
-				return ps[0].ID, ps[0].Home, true
+		if s, r := c.Server(i), c.Replica(i); s != nil && r != nil {
+			for _, id := range slices.Sorted(maps.Keys(s.txnArmed)) {
+				if r.TxnPrepared(id) {
+					return id, true
+				}
 			}
 		}
 	}
-	return "", 0, false
+	return "", false
 }
 
 // preparedAnywhere reports any live replica still staging a branch.
 func preparedAnywhere(c *Cluster) bool {
 	for i := 0; i < c.TotalServers(); i++ {
-		if r := c.Replica(i); r != nil && len(r.PreparedTxns()) > 0 {
+		if r := c.Replica(i); r != nil && r.HasPreparedTxns() {
 			return true
 		}
 	}
@@ -312,7 +316,7 @@ func TestTxnCoordinatorCrashInPrepareWindow(t *testing.T) {
 	g0, g1, replied, ok := issueSweep(t, c, client, "coord-crash")
 
 	if !stepUntil(c, 3*time.Second, func() bool {
-		_, _, found := preparedIn(c, servers, 1)
+		_, found := preparedIn(c, servers, 1)
 		return found
 	}) {
 		t.Fatal("participant group never staged the prepared branch")
@@ -321,7 +325,7 @@ func TestTxnCoordinatorCrashInPrepareWindow(t *testing.T) {
 	if coord < 0 {
 		t.Fatal("no server on the home group holds coordinator state")
 	}
-	c.Crash(coord) // the watchdog restarts it; recovery rescans PreparedTxns
+	c.Crash(coord) // the watchdog restarts it; its restored branches are re-armed
 
 	c.Sim().RunFor(45 * time.Second)
 	assertTxnAtomic(t, c, servers, g0, g1, "coord-crash", *replied, *ok)
@@ -337,11 +341,11 @@ func TestTxnCoordinatorCrashAfterDecision(t *testing.T) {
 	client := clientInGroup(t, c, 0)
 	g0, g1, replied, ok := issueSweep(t, c, client, "post-decision")
 
+	const home = 0 // the client's group coordinates
 	var id string
-	var home int
 	if !stepUntil(c, 3*time.Second, func() bool {
 		var found bool
-		id, home, found = preparedIn(c, servers, 1)
+		id, found = preparedIn(c, servers, 1)
 		return found
 	}) {
 		t.Fatal("participant group never staged the prepared branch")
@@ -383,7 +387,7 @@ func TestTxnParticipantCrashHoldingPrepared(t *testing.T) {
 	g0, g1, replied, ok := issueSweep(t, c, client, "part-crash")
 
 	if !stepUntil(c, 3*time.Second, func() bool {
-		_, _, found := preparedIn(c, servers, 1)
+		_, found := preparedIn(c, servers, 1)
 		return found
 	}) {
 		t.Fatal("participant group never staged the prepared branch")
