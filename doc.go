@@ -433,9 +433,16 @@
 // The root package holds only this documentation; the implementation
 // lives under internal/. Every experiment — the paper's tables and
 // figures and the extensions above — is one entry of one table
-// (internal/exp/table.go) that cmd/experiment -run NAME [-short] runs, and
-// this file quotes none of their numbers: what the short sizes print is
-// committed as internal/exp/testdata/golden/all-short.txt and compared
+// (internal/exp/table.go) that cmd/experiment -run NAME [-short] runs. An
+// entry's report is a list of typed cells — each printed number, or the
+// words printed in its place, with the entry, table, row and column it
+// stands at — plus the layout that prints them: line templates the cells
+// fill, tables whose columns are each stated once as a header and a verb,
+// and the WIPS histogram. One renderer (internal/exp/render.go) writes
+// every report, and a design rule keeps any other code in exp from
+// writing one; tests read the cells, not the RunResult fields behind
+// them. This file quotes none of the numbers: what the short sizes print
+// is committed as internal/exp/testdata/golden/all-short.txt and compared
 // byte for byte by a tier-1 test, so the numbers live where a test
 // regenerates them. bench/ is the end-to-end benchmark BENCHMARK.json
 // declares (bench/README.md). ROADMAP.md lists what is open and how to run

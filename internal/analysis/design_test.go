@@ -314,6 +314,36 @@ var designRules = []designRule{
 		forbidden: []edit{{"internal/exp/run.go", "", "func (cfg *RunConfig) key() string { return \"\" }"}},
 	},
 	{
+		name: "exp writes a report through the renderer alone",
+		step: "Every printed number is a typed cell: a report is cells and layout, and one renderer writes it",
+		check: func(c *ctx) {
+			// The exemptions: runEntries writes each entry's "== name =="
+			// header and copies the sections out in table order; render
+			// writes a report and Format a cell.
+			c.only("internal/exp", "write to a writer", false, []string{"runEntries", "report.render", "cell.Format"},
+				func(s *spot, n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return false
+					}
+					fn, ok := s.callee(call).(*types.Func)
+					switch {
+					case !ok || fn.Pkg() == nil:
+						return false
+					case fn.Type().(*types.Signature).Recv() != nil:
+						return fn.Name() == "Write" || fn.Name() == "WriteString"
+					}
+					return slices.Contains([]string{"fmt.Fprint", "fmt.Fprintf", "fmt.Fprintln", "io.WriteString"},
+						fn.Pkg().Path()+"."+fn.Name())
+				})
+		},
+		forbidden: []edit{
+			{"internal/exp/format.go", "", "func printAblation(w interface{ Write([]byte) (int, error) }, a AblationResult) {\n\tfmt.Fprintf(w, \"Ablation %s:\\n\", a.Name)\n}"},
+			{"internal/exp/format.go", "", "func printRaw(w interface{ Write([]byte) (int, error) }, b []byte) { w.Write(b) }"},
+			{"internal/exp/table.go", "", "func header(w io.Writer, name string) { io.WriteString(w, \"== \"+name+\" ==\\n\") }"},
+		},
+	},
+	{
 		name: "paxos keeps no per-instance map of ballots, votes or values",
 		step: "The log is one window",
 		check: func(c *ctx) {

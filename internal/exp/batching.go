@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"robuststore/internal/paxos"
@@ -30,26 +29,15 @@ type BatchingConfig struct {
 	Seed            uint64
 }
 
-// BatchingPoint is one cell of the matrix.
-type BatchingPoint struct {
-	Shards      int
-	MaxInFlight int // consensus pipeline depth
-	MaxBatch    int // commands per proposed value
-	Offered     int // aggregate offered actions/second
-	PerSec      float64
-	Baseline    bool    // the reference pipeline
-	Speedup     float64 // PerSec over the same-shard baseline
-}
-
-// BatchingResult is the matrix, grouped by shard count.
-type BatchingResult struct {
-	Points []BatchingPoint
-}
-
-// Batching runs the matrix: for each shard count, the reference pipeline,
-// then MaxInFlight {4, 32} with the wider group-commit batch.
-func Batching(cfg BatchingConfig) BatchingResult {
-	var out BatchingResult
+// batchingMatrix runs the matrix and lays it out grouped by shard count:
+// for each, the reference pipeline, then MaxInFlight {4, 32} with the wider
+// group-commit batch, offered load beside committed so a row capped by its
+// offered load shows as capped; the best single-group speedup closes it.
+func batchingMatrix(rep *report, cfg BatchingConfig) {
+	rep.title("Batching — committed actions/s vs batch size × MaxInFlight")
+	rep.tab([]column{{"shards", "%-8d", ""}, {"pipeline", "%-10s", ""}, {"inflight", "%10d", ""}, {"batch", "%8d", ""},
+		{"offered/s", "%12d", ""}, {"actions/s", "%12.0f", ""}, {"speedup", "%10.2f", ""}})
+	best := 0.0
 	for _, shards := range cfg.Shards {
 		var base float64
 		for i, p := range []paxos.Config{
@@ -65,49 +53,15 @@ func Batching(cfg BatchingConfig) BatchingResult {
 				Seed:    cfg.Seed,
 				Paxos:   p,
 			})
+			name := "batched"
 			if i == 0 {
-				base = r.PerSec
+				base, name = r.PerSec, "reference"
+			} else if speedup := r.PerSec / base; shards == 1 && speedup > best {
+				best = speedup
 			}
-			out.Points = append(out.Points, BatchingPoint{
-				Shards:      shards,
-				MaxInFlight: p.MaxInFlight,
-				MaxBatch:    p.MaxBatchCmds,
-				Offered:     r.Offered,
-				PerSec:      r.PerSec,
-				Baseline:    i == 0,
-				Speedup:     r.PerSec / base,
-			})
+			rep.row(fmt.Sprintf("%d/%d/%d", shards, p.MaxInFlight, p.MaxBatchCmds),
+				shards, name, p.MaxInFlight, p.MaxBatchCmds, r.Offered, r.PerSec, r.PerSec/base)
 		}
 	}
-	return out
-}
-
-// SingleGroupSpeedup returns the best non-baseline single-group speedup in
-// the result.
-func (r BatchingResult) SingleGroupSpeedup() float64 {
-	best := 0.0
-	for _, pt := range r.Points {
-		if pt.Shards == 1 && !pt.Baseline && pt.Speedup > best {
-			best = pt.Speedup
-		}
-	}
-	return best
-}
-
-// PrintBatching renders the matrix grouped by shard count, offered load
-// beside committed so a row capped by its offered load shows as capped.
-func PrintBatching(w io.Writer, r BatchingResult) {
-	fmt.Fprintln(w, "Batching — committed actions/s vs batch size × MaxInFlight")
-	fmt.Fprintf(w, "%-8s%-10s%10s%8s%12s%12s%10s\n",
-		"shards", "pipeline", "inflight", "batch", "offered/s", "actions/s", "speedup")
-	for _, pt := range r.Points {
-		name := "batched"
-		if pt.Baseline {
-			name = "reference"
-		}
-		fmt.Fprintf(w, "%-8d%-10s%10d%8d%12d%12.0f%10.2f\n",
-			pt.Shards, name, pt.MaxInFlight, pt.MaxBatch, pt.Offered, pt.PerSec, pt.Speedup)
-	}
-	fmt.Fprintf(w, "best single-group speedup vs the reference pipeline: %.2f×\n",
-		r.SingleGroupSpeedup())
+	rep.line("", "best single-group speedup vs the reference pipeline: %.2f×", "best single-group speedup", best)
 }

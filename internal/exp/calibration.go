@@ -56,18 +56,20 @@ const (
 )
 
 // expDisk models the 40 GB 7200 rpm disks of §5.1 for the experiments:
-//   - SyncLatency 35 ms: a 2008-era Java FileChannel.force on ext3 with
-//     write barriers (the dominant term in the paper's write-interaction
-//     latency; the closed-loop WIPS/WIRT arithmetic of Tables 1 and
-//     Figure 4 implies ≈300 ms per write at 5 replicas, i.e. a few
-//     group-commit cycles across the phase-2 quorum).
+//   - SyncLatency 25 ms with SyncJitter 1.0: a sync takes
+//     25 ms × (0.5 + Exp(1)), a mean of 37.5 ms with an exponential tail —
+//     a 2008-era Java FileChannel.force on ext3 with write barriers (the
+//     dominant term in the paper's write-interaction latency; the
+//     closed-loop WIPS/WIRT arithmetic of Tables 1 and Figure 4 implies
+//     ≈300 ms per write at 5 replicas, i.e. a few group-commit cycles
+//     across the phase-2 quorum).
 //   - WriteBandwidth 45 MB/s sequential.
 //   - ReadBandwidth 12 MB/s effective for recovery: checkpoint load
 //     including deserialization; Figure 6 implies ≈ 500 MB / 63 s with
 //     the recovering replica's own log writes stealing part of the disk.
 var expDisk = sim.DiskConfig{
 	SyncLatency:    25 * time.Millisecond,
-	SyncJitter:     1.0, // heavy-tailed fsync: mean 37 ms, exp tail
+	SyncJitter:     1.0, // heavy-tailed fsync: mean 37.5 ms, exponential tail
 	WriteBandwidth: 45e6,
 	ReadBandwidth:  12e6,
 }

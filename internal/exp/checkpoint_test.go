@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -82,12 +80,18 @@ func TestCheckpointCurveRecovery(t *testing.T) {
 			full.PerCkptMB, incr.PerCkptMB)
 	}
 
-	var buf bytes.Buffer
-	PrintCheckpointCurve(&buf, pts)
-	out := buf.String()
-	for _, want := range []string{"Checkpoint curve", "full", "incremental", "MB/ckpt"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatter output missing %q:\n%s", want, out)
+	rep := &report{}
+	checkpointCurve(rep, pts)
+	const curve = "Checkpoint curve — recovery time vs interval, full vs incremental"
+	for row, mode := range map[string]string{"60 full": "full", "60 incremental": "incremental"} {
+		if v := cellAt(t, rep, curve, row, "mode").value; v != mode {
+			t.Errorf("row %s mode = %v, want %s", row, v, mode)
 		}
+	}
+	if got := num(t, rep, curve, "60 incremental", "MB/ckpt"); got != incr.PerCkptMB {
+		t.Errorf("incremental MB/ckpt cell = %v, want %v", got, incr.PerCkptMB)
+	}
+	if got := num(t, rep, curve, "60 full", "rec(s)"); got != full.RecoverySec {
+		t.Errorf("full rec(s) cell = %v, want %v", got, full.RecoverySec)
 	}
 }

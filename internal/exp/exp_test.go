@@ -54,36 +54,54 @@ func TestOneCrashRunRecovers(t *testing.T) {
 	if r.RecoveryDur[0] < 10 || r.RecoveryDur[0] > 200 {
 		t.Errorf("recovery took %v s", r.RecoveryDur[0])
 	}
-	if r.Autonomy != 0 {
-		t.Errorf("autonomy = %v, want 0 (watchdog recovery)", r.Autonomy)
+	// The rest are the cells Tables 1 and 2 and the dependability summary
+	// print for this run.
+	rep := matrixReport(r)
+	if a := num(t, rep, "Dep", "5/s", "autonomy"); a != 0 {
+		t.Errorf("autonomy = %v, want 0 (watchdog recovery)", a)
 	}
-	if r.Accuracy < 99.9 {
-		t.Errorf("accuracy = %v", r.Accuracy)
+	if a := num(t, rep, "Table Y", "5", "shopping"); a < 99.9 {
+		t.Errorf("accuracy = %v", a)
 	}
-	if r.Perf.FailureFreeAWIPS == 0 || r.Perf.RecoveryAWIPS == 0 {
+	if num(t, rep, "Table X", "5/s", "ff AWIPS") == 0 || num(t, rep, "Table X", "5/s", "rec AWIPS") == 0 {
 		t.Error("performability windows empty")
 	}
 	// The dip must be bounded (paper: < 13 % in the worst case across
 	// all faultloads).
-	if r.Perf.PV < -25 {
-		t.Errorf("PV = %v%%, implausibly deep", r.Perf.PV)
+	if pv := num(t, rep, "Table X", "5/s", "PV(%)"); pv < -25 {
+		t.Errorf("PV = %v%%, implausibly deep", pv)
 	}
+}
+
+// matrixReport lays out r, the shopping cell of a five-replica fault matrix,
+// as the matrix tables do, under the titles "Table X" (performability),
+// "Table Y" (accuracy) and "Dep" (dependability).
+func matrixReport(r RunResult) *report {
+	m := map[string]RunResult{matrixKey(5, rbe.Shopping): r}
+	rep := &report{}
+	performability(rep, "Table X", m)
+	accuracy(rep, "Table Y", m)
+	dependability(rep, "Dep", m)
+	return rep
 }
 
 func TestDelayedRecoveryAutonomy(t *testing.T) {
 	r := shortRun(DelayedRecovery)
-	if r.Faults != 2 {
-		t.Fatalf("faults = %d", r.Faults)
+	rep := matrixReport(r)
+	delayedPerformability(rep, map[string]RunResult{matrixKey(5, rbe.Shopping): r})
+	if f := num(t, rep, "Dep", "5/s", "faults"); f != 2 {
+		t.Fatalf("faults = %v", f)
 	}
 	// One of two recoveries was manual: autonomy 0.5 (the paper counts
 	// interventions per fault).
-	if r.Autonomy != 0.5 {
-		t.Errorf("autonomy = %v, want 0.5", r.Autonomy)
+	if a := num(t, rep, "Dep", "5/s", "autonomy"); a != 0.5 {
+		t.Errorf("autonomy = %v, want 0.5", a)
 	}
 	if len(r.RecoverySec) < 2 {
 		t.Fatalf("recoveries: %v", r.RecoverySec)
 	}
-	if r.PerfR2.RecoveryAWIPS == 0 {
+	r2 := num(t, rep, "Table 5 — Delayed recovery: performability", "5/s", "R2 AWIPS")
+	if r2 == 0 {
 		t.Error("second recovery window missing")
 	}
 	// Table 5's second window opens when the operator acts, in a shortened
@@ -92,8 +110,8 @@ func TestDelayedRecoveryAutonomy(t *testing.T) {
 	if rec := r.RecoverySec[1]; rec <= 150 || rec >= 210 {
 		t.Fatalf("manual recovery completed at t=%.0f s, outside the measured part of the window", rec)
 	}
-	if got, want := r.PerfR2.RecoveryAWIPS, stats.Mean(r.Series[150:int(r.RecoverySec[1])]); got != want {
-		t.Errorf("R2 AWIPS = %v, want %v: the mean from the operator's restart at t=150 s to its recovery", got, want)
+	if want := stats.Mean(r.Series[150:int(r.RecoverySec[1])]); r2 != want {
+		t.Errorf("R2 AWIPS = %v, want %v: the mean from the operator's restart at t=150 s to its recovery", r2, want)
 	}
 }
 
@@ -125,25 +143,48 @@ func TestMemoization(t *testing.T) {
 	}
 }
 
+// TestFormatters: the matrix tables carry the run's numbers in their cells,
+// a row per run present, and its histogram marks the crash and the recovery
+// in the bins they fall in.
 func TestFormatters(t *testing.T) {
 	r := shortRun(OneCrash)
-	m := map[string]RunResult{"5/s": r}
-	var buf bytes.Buffer
-	PrintPerformability(&buf, "Table X", m)
-	PrintAccuracy(&buf, "Table Y", m)
-	PrintDependability(&buf, "Dep", m)
-	PrintHistogram(&buf, r)
-	PrintRecoveryTimes(&buf, []RecoveryTimePoint{
-		{Servers: 5, Profile: rbe.Shopping, StateMB: 300, RecoverySec: 44},
-	})
-	out := buf.String()
-	for _, want := range []string{"Table X", "5/s", "WIPS histogram", "recovery times"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatter output missing %q", want)
+	rep := matrixReport(r)
+	for _, c := range []struct {
+		table, col string
+		want       float64
+	}{
+		{"Table X", "ff AWIPS", r.Perf.FailureFreeAWIPS}, {"Table X", "ff CV", r.Perf.FailureFreeCV},
+		{"Table X", "rec AWIPS", r.Perf.RecoveryAWIPS}, {"Table X", "rec CV", r.Perf.RecoveryCV},
+		{"Table X", "PV(%)", r.Perf.PV}, {"Dep", "availability", r.Availability},
+		{"Dep", "faults", float64(r.Faults)}, {"Dep", "errors", float64(r.Errors)},
+	} {
+		if got := num(t, rep, c.table, "5/s", c.col); got != c.want {
+			t.Errorf("%s 5/s %s = %v, want %v", c.table, c.col, got, c.want)
 		}
 	}
-	if !strings.Contains(out, "c") {
-		t.Error("histogram missing crash marker")
+	if got := num(t, rep, "Table Y", "5", "shopping"); got != r.Accuracy {
+		t.Errorf("accuracy cell = %v, want %v", got, r.Accuracy)
+	}
+	for _, b := range rep.blocks {
+		for _, c := range b.cells {
+			if c.row != "5/s" && c.row != "5" {
+				t.Errorf("a cell for a run the matrix does not hold: %+v", c)
+			}
+		}
+	}
+
+	fig := &report{}
+	fig.fig(r)
+	var buf bytes.Buffer
+	if err := fig.render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	marks := strings.TrimPrefix(strings.Fields(lines[len(lines)-1])[0], "+")
+	bin := (len(r.Series) + 119) / 120
+	if len(lines) != 14 || marks[int(r.CrashSec[0])/bin] != 'c' || marks[int(r.RecoverySec[0])/bin] != 'r' {
+		t.Errorf("histogram does not mark the crash at t=%.0f s and the recovery at t=%.0f s:\n%s",
+			r.CrashSec[0], r.RecoverySec[0], buf.String())
 	}
 }
 

@@ -1,74 +1,60 @@
 package exp
 
 import (
+	"strconv"
+
 	"robuststore/internal/rbe"
 	"robuststore/internal/stats"
 )
 
 // This file defines the experiment suites of §5, each returning the data
-// behind one figure or table of the paper. A suite is a function of one
+// behind one figure or table of the paper or, where nothing but the report
+// reads that data (the scale sweep, the recovery times), laying out the
+// report's cells as it runs (render.go). A suite is a function of one
 // base RunConfig — the deployment, load, interval and seed every run of it
 // shares — and the values it sweeps; it sets the fields it sweeps and, where
 // its report names one, the faultload.
 
-// ScalePoint is one (replicas, profile) measurement.
-type ScalePoint struct {
-	Servers int
-	Profile rbe.Profile
-	WIPS    float64
-	WIRTms  float64
-	Speedup float64 // relative to the first degree swept (Figure 3's S_k)
-
-	// Errors and Evictions are what a failure-free run must not have:
-	// client-visible errors, and servers the proxy's quality gate pulled
-	// from rotation (ProxyStats.QualityEvictions).
-	Errors    int
-	Evictions int
-}
-
-// ScaleResult is the data behind Figures 3 and 4: WIPS and WIRT per
-// replication degree under the three profiles, with S_k = pi_k / pi_first
-// (Figure 3) and the least-squares regression and WIPS/WIRT correlation
-// the paper reports for the fixed offered load (Figure 4, §5.3).
-type ScaleResult struct {
-	Points      map[rbe.Profile][]ScalePoint
-	Fit         map[rbe.Profile]stats.Regression // WIPS vs replicas
-	Correlation map[rbe.Profile]float64          // r² of WIPS vs WIRT
-}
-
-// ScaleSweep runs base at every replication degree under the three
-// profiles: the failure-free sweep behind Figure 3 (a population that
-// saturates the biggest deployment) and Figure 4 (the fixed 1000 WIPS
-// offered load).
-func ScaleSweep(base RunConfig, degrees []int) ScaleResult {
-	out := ScaleResult{
-		Points:      make(map[rbe.Profile][]ScalePoint),
-		Fit:         make(map[rbe.Profile]stats.Regression),
-		Correlation: make(map[rbe.Profile]float64),
+// scale runs base at every replication degree under the three profiles —
+// the failure-free sweep behind Figure 3 (a population that saturates the
+// biggest deployment) and Figure 4 (the fixed 1000 WIPS offered load) — and
+// lays out WIPS and WIRT per degree, with the errors and quality evictions
+// a failure-free run should not have, closing each profile's block with its
+// S_k = π_k / π_first (Figure 3) or, fit set, the least-squares regression
+// of WIPS on k and the WIPS–WIRT r² the paper reports (Figure 4, §5.3).
+func scale(rep *report, title string, base RunConfig, degrees []int, fit bool) {
+	rep.title(title)
+	series := func(verb, row, label string, v func(i int) any) {
+		format, args := "%-10s", []any{"label", label}
+		for i, k := range degrees {
+			format += verb
+			args = append(args, strconv.Itoa(k), v(i))
+		}
+		rep.line(row, format, args...)
 	}
+	series("%8d", "replicas", "replicas", func(i int) any { return degrees[i] })
 	for _, profile := range rbe.Profiles {
+		var runs []RunResult
 		var ks, wips, wirt []float64
 		for _, k := range degrees {
 			base.Profile, base.Servers = profile, k
 			r := Run(base)
-			ks = append(ks, float64(k))
-			wips = append(wips, r.AWIPS)
-			wirt = append(wirt, r.WIRTms)
-			out.Points[profile] = append(out.Points[profile], ScalePoint{
-				Servers:   k,
-				Profile:   profile,
-				WIPS:      r.AWIPS,
-				WIRTms:    r.WIRTms,
-				Speedup:   r.AWIPS / wips[0],
-				Errors:    r.Errors,
-				Evictions: r.Proxy.QualityEvictions,
-			})
+			runs, ks = append(runs, r), append(ks, float64(k))
+			wips, wirt = append(wips, r.AWIPS), append(wirt, r.WIRTms)
 		}
-		out.Fit[profile] = stats.LinearFit(ks, wips)
-		corr := stats.Correlation(wips, wirt)
-		out.Correlation[profile] = corr * corr
+		p := profile.String()
+		series("%8.0f", p+" WIPS", p+" WIPS", func(i int) any { return wips[i] })
+		series("%8.0f", p+" WIRT ms", "  WIRT ms", func(i int) any { return wirt[i] })
+		series("%8d", p+" errors", "  errors", func(i int) any { return runs[i].Errors })
+		series("%8d", p+" evicted", "  evicted", func(i int) any { return runs[i].Proxy.QualityEvictions })
+		if !fit {
+			series("%8.2f", p+" S_k", "  S_k", func(i int) any { return wips[i] / wips[0] })
+			continue
+		}
+		f, corr := stats.LinearFit(ks, wips), stats.Correlation(wips, wirt)
+		rep.line(p, "  fit: WIPS = %.2f·k %+.1f   r²(WIPS,WIRT) = %.4f",
+			"slope", f.Slope, "intercept", f.Intercept, "r²(WIPS,WIRT)", corr*corr)
 	}
-	return out
 }
 
 // ReadScalePoint is one point of the read scale-out sweep: read
@@ -139,32 +125,28 @@ func matrixKey(servers int, profile rbe.Profile) string {
 	return string(rune('0'+servers)) + "/" + profile.String()[:1]
 }
 
-// RecoveryTimePoint is one bar of Figure 6.
-type RecoveryTimePoint struct {
-	Servers     int
-	Profile     rbe.Profile
-	StateMB     int
-	RecoverySec float64
-}
-
-// RecoveryTimes reproduces Figure 6: the recovery duration of base's
-// crash for every combination of replication degree, profile and initial
-// state size {300, 500, 700} MB.
-func RecoveryTimes(base RunConfig, degrees []int) []RecoveryTimePoint {
-	var out []RecoveryTimePoint
+// recoveryTimes reproduces Figure 6 as a table: the recovery seconds of
+// base's crash for every combination of replication degree, profile and
+// initial state size {300, 500, 700} MB, -1 where the replica never
+// recovered.
+func recoveryTimes(rep *report, base RunConfig, degrees []int) {
+	rep.title("Figure 6 — One failure: recovery times (s)")
+	rep.tab([]column{{"replicas", "%-9d", ""}, {"profile", " %-10s", ""},
+		{"300MB", " %8.0f", ""}, {"500MB", " %8.0f", ""}, {"700MB", " %8.0f", ""}})
 	for _, servers := range degrees {
 		for _, profile := range rbe.Profiles {
+			row := []any{servers, profile.String()}
 			for _, stateMB := range []int{300, 500, 700} {
 				base.Servers, base.Profile, base.StateMB = servers, profile, stateMB
-				pt := RecoveryTimePoint{Servers: servers, Profile: profile, StateMB: stateMB, RecoverySec: -1}
+				sec := -1.0
 				if r := Run(base); len(r.RecoveryDur) > 0 {
-					pt.RecoverySec = r.RecoveryDur[0]
+					sec = r.RecoveryDur[0]
 				}
-				out = append(out, pt)
+				row = append(row, sec)
 			}
+			rep.row(matrixKey(servers, profile), row...)
 		}
 	}
-	return out
 }
 
 // --- Sharded recovery scenarios ----------------------------------------

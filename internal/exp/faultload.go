@@ -178,9 +178,9 @@ type WindowFault struct {
 	// call — one fault — covers the event.
 	PerVictim bool
 
-	// label words a window's factor in the report; nil for a kind that
-	// takes none.
-	label func(factor float64) string
+	// factor states how the report prints a window's factor: the verb and
+	// the value it fills; nil for a kind that takes none.
+	factor func(factor float64) (verb string, v float64)
 
 	// inject puts the fault on the victims and returns what lifts it.
 	inject func(l *ledger, ev resolvedEvent, victims []int) (lift func())
@@ -215,13 +215,13 @@ var WindowFaults = []WindowFault{
 		}},
 	{Open: OpDiskSlow, Close: OpDiskRestore, OpenName: "disk-slow", CloseName: "disk-restore",
 		Kind: "slowdisk", DefaultFactor: DefaultSlowFactor, PerVictim: true,
-		label: func(f float64) string { return fmt.Sprintf("%gx slower", f) },
+		factor: func(f float64) (string, float64) { return "%gx slower", f },
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
 			return l.cluster.DegradeDisk(victims[0], ev.factor)
 		}},
 	{Open: OpLinkLoss, Close: OpLinkRestore, OpenName: "link-loss", CloseName: "link-restore",
 		Kind: "linkloss", DefaultFactor: DefaultLossRate, Directed: true, LateBinds: true,
-		label: func(f float64) string { return fmt.Sprintf("%.0f%% loss", f*100) },
+		factor: func(f float64) (string, float64) { return "%.0f%% loss", f * 100 },
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
 			return l.cluster.FaultLinks(victims, false, netfault.Fault{Dir: ev.dir, Loss: ev.factor})
 		}},
@@ -232,18 +232,18 @@ var WindowFaults = []WindowFault{
 		}},
 	{Open: OpGrayFail, Close: OpGrayRestore, OpenName: "gray-fail", CloseName: "gray-restore",
 		Kind: "grayfail", DefaultFactor: DefaultGrayRate, LateBinds: true, PerVictim: true,
-		label: func(f float64) string {
+		factor: func(f float64) (string, float64) {
 			if f < 1 {
-				return fmt.Sprintf("%.0f%% errors", f*100)
+				return "%.0f%% errors", f * 100
 			}
-			return fmt.Sprintf("%gx slow-walk", f)
+			return "%gx slow-walk", f
 		},
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
 			return l.cluster.GrayFail(victims[0], ev.factor)
 		}},
 	{Open: OpLinkDelay, Close: OpLinkDelayRestore, OpenName: "link-delay", CloseName: "link-delay-restore",
 		Kind: "linkdelay", DefaultFactor: DefaultDelayFactor, Directed: true, LateBinds: true,
-		label: func(f float64) string { return fmt.Sprintf("%gx latency", f) },
+		factor: func(f float64) (string, float64) { return "%gx latency", f },
 		inject: func(l *ledger, ev resolvedEvent, victims []int) func() {
 			return l.cluster.FaultLinks(victims, false, netfault.Fault{Dir: ev.dir, Delay: ev.factor})
 		}},

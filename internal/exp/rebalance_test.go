@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -71,21 +69,32 @@ func TestRebalanceScenario(t *testing.T) {
 	}
 }
 
-// TestRebalanceFormatter: the report renders the window and the
-// per-group rows.
+// TestRebalanceFormatter: the report carries the deployment's growth, the
+// migration window, the moved share, the mid-migration crash and the
+// per-group rows with their aggregate.
 func TestRebalanceFormatter(t *testing.T) {
-	var buf bytes.Buffer
-	PrintRebalance(&buf, rebalanceRun())
-	out := buf.String()
-	for _, want := range []string{
-		"Live rebalance — 2→3 groups",
-		"migration window",
-		"slices moved",
-		"mid-migration crash",
-		"aggregate",
+	r := rebalanceRun()
+	rep := &report{}
+	rebalance(rep, r)
+	m := r.Migration
+	const lr = "Live rebalance"
+	for _, c := range []struct {
+		col  string
+		want float64
+	}{
+		{"groups", 2}, {"final groups", 3}, {"new group", float64(m.NewGroup)},
+		{"moved slices", float64(m.MovedSlices)}, {"slices", float64(m.TotalSlices)},
+		{"window s", m.WindowSec}, {"crashed server", float64(r.CrashedServers[0])},
+		{"crash s", r.CrashSec[0]}, {"requeued writes", float64(r.Proxy.Requeued)},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rebalance report missing %q:\n%s", want, out)
+		if got := num(t, rep, lr, "", c.col); got != c.want {
+			t.Errorf("%s = %v, want %v", c.col, got, c.want)
 		}
+	}
+	if got := num(t, rep, r.Cfg.Fault.Name, "aggregate", "AWIPS"); got <= 0 {
+		t.Errorf("aggregate AWIPS = %v", got)
+	}
+	if got := num(t, rep, r.Cfg.Fault.Name, "2", "acc(%)"); got != r.PerGroup[2].Accuracy {
+		t.Errorf("joined group's accuracy cell = %v, want %v", got, r.PerGroup[2].Accuracy)
 	}
 }

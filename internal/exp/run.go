@@ -29,7 +29,7 @@ type RunConfig struct {
 	// Readers adds this many learner-backed read-only servers per group
 	// (webtier.Config.Readers): they apply the log but never vote, and
 	// the proxy rotates reads across voters + readers with per-session
-	// read-your-writes fences. 0 keeps the pre-reader read path.
+	// read-your-writes fences. With none, reads rotate over the voters.
 	Readers int
 
 	Browsers int           // RBE population; default faultBrowsers
@@ -68,8 +68,7 @@ type RunConfig struct {
 	// TxnRate, when > 0, drives cross-shard transactions (gift purchases
 	// and inventory sweeps under 2PC) at this many per second of
 	// measured time, alongside the RBE load, and audits their atomicity
-	// at run end (RunResult.Txn). Zero keeps the historical runs
-	// byte-identical: no driver is scheduled at all.
+	// at run end (RunResult.Txn). Zero schedules no driver.
 	TxnRate float64
 }
 
@@ -370,8 +369,7 @@ func runOnce(cfg RunConfig) RunResult {
 
 	// Cross-shard transaction driver: gift purchases and inventory
 	// sweeps at TxnRate per second of measured time, audited for
-	// atomicity after the drain tail. Scheduled only when enabled, so
-	// TxnRate=0 runs replay the exact historical event sequence.
+	// atomicity after the drain tail; scheduled only when TxnRate > 0.
 	var txnDrv *txnDriver
 	if cfg.TxnRate > 0 {
 		txnDrv = startTxnDriver(cfg, cluster, s, t0, state.proto.Info())

@@ -1,9 +1,9 @@
 package exp
 
 import (
-	"bytes"
-	"strings"
 	"testing"
+
+	"robuststore/internal/metrics"
 )
 
 // groupOutageRun is the whole-group-down scenario of the sharded suite at
@@ -100,17 +100,36 @@ func TestMemberEveryGroupScenario(t *testing.T) {
 	}
 }
 
+// TestShardedFormatters: the per-group report carries each group's numbers
+// and the aggregate row folded from them, under the scenario's name, and the
+// recovery curve a row per shard count.
 func TestShardedFormatters(t *testing.T) {
 	r := groupOutageRun()
-	var buf bytes.Buffer
-	PrintShardedDependability(&buf, r)
-	PrintShardedRecovery(&buf, []ShardedRecoveryPoint{
-		{Shards: 2, MeanRecoverySec: 33, WorstGroupAvail: 0.95, AWIPS: 400},
-	})
-	out := buf.String()
-	for _, want := range []string{"group-outage", "aggregate", "Sharded recovery", "avail"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatter output missing %q:\n%s", want, out)
+	rep := &report{}
+	shardedDependability(rep, r)
+	if v := cellAt(t, rep, "group-outage", "", "faultload").value; v != "group-outage" {
+		t.Errorf("title names %v, want group-outage", v)
+	}
+	agg := metrics.AggregateGroups(r.PerGroup, rampUp+r.Cfg.Measure+rampDown)
+	for _, c := range []struct {
+		row, col string
+		want     float64
+	}{
+		{"0", "avail", r.PerGroup[0].Availability}, {"0", "down(s)", r.PerGroup[0].Downtime.Seconds()},
+		{"1", "AWIPS", r.PerGroup[1].AWIPS}, {"aggregate", "AWIPS", agg.AWIPS},
+		{"aggregate", "acc(%)", r.Accuracy}, {"aggregate", "avail", r.Availability},
+		{"aggregate", "crashes", float64(agg.Crashes)}, {"aggregate", "PV(%)", r.Perf.PV},
+	} {
+		if got := num(t, rep, "group-outage", c.row, c.col); got != c.want {
+			t.Errorf("group %s %s = %v, want %v", c.row, c.col, got, c.want)
 		}
+	}
+
+	rep = &report{}
+	shardedRecovery(rep, []ShardedRecoveryPoint{{Shards: 2, MeanRecoverySec: 33, WorstGroupAvail: 0.95, AWIPS: 400}})
+	const curve = "Sharded recovery — one member of every group crashed"
+	if num(t, rep, curve, "2", "mean rec(s)") != 33 || num(t, rep, curve, "2", "worst grp avail") != 0.95 ||
+		num(t, rep, curve, "2", "AWIPS") != 400 {
+		t.Errorf("recovery curve cells do not carry the point: %+v", rep.blocks)
 	}
 }

@@ -15,7 +15,8 @@ import (
 // This file is the one list of experiments. Each entry names an
 // experiment, says what it reproduces, and runs it at one of two sizes —
 // the paper's, or a short one that keeps the regime the experiment is
-// about at a fraction of the cost — printing its report. cmd/experiment
+// about at a fraction of the cost — laying out its report as cells that
+// render.go writes. cmd/experiment
 // is flag parsing plus a loop over this table, and
 // testdata/golden/all-short.txt holds every byte RunAll prints at the
 // short size under DefaultParams (TestGoldenAllShort compares them), so a
@@ -151,79 +152,62 @@ func (p Params) suite() RunConfig {
 	return cfg
 }
 
-// printHistograms renders the Figure 5/7/8 panels of a fault matrix: the
-// five-replica run of every profile.
-func printHistograms(w io.Writer, m map[string]RunResult) {
-	for _, profile := range rbe.Profiles {
-		PrintHistogram(w, m[matrixKey(5, profile)])
-	}
-}
-
-// printSuite renders each scenario's histogram and per-group report.
-func printSuite(w io.Writer, rs []RunResult) {
-	for _, r := range rs {
-		PrintHistogram(w, r)
-		PrintShardedDependability(w, r)
-		fmt.Fprintln(w)
-	}
-}
-
 // Experiments is the table: the paper's evaluation (§5) first, then the
 // experiments on what this repository adds to it.
 var Experiments = []Experiment{
-	{"speedup", "Figure 3: saturation WIPS/WIRT at 4–12 replicas under the three TPC-W profiles, with the S_k speedups",
-		func(p Params, w io.Writer) error {
-			PrintSpeedup(w, ScaleSweep(p.scale(500, saturationBrowsers))) // §5.2: 500 MB initial state
-			return nil
-		}},
-	{"scaleup", "Figure 4: WIPS/WIRT at 1000 offered WIPS for 4–12 replicas, with the regression fits and the WIPS–WIRT r²",
-		func(p Params, w io.Writer) error {
-			PrintScaleup(w, ScaleSweep(p.scale(300, faultBrowsers))) // §5.3: 300 MB to avoid swapping
-			return nil
-		}},
-	{"one-crash", "Figure 5, Tables 1–2: one crash at t=270 s, autonomous recovery (the histogram is the -servers/-profile run)",
-		func(p Params, w io.Writer) error {
+	entry("speedup", "Figure 3: saturation WIPS/WIRT at 4–12 replicas under the three TPC-W profiles, with the S_k speedups",
+		func(p Params, rep *report) {
+			base, degrees := p.scale(500, saturationBrowsers) // §5.2: 500 MB initial state
+			scale(rep, "Figure 3 — Speedup (saturation, 500 MB state)", base, degrees, false)
+		}),
+	entry("scaleup", "Figure 4: WIPS/WIRT at 1000 offered WIPS for 4–12 replicas, with the regression fits and the WIPS–WIRT r²",
+		func(p Params, rep *report) {
+			base, degrees := p.scale(300, faultBrowsers) // §5.3: 300 MB to avoid swapping
+			scale(rep, "Figure 4 — Scaleup at 1000 WIPS (300 MB state)", base, degrees, true)
+		}),
+	entry("one-crash", "Figure 5, Tables 1–2: one crash at t=270 s, autonomous recovery (the histogram is the -servers/-profile run)",
+		func(p Params, rep *report) {
 			base, degrees := p.crash(OneCrash)
 			one := base
 			one.Servers, one.Profile = p.Servers, p.Profile
-			PrintHistogram(w, Run(one))
+			rep.fig(Run(one))
 			m := FaultMatrix(base, degrees)
-			PrintPerformability(w, "Table 1 — One failure: performability", m)
-			PrintAccuracy(w, "Table 2 — One failure: accuracy (%)", m)
-			PrintDependability(w, "One failure: availability/autonomy", m)
-			return nil
-		}},
-	{"two-crashes", "Figure 7, Tables 3–4: two overlapped crashes at t=240 s and t=270 s",
-		func(p Params, w io.Writer) error {
+			performability(rep, "Table 1 — One failure: performability", m)
+			accuracy(rep, "Table 2 — One failure: accuracy (%)", m)
+			dependability(rep, "One failure: availability/autonomy", m)
+		}),
+	entry("two-crashes", "Figure 7, Tables 3–4: two overlapped crashes at t=240 s and t=270 s",
+		func(p Params, rep *report) {
 			m := FaultMatrix(p.crash(TwoCrashes))
-			printHistograms(w, m)
-			PrintPerformability(w, "Table 3 — Two overlapped crashes: performability", m)
-			PrintAccuracy(w, "Table 4 — Two overlapped crashes: accuracy (%)", m)
-			PrintDependability(w, "Two crashes: availability/autonomy", m)
-			return nil
-		}},
-	{"delayed", "Figure 8, Tables 5–6: both crash at t=240 s, one recovers by operator intervention at t=390 s",
-		func(p Params, w io.Writer) error {
+			for _, profile := range rbe.Profiles { // Figure 7's panels: each profile's five-replica run
+				rep.fig(m[matrixKey(5, profile)])
+			}
+			performability(rep, "Table 3 — Two overlapped crashes: performability", m)
+			accuracy(rep, "Table 4 — Two overlapped crashes: accuracy (%)", m)
+			dependability(rep, "Two crashes: availability/autonomy", m)
+		}),
+	entry("delayed", "Figure 8, Tables 5–6: both crash at t=240 s, one recovers by operator intervention at t=390 s",
+		func(p Params, rep *report) {
 			m := FaultMatrix(p.crash(DelayedRecovery))
-			printHistograms(w, m)
-			PrintDelayedPerformability(w, m)
-			PrintAccuracy(w, "Table 6 — Delayed recovery: accuracy (%)", m)
-			PrintDependability(w, "Delayed recovery: availability/autonomy", m)
-			return nil
-		}},
-	{"recovery-times", "Figure 6: one-crash recovery time per replication degree, profile and state size {300, 500, 700} MB",
-		func(p Params, w io.Writer) error {
+			for _, profile := range rbe.Profiles { // Figure 8's panels: each profile's five-replica run
+				rep.fig(m[matrixKey(5, profile)])
+			}
+			delayedPerformability(rep, m)
+			accuracy(rep, "Table 6 — Delayed recovery: accuracy (%)", m)
+			dependability(rep, "Delayed recovery: availability/autonomy", m)
+		}),
+	entry("recovery-times", "Figure 6: one-crash recovery time per replication degree, profile and state size {300, 500, 700} MB",
+		func(p Params, rep *report) {
 			base, degrees := p.crash(OneCrash)
 			if !p.Short {
 				// Only the recovery duration is measured: crash
 				// earlier, shorter tail.
 				base.Measure, base.CrashAt = 300*time.Second, 90
 			}
-			PrintRecoveryTimes(w, RecoveryTimes(base, degrees))
-			return nil
-		}},
-	{"ablations", "design choices switched off under the ordering profile: Fast Paxos, command batching, parallel recovery",
-		func(p Params, w io.Writer) error {
+			recoveryTimes(rep, base, degrees)
+		}),
+	entry("ablations", "design choices switched off under the ordering profile: Fast Paxos, command batching, parallel recovery",
+		func(p Params, rep *report) {
 			load := RunConfig{Profile: rbe.Ordering, Servers: 5, StateMB: 300,
 				Browsers: faultBrowsers, Measure: sweepMeasure, Seed: p.Seed}
 			if p.Short {
@@ -231,21 +215,17 @@ var Experiments = []Experiment{
 			}
 			crash, _ := p.crash(OneCrash)
 			crash.Profile, crash.Servers = rbe.Ordering, 5
-			PrintAblation(w, Ablation("fast-paxos-vs-classic", "fast paxos", "classic paxos", load,
+			ablation(rep, Ablation("fast-paxos-vs-classic", "fast paxos", "classic paxos", load,
 				func(c *RunConfig) { c.NoFast = true }))
-			PrintAblation(w, Ablation("command-batching", "batched", "one per value", load,
+			ablation(rep, Ablation("command-batching", "batched", "one per value", load,
 				func(c *RunConfig) { c.NoBatch = true }))
-			PrintAblation(w, Ablation("parallel-recovery", "parallel", "sequential", crash,
+			ablation(rep, Ablation("parallel-recovery", "parallel", "sequential", crash,
 				func(c *RunConfig) { c.SeqRec = true }))
-			return nil
-		}},
-	{"sharded", "sharded faultloads: one member of every group, a rolling wave, a whole group out until manual recovery",
-		func(p Params, w io.Writer) error {
-			printSuite(w, Suite(p.suite(), ShardedFaultloads(p.Shards)))
-			return nil
-		}},
-	{"sharded-recovery", "recovery time vs shard count (doubling up to -shards) with one member of every group crashed",
-		func(p Params, w io.Writer) error {
+		}),
+	entry("sharded", "sharded faultloads: one member of every group, a rolling wave, a whole group out until manual recovery",
+		func(p Params, rep *report) { suite(rep, Suite(p.suite(), ShardedFaultloads(p.Shards))) }),
+	entry("sharded-recovery", "recovery time vs shard count (doubling up to -shards) with one member of every group crashed",
+		func(p Params, rep *report) {
 			var counts []int
 			for n := 1; n < p.Shards; n *= 2 {
 				counts = append(counts, n)
@@ -258,18 +238,16 @@ var Experiments = []Experiment{
 			// the recovery is measured.
 			base := p.suite()
 			base.Browsers, base.Measure, base.CrashAt = 600, 180*time.Second, 90
-			PrintShardedRecovery(w, ShardedRecoveryCurve(base, counts))
-			return nil
-		}},
-	{"rebalance", "resharding under fault: a group added live at t=240 s, a source-group member killed mid-copy",
-		func(p Params, w io.Writer) error {
+			shardedRecovery(rep, ShardedRecoveryCurve(base, counts))
+		}),
+	entry("rebalance", "resharding under fault: a group added live at t=240 s, a source-group member killed mid-copy",
+		func(p Params, rep *report) {
 			r := RebalanceScenario(p.suite())
-			PrintHistogram(w, r)
-			PrintRebalance(w, r)
-			return nil
-		}},
-	{"checkpoint", "recovery time vs checkpoint interval (the Figure 6 trade-off), full-state vs incremental checkpoints",
-		func(p Params, w io.Writer) error {
+			rep.fig(r)
+			rebalance(rep, r)
+		}),
+	entry("checkpoint", "recovery time vs checkpoint interval (the Figure 6 trade-off), full-state vs incremental checkpoints",
+		func(p Params, rep *report) {
 			base := RunConfig{Profile: rbe.Shopping, Servers: 5, StateMB: 500, Browsers: 400,
 				Measure: 300 * time.Second, CrashAt: 90, Seed: p.Seed}
 			intervals := []int{15, 30, 60, 120}
@@ -277,67 +255,55 @@ var Experiments = []Experiment{
 				base.Servers, base.StateMB, base.Browsers, base.Measure = 3, 300, 300, 150*time.Second
 				intervals = []int{20, 60}
 			}
-			PrintCheckpointCurve(w, CheckpointCurve(base, intervals))
-			return nil
-		}},
-	{"partition", "correlated network faults: leader isolation, minority split, whole-group isolation, one-way loss",
-		func(p Params, w io.Writer) error {
-			printSuite(w, Suite(p.suite(), PartitionFaultloads()))
-			return nil
-		}},
-	{"partition-recovery", "leader isolation on 5 replicas: detection+failover and post-heal reabsorption times",
-		func(p Params, w io.Writer) error {
+			checkpointCurve(rep, CheckpointCurve(base, intervals))
+		}),
+	entry("partition", "correlated network faults: leader isolation, minority split, whole-group isolation, one-way loss",
+		func(p Params, rep *report) { suite(rep, Suite(p.suite(), PartitionFaultloads())) }),
+	entry("partition-recovery", "leader isolation on 5 replicas: detection+failover and post-heal reabsorption times",
+		func(p Params, rep *report) {
 			base := RunConfig{Profile: rbe.Shopping, Servers: 5, StateMB: 300, Browsers: 600,
 				Measure: 300 * time.Second, Seed: p.Seed}
 			if p.Short {
 				base.Browsers, base.Measure = 300, 150*time.Second
 			}
-			PrintPartitionBench(w, PartitionRecoveryBench(base))
-			return nil
-		}},
-	{"slowdisk", "the failing-disk straggler: one member's disk degraded live, never tripping crash detection",
-		func(p Params, w io.Writer) error {
+			partitionBench(rep, PartitionRecoveryBench(base))
+		}),
+	entry("slowdisk", "the failing-disk straggler: one member's disk degraded live, never tripping crash detection",
+		func(p Params, rep *report) {
 			r := Suite(p.suite(), []Faultload{SlowDiskFaultload()})[0]
-			PrintHistogram(w, r)
-			PrintShardedDependability(w, r)
-			return nil
-		}},
-	{"gray", "gray failures probe timeouts cannot see: a member or leader erroring or slow-walking, link delay, partition flapping",
-		func(p Params, w io.Writer) error {
-			printSuite(w, Suite(p.suite(), GrayFaultloads()))
-			return nil
-		}},
-	{"txn", "cross-shard transactions under 2PC-window faults, each run audited for atomicity",
-		func(p Params, w io.Writer) error {
+			rep.fig(r)
+			shardedDependability(rep, r)
+		}),
+	entry("gray", "gray failures probe timeouts cannot see: a member or leader erroring or slow-walking, link delay, partition flapping",
+		func(p Params, rep *report) { suite(rep, Suite(p.suite(), GrayFaultloads())) }),
+	entry("txn", "cross-shard transactions under 2PC-window faults, each run audited for atomicity",
+		func(p Params, rep *report) {
 			violations := 0
 			for _, r := range TxnSuite(p.suite()) {
-				PrintTxnReport(w, r)
-				fmt.Fprintln(w)
+				txnReport(rep, r)
+				rep.line("", "")
 				violations += r.Txn.Violations()
 			}
 			if violations > 0 {
-				return fmt.Errorf("txn: %d atomicity violation(s)", violations)
+				rep.err = fmt.Errorf("txn: %d atomicity violation(s)", violations)
 			}
-			return nil
-		}},
-	{"readscale", "read throughput vs learner-backed readers per group under the saturated Browsing profile",
-		func(p Params, w io.Writer) error {
+		}),
+	entry("readscale", "read throughput vs learner-backed readers per group under the saturated Browsing profile",
+		func(p Params, rep *report) {
 			base := RunConfig{Profile: rbe.Browsing, Servers: 3, StateMB: 300,
 				Browsers: readScaleBrowsers, Measure: sweepMeasure, Seed: p.Seed}
 			counts := []int{0, 1, 3}
 			if p.Short {
 				base.Measure, counts = 60*time.Second, []int{0, 3}
 			}
-			PrintReadScale(w, ReadScale(base, counts))
-			return nil
-		}},
-	{"batching", "WAL group commit: ordered actions/s vs batch size × pipeline depth against the reference pipeline, at 1, 2 and 4 Paxos groups",
-		func(p Params, w io.Writer) error {
+			readScale(rep, ReadScale(base, counts))
+		}),
+	entry("batching", "WAL group commit: ordered actions/s vs batch size × pipeline depth against the reference pipeline, at 1, 2 and 4 Paxos groups",
+		func(p Params, rep *report) {
 			cfg := BatchingConfig{Shards: []int{1, 2, 4}, Warmup: 2 * time.Second, Measure: 5 * time.Second, Seed: p.Seed}
 			if p.Short {
 				cfg = BatchingConfig{Shards: []int{1, 2}, Warmup: time.Second, Measure: 2 * time.Second, Seed: p.Seed}
 			}
-			PrintBatching(w, Batching(cfg))
-			return nil
-		}},
+			batchingMatrix(rep, cfg)
+		}),
 }
