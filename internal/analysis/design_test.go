@@ -439,6 +439,33 @@ var designRules = []designRule{
 		forbidden: []edit{{"internal/paxos/engine.go", "", "func pingAll(e env.Env, to []env.NodeID) {\n\tfor _, p := range to {\n\t\tm := pingMsg{}\n\t\te.Send(p, &m)\n\t}\n}"}},
 	},
 	{
+		name: "the coordinator reads a vote's value only on the fast-vote path",
+		step: "A classic 2b carries the value's ID",
+		check: func(c *ctx) {
+			// A plain classic 2b is modelled on the wire without its value
+			// (acceptedMsg.WireSize): the coordinator, in leader.go, reads a
+			// received vote's V, by selector or by copying the vote, only
+			// where it weighs fast votes.
+			value := c.member("internal/paxos", "acceptedMsg", "V")
+			c.only("internal/paxos/leader.go", "read of a 2b's value", false,
+				[]string{"Engine.onFastVote", "Engine.recoverFromVotes"},
+				func(s *spot, n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						return s.objOf(n.Sel) == value
+					case *ast.StarExpr:
+						p, ok := s.typeOf(n.X).(*types.Pointer)
+						return ok && named(p.Elem(), "internal/paxos", "acceptedMsg")
+					}
+					return false
+				})
+		},
+		forbidden: []edit{
+			{"internal/paxos/leader.go", "en.choose(m.Inst, r.prop.v)", "en.choose(m.Inst, m.V)"},
+			{"internal/paxos/leader.go", "\t\tr.prop.acks.add(idx)\n", "\t\tr.prop.acks.add(idx)\n\t\tls.reports = append(ls.reports, acceptedInfo(*m))\n"},
+		},
+	},
+	{
 		name: "an armed timer is not an event",
 		step: "A vote, a decision and a timer are held once",
 		check: func(c *ctx) {

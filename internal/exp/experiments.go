@@ -342,8 +342,11 @@ func ShardedRecoveryCurve(base RunConfig, shardCounts []int) []ShardedRecoveryPo
 // the migration window and the per-group dependability rows — the new
 // group included — alongside the paper's measures, answering: does
 // resharding stay downtime-free even when a replica dies mid-handoff?
+// Its faultload, crash-mid-migration, names that crash: the copy phase
+// fires it, so it schedules no event of its own.
 func RebalanceScenario(base RunConfig) RunResult {
 	base.RebalanceAtSec, base.CrashMidMigration = 240, true
+	base.Fault = Faultload{Name: "crash-mid-migration"}
 	return Run(base)
 }
 

@@ -71,11 +71,15 @@ func TestRebalanceScenario(t *testing.T) {
 
 // TestRebalanceFormatter: the report carries the deployment's growth, the
 // migration window, the moved share, the mid-migration crash and the
-// per-group rows with their aggregate.
+// per-group rows with their aggregate, under the scenario's faultload name.
 func TestRebalanceFormatter(t *testing.T) {
 	r := rebalanceRun()
 	rep := &report{}
 	rebalance(rep, r)
+	const fl = "crash-mid-migration"
+	if got := cellAt(t, rep, fl, "", "faultload").value; got != fl {
+		t.Errorf("sharded table's faultload cell = %v, want %s", got, fl)
+	}
 	m := r.Migration
 	const lr = "Live rebalance"
 	for _, c := range []struct {
@@ -91,10 +95,10 @@ func TestRebalanceFormatter(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.col, got, c.want)
 		}
 	}
-	if got := num(t, rep, r.Cfg.Fault.Name, "aggregate", "AWIPS"); got <= 0 {
+	if got := num(t, rep, fl, "aggregate", "AWIPS"); got <= 0 {
 		t.Errorf("aggregate AWIPS = %v", got)
 	}
-	if got := num(t, rep, r.Cfg.Fault.Name, "2", "acc(%)"); got != r.PerGroup[2].Accuracy {
+	if got := num(t, rep, fl, "2", "acc(%)"); got != r.PerGroup[2].Accuracy {
 		t.Errorf("joined group's accuracy cell = %v, want %v", got, r.PerGroup[2].Accuracy)
 	}
 }

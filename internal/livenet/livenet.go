@@ -92,7 +92,9 @@ func (c *Cluster) Links() *netfault.Table { return c.links }
 // grayControlSize is the wire-size ceiling under which a message counts
 // as control traffic for SetGray: liveness pings, Paxos prepares and
 // probe messages all fit, while value-bearing accept/learn traffic does
-// not.
+// not. A plain classic phase-2b vote carries its value's ID, not the
+// value (72 B), so it counts as control traffic too; a fast-round or
+// recovery-round vote carries the value and does not.
 const grayControlSize = 128
 
 // SetGray puts node id into (or out of, rate ≤ 0) a gray-failure mode at

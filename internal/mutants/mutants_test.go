@@ -10,7 +10,8 @@
 //	go test ./internal/mutants/          that, and the hunt's own acceptance
 //	go test ./internal/mutants/ -full    every column
 //
-// -hunt-budget N runs the hunt column at N schedules instead of `-short`.
+// -hunt-budget N runs the hunt column at N schedules instead of `-short`;
+// -hunt-seed N runs the hunt's own acceptance from seed N (hunt_test.go).
 // The package holds only tests: nothing outside it imports a mutant.
 //
 // Rules for the matrix: a change that fixes a bug adds its mutant as a row,

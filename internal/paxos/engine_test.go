@@ -29,6 +29,10 @@ type testCluster struct {
 	onSend  func(from, to env.NodeID, msg env.Message)
 	onWrite func(node env.NodeID, rec env.Record)
 
+	// rewrite, when non-nil, replaces every message an engine sends with
+	// what it returns, after onSend has seen the original.
+	rewrite func(msg env.Message) env.Message
+
 	// failSyncs names the nodes whose WAL group commits complete with an
 	// error: the records reach the disk, and the sync reports a failure.
 	failSyncs map[env.NodeID]bool
@@ -55,7 +59,7 @@ type engineNode struct {
 }
 
 // tapEnv is an engine's runtime with its sends and WAL appends shown to the
-// cluster's onSend and onWrite first.
+// cluster's onSend and onWrite first, and its sends put through rewrite.
 type tapEnv struct {
 	env.Env
 	c       *testCluster
@@ -65,6 +69,9 @@ type tapEnv struct {
 func (e tapEnv) Send(to env.NodeID, msg env.Message) {
 	if e.c.onSend != nil {
 		e.c.onSend(e.ID(), to, msg)
+	}
+	if e.c.rewrite != nil {
+		msg = e.c.rewrite(msg)
 	}
 	e.Env.Send(to, msg)
 }

@@ -221,13 +221,25 @@ func (m acceptMsg) WireSize() int64 { return msgOverhead + m.V.Size }
 // also the durable record of the vote (Kind "accept"), written before it is
 // sent, and the vote the acceptor's log slot holds: one record from the
 // engine's vote slab, passed by pointer and never written again (see Value).
+//
+// Wire rule: in a plain classic ballot (neither Fast nor Rec) a 2b only
+// acknowledges the coordinator's own proposal, which the coordinator reads
+// from its proposal record, never from the 2b; so on the wire it is its
+// ballot, instance and V.ID (72 B). A fast-round or (s, Rec) 2b carries the
+// whole value: the coordinator weighs fast votes by their values. The WAL
+// record is the whole vote either way (32 + V.Size).
 type acceptedMsg struct {
 	B    Ballot
 	Inst InstanceID
 	V    *Value
 }
 
-func (m acceptedMsg) WireSize() int64 { return msgOverhead + m.V.Size }
+func (m acceptedMsg) WireSize() int64 {
+	if m.B.Fast || m.B.Rec {
+		return msgOverhead + m.V.Size
+	}
+	return msgOverhead + 24 // ballot, instance and V.ID
+}
 
 // chosenMsg announces a decided instance to all learners: one record for the
 // whole fan-out, passed by pointer and never written again (see Value). A
