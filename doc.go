@@ -60,7 +60,13 @@
 // paxos.Config.MaxInFlight deep — a uniform backpressure bound no
 // proposal path can overshoot — while acceptor WAL records coalesce into
 // shared group commits (paxos/wal.go: one flush for every record pending
-// behind the in-flight sync). The invariants hold at every depth: the
+// behind the in-flight sync). A proposer batches the same way: a full
+// batch leaves at once, and a partial one at the end of the instant that
+// queued it, so the commands submitted in one instant share a value.
+// paxos.Config.BatchDelay only spaces partial batches: one proposed less
+// than BatchDelay after the last waits out the remainder, gathering what
+// arrives meanwhile, and none waits from its first command. Engine.pump
+// alone decides that wait. The invariants hold at every depth: the
 // learner delivers in instance order, and every promise/accept is durable
 // before its reply leaves the node (WAL-before-ack; one whose sync fails is
 // acknowledged to no one). Above the

@@ -466,6 +466,36 @@ var designRules = []designRule{
 		},
 	},
 	{
+		name: "the batching wait is decided in one place",
+		step: "A partial batch waits only to space partial batches",
+		check: func(c *ctx) {
+			// pump alone decides when a partial batch leaves: it arms the
+			// batch timer or posts the zero-wait flush, both of which run
+			// batchTimeout; and batchTimeout alone records when one left.
+			deferred := []types.Object{
+				c.member("internal/paxos", "Engine", "batchTimer"),
+				c.member("internal/paxos", "Engine", "batchFn"),
+				c.member("internal/paxos", "Engine", "batchTimeout"),
+			}
+			c.only("internal/paxos", "use of the batch timer, the posted flush or batchTimeout", false, []string{"Engine.pump"},
+				func(s *spot, n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					return ok && slices.Contains(deferred, s.pkg.TypesInfo.Uses[id])
+				})
+			last := c.member("internal/paxos", "Engine", "lastBatch")
+			c.only("internal/paxos", "write of when a partial batch left", true, []string{"Engine.batchTimeout"},
+				func(s *spot, n ast.Node) bool {
+					a, ok := n.(*ast.AssignStmt)
+					return ok && slices.ContainsFunc(a.Lhs, func(x ast.Expr) bool { return s.selects(x, last) })
+				})
+		},
+		forbidden: []edit{
+			{"internal/paxos/engine.go", "\tn := en.cmdSeq // numbered before pump, which may already propose it\n",
+				"\tn := en.cmdSeq // numbered before pump, which may already propose it\n\tif en.batchTimer == nil {\n\t\ten.batchTimer = en.e.After(en.cfg.BatchDelay, en.batchTimeout)\n\t}\n"},
+			{"internal/paxos/engine.go", "\ten.inFlight++\n\ten.propose(v)\n", "\ten.inFlight++\n\ten.lastBatch = en.e.Now()\n\ten.propose(v)\n"},
+		},
+	},
+	{
 		name: "an armed timer is not an event",
 		step: "A vote, a decision and a timer are held once",
 		check: func(c *ctx) {

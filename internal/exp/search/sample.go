@@ -7,6 +7,7 @@ package search
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"robuststore/internal/env"
@@ -34,11 +35,7 @@ const (
 // hunt exists. What else the sampler knows of a window op — its closer,
 // whether it severs, whether it takes a direction — is its row of
 // exp.WindowFaults.
-var opMix = []struct {
-	op      exp.FaultOp
-	w       int
-	factors []float64
-}{
+var opMix = []mixEntry{
 	{exp.OpCrash, 2, nil},
 	{exp.OpPartition, 3, nil},
 	{exp.OpDiskSlow, 2, []float64{4, 8, 16}},
@@ -47,6 +44,28 @@ var opMix = []struct {
 	// Below 1: fast-error rate; at/above: service slow-walk.
 	{exp.OpGrayFail, 3, []float64{0.3, 0.5, 0.8, 10, 20, 40}},
 	{exp.OpLinkDelay, 2, []float64{20, 50, 100}},
+}
+
+// mixEntry is one op of the mix: its weight and the factors it draws from.
+type mixEntry struct {
+	op      exp.FaultOp
+	w       int
+	factors []float64
+}
+
+// mixOf is the op mix narrowed to ops, at their weights; the whole mix when
+// ops is empty.
+func mixOf(ops []exp.FaultOp) []mixEntry {
+	if len(ops) == 0 {
+		return opMix
+	}
+	var mix []mixEntry
+	for _, e := range opMix {
+		if slices.Contains(ops, e.op) {
+			mix = append(mix, e)
+		}
+	}
+	return mix
 }
 
 // severing reports whether the op denies its victims' service outright
@@ -62,21 +81,21 @@ type sampledSchedule struct {
 	fl exp.Faultload
 }
 
-// pickOp draws from the weighted op mix, returning the op and the factors
-// it draws from.
-func pickOp(rng *rand.Rand) (exp.FaultOp, []float64) {
+// pickOp draws from a weighted op mix, returning the op and the factors it
+// draws from.
+func pickOp(rng *rand.Rand, mix []mixEntry) (exp.FaultOp, []float64) {
 	total := 0
-	for _, e := range opMix {
+	for _, e := range mix {
 		total += e.w
 	}
 	n := rng.Intn(total)
-	for _, e := range opMix {
+	for _, e := range mix {
 		if n < e.w {
 			return e.op, e.factors
 		}
 		n -= e.w
 	}
-	return opMix[0].op, nil
+	return mix[0].op, nil
 }
 
 // pickSelector draws a quorum-preserving victim selector within group g:
@@ -94,10 +113,12 @@ func pickSelector(rng *rand.Rand, g int) exp.Selector {
 }
 
 // sampleSchedule draws one random fault schedule for a shards×servers
-// deployment. Quorum safety: severing windows never overlap within a
-// group (and each hits at most a minority), so any oracle violation is
-// the system's fault. Non-severing (gray) faults overlap freely.
-func sampleSchedule(rng *rand.Rand, shards, servers int) sampledSchedule {
+// deployment from the ops of mix (opMix, or a hunt's narrowing of it;
+// only the whole mix draws the compound 2PC events). Quorum safety:
+// severing windows never overlap within a group (and each hits at most a
+// minority), so any oracle violation is the system's fault. Non-severing
+// (gray) faults overlap freely.
+func sampleSchedule(rng *rand.Rand, shards, servers int, mix []mixEntry) sampledSchedule {
 	type span struct{ from, to float64 }
 	severSpans := map[int][]span{}
 	overlaps := func(g int, from, to float64) bool {
@@ -119,7 +140,7 @@ func sampleSchedule(rng *rand.Rand, shards, servers int) sampledSchedule {
 	// quorum-safe: each group loses at most one member / a minority, and
 	// both windows register in severSpans so later draws never overlap
 	// them.
-	if shards > 1 && rng.Intn(4) == 0 {
+	if shards > 1 && len(mix) == len(opMix) && rng.Intn(4) == 0 {
 		cg := rng.Intn(shards)
 		pg := (cg + 1 + rng.Intn(shards-1)) % shards
 		at := sampleStartSec + rng.Float64()*(crashInjectEndSec-sampleStartSec)
@@ -151,7 +172,7 @@ func sampleSchedule(rng *rand.Rand, shards, servers int) sampledSchedule {
 	n := 1 + rng.Intn(3)
 	for i := 0; i < n; i++ {
 		g := rng.Intn(shards)
-		op, factors := pickOp(rng)
+		op, factors := pickOp(rng, mix)
 
 		if op == exp.OpCrash {
 			at := sampleStartSec + rng.Float64()*(crashInjectEndSec-sampleStartSec)

@@ -13,7 +13,7 @@ import (
 // window, and schedules are non-empty and deterministic per seed.
 func TestSampleSchedulesQuorumSafe(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		sc := sampleSchedule(rand.New(rand.NewSource(seed)), 2, 3)
+		sc := sampleSchedule(rand.New(rand.NewSource(seed)), 2, 3, opMix)
 		if len(sc.fl.Events) == 0 {
 			t.Fatalf("seed %d: empty schedule", seed)
 		}
@@ -63,7 +63,7 @@ func TestSampleSchedulesQuorumSafe(t *testing.T) {
 			}
 		}
 		// Determinism: the same seed draws the same schedule.
-		sc2 := sampleSchedule(rand.New(rand.NewSource(seed)), 2, 3)
+		sc2 := sampleSchedule(rand.New(rand.NewSource(seed)), 2, 3, opMix)
 		if !reflect.DeepEqual(sc.fl, sc2.fl) {
 			t.Fatalf("seed %d: sampler not deterministic", seed)
 		}
@@ -75,7 +75,7 @@ func TestSampleSchedulesQuorumSafe(t *testing.T) {
 func TestSampleOpMixCoversGrayOps(t *testing.T) {
 	counts := map[exp.FaultOp]int{}
 	for seed := int64(0); seed < 400; seed++ {
-		sc := sampleSchedule(rand.New(rand.NewSource(seed)), 1, 3)
+		sc := sampleSchedule(rand.New(rand.NewSource(seed)), 1, 3, opMix)
 		for _, ev := range sc.fl.Events {
 			counts[ev.Op]++
 		}

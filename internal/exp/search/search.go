@@ -28,9 +28,21 @@ type Config struct {
 	// transaction window.
 	Base exp.RunConfig
 
+	// Ops, when set, narrows the sampler's op mix to these ops, at their
+	// weights in the whole mix: a hunt aimed at one mechanism (the
+	// stale-leader race lives in a partition and its heal). Empty samples
+	// the whole mix.
+	Ops []exp.FaultOp
+
 	Seed         uint64 // sampler base seed; trial t draws its own stream
 	Budget       int    // schedules to try; default 16
 	ShrinkBudget int    // max probe runs per shrink; default 24
+
+	// RunSeeds is how many run seeds (Seed, Seed+1, …) the trials rotate
+	// over; default 4. Each costs one failure-free baseline run. A race
+	// that turns on the phase of the nodes' timers, which a run seed fixes,
+	// needs many.
+	RunSeeds int
 
 	PinDir string    // survivors written here; empty disables pinning
 	Log    io.Writer // per-trial progress; nil for silent
@@ -42,6 +54,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShrinkBudget == 0 {
 		c.ShrinkBudget = 24
+	}
+	if c.RunSeeds == 0 {
+		c.RunSeeds = 4
 	}
 	return c
 }
@@ -76,11 +91,12 @@ func Hunt(cfg Config) Report {
 	}
 	var rep Report
 	baselined := map[uint64]bool{}
+	mix := mixOf(cfg.Ops)
 	for t := 0; t < cfg.Budget; t++ {
 		// Rotate over a few run seeds: schedule diversity does most of
 		// the exploring, and reusing seeds keeps the baseline runs (one
 		// per seed, memoized) from dominating the budget.
-		runSeed := cfg.Seed + uint64(t%4)
+		runSeed := cfg.Seed + uint64(t%cfg.RunSeeds)
 
 		rc := cfg.Base
 		rc.Seed, rc.Fault = runSeed, exp.NoFault
@@ -91,7 +107,7 @@ func Hunt(cfg Config) Report {
 		}
 		rc = base.Cfg // Base with exp's defaults filled in
 		rng := rand.New(rand.NewSource(int64(cfg.Seed)*1_000_003 + int64(t)))
-		sc := sampleSchedule(rng, rc.Shards, rc.Servers)
+		sc := sampleSchedule(rng, rc.Shards, rc.Servers, mix)
 		judge := func(evs []exp.FaultEvent) Verdict {
 			rc.Fault = exp.Faultload{Name: sc.fl.Name, Events: evs}
 			rep.Runs++

@@ -21,8 +21,12 @@ type Config struct {
 	// and in every group of three or fewer, it runs classic Paxos rounds.
 	FastEnabled bool
 
-	// BatchDelay bounds how long submitted commands wait to be grouped
-	// into one proposed value. Default 5 ms.
+	// BatchDelay is the least gap between two partial batches from this
+	// proposer. A partial batch is proposed at the end of the instant that
+	// queued it, so the commands submitted in one instant share one value,
+	// unless this engine proposed a partial batch less than BatchDelay ago:
+	// then it waits out the remainder, and the commands submitted meanwhile
+	// join it. Full batches never wait. Default 5 ms.
 	BatchDelay time.Duration
 
 	// MaxBatchCmds flushes a batch early once it holds this many
@@ -155,8 +159,10 @@ type Engine struct {
 	// per batch. cmdSeq numbers the commands (see Value).
 	nextSeq    int64
 	cmdSeq     int64     // number of the last command submitted
-	batchTimer env.Timer // made on first use, re-armed after; pending while batchArmed
-	batchArmed bool
+	batchTimer env.Timer // made on first use, re-armed after
+	batchFn    func()    // batchTimeout, bound once: a method value per post allocates
+	batchArmed bool      // a partial batch's proposal is posted or timed
+	lastBatch  time.Time // when the last partial batch was proposed
 	cmdQueue   []any
 	qHead      int
 	queueBytes int64
@@ -540,30 +546,42 @@ func (en *Engine) queueLen() int { return len(en.cmdQueue) - en.qHead }
 
 // pump streams queued commands into the proposal pipeline: full batches
 // go out while MaxInFlight slots are free, and a leftover partial batch
-// is held for up to BatchDelay to give it a chance to fill. Every path
-// into the pipeline runs through here, so the in-flight cap is uniform —
-// a timer-driven flush can never overshoot the window.
+// leaves at the end of this instant, posted the way the WAL defers its
+// flush so that every command submitted in the instant joins it, or, if
+// the last partial batch left less than BatchDelay ago, once BatchDelay
+// has passed since. Every path into the pipeline runs through here, so
+// the in-flight cap is uniform — a deferred flush can never overshoot the
+// window.
 func (en *Engine) pump() {
 	for en.queueLen() >= en.cfg.MaxBatchCmds && en.inFlight < en.cfg.MaxInFlight {
 		en.proposeNext(en.cfg.MaxBatchCmds)
 	}
 	if en.queueLen() > 0 && en.inFlight < en.cfg.MaxInFlight && !en.batchArmed {
 		en.batchArmed = true
-		if en.batchTimer == nil {
-			en.batchTimer = en.e.After(en.cfg.BatchDelay, en.batchTimeout)
-		} else {
-			en.batchTimer.Reset(en.cfg.BatchDelay)
+		switch wait := en.lastBatch.Add(en.cfg.BatchDelay).Sub(en.e.Now()); {
+		case wait <= 0:
+			if en.batchFn == nil {
+				en.batchFn = en.batchTimeout
+			}
+			en.e.Post(en.batchFn)
+		case en.batchTimer == nil:
+			en.batchTimer = en.e.After(wait, en.batchTimeout)
+		default:
+			en.batchTimer.Reset(wait)
 		}
 	}
 	en.compactQueue()
 	en.adm.update(en.queueLen(), en.queueBytes)
 }
 
-// batchTimeout proposes the partial batch that waited BatchDelay to fill.
+// batchTimeout proposes the partial batch that pump deferred, and records
+// when it left: the next partial batch leaves no sooner than BatchDelay
+// after it.
 func (en *Engine) batchTimeout() {
 	en.batchArmed = false
 	if n := en.queueLen(); n > 0 && en.inFlight < en.cfg.MaxInFlight {
 		en.proposeNext(min(n, en.cfg.MaxBatchCmds))
+		en.lastBatch = en.e.Now()
 	}
 	en.pump()
 }
