@@ -470,14 +470,13 @@ var designRules = []designRule{
 		step: "A partial batch waits only to space partial batches",
 		check: func(c *ctx) {
 			// pump alone decides when a partial batch leaves: it arms the
-			// batch timer or posts the zero-wait flush, both of which run
-			// batchTimeout; and batchTimeout alone records when one left.
+			// batch timer, which runs batchTimeout; and batchTimeout alone
+			// records when one left.
 			deferred := []types.Object{
 				c.member("internal/paxos", "Engine", "batchTimer"),
-				c.member("internal/paxos", "Engine", "batchFn"),
 				c.member("internal/paxos", "Engine", "batchTimeout"),
 			}
-			c.only("internal/paxos", "use of the batch timer, the posted flush or batchTimeout", false, []string{"Engine.pump"},
+			c.only("internal/paxos", "use of the batch timer or batchTimeout", false, []string{"Engine.pump"},
 				func(s *spot, n ast.Node) bool {
 					id, ok := n.(*ast.Ident)
 					return ok && slices.Contains(deferred, s.pkg.TypesInfo.Uses[id])

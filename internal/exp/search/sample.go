@@ -113,11 +113,10 @@ func pickSelector(rng *rand.Rand, g int) exp.Selector {
 }
 
 // sampleSchedule draws one random fault schedule for a shards×servers
-// deployment from the ops of mix (opMix, or a hunt's narrowing of it;
-// only the whole mix draws the compound 2PC events). Quorum safety:
-// severing windows never overlap within a group (and each hits at most a
-// minority), so any oracle violation is the system's fault. Non-severing
-// (gray) faults overlap freely.
+// deployment from the ops of mix (opMix, or a hunt's narrowing of it).
+// Quorum safety: severing windows never overlap within a group (and each
+// hits at most a minority), so any oracle violation is the system's fault.
+// Non-severing (gray) faults overlap freely.
 func sampleSchedule(rng *rand.Rand, shards, servers int, mix []mixEntry) sampledSchedule {
 	type span struct{ from, to float64 }
 	severSpans := map[int][]span{}
@@ -140,7 +139,7 @@ func sampleSchedule(rng *rand.Rand, shards, servers int, mix []mixEntry) sampled
 	// quorum-safe: each group loses at most one member / a minority, and
 	// both windows register in severSpans so later draws never overlap
 	// them.
-	if shards > 1 && len(mix) == len(opMix) && rng.Intn(4) == 0 {
+	if shards > 1 && rng.Intn(4) == 0 {
 		cg := rng.Intn(shards)
 		pg := (cg + 1 + rng.Intn(shards-1)) % shards
 		at := sampleStartSec + rng.Float64()*(crashInjectEndSec-sampleStartSec)

@@ -38,12 +38,6 @@ type Config struct {
 	Budget       int    // schedules to try; default 16
 	ShrinkBudget int    // max probe runs per shrink; default 24
 
-	// RunSeeds is how many run seeds (Seed, Seed+1, …) the trials rotate
-	// over; default 4. Each costs one failure-free baseline run. A race
-	// that turns on the phase of the nodes' timers, which a run seed fixes,
-	// needs many.
-	RunSeeds int
-
 	PinDir string    // survivors written here; empty disables pinning
 	Log    io.Writer // per-trial progress; nil for silent
 }
@@ -54,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShrinkBudget == 0 {
 		c.ShrinkBudget = 24
-	}
-	if c.RunSeeds == 0 {
-		c.RunSeeds = 4
 	}
 	return c
 }
@@ -96,7 +87,7 @@ func Hunt(cfg Config) Report {
 		// Rotate over a few run seeds: schedule diversity does most of
 		// the exploring, and reusing seeds keeps the baseline runs (one
 		// per seed, memoized) from dominating the budget.
-		runSeed := cfg.Seed + uint64(t%cfg.RunSeeds)
+		runSeed := cfg.Seed + uint64(t%4)
 
 		rc := cfg.Base
 		rc.Seed, rc.Fault = runSeed, exp.NoFault

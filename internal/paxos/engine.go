@@ -159,9 +159,8 @@ type Engine struct {
 	// per batch. cmdSeq numbers the commands (see Value).
 	nextSeq    int64
 	cmdSeq     int64     // number of the last command submitted
-	batchTimer env.Timer // made on first use, re-armed after
-	batchFn    func()    // batchTimeout, bound once: a method value per post allocates
-	batchArmed bool      // a partial batch's proposal is posted or timed
+	batchTimer env.Timer // made on first use, re-armed after; pending while batchArmed
+	batchArmed bool
 	lastBatch  time.Time // when the last partial batch was proposed
 	cmdQueue   []any
 	qHead      int
@@ -546,27 +545,23 @@ func (en *Engine) queueLen() int { return len(en.cmdQueue) - en.qHead }
 
 // pump streams queued commands into the proposal pipeline: full batches
 // go out while MaxInFlight slots are free, and a leftover partial batch
-// leaves at the end of this instant, posted the way the WAL defers its
-// flush so that every command submitted in the instant joins it, or, if
-// the last partial batch left less than BatchDelay ago, once BatchDelay
-// has passed since. Every path into the pipeline runs through here, so
-// the in-flight cap is uniform — a deferred flush can never overshoot the
-// window.
+// leaves on the batch timer: at the end of this instant, armed with no
+// wait so that it runs after what is already scheduled for the instant (as
+// the WAL defers its flush) and every command submitted in the instant
+// joins it, or, if the last partial batch left less than BatchDelay ago,
+// once BatchDelay has passed since. Every path into the pipeline runs
+// through here, so the in-flight cap is uniform — a deferred flush can
+// never overshoot the window.
 func (en *Engine) pump() {
 	for en.queueLen() >= en.cfg.MaxBatchCmds && en.inFlight < en.cfg.MaxInFlight {
 		en.proposeNext(en.cfg.MaxBatchCmds)
 	}
 	if en.queueLen() > 0 && en.inFlight < en.cfg.MaxInFlight && !en.batchArmed {
 		en.batchArmed = true
-		switch wait := en.lastBatch.Add(en.cfg.BatchDelay).Sub(en.e.Now()); {
-		case wait <= 0:
-			if en.batchFn == nil {
-				en.batchFn = en.batchTimeout
-			}
-			en.e.Post(en.batchFn)
-		case en.batchTimer == nil:
+		wait := max(0, en.lastBatch.Add(en.cfg.BatchDelay).Sub(en.e.Now()))
+		if en.batchTimer == nil {
 			en.batchTimer = en.e.After(wait, en.batchTimeout)
-		default:
+		} else {
 			en.batchTimer.Reset(wait)
 		}
 	}
